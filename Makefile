@@ -4,12 +4,13 @@
 # + the wire-protocol conformance/loadgen smoke suite + the HTAP
 # concurrent-ingest/merge suite under -race + the observability suite
 # (fingerprints, sys.* views, wire monitoring e2e) + smoke runs of the
-# vectorized-scan, compressed-execution and commit-pipeline
-# micro-benchmarks.
+# vectorized-scan, compressed-execution, commit-pipeline and point-select
+# micro-benchmarks + vet and tests of the end-to-end benchmark's own
+# module (bench/).
 
 GO ?= go
 
-.PHONY: all lint vet build test race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchcommit benchbaseline bench ci
+.PHONY: all lint vet build test race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchcommit benchpoint benchbaseline benchmod bench ci
 
 all: ci
 
@@ -98,16 +99,33 @@ benchcompressed:
 benchcommit:
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x . | $(GO) run ./cmd/benchguard -match 'BenchmarkCommit'
 
+# Point-select micro-benchmarks: the oltp_point statement in process, key
+# as a $$1 parameter vs spelled as a literal. The gate that matters is
+# the pair's allocs/op: benchguard fails when the parameter form
+# allocates over 10% more per op than the literal form (it has lost its
+# scan kernel, and boxes every row). The ns/op tolerance is wide because
+# a 35 us statement swings with the container's CPU far more than the
+# big scans do.
+benchpoint:
+	$(GO) test -run xxx -bench 'BenchmarkPointSelect(Param|Literal)$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkPointSelect' -tolerance 100
+
+# The end-to-end benchmark is a module of its own (bench/go.mod), so the
+# root `go build ./... && go test ./...` never compiles it: this target
+# is what notices when an internal/ API it calls changes under it.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Regenerate the committed benchmark baseline after an intentional perf
 # change; benchguard -write preserves the workload prose and recomputes
 # the derived speedups. See README "Benchmark baseline" for the workflow.
-# Two passes merge into one file: the commit benchmarks need more
-# iterations than the big-table scans for the group batching to settle.
+# Three passes merge into one file: the commit and point-select
+# benchmarks need more iterations than the big-table scans to settle.
 benchbaseline:
 	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkGroupByRLE' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'BenchmarkPointSelect(Param|Literal)$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-ci: lint build race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchcommit
+ci: lint build race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchcommit benchpoint benchmod

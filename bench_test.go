@@ -257,6 +257,49 @@ func BenchmarkParallelAgg1Worker(b *testing.B)  { benchParallelAgg(b, 1) }
 func BenchmarkParallelAgg4Workers(b *testing.B) { benchParallelAgg(b, 4) }
 func BenchmarkParallelAggNWorkers(b *testing.B) { benchParallelAgg(b, runtime.NumCPU()) }
 
+// --- point-select micro-benchmarks (DESIGN.md §4, E26) --------------------
+
+// benchPointSelect is the oltp_point statement in process: one row out of
+// 10,000 merged rows by key, through Session.Query either with the key as
+// a $1 parameter or spelled as a literal. Both forms bind the same scan
+// kernel, so they must cost the same; cmd/benchguard fails the pair when
+// the parameter form allocates over 10% more than the literal form.
+func benchPointSelect(b *testing.B, param bool) {
+	const n = 10_000
+	eng := sqlexec.NewEngine()
+	eng.MustQuery(`CREATE TABLE kv (k INT, v INT)`)
+	rows := make([]value.Row, n)
+	literals := make([]string, n)
+	for i := range rows {
+		rows[i] = value.Row{value.Int(int64(i)), value.Int(int64(i) * 3)}
+		literals[i] = fmt.Sprintf("SELECT v FROM kv WHERE k = %d", i)
+	}
+	tbl := eng.Cat.MustTable("kv").Primary()
+	tbl.ApplyInsert(rows, 1)
+	tbl.Merge(2)
+	eng.Mgr.AdvanceTo(2)
+	sess := eng.NewSession()
+	defer sess.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i * 7919 % n
+		var r *sqlexec.Result
+		var err error
+		if param {
+			r, err = sess.Query(`SELECT v FROM kv WHERE k = $1`, value.Int(int64(k)))
+		} else {
+			r, err = sess.Query(literals[k])
+		}
+		if err != nil || len(r.Rows) != 1 || r.Rows[0][0].I != int64(k)*3 || r.Stats.KernelHits != 1 {
+			b.Fatalf("k = %d: %v %+v", k, err, r)
+		}
+	}
+}
+
+func BenchmarkPointSelectParam(b *testing.B)   { benchPointSelect(b, true) }
+func BenchmarkPointSelectLiteral(b *testing.B) { benchPointSelect(b, false) }
+
 // --- compressed-execution micro-benchmarks (DESIGN.md §4, E23) -----------
 
 // joinDictEng: a 500k-row fact table whose join key is dict-encoded (256

@@ -3,6 +3,8 @@
 // benchmark's ns/op to BENCH_vectorized_baseline.json, and exits non-zero
 // if any regresses beyond the tolerance — or if a baseline benchmark is
 // missing from the run, so a crashed bench pass cannot read as a pass.
+// Benchmark pairs that must cost the same (allocPairs) are also gated on
+// allocs/op against each other, whatever the baseline says.
 //
 // With -write it regenerates the baseline instead of gating: measured
 // results replace the committed ones (suite/workload prose and per-result
@@ -61,6 +63,13 @@ type baseline struct {
 	} `json:"acceptance"`
 }
 
+// allocPairs lists benchmarks that run the same work two ways: the first
+// may allocate at most 10% more per op than the second. A `$1` point
+// predicate binds the same scan kernel as its literal twin; if it stops
+// doing so it boxes every scanned row and this ratio is the first thing
+// to show it.
+var allocPairs = [][2]string{{"BenchmarkPointSelectParam", "BenchmarkPointSelectLiteral"}}
+
 // benchLine matches one result row of `go test -bench` output, e.g.
 // "BenchmarkScanVectorized-4   100   7797842 ns/op   1220117 B/op ...".
 // The -N suffix is GOMAXPROCS and is stripped for baseline matching.
@@ -111,6 +120,7 @@ func main() {
 	// Tee the bench output through so the run stays visible in CI logs,
 	// collecting measured results along the way.
 	got := map[string]float64{}
+	allocs := map[string]int64{}
 	var measured []result
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -125,6 +135,7 @@ func main() {
 			if m[4] != "" {
 				r.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
 				r.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+				allocs[m[1]] = r.AllocsPerOp
 			}
 			measured = append(measured, r)
 		}
@@ -156,6 +167,23 @@ func main() {
 			failed = true
 		}
 		fmt.Printf("  %s %-28s %12.0f ns/op  baseline %12d  %+6.1f%%\n", verdict, r.Name, ns, r.NsPerOp, delta)
+	}
+	for _, pair := range allocPairs {
+		if _, ran := got[pair[0]]; !ran {
+			continue
+		}
+		a, aok := allocs[pair[0]]
+		b, bok := allocs[pair[1]]
+		switch {
+		case !aok || !bok:
+			fmt.Printf("  FAIL %s vs %s: allocs/op missing (run both with -benchmem)\n", pair[0], pair[1])
+			failed = true
+		case float64(a) > float64(b)*1.10:
+			fmt.Printf("  FAIL %s %d allocs/op exceeds %s %d allocs/op by more than 10%%\n", pair[0], a, pair[1], b)
+			failed = true
+		default:
+			fmt.Printf("  ok   %s %d allocs/op vs %s %d allocs/op (limit +10%%)\n", pair[0], a, pair[1], b)
+		}
 	}
 	if failed {
 		fmt.Println("benchguard: regression beyond tolerance — see FAIL rows above")

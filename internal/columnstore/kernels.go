@@ -62,6 +62,32 @@ func (s *Snapshot) VisibleRange(lo, hi int, sel []int) []int {
 	return sel
 }
 
+// VisibleCount returns how many rows in [lo, hi) the snapshot sees — the
+// same sweep as VisibleRange without building a selection vector.
+func (s *Snapshot) VisibleCount(lo, hi int) int {
+	created, deleted, ts := s.created, s.deleted, s.ts
+	n := 0
+	for i := lo; i < hi; i++ {
+		if created[i] <= ts && atomic.LoadUint64(&deleted[i]) > ts {
+			n++
+		}
+	}
+	return n
+}
+
+// FilterVisible keeps, in place, the positions of sel the snapshot sees:
+// the visibility pass of a kernel-first scan, which checks only the rows
+// that survived the predicate kernels.
+func (s *Snapshot) FilterVisible(sel []int) []int {
+	out := sel[:0]
+	for _, i := range sel {
+		if s.Visible(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // UnpackRange decodes entries [lo, hi) into dst (reused when capacity
 // allows), streaming through the packed words in order instead of
 // re-deriving word/offset per entry as Get does.

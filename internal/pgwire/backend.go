@@ -6,12 +6,15 @@ import (
 )
 
 // Session is what one wire connection executes against: the sqlexec
-// session surface (auto-commit queries, explicit transactions, positional
-// parameters). Implementations are used by exactly one connection
-// goroutine at a time — the same single-goroutine contract sqlexec.Session
-// documents.
+// session surface (auto-commit queries, prepared-statement handles,
+// explicit transactions, positional parameters). Implementations are used
+// by exactly one connection goroutine at a time — the same
+// single-goroutine contract sqlexec.Session documents.
 type Session interface {
 	Query(sql string, params ...value.Value) (*sqlexec.Result, error)
+	// Prepare parses once; the extended protocol's Parse keeps the handle
+	// and Describe/Execute run it without touching the text again.
+	Prepare(sql string) (*sqlexec.Stmt, error)
 	Begin() error
 	Commit() error
 	Rollback() error

@@ -15,9 +15,13 @@ import (
 	"repro/internal/value"
 )
 
-// prepStmt is one named (or unnamed) prepared statement.
+// prepStmt is one named (or unnamed) prepared statement: the engine's
+// parsed-once handle plus what the wire layer derives from the text. st
+// is nil for the empty query string, which Parse accepts and Execute
+// answers with EmptyQueryResponse.
 type prepStmt struct {
-	sql     string
+	st      *sqlexec.Stmt
+	word    string // leading keyword: gates and the CommandComplete tag
 	nparams int
 }
 
@@ -264,7 +268,7 @@ func (c *conn) simpleQuery(sql string) {
 			break // error already sent; abort the rest of the batch
 		}
 	}
-	c.srv.obs.Histogram("pgwire_query_ms", "proto=simple").ObserveSince(t0)
+	c.srv.hSimple.ObserveSince(t0)
 }
 
 // runStatement executes one simple-protocol statement. Returns false if
@@ -289,7 +293,7 @@ func (c *conn) runStatement(sql string) bool {
 		c.queryError(err)
 		return false
 	}
-	c.srv.obs.Counter("pgwire_queries_total", "result=ok").Inc()
+	c.srv.cOK.Inc()
 	if isRowStatement(word) {
 		c.sendRowDescription(res)
 		n := c.sendDataRows(res, 0, 0)
@@ -327,7 +331,7 @@ func (c *conn) gateStatement(word string) gateResult {
 			return gateErr
 		}
 		c.txFailed = false
-		c.srv.obs.Counter("pgwire_queries_total", "result=ok").Inc()
+		c.srv.cOK.Inc()
 		c.sendCommandComplete("ROLLBACK")
 		return gateHandled
 	default:
@@ -342,7 +346,7 @@ func (c *conn) queryError(err error) {
 	if c.sess != nil && c.sess.InTxn() {
 		c.txFailed = true
 	}
-	c.srv.obs.Counter("pgwire_queries_total", "result=error").Inc()
+	c.srv.cErr.Inc()
 	c.sendError(sqlstateFor(err), err.Error())
 }
 
@@ -382,19 +386,23 @@ func (c *conn) handleParse(m *msgReader) {
 			return
 		}
 	}
-	// Validate eagerly when the backend can: a broken statement must fail
-	// at Parse, not surface later as a surprising Execute error.
-	if d, ok := c.sess.(describer); ok && strings.TrimSpace(sql) != "" {
-		if _, err := d.Describe(sql); err != nil {
+	ps := &prepStmt{nparams: noids}
+	if strings.TrimSpace(sql) != "" {
+		// Validate eagerly: a broken statement — one that does not parse
+		// or, for a SELECT, does not plan — must fail at Parse, not
+		// surface later as a surprising Execute error.
+		st, err := c.sess.Prepare(sql)
+		if err == nil {
+			_, err = st.Columns()
+		}
+		if err != nil {
 			c.extQueryError(err)
 			return
 		}
+		ps.st, ps.word = st, firstKeyword(sql)
+		ps.nparams = max(noids, st.NumParams())
 	}
-	np := countParams(sql)
-	if noids > np {
-		np = noids
-	}
-	c.stmts[name] = &prepStmt{sql: strings.TrimSpace(sql), nparams: np}
+	c.stmts[name] = ps
 	c.out.start(msgParseComplete)
 	c.out.finish()
 }
@@ -464,11 +472,11 @@ func (c *conn) run(p *portal) {
 		return
 	}
 	t0 := time.Now()
-	c.monStart(p.stmt.sql)
-	p.res, p.err = c.sess.Query(p.stmt.sql, p.params...)
+	c.monStart(p.stmt.st.SQL())
+	p.res, p.err = p.stmt.st.Exec(p.params...)
 	c.monEnd()
 	c.srv.release()
-	c.srv.obs.Histogram("pgwire_query_ms", "proto=extended").ObserveSince(t0)
+	c.srv.hExtended.ObserveSince(t0)
 }
 
 func (c *conn) handleDescribe(m *msgReader) {
@@ -491,67 +499,36 @@ func (c *conn) handleDescribe(m *msgReader) {
 			c.out.int32(oidText)
 		}
 		c.out.finish()
-		c.describeStatementRows(st)
+		c.describeRows(st)
 	case 'P':
 		p, ok := c.portals[name]
 		if !ok {
 			c.extError(CodeInvalidCursor, fmt.Sprintf("portal %q does not exist", name))
 			return
 		}
-		if !isRowStatement(firstKeyword(p.stmt.sql)) {
-			c.out.start(msgNoData)
-			c.out.finish()
-			return
-		}
-		if word := firstKeyword(p.stmt.sql); word == "SELECT" || word == "EXPLAIN" {
-			// Row shape without execution when the session supports
-			// plan-only describe; otherwise run now and cache.
-			if cols, ok := c.describeCols(p.stmt.sql); ok {
-				c.sendRowDescriptionCols(cols, nil)
-				return
-			}
-		}
-		c.run(p)
-		if p.err != nil {
-			c.extQueryError(p.err)
-			return
-		}
-		c.sendRowDescription(p.res)
+		c.describeRows(p.stmt)
 	default:
 		c.extError(CodeProtocolViolation, fmt.Sprintf("Describe kind %q", kind))
 	}
 }
 
-// describer is the optional plan-only describe surface (sqlexec sessions
-// implement it; other backends fall back to execute-and-cache).
-type describer interface {
-	Describe(sql string) ([]string, error)
-}
-
-func (c *conn) describeCols(sql string) ([]string, bool) {
-	d, ok := c.sess.(describer)
-	if !ok {
-		return nil, false
+// describeRows answers the row-shape half of Describe from the handle:
+// the plan of a SELECT is built, never run.
+func (c *conn) describeRows(ps *prepStmt) {
+	var cols []string
+	if ps.st != nil {
+		var err error
+		if cols, err = ps.st.Columns(); err != nil {
+			c.extQueryError(err)
+			return
+		}
 	}
-	cols, err := d.Describe(sql)
-	if err != nil || cols == nil {
-		return nil, false
-	}
-	return cols, true
-}
-
-func (c *conn) describeStatementRows(st *prepStmt) {
-	if !isRowStatement(firstKeyword(st.sql)) {
+	if cols == nil {
 		c.out.start(msgNoData)
 		c.out.finish()
 		return
 	}
-	if cols, ok := c.describeCols(st.sql); ok {
-		c.sendRowDescriptionCols(cols, nil)
-		return
-	}
-	c.out.start(msgNoData)
-	c.out.finish()
+	c.sendRowDescriptionCols(cols, nil)
 }
 
 func (c *conn) handleExecute(m *msgReader) {
@@ -566,7 +543,12 @@ func (c *conn) handleExecute(m *msgReader) {
 		c.extError(CodeInvalidCursor, fmt.Sprintf("portal %q does not exist", name))
 		return
 	}
-	word := firstKeyword(p.stmt.sql)
+	if p.stmt.st == nil {
+		c.out.start(msgEmptyQuery)
+		c.out.finish()
+		return
+	}
+	word := p.stmt.word
 	switch c.gateStatement(word) {
 	case gateErr:
 		c.skipSync = true
@@ -581,7 +563,7 @@ func (c *conn) handleExecute(m *msgReader) {
 	}
 	if !p.counted {
 		p.counted = true
-		c.srv.obs.Counter("pgwire_queries_total", "result=ok").Inc()
+		c.srv.cOK.Inc()
 	}
 	if isRowStatement(word) {
 		sent := c.sendDataRows(p.res, p.pos, maxRows)

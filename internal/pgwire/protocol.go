@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Protocol version and special startup codes (first frame has no type
@@ -232,52 +231,4 @@ func readStartup(r *bufio.Reader, maxLen int) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
-}
-
-// countParams scans SQL for placeholders the way the engine's lexer does
-// (outside '...' strings, "..." identifiers and -- comments): the number
-// of `?` occurrences plus the highest `$N`, whichever shape the statement
-// uses. Used for ParameterDescription without a full parse.
-func countParams(sql string) int {
-	seq, max := 0, 0
-	for i := 0; i < len(sql); i++ {
-		switch c := sql[i]; c {
-		case '\'':
-			for i++; i < len(sql); i++ {
-				if sql[i] == '\'' {
-					if i+1 < len(sql) && sql[i+1] == '\'' {
-						i++
-						continue
-					}
-					break
-				}
-			}
-		case '"':
-			for i++; i < len(sql) && sql[i] != '"'; i++ {
-			}
-		case '-':
-			if i+1 < len(sql) && sql[i+1] == '-' {
-				for ; i < len(sql) && sql[i] != '\n'; i++ {
-				}
-			}
-		case '?':
-			seq++
-		case '$':
-			n := 0
-			j := i + 1
-			for ; j < len(sql) && sql[j] >= '0' && sql[j] <= '9'; j++ {
-				if n < math.MaxInt32/10 {
-					n = n*10 + int(sql[j]-'0')
-				}
-			}
-			if j > i+1 && n > max {
-				max = n
-			}
-			i = j - 1
-		}
-	}
-	if max > seq {
-		return max
-	}
-	return seq
 }

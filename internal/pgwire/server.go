@@ -88,6 +88,10 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	obs *stats.Registry
+	// Per-statement metric handles, resolved once in Serve: a registry
+	// lookup builds a sorted label slice and a joined key every time.
+	hSimple, hExtended *stats.Histogram // pgwire_query_ms{proto=…}
+	cOK, cErr          *stats.Counter   // pgwire_queries_total{result=…}
 }
 
 // Serve listens on cfg.Addr and accepts connections until Shutdown or
@@ -107,6 +111,11 @@ func Serve(backend Backend, cfg Config) (*Server, error) {
 		done:    make(chan struct{}),
 		conns:   map[uint32]*conn{},
 		obs:     cfg.Obs,
+
+		hSimple:   cfg.Obs.Histogram("pgwire_query_ms", "proto=simple"),
+		hExtended: cfg.Obs.Histogram("pgwire_query_ms", "proto=extended"),
+		cOK:       cfg.Obs.Counter("pgwire_queries_total", "result=ok"),
+		cErr:      cfg.Obs.Counter("pgwire_queries_total", "result=error"),
 	}
 	// An engine-backed server observes itself: its connection table joins
 	// the engine's sys schema, queryable over the very protocol it serves.

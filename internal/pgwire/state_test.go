@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Extended-protocol state-machine tests: malformed and truncated frames,
@@ -273,6 +276,95 @@ func TestStateFlushWithoutSync(t *testing.T) {
 	}
 	if typ != msgParseComplete {
 		t.Fatalf("want ParseComplete after Flush, got %q", typ)
+	}
+}
+
+// Describe answers from the engine's parsed-once handle: the parameter
+// count is the parser's (placeholders inside strings, quoted identifiers
+// and comments do not count), the row shape is the planned SELECT's, a
+// statement that does not plan fails at Parse, and the empty query string
+// parses, describes as NoData and executes as EmptyQueryResponse.
+func TestStateDescribeFromHandle(t *testing.T) {
+	obs := stats.NewRegistry()
+	srv, eng := startServer(t, Config{Obs: obs})
+	eng.MustQuery(`CREATE TABLE d (a INT, b VARCHAR)`)
+	nc, r := rawDial(t, srv)
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	parse := func(name, sql string) {
+		writeMsg(t, nc, msgParse, append([]byte(name+"\x00"+sql+"\x00"), 0, 0))
+	}
+	describe := func(kind byte, name string) {
+		writeMsg(t, nc, msgDescribe, append([]byte{kind}, name+"\x00"...))
+	}
+
+	parse("s", "SELECT b, a FROM d WHERE a = $2 AND b <> '$7' -- $9\n AND a > $1")
+	describe('S', "s")
+	writeMsg(t, nc, msgSync, nil)
+	sawParams, sawRows := false, false
+	for {
+		typ, payload, err := readFrame(r, DefaultMaxMessage)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		m := &msgReader{buf: payload}
+		switch typ {
+		case msgParamDescription:
+			if n := m.int16(); n != 2 {
+				t.Fatalf("ParameterDescription reports %d parameters, want 2", n)
+			}
+			sawParams = true
+		case msgRowDescription:
+			if cols := decodeRowDescription(m); len(cols) != 2 || cols[0] != "b" || cols[1] != "a" {
+				t.Fatalf("RowDescription %v, want [b a]", cols)
+			}
+			sawRows = true
+		case msgErrorResponse:
+			t.Fatalf("unexpected error: %+v", decodeError(m))
+		}
+		if typ == msgReadyForQuery {
+			break
+		}
+	}
+	if !sawParams || !sawRows {
+		t.Fatalf("Describe S: ParameterDescription=%v RowDescription=%v", sawParams, sawRows)
+	}
+
+	// A SELECT that parses but does not plan fails at Parse.
+	parse("bad", "SELECT nope FROM missing_table")
+	writeMsg(t, nc, msgSync, nil)
+	if types, code := collectUntilReady(t, r); code == "" || containsByte(types, msgParseComplete) {
+		t.Fatalf("unplannable statement accepted at Parse: %q code %q", types, code)
+	}
+
+	// The empty query string.
+	parse("", " ")
+	writeMsg(t, nc, msgBind, []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	describe('P', "")
+	writeMsg(t, nc, msgExecute, []byte{0, 0, 0, 0, 0})
+	writeMsg(t, nc, msgSync, nil)
+	types, code := collectUntilReady(t, r)
+	if code != "" || !containsByte(types, msgNoData) || !containsByte(types, msgEmptyQuery) {
+		t.Fatalf("empty query string: %q code %q, want NoData and EmptyQueryResponse", types, code)
+	}
+
+	// The statement metrics keep their names and labels now that the
+	// server resolves the handles once.
+	eng.MustQuery(`INSERT INTO d VALUES (1, 'x')`)
+	writeMsg(t, nc, msgBind, append([]byte("\x00s\x00"), 0, 0, 0, 2, 0, 0, 0, 1, '0', 0, 0, 0, 1, '1', 0, 0))
+	writeMsg(t, nc, msgExecute, []byte{0, 0, 0, 0, 0})
+	writeMsg(t, nc, msgSync, nil)
+	if types, code := collectUntilReady(t, r); code != "" || !containsByte(types, msgDataRow) {
+		t.Fatalf("execute of the described statement: %q code %q", types, code)
+	}
+	snap := obs.Snapshot()
+	if n, _ := snap.Counter("pgwire_queries_total", "result=ok"); n != 1 {
+		t.Fatalf("pgwire_queries_total{result=ok} = %d, want 1", n)
+	}
+	if n, _ := snap.Counter("pgwire_queries_total", "result=error"); n != 1 {
+		t.Fatalf("pgwire_queries_total{result=error} = %d, want 1", n)
+	}
+	if !strings.Contains(snap.Prometheus(), `pgwire_query_ms_count{proto="extended"} 1`) {
+		t.Fatalf("pgwire_query_ms{proto=extended} missing from:\n%s", snap.Prometheus())
 	}
 }
 

@@ -101,16 +101,13 @@ func (e *Engine) MustQuery(sql string, params ...value.Value) *Result {
 
 // ExplainSQL returns the optimized plan of a SELECT as text.
 func (e *Engine) ExplainSQL(sql string) (string, error) {
-	st, err := Parse(sql)
+	s := e.NewSession()
+	defer s.Close()
+	st, err := s.prepareSelect(sql, "EXPLAIN")
 	if err != nil {
 		return "", err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return "", fmt.Errorf("sql: EXPLAIN supports only SELECT")
-	}
-	pl := &Planner{Cat: e.Cat, Reg: e.Reg, Sys: e.Sys, TS: e.Mgr.Now(), Prune: e.Prune}
-	plan, err := pl.BuildSelect(sel)
+	plan, _, err := s.planSelect(st.sel)
 	if err != nil {
 		return "", err
 	}
@@ -121,27 +118,24 @@ func (e *Engine) ExplainSQL(sql string) (string, error) {
 // returns both the result and the annotated plan (EXPLAIN ANALYZE). The
 // statement actually runs — the timings are measured, not estimated.
 func (e *Engine) AnalyzeSQL(sql string, params ...value.Value) (*Result, *Profile, error) {
-	st, err := Parse(sql)
+	s := e.NewSession()
+	defer s.Close()
+	t0 := time.Now()
+	st, err := s.prepareSelect(sql, "EXPLAIN ANALYZE")
 	if err != nil {
 		return nil, nil, err
 	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, nil, fmt.Errorf("sql: EXPLAIN ANALYZE supports only SELECT")
+	return st.exec(t0, params, true)
+}
+
+// prepareSelect prepares the bare SELECT the engine-level EXPLAIN entry
+// points take.
+func (s *Session) prepareSelect(sql, verb string) (*Stmt, error) {
+	st, err := s.Prepare(sql)
+	if err == nil && (st.kind != stmtParsed || st.sel == nil) {
+		err = fmt.Errorf("sql: %s supports only SELECT", verb)
 	}
-	ts := e.Mgr.Now()
-	pl := &Planner{Cat: e.Cat, Reg: e.Reg, Sys: e.Sys, TS: ts, Prune: e.Prune}
-	plan, err := pl.BuildSelect(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, prof, err := RunAnalyzed(plan, ts, params, e.Reg, e.Mode, e.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	prof.SQL = sql
-	e.maybeRecordSlow(sql, prof)
-	return res, prof, nil
+	return st, err
 }
 
 // Session executes statements; DML inside an explicit transaction is
@@ -288,57 +282,20 @@ func (s *Session) Rollback() error {
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.explicit }
 
-// Describe returns the output column names of a SELECT without executing
-// it — the plan is built, not run. Non-SELECT statements (including the
-// BEGIN/COMMIT/ROLLBACK control statements) return (nil, nil): they
-// produce no row set. The wire front end uses this for the extended
-// protocol's Describe message.
-func (s *Session) Describe(sql string) ([]string, error) {
-	trimmed := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
-	switch strings.ToUpper(trimmed) {
-	case "BEGIN", "COMMIT", "ROLLBACK":
-		return nil, nil
-	}
-	if up := strings.ToUpper(trimmed); strings.HasPrefix(up, "EXPLAIN") {
-		return []string{"plan"}, nil
-	}
-	st, err := Parse(trimmed)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, nil
-	}
-	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: s.snapshotTS(), Prune: s.e.Prune}
-	plan, err := pl.BuildSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	cols := plan.columns()
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
-	return names, nil
-}
-
-// Query executes one SQL statement. It wraps the dispatcher with the
-// workload bookkeeping every statement gets: the session is marked
-// active for sys.m_sessions, and the outcome lands in the fingerprinted
-// statement statistics behind sys.m_statements.
+// Query executes one SQL statement: Prepare, then Exec. A statement that
+// fails to parse still counts — the session shows it and the error lands
+// under the text's fingerprint in sys.m_statements.
 func (s *Session) Query(sql string, params ...value.Value) (*Result, error) {
-	s.setActive(sql)
 	t0 := time.Now()
-	res, err := s.run(sql, params...)
-	d := time.Since(t0)
-	var rows int64
-	if res != nil {
-		rows = int64(len(res.Rows))
+	st, err := s.Prepare(sql)
+	if err != nil {
+		s.setActive(sql)
+		id, norm := Fingerprint(sql)
+		s.e.stmts.record(id, norm, time.Since(t0), 0, true)
+		s.setIdle()
+		return nil, err
 	}
-	id, norm := Fingerprint(sql)
-	s.e.stmts.record(id, norm, d, rows, err != nil)
-	s.setIdle()
+	res, _, err := st.exec(t0, params, false)
 	return res, err
 }
 
@@ -359,84 +316,6 @@ func (s *Session) setIdle() {
 	s.info.inTxn = s.explicit
 	s.info.lastActive = time.Now()
 	s.info.mu.Unlock()
-}
-
-// run dispatches one SQL statement. Control statements (BEGIN/COMMIT/
-// ROLLBACK/EXPLAIN) are handled here; everything else goes through the
-// parser.
-func (s *Session) run(sql string, params ...value.Value) (*Result, error) {
-	trimmed := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
-	switch strings.ToUpper(trimmed) {
-	case "BEGIN":
-		return &Result{}, s.Begin()
-	case "COMMIT":
-		return &Result{}, s.Commit()
-	case "ROLLBACK":
-		return &Result{}, s.Rollback()
-	}
-	if up := strings.ToUpper(trimmed); strings.HasPrefix(up, "EXPLAIN ANALYZE ") {
-		_, prof, err := s.e.AnalyzeSQL(trimmed[len("EXPLAIN ANALYZE "):], params...)
-		if err != nil {
-			return nil, err
-		}
-		return textResult(prof.Render()), nil
-	} else if strings.HasPrefix(up, "EXPLAIN ") {
-		text, err := s.e.ExplainSQL(trimmed[len("EXPLAIN "):])
-		if err != nil {
-			return nil, err
-		}
-		return textResult(text), nil
-	}
-
-	span := s.e.Tracer.Start("sql", "stmt="+firstWord(trimmed))
-	defer span.Finish()
-	tParse := time.Now()
-	st, need, err := ParseWithParams(sql)
-	s.e.Obs.Histogram("sql_parse_ms").ObserveSince(tParse)
-	if err != nil {
-		return nil, err
-	}
-	if need > len(params) {
-		return nil, fmt.Errorf("sql: statement requires parameter $%d, got %d", need, len(params))
-	}
-	s.cur = span
-	s.curSQL = trimmed
-	defer func() { s.cur = nil; s.curSQL = "" }()
-	switch x := st.(type) {
-	case *SelectStmt:
-		return s.execSelect(x, params)
-	case *InsertStmt:
-		return s.execInsert(x, params)
-	case *UpdateStmt:
-		return s.execUpdate(x, params)
-	case *DeleteStmt:
-		return s.execDelete(x, params)
-	case *CreateTableStmt:
-		return s.execCreateTable(x)
-	case *CreateViewStmt:
-		return &Result{}, s.e.Cat.CreateView(x.Name, selectSQL(sql))
-	case *DropTableStmt:
-		if !s.e.Cat.DropTable(x.Name) && !x.IfExists {
-			return nil, fmt.Errorf("sql: no table %q", x.Name)
-		}
-		s.e.Mgr.Deregister(x.Name)
-		return &Result{}, nil
-	case *MergeDeltaStmt:
-		if s.e.OnMergeDelta != nil {
-			return &Result{}, s.e.OnMergeDelta(x.Table)
-		}
-		entry, ok := s.e.Cat.Table(x.Table)
-		if !ok {
-			return nil, fmt.Errorf("sql: no table %q", x.Table)
-		}
-		// Merge through the commit pipeline so concurrent committers with
-		// validated positions are never renumbered mid-commit.
-		for _, p := range entry.Partitions {
-			s.e.Mgr.MergeNow(p.Table)
-		}
-		return &Result{}, nil
-	}
-	return nil, fmt.Errorf("sql: unhandled statement %T", st)
 }
 
 // textResult renders multi-line text as a one-column result set.
@@ -473,25 +352,28 @@ func (s *Session) snapshotTS() uint64 {
 	return s.e.Mgr.Now()
 }
 
-func (s *Session) execSelect(sel *SelectStmt, params []value.Value) (*Result, error) {
-	ts := s.snapshotTS()
+// execSelect plans and runs a SELECT. It runs profiled when the caller
+// asks (EXPLAIN ANALYZE) or the engine's always-on profiling is set: the
+// slow execution is captured with its operator breakdown, not re-run
+// after the fact.
+func (s *Session) execSelect(sel *SelectStmt, params []value.Value, profiled bool) (*Result, *Profile, error) {
 	tPlan := time.Now()
 	psp := s.cur.Child("plan")
-	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: s.e.Prune}
-	plan, err := pl.BuildSelect(sel)
+	plan, ts, err := s.planSelect(sel)
 	psp.Finish()
 	s.e.Obs.Histogram("sql_plan_ms").ObserveSince(tPlan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tExec := time.Now()
 	esp := s.cur.Child("exec")
 	var res *Result
-	if s.e.SlowThreshold > 0 {
-		// Always-on profiling: the slow execution is captured with its
-		// operator breakdown, not re-run after the fact.
-		var prof *Profile
+	var prof *Profile
+	if profiled || s.e.SlowThreshold > 0 {
 		res, prof, err = RunAnalyzed(plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers)
+		if prof != nil {
+			prof.SQL = s.curSQL
+		}
 		s.e.maybeRecordSlow(s.curSQL, prof)
 	} else {
 		res, err = RunWorkers(plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers)
@@ -502,7 +384,7 @@ func (s *Session) execSelect(sel *SelectStmt, params []value.Value) (*Result, er
 	if res != nil {
 		s.e.Obs.Counter("sql_rows_scanned_total").Add(int64(res.Stats.RowsScanned))
 	}
-	return res, err
+	return res, prof, err
 }
 
 // currentTxn returns the session transaction, creating a one-statement
@@ -530,7 +412,7 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (*Result, er
 	// Source rows.
 	var src []value.Row
 	if ins.Select != nil {
-		res, err := s.execSelect(ins.Select, params)
+		res, _, err := s.execSelect(ins.Select, params, false)
 		if err != nil {
 			return nil, err
 		}

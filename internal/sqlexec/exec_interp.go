@@ -66,12 +66,15 @@ type execCtx struct {
 	mu      sync.Mutex
 	pool    *vecPool
 	prof    *Profile // non-nil under EXPLAIN ANALYZE
+	// inlineNS is the busy time of single-task runs executed on the
+	// statement's own goroutine (runTasks).
+	inlineNS int64
 }
 
 // getPool lazily starts the statement's morsel worker pool.
 func (ctx *execCtx) getPool() *vecPool {
 	if ctx.pool == nil {
-		ctx.pool = newVecPool(ctx.workers)
+		ctx.pool = newVecPool(ctx.poolSize())
 		if ctx.prof != nil {
 			ctx.prof.Workers = ctx.pool.workers
 		}

@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"errors"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,6 +45,9 @@ func runVectorized(p Plan, ctx *execCtx, res *Result) (bool, error) {
 		if ctx.pool != nil {
 			ctx.pool.close()
 			ctx.pool = nil
+		}
+		if ctx.inlineNS > 0 {
+			hVecWorkerBusy.Observe(float64(ctx.inlineNS) / 1e3)
 		}
 	}()
 	if err := vp(func(rows []value.Row) error {
@@ -183,7 +185,7 @@ type scanRun struct {
 // row executors exactly.
 func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 	s := p.plan
-	r := &scanRun{ctx: ctx, scratch: make([]scanScratch, ctx.getPool().workers), op: ctx.prof.node(s)}
+	r := &scanRun{ctx: ctx, op: ctx.prof.node(s)}
 	res := resolverFor(p.cols)
 	ctx.mu.Lock()
 	ctx.stats.PartitionsPruned += s.Pruned
@@ -230,6 +232,14 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 		if mainRows > 0 {
 			hits, falls := 0, 0
 			for _, vp := range s.VecEligible {
+				if vp.Param >= 0 {
+					// Fill the slot on this run's copy; an unbound slot
+					// reads NULL, exactly as the generic evaluator sees it.
+					vp.Lit = value.Null
+					if vp.Param < len(ctx.params) {
+						vp.Lit = ctx.params[vp.Param]
+					}
+				}
 				if k := bindKernel(snap, vp); k != nil {
 					kernels = append(kernels, k)
 					hits++
@@ -288,14 +298,19 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 			}
 		}
 	}
+	r.scratch = make([]scanScratch, ctx.workersFor(len(r.tasks)))
 	return r, nil
 }
 
-// process runs one morsel's selection phase on worker w — cold stall,
-// visibility sweep, kernel intersection — and hands the surviving
-// positions to consume, bracketing the whole morsel with the scan's
-// stats, profiling and page-fault attribution. consume must not retain
-// sel past the call: it is worker scratch.
+// process runs one morsel's selection phase on worker w and hands the
+// surviving positions to consume, bracketing the whole morsel with the
+// scan's stats, profiling and page-fault attribution. A morsel with bound
+// kernels goes kernel-first: the kernels thin the range over the encoded
+// columns and only their survivors are checked for visibility, so a
+// selective predicate never builds a selection vector of every visible
+// row (the visible count the stats need comes from an allocation-free
+// sweep). Without kernels the visibility sweep produces the selection.
+// consume must not retain sel past the call: it is worker scratch.
 func (r *scanRun) process(t *scanTask, w int, consume func(sel []int) []value.Row) []value.Row {
 	if r.stop.Load() {
 		return nil
@@ -313,14 +328,22 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel []int) []value.Ro
 	}
 	faults0, faultNS0 := extstore.FaultCounters()
 	scr := &r.scratch[w]
-	sel := t.snap.VisibleRange(t.lo, t.hi, scr.selA[:0])
-	visible := len(sel)
-	for _, k := range t.kernels {
-		if len(sel) == 0 {
-			break
+	var sel []int
+	var visible int
+	if len(t.kernels) == 0 {
+		sel = t.snap.VisibleRange(t.lo, t.hi, scr.selA[:0])
+		visible = len(sel)
+	} else {
+		sel = t.kernels[0](t.lo, t.hi, scr.selA[:0])
+		for _, k := range t.kernels[1:] {
+			if len(sel) == 0 {
+				break
+			}
+			scr.selB = k(t.lo, t.hi, scr.selB[:0])
+			sel = intersectInto(sel, scr.selB)
 		}
-		scr.selB = k(t.lo, t.hi, scr.selB[:0])
-		sel = intersectInto(sel, scr.selB)
+		sel = t.snap.FilterVisible(sel)
+		visible = t.snap.VisibleCount(t.lo, t.hi)
 	}
 	var out []value.Row
 	if len(sel) > 0 {
@@ -361,16 +384,17 @@ func (r *scanRun) materialize(t *scanTask, sel []int) []value.Row {
 	return out
 }
 
-// runMorsel executes one morsel on worker w: visibility sweep, kernel
-// intersection, then row materialization with the generic residual.
+// runMorsel executes one morsel on worker w: the selection phase, then
+// row materialization with the generic residual.
 func (r *scanRun) runMorsel(t *scanTask, w int) []value.Row {
 	return r.process(t, w, func(sel []int) []value.Row { return r.materialize(t, sel) })
 }
 
-// drain runs every morsel on the pool and emits surviving batches in
-// morsel order — vectorized output stays byte-identical to sequential.
-// Each morsel owns a buffered channel, so workers complete out of order
-// without blocking while the drain loop consumes in sequence.
+// drain runs every morsel and emits surviving batches in morsel order —
+// vectorized output stays byte-identical to sequential. A single morsel
+// runs inline; with more, each morsel owns a buffered channel, so workers
+// complete out of order without blocking while the drain loop consumes in
+// sequence.
 func (r *scanRun) drain(emit func([]value.Row) error) error {
 	return r.drainWith(r.runMorsel, emit)
 }
@@ -379,20 +403,24 @@ func (r *scanRun) drain(emit func([]value.Row) error) error {
 // operators (code-valued join probe, fused projection) substitute their
 // own consumers while keeping the ordered hand-off.
 func (r *scanRun) drainWith(fn func(t *scanTask, w int) []value.Row, emit func([]value.Row) error) error {
-	if len(r.tasks) == 0 {
+	switch len(r.tasks) {
+	case 0:
 		return nil
+	case 1:
+		var rows []value.Row
+		r.ctx.runTasks(1, func(_, w int) { rows = fn(r.tasks[0], w) })
+		if len(rows) == 0 {
+			return nil
+		}
+		return emit(rows)
 	}
-	pool := r.ctx.getPool()
 	chans := make([]chan []value.Row, len(r.tasks))
 	for i := range chans {
 		chans[i] = make(chan []value.Row, 1)
 	}
-	go func() {
-		for i, t := range r.tasks {
-			i, t := i, t
-			pool.submit(func(w int) { chans[i] <- fn(t, w) })
-		}
-	}()
+	// Start the pool here: the dispatching goroutine must only read it.
+	r.ctx.getPool()
+	go r.ctx.runTasks(len(r.tasks), func(i, w int) { chans[i] <- fn(r.tasks[i], w) })
 	var emitErr error
 	for _, ch := range chans {
 		rows := <-ch
@@ -428,11 +456,13 @@ func vecScan(s *ScanPlan, ctx *execCtx) (vpipe, error) {
 // integer kernel compares raw int64 only when column and literal agree on
 // kind, the float kernel coerces integer literals the way Compare does,
 // the dictionary kernel binds string literals, and the RLE kernel calls
-// Compare itself once per run so any literal kind is safe. A nil return
-// sends the conjunct to the generic expression path for this partition.
+// Compare itself once per run so any non-NULL kind is safe. Literals and
+// bound parameters take the same rules: a NULL (possible only from a
+// parameter) or kind-mismatched value binds nothing. A nil return sends
+// the conjunct to the generic expression path for this partition.
 func bindKernel(snap *columnstore.Snapshot, p vecPred) kernelFn {
 	mc := snap.MainColumn(p.Col)
-	if mc == nil {
+	if mc == nil || p.Lit.IsNull() {
 		return nil
 	}
 	// Capability interfaces instead of concrete structs: hot columns and
@@ -782,33 +812,23 @@ func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, 
 		if err != nil {
 			return err
 		}
-		pool := ctx.getPool()
-		folds := make([]*vecAggFold, pool.workers)
+		folds := make([]*vecAggFold, ctx.workersFor(len(run.tasks)))
 		for w := range folds {
 			if folds[w], err = newAggFold(x, res, ctx); err != nil {
 				return err
 			}
 		}
-		var wg sync.WaitGroup
-		wg.Add(len(run.tasks))
-		for _, t := range run.tasks {
-			t := t
-			pool.submit(func(w int) {
-				defer wg.Done()
-				rows := run.runMorsel(t, w)
-				if len(rows) == 0 {
-					return
-				}
-				f := folds[w]
-				// Rank = morsel sequence number × morsel capacity + offset:
-				// globally unique and ordered like the sequential row stream.
-				base := int64(t.seq) << 20
-				for i, row := range rows {
-					f.add(row, base+int64(i))
-				}
-			})
-		}
-		wg.Wait()
+		ctx.runTasks(len(run.tasks), func(ti, w int) {
+			t := run.tasks[ti]
+			rows := run.runMorsel(t, w)
+			f := folds[w]
+			// Rank = morsel sequence number × morsel capacity + offset:
+			// globally unique and ordered like the sequential row stream.
+			base := int64(t.seq) << 20
+			for i, row := range rows {
+				f.add(row, base+int64(i))
+			}
+		})
 		return emit(finishAgg(folds, x))
 	}, nil
 }
@@ -852,8 +872,7 @@ func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 	rWidth := len(x.R.columns())
 
 	return func(emit func([]value.Row) error) error {
-		pool := ctx.getPool()
-		nPart := pool.workers
+		nPart := ctx.poolSize()
 		type keyedRow struct {
 			k   string
 			row value.Row
@@ -878,23 +897,20 @@ func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 		}
 		// Phase 2: build the per-bucket hash tables in parallel.
 		maps := make([]map[string][]value.Row, nPart)
-		var wg sync.WaitGroup
-		for b := 0; b < nPart; b++ {
-			if len(buckets[b]) == 0 {
-				continue
+		var live []int
+		for b := range buckets {
+			if len(buckets[b]) > 0 {
+				live = append(live, b)
 			}
-			b := b
-			wg.Add(1)
-			pool.submit(func(int) {
-				defer wg.Done()
-				m := make(map[string][]value.Row, len(buckets[b]))
-				for _, kr := range buckets[b] {
-					m[kr.k] = append(m[kr.k], kr.row)
-				}
-				maps[b] = m
-			})
 		}
-		wg.Wait()
+		ctx.runTasks(len(live), func(i, _ int) {
+			b := live[i]
+			m := make(map[string][]value.Row, len(buckets[b]))
+			for _, kr := range buckets[b] {
+				m[kr.k] = append(m[kr.k], kr.row)
+			}
+			maps[b] = m
+		})
 		// Phase 3: probe with the left side's ordered batches.
 		return left(func(rows []value.Row) error {
 			var out []value.Row

@@ -561,25 +561,18 @@ func vecAggScanCode(x *AggPlan, s *ScanPlan, info aggCodeInfo, ctx *execCtx) (vp
 		if err != nil {
 			return err
 		}
-		pool := ctx.getPool()
 		interner := newStrInterner()
-		folds := make([]*codeFold, pool.workers)
+		folds := make([]*codeFold, ctx.workersFor(len(run.tasks)))
 		for w := range folds {
 			folds[w] = newCodeFold(x, info, interner, prep.ncols)
 		}
-		var wg sync.WaitGroup
-		wg.Add(len(run.tasks))
-		for _, t := range run.tasks {
-			t := t
-			pool.submit(func(w int) {
-				defer wg.Done()
-				run.process(t, w, func(sel []int) []value.Row {
-					folds[w].foldMorsel(run, t, sel)
-					return nil
-				})
+		ctx.runTasks(len(run.tasks), func(i, w int) {
+			t := run.tasks[i]
+			run.process(t, w, func(sel []int) []value.Row {
+				folds[w].foldMorsel(run, t, sel)
+				return nil
 			})
-		}
-		wg.Wait()
+		})
 		var runs, fused, avoided int64
 		for _, f := range folds {
 			runs += f.runsFolded
@@ -694,7 +687,7 @@ func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
 		if err != nil {
 			return err
 		}
-		keyScratch := make([][]int64, ctx.getPool().workers)
+		keyScratch := make([][]int64, len(run.scratch))
 		ncols := prep.ncols
 
 		// Phase 2: probe fused into the scan morsels, emitted in morsel

@@ -19,9 +19,13 @@ import (
 // of the normalized text) and the normalized text itself.
 func Fingerprint(sql string) (id, norm string) {
 	norm = NormalizeSQL(sql)
+	return fingerprintID(norm), norm
+}
+
+func fingerprintID(norm string) string {
 	h := fnv.New64a()
 	h.Write([]byte(norm))
-	return fmt.Sprintf("%016x", h.Sum64()), norm
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // NormalizeSQL canonicalizes a statement for fingerprinting: keywords
@@ -31,10 +35,26 @@ func Fingerprint(sql string) (id, norm string) {
 // whitespace collapsing, so every string — even unparseable garbage —
 // gets a deterministic fingerprint.
 func NormalizeSQL(sql string) string {
-	toks, err := lex(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
+	toks, err := lex(sql)
 	if err != nil {
 		return strings.Join(strings.Fields(sql), " ")
 	}
+	return normalizeTokens(trimTrailingSemi(toks))
+}
+
+// trimTrailingSemi drops, in place, the one statement-terminating `;`
+// before EOF.
+func trimTrailingSemi(toks []token) []token {
+	if n := len(toks); n >= 2 && toks[n-2].kind == tkOp && toks[n-2].text == ";" {
+		toks[n-2] = toks[n-1]
+		return toks[:n-1]
+	}
+	return toks
+}
+
+// normalizeTokens is NormalizeSQL over an already-lexed statement, so a
+// prepared statement is fingerprinted by the lexer pass that parses it.
+func normalizeTokens(toks []token) string {
 	var parts []string
 	for i := 0; i < len(toks); i++ {
 		t := toks[i]

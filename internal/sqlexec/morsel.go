@@ -30,9 +30,6 @@ type vecPool struct {
 type vecJob func(worker int)
 
 func newVecPool(workers int) *vecPool {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	p := &vecPool{
 		workers: workers,
 		jobs:    make(chan vecJob),
@@ -50,6 +47,57 @@ func newVecPool(workers int) *vecPool {
 		}(w)
 	}
 	return p
+}
+
+// workersFor returns how many workers will share n tasks, for sizing
+// per-worker state before anything runs: one for a single task (it runs
+// inline, see runTasks), the statement's pool size otherwise.
+func (ctx *execCtx) workersFor(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return ctx.poolSize()
+}
+
+// poolSize resolves the configured worker count (<=0: one per CPU).
+func (ctx *execCtx) poolSize() int {
+	if ctx.workers <= 0 {
+		return runtime.NumCPU()
+	}
+	return ctx.workers
+}
+
+// runTasks runs job(i, worker) for every i in [0, n) and returns when all
+// have finished. A single task runs on the calling goroutine as worker 0
+// — no pool, no goroutines, no hand-off — so a one-morsel scan costs what
+// its rows cost; its busy time still reaches sql_vec_worker_busy_us when
+// the statement ends. More tasks go to the statement's worker pool. Scan
+// drain, partial aggregation and the partitioned join build all dispatch
+// through here.
+func (ctx *execCtx) runTasks(n int, job func(i, worker int)) {
+	switch n {
+	case 0:
+		return
+	case 1:
+		if ctx.prof != nil && ctx.prof.Workers == 0 {
+			ctx.prof.Workers = 1
+		}
+		t0 := time.Now()
+		job(0, 0)
+		ctx.inlineNS += time.Since(t0).Nanoseconds()
+		return
+	}
+	pool := ctx.getPool()
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		i := i
+		pool.submit(func(w int) {
+			defer wg.Done()
+			job(i, w)
+		})
+	}
+	wg.Wait()
 }
 
 // submit hands a job to the pool, blocking until a worker is free.

@@ -230,7 +230,8 @@ var parityQueries = []struct {
 	{sql: `SELECT COUNT(*), SUM(amount) FROM sales WHERE yr = 2013`},
 	{sql: `SELECT region, COUNT(*) FROM sales WHERE yr >= 2014 GROUP BY region`},
 	{sql: `SELECT COUNT(*) FROM sales WHERE yr < 2012 AND region = 'APJ'`},
-	// Parameters bind through the vectorized residual path.
+	// Parameters bind to scan kernels exactly as literals do; every literal
+	// query here also runs in parameter form in TestVectorizedParamParity.
 	{sql: `SELECT COUNT(*) FROM orders WHERE region = ? AND yr > ?`,
 		params: []value.Value{value.String("EMEA"), value.Int(2011)}},
 	{sql: `SELECT id FROM orders WHERE amount > ? ORDER BY id LIMIT 20`,

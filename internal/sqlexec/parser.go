@@ -22,6 +22,12 @@ func ParseWithParams(src string) (Statement, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	return parseTokens(toks, src)
+}
+
+// parseTokens parses an already-lexed statement (EOF-terminated); src is
+// only quoted in error messages.
+func parseTokens(toks []token, src string) (Statement, int, error) {
 	p := &parser{toks: toks, src: src}
 	st, err := p.parseStatement()
 	if err != nil {

@@ -699,15 +699,19 @@ func (s *ScanPlan) scanParts() []*catalog.Partition {
 	return s.Entry.Partitions
 }
 
-// vecPred is one kernel-eligible scan conjunct: <column> <cmp> <literal>.
-// The vectorized executor binds it to an encoded-column batch kernel per
-// partition; partitions whose physical encoding has no matching kernel
-// evaluate Orig through the generic expression path instead.
+// vecPred is one kernel-eligible scan conjunct: <column> <cmp> <literal>
+// or <column> <cmp> <parameter>. The vectorized executor binds it to an
+// encoded-column batch kernel per partition; partitions whose physical
+// encoding has no matching kernel evaluate Orig through the generic
+// expression path instead. A parameter conjunct carries the slot, not the
+// value, so the plan stays parameter-independent: each run copies the
+// bound value into Lit just before binding (scanPrep.newRun).
 type vecPred struct {
-	Col  int // index into the scan's output columns
-	Op   columnstore.CmpOp
-	Lit  value.Value
-	Orig Expr
+	Col   int // index into the scan's output columns
+	Op    columnstore.CmpOp
+	Lit   value.Value
+	Param int // 0-based parameter slot that supplies Lit; -1 for a literal
+	Orig  Expr
 }
 
 // cmpOps maps SQL comparison spellings to kernel operators.
@@ -719,10 +723,10 @@ var cmpOps = map[string]columnstore.CmpOp{
 
 // markKernelEligible classifies the scan's filter conjuncts for the
 // vectorized executor. A conjunct qualifies when it compares one of the
-// scan's columns against a non-NULL literal with a plain comparison
-// operator — the shape every batch kernel understands. Everything else
-// (functions, parameters, LIKE, IN, multi-column expressions) lands in
-// VecResidual and runs row-at-a-time on the already-thinned selection.
+// scan's columns against a non-NULL literal or a parameter with a plain
+// comparison operator — the shape every batch kernel understands.
+// Everything else (functions, LIKE, IN, multi-column expressions) lands
+// in VecResidual and runs row-at-a-time on the already-thinned selection.
 func markKernelEligible(s *ScanPlan) {
 	s.VecMarked = true
 	s.VecEligible = s.VecEligible[:0]
@@ -748,16 +752,14 @@ func classifyVecConjunct(e Expr, cols []colInfo) (vecPred, bool) {
 	if !ok {
 		return vecPred{}, false
 	}
-	cr, lok := be.L.(*ColRef)
-	lit, rok := be.R.(*Literal)
-	if !lok || !rok {
+	cr, ok := be.L.(*ColRef)
+	operand := be.R
+	if !ok {
 		// literal <op> column: flip the operand order and the operator.
-		cr2, c2 := be.R.(*ColRef)
-		lit2, l2 := be.L.(*Literal)
-		if !c2 || !l2 {
+		if cr, ok = be.R.(*ColRef); !ok {
 			return vecPred{}, false
 		}
-		cr, lit = cr2, lit2
+		operand = be.L
 		switch op {
 		case columnstore.CmpLT:
 			op = columnstore.CmpGT
@@ -769,12 +771,22 @@ func classifyVecConjunct(e Expr, cols []colInfo) (vecPred, bool) {
 			op = columnstore.CmpLE
 		}
 	}
-	if lit.Val.IsNull() {
-		return vecPred{}, false // NULL comparisons are never true
+	p := vecPred{Op: op, Param: -1, Orig: e}
+	switch x := operand.(type) {
+	case *Literal:
+		if x.Val.IsNull() {
+			return vecPred{}, false // NULL comparisons are never true
+		}
+		p.Lit = x.Val
+	case *Param:
+		p.Param = x.Index
+	default:
+		return vecPred{}, false
 	}
 	for i, c := range cols {
 		if (cr.Qual == "" || cr.Qual == c.Qual) && cr.Name == c.Name {
-			return vecPred{Col: i, Op: op, Lit: lit.Val, Orig: e}, true
+			p.Col = i
+			return p, true
 		}
 	}
 	return vecPred{}, false

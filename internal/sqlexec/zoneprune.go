@@ -19,7 +19,8 @@ import (
 func zonePrune(s *ScanPlan, conjs []Expr, parts []*catalog.Partition) []*catalog.Partition {
 	preds := make([]vecPred, 0, len(conjs))
 	for _, c := range conjs {
-		if p, ok := classifyVecConjunct(c, s.cols); ok {
+		// A parameter's value is unknown at plan time; only literals prune.
+		if p, ok := classifyVecConjunct(c, s.cols); ok && p.Param < 0 {
 			preds = append(preds, p)
 		}
 	}
