@@ -4,13 +4,13 @@
 # + the wire-protocol conformance/loadgen smoke suite + the HTAP
 # concurrent-ingest/merge suite under -race + the observability suite
 # (fingerprints, sys.* views, wire monitoring e2e) + smoke runs of the
-# vectorized-scan, compressed-execution, commit-pipeline and point-select
-# micro-benchmarks + vet and tests of the end-to-end benchmark's own
-# module (bench/).
+# vectorized-scan, compressed-execution, position-based aggregation,
+# commit-pipeline and point-select micro-benchmarks + vet and tests of the
+# end-to-end benchmark's own module (bench/).
 
 GO ?= go
 
-.PHONY: all lint vet build test race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchcommit benchpoint benchbaseline benchmod bench ci
+.PHONY: all lint vet build test race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchagg benchcommit benchpoint benchbaseline benchmod bench ci
 
 all: ci
 
@@ -85,19 +85,28 @@ monitor:
 # if a baseline benchmark is missing from the output, so a crashed bench
 # run cannot slip through the pipe as a pass.
 benchsmoke:
-	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg' -benchtime=100x . | $(GO) run ./cmd/benchguard -match 'BenchmarkScan|BenchmarkParallelAgg'
+	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg' -benchtime=100x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkScan|BenchmarkParallelAgg'
 
 # Compressed-execution micro-benchmarks: the code-valued join probe and
 # the run-folding group-by against their row-at-a-time counterparts,
 # gated by the same baseline file (join/group-by subset via -match).
 benchcompressed:
-	$(GO) test -run xxx -bench 'BenchmarkJoinDict|BenchmarkGroupByRLE' -benchtime=20x . | $(GO) run ./cmd/benchguard -match 'BenchmarkJoinDict|BenchmarkGroupByRLE'
+	$(GO) test -run xxx -bench 'BenchmarkJoinDict|BenchmarkGroupByRLE' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkJoinDict|BenchmarkGroupByRLE'
+
+# Position-based aggregation micro-benchmarks: the float GROUP BY folded
+# on dictionary codes in morsel order and the aggregate fused into the
+# code join's probe. What is gated is allocs/op (benchguard fails a row
+# over 10% above its recorded value): a per-input-row allocation coming
+# back shows as a thousandfold jump, on any host. The ns/op tolerance is
+# wide for the same reason as benchpoint's.
+benchagg:
+	$(GO) test -run xxx -bench 'BenchmarkGroupByFloatSum|BenchmarkJoinAggDict' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkGroupByFloatSum|BenchmarkJoinAggDict' -tolerance 100
 
 # Commit-pipeline micro-benchmarks: concurrent disjoint-table committers
 # through the group-commit path vs the serialized baseline (one fsync per
 # batch vs one per commit), gated by the same baseline file.
 benchcommit:
-	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x . | $(GO) run ./cmd/benchguard -match 'BenchmarkCommit'
+	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkCommit'
 
 # Point-select micro-benchmarks: the oltp_point statement in process, key
 # as a $$1 parameter vs spelled as a literal. The gate that matters is
@@ -121,11 +130,11 @@ benchmod:
 # Three passes merge into one file: the commit and point-select
 # benchmarks need more iterations than the big-table scans to settle.
 benchbaseline:
-	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkGroupByRLE' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkGroupByRLE|BenchmarkGroupByFloatSum|BenchmarkJoinAggDict' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkPointSelect(Param|Literal)$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-ci: lint build race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchcommit benchpoint benchmod
+ci: lint build race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchagg benchcommit benchpoint benchmod

@@ -361,6 +361,58 @@ func benchJoinDict(b *testing.B, mode sqlexec.Mode) {
 func BenchmarkJoinDict(b *testing.B)           { benchJoinDict(b, sqlexec.ModeVectorized) }
 func BenchmarkJoinDictRowAtATime(b *testing.B) { benchJoinDict(b, sqlexec.ModeInterpreted) }
 
+// BenchmarkJoinAggDict groups the same join by a build-side column: the
+// aggregate fuses into the code probe, so neither the 62,500 matching
+// probe rows nor the joined rows are ever boxed.
+func BenchmarkJoinAggDict(b *testing.B) {
+	eng := joinDictEngine(b)
+	eng.Mode = sqlexec.ModeVectorized
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := eng.MustQuery(`SELECT d.name, COUNT(*), SUM(f.qty) FROM fact f JOIN dim d ON f.rk = d.rk GROUP BY d.name`)
+		if len(r.Rows) != 32 {
+			b.Fatalf("expected 32 groups, got %d", len(r.Rows))
+		}
+	}
+}
+
+// groupByFloatEng: 200k merged rows, a dictionary group column and a
+// DOUBLE measure — the olap_scan `groupby` class in process. The float
+// sum makes the fold order-sensitive: it runs on dictionary codes in
+// morsel order, one addend at a time.
+var groupByFloatEng *sqlexec.Engine
+
+func BenchmarkGroupByFloatSum(b *testing.B) {
+	if groupByFloatEng == nil {
+		eng := sqlexec.NewEngine()
+		eng.MustQuery(`CREATE TABLE orders (id INT, region VARCHAR, amount DOUBLE)`)
+		rows := make([]value.Row, 200_000)
+		for i := range rows {
+			rows[i] = value.Row{
+				value.Int(int64(i)),
+				value.String(fmt.Sprintf("region-%d", i%8)),
+				value.Float(float64(i%10_000) / 7),
+			}
+		}
+		tbl := eng.Cat.MustTable("orders").Primary()
+		tbl.ApplyInsert(rows, 1)
+		tbl.Merge(2)
+		eng.Mgr.AdvanceTo(2)
+		groupByFloatEng = eng
+	}
+	eng := groupByFloatEng
+	eng.Mode = sqlexec.ModeVectorized
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := eng.MustQuery(`SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region`)
+		if len(r.Rows) != 8 {
+			b.Fatalf("expected 8 groups, got %d", len(r.Rows))
+		}
+	}
+}
+
 // rleAggEng: 1M rows whose group keys arrive sorted, so the merge picks
 // run-length encoding. g has 8 runs of 125k rows (low cardinality), g2 has
 // 100k runs of 10 (exceeding the flat-array group cutoff), v has runs of

@@ -3,6 +3,8 @@
 // benchmark's ns/op to BENCH_vectorized_baseline.json, and exits non-zero
 // if any regresses beyond the tolerance — or if a baseline benchmark is
 // missing from the run, so a crashed bench pass cannot read as a pass.
+// A baseline row that records allocs_per_op is also gated on it: the run
+// may not allocate over 10% more per op (counts repeat where clocks drift).
 // Benchmark pairs that must cost the same (allocPairs) are also gated on
 // allocs/op against each other, whatever the baseline says.
 //
@@ -69,6 +71,10 @@ type baseline struct {
 // doing so it boxes every scanned row and this ratio is the first thing
 // to show it.
 var allocPairs = [][2]string{{"BenchmarkPointSelectParam", "BenchmarkPointSelectLiteral"}}
+
+// allocTolerance is how far allocs/op may exceed its reference — the
+// recorded baseline value, or the other half of an allocPairs pair.
+const allocTolerance = 1.10
 
 // benchLine matches one result row of `go test -bench` output, e.g.
 // "BenchmarkScanVectorized-4   100   7797842 ns/op   1220117 B/op ...".
@@ -167,6 +173,21 @@ func main() {
 			failed = true
 		}
 		fmt.Printf("  %s %-28s %12.0f ns/op  baseline %12d  %+6.1f%%\n", verdict, r.Name, ns, r.NsPerOp, delta)
+		// Allocations repeat run to run where ns/op does not, so a row that
+		// records them is held to them tightly, whatever -tolerance says.
+		if r.AllocsPerOp > 0 {
+			a, ok := allocs[r.Name]
+			switch {
+			case !ok:
+				fmt.Printf("  FAIL %-28s allocs/op missing (run with -benchmem)\n", r.Name)
+				failed = true
+			case float64(a) > float64(r.AllocsPerOp)*allocTolerance:
+				fmt.Printf("  FAIL %-28s %12d allocs/op baseline %9d  exceeds it by more than 10%%\n", r.Name, a, r.AllocsPerOp)
+				failed = true
+			default:
+				fmt.Printf("  ok   %-28s %12d allocs/op baseline %9d\n", r.Name, a, r.AllocsPerOp)
+			}
+		}
 	}
 	for _, pair := range allocPairs {
 		if _, ran := got[pair[0]]; !ran {
@@ -178,7 +199,7 @@ func main() {
 		case !aok || !bok:
 			fmt.Printf("  FAIL %s vs %s: allocs/op missing (run both with -benchmem)\n", pair[0], pair[1])
 			failed = true
-		case float64(a) > float64(b)*1.10:
+		case float64(a) > float64(b)*allocTolerance:
 			fmt.Printf("  FAIL %s %d allocs/op exceeds %s %d allocs/op by more than 10%%\n", pair[0], a, pair[1], b)
 			failed = true
 		default:

@@ -121,16 +121,9 @@ func Dial(cfg ClientConfig) (*Conn, error) {
 	}
 }
 
-// finishStartup frames the untyped startup message.
+// finishStartup frames the untyped startup message and sends it.
 func (c *Conn) finishStartup() error {
-	buf := c.out.buf
-	var hdr [4]byte
-	n := len(buf) + 4
-	hdr[0], hdr[1], hdr[2], hdr[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-	if _, err := c.out.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.out.w.Write(buf); err != nil {
+	if err := c.out.finishUntyped(); err != nil {
 		return err
 	}
 	return c.out.w.Flush()
@@ -341,13 +334,10 @@ func (c *Conn) Cancel() error {
 	w.int32(cancelCode)
 	w.uint32(c.backendPID)
 	w.uint32(c.backendSecret)
-	buf := w.buf
-	n := len(buf) + 4
-	hdr := []byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
-	if _, err := nc.Write(append(hdr, buf...)); err != nil {
+	if err := w.finishUntyped(); err != nil {
 		return err
 	}
-	return nil
+	return w.w.Flush()
 }
 
 // Close sends Terminate and closes the socket.
@@ -373,17 +363,23 @@ func decodeRowDescription(m *msgReader) []string {
 	return cols
 }
 
+// decodeDataRow decodes one DataRow into text cells (nil = NULL). The
+// payload is copied once and every cell is a substring of that copy, so a
+// row costs three allocations whatever its width; bounds are checked
+// through msgReader as for any frame.
 func decodeDataRow(m *msgReader) []*string {
-	n := m.int16()
-	row := make([]*string, 0, n)
-	for i := 0; i < n; i++ {
+	n := max(m.int16(), 0)
+	payload := string(m.buf)
+	cells := make([]string, n)
+	row := make([]*string, n)
+	for i := range row {
 		l := m.int32()
 		if l < 0 {
-			row = append(row, nil)
 			continue
 		}
-		s := string(m.bytes(l))
-		row = append(row, &s)
+		at := m.pos
+		cells[i] = payload[at : at+len(m.bytes(l))]
+		row[i] = &cells[i]
 	}
 	return row
 }

@@ -673,25 +673,11 @@ func (c *conn) sendDataRows(res *sqlexec.Result, from, max int) int {
 				c.out.int32(-1)
 				continue
 			}
-			s := encodeText(row[i])
-			c.out.int32(len(s))
-			c.out.raw([]byte(s))
+			c.out.text(row[i])
 		}
 		c.out.finish()
 	}
 	return end - from
-}
-
-// encodeText renders a value in PostgreSQL text format: booleans as t/f,
-// everything else via the engine's canonical rendering.
-func encodeText(v value.Value) string {
-	if v.K == value.KindBool {
-		if v.AsBool() {
-			return "t"
-		}
-		return "f"
-	}
-	return v.AsString()
 }
 
 func (c *conn) sendCommandComplete(tag string) {

@@ -21,6 +21,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"repro/internal/value"
 )
 
 // Protocol version and special startup codes (first frame has no type
@@ -158,17 +160,18 @@ func (m *msgReader) bytes(n int) []byte {
 	return b
 }
 
-// msgWriter accumulates one backend message and flushes it with its
-// length prefix. Reused per connection; not safe for concurrent use.
+// msgWriter accumulates one message and frames it onto the buffered
+// writer. The first five bytes of buf are reserved for the header (type
+// byte + length), patched in by finish, so a message is one Write and no
+// header ever escapes to the heap. Reused per connection; not safe for
+// concurrent use.
 type msgWriter struct {
 	w   *bufio.Writer
-	typ byte
 	buf []byte
 }
 
 func (m *msgWriter) start(typ byte) *msgWriter {
-	m.typ = typ
-	m.buf = m.buf[:0]
+	m.buf = append(m.buf[:0], typ, 0, 0, 0, 0)
 	return m
 }
 
@@ -179,16 +182,37 @@ func (m *msgWriter) uint32(v uint32) { m.buf = binary.BigEndian.AppendUint32(m.b
 func (m *msgWriter) string(s string) { m.buf = append(append(m.buf, s...), 0) }
 func (m *msgWriter) raw(b []byte)    { m.buf = append(m.buf, b...) }
 
+// text appends one text-format cell of a DataRow: the int32 length, then
+// the value rendered in place — booleans as t/f, everything else the
+// engine's canonical rendering — with the length patched in after.
+func (m *msgWriter) text(v value.Value) {
+	at := len(m.buf)
+	m.buf = append(m.buf, 0, 0, 0, 0)
+	if v.K == value.KindBool {
+		if v.AsBool() {
+			m.buf = append(m.buf, 't')
+		} else {
+			m.buf = append(m.buf, 'f')
+		}
+	} else {
+		m.buf = v.AppendString(m.buf)
+	}
+	binary.BigEndian.PutUint32(m.buf[at:], uint32(len(m.buf)-at-4))
+}
+
 // finish frames the accumulated payload onto the buffered writer. The
 // caller flushes at ReadyForQuery / Flush boundaries.
 func (m *msgWriter) finish() error {
-	var hdr [5]byte
-	hdr[0] = m.typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(m.buf)+4))
-	if _, err := m.w.Write(hdr[:]); err != nil {
-		return err
-	}
+	binary.BigEndian.PutUint32(m.buf[1:], uint32(len(m.buf)-1))
 	_, err := m.w.Write(m.buf)
+	return err
+}
+
+// finishUntyped frames the message as a startup-phase packet, which has
+// no type byte: the length, then the payload.
+func (m *msgWriter) finishUntyped() error {
+	binary.BigEndian.PutUint32(m.buf[1:], uint32(len(m.buf)-1))
+	_, err := m.w.Write(m.buf[1:])
 	return err
 }
 

@@ -91,14 +91,15 @@ func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 		}
 		return func(emit func([]value.Row) error) error {
 			seen := map[string]bool{}
+			var buf []byte
 			return child(func(rows []value.Row) error {
 				out := rows[:0]
 				for _, row := range rows {
-					k := row.Key()
-					if seen[k] {
+					buf = row.AppendKey(buf[:0])
+					if seen[string(buf)] {
 						continue
 					}
-					seen[k] = true
+					seen[string(buf)] = true
 					out = append(out, row)
 				}
 				if len(out) == 0 {
@@ -151,11 +152,25 @@ func prepScan(s *ScanPlan, ctx *execCtx) (*scanPrep, error) {
 	return &scanPrep{plan: s, cols: s.columns(), ncols: len(s.Entry.Schema)}, nil
 }
 
+// filterCols lists the scan columns the filter reads. Whatever part of
+// the filter a morsel's residual is, it reads no other column. Worked out
+// only by a run that has a residual: a kernel-only scan pays nothing.
+func (p *scanPrep) filterCols() []int {
+	var refs []*ColRef
+	collectColRefs(p.plan.Filter, &refs)
+	cols := make([]int, len(refs))
+	for i, cr := range refs {
+		cols[i] = findCol(p.cols, cr)
+	}
+	return cols
+}
+
 // scanTask is one morsel: rows [lo, hi) of one partition snapshot. Main
 // morsels carry bound kernels plus a compiled residual; delta morsels
 // evaluate the full filter generically (delta storage is unencoded).
 // Each task runs on exactly one worker, so its compiled resid needs no
-// synchronization.
+// synchronization. Only scanRun.process reads kernels and resid: what it
+// hands on is the morsel's final selection vector.
 type scanTask struct {
 	seq     int
 	snap    *columnstore.Snapshot
@@ -167,16 +182,31 @@ type scanTask struct {
 	main    bool // rows [lo, hi) lie in encoded main storage (capabilities apply)
 }
 
-type scanScratch struct{ selA, selB []int }
+// rankShift places a morsel's sequence number above the ordinal of a row
+// in that morsel's output: first-seen ranks are globally unique and
+// ordered like the sequential row stream, with room for a many-to-many
+// join to emit far more rows than the morsel holds.
+const rankShift = 40
+
+func (t *scanTask) rankBase() int64 { return int64(t.seq) << rankShift }
+
+// scanScratch is one worker's reusable state: selection vectors, and the
+// row the residual predicate is evaluated against (allocated by the first
+// morsel that has a residual).
+type scanScratch struct {
+	selA, selB []int
+	env        Env
+}
 
 // scanRun is one execution of a prepared scan: the morsel list plus
-// per-worker scratch selection vectors.
+// per-worker scratch.
 type scanRun struct {
-	ctx     *execCtx
-	tasks   []*scanTask
-	scratch []scanScratch
-	stop    atomic.Bool
-	op      *OpProfile // scan operator's analyze counters; may be nil
+	ctx       *execCtx
+	tasks     []*scanTask
+	scratch   []scanScratch
+	residCols []int // scan columns a residual may read: all its scratch row carries
+	stop      atomic.Bool
+	op        *OpProfile // scan operator's analyze counters; may be nil
 }
 
 // newRun snapshots the partitions, binds kernels against each partition's
@@ -277,6 +307,9 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 					return err
 				}
 				resid = f
+				if r.residCols == nil {
+					r.residCols = p.filterCols()
+				}
 			}
 			r.tasks = append(r.tasks, &scanTask{
 				seq: len(r.tasks), snap: snap, lo: lo, hi: hi,
@@ -310,10 +343,12 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 // selective predicate never builds a selection vector of every visible
 // row (the visible count the stats need comes from an allocation-free
 // sweep). Without kernels the visibility sweep produces the selection.
-// consume must not retain sel past the call: it is worker scratch.
-func (r *scanRun) process(t *scanTask, w int, consume func(sel []int) []value.Row) []value.Row {
+// The residual predicate is the last selection step, so consume sees the
+// final selection whatever the filter's shape. consume must not retain
+// sel past the call: it is worker scratch.
+func (r *scanRun) process(t *scanTask, w int, consume func(sel []int)) {
 	if r.stop.Load() {
-		return nil
+		return
 	}
 	if r.op != nil {
 		t0 := time.Now()
@@ -345,9 +380,11 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel []int) []value.Ro
 		sel = t.snap.FilterVisible(sel)
 		visible = t.snap.VisibleCount(t.lo, t.hi)
 	}
-	var out []value.Row
+	if t.resid != nil && len(sel) > 0 {
+		sel = r.filterResidual(t, scr, sel)
+	}
 	if len(sel) > 0 {
-		out = consume(sel)
+		consume(sel)
 	}
 	scr.selA = sel[:0]
 	ctx.mu.Lock()
@@ -360,81 +397,144 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel []int) []value.Ro
 		r.op.morsels.Add(1)
 	}
 	cVecMorsels.Inc()
+}
+
+// filterResidual compacts sel to the positions the morsel's residual
+// predicate accepts. The predicate reads a per-worker scratch row that
+// carries only the columns the filter references; no row is boxed.
+func (r *scanRun) filterResidual(t *scanTask, scr *scanScratch, sel []int) []int {
+	if scr.env.Row == nil {
+		scr.env = Env{Row: make(value.Row, len(t.getters)), Params: r.ctx.params}
+	}
+	out := sel[:0]
+	for _, pos := range sel {
+		for _, c := range r.residCols {
+			scr.env.Row[c] = t.getters[c](pos)
+		}
+		if v := t.resid(&scr.env); !v.IsNull() && v.AsBool() {
+			out = append(out, pos)
+		}
+	}
 	return out
 }
 
-// materialize boxes the surviving positions into full rows, applying the
-// morsel's residual predicate.
+// chargeFaults runs fn — work over a morsel's positions done outside
+// process, by an ordered consumer — and attributes the page faults it
+// takes to the scan operator, as process does for its own.
+func (r *scanRun) chargeFaults(fn func()) {
+	faults0, faultNS0 := extstore.FaultCounters()
+	fn()
+	r.ctx.mu.Lock()
+	attributeFaults(r.ctx.stats, r.op, faults0, faultNS0)
+	r.ctx.mu.Unlock()
+}
+
+// slabRows returns n rows of the given width carved out of one backing
+// array: a batch that leaves an operator costs two allocations, not one
+// per row.
+func slabRows(n, width int) []value.Row {
+	slab := make([]value.Value, n*width)
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
+}
+
+// rowSlab hands out slab rows one at a time, for operators that cannot
+// know their output size up front (joins). Chunks double from 64 rows to
+// 2048: a probe that matches nothing costs one small chunk at most, and
+// the unused tail of the last chunk stays small beside a full morsel.
+type rowSlab struct {
+	width, chunk int
+	spare        []value.Row
+}
+
+// row returns the slab's current row — the same one until keep is
+// called, so a candidate the caller rejects costs nothing. Its cells may
+// hold stale values.
+func (s *rowSlab) row() value.Row {
+	if len(s.spare) == 0 {
+		s.chunk = min(max(2*s.chunk, 64), 2048)
+		s.spare = slabRows(s.chunk, s.width)
+	}
+	return s.spare[0]
+}
+
+// keep hands the current row over to the caller for good.
+func (s *rowSlab) keep() { s.spare = s.spare[1:] }
+
+// materialize boxes the selected positions into full rows.
 func (r *scanRun) materialize(t *scanTask, sel []int) []value.Row {
-	var out []value.Row
-	env := Env{Params: r.ctx.params}
-	for _, pos := range sel {
-		row := make(value.Row, len(t.getters))
+	out := slabRows(len(sel), len(t.getters))
+	for i, pos := range sel {
 		for c, g := range t.getters {
-			row[c] = g(pos)
+			out[i][c] = g(pos)
 		}
-		if t.resid != nil {
-			env.Row = row
-			if v := t.resid(&env); v.IsNull() || !v.AsBool() {
-				continue
-			}
-		}
-		out = append(out, row)
 	}
 	return out
 }
 
 // runMorsel executes one morsel on worker w: the selection phase, then
-// row materialization with the generic residual.
-func (r *scanRun) runMorsel(t *scanTask, w int) []value.Row {
-	return r.process(t, w, func(sel []int) []value.Row { return r.materialize(t, sel) })
+// row materialization.
+func (r *scanRun) runMorsel(t *scanTask, w int) (rows []value.Row) {
+	r.process(t, w, func(sel []int) { rows = r.materialize(t, sel) })
+	return rows
 }
 
 // drain runs every morsel and emits surviving batches in morsel order —
-// vectorized output stays byte-identical to sequential. A single morsel
-// runs inline; with more, each morsel owns a buffered channel, so workers
-// complete out of order without blocking while the drain loop consumes in
-// sequence.
+// vectorized output stays byte-identical to sequential.
 func (r *scanRun) drain(emit func([]value.Row) error) error {
-	return r.drainWith(r.runMorsel, emit)
+	return drainOrdered(r, r.runMorsel, emitNonEmpty(emit))
 }
 
-// drainWith is drain with a custom per-morsel function — the fused
-// operators (code-valued join probe, fused projection) substitute their
-// own consumers while keeping the ordered hand-off.
-func (r *scanRun) drainWith(fn func(t *scanTask, w int) []value.Row, emit func([]value.Row) error) error {
-	switch len(r.tasks) {
-	case 0:
-		return nil
-	case 1:
-		var rows []value.Row
-		r.ctx.runTasks(1, func(_, w int) { rows = fn(r.tasks[0], w) })
+// emitNonEmpty adapts a batch emitter to drainOrdered: empty morsels are
+// dropped instead of travelling down the pipeline.
+func emitNonEmpty(emit func([]value.Row) error) func([]value.Row) error {
+	return func(rows []value.Row) error {
 		if len(rows) == 0 {
 			return nil
 		}
 		return emit(rows)
 	}
-	chans := make([]chan []value.Row, len(r.tasks))
+}
+
+// drainOrdered is the ordered hand-off: fn runs per morsel on the worker
+// pool and its results reach consume in morsel order, whatever order the
+// workers finish in. Every operator whose output depends on row order —
+// scan drain, fused projection, join probe, the order-sensitive folds —
+// comes through here with its own payload. A single morsel runs inline;
+// with more, each morsel owns a buffered channel, so workers complete out
+// of order without blocking while the loop consumes in sequence.
+func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int) T, consume func(T) error) error {
+	switch len(r.tasks) {
+	case 0:
+		return nil
+	case 1:
+		var out T
+		r.ctx.runTasks(1, func(_, w int) { out = fn(r.tasks[0], w) })
+		return consume(out)
+	}
+	chans := make([]chan T, len(r.tasks))
 	for i := range chans {
-		chans[i] = make(chan []value.Row, 1)
+		chans[i] = make(chan T, 1)
 	}
 	// Start the pool here: the dispatching goroutine must only read it.
 	r.ctx.getPool()
 	go r.ctx.runTasks(len(r.tasks), func(i, w int) { chans[i] <- fn(r.tasks[i], w) })
-	var emitErr error
+	var err error
 	for _, ch := range chans {
-		rows := <-ch
-		if emitErr != nil || len(rows) == 0 {
+		out := <-ch
+		if err != nil {
 			continue
 		}
-		if err := emit(rows); err != nil {
+		if err = consume(out); err != nil {
 			// Remaining morsels see the stop flag and return immediately
 			// (LIMIT early exit); keep draining so no goroutine leaks.
-			emitErr = err
 			r.stop.Store(true)
 		}
 	}
-	return emitErr
+	return err
 }
 
 func vecScan(s *ScanPlan, ctx *execCtx) (vpipe, error) {
@@ -575,14 +675,12 @@ func vecProject(x *ProjectPlan, ctx *execCtx) (vpipe, error) {
 	return func(emit func([]value.Row) error) error {
 		env := Env{Params: ctx.params}
 		return child(func(rows []value.Row) error {
-			out := make([]value.Row, len(rows))
+			out := slabRows(len(rows), len(exprs))
 			for i, row := range rows {
 				env.Row = row
-				prow := make(value.Row, len(exprs))
 				for c, f := range exprs {
-					prow[c] = f(&env)
+					out[i][c] = f(&env)
 				}
-				out[i] = prow
 			}
 			return emit(out)
 		})
@@ -600,6 +698,8 @@ type vecAggFold struct {
 	specs  []aggSpec
 	table  map[string]*vecGroup
 	env    Env
+	key    value.Row // scratch: the current row's group key
+	keyBuf []byte    // scratch: its rendering, the table's lookup key
 }
 
 type vecGroup struct {
@@ -617,6 +717,7 @@ func newAggFold(p *AggPlan, res colResolver, ctx *execCtx) (*vecAggFold, error) 
 		}
 		f.groups = append(f.groups, fn)
 	}
+	f.key = make(value.Row, len(f.groups))
 	for _, a := range p.Aggs {
 		var fn evalFn
 		if a.Arg != nil {
@@ -631,17 +732,18 @@ func newAggFold(p *AggPlan, res colResolver, ctx *execCtx) (*vecAggFold, error) 
 	return f, nil
 }
 
+// add folds one row. The group key is rendered into a reused buffer and
+// looked up without building a string; only a new group clones it.
 func (f *vecAggFold) add(row value.Row, rank int64) {
 	f.env.Row = row
-	key := make(value.Row, len(f.groups))
 	for i, fn := range f.groups {
-		key[i] = fn(&f.env)
+		f.key[i] = fn(&f.env)
 	}
-	k := key.Key()
-	g := f.table[k]
+	f.keyBuf = f.key.AppendKey(f.keyBuf[:0])
+	g := f.table[string(f.keyBuf)]
 	if g == nil {
-		g = &vecGroup{key: key, accs: make([]aggAcc, len(f.specs)), first: rank}
-		f.table[k] = g
+		g = &vecGroup{key: f.key.Clone(), accs: make([]aggAcc, len(f.specs)), first: rank}
+		f.table[string(f.keyBuf)] = g
 	}
 	for i := range f.specs {
 		var v value.Value
@@ -712,16 +814,15 @@ func finishAgg(folds []*vecAggFold, p *AggPlan) []value.Row {
 }
 
 // aggFloatOrderSensitive reports whether any aggregate of x accumulates
-// a floating-point sum over s, whose value depends on addition order.
-// Such plans must not take the fused per-worker fold: morsel→worker
-// assignment is scheduler-dependent, so the float addends would group
-// differently run to run and the output would no longer be byte-identical
-// to the sequential executors. They use the ordered general path instead
-// (parallel scan, sequential fold in morsel order). SUM/AVG over a plain
-// integer column — and COUNT/MIN/MAX over anything — are exact under any
-// grouping and keep the fused path.
-func aggFloatOrderSensitive(x *AggPlan, s *ScanPlan) bool {
-	schema := s.Entry.Schema
+// a floating-point sum, whose value depends on addition order: a SUM or
+// AVG over anything but a column known to be a plain integer (cols and
+// kinds describe the aggregate's input). Such a sum must not fold per
+// worker — morsel→worker assignment is scheduler-dependent, so the float
+// addends would group differently run to run and the output would no
+// longer be byte-identical to the sequential executors. It folds in
+// morsel order instead. Integer sums, counts and min/max are exact under
+// any grouping.
+func aggFloatOrderSensitive(x *AggPlan, cols []colInfo, kinds []value.Kind) bool {
 	for _, a := range x.Aggs {
 		if a.Fn != "SUM" && a.Fn != "AVG" {
 			continue
@@ -730,14 +831,7 @@ func aggFloatOrderSensitive(x *AggPlan, s *ScanPlan) bool {
 		if !ok {
 			return true // computed argument: kind unknown statically
 		}
-		idx := -1
-		for i, c := range s.cols {
-			if c.Name == cr.Name && (cr.Qual == "" || cr.Qual == c.Qual) {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 || idx >= len(schema) || schema[idx].Kind != value.KindInt {
+		if idx := findCol(cols, cr); idx < 0 || kinds[idx] != value.KindInt {
 			return true
 		}
 	}
@@ -755,11 +849,28 @@ func vecAgg(x *AggPlan, ctx *execCtx) (vpipe, error) {
 			hasDistinct = true
 		}
 	}
-	if s, ok := x.Child.(*ScanPlan); ok && !hasDistinct && !aggFloatOrderSensitive(x, s) {
-		if info, ok := aggCodeShape(x, s); ok {
-			return vecAggScanCode(x, s, info, ctx)
+	// DISTINCT seen-sets cannot merge across folds (see aggAcc.merge), so
+	// they never fuse.
+	if !hasDistinct {
+		switch c := x.Child.(type) {
+		case *ScanPlan:
+			kinds := colKinds(c)
+			if info, ok := aggCodeShape(x, c.cols, kinds); ok {
+				return vecAggScanCode(x, c, info, ctx)
+			}
+			if !aggFloatOrderSensitive(x, c.cols, kinds) {
+				return vecAggScan(x, c, res, ctx)
+			}
+		case *JoinPlan:
+			// Directly over a code join with no join residual, the
+			// aggregate fuses into the probe: no joined row is ever built.
+			if jinfo, ok := joinCodeShape(c); ok && c.Residual == nil {
+				kinds := append(colKinds(c.L), colKinds(c.R)...)
+				if info, ok := aggCodeShape(x, c.columns(), kinds); ok {
+					return vecAggJoinCode(x, c, jinfo, info, ctx)
+				}
+			}
 		}
-		return vecAggScan(x, s, res, ctx)
 	}
 	// General case: sequential fold over the child's ordered batches (the
 	// child still scans in parallel underneath).
@@ -786,14 +897,13 @@ func vecAgg(x *AggPlan, ctx *execCtx) (vpipe, error) {
 	}, nil
 }
 
-// vecAggScan fuses aggregation into the scan's morsel tasks: each worker
-// folds the morsels it runs into its own partial table, and the partials
-// merge once at the end. No ordered hand-off is needed, so morsels with
-// cold-read stalls overlap freely across workers. Only order-insensitive
-// accumulators may come here (see aggFloatOrderSensitive): which worker
-// ran which morsel is scheduler-dependent, so a float sum folded this
-// way would drift by association — integer sums, counts and min/max are
-// exact under any grouping.
+// vecAggScan fuses aggregation into the scan's morsel tasks for the
+// shapes the code-keyed fold rejects (several or computed group keys,
+// computed arguments): each worker folds the morsels it runs into its own
+// partial table, and the partials merge once at the end. No ordered
+// hand-off is needed, so morsels with cold-read stalls overlap freely
+// across workers. Only order-insensitive accumulators may come here (see
+// aggFloatOrderSensitive).
 func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, error) {
 	prep, err := prepScan(s, ctx)
 	if err != nil {
@@ -822,9 +932,7 @@ func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, 
 			t := run.tasks[ti]
 			rows := run.runMorsel(t, w)
 			f := folds[w]
-			// Rank = morsel sequence number × morsel capacity + offset:
-			// globally unique and ordered like the sequential row stream.
-			base := int64(t.seq) << 20
+			base := t.rankBase()
 			for i, row := range rows {
 				f.add(row, base+int64(i))
 			}
@@ -880,7 +988,7 @@ func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 		// Phase 1: drain the build side, bucketing rows by key hash.
 		buckets := make([][]keyedRow, nPart)
 		env := Env{Params: ctx.params}
-		key := make(value.Row, len(rKeys))
+		key := make(value.Row, len(rKeys)) // scratch, both sides
 		if err := right(func(rows []value.Row) error {
 			for _, row := range rows {
 				env.Row = row
@@ -911,29 +1019,32 @@ func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 			}
 			maps[b] = m
 		})
-		// Phase 3: probe with the left side's ordered batches.
+		// Phase 3: probe with the left side's ordered batches. The probe key
+		// renders into a reused buffer and combined rows come off a slab, so
+		// a probe row that matches nothing allocates nothing.
+		slab := rowSlab{width: len(x.L.columns()) + rWidth}
+		var keyBuf []byte
 		return left(func(rows []value.Row) error {
 			var out []value.Row
 			for _, lrow := range rows {
 				env.Row = lrow
-				lkey := make(value.Row, len(lKeys))
 				hasNull := false
 				for i, f := range lKeys {
-					lkey[i] = f(&env)
-					if lkey[i].IsNull() {
+					key[i] = f(&env)
+					if key[i].IsNull() {
 						hasNull = true
 					}
 				}
 				var matches []value.Row
 				if !hasNull {
-					k := lkey.Key()
-					matches = maps[int(fnv32a(k)%uint32(nPart))][k]
+					keyBuf = key.AppendKey(keyBuf[:0])
+					matches = maps[int(fnv32a(keyBuf)%uint32(nPart))][string(keyBuf)]
 				}
 				matched := false
 				for _, rrow := range matches {
-					combined := make(value.Row, 0, len(lrow)+len(rrow))
-					combined = append(combined, lrow...)
-					combined = append(combined, rrow...)
+					combined := slab.row()
+					copy(combined, lrow)
+					copy(combined[len(lrow):], rrow)
 					if residual != nil {
 						env.Row = combined
 						if v := residual(&env); v.IsNull() || !v.AsBool() {
@@ -941,11 +1052,14 @@ func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 						}
 					}
 					matched = true
+					slab.keep()
 					out = append(out, combined)
 				}
 				if x.LeftOuter && !matched {
-					combined := make(value.Row, len(lrow)+rWidth)
+					combined := slab.row()
 					copy(combined, lrow)
+					clear(combined[len(lrow):])
+					slab.keep()
 					out = append(out, combined)
 				}
 			}
@@ -957,7 +1071,7 @@ func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 	}, nil
 }
 
-func fnv32a(s string) uint32 {
+func fnv32a[T string | []byte](s T) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])

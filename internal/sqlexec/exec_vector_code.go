@@ -14,9 +14,12 @@ import (
 // codes (build keys interned into the probe key space once), group-bys
 // key on codes with a flat-array fast path, aggregates consume whole RLE
 // runs, and pure-projection pipelines materialize only selected columns.
-// Every path is gated by a plan-shape check (plan.go) and falls back to
-// the boxed operators per morsel, so results stay byte-identical to the
-// row-at-a-time executors.
+// Operators exchange (morsel, selection vector): scanRun.process applies
+// every predicate, residual included, and what it hands on is positions.
+// Values are read by position through the morsel's getters — main or
+// delta alike — and a row is boxed only where it leaves the pipeline as
+// output. Every path is gated by a plan-shape check (plan.go), so results
+// stay byte-identical to the row-at-a-time executors.
 
 // vecFlatGroupCutoff bounds the flat-array group fast path: group codes
 // in [0, cutoff) index an array, anything beyond spills to the overflow
@@ -53,9 +56,10 @@ func (it *strInterner) intern(s string) int64 {
 }
 
 // addRepeat folds n identical values in one step — the run-length
-// contract: COUNT gains n, sums gain value × n (exact for the integer
-// sums that reach the fused path; float sums are routed to the ordered
-// fold before ever getting here), MIN/MAX compare once per run.
+// contract: COUNT gains n, integer sums gain value × n (exact), MIN/MAX
+// compare once per run. A float sum is never multiplied or regrouped: its
+// n addends join one by one, exactly as the row executors add them, so
+// the ordered fold stays bit-identical to them through run-length paths.
 func (a *aggAcc) addRepeat(v value.Value, n int64, spec aggSpec) {
 	if n <= 0 {
 		return
@@ -71,7 +75,9 @@ func (a *aggAcc) addRepeat(v value.Value, n int64, spec aggSpec) {
 	switch v.K {
 	case value.KindFloat:
 		a.isFloat = true
-		a.sumF += v.F * float64(n)
+		for ; n > 0; n-- {
+			a.sumF += v.F
+		}
 	default:
 		a.sumI += v.I * n
 	}
@@ -98,17 +104,22 @@ type codeGroup struct {
 	first int64
 }
 
-// codeFold is one worker-local partial aggregation keyed on codes: a
-// flat array for codes below the cutoff, an overflow map above it, plus
-// dedicated slots for the NULL group, the global (no GROUP BY) group and
-// odd-kind keys. Morsels dispatch per encoding: whole-run folds for
-// run-length group columns, code keys for dictionary columns, raw int64
-// for frame-of-reference columns, boxed rows for delta morsels and
-// residual filters.
+// codeFold is one partial aggregation keyed on codes: a flat array for
+// codes below the cutoff, an overflow map above it, plus dedicated slots
+// for the NULL group, the global (no GROUP BY) group and odd-kind keys.
+// Its input is positions: a scan morsel's selection (foldMorsel, which
+// dispatches per encoding — whole-run folds for run-length group columns,
+// code keys for dictionary columns, raw int64 for frame-of-reference
+// columns, getters for delta morsels) or the (position, build row) pairs
+// of a join probe (foldPair).
 type codeFold struct {
 	info     aggCodeInfo
 	specs    []aggSpec
 	interner *strInterner
+	// nProbe splits info's column space: columns below it are the scan's,
+	// read by position; the rest index a join's build row. A plain scan
+	// aggregation owns the whole space.
+	nProbe int
 
 	flat     []*codeGroup
 	overflow map[int64]*codeGroup
@@ -119,8 +130,7 @@ type codeFold struct {
 	keyScratch []int64
 
 	// avoidPerRow estimates boxed values NOT materialized per surviving
-	// row on the code paths: full row width minus the distinct aggregate
-	// argument columns actually read.
+	// row: the scan's width minus the distinct columns actually read.
 	avoidPerRow int
 
 	runsFolded    int64
@@ -128,10 +138,10 @@ type codeFold struct {
 	decodeAvoided int64
 }
 
-func newCodeFold(x *AggPlan, info aggCodeInfo, interner *strInterner, ncols int) *codeFold {
+func newCodeFold(x *AggPlan, info aggCodeInfo, interner *strInterner, nProbe int) *codeFold {
 	distinct := map[int]bool{}
 	for _, ac := range info.argCols {
-		if ac >= 0 {
+		if ac >= 0 && ac < nProbe {
 			distinct[ac] = true
 		}
 	}
@@ -139,9 +149,10 @@ func newCodeFold(x *AggPlan, info aggCodeInfo, interner *strInterner, ncols int)
 		info:        info,
 		specs:       x.Aggs,
 		interner:    interner,
+		nProbe:      nProbe,
 		overflow:    map[int64]*codeGroup{},
 		odd:         map[string]*codeGroup{},
-		avoidPerRow: ncols - len(distinct),
+		avoidPerRow: nProbe - len(distinct),
 	}
 }
 
@@ -216,34 +227,53 @@ func (f *codeFold) groupFor(v value.Value, rank int64) *codeGroup {
 	}
 }
 
-// foldArgs folds one surviving row position into a group, reading only
-// the aggregate argument columns.
-func (f *codeFold) foldArgs(g *codeGroup, t *scanTask, pos int) {
+// colValue reads column c of the fold's input: a scan column by position,
+// a join build column from the matched build row. COUNT(*)'s -1 and the
+// build side of a LEFT OUTER pad (nil row) read NULL.
+func (f *codeFold) colValue(c int, t *scanTask, pos int, build value.Row) value.Value {
+	switch {
+	case c < 0:
+		return value.Null
+	case c < f.nProbe:
+		return t.getters[c](pos)
+	case build != nil:
+		return build[c-f.nProbe]
+	}
+	return value.Null
+}
+
+// foldArgs folds one input row into a group, reading only the aggregate
+// argument columns.
+func (f *codeFold) foldArgs(g *codeGroup, t *scanTask, pos int, build value.Row) {
 	for j, spec := range f.specs {
-		ac := f.info.argCols[j]
-		if ac < 0 {
-			g.accs[j].add(value.Null, spec)
-			continue
-		}
-		g.accs[j].add(t.getters[ac](pos), spec)
+		g.accs[j].add(f.colValue(f.info.argCols[j], t, pos, build), spec)
 	}
 }
 
-// foldMorsel dispatches one morsel's surviving positions onto the
-// cheapest eligible path. sel is worker scratch and must not be
-// retained.
-func (f *codeFold) foldMorsel(r *scanRun, t *scanTask, sel []int) {
-	base := int64(t.seq) << 20
-	dense := len(sel) == t.hi-t.lo
+// foldPair folds one (probe position, build row) pair of a join probe;
+// rank orders it in the join's sequential output.
+func (f *codeFold) foldPair(t *scanTask, pos int, build value.Row, rank int64) {
+	var g *codeGroup
 	if f.info.groupCol < 0 {
-		if t.main && t.resid == nil {
-			f.foldGlobal(t, sel, dense)
-			return
-		}
-		f.foldBoxed(r, t, sel, base)
+		g = f.globalGroup()
+	} else {
+		g = f.groupFor(f.colValue(f.info.groupCol, t, pos, build), rank)
+	}
+	f.foldArgs(g, t, pos, build)
+}
+
+// foldMorsel dispatches one scan morsel's final selection onto the
+// cheapest eligible path. sel is scratch and must not be retained.
+func (f *codeFold) foldMorsel(t *scanTask, sel []int) {
+	f.batchesFused++
+	f.decodeAvoided += int64(len(sel)) * int64(f.avoidPerRow) * 16
+	base := t.rankBase()
+	dense := t.main && len(sel) == t.hi-t.lo
+	if f.info.groupCol < 0 {
+		f.foldGlobal(t, sel, dense)
 		return
 	}
-	if t.main && t.resid == nil {
+	if t.main {
 		mc := t.snap.MainColumn(f.info.groupCol)
 		if dense {
 			if rf, ok := mc.(columnstore.RunFolder); ok {
@@ -261,7 +291,12 @@ func (f *codeFold) foldMorsel(r *scanRun, t *scanTask, sel []int) {
 			return
 		}
 	}
-	f.foldBoxed(r, t, sel, base)
+	// Delta morsels (unencoded) and main encodings without a code path:
+	// the group key is read by position like any argument.
+	key := t.getters[f.info.groupCol]
+	for i, pos := range sel {
+		f.foldArgs(f.groupFor(key(pos), base+int64(i)), t, pos, nil)
+	}
 }
 
 // foldCodes groups a morsel by dictionary code: per surviving row the
@@ -278,10 +313,8 @@ func (f *codeFold) foldCodes(kc columnstore.KeyCoder, t *scanTask, sel []int, ba
 		} else {
 			g = f.group(keys[i], rank)
 		}
-		f.foldArgs(g, t, pos)
+		f.foldArgs(g, t, pos, nil)
 	}
-	f.batchesFused++
-	f.decodeAvoided += int64(len(sel)) * int64(f.avoidPerRow) * 16
 }
 
 // foldInts groups a morsel by raw integer value (frame-of-reference and
@@ -295,10 +328,8 @@ func (f *codeFold) foldInts(mc columnstore.MainColumn, ia columnstore.IntAccesso
 		} else {
 			g = f.group(ia.Int64(pos), rank)
 		}
-		f.foldArgs(g, t, pos)
+		f.foldArgs(g, t, pos, nil)
 	}
-	f.batchesFused++
-	f.decodeAvoided += int64(len(sel)) * int64(f.avoidPerRow) * 16
 }
 
 // foldRuns consumes whole runs of the group column: the group resolves
@@ -336,8 +367,6 @@ func (f *codeFold) foldRuns(rf columnstore.RunFolder, t *scanTask, base int64) {
 			f.runsFolded++
 		}
 	})
-	f.batchesFused++
-	f.decodeAvoided += int64(t.hi-t.lo) * int64(f.avoidPerRow) * 16
 }
 
 // foldGlobal folds an aggregate-only morsel without any grouping:
@@ -365,32 +394,6 @@ func (f *codeFold) foldGlobal(t *scanTask, sel []int, dense bool) {
 		gtr := t.getters[ac]
 		for _, pos := range sel {
 			g.accs[j].add(gtr(pos), spec)
-		}
-	}
-	f.batchesFused++
-	f.decodeAvoided += int64(len(sel)) * int64(f.avoidPerRow) * 16
-}
-
-// foldBoxed is the per-morsel fallback: materialize rows (applying any
-// residual), then fold boxed values through the same canonical key
-// space.
-func (f *codeFold) foldBoxed(r *scanRun, t *scanTask, sel []int, base int64) {
-	rows := r.materialize(t, sel)
-	for i, row := range rows {
-		rank := base + int64(i)
-		var g *codeGroup
-		if f.info.groupCol < 0 {
-			g = f.globalGroup()
-		} else {
-			g = f.groupFor(row[f.info.groupCol], rank)
-		}
-		for j, spec := range f.specs {
-			ac := f.info.argCols[j]
-			if ac < 0 {
-				g.accs[j].add(value.Null, spec)
-				continue
-			}
-			g.accs[j].add(row[ac], spec)
 		}
 	}
 }
@@ -505,10 +508,51 @@ func finishCodeAgg(folds []*codeFold, zoneAccs []aggAcc, x *AggPlan, info aggCod
 	return out
 }
 
-// vecAggScanCode fuses a code-keyed aggregation into the scan morsels:
-// every worker folds its morsels into a code-keyed partial table, and
-// warm partitions whose zone map exactly describes the snapshot answer
-// COUNT/MIN/MAX from the synopsis without faulting a page.
+// morselSel is the ordered fold's hand-off payload: a morsel and an owned
+// copy of its final selection (the worker's scratch is reused at once).
+type morselSel struct {
+	t   *scanTask
+	sel []int
+}
+
+// foldMorsels drives a fused aggregation over the run: every morsel's
+// selection phase — kernels, visibility, residual, cold-read stalls —
+// runs on the worker pool, and fold consumes the final selections.
+// Order-insensitive accumulators fold per worker, in whatever order the
+// morsels complete, and merge at the end. An order-sensitive float sum
+// gets exactly one fold, fed in morsel order through the ordered
+// hand-off: every addend joins its group in sequential row order, so the
+// sum is bit-identical to the row executors under any scheduling.
+func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(f *codeFold, t *scanTask, sel []int)) []*codeFold {
+	if ordered {
+		f := newFold()
+		_ = drainOrdered(r, func(t *scanTask, w int) morselSel {
+			m := morselSel{t: t}
+			r.process(t, w, func(sel []int) { m.sel = append([]int(nil), sel...) })
+			return m
+		}, func(m morselSel) error {
+			if len(m.sel) > 0 {
+				r.chargeFaults(func() { fold(f, m.t, m.sel) })
+			}
+			return nil
+		})
+		return []*codeFold{f}
+	}
+	folds := make([]*codeFold, r.ctx.workersFor(len(r.tasks)))
+	for w := range folds {
+		folds[w] = newFold()
+	}
+	r.ctx.runTasks(len(r.tasks), func(i, w int) {
+		t := r.tasks[i]
+		r.process(t, w, func(sel []int) { fold(folds[w], t, sel) })
+	})
+	return folds
+}
+
+// vecAggScanCode fuses a code-keyed aggregation into the scan morsels
+// (see foldMorsels), and warm partitions whose zone map exactly describes
+// the snapshot answer COUNT/MIN/MAX from the synopsis without faulting a
+// page.
 func vecAggScanCode(x *AggPlan, s *ScanPlan, info aggCodeInfo, ctx *execCtx) (vpipe, error) {
 	prep, err := prepScan(s, ctx)
 	if err != nil {
@@ -562,17 +606,9 @@ func vecAggScanCode(x *AggPlan, s *ScanPlan, info aggCodeInfo, ctx *execCtx) (vp
 			return err
 		}
 		interner := newStrInterner()
-		folds := make([]*codeFold, ctx.workersFor(len(run.tasks)))
-		for w := range folds {
-			folds[w] = newCodeFold(x, info, interner, prep.ncols)
-		}
-		ctx.runTasks(len(run.tasks), func(i, w int) {
-			t := run.tasks[i]
-			run.process(t, w, func(sel []int) []value.Row {
-				folds[w].foldMorsel(run, t, sel)
-				return nil
-			})
-		})
+		folds := run.foldMorsels(info.ordered,
+			func() *codeFold { return newCodeFold(x, info, interner, prep.ncols) },
+			(*codeFold).foldMorsel)
 		var runs, fused, avoided int64
 		for _, f := range folds {
 			runs += f.runsFolded
@@ -586,21 +622,196 @@ func vecAggScanCode(x *AggPlan, s *ScanPlan, info aggCodeInfo, ctx *execCtx) (vp
 
 // --- code-valued hash join --------------------------------------------------
 
-// vecJoinCode probes a hash join on integer key codes: the build side
+// codeJoin is a hash join probed on integer key codes. The build side
 // drains boxed (so a one-sided dictionary join qualifies naturally) and
-// its keys intern into canonical code space once; probe morsels then
-// translate their key column to codes and materialize probe rows only
-// where a match (or LEFT OUTER pad) actually produces output.
+// every distinct non-NULL build key gets a dense id — interned for string
+// keys, mapped for integer-kind keys, boxed for any other kind. Probe
+// morsels translate their key column to ids and never box a probe row:
+// the probe loop emits (position, build row) pairs, and the parent's sink
+// decides what a pair becomes — a joined output row, or a fold into a
+// fused aggregate.
+type codeJoin struct {
+	x    *JoinPlan
+	info joinCodeInfo
+	ctx  *execCtx
+	op   *OpProfile
+
+	prep  *scanPrep // probe side
+	right vpipe     // build side
+	rKey  evalFn
+
+	lists  [][]value.Row // key id → build rows, in build order
+	strIDs map[string]int64
+	intIDs map[int64]int64
+	oddIDs map[string]int64
+}
+
+// lookupStr is the probe side's interner: a string the build side never
+// saw must not grow the id space, it simply has no match.
+func (j *codeJoin) lookupStr(s string) int64 {
+	if id, ok := j.strIDs[s]; ok {
+		return id
+	}
+	return nullCode
+}
+
+// keyID maps a boxed key value to its id. NULL never matches an equi key;
+// a key the build side never saw gets an id only when add is set.
+func (j *codeJoin) keyID(v value.Value, add bool) int64 {
+	if v.IsNull() {
+		return nullCode
+	}
+	next := int64(len(j.lists))
+	var id int64
+	var ok bool
+	switch {
+	case v.K == value.KindString && j.info.keyKind == value.KindString:
+		if id, ok = j.strIDs[v.S]; !ok && add {
+			j.strIDs[v.S] = next
+		}
+	case v.K == j.info.keyKind:
+		if id, ok = j.intIDs[v.I]; !ok && add {
+			j.intIDs[v.I] = next
+		}
+	default:
+		k := value.Row{v}.Key()
+		if id, ok = j.oddIDs[k]; !ok && add {
+			j.oddIDs[k] = next
+		}
+	}
+	switch {
+	case ok:
+		return id
+	case add:
+		j.lists = append(j.lists, nil)
+		return next
+	}
+	return nullCode
+}
+
+// build drains the build side, indexing rows by key id. Build order is
+// preserved per key, so match order equals the sequential join.
+func (j *codeJoin) build() error {
+	j.strIDs, j.intIDs, j.oddIDs = map[string]int64{}, map[int64]int64{}, map[string]int64{}
+	var buildRows int64
+	env := Env{Params: j.ctx.params}
+	err := j.right(func(rows []value.Row) error {
+		buildRows += int64(len(rows))
+		for _, row := range rows {
+			env.Row = row
+			if id := j.keyID(j.rKey(&env), true); id >= 0 {
+				j.lists[id] = append(j.lists[id], row)
+			}
+		}
+		return nil
+	})
+	if j.op != nil {
+		j.op.buildRows.Store(buildRows)
+	}
+	return err
+}
+
+// probeKeys translates the join key at every selected position into a
+// build key id (nullCode: no match) by the cheapest route the morsel's
+// encoding offers: dictionary codes remapped once per distinct value, raw
+// integers, or — delta morsels — the boxed value. coded reports the first
+// two.
+func (j *codeJoin) probeKeys(t *scanTask, sel []int, out []int64) (keys []int64, coded bool) {
+	if t.main {
+		mc := t.snap.MainColumn(j.info.keyCol)
+		if j.info.keyKind == value.KindString {
+			if kc, ok := mc.(columnstore.KeyCoder); ok {
+				return kc.CodeKeys(sel, j.lookupStr, nullCode, out), true
+			}
+		} else if ia, ok := mc.(columnstore.IntAccessor); ok {
+			for _, pos := range sel {
+				id := nullCode
+				if !mc.IsNull(pos) {
+					if known, ok := j.intIDs[ia.Int64(pos)]; ok {
+						id = known
+					}
+				}
+				out = append(out, id)
+			}
+			return out, true
+		}
+	}
+	key := t.getters[j.info.keyCol]
+	for _, pos := range sel {
+		out = append(out, j.keyID(key(pos), false))
+	}
+	return out, false
+}
+
+// probe is the join's one probe loop. For every selected position it
+// emits (position, build row) per match, in build order, and — LEFT OUTER
+// — (position, nil) when no pair was accepted; emit reports acceptance
+// (a row sink's join residual may reject a pair). keys is scratch,
+// returned for reuse.
+func (j *codeJoin) probe(t *scanTask, sel []int, keys []int64, emit func(pos int, build value.Row) bool) []int64 {
+	keys, coded := j.probeKeys(t, sel, keys[:0])
+	skipped := 0
+	for i, pos := range sel {
+		matched := false
+		if id := keys[i]; id >= 0 {
+			for _, build := range j.lists[id] {
+				if emit(pos, build) {
+					matched = true
+				}
+			}
+		}
+		switch {
+		case matched:
+		case j.x.LeftOuter:
+			emit(pos, nil)
+		default:
+			skipped++
+		}
+	}
+	if coded {
+		recordLateMat(j.ctx, j.op, int64(len(sel)), 0, 1, int64(skipped)*int64(j.prep.ncols)*16)
+	}
+	if j.op != nil {
+		j.op.probeRows.Add(int64(len(sel)))
+	}
+	return keys
+}
+
+// newCodeJoin compiles both sides of a code-shaped join.
+func newCodeJoin(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (*codeJoin, error) {
+	j := &codeJoin{x: x, info: info, ctx: ctx}
+	var err error
+	if j.prep, err = prepScan(info.scan, ctx); err != nil {
+		return nil, err
+	}
+	if j.right, err = vecCompile(x.R, ctx); err != nil {
+		return nil, err
+	}
+	if j.rKey, err = compileExpr(x.EquiR[0], resolverFor(x.R.columns()), ctx.reg); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// open drains the build side and opens the probe-side scan run, whose
+// morsels the caller feeds to probe. The probe scan never passes through
+// vecCompile: it is marked fused into the join.
+func (j *codeJoin) open() (*scanRun, error) {
+	j.op = j.ctx.prof.node(j.x)
+	if sop := j.ctx.prof.node(j.info.scan); sop != nil {
+		sop.fused = true
+	}
+	if err := j.build(); err != nil {
+		return nil, err
+	}
+	return j.prep.newRun(j.ctx)
+}
+
+// vecJoinCode is the code join under a row-consuming parent: the sink
+// builds joined rows off a slab, reading the probe side's columns by
+// position, and applies the join residual to each candidate.
 func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
-	prep, err := prepScan(info.scan, ctx)
-	if err != nil {
-		return nil, err
-	}
-	right, err := vecCompile(x.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	rKey, err := compileExpr(x.EquiR[0], resolverFor(x.R.columns()), ctx.reg)
+	j, err := newCodeJoin(x, info, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -610,179 +821,83 @@ func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
 			return nil, err
 		}
 	}
-	rWidth := len(x.R.columns())
-	keyKind := info.keyKind
+	nProbe := j.prep.ncols
+	width := nProbe + len(x.R.columns())
 
 	return func(emit func([]value.Row) error) error {
-		// Phase 1: drain the build side boxed, indexing rows by canonical
-		// key — interned ids for string keys, raw int64 for integer-kind
-		// keys, boxed fallback for any other kind. Build order is
-		// preserved per key, so match order equals the sequential join.
-		strIDs := map[string]int64{}
-		var lists [][]value.Row
-		ints := map[int64][]value.Row{}
-		odd := map[string][]value.Row{}
-		var buildRows int64
-		env := Env{Params: ctx.params}
-		if err := right(func(rows []value.Row) error {
-			for _, row := range rows {
-				buildRows++
-				env.Row = row
-				v := rKey(&env)
-				switch {
-				case v.IsNull():
-					// NULL never matches an equi key.
-				case keyKind == value.KindString && v.K == value.KindString:
-					id, ok := strIDs[v.S]
-					if !ok {
-						id = int64(len(lists))
-						strIDs[v.S] = id
-						lists = append(lists, nil)
-					}
-					lists[id] = append(lists[id], row)
-				case keyKind != value.KindString && v.K == keyKind:
-					ints[v.I] = append(ints[v.I], row)
-				default:
-					k := value.Row{v}.Key()
-					odd[k] = append(odd[k], row)
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		op := ctx.prof.node(x)
-		if op != nil {
-			op.buildRows.Store(buildRows)
-		}
-		if sop := ctx.prof.node(info.scan); sop != nil {
-			sop.fused = true
-		}
-
-		// lookup translates a probe-side string to its build code without
-		// growing the intern space: unseen probe values get no-match.
-		lookup := func(s string) int64 {
-			if id, ok := strIDs[s]; ok {
-				return id
-			}
-			return nullCode
-		}
-		matchesBoxed := func(v value.Value) []value.Row {
-			switch {
-			case v.IsNull():
-				return nil
-			case keyKind == value.KindString && v.K == value.KindString:
-				if id, ok := strIDs[v.S]; ok {
-					return lists[id]
-				}
-				return nil
-			case keyKind != value.KindString && v.K == keyKind:
-				return ints[v.I]
-			default:
-				return odd[value.Row{v}.Key()]
-			}
-		}
-
-		run, err := prep.newRun(ctx)
+		run, err := j.open()
 		if err != nil {
 			return err
 		}
 		keyScratch := make([][]int64, len(run.scratch))
-		ncols := prep.ncols
-
-		// Phase 2: probe fused into the scan morsels, emitted in morsel
-		// order by the ordered drain.
-		probe := func(t *scanTask, w int) []value.Row {
-			return run.process(t, w, func(sel []int) []value.Row {
-				var out []value.Row
-				penv := Env{Params: ctx.params}
-				appendMatches := func(lrow value.Row, matches []value.Row) {
-					matched := false
-					for _, rrow := range matches {
-						combined := make(value.Row, 0, len(lrow)+len(rrow))
-						combined = append(combined, lrow...)
-						combined = append(combined, rrow...)
+		return drainOrdered(run, func(t *scanTask, w int) (out []value.Row) {
+			run.process(t, w, func(sel []int) {
+				slab := rowSlab{width: width}
+				env := Env{Params: ctx.params}
+				var probed value.Row
+				probedPos := -1
+				keyScratch[w] = j.probe(t, sel, keyScratch[w], func(pos int, build value.Row) bool {
+					row := slab.row()
+					// A position with several matches reads its columns once.
+					if pos == probedPos {
+						copy(row[:nProbe], probed)
+					} else {
+						for c, g := range t.getters {
+							row[c] = g(pos)
+						}
+					}
+					probed, probedPos = row[:nProbe], pos
+					if build == nil {
+						clear(row[nProbe:])
+					} else {
+						copy(row[nProbe:], build)
 						if residual != nil {
-							penv.Row = combined
-							if v := residual(&penv); v.IsNull() || !v.AsBool() {
-								continue
+							env.Row = row
+							if v := residual(&env); v.IsNull() || !v.AsBool() {
+								return false
 							}
 						}
-						matched = true
-						out = append(out, combined)
 					}
-					if x.LeftOuter && !matched {
-						combined := make(value.Row, len(lrow)+rWidth)
-						copy(combined, lrow)
-						out = append(out, combined)
-					}
-				}
-				materializeAt := func(pos int) value.Row {
-					lrow := make(value.Row, len(t.getters))
-					for c, g := range t.getters {
-						lrow[c] = g(pos)
-					}
-					return lrow
-				}
-
-				if t.main && t.resid == nil {
-					mc := t.snap.MainColumn(info.keyCol)
-					if keyKind == value.KindString {
-						if kc, ok := mc.(columnstore.KeyCoder); ok {
-							keys := kc.CodeKeys(sel, lookup, nullCode, keyScratch[w][:0])
-							keyScratch[w] = keys
-							skipped := 0
-							for i, pos := range sel {
-								var matches []value.Row
-								if id := keys[i]; id >= 0 {
-									matches = lists[id]
-								}
-								if len(matches) == 0 && !x.LeftOuter {
-									skipped++
-									continue
-								}
-								appendMatches(materializeAt(pos), matches)
-							}
-							recordLateMat(ctx, op, int64(len(sel)), 0, 1, int64(skipped)*int64(ncols)*16)
-							if op != nil {
-								op.probeRows.Add(int64(len(sel)))
-							}
-							return out
-						}
-					} else if ia, ok := mc.(columnstore.IntAccessor); ok {
-						skipped := 0
-						for _, pos := range sel {
-							var matches []value.Row
-							if !mc.IsNull(pos) {
-								matches = ints[ia.Int64(pos)]
-							}
-							if len(matches) == 0 && !x.LeftOuter {
-								skipped++
-								continue
-							}
-							appendMatches(materializeAt(pos), matches)
-						}
-						recordLateMat(ctx, op, int64(len(sel)), 0, 1, int64(skipped)*int64(ncols)*16)
-						if op != nil {
-							op.probeRows.Add(int64(len(sel)))
-						}
-						return out
-					}
-				}
-				// Boxed fallback within the morsel: delta rows, residual
-				// filters, or encodings without a code path. The equi key is
-				// a bare column reference, so the boxed row carries it.
-				rows := run.materialize(t, sel)
-				for _, lrow := range rows {
-					appendMatches(lrow, matchesBoxed(lrow[info.keyCol]))
-				}
-				if op != nil {
-					op.probeRows.Add(int64(len(rows)))
-				}
-				return out
+					slab.keep()
+					out = append(out, row)
+					return true
+				})
 			})
+			return out
+		}, emitNonEmpty(emit))
+	}, nil
+}
+
+// vecAggJoinCode fuses an aggregate into the code join's probe: the sink
+// folds each (position, build row) pair straight into a codeFold, per
+// worker or — order-sensitive float sums — in morsel order (foldMorsels),
+// so neither a probe row nor a joined row is ever built. A group's
+// first-seen rank is (morsel, ordinal in the morsel's join output).
+func vecAggJoinCode(x *AggPlan, jp *JoinPlan, jinfo joinCodeInfo, info aggCodeInfo, ctx *execCtx) (vpipe, error) {
+	j, err := newCodeJoin(jp, jinfo, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return func(emit func([]value.Row) error) error {
+		run, err := j.open()
+		if err != nil {
+			return err
 		}
-		return run.drainWith(probe, emit)
+		if j.op != nil {
+			j.op.fused = true
+		}
+		interner := newStrInterner()
+		folds := run.foldMorsels(info.ordered,
+			func() *codeFold { return newCodeFold(x, info, interner, j.prep.ncols) },
+			func(f *codeFold, t *scanTask, sel []int) {
+				rank := t.rankBase()
+				f.keyScratch = j.probe(t, sel, f.keyScratch, func(pos int, build value.Row) bool {
+					f.foldPair(t, pos, build, rank)
+					rank++
+					return true
+				})
+			})
+		return emit(finishCodeAgg(folds, nil, x, info, interner))
 	}, nil
 }
 
@@ -790,8 +905,7 @@ func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
 
 // vecProjectScan fuses pure column selection into the scan: surviving
 // positions materialize only the projected columns, skipping the
-// intermediate full-width batch entirely (full rows are still built when
-// a residual predicate needs them).
+// intermediate full-width batch entirely.
 func vecProjectScan(s *ScanPlan, cols []int, ctx *execCtx) (vpipe, error) {
 	prep, err := prepScan(s, ctx)
 	if err != nil {
@@ -810,32 +924,18 @@ func vecProjectScan(s *ScanPlan, cols []int, ctx *execCtx) (vpipe, error) {
 		if err != nil {
 			return err
 		}
-		return run.drainWith(func(t *scanTask, w int) []value.Row {
-			return run.process(t, w, func(sel []int) []value.Row {
-				if t.resid != nil {
-					rows := run.materialize(t, sel)
-					out := make([]value.Row, len(rows))
-					for i, row := range rows {
-						prow := make(value.Row, len(cols))
-						for c, idx := range cols {
-							prow[c] = row[idx]
-						}
-						out[i] = prow
-					}
-					return out
-				}
-				out := make([]value.Row, 0, len(sel))
-				for _, pos := range sel {
-					prow := make(value.Row, len(cols))
+		return drainOrdered(run, func(t *scanTask, w int) (out []value.Row) {
+			run.process(t, w, func(sel []int) {
+				out = slabRows(len(sel), len(cols))
+				for i, pos := range sel {
 					for c, idx := range cols {
-						prow[c] = t.getters[idx](pos)
+						out[i][c] = t.getters[idx](pos)
 					}
-					out = append(out, prow)
 				}
 				recordLateMat(ctx, run.op, 0, 0, 1, int64(len(sel))*int64(avoidPerRow)*16)
-				return out
 			})
-		}, emit)
+			return out
+		}, emitNonEmpty(emit))
 	}, nil
 }
 

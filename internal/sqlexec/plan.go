@@ -798,15 +798,29 @@ func classifyVecConjunct(e Expr, cols []colInfo) (vecPred, bool) {
 // shapes where key translation to canonical int64 codes is exact; anything
 // else keeps today's boxed behavior through the per-plan fallback.
 
-// findScanCol resolves a column reference against a scan's output columns
-// with exactly the executor resolver's semantics (including the ambiguity
-// rule), returning -1 when it does not resolve cleanly.
-func findScanCol(cols []colInfo, cr *ColRef) int {
+// findCol resolves a column reference against a plan node's output
+// columns with exactly the executor resolver's semantics (including the
+// ambiguity rule), returning -1 when it does not resolve cleanly.
+func findCol(cols []colInfo, cr *ColRef) int {
 	idx, err := resolverFor(cols)(cr.Qual, cr.Name)
 	if err != nil {
 		return -1
 	}
 	return idx
+}
+
+// colKinds returns the statically known kind of each output column of p:
+// a scan's schema, KindNull (unknown) under anything else.
+func colKinds(p Plan) []value.Kind {
+	kinds := make([]value.Kind, len(p.columns()))
+	if s, ok := p.(*ScanPlan); ok {
+		for i := range kinds {
+			if i < len(s.Entry.Schema) {
+				kinds[i] = s.Entry.Schema[i].Kind
+			}
+		}
+	}
+	return kinds
 }
 
 // codeKeyKind reports whether a column kind supports canonical int64 key
@@ -821,23 +835,25 @@ func codeKeyKind(k value.Kind) bool {
 	return false
 }
 
-// aggCodeInfo is the shape summary of a code-keyed fused aggregation:
-// which scan column carries the group key (-1 for global aggregation) and
-// which scan column feeds each aggregate (-1 for COUNT(*)).
+// aggCodeInfo is the shape summary of a code-keyed fused aggregation over
+// a scan, or over a code join (whose columns are the probe scan's followed
+// by the build side's): which input column carries the group key (-1 for
+// global aggregation), which feeds each aggregate (-1 for COUNT(*)), and
+// whether a float sum makes the fold order-sensitive.
 type aggCodeInfo struct {
 	groupCol  int
 	groupKind value.Kind
 	argCols   []int
+	ordered   bool
 }
 
-// aggCodeShape reports whether a fused scan aggregation can key on
-// integer codes: at most one GROUP BY expression, which must be a bare
-// reference to a non-float scan column, and every aggregate argument a
-// bare column reference (or COUNT(*)). Callers have already excluded
-// DISTINCT and order-sensitive float sums.
-func aggCodeShape(x *AggPlan, s *ScanPlan) (aggCodeInfo, bool) {
-	info := aggCodeInfo{groupCol: -1}
-	schema := s.Entry.Schema
+// aggCodeShape reports whether a fused aggregation can key on integer
+// codes: at most one GROUP BY expression, which must be a bare reference
+// to a column of a code-key kind, and every aggregate argument a bare
+// column reference (or COUNT(*)). cols and kinds describe the input.
+// Callers have already excluded DISTINCT.
+func aggCodeShape(x *AggPlan, cols []colInfo, kinds []value.Kind) (aggCodeInfo, bool) {
+	info := aggCodeInfo{groupCol: -1, ordered: aggFloatOrderSensitive(x, cols, kinds)}
 	switch len(x.GroupBy) {
 	case 0:
 	case 1:
@@ -845,11 +861,11 @@ func aggCodeShape(x *AggPlan, s *ScanPlan) (aggCodeInfo, bool) {
 		if !ok {
 			return info, false
 		}
-		idx := findScanCol(s.cols, cr)
-		if idx < 0 || idx >= len(schema) || !codeKeyKind(schema[idx].Kind) {
+		idx := findCol(cols, cr)
+		if idx < 0 || !codeKeyKind(kinds[idx]) {
 			return info, false
 		}
-		info.groupCol, info.groupKind = idx, schema[idx].Kind
+		info.groupCol, info.groupKind = idx, kinds[idx]
 	default:
 		return info, false
 	}
@@ -862,8 +878,8 @@ func aggCodeShape(x *AggPlan, s *ScanPlan) (aggCodeInfo, bool) {
 		if !ok {
 			return info, false
 		}
-		idx := findScanCol(s.cols, cr)
-		if idx < 0 || idx >= len(schema) {
+		idx := findCol(cols, cr)
+		if idx < 0 {
 			return info, false
 		}
 		info.argCols = append(info.argCols, idx)
@@ -897,7 +913,7 @@ func joinCodeShape(x *JoinPlan) (joinCodeInfo, bool) {
 	if !ok {
 		return joinCodeInfo{}, false
 	}
-	idx := findScanCol(s.cols, cr)
+	idx := findCol(s.cols, cr)
 	schema := s.Entry.Schema
 	if idx < 0 || idx >= len(schema) || !codeKeyKind(schema[idx].Kind) {
 		return joinCodeInfo{}, false
@@ -920,7 +936,7 @@ func projectScanShape(x *ProjectPlan) (*ScanPlan, []int, bool) {
 		if !ok {
 			return nil, nil, false
 		}
-		idx := findScanCol(s.cols, cr)
+		idx := findCol(s.cols, cr)
 		if idx < 0 {
 			return nil, nil, false
 		}

@@ -52,12 +52,34 @@ type OpProfile struct {
 // Wall returns the operator's inclusive wall time.
 func (o *OpProfile) Wall() time.Duration { return time.Duration(o.wallNS.Load()) }
 
+// Fused reports whether the operator ran inside its parent (scan fused
+// into an aggregate, projection or join; join fused into an aggregate):
+// it has no wall time of its own, only counters.
+func (o *OpProfile) Fused() bool { return o.fused }
+
+// inclusive is the wall time the operator accounts for in its parent's
+// window: its own, or — fused, so never timed — that of the children
+// that did run as pipeline stages (a fused join's build side).
+func (o *OpProfile) inclusive() int64 {
+	if !o.fused {
+		return o.wallNS.Load()
+	}
+	var sum int64
+	for _, c := range o.Children {
+		sum += c.inclusive()
+	}
+	return sum
+}
+
 // Self returns the operator's exclusive wall time: inclusive minus the
 // children's inclusive time, clamped at zero.
 func (o *OpProfile) Self() time.Duration {
+	if o.fused {
+		return 0
+	}
 	self := o.wallNS.Load()
 	for _, c := range o.Children {
-		self -= c.wallNS.Load()
+		self -= c.inclusive()
 	}
 	if self < 0 {
 		self = 0
@@ -120,6 +142,30 @@ func (p *Profile) OperatorTotal() time.Duration {
 		walk(p.Root)
 	}
 	return sum
+}
+
+// ClockReads is the number of clock reads the vectorized executor's
+// instrumentation made for this statement, derived from its counters: the
+// pipeline wrapper reads the clock twice per operator invocation and
+// twice per batch the operator emits, the scan twice per morsel. It is
+// what profiling costs in time, stated as a count that repeats: per batch
+// and per morsel, never per row.
+func (p *Profile) ClockReads() int64 {
+	var n int64
+	var walk func(o *OpProfile)
+	walk = func(o *OpProfile) {
+		if !o.fused {
+			n += 2 + 2*o.batches.Load()
+		}
+		n += 2 * o.morsels.Load()
+		for _, c := range o.Children {
+			walk(c)
+		}
+	}
+	if p.Root != nil {
+		walk(p.Root)
+	}
+	return n
 }
 
 // Render formats the annotated plan tree.

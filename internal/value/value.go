@@ -150,26 +150,44 @@ func (v Value) AsBool() bool {
 	}
 }
 
+// timeLayout is the canonical rendering of a KindTime value.
+const timeLayout = "2006-01-02 15:04:05.000000"
+
 // AsString renders the value for result sets and string coercion.
 func (v Value) AsString() string {
 	switch v.K {
-	case KindNull:
-		return "NULL"
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	case KindString:
 		return v.S
+	default:
+		var buf [32]byte
+		return string(v.AppendString(buf[:0]))
+	}
+}
+
+// AppendString appends AsString's rendering to dst without building the
+// intermediate string — the per-row paths (grouping keys, wire encoding)
+// render into a reused buffer.
+func (v Value) AppendString(dst []byte) []byte {
+	switch v.K {
+	case KindNull:
+		return append(dst, "NULL"...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case KindString:
+		return append(dst, v.S...)
 	case KindBool:
 		if v.I != 0 {
-			return "TRUE"
+			return append(dst, "TRUE"...)
 		}
-		return "FALSE"
+		return append(dst, "FALSE"...)
 	case KindTime:
-		return v.AsTime().UTC().Format("2006-01-02 15:04:05.000000")
+		return v.AsTime().AppendFormat(dst, timeLayout)
 	default:
-		return fmt.Sprintf("<%v>", v.K)
+		return fmt.Appendf(dst, "<%v>", v.K)
 	}
 }
 
@@ -389,13 +407,20 @@ func (r Row) Clone() Row {
 // Key renders a row as a canonical grouping key. It is injective for rows
 // of the same shape and is used by hash aggregation and distinct.
 func (r Row) Key() string {
-	var sb strings.Builder
+	var buf [64]byte // most keys fit: the string is then the only allocation
+	return string(r.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the row's grouping key to dst. Per-row callers keep
+// one buffer and look groups up with m[string(buf)], which allocates
+// nothing on a hit.
+func (r Row) AppendKey(dst []byte) []byte {
 	for i, v := range r {
 		if i > 0 {
-			sb.WriteByte(0x1f)
+			dst = append(dst, 0x1f)
 		}
-		sb.WriteByte(byte(v.K))
-		sb.WriteString(v.AsString())
+		dst = append(dst, byte(v.K))
+		dst = v.AppendString(dst)
 	}
-	return sb.String()
+	return dst
 }

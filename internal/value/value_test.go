@@ -2,6 +2,8 @@ package value
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -149,6 +151,33 @@ func TestRowKeyInjective(t *testing.T) {
 	}
 	if k := (Row{String("a\x1fb")}).Key(); k == (Row{String("a"), String("b")}).Key() {
 		t.Fatal("separator collision")
+	}
+}
+
+// TestAppendKeyMatchesKey holds the two key renderings together: the
+// append form, after any prefix already in the buffer, adds exactly the
+// bytes Key has always produced (kind byte + AsString, 0x1f between cells).
+func TestAppendKeyMatchesKey(t *testing.T) {
+	f := func(i int64, fl float64, s string, b bool, us int64, prefix []byte) bool {
+		row := Row{Null, Int(i), Float(fl), String(s), Bool(b), TimeMicros(us % 4e15), {K: Kind(99)}}
+		var want strings.Builder
+		for c, v := range row {
+			if c > 0 {
+				want.WriteByte(0x1f)
+			}
+			want.WriteByte(byte(v.K))
+			want.WriteString(v.AsString())
+		}
+		got := row.AppendKey(append([]byte(nil), prefix...))
+		return row.Key() == want.String() && string(got) == string(prefix)+want.String()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, fl := range []float64{1e21, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, want := string(Float(fl).AppendString(nil)), strconv.FormatFloat(fl, 'g', -1, 64); got != want {
+			t.Fatalf("float %v renders %q, want %q", fl, got, want)
+		}
 	}
 }
 
