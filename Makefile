@@ -5,12 +5,13 @@
 # concurrent-ingest/merge suite under -race + the observability suite
 # (fingerprints, sys.* views, wire monitoring e2e) + smoke runs of the
 # vectorized-scan, compressed-execution, position-based aggregation,
-# commit-pipeline and point-select micro-benchmarks + vet and tests of the
-# end-to-end benchmark's own module (bench/).
+# commit-pipeline, point-select and SOE-insert micro-benchmarks + the SOE
+# wire-format suite under -race + a 10 s smoke run of each native fuzz
+# target + vet and tests of the end-to-end benchmark's own module (bench/).
 
 GO ?= go
 
-.PHONY: all lint vet build test race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchagg benchcommit benchpoint benchbaseline benchmod bench ci
+.PHONY: all lint vet build test race experiments parity chaos soewire fuzzsmoke wire htap monitor benchsmoke benchcompressed benchagg benchcommit benchpoint benchsoe benchbaseline benchmod bench ci
 
 all: ci
 
@@ -48,6 +49,22 @@ parity:
 # replica failover, idempotent commit retries and shared-log hole repair.
 chaos:
 	$(GO) test -race -run 'TestFT' ./internal/soe/ ./internal/sharedlog/
+
+# The SOE wire format under the race detector, on what repeats: round trips
+# of every message kind and of the log entry, hostile counts and payloads,
+# the broker's allocations per commit independent of its rows, rows decoded
+# once per hosting node, the parallel Apply push shown with a barrier, the
+# values JSON could not carry, and the poison log entry.
+soewire:
+	$(GO) test -race -run 'TestWire' ./internal/soe/
+	$(GO) test -race -run 'TestBinary' ./internal/value/
+
+# Ten seconds of each native fuzz target (go test runs one -fuzz target per
+# invocation): the SOE decoders never panic on hostile bytes and never
+# allocate more than a constant times the input.
+fuzzsmoke:
+	$(GO) test -run xxx -fuzz 'FuzzDecodeEntry' -fuzztime 10s ./internal/soe/
+	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
 
 # Wire-protocol conformance under the race detector: the e2e client/server
 # suite, the extended-protocol state machine (malformed frames, Bind to a
@@ -118,6 +135,14 @@ benchcommit:
 benchpoint:
 	$(GO) test -run xxx -bench 'BenchmarkPointSelect(Param|Literal)$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkPointSelect' -tolerance 100
 
+# SOE insert micro-benchmarks: Cluster.Insert of 1,000-row batches and of
+# single rows on a 4-node cluster over a zero-latency network. Gated on
+# allocs/op like benchagg: a row re-encoded per hop or decoded on a node
+# that does not host it shows as a multiple, on any host. rows/s and log
+# bytes per row are reported beside it.
+benchsoe:
+	$(GO) test -run xxx -bench 'BenchmarkSOEInsert(Batch|Row)$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkSOEInsert' -tolerance 100
+
 # The end-to-end benchmark is a module of its own (bench/go.mod), so the
 # root `go build ./... && go test ./...` never compiles it: this target
 # is what notices when an internal/ API it calls changes under it.
@@ -127,14 +152,15 @@ benchmod:
 # Regenerate the committed benchmark baseline after an intentional perf
 # change; benchguard -write preserves the workload prose and recomputes
 # the derived speedups. See README "Benchmark baseline" for the workflow.
-# Three passes merge into one file: the commit and point-select
+# Four passes merge into one file: the commit, point-select and SOE-insert
 # benchmarks need more iterations than the big-table scans to settle.
 benchbaseline:
 	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkGroupByRLE|BenchmarkGroupByFloatSum|BenchmarkJoinAggDict' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkPointSelect(Param|Literal)$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'BenchmarkSOEInsert(Batch|Row)$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-ci: lint build race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchagg benchcommit benchpoint benchmod
+ci: lint build race experiments parity chaos soewire fuzzsmoke wire htap monitor benchsmoke benchcompressed benchagg benchcommit benchpoint benchsoe benchmod

@@ -18,6 +18,7 @@ import (
 	"repro/internal/columnstore"
 	"repro/internal/experiments"
 	"repro/internal/sharedlog"
+	"repro/internal/soe"
 	"repro/internal/sqlexec"
 	"repro/internal/timeseries"
 	"repro/internal/txn"
@@ -299,6 +300,52 @@ func benchPointSelect(b *testing.B, param bool) {
 
 func BenchmarkPointSelectParam(b *testing.B)   { benchPointSelect(b, true) }
 func BenchmarkPointSelectLiteral(b *testing.B) { benchPointSelect(b, false) }
+
+// benchSOEInsert is the soe_fanout write path in process: Cluster.Insert of
+// batch rows of that workload's schema per op on a 4-node OLTP cluster, 8
+// hash partitions, a zero-latency network — coordinator encode, broker
+// pass-through, shared-log append and the parallel Apply push, with no
+// sleep in it. What the gate holds is allocs/op (EXPERIMENTS.md E28).
+func benchSOEInsert(b *testing.B, batch int) {
+	c := soe.NewCluster(soe.ClusterConfig{Nodes: 4, Mode: soe.OLTP, LogStripes: 4, LogReplicas: 2})
+	defer c.Shutdown()
+	schema := columnstore.Schema{
+		{Name: "id", Kind: value.KindInt},
+		{Name: "region", Kind: value.KindString},
+		{Name: "status", Kind: value.KindString},
+		{Name: "amount", Kind: value.KindFloat},
+		{Name: "qty", Kind: value.KindInt},
+	}
+	if _, err := c.CreateTable("orders", schema, "id", 8); err != nil {
+		b.Fatal(err)
+	}
+	regions := []string{"north", "south", "east", "west", "central", "emea", "apj", "latam"}
+	statuses := []string{"open", "shipped", "returned", "cancelled"}
+	rows := make([]value.Row, batch)
+	for j := range rows {
+		rows[j] = value.Row{value.Int(0), value.String(regions[j%8]), value.String(statuses[j%4]), value.Float(float64(j%997) + 0.25), value.Int(int64(j%20 + 1))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range rows {
+			rows[j][0] = value.Int(int64(i*batch + j)) // Insert keeps no reference to its rows
+		}
+		if _, err := c.Insert("orders", rows...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	inserted := float64(b.N * batch)
+	b.ReportMetric(inserted/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(float64(c.Obs.Snapshot().CounterTotal("sharedlog_bytes_total"))/inserted, "logB/row")
+	if r, err := c.Query(`SELECT COUNT(*) FROM orders`); err != nil || float64(r.Rows[0][0].AsInt()) != inserted {
+		b.Fatalf("count after %v inserted rows: %v %v", inserted, r, err)
+	}
+}
+
+func BenchmarkSOEInsertBatch(b *testing.B) { benchSOEInsert(b, 1000) }
+func BenchmarkSOEInsertRow(b *testing.B)   { benchSOEInsert(b, 1) }
 
 // --- compressed-execution micro-benchmarks (DESIGN.md §4, E23) -----------
 

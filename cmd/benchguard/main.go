@@ -78,8 +78,9 @@ const allocTolerance = 1.10
 
 // benchLine matches one result row of `go test -bench` output, e.g.
 // "BenchmarkScanVectorized-4   100   7797842 ns/op   1220117 B/op ...".
-// The -N suffix is GOMAXPROCS and is stripped for baseline matching.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+// The -N suffix is GOMAXPROCS and is stripped for baseline matching; what
+// a benchmark reports through b.ReportMetric sits between ns/op and B/op.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op(?:.*?\s(\d+) B/op\s+(\d+) allocs/op)?`)
 
 func main() {
 	baseFile := flag.String("baseline", "BENCH_vectorized_baseline.json", "baseline JSON (ns_per_op per benchmark)")

@@ -80,14 +80,9 @@ func E7SharedLog(s Scale) *Table {
 	return t
 }
 
-// loadCluster fills an SOE cluster with the standard two-table workload.
-// bulk=true loads directly into node storage (what E8/E9 measure is the
-// query path, not ingestion).
+// loadCluster fills an SOE cluster with the standard two-table workload
+// through Cluster.Insert: broker, shared log and synchronous apply.
 func loadCluster(c *soe.Cluster, orders int, coPartition bool) error {
-	return loadClusterMode(c, orders, coPartition, false)
-}
-
-func loadClusterMode(c *soe.Cluster, orders int, coPartition, bulk bool) error {
 	oSchema := columnstore.Schema{
 		{Name: "id", Kind: value.KindString},
 		{Name: "region", Kind: value.KindString},
@@ -112,16 +107,6 @@ func loadClusterMode(c *soe.Cluster, orders int, coPartition, bulk bool) error {
 	var orows, irows []value.Row
 	flush := func() error {
 		if len(orows) == 0 {
-			return nil
-		}
-		if bulk {
-			if err := c.BulkLoadLocal("orders", orows); err != nil {
-				return err
-			}
-			if err := c.BulkLoadLocal("items", irows); err != nil {
-				return err
-			}
-			orows, irows = orows[:0], irows[:0]
 			return nil
 		}
 		if _, err := c.Insert("orders", orows...); err != nil {
@@ -176,7 +161,7 @@ func E8ScaleOutSpeedup(s Scale) *Table {
 	}
 	for _, nodes := range nodeCounts {
 		c := soe.NewCluster(soe.ClusterConfig{Nodes: nodes, Mode: soe.OLTP})
-		if err := loadClusterMode(c, rows, false, true); err != nil {
+		if err := loadCluster(c, rows, false); err != nil {
 			panic(err)
 		}
 		hosting := c.Catalog.NodesOf("orders")
@@ -247,9 +232,9 @@ func E9ScaleUpVsOut(s Scale) *Table {
 	aggQ := `SELECT region, COUNT(*), SUM(amount), AVG(amount) FROM orders GROUP BY region`
 	for _, rows := range []int{s.Rows / 10, s.Rows, s.Rows * 4, s.Rows * 16} {
 		up := soe.NewCluster(soe.ClusterConfig{Nodes: 1, Mode: soe.OLTP})
-		loadClusterMode(up, rows, false, true)
+		loadCluster(up, rows, false)
 		out := soe.NewCluster(soe.ClusterConfig{Nodes: s.Nodes, Mode: soe.OLTP, Net: netsim.Config{Latency: 300 * time.Microsecond}})
-		loadClusterMode(out, rows, false, true)
+		loadCluster(out, rows, false)
 		bench := func(c *soe.Cluster) time.Duration {
 			best := time.Duration(1 << 62)
 			for r := 0; r < 3; r++ {

@@ -249,23 +249,23 @@ func (c *ClusterCatalog) CoPartitioned(a, b, aKey, bKey string) bool {
 // credentials.
 type Discovery struct {
 	mu       sync.RWMutex
-	secret   string
+	token    string            // derived from the cluster secret, once
 	services map[string]string // service role -> node name
 }
 
 // NewDiscovery creates the service with a cluster secret.
 func NewDiscovery(secret string) *Discovery {
-	return &Discovery{secret: secret, services: map[string]string{}}
+	h := sha256.Sum256([]byte("soe-token:" + secret))
+	return &Discovery{token: fmt.Sprintf("%x", h[:8]), services: map[string]string{}}
 }
 
-// Token derives the access token clients present.
-func (d *Discovery) Token() string {
-	h := sha256.Sum256([]byte("soe-token:" + d.secret))
-	return fmt.Sprintf("%x", h[:8])
-}
+// Token returns the access token clients present. Every message carries
+// and every handler checks it, so it is derived at construction, not per
+// call.
+func (d *Discovery) Token() string { return d.token }
 
 // Validate checks a presented token.
-func (d *Discovery) Validate(token string) bool { return token == d.Token() }
+func (d *Discovery) Validate(token string) bool { return token == d.token }
 
 // Announce registers a service instance.
 func (d *Discovery) Announce(role, node string) {

@@ -158,40 +158,6 @@ func (c *Cluster) ReplicateTable(table string) error {
 	return nil
 }
 
-// BulkLoadLocal loads rows directly into the hosting nodes' storage,
-// bypassing the broker and shared log. Benchmark/test setup only: it is
-// NOT transactional and NOT replicated — use Insert for real writes.
-func (c *Cluster) BulkLoadLocal(table string, rows []value.Row) error {
-	t, ok := c.Catalog.Table(table)
-	if !ok {
-		return fmt.Errorf("soe: unknown table %q", table)
-	}
-	ki := t.KeyIndex()
-	byPart := map[int][]value.Row{}
-	for _, r := range rows {
-		p := t.PartitionFor(r[ki])
-		byPart[p] = append(byPart[p], r)
-	}
-	ts := c.Broker.clock.Add(1)
-	byName := map[string]*DataNode{}
-	for _, n := range c.Nodes {
-		byName[n.Name] = n
-	}
-	for p, prt := range byPart {
-		node := byName[t.NodeOf[p]]
-		if node == nil {
-			return fmt.Errorf("soe: partition %d host %q not in cluster", p, t.NodeOf[p])
-		}
-		var writes []LogWrite
-		for _, r := range prt {
-			writes = append(writes, LogWrite{Table: table, Partition: p, Kind: 0, Row: r})
-		}
-		node.applyEntries([]LogEntry{{TS: ts, Writes: writes}})
-	}
-	t.addRows(int64(len(rows)))
-	return nil
-}
-
 // Insert routes rows through the coordinator and broker.
 func (c *Cluster) Insert(table string, rows ...value.Row) (uint64, error) {
 	return c.Coordinator.Insert(table, rows)
@@ -204,23 +170,26 @@ func (c *Cluster) Query(sql string) (*Result, error) {
 }
 
 // SyncOLAP forces every OLAP node to drain the log (deterministic tests
-// and benchmarks).
+// and benchmarks). A node that cannot poll, or that stepped over an entry
+// it could not decode, does not stop the others: the first error is
+// returned once every node has drained what it can.
 func (c *Cluster) SyncOLAP() error {
+	var firstErr error
 	for _, n := range c.Nodes {
 		if n.Mode != OLAP {
 			continue
 		}
 		for {
 			applied, err := n.PollOnce(8192)
-			if err != nil {
-				return err
+			if err != nil && firstErr == nil {
+				firstErr = err
 			}
 			if applied == 0 {
 				break
 			}
 		}
 	}
-	return nil
+	return firstErr
 }
 
 // CreateRangeTable defines a range-partitioned table: partition i covers

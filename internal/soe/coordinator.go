@@ -173,13 +173,27 @@ func (c *Coordinator) Insert(table string, rows []value.Row) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("soe: unknown table %q", table)
 	}
+	// Rows are placed by partition (a counting sort, order kept within
+	// each), so the write set encodes as one section per partition: a host
+	// decodes its rows as one batch and every other node steps over them
+	// by length.
 	ki := t.KeyIndex()
-	writes := make([]LogWrite, 0, len(rows))
-	for _, r := range rows {
+	parts := make([]int, len(rows))
+	next := make([]int, t.Partitions+1) // next[p+1] counts partition p, then next[p] is its next slot
+	for i, r := range rows {
 		if len(r) != len(t.Schema) {
 			return 0, fmt.Errorf("soe: row width %d for table %s (%d cols)", len(r), table, len(t.Schema))
 		}
-		writes = append(writes, LogWrite{Table: table, Partition: t.PartitionFor(r[ki]), Kind: 0, Row: r})
+		parts[i] = t.PartitionFor(r[ki])
+		next[parts[i]+1]++
+	}
+	for p := 0; p < t.Partitions; p++ {
+		next[p+1] += next[p]
+	}
+	writes := make([]LogWrite, len(rows))
+	for i, r := range rows {
+		writes[next[parts[i]]] = LogWrite{Table: table, Partition: parts[i], Kind: writeInsert, Row: r}
+		next[parts[i]]++
 	}
 	resp, err := c.commit(span, writes)
 	if err != nil {
@@ -200,7 +214,7 @@ func (c *Coordinator) Delete(table, key string) (uint64, error) {
 	}
 	span := c.tracer.Start("delete", "table="+table)
 	defer span.Finish()
-	w := LogWrite{Table: table, Partition: t.PartitionFor(value.String(key)), Kind: 1, Key: key}
+	w := LogWrite{Table: table, Partition: t.PartitionFor(value.String(key)), Kind: writeDelete, Key: key}
 	resp, err := c.commit(span, []LogWrite{w})
 	if err != nil {
 		return 0, err
@@ -218,11 +232,14 @@ func (c *Coordinator) Delete(table, key string) (uint64, error) {
 // from the broker's transaction cache instead of being applied twice.
 func (c *Coordinator) commit(span *stats.Span, writes []LogWrite) (CommitResp, error) {
 	pol := c.retry()
-	req := CommitReq{
+	// The write set is encoded here, once: every attempt sends these bytes,
+	// and the broker, the shared log and the Apply push carry their section
+	// part on unchanged.
+	payload := encode(CommitReq{
 		Token:  c.disc.Token(),
 		TxnID:  fmt.Sprintf("%s-txn-%d", c.Name, c.txnSeq.Add(1)),
 		Writes: writes,
-	}
+	})
 	var lastErr error
 	for a := 0; a < pol.MaxAttempts; a++ {
 		if a > 0 {
@@ -230,7 +247,7 @@ func (c *Coordinator) commit(span *stats.Span, writes []LogWrite) (CommitResp, e
 			pol.backoff(a - 1)
 		}
 		cm := span.Child("commit", fmt.Sprintf("attempt=%d", a+1))
-		resp, err := callTracedTimeout[CommitResp](c.net, c.Name, c.broker, MsgCommit, req, cm.Context(), pol.TaskTimeout)
+		resp, err := send[CommitResp](c.net, c.Name, c.broker, MsgCommit, payload, cm.Context(), pol.TaskTimeout)
 		cm.Finish()
 		if err == nil {
 			if resp.Err == "" {
@@ -425,9 +442,9 @@ func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, 
 	for p := 0; p < big.Partitions; p++ {
 		targets = unionNodes(targets, c.ccat.Replicas(big.Name, p))
 	}
-	req := CreateTempReq{Token: c.disc.Token(), Name: tmp, Cols: small.Schema.Names(), Kinds: kindsOf(small), Rows: flat}
+	payload := encode(CreateTempReq{Token: c.disc.Token(), Name: tmp, Cols: small.Schema.Names(), Kinds: kindsOf(small), Rows: flat})
 	for _, n := range targets {
-		resp, err := call[ExecResp](c.net, c.Name, n, MsgCreateTemp, req)
+		resp, err := send[ExecResp](c.net, c.Name, n, MsgCreateTemp, payload, stats.SpanContext{}, 0)
 		if err != nil {
 			if netsim.IsUnavailable(err) {
 				continue
@@ -685,6 +702,7 @@ func (c *Coordinator) execTarget(span *stats.Span, sql, node, table, table2 stri
 	if parts != nil {
 		req.Table, req.Table2 = table, table2
 	}
+	payload := encode(req)
 	var lastErr error
 	for a := 0; a < pol.MaxAttempts; a++ {
 		if a > 0 {
@@ -692,7 +710,7 @@ func (c *Coordinator) execTarget(span *stats.Span, sql, node, table, table2 stri
 			pol.backoff(a - 1)
 		}
 		task := span.Child("task", "node="+node, fmt.Sprintf("attempt=%d", a+1))
-		resp, err := callTracedTimeout[ExecResp](c.net, c.Name, node, MsgExec, req, task.Context(), pol.TaskTimeout)
+		resp, err := send[ExecResp](c.net, c.Name, node, MsgExec, payload, task.Context(), pol.TaskTimeout)
 		task.Finish()
 		if err == nil {
 			if resp.Err != "" {
@@ -793,8 +811,8 @@ func (c *Coordinator) catchUp(span *stats.Span, node, table string, parts []int)
 	}
 	cu := span.Child("catch_up", "node="+node)
 	defer cu.Finish()
-	callTracedTimeout[CatchUpResp](c.net, c.Name, node, MsgCatchUp,
-		CatchUpReq{Token: c.disc.Token(), Table: table, MinTS: minTS, Peers: peers}, cu.Context(), c.retry().TaskTimeout)
+	send[CatchUpResp](c.net, c.Name, node, MsgCatchUp,
+		encode(CatchUpReq{Token: c.disc.Token(), Table: table, MinTS: minTS, Peers: peers}), cu.Context(), c.retry().TaskTimeout)
 }
 
 // aliveNodes filters a node list down to reachable members.

@@ -102,7 +102,7 @@ func (m *Manager) Status() []StatusResp {
 	sort.Strings(names)
 	var out []StatusResp
 	for _, n := range names {
-		st, err := call[StatusResp](m.net, m.Name, n, MsgStatus, struct{}{})
+		st, err := call[StatusResp](m.net, m.Name, n, MsgStatus, nil)
 		if err != nil {
 			continue // crashed nodes are simply absent
 		}

@@ -55,6 +55,8 @@ type DataNode struct {
 	cQueries   *stats.Counter
 	cRowsScan  *stats.Counter
 	cApplied   *stats.Counter
+	cApplyRows *stats.Counter
+	cDecodeErr *stats.Counter
 	gAppliedTS *stats.Gauge
 	gBacklog   *stats.Gauge
 	hExec      *stats.Histogram
@@ -83,6 +85,8 @@ func NewDataNode(name string, mode Mode, net *netsim.Network, disc *Discovery, c
 	n.cQueries = n.obs.Counter("soe_queries_total")
 	n.cRowsScan = n.obs.Counter("soe_rows_scanned_total")
 	n.cApplied = n.obs.Counter("soe_log_entries_applied_total")
+	n.cApplyRows = n.obs.Counter("soe_apply_rows_total")
+	n.cDecodeErr = n.obs.Counter("soe_log_decode_errors_total")
 	n.gAppliedTS = n.obs.Gauge("soe_applied_ts")
 	n.gBacklog = n.obs.Gauge("soe_poll_backlog")
 	n.hExec = n.obs.Histogram("soe_exec_ms")
@@ -295,49 +299,73 @@ func (n *DataNode) AppliedTS() uint64 {
 }
 
 // applyEntries installs committed writes hitting locally hosted
-// partitions.
-func (n *DataNode) applyEntries(entries []LogEntry) {
+// partitions. An entry that does not decode is counted, reported and
+// stepped over — appliedPos moves past it and the entries after it still
+// apply — because a poison entry must not wedge a poller; the error names
+// the first such position.
+func (n *DataNode) applyEntries(entries []LogEntry) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	var firstErr error
 	for _, e := range entries {
-		for _, w := range e.Writes {
-			store, ok := n.hosted[w.Table][w.Partition]
-			if !ok {
-				continue
+		if err := n.applyEntry(e.Data); err != nil {
+			n.cDecodeErr.Inc()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("soe: %s: log entry at position %d: %w", n.Name, e.Pos, err)
 			}
-			switch w.Kind {
-			case 0:
-				store.ApplyInsert([]value.Row{w.Row}, e.TS)
-			case 1:
-				n.deleteByKey(store, w, e.TS)
-			}
-		}
-		if e.TS > n.appliedTS {
-			n.appliedTS = e.TS
 		}
 		if e.Pos+1 > n.appliedPos {
 			n.appliedPos = e.Pos + 1
 		}
-		n.eng.Mgr.AdvanceTo(e.TS)
 	}
 	n.cApplied.Add(int64(len(entries)))
 	n.gAppliedTS.Set(float64(n.appliedTS))
+	return firstErr
 }
 
-func (n *DataNode) deleteByKey(store *columnstore.Table, w LogWrite, ts uint64) {
-	t, ok := n.ccat.Table(w.Table)
+// applyEntry decodes the sections of one entry that land on partitions
+// this node hosts and applies them in order — nothing of an entry applies
+// unless all of it decoded. The freshness marks advance whether or not a
+// section was hosted. Caller holds n.mu.
+func (n *DataNode) applyEntry(data []byte) error {
+	ts, secs, err := readEntry(data, func(table []byte, part int) bool {
+		_, ok := n.hosted[string(table)][part]
+		return ok
+	})
+	if err != nil {
+		return err
+	}
+	for _, s := range secs {
+		store := n.hosted[s.table][s.part]
+		if len(s.rows) > 0 {
+			store.ApplyInsert(s.rows, ts)
+			n.cApplyRows.Add(int64(len(s.rows)))
+		}
+		for _, key := range s.keys {
+			n.deleteByKey(store, s.table, key, ts)
+		}
+	}
+	if ts > n.appliedTS {
+		n.appliedTS = ts
+	}
+	n.eng.Mgr.AdvanceTo(ts)
+	return nil
+}
+
+func (n *DataNode) deleteByKey(store *columnstore.Table, table, key string, ts uint64) {
+	t, ok := n.ccat.Table(table)
 	if !ok {
 		return
 	}
 	ki := t.KeyIndex()
 	snap := store.Snapshot(ts)
-	for _, pos := range snap.FindRows(ki, value.String(w.Key)) {
+	for _, pos := range snap.FindRows(ki, value.String(key)) {
 		store.ApplyDelete(pos, ts)
 	}
 	// Non-string keys: FindRows compares generically, so coerce fallback.
-	if len(snap.FindRows(ki, value.String(w.Key))) == 0 {
+	if len(snap.FindRows(ki, value.String(key))) == 0 {
 		for pos := 0; pos < snap.NumRows(); pos++ {
-			if snap.Visible(pos) && snap.Get(ki, pos).AsString() == w.Key {
+			if snap.Visible(pos) && snap.Get(ki, pos).AsString() == key {
 				store.ApplyDelete(pos, ts)
 			}
 		}
@@ -345,7 +373,9 @@ func (n *DataNode) deleteByKey(store *columnstore.Table, w LogWrite, ts uint64) 
 }
 
 // PollOnce pulls and applies the next batch from the broker's log (OLAP
-// path). Returns the number of entries applied.
+// path). Returns the number of entries consumed; an entry among them that
+// would not decode is an error naming its log position, returned after the
+// rest of the batch has been applied.
 func (n *DataNode) PollOnce(max int) (int, error) {
 	n.mu.Lock()
 	from := n.appliedPos
@@ -357,7 +387,7 @@ func (n *DataNode) PollOnce(max int) (int, error) {
 	if resp.Err != "" {
 		return 0, fmt.Errorf("soe: poll: %s", resp.Err)
 	}
-	n.applyEntries(resp.Entries)
+	applyErr := n.applyEntries(resp.Entries)
 	n.mu.Lock()
 	n.appliedPos = resp.Next
 	n.mu.Unlock()
@@ -366,7 +396,7 @@ func (n *DataNode) PollOnce(max int) (int, error) {
 	if resp.Tail >= resp.Next {
 		n.gBacklog.Set(float64(resp.Tail - resp.Next))
 	}
-	return len(resp.Entries), nil
+	return len(resp.Entries), applyErr
 }
 
 // StartPolling launches the OLAP update loop at the given interval.
@@ -465,8 +495,9 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		// the bound is a timestamp the log has not surfaced yet).
 		pl := sp.Child("poll_log")
 		for n.AppliedTS() < r.MinTS {
-			applied, err := n.PollOnce(4096)
-			if err != nil || applied == 0 {
+			// An error beside progress is an undecodable entry, counted and
+			// stepped over: keep draining.
+			if applied, _ := n.PollOnce(4096); applied == 0 {
 				break
 			}
 		}
@@ -504,7 +535,9 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		if !n.disc.Validate(r.Token) {
 			return netsim.Message{Kind: MsgApply, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
 		}
-		n.applyEntries(r.Entries)
+		if err := n.applyEntries(r.Entries); err != nil {
+			return netsim.Message{}, err
+		}
 		return netsim.Message{Kind: MsgApply, Payload: encode(ExecResp{})}, nil
 
 	case MsgSnapshot:
@@ -553,7 +586,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		}
 		return netsim.Message{Kind: MsgStatsPull, Payload: encode(StatsResp{Snapshot: n.obs.Snapshot()})}, nil
 	}
-	return netsim.Message{}, fmt.Errorf("soe: %s: unknown message %q", n.Name, req.Kind)
+	return netsim.Message{}, errUnknownMsg(n.Name, req.Kind)
 }
 
 // execScoped runs SQL once per listed partition, substituting the physical
@@ -616,6 +649,9 @@ func scopeRef(ref *sqlexec.TableRef, table, table2 string, p int) {
 }
 
 func (n *DataNode) createTemp(r CreateTempReq) error {
+	if len(r.Kinds) != len(r.Cols) {
+		return fmt.Errorf("soe: temp %s: %d column kinds for %d columns", r.Name, len(r.Kinds), len(r.Cols))
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	schema := make(columnstore.Schema, len(r.Cols))

@@ -64,6 +64,9 @@ func TestOLTPClusterInsertAndQuery(t *testing.T) {
 	if r.Rows[0][0].AsInt() != 90 {
 		t.Fatalf("count=%v", r.Rows[0][0])
 	}
+	if _, err := c.Insert("ghost", value.Row{value.String("G1"), value.String("EMEA"), value.Float(1)}); err == nil {
+		t.Fatal("unknown table accepted")
+	}
 }
 
 func TestDistributedAggregation(t *testing.T) {
@@ -530,27 +533,6 @@ func TestClusterSurfaces(t *testing.T) {
 	resp, _ = call[ExecResp](c.Net, "client", "v2dqp", MsgExec, ExecReq{Token: c.Disc.Token(), SQL: "garbage"})
 	if resp.Err == "" {
 		t.Fatal("bad SQL accepted")
-	}
-}
-
-func TestBulkLoadLocalVisibleToQueries(t *testing.T) {
-	c := newTestCluster(t, 3, OLTP)
-	if _, err := c.CreateTable("bulk", ordersSchema(), "id", 6); err != nil {
-		t.Fatal(err)
-	}
-	var rows []value.Row
-	for i := 0; i < 500; i++ {
-		rows = append(rows, value.Row{value.String(fmt.Sprintf("B%04d", i)), value.String("EMEA"), value.Float(1)})
-	}
-	if err := c.BulkLoadLocal("bulk", rows); err != nil {
-		t.Fatal(err)
-	}
-	r, err := c.Query(`SELECT COUNT(*) FROM bulk`)
-	if err != nil || r.Rows[0][0].AsInt() != 500 {
-		t.Fatalf("count=%v err=%v", r.Rows[0][0], err)
-	}
-	if err := c.BulkLoadLocal("ghost", rows); err == nil {
-		t.Fatal("unknown table accepted")
 	}
 }
 

@@ -28,11 +28,12 @@ func TestTraceFailoverLandsInSingleTrace(t *testing.T) {
 			value.Float(float64(i)),
 		})
 	}
-	// Bulk load bypasses the broker, so the coordinator's lastCommitTS
-	// stays zero: the failover must learn its freshness bound through a
-	// barrier commit — which also puts a genuine broker commit (and its
-	// shared-log append) inside the trace under test.
-	if err := c.BulkLoadLocal("orders", rows); err != nil {
+	// The load goes through a coordinator of its own, so the querying
+	// coordinator's lastCommitTS stays zero: the failover must learn its
+	// freshness bound through a barrier commit — which also puts a genuine
+	// broker commit (and its shared-log append) inside the trace under test.
+	loader := NewCoordinator("v2dqp-loader", c.Net, c.Disc, c.Catalog, c.Broker.Name)
+	if _, err := loader.Insert("orders", rows); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ReplicateTable("orders"); err != nil {

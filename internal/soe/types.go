@@ -99,7 +99,7 @@ type CommitResp struct {
 	Err string
 }
 
-// LogWrite is one row operation inside a log entry.
+// LogWrite is one row operation of a write set, as a client states it.
 type LogWrite struct {
 	Table     string // logical table
 	Partition int    // horizontal partition index
@@ -108,13 +108,13 @@ type LogWrite struct {
 	Key       string // delete key (value of the partition key column)
 }
 
-// LogEntry is the unit stored in the shared log. Pos is the log position,
-// filled by the broker so receivers can resume polling after a snapshot
-// catch-up.
+// LogEntry is one shared-log record as it travels to a node: Data is the
+// encoded entry (commit timestamp, then the commit's sections — wire.go
+// has the layout) and Pos the position it was appended at, carried beside
+// the bytes so receivers can resume polling after a snapshot catch-up.
 type LogEntry struct {
-	TS     uint64
-	Pos    uint64
-	Writes []LogWrite
+	Pos  uint64
+	Data []byte
 }
 
 // ApplyReq pushes entries to an OLTP node.
@@ -194,57 +194,62 @@ type StatusResp struct {
 	RowsScanned int64
 }
 
-func encode(v any) []byte {
+// The row-less control kinds — Status, StatsPull, CatchUp — stay JSON: they
+// are off every data path, and a StatsResp is a stats.Snapshot, whose shape
+// belongs to package stats and already has JSON tags for /metrics.json.
+// This file is the only one in the package that imports encoding/json.
+
+func appendJSON(dst []byte, v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
-		panic(fmt.Sprintf("soe: encode: %v", err))
+		// Marshal refuses only a non-finite float, which of the control
+		// messages only a StatsResp gauge can hold; the refusal travels in
+		// the Err field every fallible control reply has.
+		b, _ = json.Marshal(struct{ Err string }{err.Error()})
 	}
-	return b
+	return append(dst, b...)
 }
 
-func decode[T any](m netsim.Message) (T, error) {
-	var out T
-	err := json.Unmarshal(m.Payload, &out)
-	return out, err
-}
+func (m StatusResp) appendWire(dst []byte) []byte  { return appendJSON(dst, m) }
+func (m *StatusResp) readWire(b []byte) error      { return json.Unmarshal(b, m) }
+func (m StatsReq) appendWire(dst []byte) []byte    { return appendJSON(dst, m) }
+func (m *StatsReq) readWire(b []byte) error        { return json.Unmarshal(b, m) }
+func (m StatsResp) appendWire(dst []byte) []byte   { return appendJSON(dst, m) }
+func (m *StatsResp) readWire(b []byte) error       { return json.Unmarshal(b, m) }
+func (m CatchUpReq) appendWire(dst []byte) []byte  { return appendJSON(dst, m) }
+func (m *CatchUpReq) readWire(b []byte) error      { return json.Unmarshal(b, m) }
+func (m CatchUpResp) appendWire(dst []byte) []byte { return appendJSON(dst, m) }
+func (m *CatchUpResp) readWire(b []byte) error     { return json.Unmarshal(b, m) }
 
 func errUnknownMsg(svc, kind string) error {
 	return fmt.Errorf("soe: %s: unknown message %q", svc, kind)
 }
 
-// call performs a typed RPC.
-func call[T any](net *netsim.Network, from, to, kind string, req any) (T, error) {
-	return callTraced[T](net, from, to, kind, req, stats.SpanContext{})
-}
-
-// callTraced is call with a span context riding the message envelope, so
-// the remote handler can parent its own spans into the caller's trace
-// (cross-node propagation: one TraceID covers coordinator, nodes, broker
-// and shared log). A zero context degrades to an untraced call.
-func callTraced[T any](net *netsim.Network, from, to, kind string, req any, tc stats.SpanContext) (T, error) {
-	var zero T
-	resp, err := net.Call(from, to, netsim.Message{Kind: kind, Payload: encode(req), Trace: tc})
-	if err != nil {
-		return zero, err
+// call performs a typed RPC; a nil req sends an empty body.
+func call[T any, P wirePtr[T]](net *netsim.Network, from, to, kind string, req wireMsg) (T, error) {
+	var payload []byte
+	if req != nil {
+		payload = encode(req)
 	}
-	return decode[T](resp)
+	return send[T, P](net, from, to, kind, payload, stats.SpanContext{}, 0)
 }
 
 // errTaskTimeout marks a call abandoned by its per-attempt deadline.
 var errTaskTimeout = errors.New("soe: task timed out")
 
-// callWithTimeout is call with a per-attempt deadline. The simulated
-// network has no cancellation: a timed-out call may still complete on the
-// server, which is why retried requests must be idempotent (commit TxnIDs,
-// read-only execs). d <= 0 disables the deadline.
-func callWithTimeout[T any](net *netsim.Network, from, to, kind string, req any, d time.Duration) (T, error) {
-	return callTracedTimeout[T](net, from, to, kind, req, stats.SpanContext{}, d)
-}
-
-// callTracedTimeout is callWithTimeout carrying a span context.
-func callTracedTimeout[T any](net *netsim.Network, from, to, kind string, req any, tc stats.SpanContext, d time.Duration) (T, error) {
+// send is an RPC with an already encoded request — a retry loop encodes
+// once and sends the same bytes on every attempt — a span context riding
+// the message envelope, so the remote handler can parent its own spans
+// into the caller's trace (one TraceID covers coordinator, nodes, broker
+// and shared log; a zero context degrades to an untraced call), and a
+// per-attempt deadline. The simulated network has no cancellation: a
+// timed-out call may still complete on the server, which is why retried
+// requests must be idempotent (commit TxnIDs, read-only execs). d <= 0
+// disables the deadline.
+func send[T any, P wirePtr[T]](net *netsim.Network, from, to, kind string, payload []byte, tc stats.SpanContext, d time.Duration) (T, error) {
+	req := netsim.Message{Kind: kind, Payload: payload, Trace: tc}
 	if d <= 0 {
-		return callTraced[T](net, from, to, kind, req, tc)
+		return roundTrip[T, P](net, from, to, req)
 	}
 	type outcome struct {
 		v   T
@@ -252,7 +257,7 @@ func callTracedTimeout[T any](net *netsim.Network, from, to, kind string, req an
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		v, err := callTraced[T](net, from, to, kind, req, tc)
+		v, err := roundTrip[T, P](net, from, to, req)
 		ch <- outcome{v, err}
 	}()
 	select {
@@ -262,4 +267,13 @@ func callTracedTimeout[T any](net *netsim.Network, from, to, kind string, req an
 		var zero T
 		return zero, fmt.Errorf("%w: %s->%s %s after %v", errTaskTimeout, from, to, kind, d)
 	}
+}
+
+func roundTrip[T any, P wirePtr[T]](net *netsim.Network, from, to string, req netsim.Message) (T, error) {
+	resp, err := net.Call(from, to, req)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode[T, P](resp)
 }

@@ -1,0 +1,488 @@
+package soe
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
+	"repro/internal/netsim"
+	"repro/internal/value"
+)
+
+// The SOE data plane has one hand-written binary encoding per message and
+// no reflection. Three rules hold for a committed write set:
+//
+//  1. Encoded once, by the coordinator: CommitReq.appendWire lays the
+//     writes out as sections, one per run of writes to the same (table,
+//     partition), each led by the byte length of what follows.
+//  2. Opaque to the broker: it reads the commit header (token, TxnID,
+//     write count), puts the commit timestamp in front of the sections and
+//     appends those bytes to the shared log. The same bytes are the Apply
+//     payload and what MsgPoll returns; a log position rides beside an
+//     entry, never inside it.
+//  3. Decoded only by a host: a node walks the section directory, steps
+//     over the partitions it does not host by length, and turns the rest
+//     into rows.
+//
+// Layout, every integer a uvarint unless noted, a string a length and its
+// raw bytes, a value value.AppendBinary's bytes:
+//
+//	commit  = token txnID writes section*
+//	entry   = ts section*
+//	section = table partition kind(1 byte) len(4 bytes LE) payload
+//	payload = count row*          (kind 0, insert)
+//	        | count key*          (kind 1, delete by key)
+//	row     = width value*
+//
+// Encoders append and cannot fail. Decoders check every count and length
+// against the bytes that remain before they allocate, so hostile input
+// yields an error and allocations proportional to its size.
+
+// Write kinds of a LogWrite and of a section.
+const (
+	writeInsert uint8 = 0
+	writeDelete uint8 = 1
+)
+
+// wireMsg is a message body; each type has exactly one encoding.
+type wireMsg interface {
+	appendWire(dst []byte) []byte
+}
+
+// wirePtr is the decoding half of a message, on its pointer type.
+type wirePtr[T any] interface {
+	*T
+	readWire(b []byte) error
+}
+
+func encode(m wireMsg) []byte { return m.appendWire(nil) }
+
+func appendStr(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+func appendStrs(dst []byte, ss []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = appendStr(dst, s)
+	}
+	return dst
+}
+
+func appendRow(dst []byte, row value.Row) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(row)))
+	for _, v := range row {
+		dst = value.AppendBinary(dst, v)
+	}
+	return dst
+}
+
+func appendRows(dst []byte, rows []value.Row) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(rows)))
+	for _, row := range rows {
+		dst = appendRow(dst, row)
+	}
+	return dst
+}
+
+func appendEntries(dst []byte, entries []LogEntry) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(entries)))
+	for _, e := range entries {
+		dst = binary.AppendUvarint(dst, e.Pos)
+		dst = binary.AppendUvarint(dst, uint64(len(e.Data)))
+		dst = append(dst, e.Data...)
+	}
+	return dst
+}
+
+// appendSections lays writes out as sections, starting a new one whenever
+// the table, partition or kind changes. Writes keep their order, so an
+// insert and a later delete of the same key stay in order whatever the
+// grouping; a writer that wants one section per partition sorts first.
+func appendSections(dst []byte, writes []LogWrite) []byte {
+	for i := 0; i < len(writes); {
+		first := writes[i]
+		j := i + 1
+		for j < len(writes) && writes[j].Table == first.Table && writes[j].Partition == first.Partition && writes[j].Kind == first.Kind {
+			j++
+		}
+		dst = appendStr(dst, first.Table)
+		dst = binary.AppendUvarint(dst, uint64(first.Partition))
+		dst = append(dst, first.Kind, 0, 0, 0, 0)
+		start := len(dst)
+		dst = binary.AppendUvarint(dst, uint64(j-i))
+		for _, w := range writes[i:j] {
+			if first.Kind == writeInsert {
+				dst = appendRow(dst, w.Row)
+			} else {
+				dst = appendStr(dst, w.Key)
+			}
+		}
+		binary.LittleEndian.PutUint32(dst[start-4:], uint32(len(dst)-start))
+		i = j
+	}
+	return dst
+}
+
+// appendEntry builds a log entry: the commit timestamp, then the commit's
+// sections exactly as the coordinator encoded them.
+func appendEntry(dst []byte, ts uint64, sections []byte) []byte {
+	return append(binary.AppendUvarint(dst, ts), sections...)
+}
+
+// rd is a cursor over one payload. The first read that fails records the
+// error and empties the cursor, after which every read returns a zero
+// value: a decoder reads its fields in a row and checks once, in end.
+type rd struct {
+	b   []byte
+	err error
+}
+
+var (
+	errWireShort    = errors.New("soe: wire: length or count beyond the payload")
+	errWireVarint   = errors.New("soe: wire: malformed varint")
+	errWireTrailing = errors.New("soe: wire: bytes after the message")
+	errWireKind     = errors.New("soe: wire: unknown write kind")
+)
+
+func (r *rd) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.b = nil
+}
+
+// end reports the decode's error, or leftover bytes as one.
+func (r *rd) end() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(errWireTrailing)
+	}
+	return r.err
+}
+
+func (r *rd) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail(errWireVarint)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// take returns the next n bytes, aliasing the payload.
+func (r *rd) take(n uint64) []byte {
+	if n > uint64(len(r.b)) {
+		r.fail(errWireShort)
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// count reads an element count. Every element takes at least one byte, so
+// a count above the bytes that remain is a lie: rejecting it here is what
+// bounds each make below by the size of the input.
+func (r *rd) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail(errWireShort)
+		return 0
+	}
+	return int(n)
+}
+
+func (r *rd) byte() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *rd) str() string { return string(r.take(r.uvarint())) }
+
+func (r *rd) strs() []string {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.str()
+	}
+	return out
+}
+
+func (r *rd) value() value.Value {
+	v, n, err := value.ReadBinary(r.b)
+	if err != nil {
+		r.fail(err)
+		return value.Null
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// rows reads a row block. Rows of the first row's width — every row, in a
+// block an engine produced — are windows of one slab.
+func (r *rd) rows() []value.Row {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	rows := make([]value.Row, n)
+	var slab []value.Value
+	for i := range rows {
+		w := r.count()
+		if i == 0 && w > 0 {
+			slab = make([]value.Value, 0, w*min(n, len(r.b)/w))
+		}
+		if cap(slab)-len(slab) < w {
+			slab = make([]value.Value, 0, w)
+		}
+		row := slab[len(slab) : len(slab)+w : len(slab)+w]
+		slab = slab[:len(slab)+w]
+		for j := range row {
+			row[j] = r.value()
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+func (r *rd) entries() []LogEntry {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]LogEntry, n)
+	for i := range out {
+		out[i].Pos = r.uvarint()
+		out[i].Data = r.take(r.uvarint())
+	}
+	return out
+}
+
+// entrySection is one decoded section of a log entry: rows to insert or
+// keys to delete on one partition.
+type entrySection struct {
+	table string
+	part  int
+	rows  []value.Row
+	keys  []string
+}
+
+// readEntry decodes a log entry: its commit timestamp and, in order, the
+// sections want accepts. Every other section is stepped over by its
+// length, so a node pays for the rows it hosts and no others.
+func readEntry(data []byte, want func(table []byte, part int) bool) (ts uint64, secs []entrySection, err error) {
+	r := rd{b: data}
+	ts = r.uvarint()
+	for r.err == nil && len(r.b) > 0 {
+		table, part, kind := r.take(r.uvarint()), int(r.uvarint()), r.byte()
+		var payload []byte
+		if l := r.take(4); l != nil {
+			payload = r.take(uint64(binary.LittleEndian.Uint32(l)))
+		}
+		if kind > writeDelete {
+			r.fail(errWireKind)
+		}
+		if r.err != nil || !want(table, part) {
+			continue
+		}
+		p := rd{b: payload}
+		s := entrySection{table: string(table), part: part}
+		if kind == writeInsert {
+			s.rows = p.rows()
+		} else {
+			s.keys = p.strs()
+		}
+		if err := p.end(); err != nil {
+			return 0, nil, err
+		}
+		secs = append(secs, s)
+	}
+	if r.err != nil {
+		return 0, nil, r.err
+	}
+	return ts, secs, nil
+}
+
+// commitHeader is all the broker reads of a MsgCommit payload; sections is
+// the rest of it, passed through unparsed.
+func commitHeader(payload []byte) (token, txnID string, writes int, sections []byte, err error) {
+	r := rd{b: payload}
+	token, txnID, writes = r.str(), r.str(), int(r.uvarint())
+	if r.err != nil {
+		return "", "", 0, nil, fmt.Errorf("soe: decode %s: %w", MsgCommit, r.err)
+	}
+	return token, txnID, writes, r.b, nil
+}
+
+// --- one encoding per message kind -----------------------------------------
+
+func (m ExecReq) appendWire(dst []byte) []byte {
+	dst = appendStr(dst, m.Token)
+	dst = appendStr(dst, m.SQL)
+	dst = appendStr(dst, m.Table)
+	dst = appendStr(dst, m.Table2)
+	// nil (unscoped) and empty (scoped to nothing) are different requests:
+	// 0 is nil, n+1 is n partitions.
+	if m.Parts == nil {
+		return append(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.Parts))+1)
+	for _, p := range m.Parts {
+		dst = binary.AppendUvarint(dst, uint64(p))
+	}
+	return dst
+}
+
+func (m *ExecReq) readWire(b []byte) error {
+	r := rd{b: b}
+	m.Token, m.SQL, m.Table, m.Table2 = r.str(), r.str(), r.str(), r.str()
+	if n := r.uvarint(); n > 0 {
+		if n-1 > uint64(len(r.b)) {
+			return errWireShort
+		}
+		m.Parts = make([]int, n-1)
+		for i := range m.Parts {
+			m.Parts[i] = int(r.uvarint())
+		}
+	}
+	return r.end()
+}
+
+func (m ExecResp) appendWire(dst []byte) []byte {
+	dst = appendStrs(dst, m.Cols)
+	dst = appendRows(dst, m.Rows)
+	dst = binary.AppendUvarint(dst, uint64(m.RowsScanned))
+	dst = binary.AppendUvarint(dst, uint64(m.Morsels))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Completeness))
+	return appendStr(dst, m.Err)
+}
+
+func (m *ExecResp) readWire(b []byte) error {
+	r := rd{b: b}
+	m.Cols, m.Rows = r.strs(), r.rows()
+	m.RowsScanned, m.Morsels = int(r.uvarint()), int(r.uvarint())
+	if f := r.take(8); f != nil {
+		m.Completeness = math.Float64frombits(binary.LittleEndian.Uint64(f))
+	}
+	m.Err = r.str()
+	return r.end()
+}
+
+func (m CreateTempReq) appendWire(dst []byte) []byte {
+	dst = appendStr(dst, m.Token)
+	dst = appendStr(dst, m.Name)
+	dst = appendStrs(dst, m.Cols)
+	dst = appendStr(dst, string(m.Kinds))
+	dst = appendRows(dst, m.Rows)
+	if m.Append {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func (m *CreateTempReq) readWire(b []byte) error {
+	r := rd{b: b}
+	m.Token, m.Name, m.Cols = r.str(), r.str(), r.strs()
+	if k := r.take(r.uvarint()); len(k) > 0 {
+		m.Kinds = append([]uint8(nil), k...)
+	}
+	m.Rows = r.rows()
+	m.Append = r.byte() != 0
+	return r.end()
+}
+
+func (m CommitReq) appendWire(dst []byte) []byte {
+	dst = appendStr(dst, m.Token)
+	dst = appendStr(dst, m.TxnID)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Writes)))
+	return appendSections(dst, m.Writes)
+}
+
+func (m CommitResp) appendWire(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, m.Pos)
+	dst = binary.AppendUvarint(dst, m.TS)
+	return appendStr(dst, m.Err)
+}
+
+func (m *CommitResp) readWire(b []byte) error {
+	r := rd{b: b}
+	m.Pos, m.TS, m.Err = r.uvarint(), r.uvarint(), r.str()
+	return r.end()
+}
+
+func (m ApplyReq) appendWire(dst []byte) []byte {
+	return appendEntries(appendStr(dst, m.Token), m.Entries)
+}
+
+func (m *ApplyReq) readWire(b []byte) error {
+	r := rd{b: b}
+	m.Token, m.Entries = r.str(), r.entries()
+	return r.end()
+}
+
+func (m PollReq) appendWire(dst []byte) []byte {
+	dst = appendStr(dst, m.Token)
+	dst = binary.AppendUvarint(dst, m.From)
+	return binary.AppendUvarint(dst, uint64(m.Max))
+}
+
+func (m *PollReq) readWire(b []byte) error {
+	r := rd{b: b}
+	m.Token, m.From, m.Max = r.str(), r.uvarint(), int(r.uvarint())
+	return r.end()
+}
+
+func (m PollResp) appendWire(dst []byte) []byte {
+	dst = appendEntries(dst, m.Entries)
+	dst = binary.AppendUvarint(dst, m.Next)
+	dst = binary.AppendUvarint(dst, m.Tail)
+	return appendStr(dst, m.Err)
+}
+
+func (m *PollResp) readWire(b []byte) error {
+	r := rd{b: b}
+	m.Entries, m.Next, m.Tail, m.Err = r.entries(), r.uvarint(), r.uvarint(), r.str()
+	return r.end()
+}
+
+func (m SnapshotReq) appendWire(dst []byte) []byte {
+	dst = appendStr(dst, m.Token)
+	dst = appendStr(dst, m.Table)
+	return binary.AppendUvarint(dst, uint64(m.Partition))
+}
+
+func (m *SnapshotReq) readWire(b []byte) error {
+	r := rd{b: b}
+	m.Token, m.Table, m.Partition = r.str(), r.str(), int(r.uvarint())
+	return r.end()
+}
+
+func (m SnapshotResp) appendWire(dst []byte) []byte {
+	dst = appendRows(dst, m.Rows)
+	dst = binary.AppendUvarint(dst, m.AppliedTS)
+	dst = binary.AppendUvarint(dst, m.NextPos)
+	return appendStr(dst, m.Err)
+}
+
+func (m *SnapshotResp) readWire(b []byte) error {
+	r := rd{b: b}
+	m.Rows, m.AppliedTS, m.NextPos, m.Err = r.rows(), r.uvarint(), r.uvarint(), r.str()
+	return r.end()
+}
+
+// decode reads a message body as T, naming the kind in the error.
+func decode[T any, P wirePtr[T]](m netsim.Message) (T, error) {
+	var out T
+	if err := P(&out).readWire(m.Payload); err != nil {
+		var zero T
+		return zero, fmt.Errorf("soe: decode %s: %w", m.Kind, err)
+	}
+	return out, nil
+}

@@ -5,7 +5,9 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -423,4 +425,66 @@ func (r Row) AppendKey(dst []byte) []byte {
 		dst = v.AppendString(dst)
 	}
 	return dst
+}
+
+// errShortBinary is ReadBinary's error for input that ends inside a value;
+// it wraps io.ErrUnexpectedEOF so a log reader can tell a torn tail from
+// corruption.
+var errShortBinary = fmt.Errorf("value: binary value cut short: %w", io.ErrUnexpectedEOF)
+
+// AppendBinary appends the binary form of v to dst: the kind byte, then
+// nothing for NULL, the 8 little-endian bytes of the IEEE bits for a
+// float, a uvarint length and the raw bytes for a string, and the 8
+// little-endian bytes of I for every other kind. It is the one value
+// encoding of the tree — the WAL's on-disk form and the SOE wire and
+// shared-log form — and it carries every bit pattern: NaN payloads, -0.0
+// and strings that are not UTF-8 come back as they went in.
+func AppendBinary(dst []byte, v Value) []byte {
+	dst = append(dst, byte(v.K))
+	switch v.K {
+	case KindNull:
+		return dst
+	case KindFloat:
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+	case KindString:
+		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
+		return append(dst, v.S...)
+	default:
+		return binary.LittleEndian.AppendUint64(dst, uint64(v.I))
+	}
+}
+
+// ReadBinary decodes the value at the head of b and returns it with the
+// number of bytes it occupied. A kind byte outside the known kinds is an
+// error; so is a string length beyond len(b), which like any other value
+// cut short wraps io.ErrUnexpectedEOF. The string is copied out of b.
+func ReadBinary(b []byte) (Value, int, error) {
+	if len(b) == 0 {
+		return Null, 0, errShortBinary
+	}
+	switch k := Kind(b[0]); k {
+	case KindNull:
+		return Null, 1, nil
+	case KindInt, KindFloat, KindBool, KindTime:
+		if len(b) < 9 {
+			return Null, 0, errShortBinary
+		}
+		u := binary.LittleEndian.Uint64(b[1:])
+		if k == KindFloat {
+			return Float(math.Float64frombits(u)), 9, nil
+		}
+		return Value{K: k, I: int64(u)}, 9, nil
+	case KindString:
+		n, w := binary.Uvarint(b[1:])
+		if w < 0 {
+			return Null, 0, fmt.Errorf("value: string length overflows 64 bits")
+		}
+		if w == 0 || n > uint64(len(b)-1-w) {
+			return Null, 0, errShortBinary
+		}
+		end := 1 + w + int(n)
+		return String(string(b[1+w : end])), end, nil
+	default:
+		return Null, 0, fmt.Errorf("value: unknown kind byte %d", b[0])
+	}
 }

@@ -1,6 +1,9 @@
 package value
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -284,5 +287,65 @@ func TestCoerceAllTargets(t *testing.T) {
 	v := Int(7)
 	if Coerce(v, KindInt) != v || !Coerce(Null, KindFloat).IsNull() {
 		t.Fatal("identity/null")
+	}
+}
+
+func TestBinaryRoundTrip(t *testing.T) {
+	vals := []Value{
+		Null, Int(0), Int(math.MinInt64), Int(math.MaxInt64), Bool(true), Bool(false), TimeMicros(-1),
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000123)), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(math.Copysign(0, -1)), String(""), String("\xff\xfe"), String(strings.Repeat("x", 300)),
+	}
+	var buf []byte
+	for _, v := range vals {
+		buf = AppendBinary(buf, v)
+	}
+	for i, want := range vals {
+		got, n, err := ReadBinary(buf)
+		if err != nil {
+			t.Fatalf("value %d (%v): %v", i, want, err)
+		}
+		if got.K != want.K || got.I != want.I || got.S != want.S || math.Float64bits(got.F) != math.Float64bits(want.F) {
+			t.Fatalf("value %d: got %#v, want %#v", i, got, want)
+		}
+		buf = buf[n:]
+	}
+	if len(buf) != 0 {
+		t.Fatalf("%d bytes left over", len(buf))
+	}
+	check := func(k int64, f float64, s string) bool {
+		for _, v := range []Value{Int(k), Float(f), String(s)} {
+			got, n, err := ReadBinary(AppendBinary(nil, v))
+			if err != nil || n != len(AppendBinary(nil, v)) || got.K != v.K || got.I != v.I || got.S != v.S || math.Float64bits(got.F) != math.Float64bits(v.F) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBinaryRejectsBadInput(t *testing.T) {
+	if _, _, err := ReadBinary([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("unknown kind byte: err=%v", err)
+	}
+	// A string that claims more bytes than there are, and every proper
+	// prefix of a good encoding, is cut short — never a panic, never a
+	// buffer sized by the claim.
+	if _, _, err := ReadBinary([]byte{byte(KindString), 0xff, 0xff, 0xff, 0x7f, 'a'}); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("over-long string: err=%v", err)
+	}
+	for _, v := range []Value{Int(7), Float(1.5), String("hello")} {
+		enc := AppendBinary(nil, v)
+		for cut := 0; cut < len(enc); cut++ {
+			if _, _, err := ReadBinary(enc[:cut]); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%v cut at %d: err=%v", v, cut, err)
+			}
+		}
+	}
+	if _, _, err := ReadBinary(append([]byte{byte(KindString)}, bytes.Repeat([]byte{0xff}, 11)...)); err == nil {
+		t.Fatal("overflowing length varint accepted")
 	}
 }

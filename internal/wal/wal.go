@@ -9,11 +9,11 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,6 +47,9 @@ type WAL struct {
 	w    *bufio.Writer
 	mode SyncMode
 	lsn  uint64
+	// scratch is the record being built: a record is laid out here and
+	// handed to w in one Write, so steady-state appends allocate nothing.
+	scratch []byte
 }
 
 // Open opens (creating if needed) the log file at path for appending.
@@ -101,18 +104,20 @@ func (w *WAL) AppendCommitBatch(batch []txn.GroupCommit) error {
 // writeCommitLocked serializes one commit record; caller holds w.mu and
 // is responsible for finish(). Each record advances the LSN.
 func (w *WAL) writeCommitLocked(ts uint64, writes []txn.Write) {
-	w.w.WriteByte(recCommit)
-	writeUvarint(w.w, ts)
-	writeUvarint(w.w, uint64(len(writes)))
+	b := append(w.scratch[:0], recCommit)
+	b = binary.AppendUvarint(b, ts)
+	b = binary.AppendUvarint(b, uint64(len(writes)))
 	for _, wr := range writes {
-		w.w.WriteByte(byte(wr.Kind))
-		writeString(w.w, wr.Table)
-		writeUvarint(w.w, uint64(wr.Pos))
-		writeUvarint(w.w, uint64(len(wr.Row)))
+		b = append(b, byte(wr.Kind))
+		b = appendString(b, wr.Table)
+		b = binary.AppendUvarint(b, uint64(wr.Pos))
+		b = binary.AppendUvarint(b, uint64(len(wr.Row)))
 		for _, v := range wr.Row {
-			writeValue(w.w, v)
+			b = value.AppendBinary(b, v)
 		}
 	}
+	w.w.Write(b)
+	w.scratch = b
 	w.lsn++
 }
 
@@ -121,9 +126,11 @@ func (w *WAL) writeCommitLocked(ts uint64, writes []txn.Write) {
 func (w *WAL) AppendMerge(table string, watermark uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.w.WriteByte(recMerge)
-	writeString(w.w, table)
-	writeUvarint(w.w, watermark)
+	b := append(w.scratch[:0], recMerge)
+	b = appendString(b, table)
+	b = binary.AppendUvarint(b, watermark)
+	w.w.Write(b)
+	w.scratch = b
 	w.lsn++
 	return w.finish()
 }
@@ -157,73 +164,35 @@ func (w *WAL) Attach(m *txn.Manager) {
 // commit records; writes is nil for merge records.
 type ReplayFn func(ts uint64, writes []txn.Write, mergeTable string, watermark uint64) error
 
-// Replay streams the records of the log at path. A truncated trailing
-// record (torn write at crash) terminates replay cleanly.
+// Replay reads the log at path into memory and hands fn its records in
+// order. A truncated trailing record (torn write at crash) terminates
+// replay cleanly.
 func Replay(path string, fn ReplayFn) error {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("wal: replay open: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	for {
-		kind, err := r.ReadByte()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+	c := cursor{data}
+	for len(c.b) > 0 {
+		kind, _ := c.byte()
 		switch kind {
 		case recCommit:
-			ts, err := binary.ReadUvarint(r)
+			ts, writes, err := c.commit()
 			if err != nil {
 				return truncated(err)
-			}
-			n, err := binary.ReadUvarint(r)
-			if err != nil {
-				return truncated(err)
-			}
-			writes := make([]txn.Write, 0, n)
-			for i := uint64(0); i < n; i++ {
-				var wr txn.Write
-				kb, err := r.ReadByte()
-				if err != nil {
-					return truncated(err)
-				}
-				wr.Kind = txn.WriteKind(kb)
-				if wr.Table, err = readString(r); err != nil {
-					return truncated(err)
-				}
-				pos, err := binary.ReadUvarint(r)
-				if err != nil {
-					return truncated(err)
-				}
-				wr.Pos = int(pos)
-				rn, err := binary.ReadUvarint(r)
-				if err != nil {
-					return truncated(err)
-				}
-				wr.Row = make(value.Row, rn)
-				for c := range wr.Row {
-					if wr.Row[c], err = readValue(r); err != nil {
-						return truncated(err)
-					}
-				}
-				writes = append(writes, wr)
 			}
 			if err := fn(ts, writes, "", 0); err != nil {
 				return err
 			}
 		case recMerge:
-			table, err := readString(r)
+			table, err := c.str()
 			if err != nil {
 				return truncated(err)
 			}
-			wm, err := binary.ReadUvarint(r)
+			wm, err := c.uvarint()
 			if err != nil {
 				return truncated(err)
 			}
@@ -234,10 +203,51 @@ func Replay(path string, fn ReplayFn) error {
 			return fmt.Errorf("wal: corrupt record kind %d", kind)
 		}
 	}
+	return nil
+}
+
+// commit reads the body of one commit record.
+func (c *cursor) commit() (ts uint64, writes []txn.Write, err error) {
+	if ts, err = c.uvarint(); err != nil {
+		return 0, nil, err
+	}
+	n, err := c.uvarint()
+	if err != nil {
+		return 0, nil, err
+	}
+	writes = make([]txn.Write, 0, n)
+	for i := uint64(0); i < n; i++ {
+		var wr txn.Write
+		kb, err := c.byte()
+		if err != nil {
+			return 0, nil, err
+		}
+		wr.Kind = txn.WriteKind(kb)
+		if wr.Table, err = c.str(); err != nil {
+			return 0, nil, err
+		}
+		pos, err := c.uvarint()
+		if err != nil {
+			return 0, nil, err
+		}
+		wr.Pos = int(pos)
+		rn, err := c.uvarint()
+		if err != nil {
+			return 0, nil, err
+		}
+		wr.Row = make(value.Row, rn)
+		for j := range wr.Row {
+			if wr.Row[j], err = c.value(); err != nil {
+				return 0, nil, err
+			}
+		}
+		writes = append(writes, wr)
+	}
+	return ts, writes, nil
 }
 
 func truncated(err error) error {
-	if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, io.ErrUnexpectedEOF) {
 		return nil // torn tail: recover up to the last complete record
 	}
 	return err
@@ -245,74 +255,56 @@ func truncated(err error) error {
 
 // --- value / string binary codec -----------------------------------------
 
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+// Values are value.AppendBinary's bytes; a string that is not a value (a
+// table or column name) is the same uvarint length and raw bytes without
+// the kind byte.
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s)
+// cursor reads a log or checkpoint image held in memory. A read that
+// runs off the end returns io.ErrUnexpectedEOF, as value.ReadBinary does.
+type cursor struct{ b []byte }
+
+func (c *cursor) byte() (byte, error) {
+	if len(c.b) == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	v := c.b[0]
+	c.b = c.b[1:]
+	return v, nil
 }
 
-func readString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
+func (c *cursor) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(c.b)
+	if n == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if n < 0 {
+		return 0, errors.New("wal: varint overflows 64 bits")
+	}
+	c.b = c.b[n:]
+	return v, nil
+}
+
+func (c *cursor) str() (string, error) {
+	n, err := c.uvarint()
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
+	if n > uint64(len(c.b)) {
+		return "", io.ErrUnexpectedEOF
 	}
-	return string(buf), nil
+	s := string(c.b[:n])
+	c.b = c.b[n:]
+	return s, nil
 }
 
-func writeValue(w *bufio.Writer, v value.Value) {
-	w.WriteByte(byte(v.K))
-	switch v.K {
-	case value.KindNull:
-	case value.KindFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F))
-		w.Write(buf[:])
-	case value.KindString:
-		writeString(w, v.S)
-	default:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
-		w.Write(buf[:])
-	}
-}
-
-func readValue(r *bufio.Reader) (value.Value, error) {
-	kb, err := r.ReadByte()
-	if err != nil {
-		return value.Null, err
-	}
-	k := value.Kind(kb)
-	switch k {
-	case value.KindNull:
-		return value.Null, nil
-	case value.KindFloat:
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return value.Null, err
-		}
-		return value.Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))), nil
-	case value.KindString:
-		s, err := readString(r)
-		if err != nil {
-			return value.Null, err
-		}
-		return value.String(s), nil
-	default:
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return value.Null, err
-		}
-		return value.Value{K: k, I: int64(binary.LittleEndian.Uint64(buf[:]))}, nil
-	}
+func (c *cursor) value() (value.Value, error) {
+	v, n, err := value.ReadBinary(c.b)
+	c.b = c.b[n:]
+	return v, err
 }
 
 // --- checkpoints -----------------------------------------------------------
@@ -329,34 +321,36 @@ func WriteCheckpoint(path string, ts uint64, tables map[string]*columnstore.Tabl
 		return fmt.Errorf("wal: checkpoint create: %w", err)
 	}
 	w := bufio.NewWriter(f)
-	w.WriteString(checkpointMagic)
-	writeUvarint(w, ts)
+	b := binary.AppendUvarint([]byte(checkpointMagic), ts)
 	names := make([]string, 0, len(tables))
 	for n := range tables {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	writeUvarint(w, uint64(len(names)))
+	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, name := range names {
 		t := tables[name]
 		snap := t.Snapshot(^uint64(0) - 1)
-		writeString(w, name)
+		b = appendString(b, name)
 		schema := t.Schema()
-		writeUvarint(w, uint64(len(schema)))
+		b = binary.AppendUvarint(b, uint64(len(schema)))
 		for _, c := range schema {
-			writeString(w, c.Name)
-			w.WriteByte(byte(c.Kind))
+			b = append(appendString(b, c.Name), byte(c.Kind))
 		}
 		n := snap.NumRows()
-		writeUvarint(w, uint64(n))
+		b = binary.AppendUvarint(b, uint64(n))
 		for i := 0; i < n; i++ {
-			writeUvarint(w, snap.Created(i))
-			writeUvarint(w, snap.Deleted(i))
+			b = binary.AppendUvarint(b, snap.Created(i))
+			b = binary.AppendUvarint(b, snap.Deleted(i))
 			for c := range schema {
-				writeValue(w, snap.Get(c, i))
+				b = value.AppendBinary(b, snap.Get(c, i))
 			}
+			// One row at a time through the buffered writer: b stays small.
+			w.Write(b)
+			b = b[:0]
 		}
 	}
+	w.Write(b)
 	if err := w.Flush(); err != nil {
 		return err
 	}
@@ -372,47 +366,45 @@ func WriteCheckpoint(path string, ts uint64, tables map[string]*columnstore.Tabl
 // LoadCheckpoint reads a checkpoint and returns the reconstructed tables
 // and the clock timestamp at capture.
 func LoadCheckpoint(path string) (map[string]*columnstore.Table, uint64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != checkpointMagic {
+	if !bytes.HasPrefix(data, []byte(checkpointMagic)) {
 		return nil, 0, fmt.Errorf("wal: bad checkpoint header")
 	}
-	ts, err := binary.ReadUvarint(r)
+	c := cursor{data[len(checkpointMagic):]}
+	ts, err := c.uvarint()
 	if err != nil {
 		return nil, 0, err
 	}
-	nt, err := binary.ReadUvarint(r)
+	nt, err := c.uvarint()
 	if err != nil {
 		return nil, 0, err
 	}
 	tables := make(map[string]*columnstore.Table, nt)
 	for ti := uint64(0); ti < nt; ti++ {
-		name, err := readString(r)
+		name, err := c.str()
 		if err != nil {
 			return nil, 0, err
 		}
-		nc, err := binary.ReadUvarint(r)
+		nc, err := c.uvarint()
 		if err != nil {
 			return nil, 0, err
 		}
 		schema := make(columnstore.Schema, nc)
-		for c := range schema {
-			if schema[c].Name, err = readString(r); err != nil {
+		for i := range schema {
+			if schema[i].Name, err = c.str(); err != nil {
 				return nil, 0, err
 			}
-			kb, err := r.ReadByte()
+			kb, err := c.byte()
 			if err != nil {
 				return nil, 0, err
 			}
-			schema[c].Kind = value.Kind(kb)
+			schema[i].Kind = value.Kind(kb)
 		}
 		tab := columnstore.NewTable(name, schema)
-		n, err := binary.ReadUvarint(r)
+		n, err := c.uvarint()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -420,17 +412,17 @@ func LoadCheckpoint(path string) (map[string]*columnstore.Table, uint64, error) 
 		created := make([]uint64, 0, n)
 		deleted := make([]uint64, 0, n)
 		for i := uint64(0); i < n; i++ {
-			cts, err := binary.ReadUvarint(r)
+			cts, err := c.uvarint()
 			if err != nil {
 				return nil, 0, err
 			}
-			dts, err := binary.ReadUvarint(r)
+			dts, err := c.uvarint()
 			if err != nil {
 				return nil, 0, err
 			}
 			row := make(value.Row, nc)
-			for c := range row {
-				if row[c], err = readValue(r); err != nil {
+			for j := range row {
+				if row[j], err = c.value(); err != nil {
 					return nil, 0, err
 				}
 			}

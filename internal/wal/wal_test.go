@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -46,6 +47,43 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		if !value.Equal(row[i], got[i]) || row[i].K != got[i].K {
 			t.Fatalf("col %d: %v != %v", i, row[i], got[i])
 		}
+	}
+}
+
+// The record and checkpoint encoders moved onto value.AppendBinary; what
+// they put on disk did not. The expected bytes were written by the old
+// per-field writers.
+func TestBytesOnDiskUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "w.log")
+	w, err := Open(path, SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := value.Row{value.Int(-7), value.String("héllo"), value.Float(3.25), value.Bool(true), value.Null, value.TimeMicros(1234567)}
+	w.AppendCommit(300, []txn.Write{{Kind: txn.WriteInsert, Table: "t", Row: row}, {Kind: txn.WriteDelete, Table: "acct", Pos: 129}})
+	w.AppendMerge("acct", 301)
+	w.Close()
+	raw, _ := os.ReadFile(path)
+	if got, want := fmt.Sprintf("%x", raw), "01ac0202000174000601f9ffffffffffffff030668c3a96c6c6f020000000000000a40040100000000000000000587d6120000000000010461636374810100020461636374ad02"; got != want {
+		t.Fatalf("redo log bytes\n got %s\nwant %s", got, want)
+	}
+	tab := columnstore.NewTable("acct", columnstore.Schema{{Name: "id", Kind: value.KindInt}, {Name: "name", Kind: value.KindString}})
+	tab.ApplyInsert([]value.Row{{value.Int(1), value.String("a")}, {value.Int(2), value.Null}}, 5)
+	tab.ApplyDelete(0, 9)
+	ck := filepath.Join(dir, "c.db")
+	if err := WriteCheckpoint(ck, 11, map[string]*columnstore.Table{"acct": tab}); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = os.ReadFile(ck)
+	if got, want := fmt.Sprintf("%x", raw), "484e434b505430310b0104616363740202696401046e616d650302050901010000000000000003016105ffffffffffffffffff0101020000000000000000"; got != want {
+		t.Fatalf("checkpoint bytes\n got %s\nwant %s", got, want)
+	}
+	// A kind byte no Kind has is corruption, not a torn tail: replay
+	// reports it where the old reader took eight bytes and carried on.
+	os.WriteFile(path, append(raw[:0:0], 0x01, 0x02, 0x01, 0x00, 0x01, 't', 0x00, 0x01, 0x09, 0, 0, 0, 0, 0, 0, 0, 0), 0o644)
+	if err := Replay(path, func(uint64, []txn.Write, string, uint64) error { return nil }); err == nil {
+		t.Fatal("unknown kind byte replayed")
 	}
 }
 
