@@ -430,7 +430,8 @@ func BenchmarkJoinAggDict(b *testing.B) {
 // morsel order, one addend at a time.
 var groupByFloatEng *sqlexec.Engine
 
-func BenchmarkGroupByFloatSum(b *testing.B) {
+func groupByFloatEngine(b *testing.B) *sqlexec.Engine {
+	b.Helper()
 	if groupByFloatEng == nil {
 		eng := sqlexec.NewEngine()
 		eng.MustQuery(`CREATE TABLE orders (id INT, region VARCHAR, amount DOUBLE)`)
@@ -448,8 +449,12 @@ func BenchmarkGroupByFloatSum(b *testing.B) {
 		eng.Mgr.AdvanceTo(2)
 		groupByFloatEng = eng
 	}
-	eng := groupByFloatEng
-	eng.Mode = sqlexec.ModeVectorized
+	groupByFloatEng.Mode = sqlexec.ModeVectorized
+	return groupByFloatEng
+}
+
+func BenchmarkGroupByFloatSum(b *testing.B) {
+	eng := groupByFloatEngine(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -458,6 +463,79 @@ func BenchmarkGroupByFloatSum(b *testing.B) {
 			b.Fatalf("expected 8 groups, got %d", len(r.Rows))
 		}
 	}
+}
+
+// BenchmarkScanMainNoFilter is the same table under a global aggregate
+// with nothing to filter: every morsel is all visible, so its selection
+// stays the range it started as and no position vector exists at any
+// point. What is left per statement is per-morsel bookkeeping.
+func BenchmarkScanMainNoFilter(b *testing.B) {
+	eng := groupByFloatEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := eng.MustQuery(`SELECT COUNT(*), SUM(id), MAX(amount) FROM orders`)
+		if len(r.Rows) != 1 || r.Rows[0][0].I != 200_000 {
+			b.Fatalf("bad result: %v", r.Rows)
+		}
+	}
+}
+
+// scanDeltaEng is one SOE data node's share of soe_fanout in process:
+// the workload's orders schema, 8 partitions of 6,250 rows, none of them
+// ever merged (SOE partitions never merge), so every scan reads the delta
+// through the getters and every morsel is all visible.
+var scanDeltaEng *sqlexec.Engine
+
+func scanDeltaEngine(b *testing.B) *sqlexec.Engine {
+	b.Helper()
+	if scanDeltaEng == nil {
+		eng := sqlexec.NewEngine()
+		eng.MustQuery(`CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE, qty INT) PARTITION BY RANGE(id) VALUES (6250, 12500, 18750, 25000, 31250, 37500, 43750)`)
+		const perPart = 6_250
+		for pi, p := range eng.Cat.MustTable("orders").Partitions {
+			rows := make([]value.Row, perPart)
+			for i := range rows {
+				id := pi*perPart + i
+				rows[i] = value.Row{
+					value.Int(int64(id)),
+					value.String(fmt.Sprintf("region-%d", id%8)),
+					value.String(fmt.Sprintf("status-%d", id%4)),
+					value.Float(float64(id%400_000) / 4),
+					value.Int(int64(1 + id%20)),
+				}
+			}
+			p.Table.ApplyInsert(rows, 1)
+		}
+		eng.Mgr.AdvanceTo(1)
+		scanDeltaEng = eng
+	}
+	scanDeltaEng.Mode = sqlexec.ModeVectorized
+	return scanDeltaEng
+}
+
+func benchScanDelta(b *testing.B, sql string, groups int) {
+	eng := scanDeltaEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := eng.MustQuery(sql); len(r.Rows) != groups {
+			b.Fatalf("expected %d groups, got %d", groups, len(r.Rows))
+		}
+	}
+}
+
+// BenchmarkScanDeltaGroupBy is soe_fanout's unfiltered float GROUP BY: the
+// selections are ranges from scan to fold.
+func BenchmarkScanDeltaGroupBy(b *testing.B) {
+	benchScanDelta(b, `SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region`, 8)
+}
+
+// BenchmarkScanDeltaFilterAgg is its filtered one: delta storage has no
+// kernels, so qty > 10 is a residual that turns each range into a vector
+// of the half it accepts, in scratch that outlives the statement.
+func BenchmarkScanDeltaFilterAgg(b *testing.B) {
+	benchScanDelta(b, `SELECT status, COUNT(*), SUM(amount) FROM orders WHERE qty > 10 GROUP BY status`, 4)
 }
 
 // rleAggEng: 1M rows whose group keys arrive sorted, so the merge picks

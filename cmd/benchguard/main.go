@@ -4,7 +4,10 @@
 // if any regresses beyond the tolerance — or if a baseline benchmark is
 // missing from the run, so a crashed bench pass cannot read as a pass.
 // A baseline row that records allocs_per_op is also gated on it: the run
-// may not allocate over 10% more per op (counts repeat where clocks drift).
+// may not allocate over 10% more per op (counts repeat where clocks drift),
+// and a row that records bytes_per_op may not allocate over 25% more bytes
+// per op (a selection vector coming back is a hundred kilobytes in one
+// allocation: the count barely moves, the bytes do).
 // Benchmark pairs that must cost the same (allocPairs) are also gated on
 // allocs/op against each other, whatever the baseline says.
 //
@@ -76,6 +79,11 @@ var allocPairs = [][2]string{{"BenchmarkPointSelectParam", "BenchmarkPointSelect
 // recorded baseline value, or the other half of an allocPairs pair.
 const allocTolerance = 1.10
 
+// bytesTolerance is how far B/op may exceed its recorded baseline value.
+// Wider than allocTolerance: buffers that grow by doubling and pooled
+// scratch warmed by the first iteration move bytes more than counts.
+const bytesTolerance = 1.25
+
 // benchLine matches one result row of `go test -bench` output, e.g.
 // "BenchmarkScanVectorized-4   100   7797842 ns/op   1220117 B/op ...".
 // The -N suffix is GOMAXPROCS and is stripped for baseline matching; what
@@ -128,6 +136,7 @@ func main() {
 	// collecting measured results along the way.
 	got := map[string]float64{}
 	allocs := map[string]int64{}
+	bytes := map[string]int64{}
 	var measured []result
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -143,6 +152,7 @@ func main() {
 				r.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
 				r.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
 				allocs[m[1]] = r.AllocsPerOp
+				bytes[m[1]] = r.BytesPerOp
 			}
 			measured = append(measured, r)
 		}
@@ -176,19 +186,9 @@ func main() {
 		fmt.Printf("  %s %-28s %12.0f ns/op  baseline %12d  %+6.1f%%\n", verdict, r.Name, ns, r.NsPerOp, delta)
 		// Allocations repeat run to run where ns/op does not, so a row that
 		// records them is held to them tightly, whatever -tolerance says.
-		if r.AllocsPerOp > 0 {
-			a, ok := allocs[r.Name]
-			switch {
-			case !ok:
-				fmt.Printf("  FAIL %-28s allocs/op missing (run with -benchmem)\n", r.Name)
-				failed = true
-			case float64(a) > float64(r.AllocsPerOp)*allocTolerance:
-				fmt.Printf("  FAIL %-28s %12d allocs/op baseline %9d  exceeds it by more than 10%%\n", r.Name, a, r.AllocsPerOp)
-				failed = true
-			default:
-				fmt.Printf("  ok   %-28s %12d allocs/op baseline %9d\n", r.Name, a, r.AllocsPerOp)
-			}
-		}
+		allocsOK := gateRecorded(r.Name, "allocs/op", allocs, r.AllocsPerOp, allocTolerance)
+		bytesOK := gateRecorded(r.Name, "B/op", bytes, r.BytesPerOp, bytesTolerance)
+		failed = failed || !allocsOK || !bytesOK
 	}
 	for _, pair := range allocPairs {
 		if _, ran := got[pair[0]]; !ran {
@@ -212,6 +212,25 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("benchguard: within tolerance")
+}
+
+// gateRecorded holds one count the baseline row records (want > 0) to its
+// tolerance and prints the verdict; it reports whether the row passed.
+func gateRecorded(name, unit string, got map[string]int64, want int64, tolerance float64) bool {
+	if want <= 0 {
+		return true
+	}
+	v, ok := got[name]
+	switch {
+	case !ok:
+		fmt.Printf("  FAIL %-28s %s missing (run with -benchmem)\n", name, unit)
+		return false
+	case float64(v) > float64(want)*tolerance:
+		fmt.Printf("  FAIL %-28s %12d %-9s baseline %9d  exceeds it by more than %.0f%%\n", name, v, unit, want, (tolerance-1)*100)
+		return false
+	}
+	fmt.Printf("  ok   %-28s %12d %-9s baseline %9d\n", name, v, unit, want)
+	return true
 }
 
 // writeBaseline rewrites the baseline JSON from the measured results.

@@ -48,32 +48,104 @@ func (op CmpOp) MatchOrd(c int) bool {
 	return false
 }
 
-// VisibleRange appends to sel the positions in [lo, hi) of rows visible to
-// the snapshot and returns the extended slice. This is the per-morsel
-// visibility pass of the vectorized scan: one linear sweep over the MVCC
-// stamps instead of a virtual call per row.
-func (s *Snapshot) VisibleRange(lo, hi int, sel []int) []int {
-	created, deleted, ts := s.created, s.deleted, s.ts
-	for i := lo; i < hi; i++ {
-		if created[i] <= ts && atomic.LoadUint64(&deleted[i]) > ts {
-			sel = append(sel, i)
-		}
+// blockVisible reports whether block k's summary proves every row of the
+// block visible to the snapshot: none created after ts and no delete stamp
+// placed. The summary may be newer than the snapshot — rows appended or
+// deleted since capture only raise it — so it errs toward false, which
+// sends the caller to the stamps themselves; it cannot err toward true,
+// because a stamp is counted before the commit clock publishes its
+// timestamp, so a snapshot whose ts can see a delete was captured after the
+// count that records it.
+func (s *Snapshot) blockVisible(k int) bool {
+	if k >= len(s.blocks) {
+		return false
 	}
-	return sel
+	b := &s.blocks[k]
+	return atomic.LoadUint64(&b.maxCreated) <= s.ts && atomic.LoadUint32(&b.deletes) == 0
 }
 
-// VisibleCount returns how many rows in [lo, hi) the snapshot sees — the
-// same sweep as VisibleRange without building a selection vector.
+// blockEnd returns where the block holding row lo ends, clipped to hi.
+func blockEnd(lo, hi int) int {
+	return min((lo/StampBlockRows+1)*StampBlockRows, hi)
+}
+
+// firstInvisible returns the first row of [lo, hi) the snapshot does not
+// see, or hi. Blocks their summary proves visible are skipped unread.
+func (s *Snapshot) firstInvisible(lo, hi int) int {
+	created, deleted, ts := s.created, s.deleted, s.ts
+	for lo < hi {
+		end := blockEnd(lo, hi)
+		if !s.blockVisible(lo / StampBlockRows) {
+			for i := lo; i < end; i++ {
+				if created[i] > ts || atomic.LoadUint64(&deleted[i]) <= ts {
+					return i
+				}
+			}
+		}
+		lo = end
+	}
+	return hi
+}
+
+// VisibleRange is the per-morsel visibility pass of the vectorized scan.
+// When the snapshot sees every row of [lo, hi) it reports all and leaves
+// sel alone: the range itself is the selection. Otherwise it appends the
+// visible positions to sel. One optimistic pass: nothing is written before
+// the first invisible row, and blocks their summary proves visible cost no
+// stamp reads either way.
+func (s *Snapshot) VisibleRange(lo, hi int, sel []int) (out []int, all bool) {
+	first := s.firstInvisible(lo, hi)
+	if first == hi {
+		return sel, true
+	}
+	for i := lo; i < first; i++ {
+		sel = append(sel, i)
+	}
+	created, deleted, ts := s.created, s.deleted, s.ts
+	for lo = first + 1; lo < hi; {
+		end := blockEnd(lo, hi)
+		if s.blockVisible(lo / StampBlockRows) {
+			for i := lo; i < end; i++ {
+				sel = append(sel, i)
+			}
+		} else {
+			for i := lo; i < end; i++ {
+				if created[i] <= ts && atomic.LoadUint64(&deleted[i]) > ts {
+					sel = append(sel, i)
+				}
+			}
+		}
+		lo = end
+	}
+	return sel, false
+}
+
+// VisibleCount returns how many rows in [lo, hi) the snapshot sees. Only
+// blocks whose summary cannot prove them visible are swept.
 func (s *Snapshot) VisibleCount(lo, hi int) int {
 	created, deleted, ts := s.created, s.deleted, s.ts
 	n := 0
-	for i := lo; i < hi; i++ {
-		if created[i] <= ts && atomic.LoadUint64(&deleted[i]) > ts {
-			n++
+	for lo < hi {
+		end := blockEnd(lo, hi)
+		if s.blockVisible(lo / StampBlockRows) {
+			n += end - lo
+		} else {
+			for i := lo; i < end; i++ {
+				if created[i] <= ts && atomic.LoadUint64(&deleted[i]) > ts {
+					n++
+				}
+			}
 		}
+		lo = end
 	}
 	return n
 }
+
+// AllVisible reports whether every physical row slot is visible to this
+// snapshot — the precondition for answering aggregates from a zone-map
+// synopsis (which is built over all physical rows) without touching any
+// column data.
+func (s *Snapshot) AllVisible() bool { return s.firstInvisible(0, s.NumRows()) == s.NumRows() }
 
 // FilterVisible keeps, in place, the positions of sel the snapshot sees:
 // the visibility pass of a kernel-first scan, which checks only the rows

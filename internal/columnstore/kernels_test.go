@@ -209,16 +209,32 @@ func TestSnapshotVisibleRange(t *testing.T) {
 	tbl.ApplyInsert(rows[:50], 5)
 	tbl.ApplyInsert(rows[50:], 9)
 	snap := tbl.Snapshot(6)
-	got := snap.VisibleRange(0, snap.NumRows(), nil)
+	got := visibleRange(snap, 0, snap.NumRows(), nil)
 	want := snap.CollectVisible()
 	if !eqSel(got, want) {
 		t.Fatalf("VisibleRange disagrees with CollectVisible: %d vs %d rows", len(got), len(want))
 	}
-	// Sub-ranges concatenate to the full range.
+	// Sub-ranges concatenate to the full range. The first is all visible
+	// and must say so instead of listing itself.
+	if pos, all := snap.VisibleRange(0, 30, nil); !all || len(pos) != 0 {
+		t.Fatalf("VisibleRange(0, 30) = %d positions, all=%v; want none and all", len(pos), all)
+	}
 	var parts []int
-	parts = snap.VisibleRange(0, 30, parts)
-	parts = snap.VisibleRange(30, snap.NumRows(), parts)
+	parts = visibleRange(snap, 0, 30, parts)
+	parts = visibleRange(snap, 30, snap.NumRows(), parts)
 	if !eqSel(parts, want) {
 		t.Fatal("split VisibleRange disagrees with full sweep")
 	}
+}
+
+// visibleRange is VisibleRange with the all-visible answer spelled out as
+// positions, for comparing against position lists.
+func visibleRange(s *Snapshot, lo, hi int, sel []int) []int {
+	sel, all := s.VisibleRange(lo, hi, sel)
+	if all {
+		for i := lo; i < hi; i++ {
+			sel = append(sel, i)
+		}
+	}
+	return sel
 }

@@ -11,24 +11,60 @@ import (
 	"repro/internal/value"
 )
 
+// codeRemap is the per-call table from dictionary code to canonical key,
+// filled lazily: each distinct value a call meets is decoded and interned
+// exactly once.
+type codeRemap struct {
+	dict   *Dictionary
+	intern func(string) int64
+	keys   []int64
+	have   []bool
+}
+
+func (c *DictColumn) newCodeRemap(intern func(string) int64) codeRemap {
+	n := c.Dict.Len()
+	return codeRemap{dict: c.Dict, intern: intern, keys: make([]int64, n), have: make([]bool, n)}
+}
+
+func (r *codeRemap) key(id int) int64 {
+	if !r.have[id] {
+		r.keys[id] = r.intern(r.dict.Value(id))
+		r.have[id] = true
+	}
+	return r.keys[id]
+}
+
 // CodeKeys implements KeyCoder for a dictionary column: every row is a
-// small-int code into the table-wide sorted dictionary, so the per-call
-// remap table (code → canonical key) is built lazily and each distinct
-// value is decoded and interned exactly once per call.
+// small-int code into the table-wide sorted dictionary, remapped through a
+// per-call codeRemap.
 func (c *DictColumn) CodeKeys(sel []int, intern func(string) int64, nullKey int64, out []int64) []int64 {
-	remap := make([]int64, c.Dict.Len())
-	have := make([]bool, c.Dict.Len())
+	remap := c.newCodeRemap(intern)
 	for _, pos := range sel {
 		if c.Nulls != nil && c.Nulls.Get(pos) {
 			out = append(out, nullKey)
 			continue
 		}
-		id := int(c.Refs.Get(pos))
-		if !have[id] {
-			remap[id] = intern(c.Dict.Value(id))
-			have[id] = true
+		out = append(out, remap.key(int(c.Refs.Get(pos))))
+	}
+	return out
+}
+
+// CodeKeysRange is CodeKeys over every row of [lo, hi): the codes stream
+// out of the packed words a stack buffer at a time instead of being
+// re-addressed per position.
+func (c *DictColumn) CodeKeysRange(lo, hi int, intern func(string) int64, nullKey int64, out []int64) []int64 {
+	remap := c.newCodeRemap(intern)
+	var buf [256]uint64
+	for lo < hi {
+		end := min(lo+len(buf), hi)
+		for i, id := range c.Refs.UnpackRange(lo, end, buf[:0]) {
+			if c.Nulls != nil && c.Nulls.Get(lo+i) {
+				out = append(out, nullKey)
+				continue
+			}
+			out = append(out, remap.key(int(id)))
 		}
-		out = append(out, remap[id])
+		lo = end
 	}
 	return out
 }

@@ -44,6 +44,23 @@ func (s Schema) Clone() Schema { return append(Schema(nil), s...) }
 // NeverDeleted is the deletion stamp of a live row version.
 const NeverDeleted = ^uint64(0)
 
+// StampBlockRows is the number of consecutive rows one stamp summary
+// covers. The vectorized executor sizes its morsels as a multiple of it.
+const StampBlockRows = 1024
+
+// stampBlock summarizes the MVCC stamps of one block of StampBlockRows
+// rows, so a snapshot can tell that every row of the block is visible
+// without reading a stamp: maxCreated is the largest create stamp in the
+// block, deletes the number of delete stamps placed in it. Both fields are
+// accessed atomically —
+// the last block of a table keeps growing, and a delete can land in any
+// block, while snapshots read them unlocked. A stale reading can only be
+// too high for the snapshot's rows, never too low (see Snapshot.blockVisible).
+type stampBlock struct {
+	maxCreated uint64
+	deletes    uint32
+}
+
 // MergeStats records what one delta→main merge did; experiment E3 compares
 // these between random and generated (stable-order) keys.
 type MergeStats struct {
@@ -73,6 +90,10 @@ type Table struct {
 	// NeverDeleted to the deleting transaction's commit timestamp.
 	created []uint64
 	deleted []uint64
+	// blocks[k] summarizes rows [k*StampBlockRows, (k+1)*StampBlockRows);
+	// kept by the only writers of the stamp arrays: appendStamps (both
+	// insert paths), ApplyDelete and Merge.
+	blocks []stampBlock
 
 	// stableKeys marks string columns whose values are generated in
 	// ascending order (application knowledge, §III): merge skips sorting
@@ -170,10 +191,32 @@ func (t *Table) ApplyInsert(rows []value.Row, ts uint64) []int {
 			t.delta[c].Append(v)
 		}
 		pos[r] = len(t.created)
-		t.created = append(t.created, ts)
-		t.deleted = append(t.deleted, NeverDeleted)
+		t.appendStamps(ts, NeverDeleted)
 	}
 	return pos
+}
+
+// appendStamps adds one row's stamps and folds them into the row's block
+// summary. The caller holds t.mu.
+func (t *Table) appendStamps(created, deleted uint64) {
+	if len(t.created)%StampBlockRows == 0 {
+		t.blocks = append(t.blocks, stampBlock{})
+	}
+	t.blocks[len(t.blocks)-1].note(created, deleted)
+	t.created = append(t.created, created)
+	t.deleted = append(t.deleted, deleted)
+}
+
+// note folds one row's stamps into the summary. Writers are serialized by
+// the table lock; the stores are atomic for the snapshots reading beside
+// them.
+func (b *stampBlock) note(created, deleted uint64) {
+	if created > b.maxCreated {
+		atomic.StoreUint64(&b.maxCreated, created)
+	}
+	if deleted != NeverDeleted {
+		atomic.AddUint32(&b.deletes, 1)
+	}
 }
 
 // ApplyInsertStamped appends rows with explicit per-row create and delete
@@ -192,8 +235,7 @@ func (t *Table) ApplyInsertStamped(rows []value.Row, created, deleted []uint64) 
 			t.delta[c].Append(v)
 		}
 		pos[r] = len(t.created)
-		t.created = append(t.created, created[r])
-		t.deleted = append(t.deleted, deleted[r])
+		t.appendStamps(created[r], deleted[r])
 	}
 	return pos
 }
@@ -207,7 +249,13 @@ func (t *Table) ApplyDelete(pos int, ts uint64) bool {
 	if pos < 0 || pos >= len(t.deleted) {
 		return false
 	}
-	return atomic.CompareAndSwapUint64(&t.deleted[pos], NeverDeleted, ts)
+	if !atomic.CompareAndSwapUint64(&t.deleted[pos], NeverDeleted, ts) {
+		return false
+	}
+	// Counted after the stamp, before the commit clock publishes ts: a
+	// reader that sees the stamp and not yet the count cannot see ts either.
+	atomic.AddUint32(&t.blocks[pos/StampBlockRows].deletes, 1)
+	return true
 }
 
 // RowLive reports whether row pos exists and carries no deletion stamp.
@@ -270,7 +318,8 @@ func (t *Table) MergeCount() int {
 	return t.merges
 }
 
-// Bytes returns the compressed footprint of main plus delta storage.
+// Bytes returns the compressed footprint of main plus delta storage, the
+// MVCC stamps and their block summaries.
 func (t *Table) Bytes() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -281,7 +330,7 @@ func (t *Table) Bytes() int {
 	for _, c := range t.delta {
 		n += c.Bytes()
 	}
-	return n + len(t.created)*16
+	return n + len(t.created)*16 + len(t.blocks)*16
 }
 
 // Snapshot captures a consistent read view at timestamp ts. The snapshot
@@ -297,7 +346,7 @@ func (t *Table) Snapshot(ts uint64) *Snapshot {
 	for i, dc := range t.delta {
 		delta[i] = dc.view()
 	}
-	return &Snapshot{
+	s := &Snapshot{
 		ts:       ts,
 		schema:   t.schema,
 		main:     t.main,
@@ -305,8 +354,13 @@ func (t *Table) Snapshot(ts uint64) *Snapshot {
 		delta:    delta,
 		created:  t.created,
 		deleted:  t.deleted,
-		rows:     len(t.created),
 	}
+	// At ts == NeverDeleted not even an undeleted row is visible, which a
+	// summary cannot express: such a snapshot carries none and always sweeps.
+	if ts != NeverDeleted {
+		s.blocks = t.blocks
+	}
+	return s
 }
 
 // Snapshot is a consistent, immutable read view of a table.
@@ -318,12 +372,12 @@ type Snapshot struct {
 	delta    []*DeltaColumn
 	created  []uint64
 	deleted  []uint64
-	rows     int
+	blocks   []stampBlock
 }
 
 // NumRows returns the number of logical row slots in the snapshot
 // (including invisible ones; use Visible to filter).
-func (s *Snapshot) NumRows() int { return s.rows }
+func (s *Snapshot) NumRows() int { return len(s.created) }
 
 // TS returns the snapshot timestamp.
 func (s *Snapshot) TS() uint64 { return s.ts }
@@ -337,19 +391,6 @@ func (s *Snapshot) Visible(i int) bool {
 		return false
 	}
 	return atomic.LoadUint64(&s.deleted[i]) > s.ts
-}
-
-// AllVisible reports whether every physical row slot is visible to this
-// snapshot — the precondition for answering aggregates from a zone-map
-// synopsis (which is built over all physical rows) without touching any
-// column data.
-func (s *Snapshot) AllVisible() bool {
-	for i := range s.created {
-		if s.created[i] > s.ts || atomic.LoadUint64(&s.deleted[i]) <= s.ts {
-			return false
-		}
-	}
-	return true
 }
 
 // Created returns the commit timestamp that created row i.
@@ -407,7 +448,7 @@ func (s *Snapshot) DeltaColumn(col int) *DeltaColumn {
 // LiveRows counts rows visible to the snapshot.
 func (s *Snapshot) LiveRows() int {
 	n := 0
-	for i := 0; i < s.rows; i++ {
+	for i := 0; i < s.NumRows(); i++ {
 		if s.Visible(i) {
 			n++
 		}
@@ -444,15 +485,18 @@ func (t *Table) Merge(minActiveTS uint64) MergeStats {
 
 	newCreated := make([]uint64, len(keep))
 	newDeleted := make([]uint64, len(keep))
+	newBlocks := make([]stampBlock, (len(keep)+StampBlockRows-1)/StampBlockRows)
 	for n, old := range keep {
 		newCreated[n] = t.created[old]
 		newDeleted[n] = atomic.LoadUint64(&t.deleted[old])
+		newBlocks[n/StampBlockRows].note(newCreated[n], newDeleted[n])
 	}
 
 	t.main = newMain
 	t.mainRows = len(keep)
 	t.created = newCreated
 	t.deleted = newDeleted
+	t.blocks = newBlocks
 	t.resetDelta()
 	t.merges++
 	stats.Duration = time.Since(start)
@@ -621,7 +665,7 @@ func (t *Table) mergeStringColumn(c int, keep []int, stats *MergeStats) MainColu
 func (s *Snapshot) SortedBy(col int) bool {
 	var prev value.Value
 	first := true
-	for i := 0; i < s.rows; i++ {
+	for i := 0; i < s.NumRows(); i++ {
 		if !s.Visible(i) {
 			continue
 		}
@@ -637,8 +681,8 @@ func (s *Snapshot) SortedBy(col int) bool {
 // CollectVisible returns the positions of all rows visible to s, in
 // physical order. Utility for engines that build secondary structures.
 func (s *Snapshot) CollectVisible() []int {
-	out := make([]int, 0, s.rows)
-	for i := 0; i < s.rows; i++ {
+	out := make([]int, 0, s.NumRows())
+	for i := 0; i < s.NumRows(); i++ {
 		if s.Visible(i) {
 			out = append(out, i)
 		}
@@ -658,14 +702,14 @@ func (s *Snapshot) FindRows(col int, v value.Value) []int {
 				}
 			}
 		}
-		for i := s.mainRows; i < s.rows; i++ {
+		for i := s.mainRows; i < s.NumRows(); i++ {
 			if s.Visible(i) && value.Equal(s.Get(col, i), v) {
 				out = append(out, i)
 			}
 		}
 		return out
 	}
-	for i := 0; i < s.rows; i++ {
+	for i := 0; i < s.NumRows(); i++ {
 		if s.Visible(i) && value.Equal(s.Get(col, i), v) {
 			out = append(out, i)
 		}

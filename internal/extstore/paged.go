@@ -244,17 +244,43 @@ func (c *PagedStrings) CodeKeys(sel []int, intern func(string) int64, nullKey in
 			out = kc.CodeKeys(local, intern, nullKey, out)
 		} else {
 			for _, pos := range sel[i:j] {
-				if v := frag.Get(pos - ch.rowLo); v.IsNull() {
-					out = append(out, nullKey)
-				} else {
-					out = append(out, intern(v.S))
-				}
+				out = appendKey(out, frag.Get(pos-ch.rowLo), intern, nullKey)
 			}
 		}
 		c.release(f)
 		i = j
 	}
 	return out
+}
+
+// CodeKeysRange is CodeKeys over every row of [lo, hi): each overlapping
+// chunk faults once and translates its part of the range.
+func (c *PagedStrings) CodeKeysRange(lo, hi int, intern func(string) int64, nullKey int64, out []int64) []int64 {
+	if lo >= hi || c.n == 0 {
+		return out
+	}
+	for k := c.chunkAt(lo); k < len(c.chunk) && c.chunk[k].rowLo < hi; k++ {
+		ch := c.chunk[k]
+		clo, chi := max(lo, ch.rowLo)-ch.rowLo, min(hi, ch.rowHi)-ch.rowLo
+		f, frag := c.fault(k)
+		if kc, ok := frag.(columnstore.KeyCoder); ok {
+			out = kc.CodeKeysRange(clo, chi, intern, nullKey, out)
+		} else {
+			for i := clo; i < chi; i++ {
+				out = appendKey(out, frag.Get(i), intern, nullKey)
+			}
+		}
+		c.release(f)
+	}
+	return out
+}
+
+// appendKey appends the canonical key of one boxed string value.
+func appendKey(out []int64, v value.Value, intern func(string) int64, nullKey int64) []int64 {
+	if v.IsNull() {
+		return append(out, nullKey)
+	}
+	return append(out, intern(v.S))
 }
 
 // PagedValues is the boxed fallback for mixed-kind columns; scans decode

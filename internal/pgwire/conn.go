@@ -28,7 +28,8 @@ type prepStmt struct {
 // portal is one bound portal: a statement plus parameter values. The
 // statement runs lazily on the first Describe/Execute touching the
 // portal, and the cached result supports Execute row limits with
-// PortalSuspended continuation.
+// PortalSuspended continuation; a row statement's result is released once
+// its last row has been sent.
 type portal struct {
 	stmt    *prepStmt
 	params  []value.Value
@@ -566,14 +567,19 @@ func (c *conn) handleExecute(m *msgReader) {
 		c.srv.cOK.Inc()
 	}
 	if isRowStatement(word) {
-		sent := c.sendDataRows(p.res, p.pos, maxRows)
-		p.pos += sent
-		if maxRows > 0 && p.pos < len(p.res.Rows) {
-			c.out.start(msgPortalSuspended)
-			c.out.finish()
-			return
+		if p.res != nil {
+			p.pos += c.sendDataRows(p.res, p.pos, maxRows)
+			if maxRows > 0 && p.pos < len(p.res.Rows) {
+				c.out.start(msgPortalSuspended)
+				c.out.finish()
+				return
+			}
+			// Run to completion: the tag needs only the count. Dropping the
+			// rows here keeps an idle connection from pinning its last
+			// result set until the next Bind replaces the portal.
+			p.res = nil
 		}
-		c.sendCommandComplete(commandTag(word, p.res, p.pos))
+		c.sendCommandComplete(commandTag(word, nil, p.pos))
 	} else {
 		c.sendCommandComplete(commandTag(word, p.res, 0))
 	}

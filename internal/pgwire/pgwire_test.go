@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -476,6 +478,90 @@ func TestWirePortalSuspension(t *testing.T) {
 	}
 	if rows != 10 || suspends != 1 || tag != "SELECT 10" {
 		t.Fatalf("rows=%d suspends=%d tag=%q", rows, suspends, tag)
+	}
+}
+
+// A portal that has run to completion must not keep its rows: an idle
+// connection would otherwise hold its last result set until the next Bind.
+// The heap has to fall back to its pre-statement level while the
+// connection stays open, and a second Execute of the completed portal
+// still answers CommandComplete.
+func TestWirePortalReleasesResult(t *testing.T) {
+	srv, eng := startServer(t, Config{})
+	eng.MustQuery(`CREATE TABLE big (a INT, b INT, c VARCHAR, d DOUBLE)`)
+	const n = 10000
+	sess := eng.NewSession()
+	for lo := 0; lo < n; lo += 1000 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO big VALUES ")
+		for i := lo; i < lo+1000; i++ {
+			if i > lo {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(&sb, "(%d,%d,'c%d',%d.5)", i, i%7, i%100, i)
+		}
+		if _, err := sess.Query(sb.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := dialT(t, srv)
+
+	// exec runs sql through the unnamed statement and portal, with the
+	// given number of Executes before Sync, and returns what came back.
+	exec := func(sql string, executes int) (rows int, tags []string) {
+		c.sendParse("", sql)
+		c.out.start(msgBind)
+		c.out.string("")
+		c.out.string("")
+		c.out.int16(0)
+		c.out.int16(0)
+		c.out.int16(0)
+		c.out.finish()
+		for i := 0; i < executes; i++ {
+			c.out.start(msgExecute)
+			c.out.string("")
+			c.out.int32(0)
+			c.out.finish()
+		}
+		c.sync()
+		for {
+			typ, payload, err := readFrame(c.r, DefaultMaxMessage)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			m := &msgReader{buf: payload}
+			switch typ {
+			case msgDataRow:
+				rows++
+			case msgCommandComplete:
+				tags = append(tags, m.string())
+			case msgReadyForQuery:
+				return rows, tags
+			case msgErrorResponse:
+				t.Fatalf("error: %v", decodeError(m))
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle empties what sync.Pools kept through the first
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	// Warm the connection with a statement whose result is empty, so the
+	// unnamed portal holds nothing worth measuring.
+	exec(`SELECT a, b, c, d FROM big WHERE a < 0`, 1)
+	before := heap()
+	rows, tags := exec(`SELECT a, b, c, d FROM big`, 2)
+	if rows != n || len(tags) != 2 || tags[0] != "SELECT 10000" || tags[1] != "SELECT 10000" {
+		t.Fatalf("rows=%d tags=%q, want %d rows and SELECT 10000 twice", rows, tags, n)
+	}
+	after := heap()
+	// The result is 10,000 rows x 4 values of 40 bytes: 1.6 MB if retained.
+	if grew := int64(after) - int64(before); grew > 256<<10 {
+		t.Fatalf("heap grew %d kB across a completed 10,000-row portal with the connection still open", grew>>10)
 	}
 }
 

@@ -2,7 +2,9 @@ package sqlexec
 
 import (
 	"errors"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -170,7 +172,7 @@ func (p *scanPrep) filterCols() []int {
 // evaluate the full filter generically (delta storage is unencoded).
 // Each task runs on exactly one worker, so its compiled resid needs no
 // synchronization. Only scanRun.process reads kernels and resid: what it
-// hands on is the morsel's final selection vector.
+// hands on is the morsel's final selection.
 type scanTask struct {
 	seq     int
 	snap    *columnstore.Snapshot
@@ -190,23 +192,139 @@ const rankShift = 40
 
 func (t *scanTask) rankBase() int64 { return int64(t.seq) << rankShift }
 
-// scanScratch is one worker's reusable state: selection vectors, and the
-// row the residual predicate is evaluated against (allocated by the first
-// morsel that has a residual).
+// selection is the set of one morsel's row positions still standing after
+// a step of the scan pipeline. Dense: every position of [lo, hi), carried
+// as those two ints — what a morsel is until an invisible row, a kernel or
+// a residual says otherwise. Sparse: the ascending positions in pos, which
+// is memory of the worker scratch that produced it. Every operator below
+// the scan takes either form; none of them ever turns a range into a
+// vector to read it.
+type selection struct {
+	lo, hi int   // dense
+	pos    []int // sparse
+	dense  bool
+}
+
+func denseSel(lo, hi int) selection { return selection{lo: lo, hi: hi, dense: true} }
+func sparseSel(pos []int) selection { return selection{pos: pos} }
+
+func (s selection) len() int {
+	if s.dense {
+		return s.hi - s.lo
+	}
+	return len(s.pos)
+}
+
+// at returns the i-th selected position.
+func (s selection) at(i int) int {
+	if s.dense {
+		return s.lo + i
+	}
+	return s.pos[i]
+}
+
+// scanScratch is one worker's reusable state: the selection vectors, the
+// code keys of the morsel being folded or probed, and the row the residual
+// predicate is evaluated against. It is borrowed from scanScratches and
+// outlives the statement, so in steady state a scan grows none of it.
 type scanScratch struct {
 	selA, selB []int
+	keys       []int64
 	env        Env
 }
 
+// scratchPool lends scan scratch across statements: a last-in-first-out
+// free list, so the scratch a statement takes is the one the statement
+// before it warmed. It keeps what one run holds at once — a scratch per
+// worker (one per CPU unless more are configured) and one for an ordered
+// consumer, at most three morsel-sized vectors each — and drops the rest,
+// so what an idle process retains is fixed by its CPU count: it does not
+// depend, as a sync.Pool's contents do, on how long ago the collector last
+// ran. hook is set only by tests, through newScratchPool: it sees every
+// scratch taken (+1) and returned (-1).
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*scanScratch
+	keep int // NumCPU+1, or the widest run's workers + 1 if that is more
+	hook func(s *scanScratch, delta int)
+}
+
+func newScratchPool(hook func(s *scanScratch, delta int)) *scratchPool {
+	return &scratchPool{keep: runtime.NumCPU() + 1, hook: hook}
+}
+
+var scanScratches = newScratchPool(nil)
+
+// takeRun borrows one scratch for each worker of a run.
+func (p *scratchPool) takeRun(workers int) []*scanScratch {
+	p.mu.Lock()
+	p.keep = max(p.keep, workers+1)
+	p.mu.Unlock()
+	out := make([]*scanScratch, workers)
+	for w := range out {
+		out[w] = p.take()
+	}
+	return out
+}
+
+func (p *scratchPool) take() *scanScratch {
+	var s *scanScratch
+	p.mu.Lock()
+	if n := len(p.free) - 1; n >= 0 {
+		s, p.free[n] = p.free[n], nil
+		p.free = p.free[:n]
+	}
+	p.mu.Unlock()
+	if s == nil {
+		s = new(scanScratch)
+	}
+	if p.hook != nil {
+		p.hook(s, +1)
+	}
+	return s
+}
+
+// put returns a scratch nobody reads any more. Its vectors keep their
+// capacity; the residual row is cleared so that an idle scratch pins no
+// statement's values or parameters.
+func (p *scratchPool) put(s *scanScratch) {
+	clear(s.env.Row[:cap(s.env.Row)])
+	s.env.Params = nil
+	if p.hook != nil {
+		p.hook(s, -1)
+	}
+	p.mu.Lock()
+	if len(p.free) < p.keep {
+		p.free = append(p.free, s)
+	}
+	p.mu.Unlock()
+}
+
 // scanRun is one execution of a prepared scan: the morsel list plus
-// per-worker scratch.
+// per-worker scratch, borrowed by newRun and returned by whichever of
+// drainOrdered and forEach runs the morsels.
 type scanRun struct {
 	ctx       *execCtx
 	tasks     []*scanTask
-	scratch   []scanScratch
+	scratch   []*scanScratch
 	residCols []int // scan columns a residual may read: all its scratch row carries
 	stop      atomic.Bool
 	op        *OpProfile // scan operator's analyze counters; may be nil
+}
+
+// release returns the run's scratch once no worker can touch it.
+func (r *scanRun) release() {
+	for _, s := range r.scratch {
+		scanScratches.put(s)
+	}
+	r.scratch = nil
+}
+
+// forEach runs fn over every morsel on the statement's workers, in no
+// particular order, then releases the run.
+func (r *scanRun) forEach(fn func(t *scanTask, w int)) {
+	r.ctx.runTasks(len(r.tasks), func(i, w int) { fn(r.tasks[i], w) })
+	r.release()
 }
 
 // newRun snapshots the partitions, binds kernels against each partition's
@@ -331,22 +449,26 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 			}
 		}
 	}
-	r.scratch = make([]scanScratch, ctx.workersFor(len(r.tasks)))
+	r.scratch = scanScratches.takeRun(ctx.workersFor(len(r.tasks)))
 	return r, nil
 }
 
 // process runs one morsel's selection phase on worker w and hands the
-// surviving positions to consume, bracketing the whole morsel with the
-// scan's stats, profiling and page-fault attribution. A morsel with bound
-// kernels goes kernel-first: the kernels thin the range over the encoded
-// columns and only their survivors are checked for visibility, so a
-// selective predicate never builds a selection vector of every visible
-// row (the visible count the stats need comes from an allocation-free
-// sweep). Without kernels the visibility sweep produces the selection.
-// The residual predicate is the last selection step, so consume sees the
-// final selection whatever the filter's shape. consume must not retain
-// sel past the call: it is worker scratch.
-func (r *scanRun) process(t *scanTask, w int, consume func(sel []int)) {
+// surviving selection to consume, bracketing the whole morsel with the
+// scan's stats, profiling and page-fault attribution. Without kernels the
+// morsel starts as the range [lo, hi) and stays one unless the visibility
+// pass meets an invisible row. A morsel with bound kernels goes
+// kernel-first: the kernels thin the range over the encoded columns and
+// only their survivors are checked for visibility, so a selective
+// predicate never builds a selection vector of every visible row (the
+// visible count the stats need comes from the stamp summaries, or a sweep
+// of the blocks they cannot vouch for). The residual predicate is the last
+// selection step, so consume sees the final selection whatever the
+// filter's shape. A sparse selection is memory of r.scratch[w]: consume
+// either finishes with it before returning or keeps worker w off its next
+// morsel until someone has (see foldMorsels). process does not touch it
+// afterwards.
+func (r *scanRun) process(t *scanTask, w int, consume func(sel selection)) {
 	if r.stop.Load() {
 		return
 	}
@@ -362,31 +484,40 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel []int)) {
 		ctx.mu.Unlock()
 	}
 	faults0, faultNS0 := extstore.FaultCounters()
-	scr := &r.scratch[w]
-	var sel []int
+	scr := r.scratch[w]
+	sel := denseSel(t.lo, t.hi)
 	var visible int
 	if len(t.kernels) == 0 {
-		sel = t.snap.VisibleRange(t.lo, t.hi, scr.selA[:0])
-		visible = len(sel)
+		pos, all := t.snap.VisibleRange(t.lo, t.hi, scr.selA[:0])
+		if !all {
+			sel = sparseSel(pos)
+			scr.selA = pos[:0]
+		}
+		visible = sel.len()
 	} else {
-		sel = t.kernels[0](t.lo, t.hi, scr.selA[:0])
+		pos := t.kernels[0](t.lo, t.hi, scr.selA[:0])
 		for _, k := range t.kernels[1:] {
-			if len(sel) == 0 {
+			if len(pos) == 0 {
 				break
 			}
 			scr.selB = k(t.lo, t.hi, scr.selB[:0])
-			sel = intersectInto(sel, scr.selB)
+			pos = intersectInto(pos, scr.selB)
 		}
-		sel = t.snap.FilterVisible(sel)
+		pos = t.snap.FilterVisible(pos)
+		scr.selA = pos[:0]
+		// Kernels have no other way to say "every row": hi-lo ascending
+		// positions inside [lo, hi) are the range, and it stays one.
+		if len(pos) < t.hi-t.lo {
+			sel = sparseSel(pos)
+		}
 		visible = t.snap.VisibleCount(t.lo, t.hi)
 	}
-	if t.resid != nil && len(sel) > 0 {
+	if t.resid != nil && sel.len() > 0 {
 		sel = r.filterResidual(t, scr, sel)
 	}
-	if len(sel) > 0 {
+	if sel.len() > 0 {
 		consume(sel)
 	}
-	scr.selA = sel[:0]
 	ctx.mu.Lock()
 	ctx.stats.RowsScanned += visible
 	ctx.stats.Morsels++
@@ -399,23 +530,41 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel []int)) {
 	cVecMorsels.Inc()
 }
 
-// filterResidual compacts sel to the positions the morsel's residual
+// filterResidual narrows sel to the positions the morsel's residual
 // predicate accepts. The predicate reads a per-worker scratch row that
-// carries only the columns the filter references; no row is boxed.
-func (r *scanRun) filterResidual(t *scanTask, scr *scanScratch, sel []int) []int {
-	if scr.env.Row == nil {
-		scr.env = Env{Row: make(value.Row, len(t.getters)), Params: r.ctx.params}
+// carries only the columns the filter references; no row is boxed. A
+// sparse selection compacts in place. A dense one stays dense for as long
+// as every row is accepted: positions are written out, into the worker's
+// vector, only from the first rejection on.
+func (r *scanRun) filterResidual(t *scanTask, scr *scanScratch, sel selection) selection {
+	if cap(scr.env.Row) < len(t.getters) {
+		scr.env.Row = make(value.Row, len(t.getters))
 	}
-	out := sel[:0]
-	for _, pos := range sel {
+	scr.env = Env{Row: scr.env.Row[:len(t.getters)], Params: r.ctx.params}
+	out, writing := sel.pos[:0], !sel.dense
+	for i, n := 0, sel.len(); i < n; i++ {
+		pos := sel.at(i)
 		for _, c := range r.residCols {
 			scr.env.Row[c] = t.getters[c](pos)
 		}
-		if v := t.resid(&scr.env); !v.IsNull() && v.AsBool() {
-			out = append(out, pos)
+		v := t.resid(&scr.env)
+		switch {
+		case !v.IsNull() && v.AsBool():
+			if writing {
+				out = append(out, pos)
+			}
+		case !writing:
+			out, writing = scr.selA[:0], true
+			for p := sel.lo; p < pos; p++ {
+				out = append(out, p)
+			}
 		}
 	}
-	return out
+	if !writing {
+		return sel
+	}
+	scr.selA = out[:0]
+	return sparseSel(out)
 }
 
 // chargeFaults runs fn — work over a morsel's positions done outside
@@ -465,9 +614,10 @@ func (s *rowSlab) row() value.Row {
 func (s *rowSlab) keep() { s.spare = s.spare[1:] }
 
 // materialize boxes the selected positions into full rows.
-func (r *scanRun) materialize(t *scanTask, sel []int) []value.Row {
-	out := slabRows(len(sel), len(t.getters))
-	for i, pos := range sel {
+func (r *scanRun) materialize(t *scanTask, sel selection) []value.Row {
+	out := slabRows(sel.len(), len(t.getters))
+	for i := range out {
+		pos := sel.at(i)
 		for c, g := range t.getters {
 			out[i][c] = g(pos)
 		}
@@ -478,7 +628,7 @@ func (r *scanRun) materialize(t *scanTask, sel []int) []value.Row {
 // runMorsel executes one morsel on worker w: the selection phase, then
 // row materialization.
 func (r *scanRun) runMorsel(t *scanTask, w int) (rows []value.Row) {
-	r.process(t, w, func(sel []int) { rows = r.materialize(t, sel) })
+	r.process(t, w, func(sel selection) { rows = r.materialize(t, sel) })
 	return rows
 }
 
@@ -505,8 +655,11 @@ func emitNonEmpty(emit func([]value.Row) error) func([]value.Row) error {
 // scan drain, fused projection, join probe, the order-sensitive folds —
 // comes through here with its own payload. A single morsel runs inline;
 // with more, each morsel owns a buffered channel, so workers complete out
-// of order without blocking while the loop consumes in sequence.
+// of order without blocking while the loop consumes in sequence. The run
+// is released on the way out: by then every morsel has reported, so no
+// worker holds its scratch.
 func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int) T, consume func(T) error) error {
+	defer r.release()
 	switch len(r.tasks) {
 	case 0:
 		return nil
@@ -925,11 +1078,11 @@ func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, 
 		folds := make([]*vecAggFold, ctx.workersFor(len(run.tasks)))
 		for w := range folds {
 			if folds[w], err = newAggFold(x, res, ctx); err != nil {
+				run.release()
 				return err
 			}
 		}
-		ctx.runTasks(len(run.tasks), func(ti, w int) {
-			t := run.tasks[ti]
+		run.forEach(func(t *scanTask, w int) {
 			rows := run.runMorsel(t, w)
 			f := folds[w]
 			base := t.rankBase()

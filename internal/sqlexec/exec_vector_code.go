@@ -14,8 +14,9 @@ import (
 // codes (build keys interned into the probe key space once), group-bys
 // key on codes with a flat-array fast path, aggregates consume whole RLE
 // runs, and pure-projection pipelines materialize only selected columns.
-// Operators exchange (morsel, selection vector): scanRun.process applies
-// every predicate, residual included, and what it hands on is positions.
+// Operators exchange (morsel, selection): scanRun.process applies every
+// predicate, residual included, and what it hands on is positions — a
+// range of them while nothing has thinned the morsel, a vector after.
 // Values are read by position through the morsel's getters — main or
 // delta alike — and a row is boxed only where it leaves the pipeline as
 // output. Every path is gated by a plan-shape check (plan.go), so results
@@ -127,8 +128,6 @@ type codeFold struct {
 	global   *codeGroup
 	odd      map[string]*codeGroup
 
-	keyScratch []int64
-
 	// avoidPerRow estimates boxed values NOT materialized per surviving
 	// row: the scan's width minus the distinct columns actually read.
 	avoidPerRow int
@@ -167,7 +166,8 @@ func (f *codeFold) newGroup(code, rank int64) *codeGroup {
 func (f *codeFold) group(code, rank int64) *codeGroup {
 	if code >= 0 && code < int64(vecFlatGroupCutoff) {
 		if int(code) >= len(f.flat) {
-			grown := make([]*codeGroup, vecFlatGroupCutoff)
+			// Geometric, so eight groups do not cost a cutoff-sized array.
+			grown := make([]*codeGroup, min(max(2*len(f.flat), int(code)+1, 16), vecFlatGroupCutoff))
 			copy(grown, f.flat)
 			f.flat = grown
 		}
@@ -263,27 +263,28 @@ func (f *codeFold) foldPair(t *scanTask, pos int, build value.Row, rank int64) {
 }
 
 // foldMorsel dispatches one scan morsel's final selection onto the
-// cheapest eligible path. sel is scratch and must not be retained.
-func (f *codeFold) foldMorsel(t *scanTask, sel []int) {
+// cheapest eligible path; scr lends the key buffer. Neither sel nor scr is
+// retained. Whole-run folds need a selection that is still a range over
+// encoded storage, and the form says whether it is.
+func (f *codeFold) foldMorsel(t *scanTask, sel selection, scr *scanScratch) {
 	f.batchesFused++
-	f.decodeAvoided += int64(len(sel)) * int64(f.avoidPerRow) * 16
+	f.decodeAvoided += int64(sel.len()) * int64(f.avoidPerRow) * 16
 	base := t.rankBase()
-	dense := t.main && len(sel) == t.hi-t.lo
 	if f.info.groupCol < 0 {
-		f.foldGlobal(t, sel, dense)
+		f.foldGlobal(t, sel)
 		return
 	}
 	if t.main {
 		mc := t.snap.MainColumn(f.info.groupCol)
-		if dense {
+		if sel.dense {
 			if rf, ok := mc.(columnstore.RunFolder); ok {
-				f.foldRuns(rf, t, base)
+				f.foldRuns(rf, t, sel, base)
 				return
 			}
 		}
 		if f.info.groupKind == value.KindString {
 			if kc, ok := mc.(columnstore.KeyCoder); ok {
-				f.foldCodes(kc, t, sel, base)
+				f.foldCodes(kc, t, sel, scr, base)
 				return
 			}
 		} else if ia, ok := mc.(columnstore.IntAccessor); ok {
@@ -294,34 +295,44 @@ func (f *codeFold) foldMorsel(t *scanTask, sel []int) {
 	// Delta morsels (unencoded) and main encodings without a code path:
 	// the group key is read by position like any argument.
 	key := t.getters[f.info.groupCol]
-	for i, pos := range sel {
+	for i, n := 0, sel.len(); i < n; i++ {
+		pos := sel.at(i)
 		f.foldArgs(f.groupFor(key(pos), base+int64(i)), t, pos, nil)
 	}
+}
+
+// codeKeys translates the selected positions of a dictionary-coded column
+// into canonical keys, one per position: the range form while the
+// selection is one, by position otherwise.
+func codeKeys(kc columnstore.KeyCoder, sel selection, intern func(string) int64, out []int64) []int64 {
+	if sel.dense {
+		return kc.CodeKeysRange(sel.lo, sel.hi, intern, nullCode, out)
+	}
+	return kc.CodeKeys(sel.pos, intern, nullCode, out)
 }
 
 // foldCodes groups a morsel by dictionary code: per surviving row the
 // work is one int64 remap and an array index — each distinct string
 // decodes once per morsel, not once per row.
-func (f *codeFold) foldCodes(kc columnstore.KeyCoder, t *scanTask, sel []int, base int64) {
-	keys := kc.CodeKeys(sel, f.interner.intern, nullCode, f.keyScratch[:0])
-	f.keyScratch = keys
-	for i, pos := range sel {
+func (f *codeFold) foldCodes(kc columnstore.KeyCoder, t *scanTask, sel selection, scr *scanScratch, base int64) {
+	scr.keys = codeKeys(kc, sel, f.interner.intern, scr.keys[:0])
+	for i, key := range scr.keys {
 		rank := base + int64(i)
 		var g *codeGroup
-		if keys[i] == nullCode {
+		if key == nullCode {
 			g = f.nullGroup(rank)
 		} else {
-			g = f.group(keys[i], rank)
+			g = f.group(key, rank)
 		}
-		f.foldArgs(g, t, pos, nil)
+		f.foldArgs(g, t, sel.at(i), nil)
 	}
 }
 
 // foldInts groups a morsel by raw integer value (frame-of-reference and
 // run-length integer columns expose IntAccessor).
-func (f *codeFold) foldInts(mc columnstore.MainColumn, ia columnstore.IntAccessor, t *scanTask, sel []int, base int64) {
-	for i, pos := range sel {
-		rank := base + int64(i)
+func (f *codeFold) foldInts(mc columnstore.MainColumn, ia columnstore.IntAccessor, t *scanTask, sel selection, base int64) {
+	for i, n := 0, sel.len(); i < n; i++ {
+		pos, rank := sel.at(i), base+int64(i)
 		var g *codeGroup
 		if mc.IsNull(pos) {
 			g = f.nullGroup(rank)
@@ -335,11 +346,11 @@ func (f *codeFold) foldInts(mc columnstore.MainColumn, ia columnstore.IntAccesso
 // foldRuns consumes whole runs of the group column: the group resolves
 // once per run, COUNT(*) and arguments equal to the key fold count ×
 // value, run-length argument columns fold their own sub-runs, and only
-// arguments without run structure walk rows.
-func (f *codeFold) foldRuns(rf columnstore.RunFolder, t *scanTask, base int64) {
-	rf.FoldRuns(t.lo, t.hi, func(v value.Value, start, end int) {
+// arguments without run structure walk rows. sel is dense.
+func (f *codeFold) foldRuns(rf columnstore.RunFolder, t *scanTask, sel selection, base int64) {
+	rf.FoldRuns(sel.lo, sel.hi, func(v value.Value, start, end int) {
 		n := int64(end - start)
-		g := f.groupFor(v, base+int64(start-t.lo))
+		g := f.groupFor(v, base+int64(start-sel.lo))
 		for j, spec := range f.specs {
 			ac := f.info.argCols[j]
 			switch {
@@ -372,17 +383,17 @@ func (f *codeFold) foldRuns(rf columnstore.RunFolder, t *scanTask, base int64) {
 // foldGlobal folds an aggregate-only morsel without any grouping:
 // COUNT(*) is the selection count, run-length arguments fold whole runs,
 // the rest read positions directly.
-func (f *codeFold) foldGlobal(t *scanTask, sel []int, dense bool) {
+func (f *codeFold) foldGlobal(t *scanTask, sel selection) {
 	g := f.globalGroup()
 	for j, spec := range f.specs {
 		ac := f.info.argCols[j]
 		if ac < 0 {
-			g.accs[j].addRepeat(value.Null, int64(len(sel)), spec)
+			g.accs[j].addRepeat(value.Null, int64(sel.len()), spec)
 			continue
 		}
-		if dense {
+		if sel.dense && t.main {
 			if arf, ok := t.snap.MainColumn(ac).(columnstore.RunFolder); ok {
-				arf.FoldRuns(t.lo, t.hi, func(av value.Value, s, e int) {
+				arf.FoldRuns(sel.lo, sel.hi, func(av value.Value, s, e int) {
 					g.accs[j].addRepeat(av, int64(e-s), spec)
 					if e-s > 1 {
 						f.runsFolded++
@@ -392,8 +403,8 @@ func (f *codeFold) foldGlobal(t *scanTask, sel []int, dense bool) {
 			}
 		}
 		gtr := t.getters[ac]
-		for _, pos := range sel {
-			g.accs[j].add(gtr(pos), spec)
+		for i, n := 0, sel.len(); i < n; i++ {
+			g.accs[j].add(gtr(sel.at(i)), spec)
 		}
 	}
 }
@@ -508,11 +519,14 @@ func finishCodeAgg(folds []*codeFold, zoneAccs []aggAcc, x *AggPlan, info aggCod
 	return out
 }
 
-// morselSel is the ordered fold's hand-off payload: a morsel and an owned
-// copy of its final selection (the worker's scratch is reused at once).
+// morselSel is the ordered fold's hand-off payload: a morsel and its final
+// selection. A dense selection is two ints. A sparse one is lent: it stays
+// in the scratch of the worker that built it, and that worker starts no
+// other morsel until the consumer has folded this one and sent free.
 type morselSel struct {
-	t   *scanTask
-	sel []int
+	t    *scanTask
+	sel  selection
+	free chan<- struct{} // non-nil when sel is sparse: tells the lender it is folded
 }
 
 // foldMorsels drives a fused aggregation over the run: every morsel's
@@ -520,31 +534,57 @@ type morselSel struct {
 // runs on the worker pool, and fold consumes the final selections.
 // Order-insensitive accumulators fold per worker, in whatever order the
 // morsels complete, and merge at the end. An order-sensitive float sum
-// gets exactly one fold, fed in morsel order through the ordered
-// hand-off: every addend joins its group in sequential row order, so the
-// sum is bit-identical to the row executors under any scheduling.
-func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(f *codeFold, t *scanTask, sel []int)) []*codeFold {
-	if ordered {
+// gets exactly one fold, fed in morsel order: every addend joins its group
+// in sequential row order, so the sum is bit-identical to the row
+// executors under any scheduling. With one worker the morsels already run
+// in order and the worker folds them in place; with more they come through
+// the ordered hand-off, which lends a sparse selection instead of copying
+// it or giving its scratch away: the run holds one scratch per worker and
+// one for the consumer however far the workers get ahead, where a scratch
+// per morsel in flight would be memory no bounded pool could lend twice.
+func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(f *codeFold, t *scanTask, sel selection, scr *scanScratch)) []*codeFold {
+	if ordered && len(r.scratch) > 1 {
 		f := newFold()
+		own := scanScratches.take() // the consumer's key buffer
+		// mine[w] holds a token while worker w's scratch is its own to
+		// overwrite. The worker takes it before every morsel; whoever is done
+		// with that morsel's selection puts it back: the worker itself, or the
+		// consumer once it has folded a sparse one. Morsels are dispatched and
+		// folded in order and the fold never fails, so the morsel a worker
+		// waits on is always folded before the one the consumer waits on.
+		mine := make([]chan struct{}, len(r.scratch))
+		for w := range mine {
+			mine[w] = make(chan struct{}, 1)
+			mine[w] <- struct{}{}
+		}
 		_ = drainOrdered(r, func(t *scanTask, w int) morselSel {
+			<-mine[w]
 			m := morselSel{t: t}
-			r.process(t, w, func(sel []int) { m.sel = append([]int(nil), sel...) })
+			r.process(t, w, func(sel selection) { m.sel = sel })
+			if m.sel.dense || m.sel.len() == 0 {
+				mine[w] <- struct{}{}
+			} else {
+				m.free = mine[w]
+			}
 			return m
 		}, func(m morselSel) error {
-			if len(m.sel) > 0 {
-				r.chargeFaults(func() { fold(f, m.t, m.sel) })
+			if m.sel.len() > 0 {
+				r.chargeFaults(func() { fold(f, m.t, m.sel, own) })
+			}
+			if m.free != nil {
+				m.free <- struct{}{}
 			}
 			return nil
 		})
+		scanScratches.put(own)
 		return []*codeFold{f}
 	}
-	folds := make([]*codeFold, r.ctx.workersFor(len(r.tasks)))
+	folds := make([]*codeFold, len(r.scratch))
 	for w := range folds {
 		folds[w] = newFold()
 	}
-	r.ctx.runTasks(len(r.tasks), func(i, w int) {
-		t := r.tasks[i]
-		r.process(t, w, func(sel []int) { fold(folds[w], t, sel) })
+	r.forEach(func(t *scanTask, w int) {
+		r.process(t, w, func(sel selection) { fold(folds[w], t, sel, r.scratch[w]) })
 	})
 	return folds
 }
@@ -716,16 +756,17 @@ func (j *codeJoin) build() error {
 // encoding offers: dictionary codes remapped once per distinct value, raw
 // integers, or — delta morsels — the boxed value. coded reports the first
 // two.
-func (j *codeJoin) probeKeys(t *scanTask, sel []int, out []int64) (keys []int64, coded bool) {
+func (j *codeJoin) probeKeys(t *scanTask, sel selection, out []int64) (keys []int64, coded bool) {
+	n := sel.len()
 	if t.main {
 		mc := t.snap.MainColumn(j.info.keyCol)
 		if j.info.keyKind == value.KindString {
 			if kc, ok := mc.(columnstore.KeyCoder); ok {
-				return kc.CodeKeys(sel, j.lookupStr, nullCode, out), true
+				return codeKeys(kc, sel, j.lookupStr, out), true
 			}
 		} else if ia, ok := mc.(columnstore.IntAccessor); ok {
-			for _, pos := range sel {
-				id := nullCode
+			for i := 0; i < n; i++ {
+				pos, id := sel.at(i), nullCode
 				if !mc.IsNull(pos) {
 					if known, ok := j.intIDs[ia.Int64(pos)]; ok {
 						id = known
@@ -737,8 +778,8 @@ func (j *codeJoin) probeKeys(t *scanTask, sel []int, out []int64) (keys []int64,
 		}
 	}
 	key := t.getters[j.info.keyCol]
-	for _, pos := range sel {
-		out = append(out, j.keyID(key(pos), false))
+	for i := 0; i < n; i++ {
+		out = append(out, j.keyID(key(sel.at(i)), false))
 	}
 	return out, false
 }
@@ -746,14 +787,15 @@ func (j *codeJoin) probeKeys(t *scanTask, sel []int, out []int64) (keys []int64,
 // probe is the join's one probe loop. For every selected position it
 // emits (position, build row) per match, in build order, and — LEFT OUTER
 // — (position, nil) when no pair was accepted; emit reports acceptance
-// (a row sink's join residual may reject a pair). keys is scratch,
-// returned for reuse.
-func (j *codeJoin) probe(t *scanTask, sel []int, keys []int64, emit func(pos int, build value.Row) bool) []int64 {
-	keys, coded := j.probeKeys(t, sel, keys[:0])
+// (a row sink's join residual may reject a pair). scr lends the key
+// buffer.
+func (j *codeJoin) probe(t *scanTask, sel selection, scr *scanScratch, emit func(pos int, build value.Row) bool) {
+	keys, coded := j.probeKeys(t, sel, scr.keys[:0])
+	scr.keys = keys
 	skipped := 0
-	for i, pos := range sel {
-		matched := false
-		if id := keys[i]; id >= 0 {
+	for i, id := range keys {
+		pos, matched := sel.at(i), false
+		if id >= 0 {
 			for _, build := range j.lists[id] {
 				if emit(pos, build) {
 					matched = true
@@ -769,12 +811,11 @@ func (j *codeJoin) probe(t *scanTask, sel []int, keys []int64, emit func(pos int
 		}
 	}
 	if coded {
-		recordLateMat(j.ctx, j.op, int64(len(sel)), 0, 1, int64(skipped)*int64(j.prep.ncols)*16)
+		recordLateMat(j.ctx, j.op, int64(len(keys)), 0, 1, int64(skipped)*int64(j.prep.ncols)*16)
 	}
 	if j.op != nil {
-		j.op.probeRows.Add(int64(len(sel)))
+		j.op.probeRows.Add(int64(len(keys)))
 	}
-	return keys
 }
 
 // newCodeJoin compiles both sides of a code-shaped join.
@@ -829,14 +870,13 @@ func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
 		if err != nil {
 			return err
 		}
-		keyScratch := make([][]int64, len(run.scratch))
 		return drainOrdered(run, func(t *scanTask, w int) (out []value.Row) {
-			run.process(t, w, func(sel []int) {
+			run.process(t, w, func(sel selection) {
 				slab := rowSlab{width: width}
 				env := Env{Params: ctx.params}
 				var probed value.Row
 				probedPos := -1
-				keyScratch[w] = j.probe(t, sel, keyScratch[w], func(pos int, build value.Row) bool {
+				j.probe(t, sel, run.scratch[w], func(pos int, build value.Row) bool {
 					row := slab.row()
 					// A position with several matches reads its columns once.
 					if pos == probedPos {
@@ -889,9 +929,9 @@ func vecAggJoinCode(x *AggPlan, jp *JoinPlan, jinfo joinCodeInfo, info aggCodeIn
 		interner := newStrInterner()
 		folds := run.foldMorsels(info.ordered,
 			func() *codeFold { return newCodeFold(x, info, interner, j.prep.ncols) },
-			func(f *codeFold, t *scanTask, sel []int) {
+			func(f *codeFold, t *scanTask, sel selection, scr *scanScratch) {
 				rank := t.rankBase()
-				f.keyScratch = j.probe(t, sel, f.keyScratch, func(pos int, build value.Row) bool {
+				j.probe(t, sel, scr, func(pos int, build value.Row) bool {
 					f.foldPair(t, pos, build, rank)
 					rank++
 					return true
@@ -925,14 +965,15 @@ func vecProjectScan(s *ScanPlan, cols []int, ctx *execCtx) (vpipe, error) {
 			return err
 		}
 		return drainOrdered(run, func(t *scanTask, w int) (out []value.Row) {
-			run.process(t, w, func(sel []int) {
-				out = slabRows(len(sel), len(cols))
-				for i, pos := range sel {
+			run.process(t, w, func(sel selection) {
+				out = slabRows(sel.len(), len(cols))
+				for i := range out {
+					pos := sel.at(i)
 					for c, idx := range cols {
 						out[i][c] = t.getters[idx](pos)
 					}
 				}
-				recordLateMat(ctx, run.op, 0, 0, 1, int64(len(sel))*int64(avoidPerRow)*16)
+				recordLateMat(ctx, run.op, 0, 0, 1, int64(len(out))*int64(avoidPerRow)*16)
 			})
 			return out
 		}, emitNonEmpty(emit))

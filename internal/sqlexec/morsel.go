@@ -5,13 +5,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/columnstore"
 )
 
 // morselRows is the scan granule of the vectorized executor: large enough
 // to amortize kernel setup and selection-vector reuse, small enough that a
 // table splits into many independently schedulable units (morsel-driven
 // parallelism). ~16k rows of a few columns stay cache-resident per worker.
-const morselRows = 16 * 1024
+// A whole number of stamp blocks, so a main morsel's visibility is answered
+// by the summaries of exactly the blocks it covers.
+const morselRows = 16 * columnstore.StampBlockRows
 
 // vecPool is the per-query worker pool. One pool is shared by every
 // vectorized operator of a statement (scan morsels, partitioned hash-join

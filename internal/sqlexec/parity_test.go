@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/columnstore"
+	"repro/internal/extstore"
 	"repro/internal/value"
 )
 
@@ -21,9 +22,36 @@ import (
 // workload: an orders fact table with NULLs, deleted rows and a delta tail
 // on top of encoded main storage; an items table for joins; a partitioned
 // sales table; and a table function (whole-plan fallback path).
-func parityEngine(t testing.TB) *Engine {
+func parityEngine(t testing.TB) *Engine { return parityEngineLaidOut(t, parityLayout{}) }
+
+// parityLayout rearranges where the parity dataset's rows live and which
+// of them are visible, without changing the rows: the zero value is the
+// classic arrangement (encoded main under delta tails, a few ranges
+// deleted). Every layout loads the same rows in the same order, so the
+// same query returns the same rows on layouts that share their holes.
+type parityLayout struct {
+	// store: "" keeps the classic merges, "main" also merges every delta
+	// tail, "delta" merges nothing, "warm" is "main" demoted to the
+	// extended store under a pool smaller than the data (TestTierParity is
+	// where a pool of eight pages thrashes).
+	store string
+	// holes: 0 keeps the classic deletes, n > 0 deletes every n-th physical
+	// row of every partition instead, -1 deletes nothing.
+	holes int
+}
+
+func (l parityLayout) String() string { return fmt.Sprintf("store=%q holes=%d", l.store, l.holes) }
+
+var parityTables = []string{"orders", "items", "sales", "events", "dims", "dims_delta", "raw_events", "readings"}
+
+func parityEngineLaidOut(t testing.TB, lay parityLayout) *Engine {
 	t.Helper()
 	e := NewEngine()
+	merge := func(name string) {
+		if lay.store != "delta" {
+			mustExec(t, e, `MERGE DELTA OF `+name)
+		}
+	}
 	mustExec(t, e, `CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE, yr INT)`)
 	mustExec(t, e, `CREATE TABLE items (order_id INT, qty INT, sku VARCHAR)`)
 	mustExec(t, e, `CREATE TABLE sales (yr INT, region VARCHAR, amount DOUBLE) PARTITION BY RANGE(yr) VALUES (2012, 2014)`)
@@ -55,7 +83,22 @@ func parityEngine(t testing.TB) *Engine {
 	}
 	et := e.Cat.MustTable("events").Primary()
 	et.ApplyInsert(erows, 1)
-	et.Merge(2)
+	// readings spans two morsels and carries the one DOUBLE measure on a
+	// multi-morsel table: float sums over it fold in morsel order, and its
+	// magnitudes make any regrouping of the addends show in the low bits.
+	mustExec(t, e, `CREATE TABLE readings (id INT, site VARCHAR, temp DOUBLE, seq INT)`)
+	rrows := make([]value.Row, morselRows+2000)
+	for i := range rrows {
+		site, temp := value.String(fmt.Sprintf("site%d", (i*7)%6)), value.Float(mags[(i*3)%len(mags)]*float64(1+i%4))
+		if i%89 == 0 {
+			site = value.Null
+		}
+		if i%61 == 0 {
+			temp = value.Null
+		}
+		rrows[i] = value.Row{value.Int(int64(i)), site, temp, value.Int(int64(i))}
+	}
+	e.Cat.MustTable("readings").Primary().ApplyInsert(rrows, 1)
 	dt := e.Cat.MustTable("dims").Primary()
 	dt.ApplyInsert([]value.Row{
 		{value.String("R0"), value.String("zero")},
@@ -65,8 +108,10 @@ func parityEngine(t testing.TB) *Engine {
 		{value.String("XX"), value.String("none")},   // unmatched build key
 		{value.String("R0"), value.String("zero-b")}, // duplicate: multi-match
 	}, 1)
-	dt.Merge(2)
-	e.Mgr.AdvanceTo(2)
+	e.Mgr.AdvanceTo(1)
+	merge("events")
+	merge("readings")
+	merge("dims")
 
 	rng := rand.New(rand.NewSource(42))
 	regions := []string{"EMEA", "AMER", "APJ"}
@@ -96,10 +141,8 @@ func parityEngine(t testing.TB) *Engine {
 		}
 	}
 	insertOrders(500, 0)
-	mustExec(t, e, `MERGE DELTA OF orders`) // encode main: dict, FoR ints, floats
-	insertOrders(80, 500)                   // delta tail over encoded main
-	mustExec(t, e, `DELETE FROM orders WHERE id BETWEEN 100 AND 120`)
-	mustExec(t, e, `DELETE FROM orders WHERE id = 510`) // delete in the delta
+	merge("orders")       // encode main: dict, FoR ints, floats
+	insertOrders(80, 500) // delta tail over encoded main
 
 	sess.Begin()
 	for i := 0; i < 300; i++ {
@@ -119,8 +162,8 @@ func parityEngine(t testing.TB) *Engine {
 	if err := sess.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, e, `MERGE DELTA OF items`)
-	mustExec(t, e, `MERGE DELTA OF sales`)
+	merge("items")
+	merge("sales")
 
 	// Delta tails and deletes over the compressed tables: events gains
 	// unencoded rows (NULL regions, qty on both sides of the cutoff, a
@@ -160,8 +203,42 @@ func parityEngine(t testing.TB) *Engine {
 	if err := sess2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, e, `DELETE FROM events WHERE grp = 2 AND qty < 5300`)
-	mustExec(t, e, `DELETE FROM events WHERE qty = 8999`)
+	switch lay.store {
+	case "main":
+		for _, name := range parityTables {
+			merge(name)
+		}
+	case "warm":
+		// Demotion merges, and a merge would compact deleted rows away: the
+		// holes are punched afterwards, into the warm partitions' stamps.
+		store, err := extstore.OpenTemp(extstore.Options{PageSize: 4096, ChunkRows: 1024, PoolPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		for _, name := range parityTables {
+			if _, err := store.DemoteTable(e.Cat.MustTable(name), e.Mgr.MinActiveTS()); err != nil {
+				t.Fatalf("demote %s: %v", name, err)
+			}
+		}
+	}
+	switch {
+	case lay.holes == 0:
+		mustExec(t, e, `DELETE FROM orders WHERE id BETWEEN 100 AND 120`)
+		mustExec(t, e, `DELETE FROM orders WHERE id = 510`) // delete in the delta
+		mustExec(t, e, `DELETE FROM events WHERE grp = 2 AND qty < 5300`)
+		mustExec(t, e, `DELETE FROM events WHERE qty = 8999`)
+	case lay.holes > 0:
+		ts := e.Mgr.Now() + 1
+		for _, name := range parityTables {
+			for _, part := range e.Cat.MustTable(name).Partitions {
+				for pos := 0; pos < part.Table.NumRows(); pos += lay.holes {
+					part.Table.ApplyDelete(pos, ts)
+				}
+			}
+		}
+		e.Mgr.AdvanceTo(ts)
+	}
 
 	e.Reg.RegisterTable("NUMS", columnstore.Schema{{Name: "n", Kind: value.KindInt}},
 		func(args []value.Value) ([]value.Row, error) {
@@ -301,13 +378,7 @@ func TestVectorizedParityFlatOverflow(t *testing.T) {
 	vecFlatGroupCutoff = 2
 	defer func() { vecFlatGroupCutoff = old }()
 	e := parityEngine(t)
-	for _, sql := range []string{
-		`SELECT grp, COUNT(*), SUM(qty), MIN(qty), MAX(qty) FROM events GROUP BY grp`,
-		`SELECT status, COUNT(*), SUM(qty) FROM events GROUP BY status`,
-		`SELECT region, COUNT(*), SUM(qty) FROM events GROUP BY region`,
-		`SELECT qty, COUNT(*) FROM events GROUP BY qty`,
-		`SELECT region, COUNT(*) FROM orders GROUP BY region HAVING COUNT(*) > 50`,
-	} {
+	for _, sql := range flatOverflowQueries {
 		e.Mode = ModeInterpreted
 		wantKeys := resultKeys(mustExec(t, e, sql))
 		for _, workers := range []int{1, 3, 8} {

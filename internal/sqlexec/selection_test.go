@@ -1,0 +1,281 @@
+package sqlexec
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/value"
+)
+
+// This file holds the scan scratch to its lending contract — every scratch
+// taken from the pool is returned exactly once, whoever ends up owning it —
+// and the pipeline to its steady state: a statement over morsels that are
+// all visible and unfiltered allocates no selection, key or scratch memory
+// at all once one statement has warmed the pool.
+
+// countScratch swaps in a pool whose hook books every take and put, and
+// returns a check to run between statements: nothing may be outstanding,
+// and no scratch may ever have been out twice at once or returned without
+// having been taken.
+func countScratch(t *testing.T) (check func(label string) (takes int)) {
+	var mu sync.Mutex
+	out := map[*scanScratch]int{}
+	var takes, puts int
+	var broken []string
+	old := scanScratches
+	scanScratches = newScratchPool(func(s *scanScratch, delta int) {
+		mu.Lock()
+		defer mu.Unlock()
+		out[s] += delta
+		if delta > 0 {
+			takes++
+		} else {
+			puts++
+		}
+		if out[s] != 0 && out[s] != 1 {
+			broken = append(broken, fmt.Sprintf("a scratch is out %d times", out[s]))
+		}
+	})
+	t.Cleanup(func() { scanScratches = old })
+	return func(label string) int {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, msg := range broken {
+			t.Errorf("%s: %s", label, msg)
+		}
+		for _, n := range out {
+			if n != 0 {
+				t.Errorf("%s: a scratch was taken and never returned", label)
+			}
+		}
+		if takes != puts {
+			t.Errorf("%s: %d takes, %d puts", label, takes, puts)
+		}
+		n := takes
+		broken, takes, puts = nil, 0, 0
+		return n
+	}
+}
+
+// ownershipEngine builds a table of 40 one-morsel partitions: half in
+// encoded main storage, half in the delta; three in four with every 7th
+// row deleted (sparse by visibility), the rest untouched (dense). Every
+// other partition stalls on a cold read, so with two or more workers the
+// morsels finish out of order.
+func ownershipEngine(t *testing.T) *Engine {
+	t.Helper()
+	const parts, rowsPer = 40, 300
+	bounds := make([]string, parts-1)
+	for i := range bounds {
+		bounds[i] = fmt.Sprint(i + 1)
+	}
+	e := NewEngine()
+	mustExec(t, e, `CREATE TABLE t (p INT, id INT, acct VARCHAR, bucket INT, amount DOUBLE) PARTITION BY RANGE(p) VALUES (`+strings.Join(bounds, ", ")+`)`)
+	ent := e.Cat.MustTable("t")
+	if len(ent.Partitions) != parts {
+		t.Fatalf("%d partitions, want %d", len(ent.Partitions), parts)
+	}
+	for pi, part := range ent.Partitions {
+		rows := make([]value.Row, rowsPer)
+		for i := range rows {
+			id := pi*rowsPer + i
+			rows[i] = value.Row{value.Int(int64(pi)), value.Int(int64(id)), value.String(fmt.Sprintf("acct%d", (id*13)%11)),
+				value.Int(int64(id % 7)), value.Float(mags[(id*7)%len(mags)] * float64(1+id%3))}
+		}
+		part.Table.ApplyInsert(rows, 1)
+		if pi%2 == 0 {
+			part.Table.Merge(1)
+			part.ColdReadPenalty = 1500
+		}
+		if pi%4 != 3 {
+			for pos := 0; pos < rowsPer; pos += 7 {
+				part.Table.ApplyDelete(pos, 2)
+			}
+		}
+	}
+	e.Mgr.AdvanceTo(2)
+	return e
+}
+
+// TestScratchOwnership: a 40-morsel float GROUP BY whose workers finish out
+// of order returns the interpreted executor's sums bit for bit, the ordered
+// fold borrows one scratch per worker and one for its consumer however many
+// sparse selections are waiting their turn, and every scratch is returned
+// exactly once. So is the scratch of every other consumer of a scan,
+// including a scan a LIMIT stops early.
+func TestScratchOwnership(t *testing.T) {
+	e := ownershipEngine(t)
+	check := countScratch(t)
+
+	for _, sql := range []string{
+		`SELECT acct, SUM(amount), AVG(amount), COUNT(*) FROM t GROUP BY acct`,
+		`SELECT bucket, SUM(amount) FROM t WHERE id % 3 <> 1 AND bucket <> 2 GROUP BY bucket`,
+		`SELECT SUM(amount), AVG(amount) FROM t WHERE amount > 0`,
+	} {
+		e.Mode = ModeInterpreted
+		want := rowBits(mustExec(t, e, sql))
+		e.Mode = ModeVectorized
+		for _, workers := range []int{1, 2, 4, 8} {
+			e.Workers = workers
+			for rep := 0; rep < 3; rep++ {
+				if got := rowBits(mustExec(t, e, sql)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: vectorized(workers=%d) is not bit-identical to interpreted:\n got %v\nwant %v", sql, workers, got, want)
+				}
+				takes := check(fmt.Sprintf("%s (workers=%d)", sql, workers))
+				// One worker folds in place. More lend their sparse selections
+				// to the consumer, which has a scratch of its own for keys.
+				want := workers + 1
+				if workers == 1 {
+					want = 1
+				}
+				if takes != want {
+					t.Errorf("%s (workers=%d): %d scratch takes, want %d", sql, workers, takes, want)
+				}
+			}
+		}
+	}
+
+	// Every other way a scan's morsels are run and ended.
+	mustExec(t, e, `CREATE TABLE accts (acct VARCHAR, tier VARCHAR)`)
+	mustExec(t, e, `INSERT INTO accts VALUES ('acct1', 'gold'), ('acct2', 'gold'), ('acct5', 'iron')`)
+	check("setup")
+	e.Workers = 4
+	for _, sql := range []string{
+		`SELECT id FROM t LIMIT 5`,
+		`SELECT * FROM t WHERE bucket <> 3 LIMIT 7`,
+		`SELECT id, amount FROM t WHERE id % 2 = 0 LIMIT 3`,
+		`SELECT t.id, a.tier FROM t JOIN accts a ON t.acct = a.acct LIMIT 4`,
+		`SELECT * FROM t WHERE id % 50 = 1`,
+		`SELECT id, amount FROM t WHERE bucket = 1`,
+		`SELECT bucket, COUNT(*), SUM(id) FROM t GROUP BY bucket`,
+		`SELECT bucket + 1, COUNT(*) FROM t WHERE id % 3 = 0 GROUP BY bucket + 1`,
+		`SELECT a.tier, COUNT(*), SUM(t.amount) FROM t JOIN accts a ON t.acct = a.acct GROUP BY a.tier`,
+		`SELECT t.id, a.tier FROM t JOIN accts a ON t.acct = a.acct WHERE t.id < 100`,
+		`SELECT COUNT(*) FROM t WHERE id < 0`,
+	} {
+		e.Mode = ModeInterpreted
+		want := rowBits(mustExec(t, e, sql))
+		e.Mode = ModeVectorized
+		// Which rows a bare LIMIT keeps is defined: the first in scan order.
+		if got := rowBits(mustExec(t, e, sql)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: vectorized differs from interpreted", sql)
+		}
+		if check(sql) == 0 {
+			t.Errorf("%s: no scratch was taken: the scan did not run on morsels", sql)
+		}
+	}
+}
+
+// TestSteadyStateAllocatesNoSelection: after one warm-up statement, a
+// GROUP BY and a global aggregate over morsels that are all visible and
+// unfiltered allocate a few kilobytes of per-morsel bookkeeping and
+// nothing that grows with the rows: no position vector (128 kB for one
+// morsel), no key buffer, no scratch. The bound is one constant for a table
+// and for the same table four times larger.
+func TestSteadyStateAllocatesNoSelection(t *testing.T) {
+	// Under one morsel's vector (128 kB), with room for per-morsel
+	// bookkeeping at 49 morsels (32 kB measured).
+	const maxBytes, maxAllocs = 96 << 10, 1200
+	for _, c := range []struct {
+		merged bool
+		rows   int
+	}{{false, 50_000}, {false, 200_000}, {true, 200_000}, {true, 800_000}} {
+		if testing.Short() && c.rows > 200_000 {
+			continue
+		}
+		e := NewEngine()
+		mustExec(t, e, `CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE, qty INT)`)
+		ot := e.Cat.MustTable("orders").Primary()
+		batch := make([]value.Row, 50_000)
+		for lo := 0; lo < c.rows; lo += len(batch) {
+			for i := range batch {
+				id := lo + i
+				batch[i] = value.Row{value.Int(int64(id)), value.String(fmt.Sprintf("r%d", id%8)),
+					value.String(fmt.Sprintf("s%d", id%3)), value.Float(float64(id%1000) / 8), value.Int(int64(id % 20))}
+			}
+			ot.ApplyInsert(batch, 1)
+		}
+		if c.merged {
+			ot.Merge(1)
+		}
+		e.Mgr.AdvanceTo(1)
+		e.Mode, e.Workers = ModeVectorized, 2
+		sess := e.NewSession()
+		for _, sql := range []string{
+			`SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region`,
+			`SELECT COUNT(*), SUM(qty) FROM orders`,
+		} {
+			st, err := sess.Prepare(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				if _, err := st.Exec(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm-up: grows whatever scratch the statement needs
+			allocs := testing.AllocsPerRun(3, run)
+			const reps = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < reps; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / reps
+			t.Logf("merged=%v rows=%d: %.0f allocs, %d bytes per statement: %s", c.merged, c.rows, allocs, bytes, sql)
+			if allocs > maxAllocs || bytes > maxBytes {
+				t.Errorf("merged=%v rows=%d: %.0f allocs and %d bytes per statement, want at most %d and %d at any size: %s",
+					c.merged, c.rows, allocs, bytes, maxAllocs, maxBytes, sql)
+			}
+		}
+		sess.Close()
+	}
+}
+
+// TestScratchPoolKeepsAFixedSet: the pool retains NumCPU+1 scratches, the
+// most recently returned first out, drops what is returned beyond that,
+// and keeps its set across collections — what an idle process holds does not
+// depend on when the collector last ran. Only a run with more workers than
+// CPUs widens the set, to its workers and one consumer.
+func TestScratchPoolKeepsAFixedSet(t *testing.T) {
+	p := newScratchPool(nil)
+	keep := runtime.NumCPU() + 1
+	out := make([]*scanScratch, keep+5)
+	for i := range out {
+		out[i] = p.take()
+	}
+	for _, s := range out {
+		p.put(s)
+	}
+	if len(p.free) != keep {
+		t.Fatalf("pool keeps %d scratches, want NumCPU+1 = %d", len(p.free), keep)
+	}
+	runtime.GC()
+	runtime.GC()
+	for i := keep - 1; i >= 0; i-- {
+		if p.take() != out[i] {
+			t.Fatalf("take %d after two collections did not return the scratch put %d-th", keep-1-i, i)
+		}
+	}
+	fresh := p.take()
+	for _, s := range out {
+		if fresh == s {
+			t.Fatal("an empty pool lent a scratch that is already out")
+		}
+	}
+
+	wide := append(p.takeRun(keep+3), p.take(), p.take())
+	for _, s := range wide {
+		p.put(s)
+	}
+	if len(p.free) != keep+4 {
+		t.Fatalf("pool keeps %d scratches after a run of %d workers, want one more than those", len(p.free), keep+3)
+	}
+}

@@ -175,6 +175,11 @@ func Replay(path string, fn ReplayFn) error {
 	if err != nil {
 		return fmt.Errorf("wal: replay open: %w", err)
 	}
+	return replay(data, fn)
+}
+
+// replay walks a log image held in memory.
+func replay(data []byte, fn ReplayFn) error {
 	c := cursor{data}
 	for len(c.b) > 0 {
 		kind, _ := c.byte()
@@ -211,12 +216,12 @@ func (c *cursor) commit() (ts uint64, writes []txn.Write, err error) {
 	if ts, err = c.uvarint(); err != nil {
 		return 0, nil, err
 	}
-	n, err := c.uvarint()
+	n, err := c.count()
 	if err != nil {
 		return 0, nil, err
 	}
 	writes = make([]txn.Write, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var wr txn.Write
 		kb, err := c.byte()
 		if err != nil {
@@ -231,7 +236,7 @@ func (c *cursor) commit() (ts uint64, writes []txn.Write, err error) {
 			return 0, nil, err
 		}
 		wr.Pos = int(pos)
-		rn, err := c.uvarint()
+		rn, err := c.count()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -288,13 +293,25 @@ func (c *cursor) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (c *cursor) str() (string, error) {
+// count reads the number of elements (or bytes of a string) that follow.
+// Every element of a log or checkpoint costs at least one byte, so a count
+// above the bytes left is a torn or damaged image: it is reported as a
+// read off the end before anything is sized by it.
+func (c *cursor) count() (int, error) {
 	n, err := c.uvarint()
 	if err != nil {
-		return "", err
+		return 0, err
 	}
 	if n > uint64(len(c.b)) {
-		return "", io.ErrUnexpectedEOF
+		return 0, io.ErrUnexpectedEOF
+	}
+	return int(n), nil
+}
+
+func (c *cursor) str() (string, error) {
+	n, err := c.count()
+	if err != nil {
+		return "", err
 	}
 	s := string(c.b[:n])
 	c.b = c.b[n:]
@@ -370,6 +387,11 @@ func LoadCheckpoint(path string) (map[string]*columnstore.Table, uint64, error) 
 	if err != nil {
 		return nil, 0, err
 	}
+	return readCheckpoint(data)
+}
+
+// readCheckpoint decodes a checkpoint image held in memory.
+func readCheckpoint(data []byte) (map[string]*columnstore.Table, uint64, error) {
 	if !bytes.HasPrefix(data, []byte(checkpointMagic)) {
 		return nil, 0, fmt.Errorf("wal: bad checkpoint header")
 	}
@@ -378,17 +400,17 @@ func LoadCheckpoint(path string) (map[string]*columnstore.Table, uint64, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	nt, err := c.uvarint()
+	nt, err := c.count()
 	if err != nil {
 		return nil, 0, err
 	}
 	tables := make(map[string]*columnstore.Table, nt)
-	for ti := uint64(0); ti < nt; ti++ {
+	for ti := 0; ti < nt; ti++ {
 		name, err := c.str()
 		if err != nil {
 			return nil, 0, err
 		}
-		nc, err := c.uvarint()
+		nc, err := c.count()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -404,14 +426,14 @@ func LoadCheckpoint(path string) (map[string]*columnstore.Table, uint64, error) 
 			schema[i].Kind = value.Kind(kb)
 		}
 		tab := columnstore.NewTable(name, schema)
-		n, err := c.uvarint()
+		n, err := c.count()
 		if err != nil {
 			return nil, 0, err
 		}
 		rows := make([]value.Row, 0, n)
 		created := make([]uint64, 0, n)
 		deleted := make([]uint64, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			cts, err := c.uvarint()
 			if err != nil {
 				return nil, 0, err
