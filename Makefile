@@ -5,7 +5,8 @@
 # concurrent-ingest/merge suite under -race + the observability suite
 # (fingerprints, sys.* views, wire monitoring e2e) + smoke runs of the
 # vectorized-scan, compressed-execution, position-based aggregation,
-# commit-pipeline, point-select and SOE-insert micro-benchmarks + the SOE
+# commit-pipeline, point-select (in process and over the wire) and
+# SOE-insert micro-benchmarks + the SOE
 # wire-format suite under -race + a 10 s smoke run of each native fuzz
 # target + vet and tests of the end-to-end benchmark's own module (bench/).
 
@@ -60,7 +61,9 @@ soewire:
 	$(GO) test -race -run 'TestBinary' ./internal/value/
 
 # Ten seconds of each native fuzz target (go test runs one -fuzz target per
-# invocation): the SOE decoders and the WAL's log and checkpoint readers
+# invocation): the SOE decoders, the WAL's log and checkpoint readers and
+# the wire front end's two frame readers (a real connection's serve loop
+# fed arbitrary bytes after the handshake; the client's DataRow decoder)
 # never panic on hostile bytes and never allocate more than a constant
 # times the input.
 fuzzsmoke:
@@ -68,6 +71,8 @@ fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
 	$(GO) test -run xxx -fuzz 'FuzzReplay' -fuzztime 10s ./internal/wal/
 	$(GO) test -run xxx -fuzz 'FuzzReadCheckpoint' -fuzztime 10s ./internal/wal/
+	$(GO) test -run xxx -fuzz 'FuzzServerFrames' -fuzztime 10s ./internal/pgwire/
+	$(GO) test -run xxx -fuzz 'FuzzDecodeDataRows' -fuzztime 10s ./internal/pgwire/
 
 # Wire-protocol conformance under the race detector: the e2e client/server
 # suite, the extended-protocol state machine (malformed frames, Bind to a
@@ -139,9 +144,14 @@ benchcommit:
 # allocates over 10% more per op than the literal form (it has lost its
 # scan kernel, and boxes every row). The ns/op tolerance is wide because
 # a 35 us statement swings with the container's CPU far more than the
-# big scans do.
+# big scans do. The same statement over loopback pgwire, and olap_scan's
+# 20,000-row wide result beside it, ride along: what holds them is the
+# recorded allocs/op (+10%) and B/op (+25%) — a frame, a row or a Describe
+# that allocates again shows as a multiple of the first, a result
+# materialized before it is sent as a multiple of the second.
 benchpoint:
-	$(GO) test -run xxx -bench 'BenchmarkPointSelect(Param|Literal)$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkPointSelect' -tolerance 100
+	$(GO) test -run xxx -bench 'Benchmark(Wire)?PointSelect' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'Benchmark(Wire)?PointSelect' -tolerance 100
+	$(GO) test -run xxx -bench 'BenchmarkWireWideResult$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkWireWideResult' -tolerance 100
 
 # SOE insert micro-benchmarks: Cluster.Insert of 1,000-row batches and of
 # single rows on a 4-node cluster over a zero-latency network. Gated on
@@ -160,12 +170,14 @@ benchmod:
 # Regenerate the committed benchmark baseline after an intentional perf
 # change; benchguard -write preserves the workload prose and recomputes
 # the derived speedups. See README "Benchmark baseline" for the workflow.
-# Four passes merge into one file: the commit, point-select and SOE-insert
-# benchmarks need more iterations than the big-table scans to settle.
+# Five passes merge into one file: the commit, point-select and SOE-insert
+# benchmarks need more iterations than the big-table scans to settle, the
+# wide wire result fewer than the point selects it is gated with.
 benchbaseline:
 	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkGroupByRLE|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
-	$(GO) test -run xxx -bench 'BenchmarkPointSelect(Param|Literal)$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'Benchmark(Wire)?PointSelect' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'BenchmarkWireWideResult$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkSOEInsert(Batch|Row)$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write
 
 bench:

@@ -10,13 +10,22 @@
 package main
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
+	"runtime/metrics"
+	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/columnstore"
 	"repro/internal/experiments"
+	"repro/internal/pgwire"
 	"repro/internal/sharedlog"
 	"repro/internal/soe"
 	"repro/internal/sqlexec"
@@ -300,6 +309,182 @@ func benchPointSelect(b *testing.B, param bool) {
 
 func BenchmarkPointSelectParam(b *testing.B)   { benchPointSelect(b, true) }
 func BenchmarkPointSelectLiteral(b *testing.B) { benchPointSelect(b, false) }
+
+// --- wire micro-benchmarks (DESIGN.md §4, E30) -----------------------------
+
+// wireBench boots a pgwire server over eng on loopback and dials it with
+// the package's own client, which is in the measurement: both ends of the
+// wire run in this process, as they do in bench/.
+func wireBench(b *testing.B, eng *sqlexec.Engine) *pgwire.Conn {
+	srv, err := pgwire.Serve(pgwire.EngineBackend{Engine: eng}, pgwire.Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	c, err := pgwire.Dial(pgwire.ClientConfig{Addr: srv.Addr().String(), User: "bench"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	return c
+}
+
+// wireOrdersEngine builds olap_scan's orders table, n merged rows.
+func wireOrdersEngine(n int) *sqlexec.Engine {
+	eng := sqlexec.NewEngine()
+	eng.MustQuery(`CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE, qty INT)`)
+	rows := make([]value.Row, n)
+	regions := []string{"north", "south", "east", "west", "central", "emea", "apj", "latam"}
+	for i := range rows {
+		rows[i] = value.Row{value.Int(int64(i)), value.String(regions[i%8]), value.String("open"), value.Float(float64(i%997) + 0.25), value.Int(int64(i%20 + 1))}
+	}
+	tbl := eng.Cat.MustTable("orders").Primary()
+	tbl.ApplyInsert(rows, 1)
+	tbl.Merge(2)
+	eng.Mgr.AdvanceTo(2)
+	return eng
+}
+
+// BenchmarkWireWideResult is olap_scan's wide class over loopback pgwire:
+// 20,000 rows of four columns out of 200,000 merged ones, by the extended
+// protocol, client decode included. The rows stream: what the gate holds
+// is allocs/op and B/op, which say neither end of the wire allocates per
+// row or per frame and the server holds a few windows, not the result.
+func BenchmarkWireWideResult(b *testing.B) {
+	const n, wide = 200_000, 20_000
+	eng := wireOrdersEngine(n)
+	c := wireBench(b, eng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i * 7919 % (n - wide)
+		res, err := c.Query(fmt.Sprintf("SELECT id, region, amount, qty FROM orders WHERE id >= %d AND id < %d", lo, lo+wide))
+		if err != nil || len(res.Rows) != wide || res.Get(0, 0) != fmt.Sprint(lo) {
+			b.Fatalf("lo = %d: %v, %d rows", lo, err, len(res.Rows))
+		}
+	}
+}
+
+// BenchmarkWireFirstRow reports what a client waits for: the time from
+// sending a statement to its first DataRow, beside the time to the whole
+// reply (ns/op), for results of 2,000 to 200,000 rows, and the most the
+// process's heap grew while the largest was on its way. The client here is
+// a raw socket that discards what it reads, so the heap is the server's.
+// Reported, not gated: these are clocks (EXPERIMENTS.md E30 pairs them).
+func BenchmarkWireFirstRow(b *testing.B) {
+	const n = 200_000
+	eng := wireOrdersEngine(n)
+	srv, err := pgwire.Serve(pgwire.EngineBackend{Engine: eng}, pgwire.Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nc.Close()
+	r := bufio.NewReaderSize(nc, 64<<10)
+	// until reads frames up to one of the given type and returns how many
+	// DataRows passed.
+	until := func(want byte) (dataRows int) {
+		var hdr [5]byte
+		for {
+			if _, err := io.ReadFull(r, hdr[:]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.Discard(int(binary.BigEndian.Uint32(hdr[1:])) - 4); err != nil {
+				b.Fatal(err)
+			}
+			switch hdr[0] {
+			case want:
+				return dataRows
+			case 'D':
+				dataRows++
+			case 'E':
+				b.Fatal("ErrorResponse")
+			}
+		}
+	}
+	nc.Write([]byte("\x00\x00\x00\x14\x00\x03\x00\x00user\x00bench\x00\x00"))
+	until('Z')
+	for _, want := range []int{2_000, 20_000, 100_000, n} {
+		b.Run(fmt.Sprintf("rows=%d", want), func(b *testing.B) {
+			sql := fmt.Sprintf("SELECT id, region, amount, qty FROM orders WHERE id < %d\x00", want)
+			msg := binary.BigEndian.AppendUint32([]byte{'Q'}, uint32(len(sql)+4))
+			msg = append(msg, sql...)
+			first := make([]float64, 0, b.N)
+			var peak uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				base := ms.HeapAlloc
+				b.StartTimer()
+				stop, sampled := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(sampled)
+					sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+					for {
+						select {
+						case <-stop:
+							return
+						case <-time.After(200 * time.Microsecond):
+							if metrics.Read(sample); sample[0].Value.Uint64() > base {
+								peak = max(peak, sample[0].Value.Uint64()-base)
+							}
+						}
+					}
+				}()
+				t0 := time.Now()
+				nc.Write(msg)
+				until('D')
+				first = append(first, float64(time.Since(t0).Microseconds()))
+				if got := 1 + until('Z'); got != want {
+					b.Fatalf("%d rows, want %d", got, want)
+				}
+				close(stop)
+				<-sampled
+			}
+			sort.Float64s(first)
+			b.ReportMetric(first[len(first)/2], "first_row_us")
+			b.ReportMetric(float64(peak)/1e6, "peak_heap_MB")
+		})
+	}
+}
+
+// BenchmarkWirePointSelect is the oltp_point statement over loopback
+// pgwire: a prepared one-row select, Bind/Describe/Execute/Sync per op.
+// Gated on allocs/op: the Describe plans nothing of its own, a frame costs
+// no allocation on either end, and a one-row result sets up nothing for
+// streaming.
+func BenchmarkWirePointSelect(b *testing.B) {
+	const n = 10_000
+	eng := sqlexec.NewEngine()
+	eng.MustQuery(`CREATE TABLE kv (k INT, v INT)`)
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{value.Int(int64(i)), value.Int(int64(i) * 3)}
+	}
+	tbl := eng.Cat.MustTable("kv").Primary()
+	tbl.ApplyInsert(rows, 1)
+	tbl.Merge(2)
+	eng.Mgr.AdvanceTo(2)
+	c := wireBench(b, eng)
+	if err := c.Prepare("pt", `SELECT v FROM kv WHERE k = $1`); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i * 7919 % n
+		res, err := c.ExecPrepared("pt", k)
+		if err != nil || len(res.Rows) != 1 || res.Get(0, 0) != strconv.Itoa(k*3) {
+			b.Fatalf("k = %d: %v %+v", k, err, res)
+		}
+	}
+}
 
 // benchSOEInsert is the soe_fanout write path in process: Cluster.Insert of
 // batch rows of that workload's schema per op on a 4-node OLTP cluster, 8

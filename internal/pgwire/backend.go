@@ -11,9 +11,12 @@ import (
 // by exactly one connection goroutine at a time — the same
 // single-goroutine contract sqlexec.Session documents.
 type Session interface {
-	Query(sql string, params ...value.Value) (*sqlexec.Result, error)
+	// QueryTo parses and runs one statement of the simple protocol, its
+	// output going to sink as it is produced.
+	QueryTo(sink sqlexec.RowSink, sql string, params ...value.Value) (sqlexec.ExecStats, error)
 	// Prepare parses once; the extended protocol's Parse keeps the handle
-	// and Describe/Execute run it without touching the text again.
+	// and Describe/Execute run it (Stmt.ExecTo) without touching the text
+	// again.
 	Prepare(sql string) (*sqlexec.Stmt, error)
 	Begin() error
 	Commit() error

@@ -23,9 +23,10 @@ type ClientConfig struct {
 
 // Conn is one client connection.
 type Conn struct {
-	nc  net.Conn
-	r   *bufio.Reader
-	out *msgWriter
+	nc   net.Conn
+	in   *frameReader
+	out  *msgWriter
+	rows rowDecoder // DataRows of the result being read
 
 	backendPID    uint32
 	backendSecret uint32
@@ -64,7 +65,7 @@ func Dial(cfg ClientConfig) (*Conn, error) {
 	}
 	c := &Conn{
 		nc:     nc,
-		r:      bufio.NewReaderSize(nc, 8192),
+		in:     newFrameReader(nc, DefaultMaxMessage),
 		out:    &msgWriter{w: bufio.NewWriterSize(nc, 8192)},
 		addr:   cfg.Addr,
 		params: map[string]string{},
@@ -89,7 +90,7 @@ func Dial(cfg ClientConfig) (*Conn, error) {
 
 	// Handshake responses until ReadyForQuery.
 	for {
-		typ, payload, err := readFrame(c.r, DefaultMaxMessage)
+		typ, payload, err := c.in.readFrame()
 		if err != nil {
 			nc.Close()
 			return nil, fmt.Errorf("pgwire: handshake: %w", err)
@@ -154,27 +155,26 @@ func (c *Conn) Simple(sql string) ([]*ClientResult, error) {
 	var results []*ClientResult
 	var cur *ClientResult
 	var firstErr error
+	defer c.rows.finish() // whatever an error left half gathered
 	for {
-		typ, payload, err := readFrame(c.r, DefaultMaxMessage)
+		typ, payload, err := c.in.readFrame()
 		if err != nil {
 			if firstErr != nil {
 				return results, firstErr
 			}
 			return results, fmt.Errorf("pgwire: read: %w", err)
 		}
-		m := &msgReader{buf: payload}
+		m := msgReader{buf: payload}
 		switch typ {
 		case msgRowDescription:
-			cur = &ClientResult{Cols: decodeRowDescription(m)}
+			cur = &ClientResult{Cols: decodeRowDescription(&m)}
 		case msgDataRow:
-			if cur == nil {
-				cur = &ClientResult{}
-			}
-			cur.Rows = append(cur.Rows, decodeDataRow(m))
+			c.rows.add(&m)
 		case msgCommandComplete:
 			if cur == nil {
 				cur = &ClientResult{}
 			}
+			cur.Rows = c.rows.finish()
 			cur.Tag = m.string()
 			results = append(results, cur)
 			cur = nil
@@ -182,7 +182,7 @@ func (c *Conn) Simple(sql string) ([]*ClientResult, error) {
 			results = append(results, &ClientResult{})
 		case msgErrorResponse:
 			if firstErr == nil {
-				firstErr = decodeError(m)
+				firstErr = decodeError(&m)
 			}
 		case msgNoticeResponse:
 		case msgReadyForQuery:
@@ -281,8 +281,14 @@ func (c *Conn) sync() error {
 // and returning the first ErrorResponse as *PGError.
 func (c *Conn) drain(res *ClientResult) error {
 	var firstErr error
+	// The rows reach res in one piece, at whichever return ends the reply.
+	defer func() {
+		if rows := c.rows.finish(); res != nil {
+			res.Rows = rows
+		}
+	}()
 	for {
-		typ, payload, err := readFrame(c.r, DefaultMaxMessage)
+		typ, payload, err := c.in.readFrame()
 		if err != nil {
 			// A terminal error (e.g. 57P01 admin_shutdown) is followed by the
 			// server closing the connection without ReadyForQuery; surface
@@ -292,17 +298,17 @@ func (c *Conn) drain(res *ClientResult) error {
 			}
 			return fmt.Errorf("pgwire: read: %w", err)
 		}
-		m := &msgReader{buf: payload}
+		m := msgReader{buf: payload}
 		switch typ {
 		case msgParseComplete, msgBindComplete, msgCloseComplete, msgNoData,
 			msgPortalSuspended, msgParamDescription, msgNoticeResponse, msgEmptyQuery:
 		case msgRowDescription:
 			if res != nil {
-				res.Cols = decodeRowDescription(m)
+				res.Cols = decodeRowDescription(&m)
 			}
 		case msgDataRow:
 			if res != nil {
-				res.Rows = append(res.Rows, decodeDataRow(m))
+				c.rows.add(&m)
 			}
 		case msgCommandComplete:
 			if res != nil {
@@ -310,7 +316,7 @@ func (c *Conn) drain(res *ClientResult) error {
 			}
 		case msgErrorResponse:
 			if firstErr == nil {
-				firstErr = decodeError(m)
+				firstErr = decodeError(&m)
 			}
 		case msgReadyForQuery:
 			c.txStatus = m.byte()
@@ -349,7 +355,9 @@ func (c *Conn) Close() error {
 }
 
 func decodeRowDescription(m *msgReader) []string {
-	n := m.int16()
+	// A field is a name's terminator and 18 bytes: a count the message has
+	// no room for sizes nothing.
+	n := min(max(m.int16(), 0), (len(m.buf)-m.pos)/19)
 	cols := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		cols = append(cols, m.string())
@@ -363,25 +371,111 @@ func decodeRowDescription(m *msgReader) []string {
 	return cols
 }
 
-// decodeDataRow decodes one DataRow into text cells (nil = NULL). The
-// payload is copied once and every cell is a substring of that copy, so a
-// row costs three allocations whatever its width; bounds are checked
-// through msgReader as for any frame.
-func decodeDataRow(m *msgReader) []*string {
+// clientChunkRows caps the rows the client gathers before it turns them
+// into strings.
+const clientChunkRows = 1024
+
+// rowDecoder turns the DataRows of one reply into ClientResult.Rows
+// without a per-row allocation. Rows are gathered in chunks: the cell bytes
+// of a chunk's rows are copied back to back out of the frame buffer (which
+// the next frame overwrites), and when the chunk closes they become one
+// string that every cell is a substring of, with one []string and one
+// []*string for the whole chunk — what a single row used to cost. The first
+// chunk closes after one row, so a one-row reply pays exactly that, and
+// each next one gathers four times as many, up to clientChunkRows. The
+// rows slice itself is built once, at its final size, when the reply ends.
+// Bounds are checked through msgReader as for any frame.
+type rowDecoder struct {
+	// The chunk being gathered: its cell bytes, its cell lengths (-1 is
+	// NULL), its rows so far, their width, and the row count that closes it.
+	text   []byte
+	lens   []int32
+	rows   int
+	width  int
+	target int
+	// The closed chunks of the reply being read, and their rows in all.
+	chunks []rowChunk
+	total  int
+}
+
+// rowChunk is one closed chunk: rows × width cell pointers, row-major.
+type rowChunk struct {
+	cells       []*string
+	rows, width int
+}
+
+// add gathers one DataRow.
+func (d *rowDecoder) add(m *msgReader) {
 	n := max(m.int16(), 0)
-	payload := string(m.buf)
-	cells := make([]string, n)
-	row := make([]*string, n)
-	for i := range row {
+	if room := (len(m.buf) - m.pos) / 4; n > room {
+		// Every cell has a length word: the row claims cells the frame has
+		// no room for, and nothing is sized by the claim.
+		m.truncated()
+		n = room
+	}
+	if d.rows > 0 && n != d.width {
+		d.closeChunk() // a chunk's rows are all one width
+	}
+	d.width = n
+	for i := 0; i < n; i++ {
 		l := m.int32()
 		if l < 0 {
+			d.lens = append(d.lens, -1)
 			continue
 		}
-		at := m.pos
-		cells[i] = payload[at : at+len(m.bytes(l))]
-		row[i] = &cells[i]
+		b := m.bytes(l)
+		d.text = append(d.text, b...)
+		d.lens = append(d.lens, int32(len(b)))
 	}
-	return row
+	if d.rows++; d.rows >= max(d.target, 1) {
+		d.closeChunk()
+	}
+}
+
+func (d *rowDecoder) closeChunk() {
+	if d.rows == 0 {
+		return
+	}
+	text := string(d.text)
+	strs := make([]string, len(d.lens))
+	cells := make([]*string, len(d.lens))
+	at := 0
+	for i, l := range d.lens {
+		if l >= 0 {
+			strs[i] = text[at : at+int(l)]
+			cells[i] = &strs[i]
+			at += int(l)
+		}
+	}
+	d.chunks = append(d.chunks, rowChunk{cells: cells, rows: d.rows, width: d.width})
+	d.total += d.rows
+	d.text, d.lens, d.rows = d.text[:0], d.lens[:0], 0
+	d.target = min(4*max(d.target, 1), clientChunkRows)
+}
+
+// finish ends the reply: it returns the rows gathered since the last
+// finish (nil when there were none) and readies the decoder for the next
+// reply, keeping its buffers unless one oversize reply grew them.
+func (d *rowDecoder) finish() [][]*string {
+	d.closeChunk()
+	var rows [][]*string
+	if d.total > 0 {
+		rows = make([][]*string, 0, d.total)
+		for _, ch := range d.chunks {
+			for r := 0; r < ch.rows; r++ {
+				rows = append(rows, ch.cells[r*ch.width:(r+1)*ch.width:(r+1)*ch.width])
+			}
+		}
+	}
+	clear(d.chunks)
+	d.chunks, d.total, d.target = d.chunks[:0], 0, 0
+	if cap(d.text) > frameKeep {
+		d.text = nil
+	}
+	if cap(d.lens) > frameKeep/4 {
+		d.lens = nil
+	}
+	return rows
 }
 
 func decodeError(m *msgReader) *PGError {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/sqlexec"
+	"repro/internal/stats"
 	"repro/internal/value"
 )
 
@@ -26,10 +28,10 @@ type prepStmt struct {
 }
 
 // portal is one bound portal: a statement plus parameter values. The
-// statement runs lazily on the first Describe/Execute touching the
-// portal, and the cached result supports Execute row limits with
-// PortalSuspended continuation; a row statement's result is released once
-// its last row has been sent.
+// statement runs on the first Execute touching the portal, its rows
+// streaming to the socket as the executor produces them. Only an Execute
+// with a row limit collects them first: res is what such a portal has
+// still to send across PortalSuspended, released once its last row is.
 type portal struct {
 	stmt    *prepStmt
 	params  []value.Value
@@ -37,16 +39,17 @@ type portal struct {
 	counted bool // pgwire_queries_total recorded (suspended portals resume)
 	res     *sqlexec.Result
 	err     error
-	pos     int // next row to send
+	pos     int   // rows sent so far
+	count   int64 // rows a DML statement reported affected
 }
 
 // conn is one wire connection: a single goroutine owns the read loop and
-// all protocol writes; the server's drain/cancel paths only touch the
-// atomic flags and the write mutex.
+// every protocol write. The server's cancel and drain paths only set an
+// atomic flag or a read deadline, and its deadline path closes the socket.
 type conn struct {
 	srv    *Server
 	nc     net.Conn
-	r      *bufio.Reader
+	in     *frameReader
 	out    *msgWriter
 	pid    uint32
 	secret uint32
@@ -56,11 +59,12 @@ type conn struct {
 	portals  map[string]*portal
 	txFailed bool // error inside an explicit transaction: 25P02 until ROLLBACK
 	skipSync bool // error inside an extended batch: discard until Sync
+	// owed is the portal whose RowDescription a Describe left for the next
+	// message to settle (see handleDescribe).
+	owed *portal
+	rows rowWriter // the streaming sink, reused by every statement
 
 	canceled atomic.Bool
-	busy     atomic.Bool
-	writeMu  sync.Mutex
-	closed   bool // guarded by writeMu
 
 	// Monitoring mirror for sys.m_connections: read by monitoring scans
 	// from other goroutines, so guarded by its own mutex. The owning
@@ -73,10 +77,14 @@ type conn struct {
 }
 
 func newConn(s *Server, nc net.Conn, pid, secret uint32) *conn {
+	maxLen := DefaultMaxMessage
+	if s != nil {
+		maxLen = s.cfg.MaxMessage
+	}
 	return &conn{
 		srv:       s,
 		nc:        nc,
-		r:         bufio.NewReaderSize(nc, 8192),
+		in:        newFrameReader(nc, maxLen),
 		out:       &msgWriter{w: bufio.NewWriterSize(nc, 8192)},
 		pid:       pid,
 		secret:    secret,
@@ -119,32 +127,48 @@ func (c *conn) serve() {
 		// Graceful drain: between commands, with nothing buffered and no
 		// open transaction, the connection can be retired with a coded
 		// error instead of a mid-response cut.
-		if c.srv.draining.Load() && c.r.Buffered() == 0 && !c.skipSync && !c.sess.InTxn() {
-			c.sendError(CodeAdminShutdown, "server is shutting down")
-			c.flush()
-			c.srv.obs.Counter("pgwire_drained_conns_total").Inc()
+		if c.srv.draining.Load() && c.in.r.Buffered() == 0 && !c.skipSync && !c.sess.InTxn() {
+			c.retire()
 			return
 		}
-		c.busy.Store(false)
-		typ, payload, err := readFrame(c.r, c.srv.cfg.MaxMessage)
-		c.busy.Store(true)
+		typ, payload, err := c.in.readFrame()
 		if err != nil {
-			if errors.Is(err, errFrameLength) {
+			switch {
+			case errors.Is(err, errFrameLength):
 				// Framed garbage, not a vanished client: say why before
 				// hanging up.
 				c.sendError(CodeProtocolViolation, err.Error())
 				c.flush()
+			case errors.Is(err, os.ErrDeadlineExceeded) && c.srv.draining.Load():
+				// Shutdown's nudge (drainIfIdle) found this goroutine waiting
+				// for a client with nothing to say: no response is owed.
+				c.retire()
 			}
 			return
 		}
-		if !c.dispatch(typ, &msgReader{buf: payload}) {
+		m := msgReader{buf: payload}
+		if !c.dispatch(typ, &m) {
 			return
 		}
 	}
 }
 
+// retire ends the connection for a graceful drain with the one coded error
+// a client gets to see. Only the connection's own goroutine calls it, like
+// everything else that writes.
+func (c *conn) retire() {
+	c.sendError(CodeAdminShutdown, "server is shutting down")
+	c.flush()
+	c.srv.obs.Counter("pgwire_drained_conns_total").Inc()
+}
+
 // dispatch handles one frontend message; false ends the connection.
 func (c *conn) dispatch(typ byte, m *msgReader) bool {
+	// Only the Execute of the portal just described may take over its
+	// RowDescription (handleExecute decides); anything else settles it now.
+	if typ != msgExecute {
+		c.settleDescribe()
+	}
 	// After an error inside an extended batch, every message except Sync
 	// (and Terminate) is discarded — the skip-until-Sync rule.
 	if c.skipSync && typ != msgSync && typ != msgTerminate {
@@ -192,11 +216,11 @@ func (c *conn) startup() bool {
 	c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.StartupTimeout))
 	defer c.nc.SetReadDeadline(time.Time{})
 	for {
-		payload, err := readStartup(c.r, c.srv.cfg.MaxMessage)
+		payload, err := c.in.readStartup()
 		if err != nil {
 			return false
 		}
-		m := &msgReader{buf: payload}
+		m := msgReader{buf: payload}
 		switch code := m.int32(); code {
 		case sslRequestCode, gssRequestCode:
 			if _, err := c.nc.Write([]byte{'N'}); err != nil {
@@ -282,27 +306,44 @@ func (c *conn) runStatement(sql string) bool {
 	case gateHandled:
 		return true
 	}
-	if err := c.srv.admit(); err != nil {
-		c.queryError(err)
-		return false
-	}
-	c.monStart(sql)
-	res, err := c.sess.Query(sql)
-	c.monEnd()
-	c.srv.release()
-	if err != nil {
+	w := c.rowWriter(word, describeTyped)
+	if err := c.execute(w, nil, sql, nil, nil); err != nil {
 		c.queryError(err)
 		return false
 	}
 	c.srv.cOK.Inc()
-	if isRowStatement(word) {
-		c.sendRowDescription(res)
-		n := c.sendDataRows(res, 0, 0)
-		c.sendCommandComplete(commandTag(word, res, n))
-	} else {
-		c.sendCommandComplete(commandTag(word, res, 0))
-	}
+	w.finish()
+	c.sendCommandComplete(commandTag(word, w.count, w.sent))
 	return true
+}
+
+// execute runs one statement under an admission slot, its output going to
+// sink as the executor produces it — the one place the wire layer has a
+// statement executed, for both protocols and both sinks (the streaming
+// rowWriter; a collecting *sqlexec.Result for an Execute with a row
+// limit). st is a portal's prepared handle; the simple protocol has only
+// its text, sql, parsed here. The slot and the sys.m_connections entry are
+// held until the last batch has been handed to the sink, so a statement
+// whose client reads slowly occupies its slot for as long as it streams:
+// what admission bounds is statements in flight, and this one is. h, when
+// set, observes the execution, sink time included.
+func (c *conn) execute(sink sqlexec.RowSink, st *sqlexec.Stmt, sql string, params []value.Value, h *stats.Histogram) error {
+	if err := c.srv.admit(); err != nil {
+		return err
+	}
+	t0 := time.Now()
+	var err error
+	if st != nil {
+		c.monStart(st.SQL())
+		_, err = st.ExecTo(sink, params...)
+	} else {
+		c.monStart(sql)
+		_, err = c.sess.QueryTo(sink, sql)
+	}
+	c.monEnd()
+	c.srv.release()
+	h.ObserveSince(t0)
+	return err
 }
 
 // gateStatement outcomes.
@@ -419,7 +460,9 @@ func (c *conn) handleBind(m *msgReader) {
 		}
 	}
 	nparams := m.int16()
-	if m.err != nil || nparams < 0 {
+	// Every parameter has a length word: a count the message has no room
+	// for sizes nothing.
+	if m.err != nil || nparams < 0 || nparams > (len(m.buf)-m.pos)/4 {
 		c.extError(CodeProtocolViolation, "malformed Bind message")
 		return
 	}
@@ -462,24 +505,6 @@ func (c *conn) handleBind(m *msgReader) {
 	c.out.finish()
 }
 
-// run executes a portal's statement once, caching result or error.
-func (c *conn) run(p *portal) {
-	if p.ran {
-		return
-	}
-	p.ran = true
-	if err := c.srv.admit(); err != nil {
-		p.err = err
-		return
-	}
-	t0 := time.Now()
-	c.monStart(p.stmt.st.SQL())
-	p.res, p.err = p.stmt.st.Exec(p.params...)
-	c.monEnd()
-	c.srv.release()
-	c.srv.hExtended.ObserveSince(t0)
-}
-
 func (c *conn) handleDescribe(m *msgReader) {
 	kind := m.byte()
 	name := m.string()
@@ -507,6 +532,15 @@ func (c *conn) handleDescribe(m *msgReader) {
 			c.extError(CodeInvalidCursor, fmt.Sprintf("portal %q does not exist", name))
 			return
 		}
+		if p.stmt.word == "SELECT" && !p.ran {
+			// Describing a SELECT means planning it, and the Execute that
+			// nearly always comes next plans it again. Write nothing yet: that
+			// Execute sends the RowDescription from the header its own plan
+			// produces, ahead of the first DataRow, and the client cannot tell.
+			// Any other message settles the debt first (dispatch).
+			c.owed = p
+			return
+		}
 		c.describeRows(p.stmt)
 	default:
 		c.extError(CodeProtocolViolation, fmt.Sprintf("Describe kind %q", kind))
@@ -532,15 +566,34 @@ func (c *conn) describeRows(ps *prepStmt) {
 	c.sendRowDescriptionCols(cols, nil)
 }
 
+// settleDescribe answers a deferred Describe(P) the way Describe answers:
+// by planning. A planning error is the one ErrorResponse it always was.
+func (c *conn) settleDescribe() {
+	if p := c.owed; p != nil {
+		c.owed = nil
+		c.describeRows(p.stmt)
+	}
+}
+
 func (c *conn) handleExecute(m *msgReader) {
 	name := m.string()
 	maxRows := m.int32()
+	p := c.portals[name]
+	// owed: the Describe just before this Execute left this portal's
+	// RowDescription to it. An ErrorResponse below cancels the debt — the
+	// rows it would describe are not coming.
+	owed := m.err == nil && p != nil && c.owed == p
+	if !owed {
+		if c.settleDescribe(); c.skipSync {
+			return
+		}
+	}
+	c.owed = nil
 	if m.err != nil {
 		c.extError(CodeProtocolViolation, m.err.Error())
 		return
 	}
-	p, ok := c.portals[name]
-	if !ok {
+	if p == nil {
 		c.extError(CodeInvalidCursor, fmt.Sprintf("portal %q does not exist", name))
 		return
 	}
@@ -557,8 +610,29 @@ func (c *conn) handleExecute(m *msgReader) {
 	case gateHandled:
 		return
 	}
-	c.run(p)
+	rowStmt := isRowStatement(word)
+	if !p.ran {
+		p.ran = true
+		st := p.stmt.st
+		if rowStmt && maxRows > 0 {
+			// The one consumer whose rows must outlive the call: collect
+			// them, and send by the limit below.
+			p.res = &sqlexec.Result{}
+			p.err = c.execute(p.res, st, "", p.params, c.srv.hExtended)
+		} else {
+			describe := describeNone
+			if owed {
+				describe, owed = describeNames, false
+			}
+			w := c.rowWriter(word, describe)
+			if p.err = c.execute(w, st, "", p.params, c.srv.hExtended); p.err == nil {
+				w.finish()
+			}
+			p.pos, p.count = w.sent, w.count
+		}
+	}
 	if p.err != nil {
+		p.res = nil
 		c.extQueryError(p.err)
 		return
 	}
@@ -566,23 +640,30 @@ func (c *conn) handleExecute(m *msgReader) {
 		p.counted = true
 		c.srv.cOK.Inc()
 	}
-	if isRowStatement(word) {
-		if p.res != nil {
-			p.pos += c.sendDataRows(p.res, p.pos, maxRows)
-			if maxRows > 0 && p.pos < len(p.res.Rows) {
-				c.out.start(msgPortalSuspended)
-				c.out.finish()
-				return
-			}
-			// Run to completion: the tag needs only the count. Dropping the
-			// rows here keeps an idle connection from pinning its last
-			// result set until the next Bind replaces the portal.
-			p.res = nil
-		}
-		c.sendCommandComplete(commandTag(word, nil, p.pos))
-	} else {
-		c.sendCommandComplete(commandTag(word, p.res, 0))
+	if !rowStmt {
+		c.sendCommandComplete(commandTag(word, p.count, 0))
+		return
 	}
+	if p.res != nil {
+		if owed {
+			c.sendRowDescriptionCols(p.res.Cols, nil)
+		}
+		rows := p.res.Rows[p.pos:]
+		if maxRows > 0 && maxRows < len(rows) {
+			rows = rows[:maxRows]
+		}
+		c.sendDataRows(len(p.res.Cols), rows)
+		if p.pos += len(rows); p.pos < len(p.res.Rows) {
+			c.out.start(msgPortalSuspended)
+			c.out.finish()
+			return
+		}
+		// Run to completion: the tag needs only the count. Dropping the
+		// rows here keeps an idle connection from pinning its last
+		// result set until the next Bind replaces the portal.
+		p.res = nil
+	}
+	c.sendCommandComplete(commandTag(word, 0, p.pos))
 }
 
 func (c *conn) handleClose(m *msgReader) {
@@ -607,26 +688,91 @@ func (c *conn) handleClose(m *msgReader) {
 
 // --- response encoding -----------------------------------------------------
 
-// sendRowDescription derives field types from the first rows of the
-// result (text format; OIDs by value kind, text when a column is all
-// NULL).
-func (c *conn) sendRowDescription(res *sqlexec.Result) {
-	kinds := make([]value.Kind, len(res.Cols))
-	for _, row := range res.Rows {
-		missing := false
-		for i := range kinds {
-			if kinds[i] == value.KindNull && i < len(row) {
-				kinds[i] = row[i].K
-			}
-			if kinds[i] == value.KindNull {
-				missing = true
-			}
+// What a rowWriter still owes the client before its first DataRow.
+const (
+	describeNone  = iota // nothing: the extended protocol describes on request
+	describeNames        // a deferred Describe(P): column names, every type text, as Describe answers
+	describeTyped        // the simple protocol: names, and types from the first batch
+)
+
+// rowWriter is the streaming sink (sqlexec.RowSink) of one statement: it
+// encodes each batch as DataRows the moment the executor hands it over and
+// keeps none, so the executor refills the same few windows however long
+// the result. The bytes leave through the connection's buffered writer,
+// which writes to the socket whenever it fills: the first rows of a large
+// result are on their way while the scan is still running, and a one-row
+// result still costs one write, at Sync. A failed write fails the batch,
+// which stops the statement's scan workers.
+type rowWriter struct {
+	c        *conn
+	rowStmt  bool // rows are DataRows; otherwise the one cell is a DML count
+	describe int
+	cols     []string
+	sent     int   // DataRows written
+	count    int64 // the DML count
+}
+
+// rowWriter readies the connection's sink for one statement.
+func (c *conn) rowWriter(word string, describe int) *rowWriter {
+	c.rows = rowWriter{c: c, rowStmt: isRowStatement(word), describe: describe}
+	return &c.rows
+}
+
+func (w *rowWriter) Header(cols []string) error {
+	w.cols = cols
+	if w.describe == describeNames {
+		w.rowDescription(nil)
+	}
+	return nil
+}
+
+func (w *rowWriter) Batch(rows []value.Row) (bool, error) {
+	if !w.rowStmt {
+		// DML answers with one row of one integer cell: its tag's count.
+		if len(rows) == 1 && len(rows[0]) == 1 {
+			w.count = rows[0][0].AsInt()
 		}
-		if !missing {
-			break
+		return false, nil
+	}
+	if w.describe != describeNone {
+		w.rowDescription(rows)
+	}
+	w.sent += len(rows)
+	return false, w.c.sendDataRows(len(w.cols), rows)
+}
+
+// finish ends a statement that succeeded: a row statement that produced
+// no batch still owes its RowDescription.
+func (w *rowWriter) finish() {
+	if w.rowStmt && w.describe != describeNone {
+		w.rowDescription(nil)
+	}
+}
+
+// rowDescription pays what the writer owes. Field types come from the
+// rows in hand (text format; OIDs by value kind, text for a column that is
+// NULL throughout them).
+func (w *rowWriter) rowDescription(rows []value.Row) {
+	var kinds []value.Kind
+	if w.describe == describeTyped && len(rows) > 0 {
+		kinds = make([]value.Kind, len(w.cols))
+		for _, row := range rows {
+			missing := false
+			for i := range kinds {
+				if kinds[i] == value.KindNull && i < len(row) {
+					kinds[i] = row[i].K
+				}
+				if kinds[i] == value.KindNull {
+					missing = true
+				}
+			}
+			if !missing {
+				break
+			}
 		}
 	}
-	c.sendRowDescriptionCols(res.Cols, kinds)
+	w.describe = describeNone
+	w.c.sendRowDescriptionCols(w.cols, kinds)
 }
 
 func (c *conn) sendRowDescriptionCols(cols []string, kinds []value.Kind) {
@@ -664,26 +810,25 @@ func oidOf(k value.Kind) (oid, size int) {
 	}
 }
 
-// sendDataRows streams rows [from, from+max) in text format; max <= 0
-// means all. Returns the number of rows sent.
-func (c *conn) sendDataRows(res *sqlexec.Result, from, max int) int {
-	end := len(res.Rows)
-	if max > 0 && from+max < end {
-		end = from + max
-	}
-	for _, row := range res.Rows[from:end] {
+// sendDataRows encodes rows as DataRows of ncols text-format cells each —
+// the one row loop, whichever sink the rows came through. It returns the
+// first write error: the buffered writer's, which sticks.
+func (c *conn) sendDataRows(ncols int, rows []value.Row) error {
+	for _, row := range rows {
 		c.out.start(msgDataRow)
-		c.out.int16(len(res.Cols))
-		for i := range res.Cols {
+		c.out.int16(ncols)
+		for i := 0; i < ncols; i++ {
 			if i >= len(row) || row[i].IsNull() {
 				c.out.int32(-1)
 				continue
 			}
 			c.out.text(row[i])
 		}
-		c.out.finish()
+		if err := c.out.finish(); err != nil {
+			return err
+		}
 	}
-	return end - from
+	return nil
 }
 
 func (c *conn) sendCommandComplete(tag string) {
@@ -722,45 +867,19 @@ func (c *conn) sendError(code, msg string) {
 	c.out.finish()
 }
 
-func (c *conn) flush() error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.closed {
-		return fmt.Errorf("pgwire: connection closed")
-	}
-	return c.out.w.Flush()
-}
+func (c *conn) flush() error { return c.out.w.Flush() }
 
-// drainIfIdle retires an idle connection during graceful shutdown: the
-// owning goroutine is blocked in a read with no response owed, so a coded
-// error plus close drops nothing. Busy connections are left to finish and
-// notice the drain flag at their loop boundary.
-func (c *conn) drainIfIdle() {
-	if c.busy.Load() {
-		return
-	}
-	c.writeMu.Lock()
-	if !c.closed {
-		// Best-effort direct write: the reader goroutine is parked, the
-		// buffered writer is empty between commands.
-		c.sendError(CodeAdminShutdown, "server is shutting down")
-		c.out.w.Flush()
-		c.closed = true
-		c.nc.Close()
-		c.srv.obs.Counter("pgwire_drained_conns_total").Inc()
-	}
-	c.writeMu.Unlock()
-}
+// drainIfIdle is Shutdown's nudge: a read deadline in the past, which is
+// safe to set from any goroutine. A connection goroutine parked in its
+// frame read wakes with a timeout and retires itself (serve); one that is
+// busy meets the drain flag at its loop boundary, or the deadline at its
+// next read of the socket. Nothing is written from here: only the
+// connection's goroutine writes.
+func (c *conn) drainIfIdle() { c.nc.SetReadDeadline(time.Unix(1, 0)) }
 
-// forceClose tears the socket down immediately.
-func (c *conn) forceClose() {
-	c.writeMu.Lock()
-	if !c.closed {
-		c.closed = true
-		c.nc.Close()
-	}
-	c.writeMu.Unlock()
-}
+// forceClose tears the socket down immediately, which also breaks a write
+// blocked on a client that stopped reading.
+func (c *conn) forceClose() { c.nc.Close() }
 
 // --- statement helpers -----------------------------------------------------
 
@@ -827,18 +946,18 @@ func isRowStatement(word string) bool {
 	}
 }
 
-// commandTag builds the CommandComplete tag. DML statements report the
-// count the engine returned as their single result cell.
-func commandTag(word string, res *sqlexec.Result, rows int) string {
+// commandTag builds the CommandComplete tag: row statements report the
+// rows sent, DML statements the count the engine returned.
+func commandTag(word string, count int64, rows int) string {
 	switch word {
 	case "SELECT", "EXPLAIN", "VALUES", "SHOW", "WITH":
 		return "SELECT " + strconv.Itoa(rows)
 	case "INSERT":
-		return "INSERT 0 " + strconv.FormatInt(resultCount(res), 10)
+		return "INSERT 0 " + strconv.FormatInt(count, 10)
 	case "UPDATE":
-		return "UPDATE " + strconv.FormatInt(resultCount(res), 10)
+		return "UPDATE " + strconv.FormatInt(count, 10)
 	case "DELETE":
-		return "DELETE " + strconv.FormatInt(resultCount(res), 10)
+		return "DELETE " + strconv.FormatInt(count, 10)
 	case "BEGIN":
 		return "BEGIN"
 	case "COMMIT", "END":
@@ -854,24 +973,21 @@ func commandTag(word string, res *sqlexec.Result, rows int) string {
 	}
 }
 
-// resultCount extracts the affected-row count from a DML result
-// (engine shape: one row, one integer cell).
-func resultCount(res *sqlexec.Result) int64 {
-	if res != nil && len(res.Rows) == 1 && len(res.Rows[0]) == 1 {
-		return res.Rows[0][0].AsInt()
-	}
-	return 0
-}
-
 // inferParam converts a text-format parameter to an engine value:
 // integers and floats by shape, everything else as a string (the engine
-// coerces at comparison and insert boundaries).
+// coerces at comparison and insert boundaries). Only text that starts like
+// a number — a sign, a digit, a point — is tried as one: strconv also reads
+// the words nan, inf and infinity, in any case, as floats, and a name that
+// happens to be one of them is a name. The same test spares every other
+// word two failed parses and the error values they allocate.
 func inferParam(s string) value.Value {
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return value.Int(n)
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return value.Float(f)
+	if s != "" && (s[0] >= '0' && s[0] <= '9' || s[0] == '-' || s[0] == '+' || s[0] == '.') {
+		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return value.Int(n)
+		}
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return value.Float(f)
+		}
 	}
 	switch s {
 	case "t", "true", "TRUE":

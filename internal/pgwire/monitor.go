@@ -38,13 +38,13 @@ func (s *Server) RegisterMonitoring(sys *sqlexec.SysCatalog) {
 		sort.Slice(conns, func(i, j int) bool { return conns[i].pid < conns[j].pid })
 		rows := make([]value.Row, 0, len(conns))
 		for _, c := range conns {
-			state := "idle"
-			if c.busy.Load() {
-				state = "active"
-			}
 			c.monMu.Lock()
 			stmt, count, tx := c.monStmt, c.monCount, c.monTx
 			c.monMu.Unlock()
+			state := "idle"
+			if stmt != "" {
+				state = "active"
+			}
 			rows = append(rows, value.Row{
 				value.Int(int64(c.pid)),
 				value.String(c.nc.RemoteAddr().String()),

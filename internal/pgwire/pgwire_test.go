@@ -458,7 +458,7 @@ func TestWirePortalSuspension(t *testing.T) {
 	var rows, suspends int
 	tag := ""
 	for done := false; !done; {
-		typ, payload, err := readFrame(c.r, DefaultMaxMessage)
+		typ, payload, err := readFrame(c.in.r, DefaultMaxMessage)
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -525,7 +525,7 @@ func TestWirePortalReleasesResult(t *testing.T) {
 		}
 		c.sync()
 		for {
-			typ, payload, err := readFrame(c.r, DefaultMaxMessage)
+			typ, payload, err := readFrame(c.in.r, DefaultMaxMessage)
 			if err != nil {
 				t.Fatalf("read: %v", err)
 			}

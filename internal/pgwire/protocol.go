@@ -221,37 +221,70 @@ func (m *msgWriter) finishUntyped() error {
 // unlike a plain read error.
 var errFrameLength = fmt.Errorf("pgwire: invalid message length")
 
+// frameKeep is the largest buffer a connection holds on to between
+// messages: the frame reader's payload buffer on either end, and the
+// client's chunk-gathering buffers. One oversize frame or result grows
+// them for its own duration only.
+const frameKeep = 64 << 10
+
+// frameReader reads the frames of one connection, server or client side:
+// the header array and the payload buffer live here, so a frame costs no
+// allocation once the buffer has grown to the connection's usual message.
+// A payload is valid until the next read: whoever wants part of it for
+// longer copies that part out.
+type frameReader struct {
+	r   *bufio.Reader
+	max int // longest payload accepted (Config.MaxMessage)
+	hdr [5]byte
+	buf []byte
+}
+
+func newFrameReader(nc io.Reader, maxLen int) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(nc, 8192), max: maxLen}
+}
+
+// payload returns the buffer cut to n bytes, growing it geometrically; a
+// buffer an oversize frame left behind is dropped first.
+func (f *frameReader) payload(n int) []byte {
+	if cap(f.buf) > frameKeep {
+		f.buf = nil
+	}
+	if cap(f.buf) < n {
+		f.buf = make([]byte, max(n, 2*cap(f.buf), 256))
+	}
+	return f.buf[:n]
+}
+
 // readFrame reads one typed frame: type byte + int32 length (including
-// itself) + payload. maxLen guards the allocation.
-func readFrame(r *bufio.Reader, maxLen int) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// itself) + payload. The declared length is checked against max before
+// anything is sized by it.
+func (f *frameReader) readFrame() (byte, []byte, error) {
+	if _, err := io.ReadFull(f.r, f.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := int(int32(binary.BigEndian.Uint32(hdr[1:])))
-	if n < 4 || n-4 > maxLen {
+	n := int(int32(binary.BigEndian.Uint32(f.hdr[1:])))
+	if n < 4 || n-4 > f.max {
 		return 0, nil, fmt.Errorf("%w %d", errFrameLength, n)
 	}
-	payload := make([]byte, n-4)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := f.payload(n - 4)
+	if _, err := io.ReadFull(f.r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return f.hdr[0], payload, nil
 }
 
 // readStartup reads the untyped first frame (startup / SSLRequest /
 // CancelRequest payload including the code int32).
-func readStartup(r *bufio.Reader, maxLen int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func (f *frameReader) readStartup() ([]byte, error) {
+	if _, err := io.ReadFull(f.r, f.hdr[:4]); err != nil {
 		return nil, err
 	}
-	n := int(int32(binary.BigEndian.Uint32(hdr[:])))
-	if n < 8 || n-4 > maxLen {
+	n := int(int32(binary.BigEndian.Uint32(f.hdr[:4])))
+	if n < 8 || n-4 > f.max {
 		return nil, fmt.Errorf("pgwire: invalid startup length %d", n)
 	}
-	payload := make([]byte, n-4)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := f.payload(n - 4)
+	if _, err := io.ReadFull(f.r, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil

@@ -224,10 +224,11 @@ func (s *Server) admit() error {
 func (s *Server) release() { <-s.slots }
 
 // Shutdown drains gracefully: new startups are refused, idle connections
-// are told 57P01 and closed, busy connections finish their in-flight
-// statement (and extended-protocol batch through Sync) and are then
-// closed. When ctx expires before the drain completes, remaining
-// connections are force-closed.
+// tell their client 57P01 and close, busy connections finish their
+// in-flight statement (and what they have read of an extended-protocol
+// batch) and then do the same. When ctx expires before the drain
+// completes, remaining connections are force-closed — which is also what
+// ends a statement streaming to a client that stopped reading.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return errors.New("pgwire: already shut down")
@@ -236,8 +237,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.ln.Close()
 	close(s.done)
 
-	// Nudge idle connections: they are blocked in a read with no request
-	// in flight, so an ErrorResponse + close drops zero responses.
+	// Nudge idle connections: one blocked in a read with no request in
+	// flight wakes up and retires itself, dropping zero responses.
 	s.mu.Lock()
 	for _, c := range s.conns {
 		c.drainIfIdle()
@@ -282,11 +283,11 @@ func refuseStartup(nc net.Conn, code, msg string) {
 	nc.SetDeadline(time.Now().Add(2 * time.Second))
 	c := newConn(nil, nc, 0, 0)
 	for {
-		payload, err := readStartup(c.r, DefaultMaxMessage)
+		payload, err := c.in.readStartup()
 		if err != nil {
 			return
 		}
-		m := &msgReader{buf: payload}
+		m := msgReader{buf: payload}
 		switch m.int32() {
 		case sslRequestCode, gssRequestCode:
 			nc.Write([]byte{'N'})

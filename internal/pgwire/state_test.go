@@ -26,24 +26,9 @@ func rawDial(t *testing.T, srv *Server) (net.Conn, *bufio.Reader) {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	body := []byte{0, 3, 0, 0}
-	body = append(body, "user\x00raw\x00\x00"...)
-	frame := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(4+len(body)))
-	copy(frame[4:], body)
-	if _, err := nc.Write(frame); err != nil {
-		t.Fatalf("startup write: %v", err)
-	}
 	r := bufio.NewReader(nc)
-	for {
-		typ, _, err := readFrame(r, DefaultMaxMessage)
-		if err != nil {
-			t.Fatalf("startup read: %v", err)
-		}
-		if typ == msgReadyForQuery {
-			return nc, r
-		}
-	}
+	handshake(t, nc, r)
+	return nc, r
 }
 
 // writeMsg frames a typed message by hand.

@@ -282,10 +282,29 @@ func (s *Session) Rollback() error {
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.explicit }
 
-// Query executes one SQL statement: Prepare, then Exec. A statement that
-// fails to parse still counts — the session shows it and the error lands
-// under the text's fingerprint in sys.m_statements.
+// Query executes one SQL statement and returns its materialized result:
+// QueryTo with the collecting sink.
 func (s *Session) Query(sql string, params ...value.Value) (*Result, error) {
+	res := &Result{}
+	if err := s.queryTo(res, &res.Stats, sql, params); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// QueryTo executes one SQL statement into sink: Prepare, then ExecTo.
+func (s *Session) QueryTo(sink RowSink, sql string, params ...value.Value) (ExecStats, error) {
+	var stats ExecStats
+	if err := s.queryTo(sink, &stats, sql, params); err != nil {
+		return ExecStats{}, err
+	}
+	return stats, nil
+}
+
+// queryTo is what Query and QueryTo share. A statement that fails to parse
+// still counts — the session shows it and the error lands under the text's
+// fingerprint in sys.m_statements.
+func (s *Session) queryTo(sink RowSink, stats *ExecStats, sql string, params []value.Value) error {
 	t0 := time.Now()
 	st, err := s.Prepare(sql)
 	if err != nil {
@@ -293,10 +312,10 @@ func (s *Session) Query(sql string, params ...value.Value) (*Result, error) {
 		id, norm := Fingerprint(sql)
 		s.e.stmts.record(id, norm, time.Since(t0), 0, true)
 		s.setIdle()
-		return nil, err
+		return err
 	}
-	res, _, err := st.exec(t0, params, false)
-	return res, err
+	_, err = st.execTo(sink, stats, t0, params, false)
+	return err
 }
 
 // setActive publishes the running statement to sys.m_sessions.
@@ -320,9 +339,10 @@ func (s *Session) setIdle() {
 
 // textResult renders multi-line text as a one-column result set.
 func textResult(text string) *Result {
-	res := &Result{Cols: []string{"plan"}}
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		res.Rows = append(res.Rows, value.Row{value.String(line)})
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+	res := &Result{Cols: []string{"plan"}, Rows: make([]value.Row, len(lines))}
+	for i, line := range lines {
+		res.Rows[i] = value.Row{value.String(line)}
 	}
 	return res
 }
@@ -352,39 +372,38 @@ func (s *Session) snapshotTS() uint64 {
 	return s.e.Mgr.Now()
 }
 
-// execSelect plans and runs a SELECT. It runs profiled when the caller
-// asks (EXPLAIN ANALYZE) or the engine's always-on profiling is set: the
-// slow execution is captured with its operator breakdown, not re-run
-// after the fact.
-func (s *Session) execSelect(sel *SelectStmt, params []value.Value, profiled bool) (*Result, *Profile, error) {
+// execSelect plans and runs a SELECT into sink, accounted in stats. It
+// runs profiled when the caller asks (EXPLAIN ANALYZE) or the engine's
+// always-on profiling is set: the slow execution is captured with its
+// operator breakdown, not re-run after the fact. sql_exec_ms spans the
+// run, so it includes whatever time the sink spends on the batches it is
+// handed.
+func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, params []value.Value, profiled bool) (*Profile, error) {
 	tPlan := time.Now()
 	psp := s.cur.Child("plan")
 	plan, ts, err := s.planSelect(sel)
 	psp.Finish()
 	s.e.Obs.Histogram("sql_plan_ms").ObserveSince(tPlan)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tExec := time.Now()
 	esp := s.cur.Child("exec")
-	var res *Result
-	var prof *Profile
-	if profiled || s.e.SlowThreshold > 0 {
-		res, prof, err = RunAnalyzed(plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers)
+	profiled = profiled || s.e.SlowThreshold > 0
+	prof, err := runTo(sink, stats, plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers, profiled)
+	if profiled {
 		if prof != nil {
 			prof.SQL = s.curSQL
 		}
 		s.e.maybeRecordSlow(s.curSQL, prof)
-	} else {
-		res, err = RunWorkers(plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers)
 	}
 	esp.Finish()
 	s.e.Obs.Histogram("sql_exec_ms").ObserveSince(tExec)
 	s.e.Obs.Counter("sql_queries_total").Inc()
-	if res != nil {
-		s.e.Obs.Counter("sql_rows_scanned_total").Add(int64(res.Stats.RowsScanned))
+	if err == nil {
+		s.e.Obs.Counter("sql_rows_scanned_total").Add(int64(stats.RowsScanned))
 	}
-	return res, prof, err
+	return prof, err
 }
 
 // currentTxn returns the session transaction, creating a one-statement
@@ -412,11 +431,11 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (*Result, er
 	// Source rows.
 	var src []value.Row
 	if ins.Select != nil {
-		res, _, err := s.execSelect(ins.Select, params, false)
-		if err != nil {
+		var sel Result
+		if _, err := s.execSelect(&sel, &sel.Stats, ins.Select, params, false); err != nil {
 			return nil, err
 		}
-		src = res.Rows
+		src = sel.Rows
 	} else {
 		env := Env{Params: params}
 		for _, exprs := range ins.Rows {

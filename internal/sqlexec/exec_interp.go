@@ -62,6 +62,7 @@ type execCtx struct {
 	params  []value.Value
 	reg     *Registry
 	stats   *ExecStats
+	out     feed // the statement's sink: every executor's root pushes here
 	workers int
 	mu      sync.Mutex
 	pool    *vecPool
@@ -102,7 +103,7 @@ func Run(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode) (*Re
 // vectorized executor's morsel pool (<=0 means runtime.NumCPU()); the
 // row-at-a-time modes ignore it.
 func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, error) {
-	res, _, err := runMaybeProfiled(p, ts, params, reg, mode, workers, false)
+	res, _, err := runCollected(p, ts, params, reg, mode, workers, false)
 	return res, err
 }
 
@@ -111,15 +112,34 @@ func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mod
 // Mode reflects the executor that actually ran the statement (a plan the
 // batch operators don't cover falls back to the compiled pipeline).
 func RunAnalyzed(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, *Profile, error) {
-	return runMaybeProfiled(p, ts, params, reg, mode, workers, true)
+	return runCollected(p, ts, params, reg, mode, workers, true)
 }
 
-func runMaybeProfiled(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, profiled bool) (*Result, *Profile, error) {
+// runCollected is runTo into the collecting sink.
+func runCollected(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, profiled bool) (*Result, *Profile, error) {
 	res := &Result{}
-	for _, c := range p.columns() {
-		res.Cols = append(res.Cols, c.Name)
+	prof, err := runTo(res, &res.Stats, p, ts, params, reg, mode, workers, profiled)
+	if err != nil {
+		return nil, nil, err
 	}
-	ctx := &execCtx{ts: ts, params: params, reg: reg, stats: &res.Stats, workers: workers}
+	return res, prof, nil
+}
+
+// runTo executes a plan into sink — the one way a plan runs, whichever
+// executor runs it and whoever reads the rows: the header goes out first,
+// then the executor's root pushes batches through ctx.out as it produces
+// them. stats is where the execution is accounted (a collecting caller's
+// Result.Stats). A profile is recorded when profiled is set.
+func runTo(sink RowSink, stats *ExecStats, p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, profiled bool) (*Profile, error) {
+	cols := p.columns()
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
+	if err := sink.Header(names); err != nil {
+		return nil, err
+	}
+	ctx := &execCtx{ts: ts, params: params, reg: reg, stats: stats, out: feed{sink: sink}, workers: workers}
 	var prof *Profile
 	var t0 time.Time
 	if profiled {
@@ -127,65 +147,69 @@ func runMaybeProfiled(p Plan, ts uint64, params []value.Value, reg *Registry, mo
 		ctx.prof = prof
 		t0 = time.Now()
 	}
-	finish := func() {
-		if prof == nil {
-			return
+	if mode == ModeVectorized {
+		handled, err := runVectorized(p, ctx)
+		if err != nil {
+			return nil, err
 		}
+		if !handled {
+			// Plan shape not covered by the batch operators: transparent
+			// fallback to the compiled row pipeline. Nothing has been pushed
+			// yet: only compiling the batch pipeline can decline.
+			cVecPlanFallbacks.Inc()
+			mode = ModeCompiled
+			if prof != nil {
+				prof.Mode = mode
+			}
+		}
+	}
+	if mode != ModeVectorized {
+		if err := runRows(p, ctx, mode); err != nil {
+			return nil, err
+		}
+	}
+	stats.RowsOut = ctx.out.rows
+	if prof != nil {
 		prof.Total = time.Since(t0)
 		prof.finish(p)
 	}
-	if mode == ModeVectorized {
-		handled, err := runVectorized(p, ctx, res)
-		if err != nil {
-			return nil, nil, err
-		}
-		if handled {
-			res.Stats.RowsOut = len(res.Rows)
-			finish()
-			return res, prof, nil
-		}
-		// Plan shape not covered by the batch operators: transparent
-		// fallback to the compiled row pipeline.
-		cVecPlanFallbacks.Inc()
-		mode = ModeCompiled
-		if prof != nil {
-			prof.Mode = mode
-		}
-	}
+	return prof, nil
+}
+
+// runRows runs a plan on one of the row-at-a-time executors, gathering the
+// root's rows into batches for the sink.
+func runRows(p Plan, ctx *execCtx, mode Mode) error {
+	batch := rowBatcher{out: &ctx.out}
 	if mode == ModeInterpreted {
 		it, err := buildIter(p, ctx)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if err := it.Open(); err != nil {
-			return nil, nil, err
+			return err
 		}
 		defer it.Close()
 		for {
 			row, ok, err := it.Next()
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			if !ok {
-				break
+				return batch.flush()
 			}
-			res.Rows = append(res.Rows, row)
-		}
-	} else {
-		pipe, err := compilePlan(p, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := pipe(func(row value.Row) error {
-			res.Rows = append(res.Rows, row)
-			return nil
-		}); err != nil {
-			return nil, nil, err
+			if err := batch.add(row); err != nil {
+				return err
+			}
 		}
 	}
-	res.Stats.RowsOut = len(res.Rows)
-	finish()
-	return res, prof, nil
+	pipe, err := compilePlan(p, ctx)
+	if err != nil {
+		return err
+	}
+	if err := pipe(batch.add); err != nil {
+		return err
+	}
+	return batch.flush()
 }
 
 // --- Volcano-style interpreter -------------------------------------------

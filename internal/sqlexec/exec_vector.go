@@ -35,11 +35,12 @@ var errNoVector = errors.New("sqlexec: plan not vectorizable")
 // vpipe pushes row batches into emit until exhausted.
 type vpipe func(emit func(rows []value.Row) error) error
 
-// runVectorized attempts the statement on the vectorized executor.
-// handled=false with a nil error means the plan isn't covered and the
-// caller should fall back; a non-nil error is a real execution failure.
-func runVectorized(p Plan, ctx *execCtx, res *Result) (bool, error) {
-	vp, err := vecCompile(p, ctx)
+// runVectorized attempts the statement on the vectorized executor, the
+// root of its pipeline pushing into ctx.out. handled=false with a nil
+// error means the plan isn't covered and the caller should fall back; a
+// non-nil error is a real execution failure.
+func runVectorized(p Plan, ctx *execCtx) (bool, error) {
+	vp, err := vecCompileRoot(p, ctx)
 	if err != nil {
 		return false, nil
 	}
@@ -52,10 +53,7 @@ func runVectorized(p Plan, ctx *execCtx, res *Result) (bool, error) {
 			hVecWorkerBusy.Observe(float64(ctx.inlineNS) / 1e3)
 		}
 	}()
-	if err := vp(func(rows []value.Row) error {
-		res.Rows = append(res.Rows, rows...)
-		return nil
-	}); err != nil {
+	if err := vp(ctx.out.push); err != nil {
 		return false, err
 	}
 	cVecQueries.Inc()
@@ -72,16 +70,37 @@ func vecCompile(p Plan, ctx *execCtx) (vpipe, error) {
 	return ctx.prof.wrapVPipe(p, vp), nil
 }
 
+// vecCompileRoot is vecCompile for the plan's root, whose emit is the
+// statement's sink (ctx.out.push): the two producers that stream a scan's
+// rows are told so, and recycle the windows the sink does not keep (see
+// scanRun.emitRows). Every other operator compiles as anywhere else.
+func vecCompileRoot(p Plan, ctx *execCtx) (vpipe, error) {
+	var vp vpipe
+	var err error
+	switch x := p.(type) {
+	case *ScanPlan:
+		vp, err = vecScan(x, true, ctx)
+	case *ProjectPlan:
+		vp, err = vecProject(x, true, ctx)
+	default:
+		return vecCompile(p, ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ctx.prof.wrapVPipe(p, vp), nil
+}
+
 func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 	switch x := p.(type) {
 	case *ScanPlan:
-		return vecScan(x, ctx)
+		return vecScan(x, false, ctx)
 	case *VirtualScanPlan:
 		return vecVirtual(x, ctx)
 	case *FilterPlan:
 		return vecFilter(x, ctx)
 	case *ProjectPlan:
-		return vecProject(x, ctx)
+		return vecProject(x, false, ctx)
 	case *AggPlan:
 		return vecAgg(x, ctx)
 	case *JoinPlan:
@@ -309,7 +328,17 @@ type scanRun struct {
 	scratch   []*scanScratch
 	residCols []int // scan columns a residual may read: all its scratch row carries
 	stop      atomic.Bool
+	err       error      // drainOrdered's inline hand-off: the consumer's first error
 	op        *OpProfile // scan operator's analyze counters; may be nil
+
+	// free holds the full windows the sink was shown and did not keep, for
+	// emitRows to fill again. It starts nil — a result of one short window
+	// never touches it — and it dies with the run: a window is as wide as
+	// this statement's output and pins this statement's values, and what a
+	// pool shared between statements retains depends on when the collector
+	// last ran (see scratchPool).
+	freeMu sync.Mutex
+	free   [][]value.Row
 }
 
 // release returns the run's scratch once no worker can touch it.
@@ -613,84 +642,154 @@ func (s *rowSlab) row() value.Row {
 // keep hands the current row over to the caller for good.
 func (s *rowSlab) keep() { s.spare = s.spare[1:] }
 
-// materialize boxes the selected positions into full rows.
-func (r *scanRun) materialize(t *scanTask, sel selection) []value.Row {
-	out := slabRows(sel.len(), len(t.getters))
-	for i := range out {
-		pos := sel.at(i)
-		for c, g := range t.getters {
-			out[i][c] = g(pos)
+// box fills out with the rows at selected positions from, from+1, …,
+// reading the scan columns cols in that order (nil: every column of the
+// scan).
+func (t *scanTask) box(out []value.Row, sel selection, from int, cols []int) {
+	if cols == nil {
+		for i, row := range out {
+			pos := sel.at(from + i)
+			for c, g := range t.getters {
+				row[c] = g(pos)
+			}
+		}
+		return
+	}
+	for i, row := range out {
+		pos := sel.at(from + i)
+		for c, idx := range cols {
+			row[c] = t.getters[idx](pos)
 		}
 	}
-	return out
 }
 
-// runMorsel executes one morsel on worker w: the selection phase, then
-// row materialization.
-func (r *scanRun) runMorsel(t *scanTask, w int) (rows []value.Row) {
-	r.process(t, w, func(sel selection) { rows = r.materialize(t, sel) })
-	return rows
-}
-
-// drain runs every morsel and emits surviving batches in morsel order —
-// vectorized output stays byte-identical to sequential.
-func (r *scanRun) drain(emit func([]value.Row) error) error {
-	return drainOrdered(r, r.runMorsel, emitNonEmpty(emit))
-}
-
-// emitNonEmpty adapts a batch emitter to drainOrdered: empty morsels are
-// dropped instead of travelling down the pipeline.
-func emitNonEmpty(emit func([]value.Row) error) func([]value.Row) error {
-	return func(rows []value.Row) error {
-		if len(rows) == 0 {
-			return nil
-		}
-		return emit(rows)
+// window returns n rows of the given width for emitRows to fill: a
+// recycled full window cut to n when the free list has one, a new slab
+// sized by the rows in hand otherwise — a one-row result costs a one-row
+// slab.
+func (r *scanRun) window(n, width int) []value.Row {
+	var win []value.Row
+	r.freeMu.Lock()
+	if k := len(r.free) - 1; k >= 0 {
+		win, r.free = r.free[k], r.free[:k]
 	}
+	r.freeMu.Unlock()
+	if win != nil {
+		return win[:n]
+	}
+	return slabRows(n, width)
 }
+
+// emitRows is the scan's row exit, shared by the plain scan and the fused
+// projection: every morsel's final selection is boxed, reading cols (see
+// box), in windows of at most BatchRows rows, and the windows reach emit
+// in morsel order through the ordered hand-off — a worker that gets more
+// than a couple of windows ahead of emit waits there. A fused projection
+// (cols set) also books each non-empty morsel as one fused batch that
+// spared avoidPerRow boxed values per row. atRoot says emit is the
+// statement's sink itself (ctx.out.push, at most wrapped by the profiler):
+// a full window the sink did not keep then goes back to the run's free
+// list. Below any other operator nobody reports what became of a batch,
+// and every window is a fresh slab.
+func (r *scanRun) emitRows(cols []int, avoidPerRow int, atRoot bool, emit func([]value.Row) error) error {
+	return drainOrdered(r, func(t *scanTask, w int, send func([]value.Row)) {
+		width := len(cols)
+		if cols == nil {
+			width = len(t.getters)
+		}
+		r.process(t, w, func(sel selection) {
+			n := sel.len()
+			for from := 0; from < n && !r.stop.Load(); from += BatchRows {
+				win := r.window(min(n-from, BatchRows), width)
+				t.box(win, sel, from, cols)
+				send(win)
+			}
+			if cols != nil {
+				recordLateMat(r.ctx, r.op, 0, 0, 1, int64(n)*int64(avoidPerRow)*16)
+			}
+		})
+	}, func(win []value.Row) error {
+		err := emit(win)
+		if atRoot && err == nil && !r.ctx.out.kept && cap(win) == BatchRows {
+			r.freeMu.Lock()
+			r.free = append(r.free, win[:BatchRows])
+			r.freeMu.Unlock()
+		}
+		return err
+	})
+}
+
+// handoffDepth is how many values a morsel may have waiting for the
+// ordered consumer before the worker producing it blocks: enough that
+// filling the next window overlaps consuming the last, and all the
+// backpressure a slow sink needs.
+const handoffDepth = 2
 
 // drainOrdered is the ordered hand-off: fn runs per morsel on the worker
-// pool and its results reach consume in morsel order, whatever order the
-// workers finish in. Every operator whose output depends on row order —
-// scan drain, fused projection, join probe, the order-sensitive folds —
-// comes through here with its own payload. A single morsel runs inline;
-// with more, each morsel owns a buffered channel, so workers complete out
-// of order without blocking while the loop consumes in sequence. The run
-// is released on the way out: by then every morsel has reported, so no
-// worker holds its scratch.
-func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int) T, consume func(T) error) error {
+// pool, and what it sends reaches consume on the calling goroutine in
+// morsel order — each morsel's values in the order sent — whatever order
+// the workers finish in. Every operator whose output depends on row order
+// — scan drain, fused projection, join probe, the order-sensitive folds —
+// comes through here with its own payload. A single morsel runs inline
+// and send is consume. With more, each morsel owns a channel of
+// handoffDepth values, closed when fn returns: a worker ahead of the
+// consumer blocks once its morsel's channel is full. That cannot
+// deadlock: morsels are dispatched and consumed in ascending order, so the
+// morsel the consumer waits on was dispatched before any morsel a blocked
+// worker holds, and is either finished or running on a worker that only
+// ever waits for this consumer. After an error from consume (LIMIT's
+// early exit, a sink that failed) the stop flag makes running morsels end
+// at their next window and later ones return at once, while the consumer
+// keeps emptying the channels so that every worker gets to see it. The
+// run is released on the way out: by then every morsel has reported, so
+// no worker holds its scratch.
+func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, send func(T)), consume func(T) error) error {
 	defer r.release()
 	switch len(r.tasks) {
 	case 0:
 		return nil
 	case 1:
-		var out T
-		r.ctx.runTasks(1, func(_, w int) { out = fn(r.tasks[0], w) })
-		return consume(out)
+		t0 := r.ctx.beginInline()
+		fn(r.tasks[0], 0, func(v T) {
+			if r.err == nil {
+				if r.err = consume(v); r.err != nil {
+					r.stop.Store(true)
+				}
+			}
+		})
+		r.ctx.endInline(t0)
+		return r.err
 	}
+	var err error
 	chans := make([]chan T, len(r.tasks))
 	for i := range chans {
-		chans[i] = make(chan T, 1)
+		chans[i] = make(chan T, handoffDepth)
 	}
 	// Start the pool here: the dispatching goroutine must only read it.
 	r.ctx.getPool()
-	go r.ctx.runTasks(len(r.tasks), func(i, w int) { chans[i] <- fn(r.tasks[i], w) })
-	var err error
+	dispatched := make(chan struct{})
+	go func() {
+		defer close(dispatched)
+		r.ctx.runTasks(len(r.tasks), func(i, w int) {
+			fn(r.tasks[i], w, func(v T) { chans[i] <- v })
+			close(chans[i])
+		})
+	}()
 	for _, ch := range chans {
-		out := <-ch
-		if err != nil {
-			continue
-		}
-		if err = consume(out); err != nil {
-			// Remaining morsels see the stop flag and return immediately
-			// (LIMIT early exit); keep draining so no goroutine leaks.
-			r.stop.Store(true)
+		for v := range ch {
+			if err != nil {
+				continue
+			}
+			if err = consume(v); err != nil {
+				r.stop.Store(true)
+			}
 		}
 	}
+	<-dispatched
 	return err
 }
 
-func vecScan(s *ScanPlan, ctx *execCtx) (vpipe, error) {
+func vecScan(s *ScanPlan, atRoot bool, ctx *execCtx) (vpipe, error) {
 	prep, err := prepScan(s, ctx)
 	if err != nil {
 		return nil, err
@@ -700,7 +799,7 @@ func vecScan(s *ScanPlan, ctx *execCtx) (vpipe, error) {
 		if err != nil {
 			return err
 		}
-		return run.drain(emit)
+		return run.emitRows(nil, 0, atRoot, emit)
 	}, nil
 }
 
@@ -808,9 +907,9 @@ func vecFilter(x *FilterPlan, ctx *execCtx) (vpipe, error) {
 	}, nil
 }
 
-func vecProject(x *ProjectPlan, ctx *execCtx) (vpipe, error) {
+func vecProject(x *ProjectPlan, atRoot bool, ctx *execCtx) (vpipe, error) {
 	if s, cols, ok := projectScanShape(x); ok {
-		return vecProjectScan(s, cols, ctx)
+		return vecProjectScan(s, cols, atRoot, ctx)
 	}
 	child, err := vecCompile(x.Child, ctx)
 	if err != nil {
@@ -1082,13 +1181,24 @@ func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, 
 				return err
 			}
 		}
+		// Each worker boxes its morsels window by window into one slab of
+		// its own: the fold copies what it keeps of a row.
+		wins := make([][]value.Row, len(folds))
 		run.forEach(func(t *scanTask, w int) {
-			rows := run.runMorsel(t, w)
-			f := folds[w]
-			base := t.rankBase()
-			for i, row := range rows {
-				f.add(row, base+int64(i))
-			}
+			run.process(t, w, func(sel selection) {
+				f, base := folds[w], t.rankBase()
+				for from, n := 0, sel.len(); from < n; from += BatchRows {
+					k := min(n-from, BatchRows)
+					if cap(wins[w]) < k {
+						wins[w] = slabRows(k, prep.ncols)
+					}
+					win := wins[w][:k]
+					t.box(win, sel, from, nil)
+					for i, row := range win {
+						f.add(row, base+int64(from+i))
+					}
+				}
+			})
 		})
 		return emit(finishAgg(folds, x))
 	}, nil

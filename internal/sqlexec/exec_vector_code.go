@@ -557,7 +557,7 @@ func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(
 			mine[w] = make(chan struct{}, 1)
 			mine[w] <- struct{}{}
 		}
-		_ = drainOrdered(r, func(t *scanTask, w int) morselSel {
+		_ = drainOrdered(r, func(t *scanTask, w int, send func(morselSel)) {
 			<-mine[w]
 			m := morselSel{t: t}
 			r.process(t, w, func(sel selection) { m.sel = sel })
@@ -566,7 +566,7 @@ func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(
 			} else {
 				m.free = mine[w]
 			}
-			return m
+			send(m)
 		}, func(m morselSel) error {
 			if m.sel.len() > 0 {
 				r.chargeFaults(func() { fold(f, m.t, m.sel, own) })
@@ -870,8 +870,9 @@ func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
 		if err != nil {
 			return err
 		}
-		return drainOrdered(run, func(t *scanTask, w int) (out []value.Row) {
+		return drainOrdered(run, func(t *scanTask, w int, send func([]value.Row)) {
 			run.process(t, w, func(sel selection) {
+				var out []value.Row
 				slab := rowSlab{width: width}
 				env := Env{Params: ctx.params}
 				var probed value.Row
@@ -902,9 +903,11 @@ func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
 					out = append(out, row)
 					return true
 				})
+				if len(out) > 0 {
+					send(out)
+				}
 			})
-			return out
-		}, emitNonEmpty(emit))
+		}, emit)
 	}, nil
 }
 
@@ -945,8 +948,9 @@ func vecAggJoinCode(x *AggPlan, jp *JoinPlan, jinfo joinCodeInfo, info aggCodeIn
 
 // vecProjectScan fuses pure column selection into the scan: surviving
 // positions materialize only the projected columns, skipping the
-// intermediate full-width batch entirely.
-func vecProjectScan(s *ScanPlan, cols []int, ctx *execCtx) (vpipe, error) {
+// intermediate full-width batch entirely. atRoot says the projection is
+// the plan's root (see scanRun.emitRows).
+func vecProjectScan(s *ScanPlan, cols []int, atRoot bool, ctx *execCtx) (vpipe, error) {
 	prep, err := prepScan(s, ctx)
 	if err != nil {
 		return nil, err
@@ -957,26 +961,14 @@ func vecProjectScan(s *ScanPlan, cols []int, ctx *execCtx) (vpipe, error) {
 	}
 	avoidPerRow := prep.ncols - len(distinct)
 	return func(emit func([]value.Row) error) error {
-		if op := ctx.prof.node(s); op != nil {
+		if op := ctx.prof.node(prep.plan); op != nil {
 			op.fused = true
 		}
 		run, err := prep.newRun(ctx)
 		if err != nil {
 			return err
 		}
-		return drainOrdered(run, func(t *scanTask, w int) (out []value.Row) {
-			run.process(t, w, func(sel selection) {
-				out = slabRows(sel.len(), len(cols))
-				for i := range out {
-					pos := sel.at(i)
-					for c, idx := range cols {
-						out[i][c] = t.getters[idx](pos)
-					}
-				}
-				recordLateMat(ctx, run.op, 0, 0, 1, int64(len(out))*int64(avoidPerRow)*16)
-			})
-			return out
-		}, emitNonEmpty(emit))
+		return run.emitRows(cols, avoidPerRow, atRoot, emit)
 	}, nil
 }
 

@@ -83,12 +83,9 @@ func (ctx *execCtx) runTasks(n int, job func(i, worker int)) {
 	case 0:
 		return
 	case 1:
-		if ctx.prof != nil && ctx.prof.Workers == 0 {
-			ctx.prof.Workers = 1
-		}
-		t0 := time.Now()
+		t0 := ctx.beginInline()
 		job(0, 0)
-		ctx.inlineNS += time.Since(t0).Nanoseconds()
+		ctx.endInline(t0)
 		return
 	}
 	pool := ctx.getPool()
@@ -103,6 +100,17 @@ func (ctx *execCtx) runTasks(n int, job func(i, worker int)) {
 	}
 	wg.Wait()
 }
+
+// beginInline and endInline bracket a single task run on the statement's
+// own goroutine as worker 0 (see runTasks).
+func (ctx *execCtx) beginInline() time.Time {
+	if ctx.prof != nil && ctx.prof.Workers == 0 {
+		ctx.prof.Workers = 1
+	}
+	return time.Now()
+}
+
+func (ctx *execCtx) endInline(t0 time.Time) { ctx.inlineNS += time.Since(t0).Nanoseconds() }
 
 // submit hands a job to the pool, blocking until a worker is free.
 func (p *vecPool) submit(j vecJob) { p.jobs <- j }

@@ -67,9 +67,14 @@ func countScratch(t *testing.T) (check func(label string) (takes int)) {
 // row deleted (sparse by visibility), the rest untouched (dense). Every
 // other partition stalls on a cold read, so with two or more workers the
 // morsels finish out of order.
-func ownershipEngine(t *testing.T) *Engine {
+func ownershipEngine(t *testing.T) *Engine { return ownershipEngineRows(t, 300) }
+
+// ownershipEngineRows is ownershipEngine with rowsPer rows in each of the
+// 40 partitions: past BatchRows, a morsel leaves the scan as several
+// windows.
+func ownershipEngineRows(t *testing.T, rowsPer int) *Engine {
 	t.Helper()
-	const parts, rowsPer = 40, 300
+	const parts = 40
 	bounds := make([]string, parts-1)
 	for i := range bounds {
 		bounds[i] = fmt.Sprint(i + 1)

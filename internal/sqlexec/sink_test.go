@@ -1,0 +1,433 @@
+package sqlexec
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/value"
+)
+
+// This file holds the row sink to its contract, from the executor's side:
+// a sink that keeps nothing is shown the rows Exec returns, in the same
+// order and under the same counters, on every executor, tier and merge
+// state; no batch exceeds the cap and the header comes first, once; the
+// windows a streaming scan has in flight are a handful however long the
+// result; and a statement that ends early — a LIMIT, a sink that fails —
+// leaves no worker, scratch or goroutine behind.
+
+// showSink is the sink that keeps nothing and copies what it is shown. It
+// checks the calling contract as it goes and notes the slab behind every
+// batch (the address of its first cell).
+type showSink struct {
+	t       testing.TB
+	headers int
+	cols    []string
+	rows    []value.Row
+	batches int
+	slabs   map[*value.Value]bool
+	failAt  int // fail the failAt-th batch (1-based); 0 never
+	slow    time.Duration
+}
+
+var errSinkFull = errors.New("sink: no more")
+
+func (s *showSink) Header(cols []string) error {
+	if s.headers++; s.headers > 1 || s.batches > 0 {
+		s.t.Errorf("header %d arrived after %d batches", s.headers, s.batches)
+	}
+	s.cols = cols
+	return nil
+}
+
+func (s *showSink) Batch(rows []value.Row) (bool, error) {
+	if s.headers != 1 {
+		s.t.Errorf("a batch arrived after %d headers", s.headers)
+	}
+	if len(rows) == 0 || len(rows) > BatchRows {
+		s.t.Errorf("a batch of %d rows (cap %d)", len(rows), BatchRows)
+	}
+	if s.batches++; s.batches == s.failAt {
+		return false, errSinkFull
+	}
+	if s.slabs != nil && len(rows[0]) > 0 {
+		s.slabs[&rows[0][0]] = true
+	}
+	for _, row := range rows {
+		s.rows = append(s.rows, row.Clone())
+	}
+	time.Sleep(s.slow)
+	return false, nil
+}
+
+// sameRows reports whether two row lists are equal bit for bit — what
+// comparing their rowBits says, without rendering either.
+func sameRows(a, b []value.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, row := range a {
+		if len(row) != len(b[i]) {
+			return false
+		}
+		for j, v := range row {
+			if w := b[i][j]; v.K != w.K || v.I != w.I || math.Float64bits(v.F) != math.Float64bits(w.F) || v.S != w.S {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// execShown runs a statement through ExecTo into a fresh showSink.
+func execShown(t testing.TB, e *Engine, sql string, params ...value.Value) (*showSink, ExecStats) {
+	t.Helper()
+	s := e.NewSession()
+	defer s.Close()
+	sink := &showSink{t: t}
+	stats, err := s.QueryTo(sink, sql, params...)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	if sink.headers != 1 {
+		t.Errorf("%s: %d headers", sql, sink.headers)
+	}
+	return sink, stats
+}
+
+// unordered reports a statement whose counters are the scheduler's
+// business: a LIMIT straight over a scan stops it early.
+func unordered(sql string) bool {
+	return strings.Contains(sql, "LIMIT") && !strings.Contains(sql, "ORDER BY")
+}
+
+// TestVectorizedSinkParity: the parity catalog, the selection-form shapes
+// and the parameter twins, through ExecTo into a sink that keeps nothing,
+// against Exec — on all three executors, over merged, unmerged, mixed and
+// warm storage. Same columns, same rows bit for bit in the same order,
+// same ExecStats; and the vectorized run, profiled, still signs the
+// counters recorded in the selection-parity golden file (one fused batch
+// per morsel, however many windows the morsel left in).
+func TestVectorizedSinkParity(t *testing.T) {
+	type query struct {
+		sql    string
+		params []value.Value
+	}
+	var queries []query
+	for _, q := range parityQueries {
+		queries = append(queries, query{q.sql, q.params})
+	}
+	for _, sql := range selectionQueries {
+		queries = append(queries, query{sql: sql})
+	}
+	for _, q := range paramTwins(t) {
+		queries = append(queries, query{q.param, q.params})
+	}
+	golden := readGolden(t, selectionGolden)
+	signed := 0
+	for _, lay := range []parityLayout{{store: "main", holes: -1}, {store: "delta", holes: 7}, {store: "warm", holes: 7}, {}} {
+		e := parityEngineLaidOut(t, lay)
+		for i, q := range queries {
+			for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
+				if mode != ModeVectorized && (i >= len(parityQueries) || lay.store == "main" || lay.store == "delta") {
+					continue // the row executors' root loop is one: the catalog on two layouts covers it
+				}
+				e.Mode, e.Workers = mode, []int{1, 3, 8}[i%3]
+				label := fmt.Sprintf("%s: mode=%d workers=%d: %s", lay, mode, e.Workers, q.sql)
+				want := mustExec(t, e, q.sql, q.params...)
+				// The vectorized run is also profiled: the sink path is the same,
+				// and the profile is what the recorded signatures sign.
+				s := e.NewSession()
+				st, err := s.Prepare(q.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := &showSink{t: t}
+				var stats ExecStats
+				prof, err := st.execTo(got, &stats, time.Now(), q.params, mode == ModeVectorized)
+				s.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got.headers != 1 || !reflect.DeepEqual(got.cols, want.Cols) {
+					t.Errorf("%s: %d headers, %v; Exec's columns %v", label, got.headers, got.cols, want.Cols)
+				}
+				if !sameRows(got.rows, want.Rows) {
+					t.Errorf("%s: shown rows differ from Exec's (%d vs %d)", label, len(got.rows), len(want.Rows))
+				}
+				if unordered(q.sql) {
+					continue
+				}
+				if g, w := statsSig(stats), statsSig(want.Stats); g != w {
+					t.Errorf("%s: counters differ:\n ExecTo %s\n Exec   %s", label, g, w)
+				}
+				if recorded, ok := golden[lay.String()+" | "+q.sql]; ok && prof != nil {
+					signed++
+					if sig := statsSig(stats) + " |" + profileSig(prof); sig != recorded {
+						t.Errorf("%s: counters moved from the recorded ones:\n  got %s\n want %s", label, sig, recorded)
+					}
+				}
+			}
+		}
+	}
+	if signed < 300 {
+		t.Errorf("only %d statements were held to a recorded signature", signed)
+	}
+}
+
+// projectionEngine builds wide(id INT, region VARCHAR, amount DOUBLE, qty
+// INT), n merged rows.
+func projectionEngine(t testing.TB, n int) *Engine {
+	t.Helper()
+	e := NewEngine()
+	mustExec(t, e, `CREATE TABLE wide (id INT, region VARCHAR, amount DOUBLE, qty INT)`)
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{value.Int(int64(i)), value.String(fmt.Sprintf("region-%d", i%8)), value.Float(float64(i) / 7), value.Int(int64(i % 20))}
+	}
+	tab := e.Cat.MustTable("wide").Primary()
+	tab.ApplyInsert(rows, 1)
+	tab.Merge(2)
+	e.Mgr.AdvanceTo(2)
+	return e
+}
+
+// countSink keeps nothing and copies nothing: it notes slabs and counts.
+type countSink struct {
+	rows  int
+	slabs map[*value.Value]bool
+}
+
+func (s *countSink) Header([]string) error { return nil }
+func (s *countSink) Batch(rows []value.Row) (bool, error) {
+	s.rows += len(rows)
+	if s.slabs != nil {
+		s.slabs[&rows[0][0]] = true
+	}
+	return false, nil
+}
+
+// allocated returns what run allocates, as a count (testing.AllocsPerRun)
+// and in bytes (a TotalAlloc delta), per call.
+func allocated(reps int, run func()) (allocs, bytes float64) {
+	run()
+	allocs = testing.AllocsPerRun(reps, run)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < reps; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / float64(reps)
+}
+
+// TestSinkBounds: what a sink costs. A sink that keeps nothing sees a
+// 200,000-row projection through a handful of slabs — the windows in
+// flight between the workers and the consumer, recycled — and a zero-row
+// result still gets its header. A streamed projection allocates a constant
+// that does not grow with the result, and a one-row select costs no more
+// than it did when results were slices: the window is sized by the rows in
+// hand, and nothing about streaming is set up before there is a second
+// window to stream.
+func TestSinkBounds(t *testing.T) {
+	e := projectionEngine(t, 200_000)
+	const sql = `SELECT id, region, amount, qty FROM wide WHERE id >= $1 AND id < $2`
+	s := e.NewSession()
+	defer s.Close()
+	st, err := s.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		e.Workers = workers
+		sink := &countSink{slabs: map[*value.Value]bool{}}
+		stats, err := st.ExecTo(sink, value.Int(0), value.Int(200_000))
+		if err != nil || sink.rows != 200_000 || stats.RowsOut != 200_000 {
+			t.Fatalf("workers=%d: %d rows shown, %d out, err %v", workers, sink.rows, stats.RowsOut, err)
+		}
+		// Per worker, the morsel it is on: handoffDepth windows waiting and
+		// one being filled. One morsel more, finished and not yet consumed;
+		// one window at the consumer.
+		if limit := (workers + 1) * (handoffDepth + 1); len(sink.slabs) > limit {
+			t.Errorf("workers=%d: 200,000 rows came through %d distinct slabs, want <= %d", workers, len(sink.slabs), limit)
+		}
+	}
+	if sink, _ := execShown(t, e, `SELECT id, region FROM wide WHERE id < 0`); len(sink.rows) != 0 || len(sink.cols) != 2 {
+		t.Errorf("empty result: %d rows, header %v", len(sink.rows), sink.cols)
+	}
+
+	// Bytes per statement, streamed: 20,000 rows and 200,000 rows under the
+	// same constant (seven 188 kB windows are 1.3 MB; the parent allocated
+	// 4.7 MB for the first and 47 MB for the second).
+	e.Workers = 2
+	for _, n := range []int{20_000, 200_000} {
+		sink := &countSink{}
+		_, bytes := allocated(3, func() {
+			if _, err := st.ExecTo(sink, value.Int(1000), value.Int(int64(1000+n))); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d rows streamed: %.0f kB per statement", n, bytes/1e3)
+		if bytes > 2.5e6 {
+			t.Errorf("%d rows streamed: %.0f kB per statement, want under 2,500 kB whatever the result's size", n, bytes/1e3)
+		}
+	}
+
+	// One row. The parent commit (ce35168) measured 52 allocations and
+	// 2,864 bytes for this statement through Exec.
+	const parentAllocs, parentBytes = 52, 2864
+	pe := pointEngine(t, 10_000)
+	ps := pe.NewSession()
+	defer ps.Close()
+	pt, err := ps.Prepare(`SELECT v FROM kv WHERE k = $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &countSink{}
+	allocs, bytes := allocated(200, func() {
+		if _, err := pt.ExecTo(sink, value.Int(77)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one row streamed: %.0f allocations, %.0f bytes", allocs, bytes)
+	if allocs > parentAllocs || bytes > parentBytes {
+		t.Errorf("one row streamed: %.0f allocations and %.0f bytes, the parent's Exec cost %d and %d", allocs, bytes, parentAllocs, parentBytes)
+	}
+	allocs, bytes = allocated(200, func() {
+		if res, err := pt.Exec(value.Int(77)); err != nil || len(res.Rows) != 1 {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one row collected: %.0f allocations, %.0f bytes", allocs, bytes)
+	// Collected, the statement still pays for its Result: the same count,
+	// and the bytes within a size class of the parent's.
+	if allocs > parentAllocs || bytes > parentBytes+64 {
+		t.Errorf("one row collected: %.0f allocations and %.0f bytes, the parent's cost %d and %d", allocs, bytes, parentAllocs, parentBytes)
+	}
+}
+
+// settled waits for the goroutine count to come back down to base:
+// workers exit when their pool closes, a moment after the statement
+// returns.
+func settled(t *testing.T, base int, label string) {
+	t.Helper()
+	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%s: %d goroutines, %d before the statement", label, n, base)
+	}
+}
+
+// TestSinkOrderAndStop: 40 morsels of three windows each, finishing out
+// of order (every other partition stalls on a cold read), stream the
+// interpreted executor's rows bit for bit at every worker count, to a fast
+// sink and to one slow enough that the workers run into the hand-off's
+// backpressure. A LIMIT above the projection and a sink that fails on its
+// k-th batch both end the statement with the sink's own error (or none),
+// every scratch returned and no goroutine left behind.
+func TestSinkOrderAndStop(t *testing.T) {
+	e := ownershipEngineRows(t, 3000)
+	check := countScratch(t)
+	const sql = `SELECT id, acct, amount FROM t WHERE bucket <> 2`
+	e.Mode = ModeInterpreted
+	want := mustExec(t, e, sql).Rows
+	e.Mode = ModeVectorized
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 4} {
+		e.Workers = workers
+		for _, slow := range []time.Duration{0, 200 * time.Microsecond} {
+			label := fmt.Sprintf("workers=%d slow=%v", workers, slow)
+			s := e.NewSession()
+			sink := &showSink{t: t, slow: slow}
+			if _, err := s.QueryTo(sink, sql); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			s.Close()
+			if !sameRows(sink.rows, want) {
+				t.Fatalf("%s: streamed rows are not the interpreted executor's (%d vs %d)", label, len(sink.rows), len(want))
+			}
+			check(label)
+			settled(t, base, label)
+		}
+
+		for _, stop := range []struct {
+			sql    string
+			failAt int
+			rows   int
+		}{
+			{sql + ` LIMIT 1500`, 0, 1500},
+			{sql + ` LIMIT 5000 OFFSET 2000`, 0, 5000},
+			{sql, 1, 0},
+			{sql, 4, -1},
+			{`SELECT * FROM t`, 7, -1},
+		} {
+			label := fmt.Sprintf("workers=%d: %s failAt=%d", workers, stop.sql, stop.failAt)
+			s := e.NewSession()
+			sink := &showSink{t: t, failAt: stop.failAt}
+			_, err := s.QueryTo(sink, stop.sql)
+			s.Close()
+			if stop.failAt == 0 && err != nil || stop.failAt > 0 && !errors.Is(err, errSinkFull) {
+				t.Errorf("%s: error %v", label, err)
+			}
+			if stop.rows >= 0 && len(sink.rows) != stop.rows {
+				t.Errorf("%s: %d rows shown, want %d", label, len(sink.rows), stop.rows)
+			}
+			if stop.failAt > 0 && sink.batches != stop.failAt {
+				t.Errorf("%s: %d batches shown after the %d-th failed", label, sink.batches, stop.failAt)
+			}
+			check(label)
+			settled(t, base, label)
+		}
+	}
+}
+
+// TestSinkEveryStatementKind: DML, DDL, transaction control and EXPLAIN
+// answer through the sink with what Exec returns for them — two engines
+// run the same statements, one each way — and a failed statement shows no
+// header.
+func TestSinkEveryStatementKind(t *testing.T) {
+	collected, shown := NewEngine().NewSession(), NewEngine().NewSession()
+	defer collected.Close()
+	defer shown.Close()
+	for _, sql := range []string{
+		`CREATE TABLE k (a INT, b VARCHAR)`,
+		`INSERT INTO k VALUES (1, 'x'), (2, 'y'), (3, 'z')`,
+		`UPDATE k SET b = 'w' WHERE a > 1`,
+		`EXPLAIN SELECT a FROM k WHERE a = 2`,
+		`EXPLAIN ANALYZE SELECT b, COUNT(*) FROM k GROUP BY b`,
+		`INSERT INTO k SELECT a + 10, b FROM k`,
+		`SELECT a, b FROM k ORDER BY a`,
+		`DELETE FROM k WHERE a = 1`,
+		`BEGIN`,
+		`INSERT INTO k VALUES (7, 'q')`,
+		`ROLLBACK`,
+		`MERGE DELTA OF k`,
+		`SELECT COUNT(*) FROM k`,
+		`DROP TABLE k`,
+	} {
+		want, err := collected.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		sink := &showSink{t: t}
+		if _, err := shown.QueryTo(sink, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if sink.headers != 1 || !reflect.DeepEqual(sink.cols, want.Cols) || len(sink.rows) != len(want.Rows) {
+			t.Errorf("%s: %d headers, %d rows under %v; Exec returned %d rows under %v", sql, sink.headers, len(sink.rows), sink.cols, len(want.Rows), want.Cols)
+		}
+		if !strings.HasPrefix(sql, "EXPLAIN ANALYZE") && !sameRows(sink.rows, want.Rows) {
+			t.Errorf("%s: shown %v, Exec returned %v", sql, sink.rows, want.Rows)
+		}
+	}
+	sink := &showSink{t: t}
+	if _, err := shown.QueryTo(sink, `SELECT nope FROM nowhere`); err == nil || sink.headers != 0 {
+		t.Errorf("failed statement: err %v, %d headers", err, sink.headers)
+	}
+}

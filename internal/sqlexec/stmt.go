@@ -124,41 +124,77 @@ func (st *Stmt) Columns() ([]string, error) {
 	return names, nil
 }
 
-// Exec runs the statement with the given parameters. It wraps the
-// dispatcher with the bookkeeping every execution gets: the arity check,
-// the session marked active for sys.m_sessions, and the outcome recorded
-// under the statement's fingerprint behind sys.m_statements.
+// ExecTo runs the statement with the given parameters, its output going
+// to sink as it is produced (see RowSink) instead of into a Result. It
+// wraps the dispatcher with the bookkeeping every execution gets: the
+// arity check, the session marked active for sys.m_sessions, and the
+// outcome recorded under the statement's fingerprint behind
+// sys.m_statements. Every statement kind answers through the sink: a
+// SELECT its rows, DML its one-row count, DDL and transaction control the
+// header alone.
+func (st *Stmt) ExecTo(sink RowSink, params ...value.Value) (ExecStats, error) {
+	var stats ExecStats
+	if _, err := st.execTo(sink, &stats, time.Now(), params, false); err != nil {
+		return ExecStats{}, err
+	}
+	return stats, nil
+}
+
+// Exec is ExecTo with the collecting sink: the whole result, materialized.
 func (st *Stmt) Exec(params ...value.Value) (*Result, error) {
 	res, _, err := st.exec(time.Now(), params, false)
 	return res, err
 }
 
-// exec is Exec with the clock started by the caller (Query starts it
-// before parsing) and, when profiled is set, a per-operator Profile of
-// the statement's SELECT.
+// exec is execTo into the collecting sink.
 func (st *Stmt) exec(t0 time.Time, params []value.Value, profiled bool) (*Result, *Profile, error) {
+	res := &Result{}
+	prof, err := st.execTo(res, &res.Stats, t0, params, profiled)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, prof, nil
+}
+
+// execTo is ExecTo with the clock started by the caller (Query starts it
+// before parsing), the execution accounted in stats and, when profiled is
+// set, a per-operator Profile of the statement's SELECT.
+func (st *Stmt) execTo(sink RowSink, stats *ExecStats, t0 time.Time, params []value.Value, profiled bool) (*Profile, error) {
 	s := st.s
 	s.setActive(st.sql)
-	var res *Result
+	var rows int
 	var prof *Profile
 	var err error
 	if st.kind != stmtExplain && st.nparams > len(params) {
 		// EXPLAIN alone never evaluates a parameter, so it needs none.
 		err = fmt.Errorf("sql: statement requires parameter $%d, got %d", st.nparams, len(params))
 	} else {
-		res, prof, err = st.run(params, profiled)
+		rows, prof, err = st.run(sink, stats, params, profiled)
 	}
-	var rows int64
-	if res != nil {
-		rows = int64(len(res.Rows))
+	if err != nil {
+		rows, prof = 0, nil
 	}
-	s.e.stmts.record(st.fpID, st.fpNorm, time.Since(t0), rows, err != nil)
+	s.e.stmts.record(st.fpID, st.fpNorm, time.Since(t0), int64(rows), err != nil)
 	s.setIdle()
-	return res, prof, err
+	return prof, err
 }
 
-// run dispatches one execution.
-func (st *Stmt) run(params []value.Value, profiled bool) (*Result, *Profile, error) {
+// run executes once into sink; rows is how many it pushed. A SELECT's rows
+// went out as the executor produced them; every other statement's result
+// exists whole first, and goes through the sink in one piece.
+func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profiled bool) (rows int, prof *Profile, err error) {
+	res, prof, err := st.dispatch(sink, stats, params, profiled)
+	if err != nil || res == nil {
+		return stats.RowsOut, prof, err
+	}
+	rows, err = emitResult(sink, res)
+	return rows, prof, err
+}
+
+// dispatch runs the statement by kind. A plain SELECT streams into sink,
+// is accounted in stats and returns no Result; everything else returns
+// the small Result it always did and touches neither.
+func (st *Stmt) dispatch(sink RowSink, stats *ExecStats, params []value.Value, profiled bool) (*Result, *Profile, error) {
 	s := st.s
 	switch st.kind {
 	case stmtBegin:
@@ -183,7 +219,9 @@ func (st *Stmt) run(params []value.Value, profiled bool) (*Result, *Profile, err
 		}
 		return textResult(Explain(plan)), nil, nil
 	case stmtAnalyze:
-		_, prof, err := s.execSelect(st.sel, params, true)
+		// The statement runs for its profile: the rows go nowhere, and
+		// neither do their counts.
+		prof, err := s.execSelect(discard{}, new(ExecStats), st.sel, params, true)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -191,7 +229,8 @@ func (st *Stmt) run(params []value.Value, profiled bool) (*Result, *Profile, err
 	}
 	switch x := st.ast.(type) {
 	case *SelectStmt:
-		return s.execSelect(x, params, profiled)
+		prof, err := s.execSelect(sink, stats, x, params, profiled)
+		return nil, prof, err
 	case *InsertStmt:
 		res, err := s.execInsert(x, params)
 		return res, nil, err
