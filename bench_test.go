@@ -137,6 +137,45 @@ func benchCommitThroughput(b *testing.B, serial bool) {
 func BenchmarkCommitGroupDisjoint(b *testing.B) { benchCommitThroughput(b, false) }
 func BenchmarkCommitSerialized(b *testing.B)    { benchCommitThroughput(b, true) }
 
+// BenchmarkMergeAppend is the merge the commit queue waits on, in
+// ingest_durable's shape: 4,096 delta rows folded into a 200,000-row main
+// of the orders schema, every row older than the watermark. What it copies
+// per kept row is the measure — typed cells, and no MVCC stamps for rows
+// every snapshot can see — so the gate is B/op and allocs/op; ns/op is
+// reported beside them. The main grows by the delta each iteration: at the
+// recorded -benchtime 20x it ends at 282,000 rows.
+func BenchmarkMergeAppend(b *testing.B) {
+	const mainRows, deltaRows = 200_000, 4_096
+	regions := []string{"north", "south", "east", "west", "central", "emea", "apj", "latam"}
+	statuses := []string{"cancelled", "open", "paid", "shipped"}
+	id := 0
+	orders := func(n int) []value.Row {
+		rows := make([]value.Row, n)
+		for i := range rows {
+			rows[i] = value.Row{value.Int(int64(id)), value.String(regions[id%8]), value.String(statuses[id%4]),
+				value.Float(float64(id%997) + 0.25), value.Int(int64(id%20 + 1))}
+			id++
+		}
+		return rows
+	}
+	tbl := columnstore.NewTable("orders", columnstore.Schema{
+		{Name: "id", Kind: value.KindInt}, {Name: "region", Kind: value.KindString}, {Name: "status", Kind: value.KindString},
+		{Name: "amount", Kind: value.KindFloat}, {Name: "qty", Kind: value.KindInt}})
+	tbl.ApplyInsert(orders(mainRows), 1)
+	tbl.Merge(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ts := uint64(i + 2)
+		tbl.ApplyInsert(orders(deltaRows), ts)
+		b.StartTimer()
+		if st := tbl.Merge(ts); st.RowsMerged != mainRows+(i+1)*deltaRows || st.CreateBlocks+st.DeleteBlocks != 0 {
+			b.Fatalf("merge %d: %+v", i, st)
+		}
+	}
+}
+
 // --- ablation micro-benchmarks (DESIGN.md §4) ----------------------------
 
 // Ablation 1: executor mode on a hot scan+filter+aggregate pipeline.

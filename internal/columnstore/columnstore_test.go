@@ -708,3 +708,63 @@ func TestMergeStringColumnFromSparseMain(t *testing.T) {
 		t.Fatal("rows lost")
 	}
 }
+
+// TestMergeCopiesTypedCellsLikeGet holds the typed copy of mergeColumn to
+// the boxed one it replaced: whatever shape the old main column has
+// (frame-of-reference, run-length, flat float, sparse) and wherever a kept
+// row comes from, the new main reads cell for cell what the kept rows read
+// before the merge, NULLs included.
+func TestMergeCopiesTypedCellsLikeGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tab := NewTable("m", Schema{
+		{Name: "i", Kind: value.KindInt}, {Name: "runny", Kind: value.KindInt}, {Name: "f", Kind: value.KindFloat},
+		{Name: "b", Kind: value.KindBool}, {Name: "ts", Kind: value.KindTime}, {Name: "s", Kind: value.KindString}})
+	maybe := func(v value.Value) value.Value {
+		if rng.Intn(10) == 0 {
+			return value.Null
+		}
+		return v
+	}
+	ts := uint64(1)
+	for round := 0; round < 6; round++ {
+		rows := make([]value.Row, 700+rng.Intn(900))
+		for r := range rows {
+			rows[r] = value.Row{
+				maybe(value.Int(rng.Int63n(1 << 40))), value.Int(int64(tab.NumRows()+r) / 500), maybe(value.Float(rng.NormFloat64())),
+				maybe(value.Bool(rng.Intn(2) == 0)), maybe(value.TimeMicros(rng.Int63())), maybe(value.String(fmt.Sprint("s", rng.Intn(50)))),
+			}
+		}
+		tab.ApplyInsert(rows, ts)
+		ts++
+		for d := 0; d < 40; d++ {
+			tab.ApplyDelete(rng.Intn(tab.NumRows()), ts)
+		}
+		if round == 3 {
+			tab.AddColumn(ColumnDef{Name: "late", Kind: value.KindInt}) // a sparse main column, a short delta one
+		}
+		before := tab.Snapshot(ts)
+		var want []value.Row
+		for i := 0; i < before.NumRows(); i++ {
+			if before.Deleted(i) > ts {
+				want = append(want, before.Row(i))
+			}
+		}
+		st := tab.Merge(ts)
+		ts++
+		after := tab.Snapshot(ts)
+		if after.NumRows() != len(want) || st.RowsMerged != len(want) {
+			t.Fatalf("round %d: %d rows after the merge, %d kept before it", round, after.NumRows(), len(want))
+		}
+		for i, w := range want {
+			for c := range w {
+				got := after.Get(c, i)
+				if got.K != w[c].K || !value.Equal(got, w[c]) && !(got.IsNull() && w[c].IsNull()) {
+					t.Fatalf("round %d row %d column %d: %v after the merge, %v before it", round, i, c, got, w[c])
+				}
+			}
+		}
+	}
+	if _, ok := tab.Snapshot(ts).MainColumn(1).(*RLEColumn); !ok {
+		t.Fatalf("the runny column is %T: the run-length paths went untested", tab.Snapshot(ts).MainColumn(1))
+	}
+}

@@ -48,20 +48,20 @@ func (op CmpOp) MatchOrd(c int) bool {
 	return false
 }
 
-// blockVisible reports whether block k's summary proves every row of the
-// block visible to the snapshot: none created after ts and no delete stamp
-// placed. The summary may be newer than the snapshot — rows appended or
-// deleted since capture only raise it — so it errs toward false, which
+// blockVisible reports whether block k proves every row of it visible to
+// the snapshot without a stamp being read: none created after ts (no create
+// stamps at all, or none above ts) and no delete stamp placed. The block may
+// be newer than the snapshot — rows appended or deleted since capture only
+// raise maxCreated or install an array — so it errs toward false, which
 // sends the caller to the stamps themselves; it cannot err toward true,
-// because a stamp is counted before the commit clock publishes its
-// timestamp, so a snapshot whose ts can see a delete was captured after the
-// count that records it.
+// because a delete array is in place before the stamp and the stamp before
+// the commit clock publishes its timestamp, so a snapshot whose ts can see
+// a delete was captured after the array that holds it. At ts ==
+// NeverDeleted not even an undeleted row is visible, which an absent array
+// cannot express: such a snapshot always sweeps.
 func (s *Snapshot) blockVisible(k int) bool {
-	if k >= len(s.blocks) {
-		return false
-	}
 	b := &s.blocks[k]
-	return atomic.LoadUint64(&b.maxCreated) <= s.ts && atomic.LoadUint32(&b.deletes) == 0
+	return b.maxCreated.Load() <= s.ts && b.deleted.Load() == nil && s.ts != NeverDeleted
 }
 
 // blockEnd returns where the block holding row lo ends, clipped to hi.
@@ -70,14 +70,14 @@ func blockEnd(lo, hi int) int {
 }
 
 // firstInvisible returns the first row of [lo, hi) the snapshot does not
-// see, or hi. Blocks their summary proves visible are skipped unread.
+// see, or hi. Blocks proven visible are skipped unread.
 func (s *Snapshot) firstInvisible(lo, hi int) int {
-	created, deleted, ts := s.created, s.deleted, s.ts
 	for lo < hi {
 		end := blockEnd(lo, hi)
-		if !s.blockVisible(lo / StampBlockRows) {
+		if k := lo / StampBlockRows; !s.blockVisible(k) {
+			created, deleted := s.blocks[k].stamps()
 			for i := lo; i < end; i++ {
-				if created[i] > ts || atomic.LoadUint64(&deleted[i]) <= ts {
+				if j := i % StampBlockRows; created[j] > s.ts || atomic.LoadUint64(&deleted[j]) <= s.ts {
 					return i
 				}
 			}
@@ -91,8 +91,8 @@ func (s *Snapshot) firstInvisible(lo, hi int) int {
 // When the snapshot sees every row of [lo, hi) it reports all and leaves
 // sel alone: the range itself is the selection. Otherwise it appends the
 // visible positions to sel. One optimistic pass: nothing is written before
-// the first invisible row, and blocks their summary proves visible cost no
-// stamp reads either way.
+// the first invisible row, and blocks proven visible cost no stamp reads
+// either way.
 func (s *Snapshot) VisibleRange(lo, hi int, sel []int) (out []int, all bool) {
 	first := s.firstInvisible(lo, hi)
 	if first == hi {
@@ -101,16 +101,16 @@ func (s *Snapshot) VisibleRange(lo, hi int, sel []int) (out []int, all bool) {
 	for i := lo; i < first; i++ {
 		sel = append(sel, i)
 	}
-	created, deleted, ts := s.created, s.deleted, s.ts
 	for lo = first + 1; lo < hi; {
 		end := blockEnd(lo, hi)
-		if s.blockVisible(lo / StampBlockRows) {
+		if k := lo / StampBlockRows; s.blockVisible(k) {
 			for i := lo; i < end; i++ {
 				sel = append(sel, i)
 			}
 		} else {
+			created, deleted := s.blocks[k].stamps()
 			for i := lo; i < end; i++ {
-				if created[i] <= ts && atomic.LoadUint64(&deleted[i]) > ts {
+				if j := i % StampBlockRows; created[j] <= s.ts && atomic.LoadUint64(&deleted[j]) > s.ts {
 					sel = append(sel, i)
 				}
 			}
@@ -121,17 +121,17 @@ func (s *Snapshot) VisibleRange(lo, hi int, sel []int) (out []int, all bool) {
 }
 
 // VisibleCount returns how many rows in [lo, hi) the snapshot sees. Only
-// blocks whose summary cannot prove them visible are swept.
+// blocks that cannot be proven visible are swept.
 func (s *Snapshot) VisibleCount(lo, hi int) int {
-	created, deleted, ts := s.created, s.deleted, s.ts
 	n := 0
 	for lo < hi {
 		end := blockEnd(lo, hi)
-		if s.blockVisible(lo / StampBlockRows) {
+		if k := lo / StampBlockRows; s.blockVisible(k) {
 			n += end - lo
 		} else {
+			created, deleted := s.blocks[k].stamps()
 			for i := lo; i < end; i++ {
-				if created[i] <= ts && atomic.LoadUint64(&deleted[i]) > ts {
+				if j := i % StampBlockRows; created[j] <= s.ts && atomic.LoadUint64(&deleted[j]) > s.ts {
 					n++
 				}
 			}

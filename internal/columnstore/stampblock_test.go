@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -213,9 +214,9 @@ func TestStampSummariesUnderConcurrentWriters(t *testing.T) {
 }
 
 // TestVisibleCountTouchesNoStampOfAVouchedBlock counts stamp reads by
-// their effect: the snapshot is handed copies of its stamp arrays in which
-// every row of a block the summaries vouch for is poisoned to read as
-// invisible. Each poisoned stamp a visibility call touched would cost it a
+// their effect: the snapshot is handed copies of its blocks in which every
+// row of a block the summaries vouch for has a create stamp poisoned to
+// read as invisible. Each poisoned stamp a visibility call touched would cost it a
 // row; none may go missing. The same poison in a block the summaries do
 // not vouch for does show, which is what makes the count mean something.
 func TestVisibleCountTouchesNoStampOfAVouchedBlock(t *testing.T) {
@@ -229,12 +230,20 @@ func TestVisibleCountTouchesNoStampOfAVouchedBlock(t *testing.T) {
 		t.Fatalf("VisibleCount %d before poisoning, want %d", want, n-1)
 	}
 	poison := func(blocks ...int) {
-		s.created = append([]uint64(nil), s.created...)
-		for _, k := range blocks {
-			for i := k * StampBlockRows; i < (k+1)*StampBlockRows; i++ {
-				s.created[i] = NeverDeleted
-			}
+		nb := make([]stampBlock, len(s.blocks))
+		for k := range nb {
+			nb[k].maxCreated.Store(s.blocks[k].maxCreated.Load())
+			nb[k].created.Store(s.blocks[k].created.Load())
+			nb[k].deleted.Store(s.blocks[k].deleted.Load())
 		}
+		for _, k := range blocks {
+			bad := new(stampArray)
+			for j := range bad {
+				bad[j] = NeverDeleted
+			}
+			nb[k].created.Store(bad)
+		}
+		s.blocks = nb
 	}
 	poison(0, 1, 3)
 	if touched := want - s.VisibleCount(0, n); touched != 0 {
@@ -250,5 +259,328 @@ func TestVisibleCountTouchesNoStampOfAVouchedBlock(t *testing.T) {
 	poison(2)
 	if touched := want - s.VisibleCount(0, n); touched != StampBlockRows-1 {
 		t.Fatalf("poisoning the swept block cost %d rows, want %d: the poison does not show", touched, StampBlockRows-1)
+	}
+}
+
+// flatStamps is the reference model the blocks are held to: the two flat
+// stamp arrays a table carried before its stamps moved into blocks, one
+// create and one delete stamp per row whoever can see it.
+type flatStamps struct {
+	created, deleted []uint64
+}
+
+func (m *flatStamps) clone() *flatStamps {
+	return &flatStamps{append([]uint64(nil), m.created...), append([]uint64(nil), m.deleted...)}
+}
+
+func (m *flatStamps) visible(i int, ts uint64) bool { return m.created[i] <= ts && m.deleted[i] > ts }
+
+// applyDelete is first-committer-wins on a flat array.
+func (m *flatStamps) applyDelete(pos int, ts uint64) bool {
+	if m.deleted[pos] != NeverDeleted {
+		return false
+	}
+	m.deleted[pos] = ts
+	return true
+}
+
+// merge compacts what no snapshot at or after the watermark can see.
+func (m *flatStamps) merge(watermark uint64) {
+	var c, d []uint64
+	for i := range m.created {
+		if m.deleted[i] > watermark {
+			c, d = append(c, m.created[i]), append(d, m.deleted[i])
+		}
+	}
+	m.created, m.deleted = c, d
+}
+
+// checkAgainstModel holds every visibility entry point of s to the model at
+// s's timestamp. Created may answer 0 for a stamp at or below watermark,
+// the largest one a merge was given when s was captured; with exactStamps
+// unset (a snapshot read again later: deletes newer than it may or may not
+// show through) Deleted is compared only for which side of ts it falls on.
+func checkAgainstModel(t *testing.T, s *Snapshot, m *flatStamps, watermark uint64, exactStamps bool, rng *rand.Rand) bool {
+	t.Helper()
+	ts, n := s.TS(), s.NumRows()
+	if n != len(m.created) {
+		t.Errorf("ts=%d: %d rows, the model %d", ts, n, len(m.created))
+		return false
+	}
+	var want []int
+	for i := 0; i < n; i++ {
+		if m.visible(i, ts) {
+			want = append(want, i)
+		}
+		if s.Visible(i) != m.visible(i, ts) {
+			t.Errorf("ts=%d: Visible(%d) = %v, the model (created %d, deleted %d) says %v",
+				ts, i, s.Visible(i), m.created[i], m.deleted[i], !s.Visible(i))
+			return false
+		}
+		if c := s.Created(i); c != m.created[i] && !(c == 0 && m.created[i] <= watermark) {
+			t.Errorf("ts=%d: Created(%d) = %d, the model %d (watermark %d)", ts, i, c, m.created[i], watermark)
+			return false
+		}
+		if d := s.Deleted(i); exactStamps && d != m.deleted[i] || (d > ts) != (m.deleted[i] > ts) {
+			t.Errorf("ts=%d: Deleted(%d) = %d, the model %d", ts, i, d, m.deleted[i])
+			return false
+		}
+	}
+	wantFirst := n
+	for i := 0; i < n; i++ {
+		if !m.visible(i, ts) {
+			wantFirst = i
+			break
+		}
+	}
+	if got := s.firstInvisible(0, n); got != wantFirst {
+		t.Errorf("ts=%d: firstInvisible = %d, the model %d", ts, got, wantFirst)
+		return false
+	}
+	if s.AllVisible() != (len(want) == n) {
+		t.Errorf("ts=%d: AllVisible %v, the model sees %d of %d", ts, s.AllVisible(), len(want), n)
+		return false
+	}
+	every := make([]int, n)
+	for i := range every {
+		every[i] = i
+	}
+	if got := s.FilterVisible(every); !eqSel(got, want) {
+		t.Errorf("ts=%d: FilterVisible keeps %d positions, the model %d", ts, len(got), len(want))
+		return false
+	}
+	for r := 0; r < 4; r++ {
+		lo, hi := 0, n
+		if r > 0 && n > 0 {
+			lo = rng.Intn(n)
+			hi = lo + rng.Intn(n-lo+1)
+		}
+		var in []int
+		for _, i := range want {
+			if i >= lo && i < hi {
+				in = append(in, i)
+			}
+		}
+		pos, all := s.VisibleRange(lo, hi, nil)
+		if all && (len(pos) != 0 || len(in) != hi-lo) || !all && !eqSel(pos, in) {
+			t.Errorf("ts=%d [%d,%d): VisibleRange all=%v with %d positions, the model %d of %d", ts, lo, hi, all, len(pos), len(in), hi-lo)
+			return false
+		}
+		if got := s.VisibleCount(lo, hi); got != len(in) {
+			t.Errorf("ts=%d [%d,%d): VisibleCount %d, the model %d", ts, lo, hi, got, len(in))
+			return false
+		}
+	}
+	return true
+}
+
+// TestStampBlocksAgreeWithFlatArrays drives a table and the flat-array
+// model through random schedules of insert, delete, merge at a watermark
+// and stamped restore — stamps placed before the clock publishes them, as
+// commits do — and compares them at timestamps from the last watermark up,
+// which is where a merge's caller promises every reader is. Snapshots are
+// also kept, with the model as it stood, and read again after everything
+// that followed: a merge must not change what an older snapshot answers.
+func TestStampBlocksAgreeWithFlatArrays(t *testing.T) {
+	type keptSnapshot struct {
+		s         *Snapshot
+		m         *flatStamps
+		watermark uint64
+	}
+	script := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tbl := NewTable("t", Schema{{Name: "a", Kind: value.KindInt}})
+		m := &flatStamps{}
+		now, watermark := uint64(1), uint64(0)
+		between := func(lo, hi uint64) uint64 { return lo + uint64(rng.Int63n(int64(hi-lo)+1)) }
+		var kept []keptSnapshot
+		ok := true
+		compare := func() {
+			for _, ts := range []uint64{watermark, between(watermark, now), now} {
+				s := tbl.Snapshot(ts)
+				ok = checkAgainstModel(t, s, m, watermark, true, rng) && ok
+				if rng.Intn(4) == 0 {
+					kept = append(kept, keptSnapshot{s, m.clone(), watermark})
+				}
+			}
+		}
+		for step := 0; step < 40 && ok; step++ {
+			ts := now + 1
+			switch op := rng.Intn(10); {
+			case op < 4:
+				n := 1 + rng.Intn(3*StampBlockRows/2)
+				tbl.ApplyInsert(make([]value.Row, n), ts)
+				for i := 0; i < n; i++ {
+					m.created, m.deleted = append(m.created, ts), append(m.deleted, NeverDeleted)
+				}
+			case op < 7:
+				for i, n := 0, rng.Intn(4); i < n && len(m.created) > 0; i++ {
+					pos := rng.Intn(len(m.created))
+					if got, want := tbl.ApplyDelete(pos, ts), m.applyDelete(pos, ts); got != want {
+						t.Errorf("ApplyDelete(%d, %d) = %v, the model %v", pos, ts, got, want)
+						ok = false
+					}
+				}
+			case op < 8:
+				n := 1 + rng.Intn(StampBlockRows)
+				created, deleted := make([]uint64, n), make([]uint64, n)
+				for i := range created {
+					created[i], deleted[i] = between(0, ts), NeverDeleted
+					if rng.Intn(5) == 0 {
+						deleted[i] = between(max(created[i], 1), ts)
+					}
+				}
+				tbl.ApplyInsertStamped(make([]value.Row, n), created, deleted)
+				m.created, m.deleted = append(m.created, created...), append(m.deleted, deleted...)
+			default:
+				watermark = between(watermark, now)
+				st := tbl.Merge(watermark)
+				m.merge(watermark)
+				if st.RowsMerged != len(m.created) {
+					t.Errorf("Merge(%d) kept %d rows, the model %d", watermark, st.RowsMerged, len(m.created))
+					ok = false
+				}
+			}
+			now = ts
+			compare()
+		}
+		for _, k := range kept {
+			ok = checkAgainstModel(t, k.s, k.m, k.watermark, false, rng) && ok
+		}
+		return ok
+	}
+	if err := quick.Check(script, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeletersRaceIntoAStamplessBlock: a merged block carries no delete
+// array until the first delete reaches it, and several may reach it at
+// once. Every row of the block is deleted by every deleter; exactly one
+// ApplyDelete per row may win, whichever array the winner found or brought.
+// Readers sweep the block at a timestamp below every delete meanwhile: an
+// array published before it was filled would read 0 somewhere and cost them
+// a row. Run under -race (make race).
+func TestDeletersRaceIntoAStamplessBlock(t *testing.T) {
+	const deleters, rounds = 8, 20
+	for round := 0; round < rounds; round++ {
+		tbl := NewTable("t", Schema{{Name: "a", Kind: value.KindInt}})
+		tbl.ApplyInsert(make([]value.Row, 2*StampBlockRows), 1)
+		tbl.Merge(1)
+		if tbl.StampBytes() != 0 {
+			t.Fatalf("a merged table of visible rows holds %d stamp bytes", tbl.StampBytes())
+		}
+		var wins [StampBlockRows]atomic.Int32
+		start := make(chan struct{})
+		var done atomic.Bool
+		var writers, readers sync.WaitGroup
+		for d := 0; d < deleters; d++ {
+			writers.Add(1)
+			go func(ts uint64) {
+				defer writers.Done()
+				<-start
+				for pos := 0; pos < StampBlockRows; pos++ {
+					if tbl.ApplyDelete(pos, ts) {
+						wins[pos].Add(1)
+					}
+				}
+			}(uint64(10 + d))
+		}
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				<-start
+				for !done.Load() {
+					s := tbl.Snapshot(5)
+					n := s.NumRows()
+					if got := s.VisibleCount(0, n); got != n {
+						t.Errorf("a reader below every delete sees %d of %d rows", got, n)
+						return
+					}
+					if pos, all := s.VisibleRange(0, n, nil); !all && len(pos) != n {
+						t.Errorf("a reader below every delete selects %d of %d rows", len(pos), n)
+						return
+					}
+					for i := 0; i < n; i += 97 {
+						if d := s.Deleted(i); d != NeverDeleted && (d < 10 || d >= 10+deleters) {
+							t.Errorf("Deleted(%d) = %d: not a stamp anyone placed", i, d)
+							return
+						}
+					}
+				}
+			}()
+		}
+		close(start)
+		writers.Wait()
+		done.Store(true)
+		readers.Wait()
+		for pos := range wins {
+			if n := wins[pos].Load(); n != 1 {
+				t.Fatalf("row %d: %d deleters won, want exactly 1", pos, n)
+			}
+		}
+		if got, want := tbl.StampBytes(), stampArrayBytes; got != want {
+			t.Fatalf("one block was deleted from: %d stamp bytes, want %d", got, want)
+		}
+		if s := tbl.Snapshot(100); s.VisibleCount(0, s.NumRows()) != StampBlockRows {
+			t.Fatalf("after the deletes a late reader sees %d rows, want %d", s.VisibleCount(0, s.NumRows()), StampBlockRows)
+		}
+	}
+}
+
+// TestARowEveryoneCanSeeCarriesNoStamps is the point of the blocks, as a
+// poison test: merging rows every snapshot can see allocates no stamp array
+// at all, and each array that then appears is accounted for by the one
+// event that needs it.
+func TestARowEveryoneCanSeeCarriesNoStamps(t *testing.T) {
+	const n = 5*StampBlockRows + 100
+	tbl := NewTable("t", Schema{{Name: "a", Kind: value.KindInt}})
+	tbl.ApplyInsert(make([]value.Row, n), 7)
+	if got, want := tbl.StampBytes(), 6*stampArrayBytes; got != want {
+		t.Fatalf("unmerged: %d stamp bytes, want one create array per block = %d", got, want)
+	}
+	st := tbl.Merge(7)
+	if tbl.StampBytes() != 0 || st.CreateBlocks != 0 || st.DeleteBlocks != 0 {
+		t.Fatalf("merged at the watermark of its rows: %d stamp bytes, %d create and %d delete blocks, want none",
+			tbl.StampBytes(), st.CreateBlocks, st.DeleteBlocks)
+	}
+	stampless := tbl.Bytes()
+	if s := tbl.Snapshot(7); !s.AllVisible() || s.Created(n-1) != 0 || s.Deleted(0) != NeverDeleted {
+		t.Fatalf("a stampless table answers AllVisible %v, Created %d, Deleted %d", s.AllVisible(), s.Created(n-1), s.Deleted(0))
+	}
+
+	tbl.ApplyDelete(2*StampBlockRows+5, 8) // the first delete to reach block 2
+	tbl.ApplyDelete(2*StampBlockRows+6, 9) // finds the array there
+	if got, want := tbl.StampBytes(), stampArrayBytes; got != want || tbl.Bytes() != stampless+want {
+		t.Fatalf("after deletes in one block: %d stamp bytes and %d more in Bytes, want %d", got, tbl.Bytes()-stampless, want)
+	}
+	tbl.ApplyInsert(make([]value.Row, 10), 10) // lands in the last, partly merged block
+	if got, want := tbl.StampBytes(), 2*stampArrayBytes; got != want {
+		t.Fatalf("after an insert: %d stamp bytes, want %d", got, want)
+	}
+	s := tbl.Snapshot(9)
+	if got, want := s.VisibleCount(0, s.NumRows()), n-2; got != want {
+		t.Fatalf("at ts 9: %d visible, want %d (two deleted, ten not yet created)", got, want)
+	}
+
+	// A snapshot is pinned at 9: the merge keeps what it may still tell apart.
+	st = tbl.Merge(9)
+	if st.RowsMerged != n-2+10 || st.CreateBlocks != 1 || st.DeleteBlocks != 0 {
+		t.Fatalf("Merge(9): %+v, want %d rows, the last block's create stamps and no delete stamps", st, n-2+10)
+	}
+	if got, want := tbl.Snapshot(9).VisibleCount(0, tbl.NumRows()), n-2; got != want {
+		t.Fatalf("after Merge(9), at ts 9: %d visible, want %d", got, want)
+	}
+	if st = tbl.Merge(10); tbl.StampBytes() != 0 {
+		t.Fatalf("Merge(10): %d stamp bytes left, %+v", tbl.StampBytes(), st)
+	}
+}
+
+// TestSnapshotStaysInItsSizeClass: a Snapshot is allocated per statement
+// per partition, and oltp_point's whole allocation bound is 52 bytes.
+func TestSnapshotStaysInItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Snapshot{}); got > 160 {
+		t.Errorf("Snapshot is %d bytes, over the 160-byte size class", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -48,17 +49,94 @@ const NeverDeleted = ^uint64(0)
 // covers. The vectorized executor sizes its morsels as a multiple of it.
 const StampBlockRows = 1024
 
-// stampBlock summarizes the MVCC stamps of one block of StampBlockRows
-// rows, so a snapshot can tell that every row of the block is visible
-// without reading a stamp: maxCreated is the largest create stamp in the
-// block, deletes the number of delete stamps placed in it. Both fields are
-// accessed atomically —
-// the last block of a table keeps growing, and a delete can land in any
-// block, while snapshots read them unlocked. A stale reading can only be
-// too high for the snapshot's rows, never too low (see Snapshot.blockVisible).
+// stampArray holds one stamp — create or delete — for each row of a block.
+type stampArray [StampBlockRows]uint64
+
+// What a block without an array answers, as arrays, so that readers index
+// one either way: created at 0, never deleted. Read-only.
+var (
+	noCreateStamps stampArray
+	noDeleteStamps = func() (a stampArray) {
+		for j := range a {
+			a[j] = NeverDeleted
+		}
+		return a
+	}()
+)
+
+// stampBlock owns the MVCC stamps of one block of StampBlockRows rows, and
+// an array it does not have is a statement about every row of the block:
+// no created means each was created at or before every live and future
+// snapshot (Created answers 0), no deleted means none carries a delete
+// stamp (Deleted answers NeverDeleted). A row everyone can see carries no
+// stamps: Merge builds the new main without them, and they come into being
+// when a row arrives that some snapshot must not see yet (put) or the first
+// delete reaches the block (deleteStamps). maxCreated is the largest create
+// stamp in the block, so a snapshot can tell that every row of a block
+// that does have create stamps is old enough without reading one.
+//
+// All three fields are atomic: the last block of a table keeps growing and
+// a delete can land in any block while snapshots read them unlocked. A
+// snapshot may hold a copy of the header that append has since moved
+// (Table.blocks grows like any slice). Arrays are shared between the
+// copies; what a stale copy can lack is an array installed after it was
+// taken, and that array holds only stamps newer than the snapshot — rows
+// appended past its row count, deletes at timestamps its clock had not
+// reached — which the missing array's answer gets right.
 type stampBlock struct {
-	maxCreated uint64
-	deletes    uint32
+	maxCreated atomic.Uint64
+	created    atomic.Pointer[stampArray]
+	deleted    atomic.Pointer[stampArray]
+}
+
+// stamps returns the block's create and delete stamps, an absent array as
+// the shared one that reads what its absence means. Delete stamps are read
+// atomically.
+func (b *stampBlock) stamps() (created, deleted *stampArray) {
+	if created = b.created.Load(); created == nil {
+		created = &noCreateStamps
+	}
+	if deleted = b.deleted.Load(); deleted == nil {
+		deleted = &noDeleteStamps
+	}
+	return created, deleted
+}
+
+// put records the stamps of the block's row j, which no snapshot covers
+// yet. The caller is the block's only writer: it holds the table lock, or
+// is building the block (Merge).
+func (b *stampBlock) put(j int, created, deleted uint64) {
+	if created != 0 {
+		c := b.created.Load()
+		if c == nil {
+			c = new(stampArray) // rows before j read 0: everyone sees them
+			b.created.Store(c)
+		}
+		c[j] = created
+		if created > b.maxCreated.Load() {
+			b.maxCreated.Store(created)
+		}
+	}
+	if deleted != NeverDeleted {
+		atomic.StoreUint64(&b.deleteStamps()[j], deleted)
+	}
+}
+
+// deleteStamps returns the block's delete stamps, installing an array that
+// reads NeverDeleted throughout when the block has none. Deleters racing
+// into a stampless block each bring an array and agree on the one that was
+// published first; it is complete before it is published, so a reader sees
+// no array or a whole one.
+func (b *stampBlock) deleteStamps() *stampArray {
+	if d := b.deleted.Load(); d != nil {
+		return d
+	}
+	d := new(stampArray)
+	*d = noDeleteStamps
+	if b.deleted.CompareAndSwap(nil, d) {
+		return d
+	}
+	return b.deleted.Load()
 }
 
 // MergeStats records what one delta→main merge did; experiment E3 compares
@@ -70,6 +148,8 @@ type MergeStats struct {
 	DictResorted bool // true when existing main value IDs had to change
 	RemappedRefs int  // main references rewritten due to dictionary resort
 	DictSize     int  // merged dictionary entries (string columns, summed)
+	CreateBlocks int  // blocks of the new main that kept create stamps
+	DeleteBlocks int  // blocks of the new main that carry delete stamps
 }
 
 // Table is one column-store table: immutable main part plus write-optimized
@@ -84,15 +164,14 @@ type Table struct {
 	mainRows int
 	delta    []*DeltaColumn
 
-	// created[i] / deleted[i] are the commit timestamps bounding the
-	// lifetime of logical row i (main rows first, then delta rows).
-	// deleted entries are accessed atomically: they flip exactly once from
-	// NeverDeleted to the deleting transaction's commit timestamp.
-	created []uint64
-	deleted []uint64
-	// blocks[k] summarizes rows [k*StampBlockRows, (k+1)*StampBlockRows);
-	// kept by the only writers of the stamp arrays: appendStamps (both
-	// insert paths), ApplyDelete and Merge.
+	// rows counts the logical row slots, main rows first, then delta rows.
+	// blocks[k] owns the MVCC stamps of rows [k*StampBlockRows,
+	// (k+1)*StampBlockRows): the commit timestamps bounding each row's
+	// lifetime, where some snapshot could still tell the difference. A
+	// delete stamp flips exactly once, from NeverDeleted to the deleting
+	// transaction's commit timestamp. Written by appendStamps (both insert
+	// paths), ApplyDelete and Merge.
+	rows   int
 	blocks []stampBlock
 
 	// stableKeys marks string columns whose values are generated in
@@ -190,33 +269,20 @@ func (t *Table) ApplyInsert(rows []value.Row, ts uint64) []int {
 			}
 			t.delta[c].Append(v)
 		}
-		pos[r] = len(t.created)
+		pos[r] = t.rows
 		t.appendStamps(ts, NeverDeleted)
 	}
 	return pos
 }
 
-// appendStamps adds one row's stamps and folds them into the row's block
-// summary. The caller holds t.mu.
+// appendStamps adds one row slot and records its stamps in its block. The
+// caller holds t.mu.
 func (t *Table) appendStamps(created, deleted uint64) {
-	if len(t.created)%StampBlockRows == 0 {
+	if t.rows%StampBlockRows == 0 {
 		t.blocks = append(t.blocks, stampBlock{})
 	}
-	t.blocks[len(t.blocks)-1].note(created, deleted)
-	t.created = append(t.created, created)
-	t.deleted = append(t.deleted, deleted)
-}
-
-// note folds one row's stamps into the summary. Writers are serialized by
-// the table lock; the stores are atomic for the snapshots reading beside
-// them.
-func (b *stampBlock) note(created, deleted uint64) {
-	if created > b.maxCreated {
-		atomic.StoreUint64(&b.maxCreated, created)
-	}
-	if deleted != NeverDeleted {
-		atomic.AddUint32(&b.deletes, 1)
-	}
+	t.blocks[len(t.blocks)-1].put(t.rows%StampBlockRows, created, deleted)
+	t.rows++
 }
 
 // ApplyInsertStamped appends rows with explicit per-row create and delete
@@ -234,7 +300,7 @@ func (t *Table) ApplyInsertStamped(rows []value.Row, created, deleted []uint64) 
 			}
 			t.delta[c].Append(v)
 		}
-		pos[r] = len(t.created)
+		pos[r] = t.rows
 		t.appendStamps(created[r], deleted[r])
 	}
 	return pos
@@ -246,16 +312,13 @@ func (t *Table) ApplyInsertStamped(rows []value.Row, created, deleted []uint64) 
 func (t *Table) ApplyDelete(pos int, ts uint64) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if pos < 0 || pos >= len(t.deleted) {
+	if pos < 0 || pos >= t.rows {
 		return false
 	}
-	if !atomic.CompareAndSwapUint64(&t.deleted[pos], NeverDeleted, ts) {
-		return false
-	}
-	// Counted after the stamp, before the commit clock publishes ts: a
-	// reader that sees the stamp and not yet the count cannot see ts either.
-	atomic.AddUint32(&t.blocks[pos/StampBlockRows].deletes, 1)
-	return true
+	// The array is in place before the stamp, the stamp before the commit
+	// clock publishes ts: a snapshot that finds no array cannot see ts.
+	d := t.blocks[pos/StampBlockRows].deleteStamps()
+	return atomic.CompareAndSwapUint64(&d[pos%StampBlockRows], NeverDeleted, ts)
 }
 
 // RowLive reports whether row pos exists and carries no deletion stamp.
@@ -266,17 +329,18 @@ func (t *Table) ApplyDelete(pos int, ts uint64) bool {
 func (t *Table) RowLive(pos int) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if pos < 0 || pos >= len(t.deleted) {
+	if pos < 0 || pos >= t.rows {
 		return false
 	}
-	return atomic.LoadUint64(&t.deleted[pos]) == NeverDeleted
+	_, deleted := t.blocks[pos/StampBlockRows].stamps()
+	return atomic.LoadUint64(&deleted[pos%StampBlockRows]) == NeverDeleted
 }
 
 // NumRows returns the current number of logical row slots (live and dead).
 func (t *Table) NumRows() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.created)
+	return t.rows
 }
 
 // DeltaRows returns the number of rows currently buffered in the delta
@@ -284,7 +348,7 @@ func (t *Table) NumRows() int {
 func (t *Table) DeltaRows() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.created) - t.mainRows
+	return t.rows - t.mainRows
 }
 
 // MainRows returns the number of rows in main storage.
@@ -319,7 +383,7 @@ func (t *Table) MergeCount() int {
 }
 
 // Bytes returns the compressed footprint of main plus delta storage, the
-// MVCC stamps and their block summaries.
+// MVCC stamp arrays that exist and the block headers that own them.
 func (t *Table) Bytes() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -330,7 +394,37 @@ func (t *Table) Bytes() int {
 	for _, c := range t.delta {
 		n += c.Bytes()
 	}
-	return n + len(t.created)*16 + len(t.blocks)*16
+	creates, deletes := stampArrays(t.blocks)
+	return n + (creates+deletes)*stampArrayBytes + len(t.blocks)*stampBlockBytes
+}
+
+// StampBytes returns what the table's MVCC stamps occupy: one array per
+// block that has rows some snapshot may not see yet, one per block a delete
+// has reached — nothing for a block everyone can see all of.
+func (t *Table) StampBytes() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	creates, deletes := stampArrays(t.blocks)
+	return (creates + deletes) * stampArrayBytes
+}
+
+const (
+	stampArrayBytes = int(unsafe.Sizeof(stampArray{}))
+	stampBlockBytes = int(unsafe.Sizeof(stampBlock{}))
+)
+
+// stampArrays counts the blocks that have create stamps and the blocks
+// that have delete stamps.
+func stampArrays(blocks []stampBlock) (creates, deletes int) {
+	for k := range blocks {
+		if blocks[k].created.Load() != nil {
+			creates++
+		}
+		if blocks[k].deleted.Load() != nil {
+			deletes++
+		}
+	}
+	return creates, deletes
 }
 
 // Snapshot captures a consistent read view at timestamp ts. The snapshot
@@ -346,21 +440,15 @@ func (t *Table) Snapshot(ts uint64) *Snapshot {
 	for i, dc := range t.delta {
 		delta[i] = dc.view()
 	}
-	s := &Snapshot{
+	return &Snapshot{
 		ts:       ts,
 		schema:   t.schema,
 		main:     t.main,
 		mainRows: t.mainRows,
 		delta:    delta,
-		created:  t.created,
-		deleted:  t.deleted,
+		rows:     t.rows,
+		blocks:   t.blocks,
 	}
-	// At ts == NeverDeleted not even an undeleted row is visible, which a
-	// summary cannot express: such a snapshot carries none and always sweeps.
-	if ts != NeverDeleted {
-		s.blocks = t.blocks
-	}
-	return s
 }
 
 // Snapshot is a consistent, immutable read view of a table.
@@ -370,14 +458,13 @@ type Snapshot struct {
 	main     []MainColumn
 	mainRows int
 	delta    []*DeltaColumn
-	created  []uint64
-	deleted  []uint64
+	rows     int
 	blocks   []stampBlock
 }
 
 // NumRows returns the number of logical row slots in the snapshot
 // (including invisible ones; use Visible to filter).
-func (s *Snapshot) NumRows() int { return len(s.created) }
+func (s *Snapshot) NumRows() int { return s.rows }
 
 // TS returns the snapshot timestamp.
 func (s *Snapshot) TS() uint64 { return s.ts }
@@ -387,17 +474,23 @@ func (s *Snapshot) Schema() Schema { return s.schema }
 
 // Visible reports whether row i is visible to this snapshot.
 func (s *Snapshot) Visible(i int) bool {
-	if s.created[i] > s.ts {
-		return false
-	}
-	return atomic.LoadUint64(&s.deleted[i]) > s.ts
+	created, deleted := s.blocks[i/StampBlockRows].stamps()
+	j := i % StampBlockRows
+	return created[j] <= s.ts && atomic.LoadUint64(&deleted[j]) > s.ts
 }
 
-// Created returns the commit timestamp that created row i.
-func (s *Snapshot) Created(i int) uint64 { return s.created[i] }
+// Created returns the commit timestamp that created row i, or 0 when the
+// row is older than a watermark a merge was given: every snapshot sees it.
+func (s *Snapshot) Created(i int) uint64 {
+	created, _ := s.blocks[i/StampBlockRows].stamps()
+	return created[i%StampBlockRows]
+}
 
 // Deleted returns the commit timestamp that deleted row i, or NeverDeleted.
-func (s *Snapshot) Deleted(i int) uint64 { return atomic.LoadUint64(&s.deleted[i]) }
+func (s *Snapshot) Deleted(i int) uint64 {
+	_, deleted := s.blocks[i/StampBlockRows].stamps()
+	return atomic.LoadUint64(&deleted[i%StampBlockRows])
+}
 
 // Get returns column col of row i.
 func (s *Snapshot) Get(col, i int) value.Value {
@@ -446,35 +539,36 @@ func (s *Snapshot) DeltaColumn(col int) *DeltaColumn {
 }
 
 // LiveRows counts rows visible to the snapshot.
-func (s *Snapshot) LiveRows() int {
-	n := 0
-	for i := 0; i < s.NumRows(); i++ {
-		if s.Visible(i) {
-			n++
-		}
-	}
-	return n
-}
+func (s *Snapshot) LiveRows() int { return s.VisibleCount(0, s.rows) }
 
 // Merge folds the delta store into a new main store, compacting row
-// versions that are invisible to every snapshot at or after minActiveTS.
-// String dictionaries are re-sorted and references remapped unless the
-// stable-key fast path applies (§III).
+// versions that are invisible to every snapshot at or after minActiveTS
+// and dropping the create stamps every such snapshot is past: a kept row
+// created at or before the watermark is recorded as created at 0, so a
+// block of nothing but such rows has no create array, and a block without
+// a delete-stamped row no delete array. The caller vouches that no snapshot
+// older than minActiveTS will read the table from here on; snapshots taken
+// before the merge keep the blocks they captured. String dictionaries are
+// re-sorted and references remapped unless the stable-key fast path applies
+// (§III).
 func (t *Table) Merge(minActiveTS uint64) MergeStats {
 	cMerges.Inc()
 	start := time.Now()
 	t.mu.Lock()
 
-	total := len(t.created)
+	total := t.rows
 	remap := make([]int, total)
 	keep := make([]int, 0, total)
-	for i := 0; i < total; i++ {
-		if atomic.LoadUint64(&t.deleted[i]) <= minActiveTS {
-			remap[i] = -1 // dead to every current and future snapshot
-			continue
+	for lo := 0; lo < total; lo += StampBlockRows {
+		_, deleted := t.blocks[lo/StampBlockRows].stamps()
+		for i := lo; i < min(lo+StampBlockRows, total); i++ {
+			if deleted[i-lo] <= minActiveTS {
+				remap[i] = -1 // dead to every current and future snapshot
+				continue
+			}
+			remap[i] = len(keep)
+			keep = append(keep, i)
 		}
-		remap[i] = len(keep)
-		keep = append(keep, i)
 	}
 
 	stats := MergeStats{RowsMerged: len(keep), RowsEvicted: total - len(keep)}
@@ -483,19 +577,20 @@ func (t *Table) Merge(minActiveTS uint64) MergeStats {
 		newMain[c] = t.mergeColumn(c, keep, &stats)
 	}
 
-	newCreated := make([]uint64, len(keep))
-	newDeleted := make([]uint64, len(keep))
 	newBlocks := make([]stampBlock, (len(keep)+StampBlockRows-1)/StampBlockRows)
 	for n, old := range keep {
-		newCreated[n] = t.created[old]
-		newDeleted[n] = atomic.LoadUint64(&t.deleted[old])
-		newBlocks[n/StampBlockRows].note(newCreated[n], newDeleted[n])
+		cs, ds := t.blocks[old/StampBlockRows].stamps()
+		created := cs[old%StampBlockRows]
+		if created <= minActiveTS {
+			created = 0
+		}
+		newBlocks[n/StampBlockRows].put(n%StampBlockRows, created, ds[old%StampBlockRows])
 	}
+	stats.CreateBlocks, stats.DeleteBlocks = stampArrays(newBlocks)
 
 	t.main = newMain
 	t.mainRows = len(keep)
-	t.created = newCreated
-	t.deleted = newDeleted
+	t.rows = len(keep)
 	t.blocks = newBlocks
 	t.resetDelta()
 	t.merges++
@@ -512,78 +607,130 @@ func (t *Table) Merge(minActiveTS uint64) MergeStats {
 }
 
 // mergeColumn builds the new main column c from the kept row positions.
+// Cells are copied typed: a frame-of-reference main column is decoded a
+// chunk at a time, flat and run-length ones are read where they lie, the
+// delta's payload slices directly; only a main column of another shape
+// (sparse, paged) goes through one boxed Get per cell.
 func (t *Table) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn {
 	kind := t.schema[c].Kind
-	dc := t.delta[c]
-	getDelta := func(pos int) value.Value {
-		d := pos - t.mainRows
-		if d < dc.Len() {
-			return dc.Get(d)
-		}
-		return value.Null
-	}
-
-	switch kind {
-	case value.KindString:
+	if kind == value.KindString {
 		return t.mergeStringColumn(c, keep, stats)
-	case value.KindFloat:
+	}
+	var nulls *Bitset
+	setNull := func(n int) {
+		if nulls == nil {
+			nulls = NewBitset(len(keep))
+		}
+		nulls.Set(n)
+	}
+	// keep ascends, and main rows come first: keep[:nMain] are main's.
+	nMain := sort.SearchInts(keep, t.mainRows)
+	dc := t.delta[c]
+	deltaNull := func(d int) bool { return d >= dc.Len() || dc.IsNull(d) }
+
+	if kind == value.KindFloat {
 		vals := make([]float64, len(keep))
-		var nulls *Bitset
-		for n, old := range keep {
-			var v value.Value
-			if old < t.mainRows {
-				v = t.main[c].Get(old)
-			} else {
-				v = getDelta(old)
-			}
-			if v.IsNull() {
-				if nulls == nil {
-					nulls = NewBitset(len(keep))
+		if mc, ok := t.main[c].(*FloatColumn); ok {
+			for n, old := range keep[:nMain] {
+				if mc.IsNull(old) {
+					setNull(n)
+				} else {
+					vals[n] = mc.Vals[old]
 				}
-				nulls.Set(n)
+			}
+		} else {
+			for n, old := range keep[:nMain] {
+				if v := t.main[c].Get(old); v.IsNull() {
+					setNull(n)
+				} else {
+					vals[n] = v.F
+				}
+			}
+		}
+		for n := nMain; n < len(keep); n++ {
+			if d := keep[n] - t.mainRows; deltaNull(d) {
+				setNull(n)
 			} else {
-				vals[n] = v.F
+				vals[n] = dc.flts[d]
 			}
 		}
 		return &FloatColumn{Vals: vals, Nulls: nulls}
-	default: // Int, Bool, Time
-		vals := make([]int64, len(keep))
-		var nulls *Bitset
-		for n, old := range keep {
-			var v value.Value
-			if old < t.mainRows {
-				v = t.main[c].Get(old)
-			} else {
-				v = getDelta(old)
-			}
-			if v.IsNull() {
-				if nulls == nil {
-					nulls = NewBitset(len(keep))
+	}
+
+	// Int, Bool, Time
+	vals := make([]int64, len(keep))
+	switch mc := t.main[c].(type) {
+	case *IntColumn:
+		const chunk = 1024
+		refs := make([]uint64, 0, chunk)
+		for n := 0; n < nMain; {
+			lo := keep[n]
+			hi := min(lo+chunk, t.mainRows)
+			refs = mc.Refs.UnpackRange(lo, hi, refs)
+			for ; n < nMain && keep[n] < hi; n++ {
+				if mc.IsNull(keep[n]) {
+					setNull(n)
+				} else {
+					vals[n] = mc.Base + int64(refs[keep[n]-lo])
 				}
-				nulls.Set(n)
+			}
+		}
+	case *RLEColumn:
+		k := 0
+		for n, old := range keep[:nMain] {
+			for mc.Ends[k] <= old {
+				k++
+			}
+			if v := mc.Values[k]; v.IsNull() {
+				setNull(n)
 			} else {
 				vals[n] = v.I
 			}
 		}
-		// Prefer RLE when the data is extremely runny (sorted sensor IDs,
-		// status flags); otherwise frame-of-reference bit packing.
-		if len(vals) >= 1024 && nulls == nil {
-			runs := 1
-			for i := 1; i < len(vals); i++ {
-				if vals[i] != vals[i-1] {
-					runs++
-				}
-			}
-			if runs*8 < len(vals) {
-				boxed := make([]value.Value, len(vals))
-				for i, v := range vals {
-					boxed[i] = value.Value{K: kind, I: v}
-				}
-				return NewRLEColumn(boxed)
+	default:
+		for n, old := range keep[:nMain] {
+			if v := mc.Get(old); v.IsNull() {
+				setNull(n)
+			} else {
+				vals[n] = v.I
 			}
 		}
-		return NewIntColumn(vals, nulls, kind)
 	}
+	for n := nMain; n < len(keep); n++ {
+		if d := keep[n] - t.mainRows; deltaNull(d) {
+			setNull(n)
+		} else {
+			vals[n] = dc.ints[d]
+		}
+	}
+	// Prefer RLE when the data is extremely runny (sorted sensor IDs,
+	// status flags); otherwise frame-of-reference bit packing.
+	if len(vals) >= 1024 && nulls == nil {
+		runs := 1
+		for i := 1; i < len(vals); i++ {
+			if vals[i] != vals[i-1] {
+				runs++
+			}
+		}
+		if runs*8 < len(vals) {
+			return newRLEInts(vals, runs, kind)
+		}
+	}
+	return NewIntColumn(vals, nulls, kind)
+}
+
+// newRLEInts run-length encodes vals, which hold runs runs and no NULL.
+func newRLEInts(vals []int64, runs int, kind value.Kind) *RLEColumn {
+	c := &RLEColumn{Ends: make([]int, 0, runs), Values: make([]value.Value, 0, runs), n: len(vals)}
+	for i, v := range vals {
+		if i > 0 && v == vals[i-1] {
+			c.Ends[len(c.Ends)-1] = i + 1
+			continue
+		}
+		c.Ends = append(c.Ends, i+1)
+		c.Values = append(c.Values, value.Value{K: kind, I: v})
+	}
+	return c
 }
 
 func (t *Table) mergeStringColumn(c int, keep []int, stats *MergeStats) MainColumn {

@@ -672,3 +672,28 @@ func canonKey(r value.Row) string {
 	}
 	return out.Key()
 }
+
+// TestNodeTasksUnpinTheirSnapshots: a node task is a statement on the
+// node's engine, so it pins the timestamp it reads at (and a partition-
+// scoped task does once per partition). Whether it answers or fails, the
+// pin must be gone afterwards — one left behind would hold that node's
+// merge watermark for the life of the process.
+func TestNodeTasksUnpinTheirSnapshots(t *testing.T) {
+	c := newTestCluster(t, 3, OLTP)
+	loadOrders(t, c, 90)
+	if _, err := c.Query(`SELECT region, COUNT(*) FROM orders GROUP BY region`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(`SELECT nope FROM orders`); err == nil {
+		t.Fatal("unknown column answered")
+	}
+	// Move every node's clock past whatever its tasks read at.
+	if _, err := c.Insert("orders", value.Row{value.String("O9999"), value.String("EMEA"), value.Float(1)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		if mgr := n.Engine().Mgr; mgr.MinActiveTS() != mgr.Now() {
+			t.Errorf("%s: MinActiveTS %d behind the clock %d: a finished task left its pin", n.Name, mgr.MinActiveTS(), mgr.Now())
+		}
+	}
+}

@@ -107,7 +107,7 @@ func (e *Engine) ExplainSQL(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan, _, err := s.planSelect(st.sel)
+	plan, err := s.planSelect(st.sel, s.snapshotTS())
 	if err != nil {
 		return "", err
 	}
@@ -365,6 +365,8 @@ func selectSQL(sql string) string {
 	return strings.TrimSpace(sql[i+4:])
 }
 
+// snapshotTS is the timestamp a statement would read at, for callers that
+// only plan: nothing is pinned, so nothing may be read at it.
 func (s *Session) snapshotTS() uint64 {
 	if s.tx != nil {
 		return s.tx.SnapshotTS()
@@ -379,9 +381,21 @@ func (s *Session) snapshotTS() uint64 {
 // run, so it includes whatever time the sink spends on the batches it is
 // handed.
 func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, params []value.Value, profiled bool) (*Profile, error) {
+	// A statement pins its snapshot: an explicit transaction did at Begin,
+	// an auto-commit statement does here, from before it is planned until
+	// its sink has the last batch — whichever way it ends. Without the pin
+	// a commit and a merge landing before the executor captures its
+	// snapshots compact a version this timestamp still sees.
+	var ts uint64
+	if s.tx != nil {
+		ts = s.tx.SnapshotTS()
+	} else {
+		ts = s.e.Mgr.Pin()
+		defer s.e.Mgr.Unpin(ts)
+	}
 	tPlan := time.Now()
 	psp := s.cur.Child("plan")
-	plan, ts, err := s.planSelect(sel)
+	plan, err := s.planSelect(sel, ts)
 	psp.Finish()
 	s.e.Obs.Histogram("sql_plan_ms").ObserveSince(tPlan)
 	if err != nil {

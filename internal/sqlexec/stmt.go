@@ -112,7 +112,7 @@ func (st *Stmt) Columns() ([]string, error) {
 	case st.sel == nil:
 		return nil, nil
 	}
-	plan, _, err := st.s.planSelect(st.sel)
+	plan, err := st.s.planSelect(st.sel, st.s.snapshotTS())
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,7 @@ func (st *Stmt) dispatch(sink RowSink, stats *ExecStats, params []value.Value, p
 	defer func() { s.cur, s.curSQL = nil, "" }()
 	switch st.kind {
 	case stmtExplain:
-		plan, _, err := s.planSelect(st.sel)
+		plan, err := s.planSelect(st.sel, s.snapshotTS())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -269,12 +269,10 @@ func (st *Stmt) dispatch(sink RowSink, stats *ExecStats, params []value.Value, p
 	return nil, nil, fmt.Errorf("sql: unhandled statement %T", st.ast)
 }
 
-// planSelect builds the optimized plan of a SELECT at the session's
-// snapshot — the one place a statement turns into a plan, whether it is
-// about to be executed, explained, analyzed or only described.
-func (s *Session) planSelect(sel *SelectStmt) (Plan, uint64, error) {
-	ts := s.snapshotTS()
+// planSelect builds the optimized plan of a SELECT reading at ts — the one
+// place a statement turns into a plan, whether it is about to be executed,
+// explained, analyzed or only described.
+func (s *Session) planSelect(sel *SelectStmt, ts uint64) (Plan, error) {
 	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: s.e.Prune}
-	plan, err := pl.BuildSelect(sel)
-	return plan, ts, err
+	return pl.BuildSelect(sel)
 }

@@ -112,6 +112,7 @@ func registerEngineSysViews(e *Engine) {
 		sysCol("delta_rows", value.KindInt),
 		sysCol("main_rows", value.KindInt),
 		sysCol("bytes", value.KindInt),
+		sysCol("stamp_bytes", value.KindInt),
 		sysCol("merge_count", value.KindInt),
 		sysCol("zone_cols", value.KindInt),
 		sysCol("zone_fresh", value.KindBool),
@@ -139,6 +140,7 @@ func registerEngineSysViews(e *Engine) {
 					value.Int(int64(p.Table.DeltaRows())),
 					value.Int(int64(p.Table.MainRows())),
 					value.Int(int64(p.Table.Bytes())),
+					value.Int(int64(p.Table.StampBytes())),
 					value.Int(int64(p.Table.MergeCount())),
 					value.Int(int64(zoneCols)), value.Bool(zoneFresh),
 					value.Int(int64(p.ColdReadPenalty)),
@@ -158,6 +160,8 @@ func registerEngineSysViews(e *Engine) {
 		sysCol("last_rows_evicted", value.KindInt),
 		sysCol("last_dict_resorted", value.KindBool),
 		sysCol("last_remapped_refs", value.KindInt),
+		sysCol("last_create_blocks", value.KindInt),
+		sysCol("last_delete_blocks", value.KindInt),
 	}, func() ([]value.Row, error) {
 		// The merge daemon's live backlog (delta sizes) and per-table merge
 		// history, straight from the transaction manager's table registry.
@@ -178,6 +182,8 @@ func registerEngineSysViews(e *Engine) {
 				value.Int(int64(ms.RowsEvicted)),
 				value.Bool(ms.DictResorted),
 				value.Int(int64(ms.RemappedRefs)),
+				value.Int(int64(ms.CreateBlocks)),
+				value.Int(int64(ms.DeleteBlocks)),
 			})
 		}
 		return rows, nil

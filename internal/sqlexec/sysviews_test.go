@@ -59,6 +59,39 @@ func TestSysViewsAllModes(t *testing.T) {
 	}
 }
 
+// TestSysViewsShowWhereTheStampsAre: "where did this table's memory go" is
+// one query. Unmerged rows carry create stamps, merged rows every snapshot
+// can see carry none, and the first delete to reach a block brings it one
+// delete array; sys.m_merges says what the last merge had to keep.
+func TestSysViewsShowWhereTheStampsAre(t *testing.T) {
+	e := sysTestEngine(t)
+	stamps := func() (bytes, stampBytes int64) {
+		r := mustExec(t, e, `SELECT bytes, stamp_bytes FROM sys.m_partitions WHERE table_name = 'acct'`)
+		if len(r.Rows) != 1 {
+			t.Fatalf("sys.m_partitions rows for acct: %v", r.Rows)
+		}
+		return r.Rows[0][0].AsInt(), r.Rows[0][1].AsInt()
+	}
+	const array = 8 * 1024 // one stamp per row of a 1,024-row block
+	before, sb := stamps()
+	if sb != array {
+		t.Fatalf("20 unmerged rows: stamp_bytes = %d, want one create array = %d", sb, array)
+	}
+	mustExec(t, e, `MERGE DELTA OF acct`)
+	after, sb := stamps()
+	if sb != 0 || after >= before-array/2 {
+		t.Fatalf("merged: stamp_bytes = %d (want 0), bytes %d -> %d", sb, before, after)
+	}
+	r := mustExec(t, e, `SELECT last_rows_merged, last_create_blocks, last_delete_blocks FROM sys.m_merges WHERE table_name = 'acct'`)
+	if len(r.Rows) != 1 || r.Rows[0][0].AsInt() != 20 || r.Rows[0][1].AsInt() != 0 || r.Rows[0][2].AsInt() != 0 {
+		t.Fatalf("sys.m_merges for acct: %v, want 20 rows merged and no stamp blocks kept", r.Rows)
+	}
+	mustExec(t, e, `DELETE FROM acct WHERE id = 3`)
+	if _, sb = stamps(); sb != array {
+		t.Fatalf("after one delete: stamp_bytes = %d, want one delete array = %d", sb, array)
+	}
+}
+
 // TestStatementStatsAggregation checks the fingerprint rollup: repeated
 // executions with different literals are one row, capacity eviction keeps
 // the hottest entries, and the view reflects both.

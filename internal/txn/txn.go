@@ -235,12 +235,33 @@ func unlatch(latches []*sync.Mutex) {
 	}
 }
 
+// Pin registers a read at the current clock and returns its timestamp:
+// until Unpin, MinActiveTS stays at or below it, so no merge compacts a
+// version the reader sees or drops a stamp it needs. The clock is read
+// under m.mu, where MinActiveTS reads it — a watermark is computed either
+// before the pin (and is then at most this timestamp) or with it on record.
+func (m *Manager) Pin() uint64 {
+	m.mu.Lock()
+	ts := m.clock.Load()
+	m.active[ts]++
+	m.mu.Unlock()
+	return ts
+}
+
+// Unpin drops a registration made by Pin.
+func (m *Manager) Unpin(ts uint64) {
+	m.mu.Lock()
+	if n := m.active[ts]; n <= 1 {
+		delete(m.active, ts)
+	} else {
+		m.active[ts] = n - 1
+	}
+	m.mu.Unlock()
+}
+
 // Begin starts a transaction reading at the current clock.
 func (m *Manager) Begin() *Txn {
-	m.mu.Lock()
-	snap := m.clock.Load()
-	m.active[snap]++
-	m.mu.Unlock()
+	snap := m.Pin()
 	return &Txn{
 		m:       m,
 		id:      m.nextID.Add(1),
@@ -441,9 +462,7 @@ func (t *Txn) Commit() (uint64, error) {
 
 	// Read-only fast path.
 	if len(t.writes) == 0 {
-		m.mu.Lock()
-		m.release(t.snapTS)
-		m.mu.Unlock()
+		m.Unpin(t.snapTS)
 		m.commits.Add(1)
 		cCommits.Inc()
 		return m.clock.Load(), nil
@@ -495,9 +514,7 @@ func (t *Txn) Commit() (uint64, error) {
 	}
 	m.submit(job)
 
-	m.mu.Lock()
-	m.release(t.snapTS)
-	m.mu.Unlock()
+	m.Unpin(t.snapTS)
 	m.commits.Add(1)
 	cCommits.Inc()
 	return job.ts, nil
@@ -505,9 +522,7 @@ func (t *Txn) Commit() (uint64, error) {
 
 // releaseAbort drops the snapshot pin and counts an abort.
 func (t *Txn) releaseAbort() {
-	t.m.mu.Lock()
-	t.m.release(t.snapTS)
-	t.m.mu.Unlock()
+	t.m.Unpin(t.snapTS)
 	t.m.aborts.Add(1)
 	cAborts.Inc()
 }
@@ -519,15 +534,6 @@ func (t *Txn) Abort() {
 	}
 	t.done = true
 	t.releaseAbort()
-}
-
-// release decrements the active-snapshot refcount; caller holds m.mu.
-func (m *Manager) release(snapTS uint64) {
-	if n := m.active[snapTS]; n <= 1 {
-		delete(m.active, snapTS)
-	} else {
-		m.active[snapTS] = n - 1
-	}
 }
 
 // --- Group commit -----------------------------------------------------

@@ -69,13 +69,14 @@ func seedCheckpoint(t testing.TB) []byte {
 	return raw
 }
 
-// damaged returns img itself plus truncated and bit-flipped copies of it.
+// damaged returns img itself plus truncated and bit-flipped copies of it:
+// a flip every seventh byte, fewer in an image of kilobytes.
 func damaged(img []byte) [][]byte {
 	out := [][]byte{img}
 	for _, cut := range []int{1, len(img) / 3, len(img) / 2, len(img) - 3, len(img) - 1} {
 		out = append(out, img[:cut])
 	}
-	for i := 0; i < len(img); i += 7 {
+	for i := 0; i < len(img); i += max(7, len(img)/64) {
 		flipped := append([]byte(nil), img...)
 		flipped[i] ^= 1 << (i % 8)
 		out = append(out, flipped)
@@ -131,6 +132,12 @@ func FuzzReplay(f *testing.F) {
 
 func FuzzReadCheckpoint(f *testing.F) {
 	for _, img := range damaged(seedCheckpoint(f)) {
+		f.Add(img)
+	}
+	// A table merged under a pinned reader: blocks with and without stamps.
+	s, _, merged := mergedStore(f)
+	s.Log.Close()
+	for _, img := range damaged(merged) {
 		f.Add(img)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
