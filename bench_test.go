@@ -19,6 +19,7 @@ import (
 	"runtime/metrics"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,8 +52,8 @@ func benchExperiment(b *testing.B, f func(experiments.Scale) *experiments.Table)
 func BenchmarkE1_HTAPvsSplit(b *testing.B)     { benchExperiment(b, experiments.E1HTAPvsSplit) }
 func BenchmarkE2_Compression(b *testing.B)     { benchExperiment(b, experiments.E2Compression) }
 func BenchmarkE3_MergeStableKeys(b *testing.B) { benchExperiment(b, experiments.E3MergeStableKeys) }
-func BenchmarkE4_CompiledVsInterpreted(b *testing.B) {
-	benchExperiment(b, experiments.E4CompiledVsInterpreted)
+func BenchmarkE4_SpecializedVsInterpreted(b *testing.B) {
+	benchExperiment(b, experiments.E4SpecializedVsInterpreted)
 }
 func BenchmarkE5_Pushdown(b *testing.B)     { benchExperiment(b, experiments.E5Pushdown) }
 func BenchmarkE6_AgingPruning(b *testing.B) { benchExperiment(b, experiments.E6AgingPruning) }
@@ -99,18 +100,19 @@ func BenchmarkF4_Ecosystem(b *testing.B)   { benchExperiment(b, experiments.F4Ec
 // --- commit-pipeline micro-benchmarks (group commit, DESIGN.md §4) -------
 
 // benchCommitThroughput drives concurrent single-row commits against 8
-// disjoint tables through a fully durable WAL (fsync per flush). With
-// SerialCommits the pipeline degrades to one commit — and one fsync — at a
-// time; the group-commit path batches concurrent committers under a single
-// clock bump and a single WAL append+fsync, so the speedup measures fsync
-// amortization plus the removed commit convoy, not CPU parallelism.
+// disjoint tables through a fully durable WAL (fsync per flush). The
+// serial baseline takes a mutex around every transaction, so the pipeline
+// degrades to one commit — and one fsync — at a time; the group-commit
+// path batches concurrent committers under a single clock bump and a
+// single WAL append+fsync, so the speedup measures fsync amortization plus
+// the removed commit convoy, not CPU parallelism.
 func benchCommitThroughput(b *testing.B, serial bool) {
 	store, err := wal.OpenStore(b.TempDir(), wal.SyncEveryCommit)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer store.Log.Close()
-	store.Mgr.SerialCommits = serial
+	var serialMu sync.Mutex
 	const tables = 8
 	for i := 0; i < tables; i++ {
 		store.Mgr.Register(columnstore.NewTable(fmt.Sprintf("c%d", i),
@@ -124,9 +126,16 @@ func benchCommitThroughput(b *testing.B, serial bool) {
 		var i int64
 		for pb.Next() {
 			i++
-			if _, err := store.Mgr.RunInTxn(func(tx *txn.Txn) error {
+			if serial {
+				serialMu.Lock()
+			}
+			_, err := store.Mgr.RunInTxn(func(tx *txn.Txn) error {
 				return tx.Insert(tab, value.Row{value.Int(i)})
-			}); err != nil {
+			})
+			if serial {
+				serialMu.Unlock()
+			}
+			if err != nil {
 				b.Error(err)
 				return
 			}
@@ -177,34 +186,6 @@ func BenchmarkMergeAppend(b *testing.B) {
 }
 
 // --- ablation micro-benchmarks (DESIGN.md §4) ----------------------------
-
-// Ablation 1: executor mode on a hot scan+filter+aggregate pipeline.
-func BenchmarkAblation_ExecutorModes(b *testing.B) {
-	eng := sqlexec.NewEngine()
-	eng.MustQuery(`CREATE TABLE t (id INT, grp VARCHAR, v DOUBLE)`)
-	sess := eng.NewSession()
-	sess.Begin()
-	for i := 0; i < 20_000; i++ {
-		sess.Query(`INSERT INTO t VALUES (?, ?, ?)`,
-			value.Int(int64(i)), value.String(fmt.Sprintf("g%d", i%8)), value.Float(float64(i%1000)))
-	}
-	sess.Commit()
-	sess.Close()
-	eng.MustQuery(`MERGE DELTA OF t`)
-	q := `SELECT grp, SUM(v) FROM t WHERE id > 5000 AND v < 500 GROUP BY grp`
-	for _, mode := range []struct {
-		name string
-		m    sqlexec.Mode
-	}{{"interpreted", sqlexec.ModeInterpreted}, {"compiled", sqlexec.ModeCompiled}} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng.Mode = mode.m
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng.MustQuery(q)
-			}
-		})
-	}
-}
 
 // --- vectorized executor micro-benchmarks (DESIGN.md §4, E18) ------------
 

@@ -27,7 +27,7 @@ func main() {
 	which := flag.String("experiment", "", "comma-separated experiment ids (default: all)")
 	scaleFlag := flag.String("scale", "small", "small or full")
 	showStats := flag.Bool("stats", false, "print the process metrics delta after each experiment")
-	profile := flag.Bool("profile", false, "run a reference join+aggregate under EXPLAIN ANALYZE on all three executors and print the operator profiles")
+	profile := flag.Bool("profile", false, "run a reference join+aggregate under EXPLAIN ANALYZE on both executors and print the operator profiles")
 	flag.Parse()
 
 	scale := experiments.Small
@@ -116,7 +116,7 @@ func runProfile(scale experiments.Scale) error {
 
 	const q = `SELECT name, COUNT(*), SUM(v) FROM fact JOIN dim ON fact.dim_id = dim.id WHERE fact.v < 800 GROUP BY name`
 	fmt.Printf("profiling %q over %d fact rows\n\n", q, n)
-	for _, mode := range []sqlexec.Mode{sqlexec.ModeInterpreted, sqlexec.ModeCompiled, sqlexec.ModeVectorized} {
+	for _, mode := range []sqlexec.Mode{sqlexec.ModeInterpreted, sqlexec.ModeVectorized} {
 		e.Mode = mode
 		_, prof, err := e.AnalyzeSQL(q)
 		if err != nil {

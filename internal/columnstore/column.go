@@ -23,7 +23,7 @@ type MainColumn interface {
 }
 
 // IntAccessor is implemented by main columns that can expose rows as raw
-// int64 without boxing; the compiled executor specializes on it.
+// int64 without boxing; the scan's column getters specialize on it.
 type IntAccessor interface {
 	Int64(i int) int64
 }

@@ -39,16 +39,6 @@ type ValueFilterer interface {
 	FilterValues(lo, hi int, op CmpOp, lit value.Value, sel []int) []int
 }
 
-// DictIndexed is a string column with one table-wide sorted dictionary:
-// the compiled executor's string-equality fast path compares value IDs
-// instead of strings. Paged warm columns use per-chunk dictionaries and
-// deliberately do NOT implement this.
-type DictIndexed interface {
-	LookupID(s string) (int, bool)
-	IDAt(i int) int
-	IsNull(i int) bool
-}
-
 // KeyCoder translates row positions of a string column into canonical
 // int64 join/group keys without boxing a value per row. intern maps a
 // decoded string to its canonical key and is called at most once per
@@ -84,12 +74,6 @@ func (c *FloatColumn) FilterFloats(lo, hi int, op CmpOp, k float64, sel []int) [
 func (c *RLEColumn) FilterValues(lo, hi int, op CmpOp, lit value.Value, sel []int) []int {
 	return c.FilterRange(lo, hi, op, lit, sel)
 }
-
-// LookupID aliases Dict.Lookup for the DictIndexed capability.
-func (c *DictColumn) LookupID(s string) (int, bool) { return c.Dict.Lookup(s) }
-
-// IDAt aliases ValueID for the DictIndexed capability.
-func (c *DictColumn) IDAt(i int) int { return c.ValueID(i) }
 
 // --- Zone maps -------------------------------------------------------------
 

@@ -217,16 +217,20 @@ func E3MergeStableKeys(s Scale) *Table {
 	return t
 }
 
-// E4CompiledVsInterpreted — §IV-A [11][12]: compiling queries removes
-// per-tuple interpretation overhead.
-func E4CompiledVsInterpreted(s Scale) *Table {
+// E4SpecializedVsInterpreted — §IV-A [11][12]: specialising a plan before
+// running it removes per-tuple interpretation overhead. The specialised
+// arm is the vectorized executor's fused morsel pipelines pinned to one
+// worker (E18 owns parallelism). What is stated is allocations per
+// statement, which repeat; times are the medians of alternating pairs.
+func E4SpecializedVsInterpreted(s Scale) *Table {
 	t := &Table{
 		ID:     "E4",
-		Title:  "fused compiled executor vs. Volcano interpreter",
-		Claim:  "compiling SQL (→C→LLVM in the paper, →fused closures here) yields significant speedups (§IV-A)",
-		Header: []string{"query", "interpreted", "compiled", "speedup"},
+		Title:  "fused morsel pipelines vs. Volcano interpreter",
+		Claim:  "specialising a plan before running it (SQL→C→LLVM in the paper, fused morsel pipelines over encoded columns here) yields significant speedups (§IV-A)",
+		Header: []string{"query", "interpreted", "vectorized", "speedup", "interp allocs", "vec allocs"},
 	}
 	eng := sqlexec.NewEngine()
+	eng.Workers = 1
 	eng.MustQuery(ordersSchemaSQL)
 	loadOrders(eng, s.Rows*4, 3)
 	eng.MustQuery(`MERGE DELTA OF orders`)
@@ -237,21 +241,20 @@ func E4CompiledVsInterpreted(s Scale) *Table {
 		{"point filter", `SELECT COUNT(*) FROM orders WHERE id = 42`},
 		{"join+agg", `SELECT a.region, COUNT(*) FROM orders a JOIN orders b ON a.id = b.id WHERE a.status = 'OPEN' GROUP BY a.region`},
 	}
-	reps := 5
+	const pairs = 10
 	for _, q := range queries {
-		var ti, tc time.Duration
-		for r := 0; r < reps; r++ {
-			eng.Mode = sqlexec.ModeInterpreted
-			st := time.Now()
-			eng.MustQuery(q.sql)
-			ti += time.Since(st)
-			eng.Mode = sqlexec.ModeCompiled
-			st = time.Now()
-			eng.MustQuery(q.sql)
-			tc += time.Since(st)
+		run := func(mode sqlexec.Mode) func() {
+			return func() {
+				eng.Mode = mode
+				eng.MustQuery(q.sql)
+			}
 		}
-		t.AddRow(q.name, ms(ti/time.Duration(reps)), ms(tc/time.Duration(reps)), ratio(ti.Seconds(), tc.Seconds()))
+		interp, vec := run(sqlexec.ModeInterpreted), run(sqlexec.ModeVectorized)
+		ai, av := minMallocs(3, interp), minMallocs(3, vec)
+		ti, tv, vecOverInterp := pairedTimes(pairs, interp, vec)
+		t.AddRow(q.name, ms(ti), ms(tv), ratio(1, vecOverInterp), fmt.Sprint(ai), fmt.Sprint(av))
 	}
+	t.Note("vectorized pinned to one worker; times and the speedup are medians over %d alternating pairs (reported, not asserted), allocations the fewest of 3 runs", pairs)
 	return t
 }
 

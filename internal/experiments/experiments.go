@@ -7,7 +7,10 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"strings"
+	"time"
 )
 
 // Table is one experiment's result.
@@ -90,7 +93,7 @@ var (
 func All(s Scale) []*Table {
 	return []*Table{
 		E1HTAPvsSplit(s), E2Compression(s), E3MergeStableKeys(s),
-		E4CompiledVsInterpreted(s), E5Pushdown(s), E6AgingPruning(s),
+		E4SpecializedVsInterpreted(s), E5Pushdown(s), E6AgingPruning(s),
 		E7SharedLog(s), E8ScaleOutSpeedup(s), E9ScaleUpVsOut(s),
 		E10HadoopPaths(s), E11TextEngine(s), E12GraphHierarchy(s),
 		E13GeoTimeseries(s), E14InEngineAlgebra(s), E15PlanningDisagg(s),
@@ -106,7 +109,7 @@ func All(s Scale) []*Table {
 func ByID(id string) (func(Scale) *Table, bool) {
 	m := map[string]func(Scale) *Table{
 		"E1": E1HTAPvsSplit, "E2": E2Compression, "E3": E3MergeStableKeys,
-		"E4": E4CompiledVsInterpreted, "E5": E5Pushdown, "E6": E6AgingPruning,
+		"E4": E4SpecializedVsInterpreted, "E5": E5Pushdown, "E6": E6AgingPruning,
 		"E7": E7SharedLog, "E8": E8ScaleOutSpeedup, "E9": E9ScaleUpVsOut,
 		"E10": E10HadoopPaths, "E11": E11TextEngine, "E12": E12GraphHierarchy,
 		"E13": E13GeoTimeseries, "E14": E14InEngineAlgebra, "E15": E15PlanningDisagg,
@@ -122,6 +125,48 @@ func ByID(id string) (func(Scale) *Table, bool) {
 
 func ms(d interface{ Seconds() float64 }) string {
 	return fmt.Sprintf("%.2fms", d.Seconds()*1000)
+}
+
+// minMallocs is the fewest allocations run made over reps calls, so a
+// background goroutine's stray allocation cannot inflate a side.
+func minMallocs(reps int, run func()) uint64 {
+	lo := ^uint64(0)
+	var m0, m1 runtime.MemStats
+	for r := 0; r < reps; r++ {
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		lo = min(lo, m1.Mallocs-m0.Mallocs)
+	}
+	return lo
+}
+
+// pairedTimes times a and b as alternating pairs — which side goes first
+// flips every pair — and returns each side's median and the median pair's
+// b/a ratio: the only way a time is shown on a host that drifts between
+// identical runs.
+func pairedTimes(pairs int, a, b func()) (medA, medB time.Duration, medRatio float64) {
+	timed := func(run func()) time.Duration {
+		st := time.Now()
+		run()
+		return time.Since(st)
+	}
+	var da, db []time.Duration
+	var ratios []float64
+	for r := 0; r < pairs; r++ {
+		var ta, tb time.Duration
+		if r%2 == 0 {
+			ta, tb = timed(a), timed(b)
+		} else {
+			tb, ta = timed(b), timed(a)
+		}
+		da, db = append(da, ta), append(db, tb)
+		ratios = append(ratios, tb.Seconds()/ta.Seconds())
+	}
+	sort.Slice(da, func(i, j int) bool { return da[i] < da[j] })
+	sort.Slice(db, func(i, j int) bool { return db[i] < db[j] })
+	sort.Float64s(ratios)
+	return da[pairs/2], db[pairs/2], ratios[pairs/2]
 }
 
 func ratio(a, b float64) string {

@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"time"
 
 	"repro/internal/sqlexec"
 	"repro/internal/value"
@@ -56,43 +53,9 @@ func E20ProfileOverhead(s Scale) *Table {
 		}
 	}
 
-	// Allocations: the fewest of several runs, so a background goroutine's
-	// stray allocation cannot inflate either side.
 	const reps = 7
-	mallocs := func(run func()) uint64 {
-		lo := ^uint64(0)
-		var m0, m1 runtime.MemStats
-		for r := 0; r < reps; r++ {
-			runtime.ReadMemStats(&m0)
-			run()
-			runtime.ReadMemStats(&m1)
-			lo = min(lo, m1.Mallocs-m0.Mallocs)
-		}
-		return lo
-	}
-	plainAllocs, profAllocs := mallocs(plain), mallocs(profiled)
-
-	// Time: alternating plain/profiled pairs, the median pair's ratio.
-	timed := func(run func()) time.Duration {
-		st := time.Now()
-		run()
-		return time.Since(st)
-	}
-	var plainD, profD []time.Duration
-	var ratios []float64
-	for r := 0; r < reps; r++ {
-		var a, b time.Duration
-		if r%2 == 0 {
-			a, b = timed(plain), timed(profiled)
-		} else {
-			b, a = timed(profiled), timed(plain)
-		}
-		plainD, profD = append(plainD, a), append(profD, b)
-		ratios = append(ratios, b.Seconds()/a.Seconds())
-	}
-	sort.Slice(plainD, func(i, j int) bool { return plainD[i] < plainD[j] })
-	sort.Slice(profD, func(i, j int) bool { return profD[i] < profD[j] })
-	sort.Float64s(ratios)
+	plainAllocs, profAllocs := minMallocs(reps, plain), minMallocs(reps, profiled)
+	plainD, profD, timeRatio := pairedTimes(reps, plain, profiled)
 
 	ops, timedOps, fused := 0, 0, 0
 	var count func(o *sqlexec.OpProfile)
@@ -110,12 +73,12 @@ func E20ProfileOverhead(s Scale) *Table {
 	}
 	count(prof.Root)
 
-	t.AddRow("vectorized", ms(plainD[reps/2]), fmt.Sprint(plainAllocs), "-", fmt.Sprint(res.Stats.Morsels), "-", "-", "-")
-	t.AddRow("vectorized + profile", ms(profD[reps/2]), fmt.Sprint(profAllocs), fmt.Sprint(prof.ClockReads()),
+	t.AddRow("vectorized", ms(plainD), fmt.Sprint(plainAllocs), "-", fmt.Sprint(res.Stats.Morsels), "-", "-", "-")
+	t.AddRow("vectorized + profile", ms(profD), fmt.Sprint(profAllocs), fmt.Sprint(prof.ClockReads()),
 		fmt.Sprint(res.Stats.Morsels), fmt.Sprint(ops), fmt.Sprint(timedOps), fmt.Sprint(fused))
 	t.Note("%d rows; profiling adds %d allocations and %d clock reads per statement",
 		n, int64(profAllocs)-int64(plainAllocs), prof.ClockReads())
 	t.Note("time ratio profiled/plain %.2f (median of %d alternating pairs; reported, not asserted — this host drifts 1.3-1.5x between identical runs)",
-		ratios[reps/2], reps)
+		timeRatio, reps)
 	return t
 }

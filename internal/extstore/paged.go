@@ -212,8 +212,7 @@ func (c *PagedFloats) FilterFloats(lo, hi int, op columnstore.CmpOp, k float64, 
 }
 
 // PagedStrings is a warm string column; chunks decode to per-chunk
-// dictionary columns. It deliberately does not implement DictIndexed:
-// there is no table-wide value-ID space across chunk dictionaries.
+// dictionary columns: there is no table-wide value-ID space across them.
 type PagedStrings struct{ PagedColumn }
 
 // FilterString runs the dictionary-interval kernel chunk by chunk.

@@ -1,9 +1,9 @@
 // Package sqlexec implements the relational query stack of the ecosystem:
 // a SQL subset with the paper's extensions, a rule- and cost-based
 // optimizer, and two executors over the column store — a Volcano-style
-// interpreter and a fused "compiled" executor that specializes pipelines
-// into closures, standing in for SAP HANA SOE's SQL→C→LLVM compilation
-// (§IV-A, experiment E4).
+// interpreter, kept as the reference, and a vectorized executor whose
+// fused morsel pipelines over encoded columns stand in for SAP HANA SOE's
+// SQL→C→LLVM compilation (§IV-A, experiment E4).
 package sqlexec
 
 import "repro/internal/value"

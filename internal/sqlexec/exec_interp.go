@@ -46,6 +46,23 @@ type ExecStats struct {
 	DecodeBytesAvoided int
 }
 
+// attributeFaults charges the page faults that happened since the given
+// extstore counter snapshot to the stats block and operator profile.
+// Under concurrent queries the per-operator attribution is approximate
+// (the process-wide counters stay exact).
+func attributeFaults(stats *ExecStats, op *OpProfile, faults0, faultNS0 int64) {
+	faults1, faultNS1 := extstore.FaultCounters()
+	if faults1 == faults0 {
+		return
+	}
+	stats.PageFaults += int(faults1 - faults0)
+	stats.PageFaultMicros += int((faultNS1 - faultNS0) / 1000)
+	if op != nil {
+		op.pageFaults.Add(faults1 - faults0)
+		op.faultNS.Add(faultNS1 - faultNS0)
+	}
+}
+
 // Result is a materialized query result.
 type Result struct {
 	Cols  []string
@@ -83,15 +100,22 @@ func (ctx *execCtx) getPool() *vecPool {
 	return ctx.pool
 }
 
-// Mode selects the executor implementation (experiment E4).
+// Mode selects the executor implementation (experiment E4). The zero value
+// is the default executor.
 type Mode int
 
 // Executor modes.
 const (
-	ModeCompiled    Mode = iota // fused closure pipelines
-	ModeInterpreted             // Volcano-style iterator tree
-	ModeVectorized              // morsel-parallel batch kernels (default)
+	ModeVectorized  Mode = iota // morsel-parallel batch pipelines over encoded columns
+	ModeInterpreted             // Volcano-style iterator tree: the reference the parity suites compare against
 )
+
+func (m Mode) String() string {
+	if m == ModeInterpreted {
+		return "interpreted"
+	}
+	return "vectorized"
+}
 
 // Run executes a plan to a materialized result with the default worker
 // count (one morsel worker per CPU when vectorized).
@@ -101,16 +125,14 @@ func Run(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode) (*Re
 
 // RunWorkers executes a plan to a materialized result. workers sizes the
 // vectorized executor's morsel pool (<=0 means runtime.NumCPU()); the
-// row-at-a-time modes ignore it.
+// interpreter ignores it.
 func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, error) {
 	res, _, err := runCollected(p, ts, params, reg, mode, workers, false)
 	return res, err
 }
 
 // RunAnalyzed executes a plan like RunWorkers while also recording a
-// per-operator Profile — the engine of EXPLAIN ANALYZE. The profile's
-// Mode reflects the executor that actually ran the statement (a plan the
-// batch operators don't cover falls back to the compiled pipeline).
+// per-operator Profile — the engine of EXPLAIN ANALYZE.
 func RunAnalyzed(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, *Profile, error) {
 	return runCollected(p, ts, params, reg, mode, workers, true)
 }
@@ -128,8 +150,10 @@ func runCollected(p Plan, ts uint64, params []value.Value, reg *Registry, mode M
 // runTo executes a plan into sink — the one way a plan runs, whichever
 // executor runs it and whoever reads the rows: the header goes out first,
 // then the executor's root pushes batches through ctx.out as it produces
-// them. stats is where the execution is accounted (a collecting caller's
-// Result.Stats). A profile is recorded when profiled is set.
+// them. The executor mode names runs the plan or returns the statement's
+// error; there is no other to fall back to. stats is where the execution
+// is accounted (a collecting caller's Result.Stats). A profile is recorded
+// when profiled is set.
 func runTo(sink RowSink, stats *ExecStats, p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, profiled bool) (*Profile, error) {
 	cols := p.columns()
 	names := make([]string, len(cols))
@@ -147,26 +171,12 @@ func runTo(sink RowSink, stats *ExecStats, p Plan, ts uint64, params []value.Val
 		ctx.prof = prof
 		t0 = time.Now()
 	}
-	if mode == ModeVectorized {
-		handled, err := runVectorized(p, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !handled {
-			// Plan shape not covered by the batch operators: transparent
-			// fallback to the compiled row pipeline. Nothing has been pushed
-			// yet: only compiling the batch pipeline can decline.
-			cVecPlanFallbacks.Inc()
-			mode = ModeCompiled
-			if prof != nil {
-				prof.Mode = mode
-			}
-		}
+	run := runVectorized
+	if mode == ModeInterpreted {
+		run = runInterpreted
 	}
-	if mode != ModeVectorized {
-		if err := runRows(p, ctx, mode); err != nil {
-			return nil, err
-		}
+	if err := run(p, ctx); err != nil {
+		return nil, err
 	}
 	stats.RowsOut = ctx.out.rows
 	if prof != nil {
@@ -176,40 +186,30 @@ func runTo(sink RowSink, stats *ExecStats, p Plan, ts uint64, params []value.Val
 	return prof, nil
 }
 
-// runRows runs a plan on one of the row-at-a-time executors, gathering the
-// root's rows into batches for the sink.
-func runRows(p Plan, ctx *execCtx, mode Mode) error {
-	batch := rowBatcher{out: &ctx.out}
-	if mode == ModeInterpreted {
-		it, err := buildIter(p, ctx)
-		if err != nil {
-			return err
-		}
-		if err := it.Open(); err != nil {
-			return err
-		}
-		defer it.Close()
-		for {
-			row, ok, err := it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return batch.flush()
-			}
-			if err := batch.add(row); err != nil {
-				return err
-			}
-		}
-	}
-	pipe, err := compilePlan(p, ctx)
+// runInterpreted runs a plan on the iterator tree, gathering the root's
+// rows into batches for the sink.
+func runInterpreted(p Plan, ctx *execCtx) error {
+	it, err := buildIter(p, ctx)
 	if err != nil {
 		return err
 	}
-	if err := pipe(batch.add); err != nil {
+	if err := it.Open(); err != nil {
 		return err
 	}
-	return batch.flush()
+	defer it.Close()
+	batch := rowBatcher{out: &ctx.out}
+	for {
+		row, ok, err := it.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return batch.flush()
+		}
+		if err := batch.add(row); err != nil {
+			return err
+		}
+	}
 }
 
 // --- Volcano-style interpreter -------------------------------------------
@@ -237,10 +237,12 @@ func buildIterRaw(p Plan, ctx *execCtx) (iterator, error) {
 	switch x := p.(type) {
 	case *ScanPlan:
 		return newScanIter(x, ctx)
-	case *TableFuncPlan:
-		return newTableFuncIter(x, ctx)
-	case *VirtualScanPlan:
-		return newVirtualIter(x, ctx)
+	case *TableFuncPlan, *ValuesPlan, *VirtualScanPlan:
+		rows, err := leafRows(p, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return &rowsIter{rows: rows}, nil
 	case *FilterPlan:
 		child, err := buildIter(x.Child, ctx)
 		if err != nil {
@@ -286,8 +288,6 @@ func buildIterRaw(p Plan, ctx *execCtx) (iterator, error) {
 		return &limitIter{child: child, n: x.N, offset: x.Offset}, nil
 	case *AliasPlan:
 		return buildIter(x.Child, ctx)
-	case *ValuesPlan:
-		return newValuesIter(x, ctx)
 	}
 	return nil, fmt.Errorf("sql: no interpreter for %T", p)
 }
@@ -407,44 +407,72 @@ func (it *scanIter) Next() (value.Row, bool, error) {
 // Close flushes counts a LIMIT may have cut short mid-partition.
 func (it *scanIter) Close() { it.flushStats() }
 
-type tableFuncIter struct {
+// leafRows materializes the rows of a leaf that is not a base-table scan —
+// a table function's result, the literal rows of VALUES, a sys view's
+// snapshot, whose rows count as scanned. Both executors read their leaves
+// from here: the interpreter through rowsIter, the vectorized executor in
+// batches (vecRows).
+func leafRows(p Plan, ctx *execCtx) ([]value.Row, error) {
+	switch x := p.(type) {
+	case *TableFuncPlan:
+		fn, ok := ctx.reg.Table(x.Name)
+		if !ok {
+			return nil, fmt.Errorf("sql: unknown table function %s", x.Name)
+		}
+		args, err := evalConstRow(x.Args, constArgsOnly, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return fn.Fn(args)
+	case *ValuesPlan:
+		rows := make([]value.Row, len(x.Rows))
+		for i, exprs := range x.Rows {
+			var err error
+			if rows[i], err = evalConstRow(exprs, noColumns, ctx); err != nil {
+				return nil, err
+			}
+		}
+		return rows, nil
+	case *VirtualScanPlan:
+		rows, err := x.Table.Snapshot()
+		if err != nil {
+			return nil, fmt.Errorf("sql: %s snapshot: %w", x.Table.Name, err)
+		}
+		ctx.mu.Lock()
+		ctx.stats.RowsScanned += len(rows)
+		ctx.mu.Unlock()
+		return rows, nil
+	}
+	return nil, fmt.Errorf("sql: %T is not a rows leaf", p)
+}
+
+func constArgsOnly(q, n string) (int, error) {
+	return 0, fmt.Errorf("sql: table function arguments must be constants")
+}
+
+// evalConstRow evaluates one row of expressions that may read parameters
+// but no column: resolve is what a column reference fails with.
+func evalConstRow(exprs []Expr, resolve colResolver, ctx *execCtx) (value.Row, error) {
+	row := make(value.Row, len(exprs))
+	env := Env{Params: ctx.params}
+	for i, e := range exprs {
+		f, err := compileExpr(e, resolve, ctx.reg)
+		if err != nil {
+			return nil, err
+		}
+		row[i] = f(&env)
+	}
+	return row, nil
+}
+
+// rowsIter streams rows materialized up front (see leafRows).
+type rowsIter struct {
 	rows []value.Row
 	i    int
 }
 
-func newTableFuncIter(p *TableFuncPlan, ctx *execCtx) (iterator, error) {
-	fn, ok := ctx.reg.Table(p.Name)
-	if !ok {
-		return nil, fmt.Errorf("sql: unknown table function %s", p.Name)
-	}
-	args, err := evalConstArgs(p.Args, ctx)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := fn.Fn(args)
-	if err != nil {
-		return nil, err
-	}
-	return &tableFuncIter{rows: rows}, nil
-}
-
-func evalConstArgs(args []Expr, ctx *execCtx) ([]value.Value, error) {
-	out := make([]value.Value, len(args))
-	env := Env{Params: ctx.params}
-	for i, a := range args {
-		f, err := compileExpr(a, func(q, n string) (int, error) {
-			return 0, fmt.Errorf("sql: table function arguments must be constants")
-		}, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = f(&env)
-	}
-	return out, nil
-}
-
-func (it *tableFuncIter) Open() error { it.i = 0; return nil }
-func (it *tableFuncIter) Next() (value.Row, bool, error) {
+func (it *rowsIter) Open() error { it.i = 0; return nil }
+func (it *rowsIter) Next() (value.Row, bool, error) {
 	if it.i >= len(it.rows) {
 		return nil, false, nil
 	}
@@ -452,7 +480,7 @@ func (it *tableFuncIter) Next() (value.Row, bool, error) {
 	it.i++
 	return r, true, nil
 }
-func (it *tableFuncIter) Close() {}
+func (it *rowsIter) Close() {}
 
 type filterIter struct {
 	child iterator
@@ -983,38 +1011,3 @@ func (it *limitIter) Next() (value.Row, bool, error) {
 }
 
 func (it *limitIter) Close() { it.child.Close() }
-
-type valuesIter struct {
-	rows []value.Row
-	i    int
-}
-
-func newValuesIter(p *ValuesPlan, ctx *execCtx) (iterator, error) {
-	it := &valuesIter{}
-	env := Env{Params: ctx.params}
-	for _, exprs := range p.Rows {
-		row := make(value.Row, len(exprs))
-		for i, e := range exprs {
-			f, err := compileExpr(e, func(q, n string) (int, error) {
-				return 0, fmt.Errorf("sql: no columns in VALUES")
-			}, ctx.reg)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = f(&env)
-		}
-		it.rows = append(it.rows, row)
-	}
-	return it, nil
-}
-
-func (it *valuesIter) Open() error { it.i = 0; return nil }
-func (it *valuesIter) Next() (value.Row, bool, error) {
-	if it.i >= len(it.rows) {
-		return nil, false, nil
-	}
-	r := it.rows[it.i]
-	it.i++
-	return r, true, nil
-}
-func (it *valuesIter) Close() {}

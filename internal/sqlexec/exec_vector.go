@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -23,26 +24,23 @@ import (
 // runs — producing selection vectors, and only surviving positions
 // materialize boxed rows. Aggregation over a scan folds worker-local
 // partial tables merged at the end; hash-join builds partition across
-// workers. Output is kept byte-identical to the sequential executors:
+// workers. Output is kept byte-identical to the interpreter's:
 // scan batches emit in morsel order and merged aggregate groups sort by
 // first-seen input position.
-
-// errNoVector signals a plan shape the batch operators don't cover
-// (table functions, VALUES, joins without equi keys); Run falls back to
-// the row-at-a-time executors.
-var errNoVector = errors.New("sqlexec: plan not vectorizable")
 
 // vpipe pushes row batches into emit until exhausted.
 type vpipe func(emit func(rows []value.Row) error) error
 
-// runVectorized attempts the statement on the vectorized executor, the
-// root of its pipeline pushing into ctx.out. handled=false with a nil
-// error means the plan isn't covered and the caller should fall back; a
-// non-nil error is a real execution failure.
-func runVectorized(p Plan, ctx *execCtx) (bool, error) {
+// errStop terminates a pipeline early (LIMIT).
+var errStop = errors.New("sqlexec: pipeline stop")
+
+// runVectorized runs the statement on the vectorized executor, the root of
+// its pipeline pushing into ctx.out. Every plan shape compiles: an error
+// from compiling is the statement's, like one from running.
+func runVectorized(p Plan, ctx *execCtx) error {
 	vp, err := vecCompileRoot(p, ctx)
 	if err != nil {
-		return false, nil
+		return err
 	}
 	defer func() {
 		if ctx.pool != nil {
@@ -54,10 +52,10 @@ func runVectorized(p Plan, ctx *execCtx) (bool, error) {
 		}
 	}()
 	if err := vp(ctx.out.push); err != nil {
-		return false, err
+		return err
 	}
 	cVecQueries.Inc()
-	return true, nil
+	return nil
 }
 
 // vecCompile builds the batch pipeline for a plan node, attaching the
@@ -95,8 +93,8 @@ func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 	switch x := p.(type) {
 	case *ScanPlan:
 		return vecScan(x, false, ctx)
-	case *VirtualScanPlan:
-		return vecVirtual(x, ctx)
+	case *TableFuncPlan, *ValuesPlan, *VirtualScanPlan:
+		return vecRows(p, ctx)
 	case *FilterPlan:
 		return vecFilter(x, ctx)
 	case *ProjectPlan:
@@ -136,7 +134,26 @@ func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 	case *AliasPlan:
 		return vecCompile(x.Child, ctx)
 	}
-	return nil, errNoVector
+	return nil, fmt.Errorf("sql: no vectorized operator for %T", p)
+}
+
+// vecRows is the batch leaf over rows materialized up front (leafRows),
+// emitted in windows of at most BatchRows.
+func vecRows(p Plan, ctx *execCtx) (vpipe, error) {
+	rows, err := leafRows(p, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return func(emit func([]value.Row) error) error {
+		for rest := rows; len(rest) > 0; {
+			n := min(len(rest), BatchRows)
+			if err := emit(rest[:n:n]); err != nil {
+				return err
+			}
+			rest = rest[n:]
+		}
+		return nil
+	}, nil
 }
 
 // --- morsel-parallel scan ---------------------------------------------------
@@ -359,7 +376,7 @@ func (r *scanRun) forEach(fn func(t *scanTask, w int)) {
 // newRun snapshots the partitions, binds kernels against each partition's
 // physical encodings, and slices the row space into morsels. Partition
 // accounting (scanned/pruned, empty-partition cold stalls) matches the
-// row executors exactly.
+// interpreter exactly.
 func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 	s := p.plan
 	r := &scanRun{ctx: ctx, op: ctx.prof.node(s)}
@@ -381,7 +398,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 		}
 		rows := snap.NumRows()
 		if rows == 0 {
-			// The row executors stall on the cold read before discovering
+			// The interpreter stalls on the cold read before discovering
 			// the partition is empty; keep the accounting identical.
 			if cold > 0 {
 				time.Sleep(time.Duration(cold) * time.Microsecond)
@@ -803,6 +820,58 @@ func vecScan(s *ScanPlan, atRoot bool, ctx *execCtx) (vpipe, error) {
 	}, nil
 }
 
+// colGetter reads one column at a physical row position without boxing
+// intermediary rows.
+type colGetter func(pos int) value.Value
+
+// makeGetter builds a specialized accessor spanning main and delta parts.
+func makeGetter(snap *columnstore.Snapshot, col int) colGetter {
+	mainRows := snap.MainRows()
+	mc := snap.MainColumn(col)
+	dc := snap.DeltaColumn(col)
+	deltaGet := func(pos int) value.Value {
+		d := pos - mainRows
+		if dc == nil || d >= dc.Len() {
+			return value.Null
+		}
+		return dc.Get(d)
+	}
+	if mc == nil {
+		return deltaGet
+	}
+	// Specialize on reader capabilities, not concrete structs: hot and
+	// paged warm columns expose the same accessors.
+	kind := mc.Kind()
+	if m, ok := mc.(columnstore.IntAccessor); ok && kind != value.KindFloat && kind != value.KindString {
+		return func(pos int) value.Value {
+			if pos < mainRows {
+				if mc.IsNull(pos) {
+					return value.Null
+				}
+				return value.Value{K: kind, I: m.Int64(pos)}
+			}
+			return deltaGet(pos)
+		}
+	}
+	if m, ok := mc.(columnstore.FloatAccessor); ok && kind == value.KindFloat {
+		return func(pos int) value.Value {
+			if pos < mainRows {
+				if mc.IsNull(pos) {
+					return value.Null
+				}
+				return value.Float(m.Float64(pos))
+			}
+			return deltaGet(pos)
+		}
+	}
+	return func(pos int) value.Value {
+		if pos < mainRows {
+			return mc.Get(pos)
+		}
+		return deltaGet(pos)
+	}
+}
+
 // bindKernel resolves one eligible conjunct against a partition's main
 // encoding. The kind restrictions mirror value.Compare exactly: the
 // integer kernel compares raw int64 only when column and literal agree on
@@ -1024,7 +1093,7 @@ func (a *aggAcc) merge(b *aggAcc) {
 }
 
 // finishAgg merges the partial tables and renders output rows in
-// first-seen group order, matching the sequential executors.
+// first-seen group order, matching the interpreter.
 func finishAgg(folds []*vecAggFold, p *AggPlan) []value.Row {
 	merged := map[string]*vecGroup{}
 	for _, f := range folds {
@@ -1071,7 +1140,7 @@ func finishAgg(folds []*vecAggFold, p *AggPlan) []value.Row {
 // kinds describe the aggregate's input). Such a sum must not fold per
 // worker — morsel→worker assignment is scheduler-dependent, so the float
 // addends would group differently run to run and the output would no
-// longer be byte-identical to the sequential executors. It folds in
+// longer be byte-identical to the interpreter's. It folds in
 // morsel order instead. Integer sums, counts and min/max are exact under
 // any grouping.
 func aggFloatOrderSensitive(x *AggPlan, cols []colInfo, kinds []value.Kind) bool {
@@ -1164,9 +1233,7 @@ func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, 
 	return func(emit func([]value.Row) error) error {
 		// The scan child never passes through vecCompile here — its wall
 		// time is charged to the fused aggregate, while morsel/kernel/row
-		// counters still reach the scan node via the scanRun hook. Marked
-		// at run time so an aborted vectorized compile leaves no stale
-		// flag for the fallback executor.
+		// counters still reach the scan node via the scanRun hook.
 		if op := ctx.prof.node(s); op != nil {
 			op.fused = true
 		}
@@ -1207,9 +1274,6 @@ func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, 
 // --- parallel partitioned hash join ----------------------------------------
 
 func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
-	if len(x.EquiL) == 0 {
-		return nil, errNoVector // nested-loop joins stay row-at-a-time
-	}
 	if info, ok := joinCodeShape(x); ok {
 		return vecJoinCode(x, info, ctx)
 	}
@@ -1284,11 +1348,27 @@ func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 		})
 		// Phase 3: probe with the left side's ordered batches. The probe key
 		// renders into a reused buffer and combined rows come off a slab, so
-		// a probe row that matches nothing allocates nothing.
+		// a probe row that matches nothing allocates nothing. Output leaves
+		// in windows of at most BatchRows: what a keyless join (every build
+		// row matches every probe row) holds at once is bounded by the build
+		// side, not by the product.
 		slab := rowSlab{width: len(x.L.columns()) + rWidth}
 		var keyBuf []byte
+		var out []value.Row
+		flush := func() error {
+			full := out
+			out = nil
+			return emit(full)
+		}
+		add := func(combined value.Row) error {
+			slab.keep()
+			out = append(out, combined)
+			if len(out) < BatchRows {
+				return nil
+			}
+			return flush()
+		}
 		return left(func(rows []value.Row) error {
-			var out []value.Row
 			for _, lrow := range rows {
 				env.Row = lrow
 				hasNull := false
@@ -1315,21 +1395,23 @@ func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 						}
 					}
 					matched = true
-					slab.keep()
-					out = append(out, combined)
+					if err := add(combined); err != nil {
+						return err
+					}
 				}
 				if x.LeftOuter && !matched {
 					combined := slab.row()
 					copy(combined, lrow)
 					clear(combined[len(lrow):])
-					slab.keep()
-					out = append(out, combined)
+					if err := add(combined); err != nil {
+						return err
+					}
 				}
 			}
 			if len(out) == 0 {
 				return nil
 			}
-			return emit(out)
+			return flush()
 		})
 	}, nil
 }

@@ -59,7 +59,7 @@ func (it *strInterner) intern(s string) int64 {
 // addRepeat folds n identical values in one step — the run-length
 // contract: COUNT gains n, integer sums gain value × n (exact), MIN/MAX
 // compare once per run. A float sum is never multiplied or regrouped: its
-// n addends join one by one, exactly as the row executors add them, so
+// n addends join one by one, exactly as the interpreter adds them, so
 // the ordered fold stays bit-identical to them through run-length paths.
 func (a *aggAcc) addRepeat(v value.Value, n int64, spec aggSpec) {
 	if n <= 0 {

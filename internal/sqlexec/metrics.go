@@ -8,11 +8,8 @@ import "repro/internal/stats"
 // stats service folds it into every collection). Counters are cached at
 // package level so the hot path pays one atomic add, never a lookup.
 var (
-	// cVecQueries counts queries answered by the vectorized path;
-	// cVecPlanFallbacks counts queries that fell back to row-at-a-time
-	// because the plan contained a shape the batch operators don't cover.
-	cVecQueries       = stats.Default.Counter("sql_vec_queries_total")
-	cVecPlanFallbacks = stats.Default.Counter("sql_vec_plan_fallbacks_total")
+	// cVecQueries counts queries the vectorized executor ran to the end.
+	cVecQueries = stats.Default.Counter("sql_vec_queries_total")
 
 	// cVecMorsels counts dispatched morsels; cVecKernelHits counts scan
 	// conjuncts bound to an encoded-column kernel (per partition), and

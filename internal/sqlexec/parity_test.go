@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/columnstore"
@@ -13,15 +14,15 @@ import (
 
 // This file is the vectorized-executor parity suite: every query shape the
 // experiment catalog (E1–E17) issues — plus coverage for NULLs, deletes,
-// main+delta mixes, partitioned tables, parameters and plan shapes that
-// must fall back — runs through the interpreted, compiled and vectorized
+// main+delta mixes, partitioned tables, parameters and the leaves and joins
+// that are not morsel scans — runs through the interpreted and vectorized
 // executors and must produce identical rows in identical order. Run under
 // -race it also exercises the morsel pool's synchronization.
 
 // parityEngine builds an ERP-style dataset mirroring the experiment
 // workload: an orders fact table with NULLs, deleted rows and a delta tail
 // on top of encoded main storage; an items table for joins; a partitioned
-// sales table; and a table function (whole-plan fallback path).
+// sales table; and a table function (a rows leaf).
 func parityEngine(t testing.TB) *Engine { return parityEngineLaidOut(t, parityLayout{}) }
 
 // parityLayout rearranges where the parity dataset's rows live and which
@@ -313,7 +314,7 @@ var parityQueries = []struct {
 		params: []value.Value{value.String("EMEA"), value.Int(2011)}},
 	{sql: `SELECT id FROM orders WHERE amount > ? ORDER BY id LIMIT 20`,
 		params: []value.Value{value.Float(900)}},
-	// Whole-plan fallback shapes (table function, FROM-less select).
+	// Rows leaves (table function, FROM-less select).
 	{sql: `SELECT COUNT(*) FROM TABLE(NUMS(25)) x`},
 	{sql: `SELECT n FROM TABLE(NUMS(5)) x WHERE n > 2`},
 	{sql: `SELECT 1 + 2`},
@@ -333,6 +334,25 @@ var parityQueries = []struct {
 	{sql: `SELECT COUNT(*) FROM events e LEFT JOIN dims d ON e.region = d.region WHERE e.grp = 1`},
 	{sql: `SELECT COUNT(*) FROM events e JOIN dims_delta d ON e.region = d.region`},
 	{sql: `SELECT COUNT(*) FROM raw_events r JOIN dims d ON r.region = d.region`},
+	// A table function under GROUP BY, under ORDER BY … LIMIT, past one
+	// batch, and joined to a base table on either side.
+	{sql: `SELECT n % 3, COUNT(*), SUM(n) FROM TABLE(NUMS(40)) x GROUP BY n % 3`},
+	{sql: `SELECT n FROM TABLE(NUMS(3000)) x WHERE n % 7 = 0 ORDER BY n DESC LIMIT 9`},
+	{sql: `SELECT x.n, o.status FROM TABLE(NUMS(30)) x JOIN orders o ON x.n = o.id WHERE o.yr >= 2012`},
+	{sql: `SELECT o.id, x.n FROM orders o LEFT JOIN TABLE(NUMS(8)) x ON o.id = x.n WHERE o.id < 12`},
+	// FROM-less selects: literals, parameters, scalar functions.
+	{sql: `SELECT 'a', 2.5, NULL`},
+	{sql: `SELECT $1, $2 + 1, UPPER($1)`, params: []value.Value{value.String("p"), value.Int(41)}},
+	{sql: `SELECT UPPER('abc'), ABS(-3), COALESCE(NULL, 7)`},
+	// Joins without a column to hash on, inner and left outer: a constant
+	// ON clause (every row pair, or none, and no residual) and a non-equi
+	// one, which is a keyless join's residual.
+	{sql: `SELECT d.dname, x.dname FROM dims d JOIN dims_delta x ON 1 = 1`},
+	{sql: `SELECT d.dname, x.dname FROM dims d JOIN dims_delta x ON d.dname < x.dname`},
+	{sql: `SELECT d.dname, x.dname FROM dims d LEFT JOIN dims_delta x ON 1 = 0`},
+	{sql: `SELECT d.dname, x.dname FROM dims d LEFT JOIN dims_delta x ON d.region > x.region AND x.dname <> 'dd0'`},
+	// A cross product several batches wide per probe batch.
+	{sql: `SELECT o.id, d.dname FROM orders o JOIN dims d ON o.id >= 0`},
 }
 
 // resultKeys renders rows for exact ordered comparison.
@@ -344,8 +364,8 @@ func resultKeys(r *Result) []string {
 	return out
 }
 
-// TestVectorizedParity runs the catalog through all three executors (and
-// the vectorized one at several worker counts) asserting byte-identical
+// TestVectorizedParity runs the catalog through both executors (the
+// vectorized one at several worker counts) asserting byte-identical
 // ordered output — the vectorized executor's determinism contract.
 func TestVectorizedParity(t *testing.T) {
 	e := parityEngine(t)
@@ -354,10 +374,6 @@ func TestVectorizedParity(t *testing.T) {
 		want := mustExec(t, e, q.sql, q.params...)
 		wantKeys := resultKeys(want)
 
-		e.Mode = ModeCompiled
-		if got := resultKeys(mustExec(t, e, q.sql, q.params...)); !reflect.DeepEqual(got, wantKeys) {
-			t.Errorf("%s: compiled output differs from interpreted", q.sql)
-		}
 		for _, workers := range []int{1, 3, 8} {
 			e.Mode = ModeVectorized
 			e.Workers = workers
@@ -391,9 +407,8 @@ func TestVectorizedParityFlatOverflow(t *testing.T) {
 	}
 }
 
-// TestVectorizedPathTaken asserts the batch operators actually handled the
-// kernel-friendly queries (morsels dispatched, kernels bound) rather than
-// silently falling back to the row pipelines.
+// TestVectorizedPathTaken asserts the kernel-friendly queries ran as morsel
+// scans with their kernels bound.
 func TestVectorizedPathTaken(t *testing.T) {
 	e := parityEngine(t)
 	e.Mode = ModeVectorized
@@ -411,11 +426,10 @@ func TestVectorizedPathTaken(t *testing.T) {
 	if r.Stats.Morsels == 0 || r.Stats.KernelHits == 0 {
 		t.Fatalf("expected mixed kernel/residual scan, got %+v", r.Stats)
 	}
-	// Table functions are not vectorizable: the whole plan falls back and
-	// reports no morsels.
+	// A table function is a rows leaf, not a scan: no morsels.
 	r = mustExec(t, e, `SELECT COUNT(*) FROM TABLE(NUMS(25)) x`)
 	if r.Stats.Morsels != 0 {
-		t.Fatalf("table-function plan should fall back, got %d morsels", r.Stats.Morsels)
+		t.Fatalf("table-function plan reported %d morsels", r.Stats.Morsels)
 	}
 }
 
@@ -429,14 +443,90 @@ func TestVectorizedStatsParity(t *testing.T) {
 		`SELECT COUNT(*), SUM(amount) FROM sales WHERE yr = 2013`,
 		`SELECT region, COUNT(*) FROM sales WHERE yr >= 2014 GROUP BY region`,
 	} {
-		e.Mode = ModeCompiled
-		rc := mustExec(t, e, sql)
+		e.Mode = ModeInterpreted
+		ri := mustExec(t, e, sql)
 		e.Mode = ModeVectorized
 		rv := mustExec(t, e, sql)
-		if rc.Stats.RowsScanned != rv.Stats.RowsScanned ||
-			rc.Stats.PartitionsScanned != rv.Stats.PartitionsScanned ||
-			rc.Stats.PartitionsPruned != rv.Stats.PartitionsPruned {
-			t.Fatalf("%s: stats diverge: compiled %+v vectorized %+v", sql, rc.Stats, rv.Stats)
+		if ri.Stats.RowsScanned != rv.Stats.RowsScanned ||
+			ri.Stats.PartitionsScanned != rv.Stats.PartitionsScanned ||
+			ri.Stats.PartitionsPruned != rv.Stats.PartitionsPruned {
+			t.Fatalf("%s: stats diverge: interpreted %+v vectorized %+v", sql, ri.Stats, rv.Stats)
 		}
+	}
+}
+
+// TestExecutorsReportTheSameError: a plan an executor cannot build is the
+// statement's error on the executor that was asked to run it, in the same
+// words on both.
+func TestExecutorsReportTheSameError(t *testing.T) {
+	e := parityEngine(t)
+	for _, c := range []struct{ sql, want string }{
+		{`SELECT nope FROM orders`, "nope"},
+		{`SELECT id FROM orders WHERE NOSUCHFN(id) > 1`, "NOSUCHFN"},
+		{`SELECT 1 + NOSUCHFN(2)`, "NOSUCHFN"},
+		{`SELECT n FROM TABLE(NUMS(id)) x`, "table function arguments must be constants"},
+		{`SELECT n FROM TABLE(NOSUCHTABLEFN(3)) x`, "NOSUCHTABLEFN"},
+	} {
+		var texts []string
+		for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
+			e.Mode = mode
+			_, err := e.Query(c.sql)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s: %s: error %v, want one naming %q", mode, c.sql, err, c.want)
+			}
+			texts = append(texts, err.Error())
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s:\n interpreted: %s\n  vectorized: %s", c.sql, texts[0], texts[1])
+		}
+	}
+}
+
+// TestCrossProductLeavesInWindows: a keyless join emits each probe batch's
+// output in windows of at most BatchRows, so what it holds at once is
+// bounded by the build side and not by the product. 16 000 probe rows
+// against 6 build rows: every probe batch of 1 024 rows makes 6 144.
+func TestCrossProductLeavesInWindows(t *testing.T) {
+	e := parityEngine(t)
+	s := e.NewSession()
+	defer s.Close()
+	stmt, err := Parse(`SELECT e.qty, d.dname FROM events e JOIN dims d ON e.qty >= 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := e.Mgr.Now()
+	plan, err := s.planSelect(stmt.(*SelectStmt), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join *JoinPlan
+	for p := plan; join == nil; p = planChildren(p)[0] {
+		join, _ = p.(*JoinPlan)
+	}
+	if len(join.EquiL) != 0 {
+		t.Fatalf("not a keyless join: %s", planLabel(join))
+	}
+	ctx := &execCtx{ts: ts, reg: e.Reg, stats: &ExecStats{}, workers: 3}
+	vp, err := vecCompile(join, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, peak := 0, 0
+	if err := vp(func(batch []value.Row) error {
+		rows, peak = rows+len(batch), max(peak, len(batch))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.pool != nil {
+		ctx.pool.close()
+	}
+	e.Mode = ModeInterpreted
+	want := mustExec(t, e, `SELECT COUNT(*) FROM events e JOIN dims d ON e.qty >= 0`).Rows[0][0].AsInt()
+	if int64(rows) != want || rows < 16*BatchRows {
+		t.Fatalf("join emitted %d rows, interpreted counts %d", rows, want)
+	}
+	if peak > BatchRows {
+		t.Fatalf("largest batch %d rows, want at most %d", peak, BatchRows)
 	}
 }

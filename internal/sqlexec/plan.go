@@ -17,7 +17,7 @@ type colInfo struct {
 }
 
 // Plan is a logical/physical query plan node. The same tree is consumed by
-// both executors (interpreted and compiled).
+// both executors (interpreted and vectorized).
 type Plan interface {
 	columns() []colInfo
 }
@@ -796,7 +796,7 @@ func classifyVecConjunct(e Expr, cols []colInfo) (vecPred, bool) {
 //
 // The late-materialization paths (exec_vector_code.go) only engage on plan
 // shapes where key translation to canonical int64 codes is exact; anything
-// else keeps today's boxed behavior through the per-plan fallback.
+// else runs on the boxed batch operators.
 
 // findCol resolves a column reference against a plan node's output
 // columns with exactly the executor resolver's semantics (including the

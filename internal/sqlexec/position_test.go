@@ -85,10 +85,6 @@ func checkOrderedFold(t *testing.T, e *Engine, reps int) {
 	for _, sql := range orderedFoldQueries {
 		e.Mode = ModeInterpreted
 		want := rowBits(mustExec(t, e, sql))
-		e.Mode = ModeCompiled
-		if got := rowBits(mustExec(t, e, sql)); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: compiled differs from interpreted", sql)
-		}
 		e.Mode = ModeVectorized
 		for _, workers := range []int{1, 2, 8} {
 			e.Workers = workers

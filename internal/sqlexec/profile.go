@@ -18,9 +18,9 @@ import (
 // reconcilable against the statement's end-to-end latency.
 //
 // Instrumentation attaches at operator boundaries, once per Next call
-// (interpreter), per pushed row (compiled) or per batch/morsel
-// (vectorized), so the vectorized hot path pays a handful of clock reads
-// per 16k-row morsel — experiment E20 pins the overhead below 10%.
+// (interpreter) or per batch/morsel (vectorized), so the vectorized hot
+// path pays a handful of clock reads per 16k-row morsel — experiment E20
+// pins the overhead below 10%.
 
 // OpProfile is one operator's measured runtime behavior. Counters use
 // atomics because morsel workers update the scan operator concurrently.
@@ -171,8 +171,7 @@ func (p *Profile) ClockReads() int64 {
 // Render formats the annotated plan tree.
 func (p *Profile) Render() string {
 	var sb strings.Builder
-	mode := [...]string{"compiled", "interpreted", "vectorized"}[p.Mode]
-	fmt.Fprintf(&sb, "EXPLAIN ANALYZE (%s", mode)
+	fmt.Fprintf(&sb, "EXPLAIN ANALYZE (%s", p.Mode)
 	if p.Mode == ModeVectorized && p.Workers > 0 {
 		fmt.Fprintf(&sb, ", %d workers", p.Workers)
 	}
@@ -265,7 +264,7 @@ func (p *Profile) finish(pl Plan) {
 		if j, ok := n.(*JoinPlan); ok {
 			op, l, r := p.node(j), p.node(j.L), p.node(j.R)
 			if op != nil && l != nil && r != nil && op.buildRows.Load() == 0 {
-				// All three executors build the hash table on the right
+				// Both executors build the hash table on the right
 				// (the planner's chooseBuildSide already put the smaller
 				// input there) and probe with the left.
 				op.buildRows.Store(r.rowsOut.Load())
@@ -400,35 +399,10 @@ func (p *Profile) wrapIter(pl Plan, it iterator) iterator {
 	return &profIter{inner: it, op: op}
 }
 
-// wrapPipe attaches profiling to a compiled (push) operator. A push
+// wrapVPipe attaches profiling to a vectorized (push) operator. A push
 // pipeline inverts control — the scan loop drives everything — so the
 // operator's inclusive time is its invocation time minus the time spent
-// inside the downstream emit it was handed.
-func (p *Profile) wrapPipe(pl Plan, inner pipe) pipe {
-	if p == nil {
-		return inner
-	}
-	op := p.byPlan[pl]
-	if op == nil {
-		return inner
-	}
-	return func(emit func(value.Row) error) error {
-		var emitNS int64
-		t0 := time.Now()
-		err := inner(func(row value.Row) error {
-			op.rowsOut.Add(1)
-			e0 := time.Now()
-			eerr := emit(row)
-			emitNS += time.Since(e0).Nanoseconds()
-			return eerr
-		})
-		op.wallNS.Add(time.Since(t0).Nanoseconds() - emitNS)
-		return err
-	}
-}
-
-// wrapVPipe is wrapPipe for the vectorized batch pipelines: the same
-// inclusive-minus-emit accounting, charged once per batch.
+// inside the downstream emit it was handed, charged once per batch.
 func (p *Profile) wrapVPipe(pl Plan, inner vpipe) vpipe {
 	if p == nil {
 		return inner

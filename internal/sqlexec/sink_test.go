@@ -108,7 +108,7 @@ func unordered(sql string) bool {
 
 // TestVectorizedSinkParity: the parity catalog, the selection-form shapes
 // and the parameter twins, through ExecTo into a sink that keeps nothing,
-// against Exec — on all three executors, over merged, unmerged, mixed and
+// against Exec — on both executors, over merged, unmerged, mixed and
 // warm storage. Same columns, same rows bit for bit in the same order,
 // same ExecStats; and the vectorized run, profiled, still signs the
 // counters recorded in the selection-parity golden file (one fused batch
@@ -133,12 +133,12 @@ func TestVectorizedSinkParity(t *testing.T) {
 	for _, lay := range []parityLayout{{store: "main", holes: -1}, {store: "delta", holes: 7}, {store: "warm", holes: 7}, {}} {
 		e := parityEngineLaidOut(t, lay)
 		for i, q := range queries {
-			for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
-				if mode != ModeVectorized && (i >= len(parityQueries) || lay.store == "main" || lay.store == "delta") {
-					continue // the row executors' root loop is one: the catalog on two layouts covers it
+			for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
+				if mode == ModeInterpreted && (i >= len(parityQueries) || lay.store == "main" || lay.store == "delta") {
+					continue // the interpreter's root loop is one: the catalog on two layouts covers it
 				}
 				e.Mode, e.Workers = mode, []int{1, 3, 8}[i%3]
-				label := fmt.Sprintf("%s: mode=%d workers=%d: %s", lay, mode, e.Workers, q.sql)
+				label := fmt.Sprintf("%s: %s workers=%d: %s", lay, mode, e.Workers, q.sql)
 				want := mustExec(t, e, q.sql, q.params...)
 				// The vectorized run is also profiled: the sink path is the same,
 				// and the profile is what the recorded signatures sign.

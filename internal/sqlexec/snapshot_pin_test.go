@@ -52,7 +52,7 @@ func inTheGap(e *Engine, fn func(entry *catalog.TableEntry)) {
 // watermark is the new clock, the version the statement should see is
 // compacted and the one that replaced it is too new: COUNT(*) = 63 of 64.
 func TestAutoCommitSelectSeesItsSnapshotAcrossCommitAndMerge(t *testing.T) {
-	for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
+	for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
 		e := pinFixture(t)
 		e.Mode = mode
 		inTheGap(e, func(entry *catalog.TableEntry) {

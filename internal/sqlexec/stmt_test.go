@@ -116,11 +116,8 @@ func TestVectorizedParamParity(t *testing.T) {
 			for _, q := range twins {
 				e.Mode = ModeInterpreted
 				want := resultKeys(mustExec(t, e, q.literal))
-				for _, mode := range []Mode{ModeInterpreted, ModeCompiled} {
-					e.Mode = mode
-					if got := resultKeys(mustExec(t, e, q.param, q.params...)); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: %s: mode=%d param form differs from literal form", label, q.param, mode)
-					}
+				if got := resultKeys(mustExec(t, e, q.param, q.params...)); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: %s: interpreted param form differs from literal form", label, q.param)
 				}
 				for _, workers := range []int{1, 4} {
 					e.Mode, e.Workers = ModeVectorized, workers
@@ -209,15 +206,13 @@ func TestVectorizedParamEdgeCases(t *testing.T) {
 	for _, c := range cases {
 		e.Mode = ModeInterpreted
 		want := mustExec(t, e, c.sql, c.params...)
-		for _, mode := range []Mode{ModeCompiled, ModeVectorized} {
-			e.Mode = mode
-			got := mustExec(t, e, c.sql, c.params...)
-			if !reflect.DeepEqual(resultKeys(got), resultKeys(want)) {
-				t.Errorf("%s %v: mode=%d returned %d rows, interpreted %d", c.sql, c.params, mode, len(got.Rows), len(want.Rows))
-			}
-			if got.Stats.RowsScanned != want.Stats.RowsScanned {
-				t.Errorf("%s %v: mode=%d scanned %d rows, interpreted %d", c.sql, c.params, mode, got.Stats.RowsScanned, want.Stats.RowsScanned)
-			}
+		e.Mode = ModeVectorized
+		got := mustExec(t, e, c.sql, c.params...)
+		if !reflect.DeepEqual(resultKeys(got), resultKeys(want)) {
+			t.Errorf("%s %v: vectorized returned %d rows, interpreted %d", c.sql, c.params, len(got.Rows), len(want.Rows))
+		}
+		if got.Stats.RowsScanned != want.Stats.RowsScanned {
+			t.Errorf("%s %v: vectorized scanned %d rows, interpreted %d", c.sql, c.params, got.Stats.RowsScanned, want.Stats.RowsScanned)
 		}
 	}
 
@@ -300,11 +295,9 @@ func TestVectorizedKernelFirstVisibility(t *testing.T) {
 		if r.Stats.RowsScanned != c.scan {
 			t.Errorf("%s snapshot, k = %d: RowsScanned = %d, want %d", c.name, c.k, r.Stats.RowsScanned, c.scan)
 		}
-		for _, mode := range []Mode{ModeInterpreted, ModeCompiled} {
-			e.Mode = mode
-			if rr, err := c.s.Query(q, value.Int(c.k)); err != nil || rr.Stats.RowsScanned != r.Stats.RowsScanned || len(rr.Rows) != len(r.Rows) {
-				t.Errorf("%s snapshot, k = %d: mode=%d disagrees with vectorized (%v)", c.name, c.k, mode, err)
-			}
+		e.Mode = ModeInterpreted
+		if rr, err := c.s.Query(q, value.Int(c.k)); err != nil || rr.Stats.RowsScanned != r.Stats.RowsScanned || len(rr.Rows) != len(r.Rows) {
+			t.Errorf("%s snapshot, k = %d: interpreted disagrees with vectorized (%v)", c.name, c.k, err)
 		}
 		e.Mode = ModeVectorized
 	}

@@ -26,35 +26,32 @@ func sysTestEngine(t testing.TB) *Engine {
 	return e
 }
 
-// TestSysViewsAllModes scans every engine-local monitoring view under all
-// three executors: virtual tables must resolve and materialize identically
-// whether the plan is compiled, interpreted or vectorized.
+// TestSysViewsAllModes scans every engine-local monitoring view under both
+// executors: virtual tables must resolve and materialize identically
+// whether the plan is interpreted or vectorized.
 func TestSysViewsAllModes(t *testing.T) {
 	e := sysTestEngine(t)
 	views := e.SysViews().Names()
 	if len(views) < 9 {
 		t.Fatalf("expected >= 9 engine views, got %v", views)
 	}
-	for _, m := range []struct {
-		name string
-		mode Mode
-	}{{"compiled", ModeCompiled}, {"interpreted", ModeInterpreted}, {"vectorized", ModeVectorized}} {
-		e.Mode = m.mode
+	for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
+		e.Mode = mode
 		for _, v := range views {
 			res, err := e.Query(`SELECT * FROM ` + v)
 			if err != nil {
-				t.Fatalf("%s: SELECT * FROM %s: %v", m.name, v, err)
+				t.Fatalf("%s: SELECT * FROM %s: %v", mode, v, err)
 			}
 			st, _ := e.SysViews().Lookup(v)
 			if len(res.Cols) != len(st.Schema) {
-				t.Fatalf("%s: %s returned %d cols, schema has %d", m.name, v, len(res.Cols), len(st.Schema))
+				t.Fatalf("%s: %s returned %d cols, schema has %d", mode, v, len(res.Cols), len(st.Schema))
 			}
 		}
 		// Projection, filter, aggregate and ORDER BY over a virtual table.
 		res := mustExec(t, e,
 			`SELECT fingerprint_id, calls FROM sys.m_statements WHERE calls > 1 ORDER BY calls DESC`)
 		if len(res.Rows) == 0 {
-			t.Fatalf("%s: no aggregated statements with calls > 1", m.name)
+			t.Fatalf("%s: no aggregated statements with calls > 1", mode)
 		}
 	}
 }

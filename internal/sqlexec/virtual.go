@@ -1,7 +1,6 @@
 package sqlexec
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -72,10 +71,9 @@ func (sc *SysCatalog) Names() []string {
 	return out
 }
 
-// VirtualScanPlan scans one sys view. All three executors materialize the
-// snapshot when the scan starts and then stream it like any base table,
-// so filters, joins and aggregates compose over monitoring data
-// unchanged.
+// VirtualScanPlan scans one sys view. Both executors materialize the
+// snapshot up front (leafRows) and then stream it like any base table, so
+// filters, joins and aggregates compose over monitoring data unchanged.
 type VirtualScanPlan struct {
 	Table *SysTable
 	Alias string
@@ -83,42 +81,3 @@ type VirtualScanPlan struct {
 }
 
 func (p *VirtualScanPlan) columns() []colInfo { return p.cols }
-
-// newVirtualIter materializes the snapshot and streams it; shared by the
-// interpreted and compiled executors (the same build-then-iterate shape
-// as table functions).
-func newVirtualIter(p *VirtualScanPlan, ctx *execCtx) (iterator, error) {
-	rows, err := p.Table.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("sql: %s snapshot: %w", p.Table.Name, err)
-	}
-	ctx.mu.Lock()
-	ctx.stats.RowsScanned += len(rows)
-	ctx.mu.Unlock()
-	return &tableFuncIter{rows: rows}, nil
-}
-
-// vecVirtual is the vectorized scan: the snapshot is taken when the
-// pipeline runs and emitted in batches.
-func vecVirtual(x *VirtualScanPlan, ctx *execCtx) (vpipe, error) {
-	return func(emit func(rows []value.Row) error) error {
-		rows, err := x.Table.Snapshot()
-		if err != nil {
-			return fmt.Errorf("sql: %s snapshot: %w", x.Table.Name, err)
-		}
-		ctx.mu.Lock()
-		ctx.stats.RowsScanned += len(rows)
-		ctx.mu.Unlock()
-		const batch = 1024
-		for i := 0; i < len(rows); i += batch {
-			j := i + batch
-			if j > len(rows) {
-				j = len(rows)
-			}
-			if err := emit(rows[i:j]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, nil
-}

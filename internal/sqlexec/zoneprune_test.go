@@ -79,7 +79,7 @@ func TestZonePruneProperty(t *testing.T) {
 
 		hot.Mode = ModeInterpreted
 		want := resultKeys(mustExec(t, hot, q))
-		for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
+		for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
 			warm.Mode = mode
 			got := mustExec(t, warm, q)
 			if keys := resultKeys(got); !reflect.DeepEqual(keys, want) {

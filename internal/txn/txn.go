@@ -7,9 +7,11 @@
 // delete sets under per-table latches (not a global mutex), then enqueue
 // into a group-commit batch: one committer becomes the leader, assigns a
 // contiguous timestamp range to the whole batch under a single clock bump,
-// lets every member apply its own write set concurrently (disjoint tables
-// in parallel), publishes the clock once all applies land, and hands the
-// batch to the WAL as one append with one flush+fsync. Merges renumber
+// applies the members' write sets itself in timestamp order — the order
+// the WAL logs and recovery replays them in, so a row gets the same
+// position in the live table and in the recovered one — publishes the
+// clock once all applies have landed, and hands the batch to the WAL as
+// one append with one flush+fsync. Merges renumber
 // row positions, so they run as exclusive jobs between batches through
 // the same pipeline — see RunExclusive and merge.go for the background
 // merge daemon.
@@ -87,13 +89,6 @@ type Manager struct {
 	listeners []CommitListener
 	groupLs   []GroupCommitListener
 	nextID    atomic.Uint64
-
-	// SerialCommits forces every commit through one global mutex,
-	// degenerating group commit to batches of one. It reproduces the
-	// pre-pipeline serialized behavior and exists as the baseline for the
-	// commit-throughput benchmarks; leave it false in production paths.
-	SerialCommits bool
-	serialMu      sync.Mutex
 
 	gcMu    sync.Mutex
 	gcQueue []*gcJob
@@ -448,11 +443,11 @@ func (t *Txn) apply(commitTS uint64, tabs map[string]*columnstore.Table) {
 
 // Commit validates the write set under per-table latches, then rides a
 // group-commit batch: the batch leader assigns it a timestamp from one
-// clock bump shared with its peers, the write set is applied concurrently
-// with other members (disjoint tables in parallel), and the clock is
-// published only after the whole batch has landed — so no snapshot ever
-// observes a torn commit. Commit returns once the batch's listeners (WAL
-// append + fsync under SyncEveryCommit) have run.
+// clock bump shared with its peers, applies the batch's write sets in
+// timestamp order, and publishes the clock only after the whole batch has
+// landed — so no snapshot ever observes a torn commit. Commit returns once
+// the batch's listeners (WAL append + fsync under SyncEveryCommit) have
+// run.
 func (t *Txn) Commit() (uint64, error) {
 	if t.done {
 		return 0, ErrClosed
@@ -466,11 +461,6 @@ func (t *Txn) Commit() (uint64, error) {
 		m.commits.Add(1)
 		cCommits.Inc()
 		return m.clock.Load(), nil
-	}
-
-	if m.SerialCommits {
-		m.serialMu.Lock()
-		defer m.serialMu.Unlock()
 	}
 
 	tabs, delNames, err := t.resolve()
@@ -504,15 +494,8 @@ func (t *Txn) Commit() (uint64, error) {
 		}
 	}
 
-	job := &gcJob{
-		txn:     t,
-		tabs:    tabs,
-		latches: latches,
-		apply:   make(chan struct{}),
-		elect:   make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	m.submit(job)
+	job := &gcJob{txn: t, tabs: tabs, latches: latches}
+	m.enqueue(job)
 
 	m.Unpin(t.snapTS)
 	m.commits.Add(1)
@@ -546,9 +529,7 @@ type gcJob struct {
 	txn     *Txn
 	tabs    map[string]*columnstore.Table
 	latches []*sync.Mutex
-	ts      uint64          // assigned by the leader before apply is closed
-	wg      *sync.WaitGroup // batch apply barrier
-	apply   chan struct{}   // leader → member: ts assigned, apply now
+	ts      uint64 // assigned by the leader; read by the member after done
 
 	// Exclusive jobs.
 	excl  bool
@@ -566,45 +547,11 @@ type gcJob struct {
 // without bound under sustained load.
 const maxLeaderDrains = 4
 
-// submit enqueues a commit job and blocks until it is fully committed.
-// The first enqueuer with no active leader leads the batch; members apply
-// their own write sets when signaled and may inherit leadership.
-func (m *Manager) submit(j *gcJob) {
-	m.gcMu.Lock()
-	m.gcQueue = append(m.gcQueue, j)
-	lead := !m.gcLead
-	if lead {
-		m.gcLead = true
-	}
-	m.gcMu.Unlock()
-	if lead {
-		m.lead(j)
-		return
-	}
-	select {
-	case <-j.apply:
-		j.txn.apply(j.ts, j.tabs)
-		j.wg.Done()
-		<-j.done
-	case <-j.elect:
-		m.lead(j)
-	}
-}
-
-// RunExclusive runs fn on the named table with no commit apply in flight:
-// the group-commit leader executes it between batches while holding the
-// table's apply latch, passing the current MinActiveTS watermark. Merges
-// go through here so the WAL observes merge records in true execution
-// order relative to commits, and so no committer's validated positions
-// are renumbered out from under it.
-func (m *Manager) RunExclusive(table string, fn func(watermark uint64)) {
-	j := &gcJob{
-		excl:  true,
-		table: table,
-		fn:    fn,
-		elect: make(chan struct{}),
-		done:  make(chan struct{}),
-	}
+// enqueue appends a job to the group-commit queue and blocks until it has
+// been processed. The first enqueuer with no active leader leads the
+// batch; one that waits may inherit leadership.
+func (m *Manager) enqueue(j *gcJob) {
+	j.elect, j.done = make(chan struct{}), make(chan struct{})
 	m.gcMu.Lock()
 	m.gcQueue = append(m.gcQueue, j)
 	lead := !m.gcLead
@@ -621,6 +568,16 @@ func (m *Manager) RunExclusive(table string, fn func(watermark uint64)) {
 	case <-j.elect:
 		m.lead(j)
 	}
+}
+
+// RunExclusive runs fn on the named table with no commit apply in flight:
+// the group-commit leader executes it between batches while holding the
+// table's apply latch, passing the current MinActiveTS watermark. Merges
+// go through here so the WAL observes merge records in true execution
+// order relative to commits, and so no committer's validated positions
+// are renumbered out from under it.
+func (m *Manager) RunExclusive(table string, fn func(watermark uint64)) {
+	m.enqueue(&gcJob{excl: true, table: table, fn: fn})
 }
 
 // lead drains the group-commit queue until it is empty or leadership is
@@ -653,8 +610,8 @@ func (m *Manager) lead(own *gcJob) {
 }
 
 // runGroup processes one drained batch: commits first (single clock bump,
-// concurrent applies, publish, listeners), then exclusive jobs. Returns
-// whether any job completed.
+// applies in timestamp order, publish, listeners), then exclusive jobs.
+// Returns whether any job completed.
 func (m *Manager) runGroup(batch []*gcJob, own *gcJob) bool {
 	var commits, excls []*gcJob
 	for _, j := range batch {
@@ -667,22 +624,17 @@ func (m *Manager) runGroup(batch []*gcJob, own *gcJob) bool {
 
 	if len(commits) > 0 {
 		// Phase 1: assign a contiguous TS range under one clock bump and
-		// let every member apply its own write set concurrently.
+		// apply the write sets in that order. Only members with deletes
+		// hold a table latch, so two members may insert into the same
+		// table: applied in any other order than the one the WAL logs and
+		// OpenStore replays, their rows would sit at different delta
+		// positions in the recovered table than in this one, and a later
+		// delete-by-position would hit the neighbour.
 		base := m.clock.Load()
-		var wg sync.WaitGroup
-		wg.Add(len(commits))
 		for i, j := range commits {
 			j.ts = base + 1 + uint64(i)
-			j.wg = &wg
-			if j != own {
-				close(j.apply)
-			}
+			j.txn.apply(j.ts, j.tabs)
 		}
-		if own != nil && !own.excl && !own.processed {
-			own.txn.apply(own.ts, own.tabs)
-			wg.Done()
-		}
-		wg.Wait()
 
 		// Phase 2: the validate→apply window is closed; release every
 		// member's table latches (ownership passed to the leader).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,11 +31,10 @@ func tableContent(tab *columnstore.Table, ts uint64) map[string]int {
 // the group-commit pipeline: background merges renumber positions, and
 // replayed deletes apply by logged position — so merge records must land
 // in the log in true execution order relative to commit batches. Run
-// concurrent ingest/updates with a logging background merger, then reopen
-// the store and require bit-identical live content.
+// concurrent ingest/updates beside logged merges, then reopen the store
+// and require bit-identical live content.
 func TestRecoveryWithBackgroundMerges(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenStore(dir, SyncNever)
+	s, err := OpenStore(t.TempDir(), SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,31 @@ func TestRecoveryWithBackgroundMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merger := s.StartMerger(32, time.Millisecond)
+	// Merges are driven from here, back to back until the writers are done,
+	// so that one interleaved with them is a fact and not a matter of the
+	// writers outlasting a daemon's first tick. between counts the merges
+	// that found something committed since the merge before them.
+	writersDone, merged := make(chan struct{}), make(chan int)
+	go func() {
+		between, last := 0, 200
+		for done := false; !done; {
+			select {
+			case <-writersDone:
+				done = true
+			default:
+			}
+			st, err := s.MergeTable("ev")
+			if err != nil {
+				t.Error(err)
+				break
+			}
+			if st.RowsEvicted > 0 || st.RowsMerged != last {
+				between++
+			}
+			last = st.RowsMerged
+		}
+		merged <- between
+	}()
 
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -96,17 +120,21 @@ func TestRecoveryWithBackgroundMerges(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	merger.Stop()
-
-	if merger.Merges() == 0 {
-		t.Fatal("background merger never fired; ordering was not exercised")
+	close(writersDone)
+	if between := <-merged; between == 0 {
+		t.Fatal("no merge ran between two commits; ordering was not exercised")
 	}
-	want := tableContent(tab, s.Mgr.Now())
+	requireRecovered(t, s, tableContent(tab, s.Mgr.Now()))
+}
+
+// requireRecovered closes the store's log, reopens the store from disk and
+// requires table ev to hold exactly the multiset want.
+func requireRecovered(t *testing.T, s *Store, want map[string]int) {
+	t.Helper()
 	if err := s.Log.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	s2, err := OpenStore(dir, SyncNever)
+	s2, err := OpenStore(s.Dir, SyncNever)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,4 +152,101 @@ func TestRecoveryWithBackgroundMerges(t *testing.T) {
 			t.Fatalf("row %s: recovered count %d, want %d", k, got[k], n)
 		}
 	}
+}
+
+// TestGroupCommitAppliesInLogOrder pins the invariant replay relies on: the
+// members of a group-commit batch land in the table in the order the batch
+// is logged, so a row has the same position live and recovered. Only
+// members with deletes hold a table latch, so a batch may carry many
+// inserts into one table; when every member applied its own write set they
+// landed in scheduler order, and the next delete-by-position hit a
+// different row after recovery than it had hit live. The batch is built
+// without goroutine luck: a listener holds the leader while sixteen
+// committers queue up behind it.
+func TestGroupCommitAppliesInLogOrder(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := columnstore.NewTable("ev", columnstore.Schema{
+		{Name: "id", Kind: value.KindInt},
+		{Name: "v", Kind: value.KindInt},
+	})
+	s.Mgr.Register(tab)
+	if err := s.Checkpoint(map[string]*columnstore.Table{"ev": tab}); err != nil {
+		t.Fatal(err)
+	}
+
+	var holdNext atomic.Bool
+	var maxBatch atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.Mgr.OnCommitGroup(func(batch []txn.GroupCommit) {
+		if n := int64(len(batch)); n > maxBatch.Load() {
+			maxBatch.Store(n) // batches are published one at a time
+		}
+		if holdNext.CompareAndSwap(true, false) {
+			entered <- struct{}{}
+			<-release
+		}
+	})
+	insert := func(id int) {
+		if _, err := s.Mgr.RunInTxn(func(tx *txn.Txn) error {
+			return tx.Insert("ev", value.Row{value.Int(int64(id)), value.Int(0)})
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+
+	// Nothing announces that a committer has reached the queue, so a round
+	// gives them a moment after they have all started and is repeated
+	// until at least half of them were published as one batch.
+	const members = 16
+	for round := 0; maxBatch.Load() < members/2; round++ {
+		if round == 50 {
+			t.Fatalf("largest batch in %d rounds had %d members", round, maxBatch.Load())
+		}
+		var wg, started sync.WaitGroup
+		wg.Add(1 + members)
+		started.Add(members)
+		holdNext.Store(true)
+		go func() {
+			defer wg.Done()
+			insert(round * 100)
+		}()
+		<-entered // the leader is inside the listener, its batch of one published
+		for g := 1; g <= members; g++ {
+			go func(id int) {
+				defer wg.Done()
+				started.Done()
+				insert(id)
+			}(round*100 + g)
+		}
+		started.Wait()
+		time.Sleep(2 * time.Millisecond)
+		release <- struct{}{}
+		wg.Wait()
+	}
+
+	snap := tab.Snapshot(s.Mgr.Now())
+	var victims []int
+	for pos := 1; pos < snap.NumRows(); pos++ {
+		if snap.Created(pos) < snap.Created(pos-1) {
+			t.Errorf("position %d was created at %d, position %d at %d: a batch was applied out of timestamp order",
+				pos-1, snap.Created(pos-1), pos, snap.Created(pos))
+		}
+		if pos%3 == 0 {
+			victims = append(victims, pos)
+		}
+	}
+	if _, err := s.Mgr.RunInTxn(func(tx *txn.Txn) error {
+		for _, pos := range victims {
+			if err := tx.Delete("ev", pos); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	requireRecovered(t, s, tableContent(tab, s.Mgr.Now()))
 }
