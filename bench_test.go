@@ -506,14 +506,12 @@ func BenchmarkWirePointSelect(b *testing.B) {
 	}
 }
 
-// benchSOEInsert is the soe_fanout write path in process: Cluster.Insert of
-// batch rows of that workload's schema per op on a 4-node OLTP cluster, 8
-// hash partitions, a zero-latency network — coordinator encode, broker
-// pass-through, shared-log append and the parallel Apply push, with no
-// sleep in it. What the gate holds is allocs/op (EXPERIMENTS.md E28).
-func benchSOEInsert(b *testing.B, batch int) {
-	c := soe.NewCluster(soe.ClusterConfig{Nodes: 4, Mode: soe.OLTP, LogStripes: 4, LogReplicas: 2})
-	defer c.Shutdown()
+// benchSOECluster is soe_fanout's landscape without its latency: a 4-node
+// OLTP cluster over a zero-latency network holding that workload's orders
+// table in 8 hash partitions, and a generator of its rows.
+func benchSOECluster(b *testing.B) (c *soe.Cluster, row func(id int) value.Row) {
+	c = soe.NewCluster(soe.ClusterConfig{Nodes: 4, Mode: soe.OLTP, LogStripes: 4, LogReplicas: 2})
+	b.Cleanup(c.Shutdown)
 	schema := columnstore.Schema{
 		{Name: "id", Kind: value.KindInt},
 		{Name: "region", Kind: value.KindString},
@@ -526,9 +524,20 @@ func benchSOEInsert(b *testing.B, batch int) {
 	}
 	regions := []string{"north", "south", "east", "west", "central", "emea", "apj", "latam"}
 	statuses := []string{"open", "shipped", "returned", "cancelled"}
+	return c, func(id int) value.Row {
+		return value.Row{value.Int(int64(id)), value.String(regions[id%8]), value.String(statuses[id%4]), value.Float(float64(id%997) + 0.25), value.Int(int64(id%20 + 1))}
+	}
+}
+
+// benchSOEInsert is the soe_fanout write path in process: Cluster.Insert of
+// batch rows per op — coordinator encode, broker pass-through, shared-log
+// append and the parallel Apply push, with no sleep in it. What the gate
+// holds is allocs/op (EXPERIMENTS.md E28).
+func benchSOEInsert(b *testing.B, batch int) {
+	c, row := benchSOECluster(b)
 	rows := make([]value.Row, batch)
 	for j := range rows {
-		rows[j] = value.Row{value.Int(0), value.String(regions[j%8]), value.String(statuses[j%4]), value.Float(float64(j%997) + 0.25), value.Int(int64(j%20 + 1))}
+		rows[j] = row(j)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -551,6 +560,46 @@ func benchSOEInsert(b *testing.B, batch int) {
 
 func BenchmarkSOEInsertBatch(b *testing.B) { benchSOEInsert(b, 1000) }
 func BenchmarkSOEInsertRow(b *testing.B)   { benchSOEInsert(b, 1) }
+
+// BenchmarkSOEFanoutQuery is the soe_fanout read path in process: that
+// workload's four SELECTs over its 50,000 rows, each fanned out as four node
+// tasks of two partitions. A task is one statement on its node — one parse,
+// one plan, one snapshot, one partial-aggregate row per group — and what the
+// gate holds is that it stays one: allocs/op, and B/op, which is where a
+// node's workers outnumbering the scan-scratch free list shows (the
+// filtered GROUP BY regrows its selection vectors: 85 kB/op becomes 562;
+// EXPERIMENTS.md E33).
+func BenchmarkSOEFanoutQuery(b *testing.B) {
+	c, row := benchSOECluster(b)
+	const n = 50_000
+	batch := make([]value.Row, 1000)
+	for lo := 0; lo < n; lo += len(batch) {
+		for j := range batch {
+			batch[j] = row(lo + j)
+		}
+		if _, err := c.Insert("orders", batch...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, q := range []struct {
+		name, sql string
+		rows      int
+	}{
+		{"groupby", `SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region ORDER BY region`, 8},
+		{"filtered_groupby", `SELECT status, COUNT(*), SUM(amount) FROM orders WHERE qty > 9 GROUP BY status ORDER BY status`, 4},
+		{"range_select", `SELECT id, amount FROM orders WHERE id >= 25000 AND id < 25020 ORDER BY id`, 20},
+		{"global_agg", `SELECT COUNT(*), SUM(qty) FROM orders`, 1},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if r, err := c.Query(q.sql); err != nil || len(r.Rows) != q.rows || r.Partial {
+					b.Fatalf("%v %+v", err, r)
+				}
+			}
+		})
+	}
+}
 
 // --- compressed-execution micro-benchmarks (DESIGN.md §4, E23) -----------
 

@@ -190,7 +190,11 @@ func (c *Catalog) CreateRangePartitioned(name string, schema columnstore.Schema,
 }
 
 // AttachPartition adds a pre-built partition (dynamic tiering moves data by
-// attaching cold partitions backed by extended storage or HDFS).
+// attaching cold partitions backed by extended storage or HDFS; an SOE node
+// attaches the partitions it hosts). Like DetachPartition it publishes a new
+// entry with a new list and edits neither: a plan built from the entry
+// Table returned earlier keeps reading the list it was built from, and a
+// caller that wants the new list resolves the table again.
 func (c *Catalog) AttachPartition(table string, p *Partition) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -198,8 +202,33 @@ func (c *Catalog) AttachPartition(table string, p *Partition) error {
 	if !ok {
 		return fmt.Errorf("catalog: no table %q", table)
 	}
-	e.Partitions = append(e.Partitions, p)
+	c.publish(e, append(e.Partitions[:len(e.Partitions):len(e.Partitions)], p))
 	return nil
+}
+
+// DetachPartition removes the named partition from a table's list and
+// returns it. The table stays, with no partitions if that was its last.
+func (c *Catalog) DetachPartition(table, name string) (*Partition, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.tables[table]
+	if !ok {
+		return nil, false
+	}
+	for i, p := range e.Partitions {
+		if p.Name == name {
+			c.publish(e, append(e.Partitions[:i:i], e.Partitions[i+1:]...))
+			return p, true
+		}
+	}
+	return nil, false
+}
+
+// publish replaces e by a copy holding parts. Caller holds c.mu.
+func (c *Catalog) publish(e *TableEntry, parts []*Partition) {
+	next := *e
+	next.Partitions = parts
+	c.tables[e.Name] = &next
 }
 
 // Table resolves a table entry.

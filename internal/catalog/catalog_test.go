@@ -90,6 +90,43 @@ func TestAttachPartitionAndTiers(t *testing.T) {
 	}
 }
 
+// An attach or a detach publishes a new entry: the list an earlier Table
+// call returned — the one a running plan reads — is never edited.
+func TestAttachDetachPublishNewLists(t *testing.T) {
+	c := New()
+	c.CreateTable("orders", schema())
+	cold := &Partition{Name: "orders_cold", Table: columnstore.NewTable("orders_cold", schema()), Tier: TierHDFS}
+	before, _ := c.Table("orders")
+	if err := c.AttachPartition("orders", cold); err != nil {
+		t.Fatal(err)
+	}
+	both, _ := c.Table("orders")
+	if p, ok := c.DetachPartition("orders", "orders"); !ok || p != before.Partitions[0] {
+		t.Fatalf("detach returned %v, %v", p, ok)
+	}
+	after, _ := c.Table("orders")
+	if len(before.Partitions) != 1 || before.Partitions[0].Name != "orders" {
+		t.Fatalf("attach edited the list it was handed: %v", before.Partitions)
+	}
+	if len(both.Partitions) != 2 || both.Partitions[0].Name != "orders" || both.Partitions[1] != cold {
+		t.Fatalf("detach edited the list it was handed: %v", both.Partitions)
+	}
+	if len(after.Partitions) != 1 || after.Partitions[0] != cold {
+		t.Fatalf("after detach: %v", after.Partitions)
+	}
+	if _, ok := c.DetachPartition("orders", "orders"); ok {
+		t.Fatal("detached a partition twice")
+	}
+	if _, ok := c.DetachPartition("ghost", "orders"); ok {
+		t.Fatal("detached from a missing table")
+	}
+	// The last partition goes and the table stays, empty.
+	c.DetachPartition("orders", "orders_cold")
+	if e, ok := c.Table("orders"); !ok || len(e.Partitions) != 0 {
+		t.Fatalf("table after its last partition left: %v, %v", e, ok)
+	}
+}
+
 func TestViewsAndMetadata(t *testing.T) {
 	c := New()
 	c.CreateTable("t", schema())

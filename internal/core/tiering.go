@@ -72,6 +72,10 @@ func (e *Ecosystem) TierByTemperature(p TierPolicy, now time.Time) (toExtended, 
 	if hdfsPart != nil {
 		widenBound(hdfsPart, p.DateCol, hdfsCut)
 	}
+	// An attach publishes a new entry; walk the list as it is now.
+	if cur, ok := e.Engine.Cat.Table(p.Table); ok {
+		entry = cur
+	}
 
 	var hdfsRows []value.Row
 	_, err = e.Engine.Mgr.RunInTxn(func(tx *txn.Txn) error {

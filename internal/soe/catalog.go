@@ -161,6 +161,14 @@ func (c *ClusterCatalog) Move(table string, part int, toNode string) error {
 	return nil
 }
 
+// nodeOf reads one partition's placement under the lock Move writes it
+// under: the coordinator routes queries while the manager moves partitions.
+func (c *ClusterCatalog) nodeOf(t *DistTable, part int) string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return t.NodeOf[part]
+}
+
 // AddReplica registers a read-replica placement: node holds a copy of the
 // partition in addition to its primary host. The coordinator routes
 // failed-over reads here.

@@ -2,6 +2,7 @@ package soe
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/columnstore"
@@ -76,6 +77,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	for i := 0; i < cfg.Nodes; i++ {
 		n := mgr.StartNode(fmt.Sprintf("node%d", i), cfg.Mode)
 		n.SetTracer(tracer)
+		// The nodes are one process sharing its CPUs: a worker per CPU each
+		// would be Nodes workers per CPU when a query fans out to all.
+		n.eng.Workers = max(1, runtime.NumCPU()/cfg.Nodes)
 		if cfg.Mode == OLAP && cfg.PollInterval > 0 {
 			n.StartPolling(cfg.PollInterval)
 		}

@@ -573,7 +573,7 @@ func (c *Coordinator) tasksFor(table string, parts []int) []fanTask {
 	}
 	byNode := map[string][]int{}
 	for _, p := range parts {
-		n := t.NodeOf[p]
+		n := c.ccat.nodeOf(t, p)
 		byNode[n] = append(byNode[n], p)
 	}
 	nodes := make([]string, 0, len(byNode))
@@ -804,7 +804,7 @@ func (c *Coordinator) catchUp(span *stats.Span, node, table string, parts []int)
 	peers := map[int]string{}
 	if t, ok := c.ccat.Table(table); ok {
 		for _, p := range parts {
-			if prim := t.NodeOf[p]; c.net.Alive(prim) {
+			if prim := c.ccat.nodeOf(t, p); c.net.Alive(prim) {
 				peers[p] = prim
 			}
 		}

@@ -2,6 +2,8 @@ package soe
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +42,7 @@ type DataNode struct {
 	eng *sqlexec.Engine
 
 	mu         sync.Mutex
-	hosted     map[string]map[int]*columnstore.Table // table -> part -> storage
+	hosted     map[string]map[int]*catalog.Partition // table -> part -> the catalog partition it is
 	warm       *extstore.Store                       // node-local extended store, lazily created
 	appliedPos uint64
 	appliedTS  uint64
@@ -69,9 +71,10 @@ type DataNode struct {
 	pollStop chan struct{}
 }
 
-// partTableName names a physical partition in the node-local engine.
+// partTableName names a hosted partition — its catalog.Partition and the
+// column-store table behind it — inside the logical table's entry.
 func partTableName(table string, part int) string {
-	return fmt.Sprintf("%s__p%d", table, part)
+	return table + "__p" + strconv.Itoa(part)
 }
 
 // NewDataNode creates and registers a node on the network.
@@ -79,7 +82,7 @@ func NewDataNode(name string, mode Mode, net *netsim.Network, disc *Discovery, c
 	n := &DataNode{
 		Name: name, Mode: mode, net: net, disc: disc, ccat: ccat, broker: broker,
 		eng:    sqlexec.NewEngine(),
-		hosted: map[string]map[int]*columnstore.Table{},
+		hosted: map[string]map[int]*catalog.Partition{},
 		obs:    stats.NewRegistry("node=" + name),
 	}
 	n.cQueries = n.obs.Counter("soe_queries_total")
@@ -123,9 +126,6 @@ func (n *DataNode) SetExecutor(mode sqlexec.Mode, workers int) {
 func (n *DataNode) Host(t *DistTable) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.hosted[t.Name] == nil {
-		n.hosted[t.Name] = map[int]*columnstore.Table{}
-	}
 	for p, node := range t.NodeOf {
 		if node != n.Name {
 			continue
@@ -140,103 +140,75 @@ func (n *DataNode) Host(t *DistTable) error {
 	return nil
 }
 
-// attachPartition wires one physical partition into the local engine,
-// optionally pre-seeding rows (partition movement). Caller holds n.mu.
+// attachPartition makes one physical partition a catalog partition of its
+// logical table in the local engine, optionally pre-seeding rows (partition
+// movement). Caller holds n.mu.
 func (n *DataNode) attachPartition(t *DistTable, p int, seed []value.Row) error {
 	pname := partTableName(t.Name, p)
 	store := columnstore.NewTable(pname, t.Schema)
 	if len(seed) > 0 {
 		store.ApplyInsert(seed, 1)
 	}
-	part := &catalog.Partition{Name: pname, Table: store, Tier: catalog.TierHot}
-	if entry, ok := n.eng.Cat.Table(t.Name); ok {
-		entry.Partitions = append(entry.Partitions, part)
-	} else {
-		entry := &catalog.TableEntry{Name: t.Name, Schema: t.Schema.Clone(), Partitions: []*catalog.Partition{part}, Metadata: map[string]string{}}
-		if err := n.registerEntry(entry); err != nil {
+	if _, ok := n.eng.Cat.Table(t.Name); !ok {
+		// A catalog table is born with a partition of its own name; a
+		// node's table holds the partitions it hosts and no other.
+		if _, err := n.eng.Cat.CreateTable(t.Name, t.Schema); err != nil {
 			return err
 		}
+		n.eng.Cat.DetachPartition(t.Name, t.Name)
 	}
-	// The physical partition is addressable on its own too (partition
-	// movement, debugging).
-	pentry := &catalog.TableEntry{Name: pname, Schema: t.Schema.Clone(), Partitions: []*catalog.Partition{part}, Metadata: map[string]string{}}
-	if err := n.registerEntry(pentry); err != nil {
+	part := &catalog.Partition{Name: pname, Table: store, Tier: catalog.TierHot}
+	if err := n.eng.Cat.AttachPartition(t.Name, part); err != nil {
 		return err
 	}
 	n.eng.Mgr.Register(store)
-	n.hosted[t.Name][p] = store
+	if n.hosted[t.Name] == nil {
+		n.hosted[t.Name] = map[int]*catalog.Partition{}
+	}
+	n.hosted[t.Name][p] = part
 	return nil
 }
 
-// registerEntry adds a pre-built entry to the node catalog.
-func (n *DataNode) registerEntry(e *catalog.TableEntry) error {
-	// catalog.Catalog has no direct insert for pre-built entries; create
-	// then swap partitions.
-	created, err := n.eng.Cat.CreateTable(e.Name, e.Schema)
-	if err != nil {
-		return err
-	}
-	created.Partitions = e.Partitions
-	return nil
+// detachPartition undoes attachPartition. Caller holds n.mu.
+func (n *DataNode) detachPartition(table string, part int) {
+	pname := partTableName(table, part)
+	n.eng.Cat.DetachPartition(table, pname)
+	n.eng.Mgr.Deregister(pname)
+	delete(n.hosted[table], part)
 }
 
 // Unhost detaches a partition (after movement) and returns its rows.
 func (n *DataNode) Unhost(table string, part int) ([]value.Row, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	store, ok := n.hosted[table][part]
-	if !ok {
-		return nil, fmt.Errorf("soe: %s does not host %s partition %d", n.Name, table, part)
+	res, err := n.queryParts("SELECT * FROM "+table, table, "", []int{part})
+	if err != nil {
+		return nil, err
 	}
-	snap := store.Snapshot(n.eng.Mgr.Now())
-	var rows []value.Row
-	for pos := 0; pos < snap.NumRows(); pos++ {
-		if snap.Visible(pos) {
-			rows = append(rows, snap.Row(pos))
-		}
-	}
-	delete(n.hosted[table], part)
-	pname := partTableName(table, part)
-	if entry, ok := n.eng.Cat.Table(table); ok {
-		kept := entry.Partitions[:0]
-		for _, p := range entry.Partitions {
-			if p.Name != pname {
-				kept = append(kept, p)
-			}
-		}
-		entry.Partitions = kept
-	}
-	n.eng.Cat.DropTable(pname)
-	n.eng.Mgr.Deregister(pname)
-	return rows, nil
+	n.detachPartition(table, part)
+	return res.Rows, nil
 }
 
 // AcceptPartition installs a moved partition with its rows.
 func (n *DataNode) AcceptPartition(t *DistTable, part int, rows []value.Row) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.hosted[t.Name] == nil {
-		n.hosted[t.Name] = map[int]*columnstore.Table{}
-	}
-	if _, ok := n.hosted[t.Name][part]; ok {
-		return fmt.Errorf("soe: %s already hosts %s partition %d", n.Name, t.Name, part)
-	}
-	return n.attachPartition(t, part, rows)
+	return n.hostNew(t, part, rows)
 }
 
 // HostReplica installs a read replica of one partition on this node even
 // though the data-discovery map routes it elsewhere. Replicas catch up
 // either by polling the log or through snapshot fetches (§IV-B).
 func (n *DataNode) HostReplica(t *DistTable, part int) error {
+	return n.hostNew(t, part, nil)
+}
+
+// hostNew attaches a partition this node must not already host.
+func (n *DataNode) hostNew(t *DistTable, part int, rows []value.Row) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.hosted[t.Name] == nil {
-		n.hosted[t.Name] = map[int]*columnstore.Table{}
-	}
 	if _, ok := n.hosted[t.Name][part]; ok {
 		return fmt.Errorf("soe: %s already hosts %s partition %d", n.Name, t.Name, part)
 	}
-	return n.attachPartition(t, part, nil)
+	return n.attachPartition(t, part, rows)
 }
 
 // CatchUpSnapshot replaces this node's copy of one partition with a fresh
@@ -261,21 +233,7 @@ func (n *DataNode) CatchUpSnapshot(peer, table string, part int) error {
 	defer n.mu.Unlock()
 	// Replace the partition storage wholesale.
 	if _, hosted := n.hosted[table][part]; hosted {
-		pname := partTableName(table, part)
-		if entry, ok := n.eng.Cat.Table(table); ok {
-			kept := entry.Partitions[:0]
-			for _, p := range entry.Partitions {
-				if p.Name != pname {
-					kept = append(kept, p)
-				}
-			}
-			entry.Partitions = kept
-		}
-		n.eng.Cat.DropTable(pname)
-		n.eng.Mgr.Deregister(pname)
-		delete(n.hosted[table], part)
-	} else if n.hosted[table] == nil {
-		n.hosted[table] = map[int]*columnstore.Table{}
+		n.detachPartition(table, part)
 	}
 	if err := n.attachPartition(t, part, resp.Rows); err != nil {
 		return err
@@ -336,7 +294,7 @@ func (n *DataNode) applyEntry(data []byte) error {
 		return err
 	}
 	for _, s := range secs {
-		store := n.hosted[s.table][s.part]
+		store := n.hosted[s.table][s.part].Table
 		if len(s.rows) > 0 {
 			store.ApplyInsert(s.rows, ts)
 			n.cApplyRows.Add(int64(len(s.rows)))
@@ -359,11 +317,12 @@ func (n *DataNode) deleteByKey(store *columnstore.Table, table, key string, ts u
 	}
 	ki := t.KeyIndex()
 	snap := store.Snapshot(ts)
-	for _, pos := range snap.FindRows(ki, value.String(key)) {
+	found := snap.FindRows(ki, value.String(key))
+	for _, pos := range found {
 		store.ApplyDelete(pos, ts)
 	}
 	// Non-string keys: FindRows compares generically, so coerce fallback.
-	if len(snap.FindRows(ki, value.String(key))) == 0 {
+	if len(found) == 0 {
 		for pos := 0; pos < snap.NumRows(); pos++ {
 			if snap.Visible(pos) && snap.Get(ki, pos).AsString() == key {
 				store.ApplyDelete(pos, ts)
@@ -448,20 +407,25 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		// Continue the coordinator's trace on this node: the task span that
 		// issued the request becomes this exec span's remote parent.
 		sp := n.tracer.StartRemote("exec", req.Trace, "node="+n.Name)
-		var resp ExecResp
-		if r.Table != "" && len(r.Parts) > 0 {
-			resp = n.execScoped(r, sp)
+		// A task is one statement: one pinned snapshot and one plan, however
+		// many partitions it lists.
+		var sc *stats.Span
+		var res *sqlexec.Result
+		if r.Table != "" {
+			sc = sp.Child("scan", fmt.Sprintf("partitions=%v", r.Parts))
+			res, err = n.queryParts(r.SQL, r.Table, r.Table2, r.Parts)
 		} else {
-			sc := sp.Child("scan")
-			res, err := n.eng.Query(r.SQL)
-			sc.Finish()
-			if err != nil {
-				resp = ExecResp{Err: err.Error()}
-			} else {
-				resp = ExecResp{
-					Cols: res.Cols, Rows: res.Rows,
-					RowsScanned: res.Stats.RowsScanned, Morsels: res.Stats.Morsels,
-				}
+			sc = sp.Child("scan")
+			res, err = n.eng.Query(r.SQL)
+		}
+		sc.Finish()
+		var resp ExecResp
+		if err != nil {
+			resp = ExecResp{Err: err.Error()}
+		} else {
+			resp = ExecResp{
+				Cols: res.Cols, Rows: res.Rows,
+				RowsScanned: res.Stats.RowsScanned, Morsels: res.Stats.Morsels,
 			}
 		}
 		if sp != nil {
@@ -548,21 +512,18 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		if !n.disc.Validate(r.Token) {
 			return netsim.Message{Kind: MsgSnapshot, Payload: encode(SnapshotResp{Err: "unauthorized"})}, nil
 		}
+		// Under n.mu no log entry applies between the rows and the marks
+		// that say which entries they contain.
 		n.mu.Lock()
-		store, ok := n.hosted[r.Table][r.Partition]
-		appliedTS, appliedPos := n.appliedTS, n.appliedPos
+		res, err := n.queryParts("SELECT * FROM "+r.Table, r.Table, "", []int{r.Partition})
+		resp := SnapshotResp{AppliedTS: n.appliedTS, NextPos: n.appliedPos}
 		n.mu.Unlock()
-		if !ok {
-			return netsim.Message{Kind: MsgSnapshot, Payload: encode(SnapshotResp{Err: "partition not hosted"})}, nil
+		if err != nil {
+			resp = SnapshotResp{Err: err.Error()}
+		} else {
+			resp.Rows = res.Rows
 		}
-		snap := store.Snapshot(n.eng.Mgr.Now())
-		var rows []value.Row
-		for pos := 0; pos < snap.NumRows(); pos++ {
-			if snap.Visible(pos) {
-				rows = append(rows, snap.Row(pos))
-			}
-		}
-		return netsim.Message{Kind: MsgSnapshot, Payload: encode(SnapshotResp{Rows: rows, AppliedTS: appliedTS, NextPos: appliedPos})}, nil
+		return netsim.Message{Kind: MsgSnapshot, Payload: encode(resp)}, nil
 
 	case MsgStatus:
 		n.mu.Lock()
@@ -589,63 +550,40 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 	return netsim.Message{}, errUnknownMsg(n.Name, req.Kind)
 }
 
-// execScoped runs SQL once per listed partition, substituting the physical
-// partition relations for the logical table names, and concatenates the
-// results. This is the coordinator's partition-addressed execution mode: a
-// node hosting primaries and replicas of the same table scans exactly the
-// partitions the task names, never double-counting. Concatenating
-// per-partition partial-aggregate rows is safe because the coordinator's
-// merge combines partials by group key across all batches.
-func (n *DataNode) execScoped(r ExecReq, sp *stats.Span) ExecResp {
-	st, err := sqlexec.Parse(r.SQL)
-	if err != nil {
-		return ExecResp{Err: err.Error()}
-	}
-	sel, ok := st.(*sqlexec.SelectStmt)
-	if !ok {
-		return ExecResp{Err: "soe: partition-scoped exec supports SELECT only"}
-	}
-	var out ExecResp
-	for _, p := range r.Parts {
-		n.mu.Lock()
-		_, hosted := n.hosted[r.Table][p]
-		if hosted && r.Table2 != "" {
-			_, hosted = n.hosted[r.Table2][p]
+// queryParts runs one statement on the node's engine with table (and
+// table2, a co-located join's partner) pruned to the listed partitions, in
+// the order listed; whatever else the statement names — a broadcast or
+// shuffle temp — is read whole. This is the coordinator's
+// partition-addressed execution mode: a node hosting primaries and replicas
+// of one table reads exactly the partitions the task names, never
+// double-counting. A listed partition the planned table does not hold fails
+// the task, because the coordinator counts every listed one as covered.
+func (n *DataNode) queryParts(sql, table, table2 string, parts []int) (*sqlexec.Result, error) {
+	missing := -1
+	s := n.eng.NewSession()
+	defer s.Close()
+	s.Scope = func(entry *catalog.TableEntry, _ []sqlexec.Expr, hosted []*catalog.Partition) []*catalog.Partition {
+		if entry.Name != table && entry.Name != table2 {
+			return hosted
 		}
-		n.mu.Unlock()
-		if !hosted {
-			return ExecResp{Err: fmt.Sprintf("soe: %s does not host partition %d", n.Name, p)}
+		// Never nil, which a scan reads as "every partition".
+		kept := make([]*catalog.Partition, 0, len(parts))
+		for _, p := range parts {
+			name := partTableName(entry.Name, p)
+			i := slices.IndexFunc(hosted, func(h *catalog.Partition) bool { return h.Name == name })
+			if i < 0 {
+				missing = p
+				continue
+			}
+			kept = append(kept, hosted[i])
 		}
-		cp := *sel
-		cp.Joins = append([]sqlexec.JoinClause(nil), sel.Joins...)
-		scopeRef(&cp.From, r.Table, r.Table2, p)
-		for j := range cp.Joins {
-			scopeRef(&cp.Joins[j].Table, r.Table, r.Table2, p)
-		}
-		sc := sp.Child("scan", "partition="+partTableName(r.Table, p))
-		res, err := n.eng.Query(sqlexec.Deparse(&cp))
-		sc.Finish()
-		if err != nil {
-			return ExecResp{Err: err.Error()}
-		}
-		out.Cols = res.Cols
-		out.Rows = append(out.Rows, res.Rows...)
-		out.RowsScanned += res.Stats.RowsScanned
-		out.Morsels += res.Stats.Morsels
+		return kept
 	}
-	return out
-}
-
-// scopeRef rewrites a table reference onto one physical partition,
-// preserving how the rest of the query names its columns via an alias.
-func scopeRef(ref *sqlexec.TableRef, table, table2 string, p int) {
-	if ref.Name != table && (table2 == "" || ref.Name != table2) {
-		return
+	res, err := s.Query(sql)
+	if missing >= 0 {
+		return nil, fmt.Errorf("soe: %s does not host partition %d", n.Name, missing)
 	}
-	if ref.Alias == "" {
-		ref.Alias = ref.Name
-	}
-	ref.Name = partTableName(ref.Name, p)
+	return res, err
 }
 
 func (n *DataNode) createTemp(r CreateTempReq) error {

@@ -674,10 +674,11 @@ func canonKey(r value.Row) string {
 }
 
 // TestNodeTasksUnpinTheirSnapshots: a node task is a statement on the
-// node's engine, so it pins the timestamp it reads at (and a partition-
-// scoped task does once per partition). Whether it answers or fails, the
-// pin must be gone afterwards — one left behind would hold that node's
-// merge watermark for the life of the process.
+// node's engine, so it pins the timestamp it reads at — as do the two other
+// reads a node makes of its own partitions, the snapshot it serves a peer
+// and the rows it hands over when a partition moves away. Whether it
+// answers or fails, the pin must be gone afterwards — one left behind would
+// hold that node's merge watermark for the life of the process.
 func TestNodeTasksUnpinTheirSnapshots(t *testing.T) {
 	c := newTestCluster(t, 3, OLTP)
 	loadOrders(t, c, 90)
@@ -686,6 +687,21 @@ func TestNodeTasksUnpinTheirSnapshots(t *testing.T) {
 	}
 	if _, err := c.Query(`SELECT nope FROM orders`); err == nil {
 		t.Fatal("unknown column answered")
+	}
+	if err := c.ReplicateTable("orders"); err != nil { // every node serves a snapshot
+		t.Fatal(err)
+	}
+	if err := c.Nodes[0].CatchUpSnapshot(c.Nodes[1].Name, "orders", 5); err == nil {
+		t.Fatal("a node served a snapshot of a partition it does not host")
+	}
+	for p := 0; p < len(c.Nodes); p++ { // every node hands a partition over
+		from, to := c.Nodes[p], c.Nodes[(p+2)%len(c.Nodes)]
+		if err := c.Manager.MovePartition("orders", p, from.Name, to.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Nodes[0].Unhost("orders", 0); err == nil {
+		t.Fatal("a node handed over a partition it does not host")
 	}
 	// Move every node's clock past whatever its tasks read at.
 	if _, err := c.Insert("orders", value.Row{value.String("O9999"), value.String("EMEA"), value.Float(1)}); err != nil {

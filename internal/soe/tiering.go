@@ -96,16 +96,12 @@ func (n *DataNode) PromotePartition(table string, part int) error {
 // localPartition resolves the catalog wrapper of a hosted partition.
 func (n *DataNode) localPartition(table string, part int) (*catalog.Partition, error) {
 	n.mu.Lock()
-	_, hosts := n.hosted[table][part]
-	n.mu.Unlock()
-	if !hosts {
+	defer n.mu.Unlock()
+	p, ok := n.hosted[table][part]
+	if !ok {
 		return nil, fmt.Errorf("soe: %s does not host %s partition %d", n.Name, table, part)
 	}
-	entry, ok := n.eng.Cat.Table(partTableName(table, part))
-	if !ok || len(entry.Partitions) == 0 {
-		return nil, fmt.Errorf("soe: %s: no catalog entry for %s partition %d", n.Name, table, part)
-	}
-	return entry.Partitions[0], nil
+	return p, nil
 }
 
 // closeWarm releases the node's extended store (cluster shutdown).

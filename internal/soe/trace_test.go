@@ -68,9 +68,8 @@ func TestTraceFailoverLandsInSingleTrace(t *testing.T) {
 		"log_append",     // its shared-log append
 		"catch_up",       // replica asked to reach the bound
 		"node=" + c.Nodes[1].Name,
-		"exec",                 // remote exec continuation on a node
-		"partition=orders__p0", // the crashed node's partition, scanned
-		// by its replica
+		"exec",           // remote exec continuation on a node
+		"partitions=[0]", // the crashed node's partition, scanned by its replica
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("trace missing %q:\n%s", want, text)

@@ -42,12 +42,11 @@ const (
 	MsgCatchUp    = "catch_up"   // ask a replica to reach a freshness bound
 )
 
-// ExecReq asks a query service to run local SQL. When Parts is set the
-// request is partition-scoped: the node runs the SQL once per listed
-// partition of Table (and Table2 for co-located joins), substituting the
-// physical partition relations — the addressing mode the coordinator uses
-// so a node hosting both primaries and replicas only scans the partitions
-// a task names.
+// ExecReq asks a query service to run local SQL, once. When Table is set the
+// request is partition-scoped: the statement's scans of Table (and Table2
+// for co-located joins) read the listed partitions and no other — the
+// addressing mode the coordinator uses so a node hosting both primaries and
+// replicas only scans the partitions a task names.
 type ExecReq struct {
 	Token  string
 	SQL    string

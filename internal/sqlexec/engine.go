@@ -149,6 +149,11 @@ func (s *Session) prepareSelect(sql, verb string) (*Stmt, error) {
 // share); the wire front end opens one session per connection for exactly
 // this reason. Sharing one Session across goroutines is a data race.
 type Session struct {
+	// Scope, when set, prunes every scan this session plans before the
+	// engine's own hook does: the partitions of a table this session's
+	// statements may read (an SOE node task's partition list).
+	Scope PruneHook
+
 	e        *Engine
 	id       int64
 	tx       *txn.Txn

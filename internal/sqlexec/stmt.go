@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/value"
 )
 
@@ -273,6 +274,16 @@ func (st *Stmt) dispatch(sink RowSink, stats *ExecStats, params []value.Value, p
 // place a statement turns into a plan, whether it is about to be executed,
 // explained, analyzed or only described.
 func (s *Session) planSelect(sel *SelectStmt, ts uint64) (Plan, error) {
-	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: s.e.Prune}
+	prune := s.e.Prune
+	if scope := s.Scope; scope != nil {
+		prune = func(entry *catalog.TableEntry, conjs []Expr, parts []*catalog.Partition) []*catalog.Partition {
+			parts = scope(entry, conjs, parts)
+			if s.e.Prune != nil {
+				parts = s.e.Prune(entry, conjs, parts)
+			}
+			return parts
+		}
+	}
+	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: prune}
 	return pl.BuildSelect(sel)
 }
