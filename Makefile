@@ -94,8 +94,10 @@ benchcommit:
 # pgwire, and olap_scan's 20,000-row wide result beside it, ride along: a
 # frame, a row or a Describe that allocates again shows as a multiple of
 # allocs/op, a result materialized before it is sent as a multiple of B/op.
+# A one-row UPDATE and DELETE by the same key on the same table run beside
+# them: a victim search that boxes the table again is a hundredfold jump.
 benchpoint:
-	$(GO) test -run xxx -bench 'Benchmark(Wire)?PointSelect' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'Benchmark(Wire)?PointSelect'
+	$(GO) test -run xxx -bench 'Benchmark(Wire)?Point(Select|Delete|Update)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'Benchmark(Wire)?Point(Select|Delete|Update)'
 	$(GO) test -run xxx -bench 'BenchmarkWireWideResult$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkWireWideResult'
 
 # SOE micro-benchmarks on a 4-node cluster over a zero-latency network:
@@ -124,7 +126,7 @@ benchbaseline:
 	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkGroupByRLE|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkMergeAppend$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
-	$(GO) test -run xxx -bench 'Benchmark(Wire)?PointSelect' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'Benchmark(Wire)?Point(Select|Delete|Update)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkWireWideResult$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkSOE(Insert(Batch|Row)|FanoutQuery)$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write
 

@@ -296,18 +296,11 @@ func BenchmarkParallelAggNWorkers(b *testing.B) { benchParallelAgg(b, runtime.Nu
 // the parameter form allocates over 10% more than the literal form.
 func benchPointSelect(b *testing.B, param bool) {
 	const n = 10_000
-	eng := sqlexec.NewEngine()
-	eng.MustQuery(`CREATE TABLE kv (k INT, v INT)`)
-	rows := make([]value.Row, n)
+	eng := pointKV(n)
 	literals := make([]string, n)
-	for i := range rows {
-		rows[i] = value.Row{value.Int(int64(i)), value.Int(int64(i) * 3)}
+	for i := range literals {
 		literals[i] = fmt.Sprintf("SELECT v FROM kv WHERE k = %d", i)
 	}
-	tbl := eng.Cat.MustTable("kv").Primary()
-	tbl.ApplyInsert(rows, 1)
-	tbl.Merge(2)
-	eng.Mgr.AdvanceTo(2)
 	sess := eng.NewSession()
 	defer sess.Close()
 	b.ReportAllocs()
@@ -327,8 +320,48 @@ func benchPointSelect(b *testing.B, param bool) {
 	}
 }
 
+// pointKV is kv(k, v) holding n merged rows, v = 3k.
+func pointKV(n int) *sqlexec.Engine {
+	eng := sqlexec.NewEngine()
+	eng.MustQuery(`CREATE TABLE kv (k INT, v INT)`)
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{value.Int(int64(i)), value.Int(int64(i) * 3)}
+	}
+	tbl := eng.Cat.MustTable("kv").Primary()
+	tbl.ApplyInsert(rows, 1)
+	tbl.Merge(2)
+	eng.Mgr.AdvanceTo(2)
+	return eng
+}
+
+// benchPointDML is a one-row auto-commit UPDATE or DELETE by key beside the
+// point select, on the same table: the victim search is that select's scan
+// (one kernel, no row boxed before it matches), then a commit. A victim
+// search that boxes the table again costs three allocations per row of it.
+// Each of the first 10,000 ops names a different key.
+func benchPointDML(b *testing.B, sql string) {
+	const n = 10_000
+	eng := pointKV(n)
+	sess := eng.NewSession()
+	defer sess.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i * 7919 % n
+		r, err := sess.Query(sql, value.Int(int64(k)))
+		if err != nil || (i < n && r.Rows[0][0].I != 1) {
+			b.Fatalf("k = %d: %v %+v", k, err, r)
+		}
+	}
+}
+
 func BenchmarkPointSelectParam(b *testing.B)   { benchPointSelect(b, true) }
 func BenchmarkPointSelectLiteral(b *testing.B) { benchPointSelect(b, false) }
+func BenchmarkPointDelete(b *testing.B)        { benchPointDML(b, `DELETE FROM kv WHERE k = $1`) }
+func BenchmarkPointUpdate(b *testing.B) {
+	benchPointDML(b, `UPDATE kv SET v = v + 1 WHERE k = $1`)
+}
 
 // --- wire micro-benchmarks (DESIGN.md §4, E30) -----------------------------
 

@@ -251,7 +251,9 @@ func (m *Manager) ageTable(table string, now time.Time) (int, error) {
 	var agedParents map[string]bool
 	var fki int
 	if rule.DependsOn != nil {
-		agedParents = m.agedKeySet(rule.DependsOn.ParentTable, rule.DependsOn.ParentKeyCol)
+		if agedParents, err = m.agedKeySet(rule.DependsOn.ParentTable, rule.DependsOn.ParentKeyCol); err != nil {
+			return 0, err
+		}
 		fki = entry.Schema.ColIndex(rule.DependsOn.FKCol)
 	}
 
@@ -346,27 +348,28 @@ func newColdTable(name string, entry *catalog.TableEntry) *columnstore.Table {
 }
 
 // agedKeySet collects the parent keys present in the parent's cold
-// partition.
-func (m *Manager) agedKeySet(parentTable, keyCol string) map[string]bool {
+// partition: one statement, scoped to that partition.
+func (m *Manager) agedKeySet(parentTable, keyCol string) (map[string]bool, error) {
 	m.mu.Lock()
 	c, ok := m.cold[parentTable]
 	m.mu.Unlock()
 	out := map[string]bool{}
 	if !ok {
-		return out
+		return out, nil
 	}
-	entry, found := m.eng.Cat.Table(parentTable)
-	if !found {
-		return out
+	s := m.eng.NewSession()
+	defer s.Close()
+	s.Scope = func(_ *catalog.TableEntry, _ []sqlexec.Pred, _ []*catalog.Partition) []*catalog.Partition {
+		return []*catalog.Partition{c.partition}
 	}
-	ki := entry.Schema.ColIndex(keyCol)
-	snap := c.partition.Table.Snapshot(m.eng.Mgr.Now())
-	for pos := 0; pos < snap.NumRows(); pos++ {
-		if snap.Visible(pos) {
-			out[snap.Get(ki, pos).AsString()] = true
-		}
+	res, err := s.Query("SELECT " + keyCol + " FROM " + parentTable)
+	if err != nil {
+		return nil, fmt.Errorf("aging: aged keys of %s: %w", parentTable, err)
 	}
-	return out
+	for _, row := range res.Rows {
+		out[row[0].AsString()] = true
+	}
+	return out, nil
 }
 
 // HotOnly executes fn with the table's cold partitions excluded from every
@@ -400,9 +403,12 @@ func (m *Manager) CanRestrictJoinToHot(parent, child string) bool {
 }
 
 // Prune is the semantic partition pruner (installed as the engine's
-// PruneHook): it removes cold partitions whenever the query predicates
-// contradict the aging rule's invariants.
-func (m *Manager) Prune(entry *catalog.TableEntry, conjuncts []sqlexec.Expr, parts []*catalog.Partition) []*catalog.Partition {
+// PruneHook): it removes the cold partition whenever a predicate of the
+// query contradicts the aging rule's invariants. The invariants are
+// summaries no statistic holds — every cold row's status is the closed
+// one, and none is dated after maxDate — put to the test every min/max
+// summary is put to.
+func (m *Manager) Prune(entry *catalog.TableEntry, preds []sqlexec.Pred, parts []*catalog.Partition) []*catalog.Partition {
 	m.mu.Lock()
 	c, hasCold := m.cold[entry.Name]
 	hotOnly := m.hotOnly[entry.Name]
@@ -412,23 +418,18 @@ func (m *Manager) Prune(entry *catalog.TableEntry, conjuncts []sqlexec.Expr, par
 	}
 	drop := hotOnly
 	if !drop {
-		for _, conj := range conjuncts {
-			col, op, lit, ok := simpleComparison(conj)
-			if !ok {
-				continue
-			}
-			// Invariant 1: every cold row has StatusCol == ClosedStatus.
-			if col == c.rule.StatusCol {
-				if op == "=" && lit.AsString() != c.rule.ClosedStatus {
-					drop = true
+		closed := value.String(c.rule.ClosedStatus)
+		si := entry.Schema.ColIndex(c.rule.StatusCol)
+		di := entry.Schema.ColIndex(c.rule.DateCol)
+		for _, p := range preds {
+			switch p.Col {
+			case si:
+				drop = drop || sqlexec.Refutes(p.Op, p.Lit, closed, closed)
+			case di:
+				// maxDate is the integer payload of the dates aged so far.
+				if k := entry.Schema[di].Kind; k == value.KindInt || k == value.KindTime {
+					drop = drop || sqlexec.Refutes(p.Op, p.Lit, value.Null, value.Value{K: k, I: c.maxDate})
 				}
-				if op == "<>" && lit.AsString() == c.rule.ClosedStatus {
-					drop = true
-				}
-			}
-			// Invariant 2: every cold row has DateCol <= maxDate.
-			if col == c.rule.DateCol && (op == ">" || op == ">=") && lit.AsInt() > c.maxDate {
-				drop = true
 			}
 		}
 	}
@@ -445,14 +446,14 @@ func (m *Manager) Prune(entry *catalog.TableEntry, conjuncts []sqlexec.Expr, par
 }
 
 // StatsPrune is the statistics-based baseline of §III: it knows only
-// per-partition min/max of the compared column — no business semantics.
-// Status-equality queries cannot prune (strings overlap), only date
-// ranges sometimes can.
+// per-partition min/max of a numerically compared column — no business
+// semantics. Status-equality queries cannot prune (strings overlap), only
+// date ranges sometimes can.
 func StatsPrune(eng *sqlexec.Engine) sqlexec.PruneHook {
-	return func(entry *catalog.TableEntry, conjuncts []sqlexec.Expr, parts []*catalog.Partition) []*catalog.Partition {
+	return func(entry *catalog.TableEntry, preds []sqlexec.Pred, parts []*catalog.Partition) []*catalog.Partition {
 		kept := parts[:0:0]
 		for _, p := range parts {
-			if statsMayMatch(eng, entry, p, conjuncts) {
+			if statsMayMatch(eng, p, preds) {
 				kept = append(kept, p)
 			}
 		}
@@ -460,39 +461,22 @@ func StatsPrune(eng *sqlexec.Engine) sqlexec.PruneHook {
 	}
 }
 
-func statsMayMatch(eng *sqlexec.Engine, entry *catalog.TableEntry, p *catalog.Partition, conjuncts []sqlexec.Expr) bool {
-	for _, conj := range conjuncts {
-		col, op, lit, ok := simpleComparison(conj)
-		if !ok || !lit.Numeric() {
+func statsMayMatch(eng *sqlexec.Engine, p *catalog.Partition, preds []sqlexec.Pred) bool {
+	for _, pr := range preds {
+		if !pr.Lit.Numeric() {
 			continue
 		}
-		ci := entry.Schema.ColIndex(col)
-		if ci < 0 {
-			continue
-		}
-		min, max, any := partitionMinMax(eng, p, ci)
-		if !any {
-			return false // empty partition never matches
-		}
-		switch op {
-		case "=":
-			if lit.AsInt() < min || lit.AsInt() > max {
-				return false
-			}
-		case ">", ">=":
-			if max < lit.AsInt() {
-				return false
-			}
-		case "<", "<=":
-			if min > lit.AsInt() {
-				return false
-			}
+		min, max := partitionMinMax(eng, p, pr.Col)
+		if min.IsNull() || sqlexec.Refutes(pr.Op, pr.Lit, min, max) {
+			return false // no non-NULL value there: nothing compares true
 		}
 	}
 	return true
 }
 
-func partitionMinMax(eng *sqlexec.Engine, p *catalog.Partition, col int) (min, max int64, any bool) {
+// partitionMinMax is the statistic: the least and greatest non-NULL value
+// of a column among the partition's visible rows, NULL when there is none.
+func partitionMinMax(eng *sqlexec.Engine, p *catalog.Partition, col int) (min, max value.Value) {
 	snap := p.Table.Snapshot(eng.Mgr.Now())
 	for pos := 0; pos < snap.NumRows(); pos++ {
 		if !snap.Visible(pos) {
@@ -502,37 +486,12 @@ func partitionMinMax(eng *sqlexec.Engine, p *catalog.Partition, col int) (min, m
 		if v.IsNull() {
 			continue
 		}
-		x := v.AsInt()
-		if !any {
-			min, max, any = x, x, true
-			continue
+		if min.IsNull() || value.Compare(v, min) < 0 {
+			min = v
 		}
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
+		if max.IsNull() || value.Compare(v, max) > 0 {
+			max = v
 		}
 	}
-	return min, max, any
-}
-
-// simpleComparison decomposes col <op> literal conjuncts.
-func simpleComparison(e sqlexec.Expr) (col, op string, lit value.Value, ok bool) {
-	be, isBin := e.(*sqlexec.BinaryExpr)
-	if !isBin {
-		return "", "", value.Null, false
-	}
-	cr, lok := be.L.(*sqlexec.ColRef)
-	l, rok := be.R.(*sqlexec.Literal)
-	if lok && rok {
-		return cr.Name, be.Op, l.Val, true
-	}
-	cr2, rok2 := be.R.(*sqlexec.ColRef)
-	l2, lok2 := be.L.(*sqlexec.Literal)
-	if rok2 && lok2 {
-		flip := map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-		return cr2.Name, flip[be.Op], l2.Val, true
-	}
-	return "", "", value.Null, false
+	return min, max
 }

@@ -60,21 +60,6 @@ func (p *Partition) Covers(v value.Value) bool {
 	return true
 }
 
-// MayContainRange reports whether the partition can hold any value in
-// [lo, hi] (NULL bounds are unbounded). Used for partition pruning.
-func (p *Partition) MayContainRange(lo, hi value.Value) bool {
-	if p.PruneCol == "" {
-		return true
-	}
-	if !p.Hi.IsNull() && !lo.IsNull() && value.Compare(lo, p.Hi) >= 0 {
-		return false
-	}
-	if !p.Lo.IsNull() && !hi.IsNull() && value.Compare(hi, p.Lo) < 0 {
-		return false
-	}
-	return true
-}
-
 // TableEntry is the logical table: schema plus one or more partitions.
 type TableEntry struct {
 	Name       string

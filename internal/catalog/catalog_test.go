@@ -51,20 +51,6 @@ func TestRangePartitioning(t *testing.T) {
 	if e.PartitionFor(value.Int(2020)) != e.Partitions[2] {
 		t.Fatal("high routing")
 	}
-	// Pruning ranges.
-	p1 := e.Partitions[1] // [2014, 2015)
-	if !p1.MayContainRange(value.Int(2014), value.Int(2014)) {
-		t.Fatal("point range")
-	}
-	if p1.MayContainRange(value.Int(2015), value.Null) {
-		t.Fatal("must be pruned for >= 2015")
-	}
-	if p1.MayContainRange(value.Null, value.Int(2013)) {
-		t.Fatal("must be pruned for <= 2013")
-	}
-	if !p1.MayContainRange(value.Null, value.Null) {
-		t.Fatal("unbounded must match")
-	}
 	if _, err := c.CreateRangePartitioned("bad", schema(), "nope", nil); err == nil {
 		t.Fatal("unknown partition column accepted")
 	}

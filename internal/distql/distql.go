@@ -9,7 +9,6 @@ package distql
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/sqlexec"
@@ -304,102 +303,6 @@ func equiKeys(on sqlexec.Expr, leftAlias, rightAlias string) (string, string, er
 	default:
 		return "", "", fmt.Errorf("distql: join condition must reference both sides")
 	}
-}
-
-// KeyBounds inspects a SELECT's WHERE conjuncts for bounds on the given
-// key column (col op literal over integers). The coordinator uses it for
-// distributed partition pruning on range-partitioned tables. Returns the
-// inclusive [lo, hi] window and whether any bound was found.
-func KeyBounds(sel *sqlexec.SelectStmt, alias, key string) (lo, hi int64, bounded bool) {
-	lo, hi = math.MinInt64, math.MaxInt64
-	var walk func(e sqlexec.Expr)
-	walk = func(e sqlexec.Expr) {
-		switch x := e.(type) {
-		case *sqlexec.BinaryExpr:
-			if x.Op == "AND" {
-				walk(x.L)
-				walk(x.R)
-				return
-			}
-			cr, ok1 := x.L.(*sqlexec.ColRef)
-			lit, ok2 := x.R.(*sqlexec.Literal)
-			op := x.Op
-			if !ok1 || !ok2 {
-				if cr2, ok := x.R.(*sqlexec.ColRef); ok {
-					if lit2, ok := x.L.(*sqlexec.Literal); ok {
-						cr, lit = cr2, lit2
-						switch op {
-						case "<":
-							op = ">"
-						case "<=":
-							op = ">="
-						case ">":
-							op = "<"
-						case ">=":
-							op = "<="
-						}
-						ok1, ok2 = true, true
-					}
-				}
-			}
-			if !ok1 || !ok2 || cr.Name != key || (cr.Qual != "" && cr.Qual != alias) {
-				return
-			}
-			if !lit.Val.Numeric() {
-				return
-			}
-			k := lit.Val.AsInt()
-			switch op {
-			case "=":
-				if k > lo {
-					lo = k
-				}
-				if k < hi {
-					hi = k
-				}
-				bounded = true
-			case "<":
-				if k-1 < hi {
-					hi = k - 1
-				}
-				bounded = true
-			case "<=":
-				if k < hi {
-					hi = k
-				}
-				bounded = true
-			case ">":
-				if k+1 > lo {
-					lo = k + 1
-				}
-				bounded = true
-			case ">=":
-				if k > lo {
-					lo = k
-				}
-				bounded = true
-			}
-		case *sqlexec.BetweenExpr:
-			cr, ok := x.E.(*sqlexec.ColRef)
-			if !ok || x.Not || cr.Name != key || (cr.Qual != "" && cr.Qual != alias) {
-				return
-			}
-			if l, ok := x.Lo.(*sqlexec.Literal); ok && l.Val.Numeric() {
-				if v := l.Val.AsInt(); v > lo {
-					lo = v
-				}
-				bounded = true
-			}
-			if h, ok := x.Hi.(*sqlexec.Literal); ok && h.Val.Numeric() {
-				if v := h.Val.AsInt(); v < hi {
-					hi = v
-				}
-				bounded = true
-			}
-		}
-	}
-	walk(sel.Where)
-	return lo, hi, bounded
 }
 
 // MergePartials combines node-local partial rows into the final result.

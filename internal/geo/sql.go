@@ -126,25 +126,15 @@ func (g *Indexes) refresh(ix *tableGeoIndex) error {
 	if ix.tree != nil && ix.cachedTS == ts {
 		return nil
 	}
-	entry, ok := g.eng.Cat.Table(ix.table)
-	if !ok {
-		return fmt.Errorf("geo: table %q dropped", ix.table)
+	res, err := g.eng.Query("SELECT " + ix.keyCol + ", " + ix.latCol + ", " + ix.lonCol + " FROM " + ix.table)
+	if err != nil {
+		return fmt.Errorf("geo: index over %s: %w", ix.table, err)
 	}
-	lat := entry.Schema.ColIndex(ix.latCol)
-	lon := entry.Schema.ColIndex(ix.lonCol)
-	key := entry.Schema.ColIndex(ix.keyCol)
 	tree := NewRTree()
-	var keys []string
-	for _, p := range entry.Partitions {
-		snap := p.Table.Snapshot(ts)
-		for pos := 0; pos < snap.NumRows(); pos++ {
-			if !snap.Visible(pos) {
-				continue
-			}
-			id := len(keys)
-			keys = append(keys, snap.Get(key, pos).AsString())
-			tree.Insert(Point{snap.Get(lat, pos).AsFloat(), snap.Get(lon, pos).AsFloat()}, id)
-		}
+	keys := make([]string, len(res.Rows))
+	for id, row := range res.Rows {
+		keys[id] = row[0].AsString()
+		tree.Insert(Point{row[1].AsFloat(), row[2].AsFloat()}, id)
 	}
 	ix.tree, ix.keys, ix.cachedTS = tree, keys, ts
 	return nil

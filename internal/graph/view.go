@@ -257,33 +257,25 @@ func (v *Views) Graph(name string) (*Graph, error) {
 	if d.graph != nil && d.cachedTS == ts {
 		return d.graph, nil
 	}
-	entry, ok := v.eng.Cat.Table(d.graphTable)
-	if !ok {
-		return nil, fmt.Errorf("graph: table %q dropped", d.graphTable)
-	}
-	si := entry.Schema.ColIndex(d.srcCol)
-	di := entry.Schema.ColIndex(d.dstCol)
-	wi := -1
+	cols := d.srcCol + ", " + d.dstCol
 	if d.weightCol != "" {
-		wi = entry.Schema.ColIndex(d.weightCol)
+		cols += ", " + d.weightCol
+	}
+	res, err := v.eng.Query("SELECT " + cols + " FROM " + d.graphTable)
+	if err != nil {
+		return nil, fmt.Errorf("graph: view %q: %w", name, err)
 	}
 	g := New()
-	for _, p := range entry.Partitions {
-		snap := p.Table.Snapshot(ts)
-		for pos := 0; pos < snap.NumRows(); pos++ {
-			if !snap.Visible(pos) {
-				continue
-			}
-			w := 1.0
-			if wi >= 0 {
-				w = snap.Get(wi, pos).AsFloat()
-			}
-			src, dst := snap.Get(si, pos).AsString(), snap.Get(di, pos).AsString()
-			if d.undirected {
-				g.AddUndirected(src, dst, w)
-			} else {
-				g.AddEdge(src, dst, w)
-			}
+	for _, row := range res.Rows {
+		w := 1.0
+		if d.weightCol != "" {
+			w = row[2].AsFloat()
+		}
+		src, dst := row[0].AsString(), row[1].AsString()
+		if d.undirected {
+			g.AddUndirected(src, dst, w)
+		} else {
+			g.AddEdge(src, dst, w)
 		}
 	}
 	d.graph, d.cachedTS = g, ts
@@ -302,26 +294,18 @@ func (v *Views) Hierarchy(name string) (*Hierarchy, error) {
 	if d.hier != nil && d.cachedTS == ts {
 		return d.hier, nil
 	}
-	entry, ok := v.eng.Cat.Table(d.hierTable)
-	if !ok {
-		return nil, fmt.Errorf("graph: table %q dropped", d.hierTable)
+	res, err := v.eng.Query("SELECT " + d.nodeCol + ", " + d.parentCol + " FROM " + d.hierTable)
+	if err != nil {
+		return nil, fmt.Errorf("graph: view %q: %w", name, err)
 	}
-	ni := entry.Schema.ColIndex(d.nodeCol)
-	pi := entry.Schema.ColIndex(d.parentCol)
 	h := NewHierarchy()
-	for _, p := range entry.Partitions {
-		snap := p.Table.Snapshot(ts)
-		for pos := 0; pos < snap.NumRows(); pos++ {
-			if !snap.Visible(pos) {
-				continue
-			}
-			parent := ""
-			if pv := snap.Get(pi, pos); !pv.IsNull() {
-				parent = pv.AsString()
-			}
-			if err := h.Add(snap.Get(ni, pos).AsString(), parent); err != nil {
-				return nil, err
-			}
+	for _, row := range res.Rows {
+		parent := ""
+		if !row[1].IsNull() {
+			parent = row[1].AsString()
+		}
+		if err := h.Add(row[0].AsString(), parent); err != nil {
+			return nil, err
 		}
 	}
 	d.hier, d.cachedTS = h, ts

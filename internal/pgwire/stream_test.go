@@ -205,7 +205,7 @@ func TestWireDescribeDeferred(t *testing.T) {
 	srv, eng := startServer(t, Config{})
 	loadWide(t, eng, 3000)
 	var plans atomic.Int64
-	eng.Prune = func(_ *catalog.TableEntry, _ []sqlexec.Expr, parts []*catalog.Partition) []*catalog.Partition {
+	eng.Prune = func(_ *catalog.TableEntry, _ []sqlexec.Pred, parts []*catalog.Partition) []*catalog.Partition {
 		plans.Add(1)
 		return parts
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/columnstore"
+	"repro/internal/sqlexec"
 	"repro/internal/value"
 )
 
@@ -60,28 +61,42 @@ func (t *DistTable) PartitionFor(v value.Value) int {
 	return int(h % uint64(t.Partitions))
 }
 
-// PartitionsInRange returns the partitions that can hold keys in
-// [lo, hi] (inclusive; math.MinInt64/MaxInt64 for open ends). For hash
-// partitioning every partition qualifies unless lo == hi (a point
-// lookup).
-func (t *DistTable) PartitionsInRange(lo, hi int64) []int {
-	if t.RangeBounds == nil {
-		if lo == hi {
-			return []int{t.PartitionFor(value.Int(lo))}
+// refuted reports whether a predicate on the partition key proves that
+// partition p holds no matching row. A range table's slot p is the summary
+// [RangeBounds[p-1], RangeBounds[p]-1] of an integer key, open at the
+// table's ends; on a hash table only an equality says anything: every row
+// equal to its literal hashes where the literal — coerced to the key's
+// kind, and only when that coercion is exact — does.
+func (t *DistTable) refuted(p int, preds []sqlexec.Pred) bool {
+	ki := t.KeyIndex()
+	kind := t.Schema[ki].Kind
+	for _, pr := range preds {
+		if pr.Col != ki || pr.Param >= 0 {
+			continue
 		}
-		out := make([]int, t.Partitions)
-		for i := range out {
-			out[i] = i
+		if t.RangeBounds == nil {
+			k := value.Coerce(pr.Lit, kind)
+			exact := pr.Lit.K == kind || (k.Numeric() && pr.Lit.Numeric() && value.Compare(k, pr.Lit) == 0)
+			if pr.Op == columnstore.CmpEQ && exact && t.PartitionFor(k) != p {
+				return true
+			}
+			continue
 		}
-		return out
+		if kind != value.KindInt {
+			continue
+		}
+		min, max := value.Null, value.Null
+		if p > 0 {
+			min = value.Int(t.RangeBounds[p-1])
+		}
+		if p < len(t.RangeBounds) {
+			max = value.Int(t.RangeBounds[p] - 1)
+		}
+		if sqlexec.Refutes(pr.Op, pr.Lit, min, max) {
+			return true
+		}
 	}
-	first := t.PartitionFor(value.Int(lo))
-	last := t.PartitionFor(value.Int(hi))
-	out := make([]int, 0, last-first+1)
-	for p := first; p <= last; p++ {
-		out = append(out, p)
-	}
-	return out
+	return false
 }
 
 // KeyIndex returns the schema position of the partition key.

@@ -320,23 +320,24 @@ func (c *Coordinator) queryFrom(parent stats.SpanContext, sql string) (*Result, 
 	return c.queryJoin(sel, plan, span)
 }
 
-// pruneParts narrows the fan-out for range-partitioned tables when the
-// WHERE clause bounds the partition key — distributed partition pruning.
-// Returns the explicit partition list (possibly empty for contradictory
-// bounds).
+// pruneParts is distributed partition pruning: the WHERE clause is
+// classified against the table's schema, as a node's scan will classify it
+// again, and the fan-out keeps the partitions no predicate on the
+// partition key refutes. The list is explicit and possibly empty
+// (contradictory bounds).
 func (c *Coordinator) pruneParts(sel *sqlexec.SelectStmt, table string) []int {
 	t, ok := c.ccat.Table(table)
 	if !ok {
 		return nil
 	}
-	lo, hi, bounded := distql.KeyBounds(sel, sel.From.Alias, t.PartKey)
-	if bounded && lo > hi {
-		return []int{} // contradictory bounds: empty fan-out
+	preds, _ := sqlexec.Classify(sel.Where, sel.From.Alias, t.Schema)
+	parts := make([]int, 0, t.Partitions)
+	for p := 0; p < t.Partitions; p++ {
+		if !t.refuted(p, preds) {
+			parts = append(parts, p)
+		}
 	}
-	if !bounded {
-		return allParts(t)
-	}
-	return t.PartitionsInRange(lo, hi)
+	return parts
 }
 
 func allParts(t *DistTable) []int {

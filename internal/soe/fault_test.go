@@ -189,9 +189,12 @@ func TestFTIdempotentCommitTokens(t *testing.T) {
 	loadOrders(t, c, 5)
 	before := c.Broker.Commits()
 
+	// Routed like any insert: an equality on the key fans out to the one
+	// partition the key hashes to.
+	tbl, _ := c.Catalog.Table("orders")
 	req := CommitReq{
 		Token: c.Disc.Token(), TxnID: "client-txn-42",
-		Writes: []LogWrite{{Table: "orders", Partition: 0, Kind: 0,
+		Writes: []LogWrite{{Table: "orders", Partition: tbl.PartitionFor(value.String("O7777")), Kind: 0,
 			Row: value.Row{value.String("O7777"), value.String("EMEA"), value.Float(9)}}},
 	}
 	first, err := call[CommitResp](c.Net, "testclient", c.Broker.Name, MsgCommit, req)

@@ -562,7 +562,7 @@ func (n *DataNode) queryParts(sql, table, table2 string, parts []int) (*sqlexec.
 	missing := -1
 	s := n.eng.NewSession()
 	defer s.Close()
-	s.Scope = func(entry *catalog.TableEntry, _ []sqlexec.Expr, hosted []*catalog.Partition) []*catalog.Partition {
+	s.Scope = func(entry *catalog.TableEntry, _ []sqlexec.Pred, hosted []*catalog.Partition) []*catalog.Partition {
 		if entry.Name != table && entry.Name != table2 {
 			return hosted
 		}

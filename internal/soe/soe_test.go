@@ -3,6 +3,7 @@ package soe
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -436,13 +437,16 @@ func TestSnapshotFromNonHostingPeerErrors(t *testing.T) {
 	}
 }
 
-func TestRangePartitionedDistTable(t *testing.T) {
+// salesCluster is a 4-node cluster holding sales(yr, amount) in four range
+// partitions — (-inf,2012) [2012,2013) [2013,2014) [2014,+inf) — with 20
+// rows for each year 2010..2015.
+func salesCluster(t *testing.T) (*Cluster, *DistTable, []value.Row) {
+	t.Helper()
 	c := newTestCluster(t, 4, OLTP)
 	schema := columnstore.Schema{
 		{Name: "yr", Kind: value.KindInt},
 		{Name: "amount", Kind: value.KindFloat},
 	}
-	// 4 partitions: (-inf,2012) [2012,2013) [2013,2014) [2014,+inf).
 	tbl, err := c.CreateRangeTable("sales", schema, "yr", []int64{2012, 2013, 2014})
 	if err != nil {
 		t.Fatal(err)
@@ -454,6 +458,49 @@ func TestRangePartitionedDistTable(t *testing.T) {
 	if _, err := c.Insert("sales", rows...); err != nil {
 		t.Fatal(err)
 	}
+	return c, tbl, rows
+}
+
+// TestRangeFanOutFloatLiteral: a float literal bounds the fan-out where it
+// stands. The coordinator used to truncate it to an integer and then
+// tighten a strict bound by one, so `yr < 2012.5` never asked partition
+// [2012, 2013) and counted 40. Every count equals a single-node engine's
+// over the same rows.
+func TestRangeFanOutFloatLiteral(t *testing.T) {
+	c, _, rows := salesCluster(t)
+	ref := sqlexec.NewEngine()
+	ref.MustQuery(`CREATE TABLE sales (yr INT, amount DOUBLE)`)
+	for _, r := range rows {
+		ref.MustQuery(`INSERT INTO sales VALUES (?, ?)`, r...)
+	}
+	for _, tc := range []struct {
+		where string
+		want  int64
+	}{
+		{"yr < 2012.5", 60}, {"yr <= 2012.5", 60}, {"yr > 2011.5", 80},
+		{"yr BETWEEN 2011.5 AND 2012.5", 20}, {"2012.5 > yr", 60},
+	} {
+		q := `SELECT COUNT(*) FROM sales WHERE ` + tc.where
+		r, err := c.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got, single := r.Rows[0][0].AsInt(), ref.MustQuery(q).Rows[0][0].AsInt(); got != tc.want || single != tc.want {
+			t.Errorf("%s: cluster counts %d, single node %d, want %d", q, got, single, tc.want)
+		}
+	}
+	// Contradictory bounds still fan out to no node at all.
+	c.Net.ResetStats()
+	if r, err := c.Query(`SELECT yr FROM sales WHERE yr > 2015.5 AND yr < 2010`); err != nil || len(r.Rows) != 0 {
+		t.Fatalf("rows=%v err=%v", r, err)
+	}
+	if msgs, _ := c.Net.Stats(); msgs != 0 {
+		t.Fatalf("contradictory bounds sent %d messages", msgs)
+	}
+}
+
+func TestRangePartitionedDistTable(t *testing.T) {
+	c, tbl, _ := salesCluster(t)
 	// Routing: 2010,2011 -> p0; 2012 -> p1; 2013 -> p2; 2014,2015 -> p3.
 	if tbl.PartitionFor(value.Int(2011)) != 0 || tbl.PartitionFor(value.Int(2012)) != 1 ||
 		tbl.PartitionFor(value.Int(2013)) != 2 || tbl.PartitionFor(value.Int(2015)) != 3 {
@@ -580,12 +627,40 @@ func TestDropTemp(t *testing.T) {
 }
 
 func TestPartitionsInRangeHash(t *testing.T) {
-	tbl := &DistTable{Name: "h", Schema: ordersSchema(), PartKey: "id", Partitions: 4, NodeOf: []string{"a", "b", "a", "b"}}
-	if got := tbl.PartitionsInRange(1, 9); len(got) != 4 {
-		t.Fatalf("range over hash=%v", got)
+	c := newTestCluster(t, 2, OLTP)
+	orders, err := c.CreateTable("orders", ordersSchema(), "id", 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := tbl.PartitionsInRange(5, 5); len(got) != 1 {
-		t.Fatalf("point over hash=%v", got)
+	nums, err := c.CreateTable("nums", columnstore.Schema{{Name: "k", Kind: value.KindInt}}, "k", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanOut := func(sql, table string) []int {
+		t.Helper()
+		st, err := sqlexec.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Coordinator.pruneParts(st.(*sqlexec.SelectStmt), table)
+	}
+	for _, tc := range []struct {
+		sql, table string
+		want       []int
+	}{
+		{`SELECT id FROM orders WHERE id > 'A' AND id < 'Z'`, "orders", []int{0, 1, 2, 3}},
+		{`SELECT id FROM orders WHERE id = 'O7'`, "orders", []int{orders.PartitionFor(value.String("O7"))}},
+		{`SELECT id FROM orders WHERE 'O7' = id AND region = 'EMEA'`, "orders", []int{orders.PartitionFor(value.String("O7"))}},
+		// A number is not a string key's hash input: coercing it is inexact.
+		{`SELECT id FROM orders WHERE id = 7`, "orders", []int{0, 1, 2, 3}},
+		{`SELECT k FROM nums WHERE k = 5`, "nums", []int{nums.PartitionFor(value.Int(5))}},
+		{`SELECT k FROM nums WHERE k = 5.0`, "nums", []int{nums.PartitionFor(value.Int(5))}},
+		{`SELECT k FROM nums WHERE k = 5.5`, "nums", []int{0, 1, 2, 3}},
+		{`SELECT k FROM nums WHERE k >= 5 AND k <= 5`, "nums", []int{0, 1, 2, 3}},
+	} {
+		if got := fanOut(tc.sql, tc.table); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: fan-out %v, want %v", tc.sql, got, tc.want)
+		}
 	}
 }
 

@@ -165,7 +165,7 @@ func TestScopedTaskPartitionList(t *testing.T) {
 // scan of table is planned on the node.
 func countPlans(n *DataNode, table string) *int {
 	plans := new(int)
-	n.Engine().Prune = func(entry *catalog.TableEntry, _ []sqlexec.Expr, parts []*catalog.Partition) []*catalog.Partition {
+	n.Engine().Prune = func(entry *catalog.TableEntry, _ []sqlexec.Pred, parts []*catalog.Partition) []*catalog.Partition {
 		if strings.HasPrefix(entry.Name, table) {
 			*plans++
 		}
@@ -227,7 +227,7 @@ func TestNodeTaskReadsOneSnapshot(t *testing.T) {
 	count0, sum0 := task()
 
 	fired := false
-	n.Engine().Prune = func(_ *catalog.TableEntry, _ []sqlexec.Expr, parts []*catalog.Partition) []*catalog.Partition {
+	n.Engine().Prune = func(_ *catalog.TableEntry, _ []sqlexec.Pred, parts []*catalog.Partition) []*catalog.Partition {
 		if !fired {
 			fired = true
 			if _, err := c.Insert("orders", commit...); err != nil {

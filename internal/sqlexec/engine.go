@@ -426,14 +426,21 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, pa
 }
 
 // currentTxn returns the session transaction, creating a one-statement
-// transaction in auto-commit mode. done() commits it when owned; like
-// Commit it never returns a bare txn error (errors.Is still unwraps).
-func (s *Session) currentTxn() (tx *txn.Txn, done func() error) {
+// transaction in auto-commit mode. done ends the statement: given its
+// error it aborts the transaction when owned and hands the error back,
+// given nil it commits when owned; like Commit it never returns a bare txn
+// error (errors.Is still unwraps). An explicit transaction is left open
+// either way.
+func (s *Session) currentTxn() (tx *txn.Txn, done func(error) error) {
 	if s.tx != nil {
-		return s.tx, func() error { return nil }
+		return s.tx, func(err error) error { return err }
 	}
 	tx = s.e.Mgr.Begin()
-	return tx, func() error {
+	return tx, func(err error) error {
+		if err != nil {
+			tx.Abort()
+			return err
+		}
 		if _, err := tx.Commit(); err != nil {
 			return fmt.Errorf("sql: auto-commit failed: %w", err)
 		}
@@ -514,14 +521,11 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (*Result, er
 		}
 		part := routePartition(entry, full)
 		if err := tx.Insert(part.Table.Name(), full); err != nil {
-			if s.tx == nil {
-				tx.Abort()
-			}
-			return nil, err
+			return nil, done(err)
 		}
 		count++
 	}
-	if err := done(); err != nil {
+	if err := done(nil); err != nil {
 		return nil, err
 	}
 	return &Result{Cols: []string{"inserted"}, Rows: []value.Row{{value.Int(int64(count))}}}, nil
@@ -543,72 +547,73 @@ func routePartition(entry *catalog.TableEntry, row value.Row) *catalog.Partition
 	return entry.PartitionFor(row[ci])
 }
 
-// victims finds visible rows matching the WHERE clause of UPDATE/DELETE.
+// victim is one row an UPDATE or DELETE hits: the partition table and
+// position it was read at and, for UPDATE, what it holds.
 type victim struct {
-	part *catalog.Partition
-	pos  int
-	row  value.Row
+	table string
+	pos   int
+	row   value.Row // nil unless boxed
 }
 
-// findVictims snapshots through the transaction (tx.SnapshotTable) so the
-// merge epoch each position was read under is on record: a background
-// merge that renumbers positions between here and commit turns into a
-// clean ErrConflict retry instead of deleting the wrong row.
-func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []value.Value) (*catalog.TableEntry, []victim, error) {
+// findVictims finds the visible rows matching the WHERE clause of an
+// UPDATE or DELETE with the scan any SELECT would plan for `table WHERE
+// where`: pruned, kernel-bound, parameters bound at run time, its morsels'
+// selection phase run on the vectorized executor whatever Engine.Mode says.
+// The victims come back in partition-then-position order; only box makes
+// rows of them. Every partition the scan opens is snapshotted through the
+// transaction (tx.SnapshotTable), so the merge epoch each position was
+// read under is on record before the position is: a background merge that
+// renumbers positions between here and commit turns into a clean
+// ErrConflict retry instead of deleting the wrong row.
+func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []value.Value, box bool) (*ScanPlan, []victim, error) {
 	entry, ok := s.e.Cat.Table(table)
 	if !ok {
 		return nil, nil, fmt.Errorf("sql: unknown table %q", table)
 	}
-	cols := make([]colInfo, len(entry.Schema))
-	for i, c := range entry.Schema {
-		cols[i] = colInfo{Qual: table, Name: c.Name}
+	scan := newScanPlan(entry, table)
+	scan.Filter = where
+	s.planner(tx.SnapshotTS()).pruneScan(scan)
+	ctx := &execCtx{ts: tx.SnapshotTS(), params: params, reg: s.e.Reg, stats: new(ExecStats), workers: s.e.Workers,
+		snap: func(p *catalog.Partition) (*columnstore.Snapshot, error) { return tx.SnapshotTable(p.Table.Name()) }}
+	defer ctx.finish()
+	prep, err := prepScan(scan, ctx)
+	if err != nil {
+		return nil, nil, err
 	}
-	var pred evalFn
-	if where != nil {
-		f, err := compileExpr(where, resolverFor(cols), s.e.Reg)
-		if err != nil {
-			return nil, nil, err
-		}
-		pred = f
+	run, err := prep.newRun(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
 	var out []victim
-	env := Env{Params: params}
-	for _, p := range entry.Partitions {
-		snap, err := tx.SnapshotTable(p.Table.Name())
-		if err != nil {
-			return nil, nil, err
-		}
-		n := snap.NumRows()
-		for pos := 0; pos < n; pos++ {
-			if !snap.Visible(pos) {
-				continue
+	err = drainOrdered(run, func(t *scanTask, w int, send func([]victim)) {
+		run.process(t, w, func(sel selection) {
+			vs := make([]victim, sel.len())
+			for i := range vs {
+				vs[i] = victim{table: t.part.Table.Name(), pos: sel.at(i)}
 			}
-			row := snap.Row(pos)
-			if pred != nil {
-				env.Row = row
-				if v := pred(&env); v.IsNull() || !v.AsBool() {
-					continue
+			if box {
+				rows := slabRows(len(vs), len(t.getters))
+				t.box(rows, sel, 0, nil)
+				for i := range vs {
+					vs[i].row = rows[i]
 				}
 			}
-			out = append(out, victim{part: p, pos: pos, row: row})
-		}
-	}
-	return entry, out, nil
+			send(vs)
+		})
+	}, func(vs []victim) error {
+		out = append(out, vs...)
+		return nil
+	})
+	return scan, out, err
 }
 
 func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (*Result, error) {
 	tx, done := s.currentTxn()
-	entry, vs, err := s.findVictims(tx, up.Table, up.Where, params)
+	scan, vs, err := s.findVictims(tx, up.Table, up.Where, params, true)
 	if err != nil {
-		if s.tx == nil {
-			tx.Abort()
-		}
-		return nil, err
+		return nil, done(err)
 	}
-	cols := make([]colInfo, len(entry.Schema))
-	for i, c := range entry.Schema {
-		cols[i] = colInfo{Qual: up.Table, Name: c.Name}
-	}
+	entry, cols := scan.Entry, scan.columns()
 	type setter struct {
 		idx int
 		fn  evalFn
@@ -617,17 +622,11 @@ func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (*Result, err
 	for _, st := range up.Set {
 		idx := entry.Schema.ColIndex(st.Col)
 		if idx < 0 {
-			if s.tx == nil {
-				tx.Abort()
-			}
-			return nil, fmt.Errorf("sql: unknown column %q", st.Col)
+			return nil, done(fmt.Errorf("sql: unknown column %q", st.Col))
 		}
 		f, err := compileExpr(st.Expr, resolverFor(cols), s.e.Reg)
 		if err != nil {
-			if s.tx == nil {
-				tx.Abort()
-			}
-			return nil, err
+			return nil, done(err)
 		}
 		setters = append(setters, setter{idx, f})
 	}
@@ -638,21 +637,15 @@ func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (*Result, err
 		for _, st := range setters {
 			newRow[st.idx] = value.Coerce(st.fn(&env), entry.Schema[st.idx].Kind)
 		}
-		if err := tx.Delete(v.part.Table.Name(), v.pos); err != nil {
-			if s.tx == nil {
-				tx.Abort()
-			}
-			return nil, err
+		if err := tx.Delete(v.table, v.pos); err != nil {
+			return nil, done(err)
 		}
 		target := routePartition(entry, newRow)
 		if err := tx.Insert(target.Table.Name(), newRow); err != nil {
-			if s.tx == nil {
-				tx.Abort()
-			}
-			return nil, err
+			return nil, done(err)
 		}
 	}
-	if err := done(); err != nil {
+	if err := done(nil); err != nil {
 		return nil, err
 	}
 	return &Result{Cols: []string{"updated"}, Rows: []value.Row{{value.Int(int64(len(vs)))}}}, nil
@@ -660,22 +653,16 @@ func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (*Result, err
 
 func (s *Session) execDelete(del *DeleteStmt, params []value.Value) (*Result, error) {
 	tx, done := s.currentTxn()
-	_, vs, err := s.findVictims(tx, del.Table, del.Where, params)
+	_, vs, err := s.findVictims(tx, del.Table, del.Where, params, false)
 	if err != nil {
-		if s.tx == nil {
-			tx.Abort()
-		}
-		return nil, err
+		return nil, done(err)
 	}
 	for _, v := range vs {
-		if err := tx.Delete(v.part.Table.Name(), v.pos); err != nil {
-			if s.tx == nil {
-				tx.Abort()
-			}
-			return nil, err
+		if err := tx.Delete(v.table, v.pos); err != nil {
+			return nil, done(err)
 		}
 	}
-	if err := done(); err != nil {
+	if err := done(nil); err != nil {
 		return nil, err
 	}
 	return &Result{Cols: []string{"deleted"}, Rows: []value.Row{{value.Int(int64(len(vs)))}}}, nil

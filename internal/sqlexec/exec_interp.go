@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/columnstore"
 	"repro/internal/extstore"
 	"repro/internal/value"
 )
@@ -84,9 +85,21 @@ type execCtx struct {
 	mu      sync.Mutex
 	pool    *vecPool
 	prof    *Profile // non-nil under EXPLAIN ANALYZE
+	// snap, when set, replaces how a scan opens a partition: UPDATE and
+	// DELETE read through their transaction, which puts the partition's
+	// merge epoch on record before any position is read.
+	snap func(*catalog.Partition) (*columnstore.Snapshot, error)
 	// inlineNS is the busy time of single-task runs executed on the
 	// statement's own goroutine (runTasks).
 	inlineNS int64
+}
+
+// snapshot opens one partition of a scan at the statement's timestamp.
+func (ctx *execCtx) snapshot(part *catalog.Partition) (*columnstore.Snapshot, error) {
+	if ctx.snap != nil {
+		return ctx.snap(part)
+	}
+	return part.Table.Snapshot(ctx.ts), nil
 }
 
 // getPool lazily starts the statement's morsel worker pool.
@@ -300,7 +313,8 @@ type scanIter struct {
 	plan    *ScanPlan
 	ctx     *execCtx
 	filter  evalFn
-	parts   []*catalog.Partition
+	parts   []*catalog.Partition // what this run's parameters leave of the plan's list
+	pruned  int
 	pi      int
 	snap    snapState
 	pos     int
@@ -325,7 +339,8 @@ type snapState struct {
 }
 
 func newScanIter(p *ScanPlan, ctx *execCtx) (*scanIter, error) {
-	it := &scanIter{plan: p, ctx: ctx, parts: p.scanParts(), op: ctx.prof.node(p)}
+	it := &scanIter{plan: p, ctx: ctx, op: ctx.prof.node(p)}
+	it.parts, it.pruned = p.bind(ctx.params)
 	if p.Filter != nil {
 		f, err := compileExpr(p.Filter, resolverFor(p.columns()), ctx.reg)
 		if err != nil {
@@ -337,9 +352,9 @@ func newScanIter(p *ScanPlan, ctx *execCtx) (*scanIter, error) {
 }
 
 func (it *scanIter) Open() error {
-	it.ctx.stats.PartitionsPruned += it.plan.Pruned
+	it.ctx.stats.PartitionsPruned += it.pruned
 	if it.op != nil {
-		it.op.partsPruned.Add(int64(it.plan.Pruned))
+		it.op.partsPruned.Add(int64(it.pruned))
 	}
 	it.pi = -1
 	it.snap.snap = nil

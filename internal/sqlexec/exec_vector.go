@@ -42,20 +42,24 @@ func runVectorized(p Plan, ctx *execCtx) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if ctx.pool != nil {
-			ctx.pool.close()
-			ctx.pool = nil
-		}
-		if ctx.inlineNS > 0 {
-			hVecWorkerBusy.Observe(float64(ctx.inlineNS) / 1e3)
-		}
-	}()
+	defer ctx.finish()
 	if err := vp(ctx.out.push); err != nil {
 		return err
 	}
 	cVecQueries.Inc()
 	return nil
+}
+
+// finish stops the statement's worker pool, if one was started, and books
+// the busy time of its inline runs.
+func (ctx *execCtx) finish() {
+	if ctx.pool != nil {
+		ctx.pool.close()
+		ctx.pool = nil
+	}
+	if ctx.inlineNS > 0 {
+		hVecWorkerBusy.Observe(float64(ctx.inlineNS) / 1e3)
+	}
 }
 
 // vecCompile builds the batch pipeline for a plan node, attaching the
@@ -179,9 +183,6 @@ type scanPrep struct {
 }
 
 func prepScan(s *ScanPlan, ctx *execCtx) (*scanPrep, error) {
-	if !s.VecMarked {
-		markKernelEligible(s)
-	}
 	if s.Filter != nil {
 		if _, err := compileExpr(s.Filter, resolverFor(s.columns()), ctx.reg); err != nil {
 			return nil, err
@@ -211,6 +212,7 @@ func (p *scanPrep) filterCols() []int {
 // hands on is the morsel's final selection.
 type scanTask struct {
 	seq     int
+	part    *catalog.Partition
 	snap    *columnstore.Snapshot
 	lo, hi  int
 	kernels []kernelFn
@@ -381,15 +383,19 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 	s := p.plan
 	r := &scanRun{ctx: ctx, op: ctx.prof.node(s)}
 	res := resolverFor(p.cols)
+	parts, pruned := s.bind(ctx.params)
 	ctx.mu.Lock()
-	ctx.stats.PartitionsPruned += s.Pruned
+	ctx.stats.PartitionsPruned += pruned
 	ctx.mu.Unlock()
 	if r.op != nil {
-		r.op.partsPruned.Add(int64(s.Pruned))
+		r.op.partsPruned.Add(int64(pruned))
 	}
-	for _, part := range s.scanParts() {
+	for _, part := range parts {
 		cold := part.ColdReadPenalty
-		snap := part.Table.Snapshot(ctx.ts)
+		snap, err := ctx.snapshot(part)
+		if err != nil {
+			return nil, err
+		}
 		ctx.mu.Lock()
 		ctx.stats.PartitionsScanned++
 		ctx.mu.Unlock()
@@ -422,10 +428,13 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 		}
 		mainRows := snap.MainRows()
 		var kernels []kernelFn
-		generic := append([]Expr(nil), s.VecResidual...)
+		// What the main morsels evaluate row by row: the residue, and every
+		// predicate's conjunct that binds no kernel here (kernels never
+		// apply to the delta, whose morsels evaluate the whole filter).
+		generic := append([]Expr(nil), s.Residue...)
 		if mainRows > 0 {
 			hits, falls := 0, 0
-			for _, vp := range s.VecEligible {
+			for _, vp := range s.Preds {
 				if vp.Param >= 0 {
 					// Fill the slot on this run's copy; an unbound slot
 					// reads NULL, exactly as the generic evaluator sees it.
@@ -438,7 +447,11 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 					kernels = append(kernels, k)
 					hits++
 				} else {
-					generic = append(generic, vp.Orig)
+					// Once per conjunct: the two predicates of a BETWEEN
+					// are adjacent and share theirs.
+					if n := len(generic); n == 0 || generic[n-1] != vp.Orig {
+						generic = append(generic, vp.Orig)
+					}
 					falls++
 				}
 			}
@@ -451,11 +464,6 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 			if r.op != nil {
 				r.op.kernelHits.Add(int64(hits))
 				r.op.kernelFallbacks.Add(int64(falls))
-			}
-		} else {
-			// All rows live in the delta; kernels never apply.
-			for _, vp := range s.VecEligible {
-				generic = append(generic, vp.Orig)
 			}
 		}
 		mainResid := andAll(generic)
@@ -476,7 +484,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 				}
 			}
 			r.tasks = append(r.tasks, &scanTask{
-				seq: len(r.tasks), snap: snap, lo: lo, hi: hi,
+				seq: len(r.tasks), part: part, snap: snap, lo: lo, hi: hi,
 				kernels: ks, resid: resid, getters: getters, cold: cold, main: main,
 			})
 			cold = 0
@@ -881,7 +889,7 @@ func makeGetter(snap *columnstore.Snapshot, col int) colGetter {
 // bound parameters take the same rules: a NULL (possible only from a
 // parameter) or kind-mismatched value binds nothing. A nil return sends
 // the conjunct to the generic expression path for this partition.
-func bindKernel(snap *columnstore.Snapshot, p vecPred) kernelFn {
+func bindKernel(snap *columnstore.Snapshot, p Pred) kernelFn {
 	mc := snap.MainColumn(p.Col)
 	if mc == nil || p.Lit.IsNull() {
 		return nil

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/columnstore"
 	"repro/internal/value"
 )
 
@@ -32,14 +31,22 @@ type ScanPlan struct {
 	Pruned int                  // partitions eliminated (for stats)
 	cols   []colInfo
 
-	// VecEligible/VecResidual split Filter's conjuncts by kernel shape:
-	// eligible conjuncts (column <cmp> literal) can run as batch kernels
-	// over encoded main columns, the residue needs the row-at-a-time
-	// expression evaluator. Filled by the planner (markKernelEligible);
-	// VecMarked distinguishes "not analyzed" from "nothing eligible".
-	VecMarked   bool
-	VecEligible []vecPred
-	VecResidual []Expr
+	// Preds/Residue are Filter's conjuncts, classified once by pruneScan:
+	// the comparisons of a column against a literal or a parameter, which
+	// prune partitions and run as batch kernels over encoded main columns,
+	// and the rest, which needs the row-at-a-time expression evaluator. A
+	// predicate that waits for a parameter prunes when a run binds it.
+	Preds   []Pred
+	Residue []Expr
+}
+
+// newScanPlan is the unfiltered, unpruned scan of entry under alias.
+func newScanPlan(entry *catalog.TableEntry, alias string) *ScanPlan {
+	cols := make([]colInfo, len(entry.Schema))
+	for i, c := range entry.Schema {
+		cols[i] = colInfo{Qual: alias, Name: c.Name}
+	}
+	return &ScanPlan{Entry: entry, Alias: alias, cols: cols}
 }
 
 func (s *ScanPlan) columns() []colInfo { return s.cols }
@@ -145,11 +152,6 @@ func (a *AliasPlan) columns() []colInfo {
 	}
 	return out
 }
-
-// PruneHook lets the aging engine (§III) participate in partition pruning
-// with semantic rules beyond simple range bounds. It returns the subset of
-// parts that must be scanned given the conjuncts.
-type PruneHook func(entry *catalog.TableEntry, conjuncts []Expr, parts []*catalog.Partition) []*catalog.Partition
 
 // Planner builds optimized plans against a catalog.
 type Planner struct {
@@ -390,11 +392,7 @@ func (pl *Planner) buildTableRef(ref TableRef, depth int) (Plan, error) {
 			}
 			return nil, fmt.Errorf("sql: unknown table %q", ref.Name)
 		}
-		cols := make([]colInfo, len(entry.Schema))
-		for i, c := range entry.Schema {
-			cols[i] = colInfo{Qual: ref.Alias, Name: c.Name}
-		}
-		return &ScanPlan{Entry: entry, Alias: ref.Alias, cols: cols}, nil
+		return newScanPlan(entry, ref.Alias), nil
 	}
 }
 
@@ -518,35 +516,49 @@ func (a *AggPlan) buildOutCols() {
 
 // --- optimizer ------------------------------------------------------------
 
-// optimize applies predicate pushdown, equi-join extraction, partition
-// pruning, and join-side selection.
+// optimize applies predicate pushdown and equi-join extraction, then — with
+// every conjunct where it will stay — partition pruning and join-side
+// selection.
 func (pl *Planner) optimize(p Plan) Plan {
+	p = pl.pushDown(p)
+	pl.finish(p)
+	return p
+}
+
+// pushDown sinks filter conjuncts into the scans (or join conditions) that
+// cover them and turns l.x = r.y conditions into hash-join keys.
+func (pl *Planner) pushDown(p Plan) Plan {
 	switch x := p.(type) {
 	case *FilterPlan:
-		child := pl.optimize(x.Child)
-		conjs := splitConjuncts(x.Pred)
-		rest := pl.pushConjuncts(child, conjs)
+		child := pl.pushDown(x.Child)
+		rest := pl.pushConjuncts(child, splitConjuncts(x.Pred))
 		if len(rest) == 0 {
 			return child
 		}
 		return &FilterPlan{Child: child, Pred: andAll(rest)}
 	case *JoinPlan:
-		x.L = pl.optimize(x.L)
-		x.R = pl.optimize(x.R)
+		x.L = pl.pushDown(x.L)
+		x.R = pl.pushDown(x.R)
 		pl.extractEquiKeys(x)
+	}
+	return p
+}
+
+// finish prunes every scan of the relational core, once, and picks each
+// join's build side bottom-up: estimate reads the pruned partition lists
+// (a node task's Scope shrinks them), so a scan is pruned before any join
+// above it chooses. A derived table below was finished by its own
+// buildSelect.
+func (pl *Planner) finish(p Plan) {
+	switch x := p.(type) {
+	case *FilterPlan:
+		pl.finish(x.Child)
+	case *JoinPlan:
+		pl.finish(x.L)
+		pl.finish(x.R)
 		pl.chooseBuildSide(x)
-		return x
 	case *ScanPlan:
 		pl.pruneScan(x)
-		return x
-	case *AliasPlan:
-		x.Child = pl.optimize(x.Child)
-		return x
-	case *AggPlan:
-		x.Child = pl.optimize(x.Child)
-		return x
-	default:
-		return p
 	}
 }
 
@@ -571,7 +583,6 @@ func (pl *Planner) pushOne(p Plan, conj Expr) bool {
 			} else {
 				x.Filter = &BinaryExpr{Op: "AND", L: x.Filter, R: conj}
 			}
-			pl.pruneScan(x)
 			return true
 		}
 	case *JoinPlan:
@@ -667,11 +678,11 @@ func (pl *Planner) estimate(p Plan) int {
 	switch x := p.(type) {
 	case *ScanPlan:
 		n := 0
+		// Rows read, not rows kept: a filter counts only through the
+		// partitions it pruned. There is no selectivity guess — the plan
+		// shapes the parity goldens record are picked on this number.
 		for _, part := range x.scanParts() {
 			n += part.Table.NumRows()
-		}
-		if x.Filter != nil {
-			n /= 3 // crude selectivity guess
 		}
 		return n
 	case *FilterPlan:
@@ -697,99 +708,6 @@ func (s *ScanPlan) scanParts() []*catalog.Partition {
 		return s.Parts
 	}
 	return s.Entry.Partitions
-}
-
-// vecPred is one kernel-eligible scan conjunct: <column> <cmp> <literal>
-// or <column> <cmp> <parameter>. The vectorized executor binds it to an
-// encoded-column batch kernel per partition; partitions whose physical
-// encoding has no matching kernel evaluate Orig through the generic
-// expression path instead. A parameter conjunct carries the slot, not the
-// value, so the plan stays parameter-independent: each run copies the
-// bound value into Lit just before binding (scanPrep.newRun).
-type vecPred struct {
-	Col   int // index into the scan's output columns
-	Op    columnstore.CmpOp
-	Lit   value.Value
-	Param int // 0-based parameter slot that supplies Lit; -1 for a literal
-	Orig  Expr
-}
-
-// cmpOps maps SQL comparison spellings to kernel operators.
-var cmpOps = map[string]columnstore.CmpOp{
-	"=": columnstore.CmpEQ, "<>": columnstore.CmpNE,
-	"<": columnstore.CmpLT, "<=": columnstore.CmpLE,
-	">": columnstore.CmpGT, ">=": columnstore.CmpGE,
-}
-
-// markKernelEligible classifies the scan's filter conjuncts for the
-// vectorized executor. A conjunct qualifies when it compares one of the
-// scan's columns against a non-NULL literal or a parameter with a plain
-// comparison operator — the shape every batch kernel understands.
-// Everything else (functions, LIKE, IN, multi-column expressions) lands
-// in VecResidual and runs row-at-a-time on the already-thinned selection.
-func markKernelEligible(s *ScanPlan) {
-	s.VecMarked = true
-	s.VecEligible = s.VecEligible[:0]
-	s.VecResidual = s.VecResidual[:0]
-	if s.Filter == nil {
-		return
-	}
-	for _, conj := range splitConjuncts(s.Filter) {
-		if p, ok := classifyVecConjunct(conj, s.cols); ok {
-			s.VecEligible = append(s.VecEligible, p)
-		} else {
-			s.VecResidual = append(s.VecResidual, conj)
-		}
-	}
-}
-
-func classifyVecConjunct(e Expr, cols []colInfo) (vecPred, bool) {
-	be, ok := e.(*BinaryExpr)
-	if !ok {
-		return vecPred{}, false
-	}
-	op, ok := cmpOps[be.Op]
-	if !ok {
-		return vecPred{}, false
-	}
-	cr, ok := be.L.(*ColRef)
-	operand := be.R
-	if !ok {
-		// literal <op> column: flip the operand order and the operator.
-		if cr, ok = be.R.(*ColRef); !ok {
-			return vecPred{}, false
-		}
-		operand = be.L
-		switch op {
-		case columnstore.CmpLT:
-			op = columnstore.CmpGT
-		case columnstore.CmpLE:
-			op = columnstore.CmpGE
-		case columnstore.CmpGT:
-			op = columnstore.CmpLT
-		case columnstore.CmpGE:
-			op = columnstore.CmpLE
-		}
-	}
-	p := vecPred{Op: op, Param: -1, Orig: e}
-	switch x := operand.(type) {
-	case *Literal:
-		if x.Val.IsNull() {
-			return vecPred{}, false // NULL comparisons are never true
-		}
-		p.Lit = x.Val
-	case *Param:
-		p.Param = x.Index
-	default:
-		return vecPred{}, false
-	}
-	for i, c := range cols {
-		if (cr.Qual == "" || cr.Qual == c.Qual) && cr.Name == c.Name {
-			p.Col = i
-			return p, true
-		}
-	}
-	return vecPred{}, false
 }
 
 // --- compressed-execution eligibility ---------------------------------------
@@ -945,126 +863,6 @@ func projectScanShape(x *ProjectPlan) (*ScanPlan, []int, bool) {
 	return s, cols, true
 }
 
-// pruneScan eliminates partitions that cannot contain matching rows, using
-// range bounds and the semantic prune hook.
-func (pl *Planner) pruneScan(s *ScanPlan) {
-	parts := s.Entry.Partitions
-	conjs := splitConjuncts(s.Filter)
-	if len(parts) > 1 && s.Filter != nil {
-		lo, hi := boundsFor(conjs, partPruneCol(parts))
-		if !lo.IsNull() || !hi.IsNull() {
-			var kept []*catalog.Partition
-			for _, p := range parts {
-				if p.MayContainRange(lo, hi) {
-					kept = append(kept, p)
-				}
-			}
-			parts = kept
-		}
-	}
-	if pl.Prune != nil {
-		parts = pl.Prune(s.Entry, conjs, parts)
-	}
-	if s.Filter != nil {
-		parts = zonePrune(s, conjs, parts)
-	}
-	s.Pruned = len(s.Entry.Partitions) - len(parts)
-	s.Parts = parts
-	markKernelEligible(s)
-}
-
-func partPruneCol(parts []*catalog.Partition) string {
-	for _, p := range parts {
-		if p.PruneCol != "" {
-			return p.PruneCol
-		}
-	}
-	return ""
-}
-
-// boundsFor derives [lo, hi] bounds on col from conjuncts of the form
-// col <op> literal. NULL means unbounded.
-func boundsFor(conjs []Expr, col string) (lo, hi value.Value) {
-	if col == "" {
-		return value.Null, value.Null
-	}
-	lo, hi = value.Null, value.Null
-	tighterLo := func(v value.Value) {
-		if lo.IsNull() || value.Compare(v, lo) > 0 {
-			lo = v
-		}
-	}
-	tighterHi := func(v value.Value) {
-		if hi.IsNull() || value.Compare(v, hi) < 0 {
-			hi = v
-		}
-	}
-	for _, c := range conjs {
-		switch x := c.(type) {
-		case *BinaryExpr:
-			cr, lok := x.L.(*ColRef)
-			lit, rok := x.R.(*Literal)
-			op := x.Op
-			if !lok || !rok {
-				// literal <op> col: flip
-				if lit2, ok := x.L.(*Literal); ok {
-					if cr2, ok := x.R.(*ColRef); ok {
-						cr, lit = cr2, lit2
-						switch op {
-						case "<":
-							op = ">"
-						case "<=":
-							op = ">="
-						case ">":
-							op = "<"
-						case ">=":
-							op = "<="
-						}
-						lok, rok = true, true
-					}
-				}
-			}
-			if !lok || !rok || cr.Name != col {
-				continue
-			}
-			switch op {
-			case "=":
-				tighterLo(lit.Val)
-				tighterHi(lit.Val)
-			case "<":
-				// Strict bounds tighten by one for integer literals.
-				if lit.Val.K == value.KindInt {
-					tighterHi(value.Int(lit.Val.I - 1))
-				} else {
-					tighterHi(lit.Val)
-				}
-			case "<=":
-				tighterHi(lit.Val)
-			case ">":
-				if lit.Val.K == value.KindInt {
-					tighterLo(value.Int(lit.Val.I + 1))
-				} else {
-					tighterLo(lit.Val)
-				}
-			case ">=":
-				tighterLo(lit.Val)
-			}
-		case *BetweenExpr:
-			cr, ok := x.E.(*ColRef)
-			if !ok || cr.Name != col || x.Not {
-				continue
-			}
-			if l, ok := x.Lo.(*Literal); ok {
-				tighterLo(l.Val)
-			}
-			if h, ok := x.Hi.(*Literal); ok {
-				tighterHi(h.Val)
-			}
-		}
-	}
-	return lo, hi
-}
-
 // Explain renders a plan tree for debugging and the shell's EXPLAIN.
 func Explain(p Plan) string {
 	var sb strings.Builder
@@ -1167,5 +965,3 @@ func joinQual(q, n string) string {
 	}
 	return q + "." + n
 }
-
-var _ = columnstore.Schema{} // keep import for TableFunc signature docs

@@ -1,0 +1,304 @@
+package sqlexec
+
+import (
+	"repro/internal/catalog"
+	"repro/internal/columnstore"
+	"repro/internal/value"
+)
+
+// This file owns one decision: given a filter, which partitions can hold a
+// match. A filter is classified once (Classify) into comparisons of a
+// column against a literal or a parameter; a partition is refuted when one
+// of them is false for every value a min/max summary of that column admits
+// (Refutes). The summaries are a range partition's bounds and a warm
+// partition's zone map here, a distributed table's range slots in the SOE
+// coordinator, and the aging engine's rule invariants and its statistics
+// baseline behind the prune hook. Literal predicates refute when a scan is
+// planned, parameter predicates when a run binds their values
+// (ScanPlan.bind); scan kernels bind to the same predicates.
+
+// Pred is one classified filter conjunct: <column> <cmp> <literal> or
+// <column> <cmp> <parameter>, the column on the left whichever way the
+// statement spelled it. A parameter predicate carries the slot, not the
+// value, so a plan stays parameter-independent: Lit is NULL until a run
+// copies the bound value in. Orig is the conjunct the predicate came from,
+// which the executor evaluates where no kernel binds; the two predicates
+// of a BETWEEN share theirs.
+type Pred struct {
+	Col   int // index into the table's schema
+	Op    columnstore.CmpOp
+	Lit   value.Value
+	Param int // 0-based parameter slot that supplies Lit; -1 for a literal
+	Orig  Expr
+}
+
+// cmpOps maps SQL comparison spellings to kernel operators.
+var cmpOps = map[string]columnstore.CmpOp{
+	"=": columnstore.CmpEQ, "<>": columnstore.CmpNE,
+	"<": columnstore.CmpLT, "<=": columnstore.CmpLE,
+	">": columnstore.CmpGT, ">=": columnstore.CmpGE,
+}
+
+// flipped is the operator that holds with the operands exchanged.
+var flipped = [...]columnstore.CmpOp{
+	columnstore.CmpEQ: columnstore.CmpEQ, columnstore.CmpNE: columnstore.CmpNE,
+	columnstore.CmpLT: columnstore.CmpGT, columnstore.CmpLE: columnstore.CmpGE,
+	columnstore.CmpGT: columnstore.CmpLT, columnstore.CmpGE: columnstore.CmpLE,
+}
+
+// Classify splits filter into its conjuncts and sorts them, in order, into
+// predicates and the residue. A conjunct becomes a predicate when it
+// compares a column of schema — unqualified or qualified by qual — with a
+// non-NULL literal or a parameter through a plain comparison operator, in
+// either operand order; a non-negated BETWEEN over such bounds becomes the
+// two comparisons it means. Everything else (functions, LIKE, IN, several
+// columns) is residue, which only a row-at-a-time evaluator can decide.
+func Classify(filter Expr, qual string, schema columnstore.Schema) (preds []Pred, residue []Expr) {
+	c := classifier{qual: qual, schema: schema}
+	c.add(filter)
+	return c.preds, c.residue
+}
+
+type classifier struct {
+	qual    string
+	schema  columnstore.Schema
+	preds   []Pred
+	residue []Expr
+}
+
+func (c *classifier) add(e Expr) {
+	switch x := e.(type) {
+	case nil:
+		return
+	case *BinaryExpr:
+		if x.Op == "AND" {
+			c.add(x.L)
+			c.add(x.R)
+			return
+		}
+		if op, ok := cmpOps[x.Op]; ok {
+			if c.compare(x.L, op, x.R, e) || c.compare(x.R, flipped[op], x.L, e) {
+				return
+			}
+		}
+	case *BetweenExpr:
+		if !x.Not && operandOK(x.Lo) && operandOK(x.Hi) &&
+			c.compare(x.E, columnstore.CmpGE, x.Lo, e) && c.compare(x.E, columnstore.CmpLE, x.Hi, e) {
+			return
+		}
+	}
+	c.residue = append(c.residue, e)
+}
+
+// compare appends the predicate "col op operand" when col is a column of
+// the schema and operand a non-NULL literal or a parameter.
+func (c *classifier) compare(col Expr, op columnstore.CmpOp, operand, orig Expr) bool {
+	cr, ok := col.(*ColRef)
+	if !ok || (cr.Qual != "" && cr.Qual != c.qual) || !operandOK(operand) {
+		return false
+	}
+	idx := c.schema.ColIndex(cr.Name)
+	if idx < 0 {
+		return false
+	}
+	p := Pred{Col: idx, Op: op, Param: -1, Orig: orig}
+	switch x := operand.(type) {
+	case *Literal:
+		p.Lit = x.Val
+	case *Param:
+		p.Param = x.Index
+	}
+	c.preds = append(c.preds, p)
+	return true
+}
+
+// operandOK reports whether e can be a predicate's right-hand side. A NULL
+// literal cannot: comparing with it is never true, and BETWEEN treats a
+// NULL bound differently from the comparison it would decompose into.
+func operandOK(e Expr) bool {
+	switch x := e.(type) {
+	case *Literal:
+		return !x.Val.IsNull()
+	case *Param:
+		return true
+	}
+	return false
+}
+
+// Refutes reports whether "v <op> k" is false for every non-NULL value v
+// with min <= v <= max; a NULL bound leaves that end open. It is the one
+// test every min/max summary goes through. Bounds order against k only
+// within a kind family — identical kinds, or int with float, the way the
+// executors coerce — so a bound of another family refutes nothing, and
+// neither does a NULL k (an unbound parameter).
+func Refutes(op columnstore.CmpOp, k, min, max value.Value) bool {
+	if k.IsNull() {
+		return false
+	}
+	// below: k lies under every v; above: over every v.
+	below, atMin := false, false
+	if !min.IsNull() && kindsComparable(min.K, k.K) {
+		c := value.Compare(k, min)
+		below, atMin = c < 0, c == 0
+	}
+	above, atMax := false, false
+	if !max.IsNull() && kindsComparable(max.K, k.K) {
+		c := value.Compare(k, max)
+		above, atMax = c > 0, c == 0
+	}
+	switch op {
+	case columnstore.CmpEQ:
+		return below || above
+	case columnstore.CmpNE:
+		return atMin && atMax // every v equals k
+	case columnstore.CmpLT:
+		return below || atMin // min >= k
+	case columnstore.CmpLE:
+		return below // min > k
+	case columnstore.CmpGT:
+		return above || atMax // max <= k
+	case columnstore.CmpGE:
+		return above // max < k
+	}
+	return false
+}
+
+// kindsComparable reports whether values of kind a order meaningfully
+// against a literal of kind b: identical kinds always do, and the numeric
+// kinds (int/float) interoperate the way the executors' coercions do.
+func kindsComparable(a, b value.Kind) bool {
+	if a == b {
+		return true
+	}
+	num := func(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat }
+	return num(a) && num(b)
+}
+
+// PruneHook lets an outer layer take part in partition pruning with what
+// only it knows: the aging engine's rule invariants (§III), an SOE node
+// task's partition list. It is called once per planned scan with the
+// scan's classified predicates and returns the subset of parts that must
+// be scanned.
+type PruneHook func(entry *catalog.TableEntry, preds []Pred, parts []*catalog.Partition) []*catalog.Partition
+
+// pruneScan classifies the scan's filter and eliminates the partitions
+// that cannot hold a matching row: first through the prune hook, then by
+// range bounds and zone maps. It runs once per scan, when everything that
+// will be pushed into the scan has been.
+func (pl *Planner) pruneScan(s *ScanPlan) {
+	s.Preds, s.Residue = Classify(s.Filter, s.Alias, s.Entry.Schema)
+	parts := s.Entry.Partitions
+	if pl.Prune != nil {
+		if parts = pl.Prune(s.Entry, s.Preds, parts); parts == nil {
+			parts = []*catalog.Partition{} // nil would read as "all"
+		}
+	}
+	s.Parts = unrefuted(s.Entry.Schema, s.Preds, parts)
+	s.Pruned = len(s.Entry.Partitions) - len(s.Parts)
+}
+
+// bind is pruning's run-time half: the partitions a run with these
+// parameters reads, and how many of the table's that leaves out. Only a
+// scan with parameter predicates over partitions that carry a summary has
+// anything to decide here; every other returns what the plan holds.
+func (s *ScanPlan) bind(params []value.Value) (parts []*catalog.Partition, pruned int) {
+	parts = s.scanParts()
+	if !summarized(parts) {
+		return parts, s.Pruned
+	}
+	var bound []Pred
+	for _, p := range s.Preds {
+		if p.Param >= 0 && p.Param < len(params) {
+			p.Lit = params[p.Param]
+			bound = append(bound, p)
+		}
+	}
+	kept := unrefuted(s.Entry.Schema, bound, parts)
+	return kept, s.Pruned + len(parts) - len(kept)
+}
+
+// summarized reports whether any partition carries range bounds or a zone
+// map.
+func summarized(parts []*catalog.Partition) bool {
+	for _, p := range parts {
+		if p.PruneCol != "" || p.Zone != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// unrefuted returns the partitions no predicate refutes: parts itself when
+// that is all of them, otherwise a new — never nil — list.
+func unrefuted(schema columnstore.Schema, preds []Pred, parts []*catalog.Partition) []*catalog.Partition {
+	if len(preds) == 0 {
+		return parts
+	}
+	var kept []*catalog.Partition
+	copied := false // kept is parts, untouched, until the first refutation
+	for i, p := range parts {
+		switch refuted := rangeRefutes(schema, p, preds) || zoneRefutes(p, preds); {
+		case refuted && !copied:
+			kept, copied = append(make([]*catalog.Partition, 0, len(parts)-1), parts[:i]...), true
+		case !refuted && copied:
+			kept = append(kept, p)
+		}
+	}
+	if !copied {
+		return parts
+	}
+	return kept
+}
+
+// rangeRefutes reports whether a predicate on the partition column proves
+// range partition p empty. Its rows satisfy Lo <= v < Hi: over a column of
+// an integer kind that is the closed [Lo, Hi-1]; over any other the closed
+// [Lo, Hi] is a superset, which costs a prune at the exact boundary and
+// never a row.
+func rangeRefutes(schema columnstore.Schema, p *catalog.Partition, preds []Pred) bool {
+	if p.PruneCol == "" {
+		return false
+	}
+	col := schema.ColIndex(p.PruneCol)
+	if col < 0 {
+		return false
+	}
+	max := p.Hi
+	if max.K == value.KindInt && schema[col].Kind == value.KindInt {
+		max.I--
+	}
+	for _, pr := range preds {
+		if pr.Col == col && Refutes(pr.Op, pr.Lit, p.Lo, max) {
+			return true
+		}
+	}
+	return false
+}
+
+// zoneRefutes reports whether a predicate proves warm partition p empty by
+// its zone map: the per-column min/max/count synopsis recorded at demotion
+// time, consulted before the executor faults a single page. A zone map
+// covers every physical row (MVCC-dead versions included), a conservative
+// superset — a refuted zone can never hide a visible matching row.
+func zoneRefutes(p *catalog.Partition, preds []Pred) bool {
+	z := p.Zone
+	if z == nil || p.Tier != catalog.TierExtended {
+		return false
+	}
+	// Stale synopsis: rows were inserted or a merge re-hydrated the table
+	// since demotion. Never prune on it.
+	if z.Rows != p.Table.NumRows() || z.Merges != p.Table.MergeCount() {
+		return false
+	}
+	for _, pr := range preds {
+		if pr.Col >= len(z.Cols) || pr.Lit.IsNull() {
+			continue
+		}
+		zc := z.Cols[pr.Col]
+		// Only NULLs (or no rows at all): a comparison is never true.
+		if zc.Count == 0 || Refutes(pr.Op, pr.Lit, zc.Min, zc.Max) {
+			return true
+		}
+	}
+	return false
+}

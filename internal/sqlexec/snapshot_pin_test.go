@@ -37,7 +37,7 @@ func pinFixture(t *testing.T) *Engine {
 // of t is planned.
 func inTheGap(e *Engine, fn func(entry *catalog.TableEntry)) {
 	fired := false
-	e.Prune = func(entry *catalog.TableEntry, _ []Expr, parts []*catalog.Partition) []*catalog.Partition {
+	e.Prune = func(entry *catalog.TableEntry, _ []Pred, parts []*catalog.Partition) []*catalog.Partition {
 		if !fired && entry.Name == "t" {
 			fired = true
 			fn(entry)

@@ -274,16 +274,22 @@ func (st *Stmt) dispatch(sink RowSink, stats *ExecStats, params []value.Value, p
 // place a statement turns into a plan, whether it is about to be executed,
 // explained, analyzed or only described.
 func (s *Session) planSelect(sel *SelectStmt, ts uint64) (Plan, error) {
+	return s.planner(ts).BuildSelect(sel)
+}
+
+// planner is the planner of one statement of this session reading at ts:
+// the session's Scope prunes before the engine's hook does.
+func (s *Session) planner(ts uint64) *Planner {
 	prune := s.e.Prune
 	if scope := s.Scope; scope != nil {
-		prune = func(entry *catalog.TableEntry, conjs []Expr, parts []*catalog.Partition) []*catalog.Partition {
-			parts = scope(entry, conjs, parts)
-			if s.e.Prune != nil {
-				parts = s.e.Prune(entry, conjs, parts)
+		engine := prune
+		prune = func(entry *catalog.TableEntry, preds []Pred, parts []*catalog.Partition) []*catalog.Partition {
+			parts = scope(entry, preds, parts)
+			if engine != nil {
+				parts = engine(entry, preds, parts)
 			}
 			return parts
 		}
 	}
-	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: prune}
-	return pl.BuildSelect(sel)
+	return &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: prune}
 }

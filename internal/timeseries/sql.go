@@ -128,23 +128,13 @@ func (v *Views) Series(view, key string) (*Series, error) {
 	if !ok {
 		return nil, fmt.Errorf("timeseries: no series view %q", view)
 	}
-	entry, ok := v.eng.Cat.Table(d.table)
-	if !ok {
-		return nil, fmt.Errorf("timeseries: table %q dropped", d.table)
+	res, err := v.eng.Query("SELECT "+d.tsCol+", "+d.valCol+" FROM "+d.table+" WHERE "+d.keyCol+" = $1", value.String(key))
+	if err != nil {
+		return nil, fmt.Errorf("timeseries: view %q: %w", view, err)
 	}
-	ki := entry.Schema.ColIndex(d.keyCol)
-	ti := entry.Schema.ColIndex(d.tsCol)
-	vi := entry.Schema.ColIndex(d.valCol)
 	out := New()
-	ts := v.eng.Mgr.Now()
-	for _, p := range entry.Partitions {
-		snap := p.Table.Snapshot(ts)
-		for pos := 0; pos < snap.NumRows(); pos++ {
-			if !snap.Visible(pos) || snap.Get(ki, pos).AsString() != key {
-				continue
-			}
-			out.Append(snap.Get(ti, pos).AsInt(), snap.Get(vi, pos).AsFloat())
-		}
+	for _, row := range res.Rows {
+		out.Append(row[0].AsInt(), row[1].AsFloat())
 	}
 	return out, nil
 }
