@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all lint vet build test race experiments fuzzsmoke benchsmoke benchcompressed benchagg benchcommit benchpoint benchsoe benchbaseline benchmod bench ci
+.PHONY: all lint vet build test race experiments fuzzsmoke benchsmoke benchcompressed benchagg benchcommit benchpoint benchsoe benchbaseline benchmod bench loc ci
 
 all: ci
 
@@ -79,12 +79,15 @@ benchagg:
 
 # Commit-pipeline micro-benchmarks: concurrent disjoint-table committers
 # through the group-commit path vs the serialized baseline (one fsync per
-# batch vs one per commit), gated by the same baseline file. The merge the
-# commit queue waits on rides along: 4,096 delta rows into a 200,000-row
-# main — a stamp or a boxed cell copied per row again shows as megabytes.
+# batch vs one per commit), gated by the same baseline file. Two merges
+# ride along: 4,096 delta rows into a 200,000-row main — a stamp, a boxed
+# cell or a position remap copied per row again shows as megabytes — and
+# 4,000 single-row updates of disjoint keys from four goroutines with a
+# merge after every 64th commit, whose conflicts/op and retries/op read 0.
 benchcommit:
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkCommit'
 	$(GO) test -run xxx -bench 'BenchmarkMergeAppend$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkMergeAppend'
+	$(GO) test -run xxx -bench 'BenchmarkUpdateUnderMerge$$' -benchtime=4000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkUpdateUnderMerge'
 
 # Point-select micro-benchmarks: the oltp_point statement in process, key
 # as a $$1 parameter vs spelled as a literal. The gate that matters is
@@ -119,18 +122,26 @@ benchmod:
 # Regenerate the committed benchmark baseline after an intentional perf
 # change; benchguard -write preserves the workload prose and recomputes
 # the derived speedups. See README "Benchmark baseline" for the workflow.
-# Six passes merge into one file: the commit, point-select and SOE
+# Seven passes merge into one file: the commit, point-select and SOE
 # benchmarks need more iterations than the big-table scans to settle, the
 # wide wire result and the merge fewer than what they are gated with.
 benchbaseline:
 	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkGroupByRLE|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkMergeAppend$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'BenchmarkUpdateUnderMerge$$' -benchtime=4000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'Benchmark(Wire)?Point(Select|Delete|Update)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkWireWideResult$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkSOE(Insert(Batch|Row)|FanoutQuery)$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Non-test Go lines per package and in total: the number every PR reports
+# for its parent and for itself.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/out/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 ci: lint build race experiments fuzzsmoke benchsmoke benchcompressed benchagg benchcommit benchpoint benchsoe benchmod

@@ -292,7 +292,7 @@ func (m *Manager) ageTable(table string, now time.Time) (int, error) {
 				if !isCold(row) {
 					continue
 				}
-				if err := tx.Delete(p.Table.Name(), pos); err != nil {
+				if err := tx.Delete(p.Table.Name(), snap.ID(pos)); err != nil {
 					return err
 				}
 				if err := tx.Insert(cold.partition.Table.Name(), row); err != nil {

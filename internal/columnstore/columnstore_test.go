@@ -268,20 +268,47 @@ func TestTableMergeCompactsAndPreservesData(t *testing.T) {
 	}
 }
 
-func TestMergeRemapHook(t *testing.T) {
+// TestMergeKeepsRowIDs: a merge moves rows, it does not rename them. Every
+// kept row answers to the ID it was inserted under, an evicted ID answers
+// nowhere, and a snapshot from before the merge resolves IDs through the
+// map it captured.
+func TestMergeKeepsRowIDs(t *testing.T) {
 	tab := NewTable("t", sampleSchema())
-	pos := tab.ApplyInsert([]value.Row{
+	ids := tab.ApplyInsert([]value.Row{
 		{value.Int(1), value.String("a"), value.Float(0)},
 		{value.Int(2), value.String("b"), value.Float(0)},
 		{value.Int(3), value.String("c"), value.Float(0)},
 	}, 1)
-	tab.ApplyDelete(pos[1], 2)
-	var got []int
-	tab.OnMerge(func(remap []int) { got = append([]int{}, remap...) })
+	tab.ApplyDelete(ids[1], 2)
+	before := tab.Snapshot(5)
 	tab.Merge(5)
-	want := []int{0, -1, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("remap=%v want %v", got, want)
+	after := tab.Snapshot(5)
+	for _, c := range []struct {
+		id      int
+		pos     int
+		present bool
+	}{{ids[0], 0, true}, {ids[1], 0, false}, {ids[2], 1, true}} {
+		pos, ok := after.Pos(c.id)
+		if ok != c.present || ok && (pos != c.pos || after.ID(pos) != c.id) {
+			t.Errorf("after the merge Pos(%d) = %d, %v; want %d, %v", c.id, pos, ok, c.pos, c.present)
+		}
+		if pos, ok := before.Pos(c.id); !ok || pos != c.id || before.ID(pos) != c.id {
+			t.Errorf("the snapshot from before the merge: Pos(%d) = %d, %v", c.id, pos, ok)
+		}
+	}
+	if tab.RowLive(ids[1]) || tab.ApplyDelete(ids[1], 6) {
+		t.Error("an evicted row is live, or could be deleted again")
+	}
+	if !tab.ApplyDelete(ids[2], 6) || after.Deleted(1) != 6 {
+		t.Error("deleting row c by its ID did not stamp position 1 of the new generation")
+	}
+	// The last row evicted: its ID is not handed out again.
+	tab.Merge(6)
+	if got := tab.ApplyInsert([]value.Row{{value.Int(4), value.String("d"), value.Float(0)}}, 7); got[0] != 3 {
+		t.Errorf("the row appended after the merges is row %d, want 3", got[0])
+	}
+	if _, ok := tab.Snapshot(7).Pos(ids[2]); ok {
+		t.Error("row c still has a position after the merge that evicted it")
 	}
 }
 
@@ -461,8 +488,8 @@ func TestTableMergePropertyRandomOps(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		tab := NewTable("p", Schema{{Name: "k", Kind: value.KindInt}, {Name: "v", Kind: value.KindString}})
 		type live struct {
-			pos int
-			k   int64
+			id int
+			k  int64
 		}
 		var alive []live
 		expect := map[int64]string{}
@@ -474,27 +501,24 @@ func TestTableMergePropertyRandomOps(t *testing.T) {
 				k := nextKey
 				nextKey++
 				v := fmt.Sprintf("val-%d-%d", trial, k)
-				pos := tab.ApplyInsert([]value.Row{{value.Int(k), value.String(v)}}, ts)
-				alive = append(alive, live{pos[0], k})
+				ids := tab.ApplyInsert([]value.Row{{value.Int(k), value.String(v)}}, ts)
+				alive = append(alive, live{ids[0], k})
 				expect[k] = v
 				ts++
 			case r < 8 && len(alive) > 0: // delete
 				i := rng.Intn(len(alive))
-				tab.ApplyDelete(alive[i].pos, ts)
+				tab.ApplyDelete(alive[i].id, ts)
 				delete(expect, alive[i].k)
 				alive = append(alive[:i], alive[i+1:]...)
 				ts++
-			default: // merge; positions shift, track via remap
-				var remap []int
-				tab.OnMerge(func(r []int) { remap = r })
+			default: // merge; positions shift, IDs do not
 				tab.Merge(ts)
-				for i := range alive {
-					alive[i].pos = remap[alive[i].pos]
-					if alive[i].pos < 0 {
-						t.Fatal("live row compacted")
+				snap := tab.Snapshot(ts)
+				for _, a := range alive {
+					if pos, ok := snap.Pos(a.id); !ok || snap.Get(0, pos).I != a.k || snap.ID(pos) != a.id {
+						t.Fatalf("live row %d (key %d) after the merge: Pos = %d, %v", a.id, a.k, pos, ok)
 					}
 				}
-				tab.mergeHooks = nil
 			}
 		}
 		snap := tab.Snapshot(ts)
@@ -666,13 +690,35 @@ func TestRLEAndSparseSurfaces(t *testing.T) {
 
 func TestApplyInsertStamped(t *testing.T) {
 	tab := NewTable("st", Schema{{Name: "v", Kind: value.KindInt}})
-	pos := tab.ApplyInsertStamped(
-		[]value.Row{{value.Int(1)}, {value.Int(2)}},
-		[]uint64{5, 7},
-		[]uint64{NeverDeleted, 9},
-	)
-	if len(pos) != 2 {
-		t.Fatal("positions")
+	rows := []value.Row{{value.Int(1)}, {value.Int(2)}}
+	// IDs 0, 1, 2 and 4 were evicted before the image was written, and so
+	// was 6: the next row is 7.
+	if err := tab.ApplyInsertStamped(rows, []int{3, 5}, []uint64{5, 7}, []uint64{NeverDeleted, 9}, 7); err != nil {
+		t.Fatal(err)
+	}
+	snap := tab.Snapshot(8)
+	if snap.ID(0) != 3 || snap.ID(1) != 5 || snap.ID(2) != 7 {
+		t.Fatalf("restored IDs %d, %d, next %d; want 3, 5, next 7", snap.ID(0), snap.ID(1), snap.ID(2))
+	}
+	for id, want := range map[int]int{0: -1, 3: 0, 4: -1, 5: 1, 6: -1, 7: -1} {
+		if pos, ok := snap.Pos(id); ok != (want >= 0) || ok && pos != want {
+			t.Fatalf("Pos(%d) = %d, %v; want position %d", id, pos, ok, want)
+		}
+	}
+	if got := tab.ApplyInsert(rows[:1], 10); got[0] != 7 {
+		t.Fatalf("the row appended after the restore is row %d, want 7", got[0])
+	}
+	for name, bad := range map[string]struct {
+		ids  []int
+		next int
+	}{"an ID already assigned": {[]int{7, 9}, 10}, "IDs that descend": {[]int{9, 8}, 10}, "a next ID below the last row": {[]int{8, 9}, 9},
+		"fewer IDs than rows": {[]int{8}, 10}, "more IDs than rows": {[]int{8, 9, 10}, 11}} {
+		if err := tab.ApplyInsertStamped(rows, bad.ids, []uint64{1, 1}, []uint64{NeverDeleted, NeverDeleted}, bad.next); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if tab.NumRows() != 3 {
+			t.Fatalf("%s: refused after appending", name)
+		}
 	}
 	if tab.Snapshot(6).LiveRows() != 1 {
 		t.Fatal("created stamp")
@@ -737,7 +783,7 @@ func TestMergeCopiesTypedCellsLikeGet(t *testing.T) {
 		tab.ApplyInsert(rows, ts)
 		ts++
 		for d := 0; d < 40; d++ {
-			tab.ApplyDelete(rng.Intn(tab.NumRows()), ts)
+			deleteAt(tab, rng.Intn(tab.NumRows()), ts)
 		}
 		if round == 3 {
 			tab.AddColumn(ColumnDef{Name: "late", Kind: value.KindInt}) // a sparse main column, a short delta one

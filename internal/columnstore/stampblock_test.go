@@ -68,6 +68,25 @@ func checkAgainstSweep(t *testing.T, s *Snapshot, rng *rand.Rand) bool {
 	return ok
 }
 
+// deleteAt stamps the row the table keeps at pos now, as a transaction that
+// read the position from a current snapshot would.
+func deleteAt(tbl *Table, pos int, ts uint64) bool {
+	return tbl.ApplyDelete(tbl.Snapshot(0).ID(pos), ts)
+}
+
+// restoreRows appends stamped rows under the IDs the table would assign.
+func restoreRows(t testing.TB, tbl *Table, rows []value.Row, created, deleted []uint64) {
+	t.Helper()
+	next := tbl.Snapshot(0).ID(tbl.NumRows())
+	ids := make([]int, len(rows))
+	for i := range ids {
+		ids[i] = next + i
+	}
+	if err := tbl.ApplyInsertStamped(rows, ids, created, deleted, next+len(rows)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStampSummariesAgreeWithSweep drives random tables through the four
 // writers of the stamp arrays — inserts, deletes, merges with a watermark,
 // stamped restores — with stamps placed before the clock publishes them,
@@ -107,7 +126,7 @@ func TestStampSummariesAgreeWithSweep(t *testing.T) {
 				tbl.ApplyInsert(rows(1+rng.Intn(3*StampBlockRows/2)), ts)
 			case op < 7:
 				for i, n := 0, rng.Intn(4); i < n && tbl.NumRows() > 0; i++ {
-					tbl.ApplyDelete(rng.Intn(tbl.NumRows()), ts)
+					deleteAt(tbl, rng.Intn(tbl.NumRows()), ts)
 				}
 			case op < 8:
 				n := 1 + rng.Intn(StampBlockRows)
@@ -118,7 +137,7 @@ func TestStampSummariesAgreeWithSweep(t *testing.T) {
 						deleted[i] = created[i] + uint64(rng.Int63n(int64(ts-created[i])+1))
 					}
 				}
-				tbl.ApplyInsertStamped(rows(n), created, deleted)
+				restoreRows(t, tbl, rows(n), created, deleted)
 			default:
 				tbl.Merge(uint64(rng.Int63n(int64(now) + 1)))
 			}
@@ -416,7 +435,7 @@ func TestStampBlocksAgreeWithFlatArrays(t *testing.T) {
 			case op < 7:
 				for i, n := 0, rng.Intn(4); i < n && len(m.created) > 0; i++ {
 					pos := rng.Intn(len(m.created))
-					if got, want := tbl.ApplyDelete(pos, ts), m.applyDelete(pos, ts); got != want {
+					if got, want := deleteAt(tbl, pos, ts), m.applyDelete(pos, ts); got != want {
 						t.Errorf("ApplyDelete(%d, %d) = %v, the model %v", pos, ts, got, want)
 						ok = false
 					}
@@ -430,7 +449,7 @@ func TestStampBlocksAgreeWithFlatArrays(t *testing.T) {
 						deleted[i] = between(max(created[i], 1), ts)
 					}
 				}
-				tbl.ApplyInsertStamped(make([]value.Row, n), created, deleted)
+				restoreRows(t, tbl, make([]value.Row, n), created, deleted)
 				m.created, m.deleted = append(m.created, created...), append(m.deleted, deleted...)
 			default:
 				watermark = between(watermark, now)

@@ -152,6 +152,44 @@ type MergeStats struct {
 	DeleteBlocks int  // blocks of the new main that carry delete stamps
 }
 
+// idRun is a stretch of rows whose IDs are as consecutive as their
+// positions: the row at firstPos+k is row firstID+k.
+type idRun struct{ firstPos, firstID int }
+
+// idMap names the rows of one generation of a table. A row's ID is its
+// append ordinal — assigned once, in ApplyInsert, never reused — and its
+// position is where this generation keeps it. Runs ascend in both fields
+// and the last one is open: it covers every row appended until the next
+// merge, so appends never touch the map. It is one run until a merge evicts
+// something; a merge publishes a new map and snapshots keep the one they
+// captured. Immutable once published.
+type idMap struct{ runs []idRun }
+
+// id returns the ID of the row at pos; at pos == the row count that is the
+// ID the next appended row will get.
+func (m *idMap) id(pos int) int {
+	k := len(m.runs) - 1 // where appends and the rows since the last eviction are
+	if pos < m.runs[k].firstPos {
+		k = sort.Search(k, func(k int) bool { return m.runs[k].firstPos > pos }) - 1
+	}
+	return m.runs[k].firstID + pos - m.runs[k].firstPos
+}
+
+// pos returns where a generation of rows rows keeps row id, and false when
+// it does not: a merge evicted the row, or it has not been appended yet.
+func (m *idMap) pos(id, rows int) (int, bool) {
+	k := sort.Search(len(m.runs), func(k int) bool { return m.runs[k].firstID > id }) - 1
+	if k < 0 {
+		return 0, false
+	}
+	end := rows
+	if k+1 < len(m.runs) {
+		end = m.runs[k+1].firstPos
+	}
+	pos := m.runs[k].firstPos + id - m.runs[k].firstID
+	return pos, pos < end
+}
+
 // Table is one column-store table: immutable main part plus write-optimized
 // delta part, with per-row MVCC stamps. All mutations go through the
 // transaction layer, which supplies commit timestamps.
@@ -173,20 +211,20 @@ type Table struct {
 	// paths), ApplyDelete and Merge.
 	rows   int
 	blocks []stampBlock
+	ids    *idMap // replaced by Merge and ApplyInsertStamped, never edited
 
 	// stableKeys marks string columns whose values are generated in
 	// ascending order (application knowledge, §III): merge skips sorting
 	// their delta dictionaries.
 	stableKeys map[int]bool
 
-	mergeHooks []func(remap []int)
-	lastMerge  MergeStats
-	merges     int
+	lastMerge MergeStats
+	merges    int
 }
 
 // NewTable creates an empty table.
 func NewTable(name string, schema Schema) *Table {
-	t := &Table{name: name, schema: schema.Clone(), stableKeys: make(map[int]bool)}
+	t := &Table{name: name, schema: schema.Clone(), stableKeys: make(map[int]bool), ids: &idMap{runs: []idRun{{}}}}
 	t.resetDelta()
 	t.main = make([]MainColumn, len(schema))
 	for i, c := range schema {
@@ -255,29 +293,31 @@ func (t *Table) AddColumn(def ColumnDef) int {
 }
 
 // ApplyInsert appends rows to the delta store with the given commit
-// timestamp and returns the logical positions assigned. Called by the
-// transaction layer at commit (or with ts=1 by bulk loaders).
+// timestamp and returns the row IDs assigned: consecutive, in the order the
+// rows were given. Called by the transaction layer at commit (or with ts=1
+// by bulk loaders).
 func (t *Table) ApplyInsert(rows []value.Row, ts uint64) []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pos := make([]int, len(rows))
+	ids := make([]int, len(rows))
+	next := t.ids.id(t.rows)
 	for r, row := range rows {
-		for c := range t.schema {
-			var v value.Value
-			if c < len(row) {
-				v = row[c]
-			}
-			t.delta[c].Append(v)
-		}
-		pos[r] = t.rows
-		t.appendStamps(ts, NeverDeleted)
+		t.appendRow(row, ts, NeverDeleted)
+		ids[r] = next + r
 	}
-	return pos
+	return ids
 }
 
-// appendStamps adds one row slot and records its stamps in its block. The
-// caller holds t.mu.
-func (t *Table) appendStamps(created, deleted uint64) {
+// appendRow adds one row slot — cells to the delta, stamps to the row's
+// block. The caller holds t.mu.
+func (t *Table) appendRow(row value.Row, created, deleted uint64) {
+	for c := range t.schema {
+		var v value.Value
+		if c < len(row) {
+			v = row[c]
+		}
+		t.delta[c].Append(v)
+	}
 	if t.rows%StampBlockRows == 0 {
 		t.blocks = append(t.blocks, stampBlock{})
 	}
@@ -285,34 +325,58 @@ func (t *Table) appendStamps(created, deleted uint64) {
 	t.rows++
 }
 
-// ApplyInsertStamped appends rows with explicit per-row create and delete
-// stamps. Used by checkpoint restore and replica catch-up, where physical
-// positions and MVCC lifetimes must be reproduced exactly.
-func (t *Table) ApplyInsertStamped(rows []value.Row, created, deleted []uint64) []int {
+// ApplyInsertStamped appends rows under the IDs and the create and delete
+// stamps given and leaves the table assigning IDs from nextID: checkpoint
+// restore, where a row's name and MVCC lifetime must be reproduced exactly.
+// IDs ascend from at least the table's next one, with a gap wherever a
+// merge had evicted rows before the checkpoint was written; an image that
+// says otherwise is refused before anything is appended.
+func (t *Table) ApplyInsertStamped(rows []value.Row, ids []int, created, deleted []uint64, nextID int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pos := make([]int, len(rows))
-	for r, row := range rows {
-		for c := range t.schema {
-			var v value.Value
-			if c < len(row) {
-				v = row[c]
-			}
-			t.delta[c].Append(v)
-		}
-		pos[r] = t.rows
-		t.appendStamps(created[r], deleted[r])
+	if len(ids) != len(rows) || len(created) != len(rows) || len(deleted) != len(rows) {
+		return fmt.Errorf("columnstore: %s: restoring %d rows with %d IDs, %d create and %d delete stamps", t.name, len(rows), len(ids), len(created), len(deleted))
 	}
-	return pos
+	runs := append([]idRun(nil), t.ids.runs...)
+	next := t.ids.id(t.rows)
+	// open starts the run that covers position pos onwards at id, over the
+	// last run when that one covers no row.
+	open := func(pos, id int) {
+		if runs[len(runs)-1].firstPos == pos {
+			runs = runs[:len(runs)-1]
+		}
+		runs = append(runs, idRun{pos, id})
+	}
+	for r, id := range ids {
+		if id < next {
+			return fmt.Errorf("columnstore: %s: restored row ID %d is below %d, the next to assign", t.name, id, next)
+		}
+		if id > next {
+			open(t.rows+r, id)
+		}
+		next = id + 1
+	}
+	if nextID < next {
+		return fmt.Errorf("columnstore: %s: restored next row ID %d is below %d", t.name, nextID, next)
+	}
+	if nextID > next {
+		open(t.rows+len(rows), nextID)
+	}
+	for r, row := range rows {
+		t.appendRow(row, created[r], deleted[r])
+	}
+	t.ids = &idMap{runs: runs}
+	return nil
 }
 
-// ApplyDelete stamps row pos as deleted at ts. It returns false when the
+// ApplyDelete stamps row id as deleted at ts. It returns false when the
 // row was already deleted — the first-committer-wins write-write conflict
-// signal used by the transaction layer.
-func (t *Table) ApplyDelete(pos int, ts uint64) bool {
+// signal used by the transaction layer — or a merge has evicted it.
+func (t *Table) ApplyDelete(id int, ts uint64) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if pos < 0 || pos >= t.rows {
+	pos, ok := t.ids.pos(id, t.rows)
+	if !ok {
 		return false
 	}
 	// The array is in place before the stamp, the stamp before the commit
@@ -321,15 +385,18 @@ func (t *Table) ApplyDelete(pos int, ts uint64) bool {
 	return atomic.CompareAndSwapUint64(&d[pos%StampBlockRows], NeverDeleted, ts)
 }
 
-// RowLive reports whether row pos exists and carries no deletion stamp.
+// RowLive reports whether row id exists and carries no deletion stamp.
 // The transaction layer uses it for commit-time victim validation under
 // its per-table apply latches — no snapshot allocation required. A stamp
 // placed by a not-yet-published commit already counts as dead: that
-// commit is irrevocable, so a second deleter must abort either way.
-func (t *Table) RowLive(pos int) bool {
+// commit is irrevocable, so a second deleter must abort either way. So
+// does a row a merge evicted: it was dead to every snapshot that could
+// have named it.
+func (t *Table) RowLive(id int) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if pos < 0 || pos >= t.rows {
+	pos, ok := t.ids.pos(id, t.rows)
+	if !ok {
 		return false
 	}
 	_, deleted := t.blocks[pos/StampBlockRows].stamps()
@@ -358,16 +425,6 @@ func (t *Table) MainRows() int {
 	return t.mainRows
 }
 
-// OnMerge registers a hook invoked after each merge with the row remap
-// table: remap[oldPos] = newPos, or -1 when the row version was compacted.
-// Secondary structures (inverted indexes, R-trees, graph adjacency) use it
-// to stay aligned with physical positions.
-func (t *Table) OnMerge(hook func(remap []int)) {
-	t.mu.Lock()
-	t.mergeHooks = append(t.mergeHooks, hook)
-	t.mu.Unlock()
-}
-
 // LastMergeStats returns statistics of the most recent merge.
 func (t *Table) LastMergeStats() MergeStats {
 	t.mu.RLock()
@@ -383,7 +440,8 @@ func (t *Table) MergeCount() int {
 }
 
 // Bytes returns the compressed footprint of main plus delta storage, the
-// MVCC stamp arrays that exist and the block headers that own them.
+// MVCC stamp arrays that exist, the block headers that own them and the
+// runs of the ID map.
 func (t *Table) Bytes() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -395,7 +453,7 @@ func (t *Table) Bytes() int {
 		n += c.Bytes()
 	}
 	creates, deletes := stampArrays(t.blocks)
-	return n + (creates+deletes)*stampArrayBytes + len(t.blocks)*stampBlockBytes
+	return n + (creates+deletes)*stampArrayBytes + len(t.blocks)*stampBlockBytes + len(t.ids.runs)*idRunBytes
 }
 
 // StampBytes returns what the table's MVCC stamps occupy: one array per
@@ -411,6 +469,7 @@ func (t *Table) StampBytes() int {
 const (
 	stampArrayBytes = int(unsafe.Sizeof(stampArray{}))
 	stampBlockBytes = int(unsafe.Sizeof(stampBlock{}))
+	idRunBytes      = int(unsafe.Sizeof(idRun{}))
 )
 
 // stampArrays counts the blocks that have create stamps and the blocks
@@ -448,6 +507,7 @@ func (t *Table) Snapshot(ts uint64) *Snapshot {
 		delta:    delta,
 		rows:     t.rows,
 		blocks:   t.blocks,
+		ids:      t.ids,
 	}
 }
 
@@ -460,11 +520,24 @@ type Snapshot struct {
 	delta    []*DeltaColumn
 	rows     int
 	blocks   []stampBlock
+	ids      *idMap
 }
 
 // NumRows returns the number of logical row slots in the snapshot
 // (including invisible ones; use Visible to filter).
 func (s *Snapshot) NumRows() int { return s.rows }
+
+// ID returns the row ID of the row at position pos: the name that outlives
+// this snapshot, and what Txn.Delete, the log and every structure kept
+// beside the table call the row. Positions mean something only within the
+// snapshot they were read from. ID(NumRows()) is the ID the next row
+// appended to the table will get.
+func (s *Snapshot) ID(pos int) int { return s.ids.id(pos) }
+
+// Pos returns where this snapshot keeps row id, and false when it does
+// not: the row was appended after the snapshot was taken, or evicted by a
+// merge before it.
+func (s *Snapshot) Pos(id int) (int, bool) { return s.ids.pos(id, s.rows) }
 
 // TS returns the snapshot timestamp.
 func (s *Snapshot) TS() uint64 { return s.ts }
@@ -548,27 +621,42 @@ func (s *Snapshot) LiveRows() int { return s.VisibleCount(0, s.rows) }
 // block of nothing but such rows has no create array, and a block without
 // a delete-stamped row no delete array. The caller vouches that no snapshot
 // older than minActiveTS will read the table from here on; snapshots taken
-// before the merge keep the blocks they captured. String dictionaries are
-// re-sorted and references remapped unless the stable-key fast path applies
-// (§III).
+// before the merge keep the blocks and the ID map they captured. Positions
+// shift where a row is evicted; a kept row keeps its ID. String
+// dictionaries are re-sorted and references remapped unless the stable-key
+// fast path applies (§III).
 func (t *Table) Merge(minActiveTS uint64) MergeStats {
 	cMerges.Inc()
 	start := time.Now()
 	t.mu.Lock()
 
 	total := t.rows
-	remap := make([]int, total)
 	keep := make([]int, 0, total)
+	// The new generation's ID map, from the old one: a run ends where a row
+	// is evicted or the old run did. k is the old run that covers i, expect
+	// the ID that would extend the new run.
+	old, k, expect := t.ids.runs, 0, -1
+	var runs []idRun
 	for lo := 0; lo < total; lo += StampBlockRows {
 		_, deleted := t.blocks[lo/StampBlockRows].stamps()
 		for i := lo; i < min(lo+StampBlockRows, total); i++ {
 			if deleted[i-lo] <= minActiveTS {
-				remap[i] = -1 // dead to every current and future snapshot
-				continue
+				continue // dead to every current and future snapshot
 			}
-			remap[i] = len(keep)
+			for k+1 < len(old) && old[k+1].firstPos <= i {
+				k++
+			}
+			if id := old[k].firstID + i - old[k].firstPos; id != expect {
+				runs = append(runs, idRun{len(keep), id})
+				expect = id
+			}
+			expect++
 			keep = append(keep, i)
 		}
+	}
+	// Appends go on from the next ID, whatever became of the last rows.
+	if next := t.ids.id(total); next != expect {
+		runs = append(runs, idRun{len(keep), next})
 	}
 
 	stats := MergeStats{RowsMerged: len(keep), RowsEvicted: total - len(keep)}
@@ -592,17 +680,12 @@ func (t *Table) Merge(minActiveTS uint64) MergeStats {
 	t.mainRows = len(keep)
 	t.rows = len(keep)
 	t.blocks = newBlocks
+	t.ids = &idMap{runs: runs}
 	t.resetDelta()
 	t.merges++
 	stats.Duration = time.Since(start)
 	t.lastMerge = stats
-	hooks := make([]func(remap []int), len(t.mergeHooks))
-	copy(hooks, t.mergeHooks)
 	t.mu.Unlock()
-
-	for _, h := range hooks {
-		h(remap)
-	}
 	return stats
 }
 

@@ -175,3 +175,14 @@ func (t *Table) ReplaceMain(cols []MainColumn) error {
 	t.main = cols
 	return nil
 }
+
+// MainColumn returns the current main-storage column col, nil when the
+// table has none: what a tier asks to learn whose columns main is made of.
+func (t *Table) MainColumn(col int) MainColumn {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if col < len(t.main) {
+		return t.main[col]
+	}
+	return nil
+}

@@ -233,6 +233,58 @@ func TestTieringWithoutHDFSUsesExtendedOnly(t *testing.T) {
 	}
 }
 
+// MERGE DELTA OF resets the tier tag of a partition a demotion paged out.
+// A partition temperature tiering tagged extended was never paged out: its
+// tag is how the next tiering run finds it, so the statement must leave it.
+func TestMergeDeltaKeepsTemperatureTiers(t *testing.T) {
+	e := newEco(t, Config{})
+	e.MustQuery(`CREATE TABLE ev (id INT, ts INT, note VARCHAR)`)
+	now := time.Date(2015, 4, 13, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 6; i++ {
+		age := 24 * time.Hour
+		if i%2 == 1 {
+			age = 90 * 24 * time.Hour
+		}
+		e.MustQuery(fmt.Sprintf(`INSERT INTO ev VALUES (%d, %d, 'n%d')`, i, now.Add(-age).UnixMicro(), i))
+	}
+	policy := TierPolicy{Table: "ev", DateCol: "ts",
+		ExtendedAfter: 30 * 24 * time.Hour, HDFSAfter: 30 * 24 * time.Hour, ExtendedPenalty: 1}
+	if toExt, _, err := e.TierByTemperature(policy, now); err != nil || toExt != 3 {
+		t.Fatalf("first run: ext=%d err=%v", toExt, err)
+	}
+	e.MustQuery(`MERGE DELTA OF ev`)
+	if toExt, _, err := e.TierByTemperature(policy, now); err != nil || toExt != 0 {
+		t.Fatalf("second run: ext=%d err=%v", toExt, err)
+	}
+	entry, _ := e.Engine.Cat.Table("ev")
+	extended := 0
+	for _, p := range entry.Partitions {
+		if p.Name == "ev_extended" {
+			extended++
+			if p.Tier != catalog.TierExtended {
+				t.Fatalf("ev_extended is tagged %s after MERGE DELTA OF", p.Tier)
+			}
+		}
+	}
+	if extended != 1 || len(entry.Partitions) != 2 {
+		t.Fatalf("%d partitions, %d named ev_extended; want 2 and 1", len(entry.Partitions), extended)
+	}
+	if counts, _ := e.TierCounts("ev"); counts[catalog.TierHot] != 3 || counts[catalog.TierExtended] != 3 {
+		t.Fatalf("counts=%v", counts)
+	}
+	// An aged row is still reachable by name: the update hits it and it alone.
+	if _, err := e.Query(`UPDATE ev SET note = 'aged' WHERE id = 3`); err != nil {
+		t.Fatal(err)
+	}
+	r := e.MustQuery(`SELECT id FROM ev WHERE note = 'aged'`)
+	if len(r.Rows) != 1 || r.Rows[0][0].I != 3 {
+		t.Fatalf("updated rows=%v", r.Rows)
+	}
+	if n := e.MustQuery(`SELECT COUNT(*) FROM ev`).Rows[0][0].I; n != 6 {
+		t.Fatalf("total=%d", n)
+	}
+}
+
 func TestBackupRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e, err := New(Config{DurableDir: dir + "/data"})

@@ -102,7 +102,7 @@ func (e *Ecosystem) TierByTemperature(p TierPolicy, now time.Time) (toExtended, 
 					continue
 				}
 				row := snap.Row(pos)
-				if err := tx.Delete(part.Table.Name(), pos); err != nil {
+				if err := tx.Delete(part.Table.Name(), snap.ID(pos)); err != nil {
 					return err
 				}
 				if err := tx.Insert(target.Table.Name(), row); err != nil {

@@ -2,9 +2,14 @@
 // merges a partition's delta, serializes every column into extended-store
 // chunks, records the zone-map synopsis on the catalog partition and swaps
 // paged columns into the table. Promote is a merge: the delta→main merge
-// always rebuilds hot encodings, so merging a warm table re-hydrates it —
-// an OnMerge hook keeps the catalog tier tag honest when merges happen
-// behind the store's back (MERGE DELTA OF a demoted table).
+// always rebuilds hot encodings, so merging a warm table re-hydrates it.
+// Whether a table is paged out is asked of the table (paged); the catalog
+// tier tag is set here and reset by whoever asks for a merge by name
+// (Promote, MERGE DELTA OF). A merge nobody tagged — the background
+// daemon's — leaves a tag that says extended over a hot table until the
+// next Demote, Promote or MERGE DELTA OF: the tag is advisory (DESIGN.md
+// §9), and the zone map beside it is refused as stale by everything that
+// reads one (Zone.Merges).
 package extstore
 
 import (
@@ -24,7 +29,7 @@ import (
 // run it while no concurrent merge of the same table is in flight.
 func (s *Store) Demote(p *catalog.Partition, minActiveTS uint64) error {
 	t := p.Table
-	if s.isWarm(t) && t.DeltaRows() == 0 {
+	if s.paged(t) && t.DeltaRows() == 0 {
 		return nil // already fully paged out and unchanged
 	}
 	// Fold the delta (and any prior paged main — merge reads through Get,
@@ -49,8 +54,6 @@ func (s *Store) Demote(p *catalog.Partition, minActiveTS uint64) error {
 	if err := t.ReplaceMain(cols); err != nil {
 		return err
 	}
-	s.installHook(t, p)
-	s.markWarm(t, true)
 	p.Tier = catalog.TierExtended
 	p.Zone = zone
 	cDemotions.Inc()
@@ -59,12 +62,15 @@ func (s *Store) Demote(p *catalog.Partition, minActiveTS uint64) error {
 
 // Promote re-hydrates partition p to the hot tier. The delta→main merge
 // rebuilds in-memory encodings from the paged columns (faulting every
-// chunk once); the installed hook flips the catalog tier back.
+// chunk once); a table something else has merged since its demotion only
+// has its tag put right.
 func (s *Store) Promote(p *catalog.Partition, minActiveTS uint64) error {
 	if p.Tier != catalog.TierExtended {
 		return nil
 	}
-	p.Table.Merge(minActiveTS)
+	if s.paged(p.Table) {
+		p.Table.Merge(minActiveTS)
+	}
 	p.Tier = catalog.TierHot
 	p.Zone = nil
 	cPromotions.Inc()
@@ -118,52 +124,9 @@ func (s *Store) pageColumn(snap *columnstore.Snapshot, col, rows int, table stri
 	}
 }
 
-// installHook registers the re-hydration hook once per table: any merge of
-// a demoted table rebuilds hot columns, so the catalog tier tags and zone
-// maps of every partition wrapper over it must be cleared when that
-// happens.
-func (s *Store) installHook(t *columnstore.Table, p *catalog.Partition) {
-	s.mu.Lock()
-	found := false
-	for _, q := range s.parts[t] {
-		if q == p {
-			found = true
-			break
-		}
-	}
-	if !found {
-		s.parts[t] = append(s.parts[t], p)
-	}
-	already := s.hooked[t]
-	s.hooked[t] = true
-	s.mu.Unlock()
-	if already {
-		return
-	}
-	t.OnMerge(func([]int) { s.onRehydrate(t) })
-}
-
-// onRehydrate runs after any merge of a demoted table: the merge already
-// rebuilt hot columns, so only the metadata needs to catch up.
-func (s *Store) onRehydrate(t *columnstore.Table) {
-	s.mu.Lock()
-	s.warm[t] = false
-	ps := append([]*catalog.Partition(nil), s.parts[t]...)
-	s.mu.Unlock()
-	for _, p := range ps {
-		p.Tier = catalog.TierHot
-		p.Zone = nil
-	}
-}
-
-func (s *Store) isWarm(t *columnstore.Table) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.warm[t]
-}
-
-func (s *Store) markWarm(t *columnstore.Table, warm bool) {
-	s.mu.Lock()
-	s.warm[t] = warm
-	s.mu.Unlock()
+// paged reports whether t's main store is pages of this store. The table is
+// the one place that knows, whoever merged it last.
+func (s *Store) paged(t *columnstore.Table) bool {
+	pc, ok := t.MainColumn(0).(interface{ in(*Store) bool })
+	return ok && pc.in(s)
 }

@@ -33,6 +33,9 @@ type PagedColumn struct {
 // Kind returns the logical kind.
 func (c *PagedColumn) Kind() value.Kind { return c.kind }
 
+// in reports whether the column's chunks live in store s.
+func (c *PagedColumn) in(s *Store) bool { return c.store == s }
+
 // Len returns the row count.
 func (c *PagedColumn) Len() int { return c.n }
 

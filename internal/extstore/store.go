@@ -13,8 +13,6 @@ import (
 	"os"
 	"sync"
 
-	"repro/internal/catalog"
-	"repro/internal/columnstore"
 	"repro/internal/stats"
 )
 
@@ -64,13 +62,6 @@ type Store struct {
 	tracer    *stats.Tracer
 	closed    bool
 
-	// hooked tracks tables whose OnMerge re-hydration hook is installed,
-	// so repeated demote/promote cycles register it only once; warm marks
-	// tables currently paged out; parts remembers every catalog partition
-	// wrapper over a table so re-hydration can clear all tier tags.
-	hooked map[*columnstore.Table]bool
-	warm   map[*columnstore.Table]bool
-	parts  map[*columnstore.Table][]*catalog.Partition
 	// perTable accounting for the \tiers surface.
 	faultsByTable map[string]int64
 }
@@ -104,9 +95,6 @@ func newStore(f *os.File, path string, opts Options) *Store {
 		path:          path,
 		pageSize:      opts.PageSize,
 		chunkRows:     opts.ChunkRows,
-		hooked:        make(map[*columnstore.Table]bool),
-		warm:          make(map[*columnstore.Table]bool),
-		parts:         make(map[*columnstore.Table][]*catalog.Partition),
 		faultsByTable: make(map[string]int64),
 	}
 	s.pool = newPool(opts.PoolPages)

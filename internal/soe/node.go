@@ -319,13 +319,13 @@ func (n *DataNode) deleteByKey(store *columnstore.Table, table, key string, ts u
 	snap := store.Snapshot(ts)
 	found := snap.FindRows(ki, value.String(key))
 	for _, pos := range found {
-		store.ApplyDelete(pos, ts)
+		store.ApplyDelete(snap.ID(pos), ts)
 	}
 	// Non-string keys: FindRows compares generically, so coerce fallback.
 	if len(found) == 0 {
 		for pos := 0; pos < snap.NumRows(); pos++ {
 			if snap.Visible(pos) && snap.Get(ki, pos).AsString() == key {
-				store.ApplyDelete(pos, ts)
+				store.ApplyDelete(snap.ID(pos), ts)
 			}
 		}
 	}

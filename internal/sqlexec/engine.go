@@ -29,8 +29,8 @@ type Engine struct {
 	// Prune participates in partition pruning (installed by the aging
 	// engine).
 	Prune PruneHook
-	// OnMergeDelta is invoked by MERGE DELTA OF statements; the durable
-	// store wires logged merges here. Defaults to a direct merge.
+	// OnMergeDelta, when set, is what a MERGE DELTA OF statement calls to
+	// merge the named table; unset, the statement merges each partition.
 	OnMergeDelta func(table string) error
 	// Obs receives parse/plan/exec timings and row counts; nil-safe, so an
 	// engine without a registry pays only a nil check per statement.
@@ -547,11 +547,11 @@ func routePartition(entry *catalog.TableEntry, row value.Row) *catalog.Partition
 	return entry.PartitionFor(row[ci])
 }
 
-// victim is one row an UPDATE or DELETE hits: the partition table and
-// position it was read at and, for UPDATE, what it holds.
+// victim is one row an UPDATE or DELETE hits: the partition table, the
+// row's ID and, for UPDATE, what it holds.
 type victim struct {
 	table string
-	pos   int
+	id    int
 	row   value.Row // nil unless boxed
 }
 
@@ -560,11 +560,8 @@ type victim struct {
 // where`: pruned, kernel-bound, parameters bound at run time, its morsels'
 // selection phase run on the vectorized executor whatever Engine.Mode says.
 // The victims come back in partition-then-position order; only box makes
-// rows of them. Every partition the scan opens is snapshotted through the
-// transaction (tx.SnapshotTable), so the merge epoch each position was
-// read under is on record before the position is: a background merge that
-// renumbers positions between here and commit turns into a clean
-// ErrConflict retry instead of deleting the wrong row.
+// rows of them. A victim is named by its row ID (Snapshot.ID), which is the
+// same row at commit whatever merges in between.
 func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []value.Value, box bool) (*ScanPlan, []victim, error) {
 	entry, ok := s.e.Cat.Table(table)
 	if !ok {
@@ -573,8 +570,7 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 	scan := newScanPlan(entry, table)
 	scan.Filter = where
 	s.planner(tx.SnapshotTS()).pruneScan(scan)
-	ctx := &execCtx{ts: tx.SnapshotTS(), params: params, reg: s.e.Reg, stats: new(ExecStats), workers: s.e.Workers,
-		snap: func(p *catalog.Partition) (*columnstore.Snapshot, error) { return tx.SnapshotTable(p.Table.Name()) }}
+	ctx := &execCtx{ts: tx.SnapshotTS(), params: params, reg: s.e.Reg, stats: new(ExecStats), workers: s.e.Workers}
 	defer ctx.finish()
 	prep, err := prepScan(scan, ctx)
 	if err != nil {
@@ -589,7 +585,7 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 		run.process(t, w, func(sel selection) {
 			vs := make([]victim, sel.len())
 			for i := range vs {
-				vs[i] = victim{table: t.part.Table.Name(), pos: sel.at(i)}
+				vs[i] = victim{table: t.part.Table.Name(), id: t.snap.ID(sel.at(i))}
 			}
 			if box {
 				rows := slabRows(len(vs), len(t.getters))
@@ -637,7 +633,7 @@ func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (*Result, err
 		for _, st := range setters {
 			newRow[st.idx] = value.Coerce(st.fn(&env), entry.Schema[st.idx].Kind)
 		}
-		if err := tx.Delete(v.table, v.pos); err != nil {
+		if err := tx.Delete(v.table, v.id); err != nil {
 			return nil, done(err)
 		}
 		target := routePartition(entry, newRow)
@@ -658,7 +654,7 @@ func (s *Session) execDelete(del *DeleteStmt, params []value.Value) (*Result, er
 		return nil, done(err)
 	}
 	for _, v := range vs {
-		if err := tx.Delete(v.table, v.pos); err != nil {
+		if err := tx.Delete(v.table, v.id); err != nil {
 			return nil, done(err)
 		}
 	}

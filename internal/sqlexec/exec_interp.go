@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/columnstore"
 	"repro/internal/extstore"
 	"repro/internal/value"
 )
@@ -85,21 +84,9 @@ type execCtx struct {
 	mu      sync.Mutex
 	pool    *vecPool
 	prof    *Profile // non-nil under EXPLAIN ANALYZE
-	// snap, when set, replaces how a scan opens a partition: UPDATE and
-	// DELETE read through their transaction, which puts the partition's
-	// merge epoch on record before any position is read.
-	snap func(*catalog.Partition) (*columnstore.Snapshot, error)
 	// inlineNS is the busy time of single-task runs executed on the
 	// statement's own goroutine (runTasks).
 	inlineNS int64
-}
-
-// snapshot opens one partition of a scan at the statement's timestamp.
-func (ctx *execCtx) snapshot(part *catalog.Partition) (*columnstore.Snapshot, error) {
-	if ctx.snap != nil {
-		return ctx.snap(part)
-	}
-	return part.Table.Snapshot(ctx.ts), nil
 }
 
 // getPool lazily starts the statement's morsel worker pool.

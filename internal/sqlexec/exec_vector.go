@@ -392,10 +392,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 	}
 	for _, part := range parts {
 		cold := part.ColdReadPenalty
-		snap, err := ctx.snapshot(part)
-		if err != nil {
-			return nil, err
-		}
+		snap := part.Table.Snapshot(ctx.ts)
 		ctx.mu.Lock()
 		ctx.stats.PartitionsScanned++
 		ctx.mu.Unlock()

@@ -15,7 +15,7 @@ import (
 // the fingerprint. Exec runs it any number of times without touching the
 // text again. There is deliberately no cached plan: planning a point
 // select measures ~2 µs and 13 allocations, and a cache would need
-// catalog and merge-epoch invalidation to save that.
+// catalog and merge-count invalidation to save that.
 //
 // A Stmt belongs to the session that prepared it and shares its
 // single-goroutine contract. The AST is read-only after Prepare — the
@@ -253,17 +253,27 @@ func (st *Stmt) dispatch(sink RowSink, stats *ExecStats, params []value.Value, p
 		s.e.Mgr.Deregister(x.Name)
 		return &Result{}, nil, nil
 	case *MergeDeltaStmt:
-		if s.e.OnMergeDelta != nil {
-			return &Result{}, nil, s.e.OnMergeDelta(x.Table)
-		}
 		entry, ok := s.e.Cat.Table(x.Table)
 		if !ok {
 			return nil, nil, fmt.Errorf("sql: no table %q", x.Table)
 		}
-		// Merge through the commit pipeline so concurrent committers with
-		// validated positions are never renumbered mid-commit.
+		if merge := s.e.OnMergeDelta; merge != nil {
+			if err := merge(x.Table); err != nil {
+				return nil, nil, err
+			}
+		} else {
+			for _, p := range entry.Partitions {
+				s.e.Mgr.MergeNow(p.Table)
+			}
+		}
+		// A merge rebuilds hot encodings: a demoted partition is hot again,
+		// and its zone map describes columns that are gone. Only a demotion
+		// records a zone map — a partition that aging or temperature tiering
+		// tagged extended was never paged out and keeps its tag.
 		for _, p := range entry.Partitions {
-			s.e.Mgr.MergeNow(p.Table)
+			if p.Tier == catalog.TierExtended && p.Zone != nil {
+				p.Tier, p.Zone = catalog.TierHot, nil
+			}
 		}
 		return &Result{}, nil, nil
 	}

@@ -378,10 +378,7 @@ func TestHTAPChaosPointReads(t *testing.T) {
 	updates := 0
 	for i := 0; i < 400 || merger.Merges() == 0; i++ {
 		if _, err := up.Exec(value.Int(int64(i%keys)), value.Int(keys)); err != nil {
-			if strings.Contains(err.Error(), "conflict") {
-				continue // a background merge renumbered the victim; retry next round
-			}
-			t.Fatal(err)
+			t.Fatal(err) // the one writer: no merge beside it makes a conflict
 		}
 		updates++
 	}

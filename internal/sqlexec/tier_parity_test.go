@@ -82,7 +82,7 @@ func TestTierParity(t *testing.T) {
 
 // TestTierPromoteRoundTrip demotes, queries, promotes and asserts results
 // and tier tags stay consistent — plus re-hydration via an ordinary MERGE
-// DELTA (the OnMerge hook path).
+// DELTA, which resets the tag it made stale.
 func TestTierPromoteRoundTrip(t *testing.T) {
 	e := parityEngine(t)
 	store, err := extstore.OpenTemp(extstore.Options{PageSize: 1024, ChunkRows: 128, PoolPages: 4})
@@ -116,8 +116,8 @@ func TestTierPromoteRoundTrip(t *testing.T) {
 		t.Fatalf("tier after promote: %s", entry.Partitions[0].Tier)
 	}
 
-	// Demote again, then re-hydrate through plain SQL MERGE: the OnMerge
-	// hook must flip the catalog tier back without store involvement.
+	// Demote again, then re-hydrate through plain SQL MERGE: the statement
+	// flips the catalog tier back without store involvement.
 	if _, err := store.DemoteTable(entry, e.Mgr.MinActiveTS()); err != nil {
 		t.Fatal(err)
 	}

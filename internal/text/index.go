@@ -9,7 +9,7 @@ import (
 
 // posting records one document occurrence of a term.
 type posting struct {
-	Doc  int   // document ID (caller-defined, e.g. row position)
+	Doc  int   // document ID (caller-defined, e.g. a row ID)
 	Freq int   // term frequency
 	Pos  []int // token positions for phrase queries
 }

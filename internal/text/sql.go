@@ -25,6 +25,12 @@ type Indexer struct {
 	indexes map[string]*tableIndex
 }
 
+// tableIndex is the text index of one table. Documents are known by row ID
+// (columnstore.Snapshot.ID), which a delta→main merge does not change; a
+// reader turns an ID into a position through the snapshot it reads
+// (Snapshot.Pos), so a posting and the row it is resolved against always
+// belong to the same generation of the table. idx, table, col and keyCol
+// are set once; mu guards the two maps.
 type tableIndex struct {
 	mu       sync.Mutex
 	idx      *Index
@@ -101,11 +107,11 @@ func (ix *Indexer) CreateIndex(table, docCol, keyCol string) error {
 	ti := &tableIndex{idx: NewIndex(), table: t, col: ci, keyCol: ki,
 		entities: map[int][]Entity{}, senti: map[int]float64{}}
 
-	snap := t.Snapshot(ix.eng.Mgr.Now())
+	snap, unpin := ix.pinned(t)
 	for _, pos := range snap.CollectVisible() {
-		ti.indexRow(pos, snap.Get(ci, pos))
+		ti.indexRow(snap.ID(pos), snap.Get(ci, pos))
 	}
-	t.OnMerge(ti.remap)
+	unpin()
 
 	ix.mu.Lock()
 	ix.indexes[table] = ti
@@ -113,61 +119,33 @@ func (ix *Indexer) CreateIndex(table, docCol, keyCol string) error {
 	return nil
 }
 
-func (ti *tableIndex) indexRow(pos int, doc value.Value) {
+// pinned returns a snapshot of t at the current clock, registered as a
+// reader until unpin is called so that no merge evicts a version it sees.
+func (ix *Indexer) pinned(t *columnstore.Table) (snap *columnstore.Snapshot, unpin func()) {
+	ts := ix.eng.Mgr.Pin()
+	return t.Snapshot(ts), func() { ix.eng.Mgr.Unpin(ts) }
+}
+
+func (ti *tableIndex) indexRow(id int, doc value.Value) {
 	if doc.IsNull() {
 		return
 	}
 	content := doc.AsString()
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
-	ti.idx.Add(pos, content)
+	ti.idx.Add(id, content)
 	if es := ExtractEntities(content); len(es) > 0 {
-		ti.entities[pos] = es
+		ti.entities[id] = es
 	}
-	ti.senti[pos] = Sentiment(content)
+	ti.senti[id] = Sentiment(content)
 }
 
-func (ti *tableIndex) dropRow(pos int) {
+func (ti *tableIndex) dropRow(id int) {
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
-	ti.idx.Remove(pos)
-	delete(ti.entities, pos)
-	delete(ti.senti, pos)
-}
-
-// remap follows a delta→main merge: physical positions shift or vanish.
-func (ti *tableIndex) remap(remap []int) {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	old := ti.idx
-	ti.idx = NewIndex()
-	oldEnt, oldSen := ti.entities, ti.senti
-	ti.entities, ti.senti = map[int][]Entity{}, map[int]float64{}
-	for term, ps := range old.postings {
-		for _, p := range ps {
-			if p.Doc >= len(remap) || remap[p.Doc] < 0 {
-				continue
-			}
-			np := remap[p.Doc]
-			ti.idx.postings[term] = append(ti.idx.postings[term], posting{Doc: np, Freq: p.Freq, Pos: p.Pos})
-		}
-	}
-	for doc, n := range old.docLen {
-		if doc < len(remap) && remap[doc] >= 0 {
-			ti.idx.docLen[remap[doc]] = n
-			ti.idx.docs++
-		}
-	}
-	for doc, es := range oldEnt {
-		if doc < len(remap) && remap[doc] >= 0 {
-			ti.entities[remap[doc]] = es
-		}
-	}
-	for doc, s := range oldSen {
-		if doc < len(remap) && remap[doc] >= 0 {
-			ti.senti[remap[doc]] = s
-		}
-	}
+	ti.idx.Remove(id)
+	delete(ti.entities, id)
+	delete(ti.senti, id)
 }
 
 func (ix *Indexer) onCommit(ts uint64, writes []txn.Write) {
@@ -181,10 +159,10 @@ func (ix *Indexer) onCommit(ts uint64, writes []txn.Write) {
 			switch w.Kind {
 			case txn.WriteInsert:
 				if ti.col < len(w.Row) {
-					ti.indexRow(w.Pos, w.Row[ti.col])
+					ti.indexRow(w.ID, w.Row[ti.col])
 				}
 			case txn.WriteDelete:
-				ti.dropRow(w.Pos)
+				ti.dropRow(w.ID)
 			}
 		}
 	}
@@ -197,13 +175,15 @@ func (ix *Indexer) Search(table, query string) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := ti.table.Snapshot(ix.eng.Mgr.Now())
+	snap, unpin := ix.pinned(ti.table)
+	defer unpin()
 	var out []value.Row
 	for _, h := range ti.idx.Search(query) {
-		if h.Doc >= snap.NumRows() || !snap.Visible(h.Doc) {
+		pos, ok := snap.Pos(h.Doc)
+		if !ok || !snap.Visible(pos) {
 			continue
 		}
-		key := snap.Get(ti.keyCol, h.Doc)
+		key := snap.Get(ti.keyCol, pos)
 		out = append(out, value.Row{value.String(key.AsString()), value.Float(h.Score)})
 	}
 	return out, nil
@@ -217,12 +197,13 @@ func (ix *Indexer) Entities(table string) ([]value.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := ti.table.Snapshot(ix.eng.Mgr.Now())
+	snap, unpin := ix.pinned(ti.table)
+	defer unpin()
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
 	var out []value.Row
 	for pos := 0; pos < snap.NumRows(); pos++ {
-		es, ok := ti.entities[pos]
+		es, ok := ti.entities[snap.ID(pos)]
 		if !ok || !snap.Visible(pos) {
 			continue
 		}
@@ -240,11 +221,12 @@ func (ix *Indexer) SentimentOf(table, key string) (float64, bool) {
 	if err != nil {
 		return 0, false
 	}
-	snap := ti.table.Snapshot(ix.eng.Mgr.Now())
+	snap, unpin := ix.pinned(ti.table)
+	defer unpin()
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
-	for pos, s := range ti.senti {
-		if pos < snap.NumRows() && snap.Visible(pos) && snap.Get(ti.keyCol, pos).AsString() == key {
+	for id, s := range ti.senti {
+		if pos, ok := snap.Pos(id); ok && snap.Visible(pos) && snap.Get(ti.keyCol, pos).AsString() == key {
 			return s, true
 		}
 	}

@@ -2,6 +2,7 @@ package text
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -333,5 +334,85 @@ func TestSearchNeverReturnsInvisibleDocsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSearchWhileMerging: every document holds a token and a sensor name no
+// other document does, and while one goroutine deletes documents, merges
+// the table (each merge evicts what was deleted, so every position behind
+// it shifts) and inserts new ones, a search for a token answers that
+// document's key or nothing, and so does every extracted entity and every
+// stored sentiment. Postings name rows by ID and are resolved through the
+// snapshot the call reads; when they named positions and a merge rewrote
+// them in place, this either answered another document's key or died of a
+// concurrent map read and write.
+func TestSearchWhileMerging(t *testing.T) {
+	eng := sqlexec.NewEngine()
+	ix := Attach(eng)
+	mustQuery := func(sql string, args ...value.Value) {
+		if _, err := eng.Query(sql, args...); err != nil {
+			t.Error(err)
+		}
+	}
+	body := func(i int) value.Value {
+		return value.String(fmt.Sprintf("uq%dx great dispenser DISP-%04d report", i, i))
+	}
+	mustQuery(`CREATE TABLE d (id VARCHAR, body VARCHAR)`)
+	const docs, rounds = 40, 60
+	for i := 0; i < docs; i++ {
+		mustQuery(`INSERT INTO d VALUES (?, ?)`, value.String(fmt.Sprint("k", i)), body(i))
+	}
+	if err := ix.CreateIndex("d", "body", "id"); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i = (i + 7) % (docs + rounds) {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := fmt.Sprint("k", i)
+				rows, err := ix.Search("d", fmt.Sprintf("uq%dx", i))
+				if err != nil || len(rows) > 1 || len(rows) == 1 && rows[0][0].S != key {
+					t.Errorf("search for document %d's token: %v, %v", i, rows, err)
+					return
+				}
+				ents, err := ix.Entities("d")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, e := range ents {
+					if want := fmt.Sprintf("DISP-%04s", e[0].S[1:]); e[2].S != want {
+						t.Errorf("document %s answers for entity %s", e[0].S, e[2].S)
+						return
+					}
+				}
+				ix.SentimentOf("d", key)
+			}
+		}(r)
+	}
+	for i := 0; i < rounds; i++ {
+		mustQuery(`DELETE FROM d WHERE id = ?`, value.String(fmt.Sprint("k", i)))
+		mustQuery(`MERGE DELTA OF d`)
+		mustQuery(`INSERT INTO d VALUES (?, ?)`, value.String(fmt.Sprint("k", docs+i)), body(docs+i))
+	}
+	close(stop)
+	wg.Wait()
+	for i := 0; i < docs+rounds; i++ {
+		rows, _ := ix.Search("d", fmt.Sprintf("uq%dx", i))
+		if want := i >= rounds; (len(rows) == 1) != want {
+			t.Fatalf("after the run, document %d found %d times", i, len(rows))
+		}
+	}
+	if ents, _ := ix.Entities("d"); len(ents) != docs {
+		t.Fatalf("after the run, %d entities for %d documents", len(ents), docs)
 	}
 }

@@ -12,10 +12,6 @@ type MergerConfig struct {
 	Threshold int
 	// Interval is the sweep cadence. Defaults to 20ms.
 	Interval time.Duration
-	// Merge executes one merge. Nil means merge directly through the
-	// commit pipeline (Manager.MergeTableNow); the WAL store passes a
-	// closure that also logs a merge record.
-	Merge func(table string) error
 	// Filter, when non-nil, restricts which tables the daemon considers
 	// (false = skip). Tiered deployments use it to leave warm partitions
 	// to the aging policy.
@@ -23,11 +19,9 @@ type MergerConfig struct {
 }
 
 // Merger is the background merge daemon: it watches every registered
-// table's delta size and triggers watermark-bounded delta→main merges off
-// the commit path. Each merge runs as an exclusive job between
-// group-commit batches at the MinActiveTS watermark, so no live snapshot
-// ever observes renumbered positions and ingest never stalls behind a
-// foreground merge.
+// table's delta size and triggers delta→main merges at the MinActiveTS
+// watermark (Manager.MergeNow) on its own goroutine. No commit queues
+// behind one: a merge and a commit meet only at the table's own lock.
 type Merger struct {
 	m      *Manager
 	cfg    MergerConfig
@@ -44,12 +38,6 @@ func (m *Manager) StartMerger(cfg MergerConfig) *Merger {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 20 * time.Millisecond
-	}
-	if cfg.Merge == nil {
-		cfg.Merge = func(table string) error {
-			_, err := m.MergeTableNow(table)
-			return err
-		}
 	}
 	g := &Merger{m: m, cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}
 	go g.loop()
@@ -96,10 +84,7 @@ func (g *Merger) sweep() {
 			backlog += d
 			continue
 		}
-		if err := g.cfg.Merge(name); err != nil {
-			cBgMergeErrs.Inc()
-			continue
-		}
+		g.m.MergeNow(tab)
 		g.merges.Add(1)
 		cBgMerges.Inc()
 	}

@@ -15,6 +15,5 @@ var (
 	hGroupSize    = stats.Default.Histogram("txn_group_commit_size")
 
 	cBgMerges     = stats.Default.Counter("merge_background_total")
-	cBgMergeErrs  = stats.Default.Counter("merge_background_errors_total")
 	gMergeBacklog = stats.Default.Gauge("merge_backlog_delta_rows")
 )

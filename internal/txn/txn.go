@@ -8,13 +8,14 @@
 // into a group-commit batch: one committer becomes the leader, assigns a
 // contiguous timestamp range to the whole batch under a single clock bump,
 // applies the members' write sets itself in timestamp order — the order
-// the WAL logs and recovery replays them in, so a row gets the same
-// position in the live table and in the recovered one — publishes the
-// clock once all applies have landed, and hands the batch to the WAL as
-// one append with one flush+fsync. Merges renumber
-// row positions, so they run as exclusive jobs between batches through
-// the same pipeline — see RunExclusive and merge.go for the background
-// merge daemon.
+// the WAL logs and recovery replays them in, so a row gets the same row ID
+// in the live table and in the recovered one — publishes the clock once
+// all applies have landed, and hands the batch to the WAL as one append
+// with one flush+fsync. A write set names its victims by row ID
+// (columnstore.Snapshot.ID), which a delta→main merge does not change, so
+// a merge is no business of this pipeline: MergeNow runs it on the caller's
+// goroutine at the MinActiveTS watermark, beside whatever is committing —
+// see merge.go for the background merge daemon.
 //
 // The paper (§II-A) positions SAP HANA as "a fully ACID compliant
 // relational database"; this package provides the A, C and I — durability
@@ -26,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,8 +37,7 @@ import (
 )
 
 // ErrConflict is returned by Commit when another transaction deleted or
-// updated a row this transaction also deleted or updated, or when a
-// delta→main merge renumbered positions the transaction had observed.
+// updated a row this transaction also deleted or updated.
 var ErrConflict = errors.New("txn: write-write conflict, transaction aborted")
 
 // ErrClosed is returned when operating on a finished transaction.
@@ -70,13 +69,13 @@ const (
 )
 
 // Write is one operation of a transaction's write set. For inserts, Row
-// holds the payload and Pos the position assigned at commit. For deletes,
-// Pos is the victim row.
+// holds the payload and ID the row ID assigned at commit. For deletes, ID
+// is the victim row's.
 type Write struct {
 	Kind  WriteKind
 	Table string
 	Row   value.Row
-	Pos   int
+	ID    int
 }
 
 // Manager coordinates transactions over a set of column-store tables.
@@ -119,7 +118,7 @@ func (m *Manager) Register(t *columnstore.Table) {
 }
 
 // Deregister removes a table (DROP TABLE). The table's latch survives so
-// in-flight committers and merge jobs holding it stay sound.
+// in-flight committers holding it stay sound.
 func (m *Manager) Deregister(name string) {
 	m.mu.Lock()
 	delete(m.tables, name)
@@ -275,9 +274,8 @@ type Txn struct {
 	done   bool
 
 	writes  []Write
-	deletes map[string]map[int]bool // table -> victim positions
+	deletes map[string]map[int]bool // table -> victim row IDs
 	inserts map[string][]value.Row  // table -> buffered rows, insertion order
-	epochs  map[string]int          // table -> MergeCount at first observation
 }
 
 // ID returns the transaction identifier.
@@ -286,31 +284,13 @@ func (t *Txn) ID() uint64 { return t.id }
 // SnapshotTS returns the transaction's read timestamp.
 func (t *Txn) SnapshotTS() uint64 { return t.snapTS }
 
-// observeEpoch records the table's merge epoch the first time this
-// transaction observes positions in it. Commit validation aborts with
-// ErrConflict if a merge renumbered positions since: any Pos the
-// transaction collected would be stale. The epoch is read before the
-// caller takes its snapshot, so a racing merge can only cause a spurious
-// abort, never a silently wrong commit.
-func (t *Txn) observeEpoch(table string, tab *columnstore.Table) {
-	if t.epochs == nil {
-		t.epochs = make(map[string]int)
-	}
-	if _, seen := t.epochs[table]; !seen {
-		t.epochs[table] = tab.MergeCount()
-	}
-}
-
 // SnapshotTable returns a storage snapshot of the named table at the
-// transaction's read timestamp, recording the table's merge epoch so that
-// positions collected from the snapshot stay valid through commit (a
-// concurrent merge aborts the transaction with ErrConflict instead).
+// transaction's read timestamp.
 func (t *Txn) SnapshotTable(table string) (*columnstore.Snapshot, error) {
 	tab, ok := t.m.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("txn: unknown table %q", table)
 	}
-	t.observeEpoch(table, tab)
 	return tab.Snapshot(t.snapTS), nil
 }
 
@@ -333,34 +313,32 @@ func (t *Txn) Insert(table string, rows ...value.Row) error {
 	return nil
 }
 
-// Delete buffers the deletion of row pos of the named table. The conflict
-// check happens at commit (first committer wins). Victim positions must
-// come from this transaction's own View/SnapshotTable so the merge epoch
-// they were read under is on record.
-func (t *Txn) Delete(table string, pos int) error {
+// Delete buffers the deletion of row id of the named table — the ID a
+// snapshot of this transaction gave the victim (Snapshot.ID), which names
+// the same row at commit whatever merged in between. The conflict check
+// happens at commit (first committer wins).
+func (t *Txn) Delete(table string, id int) error {
 	if t.done {
 		return ErrClosed
 	}
-	tab, ok := t.m.Table(table)
-	if !ok {
+	if _, ok := t.m.Table(table); !ok {
 		return fmt.Errorf("txn: unknown table %q", table)
 	}
-	t.observeEpoch(table, tab)
 	if t.deletes[table] == nil {
 		t.deletes[table] = make(map[int]bool)
 	}
-	if t.deletes[table][pos] {
+	if t.deletes[table][id] {
 		return nil // idempotent within the transaction
 	}
-	t.deletes[table][pos] = true
-	t.writes = append(t.writes, Write{Kind: WriteDelete, Table: table, Pos: pos})
+	t.deletes[table][id] = true
+	t.writes = append(t.writes, Write{Kind: WriteDelete, Table: table, ID: id})
 	return nil
 }
 
-// Update replaces row pos of the named table with newRow: MVCC delete plus
+// Update replaces row id of the named table with newRow: MVCC delete plus
 // insert, the column-store idiom for updates.
-func (t *Txn) Update(table string, pos int, newRow value.Row) error {
-	if err := t.Delete(table, pos); err != nil {
+func (t *Txn) Update(table string, id int, newRow value.Row) error {
+	if err := t.Delete(table, id); err != nil {
 		return err
 	}
 	return t.Insert(table, newRow)
@@ -419,22 +397,22 @@ func (t *Txn) apply(commitTS uint64, tabs map[string]*columnstore.Table) {
 		insNames = append(insNames, name)
 	}
 	sort.Strings(insNames)
-	posOut := make(map[string][]int, len(insNames))
+	idsOut := make(map[string][]int, len(insNames))
 	for _, name := range insNames {
-		posOut[name] = tabs[name].ApplyInsert(t.inserts[name], commitTS)
+		idsOut[name] = tabs[name].ApplyInsert(t.inserts[name], commitTS)
 	}
 	next := make(map[string]int, len(insNames))
 	for i := range t.writes {
 		w := &t.writes[i]
 		switch w.Kind {
 		case WriteInsert:
-			w.Pos = posOut[w.Table][next[w.Table]]
+			w.ID = idsOut[w.Table][next[w.Table]]
 			next[w.Table]++
 		case WriteDelete:
-			if !tabs[w.Table].ApplyDelete(w.Pos, commitTS) {
+			if !tabs[w.Table].ApplyDelete(w.ID, commitTS) {
 				// Cannot happen: liveness was validated under the table
-				// latch, stamps are only placed by latch holders, and
-				// merges run exclusively between batches.
+				// latch, stamps are only placed by latch holders, and a
+				// merge evicts no row that is live.
 				panic("txn: delete conflict after validation")
 			}
 		}
@@ -470,21 +448,14 @@ func (t *Txn) Commit() (uint64, error) {
 	}
 
 	// Validate deletes under the table latches: the victim must still be
-	// live, and no merge may have renumbered positions since we observed
-	// them. Latches are held through apply (ownership passes to the batch
-	// leader), so validation cannot be invalidated before the stamp lands.
+	// live. A victim a merge has evicted is not — it was dead to this
+	// transaction's snapshot, had the transaction looked. Latches are held
+	// through apply (ownership passes to the batch leader), so validation
+	// cannot be invalidated before the stamp lands.
 	latches := m.latchTables(delNames)
 	for _, name := range delNames {
-		tab := tabs[name]
-		if tab.MergeCount() != t.epochs[name] {
-			unlatch(latches)
-			t.releaseAbort()
-			m.conflicts.Add(1)
-			cConflicts.Inc()
-			return 0, fmt.Errorf("txn: table %q merged under transaction: %w", name, ErrConflict)
-		}
-		for pos := range t.deletes[name] {
-			if !tab.RowLive(pos) {
+		for id := range t.deletes[name] {
+			if !tabs[name].RowLive(id) {
 				unlatch(latches)
 				t.releaseAbort()
 				m.conflicts.Add(1)
@@ -521,23 +492,15 @@ func (t *Txn) Abort() {
 
 // --- Group commit -----------------------------------------------------
 
-// gcJob is one unit in the group-commit queue: either a validated commit
-// (txn != nil) or an exclusive job (a merge) that must run with no apply
-// in flight on its table.
+// gcJob is one validated commit in the group-commit queue.
 type gcJob struct {
-	// Commit jobs.
 	txn     *Txn
 	tabs    map[string]*columnstore.Table
 	latches []*sync.Mutex
 	ts      uint64 // assigned by the leader; read by the member after done
 
-	// Exclusive jobs.
-	excl  bool
-	table string
-	fn    func(watermark uint64)
-
 	elect     chan struct{} // leader → member: take over leadership
-	done      chan struct{} // leader → member: fully committed/ran
+	done      chan struct{} // leader → member: fully committed
 	processed bool          // leader-side: job completed (leader goroutine only)
 }
 
@@ -570,16 +533,6 @@ func (m *Manager) enqueue(j *gcJob) {
 	}
 }
 
-// RunExclusive runs fn on the named table with no commit apply in flight:
-// the group-commit leader executes it between batches while holding the
-// table's apply latch, passing the current MinActiveTS watermark. Merges
-// go through here so the WAL observes merge records in true execution
-// order relative to commits, and so no committer's validated positions
-// are renumbered out from under it.
-func (m *Manager) RunExclusive(table string, fn func(watermark uint64)) {
-	m.enqueue(&gcJob{excl: true, table: table, fn: fn})
-}
-
 // lead drains the group-commit queue until it is empty or leadership is
 // handed off. own is the leader's own job; leadership cannot be handed
 // off before it has been processed.
@@ -600,120 +553,75 @@ func (m *Manager) lead(own *gcJob) {
 		batch := m.gcQueue
 		m.gcQueue = nil
 		m.gcMu.Unlock()
-		if !m.runGroup(batch, own) {
-			// No commit landed and every exclusive job was requeued
-			// behind a latch still held by a not-yet-enqueued committer;
-			// yield so that committer can finish validating.
-			runtime.Gosched()
-		}
+		m.runGroup(batch, own)
 	}
 }
 
-// runGroup processes one drained batch: commits first (single clock bump,
-// applies in timestamp order, publish, listeners), then exclusive jobs.
-// Returns whether any job completed.
-func (m *Manager) runGroup(batch []*gcJob, own *gcJob) bool {
-	var commits, excls []*gcJob
-	for _, j := range batch {
-		if j.excl {
-			excls = append(excls, j)
-		} else {
-			commits = append(commits, j)
-		}
+// runGroup commits one drained batch: a single clock bump, applies in
+// timestamp order, publish, listeners.
+func (m *Manager) runGroup(commits []*gcJob, own *gcJob) {
+	// Phase 1: assign a contiguous TS range under one clock bump and apply
+	// the write sets in that order. Only members with deletes hold a table
+	// latch, so two members may insert into the same table: applied in any
+	// other order than the one the WAL logs and OpenStore replays, their
+	// rows would get different row IDs in the recovered table than in this
+	// one, and a later delete by ID would hit the neighbour.
+	base := m.clock.Load()
+	for i, j := range commits {
+		j.ts = base + 1 + uint64(i)
+		j.txn.apply(j.ts, j.tabs)
 	}
 
-	if len(commits) > 0 {
-		// Phase 1: assign a contiguous TS range under one clock bump and
-		// apply the write sets in that order. Only members with deletes
-		// hold a table latch, so two members may insert into the same
-		// table: applied in any other order than the one the WAL logs and
-		// OpenStore replays, their rows would sit at different delta
-		// positions in the recovered table than in this one, and a later
-		// delete-by-position would hit the neighbour.
-		base := m.clock.Load()
+	// Phase 2: the validate→apply window is closed; release every member's
+	// table latches (ownership passed to the leader).
+	for _, j := range commits {
+		unlatch(j.latches)
+	}
+
+	// Phase 3: publish the whole batch with one clock store. Readers
+	// beginning now see either none or all of each member's writes.
+	m.AdvanceTo(base + uint64(len(commits)))
+
+	// Phase 4: listeners. The WAL's group listener appends the batch as one
+	// flush+fsync; per-commit listeners run in TS order.
+	m.mu.Lock()
+	ls := append([]CommitListener(nil), m.listeners...)
+	gls := append([]GroupCommitListener(nil), m.groupLs...)
+	m.mu.Unlock()
+	if len(gls) > 0 {
+		rec := make([]GroupCommit, len(commits))
 		for i, j := range commits {
-			j.ts = base + 1 + uint64(i)
-			j.txn.apply(j.ts, j.tabs)
+			rec[i] = GroupCommit{TS: j.ts, Writes: j.txn.writes}
 		}
-
-		// Phase 2: the validate→apply window is closed; release every
-		// member's table latches (ownership passed to the leader).
-		for _, j := range commits {
-			unlatch(j.latches)
+		for _, g := range gls {
+			g(rec)
 		}
-
-		// Phase 3: publish the whole batch with one clock store. Readers
-		// beginning now see either none or all of each member's writes.
-		m.AdvanceTo(base + uint64(len(commits)))
-
-		// Phase 4: listeners. The WAL's group listener appends the batch
-		// as one flush+fsync; per-commit listeners run in TS order.
-		m.mu.Lock()
-		ls := append([]CommitListener(nil), m.listeners...)
-		gls := append([]GroupCommitListener(nil), m.groupLs...)
-		m.mu.Unlock()
-		if len(gls) > 0 {
-			rec := make([]GroupCommit, len(commits))
-			for i, j := range commits {
-				rec[i] = GroupCommit{TS: j.ts, Writes: j.txn.writes}
-			}
-			for _, g := range gls {
-				g(rec)
-			}
-		}
-		for _, j := range commits {
-			for _, l := range ls {
-				l(j.ts, j.txn.writes)
-			}
-		}
-
-		cGroupCommits.Inc()
-		hGroupSize.Observe(float64(len(commits)))
-
-		// Phase 5: wake the members.
-		for _, j := range commits {
-			j.processed = true
-			if j != own {
-				close(j.done)
-			}
+	}
+	for _, j := range commits {
+		for _, l := range ls {
+			l(j.ts, j.txn.writes)
 		}
 	}
 
-	progress := len(commits) > 0
-	for _, j := range excls {
-		la := m.latchFor(j.table)
-		if !la.TryLock() {
-			// A committer that validated against this table but has not
-			// yet enqueued still holds the latch; running the merge now
-			// could renumber its positions. Requeue behind it.
-			m.gcMu.Lock()
-			m.gcQueue = append(m.gcQueue, j)
-			m.gcMu.Unlock()
-			continue
-		}
-		wm := m.MinActiveTS()
-		j.fn(wm)
-		la.Unlock()
-		progress = true
+	cGroupCommits.Inc()
+	hGroupSize.Observe(float64(len(commits)))
+
+	// Phase 5: wake the members.
+	for _, j := range commits {
 		j.processed = true
 		if j != own {
 			close(j.done)
 		}
 	}
-	return progress
 }
 
-// MergeNow merges the table's delta into main through the commit pipeline:
-// the merge runs exclusively between group-commit batches at the current
-// MinActiveTS watermark, so no live snapshot observes it and no validated
-// committer has its positions renumbered. Works for any table (registered
-// or not — latches are keyed by name).
+// MergeNow merges the table's delta into main at the current MinActiveTS
+// watermark, on the caller's goroutine and beside whatever is committing:
+// a commit in flight stamps above the clock, hence above the watermark, so
+// the merge keeps every row and stamp of it, and the victims it validated
+// keep their IDs. No pinned snapshot is older than the watermark (see Pin).
 func (m *Manager) MergeNow(t *columnstore.Table) columnstore.MergeStats {
-	var st columnstore.MergeStats
-	m.RunExclusive(t.Name(), func(wm uint64) {
-		st = t.Merge(wm)
-	})
-	return st
+	return t.Merge(m.MinActiveTS())
 }
 
 // MergeTableNow is MergeNow for a registered table name.
@@ -742,7 +650,7 @@ func (v *View) Snapshot() *columnstore.Snapshot { return v.snap }
 // Visible reports whether committed row pos is visible, accounting for
 // the transaction's own uncommitted deletes.
 func (v *View) Visible(pos int) bool {
-	if v.txn.deletes[v.table][pos] {
+	if own := v.txn.deletes[v.table]; len(own) > 0 && own[v.snap.ID(pos)] {
 		return false
 	}
 	return v.snap.Visible(pos)

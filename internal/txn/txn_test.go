@@ -268,8 +268,8 @@ func TestCommitListenerReceivesWrites(t *testing.T) {
 	if gotTS != ts || len(gotWrites) != 1 || gotWrites[0].Kind != WriteInsert {
 		t.Fatalf("listener got ts=%d writes=%v", gotTS, gotWrites)
 	}
-	if gotWrites[0].Pos < 0 {
-		t.Fatal("insert position not filled in")
+	if snap := m.tables["acct"].Snapshot(ts); snap.ID(snap.NumRows()-1) != gotWrites[0].ID {
+		t.Fatalf("the listener was told row %d, the table appended row %d", gotWrites[0].ID, snap.ID(snap.NumRows()-1))
 	}
 }
 

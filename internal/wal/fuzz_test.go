@@ -27,7 +27,7 @@ func boundedAlloc(t *testing.T, input int, fn func()) {
 }
 
 // seedLog is a real redo log: inserts of every value kind, a delete, an
-// update's delete+insert pair and a merge record.
+// update's delete+insert pair and the delete of a row with a two-byte ID.
 func seedLog(t testing.TB) []byte {
 	path := filepath.Join(t.TempDir(), "redo.log")
 	w, err := Open(path, SyncNever)
@@ -36,9 +36,9 @@ func seedLog(t testing.TB) []byte {
 	}
 	row := value.Row{value.Int(-7), value.String("héllo"), value.Float(3.25), value.Bool(true), value.Null, value.TimeMicros(1234567)}
 	w.AppendCommit(2, []txn.Write{{Kind: txn.WriteInsert, Table: "t", Row: row}, {Kind: txn.WriteInsert, Table: "u", Row: row[:2]}})
-	w.AppendCommit(3, []txn.Write{{Kind: txn.WriteDelete, Table: "t", Pos: 0}})
-	w.AppendMerge("t", 3)
-	w.AppendCommit(4, []txn.Write{{Kind: txn.WriteDelete, Table: "u", Pos: 0}, {Kind: txn.WriteInsert, Table: "u", Row: row[:2]}})
+	w.AppendCommit(3, []txn.Write{{Kind: txn.WriteDelete, Table: "t", ID: 0}})
+	w.AppendCommit(4, []txn.Write{{Kind: txn.WriteDelete, Table: "u", ID: 0}, {Kind: txn.WriteInsert, Table: "u", Row: row[:2], ID: 1}})
+	w.AppendCommit(5, []txn.Write{{Kind: txn.WriteDelete, Table: "t", ID: 300}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func damaged(img []byte) [][]byte {
 var hugeCount = binary.AppendUvarint(nil, 1<<62)
 
 func replayBytes(data []byte) error {
-	return replay(data, func(uint64, []txn.Write, string, uint64) error { return nil })
+	return replay(data, func(uint64, []txn.Write) error { return nil })
 }
 
 // The reproduction the issue names: a commit record whose write count is
@@ -111,6 +111,7 @@ func TestReplayHostileCounts(t *testing.T) {
 		"table count":  append(append([]byte(nil), header...), hugeCount...),
 		"column count": append(append(append([]byte(nil), header...), 1, 1, 't'), hugeCount...),
 		"row count":    append(append(append([]byte(nil), header...), 1, 1, 't', 1, 1, 'v', byte(value.KindInt)), hugeCount...),
+		"row ID":       binary.AppendUvarint(append(append([]byte(nil), header...), 1, 1, 't', 1, 1, 'v', byte(value.KindInt), 1), 1<<63),
 	} {
 		boundedAlloc(t, len(ck), func() {
 			if _, _, err := readCheckpoint(ck); err == nil {

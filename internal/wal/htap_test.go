@@ -27,12 +27,11 @@ func tableContent(tab *columnstore.Table, ts uint64) map[string]int {
 	return out
 }
 
-// TestRecoveryWithBackgroundMerges is the WAL-ordering regression trap for
-// the group-commit pipeline: background merges renumber positions, and
-// replayed deletes apply by logged position — so merge records must land
-// in the log in true execution order relative to commit batches. Run
-// concurrent ingest/updates beside logged merges, then reopen the store
-// and require bit-identical live content.
+// TestRecoveryWithBackgroundMerges is the regression trap for what the log
+// names rows by: merges run back to back beside concurrent ingest and
+// updates, none of them is logged, and the store reopened from disk must
+// hold bit-identical live content — every replayed delete found its victim
+// by ID in a table laid out as no generation of the live one ever was.
 func TestRecoveryWithBackgroundMerges(t *testing.T) {
 	s, err := OpenStore(t.TempDir(), SyncNever)
 	if err != nil {
@@ -44,7 +43,7 @@ func TestRecoveryWithBackgroundMerges(t *testing.T) {
 	})
 	s.Mgr.Register(tab)
 	// Checkpoint the empty table so reopen knows the schema and replays
-	// the whole commit/merge stream from the log.
+	// the whole commit stream from the log.
 	if err := s.Checkpoint(map[string]*columnstore.Table{"ev": tab}); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func TestRecoveryWithBackgroundMerges(t *testing.T) {
 								continue
 							}
 							id := v.Get(0, pos).AsInt()
-							return tx.Update("ev", pos, value.Row{value.Int(id), value.Int(v.Get(1, pos).AsInt() + 1)})
+							return tx.Update("ev", v.Snapshot().ID(pos), value.Row{value.Int(id), value.Int(v.Get(1, pos).AsInt() + 1)})
 						}
 						return nil
 					}
@@ -122,7 +121,7 @@ func TestRecoveryWithBackgroundMerges(t *testing.T) {
 	wg.Wait()
 	close(writersDone)
 	if between := <-merged; between == 0 {
-		t.Fatal("no merge ran between two commits; ordering was not exercised")
+		t.Fatal("no merge ran between two commits; nothing was exercised")
 	}
 	requireRecovered(t, s, tableContent(tab, s.Mgr.Now()))
 }
@@ -156,13 +155,13 @@ func requireRecovered(t *testing.T, s *Store, want map[string]int) {
 
 // TestGroupCommitAppliesInLogOrder pins the invariant replay relies on: the
 // members of a group-commit batch land in the table in the order the batch
-// is logged, so a row has the same position live and recovered. Only
-// members with deletes hold a table latch, so a batch may carry many
-// inserts into one table; when every member applied its own write set they
-// landed in scheduler order, and the next delete-by-position hit a
-// different row after recovery than it had hit live. The batch is built
-// without goroutine luck: a listener holds the leader while sixteen
-// committers queue up behind it.
+// is logged, so a row has the same ID live and recovered. Only members
+// with deletes hold a table latch, so a batch may carry many inserts into
+// one table; when every member applied its own write set they landed in
+// scheduler order, and the next delete hit a different row after recovery
+// than it had hit live (replay refuses such a log today: ErrRowID). The
+// batch is built without goroutine luck: a listener holds the leader while
+// sixteen committers queue up behind it.
 func TestGroupCommitAppliesInLogOrder(t *testing.T) {
 	s, err := OpenStore(t.TempDir(), SyncNever)
 	if err != nil {
@@ -235,12 +234,12 @@ func TestGroupCommitAppliesInLogOrder(t *testing.T) {
 				pos-1, snap.Created(pos-1), pos, snap.Created(pos))
 		}
 		if pos%3 == 0 {
-			victims = append(victims, pos)
+			victims = append(victims, snap.ID(pos))
 		}
 	}
 	if _, err := s.Mgr.RunInTxn(func(tx *txn.Txn) error {
-		for _, pos := range victims {
-			if err := tx.Delete("ev", pos); err != nil {
+		for _, id := range victims {
+			if err := tx.Delete("ev", id); err != nil {
 				return err
 			}
 		}

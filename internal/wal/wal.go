@@ -1,8 +1,14 @@
 // Package wal provides durability for the in-memory store: a binary
-// write-ahead redo log, checkpoints that capture the exact physical state
-// of every table (positions and MVCC stamps included), backup/restore on
-// top of checkpoints, and crash recovery that loads the latest checkpoint
-// and replays the log suffix. This is the "backup, recovery and HA
+// write-ahead redo log of commits, checkpoints that capture every row of
+// every table under its row ID with its MVCC stamps, backup/restore on top
+// of checkpoints, and crash recovery that loads the latest checkpoint and
+// replays the log suffix. The log names rows by ID (columnstore.Snapshot.ID):
+// a delete record finds its victim whatever merged before the crash or
+// does during replay, so merges are not logged and a recovered table may
+// lay its rows out differently from the one that crashed — what agrees is
+// every row's ID, content and stamps. An insert record carries the ID the
+// live table assigned; replay assigns its own, in the same log order, and
+// refuses a log where the two differ. This is the "backup, recovery and HA
 // mechanisms" layer of §II of the paper; the scale-out extension replaces
 // it with the distributed shared log (package sharedlog).
 package wal
@@ -25,11 +31,8 @@ import (
 	"repro/internal/value"
 )
 
-// Record kinds in the log stream.
-const (
-	recCommit byte = 1
-	recMerge  byte = 2
-)
+// recCommit is the one record kind in the log stream.
+const recCommit byte = 1
 
 // SyncMode controls when the log file is fsynced.
 type SyncMode int
@@ -110,7 +113,7 @@ func (w *WAL) writeCommitLocked(ts uint64, writes []txn.Write) {
 	for _, wr := range writes {
 		b = append(b, byte(wr.Kind))
 		b = appendString(b, wr.Table)
-		b = binary.AppendUvarint(b, uint64(wr.Pos))
+		b = binary.AppendUvarint(b, uint64(wr.ID))
 		b = binary.AppendUvarint(b, uint64(len(wr.Row)))
 		for _, v := range wr.Row {
 			b = value.AppendBinary(b, v)
@@ -119,20 +122,6 @@ func (w *WAL) writeCommitLocked(ts uint64, writes []txn.Write) {
 	w.w.Write(b)
 	w.scratch = b
 	w.lsn++
-}
-
-// AppendMerge logs a delta→main merge so replay compacts deterministically
-// at the same point in the redo stream.
-func (w *WAL) AppendMerge(table string, watermark uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	b := append(w.scratch[:0], recMerge)
-	b = appendString(b, table)
-	b = binary.AppendUvarint(b, watermark)
-	w.w.Write(b)
-	w.scratch = b
-	w.lsn++
-	return w.finish()
 }
 
 // finish flushes buffered records and syncs per the mode; the caller has
@@ -160,9 +149,8 @@ func (w *WAL) Attach(m *txn.Manager) {
 	})
 }
 
-// ReplayFn receives each log record during replay. mergeTable is empty for
-// commit records; writes is nil for merge records.
-type ReplayFn func(ts uint64, writes []txn.Write, mergeTable string, watermark uint64) error
+// ReplayFn receives each commit record during replay.
+type ReplayFn func(ts uint64, writes []txn.Write) error
 
 // Replay reads the log at path into memory and hands fn its records in
 // order. A truncated trailing record (torn write at crash) terminates
@@ -182,30 +170,15 @@ func Replay(path string, fn ReplayFn) error {
 func replay(data []byte, fn ReplayFn) error {
 	c := cursor{data}
 	for len(c.b) > 0 {
-		kind, _ := c.byte()
-		switch kind {
-		case recCommit:
-			ts, writes, err := c.commit()
-			if err != nil {
-				return truncated(err)
-			}
-			if err := fn(ts, writes, "", 0); err != nil {
-				return err
-			}
-		case recMerge:
-			table, err := c.str()
-			if err != nil {
-				return truncated(err)
-			}
-			wm, err := c.uvarint()
-			if err != nil {
-				return truncated(err)
-			}
-			if err := fn(0, nil, table, wm); err != nil {
-				return err
-			}
-		default:
+		if kind, _ := c.byte(); kind != recCommit {
 			return fmt.Errorf("wal: corrupt record kind %d", kind)
+		}
+		ts, writes, err := c.commit()
+		if err != nil {
+			return truncated(err)
+		}
+		if err := fn(ts, writes); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -231,11 +204,11 @@ func (c *cursor) commit() (ts uint64, writes []txn.Write, err error) {
 		if wr.Table, err = c.str(); err != nil {
 			return 0, nil, err
 		}
-		pos, err := c.uvarint()
+		id, err := c.uvarint()
 		if err != nil {
 			return 0, nil, err
 		}
-		wr.Pos = int(pos)
+		wr.ID = int(id)
 		rn, err := c.count()
 		if err != nil {
 			return 0, nil, err
@@ -308,6 +281,19 @@ func (c *cursor) count() (int, error) {
 	return int(n), nil
 }
 
+// rowID reads how many row IDs a checkpoint skips after next — rows a merge
+// evicted before it was written — and returns the ID it arrives at.
+func (c *cursor) rowID(next int) (int, error) {
+	gap, err := c.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if next > maxRowID || gap > uint64(maxRowID-next) {
+		return 0, errors.New("wal: checkpoint row ID out of range")
+	}
+	return next + int(gap), nil
+}
+
 func (c *cursor) str() (string, error) {
 	n, err := c.count()
 	if err != nil {
@@ -326,11 +312,18 @@ func (c *cursor) value() (value.Value, error) {
 
 // --- checkpoints -----------------------------------------------------------
 
-const checkpointMagic = "HNCKPT01"
+const checkpointMagic = "HNCKPT02"
 
-// WriteCheckpoint captures the exact physical state (schemas, row slots,
-// MVCC stamps) of the given tables at clock time ts into path. The write
-// is atomic: a temp file renamed into place.
+// maxRowID bounds the row IDs a checkpoint image may name: the gaps it is
+// written in are summed, and the sum may not overflow.
+const maxRowID = 1 << 62
+
+// WriteCheckpoint captures the state (schemas, row slots under their row
+// IDs, MVCC stamps) of the given tables at clock time ts into path. A row
+// is preceded by how many IDs were skipped since the row before it — rows
+// a merge evicted — and the last row followed by how many are skipped
+// before the next ID the table will assign. The write is atomic: a temp
+// file renamed into place.
 func WriteCheckpoint(path string, ts uint64, tables map[string]*columnstore.Table) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -356,7 +349,11 @@ func WriteCheckpoint(path string, ts uint64, tables map[string]*columnstore.Tabl
 		}
 		n := snap.NumRows()
 		b = binary.AppendUvarint(b, uint64(n))
+		next := 0
 		for i := 0; i < n; i++ {
+			id := snap.ID(i)
+			b = binary.AppendUvarint(b, uint64(id-next))
+			next = id + 1
 			b = binary.AppendUvarint(b, snap.Created(i))
 			b = binary.AppendUvarint(b, snap.Deleted(i))
 			for c := range schema {
@@ -366,6 +363,7 @@ func WriteCheckpoint(path string, ts uint64, tables map[string]*columnstore.Tabl
 			w.Write(b)
 			b = b[:0]
 		}
+		b = binary.AppendUvarint(b, uint64(snap.ID(n)-next))
 	}
 	w.Write(b)
 	if err := w.Flush(); err != nil {
@@ -431,9 +429,16 @@ func readCheckpoint(data []byte) (map[string]*columnstore.Table, uint64, error) 
 			return nil, 0, err
 		}
 		rows := make([]value.Row, 0, n)
+		ids := make([]int, 0, n)
 		created := make([]uint64, 0, n)
 		deleted := make([]uint64, 0, n)
+		next := 0
 		for i := 0; i < n; i++ {
+			id, err := c.rowID(next)
+			if err != nil {
+				return nil, 0, err
+			}
+			ids, next = append(ids, id), id+1
 			cts, err := c.uvarint()
 			if err != nil {
 				return nil, 0, err
@@ -452,7 +457,12 @@ func readCheckpoint(data []byte) (map[string]*columnstore.Table, uint64, error) 
 			created = append(created, cts)
 			deleted = append(deleted, dts)
 		}
-		tab.ApplyInsertStamped(rows, created, deleted)
+		if next, err = c.rowID(next); err != nil {
+			return nil, 0, err
+		}
+		if err := tab.ApplyInsertStamped(rows, ids, created, deleted, next); err != nil {
+			return nil, 0, err
+		}
 		tables[name] = tab
 	}
 	return tables, ts, nil
@@ -460,8 +470,15 @@ func readCheckpoint(data []byte) (map[string]*columnstore.Table, uint64, error) 
 
 // --- store orchestration -----------------------------------------------
 
+// ErrRowID is returned by OpenStore when replay assigns an inserted row
+// another ID than the live table had and the log recorded: the records
+// are not in the order their commits were applied in, or the checkpoint
+// is not the one this log continues. Every later delete would name a
+// neighbour of its victim, so nothing after the record is applied.
+var ErrRowID = errors.New("wal: replayed row ID differs from the logged one")
+
 // Store bundles a transaction manager with a WAL and checkpoint directory,
-// providing logged merges, checkpointing, backup/restore and recovery.
+// providing checkpointing, backup/restore and recovery.
 type Store struct {
 	Dir string
 	Mgr *txn.Manager
@@ -496,13 +513,7 @@ func OpenStore(dir string, mode SyncMode) (*Store, error) {
 	}
 
 	logPath := filepath.Join(dir, "redo.log")
-	err := Replay(logPath, func(ts uint64, writes []txn.Write, mergeTable string, watermark uint64) error {
-		if mergeTable != "" {
-			if t, ok := mgr.Table(mergeTable); ok && watermark > ckptTS {
-				t.Merge(watermark)
-			}
-			return nil
-		}
+	err := Replay(logPath, func(ts uint64, writes []txn.Write) error {
 		if ts <= ckptTS {
 			return nil // already in the checkpoint
 		}
@@ -516,9 +527,11 @@ func OpenStore(dir string, mode SyncMode) (*Store, error) {
 			}
 			switch w.Kind {
 			case txn.WriteInsert:
-				t.ApplyInsert([]value.Row{w.Row}, ts)
+				if id := t.ApplyInsert([]value.Row{w.Row}, ts)[0]; id != w.ID {
+					return fmt.Errorf("%w: table %q, commit %d: logged %d, replayed %d", ErrRowID, w.Table, ts, w.ID, id)
+				}
 			case txn.WriteDelete:
-				t.ApplyDelete(w.Pos, ts)
+				t.ApplyDelete(w.ID, ts)
 			}
 		}
 		return nil
@@ -555,41 +568,16 @@ func (s *Store) RecoveredTables() []*columnstore.Table {
 	return out
 }
 
-// MergeTable runs a logged delta→main merge on the named table. The merge
-// executes as an exclusive job between group-commit batches, so the merge
-// record lands in the log in true execution order relative to commit
-// records — replay then renumbers positions at exactly the same point in
-// the redo stream as the live run did.
+// MergeTable merges the named table's delta into main. Nothing is logged:
+// the log names rows by ID, and a merge changes none.
 func (s *Store) MergeTable(name string) (columnstore.MergeStats, error) {
-	t, ok := s.Mgr.Table(name)
-	if !ok {
-		return columnstore.MergeStats{}, fmt.Errorf("wal: unknown table %q", name)
-	}
-	var st columnstore.MergeStats
-	var aerr error
-	s.Mgr.RunExclusive(name, func(wm uint64) {
-		if aerr = s.Log.AppendMerge(name, wm); aerr != nil {
-			return
-		}
-		st = t.Merge(wm)
-	})
-	if aerr != nil {
-		return columnstore.MergeStats{}, aerr
-	}
-	return st, nil
+	return s.Mgr.MergeTableNow(name)
 }
 
-// StartMerger launches a background merge daemon whose merges are logged
-// through this store (see txn.Merger).
+// StartMerger launches a background merge daemon over this store's tables
+// (see txn.Merger).
 func (s *Store) StartMerger(threshold int, interval time.Duration) *txn.Merger {
-	return s.Mgr.StartMerger(txn.MergerConfig{
-		Threshold: threshold,
-		Interval:  interval,
-		Merge: func(name string) error {
-			_, err := s.MergeTable(name)
-			return err
-		},
-	})
+	return s.Mgr.StartMerger(txn.MergerConfig{Threshold: threshold, Interval: interval})
 }
 
 // Checkpoint captures the current state and truncates the redo log.

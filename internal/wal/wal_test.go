@@ -26,13 +26,13 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := value.Row{value.Int(-7), value.String("héllo"), value.Float(3.25), value.Bool(true), value.Null, value.TimeMicros(1234567)}
-	if err := w.AppendCommit(42, []txn.Write{{Kind: txn.WriteInsert, Table: "t", Row: row, Pos: 3}}); err != nil {
+	if err := w.AppendCommit(42, []txn.Write{{Kind: txn.WriteInsert, Table: "t", Row: row, ID: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 	var got value.Row
 	var gotTS uint64
-	err = Replay(filepath.Join(dir, "w.log"), func(ts uint64, writes []txn.Write, mt string, wm uint64) error {
+	err = Replay(filepath.Join(dir, "w.log"), func(ts uint64, writes []txn.Write) error {
 		gotTS = ts
 		got = writes[0].Row
 		return nil
@@ -50,9 +50,12 @@ func TestValueCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// The record and checkpoint encoders moved onto value.AppendBinary; what
-// they put on disk did not. The expected bytes were written by the old
-// per-field writers.
+// What the record and checkpoint encoders put on disk. A commit record is
+// what it was when rows were named by position (the uvarint after the
+// table name is now the row's ID); the merge record that followed it here,
+// 02 04 "acct" ad02, is gone. A checkpoint is version 02: each row is
+// preceded by the number of IDs skipped since the row before it, and the
+// last row followed by the number skipped before the table's next ID.
 func TestBytesOnDiskUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.log")
@@ -61,11 +64,10 @@ func TestBytesOnDiskUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := value.Row{value.Int(-7), value.String("héllo"), value.Float(3.25), value.Bool(true), value.Null, value.TimeMicros(1234567)}
-	w.AppendCommit(300, []txn.Write{{Kind: txn.WriteInsert, Table: "t", Row: row}, {Kind: txn.WriteDelete, Table: "acct", Pos: 129}})
-	w.AppendMerge("acct", 301)
+	w.AppendCommit(300, []txn.Write{{Kind: txn.WriteInsert, Table: "t", Row: row}, {Kind: txn.WriteDelete, Table: "acct", ID: 129}})
 	w.Close()
 	raw, _ := os.ReadFile(path)
-	if got, want := fmt.Sprintf("%x", raw), "01ac0202000174000601f9ffffffffffffff030668c3a96c6c6f020000000000000a40040100000000000000000587d6120000000000010461636374810100020461636374ad02"; got != want {
+	if got, want := fmt.Sprintf("%x", raw), "01ac0202000174000601f9ffffffffffffff030668c3a96c6c6f020000000000000a40040100000000000000000587d6120000000000010461636374810100"; got != want {
 		t.Fatalf("redo log bytes\n got %s\nwant %s", got, want)
 	}
 	tab := columnstore.NewTable("acct", columnstore.Schema{{Name: "id", Kind: value.KindInt}, {Name: "name", Kind: value.KindString}})
@@ -76,13 +78,19 @@ func TestBytesOnDiskUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, _ = os.ReadFile(ck)
-	if got, want := fmt.Sprintf("%x", raw), "484e434b505430310b0104616363740202696401046e616d650302050901010000000000000003016105ffffffffffffffffff0101020000000000000000"; got != want {
+	if got, want := fmt.Sprintf("%x", raw), "484e434b505430320b0104616363740202696401046e616d6503020005090101000000000000000301610005ffffffffffffffffff010102000000000000000000"; got != want {
 		t.Fatalf("checkpoint bytes\n got %s\nwant %s", got, want)
+	}
+	// The record kind merges were logged under is corruption now, like any
+	// kind but a commit's.
+	os.WriteFile(path, []byte{0x02, 0x04, 'a', 'c', 'c', 't', 0xad, 0x02}, 0o644)
+	if err := Replay(path, func(uint64, []txn.Write) error { return nil }); err == nil {
+		t.Fatal("a merge record replayed")
 	}
 	// A kind byte no Kind has is corruption, not a torn tail: replay
 	// reports it where the old reader took eight bytes and carried on.
 	os.WriteFile(path, append(raw[:0:0], 0x01, 0x02, 0x01, 0x00, 0x01, 't', 0x00, 0x01, 0x09, 0, 0, 0, 0, 0, 0, 0, 0), 0o644)
-	if err := Replay(path, func(uint64, []txn.Write, string, uint64) error { return nil }); err == nil {
+	if err := Replay(path, func(uint64, []txn.Write) error { return nil }); err == nil {
 		t.Fatal("unknown kind byte replayed")
 	}
 }
@@ -118,13 +126,13 @@ func TestRecoveryRebuildsState(t *testing.T) {
 	// first and replay manually.
 	tab2 := columnstore.NewTable("acct", acctSchema())
 	s2.Mgr.Register(tab2)
-	err = Replay(filepath.Join(dir, "redo.log"), func(ts uint64, writes []txn.Write, mt string, wm uint64) error {
+	err = Replay(filepath.Join(dir, "redo.log"), func(ts uint64, writes []txn.Write) error {
 		for _, w := range writes {
 			switch w.Kind {
 			case txn.WriteInsert:
 				tab2.ApplyInsert([]value.Row{w.Row}, ts)
 			case txn.WriteDelete:
-				tab2.ApplyDelete(w.Pos, ts)
+				tab2.ApplyDelete(w.ID, ts)
 			}
 		}
 		return nil
@@ -154,7 +162,8 @@ func TestCheckpointAndRecoverWithSuffix(t *testing.T) {
 	if err := s.Checkpoint(map[string]*columnstore.Table{"acct": tab}); err != nil {
 		t.Fatal(err)
 	}
-	// Post-checkpoint activity: 2 inserts, 1 delete, 1 merge.
+	// Post-checkpoint activity: 2 inserts, 1 delete, 1 merge (which evicts
+	// the deleted row and is not in the log).
 	for i := 5; i < 7; i++ {
 		s.Mgr.RunInTxn(func(tx *txn.Txn) error {
 			return tx.Insert("acct", value.Row{value.Int(int64(i)), value.String("post"), value.Float(0)})
@@ -206,7 +215,7 @@ func TestTornTailToleratedByReplay(t *testing.T) {
 	raw, _ := os.ReadFile(path)
 	os.WriteFile(path, raw[:len(raw)-3], 0o644)
 	var seen []uint64
-	err := Replay(path, func(ts uint64, writes []txn.Write, mt string, wm uint64) error {
+	err := Replay(path, func(ts uint64, writes []txn.Write) error {
 		seen = append(seen, ts)
 		return nil
 	})
@@ -328,10 +337,10 @@ func mergedStore(t testing.TB) (*Store, *columnstore.Table, []byte) {
 }
 
 // TestRecoveryOfAMergedTable: a table whose visible rows carry no stamps
-// goes through a checkpoint, a reload, and the replay of commits and merge
-// records over it, and comes back showing every timestamp from the last
-// merge's watermark up exactly what the live table showed it, position by
-// position.
+// goes through a checkpoint, a reload, and the replay of commits over it —
+// the merge the live table ran in between is not in the log — and comes
+// back showing every timestamp from that merge's watermark up exactly what
+// the live table showed it, row ID by row ID.
 func TestRecoveryOfAMergedTable(t *testing.T) {
 	s, tab, img := mergedStore(t)
 	if reloaded, _, err := readCheckpoint(img); err != nil || reloaded["acct"].StampBytes() != tab.StampBytes() {
@@ -376,18 +385,12 @@ func TestRecoveryOfAMergedTable(t *testing.T) {
 	}
 	sawOldVersion := false
 	for ts := watermark; ts <= now; ts++ {
-		live, rec := tab.Snapshot(ts), tab2.Snapshot(ts)
-		if live.NumRows() != rec.NumRows() {
-			t.Fatalf("ts=%d: recovered %d row slots, live %d", ts, rec.NumRows(), live.NumRows())
-		}
-		for i := 0; i < live.NumRows(); i++ {
-			if live.Visible(i) != rec.Visible(i) {
-				t.Fatalf("ts=%d row %d: recovered visible=%v, live %v", ts, i, rec.Visible(i), live.Visible(i))
+		live := tab.Snapshot(ts)
+		requireSameRows(t, live, tab2.Snapshot(ts))
+		if ts == watermark {
+			for _, pos := range live.CollectVisible() {
+				sawOldVersion = sawOldVersion || live.Get(0, pos).I == 20
 			}
-			if lr, rr := live.Row(i), rec.Row(i); fmt.Sprint(lr) != fmt.Sprint(rr) {
-				t.Fatalf("ts=%d row %d: recovered %v, live %v", ts, i, rr, lr)
-			}
-			sawOldVersion = sawOldVersion || ts == watermark && live.Visible(i) && live.Get(0, i).I == 20
 		}
 	}
 	if !sawOldVersion {
@@ -396,7 +399,7 @@ func TestRecoveryOfAMergedTable(t *testing.T) {
 }
 
 func TestReplayMissingFileIsNoop(t *testing.T) {
-	if err := Replay(filepath.Join(t.TempDir(), "nope.log"), func(uint64, []txn.Write, string, uint64) error {
+	if err := Replay(filepath.Join(t.TempDir(), "nope.log"), func(uint64, []txn.Write) error {
 		t.Fatal("callback on missing file")
 		return nil
 	}); err != nil {
@@ -425,7 +428,7 @@ func TestAttachAndLSN(t *testing.T) {
 	w.Close()
 	// The attached log is replayable.
 	count := 0
-	Replay(filepath.Join(dir, "a.log"), func(ts uint64, ws []txn.Write, mt string, wm uint64) error {
+	Replay(filepath.Join(dir, "a.log"), func(ts uint64, ws []txn.Write) error {
 		count += len(ws)
 		return nil
 	})
