@@ -83,11 +83,18 @@ benchagg:
 # ride along: 4,096 delta rows into a 200,000-row main — a stamp, a boxed
 # cell or a position remap copied per row again shows as megabytes — and
 # 4,000 single-row updates of disjoint keys from four goroutines with a
-# merge after every 64th commit, whose conflicts/op and retries/op read 0.
+# merge after every 64th commit, whose conflicts/op and retries/op must read
+# 0 and which must report what the merges did under the table lock
+# (rows_under_lock/op, stalled_applies/op; the benchmark itself fails when
+# that is every row merged).
 benchcommit:
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkCommit'
 	$(GO) test -run xxx -bench 'BenchmarkMergeAppend$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkMergeAppend'
-	$(GO) test -run xxx -bench 'BenchmarkUpdateUnderMerge$$' -benchtime=4000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkUpdateUnderMerge'
+	@out=$$($(GO) test -run xxx -bench 'BenchmarkUpdateUnderMerge$$' -benchtime=4000x -benchmem .); echo "$$out"; \
+	echo "$$out" | grep -Eq '[[:space:]]0 conflicts/op[[:space:]]+0 retries/op[[:space:]]' && \
+	echo "$$out" | grep -q ' rows_under_lock/op' && echo "$$out" | grep -q ' stalled_applies/op' || \
+		{ echo "benchcommit: BenchmarkUpdateUnderMerge must report 0 conflicts/op, 0 retries/op, rows_under_lock/op and stalled_applies/op"; exit 1; }; \
+	echo "$$out" | $(GO) run ./cmd/benchguard -match 'BenchmarkUpdateUnderMerge'
 
 # Point-select micro-benchmarks: the oltp_point statement in process, key
 # as a $$1 parameter vs spelled as a literal. The gate that matters is
@@ -107,9 +114,11 @@ benchpoint:
 # Cluster.Insert of 1,000-row batches and of single rows (a row re-encoded
 # per hop or decoded on a node that does not host it shows as a multiple
 # of allocs/op; rows/s and log bytes per row are reported beside it), and
-# soe_fanout's four SELECTs over 50,000 rows (a node task that parses,
+# soe_fanout's four SELECTs over 50,000 rows in partitions as the nodes'
+# merge daemons leave them, main plus a short delta, and the first of them
+# again over partitions merged to the last row (a node task that parses,
 # plans or snapshots once per partition again shows in allocs/op, a node's
-# workers outnumbering the scan-scratch free list in B/op).
+# workers outnumbering its engine's scan-scratch free list in B/op).
 benchsoe:
 	$(GO) test -run xxx -bench 'BenchmarkSOE(Insert(Batch|Row)|FanoutQuery)$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkSOE'
 

@@ -154,6 +154,11 @@ func BenchmarkCommitSerialized(b *testing.B)    { benchCommitThroughput(b, true)
 // the times RunInTxn ran the update again — and both read 0 since a merge
 // stopped renaming rows (0.017-0.025 at -benchtime 4000x when a victim was
 // a position and a merge between observing it and committing a conflict).
+// rows_under_lock/op is what the merges copied while they held the table
+// lock — the rows that arrived while one was building, where it used to be
+// every row merged (rows_merged/op) — and stalled_applies/op the inserts,
+// deletes and validations that found a merge's freeze or publish in their
+// way.
 func BenchmarkUpdateUnderMerge(b *testing.B) {
 	const writers, keysPer, mergeEvery = 4, 64, 64
 	m := txn.NewManager()
@@ -164,7 +169,7 @@ func BenchmarkUpdateUnderMerge(b *testing.B) {
 		seed[k] = value.Row{value.Int(int64(k)), value.Int(0)}
 	}
 	tab.ApplyInsert(seed, 1)
-	var commits, attempts atomic.Int64
+	var commits, attempts, underLock, merged atomic.Int64
 	var wg sync.WaitGroup
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -190,7 +195,9 @@ func BenchmarkUpdateUnderMerge(b *testing.B) {
 					return
 				}
 				if commits.Add(1)%mergeEvery == 0 {
-					m.MergeNow(tab)
+					st := m.MergeNow(tab)
+					underLock.Add(int64(st.RowsUnderLock))
+					merged.Add(int64(st.RowsMerged))
 				}
 			}
 		}(w)
@@ -199,6 +206,13 @@ func BenchmarkUpdateUnderMerge(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(m.Conflicts())/float64(b.N), "conflicts/op")
 	b.ReportMetric(float64(attempts.Load()-int64(b.N))/float64(b.N), "retries/op")
+	b.ReportMetric(float64(underLock.Load())/float64(b.N), "rows_under_lock/op")
+	stalled, _ := tab.MergeStalls()
+	b.ReportMetric(float64(stalled)/float64(b.N), "stalled_applies/op")
+	b.ReportMetric(float64(merged.Load())/float64(b.N), "rows_merged/op")
+	if underLock.Load() >= merged.Load() && merged.Load() > 0 {
+		b.Fatalf("the merges copied %d rows under the table lock of %d merged: the build is back under it", underLock.Load(), merged.Load())
+	}
 	snap, sum := tab.Snapshot(m.Now()), int64(0)
 	for _, pos := range snap.CollectVisible() {
 		sum += snap.Get(1, pos).AsInt()
@@ -214,7 +228,8 @@ func BenchmarkUpdateUnderMerge(b *testing.B) {
 // per kept row is the measure — typed cells, and no MVCC stamps for rows
 // every snapshot can see — so the gate is B/op and allocs/op; ns/op is
 // reported beside them. The main grows by the delta each iteration: at the
-// recorded -benchtime 20x it ends at 282,000 rows.
+// recorded -benchtime 20x it ends at 282,000 rows. Nothing arrives while a
+// merge builds, so it copies nothing under the table lock.
 func BenchmarkMergeAppend(b *testing.B) {
 	const mainRows, deltaRows = 200_000, 4_096
 	regions := []string{"north", "south", "east", "west", "central", "emea", "apj", "latam"}
@@ -241,7 +256,7 @@ func BenchmarkMergeAppend(b *testing.B) {
 		ts := uint64(i + 2)
 		tbl.ApplyInsert(orders(deltaRows), ts)
 		b.StartTimer()
-		if st := tbl.Merge(ts); st.RowsMerged != mainRows+(i+1)*deltaRows || st.CreateBlocks+st.DeleteBlocks != 0 {
+		if st := tbl.Merge(ts); st.RowsMerged != mainRows+(i+1)*deltaRows || st.CreateBlocks+st.DeleteBlocks != 0 || st.RowsUnderLock != 0 {
 			b.Fatalf("merge %d: %+v", i, st)
 		}
 	}
@@ -663,7 +678,11 @@ func BenchmarkSOEInsertRow(b *testing.B)   { benchSOEInsert(b, 1) }
 // gate holds is that it stays one: allocs/op, and B/op, which is where a
 // node's workers outnumbering the scan-scratch free list shows (the
 // filtered GROUP BY regrows its selection vectors: 85 kB/op becomes 562;
-// EXPERIMENTS.md E33).
+// EXPERIMENTS.md E33). The partitions are as each node's merge daemon
+// leaves them once the load is in — compressed main and the few thousand
+// rows that arrived after its merge, two morsels a partition — which is
+// what soe_fanout queries; all_main is the first statement again once
+// every partition has been merged to the last row (one morsel each).
 func BenchmarkSOEFanoutQuery(b *testing.B) {
 	c, row := benchSOECluster(b)
 	const n = 50_000
@@ -676,15 +695,39 @@ func BenchmarkSOEFanoutQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// eachPartition calls fn with every hosted partition's table and the
+	// manager it is registered with.
+	eachPartition := func(fn func(mgr *txn.Manager, tab *columnstore.Table)) {
+		for _, n := range c.Nodes {
+			mgr := n.Engine().Mgr
+			for _, name := range mgr.TableNames() {
+				if tab, ok := mgr.Table(name); ok {
+					fn(mgr, tab)
+				}
+			}
+		}
+	}
+	eachPartition(func(_ *txn.Manager, tab *columnstore.Table) {
+		for deadline := time.Now().Add(10 * time.Second); tab.MergeCount() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				b.Fatalf("%s: %d delta rows and no merge", tab.Name(), tab.DeltaRows())
+			}
+		}
+	})
+	const groupby = `SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region ORDER BY region`
 	for _, q := range []struct {
 		name, sql string
 		rows      int
 	}{
-		{"groupby", `SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region ORDER BY region`, 8},
+		{"groupby", groupby, 8},
 		{"filtered_groupby", `SELECT status, COUNT(*), SUM(amount) FROM orders WHERE qty > 9 GROUP BY status ORDER BY status`, 4},
 		{"range_select", `SELECT id, amount FROM orders WHERE id >= 25000 AND id < 25020 ORDER BY id`, 20},
 		{"global_agg", `SELECT COUNT(*), SUM(qty) FROM orders`, 1},
+		{"all_main", groupby, 8},
 	} {
+		if q.name == "all_main" {
+			eachPartition(func(mgr *txn.Manager, tab *columnstore.Table) { mgr.MergeNow(tab) })
+		}
 		b.Run(q.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

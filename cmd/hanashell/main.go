@@ -182,8 +182,9 @@ func command(eco *core.Ecosystem, cmd string) bool {
 				continue
 			}
 			for _, p := range entry.Partitions {
-				line := fmt.Sprintf("  %-24s %-12s tier=%-8s", name, p.Name, p.Tier)
-				if p.Tier == catalog.TierExtended {
+				tier := p.ShownTier()
+				line := fmt.Sprintf("  %-24s %-12s tier=%-8s", name, p.Name, tier)
+				if tier == catalog.TierExtended {
 					line += fmt.Sprintf(" resident_pages=%d faults=%d",
 						residentPages(p), faults[p.Table.Name()])
 				}

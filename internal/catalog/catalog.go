@@ -46,6 +46,21 @@ type Partition struct {
 	Zone *columnstore.ZoneMap
 }
 
+// ShownTier is the tier a monitoring view or a shell shows for p. Tier is a
+// tag somebody set; what the table is made of is asked of the table: a
+// partition a demotion paged out (it carries the zone map) whose main store
+// a merge has since rebuilt in memory — the background daemon tags nothing —
+// shows hot. A partition tagged extended by temperature or aging, which
+// never paged anything out, shows its tag.
+func (p *Partition) ShownTier() Tier {
+	if p.Tier == TierExtended && p.Zone != nil {
+		if _, paged := p.Table.MainColumn(0).(interface{ ResidentPages() int }); !paged {
+			return TierHot
+		}
+	}
+	return p.Tier
+}
+
 // Covers reports whether a row with partition-column value v belongs here.
 func (p *Partition) Covers(v value.Value) bool {
 	if p.PruneCol == "" {

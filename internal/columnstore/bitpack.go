@@ -2,7 +2,12 @@
 // of the ecosystem: sorted dictionary encoding, bit-packed value vectors,
 // run-length and sparse columns, a write-optimized delta store, and the
 // delta→main merge with dictionary resorting (plus the application-aware
-// stable-key fast path described in §III of the paper).
+// stable-key fast path described in §III of the paper). A merge is a
+// background build: Table.BeginMerge freezes a view under the table lock,
+// builds the new main store beside the old one holding no lock, and
+// PendingMerge.Publish swaps it in under the lock for as long as what
+// arrived meanwhile takes to re-house; inserts, deletes and snapshots go on
+// throughout, and a row keeps its ID across it.
 package columnstore
 
 import "math/bits"

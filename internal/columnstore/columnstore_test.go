@@ -481,9 +481,10 @@ func TestCompressionRatioDictionary(t *testing.T) {
 }
 
 func TestTableMergePropertyRandomOps(t *testing.T) {
-	// Property: after arbitrary insert/delete/merge interleavings, a
+	// Property: after arbitrary insert/delete/merge interleavings — inserts
+	// and deletes between a merge's freeze and its publish among them — a
 	// snapshot at the final timestamp sees exactly the rows inserted and
-	// not deleted, with intact payloads.
+	// not deleted, with intact payloads, and every live row keeps its ID.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		tab := NewTable("p", Schema{{Name: "k", Kind: value.KindInt}, {Name: "v", Kind: value.KindString}})
@@ -495,29 +496,49 @@ func TestTableMergePropertyRandomOps(t *testing.T) {
 		expect := map[int64]string{}
 		ts := uint64(1)
 		nextKey := int64(0)
-		for op := 0; op < 200; op++ {
-			switch r := rng.Intn(10); {
-			case r < 6: // insert
+		insertOrDelete := func() {
+			if r := rng.Intn(8); r < 6 || len(alive) == 0 {
 				k := nextKey
 				nextKey++
 				v := fmt.Sprintf("val-%d-%d", trial, k)
 				ids := tab.ApplyInsert([]value.Row{{value.Int(k), value.String(v)}}, ts)
 				alive = append(alive, live{ids[0], k})
 				expect[k] = v
-				ts++
-			case r < 8 && len(alive) > 0: // delete
+			} else {
 				i := rng.Intn(len(alive))
-				tab.ApplyDelete(alive[i].id, ts)
+				if !tab.ApplyDelete(alive[i].id, ts) {
+					t.Fatalf("trial %d: live row %d would not be deleted", trial, alive[i].id)
+				}
 				delete(expect, alive[i].k)
 				alive = append(alive[:i], alive[i+1:]...)
-				ts++
-			default: // merge; positions shift, IDs do not
-				tab.Merge(ts)
-				snap := tab.Snapshot(ts)
-				for _, a := range alive {
-					if pos, ok := snap.Pos(a.id); !ok || snap.Get(0, pos).I != a.k || snap.ID(pos) != a.id {
-						t.Fatalf("live row %d (key %d) after the merge: Pos = %d, %v", a.id, a.k, pos, ok)
-					}
+			}
+			ts++
+		}
+		for op := 0; op < 200; op++ {
+			if rng.Intn(10) < 8 {
+				insertOrDelete()
+				continue
+			}
+			// A merge at the clock — the last stamp given out — with up to
+			// three operations landing while it is in progress; positions
+			// shift, IDs do not.
+			before := tab.NumRows()
+			p := tab.BeginMerge(ts - 1)
+			during := rng.Intn(4)
+			inserted := 0
+			for i := 0; i < during; i++ {
+				rows := tab.NumRows()
+				insertOrDelete()
+				inserted += tab.NumRows() - rows
+			}
+			st := p.Publish()
+			if st.RowsUnderLock != inserted || st.RowsMerged+st.RowsEvicted != before || tab.NumRows() != st.RowsMerged+inserted {
+				t.Fatalf("trial %d: merge of %d rows with %d arriving: %+v, %d rows after", trial, before, inserted, st, tab.NumRows())
+			}
+			snap := tab.Snapshot(ts)
+			for _, a := range alive {
+				if pos, ok := snap.Pos(a.id); !ok || snap.Get(0, pos).I != a.k || snap.ID(pos) != a.id || !snap.Visible(pos) {
+					t.Fatalf("live row %d (key %d) after the merge: Pos = %d, %v", a.id, a.k, pos, ok)
 				}
 			}
 		}

@@ -150,6 +150,14 @@ type MergeStats struct {
 	DictSize     int  // merged dictionary entries (string columns, summed)
 	CreateBlocks int  // blocks of the new main that kept create stamps
 	DeleteBlocks int  // blocks of the new main that carry delete stamps
+	// What the merge did while it held the table lock exclusively, and what
+	// it built holding no lock at all: the rows that arrived during the
+	// build and were re-housed at the swap (cells and stamps), the delete
+	// stamps placed on kept rows during the build and carried over at the
+	// swap, and the bytes of the new main store and its stamp blocks.
+	RowsUnderLock  int
+	DeletesCarried int
+	BytesBuilt     int
 }
 
 // idRun is a stretch of rows whose IDs are as consecutive as their
@@ -208,10 +216,10 @@ type Table struct {
 	// lifetime, where some snapshot could still tell the difference. A
 	// delete stamp flips exactly once, from NeverDeleted to the deleting
 	// transaction's commit timestamp. Written by appendStamps (both insert
-	// paths), ApplyDelete and Merge.
+	// paths and a merge's publish) and ApplyDelete.
 	rows   int
 	blocks []stampBlock
-	ids    *idMap // replaced by Merge and ApplyInsertStamped, never edited
+	ids    *idMap // replaced by a merge's publish and ApplyInsertStamped, never edited
 
 	// stableKeys marks string columns whose values are generated in
 	// ascending order (application knowledge, §III): merge skips sorting
@@ -220,6 +228,46 @@ type Table struct {
 
 	lastMerge MergeStats
 	merges    int
+
+	// One merge of a table at a time: mergeMu is held from BeginMerge to
+	// Publish. pending is that merge, for ApplyDelete to tell which rows it
+	// stamped since the freeze; guarded by mu. mergeLocked is set while the
+	// merge holds mu exclusively (its freeze and its publish), so that an
+	// apply or a snapshot that finds mu taken can tell whose critical
+	// section is in its way and count itself.
+	mergeMu          sync.Mutex
+	pending          *PendingMerge
+	mergeLocked      atomic.Bool
+	stalledApplies   atomic.Uint64
+	stalledSnapshots atomic.Uint64
+}
+
+// lock and rlock take t.mu for an apply or a snapshot, counting in stalled
+// the call that has to wait for a merge's critical section.
+func (t *Table) lock(stalled *atomic.Uint64) {
+	if !t.mu.TryLock() {
+		if t.mergeLocked.Load() {
+			stalled.Add(1)
+		}
+		t.mu.Lock()
+	}
+}
+
+func (t *Table) rlock(stalled *atomic.Uint64) {
+	if !t.mu.TryRLock() {
+		if t.mergeLocked.Load() {
+			stalled.Add(1)
+		}
+		t.mu.RLock()
+	}
+}
+
+// MergeStalls returns how many applies (ApplyInsert, ApplyDelete, RowLive)
+// and how many Snapshot calls have found a merge's critical section in
+// their way since the table was created. A merge builds holding no lock, so
+// what they waited for is a freeze or a publish.
+func (t *Table) MergeStalls() (applies, snapshots uint64) {
+	return t.stalledApplies.Load(), t.stalledSnapshots.Load()
 }
 
 // NewTable creates an empty table.
@@ -297,7 +345,7 @@ func (t *Table) AddColumn(def ColumnDef) int {
 // rows were given. Called by the transaction layer at commit (or with ts=1
 // by bulk loaders).
 func (t *Table) ApplyInsert(rows []value.Row, ts uint64) []int {
-	t.mu.Lock()
+	t.lock(&t.stalledApplies)
 	defer t.mu.Unlock()
 	ids := make([]int, len(rows))
 	next := t.ids.id(t.rows)
@@ -318,11 +366,18 @@ func (t *Table) appendRow(row value.Row, created, deleted uint64) {
 		}
 		t.delta[c].Append(v)
 	}
-	if t.rows%StampBlockRows == 0 {
-		t.blocks = append(t.blocks, stampBlock{})
-	}
-	t.blocks[len(t.blocks)-1].put(t.rows%StampBlockRows, created, deleted)
+	t.blocks = appendStamps(t.blocks, t.rows, created, deleted)
 	t.rows++
+}
+
+// appendStamps records the stamps of row pos, the next row of blocks. The
+// caller is the only writer of blocks and of the block that gets the row.
+func appendStamps(blocks []stampBlock, pos int, created, deleted uint64) []stampBlock {
+	if pos%StampBlockRows == 0 {
+		blocks = append(blocks, stampBlock{})
+	}
+	blocks[len(blocks)-1].put(pos%StampBlockRows, created, deleted)
+	return blocks
 }
 
 // ApplyInsertStamped appends rows under the IDs and the create and delete
@@ -334,6 +389,9 @@ func (t *Table) appendRow(row value.Row, created, deleted uint64) {
 func (t *Table) ApplyInsertStamped(rows []value.Row, ids []int, created, deleted []uint64, nextID int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.pending != nil {
+		return fmt.Errorf("columnstore: %s: restoring rows while a merge is in progress", t.name)
+	}
 	if len(ids) != len(rows) || len(created) != len(rows) || len(deleted) != len(rows) {
 		return fmt.Errorf("columnstore: %s: restoring %d rows with %d IDs, %d create and %d delete stamps", t.name, len(rows), len(ids), len(created), len(deleted))
 	}
@@ -373,7 +431,7 @@ func (t *Table) ApplyInsertStamped(rows []value.Row, ids []int, created, deleted
 // row was already deleted — the first-committer-wins write-write conflict
 // signal used by the transaction layer — or a merge has evicted it.
 func (t *Table) ApplyDelete(id int, ts uint64) bool {
-	t.mu.RLock()
+	t.rlock(&t.stalledApplies)
 	defer t.mu.RUnlock()
 	pos, ok := t.ids.pos(id, t.rows)
 	if !ok {
@@ -382,7 +440,13 @@ func (t *Table) ApplyDelete(id int, ts uint64) bool {
 	// The array is in place before the stamp, the stamp before the commit
 	// clock publishes ts: a snapshot that finds no array cannot see ts.
 	d := t.blocks[pos/StampBlockRows].deleteStamps()
-	return atomic.CompareAndSwapUint64(&d[pos%StampBlockRows], NeverDeleted, ts)
+	if !atomic.CompareAndSwapUint64(&d[pos%StampBlockRows], NeverDeleted, ts) {
+		return false
+	}
+	if p := t.pending; p != nil && pos < p.from.rows {
+		p.noteDelete(pos) // the build may have read the stamp already
+	}
+	return true
 }
 
 // RowLive reports whether row id exists and carries no deletion stamp.
@@ -393,7 +457,7 @@ func (t *Table) ApplyDelete(id int, ts uint64) bool {
 // does a row a merge evicted: it was dead to every snapshot that could
 // have named it.
 func (t *Table) RowLive(id int) bool {
-	t.mu.RLock()
+	t.rlock(&t.stalledApplies)
 	defer t.mu.RUnlock()
 	pos, ok := t.ids.pos(id, t.rows)
 	if !ok {
@@ -493,8 +557,13 @@ func stampArrays(blocks []stampBlock) (creates, deletes int) {
 // lock, and a view taken here can never observe a mid-append reallocation.
 func (t *Table) Snapshot(ts uint64) *Snapshot {
 	cSnapshots.Inc()
-	t.mu.RLock()
+	t.rlock(&t.stalledSnapshots)
 	defer t.mu.RUnlock()
+	return t.view(ts)
+}
+
+// view is Snapshot for a caller that holds t.mu.
+func (t *Table) view(ts uint64) *Snapshot {
 	delta := make([]*DeltaColumn, len(t.delta))
 	for i, dc := range t.delta {
 		delta[i] = dc.view()
@@ -621,83 +690,206 @@ func (s *Snapshot) LiveRows() int { return s.VisibleCount(0, s.rows) }
 // block of nothing but such rows has no create array, and a block without
 // a delete-stamped row no delete array. The caller vouches that no snapshot
 // older than minActiveTS will read the table from here on; snapshots taken
-// before the merge keep the blocks and the ID map they captured. Positions
-// shift where a row is evicted; a kept row keeps its ID. String
+// before or during the merge keep the blocks and the ID map they captured.
+// Positions shift where a row is evicted; a kept row keeps its ID. String
 // dictionaries are re-sorted and references remapped unless the stable-key
 // fast path applies (§III).
+//
+// Merge is BeginMerge and Publish on the caller's goroutine: the new main
+// is built beside the old one with no table lock held, so ApplyInsert,
+// ApplyDelete, RowLive and Snapshot go on while it is. A merge of the same
+// table already in progress is waited for first.
 func (t *Table) Merge(minActiveTS uint64) MergeStats {
-	cMerges.Inc()
-	start := time.Now()
-	t.mu.Lock()
+	t.mergeMu.Lock()
+	return t.beginMerge(minActiveTS).Publish()
+}
 
-	total := t.rows
+// BeginMerge freezes the table as a merge at minActiveTS finds it and
+// builds the new main store from that view; Publish swaps it in. Whatever
+// is applied to the table or read from it in between neither waits for the
+// merge nor is lost by it. It returns nil when a merge of the table is in
+// progress already. A PendingMerge that is never published blocks every
+// later merge of the table.
+func (t *Table) BeginMerge(minActiveTS uint64) *PendingMerge {
+	if !t.mergeMu.TryLock() {
+		return nil
+	}
+	return t.beginMerge(minActiveTS)
+}
+
+// PendingMerge is a merge between its two critical sections: the new main
+// store, its stamp blocks and its ID map are built from the view of the
+// table frozen by BeginMerge, and nobody reads them until Publish.
+type PendingMerge struct {
+	t     *Table
+	start time.Time
+	from  *Snapshot // the table as frozen: main, delta views, rows, blocks, IDs
+	stats MergeStats
+
+	keep   []int // frozen positions of the rows the new main keeps, ascending
+	main   []MainColumn
+	blocks []stampBlock
+	runs   []idRun
+
+	mu      sync.Mutex
+	deleted []int // frozen positions delete-stamped since the freeze
+}
+
+// noteDelete records that the row at frozen position pos was delete-stamped
+// after the freeze. Called by ApplyDelete, which holds t.mu shared.
+func (p *PendingMerge) noteDelete(pos int) {
+	p.mu.Lock()
+	p.deleted = append(p.deleted, pos)
+	p.mu.Unlock()
+}
+
+// lockForMerge takes t.mu exclusively for one of a merge's two critical
+// sections; unlockForMerge ends it.
+func (t *Table) lockForMerge() {
+	t.mu.Lock()
+	t.mergeLocked.Store(true)
+}
+
+func (t *Table) unlockForMerge() {
+	t.mergeLocked.Store(false)
+	t.mu.Unlock()
+}
+
+// beginMerge is BeginMerge for a caller that holds t.mergeMu. The freeze is
+// what Snapshot captures, taken exclusively so that t.pending is in place
+// before the next delete. The build holds no lock and reads only the frozen
+// view — delete stamps by atomic load: one that lands while it runs is
+// above the commit clock, hence above the watermark, so whether a row is
+// kept cannot change under it, only which stamp the row carries, and
+// Publish puts that right.
+func (t *Table) beginMerge(minActiveTS uint64) *PendingMerge {
+	cMerges.Inc()
+	p := &PendingMerge{t: t, start: time.Now()}
+	t.lockForMerge()
+	p.from = t.view(minActiveTS)
+	t.pending = p
+	t.unlockForMerge()
+
+	from, total := p.from, p.from.rows
 	keep := make([]int, 0, total)
 	// The new generation's ID map, from the old one: a run ends where a row
 	// is evicted or the old run did. k is the old run that covers i, expect
 	// the ID that would extend the new run.
-	old, k, expect := t.ids.runs, 0, -1
-	var runs []idRun
+	old, k, expect := from.ids.runs, 0, -1
 	for lo := 0; lo < total; lo += StampBlockRows {
-		_, deleted := t.blocks[lo/StampBlockRows].stamps()
+		_, deleted := from.blocks[lo/StampBlockRows].stamps()
 		for i := lo; i < min(lo+StampBlockRows, total); i++ {
-			if deleted[i-lo] <= minActiveTS {
+			if atomic.LoadUint64(&deleted[i-lo]) <= minActiveTS {
 				continue // dead to every current and future snapshot
 			}
 			for k+1 < len(old) && old[k+1].firstPos <= i {
 				k++
 			}
 			if id := old[k].firstID + i - old[k].firstPos; id != expect {
-				runs = append(runs, idRun{len(keep), id})
+				p.runs = append(p.runs, idRun{len(keep), id})
 				expect = id
 			}
 			expect++
 			keep = append(keep, i)
 		}
 	}
-	// Appends go on from the next ID, whatever became of the last rows.
-	if next := t.ids.id(total); next != expect {
-		runs = append(runs, idRun{len(keep), next})
+	// Appends go on from the next ID, whatever became of the last rows: the
+	// rows that arrive before Publish already have theirs from the old map's
+	// open run, and the new one's names them the same.
+	if next := from.ids.id(total); next != expect {
+		p.runs = append(p.runs, idRun{len(keep), next})
+	}
+	p.keep = keep
+
+	p.stats = MergeStats{RowsMerged: len(keep), RowsEvicted: total - len(keep)}
+	p.main = make([]MainColumn, len(from.schema))
+	for c := range from.schema {
+		p.main[c] = from.mergeColumn(c, keep, &p.stats)
+		p.stats.BytesBuilt += p.main[c].Bytes()
 	}
 
-	stats := MergeStats{RowsMerged: len(keep), RowsEvicted: total - len(keep)}
-	newMain := make([]MainColumn, len(t.schema))
-	for c := range t.schema {
-		newMain[c] = t.mergeColumn(c, keep, &stats)
-	}
-
-	newBlocks := make([]stampBlock, (len(keep)+StampBlockRows-1)/StampBlockRows)
+	p.blocks = make([]stampBlock, (len(keep)+StampBlockRows-1)/StampBlockRows)
 	for n, old := range keep {
-		cs, ds := t.blocks[old/StampBlockRows].stamps()
+		cs, ds := from.blocks[old/StampBlockRows].stamps()
 		created := cs[old%StampBlockRows]
 		if created <= minActiveTS {
 			created = 0
 		}
-		newBlocks[n/StampBlockRows].put(n%StampBlockRows, created, ds[old%StampBlockRows])
+		p.blocks[n/StampBlockRows].put(n%StampBlockRows, created, atomic.LoadUint64(&ds[old%StampBlockRows]))
 	}
-	stats.CreateBlocks, stats.DeleteBlocks = stampArrays(newBlocks)
-
-	t.main = newMain
-	t.mainRows = len(keep)
-	t.rows = len(keep)
-	t.blocks = newBlocks
-	t.ids = &idMap{runs: runs}
-	t.resetDelta()
-	t.merges++
-	stats.Duration = time.Since(start)
-	t.lastMerge = stats
-	t.mu.Unlock()
-	return stats
+	creates, deletes := stampArrays(p.blocks)
+	p.stats.BytesBuilt += (creates+deletes)*stampArrayBytes + len(p.blocks)*stampBlockBytes
+	return p
 }
 
-// mergeColumn builds the new main column c from the kept row positions.
-// Cells are copied typed: a frame-of-reference main column is decoded a
-// chunk at a time, flat and run-length ones are read where they lie, the
-// delta's payload slices directly; only a main column of another shape
-// (sparse, paged) goes through one boxed Get per cell.
-func (t *Table) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn {
-	kind := t.schema[c].Kind
+// Publish swaps the built main store in and returns what the merge did. It
+// holds the table lock for what arrived since the freeze and nothing else:
+// the rows appended meanwhile become the new delta, their cells and stamps
+// re-housed behind the kept rows (row j of them at position len(keep)+j,
+// under the ID it was given — the new map's open run continues the old
+// one's), and each delete stamp placed on a kept row meanwhile is carried
+// into the new blocks. Both are read from t.blocks as they are now, not
+// from the frozen header: an append since may have re-housed the block
+// structs, and a delete array installed after that exists in the new copy
+// only. A column added meanwhile is NULL in every kept row.
+func (p *PendingMerge) Publish() MergeStats {
+	t, from, keep, stats := p.t, p.from, p.keep, &p.stats
+	t.lockForMerge()
+	if t.pending != p {
+		panic("columnstore: merge of " + t.name + " published twice")
+	}
+	for _, old := range p.deleted {
+		n := sort.SearchInts(keep, old)
+		if n == len(keep) || keep[n] != old {
+			continue // evicted: the watermark was above its stamp
+		}
+		_, ds := t.blocks[old/StampBlockRows].stamps()
+		p.blocks[n/StampBlockRows].put(n%StampBlockRows, 0, atomic.LoadUint64(&ds[old%StampBlockRows]))
+		stats.DeletesCarried++
+	}
+	stats.CreateBlocks, stats.DeleteBlocks = stampArrays(p.blocks)
+
+	for c := len(p.main); c < len(t.schema); c++ {
+		p.main = append(p.main, NewSparseColumn(len(keep), value.Null, nil, nil, t.schema[c].Kind))
+	}
+	delta := make([]*DeltaColumn, len(t.schema))
+	for c, def := range t.schema {
+		delta[c] = NewDeltaColumn(def.Kind)
+		for d := from.rows - from.mainRows; d < t.delta[c].Len(); d++ {
+			delta[c].Append(t.delta[c].Get(d))
+		}
+	}
+	blocks := p.blocks
+	for old := from.rows; old < t.rows; old++ {
+		cs, ds := t.blocks[old/StampBlockRows].stamps()
+		blocks = appendStamps(blocks, len(keep)+old-from.rows, cs[old%StampBlockRows], atomic.LoadUint64(&ds[old%StampBlockRows]))
+	}
+	stats.RowsUnderLock = t.rows - from.rows
+
+	t.main = p.main
+	t.mainRows = len(keep)
+	t.rows = len(keep) + stats.RowsUnderLock
+	t.blocks = blocks
+	t.ids = &idMap{runs: p.runs}
+	t.delta = delta
+	t.merges++
+	t.pending = nil
+	stats.Duration = time.Since(p.start)
+	t.lastMerge = *stats
+	t.unlockForMerge()
+	t.mergeMu.Unlock()
+	return *stats
+}
+
+// mergeColumn builds the new main column c from the rows of s at the kept
+// positions. Cells are copied typed: a frame-of-reference main column is
+// decoded a chunk at a time, flat and run-length ones are read where they
+// lie, the delta's payload slices directly; only a main column of another
+// shape (sparse, paged) goes through one boxed Get per cell.
+func (s *Snapshot) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn {
+	kind := s.schema[c].Kind
 	if kind == value.KindString {
-		return t.mergeStringColumn(c, keep, stats)
+		return s.mergeStringColumn(c, keep, stats)
 	}
 	var nulls *Bitset
 	setNull := func(n int) {
@@ -707,13 +899,13 @@ func (t *Table) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn {
 		nulls.Set(n)
 	}
 	// keep ascends, and main rows come first: keep[:nMain] are main's.
-	nMain := sort.SearchInts(keep, t.mainRows)
-	dc := t.delta[c]
+	nMain := sort.SearchInts(keep, s.mainRows)
+	dc := s.delta[c]
 	deltaNull := func(d int) bool { return d >= dc.Len() || dc.IsNull(d) }
 
 	if kind == value.KindFloat {
 		vals := make([]float64, len(keep))
-		if mc, ok := t.main[c].(*FloatColumn); ok {
+		if mc, ok := s.main[c].(*FloatColumn); ok {
 			for n, old := range keep[:nMain] {
 				if mc.IsNull(old) {
 					setNull(n)
@@ -723,7 +915,7 @@ func (t *Table) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn {
 			}
 		} else {
 			for n, old := range keep[:nMain] {
-				if v := t.main[c].Get(old); v.IsNull() {
+				if v := s.main[c].Get(old); v.IsNull() {
 					setNull(n)
 				} else {
 					vals[n] = v.F
@@ -731,7 +923,7 @@ func (t *Table) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn {
 			}
 		}
 		for n := nMain; n < len(keep); n++ {
-			if d := keep[n] - t.mainRows; deltaNull(d) {
+			if d := keep[n] - s.mainRows; deltaNull(d) {
 				setNull(n)
 			} else {
 				vals[n] = dc.flts[d]
@@ -742,13 +934,13 @@ func (t *Table) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn {
 
 	// Int, Bool, Time
 	vals := make([]int64, len(keep))
-	switch mc := t.main[c].(type) {
+	switch mc := s.main[c].(type) {
 	case *IntColumn:
 		const chunk = 1024
 		refs := make([]uint64, 0, chunk)
 		for n := 0; n < nMain; {
 			lo := keep[n]
-			hi := min(lo+chunk, t.mainRows)
+			hi := min(lo+chunk, s.mainRows)
 			refs = mc.Refs.UnpackRange(lo, hi, refs)
 			for ; n < nMain && keep[n] < hi; n++ {
 				if mc.IsNull(keep[n]) {
@@ -780,7 +972,7 @@ func (t *Table) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn {
 		}
 	}
 	for n := nMain; n < len(keep); n++ {
-		if d := keep[n] - t.mainRows; deltaNull(d) {
+		if d := keep[n] - s.mainRows; deltaNull(d) {
 			setNull(n)
 		} else {
 			vals[n] = dc.ints[d]
@@ -816,11 +1008,11 @@ func newRLEInts(vals []int64, runs int, kind value.Kind) *RLEColumn {
 	return c
 }
 
-func (t *Table) mergeStringColumn(c int, keep []int, stats *MergeStats) MainColumn {
-	dc := t.delta[c]
+func (s *Snapshot) mergeStringColumn(c int, keep []int, stats *MergeStats) MainColumn {
+	dc := s.delta[c]
 	var oldDict *Dictionary
 	var oldRefs func(i int) (id int, null bool)
-	switch mc := t.main[c].(type) {
+	switch mc := s.main[c].(type) {
 	case *DictColumn:
 		oldDict = mc.Dict
 		oldRefs = func(i int) (int, bool) {
@@ -860,7 +1052,7 @@ func (t *Table) mergeStringColumn(c int, keep []int, stats *MergeStats) MainColu
 	refs := make([]uint64, len(keep))
 	var nulls *Bitset
 	for n, old := range keep {
-		if old < t.mainRows {
+		if old < s.mainRows {
 			id, null := oldRefs(old)
 			if null {
 				if nulls == nil {
@@ -876,7 +1068,7 @@ func (t *Table) mergeStringColumn(c int, keep []int, stats *MergeStats) MainColu
 			refs[n] = uint64(id)
 			continue
 		}
-		d := old - t.mainRows
+		d := old - s.mainRows
 		if d >= dc.Len() || dc.IsNull(d) {
 			if nulls == nil {
 				nulls = NewBitset(len(keep))
@@ -921,34 +1113,32 @@ func (s *Snapshot) CollectVisible() []int {
 }
 
 // FindRows returns the positions of visible rows where column col equals v.
-// Uses the dictionary to avoid string comparisons on main storage.
+// When v is of the column's kind, main storage answers with its comparison
+// kernel — a dictionary lookup and a scan of packed codes for strings, a
+// frame-of-reference compare for integers — and only the survivors are
+// checked for visibility; the delta, and a main column without the kernel,
+// compare row by row.
 func (s *Snapshot) FindRows(col int, v value.Value) []int {
 	var out []int
-	if dcol, ok := s.main[col].(*DictColumn); ok && v.K == value.KindString {
-		if id, found := dcol.Lookup(v.S); found {
-			for i := 0; i < s.mainRows; i++ {
-				if dcol.ValueID(i) == id && !dcol.IsNull(i) && s.Visible(i) {
-					out = append(out, i)
-				}
-			}
+	rest := 0 // where comparing row by row starts
+	if v.K == s.schema[col].Kind {
+		sf, _ := s.main[col].(StringFilterer)
+		nf, _ := s.main[col].(IntFilterer)
+		switch {
+		case v.K == value.KindString && sf != nil:
+			out, rest = sf.FilterString(0, s.mainRows, CmpEQ, v.S, out), s.mainRows
+		case v.K != value.KindString && v.K != value.KindFloat && nf != nil:
+			out, rest = nf.FilterInts(0, s.mainRows, CmpEQ, v.I, out), s.mainRows
 		}
-		for i := s.mainRows; i < s.NumRows(); i++ {
-			if s.Visible(i) && value.Equal(s.Get(col, i), v) {
-				out = append(out, i)
-			}
-		}
-		return out
+		out = s.FilterVisible(out)
 	}
-	for i := 0; i < s.NumRows(); i++ {
+	for i := rest; i < s.NumRows(); i++ {
 		if s.Visible(i) && value.Equal(s.Get(col, i), v) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
-
-// Lookup is a convenience over DictColumn for FindRows.
-func (c *DictColumn) Lookup(s string) (int, bool) { return c.Dict.Lookup(s) }
 
 // SortPositions sorts row positions by the snapshot values of column col.
 func (s *Snapshot) SortPositions(pos []int, col int, desc bool) {

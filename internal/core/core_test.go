@@ -285,6 +285,54 @@ func TestMergeDeltaKeepsTemperatureTiers(t *testing.T) {
 	}
 }
 
+// TestBackgroundMergeOfADemotedTableShowsHot: a merge nobody asked for by
+// name — the daemon's — rebuilds a demoted table's main store in memory and
+// tags nothing. The tag stays as Demote left it; the tier shown is asked of
+// the table, and the zone map reads stale.
+func TestBackgroundMergeOfADemotedTableShowsHot(t *testing.T) {
+	e := newEco(t, Config{})
+	e.MustQuery(`CREATE TABLE ev (id INT, note VARCHAR)`)
+	for i := 0; i < 8; i++ {
+		e.MustQuery(fmt.Sprintf(`INSERT INTO ev VALUES (%d, 'n%d')`, i, i))
+	}
+	if n, err := e.DemoteTable("ev"); err != nil || n != 1 {
+		t.Fatalf("demote: %d, %v", n, err)
+	}
+	shown := func() (tier string, zoneCols int64, fresh bool) {
+		r := e.MustQuery(`SELECT tier, zone_cols, zone_fresh FROM sys.m_partitions WHERE table_name = 'ev'`)
+		if len(r.Rows) != 1 {
+			t.Fatalf("sys.m_partitions rows for ev: %v", r.Rows)
+		}
+		return r.Rows[0][0].S, r.Rows[0][1].I, r.Rows[0][2].AsBool()
+	}
+	if tier, cols, fresh := shown(); tier != "extended" || cols != 2 || !fresh {
+		t.Fatalf("after the demotion: tier %s, %d zone columns, fresh %v", tier, cols, fresh)
+	}
+	e.MustQuery(`INSERT INTO ev VALUES (8, 'n8')`)
+	entry, _ := e.Engine.Cat.Table("ev")
+	p := entry.Partitions[0]
+	if tier, _, _ := shown(); tier != "extended" {
+		t.Fatalf("a demoted table with a row in its delta shows %s", tier)
+	}
+	e.Engine.Mgr.MergeNow(p.Table) // what the daemon's sweep calls
+	if tier, cols, fresh := shown(); tier != "hot" || cols != 2 || fresh {
+		t.Fatalf("after the background merge: tier %s, %d zone columns, fresh %v", tier, cols, fresh)
+	}
+	if p.Tier != catalog.TierExtended || p.Zone == nil {
+		t.Fatalf("the merge re-tagged the partition: %s, zone %v", p.Tier, p.Zone)
+	}
+	if n := e.MustQuery(`SELECT COUNT(*) FROM ev`).Rows[0][0].I; n != 9 {
+		t.Fatalf("count=%d", n)
+	}
+	// Paged out again, it shows extended again.
+	if _, err := e.DemoteTable("ev"); err != nil {
+		t.Fatal(err)
+	}
+	if tier, _, fresh := shown(); tier != "extended" || !fresh {
+		t.Fatalf("after the second demotion: tier %s, fresh %v", tier, fresh)
+	}
+}
+
 func TestBackupRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e, err := New(Config{DurableDir: dir + "/data"})

@@ -8,7 +8,8 @@
 // (Promote, MERGE DELTA OF). A merge nobody tagged — the background
 // daemon's — leaves a tag that says extended over a hot table until the
 // next Demote, Promote or MERGE DELTA OF: the tag is advisory (DESIGN.md
-// §9), and the zone map beside it is refused as stale by everything that
+// §9) — what a view shows is catalog.Partition.ShownTier, which asks the
+// table — and the zone map beside it is refused as stale by everything that
 // reads one (Zone.Merges).
 package extstore
 

@@ -102,6 +102,12 @@ func (t *DistTable) refuted(p int, preds []sqlexec.Pred) bool {
 // KeyIndex returns the schema position of the partition key.
 func (t *DistTable) KeyIndex() int { return t.Schema.ColIndex(t.PartKey) }
 
+// keyValue returns a key the log or a caller carries as text as a value of
+// the key column's kind: what the rows with that key hold, and hash as.
+func (t *DistTable) keyValue(key string) value.Value {
+	return value.Coerce(value.String(key), t.Schema[t.KeyIndex()].Kind)
+}
+
 // ClusterCatalog is the v2catalog service: schemas and data distribution.
 type ClusterCatalog struct {
 	mu     sync.RWMutex

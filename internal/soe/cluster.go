@@ -96,10 +96,13 @@ func (c *Cluster) CollectStats() stats.Snapshot {
 	return c.Stats.Collect()
 }
 
-// Shutdown stops polling loops and releases node-local extended stores.
+// Shutdown stops the polling loop and the merge daemon of every node the
+// manager tracks — the cluster's own and any started since — and releases
+// node-local extended stores.
 func (c *Cluster) Shutdown() {
-	for _, n := range c.Nodes {
+	for _, n := range c.Manager.tracked() {
 		n.StopPolling()
+		n.stopMerger()
 		n.closeWarm()
 	}
 }

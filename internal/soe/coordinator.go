@@ -214,7 +214,7 @@ func (c *Coordinator) Delete(table, key string) (uint64, error) {
 	}
 	span := c.tracer.Start("delete", "table="+table)
 	defer span.Finish()
-	w := LogWrite{Table: table, Partition: t.PartitionFor(value.String(key)), Kind: writeDelete, Key: key}
+	w := LogWrite{Table: table, Partition: t.PartitionFor(t.keyValue(key)), Kind: writeDelete, Key: key}
 	resp, err := c.commit(span, []LogWrite{w})
 	if err != nil {
 		return 0, err

@@ -78,15 +78,32 @@ func (m *Manager) StartNode(name string, mode Mode) *DataNode {
 	return n
 }
 
-// StopNode crashes a node (its partitions become unavailable until moved
-// or the node recovers).
-func (m *Manager) StopNode(name string) {
-	m.net.Crash(name)
+// tracked returns the tracked nodes, in no particular order.
+func (m *Manager) tracked() []*DataNode {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*DataNode, 0, len(m.nodes))
+	for _, n := range m.nodes {
+		out = append(out, n)
+	}
+	return out
 }
 
-// RecoverNode brings a crashed node back; OLAP nodes catch up from the
-// log on their next poll.
+// StopNode crashes a node (its partitions become unavailable until moved
+// or the node recovers); a crashed node merges nothing.
+func (m *Manager) StopNode(name string) {
+	m.net.Crash(name)
+	if n, ok := m.Node(name); ok {
+		n.stopMerger()
+	}
+}
+
+// RecoverNode brings a crashed node back, its merge daemon with it; OLAP
+// nodes catch up from the log on their next poll.
 func (m *Manager) RecoverNode(name string) {
+	if n, ok := m.Node(name); ok {
+		n.startMerger()
+	}
 	m.net.Recover(name)
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sqlexec"
 	"repro/internal/stats"
+	"repro/internal/txn"
 	"repro/internal/value"
 )
 
@@ -53,15 +54,16 @@ type DataNode struct {
 	// Per-node observability registry (v2stats pulls it via MsgStatsPull).
 	// Hot-path metrics are cached as fields so the MsgExec path never
 	// rebuilds name+label keys.
-	obs        *stats.Registry
-	cQueries   *stats.Counter
-	cRowsScan  *stats.Counter
-	cApplied   *stats.Counter
-	cApplyRows *stats.Counter
-	cDecodeErr *stats.Counter
-	gAppliedTS *stats.Gauge
-	gBacklog   *stats.Gauge
-	hExec      *stats.Histogram
+	obs         *stats.Registry
+	cQueries    *stats.Counter
+	cRowsScan   *stats.Counter
+	cApplied    *stats.Counter
+	cApplyRows  *stats.Counter
+	cDecodeErr  *stats.Counter
+	cDeleteScan *stats.Counter
+	gAppliedTS  *stats.Gauge
+	gBacklog    *stats.Gauge
+	hExec       *stats.Histogram
 
 	// tracer records this node's side of distributed operations: exec and
 	// catch-up requests arriving with a SpanContext continue the caller's
@@ -69,6 +71,10 @@ type DataNode struct {
 	tracer *stats.Tracer
 
 	pollStop chan struct{}
+	// merger folds each hosted partition's delta into compressed main as it
+	// passes the daemon's threshold: the node's manager owns the tables, the
+	// daemon never takes n.mu. Nil while the node is stopped.
+	merger *txn.Merger
 }
 
 // partTableName names a hosted partition — its catalog.Partition and the
@@ -90,15 +96,40 @@ func NewDataNode(name string, mode Mode, net *netsim.Network, disc *Discovery, c
 	n.cApplied = n.obs.Counter("soe_log_entries_applied_total")
 	n.cApplyRows = n.obs.Counter("soe_apply_rows_total")
 	n.cDecodeErr = n.obs.Counter("soe_log_decode_errors_total")
+	n.cDeleteScan = n.obs.Counter("soe_delete_rows_searched_total")
 	n.gAppliedTS = n.obs.Gauge("soe_applied_ts")
 	n.gBacklog = n.obs.Gauge("soe_poll_backlog")
 	n.hExec = n.obs.Histogram("soe_exec_ms")
 	// The node-local SQL engine reports into the same registry, so parse/
 	// plan/exec timings surface per node in the v2stats aggregate.
 	n.eng.Obs = n.obs
+	n.startMerger()
 	net.Register(name, n.handle)
 	disc.Announce("v2lqp/"+name, name)
 	return n
+}
+
+// startMerger starts the node's background merge daemon with the daemon's
+// own defaults, unless it is running.
+func (n *DataNode) startMerger() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.merger == nil {
+		n.merger = n.eng.Mgr.StartMerger(txn.MergerConfig{})
+	}
+}
+
+// stopMerger stops the daemon and waits for a sweep in flight, which takes
+// no lock of the node's. The one place a node's merger is stopped: a
+// cluster shutting down and a manager stopping the node both come here.
+func (n *DataNode) stopMerger() {
+	n.mu.Lock()
+	g := n.merger
+	n.merger = nil
+	n.mu.Unlock()
+	if g != nil {
+		g.Stop()
+	}
 }
 
 // Obs exposes the node's metrics registry (tests, embedding).
@@ -310,24 +341,20 @@ func (n *DataNode) applyEntry(data []byte) error {
 	return nil
 }
 
+// deleteByKey stamps the rows of store whose key column reads key — the
+// log carries a key as text — as deleted at ts. The text is coerced to the
+// column's kind once, so the search is one FindRows: a dictionary or typed
+// lookup over main and a comparison per row of the delta. The rows of the
+// snapshot searched are counted, once per key.
 func (n *DataNode) deleteByKey(store *columnstore.Table, table, key string, ts uint64) {
 	t, ok := n.ccat.Table(table)
 	if !ok {
 		return
 	}
-	ki := t.KeyIndex()
 	snap := store.Snapshot(ts)
-	found := snap.FindRows(ki, value.String(key))
-	for _, pos := range found {
+	n.cDeleteScan.Add(int64(snap.NumRows()))
+	for _, pos := range snap.FindRows(t.KeyIndex(), t.keyValue(key)) {
 		store.ApplyDelete(snap.ID(pos), ts)
-	}
-	// Non-string keys: FindRows compares generically, so coerce fallback.
-	if len(found) == 0 {
-		for pos := 0; pos < snap.NumRows(); pos++ {
-			if snap.Visible(pos) && snap.Get(ki, pos).AsString() == key {
-				store.ApplyDelete(snap.ID(pos), ts)
-			}
-		}
 	}
 }
 

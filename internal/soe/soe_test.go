@@ -10,6 +10,7 @@ import (
 	"repro/internal/columnstore"
 	"repro/internal/distql"
 	"repro/internal/sqlexec"
+	"repro/internal/txn"
 	"repro/internal/value"
 )
 
@@ -34,6 +35,39 @@ func newTestCluster(t *testing.T, nodes int, mode Mode) *Cluster {
 	c := NewCluster(ClusterConfig{Nodes: nodes, Mode: mode, LogStripes: 2, LogReplicas: 2})
 	t.Cleanup(c.Shutdown)
 	return c
+}
+
+// mergeEagerly restarts the merge daemon of every node the manager tracks
+// to merge any table with a row in its delta, sweeping every millisecond:
+// whatever a test of a few dozen rows per partition does, it does to
+// partitions past the merge threshold with a merge never far away.
+func mergeEagerly(c *Cluster) {
+	for _, n := range c.Manager.tracked() {
+		n.stopMerger()
+		n.mu.Lock()
+		n.merger = n.eng.Mgr.StartMerger(txn.MergerConfig{Threshold: 1, Interval: time.Millisecond})
+		n.mu.Unlock()
+	}
+}
+
+// waitMerged waits until the tables of every tracked node's manager have
+// been merged at least once and hold no more than maxDelta rows in their
+// deltas: under mergeEagerly with maxDelta 0, until the daemons have
+// nothing left to do.
+func waitMerged(t *testing.T, c *Cluster, maxDelta int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, n := range c.Manager.tracked() {
+		mgr := n.eng.Mgr
+		for _, name := range mgr.TableNames() {
+			for tab, ok := mgr.Table(name); ok && tab.NumRows() > 0 && (tab.MergeCount() == 0 || tab.DeltaRows() > maxDelta); {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %s has %d delta rows after %d merges", n.Name, name, tab.DeltaRows(), tab.MergeCount())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
 }
 
 func loadOrders(t *testing.T, c *Cluster, n int) {
@@ -379,6 +413,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 	// A fresh OLAP replica hosts copies of every orders partition.
 	replica := NewDataNode("replica0", OLAP, c.Net, c.Disc, c.Catalog, c.Broker.Name)
 	c.Manager.Track(replica)
+	mergeEagerly(c) // peers serve snapshots of merged partitions; the replica merges what it catches up
 	tbl, _ := c.Catalog.Table("orders")
 	for p := 0; p < tbl.Partitions; p++ {
 		if err := replica.HostReplica(tbl, p); err != nil {
@@ -399,6 +434,10 @@ func TestSnapshotCatchUp(t *testing.T) {
 	r = replica.Engine().MustQuery(`SELECT COUNT(*) FROM orders`)
 	if r.Rows[0][0].I != 60 {
 		t.Fatalf("replica post-catchup count=%v", r.Rows[0][0])
+	}
+	waitMerged(t, c, 0)
+	if r = replica.Engine().MustQuery(`SELECT COUNT(*) FROM orders`); r.Rows[0][0].I != 60 {
+		t.Fatalf("replica count once its partitions are merged=%v", r.Rows[0][0])
 	}
 	// New commits reach the replica through incremental polling only —
 	// no re-replay of the already-snapshotted prefix.

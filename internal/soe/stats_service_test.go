@@ -112,7 +112,8 @@ func TestHotSpotsLegacyFallback(t *testing.T) {
 	brk := NewBroker("v2transact", net, disc, log)
 	mgr := NewManager("v2clustermgr", net, disc, ccat, brk, log)
 	n0 := mgr.StartNode("node0", OLTP)
-	mgr.StartNode("node1", OLTP)
+	n1 := mgr.StartNode("node1", OLTP)
+	t.Cleanup(func() { n0.stopMerger(); n1.stopMerger() })
 	tbl := &DistTable{Name: "t", Schema: ordersSchema(), PartKey: "id", Partitions: 2, NodeOf: []string{"node0", "node1"}}
 	if err := ccat.Define(tbl); err != nil {
 		t.Fatal(err)

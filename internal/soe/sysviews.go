@@ -13,7 +13,9 @@ import (
 // by StatsService.Collect at scan time, so a SQL client sees the same
 // numbers a /metrics scrape would, keyed by node. Node liveness and
 // catch-up state (applied_ts, partitions, queries) come from the cluster
-// manager's status probes and appear as synthetic gauges per node.
+// manager's status probes and appear as synthetic gauges per node; so does
+// what each node's store looks like — delta rows, main rows and merges run,
+// summed over the tables of the node's own transaction manager.
 func RegisterClusterView(sys *sqlexec.SysCatalog, c *Cluster) {
 	schema := columnstore.Schema{
 		{Name: "node", Kind: value.KindString},
@@ -45,6 +47,20 @@ func RegisterClusterView(sys *sqlexec.SysCatalog, c *Cluster) {
 			add(st.Node, "soe_status_partitions", "gauge", float64(st.Partitions))
 			add(st.Node, "soe_status_queries_run", "gauge", float64(st.QueriesRun))
 			add(st.Node, "soe_status_rows_scanned", "gauge", float64(st.RowsScanned))
+		}
+		for _, n := range c.Nodes {
+			var delta, main, merges int
+			mgr := n.eng.Mgr
+			for _, name := range mgr.TableNames() {
+				if tab, ok := mgr.Table(name); ok {
+					delta += tab.DeltaRows()
+					main += tab.MainRows()
+					merges += tab.MergeCount()
+				}
+			}
+			add(n.Name, "soe_node_delta_rows", "gauge", float64(delta))
+			add(n.Name, "soe_node_main_rows", "gauge", float64(main))
+			add(n.Name, "soe_node_merges", "counter", float64(merges))
 		}
 		return rows, nil
 	})

@@ -42,7 +42,7 @@ func hostedRows(n *DataNode, table string, part int) []value.Row {
 }
 
 // refTable gives a stand-alone engine a table whose partitions hold the
-// given row sets, in that order.
+// given row sets, in that order, each merged into main storage.
 func refTable(t *testing.T, e *sqlexec.Engine, name string, schema columnstore.Schema, parts ...[]value.Row) {
 	t.Helper()
 	if _, err := e.Cat.CreateTable(name, schema); err != nil {
@@ -53,6 +53,7 @@ func refTable(t *testing.T, e *sqlexec.Engine, name string, schema columnstore.S
 		pname := fmt.Sprintf("%s_ref%d", name, i)
 		store := columnstore.NewTable(pname, schema)
 		store.ApplyInsert(rows, 1)
+		store.Merge(1)
 		if err := e.Cat.AttachPartition(name, &catalog.Partition{Name: pname, Table: store, Tier: catalog.TierHot}); err != nil {
 			t.Fatal(err)
 		}
@@ -64,9 +65,11 @@ func refTable(t *testing.T, e *sqlexec.Engine, name string, schema columnstore.S
 // task over partitions {0, 2} on a node that also hosts a replica of
 // partition 1 answers exactly what a fresh engine holding partition 0's
 // rows then partition 2's answers — same rows, same order, same rows
-// scanned, same morsels.
+// scanned, same morsels. The node's daemon has merged every partition, the
+// replica's and the temp's too, as the reference's are.
 func TestScopedTaskParity(t *testing.T) {
 	c := newTestCluster(t, 2, OLTP)
+	mergeEagerly(c)
 	loadJoinTables(t, c, 60, 3, true)
 	n := c.Nodes[0]
 	for _, table := range []string{"orders", "items"} {
@@ -93,6 +96,7 @@ func TestScopedTaskParity(t *testing.T) {
 	if err != nil || tempResp.Err != "" {
 		t.Fatalf("temp install: %v %s", err, tempResp.Err)
 	}
+	waitMerged(t, c, 0)
 
 	ref := sqlexec.NewEngine()
 	ref.Workers = n.eng.Workers
@@ -201,6 +205,7 @@ func TestScopedTaskPlansOnce(t *testing.T) {
 // neither.
 func TestNodeTaskReadsOneSnapshot(t *testing.T) {
 	c := newTestCluster(t, 2, OLTP)
+	mergeEagerly(c) // the two new rows are merged a millisecond after they land, under whichever task is reading
 	loadOrders(t, c, 40)
 	n := c.Nodes[0]
 	tbl, _ := c.Catalog.Table("orders")
@@ -256,6 +261,7 @@ func TestNodeTaskReadsOneSnapshot(t *testing.T) {
 // coordinator answer is the full count or an error.
 func TestMovePartitionWhileQuerying(t *testing.T) {
 	c := newTestCluster(t, 2, OLTP)
+	mergeEagerly(c) // every arrival of the partition is a delta to merge, and a table the next move deregisters mid-sweep
 	loadOrders(t, c, 40)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

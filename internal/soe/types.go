@@ -4,7 +4,10 @@
 //
 //	DataNode     — v2lqp: query service + data service over horizontal
 //	               table partitions, with OLTP (synchronous log apply) and
-//	               OLAP (asynchronous polling, bounded staleness) modes
+//	               OLAP (asynchronous polling, bounded staleness) modes;
+//	               each runs the column store's background merge daemon,
+//	               so a hosted partition is compressed main plus a short
+//	               delta (a node task pins its snapshot across a merge)
 //	Broker       — v2transact: transaction broker serializing all writes
 //	               into the CORFU-style shared log (package sharedlog)
 //	ClusterCatalog — v2catalog: schemas + partition→node data discovery

@@ -53,6 +53,8 @@ type Engine struct {
 	// stmts aggregates per-fingerprint workload statistics for every
 	// statement any session executes (sys.m_statements).
 	stmts stmtLog
+	// scratch is the scan scratch every statement of this engine borrows.
+	scratch scratchPool
 	// Open-session registry behind sys.m_sessions.
 	sessMu   sync.Mutex
 	sessions map[int64]*Session
@@ -409,7 +411,7 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, pa
 	tExec := time.Now()
 	esp := s.cur.Child("exec")
 	profiled = profiled || s.e.SlowThreshold > 0
-	prof, err := runTo(sink, stats, plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers, profiled)
+	prof, err := runTo(sink, stats, plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers, &s.e.scratch, profiled)
 	if profiled {
 		if prof != nil {
 			prof.SQL = s.curSQL
@@ -570,7 +572,7 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 	scan := newScanPlan(entry, table)
 	scan.Filter = where
 	s.planner(tx.SnapshotTS()).pruneScan(scan)
-	ctx := &execCtx{ts: tx.SnapshotTS(), params: params, reg: s.e.Reg, stats: new(ExecStats), workers: s.e.Workers}
+	ctx := &execCtx{ts: tx.SnapshotTS(), params: params, reg: s.e.Reg, stats: new(ExecStats), workers: s.e.Workers, scratch: &s.e.scratch}
 	defer ctx.finish()
 	prep, err := prepScan(scan, ctx)
 	if err != nil {

@@ -81,6 +81,7 @@ type execCtx struct {
 	stats   *ExecStats
 	out     feed // the statement's sink: every executor's root pushes here
 	workers int
+	scratch *scratchPool // the engine's: what this statement's scans borrow from
 	mu      sync.Mutex
 	pool    *vecPool
 	prof    *Profile // non-nil under EXPLAIN ANALYZE
@@ -117,34 +118,16 @@ func (m Mode) String() string {
 	return "vectorized"
 }
 
-// Run executes a plan to a materialized result with the default worker
-// count (one morsel worker per CPU when vectorized).
-func Run(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode) (*Result, error) {
-	return RunWorkers(p, ts, params, reg, mode, 0)
-}
-
-// RunWorkers executes a plan to a materialized result. workers sizes the
+// RunWorkers executes a plan to a materialized result outside any engine's
+// statement path, with scan scratch of its own. workers sizes the
 // vectorized executor's morsel pool (<=0 means runtime.NumCPU()); the
 // interpreter ignores it.
 func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, error) {
-	res, _, err := runCollected(p, ts, params, reg, mode, workers, false)
-	return res, err
-}
-
-// RunAnalyzed executes a plan like RunWorkers while also recording a
-// per-operator Profile — the engine of EXPLAIN ANALYZE.
-func RunAnalyzed(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, *Profile, error) {
-	return runCollected(p, ts, params, reg, mode, workers, true)
-}
-
-// runCollected is runTo into the collecting sink.
-func runCollected(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, profiled bool) (*Result, *Profile, error) {
 	res := &Result{}
-	prof, err := runTo(res, &res.Stats, p, ts, params, reg, mode, workers, profiled)
-	if err != nil {
-		return nil, nil, err
+	if _, err := runTo(res, &res.Stats, p, ts, params, reg, mode, workers, new(scratchPool), false); err != nil {
+		return nil, err
 	}
-	return res, prof, nil
+	return res, nil
 }
 
 // runTo executes a plan into sink — the one way a plan runs, whichever
@@ -152,9 +135,10 @@ func runCollected(p Plan, ts uint64, params []value.Value, reg *Registry, mode M
 // then the executor's root pushes batches through ctx.out as it produces
 // them. The executor mode names runs the plan or returns the statement's
 // error; there is no other to fall back to. stats is where the execution
-// is accounted (a collecting caller's Result.Stats). A profile is recorded
-// when profiled is set.
-func runTo(sink RowSink, stats *ExecStats, p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, profiled bool) (*Profile, error) {
+// is accounted (a collecting caller's Result.Stats), scratch the pool its
+// scans borrow from (the engine's). A profile is recorded when profiled is
+// set.
+func runTo(sink RowSink, stats *ExecStats, p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, scratch *scratchPool, profiled bool) (*Profile, error) {
 	cols := p.columns()
 	names := make([]string, len(cols))
 	for i, c := range cols {
@@ -163,7 +147,7 @@ func runTo(sink RowSink, stats *ExecStats, p Plan, ts uint64, params []value.Val
 	if err := sink.Header(names); err != nil {
 		return nil, err
 	}
-	ctx := &execCtx{ts: ts, params: params, reg: reg, stats: stats, out: feed{sink: sink}, workers: workers}
+	ctx := &execCtx{ts: ts, params: params, reg: reg, stats: stats, out: feed{sink: sink}, workers: workers, scratch: scratch}
 	var prof *Profile
 	var t0 time.Time
 	if profiled {

@@ -263,40 +263,37 @@ func (s selection) at(i int) int {
 
 // scanScratch is one worker's reusable state: the selection vectors, the
 // code keys of the morsel being folded or probed, and the row the residual
-// predicate is evaluated against. It is borrowed from scanScratches and
-// outlives the statement, so in steady state a scan grows none of it.
+// predicate is evaluated against. It is borrowed from the engine's
+// scratchPool and outlives the statement, so in steady state a scan grows
+// none of it.
 type scanScratch struct {
 	selA, selB []int
 	keys       []int64
 	env        Env
 }
 
-// scratchPool lends scan scratch across statements: a last-in-first-out
-// free list, so the scratch a statement takes is the one the statement
-// before it warmed. It keeps what one run holds at once — a scratch per
-// worker (one per CPU unless more are configured) and one for an ordered
-// consumer, at most three morsel-sized vectors each — and drops the rest,
-// so what an idle process retains is fixed by its CPU count: it does not
-// depend, as a sync.Pool's contents do, on how long ago the collector last
-// ran. hook is set only by tests, through newScratchPool: it sees every
-// scratch taken (+1) and returned (-1).
+// scratchPool lends scan scratch across the statements of one Engine — the
+// engine that runs a statement owns what it scans with, so several engines
+// in a process (the data nodes of a cluster) do not evict each other's. A
+// last-in-first-out free list: the scratch a statement takes is the one the
+// statement before it warmed. It keeps what one run holds at once — a
+// scratch per worker (one per CPU unless more are configured) and one for
+// an ordered consumer, at most three morsel-sized vectors each — and drops
+// the rest, so what an idle engine retains is fixed by the CPU count: it
+// does not depend, as a sync.Pool's contents do, on how long ago the
+// collector last ran. The zero value is an empty pool. hook is set only by
+// tests: it sees every scratch taken (+1) and returned (-1).
 type scratchPool struct {
 	mu   sync.Mutex
 	free []*scanScratch
-	keep int // NumCPU+1, or the widest run's workers + 1 if that is more
+	wide int // the widest run's workers + 1, when that is more than NumCPU+1
 	hook func(s *scanScratch, delta int)
 }
-
-func newScratchPool(hook func(s *scanScratch, delta int)) *scratchPool {
-	return &scratchPool{keep: runtime.NumCPU() + 1, hook: hook}
-}
-
-var scanScratches = newScratchPool(nil)
 
 // takeRun borrows one scratch for each worker of a run.
 func (p *scratchPool) takeRun(workers int) []*scanScratch {
 	p.mu.Lock()
-	p.keep = max(p.keep, workers+1)
+	p.wide = max(p.wide, workers+1)
 	p.mu.Unlock()
 	out := make([]*scanScratch, workers)
 	for w := range out {
@@ -332,7 +329,7 @@ func (p *scratchPool) put(s *scanScratch) {
 		p.hook(s, -1)
 	}
 	p.mu.Lock()
-	if len(p.free) < p.keep {
+	if len(p.free) < max(p.wide, runtime.NumCPU()+1) {
 		p.free = append(p.free, s)
 	}
 	p.mu.Unlock()
@@ -343,7 +340,7 @@ func (p *scratchPool) put(s *scanScratch) {
 // drainOrdered and forEach runs the morsels.
 type scanRun struct {
 	ctx       *execCtx
-	tasks     []*scanTask
+	tasks     []scanTask // one slab for the run; read through pointers once newRun has returned
 	scratch   []*scanScratch
 	residCols []int // scan columns a residual may read: all its scratch row carries
 	stop      atomic.Bool
@@ -363,7 +360,7 @@ type scanRun struct {
 // release returns the run's scratch once no worker can touch it.
 func (r *scanRun) release() {
 	for _, s := range r.scratch {
-		scanScratches.put(s)
+		r.ctx.scratch.put(s)
 	}
 	r.scratch = nil
 }
@@ -371,7 +368,7 @@ func (r *scanRun) release() {
 // forEach runs fn over every morsel on the statement's workers, in no
 // particular order, then releases the run.
 func (r *scanRun) forEach(fn func(t *scanTask, w int)) {
-	r.ctx.runTasks(len(r.tasks), func(i, w int) { fn(r.tasks[i], w) })
+	r.ctx.runTasks(len(r.tasks), func(i, w int) { fn(&r.tasks[i], w) })
 	r.release()
 }
 
@@ -480,7 +477,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 					r.residCols = p.filterCols()
 				}
 			}
-			r.tasks = append(r.tasks, &scanTask{
+			r.tasks = append(r.tasks, scanTask{
 				seq: len(r.tasks), part: part, snap: snap, lo: lo, hi: hi,
 				kernels: ks, resid: resid, getters: getters, cold: cold, main: main,
 			})
@@ -489,6 +486,11 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 		}
 		// Morsels never straddle the main/delta boundary: main morsels run
 		// kernels over the encoded columns, delta morsels the full filter.
+		if r.tasks == nil {
+			// One slab, sized as if every partition were like the first.
+			n := (mainRows+morselRows-1)/morselRows + (rows-mainRows+morselRows-1)/morselRows
+			r.tasks = make([]scanTask, 0, n*len(parts))
+		}
 		for lo := 0; lo < mainRows; lo += morselRows {
 			if err := addTask(lo, min(lo+morselRows, mainRows), kernels, mainResid, true); err != nil {
 				return nil, err
@@ -500,7 +502,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 			}
 		}
 	}
-	r.scratch = scanScratches.takeRun(ctx.workersFor(len(r.tasks)))
+	r.scratch = ctx.scratch.takeRun(ctx.workersFor(len(r.tasks)))
 	return r, nil
 }
 
@@ -772,7 +774,7 @@ func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, send func(T)), 
 		return nil
 	case 1:
 		t0 := r.ctx.beginInline()
-		fn(r.tasks[0], 0, func(v T) {
+		fn(&r.tasks[0], 0, func(v T) {
 			if r.err == nil {
 				if r.err = consume(v); r.err != nil {
 					r.stop.Store(true)
@@ -793,7 +795,7 @@ func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, send func(T)), 
 	go func() {
 		defer close(dispatched)
 		r.ctx.runTasks(len(r.tasks), func(i, w int) {
-			fn(r.tasks[i], w, func(v T) { chans[i] <- v })
+			fn(&r.tasks[i], w, func(v T) { chans[i] <- v })
 			close(chans[i])
 		})
 	}()

@@ -545,7 +545,7 @@ type morselSel struct {
 func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(f *codeFold, t *scanTask, sel selection, scr *scanScratch)) []*codeFold {
 	if ordered && len(r.scratch) > 1 {
 		f := newFold()
-		own := scanScratches.take() // the consumer's key buffer
+		own := r.ctx.scratch.take() // the consumer's key buffer
 		// mine[w] holds a token while worker w's scratch is its own to
 		// overwrite. The worker takes it before every morsel; whoever is done
 		// with that morsel's selection puts it back: the worker itself, or the
@@ -576,7 +576,7 @@ func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(
 			}
 			return nil
 		})
-		scanScratches.put(own)
+		r.ctx.scratch.put(own)
 		return []*codeFold{f}
 	}
 	folds := make([]*codeFold, len(r.scratch))

@@ -45,7 +45,9 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Sized once: a token is three characters or more of most statements,
+	// blanks included, and a statement dense with punctuation grows it once.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+2)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {

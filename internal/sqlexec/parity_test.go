@@ -506,7 +506,7 @@ func TestCrossProductLeavesInWindows(t *testing.T) {
 	if len(join.EquiL) != 0 {
 		t.Fatalf("not a keyless join: %s", planLabel(join))
 	}
-	ctx := &execCtx{ts: ts, reg: e.Reg, stats: &ExecStats{}, workers: 3}
+	ctx := &execCtx{ts: ts, reg: e.Reg, stats: &ExecStats{}, workers: 3, scratch: &e.scratch}
 	vp, err := vecCompile(join, ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -17,17 +17,16 @@ import (
 // all visible and unfiltered allocates no selection, key or scratch memory
 // at all once one statement has warmed the pool.
 
-// countScratch swaps in a pool whose hook books every take and put, and
+// countScratch hooks e's scratch pool to book every take and put, and
 // returns a check to run between statements: nothing may be outstanding,
 // and no scratch may ever have been out twice at once or returned without
 // having been taken.
-func countScratch(t *testing.T) (check func(label string) (takes int)) {
+func countScratch(t *testing.T, e *Engine) (check func(label string) (takes int)) {
 	var mu sync.Mutex
 	out := map[*scanScratch]int{}
 	var takes, puts int
 	var broken []string
-	old := scanScratches
-	scanScratches = newScratchPool(func(s *scanScratch, delta int) {
+	e.scratch.hook = func(s *scanScratch, delta int) {
 		mu.Lock()
 		defer mu.Unlock()
 		out[s] += delta
@@ -39,8 +38,7 @@ func countScratch(t *testing.T) (check func(label string) (takes int)) {
 		if out[s] != 0 && out[s] != 1 {
 			broken = append(broken, fmt.Sprintf("a scratch is out %d times", out[s]))
 		}
-	})
-	t.Cleanup(func() { scanScratches = old })
+	}
 	return func(label string) int {
 		t.Helper()
 		mu.Lock()
@@ -115,7 +113,7 @@ func ownershipEngineRows(t *testing.T, rowsPer int) *Engine {
 // including a scan a LIMIT stops early.
 func TestScratchOwnership(t *testing.T) {
 	e := ownershipEngine(t)
-	check := countScratch(t)
+	check := countScratch(t, e)
 
 	for _, sql := range []string{
 		`SELECT acct, SUM(amount), AVG(amount), COUNT(*) FROM t GROUP BY acct`,
@@ -250,7 +248,7 @@ func TestSteadyStateAllocatesNoSelection(t *testing.T) {
 // depend on when the collector last ran. Only a run with more workers than
 // CPUs widens the set, to its workers and one consumer.
 func TestScratchPoolKeepsAFixedSet(t *testing.T) {
-	p := newScratchPool(nil)
+	p := new(scratchPool)
 	keep := runtime.NumCPU() + 1
 	out := make([]*scanScratch, keep+5)
 	for i := range out {

@@ -333,7 +333,7 @@ func settled(t *testing.T, base int, label string) {
 // every scratch returned and no goroutine left behind.
 func TestSinkOrderAndStop(t *testing.T) {
 	e := ownershipEngineRows(t, 3000)
-	check := countScratch(t)
+	check := countScratch(t, e)
 	const sql = `SELECT id, acct, amount FROM t WHERE bucket <> 2`
 	e.Mode = ModeInterpreted
 	want := mustExec(t, e, sql).Rows

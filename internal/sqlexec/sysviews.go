@@ -135,7 +135,7 @@ func registerEngineSysViews(e *Engine) {
 				}
 				rows = append(rows, value.Row{
 					value.String(name), value.String(p.Name),
-					value.String(string(p.Tier)),
+					value.String(string(p.ShownTier())),
 					value.Int(int64(p.Table.NumRows())),
 					value.Int(int64(p.Table.DeltaRows())),
 					value.Int(int64(p.Table.MainRows())),
@@ -162,6 +162,11 @@ func registerEngineSysViews(e *Engine) {
 		sysCol("last_remapped_refs", value.KindInt),
 		sysCol("last_create_blocks", value.KindInt),
 		sysCol("last_delete_blocks", value.KindInt),
+		sysCol("last_rows_under_lock", value.KindInt),
+		sysCol("last_bytes_built", value.KindInt),
+		sysCol("last_deletes_carried", value.KindInt),
+		sysCol("stalled_applies", value.KindInt),
+		sysCol("stalled_snapshots", value.KindInt),
 	}, func() ([]value.Row, error) {
 		// The merge daemon's live backlog (delta sizes) and per-table merge
 		// history, straight from the transaction manager's table registry.
@@ -172,6 +177,7 @@ func registerEngineSysViews(e *Engine) {
 				continue
 			}
 			ms := tab.LastMergeStats()
+			stalledApplies, stalledSnapshots := tab.MergeStalls()
 			rows = append(rows, value.Row{
 				value.String(name),
 				value.Int(int64(tab.DeltaRows())),
@@ -184,6 +190,11 @@ func registerEngineSysViews(e *Engine) {
 				value.Int(int64(ms.RemappedRefs)),
 				value.Int(int64(ms.CreateBlocks)),
 				value.Int(int64(ms.DeleteBlocks)),
+				value.Int(int64(ms.RowsUnderLock)),
+				value.Int(int64(ms.BytesBuilt)),
+				value.Int(int64(ms.DeletesCarried)),
+				value.Int(int64(stalledApplies)),
+				value.Int(int64(stalledSnapshots)),
 			})
 		}
 		return rows, nil

@@ -83,6 +83,11 @@ func TestSysViewsShowWhereTheStampsAre(t *testing.T) {
 	if len(r.Rows) != 1 || r.Rows[0][0].AsInt() != 20 || r.Rows[0][1].AsInt() != 0 || r.Rows[0][2].AsInt() != 0 {
 		t.Fatalf("sys.m_merges for acct: %v, want 20 rows merged and no stamp blocks kept", r.Rows)
 	}
+	// Nothing arrived while that merge built, and nothing waited for it.
+	r = mustExec(t, e, `SELECT last_rows_under_lock, last_deletes_carried, last_bytes_built, stalled_applies, stalled_snapshots FROM sys.m_merges WHERE table_name = 'acct'`)
+	if row := r.Rows[0]; row[0].AsInt() != 0 || row[1].AsInt() != 0 || row[2].AsInt() <= 0 || row[2].AsInt() > after || row[3].AsInt() != 0 || row[4].AsInt() != 0 {
+		t.Fatalf("sys.m_merges for acct: %v, want nothing under the lock, nothing carried, nothing stalled and at most %d bytes built", r.Rows, after)
+	}
 	mustExec(t, e, `DELETE FROM acct WHERE id = 3`)
 	if _, sb = stamps(); sb != array {
 		t.Fatalf("after one delete: stamp_bytes = %d, want one delete array = %d", sb, array)

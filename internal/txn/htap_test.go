@@ -68,6 +68,12 @@ func TestMergeSnapshotParityProperty(t *testing.T) {
 
 	merger := m.StartMerger(MergerConfig{Threshold: 32, Interval: time.Millisecond})
 	defer merger.Stop()
+	// The 300 rows are the daemon's to merge, before anyone competes.
+	for deadline := time.Now().Add(10 * time.Second); merger.Merges() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("background merger never ran")
+		}
+	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -106,6 +112,46 @@ func TestMergeSnapshotParityProperty(t *testing.T) {
 			}
 		}(w)
 	}
+
+	// A merger of its own that puts an update and an insert between a
+	// merge's freeze and its publish, whatever else lands there: the daemon
+	// alone publishes as soon as it has built. It merges when eight rows
+	// have gathered — four of its own transactions, if nobody else writes —
+	// so it merges however fast the writers finish; when the daemon is
+	// merging, BeginMerge answers nil and the transaction runs all the same
+	// (the daemon may hold a merge through all sixty, descheduled: then it
+	// goes on until one of its own has published).
+	var split atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; (i < 60 || split.Load() == 0 && i < 10_000) && !stop.Load(); i++ {
+			var p *columnstore.PendingMerge
+			if tab.DeltaRows() >= 8 {
+				p = tab.BeginMerge(m.MinActiveTS())
+			}
+			_, err := m.RunInTxn(func(tx *Txn) error {
+				snap, err := tx.SnapshotTable("prop")
+				if err != nil {
+					return err
+				}
+				if at := snap.FindRows(0, value.Int(int64(i))); len(at) == 1 {
+					if err := tx.Update("prop", snap.ID(at[0]), value.Row{value.Int(int64(i)), value.Int(snap.Get(1, at[0]).AsInt() + 1)}); err != nil {
+						return err
+					}
+				}
+				return tx.Insert("prop", value.Row{value.Int(int64(5000 + i)), value.Int(0)})
+			})
+			if p != nil {
+				p.Publish()
+				split.Add(1)
+			}
+			if err != nil && !errors.Is(err, ErrConflict) {
+				errCh <- err
+				return
+			}
+		}
+	}()
 
 	// Readers: pin a snapshot TS and re-read the table several times while
 	// merges and commits churn underneath; the visible content must not
@@ -150,8 +196,8 @@ func TestMergeSnapshotParityProperty(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if merger.Merges() == 0 {
-		t.Fatal("background merger never ran; property was not exercised")
+	if merger.Merges() == 0 || split.Load() == 0 {
+		t.Fatalf("%d background merges, %d with a transaction between their halves (table: %d merges, %d delta rows); property was not exercised", merger.Merges(), split.Load(), tab.MergeCount(), tab.DeltaRows())
 	}
 }
 

@@ -21,7 +21,11 @@ type MergerConfig struct {
 // Merger is the background merge daemon: it watches every registered
 // table's delta size and triggers delta→main merges at the MinActiveTS
 // watermark (Manager.MergeNow) on its own goroutine. No commit queues
-// behind one: a merge and a commit meet only at the table's own lock.
+// behind one: the new main is built with no table lock held, and a merge
+// and a commit meet only at the merge's freeze and its publish, each as
+// long as what arrived since the step before (columnstore.MergeStats
+// RowsUnderLock, Table.MergeStalls). A table deregistered between the
+// sweep's listing and its lookup is skipped.
 type Merger struct {
 	m      *Manager
 	cfg    MergerConfig

@@ -20,21 +20,27 @@ import (
 type verb int
 
 const (
-	begin      verb = iota // start transaction tx
-	insert                 // tx buffers row (k, v)
-	update                 // tx observes the visible row with key k and buffers its replacement (k, v)
-	remove                 // tx observes the visible row with key k and buffers its delete
-	commit                 // tx commits; conflict says it must lose
-	merge                  // delta→main merge at the current watermark
-	checkpoint             // checkpoint the table, truncate the log
-	recoverNow             // crash: reopen a copy of the directory as it is, see (*schedule).recover
-	expect                 // the visible rows are exactly want
+	begin        verb = iota // start transaction tx
+	insert                   // tx buffers row (k, v)
+	update                   // tx observes the visible row with key k and buffers its replacement (k, v)
+	remove                   // tx observes the visible row with key k and buffers its delete
+	commit                   // tx commits; conflict says it must lose
+	merge                    // delta→main merge at the current watermark
+	mergeBegin               // freeze the table and build its new main at the current watermark: the steps up to mergePublish run during the build
+	mergePublish             // swap in what mergeBegin built; nothing to do when a crash took the merge
+	checkpoint               // checkpoint the table, truncate the log
+	recoverNow               // crash: reopen a copy of the directory as it is, see (*schedule).recover
+	expect                   // the visible rows are exactly want
+	expectAt                 // the one visible row with key k has row ID id and sits at position pos
+	pin                      // take a snapshot of the table at the current clock and keep it
+	expectPin                // the kept snapshot still reads exactly want
 )
 
 type step struct {
 	verb     verb
 	tx       int
 	k, v     int64
+	id, pos  int
 	conflict bool
 	want     map[int64]int64
 }
@@ -53,6 +59,16 @@ func (st step) String() string {
 		return fmt.Sprintf("commit t%d (conflict %v)", st.tx, st.conflict)
 	case merge:
 		return "merge"
+	case mergeBegin:
+		return "merge-begin"
+	case mergePublish:
+		return "merge-publish"
+	case expectAt:
+		return fmt.Sprintf("expect key %d under ID %d at position %d", st.k, st.id, st.pos)
+	case pin:
+		return "pin"
+	case expectPin:
+		return fmt.Sprint("expect pinned ", st.want)
 	case checkpoint:
 		return "checkpoint"
 	case recoverNow:
@@ -68,6 +84,13 @@ type schedule struct {
 	s    *Store
 	tab  *columnstore.Table
 	open map[int]*txn.Txn
+
+	pending *columnstore.PendingMerge // between mergeBegin and mergePublish
+	pinned  *columnstore.Snapshot
+	// anyPos lets expectAt find its row anywhere: a run with a crash the
+	// script did not write carries on over a table with another merge
+	// history, and with it other positions. IDs hold regardless.
+	anyPos bool
 }
 
 func evSchema() columnstore.Schema {
@@ -126,22 +149,46 @@ func (r *schedule) run(st step) {
 		}
 	case merge:
 		_, err = r.s.MergeTable("ev")
+	case mergeBegin:
+		if r.pending = r.tab.BeginMerge(r.s.Mgr.MinActiveTS()); r.pending == nil {
+			r.t.Fatal("a merge is in progress already")
+		}
+	case mergePublish:
+		if r.pending != nil {
+			r.pending.Publish()
+			r.pending = nil
+		}
 	case checkpoint:
 		err = r.s.Checkpoint(map[string]*columnstore.Table{"ev": r.tab})
 	case recoverNow:
 		r.recover()
 	case expect:
+		requireRows(r.t, r.tab.Snapshot(r.s.Mgr.Now()), st.want)
+	case expectAt:
 		snap := r.tab.Snapshot(r.s.Mgr.Now())
-		got := map[int64]int64{}
-		for _, pos := range snap.CollectVisible() {
-			got[snap.Get(0, pos).AsInt()] = snap.Get(1, pos).AsInt()
+		at := snap.FindRows(0, value.Int(st.k))
+		if len(at) != 1 || at[0] != st.pos && !r.anyPos || snap.ID(at[0]) != st.id {
+			r.t.Fatalf("%v: found at positions %v (ID of the first: %d)", st, at, snap.ID(at[0]))
 		}
-		if snap.LiveRows() != len(st.want) || !reflect.DeepEqual(got, st.want) {
-			r.t.Fatalf("COUNT(*) = %d and rows %v, want %v", snap.LiveRows(), got, st.want)
-		}
+	case pin:
+		r.pinned = r.tab.Snapshot(r.s.Mgr.Now())
+	case expectPin:
+		requireRows(r.t, r.pinned, st.want)
 	}
 	if err != nil {
 		r.t.Fatalf("%v: %v", st, err)
+	}
+}
+
+// requireRows requires the rows snap sees to be exactly want.
+func requireRows(t *testing.T, snap *columnstore.Snapshot, want map[int64]int64) {
+	t.Helper()
+	got := map[int64]int64{}
+	for _, pos := range snap.CollectVisible() {
+		got[snap.Get(0, pos).AsInt()] = snap.Get(1, pos).AsInt()
+	}
+	if snap.LiveRows() != len(want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("COUNT(*) = %d and rows %v, want %v", snap.LiveRows(), got, want)
 	}
 }
 
@@ -149,7 +196,9 @@ func (r *schedule) run(st step) {
 // and requires the table it recovers to be the live one, row ID by row ID.
 // With no transaction open the schedule carries on over the recovered store
 // — whatever it does next names rows the recovery laid out — otherwise on
-// the live one: a crash would have taken the open transactions with it.
+// the live one: a crash would have taken the open transactions with it. It
+// takes a merge that has begun and not published with it too: nothing of a
+// merge is logged, so the recovered table is the live one as if none ran.
 func (r *schedule) recover() {
 	r.t.Helper()
 	crash := r.t.TempDir()
@@ -177,7 +226,7 @@ func (r *schedule) recover() {
 		return
 	}
 	r.s.Log.Close()
-	r.s, r.tab = s2, tab2
+	r.s, r.tab, r.pending = s2, tab2, nil
 }
 
 // requireSameRows requires two snapshots at one timestamp, of a table and
@@ -222,12 +271,16 @@ func seeded(rest ...step) []step {
 }
 
 // TestScriptedSchedules runs each script as written, then once per step
-// index with a merge injected before that step and once with a crash and
-// recovery injected there. Every run must end in the script's expected
-// rows, every crash image must recover to the live table, and a commit
-// loses only where the script says so: a merge — wherever it lands between
-// a transaction observing its victim and committing — moves the victim
-// without renaming it.
+// index with a merge injected before that step, once with a crash and
+// recovery injected there and once with that step run while a merge is in
+// progress — between its freeze and its publish — and last with every step
+// run so. Every run must end in the script's expected rows, every crash
+// image must recover to the live table, and a commit loses only where the
+// script says so: a merge — wherever it lands between a transaction
+// observing its victim and committing, and whatever lands inside it — moves
+// the victim without renaming it. The schedule is one goroutine, so a step
+// between merge-begin and merge-publish that waited for the merge would
+// hang the test.
 func TestScriptedSchedules(t *testing.T) {
 	scripts := map[string][]step{
 		// When rows were named by position, the commit lost to the merge.
@@ -276,24 +329,100 @@ func TestScriptedSchedules(t *testing.T) {
 			step{verb: begin}, step{verb: update, k: 4, v: 41}, step{verb: commit},
 			step{verb: expect, want: map[int64]int64{2: 20, 4: 41}},
 		),
+		// The build has read row 3 as live when t1's delete stamps it: the
+		// stamp is carried at the swap, and t2, which observed the row before
+		// the merge began, still loses to the first committer after it.
+		"delete_during_build": seeded(
+			step{verb: begin, tx: 1}, step{verb: begin, tx: 2},
+			step{verb: remove, tx: 1, k: 3}, step{verb: remove, tx: 2, k: 3},
+			step{verb: mergeBegin},
+			step{verb: commit, tx: 1},
+			step{verb: expect, want: map[int64]int64{2: 20}},
+			step{verb: mergePublish},
+			step{verb: expect, want: map[int64]int64{2: 20}},
+			step{verb: commit, tx: 2, conflict: true},
+			step{verb: expect, want: map[int64]int64{2: 20}},
+		),
+		// Rows 1 and 2 are kept (row 0 is evicted), so the j-th row that
+		// arrives during the build lands at position 2+j, under the ID it
+		// was given when it arrived behind three rows.
+		"insert_during_build": seeded(
+			step{verb: mergeBegin},
+			step{verb: begin}, step{verb: insert, k: 4, v: 40}, step{verb: insert, k: 5, v: 50}, step{verb: commit},
+			step{verb: expectAt, k: 4, id: 3, pos: 3}, step{verb: expectAt, k: 5, id: 4, pos: 4},
+			step{verb: mergePublish},
+			step{verb: expectAt, k: 2, id: 1, pos: 0}, step{verb: expectAt, k: 4, id: 3, pos: 2}, step{verb: expectAt, k: 5, id: 4, pos: 3},
+			step{verb: begin}, step{verb: insert, k: 6, v: 60}, step{verb: commit},
+			step{verb: expectAt, k: 6, id: 5, pos: 4},
+			step{verb: recoverNow},
+			step{verb: expect, want: map[int64]int64{2: 20, 3: 30, 4: 40, 5: 50, 6: 60}},
+		),
+		"pin_during_build": seeded(
+			step{verb: mergeBegin},
+			step{verb: begin}, step{verb: insert, k: 4, v: 40}, step{verb: commit},
+			step{verb: pin},
+			step{verb: begin}, step{verb: remove, k: 2}, step{verb: commit},
+			step{verb: expectPin, want: map[int64]int64{2: 20, 3: 30, 4: 40}},
+			step{verb: mergePublish},
+			step{verb: expectPin, want: map[int64]int64{2: 20, 3: 30, 4: 40}},
+			step{verb: merge},
+			step{verb: expectPin, want: map[int64]int64{2: 20, 3: 30, 4: 40}},
+			step{verb: expect, want: map[int64]int64{3: 30, 4: 40}},
+		),
+		// No transaction is open at the crash, so the schedule carries on over
+		// the recovered store, and the publish finds no merge to publish.
+		"crash_during_build": seeded(
+			step{verb: mergeBegin},
+			step{verb: begin}, step{verb: insert, k: 4, v: 40}, step{verb: remove, k: 2}, step{verb: commit},
+			step{verb: recoverNow},
+			step{verb: mergePublish},
+			step{verb: expectAt, k: 3, id: 2, pos: 2},
+			step{verb: expect, want: map[int64]int64{3: 30, 4: 40}},
+		),
 	}
-	play := func(steps []step) func(*testing.T) {
+	play := func(steps []step, anyPos bool) func(*testing.T) {
 		return func(t *testing.T) {
 			r := newSchedule(t)
+			r.anyPos = anyPos
 			defer func() { r.s.Log.Close() }()
 			for _, st := range steps {
 				r.run(st)
 			}
 		}
 	}
+	// during returns st as it runs while a merge is in progress; a merge
+	// step would wait for that merge, on the goroutine that has to publish it.
+	during := func(st step) []step {
+		if st.verb == merge || st.verb == mergeBegin || st.verb == mergePublish {
+			return []step{st}
+		}
+		return []step{{verb: mergeBegin}, st, {verb: mergePublish}}
+	}
 	for name, script := range scripts {
+		ownMerge := false // the script holds a merge open itself: no second one inside it
+		for _, st := range script {
+			ownMerge = ownMerge || st.verb == mergeBegin
+		}
 		t.Run(name, func(t *testing.T) {
-			t.Run("as_written", play(script))
-			for at := range script {
+			t.Run("as_written", play(script, false))
+			var every []step
+			for at, st := range script {
 				for _, inject := range []step{{verb: merge}, {verb: recoverNow}} {
+					if inject.verb == merge && ownMerge {
+						continue
+					}
 					with := append(append(append([]step(nil), script[:at]...), inject), script[at:]...)
-					t.Run(fmt.Sprintf("%v@%d", inject, at), play(with))
+					t.Run(fmt.Sprintf("%v@%d", inject, at), play(with, inject.verb == recoverNow))
 				}
+				if ownMerge {
+					continue
+				}
+				with := append(append(append([]step(nil), script[:at]...), during(st)...), script[at+1:]...)
+				t.Run(fmt.Sprintf("merging@%d", at), play(with, false))
+				every = append(every, during(st)...)
+			}
+			if !ownMerge {
+				t.Run("merging@every", play(every, false))
 			}
 		})
 	}
