@@ -97,15 +97,17 @@ benchcommit:
 	echo "$$out" | $(GO) run ./cmd/benchguard -match 'BenchmarkUpdateUnderMerge'
 
 # Point-select micro-benchmarks: the oltp_point statement in process, key
-# as a $$1 parameter vs spelled as a literal. The gate that matters is
-# the pair's allocs/op: benchguard fails when the parameter form
-# allocates over 10% more per op than the literal form (it has lost its
-# scan kernel, and boxes every row). The same statement over loopback
-# pgwire, and olap_scan's 20,000-row wide result beside it, ride along: a
-# frame, a row or a Describe that allocates again shows as a multiple of
-# allocs/op, a result materialized before it is sent as a multiple of B/op.
-# A one-row UPDATE and DELETE by the same key on the same table run beside
-# them: a victim search that boxes the table again is a hundredfold jump.
+# as a $$1 parameter vs spelled as a literal. Besides every row's own
+# baseline, benchguard fails when the parameter form allocates over 10%
+# more per op than the literal form (it has lost its scan kernel, and
+# boxes every row). The same statement over loopback pgwire, a one-row
+# UPDATE and DELETE by the same key, and — in a second run, at fewer
+# iterations — olap_scan's 20,000-row wide result ride along: a frame, a
+# row or a Describe that allocates again shows as a multiple of
+# allocs/op, a victim search that boxes the table again as a hundredfold
+# jump, and a wide result boxed on its way to the wire (windows of cells
+# in flight, ~1.3 MB; the whole result materialized before it is sent, a
+# multiple) in B/op, most of which is this client's decoded rows.
 benchpoint:
 	$(GO) test -run xxx -bench 'Benchmark(Wire)?Point(Select|Delete|Update)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'Benchmark(Wire)?Point(Select|Delete|Update)'
 	$(GO) test -run xxx -bench 'BenchmarkWireWideResult$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkWireWideResult'

@@ -29,14 +29,39 @@ func PackUints(vals []uint64) *BitPacked {
 			maxV = v
 		}
 	}
-	width := uint(bits.Len64(maxV))
-	bp := &BitPacked{width: width, n: len(vals)}
-	if width == 0 {
-		return bp
+	bp := newBitPacked(len(vals), maxV)
+	if bp.width > 0 {
+		for i, v := range vals {
+			bp.set(i, v)
+		}
 	}
-	bp.words = make([]uint64, (len(vals)*int(width)+63)/64)
-	for i, v := range vals {
-		bp.set(i, v)
+	return bp
+}
+
+// packOffsets packs vals[i]-base, none of which may be negative, at the
+// minimal width — PackUints without an unsigned copy of vals.
+func packOffsets(vals []int64, base int64) *BitPacked {
+	var maxV uint64
+	for _, v := range vals {
+		if o := uint64(v - base); o > maxV {
+			maxV = o
+		}
+	}
+	bp := newBitPacked(len(vals), maxV)
+	if bp.width > 0 {
+		for i, v := range vals {
+			bp.set(i, uint64(v-base))
+		}
+	}
+	return bp
+}
+
+// newBitPacked returns a zeroed vector of n entries wide enough for maxV.
+func newBitPacked(n int, maxV uint64) *BitPacked {
+	width := uint(bits.Len64(maxV))
+	bp := &BitPacked{width: width, n: n}
+	if width > 0 {
+		bp.words = make([]uint64, (n*int(width)+63)/64)
 	}
 	return bp
 }

@@ -93,11 +93,7 @@ func NewIntColumn(vals []int64, nulls *Bitset, kind value.Kind) *IntColumn {
 			}
 		}
 	}
-	packed := make([]uint64, len(vals))
-	for i, v := range vals {
-		packed[i] = uint64(v - base)
-	}
-	return &IntColumn{Base: base, Refs: PackUints(packed), Nulls: nulls, kind: kind}
+	return &IntColumn{Base: base, Refs: packOffsets(vals, base), Nulls: nulls, kind: kind}
 }
 
 // Kind returns the logical kind of the column.

@@ -803,8 +803,12 @@ func (t *Table) beginMerge(minActiveTS uint64) *PendingMerge {
 
 	p.stats = MergeStats{RowsMerged: len(keep), RowsEvicted: total - len(keep)}
 	p.main = make([]MainColumn, len(from.schema))
-	for c := range from.schema {
-		p.main[c] = from.mergeColumn(c, keep, &p.stats)
+	var stage []int64 // integer and string cells before packing; no column keeps it
+	for c, def := range from.schema {
+		if stage == nil && def.Kind != value.KindFloat {
+			stage = make([]int64, len(keep))
+		}
+		p.main[c] = from.mergeColumn(c, keep, stage, &p.stats)
 		p.stats.BytesBuilt += p.main[c].Bytes()
 	}
 
@@ -885,11 +889,14 @@ func (p *PendingMerge) Publish() MergeStats {
 // positions. Cells are copied typed: a frame-of-reference main column is
 // decoded a chunk at a time, flat and run-length ones are read where they
 // lie, the delta's payload slices directly; only a main column of another
-// shape (sparse, paged) goes through one boxed Get per cell.
-func (s *Snapshot) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn {
+// shape (sparse, paged) goes through one boxed Get per cell. An integer or
+// string column is staged in stage, len(keep) long, before it is packed;
+// the column built keeps none of it, so the caller passes the same stage
+// for every column.
+func (s *Snapshot) mergeColumn(c int, keep []int, stage []int64, stats *MergeStats) MainColumn {
 	kind := s.schema[c].Kind
 	if kind == value.KindString {
-		return s.mergeStringColumn(c, keep, stats)
+		return s.mergeStringColumn(c, keep, stage, stats)
 	}
 	var nulls *Bitset
 	setNull := func(n int) {
@@ -933,7 +940,8 @@ func (s *Snapshot) mergeColumn(c int, keep []int, stats *MergeStats) MainColumn 
 	}
 
 	// Int, Bool, Time
-	vals := make([]int64, len(keep))
+	vals := stage
+	clear(vals)
 	switch mc := s.main[c].(type) {
 	case *IntColumn:
 		const chunk = 1024
@@ -1008,7 +1016,7 @@ func newRLEInts(vals []int64, runs int, kind value.Kind) *RLEColumn {
 	return c
 }
 
-func (s *Snapshot) mergeStringColumn(c int, keep []int, stats *MergeStats) MainColumn {
+func (s *Snapshot) mergeStringColumn(c int, keep []int, stage []int64, stats *MergeStats) MainColumn {
 	dc := s.delta[c]
 	var oldDict *Dictionary
 	var oldRefs func(i int) (id int, null bool)
@@ -1049,7 +1057,8 @@ func (s *Snapshot) mergeStringColumn(c int, keep []int, stats *MergeStats) MainC
 	}
 	stats.DictSize += merged.Len()
 
-	refs := make([]uint64, len(keep))
+	refs := stage
+	clear(refs)
 	var nulls *Bitset
 	for n, old := range keep {
 		if old < s.mainRows {
@@ -1065,7 +1074,7 @@ func (s *Snapshot) mergeStringColumn(c int, keep []int, stats *MergeStats) MainC
 				id = mainRemap[id]
 				stats.RemappedRefs++
 			}
-			refs[n] = uint64(id)
+			refs[n] = int64(id)
 			continue
 		}
 		d := old - s.mainRows
@@ -1076,9 +1085,9 @@ func (s *Snapshot) mergeStringColumn(c int, keep []int, stats *MergeStats) MainC
 			nulls.Set(n)
 			continue
 		}
-		refs[n] = uint64(deltaRemap[dc.refs[d]])
+		refs[n] = int64(deltaRemap[dc.refs[d]])
 	}
-	return &DictColumn{Dict: merged, Refs: PackUints(refs), Nulls: nulls}
+	return &DictColumn{Dict: merged, Refs: packOffsets(refs, 0), Nulls: nulls}
 }
 
 // SortedBy reports whether the visible rows of snapshot s are sorted

@@ -291,7 +291,7 @@ func (e *Ecosystem) Status() Status {
 			t.DeltaRows += p.Table.DeltaRows()
 			t.Bytes += p.Table.Bytes()
 			t.Partitions++
-			t.Tiers[p.Tier]++
+			t.Tiers[p.ShownTier()]++
 		}
 		st.Tables = append(st.Tables, t)
 	}
@@ -316,7 +316,10 @@ func (e *Ecosystem) DemoteTable(name string) (int, error) {
 	return e.Warm.DemoteTable(entry, e.Engine.Mgr.MinActiveTS())
 }
 
-// PromoteTable re-hydrates every warm partition of a table into memory.
+// PromoteTable re-hydrates every warm partition of a table into memory and
+// returns how many it promoted. A partition is warm by what it shows
+// (Partition.ShownTier): one the merge daemon already re-hydrated is hot,
+// whatever its tag says, and is not counted.
 func (e *Ecosystem) PromoteTable(name string) (int, error) {
 	entry, ok := e.Engine.Cat.Table(name)
 	if !ok {
@@ -325,7 +328,7 @@ func (e *Ecosystem) PromoteTable(name string) (int, error) {
 	n := 0
 	wm := e.Engine.Mgr.MinActiveTS()
 	for _, p := range entry.Partitions {
-		if p.Tier == catalog.TierExtended {
+		if p.ShownTier() == catalog.TierExtended {
 			if err := e.Warm.Promote(p, wm); err != nil {
 				return n, err
 			}

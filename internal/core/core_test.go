@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/soe"
+	"repro/internal/txn"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -330,6 +331,59 @@ func TestBackgroundMergeOfADemotedTableShowsHot(t *testing.T) {
 	}
 	if tier, _, fresh := shown(); tier != "extended" || !fresh {
 		t.Fatalf("after the second demotion: tier %s, fresh %v", tier, fresh)
+	}
+}
+
+// TestPromoteAfterBackgroundMergeCountsNothing: a demoted table whose delta
+// passed the merge daemon's threshold was re-hydrated by the daemon, which
+// tags nothing. What it is made of says hot, so PromoteTable promotes
+// nothing and Status counts the partition hot, tag or no tag.
+func TestPromoteAfterBackgroundMergeCountsNothing(t *testing.T) {
+	e := newEco(t, Config{})
+	e.MustQuery(`CREATE TABLE ev (id INT, note VARCHAR)`)
+	insert := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e.MustQuery(fmt.Sprintf(`INSERT INTO ev VALUES (%d, 'n%d')`, i, i))
+		}
+	}
+	insert(0, 8)
+	if n, err := e.DemoteTable("ev"); err != nil || n != 1 {
+		t.Fatalf("demote: %d, %v", n, err)
+	}
+	tiers := func() map[catalog.Tier]int {
+		for _, ts := range e.Status().Tables {
+			if ts.Name == "ev" {
+				return ts.Tiers
+			}
+		}
+		t.Fatal("ev missing from Status")
+		return nil
+	}
+	if got := tiers(); got[catalog.TierExtended] != 1 || got[catalog.TierHot] != 0 {
+		t.Fatalf("after the demotion: tiers %v", got)
+	}
+	entry, _ := e.Engine.Cat.Table("ev")
+	p := entry.Partitions[0]
+	merges := p.Table.MergeCount()
+	daemon := e.Engine.Mgr.StartMerger(txn.MergerConfig{Threshold: 4, Interval: time.Millisecond})
+	insert(8, 16)
+	for deadline := time.Now().Add(10 * time.Second); p.Table.MergeCount() == merges; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the daemon never merged the demoted table")
+		}
+	}
+	daemon.Stop()
+	if p.Tier != catalog.TierExtended {
+		t.Fatalf("the daemon re-tagged the partition %s", p.Tier)
+	}
+	if got := tiers(); got[catalog.TierHot] != 1 || got[catalog.TierExtended] != 0 {
+		t.Errorf("after the background merge: tiers %v, want the partition hot", got)
+	}
+	if n, err := e.PromoteTable("ev"); err != nil || n != 0 {
+		t.Errorf("promote after the background merge: %d promoted, %v; want 0", n, err)
+	}
+	if n := e.MustQuery(`SELECT COUNT(*) FROM ev`).Rows[0][0].I; n != 16 {
+		t.Errorf("count=%d, want 16", n)
 	}
 }
 

@@ -652,7 +652,8 @@ func (c *conn) handleExecute(m *msgReader) {
 		if maxRows > 0 && maxRows < len(rows) {
 			rows = rows[:maxRows]
 		}
-		c.sendDataRows(len(p.res.Cols), rows)
+		b := sqlexec.RowsBatch(rows)
+		c.sendDataRows(len(p.res.Cols), &b)
 		if p.pos += len(rows); p.pos < len(p.res.Rows) {
 			c.out.start(msgPortalSuspended)
 			c.out.finish()
@@ -696,9 +697,10 @@ const (
 )
 
 // rowWriter is the streaming sink (sqlexec.RowSink) of one statement: it
-// encodes each batch as DataRows the moment the executor hands it over and
-// keeps none, so the executor refills the same few windows however long
-// the result. The bytes leave through the connection's buffered writer,
+// encodes each batch as DataRows the moment the executor hands it over,
+// reading every cell through RowBatch.At, and keeps none — so a scan's rows
+// reach the wire without ever being boxed, however long the result. The
+// bytes leave through the connection's buffered writer,
 // which writes to the socket whenever it fills: the first rows of a large
 // result are on their way while the scan is still running, and a one-row
 // result still costs one write, at Sync. A failed write fails the batch,
@@ -726,19 +728,19 @@ func (w *rowWriter) Header(cols []string) error {
 	return nil
 }
 
-func (w *rowWriter) Batch(rows []value.Row) (bool, error) {
+func (w *rowWriter) Batch(b *sqlexec.RowBatch) error {
 	if !w.rowStmt {
 		// DML answers with one row of one integer cell: its tag's count.
-		if len(rows) == 1 && len(rows[0]) == 1 {
-			w.count = rows[0][0].AsInt()
+		if b.Len() == 1 && b.Width() == 1 {
+			w.count = b.At(0, 0).AsInt()
 		}
-		return false, nil
+		return nil
 	}
 	if w.describe != describeNone {
-		w.rowDescription(rows)
+		w.rowDescription(b)
 	}
-	w.sent += len(rows)
-	return false, w.c.sendDataRows(len(w.cols), rows)
+	w.sent += b.Len()
+	return w.c.sendDataRows(len(w.cols), b)
 }
 
 // finish ends a statement that succeeded: a row statement that produced
@@ -750,19 +752,19 @@ func (w *rowWriter) finish() {
 }
 
 // rowDescription pays what the writer owes. Field types come from the
-// rows in hand (text format; OIDs by value kind, text for a column that is
-// NULL throughout them).
-func (w *rowWriter) rowDescription(rows []value.Row) {
+// batch in hand, nil when there is none (text format; OIDs by value kind,
+// text for a column that is NULL throughout the batch).
+func (w *rowWriter) rowDescription(b *sqlexec.RowBatch) {
 	var kinds []value.Kind
-	if w.describe == describeTyped && len(rows) > 0 {
+	if w.describe == describeTyped && b != nil && b.Len() > 0 {
 		kinds = make([]value.Kind, len(w.cols))
-		for _, row := range rows {
+		for i := 0; i < b.Len(); i++ {
 			missing := false
-			for i := range kinds {
-				if kinds[i] == value.KindNull && i < len(row) {
-					kinds[i] = row[i].K
+			for c := range kinds {
+				if kinds[c] == value.KindNull {
+					kinds[c] = b.At(i, c).K
 				}
-				if kinds[i] == value.KindNull {
+				if kinds[c] == value.KindNull {
 					missing = true
 				}
 			}
@@ -810,19 +812,21 @@ func oidOf(k value.Kind) (oid, size int) {
 	}
 }
 
-// sendDataRows encodes rows as DataRows of ncols text-format cells each —
-// the one row loop, whichever sink the rows came through. It returns the
-// first write error: the buffered writer's, which sticks.
-func (c *conn) sendDataRows(ncols int, rows []value.Row) error {
-	for _, row := range rows {
+// sendDataRows encodes a batch as DataRows of ncols text-format cells each
+// — the one row loop, whichever sink the rows came through. Each cell is
+// read (At) and rendered in place; nothing is boxed. It returns the first
+// write error: the buffered writer's, which sticks.
+func (c *conn) sendDataRows(ncols int, b *sqlexec.RowBatch) error {
+	for i, n := 0, b.Len(); i < n; i++ {
 		c.out.start(msgDataRow)
 		c.out.int16(ncols)
-		for i := 0; i < ncols; i++ {
-			if i >= len(row) || row[i].IsNull() {
+		for col := 0; col < ncols; col++ {
+			v := b.At(i, col)
+			if v.IsNull() {
 				c.out.int32(-1)
 				continue
 			}
-			c.out.text(row[i])
+			c.out.text(v)
 		}
 		if err := c.out.finish(); err != nil {
 			return err

@@ -83,7 +83,8 @@ func TestWireDataRowFramesIdentical(t *testing.T) {
 	}
 	var got bytes.Buffer
 	c := &conn{out: &msgWriter{w: bufio.NewWriter(&got)}}
-	if err := c.sendDataRows(len(res.Cols), res.Rows); err != nil {
+	b := sqlexec.RowsBatch(res.Rows)
+	if err := c.sendDataRows(len(res.Cols), &b); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.out.w.Flush(); err != nil {
@@ -124,9 +125,9 @@ func TestWireDataRowFramesIdentical(t *testing.T) {
 }
 
 // TestWireAllocsPerRow: a 20,000-row four-column result costs a fixed
-// number of allocations per window of rows end to end — server windows
-// and encode plus this client's frame read and chunked decode — and none
-// per row or per frame.
+// number of allocations per window of rows end to end — the server's
+// hand-off of positions and this client's frame read and chunked decode —
+// and none per row or per frame.
 func TestWireAllocsPerRow(t *testing.T) {
 	srv, eng := startServer(t, Config{})
 	eng.MustQuery(`CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE, qty INT)`)

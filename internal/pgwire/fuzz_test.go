@@ -43,8 +43,8 @@ func (s fuzzSession) QueryTo(sink sqlexec.RowSink, sql string, params ...value.V
 	if err := sink.Header([]string{"a", "b"}); err != nil {
 		return sqlexec.ExecStats{}, err
 	}
-	_, err := sink.Batch([]value.Row{{value.Int(1), value.String(sql)}})
-	return sqlexec.ExecStats{}, err
+	b := sqlexec.RowsBatch([]value.Row{{value.Int(1), value.String(sql)}})
+	return sqlexec.ExecStats{}, sink.Batch(&b)
 }
 
 func (s fuzzSession) Prepare(sql string) (*sqlexec.Stmt, error) {

@@ -313,7 +313,8 @@ func (s failingSession) QueryTo(sink sqlexec.RowSink, sql string, params ...valu
 		for i := range rows {
 			rows[i] = value.Row{value.Int(int64(b*1000 + i))}
 		}
-		if _, err := sink.Batch(rows); err != nil {
+		batch := sqlexec.RowsBatch(rows)
+		if err := sink.Batch(&batch); err != nil {
 			return sqlexec.ExecStats{}, err
 		}
 	}

@@ -162,6 +162,9 @@ type Session struct {
 	explicit bool
 	cur      *stats.Span // statement span while Query is executing
 	curSQL   string      // statement text, for the slow-query log
+	// out is the feed the running statement answers through (see feed),
+	// cleared when it is done so that an idle session pins no rows.
+	out feed
 	// info mirrors the session state for sys.m_sessions: monitoring
 	// queries read it from other goroutines, so unlike the fields above
 	// it is mutex-guarded. The owning goroutine updates it at statement
@@ -411,7 +414,9 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, pa
 	tExec := time.Now()
 	esp := s.cur.Child("exec")
 	profiled = profiled || s.e.SlowThreshold > 0
-	prof, err := runTo(sink, stats, plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers, &s.e.scratch, profiled)
+	s.out = feed{sink: sink}
+	defer func() { s.out = feed{} }()
+	prof, err := runTo(&s.out, stats, plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers, &s.e.scratch, profiled)
 	if profiled {
 		if prof != nil {
 			prof.SQL = s.curSQL
@@ -590,8 +595,8 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 				vs[i] = victim{table: t.part.Table.Name(), id: t.snap.ID(sel.at(i))}
 			}
 			if box {
-				rows := slabRows(len(vs), len(t.getters))
-				t.box(rows, sel, 0, nil)
+				b := RowBatch{get: t.getters, sel: sel}
+				rows := b.AppendRows(nil)
 				for i := range vs {
 					vs[i].row = rows[i]
 				}

@@ -79,7 +79,7 @@ type execCtx struct {
 	params  []value.Value
 	reg     *Registry
 	stats   *ExecStats
-	out     feed // the statement's sink: every executor's root pushes here
+	out     *feed // the statement's sink: every executor's root pushes here
 	workers int
 	scratch *scratchPool // the engine's: what this statement's scans borrow from
 	mu      sync.Mutex
@@ -124,30 +124,30 @@ func (m Mode) String() string {
 // interpreter ignores it.
 func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, error) {
 	res := &Result{}
-	if _, err := runTo(res, &res.Stats, p, ts, params, reg, mode, workers, new(scratchPool), false); err != nil {
+	if _, err := runTo(&feed{sink: res}, &res.Stats, p, ts, params, reg, mode, workers, new(scratchPool), false); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// runTo executes a plan into sink — the one way a plan runs, whichever
-// executor runs it and whoever reads the rows: the header goes out first,
-// then the executor's root pushes batches through ctx.out as it produces
-// them. The executor mode names runs the plan or returns the statement's
-// error; there is no other to fall back to. stats is where the execution
-// is accounted (a collecting caller's Result.Stats), scratch the pool its
-// scans borrow from (the engine's). A profile is recorded when profiled is
-// set.
-func runTo(sink RowSink, stats *ExecStats, p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, scratch *scratchPool, profiled bool) (*Profile, error) {
+// runTo executes a plan into out's sink — the one way a plan runs,
+// whichever executor runs it and whoever reads the rows: the header goes
+// out first, then the executor's root pushes batches through out as it
+// produces them. The executor mode names runs the plan or returns the
+// statement's error; there is no other to fall back to. stats is where the
+// execution is accounted (a collecting caller's Result.Stats), scratch the
+// pool its scans borrow from (the engine's). A profile is recorded when
+// profiled is set.
+func runTo(out *feed, stats *ExecStats, p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, scratch *scratchPool, profiled bool) (*Profile, error) {
 	cols := p.columns()
 	names := make([]string, len(cols))
 	for i, c := range cols {
 		names[i] = c.Name
 	}
-	if err := sink.Header(names); err != nil {
+	if err := out.sink.Header(names); err != nil {
 		return nil, err
 	}
-	ctx := &execCtx{ts: ts, params: params, reg: reg, stats: stats, out: feed{sink: sink}, workers: workers, scratch: scratch}
+	ctx := &execCtx{ts: ts, params: params, reg: reg, stats: stats, out: out, workers: workers, scratch: scratch}
 	var prof *Profile
 	var t0 time.Time
 	if profiled {
@@ -171,7 +171,9 @@ func runTo(sink RowSink, stats *ExecStats, p Plan, ts uint64, params []value.Val
 }
 
 // runInterpreted runs a plan on the iterator tree, gathering the root's
-// rows into batches for the sink.
+// rows into batches for the sink. The first batch grows by append from
+// nothing, so a one-row result costs a one-row batch; a batch handed on is
+// the sink's to keep, so the next one is new.
 func runInterpreted(p Plan, ctx *execCtx) error {
 	it, err := buildIter(p, ctx)
 	if err != nil {
@@ -181,17 +183,20 @@ func runInterpreted(p Plan, ctx *execCtx) error {
 		return err
 	}
 	defer it.Close()
-	batch := rowBatcher{out: &ctx.out}
+	var batch []value.Row
 	for {
 		row, ok, err := it.Next()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return batch.flush()
+			return ctx.out.push(batch)
 		}
-		if err := batch.add(row); err != nil {
-			return err
+		if batch = append(batch, row); len(batch) == BatchRows {
+			if err := ctx.out.push(batch); err != nil {
+				return err
+			}
+			batch = make([]value.Row, 0, BatchRows)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,12 +39,17 @@ var errStop = errors.New("sqlexec: pipeline stop")
 // its pipeline pushing into ctx.out. Every plan shape compiles: an error
 // from compiling is the statement's, like one from running.
 func runVectorized(p Plan, ctx *execCtx) error {
-	vp, err := vecCompileRoot(p, ctx)
+	views, rows, err := vecCompileRoot(p, ctx)
 	if err != nil {
 		return err
 	}
 	defer ctx.finish()
-	if err := vp(ctx.out.push); err != nil {
+	if views != nil {
+		err = views(ctx.out.show)
+	} else {
+		err = rows(ctx.out.push)
+	}
+	if err != nil {
 		return err
 	}
 	cVecQueries.Inc()
@@ -69,40 +75,43 @@ func vecCompile(p Plan, ctx *execCtx) (vpipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ctx.prof.wrapVPipe(p, vp), nil
+	return wrapPipe(ctx.prof, p, vp, func(rows []value.Row) int { return len(rows) }), nil
 }
 
-// vecCompileRoot is vecCompile for the plan's root, whose emit is the
-// statement's sink (ctx.out.push): the two producers that stream a scan's
-// rows are told so, and recycle the windows the sink does not keep (see
-// scanRun.emitRows). Every other operator compiles as anywhere else.
-func vecCompileRoot(p Plan, ctx *execCtx) (vpipe, error) {
-	var vp vpipe
-	var err error
+// vecCompileRoot compiles the plan's root, whose output is the statement's
+// sink. A scan, or a projection fused into one, compiles to views: it shows
+// the sink windows of its columns (scanViews), and nothing is boxed
+// unless the sink keeps it. Every other root compiles to rows, as anywhere
+// else, and what it emits is pushed as it is.
+func vecCompileRoot(p Plan, ctx *execCtx) (views func(emit func(RowBatch) error) error, rows vpipe, err error) {
+	var s *ScanPlan
+	var cols []int
 	switch x := p.(type) {
 	case *ScanPlan:
-		vp, err = vecScan(x, true, ctx)
+		s = x
 	case *ProjectPlan:
-		vp, err = vecProject(x, true, ctx)
-	default:
-		return vecCompile(p, ctx)
+		s, cols, _ = projectScanShape(x)
 	}
-	if err != nil {
-		return nil, err
+	if s == nil {
+		rows, err = vecCompile(p, ctx)
+		return nil, rows, err
 	}
-	return ctx.prof.wrapVPipe(p, vp), nil
+	if views, err = scanViews(s, cols, ctx); err != nil {
+		return nil, nil, err
+	}
+	return wrapPipe(ctx.prof, p, views, func(b RowBatch) int { return b.Len() }), nil, nil
 }
 
 func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 	switch x := p.(type) {
 	case *ScanPlan:
-		return vecScan(x, false, ctx)
+		return vecScan(x, nil, ctx)
 	case *TableFuncPlan, *ValuesPlan, *VirtualScanPlan:
 		return vecRows(p, ctx)
 	case *FilterPlan:
 		return vecFilter(x, ctx)
 	case *ProjectPlan:
-		return vecProject(x, false, ctx)
+		return vecProject(x, ctx)
 	case *AggPlan:
 		return vecAgg(x, ctx)
 	case *JoinPlan:
@@ -261,6 +270,21 @@ func (s selection) at(i int) int {
 	return s.pos[i]
 }
 
+// window returns the selected positions [from, to) as a selection of their
+// own: dense when they are consecutive — ascending positions whose last is
+// as far from the first as their count — and otherwise a slice of pos,
+// which is still the producer's memory.
+func (s selection) window(from, to int) selection {
+	if s.dense {
+		return denseSel(s.lo+from, s.lo+to)
+	}
+	pos := s.pos[from:to]
+	if last := len(pos) - 1; pos[last]-pos[0] == last {
+		return denseSel(pos[0], pos[last]+1)
+	}
+	return sparseSel(pos)
+}
+
 // scanScratch is one worker's reusable state: the selection vectors, the
 // code keys of the morsel being folded or probed, and the row the residual
 // predicate is evaluated against. It is borrowed from the engine's
@@ -346,15 +370,6 @@ type scanRun struct {
 	stop      atomic.Bool
 	err       error      // drainOrdered's inline hand-off: the consumer's first error
 	op        *OpProfile // scan operator's analyze counters; may be nil
-
-	// free holds the full windows the sink was shown and did not keep, for
-	// emitRows to fill again. It starts nil — a result of one short window
-	// never touches it — and it dies with the run: a window is as wide as
-	// this statement's output and pins this statement's values, and what a
-	// pool shared between statements retains depends on when the collector
-	// last ran (see scratchPool).
-	freeMu sync.Mutex
-	free   [][]value.Row
 }
 
 // release returns the run's scratch once no worker can touch it.
@@ -666,79 +681,76 @@ func (s *rowSlab) row() value.Row {
 // keep hands the current row over to the caller for good.
 func (s *rowSlab) keep() { s.spare = s.spare[1:] }
 
-// box fills out with the rows at selected positions from, from+1, …,
-// reading the scan columns cols in that order (nil: every column of the
-// scan).
-func (t *scanTask) box(out []value.Row, sel selection, from int, cols []int) {
-	if cols == nil {
-		for i, row := range out {
-			pos := sel.at(from + i)
-			for c, g := range t.getters {
-				row[c] = g(pos)
-			}
-		}
-		return
+// scanOut prepares the scan s, reading cols — a projection fused into it —
+// or every column when cols is nil, and returns what runs it: the scan's
+// row exit, at the plan's root and below it. Every morsel's final selection
+// is cut into windows of at most BatchRows positions; cut makes each into
+// what the ordered hand-off carries, on the worker, while the selection's
+// memory is its own (lent: the run's one morsel runs inline, on the
+// consumer's goroutine, and lends it for as long as show takes), and show
+// hands those on to emit in morsel order, on the statement's goroutine — a
+// worker more than a couple of windows ahead waits. cut and show are handed
+// cols rather than capturing it, so that neither is a closure allocated per
+// statement. A fused projection also books each non-empty morsel as one
+// fused batch that spared avoidPerRow boxed values per row.
+func scanOut[T, B any](s *ScanPlan, cols []int, ctx *execCtx, cut func(t *scanTask, sel selection, cols []int, lent bool) T, show func(r *scanRun, v T, cols []int, emit func(B) error) error) (func(emit func(B) error) error, error) {
+	prep, err := prepScan(s, ctx)
+	if err != nil {
+		return nil, err
 	}
-	for i, row := range out {
-		pos := sel.at(from + i)
-		for c, idx := range cols {
-			row[c] = t.getters[idx](pos)
-		}
+	distinct := map[int]bool{}
+	for _, c := range cols {
+		distinct[c] = true
 	}
+	avoidPerRow := prep.ncols - len(distinct)
+	return func(emit func(B) error) error {
+		if op := ctx.prof.node(s); op != nil && cols != nil {
+			op.fused = true
+		}
+		r, err := prep.newRun(ctx)
+		if err != nil {
+			return err
+		}
+		lent := len(r.tasks) == 1
+		return drainOrdered(r, func(t *scanTask, w int, send func(T)) {
+			r.process(t, w, func(sel selection) {
+				n := sel.len()
+				for from := 0; from < n && !r.stop.Load(); from += BatchRows {
+					send(cut(t, sel.window(from, min(n, from+BatchRows)), cols, lent))
+				}
+				if cols != nil {
+					recordLateMat(r.ctx, r.op, 0, 0, 1, int64(n)*int64(avoidPerRow)*16)
+				}
+			})
+		}, func(v T) error { return show(r, v, cols, emit) })
+	}, nil
 }
 
-// window returns n rows of the given width for emitRows to fill: a
-// recycled full window cut to n when the free list has one, a new slab
-// sized by the rows in hand otherwise — a one-row result costs a one-row
-// slab.
-func (r *scanRun) window(n, width int) []value.Row {
-	var win []value.Row
-	r.freeMu.Lock()
-	if k := len(r.free) - 1; k >= 0 {
-		win, r.free = r.free[k], r.free[:k]
-	}
-	r.freeMu.Unlock()
-	if win != nil {
-		return win[:n]
-	}
-	return slabRows(n, width)
+// scanWindow is a root scan's window in the ordered hand-off: the task
+// whose getters read it, and its positions.
+type scanWindow struct {
+	t   *scanTask
+	sel selection
 }
 
-// emitRows is the scan's row exit, shared by the plain scan and the fused
-// projection: every morsel's final selection is boxed, reading cols (see
-// box), in windows of at most BatchRows rows, and the windows reach emit
-// in morsel order through the ordered hand-off — a worker that gets more
-// than a couple of windows ahead of emit waits there. A fused projection
-// (cols set) also books each non-empty morsel as one fused batch that
-// spared avoidPerRow boxed values per row. atRoot says emit is the
-// statement's sink itself (ctx.out.push, at most wrapped by the profiler):
-// a full window the sink did not keep then goes back to the run's free
-// list. Below any other operator nobody reports what became of a batch,
-// and every window is a fresh slab.
-func (r *scanRun) emitRows(cols []int, avoidPerRow int, atRoot bool, emit func([]value.Row) error) error {
-	return drainOrdered(r, func(t *scanTask, w int, send func([]value.Row)) {
-		width := len(cols)
-		if cols == nil {
-			width = len(t.getters)
+// scanViews is a scan at the plan's root: a window travels as its
+// positions — a dense range's two ints; a sparse one's copy, the worker
+// refilling its scratch with its next morsel, unless lent — and reaches the
+// sink as a view, whose cells the sink reads on the statement's goroutine.
+// The page faults that takes are the scan's: process books them for an
+// inline morsel, chargeFaults otherwise.
+func scanViews(s *ScanPlan, cols []int, ctx *execCtx) (func(emit func(RowBatch) error) error, error) {
+	return scanOut(s, cols, ctx, func(t *scanTask, sel selection, _ []int, lent bool) scanWindow {
+		if !lent && !sel.dense {
+			sel.pos = slices.Clone(sel.pos)
 		}
-		r.process(t, w, func(sel selection) {
-			n := sel.len()
-			for from := 0; from < n && !r.stop.Load(); from += BatchRows {
-				win := r.window(min(n-from, BatchRows), width)
-				t.box(win, sel, from, cols)
-				send(win)
-			}
-			if cols != nil {
-				recordLateMat(r.ctx, r.op, 0, 0, 1, int64(n)*int64(avoidPerRow)*16)
-			}
-		})
-	}, func(win []value.Row) error {
-		err := emit(win)
-		if atRoot && err == nil && !r.ctx.out.kept && cap(win) == BatchRows {
-			r.freeMu.Lock()
-			r.free = append(r.free, win[:BatchRows])
-			r.freeMu.Unlock()
+		return scanWindow{t, sel}
+	}, func(r *scanRun, w scanWindow, cols []int, emit func(RowBatch) error) (err error) {
+		b := RowBatch{get: w.t.getters, cols: cols, sel: w.sel}
+		if len(r.tasks) == 1 {
+			return emit(b)
 		}
+		r.chargeFaults(func() { err = emit(b) })
 		return err
 	})
 }
@@ -764,9 +776,12 @@ const handoffDepth = 2
 // ever waits for this consumer. After an error from consume (LIMIT's
 // early exit, a sink that failed) the stop flag makes running morsels end
 // at their next window and later ones return at once, while the consumer
-// keeps emptying the channels so that every worker gets to see it. The
-// run is released on the way out: by then every morsel has reported, so
-// no worker holds its scratch.
+// keeps emptying the channels so that every worker gets to see it. A
+// consume that panics is met the same way before the panic goes on up the
+// caller's goroutine: the stop flag raised, the channels emptied, the
+// dispatcher waited for — so the statement's pool closes under nobody and no
+// worker is left blocked on a full channel. The run is released on the way
+// out: by then every morsel has reported, so no worker holds its scratch.
 func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, send func(T)), consume func(T) error) error {
 	defer r.release()
 	switch len(r.tasks) {
@@ -799,6 +814,17 @@ func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, send func(T)), 
 			close(chans[i])
 		})
 	}()
+	consumed := false
+	defer func() {
+		if !consumed { // consume panicked
+			r.stop.Store(true)
+			for _, ch := range chans {
+				for range ch {
+				}
+			}
+			<-dispatched
+		}
+	}()
 	for _, ch := range chans {
 		for v := range ch {
 			if err != nil {
@@ -809,22 +835,20 @@ func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, send func(T)), 
 			}
 		}
 	}
+	consumed = true
 	<-dispatched
 	return err
 }
 
-func vecScan(s *ScanPlan, atRoot bool, ctx *execCtx) (vpipe, error) {
-	prep, err := prepScan(s, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return func(emit func([]value.Row) error) error {
-		run, err := prep.newRun(ctx)
-		if err != nil {
-			return err
-		}
-		return run.emitRows(nil, 0, atRoot, emit)
-	}, nil
+// vecScan is a scan below the plan's root, whose parent keeps rows: each
+// window is boxed into a fresh slab by the worker that cut it. cols, when
+// set, is a projection fused into the scan: surviving positions box only
+// the projected columns, never the full-width row.
+func vecScan(s *ScanPlan, cols []int, ctx *execCtx) (vpipe, error) {
+	return scanOut(s, cols, ctx, func(t *scanTask, sel selection, cols []int, _ bool) []value.Row {
+		b := RowBatch{get: t.getters, cols: cols, sel: sel}
+		return b.AppendRows(nil)
+	}, func(_ *scanRun, rows []value.Row, _ []int, emit func([]value.Row) error) error { return emit(rows) })
 }
 
 // colGetter reads one column at a physical row position without boxing
@@ -983,9 +1007,9 @@ func vecFilter(x *FilterPlan, ctx *execCtx) (vpipe, error) {
 	}, nil
 }
 
-func vecProject(x *ProjectPlan, atRoot bool, ctx *execCtx) (vpipe, error) {
+func vecProject(x *ProjectPlan, ctx *execCtx) (vpipe, error) {
 	if s, cols, ok := projectScanShape(x); ok {
-		return vecProjectScan(s, cols, atRoot, ctx)
+		return vecScan(s, cols, ctx)
 	}
 	child, err := vecCompile(x.Child, ctx)
 	if err != nil {
@@ -1267,7 +1291,8 @@ func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, 
 						wins[w] = slabRows(k, prep.ncols)
 					}
 					win := wins[w][:k]
-					t.box(win, sel, from, nil)
+					b := RowBatch{get: t.getters, sel: sel.window(from, from+k)}
+					b.fill(win)
 					for i, row := range win {
 						f.add(row, base+int64(from+i))
 					}

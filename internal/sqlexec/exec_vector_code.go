@@ -944,34 +944,6 @@ func vecAggJoinCode(x *AggPlan, jp *JoinPlan, jinfo joinCodeInfo, info aggCodeIn
 	}, nil
 }
 
-// --- fused projection -------------------------------------------------------
-
-// vecProjectScan fuses pure column selection into the scan: surviving
-// positions materialize only the projected columns, skipping the
-// intermediate full-width batch entirely. atRoot says the projection is
-// the plan's root (see scanRun.emitRows).
-func vecProjectScan(s *ScanPlan, cols []int, atRoot bool, ctx *execCtx) (vpipe, error) {
-	prep, err := prepScan(s, ctx)
-	if err != nil {
-		return nil, err
-	}
-	distinct := map[int]bool{}
-	for _, c := range cols {
-		distinct[c] = true
-	}
-	avoidPerRow := prep.ncols - len(distinct)
-	return func(emit func([]value.Row) error) error {
-		if op := ctx.prof.node(prep.plan); op != nil {
-			op.fused = true
-		}
-		run, err := prep.newRun(ctx)
-		if err != nil {
-			return err
-		}
-		return run.emitRows(cols, avoidPerRow, atRoot, emit)
-	}, nil
-}
-
 // recordLateMat flushes late-materialization counters into the query
 // stats, the operator profile and the process-wide registry.
 func recordLateMat(ctx *execCtx, op *OpProfile, codes, runs, fused, avoided int64) {

@@ -399,11 +399,13 @@ func (p *Profile) wrapIter(pl Plan, it iterator) iterator {
 	return &profIter{inner: it, op: op}
 }
 
-// wrapVPipe attaches profiling to a vectorized (push) operator. A push
-// pipeline inverts control — the scan loop drives everything — so the
-// operator's inclusive time is its invocation time minus the time spent
-// inside the downstream emit it was handed, charged once per batch.
-func (p *Profile) wrapVPipe(pl Plan, inner vpipe) vpipe {
+// wrapPipe attaches profiling to a vectorized (push) operator whose
+// batches are B, size counting a batch's rows: rows below the root, the
+// root scan's views (scanViews) at it. A push pipeline inverts control —
+// the scan loop drives everything — so the operator's inclusive time is its
+// invocation time minus the time spent inside the downstream emit it was
+// handed, charged once per batch.
+func wrapPipe[B any, P ~func(func(B) error) error](p *Profile, pl Plan, inner P, size func(B) int) P {
 	if p == nil {
 		return inner
 	}
@@ -411,14 +413,14 @@ func (p *Profile) wrapVPipe(pl Plan, inner vpipe) vpipe {
 	if op == nil {
 		return inner
 	}
-	return func(emit func(rows []value.Row) error) error {
+	return func(emit func(B) error) error {
 		var emitNS int64
 		t0 := time.Now()
-		err := inner(func(rows []value.Row) error {
-			op.rowsOut.Add(int64(len(rows)))
+		err := inner(func(b B) error {
+			op.rowsOut.Add(int64(size(b)))
 			op.batches.Add(1)
 			e0 := time.Now()
-			eerr := emit(rows)
+			eerr := emit(b)
 			emitNS += time.Since(e0).Nanoseconds()
 			return eerr
 		})

@@ -11,125 +11,174 @@ import "repro/internal/value"
 // concurrently. Header comes first, exactly once per successful statement,
 // with the output column names (nil for a statement that returns no row
 // set); the slice is the sink's from then on. Then the rows, in result
-// order, in batches of at most BatchRows. Batch reports whether the sink
-// kept the batch: a kept batch — the slice, the rows, the cells behind
-// them — belongs to the sink for good. One it did not keep is valid only
-// until Batch returns: the executor may refill that memory for the next
-// batch. Strings inside the cells are immutable either way. An error from
-// either method ends the statement: ExecTo stops its scan workers and
-// returns that error.
+// order, in batches of at most BatchRows. A batch, and everything it reads
+// its cells from, is valid only until Batch returns: a sink that keeps rows
+// boxes them (RowBatch.AppendRows). Strings inside the cells are immutable.
+// An error from either method ends the statement: ExecTo stops its scan
+// workers and returns that error.
 type RowSink interface {
 	Header(cols []string) error
-	Batch(rows []value.Row) (kept bool, err error)
+	Batch(b *RowBatch) error
 }
 
 // BatchRows is the most rows one RowSink.Batch call carries, and the
-// window in which the vectorized scan materializes its output. Large
-// enough that per-batch costs (a channel hand-off, a sink call, two clock
-// reads when profiled) vanish beside the rows, small enough that the
-// windows in flight between scan workers and a slow sink stay a few
-// hundred kB whatever the result's size.
+// window in which the vectorized scan hands its output on. Large enough
+// that per-batch costs (a channel hand-off, a sink call, two clock reads
+// when profiled) vanish beside the rows, small enough that the windows in
+// flight between scan workers and a slow sink stay a few kB whatever the
+// result's size.
 const BatchRows = 1024
+
+// RowBatch is one batch of a statement's output as a sink sees it: Len rows
+// of Width cells, cell (i, c) read by At. Two things back it. Rows an
+// operator built — a join, a sort, an aggregate, the row executor — are
+// the batch as they are. A window of the plan's root scan (or of a
+// projection fused into it) is a view: the morsel's column getters, the
+// output columns and the window's positions, so a cell is read from the
+// column store when the sink asks for it and boxed only by a sink that
+// keeps it.
+type RowBatch struct {
+	rows []value.Row // rows-backed: the batch; nil for a view
+
+	get  []colGetter // view: one getter per scan column
+	cols []int       // view: output column c reads get[cols[c]]; nil reads get[c]
+	sel  selection   // view: the rows' positions
+}
+
+// RowsBatch returns the batch backed by rows, for a sink's caller outside
+// the executor (the wire front end sending a collected result, tests).
+func RowsBatch(rows []value.Row) RowBatch { return RowBatch{rows: rows} }
+
+// Len is the number of rows in the batch.
+func (b *RowBatch) Len() int {
+	if b.get == nil {
+		return len(b.rows)
+	}
+	return b.sel.len()
+}
+
+// Width is the number of cells in a row: the first row's, for a
+// rows-backed batch.
+func (b *RowBatch) Width() int {
+	switch {
+	case b.get == nil && len(b.rows) == 0:
+		return 0
+	case b.get == nil:
+		return len(b.rows[0])
+	case b.cols == nil:
+		return len(b.get)
+	}
+	return len(b.cols)
+}
+
+// At returns cell c of row i. It allocates nothing; a cell past the end of
+// a short row reads NULL.
+func (b *RowBatch) At(i, c int) value.Value {
+	if b.get == nil {
+		if row := b.rows[i]; c < len(row) {
+			return row[c]
+		}
+		return value.Null
+	}
+	if b.cols != nil {
+		c = b.cols[c]
+	}
+	return b.get[c](b.sel.at(i))
+}
+
+// AppendRows appends the batch's rows to dst and returns the extended
+// slice. A view is boxed into one slab of cells; a rows-backed batch
+// appends its rows, which are fresh, and to an empty dst is dst — so a
+// result of one such batch is never copied.
+func (b *RowBatch) AppendRows(dst []value.Row) []value.Row {
+	if b.get == nil {
+		if dst == nil {
+			return b.rows
+		}
+		return append(dst, b.rows...)
+	}
+	n, w := b.Len(), b.Width()
+	at := len(dst)
+	if dst == nil {
+		dst = make([]value.Row, 0, n)
+	}
+	slab := make([]value.Value, n*w)
+	for i := 0; i < n; i++ {
+		dst = append(dst, slab[i*w:(i+1)*w:(i+1)*w])
+	}
+	b.fill(dst[at:])
+	return dst
+}
+
+// fill boxes a view's rows into out, which has Len rows of Width cells.
+func (b *RowBatch) fill(out []value.Row) {
+	for i, row := range out {
+		pos := b.sel.at(i)
+		if b.cols == nil {
+			for c, g := range b.get {
+				row[c] = g(pos)
+			}
+			continue
+		}
+		for c, idx := range b.cols {
+			row[c] = b.get[idx](pos)
+		}
+	}
+}
 
 // Header and Batch make *Result the collecting sink: what Exec,
 // Session.Query and RunWorkers hand to ExecTo, what INSERT … SELECT reads
 // its source from, and what the wire front end uses for the one consumer
-// whose rows must outlive the call (an Execute with a row limit). It keeps
-// every batch — the first one as the result itself, so a result of one
-// batch is never copied.
+// whose rows must outlive the call (an Execute with a row limit). It boxes
+// every batch it is shown.
 func (res *Result) Header(cols []string) error {
 	res.Cols = cols
 	return nil
 }
 
-func (res *Result) Batch(rows []value.Row) (bool, error) {
-	if res.Rows == nil {
-		res.Rows = rows
-	} else {
-		res.Rows = append(res.Rows, rows...)
-	}
-	return true, nil
+func (res *Result) Batch(b *RowBatch) error {
+	res.Rows = b.AppendRows(res.Rows)
+	return nil
 }
 
 // discard is the sink of a statement run for its side effects on the
-// profile (EXPLAIN ANALYZE): it keeps nothing.
+// profile (EXPLAIN ANALYZE): it reads nothing.
 type discard struct{}
 
-func (discard) Header([]string) error           { return nil }
-func (discard) Batch([]value.Row) (bool, error) { return false, nil }
-
-// pushRows hands rows to the sink in batches of at most BatchRows, each
-// clipped to its own length so that a sink which keeps one cannot grow
-// into the next. kept reports whether the sink kept any of them.
-func pushRows(sink RowSink, rows []value.Row) (kept bool, err error) {
-	for len(rows) > 0 {
-		n := min(len(rows), BatchRows)
-		k, err := sink.Batch(rows[:n:n])
-		if err != nil {
-			return kept, err
-		}
-		kept = kept || k
-		rows = rows[n:]
-	}
-	return kept, nil
-}
-
-// emitResult pushes a small materialized result — a DML count, an EXPLAIN
-// text, the empty result of DDL — through the sink, so that every
-// statement kind reaches its caller the same way.
-func emitResult(sink RowSink, res *Result) (rows int, err error) {
-	if err := sink.Header(res.Cols); err != nil {
-		return 0, err
-	}
-	_, err = pushRows(sink, res.Rows)
-	return len(res.Rows), err
-}
+func (discard) Header([]string) error { return nil }
+func (discard) Batch(*RowBatch) error { return nil }
 
 // feed is the executor's end of the statement's sink: the root of every
-// pipeline pushes here. It counts what went out and remembers whether the
-// sink kept the last push — the root-adjacent scan producers recycle a
-// window it did not keep (scanRun.emitRows).
+// pipeline pushes here, and it counts what went out. batch is the one
+// RowBatch the sink is shown, refilled for every push. Batch takes it by
+// pointer, and a pointer passed through an interface escapes: the feed
+// lives in the session, which runs one statement at a time, so showing a
+// batch costs no allocation.
 type feed struct {
-	sink RowSink
-	rows int
-	kept bool
+	sink  RowSink
+	rows  int
+	batch RowBatch
 }
 
-// push sends one batch of any size on.
-func (f *feed) push(rows []value.Row) (err error) {
-	f.kept, err = pushRows(f.sink, rows)
-	if err == nil {
-		f.rows += len(rows)
+// show hands the sink one batch of at most BatchRows rows.
+func (f *feed) show(b RowBatch) error {
+	f.batch = b
+	if err := f.sink.Batch(&f.batch); err != nil {
+		return err
 	}
-	return err
+	f.rows += f.batch.Len()
+	return nil
 }
 
-// rowBatcher gathers the rows a row-at-a-time executor's root produces
-// into batches for the feed. The batch grows by append from nothing, so a
-// one-row result costs a one-row batch, and it is reused unless the sink
-// kept it.
-type rowBatcher struct {
-	out     *feed
-	pending []value.Row
-}
-
-func (b *rowBatcher) add(row value.Row) error {
-	b.pending = append(b.pending, row)
-	if len(b.pending) < BatchRows {
-		return nil
+// push hands rows on in batches of at most BatchRows, each clipped to its
+// own length so that a sink which keeps one cannot grow into the next.
+func (f *feed) push(rows []value.Row) error {
+	for len(rows) > 0 {
+		n := min(len(rows), BatchRows)
+		if err := f.show(RowBatch{rows: rows[:n:n]}); err != nil {
+			return err
+		}
+		rows = rows[n:]
 	}
-	return b.flush()
-}
-
-func (b *rowBatcher) flush() error {
-	if len(b.pending) == 0 {
-		return nil
-	}
-	err := b.out.push(b.pending)
-	if b.out.kept {
-		b.pending = nil
-	} else {
-		b.pending = b.pending[:0]
-	}
-	return err
+	return nil
 }

@@ -10,28 +10,29 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/extstore"
 	"repro/internal/value"
 )
 
 // This file holds the row sink to its contract, from the executor's side:
-// a sink that keeps nothing is shown the rows Exec returns, in the same
-// order and under the same counters, on every executor, tier and merge
-// state; no batch exceeds the cap and the header comes first, once; the
-// windows a streaming scan has in flight are a handful however long the
-// result; and a statement that ends early — a LIMIT, a sink that fails —
-// leaves no worker, scratch or goroutine behind.
+// a sink that keeps nothing and reads every cell through RowBatch.At is
+// shown the rows Exec returns, in the same order and under the same
+// counters, on every executor, tier and merge state; no batch exceeds the
+// cap and the header comes first, once; a streaming scan boxes nothing and
+// what it has in flight does not grow with the result; and a statement that
+// ends early — a LIMIT, a sink that fails or panics — leaves no worker,
+// scratch or goroutine behind.
 
-// showSink is the sink that keeps nothing and copies what it is shown. It
-// checks the calling contract as it goes and notes the slab behind every
-// batch (the address of its first cell).
+// showSink is the sink that keeps nothing and copies what it is shown, cell
+// by cell through At. It checks the calling contract as it goes.
 type showSink struct {
 	t       testing.TB
 	headers int
 	cols    []string
 	rows    []value.Row
 	batches int
-	slabs   map[*value.Value]bool
 	failAt  int // fail the failAt-th batch (1-based); 0 never
+	panicAt int // panic on the panicAt-th batch (1-based); 0 never
 	slow    time.Duration
 }
 
@@ -45,24 +46,27 @@ func (s *showSink) Header(cols []string) error {
 	return nil
 }
 
-func (s *showSink) Batch(rows []value.Row) (bool, error) {
+func (s *showSink) Batch(b *RowBatch) error {
 	if s.headers != 1 {
 		s.t.Errorf("a batch arrived after %d headers", s.headers)
 	}
-	if len(rows) == 0 || len(rows) > BatchRows {
-		s.t.Errorf("a batch of %d rows (cap %d)", len(rows), BatchRows)
+	if b.Len() == 0 || b.Len() > BatchRows {
+		s.t.Errorf("a batch of %d rows (cap %d)", b.Len(), BatchRows)
 	}
 	if s.batches++; s.batches == s.failAt {
-		return false, errSinkFull
+		return errSinkFull
+	} else if s.batches == s.panicAt {
+		panic(errSinkPanic)
 	}
-	if s.slabs != nil && len(rows[0]) > 0 {
-		s.slabs[&rows[0][0]] = true
-	}
-	for _, row := range rows {
-		s.rows = append(s.rows, row.Clone())
+	for i := 0; i < b.Len(); i++ {
+		row := make(value.Row, b.Width())
+		for c := range row {
+			row[c] = b.At(i, c)
+		}
+		s.rows = append(s.rows, row)
 	}
 	time.Sleep(s.slow)
-	return false, nil
+	return nil
 }
 
 // sameRows reports whether two row lists are equal bit for bit — what
@@ -149,10 +153,21 @@ func TestVectorizedSinkParity(t *testing.T) {
 				}
 				got := &showSink{t: t}
 				var stats ExecStats
+				faults0, _ := extstore.FaultCounters()
 				prof, err := st.execTo(got, &stats, time.Now(), q.params, mode == ModeVectorized)
+				faults1, _ := extstore.FaultCounters()
 				s.Close()
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
+				}
+				// Nothing else runs: every page the statement faulted in — its
+				// workers' and the sink's, reading cells through At — is its
+				// own, and none may go unbooked. Brackets that overlap in time
+				// (a worker's morsel, the consumer's sink call) each book what
+				// the other faulted, so only a statement on one goroutine —
+				// one morsel, run inline — books exactly what it took.
+				if n := int(faults1 - faults0); stats.PageFaults < n || mode == ModeVectorized && stats.Morsels <= 1 && stats.PageFaults != n {
+					t.Errorf("%s: %d page faults booked, %d taken", label, stats.PageFaults, n)
 				}
 				if got.headers != 1 || !reflect.DeepEqual(got.cols, want.Cols) {
 					t.Errorf("%s: %d headers, %v; Exec's columns %v", label, got.headers, got.cols, want.Cols)
@@ -197,19 +212,19 @@ func projectionEngine(t testing.TB, n int) *Engine {
 	return e
 }
 
-// countSink keeps nothing and copies nothing: it notes slabs and counts.
+// countSink keeps nothing and reads nothing: it counts rows, and the
+// batches that came as rows somebody boxed.
 type countSink struct {
-	rows  int
-	slabs map[*value.Value]bool
+	rows, boxed int
 }
 
 func (s *countSink) Header([]string) error { return nil }
-func (s *countSink) Batch(rows []value.Row) (bool, error) {
-	s.rows += len(rows)
-	if s.slabs != nil {
-		s.slabs[&rows[0][0]] = true
+func (s *countSink) Batch(b *RowBatch) error {
+	s.rows += b.Len()
+	if b.rows != nil {
+		s.boxed++
 	}
-	return false, nil
+	return nil
 }
 
 // allocated returns what run allocates, as a count (testing.AllocsPerRun)
@@ -226,14 +241,13 @@ func allocated(reps int, run func()) (allocs, bytes float64) {
 	return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / float64(reps)
 }
 
-// TestSinkBounds: what a sink costs. A sink that keeps nothing sees a
-// 200,000-row projection through a handful of slabs — the windows in
-// flight between the workers and the consumer, recycled — and a zero-row
-// result still gets its header. A streamed projection allocates a constant
-// that does not grow with the result, and a one-row select costs no more
-// than it did when results were slices: the window is sized by the rows in
-// hand, and nothing about streaming is set up before there is a second
-// window to stream.
+// TestSinkBounds: what a sink costs. A sink that keeps nothing is shown a
+// 200,000-row projection as views of the columns — not one window of boxed
+// cells — at every worker count, and a zero-row result still gets its
+// header. A streamed projection allocates a few kB of positions and hand-off
+// that do not grow with the result, and a one-row select costs no more than
+// it did before: a view of one position is boxed by nobody, and nothing
+// about streaming is set up before there is a second window to stream.
 func TestSinkBounds(t *testing.T) {
 	e := projectionEngine(t, 200_000)
 	const sql = `SELECT id, region, amount, qty FROM wide WHERE id >= $1 AND id < $2`
@@ -245,16 +259,15 @@ func TestSinkBounds(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		e.Workers = workers
-		sink := &countSink{slabs: map[*value.Value]bool{}}
-		stats, err := st.ExecTo(sink, value.Int(0), value.Int(200_000))
-		if err != nil || sink.rows != 200_000 || stats.RowsOut != 200_000 {
-			t.Fatalf("workers=%d: %d rows shown, %d out, err %v", workers, sink.rows, stats.RowsOut, err)
-		}
-		// Per worker, the morsel it is on: handoffDepth windows waiting and
-		// one being filled. One morsel more, finished and not yet consumed;
-		// one window at the consumer.
-		if limit := (workers + 1) * (handoffDepth + 1); len(sink.slabs) > limit {
-			t.Errorf("workers=%d: 200,000 rows came through %d distinct slabs, want <= %d", workers, len(sink.slabs), limit)
+		for _, q := range []struct{ lo, hi int64 }{{0, 200_000}, {5, 199_990}} {
+			sink := &countSink{}
+			stats, err := st.ExecTo(sink, value.Int(q.lo), value.Int(q.hi))
+			if n := int(q.hi - q.lo); err != nil || sink.rows != n || stats.RowsOut != n {
+				t.Fatalf("workers=%d [%d, %d): %d rows shown, %d out, err %v", workers, q.lo, q.hi, sink.rows, stats.RowsOut, err)
+			}
+			if sink.boxed > 0 {
+				t.Errorf("workers=%d [%d, %d): %d batches came as boxed rows, want views only", workers, q.lo, q.hi, sink.boxed)
+			}
 		}
 	}
 	if sink, _ := execShown(t, e, `SELECT id, region FROM wide WHERE id < 0`); len(sink.rows) != 0 || len(sink.cols) != 2 {
@@ -262,8 +275,8 @@ func TestSinkBounds(t *testing.T) {
 	}
 
 	// Bytes per statement, streamed: 20,000 rows and 200,000 rows under the
-	// same constant (seven 188 kB windows are 1.3 MB; the parent allocated
-	// 4.7 MB for the first and 47 MB for the second).
+	// same constant. Boxed, seven 188 kB windows were in flight: 1,347 kB per
+	// statement at either size.
 	e.Workers = 2
 	for _, n := range []int{20_000, 200_000} {
 		sink := &countSink{}
@@ -273,14 +286,14 @@ func TestSinkBounds(t *testing.T) {
 			}
 		})
 		t.Logf("%d rows streamed: %.0f kB per statement", n, bytes/1e3)
-		if bytes > 2.5e6 {
-			t.Errorf("%d rows streamed: %.0f kB per statement, want under 2,500 kB whatever the result's size", n, bytes/1e3)
+		if bytes > 200e3 {
+			t.Errorf("%d rows streamed: %.0f kB per statement, want under 200 kB whatever the result's size", n, bytes/1e3)
 		}
 	}
 
-	// One row. The parent commit (ce35168) measured 52 allocations and
-	// 2,864 bytes for this statement through Exec.
-	const parentAllocs, parentBytes = 52, 2864
+	// One row. The commit before views (8fb61fb) measured 47 allocations
+	// and 2,680 bytes streamed, 47 and 2,728 collected. Collected, the row is
+	// boxed as it was; its bytes may move within a size class.
 	pe := pointEngine(t, 10_000)
 	ps := pe.NewSession()
 	defer ps.Close()
@@ -289,25 +302,34 @@ func TestSinkBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &countSink{}
-	allocs, bytes := allocated(200, func() {
-		if _, err := pt.ExecTo(sink, value.Int(77)); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		how                string
+		run                func() int
+		parentAllocs, size float64
+	}{
+		{"streamed", func() int {
+			sink.rows = 0
+			if _, err := pt.ExecTo(sink, value.Int(77)); err != nil {
+				t.Fatal(err)
+			}
+			return sink.rows
+		}, 47, 2680},
+		{"collected", func() int {
+			res, err := pt.Exec(value.Int(77))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return len(res.Rows)
+		}, 47, 2728 + 64},
+	} {
+		if n := c.run(); n != 1 {
+			t.Fatalf("one row %s: %d rows", c.how, n)
 		}
-	})
-	t.Logf("one row streamed: %.0f allocations, %.0f bytes", allocs, bytes)
-	if allocs > parentAllocs || bytes > parentBytes {
-		t.Errorf("one row streamed: %.0f allocations and %.0f bytes, the parent's Exec cost %d and %d", allocs, bytes, parentAllocs, parentBytes)
-	}
-	allocs, bytes = allocated(200, func() {
-		if res, err := pt.Exec(value.Int(77)); err != nil || len(res.Rows) != 1 {
-			t.Fatal(err)
+		allocs, bytes := allocated(200, func() { c.run() })
+		t.Logf("one row %s: %.0f allocations, %.0f bytes", c.how, allocs, bytes)
+		if allocs > c.parentAllocs || bytes > c.size {
+			t.Errorf("one row %s: %.0f allocations and %.0f bytes, the commit before views cost %.0f and %.0f", c.how, allocs, bytes, c.parentAllocs, c.size)
 		}
-	})
-	t.Logf("one row collected: %.0f allocations, %.0f bytes", allocs, bytes)
-	// Collected, the statement still pays for its Result: the same count,
-	// and the bytes within a size class of the parent's.
-	if allocs > parentAllocs || bytes > parentBytes+64 {
-		t.Errorf("one row collected: %.0f allocations and %.0f bytes, the parent's cost %d and %d", allocs, bytes, parentAllocs, parentBytes)
 	}
 }
 
@@ -383,6 +405,80 @@ func TestSinkOrderAndStop(t *testing.T) {
 			}
 			check(label)
 			settled(t, base, label)
+		}
+	}
+}
+
+// TestSinkFaultsAreTheScans: a sink reading a demoted table's cells through
+// At faults its pages in on the statement's goroutine, after the morsel's
+// selection phase, and those faults are the scan's. One morsel, run inline,
+// books each fault exactly once; several, run on workers while the
+// consumer reads, lose none.
+func TestSinkFaultsAreTheScans(t *testing.T) {
+	for _, c := range []struct {
+		rows, workers int
+		morsels       int
+	}{{10_000, 2, 1}, {40_000, 2, 3}} {
+		e := projectionEngine(t, c.rows)
+		e.Workers = c.workers
+		warm, err := extstore.OpenTemp(extstore.Options{PageSize: 4096, ChunkRows: 1024, PoolPages: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer warm.Close()
+		if _, err := warm.DemoteTable(e.Cat.MustTable("wide"), e.Mgr.MinActiveTS()); err != nil {
+			t.Fatal(err)
+		}
+		const sql = `SELECT region, amount FROM wide WHERE qty = 3`
+		faults0, _ := extstore.FaultCounters()
+		sink, stats := execShown(t, e, sql)
+		faults1, _ := extstore.FaultCounters()
+		taken := int(faults1 - faults0)
+		label := fmt.Sprintf("%d rows, %d morsels", c.rows, stats.Morsels)
+		if stats.Morsels != c.morsels || len(sink.rows) != c.rows/20 {
+			t.Fatalf("%s: %d rows shown", label, len(sink.rows))
+		}
+		if stats.PageFaults < taken || c.morsels == 1 && stats.PageFaults != taken || taken == 0 {
+			t.Errorf("%s: %d page faults booked, %d taken", label, stats.PageFaults, taken)
+		}
+	}
+}
+
+var errSinkPanic = errors.New("sink: panicked")
+
+// TestSinkPanicReachesCaller: a sink that panics on its second batch, while
+// a 200,000-row scan has several morsels in flight, panics on the caller's
+// goroutine with the sink's own value — not in the dispatcher with "send on
+// closed channel", which kills the process. Nothing is left behind: no
+// goroutine, no scratch, no pin, and the engine runs the next statement.
+func TestSinkPanicReachesCaller(t *testing.T) {
+	e := projectionEngine(t, 200_000)
+	check := countScratch(t, e)
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{2, 4} {
+		e.Workers = workers
+		label := fmt.Sprintf("workers=%d", workers)
+		sink := &showSink{t: t, panicAt: 2}
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			s := e.NewSession()
+			defer s.Close()
+			s.QueryTo(sink, `SELECT id, region, amount, qty FROM wide`)
+			return nil
+		}()
+		if got != errSinkPanic {
+			t.Fatalf("%s: recovered %v, want the sink's %v", label, got, errSinkPanic)
+		}
+		if sink.batches != 2 || len(sink.rows) != BatchRows {
+			t.Errorf("%s: %d batches, %d rows shown; want the panic on the second", label, sink.batches, len(sink.rows))
+		}
+		check(label)
+		settled(t, base, label)
+		if min, now := e.Mgr.MinActiveTS(), e.Mgr.Now(); min != now {
+			t.Errorf("%s: MinActiveTS %d behind the clock %d: the statement left its pin", label, min, now)
+		}
+		if n := mustExec(t, e, `SELECT COUNT(*) FROM wide WHERE qty = 3`).Rows[0][0].I; n != 10_000 {
+			t.Errorf("%s: the next statement counted %d, want 10000", label, n)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/value"
 )
 
 // An auto-commit statement pins the timestamp it reads at from before it is
@@ -81,11 +80,11 @@ func TestAutoCommitSelectSeesItsSnapshotAcrossCommitAndMerge(t *testing.T) {
 type failingSink struct{ panics bool }
 
 func (failingSink) Header([]string) error { return nil }
-func (f failingSink) Batch([]value.Row) (bool, error) {
+func (f failingSink) Batch(*RowBatch) error {
 	if f.panics {
 		panic("sink: client went away")
 	}
-	return false, errors.New("sink: client went away")
+	return errors.New("sink: client went away")
 }
 
 // TestStatementUnpinsOnEveryExit: a plan error, a sink error and a sink

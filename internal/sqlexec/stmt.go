@@ -188,7 +188,13 @@ func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profil
 	if err != nil || res == nil {
 		return stats.RowsOut, prof, err
 	}
-	rows, err = emitResult(sink, res)
+	s := st.s
+	s.out = feed{sink: sink}
+	if err = sink.Header(res.Cols); err == nil {
+		err = s.out.push(res.Rows)
+	}
+	rows = s.out.rows
+	s.out = feed{}
 	return rows, prof, err
 }
 
