@@ -873,6 +873,44 @@ func BenchmarkScanMainNoFilter(b *testing.B) {
 	}
 }
 
+// twoKeysEng: 200k merged rows with two dictionary columns — the shape
+// whose group key is rendered, not coded.
+var twoKeysEng *sqlexec.Engine
+
+// BenchmarkGroupByTwoKeys groups by two columns with a computed float
+// argument: the key is rendered per row into one reused buffer, the
+// argument evaluated over a scratch row holding only the column it reads,
+// in morsel order (a computed sum's kind is unknown until it runs).
+func BenchmarkGroupByTwoKeys(b *testing.B) {
+	if twoKeysEng == nil {
+		eng := sqlexec.NewEngine()
+		eng.MustQuery(`CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE)`)
+		rows := make([]value.Row, 200_000)
+		for i := range rows {
+			rows[i] = value.Row{
+				value.Int(int64(i)),
+				value.String(fmt.Sprintf("region-%d", i%8)),
+				value.String(fmt.Sprintf("status-%d", i%3)),
+				value.Float(float64(i%10_000) / 7),
+			}
+		}
+		tbl := eng.Cat.MustTable("orders").Primary()
+		tbl.ApplyInsert(rows, 1)
+		tbl.Merge(2)
+		eng.Mgr.AdvanceTo(2)
+		twoKeysEng = eng
+	}
+	twoKeysEng.Mode = sqlexec.ModeVectorized
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := twoKeysEng.MustQuery(`SELECT region, status, COUNT(*), SUM(amount * 2) FROM orders GROUP BY region, status`)
+		if len(r.Rows) != 24 {
+			b.Fatalf("expected 24 groups, got %d", len(r.Rows))
+		}
+	}
+}
+
 // scanDeltaEng is one SOE data node's share of soe_fanout in process:
 // the workload's orders schema, 8 partitions of 6,250 rows, none of them
 // ever merged (SOE partitions never merge), so every scan reads the delta

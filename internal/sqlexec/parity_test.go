@@ -353,6 +353,15 @@ var parityQueries = []struct {
 	{sql: `SELECT d.dname, x.dname FROM dims d LEFT JOIN dims_delta x ON d.region > x.region AND x.dname <> 'dd0'`},
 	// A cross product several batches wide per probe batch.
 	{sql: `SELECT o.id, d.dname FROM orders o JOIN dims d ON o.id >= 0`},
+	// Aggregations whose keys are rendered rather than coded: several keys,
+	// a computed argument, a float key, DISTINCT under a group key and
+	// alone, and an aggregate over a join with a residual.
+	{sql: `SELECT region, status, COUNT(*), SUM(amount) FROM orders GROUP BY region, status`},
+	{sql: `SELECT region, SUM(amount * 2), MAX(yr + 1) FROM orders GROUP BY region`},
+	{sql: `SELECT amount, COUNT(*), MIN(id) FROM orders GROUP BY amount`},
+	{sql: `SELECT region, COUNT(DISTINCT status), COUNT(*) FROM orders GROUP BY region`},
+	{sql: `SELECT status, AVG(DISTINCT yr), SUM(DISTINCT yr) FROM orders GROUP BY status`},
+	{sql: `SELECT o.status, COUNT(*), SUM(i.qty) FROM orders o JOIN items i ON o.id = i.order_id AND i.qty < o.yr - 2005 GROUP BY o.status`},
 }
 
 // resultKeys renders rows for exact ordered comparison.
