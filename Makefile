@@ -67,13 +67,14 @@ benchcompressed:
 	$(GO) test -run xxx -bench 'BenchmarkJoinDict|BenchmarkGroupByRLE' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkJoinDict|BenchmarkGroupByRLE'
 
 # Position-based aggregation micro-benchmarks: the float GROUP BY folded
-# on dictionary codes in morsel order, the aggregate fused into the code
+# on dictionary codes in morsel order, two rendered keys with a computed
+# argument folded the same way, the aggregate fused into the code
 # join's probe, and the scans whose morsels are all visible — a global
 # aggregate over merged storage, and soe_fanout's two GROUP BYs over eight
 # unmerged partitions. A per-input-row allocation coming back shows as a
 # thousandfold jump in allocs/op, a selection vector coming back as a
 # tenfold jump in B/op, on any host.
-BENCHAGG = BenchmarkGroupByFloatSum|BenchmarkJoinAggDict|BenchmarkScanMainNoFilter|BenchmarkScanDelta(GroupBy|FilterAgg)
+BENCHAGG = BenchmarkGroupByFloatSum|BenchmarkGroupByTwoKeys|BenchmarkJoinAggDict|BenchmarkScanMainNoFilter|BenchmarkScanDelta(GroupBy|FilterAgg)
 benchagg:
 	$(GO) test -run xxx -bench '$(BENCHAGG)' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match '$(BENCHAGG)'
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -848,30 +849,22 @@ func intersect(a, b []string) []string {
 func (c *Coordinator) finish(plan *distql.Plan, batches [][]value.Row, reports ...*fanReport) (*Result, *distql.Plan, error) {
 	rows := plan.MergePartials(batches)
 	if len(plan.OrderBy) > 0 {
-		idx := map[string]int{}
-		for i, n := range plan.OutCols {
-			idx[n] = i
+		// Rewrite left every key an output column's position.
+		var buf [8]int
+		cols := buf[:0]
+		for _, k := range plan.OrderBy {
+			cols = append(cols, int(k.Expr.(*sqlexec.Literal).Val.I)-1)
 		}
-		keys := plan.OrderBy
-		sort.SliceStable(rows, func(a, b int) bool {
-			for _, k := range keys {
-				cr, ok := k.Expr.(*sqlexec.ColRef)
-				if !ok {
-					continue
-				}
-				ci, ok := idx[cr.Name]
-				if !ok {
-					continue
-				}
-				cmp := value.Compare(rows[a][ci], rows[b][ci])
-				if k.Desc {
-					cmp = -cmp
-				}
-				if cmp != 0 {
-					return cmp < 0
+		slices.SortStableFunc(rows, func(a, b value.Row) int {
+			for i, k := range plan.OrderBy {
+				if c := value.Compare(a[cols[i]], b[cols[i]]); c != 0 {
+					if k.Desc {
+						return -c
+					}
+					return c
 				}
 			}
-			return false
+			return 0
 		})
 	}
 	if plan.Offset > 0 {

@@ -1039,268 +1039,26 @@ func vecProject(x *ProjectPlan, ctx *execCtx) (vpipe, error) {
 	}, nil
 }
 
-// --- parallel partial aggregation -------------------------------------------
+// --- aggregation --------------------------------------------------------------
 
-// vecAggFold is one worker-local partial aggregation table. Groups track
-// the global rank of their first input row so merged output reproduces
-// the sequential first-seen group order.
-type vecAggFold struct {
-	groups []evalFn
-	args   []evalFn
-	specs  []aggSpec
-	table  map[string]*vecGroup
-	env    Env
-	key    value.Row // scratch: the current row's group key
-	keyBuf []byte    // scratch: its rendering, the table's lookup key
-}
-
-type vecGroup struct {
-	key   value.Row
-	accs  []aggAcc
-	first int64
-}
-
-func newAggFold(p *AggPlan, res colResolver, ctx *execCtx) (*vecAggFold, error) {
-	f := &vecAggFold{specs: p.Aggs, table: map[string]*vecGroup{}, env: Env{Params: ctx.params}}
-	for _, g := range p.GroupBy {
-		fn, err := compileExpr(g, res, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		f.groups = append(f.groups, fn)
-	}
-	f.key = make(value.Row, len(f.groups))
-	for _, a := range p.Aggs {
-		var fn evalFn
-		if a.Arg != nil {
-			var err error
-			fn, err = compileExpr(a.Arg, res, ctx.reg)
-			if err != nil {
-				return nil, err
-			}
-		}
-		f.args = append(f.args, fn)
-	}
-	return f, nil
-}
-
-// add folds one row. The group key is rendered into a reused buffer and
-// looked up without building a string; only a new group clones it.
-func (f *vecAggFold) add(row value.Row, rank int64) {
-	f.env.Row = row
-	for i, fn := range f.groups {
-		f.key[i] = fn(&f.env)
-	}
-	f.keyBuf = f.key.AppendKey(f.keyBuf[:0])
-	g := f.table[string(f.keyBuf)]
-	if g == nil {
-		g = &vecGroup{key: f.key.Clone(), accs: make([]aggAcc, len(f.specs)), first: rank}
-		f.table[string(f.keyBuf)] = g
-	}
-	for i := range f.specs {
-		var v value.Value
-		if f.args[i] != nil {
-			v = f.args[i](&f.env)
-		}
-		g.accs[i].add(v, f.specs[i])
-	}
-}
-
-// merge folds another accumulator for the same aggregate into a. Only
-// non-DISTINCT state merges: per-worker seen-sets cannot be reconciled
-// with the partial sums they already filtered, which is why DISTINCT
-// aggregation stays sequential.
-func (a *aggAcc) merge(b *aggAcc) {
-	a.count += b.count
-	a.sumI += b.sumI
-	a.sumF += b.sumF
-	a.isFloat = a.isFloat || b.isFloat
-	if !b.min.IsNull() && (a.min.IsNull() || value.Compare(b.min, a.min) < 0) {
-		a.min = b.min
-	}
-	if !b.max.IsNull() && (a.max.IsNull() || value.Compare(b.max, a.max) > 0) {
-		a.max = b.max
-	}
-}
-
-// finishAgg merges the partial tables and renders output rows in
-// first-seen group order, matching the interpreter.
-func finishAgg(folds []*vecAggFold, p *AggPlan) []value.Row {
-	merged := map[string]*vecGroup{}
-	for _, f := range folds {
-		if f == nil {
-			continue
-		}
-		for k, g := range f.table {
-			m := merged[k]
-			if m == nil {
-				merged[k] = g
-				continue
-			}
-			if g.first < m.first {
-				m.first = g.first
-			}
-			for i := range p.Aggs {
-				m.accs[i].merge(&g.accs[i])
-			}
-		}
-	}
-	if len(merged) == 0 && len(p.GroupBy) == 0 {
-		merged[""] = &vecGroup{accs: make([]aggAcc, len(p.Aggs))}
-	}
-	list := make([]*vecGroup, 0, len(merged))
-	for _, g := range merged {
-		list = append(list, g)
-	}
-	sort.Slice(list, func(a, b int) bool { return list[a].first < list[b].first })
-	out := make([]value.Row, 0, len(list))
-	for _, g := range list {
-		row := make(value.Row, 0, len(g.key)+len(p.Aggs))
-		row = append(row, g.key...)
-		for i := range p.Aggs {
-			row = append(row, g.accs[i].result(p.Aggs[i]))
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// aggFloatOrderSensitive reports whether any aggregate of x accumulates
-// a floating-point sum, whose value depends on addition order: a SUM or
-// AVG over anything but a column known to be a plain integer (cols and
-// kinds describe the aggregate's input). Such a sum must not fold per
-// worker — morsel→worker assignment is scheduler-dependent, so the float
-// addends would group differently run to run and the output would no
-// longer be byte-identical to the interpreter's. It folds in
-// morsel order instead. Integer sums, counts and min/max are exact under
-// any grouping.
-func aggFloatOrderSensitive(x *AggPlan, cols []colInfo, kinds []value.Kind) bool {
-	for _, a := range x.Aggs {
-		if a.Fn != "SUM" && a.Fn != "AVG" {
-			continue
-		}
-		cr, ok := a.Arg.(*ColRef)
-		if !ok {
-			return true // computed argument: kind unknown statically
-		}
-		if idx := findCol(cols, cr); idx < 0 || kinds[idx] != value.KindInt {
-			return true
-		}
-	}
-	return false
-}
-
+// vecAgg runs every aggregation on one fold (aggFold, exec_vector_code.go),
+// fed one of three ways: over a scan, fused into its morsels; over a code
+// join with no residual and nothing to compute, fused into its probe — no
+// joined row is ever built; over anything else, the child's rows.
 func vecAgg(x *AggPlan, ctx *execCtx) (vpipe, error) {
-	res := resolverFor(x.Child.columns())
-	if _, err := newAggFold(x, res, ctx); err != nil {
-		return nil, err
-	}
-	hasDistinct := false
-	for _, a := range x.Aggs {
-		if a.Distinct {
-			hasDistinct = true
-		}
-	}
-	// DISTINCT seen-sets cannot merge across folds (see aggAcc.merge), so
-	// they never fuse.
-	if !hasDistinct {
-		switch c := x.Child.(type) {
-		case *ScanPlan:
-			kinds := colKinds(c)
-			if info, ok := aggCodeShape(x, c.cols, kinds); ok {
-				return vecAggScanCode(x, c, info, ctx)
-			}
-			if !aggFloatOrderSensitive(x, c.cols, kinds) {
-				return vecAggScan(x, c, res, ctx)
-			}
-		case *JoinPlan:
-			// Directly over a code join with no join residual, the
-			// aggregate fuses into the probe: no joined row is ever built.
-			if jinfo, ok := joinCodeShape(c); ok && c.Residual == nil {
-				kinds := append(colKinds(c.L), colKinds(c.R)...)
-				if info, ok := aggCodeShape(x, c.columns(), kinds); ok {
-					return vecAggJoinCode(x, c, jinfo, info, ctx)
-				}
-			}
-		}
-	}
-	// General case: sequential fold over the child's ordered batches (the
-	// child still scans in parallel underneath).
-	child, err := vecCompile(x.Child, ctx)
+	in, err := newAggInput(x, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return func(emit func([]value.Row) error) error {
-		f, err := newAggFold(x, res, ctx)
-		if err != nil {
-			return err
+	switch c := x.Child.(type) {
+	case *ScanPlan:
+		return vecAggScan(c, in, ctx)
+	case *JoinPlan:
+		if jinfo, ok := joinCodeShape(c); ok && c.Residual == nil && !in.computed {
+			return vecAggJoinCode(c, jinfo, in, ctx)
 		}
-		rank := int64(0)
-		if err := child(func(rows []value.Row) error {
-			for _, row := range rows {
-				f.add(row, rank)
-				rank++
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		return emit(finishAgg([]*vecAggFold{f}, x))
-	}, nil
-}
-
-// vecAggScan fuses aggregation into the scan's morsel tasks for the
-// shapes the code-keyed fold rejects (several or computed group keys,
-// computed arguments): each worker folds the morsels it runs into its own
-// partial table, and the partials merge once at the end. No ordered
-// hand-off is needed, so morsels with cold-read stalls overlap freely
-// across workers. Only order-insensitive accumulators may come here (see
-// aggFloatOrderSensitive).
-func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, error) {
-	prep, err := prepScan(s, ctx)
-	if err != nil {
-		return nil, err
 	}
-	return func(emit func([]value.Row) error) error {
-		// The scan child never passes through vecCompile here — its wall
-		// time is charged to the fused aggregate, while morsel/kernel/row
-		// counters still reach the scan node via the scanRun hook.
-		if op := ctx.prof.node(s); op != nil {
-			op.fused = true
-		}
-		run, err := prep.newRun(ctx)
-		if err != nil {
-			return err
-		}
-		folds := make([]*vecAggFold, ctx.workersFor(len(run.tasks)))
-		for w := range folds {
-			if folds[w], err = newAggFold(x, res, ctx); err != nil {
-				run.release()
-				return err
-			}
-		}
-		// Each worker boxes its morsels window by window into one slab of
-		// its own: the fold copies what it keeps of a row.
-		wins := make([][]value.Row, len(folds))
-		run.forEach(func(t *scanTask, w int) {
-			run.process(t, w, func(sel selection) {
-				f, base := folds[w], t.rankBase()
-				for from, n := 0, sel.len(); from < n; from += BatchRows {
-					k := min(n-from, BatchRows)
-					if cap(wins[w]) < k {
-						wins[w] = slabRows(k, prep.ncols)
-					}
-					win := wins[w][:k]
-					b := RowBatch{get: t.getters, sel: sel.window(from, from+k)}
-					b.fill(win)
-					for i, row := range win {
-						f.add(row, base+int64(from+i))
-					}
-				}
-			})
-		})
-		return emit(finishAgg(folds, x))
-	}, nil
+	return vecAggRows(x.Child, in, ctx)
 }
 
 // --- parallel partitioned hash join ----------------------------------------

@@ -1,7 +1,8 @@
 package sqlexec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/columnstore"
@@ -58,15 +59,20 @@ func (it *strInterner) intern(s string) int64 {
 
 // addRepeat folds n identical values in one step — the run-length
 // contract: COUNT gains n, integer sums gain value × n (exact), MIN/MAX
-// compare once per run. A float sum is never multiplied or regrouped: its
-// n addends join one by one, exactly as the interpreter adds them, so
-// the ordered fold stays bit-identical to them through run-length paths.
+// compare once per run, and a DISTINCT aggregate sees the value once. A
+// float sum is never multiplied or regrouped: its n addends join one by
+// one, exactly as the interpreter adds them, so the ordered fold stays
+// bit-identical to them through run-length paths.
 func (a *aggAcc) addRepeat(v value.Value, n int64, spec aggSpec) {
 	if n <= 0 {
 		return
 	}
 	if spec.Star {
 		a.count += n
+		return
+	}
+	if spec.Distinct {
+		a.add(v, spec)
 		return
 	}
 	if v.IsNull() {
@@ -90,87 +96,170 @@ func (a *aggAcc) addRepeat(v value.Value, n int64, spec aggSpec) {
 	}
 }
 
-// --- code-valued group-by ---------------------------------------------------
+// merge folds another accumulator for the same aggregate into a. Only
+// non-DISTINCT state merges: a seen-set cannot be reconciled with the
+// partial sums it already filtered, which is why an aggregation with a
+// DISTINCT aggregate folds in ordered mode, as exactly one fold.
+func (a *aggAcc) merge(b *aggAcc) {
+	a.count += b.count
+	a.sumI += b.sumI
+	a.sumF += b.sumF
+	a.isFloat = a.isFloat || b.isFloat
+	if !b.min.IsNull() && (a.min.IsNull() || value.Compare(b.min, a.min) < 0) {
+		a.min = b.min
+	}
+	if !b.max.IsNull() && (a.max.IsNull() || value.Compare(b.max, a.max) > 0) {
+		a.max = b.max
+	}
+}
 
-// codeGroup is one group keyed by a canonical int64 code. The boxed key
-// is only carried for odd groups (delta values whose kind escapes the
-// canonical domain); everything else renders its key from the code at
-// finish time.
-type codeGroup struct {
+// --- partial aggregation ----------------------------------------------------
+
+// aggInput is what the folds of one aggregation share: its shape and specs,
+// and its computed keys and arguments compiled against the input's columns
+// — nil slices when nothing is computed, a nil entry for a bare column or
+// *. refs lists the input columns those expressions read: over a scan, all
+// a fold's scratch row carries.
+type aggInput struct {
+	aggShape
+	specs  []aggSpec
+	keys   []evalFn
+	args   []evalFn
+	refs   []int
+	params []value.Value
+
+	// avoidPerRow estimates boxed values NOT materialized per surviving
+	// row of a scan: its width minus the distinct columns a fold decodes.
+	avoidPerRow int
+}
+
+// newAggInput summarizes x over its child and compiles what it computes.
+func newAggInput(x *AggPlan, ctx *execCtx) (*aggInput, error) {
+	in := &aggInput{aggShape: aggShapeOf(x), specs: x.Aggs, params: ctx.params}
+	if !in.computed {
+		return in, nil
+	}
+	cols := x.Child.columns()
+	res := resolverFor(cols)
+	compile := func(e Expr) (evalFn, error) {
+		var crs []*ColRef
+		collectColRefs(e, &crs)
+		for _, cr := range crs {
+			if c := findCol(cols, cr); c >= 0 && !slices.Contains(in.refs, c) {
+				in.refs = append(in.refs, c)
+			}
+		}
+		return compileExpr(e, res, ctx.reg)
+	}
+	var err error
+	in.keys = make([]evalFn, len(x.GroupBy))
+	for i, g := range x.GroupBy {
+		if in.keyCols[i] < 0 {
+			if in.keys[i], err = compile(g); err != nil {
+				return nil, err
+			}
+		}
+	}
+	in.args = make([]evalFn, len(x.Aggs))
+	for j, a := range x.Aggs {
+		if in.argCols[j] < 0 && !a.Star && a.Arg != nil {
+			if in.args[j], err = compile(a.Arg); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return in, nil
+}
+
+// decoded counts the distinct columns below n a fold boxes per row: bare
+// arguments, what computed expressions read, and a rendered key's bare
+// columns. A code key is read as codes.
+func (in *aggInput) decoded(n int) int {
+	seen := make([]bool, n)
+	k := 0
+	mark := func(cols []int) {
+		for _, c := range cols {
+			if c >= 0 && c < n && !seen[c] {
+				seen[c] = true
+				k++
+			}
+		}
+	}
+	mark(in.argCols)
+	mark(in.refs)
+	if in.groupCol < 0 {
+		mark(in.keyCols)
+	}
+	return k
+}
+
+// aggGroup is one group of a partial aggregation, with the rank of its
+// first input row. A code group renders its key from code at finish time
+// (the fold's NULL group, from nothing); a rendered group carries its key
+// row.
+type aggGroup struct {
 	code  int64
-	key   value.Value // odd groups only
-	null  bool
-	odd   bool
+	key   value.Row // rendered groups only
 	accs  []aggAcc
 	first int64
 }
 
-// codeFold is one partial aggregation keyed on codes: a flat array for
-// codes below the cutoff, an overflow map above it, plus dedicated slots
-// for the NULL group, the global (no GROUP BY) group and odd-kind keys.
-// Its input is positions: a scan morsel's selection (foldMorsel, which
-// dispatches per encoding — whole-run folds for run-length group columns,
-// code keys for dictionary columns, raw int64 for frame-of-reference
-// columns, getters for delta morsels) or the (position, build row) pairs
-// of a join probe (foldPair).
-type codeFold struct {
-	info     aggCodeInfo
-	specs    []aggSpec
+// aggFold is the one partial-aggregation table: every vectorized
+// aggregation folds into it, per worker or in order, and so does the
+// coordinator's merge of node partials (FoldRows). A code key lands in a
+// flat array below the cutoff, an overflow map above it, or the NULL
+// group's slot. Every other key — several keys, computed or float keys, a
+// code column's values of an odd kind — is rendered with Row.AppendKey into
+// one reused buffer and looked up in keyed; only a new group copies it. A
+// global aggregation has one group. The input is positions: a scan
+// morsel's selection (foldMorsel, which dispatches per encoding — whole-run
+// folds for run-length group columns, code keys for dictionary columns, raw
+// int64 for frame-of-reference columns, the getters otherwise), the
+// (position, build row) pairs of a join probe, or rows (foldRow).
+type aggFold struct {
+	in       *aggInput
 	interner *strInterner
-	// nProbe splits info's column space: columns below it are the scan's,
-	// read by position; the rest index a join's build row. A plain scan
-	// aggregation owns the whole space.
+	// nProbe splits the input's column space: columns below it are the
+	// scan's, read by position; the rest index a join's build row. With
+	// nProbe 0 every column indexes the row.
 	nProbe int
 
-	flat     []*codeGroup
-	overflow map[int64]*codeGroup
-	nullG    *codeGroup
-	global   *codeGroup
-	odd      map[string]*codeGroup
+	flat     []*aggGroup
+	overflow map[int64]*aggGroup
+	nullG    *aggGroup
+	global   *aggGroup
+	keyed    map[string]*aggGroup
 
-	// avoidPerRow estimates boxed values NOT materialized per surviving
-	// row: the scan's width minus the distinct columns actually read.
-	avoidPerRow int
+	env    Env       // the row computed keys and arguments read
+	key    value.Row // the current row's rendered key
+	keyBuf []byte    // and its rendering
 
 	runsFolded    int64
 	batchesFused  int64
 	decodeAvoided int64
 }
 
-func newCodeFold(x *AggPlan, info aggCodeInfo, interner *strInterner, nProbe int) *codeFold {
-	distinct := map[int]bool{}
-	for _, ac := range info.argCols {
-		if ac >= 0 && ac < nProbe {
-			distinct[ac] = true
-		}
+func newAggFold(in *aggInput, interner *strInterner, nProbe int) *aggFold {
+	f := &aggFold{in: in, interner: interner, nProbe: nProbe, env: Env{Params: in.params}}
+	if in.groupCol < 0 && len(in.keyCols) > 0 {
+		f.key = make(value.Row, len(in.keyCols))
 	}
-	return &codeFold{
-		info:        info,
-		specs:       x.Aggs,
-		interner:    interner,
-		nProbe:      nProbe,
-		overflow:    map[int64]*codeGroup{},
-		odd:         map[string]*codeGroup{},
-		avoidPerRow: nProbe - len(distinct),
+	if in.computed && nProbe > 0 {
+		f.env.Row = make(value.Row, nProbe)
 	}
+	return f
 }
 
-func (f *codeFold) newGroup(code, rank int64) *codeGroup {
-	return &codeGroup{code: code, accs: make([]aggAcc, len(f.specs)), first: rank}
+func (f *aggFold) newGroup(code, rank int64) *aggGroup {
+	return &aggGroup{code: code, accs: make([]aggAcc, len(f.in.specs)), first: rank}
 }
 
 // group resolves the partial group for a canonical code. Workers consume
 // their morsels in ascending sequence order, so the first rank a group
-// sees inside one fold is its minimum for that fold — the same invariant
-// vecAggFold relies on.
-func (f *codeFold) group(code, rank int64) *codeGroup {
+// sees inside one fold is its minimum for that fold.
+func (f *aggFold) group(code, rank int64) *aggGroup {
 	if code >= 0 && code < int64(vecFlatGroupCutoff) {
-		if int(code) >= len(f.flat) {
-			// Geometric, so eight groups do not cost a cutoff-sized array.
-			grown := make([]*codeGroup, min(max(2*len(f.flat), int(code)+1, 16), vecFlatGroupCutoff))
-			copy(grown, f.flat)
-			f.flat = grown
-		}
+		f.growFlat(code)
 		g := f.flat[code]
 		if g == nil {
 			g = f.newGroup(code, rank)
@@ -180,57 +269,76 @@ func (f *codeFold) group(code, rank int64) *codeGroup {
 	}
 	g := f.overflow[code]
 	if g == nil {
+		if f.overflow == nil {
+			f.overflow = map[int64]*aggGroup{}
+		}
 		g = f.newGroup(code, rank)
 		f.overflow[code] = g
 	}
 	return g
 }
 
-func (f *codeFold) nullGroup(rank int64) *codeGroup {
+// growFlat makes the flat array hold code, a code below the cutoff.
+func (f *aggFold) growFlat(code int64) {
+	if int(code) >= len(f.flat) {
+		// Geometric, so eight groups do not cost a cutoff-sized array.
+		grown := make([]*aggGroup, min(max(2*len(f.flat), int(code)+1, 16), vecFlatGroupCutoff))
+		copy(grown, f.flat)
+		f.flat = grown
+	}
+}
+
+func (f *aggFold) nullGroup(rank int64) *aggGroup {
 	if f.nullG == nil {
 		f.nullG = f.newGroup(nullCode, rank)
-		f.nullG.null = true
 	}
 	return f.nullG
 }
 
-func (f *codeFold) globalGroup() *codeGroup {
+func (f *aggFold) globalGroup() *aggGroup {
 	if f.global == nil {
 		f.global = f.newGroup(0, 0)
 	}
 	return f.global
 }
 
-func (f *codeFold) oddGroup(v value.Value, rank int64) *codeGroup {
-	k := value.Row{v}.Key()
-	g := f.odd[k]
+// keyedGroup resolves the group of the key in f.key: rendered into the
+// reused buffer and looked up without building a string.
+func (f *aggFold) keyedGroup(rank int64) *aggGroup {
+	f.keyBuf = f.key.AppendKey(f.keyBuf[:0])
+	g := f.keyed[string(f.keyBuf)]
 	if g == nil {
+		if f.keyed == nil {
+			f.keyed = map[string]*aggGroup{}
+		}
 		g = f.newGroup(0, rank)
-		g.odd = true
-		g.key = v
-		f.odd[k] = g
+		g.key = f.key.Clone()
+		f.keyed[string(f.keyBuf)] = g
 	}
 	return g
 }
 
-// groupFor maps one boxed group-key value onto its canonical group.
-func (f *codeFold) groupFor(v value.Value, rank int64) *codeGroup {
+// groupFor maps one boxed value of the code key's column onto its group: a
+// value of another kind (a delta row can hold one) has no code and is
+// rendered.
+func (f *aggFold) groupFor(v value.Value, rank int64) *aggGroup {
 	switch {
 	case v.IsNull():
 		return f.nullGroup(rank)
-	case f.info.groupKind == value.KindString && v.K == value.KindString:
+	case f.in.groupKind == value.KindString && v.K == value.KindString:
 		return f.group(f.interner.intern(v.S), rank)
-	case f.info.groupKind != value.KindString && v.K == f.info.groupKind:
+	case f.in.groupKind != value.KindString && v.K == f.in.groupKind:
 		return f.group(v.I, rank)
-	default:
-		return f.oddGroup(v, rank)
 	}
+	f.key = append(f.key[:0], v)
+	return f.keyedGroup(rank)
 }
 
 // colValue reads column c of the fold's input: a scan column by position,
-// a join build column from the matched build row. COUNT(*)'s -1 and the
-// build side of a LEFT OUTER pad (nil row) read NULL.
-func (f *codeFold) colValue(c int, t *scanTask, pos int, build value.Row) value.Value {
+// a join build column from the matched build row, a row's column when
+// nProbe is 0. COUNT(*)'s -1 and the build side of a LEFT OUTER pad (nil
+// row) read NULL.
+func (f *aggFold) colValue(c int, t *scanTask, pos int, build value.Row) value.Value {
 	switch {
 	case c < 0:
 		return value.Null
@@ -242,47 +350,79 @@ func (f *codeFold) colValue(c int, t *scanTask, pos int, build value.Row) value.
 	return value.Null
 }
 
-// foldArgs folds one input row into a group, reading only the aggregate
-// argument columns.
-func (f *codeFold) foldArgs(g *codeGroup, t *scanTask, pos int, build value.Row) {
-	for j, spec := range f.specs {
-		g.accs[j].add(f.colValue(f.info.argCols[j], t, pos, build), spec)
+// load readies the row computed keys and arguments read: the input row
+// itself when the fold reads rows, otherwise — as filterResidual does — a
+// scratch row filled with only the columns they reference.
+func (f *aggFold) load(t *scanTask, pos int, build value.Row) {
+	switch {
+	case !f.in.computed:
+	case f.nProbe == 0:
+		f.env.Row = build
+	default:
+		for _, c := range f.in.refs {
+			f.env.Row[c] = t.getters[c](pos)
+		}
 	}
 }
 
-// foldPair folds one (probe position, build row) pair of a join probe;
-// rank orders it in the join's sequential output.
-func (f *codeFold) foldPair(t *scanTask, pos int, build value.Row, rank int64) {
-	var g *codeGroup
-	if f.info.groupCol < 0 {
-		g = f.globalGroup()
-	} else {
-		g = f.groupFor(f.colValue(f.info.groupCol, t, pos, build), rank)
+// addArgs adds one loaded input row's arguments to g.
+func (f *aggFold) addArgs(g *aggGroup, t *scanTask, pos int, build value.Row) {
+	for j, spec := range f.in.specs {
+		var v value.Value
+		if f.in.computed && f.in.args[j] != nil {
+			v = f.in.args[j](&f.env)
+		} else {
+			v = f.colValue(f.in.argCols[j], t, pos, build)
+		}
+		g.accs[j].add(v, spec)
 	}
-	f.foldArgs(g, t, pos, build)
+}
+
+// foldRow folds one input row — a scan position, a join probe's (position,
+// build row) pair, or a row — whatever its key; rank orders it in the
+// sequential input.
+func (f *aggFold) foldRow(t *scanTask, pos int, build value.Row, rank int64) {
+	f.load(t, pos, build)
+	var g *aggGroup
+	switch {
+	case f.in.groupCol >= 0:
+		g = f.groupFor(f.colValue(f.in.groupCol, t, pos, build), rank)
+	case len(f.in.keyCols) == 0:
+		g = f.globalGroup()
+	default:
+		for i, c := range f.in.keyCols {
+			if c >= 0 {
+				f.key[i] = f.colValue(c, t, pos, build)
+			} else {
+				f.key[i] = f.in.keys[i](&f.env)
+			}
+		}
+		g = f.keyedGroup(rank)
+	}
+	f.addArgs(g, t, pos, build)
 }
 
 // foldMorsel dispatches one scan morsel's final selection onto the
 // cheapest eligible path; scr lends the key buffer. Neither sel nor scr is
 // retained. Whole-run folds need a selection that is still a range over
 // encoded storage, and the form says whether it is.
-func (f *codeFold) foldMorsel(t *scanTask, sel selection, scr *scanScratch) {
+func (f *aggFold) foldMorsel(t *scanTask, sel selection, scr *scanScratch) {
 	f.batchesFused++
-	f.decodeAvoided += int64(sel.len()) * int64(f.avoidPerRow) * 16
+	f.decodeAvoided += int64(sel.len()) * int64(f.in.avoidPerRow) * 16
 	base := t.rankBase()
-	if f.info.groupCol < 0 {
+	if len(f.in.keyCols) == 0 && !f.in.computed {
 		f.foldGlobal(t, sel)
 		return
 	}
-	if t.main {
-		mc := t.snap.MainColumn(f.info.groupCol)
-		if sel.dense {
+	if f.in.groupCol >= 0 && t.main {
+		mc := t.snap.MainColumn(f.in.groupCol)
+		if sel.dense && !f.in.computed {
 			if rf, ok := mc.(columnstore.RunFolder); ok {
 				f.foldRuns(rf, t, sel, base)
 				return
 			}
 		}
-		if f.info.groupKind == value.KindString {
+		if f.in.groupKind == value.KindString {
 			if kc, ok := mc.(columnstore.KeyCoder); ok {
 				f.foldCodes(kc, t, sel, scr, base)
 				return
@@ -292,12 +432,11 @@ func (f *codeFold) foldMorsel(t *scanTask, sel selection, scr *scanScratch) {
 			return
 		}
 	}
-	// Delta morsels (unencoded) and main encodings without a code path:
-	// the group key is read by position like any argument.
-	key := t.getters[f.info.groupCol]
+	// Delta morsels (unencoded), main encodings without a code path,
+	// rendered keys and computed global arguments: the row is read by
+	// position.
 	for i, n := 0, sel.len(); i < n; i++ {
-		pos := sel.at(i)
-		f.foldArgs(f.groupFor(key(pos), base+int64(i)), t, pos, nil)
+		f.foldRow(t, sel.at(i), nil, base+int64(i))
 	}
 }
 
@@ -314,49 +453,52 @@ func codeKeys(kc columnstore.KeyCoder, sel selection, intern func(string) int64,
 // foldCodes groups a morsel by dictionary code: per surviving row the
 // work is one int64 remap and an array index — each distinct string
 // decodes once per morsel, not once per row.
-func (f *codeFold) foldCodes(kc columnstore.KeyCoder, t *scanTask, sel selection, scr *scanScratch, base int64) {
+func (f *aggFold) foldCodes(kc columnstore.KeyCoder, t *scanTask, sel selection, scr *scanScratch, base int64) {
 	scr.keys = codeKeys(kc, sel, f.interner.intern, scr.keys[:0])
 	for i, key := range scr.keys {
 		rank := base + int64(i)
-		var g *codeGroup
+		var g *aggGroup
 		if key == nullCode {
 			g = f.nullGroup(rank)
 		} else {
 			g = f.group(key, rank)
 		}
-		f.foldArgs(g, t, sel.at(i), nil)
+		f.load(t, sel.at(i), nil)
+		f.addArgs(g, t, sel.at(i), nil)
 	}
 }
 
 // foldInts groups a morsel by raw integer value (frame-of-reference and
 // run-length integer columns expose IntAccessor).
-func (f *codeFold) foldInts(mc columnstore.MainColumn, ia columnstore.IntAccessor, t *scanTask, sel selection, base int64) {
+func (f *aggFold) foldInts(mc columnstore.MainColumn, ia columnstore.IntAccessor, t *scanTask, sel selection, base int64) {
 	for i, n := 0, sel.len(); i < n; i++ {
 		pos, rank := sel.at(i), base+int64(i)
-		var g *codeGroup
+		var g *aggGroup
 		if mc.IsNull(pos) {
 			g = f.nullGroup(rank)
 		} else {
 			g = f.group(ia.Int64(pos), rank)
 		}
-		f.foldArgs(g, t, pos, nil)
+		f.load(t, pos, nil)
+		f.addArgs(g, t, pos, nil)
 	}
 }
 
 // foldRuns consumes whole runs of the group column: the group resolves
 // once per run, COUNT(*) and arguments equal to the key fold count ×
 // value, run-length argument columns fold their own sub-runs, and only
-// arguments without run structure walk rows. sel is dense.
-func (f *codeFold) foldRuns(rf columnstore.RunFolder, t *scanTask, sel selection, base int64) {
+// arguments without run structure walk rows. sel is dense, and nothing is
+// computed.
+func (f *aggFold) foldRuns(rf columnstore.RunFolder, t *scanTask, sel selection, base int64) {
 	rf.FoldRuns(sel.lo, sel.hi, func(v value.Value, start, end int) {
 		n := int64(end - start)
 		g := f.groupFor(v, base+int64(start-sel.lo))
-		for j, spec := range f.specs {
-			ac := f.info.argCols[j]
+		for j, spec := range f.in.specs {
+			ac := f.in.argCols[j]
 			switch {
 			case ac < 0:
 				g.accs[j].addRepeat(value.Null, n, spec)
-			case ac == f.info.groupCol:
+			case ac == f.in.groupCol:
 				g.accs[j].addRepeat(v, n, spec)
 			default:
 				if arf, ok := t.snap.MainColumn(ac).(columnstore.RunFolder); ok {
@@ -382,11 +524,11 @@ func (f *codeFold) foldRuns(rf columnstore.RunFolder, t *scanTask, sel selection
 
 // foldGlobal folds an aggregate-only morsel without any grouping:
 // COUNT(*) is the selection count, run-length arguments fold whole runs,
-// the rest read positions directly.
-func (f *codeFold) foldGlobal(t *scanTask, sel selection) {
+// the rest read positions directly. Nothing is computed.
+func (f *aggFold) foldGlobal(t *scanTask, sel selection) {
 	g := f.globalGroup()
-	for j, spec := range f.specs {
-		ac := f.info.argCols[j]
+	for j, spec := range f.in.specs {
+		ac := f.in.argCols[j]
 		if ac < 0 {
 			g.accs[j].addRepeat(value.Null, int64(sel.len()), spec)
 			continue
@@ -409,114 +551,147 @@ func (f *codeFold) foldGlobal(t *scanTask, sel selection) {
 	}
 }
 
-// keyValue renders the group key exactly as the boxed executors would
-// have produced it.
-func (g *codeGroup) keyValue(info aggCodeInfo, interner *strInterner) value.Value {
-	switch {
-	case g.null:
-		return value.Null
-	case g.odd:
-		return g.key
-	case info.groupKind == value.KindString:
-		return value.Value{K: value.KindString, S: interner.vals[g.code]}
-	default:
-		return value.Value{K: info.groupKind, I: g.code}
+// merge folds src, the same group of another fold, into g: the group
+// keeps the first-seen rank and key of whichever saw its key first.
+func (g *aggGroup) merge(src *aggGroup) {
+	if src.first < g.first {
+		g.first, g.key = src.first, src.key
+	}
+	for i := range g.accs {
+		g.accs[i].merge(&src.accs[i])
 	}
 }
 
-// finishCodeAgg merges the per-worker folds (plus any zone-answered
-// partial accumulators) per key domain — codes, NULL, odd boxed keys —
-// and renders rows in first-seen order, matching the sequential
-// executors byte for byte.
-func finishCodeAgg(folds []*codeFold, zoneAccs []aggAcc, x *AggPlan, info aggCodeInfo, interner *strInterner) []value.Row {
-	nAggs := len(x.Aggs)
-	mergeInto := func(dst, src *codeGroup) {
-		if src.first < dst.first {
-			dst.first = src.first
-		}
-		for i := 0; i < nAggs; i++ {
-			dst.accs[i].merge(&src.accs[i])
+// adopt merges g into the group in *slot, or makes g that group.
+func adopt(slot **aggGroup, g *aggGroup) {
+	switch {
+	case g == nil:
+	case *slot == nil:
+		*slot = g
+	default:
+		(*slot).merge(g)
+	}
+}
+
+// adoptKey is adopt for the group under k in a map made on first use.
+func adoptKey[K comparable](m *map[K]*aggGroup, k K, g *aggGroup) {
+	if *m == nil {
+		*m = map[K]*aggGroup{}
+	}
+	slot := (*m)[k]
+	adopt(&slot, g)
+	(*m)[k] = slot
+}
+
+// absorb merges another fold of the same aggregation into f, key domain by
+// key domain — codes, NULL, rendered keys, the global group: a group f
+// also holds merges into f's, any other becomes f's own.
+func (f *aggFold) absorb(o *aggFold) {
+	for _, g := range o.flat {
+		if g != nil {
+			f.growFlat(g.code)
+			adopt(&f.flat[g.code], g)
 		}
 	}
-	if info.groupCol < 0 {
-		// Global aggregation always yields one row, even over zero input.
-		accs := make([]aggAcc, nAggs)
-		for _, f := range folds {
-			if f != nil && f.global != nil {
-				for i := range accs {
-					accs[i].merge(&f.global.accs[i])
-				}
-			}
-		}
-		if zoneAccs != nil {
-			for i := range accs {
-				accs[i].merge(&zoneAccs[i])
-			}
-		}
-		row := make(value.Row, 0, nAggs)
-		for i := range x.Aggs {
-			row = append(row, accs[i].result(x.Aggs[i]))
-		}
-		return []value.Row{row}
+	for code, g := range o.overflow {
+		adoptKey(&f.overflow, code, g)
 	}
-	codes := map[int64]*codeGroup{}
-	odds := map[string]*codeGroup{}
-	var nullG *codeGroup
-	for _, f := range folds {
-		if f == nil {
-			continue
+	for k, g := range o.keyed {
+		adoptKey(&f.keyed, k, g)
+	}
+	adopt(&f.nullG, o.nullG)
+	adopt(&f.global, o.global)
+}
+
+// finishAgg merges the folds — there is always one — into the first, adds
+// any zone-answered accumulators, and renders its groups in first-seen
+// order, matching the sequential executors byte for byte. A global
+// aggregation yields one row, even over no input.
+func finishAgg(folds []*aggFold, zoneAccs []aggAcc) []value.Row {
+	f, in := folds[0], folds[0].in
+	for _, o := range folds[1:] {
+		f.absorb(o)
+	}
+	var list []*aggGroup
+	if len(in.keyCols) == 0 {
+		list = []*aggGroup{f.globalGroup()}
+		for i := range zoneAccs {
+			list[0].accs[i].merge(&zoneAccs[i])
 		}
-		collect := func(g *codeGroup) {
-			if m := codes[g.code]; m != nil {
-				mergeInto(m, g)
-			} else {
-				codes[g.code] = g
-			}
-		}
+	} else {
+		n := len(f.overflow) + len(f.keyed) + 1
 		for _, g := range f.flat {
 			if g != nil {
-				collect(g)
+				n++
+			}
+		}
+		list = make([]*aggGroup, 0, n)
+		for _, g := range f.flat {
+			if g != nil {
+				list = append(list, g)
 			}
 		}
 		for _, g := range f.overflow {
-			collect(g)
+			list = append(list, g)
+		}
+		for _, g := range f.keyed {
+			list = append(list, g)
 		}
 		if f.nullG != nil {
-			if nullG == nil {
-				nullG = f.nullG
-			} else {
-				mergeInto(nullG, f.nullG)
-			}
+			list = append(list, f.nullG)
 		}
-		for k, g := range f.odd {
-			if m := odds[k]; m != nil {
-				mergeInto(m, g)
-			} else {
-				odds[k] = g
-			}
-		}
+		slices.SortFunc(list, func(a, b *aggGroup) int { return cmp.Compare(a.first, b.first) })
 	}
-	list := make([]*codeGroup, 0, len(codes)+len(odds)+1)
-	for _, g := range codes {
-		list = append(list, g)
-	}
-	for _, g := range odds {
-		list = append(list, g)
-	}
-	if nullG != nil {
-		list = append(list, nullG)
-	}
-	sort.Slice(list, func(a, b int) bool { return list[a].first < list[b].first })
 	out := make([]value.Row, 0, len(list))
 	for _, g := range list {
-		row := make(value.Row, 0, 1+nAggs)
-		row = append(row, g.keyValue(info, interner))
-		for i := range x.Aggs {
-			row = append(row, g.accs[i].result(x.Aggs[i]))
+		row := make(value.Row, 0, len(in.keyCols)+len(in.specs))
+		switch {
+		case len(in.keyCols) == 0:
+		case g.key != nil:
+			row = append(row, g.key...)
+		case g == f.nullG:
+			row = append(row, value.Null)
+		case in.groupKind == value.KindString:
+			row = append(row, value.String(f.interner.vals[g.code]))
+		default:
+			row = append(row, value.Value{K: in.groupKind, I: g.code})
+		}
+		for i, spec := range in.specs {
+			row = append(row, g.accs[i].result(spec))
 		}
 		out = append(out, row)
 	}
 	return out
+}
+
+// FoldRows folds batches of rows the way the engine folds any aggregation:
+// the first groupCols columns of a row are its group key, and column
+// groupCols+i merges by fns[i] — SUM, MIN or MAX, NULLs ignored, a SUM of
+// nothing NULL. Groups come out keys first, in the order their first row
+// arrives across the batches; with no group columns there is exactly one
+// row, even over no input. It is the SOE coordinator's merge of node
+// partials.
+func FoldRows(batches [][]value.Row, groupCols int, fns []string) []value.Row {
+	in := &aggInput{
+		aggShape: aggShape{groupCol: -1, keyCols: make([]int, groupCols), argCols: make([]int, len(fns))},
+		specs:    make([]aggSpec, len(fns)),
+	}
+	for c := range in.keyCols {
+		in.keyCols[c] = c
+	}
+	for i, fn := range fns {
+		in.specs[i] = aggSpec{Fn: fn}
+		in.argCols[i] = groupCols + i
+	}
+	f := newAggFold(in, nil, 0)
+	var rank int64
+	for _, batch := range batches {
+		for _, row := range batch {
+			f.foldRow(nil, 0, row, rank)
+			rank++
+		}
+	}
+	return finishAgg([]*aggFold{f}, nil)
 }
 
 // morselSel is the ordered fold's hand-off payload: a morsel and its final
@@ -533,16 +708,17 @@ type morselSel struct {
 // selection phase — kernels, visibility, residual, cold-read stalls —
 // runs on the worker pool, and fold consumes the final selections.
 // Order-insensitive accumulators fold per worker, in whatever order the
-// morsels complete, and merge at the end. An order-sensitive float sum
-// gets exactly one fold, fed in morsel order: every addend joins its group
-// in sequential row order, so the sum is bit-identical to the row
-// executors under any scheduling. With one worker the morsels already run
+// morsels complete, and merge at the end. An order-sensitive aggregation —
+// a float sum, a DISTINCT seen-set — gets exactly one fold, fed in morsel
+// order: every input row joins its group in sequential row order, so a
+// float sum is bit-identical to the row executors under any scheduling and
+// no seen-set ever needs merging. With one worker the morsels already run
 // in order and the worker folds them in place; with more they come through
 // the ordered hand-off, which lends a sparse selection instead of copying
 // it or giving its scratch away: the run holds one scratch per worker and
 // one for the consumer however far the workers get ahead, where a scratch
 // per morsel in flight would be memory no bounded pool could lend twice.
-func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(f *codeFold, t *scanTask, sel selection, scr *scanScratch)) []*codeFold {
+func (r *scanRun) foldMorsels(ordered bool, newFold func() *aggFold, fold func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)) []*aggFold {
 	if ordered && len(r.scratch) > 1 {
 		f := newFold()
 		own := r.ctx.scratch.take() // the consumer's key buffer
@@ -577,9 +753,9 @@ func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(
 			return nil
 		})
 		r.ctx.scratch.put(own)
-		return []*codeFold{f}
+		return []*aggFold{f}
 	}
-	folds := make([]*codeFold, len(r.scratch))
+	folds := make([]*aggFold, len(r.scratch))
 	for w := range folds {
 		folds[w] = newFold()
 	}
@@ -589,20 +765,20 @@ func (r *scanRun) foldMorsels(ordered bool, newFold func() *codeFold, fold func(
 	return folds
 }
 
-// vecAggScanCode fuses a code-keyed aggregation into the scan morsels
-// (see foldMorsels), and warm partitions whose zone map exactly describes
-// the snapshot answer COUNT/MIN/MAX from the synopsis without faulting a
-// page.
-func vecAggScanCode(x *AggPlan, s *ScanPlan, info aggCodeInfo, ctx *execCtx) (vpipe, error) {
+// vecAggScan fuses an aggregation into the scan morsels (see foldMorsels),
+// and warm partitions whose zone map exactly describes the snapshot answer
+// COUNT/MIN/MAX from the synopsis without faulting a page.
+func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 	prep, err := prepScan(s, ctx)
 	if err != nil {
 		return nil, err
 	}
-	zoneEligible := info.groupCol < 0 && s.Filter == nil
-	for i, spec := range x.Aggs {
+	in.avoidPerRow = prep.ncols - in.decoded(prep.ncols)
+	zoneEligible := len(in.keyCols) == 0 && s.Filter == nil && !in.computed
+	for i, spec := range in.specs {
 		switch {
 		case spec.Fn == "COUNT" && !spec.Distinct:
-		case (spec.Fn == "MIN" || spec.Fn == "MAX") && info.argCols[i] >= 0:
+		case (spec.Fn == "MIN" || spec.Fn == "MAX") && in.argCols[i] >= 0:
 		default:
 			zoneEligible = false
 		}
@@ -617,11 +793,11 @@ func vecAggScanCode(x *AggPlan, s *ScanPlan, info aggCodeInfo, ctx *execCtx) (vp
 		var zoneAccs []aggAcc
 		var zoneAvoided int64
 		if zoneEligible {
-			zoneAccs = make([]aggAcc, len(x.Aggs))
+			zoneAccs = make([]aggAcc, len(in.specs))
 			prep.zoneAgg = func(snap *columnstore.Snapshot, z *columnstore.ZoneMap) bool {
 				rows := snap.NumRows()
-				for i, spec := range x.Aggs {
-					ac := info.argCols[i]
+				for i, spec := range in.specs {
+					ac := in.argCols[i]
 					switch {
 					case spec.Fn == "COUNT" && ac < 0:
 						zoneAccs[i].count += int64(rows)
@@ -646,9 +822,9 @@ func vecAggScanCode(x *AggPlan, s *ScanPlan, info aggCodeInfo, ctx *execCtx) (vp
 			return err
 		}
 		interner := newStrInterner()
-		folds := run.foldMorsels(info.ordered,
-			func() *codeFold { return newCodeFold(x, info, interner, prep.ncols) },
-			(*codeFold).foldMorsel)
+		folds := run.foldMorsels(in.ordered,
+			func() *aggFold { return newAggFold(in, interner, prep.ncols) },
+			(*aggFold).foldMorsel)
 		var runs, fused, avoided int64
 		for _, f := range folds {
 			runs += f.runsFolded
@@ -656,7 +832,33 @@ func vecAggScanCode(x *AggPlan, s *ScanPlan, info aggCodeInfo, ctx *execCtx) (vp
 			avoided += f.decodeAvoided
 		}
 		recordLateMat(ctx, run.op, 0, runs, fused, avoided+zoneAvoided)
-		return emit(finishCodeAgg(folds, zoneAccs, x, info, interner))
+		return emit(finishAgg(folds, zoneAccs))
+	}, nil
+}
+
+// vecAggRows is an aggregation over any other input — a join with a
+// residual or something to compute, a filter, a derived table, a rows
+// leaf: one fold consumes the child's rows as they arrive, in order (the
+// child still scans in parallel underneath).
+func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (vpipe, error) {
+	rows, err := vecCompile(child, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return func(emit func([]value.Row) error) error {
+		interner := newStrInterner()
+		f := newAggFold(in, interner, 0)
+		var rank int64
+		if err := rows(func(batch []value.Row) error {
+			for _, row := range batch {
+				f.foldRow(nil, 0, row, rank)
+				rank++
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		return emit(finishAgg([]*aggFold{f}, nil))
 	}, nil
 }
 
@@ -912,11 +1114,12 @@ func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
 }
 
 // vecAggJoinCode fuses an aggregate into the code join's probe: the sink
-// folds each (position, build row) pair straight into a codeFold, per
-// worker or — order-sensitive float sums — in morsel order (foldMorsels),
-// so neither a probe row nor a joined row is ever built. A group's
-// first-seen rank is (morsel, ordinal in the morsel's join output).
-func vecAggJoinCode(x *AggPlan, jp *JoinPlan, jinfo joinCodeInfo, info aggCodeInfo, ctx *execCtx) (vpipe, error) {
+// folds each (position, build row) pair straight into an aggFold, per
+// worker or — order-sensitive aggregations — in morsel order
+// (foldMorsels), so neither a probe row nor a joined row is ever built. A
+// group's first-seen rank is (morsel, ordinal in the morsel's join output).
+// Keys and arguments are bare columns: nothing is evaluated per pair.
+func vecAggJoinCode(jp *JoinPlan, jinfo joinCodeInfo, in *aggInput, ctx *execCtx) (vpipe, error) {
 	j, err := newCodeJoin(jp, jinfo, ctx)
 	if err != nil {
 		return nil, err
@@ -930,17 +1133,17 @@ func vecAggJoinCode(x *AggPlan, jp *JoinPlan, jinfo joinCodeInfo, info aggCodeIn
 			j.op.fused = true
 		}
 		interner := newStrInterner()
-		folds := run.foldMorsels(info.ordered,
-			func() *codeFold { return newCodeFold(x, info, interner, j.prep.ncols) },
-			func(f *codeFold, t *scanTask, sel selection, scr *scanScratch) {
+		folds := run.foldMorsels(in.ordered,
+			func() *aggFold { return newAggFold(in, interner, j.prep.ncols) },
+			func(f *aggFold, t *scanTask, sel selection, scr *scanScratch) {
 				rank := t.rankBase()
 				j.probe(t, sel, scr, func(pos int, build value.Row) bool {
-					f.foldPair(t, pos, build, rank)
+					f.foldRow(t, pos, build, rank)
 					rank++
 					return true
 				})
 			})
-		return emit(finishCodeAgg(folds, nil, x, info, interner))
+		return emit(finishAgg(folds, nil))
 	}, nil
 }
 

@@ -712,9 +712,9 @@ func (s *ScanPlan) scanParts() []*catalog.Partition {
 
 // --- compressed-execution eligibility ---------------------------------------
 //
-// The late-materialization paths (exec_vector_code.go) only engage on plan
-// shapes where key translation to canonical int64 codes is exact; anything
-// else runs on the boxed batch operators.
+// The late-materialization paths (exec_vector_code.go) key on canonical
+// int64 codes only where that translation is exact; an aggregation that
+// cannot renders its keys instead, a join runs on the boxed hash join.
 
 // findCol resolves a column reference against a plan node's output
 // columns with exactly the executor resolver's semantics (including the
@@ -728,8 +728,11 @@ func findCol(cols []colInfo, cr *ColRef) int {
 }
 
 // colKinds returns the statically known kind of each output column of p:
-// a scan's schema, KindNull (unknown) under anything else.
+// a scan's schema, a join's sides', KindNull (unknown) under anything else.
 func colKinds(p Plan) []value.Kind {
+	if j, ok := p.(*JoinPlan); ok {
+		return append(colKinds(j.L), colKinds(j.R)...)
+	}
 	kinds := make([]value.Kind, len(p.columns()))
 	if s, ok := p.(*ScanPlan); ok {
 		for i := range kinds {
@@ -753,56 +756,78 @@ func codeKeyKind(k value.Kind) bool {
 	return false
 }
 
-// aggCodeInfo is the shape summary of a code-keyed fused aggregation over
-// a scan, or over a code join (whose columns are the probe scan's followed
-// by the build side's): which input column carries the group key (-1 for
-// global aggregation), which feeds each aggregate (-1 for COUNT(*)), and
-// whether a float sum makes the fold order-sensitive.
-type aggCodeInfo struct {
-	groupCol  int
+// aggShape is the shape summary of an aggregation over its input's columns
+// (a join's are the probe side's followed by the build side's). Every
+// aggregation has one: a single GROUP BY expression that is a bare column
+// of a code-key kind keys the fold on codes (groupCol), anything else —
+// several keys, computed keys, float keys — renders its key. It says which
+// column feeds each key and each aggregate, whether anything must be
+// evaluated, and whether the fold must consume its input in order.
+type aggShape struct {
+	groupCol  int // the code key's column; -1 when the key is rendered or there is none
 	groupKind value.Kind
-	argCols   []int
+	keyCols   []int // per GROUP BY expression: its bare column, -1 when computed
+	argCols   []int // per aggregate: its bare column, -1 for COUNT(*) or a computed argument
+	computed  bool  // some key or argument is an expression to evaluate
 	ordered   bool
 }
 
-// aggCodeShape reports whether a fused aggregation can key on integer
-// codes: at most one GROUP BY expression, which must be a bare reference
-// to a column of a code-key kind, and every aggregate argument a bare
-// column reference (or COUNT(*)). cols and kinds describe the input.
-// Callers have already excluded DISTINCT.
-func aggCodeShape(x *AggPlan, cols []colInfo, kinds []value.Kind) (aggCodeInfo, bool) {
-	info := aggCodeInfo{groupCol: -1, ordered: aggFloatOrderSensitive(x, cols, kinds)}
-	switch len(x.GroupBy) {
-	case 0:
-	case 1:
-		cr, ok := x.GroupBy[0].(*ColRef)
-		if !ok {
-			return info, false
+// aggShapeOf summarizes x over its child's columns.
+func aggShapeOf(x *AggPlan) aggShape {
+	cols, kinds := x.Child.columns(), colKinds(x.Child)
+	s := aggShape{groupCol: -1, ordered: aggOrdered(x, cols, kinds)}
+	bare := func(e Expr) int {
+		if cr, ok := e.(*ColRef); ok {
+			return findCol(cols, cr)
 		}
-		idx := findCol(cols, cr)
-		if idx < 0 || !codeKeyKind(kinds[idx]) {
-			return info, false
-		}
-		info.groupCol, info.groupKind = idx, kinds[idx]
-	default:
-		return info, false
+		return -1
+	}
+	for _, g := range x.GroupBy {
+		c := bare(g)
+		s.keyCols = append(s.keyCols, c)
+		s.computed = s.computed || c < 0
+	}
+	if len(s.keyCols) == 1 && s.keyCols[0] >= 0 && codeKeyKind(kinds[s.keyCols[0]]) {
+		s.groupCol, s.groupKind = s.keyCols[0], kinds[s.keyCols[0]]
 	}
 	for _, a := range x.Aggs {
-		if a.Star || a.Arg == nil {
-			info.argCols = append(info.argCols, -1)
+		c := -1
+		if !a.Star && a.Arg != nil {
+			c = bare(a.Arg)
+			s.computed = s.computed || c < 0
+		}
+		s.argCols = append(s.argCols, c)
+	}
+	return s
+}
+
+// aggOrdered reports whether x must fold its input in order, as exactly
+// one fold. A DISTINCT aggregate must: its seen-set filters what it adds,
+// and two folds' sets cannot merge once their partial sums have been
+// filtered. So must a floating-point sum, whose value depends on addition
+// order: a SUM or AVG over anything but a column known to be a plain
+// integer (cols and kinds describe the input). Which worker runs which
+// morsel is the scheduler's business, so per-worker folds would group the
+// addends differently run to run and the output would no longer be
+// byte-identical to the interpreter's. Integer sums, counts and min/max
+// are exact under any grouping.
+func aggOrdered(x *AggPlan, cols []colInfo, kinds []value.Kind) bool {
+	for _, a := range x.Aggs {
+		if a.Distinct {
+			return true
+		}
+		if a.Fn != "SUM" && a.Fn != "AVG" {
 			continue
 		}
 		cr, ok := a.Arg.(*ColRef)
 		if !ok {
-			return info, false
+			return true // computed argument: kind unknown statically
 		}
-		idx := findCol(cols, cr)
-		if idx < 0 {
-			return info, false
+		if idx := findCol(cols, cr); idx < 0 || kinds[idx] != value.KindInt {
+			return true
 		}
-		info.argCols = append(info.argCols, idx)
 	}
-	return info, true
+	return false
 }
 
 // joinCodeInfo is the shape summary of a code-keyed hash join: the probe

@@ -224,14 +224,16 @@ var joinAggQueries = []struct {
 	// Probe rows only in the delta.
 	{`SELECT d.name, COUNT(*), SUM(r.q), SUM(r.v) FROM rawfact r JOIN dim d ON r.k = d.k GROUP BY d.name`, true},
 	{`SELECT COUNT(*), SUM(d.w) FROM rawfact r LEFT JOIN dim d ON r.ik = d.ik`, true},
-	// Shapes the fused sink rejects must be as correct on the general path:
-	// a join residual, an expression key, two keys, a computed argument.
+	// Rendered keys from both sides, and DISTINCT in ordered mode.
+	{`SELECT f.k, d.name, COUNT(*) FROM fact f JOIN dim d ON f.k = d.k GROUP BY f.k, d.name`, true},
+	{`SELECT COUNT(DISTINCT d.name) FROM fact f JOIN dim d ON f.k = d.k`, true},
+	{`SELECT d.name, COUNT(DISTINCT f.q), SUM(DISTINCT f.v) FROM fact f JOIN dim d ON f.k = d.k GROUP BY d.name`, true},
+	// Shapes the fused sink rejects must be as correct over the join's
+	// rows: a join residual, an expression key, a computed argument.
 	{`SELECT d.name, COUNT(*), SUM(f.v) FROM fact f JOIN dim d ON f.k = d.k AND f.q < d.w GROUP BY d.name`, false},
 	{`SELECT COUNT(*), SUM(f.v) FROM fact f LEFT JOIN dim d ON f.k = d.k AND f.q < d.w`, false},
 	{`SELECT f.q % 5, COUNT(*) FROM fact f JOIN dim d ON f.k = d.k GROUP BY f.q % 5`, false},
-	{`SELECT f.k, d.name, COUNT(*) FROM fact f JOIN dim d ON f.k = d.k GROUP BY f.k, d.name`, false},
 	{`SELECT d.name, SUM(f.q * d.w) FROM fact f JOIN dim d ON f.k = d.k GROUP BY d.name`, false},
-	{`SELECT COUNT(DISTINCT d.name) FROM fact f JOIN dim d ON f.k = d.k`, false},
 }
 
 // TestVectorizedJoinAggMatrix: an aggregate fused into the code join's
