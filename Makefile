@@ -40,7 +40,8 @@ experiments:
 # the wire front end's two frame readers (a real connection's serve loop
 # fed arbitrary bytes after the handshake; the client's DataRow decoder)
 # never panic on hostile bytes and never allocate more than a constant
-# times the input.
+# times the input; value.Parse, which reads every wire parameter, never
+# panics and reads back what AppendString renders, bit for bit.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEntry' -fuzztime 10s ./internal/soe/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
@@ -48,6 +49,7 @@ fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzReadCheckpoint' -fuzztime 10s ./internal/wal/
 	$(GO) test -run xxx -fuzz 'FuzzServerFrames' -fuzztime 10s ./internal/pgwire/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeDataRows' -fuzztime 10s ./internal/pgwire/
+	$(GO) test -run xxx -fuzz 'FuzzParseValue' -fuzztime 10s ./internal/value/
 
 # Quick pass over the vectorized scan/aggregation micro-benchmarks, gated
 # by cmd/benchguard against the committed BENCH_vectorized_baseline.json.

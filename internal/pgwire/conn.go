@@ -25,6 +25,61 @@ type prepStmt struct {
 	st      *sqlexec.Stmt
 	word    string // leading keyword: gates and the CommandComplete tag
 	nparams int
+	params  []value.Kind // what each parameter binds as, fixed at Parse
+	oids    []int        // the parameter types the client declared, 0 where it left one open
+}
+
+// paramKind is the kind parameter i binds as: KindNull — its text — where
+// neither the plan nor the client gave it one, or there is no statement.
+func (ps *prepStmt) paramKind(i int) value.Kind {
+	if ps != nil && i < len(ps.params) {
+		return ps.params[i]
+	}
+	return value.KindNull
+}
+
+// binaryParam reads parameter i from its binary form: the form of the type
+// the client declared for it, else of the type ParameterDescription
+// announces; then as the kind it binds as.
+func (ps *prepStmt) binaryParam(b []byte, i int) (value.Value, error) {
+	k := ps.paramKind(i)
+	sent := k
+	if ps != nil && i < len(ps.oids) && ps.oids[i] != 0 {
+		if sent = kindOfOID(ps.oids[i]); sent == value.KindNull {
+			return value.Null, wireErr(CodeFeatureNotSupported, fmt.Sprintf("binary format of type %d not supported", ps.oids[i]))
+		}
+	}
+	if sent == value.KindNull || sent == value.KindString {
+		return value.Parse(string(b), k) // text's binary form is the text
+	}
+	v, err := readBinary(b, sent)
+	if err != nil || k == value.KindNull {
+		return v, err
+	}
+	return value.Coerce(v, k), nil
+}
+
+// formats is the list of format codes a Bind carries, for its parameters
+// or its result columns, as the message has them: big-endian int16s, 0 for
+// text and 1 for binary. None means text throughout; one applies to all.
+type formats string
+
+// binary reports whether the i-th value is in binary format.
+func (f formats) binary(i int) bool {
+	if len(f) == 2 {
+		i = 0
+	}
+	return 2*i+1 < len(f) && f[2*i+1] == 1
+}
+
+// valid reports whether every code is 0 or 1.
+func (f formats) valid() bool {
+	for i := 0; i+1 < len(f); i += 2 {
+		if f[i] != 0 || f[i+1] > 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // portal is one bound portal: a statement plus parameter values. The
@@ -35,12 +90,20 @@ type prepStmt struct {
 type portal struct {
 	stmt    *prepStmt
 	params  []value.Value
+	formats formats // of the result columns
 	ran     bool
 	counted bool // pgwire_queries_total recorded (suspended portals resume)
-	res     *sqlexec.Result
+	res     *kept
 	err     error
 	pos     int   // rows sent so far
 	count   int64 // rows a DML statement reported affected
+}
+
+// kept is what an Execute with a row limit collects: the rows, and the
+// columns they are of.
+type kept struct {
+	sqlexec.Result
+	cols []sqlexec.Column
 }
 
 // conn is one wire connection: a single goroutine owns the read loop and
@@ -306,13 +369,12 @@ func (c *conn) runStatement(sql string) bool {
 	case gateHandled:
 		return true
 	}
-	w := c.rowWriter(word, describeTyped)
+	w := c.rowWriter(word, true, "")
 	if err := c.execute(w, nil, sql, nil, nil); err != nil {
 		c.queryError(err)
 		return false
 	}
 	c.srv.cOK.Inc()
-	w.finish()
 	c.sendCommandComplete(commandTag(word, w.count, w.sent))
 	return true
 }
@@ -410,8 +472,9 @@ func (c *conn) handleParse(m *msgReader) {
 	name := m.string()
 	sql := m.string()
 	noids := m.int16()
-	for i := 0; i < noids; i++ {
-		m.int32() // declared parameter OIDs: accepted, not needed (text inference)
+	ps := &prepStmt{nparams: noids}
+	for i := 0; i < noids && m.err == nil; i++ {
+		ps.oids = append(ps.oids, m.int32())
 	}
 	if m.err != nil {
 		c.extError(CodeProtocolViolation, m.err.Error())
@@ -428,18 +491,25 @@ func (c *conn) handleParse(m *msgReader) {
 			return
 		}
 	}
-	ps := &prepStmt{nparams: noids}
 	if strings.TrimSpace(sql) != "" {
 		// Validate eagerly: a broken statement — one that does not parse
 		// or, for a SELECT, does not plan — must fail at Parse, not
-		// surface later as a surprising Execute error.
+		// surface later as a surprising Execute error. The same planning
+		// fixes the kinds its parameters bind as, as in PostgreSQL: a later
+		// DDL does not change them. A type the client declared gives a
+		// parameter the plan leaves open its kind.
 		st, err := c.sess.Prepare(sql)
 		if err == nil {
-			_, err = st.Columns()
+			_, ps.params, err = st.Columns()
 		}
 		if err != nil {
 			c.extQueryError(err)
 			return
+		}
+		for i, oid := range ps.oids {
+			if i < len(ps.params) && ps.params[i] == value.KindNull {
+				ps.params[i] = kindOfOID(oid)
+			}
 		}
 		ps.st, ps.word = st, firstKeyword(sql)
 		ps.nparams = max(noids, st.NumParams())
@@ -452,20 +522,15 @@ func (c *conn) handleParse(m *msgReader) {
 func (c *conn) handleBind(m *msgReader) {
 	portalName := m.string()
 	stmtName := m.string()
-	nfmt := m.int16()
-	for i := 0; i < nfmt; i++ {
-		if m.int16() == 1 {
-			c.extError(CodeFeatureNotSupported, "binary parameter format not supported")
-			return
-		}
-	}
+	pf := formats(m.bytes(2 * m.int16()))
 	nparams := m.int16()
 	// Every parameter has a length word: a count the message has no room
 	// for sizes nothing.
-	if m.err != nil || nparams < 0 || nparams > (len(m.buf)-m.pos)/4 {
+	if m.err != nil || nparams < 0 || nparams > (len(m.buf)-m.pos)/4 || len(pf) > 2 && len(pf) != 2*nparams || !pf.valid() {
 		c.extError(CodeProtocolViolation, "malformed Bind message")
 		return
 	}
+	st, ok := c.stmts[stmtName]
 	params := make([]value.Value, 0, nparams)
 	for i := 0; i < nparams; i++ {
 		n := m.int32()
@@ -477,20 +542,28 @@ func (c *conn) handleBind(m *msgReader) {
 		if m.err != nil {
 			break
 		}
-		params = append(params, inferParam(string(b)))
-	}
-	nrfmt := m.int16()
-	for i := 0; i < nrfmt; i++ {
-		if m.int16() == 1 {
-			c.extError(CodeFeatureNotSupported, "binary result format not supported")
+		var v value.Value
+		var err error
+		if pf.binary(i) {
+			v, err = st.binaryParam(b, i)
+		} else {
+			// Parse keeps nothing of the text: a number allocates nothing.
+			v, err = value.Parse(string(b), st.paramKind(i))
+		}
+		if err != nil {
+			c.extError(sqlstateFor(err), err.Error())
 			return
 		}
+		params = append(params, v)
+	}
+	rf := formats(m.bytes(2 * m.int16()))
+	if m.err == nil && !rf.valid() {
+		m.err = errors.New("pgwire: result format code not 0 or 1")
 	}
 	if m.err != nil {
 		c.extError(CodeProtocolViolation, m.err.Error())
 		return
 	}
-	st, ok := c.stmts[stmtName]
 	if !ok {
 		c.extError(CodeInvalidStatement, fmt.Sprintf("prepared statement %q does not exist", stmtName))
 		return
@@ -500,7 +573,7 @@ func (c *conn) handleBind(m *msgReader) {
 			fmt.Sprintf("per-connection statement limit (%d) reached", c.srv.cfg.MaxStmts))
 		return
 	}
-	c.portals[portalName] = &portal{stmt: st, params: params}
+	c.portals[portalName] = &portal{stmt: st, params: params, formats: rf}
 	c.out.start(msgBindComplete)
 	c.out.finish()
 }
@@ -522,10 +595,14 @@ func (c *conn) handleDescribe(m *msgReader) {
 		c.out.start(msgParamDescription)
 		c.out.int16(st.nparams)
 		for i := 0; i < st.nparams; i++ {
-			c.out.int32(oidText)
+			oid, _ := oidOf(st.paramKind(i))
+			if i < len(st.oids) && st.oids[i] != 0 {
+				oid = st.oids[i] // the client's own declaration, as PostgreSQL echoes it
+			}
+			c.out.int32(oid)
 		}
 		c.out.finish()
-		c.describeRows(st)
+		c.describeRows(st, "")
 	case 'P':
 		p, ok := c.portals[name]
 		if !ok {
@@ -541,19 +618,20 @@ func (c *conn) handleDescribe(m *msgReader) {
 			c.owed = p
 			return
 		}
-		c.describeRows(p.stmt)
+		c.describeRows(p.stmt, p.formats)
 	default:
 		c.extError(CodeProtocolViolation, fmt.Sprintf("Describe kind %q", kind))
 	}
 }
 
-// describeRows answers the row-shape half of Describe from the handle:
-// the plan of a SELECT is built, never run.
-func (c *conn) describeRows(ps *prepStmt) {
-	var cols []string
-	if ps.st != nil {
+// describeRows answers the row-shape half of Describe from the handle, the
+// columns in the formats f (a portal's): the plan of a SELECT is built,
+// never run. A statement that returns no rows asks the engine nothing.
+func (c *conn) describeRows(ps *prepStmt, f formats) {
+	var cols []sqlexec.Column
+	if ps.st != nil && isRowStatement(ps.word) {
 		var err error
-		if cols, err = ps.st.Columns(); err != nil {
+		if cols, _, err = ps.st.Columns(); err != nil {
 			c.extQueryError(err)
 			return
 		}
@@ -563,7 +641,7 @@ func (c *conn) describeRows(ps *prepStmt) {
 		c.out.finish()
 		return
 	}
-	c.sendRowDescriptionCols(cols, nil)
+	c.sendRowDescription(cols, f)
 }
 
 // settleDescribe answers a deferred Describe(P) the way Describe answers:
@@ -571,7 +649,7 @@ func (c *conn) describeRows(ps *prepStmt) {
 func (c *conn) settleDescribe() {
 	if p := c.owed; p != nil {
 		c.owed = nil
-		c.describeRows(p.stmt)
+		c.describeRows(p.stmt, p.formats)
 	}
 }
 
@@ -613,23 +691,15 @@ func (c *conn) handleExecute(m *msgReader) {
 	rowStmt := isRowStatement(word)
 	if !p.ran {
 		p.ran = true
-		st := p.stmt.st
+		w := c.rowWriter(word, owed, p.formats)
 		if rowStmt && maxRows > 0 {
 			// The one consumer whose rows must outlive the call: collect
 			// them, and send by the limit below.
-			p.res = &sqlexec.Result{}
-			p.err = c.execute(p.res, st, "", p.params, c.srv.hExtended)
-		} else {
-			describe := describeNone
-			if owed {
-				describe, owed = describeNames, false
-			}
-			w := c.rowWriter(word, describe)
-			if p.err = c.execute(w, st, "", p.params, c.srv.hExtended); p.err == nil {
-				w.finish()
-			}
-			p.pos, p.count = w.sent, w.count
+			p.res = &kept{}
+			w.keep = p.res
 		}
+		p.err = c.execute(w, p.stmt.st, "", p.params, c.srv.hExtended)
+		p.pos, p.count = w.sent, w.count
 	}
 	if p.err != nil {
 		p.res = nil
@@ -645,15 +715,12 @@ func (c *conn) handleExecute(m *msgReader) {
 		return
 	}
 	if p.res != nil {
-		if owed {
-			c.sendRowDescriptionCols(p.res.Cols, nil)
-		}
 		rows := p.res.Rows[p.pos:]
 		if maxRows > 0 && maxRows < len(rows) {
 			rows = rows[:maxRows]
 		}
 		b := sqlexec.RowsBatch(rows)
-		c.sendDataRows(len(p.res.Cols), &b)
+		c.sendDataRows(p.res.cols, p.formats, &b)
 		if p.pos += len(rows); p.pos < len(p.res.Rows) {
 			c.out.start(msgPortalSuspended)
 			c.out.finish()
@@ -689,114 +756,89 @@ func (c *conn) handleClose(m *msgReader) {
 
 // --- response encoding -----------------------------------------------------
 
-// What a rowWriter still owes the client before its first DataRow.
-const (
-	describeNone  = iota // nothing: the extended protocol describes on request
-	describeNames        // a deferred Describe(P): column names, every type text, as Describe answers
-	describeTyped        // the simple protocol: names, and types from the first batch
-)
-
-// rowWriter is the streaming sink (sqlexec.RowSink) of one statement: it
-// encodes each batch as DataRows the moment the executor hands it over,
-// reading every cell through RowBatch.At, and keeps none — so a scan's rows
-// reach the wire without ever being boxed, however long the result. The
-// bytes leave through the connection's buffered writer,
-// which writes to the socket whenever it fills: the first rows of a large
-// result are on their way while the scan is still running, and a one-row
-// result still costs one write, at Sync. A failed write fails the batch,
-// which stops the statement's scan workers.
+// rowWriter is the sink (sqlexec.RowSink) of one statement: it encodes
+// each batch as DataRows the moment the executor hands it over, reading
+// every cell through RowBatch.At, and keeps none — so a scan's rows reach
+// the wire without ever being boxed, however long the result. The bytes
+// leave through the connection's buffered writer, which writes to the
+// socket whenever it fills: the first rows of a large result are on their
+// way while the scan is still running, and a one-row result still costs one
+// write, at Sync. A failed write fails the batch, which stops the
+// statement's scan workers. Only an Execute with a row limit keeps its rows
+// (keep), to send them by the limit.
 type rowWriter struct {
-	c        *conn
-	rowStmt  bool // rows are DataRows; otherwise the one cell is a DML count
-	describe int
-	cols     []string
-	sent     int   // DataRows written
-	count    int64 // the DML count
+	c       *conn
+	rowStmt bool // rows are DataRows; otherwise the one cell is a DML count
+	// describe: the RowDescription is this writer's to send, from the
+	// header — the simple protocol's, and a deferred Describe(P)'s.
+	describe bool
+	keep     *kept            // collects the rows instead of sending them
+	formats  formats          // of the columns, as the portal's Bind asked
+	cols     []sqlexec.Column // the header's
+	sent     int              // DataRows written
+	count    int64            // the DML count
 }
 
 // rowWriter readies the connection's sink for one statement.
-func (c *conn) rowWriter(word string, describe int) *rowWriter {
-	c.rows = rowWriter{c: c, rowStmt: isRowStatement(word), describe: describe}
+func (c *conn) rowWriter(word string, describe bool, f formats) *rowWriter {
+	c.rows = rowWriter{c: c, rowStmt: isRowStatement(word), describe: describe, formats: f}
 	return &c.rows
 }
 
-func (w *rowWriter) Header(cols []string) error {
+func (w *rowWriter) Header(cols []sqlexec.Column) error {
 	w.cols = cols
-	if w.describe == describeNames {
-		w.rowDescription(nil)
+	if n := len(w.formats) / 2; w.rowStmt && n > 1 && n != len(cols) {
+		return wireErr(CodeProtocolViolation, fmt.Sprintf("bind message has %d result formats but query has %d columns", n, len(cols)))
+	}
+	if w.describe && w.rowStmt {
+		w.c.sendRowDescription(cols, w.formats)
+	}
+	if w.keep != nil {
+		w.keep.cols = cols
+		return w.keep.Header(cols)
 	}
 	return nil
 }
 
 func (w *rowWriter) Batch(b *sqlexec.RowBatch) error {
-	if !w.rowStmt {
+	switch {
+	case !w.rowStmt:
 		// DML answers with one row of one integer cell: its tag's count.
 		if b.Len() == 1 && b.Width() == 1 {
 			w.count = b.At(0, 0).AsInt()
 		}
 		return nil
-	}
-	if w.describe != describeNone {
-		w.rowDescription(b)
+	case w.keep != nil:
+		return w.keep.Batch(b)
 	}
 	w.sent += b.Len()
-	return w.c.sendDataRows(len(w.cols), b)
+	return w.c.sendDataRows(w.cols, w.formats, b)
 }
 
-// finish ends a statement that succeeded: a row statement that produced
-// no batch still owes its RowDescription.
-func (w *rowWriter) finish() {
-	if w.rowStmt && w.describe != describeNone {
-		w.rowDescription(nil)
-	}
-}
-
-// rowDescription pays what the writer owes. Field types come from the
-// batch in hand, nil when there is none (text format; OIDs by value kind,
-// text for a column that is NULL throughout the batch).
-func (w *rowWriter) rowDescription(b *sqlexec.RowBatch) {
-	var kinds []value.Kind
-	if w.describe == describeTyped && b != nil && b.Len() > 0 {
-		kinds = make([]value.Kind, len(w.cols))
-		for i := 0; i < b.Len(); i++ {
-			missing := false
-			for c := range kinds {
-				if kinds[c] == value.KindNull {
-					kinds[c] = b.At(i, c).K
-				}
-				if kinds[c] == value.KindNull {
-					missing = true
-				}
-			}
-			if !missing {
-				break
-			}
-		}
-	}
-	w.describe = describeNone
-	w.c.sendRowDescriptionCols(w.cols, kinds)
-}
-
-func (c *conn) sendRowDescriptionCols(cols []string, kinds []value.Kind) {
+// sendRowDescription describes the columns, in the formats f: each one's
+// type is its planned kind's, and a kind the plan does not know is text.
+func (c *conn) sendRowDescription(cols []sqlexec.Column, f formats) {
 	c.out.start(msgRowDescription)
 	c.out.int16(len(cols))
-	for i, name := range cols {
-		k := value.KindNull
-		if i < len(kinds) {
-			k = kinds[i]
-		}
-		oid, size := oidOf(k)
-		c.out.string(name)
+	for i, col := range cols {
+		oid, size := oidOf(col.Kind)
+		c.out.string(col.Name)
 		c.out.int32(0) // table OID
 		c.out.int16(0) // attribute number
 		c.out.int32(oid)
 		c.out.int16(size)
 		c.out.int32(-1) // type modifier
-		c.out.int16(0)  // text format
+		if f.binary(i) {
+			c.out.int16(1)
+		} else {
+			c.out.int16(0)
+		}
 	}
 	c.out.finish()
 }
 
+// oidOf is the type a value of kind k is announced as: KindNull, a kind
+// the plan does not know, is text.
 func oidOf(k value.Kind) (oid, size int) {
 	switch k {
 	case value.KindInt:
@@ -812,21 +854,42 @@ func oidOf(k value.Kind) (oid, size int) {
 	}
 }
 
-// sendDataRows encodes a batch as DataRows of ncols text-format cells each
-// — the one row loop, whichever sink the rows came through. Each cell is
-// read (At) and rendered in place; nothing is boxed. It returns the first
-// write error: the buffered writer's, which sticks.
-func (c *conn) sendDataRows(ncols int, b *sqlexec.RowBatch) error {
+// kindOfOID is the kind a value of a type a client declares binds as:
+// KindNull for a type outside the subset the server speaks.
+func kindOfOID(oid int) value.Kind {
+	switch oid {
+	case oidInt2, oidInt4, oidInt8:
+		return value.KindInt
+	case oidFloat4, oidFloat8:
+		return value.KindFloat
+	case oidBool:
+		return value.KindBool
+	case oidTimestamp, oidTimestamptz:
+		return value.KindTime
+	case oidText, oidVarchar:
+		return value.KindString
+	}
+	return value.KindNull
+}
+
+// sendDataRows encodes a batch as DataRows of one cell per column, each in
+// its format of f — the one row loop, whichever sink the rows came through.
+// Each cell is read (At) and rendered in place; nothing is boxed. It
+// returns the first write error: the buffered writer's, which sticks.
+func (c *conn) sendDataRows(cols []sqlexec.Column, f formats, b *sqlexec.RowBatch) error {
 	for i, n := 0, b.Len(); i < n; i++ {
 		c.out.start(msgDataRow)
-		c.out.int16(ncols)
-		for col := 0; col < ncols; col++ {
+		c.out.int16(len(cols))
+		for col := range cols {
 			v := b.At(i, col)
-			if v.IsNull() {
+			switch {
+			case v.IsNull():
 				c.out.int32(-1)
-				continue
+			case f.binary(col):
+				c.out.binary(v, cols[col].Kind)
+			default:
+				c.out.text(v)
 			}
-			c.out.text(v)
 		}
 		if err := c.out.finish(); err != nil {
 			return err
@@ -975,29 +1038,4 @@ func commandTag(word string, count int64, rows int) string {
 	default:
 		return word
 	}
-}
-
-// inferParam converts a text-format parameter to an engine value:
-// integers and floats by shape, everything else as a string (the engine
-// coerces at comparison and insert boundaries). Only text that starts like
-// a number — a sign, a digit, a point — is tried as one: strconv also reads
-// the words nan, inf and infinity, in any case, as floats, and a name that
-// happens to be one of them is a name. The same test spares every other
-// word two failed parses and the error values they allocate.
-func inferParam(s string) value.Value {
-	if s != "" && (s[0] >= '0' && s[0] <= '9' || s[0] == '-' || s[0] == '+' || s[0] == '.') {
-		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return value.Int(n)
-		}
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			return value.Float(f)
-		}
-	}
-	switch s {
-	case "t", "true", "TRUE":
-		return value.Bool(true)
-	case "f", "false", "FALSE":
-		return value.Bool(false)
-	}
-	return value.String(s)
 }

@@ -84,7 +84,8 @@ func TestWireDataRowFramesIdentical(t *testing.T) {
 	var got bytes.Buffer
 	c := &conn{out: &msgWriter{w: bufio.NewWriter(&got)}}
 	b := sqlexec.RowsBatch(res.Rows)
-	if err := c.sendDataRows(len(res.Cols), &b); err != nil {
+	cols := make([]sqlexec.Column, len(res.Cols)) // of no known kind: text
+	if err := c.sendDataRows(cols, "", &b); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.out.w.Flush(); err != nil {

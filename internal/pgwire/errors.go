@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/txn"
+	"repro/internal/value"
 )
 
 // SQLSTATE codes used by the wire layer. The E19 invariant — no error
@@ -12,27 +13,29 @@ import (
 // carries one of these five-character class codes, so clients can branch
 // on machine-readable state instead of message prose.
 const (
-	CodeSyntaxError         = "42601"
-	CodeUndefinedTable      = "42P01"
-	CodeUndefinedColumn     = "42703"
-	CodeUndefinedFunction   = "42883"
-	CodeUndefinedObject     = "42704"
-	CodeDuplicateTable      = "42P07"
-	CodeDuplicatePrepared   = "42P05"
-	CodeInvalidStatement    = "26000" // Bind/Describe/Execute of a missing statement
-	CodeInvalidCursor       = "34000" // missing portal
-	CodeActiveTxn           = "25001" // BEGIN inside a transaction
-	CodeNoActiveTxn         = "25P01" // COMMIT/ROLLBACK outside one
-	CodeFailedTxn           = "25P02" // statement in an aborted transaction
-	CodeSerializationFail   = "40001" // write-write conflict
-	CodeTooManyConnections  = "53300"
-	CodeAdmissionRejected   = "53400" // configuration_limit_exceeded: queue full
-	CodeQueryCanceled       = "57014"
-	CodeAdminShutdown       = "57P01" // graceful drain closed the session
-	CodeCannotConnectNow    = "57P03" // startup refused while draining
-	CodeProtocolViolation   = "08P01"
-	CodeFeatureNotSupported = "0A000"
-	CodeInternalError       = "XX000"
+	CodeSyntaxError                 = "42601"
+	CodeUndefinedTable              = "42P01"
+	CodeUndefinedColumn             = "42703"
+	CodeUndefinedFunction           = "42883"
+	CodeUndefinedObject             = "42704"
+	CodeDuplicateTable              = "42P07"
+	CodeDuplicatePrepared           = "42P05"
+	CodeInvalidStatement            = "26000" // Bind/Describe/Execute of a missing statement
+	CodeInvalidCursor               = "34000" // missing portal
+	CodeInvalidTextRepresentation   = "22P02" // text that does not read as its parameter's or column's kind
+	CodeInvalidBinaryRepresentation = "22P03" // a binary parameter of a width its type does not have
+	CodeActiveTxn                   = "25001" // BEGIN inside a transaction
+	CodeNoActiveTxn                 = "25P01" // COMMIT/ROLLBACK outside one
+	CodeFailedTxn                   = "25P02" // statement in an aborted transaction
+	CodeSerializationFail           = "40001" // write-write conflict
+	CodeTooManyConnections          = "53300"
+	CodeAdmissionRejected           = "53400" // configuration_limit_exceeded: queue full
+	CodeQueryCanceled               = "57014"
+	CodeAdminShutdown               = "57P01" // graceful drain closed the session
+	CodeCannotConnectNow            = "57P03" // startup refused while draining
+	CodeProtocolViolation           = "08P01"
+	CodeFeatureNotSupported         = "0A000"
+	CodeInternalError               = "XX000"
 )
 
 // WireError is an error with an explicit SQLSTATE. Layers that know their
@@ -61,6 +64,9 @@ func sqlstateFor(err error) string {
 	}
 	if errors.Is(err, txn.ErrClosed) {
 		return CodeNoActiveTxn
+	}
+	if errors.Is(err, value.ErrSyntax) {
+		return CodeInvalidTextRepresentation
 	}
 	msg := err.Error()
 	switch {

@@ -40,7 +40,7 @@ func (s fuzzSession) QueryTo(sink sqlexec.RowSink, sql string, params ...value.V
 	if strings.Contains(sql, "fail") {
 		return sqlexec.ExecStats{}, wireErr(CodeSyntaxError, "canned failure")
 	}
-	if err := sink.Header([]string{"a", "b"}); err != nil {
+	if err := sink.Header([]sqlexec.Column{{Name: "a", Kind: value.KindInt}, {Name: "b", Kind: value.KindString}}); err != nil {
 		return sqlexec.ExecStats{}, err
 	}
 	b := sqlexec.RowsBatch([]value.Row{{value.Int(1), value.String(sql)}})

@@ -4,7 +4,7 @@
 // over a real socket. It implements the startup handshake (trust auth),
 // the simple query protocol, the extended Parse/Bind/Describe/Execute/
 // Sync flow with named prepared statements and portals, CancelRequest via
-// backend keys, text-format result encoding for every value kind, and
+// backend keys, text- and binary-format parameters and results, and
 // SQLSTATE-coded ErrorResponses — the E19 never-bare-error invariant
 // extended to the wire boundary. An admission-control layer (bounded
 // worker slots with a bounded wait queue, per-connection statement
@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/value"
 )
@@ -80,14 +81,47 @@ const (
 const DefaultMaxMessage = 16 << 20
 
 // Type OIDs used in RowDescription / ParameterDescription, the subset of
-// pg_type the value model needs.
+// pg_type the value model needs, and the narrower types a client may
+// declare for a parameter.
 const (
-	oidBool      = 16
-	oidInt8      = 20
-	oidText      = 25
-	oidFloat8    = 701
-	oidTimestamp = 1114
+	oidBool        = 16
+	oidInt8        = 20
+	oidInt2        = 21
+	oidInt4        = 23
+	oidText        = 25
+	oidFloat4      = 700
+	oidFloat8      = 701
+	oidVarchar     = 1043
+	oidTimestamp   = 1114
+	oidTimestamptz = 1184
 )
+
+// pgEpoch is 2000-01-01 00:00:00 UTC in Unix microseconds: a binary
+// timestamp counts microseconds from it.
+const pgEpoch = 946_684_800_000_000
+
+// readBinary reads the binary form of a value of kind k: a big-endian
+// integer of 2, 4 or 8 bytes, an IEEE float of 4 or 8, a boolean's one
+// byte, a timestamp's 8-byte count of microseconds since pgEpoch.
+func readBinary(b []byte, k value.Kind) (value.Value, error) {
+	switch {
+	case k == value.KindInt && len(b) == 2:
+		return value.Int(int64(int16(binary.BigEndian.Uint16(b)))), nil
+	case k == value.KindInt && len(b) == 4:
+		return value.Int(int64(int32(binary.BigEndian.Uint32(b)))), nil
+	case k == value.KindInt && len(b) == 8:
+		return value.Int(int64(binary.BigEndian.Uint64(b))), nil
+	case k == value.KindFloat && len(b) == 4:
+		return value.Float(float64(math.Float32frombits(binary.BigEndian.Uint32(b)))), nil
+	case k == value.KindFloat && len(b) == 8:
+		return value.Float(math.Float64frombits(binary.BigEndian.Uint64(b))), nil
+	case k == value.KindBool && len(b) == 1:
+		return value.Bool(b[0] != 0), nil
+	case k == value.KindTime && len(b) == 8:
+		return value.TimeMicros(int64(binary.BigEndian.Uint64(b)) + pgEpoch), nil
+	}
+	return value.Null, wireErr(CodeInvalidBinaryRepresentation, fmt.Sprintf("incorrect binary data format: %d bytes for %v", len(b), k))
+}
 
 // msgReader decodes one frame into sequential field reads. Reads past the
 // end return zero values and latch err, so handlers can decode a whole
@@ -198,6 +232,33 @@ func (m *msgWriter) text(v value.Value) {
 		m.buf = v.AppendString(m.buf)
 	}
 	binary.BigEndian.PutUint32(m.buf[at:], uint32(len(m.buf)-at-4))
+}
+
+// binary appends one binary-format cell of a DataRow, for a column of kind
+// k: the 8-byte form readBinary reads of an integer, a float or a
+// timestamp, a boolean's one byte. The binary form of text, the type of
+// every other column, is its text.
+func (m *msgWriter) binary(v value.Value, k value.Kind) {
+	switch k {
+	case value.KindInt:
+		m.int32(8)
+		m.buf = binary.BigEndian.AppendUint64(m.buf, uint64(v.AsInt()))
+	case value.KindFloat:
+		m.int32(8)
+		m.buf = binary.BigEndian.AppendUint64(m.buf, math.Float64bits(v.AsFloat()))
+	case value.KindBool:
+		b := byte(0)
+		if v.AsBool() {
+			b = 1
+		}
+		m.int32(1)
+		m.buf = append(m.buf, b)
+	case value.KindTime:
+		m.int32(8)
+		m.buf = binary.BigEndian.AppendUint64(m.buf, uint64(v.AsInt()-pgEpoch))
+	default:
+		m.text(v)
+	}
 }
 
 // finish frames the accumulated payload onto the buffered writer. The

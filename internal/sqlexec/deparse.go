@@ -22,14 +22,10 @@ func CompileRowPredicate(cond string, schema columnstore.Schema, reg *Registry) 
 		return nil, err
 	}
 	sel := st.(*SelectStmt)
-	cols := make([]colInfo, len(schema))
-	for i, c := range schema {
-		cols[i] = colInfo{Name: c.Name}
-	}
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	fn, err := compileExpr(sel.Where, resolverFor(cols), reg)
+	fn, err := compileExpr(sel.Where, resolverFor(schemaCols(schema, "")), reg)
 	if err != nil {
 		return nil, err
 	}

@@ -347,15 +347,18 @@ func (s *Session) setIdle() {
 	s.info.mu.Unlock()
 }
 
-// textResult renders multi-line text as a one-column result set.
-func textResult(text string) *Result {
+// textRows renders multi-line text as one-column rows, a line each.
+func textRows(text string) []value.Row {
 	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-	res := &Result{Cols: []string{"plan"}, Rows: make([]value.Row, len(lines))}
+	rows := make([]value.Row, len(lines))
 	for i, line := range lines {
-		res.Rows[i] = value.Row{value.String(line)}
+		rows[i] = value.Row{value.String(line)}
 	}
-	return res
+	return rows
 }
+
+// countRows is the one row of one count a DML statement answers with.
+func countRows(n int) []value.Row { return []value.Row{{value.Int(int64(n))}} }
 
 // firstWord labels a statement span by its leading keyword.
 func firstWord(sql string) string {
@@ -455,10 +458,10 @@ func (s *Session) currentTxn() (tx *txn.Txn, done func(error) error) {
 	}
 }
 
-func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (*Result, error) {
+func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error) {
 	entry, ok := s.e.Cat.Table(ins.Table)
 	if !ok {
-		return nil, fmt.Errorf("sql: unknown table %q", ins.Table)
+		return 0, fmt.Errorf("sql: unknown table %q", ins.Table)
 	}
 
 	// Source rows.
@@ -466,7 +469,7 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (*Result, er
 	if ins.Select != nil {
 		var sel Result
 		if _, err := s.execSelect(&sel, &sel.Stats, ins.Select, params, false); err != nil {
-			return nil, err
+			return 0, err
 		}
 		src = sel.Rows
 	} else {
@@ -476,7 +479,7 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (*Result, er
 			for i, ex := range exprs {
 				f, err := compileExpr(ex, noColumns, s.e.Reg)
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
 				row[i] = f(&env)
 			}
@@ -492,7 +495,7 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (*Result, er
 			idx := entry.Schema.ColIndex(c)
 			if idx < 0 {
 				if !entry.Flexible {
-					return nil, fmt.Errorf("sql: unknown column %q in %s", c, ins.Table)
+					return 0, fmt.Errorf("sql: unknown column %q in %s", c, ins.Table)
 				}
 				kind := value.KindString
 				if len(src) > 0 && len(colIdx) < len(src[0]) && !src[0][len(colIdx)].IsNull() {
@@ -508,9 +511,9 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (*Result, er
 		}
 	}
 
-	tx, done := s.currentTxn()
-	count := 0
-	for _, row := range src {
+	// Every row is converted before any is written: a value its column
+	// refuses fails the statement whole.
+	for j, row := range src {
 		full := row
 		if len(ins.Columns) > 0 {
 			full = make(value.Row, len(entry.Schema))
@@ -520,22 +523,37 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (*Result, er
 				}
 			}
 		}
-		// Coerce to schema kinds.
 		for i := range full {
 			if i < len(entry.Schema) {
-				full[i] = value.Coerce(full[i], entry.Schema[i].Kind)
+				v, err := stored(full[i], entry.Schema[i].Kind)
+				if err != nil {
+					return 0, err
+				}
+				full[i] = v
 			}
 		}
+		src[j] = full
+	}
+	tx, done := s.currentTxn()
+	count := 0
+	for _, full := range src {
 		part := routePartition(entry, full)
 		if err := tx.Insert(part.Table.Name(), full); err != nil {
-			return nil, done(err)
+			return 0, done(err)
 		}
 		count++
 	}
-	if err := done(nil); err != nil {
-		return nil, err
+	return count, done(nil)
+}
+
+// stored is v as the kind of the column it is written to. Text that does
+// not read as that kind is value.Parse's error, as it is for a Bind
+// parameter of that kind, not a NULL.
+func stored(v value.Value, k value.Kind) (value.Value, error) {
+	if v.K == value.KindString && k != value.KindString {
+		return value.Parse(v.S, k)
 	}
-	return &Result{Cols: []string{"inserted"}, Rows: []value.Row{{value.Int(int64(count))}}}, nil
+	return value.Coerce(v, k), nil
 }
 
 func noColumns(q, n string) (int, error) {
@@ -610,11 +628,11 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 	return scan, out, err
 }
 
-func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (*Result, error) {
+func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (int, error) {
 	tx, done := s.currentTxn()
 	scan, vs, err := s.findVictims(tx, up.Table, up.Where, params, true)
 	if err != nil {
-		return nil, done(err)
+		return 0, done(err)
 	}
 	entry, cols := scan.Entry, scan.columns()
 	type setter struct {
@@ -625,64 +643,65 @@ func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (*Result, err
 	for _, st := range up.Set {
 		idx := entry.Schema.ColIndex(st.Col)
 		if idx < 0 {
-			return nil, done(fmt.Errorf("sql: unknown column %q", st.Col))
+			return 0, done(fmt.Errorf("sql: unknown column %q", st.Col))
 		}
 		f, err := compileExpr(st.Expr, resolverFor(cols), s.e.Reg)
 		if err != nil {
-			return nil, done(err)
+			return 0, done(err)
 		}
 		setters = append(setters, setter{idx, f})
 	}
+	// Every new row is built before any is written: a value its column
+	// refuses fails the statement whole.
 	env := Env{Params: params}
-	for _, v := range vs {
+	for i, v := range vs {
 		newRow := v.row.Clone()
 		env.Row = v.row
 		for _, st := range setters {
-			newRow[st.idx] = value.Coerce(st.fn(&env), entry.Schema[st.idx].Kind)
+			if newRow[st.idx], err = stored(st.fn(&env), entry.Schema[st.idx].Kind); err != nil {
+				return 0, done(err)
+			}
 		}
-		if err := tx.Delete(v.table, v.id); err != nil {
-			return nil, done(err)
-		}
-		target := routePartition(entry, newRow)
-		if err := tx.Insert(target.Table.Name(), newRow); err != nil {
-			return nil, done(err)
-		}
-	}
-	if err := done(nil); err != nil {
-		return nil, err
-	}
-	return &Result{Cols: []string{"updated"}, Rows: []value.Row{{value.Int(int64(len(vs)))}}}, nil
-}
-
-func (s *Session) execDelete(del *DeleteStmt, params []value.Value) (*Result, error) {
-	tx, done := s.currentTxn()
-	_, vs, err := s.findVictims(tx, del.Table, del.Where, params, false)
-	if err != nil {
-		return nil, done(err)
+		vs[i].row = newRow
 	}
 	for _, v := range vs {
 		if err := tx.Delete(v.table, v.id); err != nil {
-			return nil, done(err)
+			return 0, done(err)
+		}
+		target := routePartition(entry, v.row)
+		if err := tx.Insert(target.Table.Name(), v.row); err != nil {
+			return 0, done(err)
 		}
 	}
-	if err := done(nil); err != nil {
-		return nil, err
-	}
-	return &Result{Cols: []string{"deleted"}, Rows: []value.Row{{value.Int(int64(len(vs)))}}}, nil
+	return len(vs), done(nil)
 }
 
-func (s *Session) execCreateTable(ct *CreateTableStmt) (*Result, error) {
+func (s *Session) execDelete(del *DeleteStmt, params []value.Value) (int, error) {
+	tx, done := s.currentTxn()
+	_, vs, err := s.findVictims(tx, del.Table, del.Where, params, false)
+	if err != nil {
+		return 0, done(err)
+	}
+	for _, v := range vs {
+		if err := tx.Delete(v.table, v.id); err != nil {
+			return 0, done(err)
+		}
+	}
+	return len(vs), done(nil)
+}
+
+func (s *Session) execCreateTable(ct *CreateTableStmt) error {
 	if _, exists := s.e.Cat.Table(ct.Name); exists {
 		if ct.IfNotExists {
-			return &Result{}, nil
+			return nil
 		}
-		return nil, fmt.Errorf("sql: table %q already exists", ct.Name)
+		return fmt.Errorf("sql: table %q already exists", ct.Name)
 	}
 	schema := make(columnstore.Schema, len(ct.Cols))
 	for i, c := range ct.Cols {
 		k, err := value.ParseKind(c.Type)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		schema[i] = columnstore.ColumnDef{Name: c.Name, Kind: k}
 	}
@@ -694,7 +713,7 @@ func (s *Session) execCreateTable(ct *CreateTableStmt) (*Result, error) {
 		entry, err = s.e.Cat.CreateTable(ct.Name, schema)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, p := range entry.Partitions {
 		s.e.Mgr.Register(p.Table)
@@ -706,14 +725,14 @@ func (s *Session) execCreateTable(ct *CreateTableStmt) (*Result, error) {
 		case "stable_key":
 			for _, p := range entry.Partitions {
 				if err := p.Table.SetStableKeyColumn(v); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		default:
 			entry.Metadata[k] = v
 		}
 	}
-	return &Result{}, nil
+	return nil
 }
 
 // RegisterEntryTables registers all partitions of an externally created

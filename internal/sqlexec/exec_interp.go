@@ -139,12 +139,7 @@ func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mod
 // pool its scans borrow from (the engine's). A profile is recorded when
 // profiled is set.
 func runTo(out *feed, stats *ExecStats, p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, scratch *scratchPool, profiled bool) (*Profile, error) {
-	cols := p.columns()
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
-	if err := out.sink.Header(names); err != nil {
+	if err := out.sink.Header(p.columns()); err != nil {
 		return nil, err
 	}
 	ctx := &execCtx{ts: ts, params: params, reg: reg, stats: stats, out: out, workers: workers, scratch: scratch}

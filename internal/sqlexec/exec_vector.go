@@ -180,7 +180,7 @@ type kernelFn func(lo, hi int, sel []int) []int
 // commits to the vector path.
 type scanPrep struct {
 	plan  *ScanPlan
-	cols  []colInfo
+	cols  []Column
 	ncols int
 
 	// zoneAgg, when set by a fused aggregate, is offered each warm
@@ -204,8 +204,7 @@ func prepScan(s *ScanPlan, ctx *execCtx) (*scanPrep, error) {
 // the filter a morsel's residual is, it reads no other column. Worked out
 // only by a run that has a residual: a kernel-only scan pays nothing.
 func (p *scanPrep) filterCols() []int {
-	var refs []*ColRef
-	collectColRefs(p.plan.Filter, &refs)
+	refs := appendColRefs(nil, p.plan.Filter)
 	cols := make([]int, len(refs))
 	for i, cr := range refs {
 		cols[i] = findCol(p.cols, cr)

@@ -142,9 +142,7 @@ func newAggInput(x *AggPlan, ctx *execCtx) (*aggInput, error) {
 	cols := x.Child.columns()
 	res := resolverFor(cols)
 	compile := func(e Expr) (evalFn, error) {
-		var crs []*ColRef
-		collectColRefs(e, &crs)
-		for _, cr := range crs {
+		for _, cr := range appendColRefs(nil, e) {
 			if c := findCol(cols, cr); c >= 0 && !slices.Contains(in.refs, c) {
 				in.refs = append(in.refs, c)
 			}

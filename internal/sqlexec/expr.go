@@ -364,50 +364,58 @@ func exprString(e Expr) string {
 	return fmt.Sprintf("%T", e)
 }
 
-// collectColRefs gathers all column references in an expression.
-func collectColRefs(e Expr, out *[]*ColRef) {
+// operands calls f on each operand of e, in order.
+func operands(e Expr, f func(Expr)) {
 	switch x := e.(type) {
-	case nil:
-	case *ColRef:
-		*out = append(*out, x)
 	case *BinaryExpr:
-		collectColRefs(x.L, out)
-		collectColRefs(x.R, out)
+		f(x.L)
+		f(x.R)
 	case *UnaryExpr:
-		collectColRefs(x.E, out)
+		f(x.E)
+	case *IsNullExpr:
+		f(x.E)
 	case *FuncExpr:
 		for _, a := range x.Args {
-			collectColRefs(a, out)
+			f(a)
 		}
 	case *CaseExpr:
 		for _, w := range x.Whens {
-			collectColRefs(w.Cond, out)
-			collectColRefs(w.Then, out)
+			f(w.Cond)
+			f(w.Then)
 		}
-		collectColRefs(x.Else, out)
+		if x.Else != nil {
+			f(x.Else)
+		}
 	case *InExpr:
-		collectColRefs(x.E, out)
+		f(x.E)
 		for _, v := range x.List {
-			collectColRefs(v, out)
+			f(v)
 		}
 	case *BetweenExpr:
-		collectColRefs(x.E, out)
-		collectColRefs(x.Lo, out)
-		collectColRefs(x.Hi, out)
-	case *IsNullExpr:
-		collectColRefs(x.E, out)
+		f(x.E)
+		f(x.Lo)
+		f(x.Hi)
 	}
 }
 
-// splitConjuncts flattens a tree of ANDs into its conjuncts.
-func splitConjuncts(e Expr) []Expr {
+// appendColRefs appends every column reference in e to dst.
+func appendColRefs(dst []*ColRef, e Expr) []*ColRef {
+	if cr, ok := e.(*ColRef); ok {
+		return append(dst, cr)
+	}
+	operands(e, func(sub Expr) { dst = appendColRefs(dst, sub) })
+	return dst
+}
+
+// appendConjuncts appends the conjuncts of e, a tree of ANDs, to dst.
+func appendConjuncts(dst []Expr, e Expr) []Expr {
 	if b, ok := e.(*BinaryExpr); ok && b.Op == "AND" {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
+		return appendConjuncts(appendConjuncts(dst, b.L), b.R)
 	}
 	if e == nil {
-		return nil
+		return dst
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
 // andAll rebuilds a conjunction; nil for an empty list.

@@ -86,6 +86,10 @@ func registerBuiltins(r *Registry) {
 			return a[0], nil
 		case value.KindFloat:
 			return value.Float(math.Abs(a[0].F)), nil
+		case value.KindString: // a parameter nothing typed reaches here as text
+			if f, err := value.Parse(a[0].S, value.KindFloat); err == nil {
+				return value.Float(math.Abs(f.F)), nil
+			}
 		}
 		return value.Null, nil
 	})
@@ -266,42 +270,10 @@ var aggNames = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": t
 // containsAggregate reports whether the expression tree contains an
 // aggregate function call.
 func containsAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *FuncExpr:
-		if aggNames[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if containsAggregate(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return containsAggregate(x.L) || containsAggregate(x.R)
-	case *UnaryExpr:
-		return containsAggregate(x.E)
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			if containsAggregate(w.Cond) || containsAggregate(w.Then) {
-				return true
-			}
-		}
-		return containsAggregate(x.Else)
-	case *InExpr:
-		if containsAggregate(x.E) {
-			return true
-		}
-		for _, v := range x.List {
-			if containsAggregate(v) {
-				return true
-			}
-		}
-	case *BetweenExpr:
-		return containsAggregate(x.E) || containsAggregate(x.Lo) || containsAggregate(x.Hi)
-	case *IsNullExpr:
-		return containsAggregate(x.E)
+	if f, ok := e.(*FuncExpr); ok && aggNames[f.Name] {
+		return true
 	}
-	return false
+	found := false
+	operands(e, func(sub Expr) { found = found || containsAggregate(sub) })
+	return found
 }

@@ -2,23 +2,49 @@ package sqlexec
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/columnstore"
 	"repro/internal/value"
 )
 
-// colInfo names one output column of a plan node.
-type colInfo struct {
+// Column is one output column of a plan node: its name, the table alias
+// that qualifies it inside the plan (empty for a computed output), and the
+// kind of value it holds — decided once, by the planner, and KindNull where
+// the plan cannot know it (a bare NULL, a CASE that mixes kinds, a scalar
+// function).
+type Column struct {
 	Qual string
 	Name string
+	Kind value.Kind
+}
+
+// schemaCols are the columns of a table, table function or view read under
+// alias: the schema's names and kinds.
+func schemaCols(schema columnstore.Schema, alias string) []Column {
+	cols := make([]Column, len(schema))
+	for i, c := range schema {
+		cols[i] = Column{Qual: alias, Name: c.Name, Kind: c.Kind}
+	}
+	return cols
+}
+
+// colNames lists the names of cols.
+func colNames(cols []Column) []string {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
+	return names
 }
 
 // Plan is a logical/physical query plan node. The same tree is consumed by
 // both executors (interpreted and vectorized).
 type Plan interface {
-	columns() []colInfo
+	columns() []Column
 }
 
 // ScanPlan reads one logical table: all partitions surviving pruning, with
@@ -29,7 +55,7 @@ type ScanPlan struct {
 	Filter Expr                 // conjunction over this table's columns
 	Parts  []*catalog.Partition // post-pruning; nil means "all"
 	Pruned int                  // partitions eliminated (for stats)
-	cols   []colInfo
+	cols   []Column
 
 	// Preds/Residue are Filter's conjuncts, classified once by pruneScan:
 	// the comparisons of a column against a literal or a parameter, which
@@ -42,24 +68,20 @@ type ScanPlan struct {
 
 // newScanPlan is the unfiltered, unpruned scan of entry under alias.
 func newScanPlan(entry *catalog.TableEntry, alias string) *ScanPlan {
-	cols := make([]colInfo, len(entry.Schema))
-	for i, c := range entry.Schema {
-		cols[i] = colInfo{Qual: alias, Name: c.Name}
-	}
-	return &ScanPlan{Entry: entry, Alias: alias, cols: cols}
+	return &ScanPlan{Entry: entry, Alias: alias, cols: schemaCols(entry.Schema, alias)}
 }
 
-func (s *ScanPlan) columns() []colInfo { return s.cols }
+func (s *ScanPlan) columns() []Column { return s.cols }
 
 // TableFuncPlan invokes a registered table function.
 type TableFuncPlan struct {
 	Name  string
 	Args  []Expr
 	Alias string
-	cols  []colInfo // filled at exec time if empty
+	cols  []Column
 }
 
-func (s *TableFuncPlan) columns() []colInfo { return s.cols }
+func (s *TableFuncPlan) columns() []Column { return s.cols }
 
 // FilterPlan applies a residual predicate.
 type FilterPlan struct {
@@ -67,36 +89,38 @@ type FilterPlan struct {
 	Pred  Expr
 }
 
-func (f *FilterPlan) columns() []colInfo { return f.Child.columns() }
+func (f *FilterPlan) columns() []Column { return f.Child.columns() }
 
 // JoinPlan is a hash join. EquiL/EquiR are the equi-key expressions over
-// the left/right child rows; Residual is evaluated on the combined row.
+// the left/right child rows; Residual is evaluated on the combined row,
+// whose columns, L's then R's, cols holds (setSides).
 type JoinPlan struct {
 	L, R      Plan
 	LeftOuter bool
 	EquiL     []Expr
 	EquiR     []Expr
 	Residual  Expr
+	cols      []Column
 }
 
-func (j *JoinPlan) columns() []colInfo {
-	return append(append([]colInfo{}, j.L.columns()...), j.R.columns()...)
+func (j *JoinPlan) columns() []Column { return j.cols }
+
+// setSides makes l and r the join's sides. Pushdown may replace a side by
+// one with the same columns; only this changes them.
+func (j *JoinPlan) setSides(l, r Plan) {
+	j.L, j.R = l, r
+	j.cols = append(append(make([]Column, 0, len(l.columns())+len(r.columns())), l.columns()...), r.columns()...)
 }
 
-// ProjectPlan computes the select list.
+// ProjectPlan computes the select list: cols names each expression and
+// holds its kind (exprKind).
 type ProjectPlan struct {
 	Child Plan
 	Exprs []Expr
-	Names []string
+	cols  []Column
 }
 
-func (p *ProjectPlan) columns() []colInfo {
-	out := make([]colInfo, len(p.Names))
-	for i, n := range p.Names {
-		out[i] = colInfo{Name: n}
-	}
-	return out
-}
+func (p *ProjectPlan) columns() []Column { return p.cols }
 
 // aggSpec is one aggregate computation.
 type aggSpec struct {
@@ -112,15 +136,15 @@ type AggPlan struct {
 	Child   Plan
 	GroupBy []Expr
 	Aggs    []aggSpec
-	outCols []colInfo
+	outCols []Column
 }
 
-func (a *AggPlan) columns() []colInfo { return a.outCols }
+func (a *AggPlan) columns() []Column { return a.outCols }
 
 // DistinctPlan removes duplicate rows.
 type DistinctPlan struct{ Child Plan }
 
-func (d *DistinctPlan) columns() []colInfo { return d.Child.columns() }
+func (d *DistinctPlan) columns() []Column { return d.Child.columns() }
 
 // SortPlan orders rows by compiled key expressions over its input.
 type SortPlan struct {
@@ -128,7 +152,7 @@ type SortPlan struct {
 	Keys  []OrderItem
 }
 
-func (s *SortPlan) columns() []colInfo { return s.Child.columns() }
+func (s *SortPlan) columns() []Column { return s.Child.columns() }
 
 // LimitPlan truncates the stream.
 type LimitPlan struct {
@@ -136,22 +160,25 @@ type LimitPlan struct {
 	N, Offset int
 }
 
-func (l *LimitPlan) columns() []colInfo { return l.Child.columns() }
+func (l *LimitPlan) columns() []Column { return l.Child.columns() }
 
 // AliasPlan renames the qualifier of all child columns (derived tables).
 type AliasPlan struct {
 	Child Plan
 	Alias string
+	cols  []Column
 }
 
-func (a *AliasPlan) columns() []colInfo {
-	in := a.Child.columns()
-	out := make([]colInfo, len(in))
+func newAliasPlan(child Plan, alias string) *AliasPlan {
+	in := child.columns()
+	cols := make([]Column, len(in))
 	for i, c := range in {
-		out[i] = colInfo{Qual: a.Alias, Name: c.Name}
+		cols[i] = Column{Qual: alias, Name: c.Name, Kind: c.Kind}
 	}
-	return out
+	return &AliasPlan{Child: child, Alias: alias, cols: cols}
 }
+
+func (a *AliasPlan) columns() []Column { return a.cols }
 
 // Planner builds optimized plans against a catalog.
 type Planner struct {
@@ -189,10 +216,12 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			root = &JoinPlan{L: root, R: right, LeftOuter: j.Left, Residual: j.On}
+			join := &JoinPlan{LeftOuter: j.Left, Residual: j.On}
+			join.setSides(root, right)
+			root = join
 		}
 	} else {
-		root = &ValuesPlan{Rows: [][]Expr{{}}, Names: nil} // SELECT without FROM: one empty row
+		root = &ValuesPlan{Rows: [][]Expr{{}}} // SELECT without FROM: one empty row
 	}
 
 	// WHERE.
@@ -214,8 +243,8 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 		return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
 	}
 
-	var projExprs []Expr
-	var projNames []string
+	projExprs := make([]Expr, 0, len(s.Items))
+	projCols := make([]Column, 0, len(s.Items))
 	var aggNode *AggPlan
 
 	if needAgg {
@@ -233,7 +262,7 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 				return nil, err
 			}
 			projExprs = append(projExprs, e)
-			projNames = append(projNames, itemName(it))
+			projCols = append(projCols, Column{Name: itemName(it)})
 		}
 		if s.Having != nil {
 			h, err := rew.rewrite(s.Having)
@@ -254,16 +283,20 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 						continue
 					}
 					projExprs = append(projExprs, &ColRef{Qual: c.Qual, Name: c.Name})
-					projNames = append(projNames, c.Name)
+					projCols = append(projCols, Column{Name: c.Name})
 				}
 				continue
 			}
 			projExprs = append(projExprs, it.Expr)
-			projNames = append(projNames, itemName(it))
+			projCols = append(projCols, Column{Name: itemName(it)})
 		}
 	}
 
-	proj := &ProjectPlan{Child: root, Exprs: projExprs, Names: projNames}
+	in := root.columns()
+	for i, e := range projExprs {
+		projCols[i].Kind = exprKind(e, in)
+	}
+	proj := &ProjectPlan{Child: root, Exprs: projExprs, cols: projCols}
 	var out Plan = proj
 
 	if s.Distinct {
@@ -279,10 +312,10 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 			// c.name, o.total).
 			if lit, ok := o.Expr.(*Literal); ok && lit.Val.K == value.KindInt {
 				idx := int(lit.Val.I)
-				if idx < 1 || idx > len(projNames) {
+				if idx < 1 || idx > len(projCols) {
 					return nil, fmt.Errorf("sql: ORDER BY position %d out of range", idx)
 				}
-				keys[i] = OrderItem{Expr: &ColRef{Name: projNames[idx-1]}, Desc: o.Desc}
+				keys[i] = OrderItem{Expr: &ColRef{Name: projCols[idx-1].Name}, Desc: o.Desc}
 				continue
 			}
 			if aggNode != nil {
@@ -326,19 +359,11 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 	return out, nil
 }
 
-// ValuesPlan emits literal rows (used for FROM-less selects).
-type ValuesPlan struct {
-	Rows  [][]Expr
-	Names []string
-}
+// ValuesPlan emits literal rows of no columns (the one row a FROM-less
+// select projects from).
+type ValuesPlan struct{ Rows [][]Expr }
 
-func (v *ValuesPlan) columns() []colInfo {
-	out := make([]colInfo, len(v.Names))
-	for i, n := range v.Names {
-		out[i] = colInfo{Name: n}
-	}
-	return out
-}
+func (v *ValuesPlan) columns() []Column { return nil }
 
 func (pl *Planner) maxDepth() int {
 	if pl.MaxViewDepth > 0 {
@@ -354,17 +379,13 @@ func (pl *Planner) buildTableRef(ref TableRef, depth int) (Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AliasPlan{Child: inner, Alias: ref.Alias}, nil
+		return newAliasPlan(inner, ref.Alias), nil
 	case ref.Func != nil:
 		tf, ok := pl.Reg.Table(ref.Func.Name)
 		if !ok {
 			return nil, fmt.Errorf("sql: unknown table function %s", ref.Func.Name)
 		}
-		tp := &TableFuncPlan{Name: ref.Func.Name, Args: ref.Func.Args, Alias: ref.Alias}
-		for _, c := range tf.Schema {
-			tp.cols = append(tp.cols, colInfo{Qual: ref.Alias, Name: c.Name})
-		}
-		return tp, nil
+		return &TableFuncPlan{Name: ref.Func.Name, Args: ref.Func.Args, Alias: ref.Alias, cols: schemaCols(tf.Schema, ref.Alias)}, nil
 	default:
 		if v, ok := pl.Cat.View(ref.Name); ok {
 			st, err := Parse(v.SQL)
@@ -379,16 +400,12 @@ func (pl *Planner) buildTableRef(ref TableRef, depth int) (Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &AliasPlan{Child: inner, Alias: ref.Alias}, nil
+			return newAliasPlan(inner, ref.Alias), nil
 		}
 		entry, ok := pl.Cat.Table(ref.Name)
 		if !ok {
 			if st, sok := pl.Sys.Lookup(ref.Name); sok {
-				vp := &VirtualScanPlan{Table: st, Alias: ref.Alias}
-				for _, c := range st.Schema {
-					vp.cols = append(vp.cols, colInfo{Qual: ref.Alias, Name: c.Name})
-				}
-				return vp, nil
+				return &VirtualScanPlan{Table: st, Alias: ref.Alias, cols: schemaCols(st.Schema, ref.Alias)}, nil
 			}
 			return nil, fmt.Errorf("sql: unknown table %q", ref.Name)
 		}
@@ -505,12 +522,30 @@ func (r *aggRewriter) addAgg(f *FuncExpr) int {
 }
 
 func (a *AggPlan) buildOutCols() {
-	a.outCols = a.outCols[:0]
-	for i := range a.GroupBy {
-		a.outCols = append(a.outCols, colInfo{Name: fmt.Sprintf("#g%d", i)})
+	in := a.Child.columns()
+	a.outCols = slices.Grow(a.outCols[:0], len(a.GroupBy)+len(a.Aggs))
+	for i, g := range a.GroupBy {
+		a.outCols = append(a.outCols, Column{Name: fmt.Sprintf("#g%d", i), Kind: exprKind(g, in)})
 	}
-	for i := range a.Aggs {
-		a.outCols = append(a.outCols, colInfo{Name: fmt.Sprintf("#a%d", i)})
+	for i, spec := range a.Aggs {
+		a.outCols = append(a.outCols, Column{Name: fmt.Sprintf("#a%d", i), Kind: spec.kind(in)})
+	}
+}
+
+// kind is the kind the aggregate yields over input columns in: COUNT an
+// integer, AVG a float, MIN and MAX their argument's. SUM adds floats as
+// floats and every other kind as integers (aggAcc), so it is a float over a
+// float argument and an integer over any other known one.
+func (a aggSpec) kind(in []Column) value.Kind {
+	switch k := exprKind(a.Arg, in); {
+	case a.Fn == "COUNT":
+		return value.KindInt
+	case a.Fn == "AVG":
+		return value.KindFloat
+	case a.Fn == "SUM" && k != value.KindNull && k != value.KindFloat:
+		return value.KindInt
+	default:
+		return k
 	}
 }
 
@@ -531,7 +566,8 @@ func (pl *Planner) pushDown(p Plan) Plan {
 	switch x := p.(type) {
 	case *FilterPlan:
 		child := pl.pushDown(x.Child)
-		rest := pl.pushConjuncts(child, splitConjuncts(x.Pred))
+		var buf [8]Expr
+		rest := pl.pushConjuncts(child, appendConjuncts(buf[:0], x.Pred))
 		if len(rest) == 0 {
 			return child
 		}
@@ -615,10 +651,9 @@ func (pl *Planner) pushOne(p Plan, conj Expr) bool {
 
 // coveredBy reports whether every column reference of e resolves within
 // the given columns.
-func coveredBy(e Expr, cols []colInfo) bool {
-	var refs []*ColRef
-	collectColRefs(e, &refs)
-	for _, r := range refs {
+func coveredBy(e Expr, cols []Column) bool {
+	var buf [8]*ColRef
+	for _, r := range appendColRefs(buf[:0], e) {
 		found := false
 		for _, c := range cols {
 			if (r.Qual == "" || r.Qual == c.Qual) && r.Name == c.Name {
@@ -643,7 +678,7 @@ func (pl *Planner) extractEquiKeys(j *JoinPlan) {
 	}
 	lcols, rcols := j.L.columns(), j.R.columns()
 	var residual []Expr
-	for _, c := range splitConjuncts(j.Residual) {
+	for _, c := range appendConjuncts(nil, j.Residual) {
 		be, ok := c.(*BinaryExpr)
 		if ok && be.Op == "=" {
 			switch {
@@ -669,7 +704,7 @@ func (pl *Planner) chooseBuildSide(j *JoinPlan) {
 		return
 	}
 	if pl.estimate(j.L) < pl.estimate(j.R) {
-		j.L, j.R = j.R, j.L
+		j.setSides(j.R, j.L)
 		j.EquiL, j.EquiR = j.EquiR, j.EquiL
 	}
 }
@@ -719,7 +754,7 @@ func (s *ScanPlan) scanParts() []*catalog.Partition {
 // findCol resolves a column reference against a plan node's output
 // columns with exactly the executor resolver's semantics (including the
 // ambiguity rule), returning -1 when it does not resolve cleanly.
-func findCol(cols []colInfo, cr *ColRef) int {
+func findCol(cols []Column, cr *ColRef) int {
 	idx, err := resolverFor(cols)(cr.Qual, cr.Name)
 	if err != nil {
 		return -1
@@ -727,21 +762,145 @@ func findCol(cols []colInfo, cr *ColRef) int {
 	return idx
 }
 
-// colKinds returns the statically known kind of each output column of p:
-// a scan's schema, a join's sides', KindNull (unknown) under anything else.
-func colKinds(p Plan) []value.Kind {
-	if j, ok := p.(*JoinPlan); ok {
-		return append(colKinds(j.L), colKinds(j.R)...)
-	}
-	kinds := make([]value.Kind, len(p.columns()))
-	if s, ok := p.(*ScanPlan); ok {
-		for i := range kinds {
-			if i < len(s.Entry.Schema) {
-				kinds[i] = s.Entry.Schema[i].Kind
+// exprKind is the kind e yields over cols, KindNull when the plan cannot
+// know it: a bare NULL or parameter, a CASE whose arms are not all of one
+// kind, a scalar function (the registry declares no result kinds).
+// Arithmetic is value.ArithKind's, every predicate is a boolean and || a
+// string.
+func exprKind(e Expr, cols []Column) value.Kind {
+	switch x := e.(type) {
+	case *Literal:
+		return x.Val.K
+	case *ColRef:
+		if i := findCol(cols, x); i >= 0 {
+			return cols[i].Kind
+		}
+	case *BinaryExpr:
+		switch x.Op {
+		case "+", "-", "*", "/", "%":
+			return value.ArithKind(x.Op, exprKind(x.L, cols), exprKind(x.R, cols))
+		case "||":
+			return value.KindString
+		}
+		return value.KindBool
+	case *UnaryExpr:
+		if x.Op == "NOT" {
+			return value.KindBool
+		}
+		if k := exprKind(x.E, cols); k == value.KindInt || k == value.KindFloat {
+			return k
+		}
+	case *InExpr, *BetweenExpr, *IsNullExpr:
+		return value.KindBool
+	case *CaseExpr: // the parser admits no CASE without a WHEN
+		k := exprKind(x.Whens[0].Then, cols)
+		for _, w := range x.Whens[1:] {
+			if exprKind(w.Then, cols) != k {
+				return value.KindNull
 			}
 		}
+		if x.Else != nil && exprKind(x.Else, cols) != k {
+			return value.KindNull
+		}
+		return k
 	}
-	return kinds
+	return value.KindNull
+}
+
+// paramKinds holds the kind a statement gives each $N, by slot: the kind of
+// where the parameter lands — an INSERT's target column, an UPDATE's SET
+// column, the other side of a comparison, of IN or of BETWEEN, a boolean
+// wherever a predicate stands (WHERE, ON, HAVING, WHEN, an operand of AND,
+// OR or NOT), and a number as an operand of arithmetic: the other
+// operand's kind when that is a number, a string for + over a string, a
+// float — which reads every number — otherwise. A unary minus passes its
+// landing on to its operand. The first landing decides, and an enclosing
+// expression lands before its operands. A parameter that lands nowhere is
+// KindNull: it binds as the text it is.
+type paramKinds []value.Kind
+
+// land gives e the kind k when e is a parameter, or the negation of one,
+// that has no kind yet.
+func (pk paramKinds) land(e Expr, k value.Kind) {
+	if u, ok := e.(*UnaryExpr); ok && u.Op == "-" {
+		e = u.E
+	}
+	if p, ok := e.(*Param); ok && p.Index < len(pk) && pk[p.Index] == value.KindNull {
+		pk[p.Index] = k
+	}
+}
+
+// expr lands the parameters of e, an expression over cols.
+func (pk paramKinds) expr(e Expr, cols []Column) {
+	switch x := e.(type) {
+	case *BinaryExpr:
+		_, cmp := cmpOps[x.Op]
+		for _, side := range [2][2]Expr{{x.L, x.R}, {x.R, x.L}} {
+			switch k := exprKind(side[1], cols); {
+			case cmp:
+				pk.land(side[0], k)
+			case x.Op == "AND" || x.Op == "OR":
+				pk.land(side[0], value.KindBool)
+			case !strings.Contains("+-*/%", x.Op):
+			case k == value.KindInt || k == value.KindFloat || x.Op == "+" && k == value.KindString:
+				pk.land(side[0], k)
+			default:
+				pk.land(side[0], value.KindFloat)
+			}
+		}
+	case *UnaryExpr:
+		if x.Op == "NOT" {
+			pk.land(x.E, value.KindBool)
+		} else {
+			pk.land(x.E, value.KindFloat)
+		}
+	case *CaseExpr:
+		for _, w := range x.Whens {
+			pk.land(w.Cond, value.KindBool)
+		}
+	case *InExpr:
+		for _, it := range x.List {
+			pk.land(it, exprKind(x.E, cols))
+		}
+	case *BetweenExpr:
+		pk.land(x.Lo, exprKind(x.E, cols))
+		pk.land(x.Hi, exprKind(x.E, cols))
+	}
+	operands(e, func(sub Expr) { pk.expr(sub, cols) })
+}
+
+// plan lands the parameters of every expression of p, each over the
+// columns it is evaluated against.
+func (pk paramKinds) plan(p Plan) {
+	for _, c := range planChildren(p) {
+		pk.plan(c)
+	}
+	var exprs []Expr
+	var in []Column
+	switch x := p.(type) {
+	case *ScanPlan:
+		pk.land(x.Filter, value.KindBool)
+		exprs, in = []Expr{x.Filter}, x.cols
+	case *FilterPlan:
+		pk.land(x.Pred, value.KindBool)
+		exprs, in = []Expr{x.Pred}, x.Child.columns()
+	case *JoinPlan:
+		pk.land(x.Residual, value.KindBool)
+		exprs, in = []Expr{x.Residual}, x.columns()
+		for i := range x.EquiL {
+			exprs = append(exprs, &BinaryExpr{Op: "=", L: x.EquiL[i], R: x.EquiR[i]})
+		}
+	case *ProjectPlan:
+		exprs, in = x.Exprs, x.Child.columns()
+	case *AggPlan:
+		exprs, in = append(exprs, x.GroupBy...), x.Child.columns()
+		for _, a := range x.Aggs {
+			exprs = append(exprs, a.Arg)
+		}
+	}
+	for _, e := range exprs {
+		pk.expr(e, in)
+	}
 }
 
 // codeKeyKind reports whether a column kind supports canonical int64 key
@@ -774,8 +933,8 @@ type aggShape struct {
 
 // aggShapeOf summarizes x over its child's columns.
 func aggShapeOf(x *AggPlan) aggShape {
-	cols, kinds := x.Child.columns(), colKinds(x.Child)
-	s := aggShape{groupCol: -1, ordered: aggOrdered(x, cols, kinds)}
+	cols := x.Child.columns()
+	s := aggShape{groupCol: -1, ordered: aggOrdered(x, cols)}
 	bare := func(e Expr) int {
 		if cr, ok := e.(*ColRef); ok {
 			return findCol(cols, cr)
@@ -787,8 +946,8 @@ func aggShapeOf(x *AggPlan) aggShape {
 		s.keyCols = append(s.keyCols, c)
 		s.computed = s.computed || c < 0
 	}
-	if len(s.keyCols) == 1 && s.keyCols[0] >= 0 && codeKeyKind(kinds[s.keyCols[0]]) {
-		s.groupCol, s.groupKind = s.keyCols[0], kinds[s.keyCols[0]]
+	if len(s.keyCols) == 1 && s.keyCols[0] >= 0 && codeKeyKind(cols[s.keyCols[0]].Kind) {
+		s.groupCol, s.groupKind = s.keyCols[0], cols[s.keyCols[0]].Kind
 	}
 	for _, a := range x.Aggs {
 		c := -1
@@ -805,25 +964,15 @@ func aggShapeOf(x *AggPlan) aggShape {
 // one fold. A DISTINCT aggregate must: its seen-set filters what it adds,
 // and two folds' sets cannot merge once their partial sums have been
 // filtered. So must a floating-point sum, whose value depends on addition
-// order: a SUM or AVG over anything but a column known to be a plain
-// integer (cols and kinds describe the input). Which worker runs which
-// morsel is the scheduler's business, so per-worker folds would group the
-// addends differently run to run and the output would no longer be
-// byte-identical to the interpreter's. Integer sums, counts and min/max
-// are exact under any grouping.
-func aggOrdered(x *AggPlan, cols []colInfo, kinds []value.Kind) bool {
+// order: a SUM or AVG whose argument is not planned as an integer over the
+// input's columns cols. Which worker runs which morsel is the scheduler's
+// business, so per-worker folds would group the addends differently run to
+// run and the output would no longer be byte-identical to the
+// interpreter's. Integer sums, counts and min/max are exact under any
+// grouping.
+func aggOrdered(x *AggPlan, cols []Column) bool {
 	for _, a := range x.Aggs {
-		if a.Distinct {
-			return true
-		}
-		if a.Fn != "SUM" && a.Fn != "AVG" {
-			continue
-		}
-		cr, ok := a.Arg.(*ColRef)
-		if !ok {
-			return true // computed argument: kind unknown statically
-		}
-		if idx := findCol(cols, cr); idx < 0 || kinds[idx] != value.KindInt {
+		if a.Distinct || (a.Fn == "SUM" || a.Fn == "AVG") && exprKind(a.Arg, cols) != value.KindInt {
 			return true
 		}
 	}
@@ -857,11 +1006,10 @@ func joinCodeShape(x *JoinPlan) (joinCodeInfo, bool) {
 		return joinCodeInfo{}, false
 	}
 	idx := findCol(s.cols, cr)
-	schema := s.Entry.Schema
-	if idx < 0 || idx >= len(schema) || !codeKeyKind(schema[idx].Kind) {
+	if idx < 0 || !codeKeyKind(s.cols[idx].Kind) {
 		return joinCodeInfo{}, false
 	}
-	return joinCodeInfo{scan: s, keyCol: idx, keyKind: schema[idx].Kind}, true
+	return joinCodeInfo{scan: s, keyCol: idx, keyKind: s.cols[idx].Kind}, true
 }
 
 // projectScanShape reports whether a projection directly over a scan is
@@ -938,7 +1086,7 @@ func explainRec(p Plan, depth int, sb *strings.Builder) {
 		explainRec(x.L, depth+1, sb)
 		explainRec(x.R, depth+1, sb)
 	case *ProjectPlan:
-		sb.WriteString(ind + "Project " + strings.Join(x.Names, ", ") + "\n")
+		sb.WriteString(ind + "Project " + strings.Join(colNames(x.cols), ", ") + "\n")
 		explainRec(x.Child, depth+1, sb)
 	case *AggPlan:
 		sb.WriteString(ind + fmt.Sprintf("Aggregate groups=%d aggs=%d\n", len(x.GroupBy), len(x.Aggs)))
@@ -963,7 +1111,7 @@ func explainRec(p Plan, depth int, sb *strings.Builder) {
 }
 
 // Resolver builds a colResolver over a plan's output columns.
-func resolverFor(cols []colInfo) colResolver {
+func resolverFor(cols []Column) colResolver {
 	return func(qual, name string) (int, error) {
 		found := -1
 		for i, c := range cols {

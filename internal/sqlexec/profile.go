@@ -336,7 +336,7 @@ func planLabel(p Plan) string {
 		}
 		return kind
 	case *ProjectPlan:
-		return "Project " + strings.Join(x.Names, ", ")
+		return "Project " + strings.Join(colNames(x.cols), ", ")
 	case *AggPlan:
 		return fmt.Sprintf("Aggregate groups=%d aggs=%d", len(x.GroupBy), len(x.Aggs))
 	case *DistinctPlan:

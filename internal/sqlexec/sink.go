@@ -9,15 +9,18 @@ import "repro/internal/value"
 //
 // Both methods are called on the goroutine that called ExecTo, never
 // concurrently. Header comes first, exactly once per successful statement,
-// with the output column names (nil for a statement that returns no row
-// set); the slice is the sink's from then on. Then the rows, in result
+// with the output columns (nil for a statement that returns no row set):
+// each one's name and the kind the plan decided for it. Every non-NULL cell
+// of a column is of that kind, unless the kind is KindNull — unknown. The
+// slice is the plan's and must not be written to; the plan is done with it
+// when the statement is. Then the rows, in result
 // order, in batches of at most BatchRows. A batch, and everything it reads
 // its cells from, is valid only until Batch returns: a sink that keeps rows
 // boxes them (RowBatch.AppendRows). Strings inside the cells are immutable.
 // An error from either method ends the statement: ExecTo stops its scan
 // workers and returns that error.
 type RowSink interface {
-	Header(cols []string) error
+	Header(cols []Column) error
 	Batch(b *RowBatch) error
 }
 
@@ -129,10 +132,10 @@ func (b *RowBatch) fill(out []value.Row) {
 // Header and Batch make *Result the collecting sink: what Exec,
 // Session.Query and RunWorkers hand to ExecTo, what INSERT … SELECT reads
 // its source from, and what the wire front end uses for the one consumer
-// whose rows must outlive the call (an Execute with a row limit). It boxes
-// every batch it is shown.
-func (res *Result) Header(cols []string) error {
-	res.Cols = cols
+// whose rows must outlive the call (an Execute with a row limit). It keeps
+// the columns' names and boxes every batch it is shown.
+func (res *Result) Header(cols []Column) error {
+	res.Cols = colNames(cols)
 	return nil
 }
 
@@ -145,7 +148,7 @@ func (res *Result) Batch(b *RowBatch) error {
 // profile (EXPLAIN ANALYZE): it reads nothing.
 type discard struct{}
 
-func (discard) Header([]string) error { return nil }
+func (discard) Header([]Column) error { return nil }
 func (discard) Batch(*RowBatch) error { return nil }
 
 // feed is the executor's end of the statement's sink: the root of every

@@ -38,11 +38,11 @@ type showSink struct {
 
 var errSinkFull = errors.New("sink: no more")
 
-func (s *showSink) Header(cols []string) error {
+func (s *showSink) Header(cols []Column) error {
 	if s.headers++; s.headers > 1 || s.batches > 0 {
 		s.t.Errorf("header %d arrived after %d batches", s.headers, s.batches)
 	}
-	s.cols = cols
+	s.cols = colNames(cols)
 	return nil
 }
 
@@ -218,7 +218,7 @@ type countSink struct {
 	rows, boxed int
 }
 
-func (s *countSink) Header([]string) error { return nil }
+func (s *countSink) Header([]Column) error { return nil }
 func (s *countSink) Batch(b *RowBatch) error {
 	s.rows += b.Len()
 	if b.rows != nil {

@@ -79,7 +79,7 @@ func TestAutoCommitSelectSeesItsSnapshotAcrossCommitAndMerge(t *testing.T) {
 // failingSink fails, or panics, on its first batch.
 type failingSink struct{ panics bool }
 
-func (failingSink) Header([]string) error { return nil }
+func (failingSink) Header([]Column) error { return nil }
 func (f failingSink) Batch(*RowBatch) error {
 	if f.panics {
 		panic("sink: client went away")

@@ -102,27 +102,74 @@ func (st *Stmt) NumParams() int { return st.nparams }
 // trailing semicolon.
 func (st *Stmt) SQL() string { return st.sql }
 
-// Columns returns the output column names without executing: the plan of
-// a SELECT is built, not run. Statements that produce no row set (DML,
-// DDL, BEGIN/COMMIT/ROLLBACK) return (nil, nil). The wire front end
-// answers the extended protocol's Describe with it.
-func (st *Stmt) Columns() ([]string, error) {
+// Columns describes the statement without executing it: its output
+// columns, each with the kind the plan gives it — the plan of a SELECT is
+// built, not run — and, one per parameter, the kind of where that parameter
+// lands (paramKinds). A kind the plan cannot know is KindNull. Statements
+// that produce no row set (DML, DDL, BEGIN/COMMIT/ROLLBACK) have no
+// columns. The wire front end answers Parse and Describe with it.
+func (st *Stmt) Columns() (cols []Column, params []value.Kind, err error) {
+	pk := make(paramKinds, st.nparams)
 	switch {
 	case st.kind == stmtExplain || st.kind == stmtAnalyze:
-		return []string{"plan"}, nil
+		return planCols, pk, nil
 	case st.sel == nil:
-		return nil, nil
+		st.landDML(pk)
+		return nil, pk, nil
 	}
 	plan, err := st.s.planSelect(st.sel, st.s.snapshotTS())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cols := plan.columns()
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
+	pk.plan(plan)
+	return plan.columns(), pk, nil
+}
+
+// landDML lands the parameters of an INSERT, UPDATE or DELETE in the
+// table it writes. A table that does not exist leaves them unknown, for
+// Exec to report.
+func (st *Stmt) landDML(pk paramKinds) {
+	kindOf := func(cols []Column, name string) value.Kind { return exprKind(&ColRef{Name: name}, cols) }
+	switch x := st.ast.(type) {
+	case *InsertStmt:
+		cols := st.tableCols(x.Table)
+		names := x.Columns
+		if len(names) == 0 {
+			names = colNames(cols)
+		}
+		for _, row := range x.Rows {
+			for i, e := range row {
+				if i < len(names) {
+					pk.land(e, kindOf(cols, names[i]))
+				}
+				pk.expr(e, nil)
+			}
+		}
+		if x.Select != nil {
+			if plan, err := st.s.planSelect(x.Select, st.s.snapshotTS()); err == nil {
+				pk.plan(plan)
+			}
+		}
+	case *UpdateStmt:
+		cols := st.tableCols(x.Table)
+		for _, set := range x.Set {
+			pk.land(set.Expr, kindOf(cols, set.Col))
+			pk.expr(set.Expr, cols)
+		}
+		pk.land(x.Where, value.KindBool)
+		pk.expr(x.Where, cols)
+	case *DeleteStmt:
+		pk.land(x.Where, value.KindBool)
+		pk.expr(x.Where, st.tableCols(x.Table))
 	}
-	return names, nil
+}
+
+// tableCols are the columns of the named base table, nil when there is none.
+func (st *Stmt) tableCols(table string) []Column {
+	if entry, ok := st.s.e.Cat.Table(table); ok {
+		return schemaCols(entry.Schema, table)
+	}
+	return nil
 }
 
 // ExecTo runs the statement with the given parameters, its output going
@@ -180,36 +227,19 @@ func (st *Stmt) execTo(sink RowSink, stats *ExecStats, t0 time.Time, params []va
 	return prof, err
 }
 
-// run executes once into sink; rows is how many it pushed. A SELECT's rows
-// went out as the executor produced them; every other statement's result
-// exists whole first, and goes through the sink in one piece.
-func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profiled bool) (rows int, prof *Profile, err error) {
-	res, prof, err := st.dispatch(sink, stats, params, profiled)
-	if err != nil || res == nil {
-		return stats.RowsOut, prof, err
-	}
-	s := st.s
-	s.out = feed{sink: sink}
-	if err = sink.Header(res.Cols); err == nil {
-		err = s.out.push(res.Rows)
-	}
-	rows = s.out.rows
-	s.out = feed{}
-	return rows, prof, err
-}
-
-// dispatch runs the statement by kind. A plain SELECT streams into sink,
-// is accounted in stats and returns no Result; everything else returns
-// the small Result it always did and touches neither.
-func (st *Stmt) dispatch(sink RowSink, stats *ExecStats, params []value.Value, profiled bool) (*Result, *Profile, error) {
+// run executes the statement once into sink, by kind, and reports how many
+// rows it pushed. A SELECT streams into sink as the executor produces its
+// rows and is accounted in stats; every other statement answers whole
+// (answer) and leaves stats alone.
+func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profiled bool) (int, *Profile, error) {
 	s := st.s
 	switch st.kind {
 	case stmtBegin:
-		return &Result{}, nil, s.Begin()
+		return st.answer(sink, nil, nil, s.Begin())
 	case stmtCommit:
-		return &Result{}, nil, s.Commit()
+		return st.answer(sink, nil, nil, s.Commit())
 	case stmtRollback:
-		return &Result{}, nil, s.Rollback()
+		return st.answer(sink, nil, nil, s.Rollback())
 	}
 
 	if s.e.Tracer != nil {
@@ -222,50 +252,50 @@ func (st *Stmt) dispatch(sink RowSink, stats *ExecStats, params []value.Value, p
 	case stmtExplain:
 		plan, err := s.planSelect(st.sel, s.snapshotTS())
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
-		return textResult(Explain(plan)), nil, nil
+		return st.answer(sink, planCols, textRows(Explain(plan)), nil)
 	case stmtAnalyze:
 		// The statement runs for its profile: the rows go nowhere, and
 		// neither do their counts.
 		prof, err := s.execSelect(discard{}, new(ExecStats), st.sel, params, true)
 		if err != nil {
-			return nil, nil, err
+			return 0, nil, err
 		}
-		return textResult(prof.Render()), prof, nil
+		n, _, err := st.answer(sink, planCols, textRows(prof.Render()), nil)
+		return n, prof, err
 	}
 	switch x := st.ast.(type) {
 	case *SelectStmt:
 		prof, err := s.execSelect(sink, stats, x, params, profiled)
-		return nil, prof, err
+		return stats.RowsOut, prof, err
 	case *InsertStmt:
-		res, err := s.execInsert(x, params)
-		return res, nil, err
+		n, err := s.execInsert(x, params)
+		return st.answer(sink, insertedCols, countRows(n), err)
 	case *UpdateStmt:
-		res, err := s.execUpdate(x, params)
-		return res, nil, err
+		n, err := s.execUpdate(x, params)
+		return st.answer(sink, updatedCols, countRows(n), err)
 	case *DeleteStmt:
-		res, err := s.execDelete(x, params)
-		return res, nil, err
+		n, err := s.execDelete(x, params)
+		return st.answer(sink, deletedCols, countRows(n), err)
 	case *CreateTableStmt:
-		res, err := s.execCreateTable(x)
-		return res, nil, err
+		return st.answer(sink, nil, nil, s.execCreateTable(x))
 	case *CreateViewStmt:
-		return &Result{}, nil, s.e.Cat.CreateView(x.Name, selectSQL(st.sql))
+		return st.answer(sink, nil, nil, s.e.Cat.CreateView(x.Name, selectSQL(st.sql)))
 	case *DropTableStmt:
 		if !s.e.Cat.DropTable(x.Name) && !x.IfExists {
-			return nil, nil, fmt.Errorf("sql: no table %q", x.Name)
+			return 0, nil, fmt.Errorf("sql: no table %q", x.Name)
 		}
 		s.e.Mgr.Deregister(x.Name)
-		return &Result{}, nil, nil
+		return st.answer(sink, nil, nil, nil)
 	case *MergeDeltaStmt:
 		entry, ok := s.e.Cat.Table(x.Table)
 		if !ok {
-			return nil, nil, fmt.Errorf("sql: no table %q", x.Table)
+			return 0, nil, fmt.Errorf("sql: no table %q", x.Table)
 		}
 		if merge := s.e.OnMergeDelta; merge != nil {
 			if err := merge(x.Table); err != nil {
-				return nil, nil, err
+				return 0, nil, err
 			}
 		} else {
 			for _, p := range entry.Partitions {
@@ -281,9 +311,34 @@ func (st *Stmt) dispatch(sink RowSink, stats *ExecStats, params []value.Value, p
 				p.Tier, p.Zone = catalog.TierHot, nil
 			}
 		}
-		return &Result{}, nil, nil
+		return st.answer(sink, nil, nil, nil)
 	}
-	return nil, nil, fmt.Errorf("sql: unhandled statement %T", st.ast)
+	return 0, nil, fmt.Errorf("sql: unhandled statement %T", st.ast)
+}
+
+// The columns of the answers that are not a SELECT's rows: EXPLAIN's text
+// and the counts of DML. Shared, like every header, read-only.
+var (
+	planCols     = []Column{{Name: "plan", Kind: value.KindString}}
+	insertedCols = []Column{{Name: "inserted", Kind: value.KindInt}}
+	updatedCols  = []Column{{Name: "updated", Kind: value.KindInt}}
+	deletedCols  = []Column{{Name: "deleted", Kind: value.KindInt}}
+)
+
+// answer hands sink the whole answer of a statement that is not a SELECT —
+// its columns, then its rows — unless err says the statement failed.
+func (st *Stmt) answer(sink RowSink, cols []Column, rows []value.Row, err error) (int, *Profile, error) {
+	if err != nil {
+		return 0, nil, err
+	}
+	s := st.s
+	s.out = feed{sink: sink}
+	defer func() { s.out = feed{} }()
+	if err := sink.Header(cols); err != nil {
+		return 0, nil, err
+	}
+	err = s.out.push(rows)
+	return s.out.rows, nil, err
 }
 
 // planSelect builds the optimized plan of a SELECT reading at ts — the one

@@ -414,8 +414,10 @@ func TestStmtReuse(t *testing.T) {
 	if st.NumParams() != 1 {
 		t.Fatalf("NumParams = %d, want 1", st.NumParams())
 	}
-	if cols, err := st.Columns(); err != nil || !reflect.DeepEqual(cols, []string{"k", "v", "s"}) {
-		t.Fatalf("Columns = %v, %v", cols, err)
+	cols, params, err := st.Columns()
+	want := []Column{{"", "k", value.KindInt}, {"", "v", value.KindInt}, {"", "s", value.KindString}}
+	if err != nil || !reflect.DeepEqual(cols, want) || !reflect.DeepEqual(params, []value.Kind{value.KindInt}) {
+		t.Fatalf("Columns = %v %v, %v", cols, params, err)
 	}
 	prepared := make([][]string, 1000)
 	for i := range prepared {

@@ -64,14 +64,14 @@ func TestVictimsHaveAnOracle(t *testing.T) {
 		yrCol := map[string]int{"orders": 4, "sales": 0}
 		// statement runs a DML statement in an explicit transaction or in
 		// auto-commit and returns its row count.
-		statement := func(explicit bool, run func() (*Result, error)) int64 {
+		statement := func(explicit bool, run func() (int, error)) int64 {
 			t.Helper()
 			if explicit {
 				if err := s.Begin(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			res, err := run()
+			n, err := run()
 			if err != nil {
 				t.Fatalf("%v: %v", lay, err)
 			}
@@ -80,7 +80,7 @@ func TestVictimsHaveAnOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			return res.Rows[0][0].I
+			return int64(n)
 		}
 		all := func(table string) []value.Row {
 			e.Mode = ModeInterpreted
@@ -106,7 +106,7 @@ func TestVictimsHaveAnOracle(t *testing.T) {
 				Col  string
 				Expr Expr
 			}{"yr", &BinaryExpr{Op: "+", L: yr, R: &Literal{Val: value.Int(mark)}}})
-			if n := statement(explicit, func() (*Result, error) { return s.execUpdate(up, sh.params) }); n != int64(len(want)) {
+			if n := statement(explicit, func() (int, error) { return s.execUpdate(up, sh.params) }); n != int64(len(want)) {
 				t.Errorf("%s: UPDATE touched %d rows, the oracle selects %d", label, n, len(want))
 			}
 			marked := mustExec(t, e, `SELECT * FROM `+sh.table+` WHERE yr >= 50000`).Rows
@@ -123,8 +123,12 @@ func TestVictimsHaveAnOracle(t *testing.T) {
 					t.Errorf("%s: %d marked rows found scanning %d partitions (last holds %d rows)", label, r.Rows[0][0].I, r.Stats.PartitionsScanned, last.Table.NumRows())
 				}
 			}
-			if n := statement(!explicit, func() (*Result, error) {
-				return s.Query(`UPDATE `+sh.table+` SET yr = yr - ? WHERE yr >= 50000`, value.Int(mark))
+			if n := statement(!explicit, func() (int, error) {
+				res, err := s.Query(`UPDATE `+sh.table+` SET yr = yr - ? WHERE yr >= 50000`, value.Int(mark))
+				if err != nil {
+					return 0, err
+				}
+				return int(res.Rows[0][0].I), nil
 			}); n != int64(len(want)) {
 				t.Errorf("%s: unmarking touched %d rows, want %d", label, n, len(want))
 			}
@@ -134,7 +138,7 @@ func TestVictimsHaveAnOracle(t *testing.T) {
 
 			// DELETE: what is left is everything but the oracle's rows.
 			del := &DeleteStmt{Table: sh.table, Where: sh.where}
-			if n := statement(explicit, func() (*Result, error) { return s.execDelete(del, sh.params) }); n != int64(len(want)) {
+			if n := statement(explicit, func() (int, error) { return s.execDelete(del, sh.params) }); n != int64(len(want)) {
 				t.Errorf("%s: DELETE touched %d rows, the oracle selects %d", label, n, len(want))
 			}
 			left := sortedKeys(all(sh.table))

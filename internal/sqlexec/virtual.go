@@ -77,7 +77,7 @@ func (sc *SysCatalog) Names() []string {
 type VirtualScanPlan struct {
 	Table *SysTable
 	Alias string
-	cols  []colInfo
+	cols  []Column
 }
 
-func (p *VirtualScanPlan) columns() []colInfo { return p.cols }
+func (p *VirtualScanPlan) columns() []Column { return p.cols }

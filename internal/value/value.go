@@ -6,6 +6,7 @@ package value
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -253,7 +254,31 @@ func Compare(a, b Value) int {
 // Equal reports whether two values compare equal.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Add returns a+b with numeric promotion; string operands concatenate.
+// ArithKind is the kind Add, Sub, Mul, Div and Mod (op "+", "-", "*", "/"
+// and "%") yield for operands of kinds l and r, and KindNull when the values
+// decide it: an operand of unknown kind, or a quotient of two integers, an
+// integer only when the division is exact. A planner types arithmetic with
+// it, so each of those functions must yield the kind it names.
+func ArithKind(op string, l, r Kind) Kind {
+	switch {
+	case op == "%":
+		return KindInt
+	case l == KindNull || r == KindNull:
+		return KindNull
+	case op == "+" && (l == KindString || r == KindString):
+		return KindString
+	case l == KindFloat || r == KindFloat:
+		return KindFloat
+	case op == "/" && l == KindInt && r == KindInt:
+		return KindNull
+	case op == "/":
+		return KindFloat
+	}
+	return KindInt
+}
+
+// Add returns a+b with numeric promotion; string operands concatenate. Its
+// result kind is ArithKind's.
 func Add(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
@@ -267,7 +292,7 @@ func Add(a, b Value) Value {
 	return Int(a.AsInt() + b.AsInt())
 }
 
-// Sub returns a-b with numeric promotion.
+// Sub returns a-b with numeric promotion, of ArithKind's kind.
 func Sub(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
@@ -278,7 +303,7 @@ func Sub(a, b Value) Value {
 	return Int(a.AsInt() - b.AsInt())
 }
 
-// Mul returns a*b with numeric promotion.
+// Mul returns a*b with numeric promotion, of ArithKind's kind.
 func Mul(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
@@ -291,7 +316,7 @@ func Mul(a, b Value) Value {
 
 // Div returns a/b; division by zero yields NULL (SQL semantics would raise,
 // we degrade gracefully for analytic robustness). Integer operands divide
-// as floats when not evenly divisible.
+// as floats when not evenly divisible. Its result kind is ArithKind's.
 func Div(a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
 		return Null
@@ -306,7 +331,7 @@ func Div(a, b Value) Value {
 	return Float(a.AsFloat() / bf)
 }
 
-// Mod returns a%b for integers; NULL on zero divisor.
+// Mod returns a%b for integers, of ArithKind's kind; NULL on zero divisor.
 func Mod(a, b Value) Value {
 	if a.IsNull() || b.IsNull() || b.AsInt() == 0 {
 		return Null
@@ -365,11 +390,61 @@ func hashInt(i int64) uint64 {
 	return x
 }
 
+// Parse reads text as a value of kind k: the one place text becomes a typed
+// value, for a wire parameter bound by its planned kind and for Coerce. An
+// integer is decimal; a float is what strconv.ParseFloat reads, NaN and
+// ±Inf included; a boolean is t, true, f or false in any case; a timestamp
+// is AppendString's layout, with or without its fraction, or a bare date.
+// A string reads as itself, and so does text of KindNull, the kind of a
+// value nobody planned. The string is a copy: Parse keeps nothing of s, so
+// a caller may parse out of a buffer it reuses. Text that does not read as
+// k is an error.
+func Parse(s string, k Kind) (Value, error) {
+	switch k {
+	case KindNull, KindString:
+		return String(strings.Clone(s)), nil
+	case KindInt:
+		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return Int(n), nil
+		}
+	case KindFloat:
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return Float(f), nil
+		}
+	case KindBool:
+		switch {
+		case strings.EqualFold(s, "t"), strings.EqualFold(s, "true"):
+			return Bool(true), nil
+		case strings.EqualFold(s, "f"), strings.EqualFold(s, "false"):
+			return Bool(false), nil
+		}
+	case KindTime:
+		for _, layout := range []string{time.DateTime, time.DateOnly} {
+			if t, err := time.ParseInLocation(layout, s, time.UTC); err == nil {
+				return Time(t), nil
+			}
+		}
+	}
+	return Null, fmt.Errorf("%w for type %v: %s", ErrSyntax, k, strconv.Quote(s))
+}
+
+// ErrSyntax is what Parse's error wraps: text that does not read as the
+// kind asked for.
+var ErrSyntax = errors.New("value: invalid input syntax")
+
 // Coerce converts v to kind k, returning NULL when the conversion is not
-// meaningful. Used by INSERT type adaptation and the docstore.
+// meaningful: a string reads through Parse, and text Parse refuses is NULL.
+// Used by INSERT and UPDATE type adaptation and the docstore.
 func Coerce(v Value, k Kind) Value {
-	if v.IsNull() || v.K == k {
+	switch {
+	case v.IsNull() || v.K == k:
 		return v
+	case v.K == KindString && k != KindNull:
+		p, err := Parse(v.S, k)
+		if err != nil {
+			return Null
+		}
+		return p
 	}
 	switch k {
 	case KindInt:
@@ -381,14 +456,6 @@ func Coerce(v Value, k Kind) Value {
 	case KindBool:
 		return Bool(v.AsBool())
 	case KindTime:
-		if v.K == KindString {
-			for _, layout := range []string{"2006-01-02 15:04:05.000000", "2006-01-02 15:04:05", "2006-01-02"} {
-				if t, err := time.ParseInLocation(layout, v.S, time.UTC); err == nil {
-					return Time(t)
-				}
-			}
-			return Null
-		}
 		return TimeMicros(v.AsInt())
 	default:
 		return Null

@@ -349,3 +349,133 @@ func TestBinaryRejectsBadInput(t *testing.T) {
 		t.Fatal("overflowing length varint accepted")
 	}
 }
+
+// TestParse: text reads as exactly the kind asked for, or is an error.
+// Coerce reads text the same way: it once turned any non-empty text into
+// TRUE, so 'false' was stored as t.
+func TestParse(t *testing.T) {
+	day := time.Date(2015, 4, 13, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		s    string
+		k    Kind
+		want Value // NULL: the text does not read as k
+	}{
+		{"t", KindBool, Bool(true)},
+		{"TRUE", KindBool, Bool(true)},
+		{"True", KindBool, Bool(true)},
+		{"f", KindBool, Bool(false)},
+		{"false", KindBool, Bool(false)},
+		{"FaLsE", KindBool, Bool(false)},
+		{"yes", KindBool, Null},
+		{"1", KindBool, Null},
+		{"", KindBool, Null},
+		{"02134", KindString, String("02134")},
+		{"1e3", KindString, String("1e3")},
+		{"007", KindNull, String("007")},
+		{"", KindString, String("")},
+		{"007", KindInt, Int(7)},
+		{"-12", KindInt, Int(-12)},
+		{"+7", KindInt, Int(7)},
+		{"1e3", KindInt, Null},
+		{"1.5", KindInt, Null},
+		{"abc", KindInt, Null},
+		{" 7", KindInt, Null},
+		{"9223372036854775808", KindInt, Null},
+		{"1e3", KindFloat, Float(1000)},
+		{"-Inf", KindFloat, Float(math.Inf(-1))},
+		{"0.25", KindFloat, Float(0.25)},
+		{"abc", KindFloat, Null},
+		{"1e999", KindFloat, Null},
+		{"2015-04-13", KindTime, Time(day)},
+		{"2015-04-13 09:30:00", KindTime, Time(day.Add(9*time.Hour + 30*time.Minute))},
+		{"2015-04-13 09:30:00.000123", KindTime, Time(day.Add(9*time.Hour + 30*time.Minute + 123*time.Microsecond))},
+		{"yesterday", KindTime, Null},
+		{"7", Kind(99), Null},
+	} {
+		got, err := Parse(c.s, c.k)
+		if c.want.IsNull() {
+			if err == nil {
+				t.Errorf("Parse(%q, %v) = %v, want an error", c.s, c.k, got)
+			}
+		} else if err != nil || got != c.want {
+			t.Errorf("Parse(%q, %v) = %v, %v; want %v", c.s, c.k, got, err, c.want)
+		}
+		// Coerce reads text through Parse: what Parse refuses is NULL.
+		if c.k != KindNull && c.k != KindString {
+			if got := Coerce(String(c.s), c.k); got != c.want {
+				t.Errorf("Coerce(%q, %v) = %v, want %v", c.s, c.k, got, c.want)
+			}
+		}
+	}
+	if _, err := Parse("abc", KindInt); !errors.Is(err, ErrSyntax) || !strings.Contains(err.Error(), `"abc"`) {
+		t.Errorf("error %v is not ErrSyntax quoting the text", err)
+	}
+	// Parse keeps nothing of its text: a number costs no allocation.
+	buf := []byte("123456")
+	if n := testing.AllocsPerRun(100, func() {
+		if v, err := Parse(string(buf), KindInt); err != nil || v.I != 123456 {
+			t.Fatal(v, err)
+		}
+	}); n != 0 {
+		t.Errorf("parsing an integer costs %.0f allocations, want 0", n)
+	}
+}
+
+// TestArithKind: each arithmetic function yields the kind ArithKind names
+// for its operands' kinds, over operands of every kind — including text,
+// which reads as a number or concatenates — wherever ArithKind names one.
+func TestArithKind(t *testing.T) {
+	samples := []Value{Int(6), Int(-4), Int(0), Float(2.5), Float(0), String("3"), String("x"),
+		Bool(true), Bool(false), TimeMicros(7)}
+	ops := map[string]func(a, b Value) Value{"+": Add, "-": Sub, "*": Mul, "/": Div, "%": Mod}
+	for op, fn := range ops {
+		for _, a := range samples {
+			for _, b := range samples {
+				k, got := ArithKind(op, a.K, b.K), fn(a, b)
+				if k != KindNull && !got.IsNull() && got.K != k {
+					t.Errorf("%v %s %v = %v, of kind %v; ArithKind says %v", a, op, b, got, got.K, k)
+				}
+			}
+			if ArithKind(op, a.K, KindNull) != KindNull && op != "%" {
+				t.Errorf("%v %s <unknown>: a kind named for an operand of unknown kind", a, op)
+			}
+		}
+	}
+	if ArithKind("/", KindInt, KindInt) != KindNull || Div(Int(6), Int(4)).K != KindFloat || Div(Int(8), Int(4)).K != KindInt {
+		t.Error("an integer quotient's kind is the values', not the kinds'")
+	}
+}
+
+// FuzzParseValue: Parse never panics on any text, a value it reads renders
+// (AppendString) and reads back bit for bit, and so does a value of every
+// kind built from the fuzzer's bits — a float's NaN payload aside, which
+// text does not carry, and a timestamp within the four-digit years its
+// text spells.
+func FuzzParseValue(f *testing.F) {
+	for _, s := range []string{"", "0", "-9223372036854775808", "1e3", "NaN", "-Inf", "0x1p-2", "t", "FALSE",
+		"2015-04-13", "2015-04-13 09:30:00.5", "9999-12-31 23:59:59.999999", "\xff"} {
+		f.Add(s, uint8(0), uint64(0))
+	}
+	f.Add("007", uint8(KindInt), uint64(math.Float64bits(-0.0)))
+	minT := time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC).UnixMicro()
+	maxT := time.Date(9999, 12, 31, 23, 59, 59, 999999000, time.UTC).UnixMicro()
+	same := func(a, b Value) bool {
+		if a.K == KindFloat && b.K == KindFloat && math.IsNaN(a.F) {
+			return math.IsNaN(b.F)
+		}
+		return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+	}
+	f.Fuzz(func(t *testing.T, s string, k uint8, bits uint64) {
+		vals := []Value{Int(int64(bits)), Float(math.Float64frombits(bits)), Bool(bits&1 == 1),
+			TimeMicros(minT + int64(bits%uint64(maxT-minT+1))), String(s)}
+		if v, err := Parse(s, Kind(k%6)); err == nil {
+			vals = append(vals, v)
+		}
+		for _, v := range vals {
+			got, err := Parse(string(v.AppendString(nil)), v.K)
+			if err != nil || !same(got, v) {
+				t.Fatalf("%#v renders as %q and reads back as %#v, %v", v, v.AppendString(nil), got, err)
+			}
+		}
+	})
+}
