@@ -68,18 +68,6 @@ func (c *DeltaColumn) Get(i int) value.Value {
 // IsNull reports whether buffered row i is NULL.
 func (c *DeltaColumn) IsNull(i int) bool { return i < len(c.nulls) && c.nulls[i] }
 
-// view returns a frozen copy of the column for snapshot readers. Slice
-// headers and the row count are captured while the table lock is held, so
-// later Appends — which may reallocate the backing arrays — cannot race
-// reads through the view.
-func (c *DeltaColumn) view() *DeltaColumn {
-	v := *c
-	if c.dict != nil {
-		v.dict = c.dict.view()
-	}
-	return &v
-}
-
 // Int64 returns buffered row i as a raw int64 (Int/Bool/Time columns).
 func (c *DeltaColumn) Int64(i int) int64 { return c.ints[i] }
 

@@ -76,12 +76,6 @@ func NewDeltaDict() *DeltaDict {
 	return &DeltaDict{index: make(map[string]int)}
 }
 
-// view returns a read-only copy of the dictionary's current state for
-// snapshot readers; the live dictionary keeps growing underneath. The
-// view carries no index map — snapshot readers only resolve IDs to
-// values, never intern.
-func (d *DeltaDict) view() *DeltaDict { return &DeltaDict{values: d.values} }
-
 // Add interns s and returns its delta value ID.
 func (d *DeltaDict) Add(s string) int {
 	if id, ok := d.index[s]; ok {

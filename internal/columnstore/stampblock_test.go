@@ -1,8 +1,10 @@
 package columnstore
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -602,4 +604,132 @@ func TestSnapshotStaysInItsSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(Snapshot{}); got > 160 {
 		t.Errorf("Snapshot is %d bytes, over the 160-byte size class", got)
 	}
+}
+
+// TestSnapshotIsThreeAllocations: a snapshot is the Snapshot, one slab of
+// delta columns and one of dictionary views, at any width — no allocation
+// per column, and none for dictionaries a table without strings lacks.
+func TestSnapshotIsThreeAllocations(t *testing.T) {
+	for _, c := range []struct {
+		ints, strs int
+		want       float64
+	}{{1, 0, 2}, {2, 1, 3}, {6, 6, 3}, {0, 24, 3}} {
+		var schema Schema
+		for i := 0; i < c.ints+c.strs; i++ {
+			kind := value.KindInt
+			if i >= c.ints {
+				kind = value.KindString
+			}
+			schema = append(schema, ColumnDef{Name: fmt.Sprint("c", i), Kind: kind})
+		}
+		tab := NewTable("wide", schema)
+		tab.ApplyInsert(make([]value.Row, 3), 1)
+		if got := testing.AllocsPerRun(20, func() { tab.Snapshot(1) }); got != c.want {
+			t.Errorf("%d INT and %d VARCHAR columns: a snapshot is %.0f allocations, want %.0f", c.ints, c.strs, got, c.want)
+		}
+	}
+}
+
+// frozenRows are the rows of TestSnapshotSlabStaysFrozen's tables: an INT,
+// a string — one of four for the first eight rows, a new one for every row
+// after them, so that appends grow the delta dictionary — and a DOUBLE,
+// NULL in every third row. frozenDict[i] is the delta dictionary of the
+// first i rows.
+var frozenRows, frozenDict = func() ([]value.Row, [][]string) {
+	const n = 3000
+	rows, dicts := make([]value.Row, n), make([][]string, n+1)
+	var dict []string
+	for i := range rows {
+		s := fmt.Sprintf("s%d", i%4)
+		if i >= 8 {
+			s = fmt.Sprintf("t%d", i)
+		}
+		if i < 4 || i >= 8 {
+			dict = append(dict, s)
+		}
+		amount := value.Float(float64(i) / 4)
+		if i%3 == 0 {
+			amount = value.Null
+		}
+		rows[i] = value.Row{value.Int(int64(i)), value.String(s), amount}
+		dicts[i+1] = slices.Clip(dict)
+	}
+	return rows, dicts
+}()
+
+// checkFrozen reads everything s shows of its rows — Get, DeltaColumn(c)
+// Len and Get, the string column's Dict().Values() — against frozenRows,
+// for a snapshot taken when the table held its first n rows, all in the
+// delta.
+func checkFrozen(t *testing.T, s *Snapshot, n int) {
+	t.Helper()
+	same := func(a, b value.Value) bool { return a.IsNull() && b.IsNull() || value.Equal(a, b) }
+	for c := range s.Schema() {
+		dc := s.DeltaColumn(c)
+		if dc.Len() != n {
+			t.Fatalf("column %d: delta Len %d, want the %d rows at capture", c, dc.Len(), n)
+		}
+		for i, row := range frozenRows[:n] {
+			if got := s.Get(c, i); !same(got, row[c]) {
+				t.Fatalf("Get(%d, %d) = %v, want %v", c, i, got, row[c])
+			}
+			if got := dc.Get(i); !same(got, row[c]) {
+				t.Fatalf("DeltaColumn(%d).Get(%d) = %v, want %v", c, i, got, row[c])
+			}
+		}
+	}
+	if got := s.DeltaColumn(1).Dict().Values(); !slices.Equal(got, frozenDict[n]) {
+		t.Fatalf("Dict().Values() = %v, want %v", got, frozenDict[n])
+	}
+}
+
+// TestSnapshotSlabStaysFrozen: a snapshot's delta columns and dictionary
+// views are copies in two slabs, taken under the table lock. Appends after
+// it that reallocate every delta payload slice and the delta dictionary
+// change nothing read through it. With an appender running beside the
+// readers, every snapshot reads its own rows and -race sees no unsynchronized
+// access.
+func TestSnapshotSlabStaysFrozen(t *testing.T) {
+	tab := NewTable("frozen", sampleSchema())
+	const first = 10
+	tab.ApplyInsert(frozenRows[:first], 1)
+	snap := tab.Snapshot(1)
+	checkFrozen(t, snap, first)
+	live := func() []unsafe.Pointer {
+		tab.mu.RLock()
+		defer tab.mu.RUnlock()
+		d := tab.delta
+		return []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(d[0].ints)), unsafe.Pointer(unsafe.SliceData(d[1].refs)),
+			unsafe.Pointer(unsafe.SliceData(d[2].flts)), unsafe.Pointer(unsafe.SliceData(d[0].nulls)),
+			unsafe.Pointer(unsafe.SliceData(d[1].nulls)), unsafe.Pointer(unsafe.SliceData(d[2].nulls)),
+			unsafe.Pointer(unsafe.SliceData(d[1].dict.values))}
+	}
+	before := live()
+	for _, row := range frozenRows[first : 40*first] {
+		tab.ApplyInsert([]value.Row{row}, 1)
+	}
+	for k, p := range live() {
+		if p == before[k] {
+			t.Fatalf("live slice %d was not reallocated by the appends: the test proves nothing", k)
+		}
+	}
+	checkFrozen(t, snap, first)
+
+	t.Run("concurrent appender", func(t *testing.T) {
+		tab := NewTable("frozen", sampleSchema())
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, row := range frozenRows {
+				tab.ApplyInsert([]value.Row{row}, 1)
+			}
+		}()
+		for done := false; !done; {
+			s := tab.Snapshot(1)
+			done = s.NumRows() == len(frozenRows)
+			checkFrozen(t, s, s.NumRows())
+		}
+		wg.Wait()
+	})
 }

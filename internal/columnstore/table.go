@@ -562,11 +562,32 @@ func (t *Table) Snapshot(ts uint64) *Snapshot {
 	return t.view(ts)
 }
 
-// view is Snapshot for a caller that holds t.mu.
+// view is Snapshot for a caller that holds t.mu. The frozen view is three
+// allocations at any width: the Snapshot, one slab of DeltaColumn copies and
+// one slab of DeltaDict views for the string columns. A copy captures the
+// column's slice headers and row count and a dictionary view its values'
+// header, here, under the lock, so later Appends — which may reallocate the
+// backing arrays — cannot race reads through the view. A dictionary view
+// carries no index map: snapshot readers only resolve IDs to values, never
+// intern.
 func (t *Table) view(ts uint64) *Snapshot {
-	delta := make([]*DeltaColumn, len(t.delta))
+	strs := 0
+	for _, dc := range t.delta {
+		if dc.dict != nil {
+			strs++
+		}
+	}
+	delta := make([]DeltaColumn, len(t.delta))
+	var dicts []DeltaDict
+	if strs > 0 {
+		dicts = make([]DeltaDict, 0, strs) // never grows: &dicts[i] stays put
+	}
 	for i, dc := range t.delta {
-		delta[i] = dc.view()
+		delta[i] = *dc
+		if dc.dict != nil {
+			dicts = append(dicts, DeltaDict{values: dc.dict.values})
+			delta[i].dict = &dicts[len(dicts)-1]
+		}
 	}
 	return &Snapshot{
 		ts:       ts,
@@ -586,7 +607,7 @@ type Snapshot struct {
 	schema   Schema
 	main     []MainColumn
 	mainRows int
-	delta    []*DeltaColumn
+	delta    []DeltaColumn // frozen copies, one slab (see view)
 	rows     int
 	blocks   []stampBlock
 	ids      *idMap
@@ -672,10 +693,10 @@ func (s *Snapshot) MainColumn(col int) MainColumn {
 	return nil
 }
 
-// DeltaColumn returns the delta-part column.
+// DeltaColumn returns the delta-part column, frozen at capture time.
 func (s *Snapshot) DeltaColumn(col int) *DeltaColumn {
 	if col < len(s.delta) {
-		return s.delta[col]
+		return &s.delta[col]
 	}
 	return nil
 }
@@ -907,7 +928,7 @@ func (s *Snapshot) mergeColumn(c int, keep []int, stage []int64, stats *MergeSta
 	}
 	// keep ascends, and main rows come first: keep[:nMain] are main's.
 	nMain := sort.SearchInts(keep, s.mainRows)
-	dc := s.delta[c]
+	dc := &s.delta[c]
 	deltaNull := func(d int) bool { return d >= dc.Len() || dc.IsNull(d) }
 
 	if kind == value.KindFloat {
@@ -1017,7 +1038,7 @@ func newRLEInts(vals []int64, runs int, kind value.Kind) *RLEColumn {
 }
 
 func (s *Snapshot) mergeStringColumn(c int, keep []int, stage []int64, stats *MergeStats) MainColumn {
-	dc := s.delta[c]
+	dc := &s.delta[c]
 	var oldDict *Dictionary
 	var oldRefs func(i int) (id int, null bool)
 	switch mc := s.main[c].(type) {

@@ -63,7 +63,31 @@ type Network struct {
 	msgs      atomic.Int64
 	bytesSent atomic.Int64
 
-	obs atomic.Pointer[stats.Registry]
+	obs atomic.Pointer[instruments]
+}
+
+// instruments are a registry and the per-pair counters resolved in it,
+// so that a call finds its pair's counters without building their label.
+type instruments struct {
+	reg   *stats.Registry
+	mu    sync.Mutex
+	pairs map[[2]string]pairCounters // {from, to}
+}
+
+type pairCounters struct{ msgs, bytes *stats.Counter }
+
+// pair returns the counters of calls from one node to another.
+func (in *instruments) pair(from, to string) pairCounters {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	k := [2]string{from, to}
+	c, ok := in.pairs[k]
+	if !ok {
+		label := "pair=" + from + "->" + to
+		c = pairCounters{in.reg.Counter("netsim_messages_total", label), in.reg.Counter("netsim_bytes_total", label)}
+		in.pairs[k] = c
+	}
+	return c
 }
 
 // New returns a network with the given link model.
@@ -147,10 +171,10 @@ func (n *Network) Call(from, to string, req Message) (Message, error) {
 		return Message{}, err
 	}
 	n.charge(cfg, resp.Size())
-	if reg := n.obs.Load(); reg != nil {
-		pair := "pair=" + from + "->" + to
-		reg.Counter("netsim_messages_total", pair).Add(2)
-		reg.Counter("netsim_bytes_total", pair).Add(int64(req.Size() + resp.Size()))
+	if in := n.obs.Load(); in != nil {
+		c := in.pair(from, to)
+		c.msgs.Add(2)
+		c.bytes.Add(int64(req.Size() + resp.Size()))
 	}
 	return resp, nil
 }
@@ -159,7 +183,11 @@ func (n *Network) Call(from, to string, req Message) (Message, error) {
 // message and byte counters labeled by the from->to service pair. Nil
 // detaches.
 func (n *Network) Instrument(reg *stats.Registry) {
-	n.obs.Store(reg)
+	if reg == nil {
+		n.obs.Store(nil)
+		return
+	}
+	n.obs.Store(&instruments{reg: reg, pairs: map[[2]string]pairCounters{}})
 }
 
 // Send is a one-way, fire-and-forget message (log replication fan-out).

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func echo(from string, req Message) (Message, error) {
@@ -22,6 +24,34 @@ func TestCallRoundTrip(t *testing.T) {
 	msgs, bytes := n.Stats()
 	if msgs != 2 || bytes == 0 {
 		t.Fatalf("msgs=%d bytes=%d", msgs, bytes)
+	}
+}
+
+// TestInstrumentedCallAllocatesNothing: an instrumented network counts a
+// call under its pair's label and, once the pair has been seen, allocates
+// nothing to do so.
+func TestInstrumentedCallAllocatesNothing(t *testing.T) {
+	n := New(Config{})
+	reg := stats.NewRegistry("cluster=c1")
+	n.Instrument(reg)
+	n.Register("coordinator", echo)
+	n.Register("node3", echo)
+	req := Message{Kind: "ping", Payload: []byte("hi")}
+	call := func() {
+		if _, err := n.Call("coordinator", "node3", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	if got := testing.AllocsPerRun(100, call); got != 0 {
+		t.Errorf("an instrumented call allocates %.0f times, want 0", got)
+	}
+	snap := reg.Snapshot()
+	if v, _ := snap.Counter("netsim_messages_total", "cluster=c1", "pair=coordinator->node3"); v != 2*102 {
+		t.Fatalf("netsim_messages_total = %d, want two per call, 102 calls", v)
+	}
+	if v, _ := snap.Counter("netsim_bytes_total", "cluster=c1", "pair=coordinator->node3"); v != 102*int64(req.Size()+Message{Kind: "echo", Payload: req.Payload}.Size()) {
+		t.Fatalf("netsim_bytes_total = %d", v)
 	}
 }
 
@@ -87,6 +117,8 @@ func TestBandwidthCharged(t *testing.T) {
 
 func TestConcurrentCalls(t *testing.T) {
 	n := New(Config{})
+	reg := stats.NewRegistry()
+	n.Instrument(reg) // the calls race to resolve their pair's counters
 	n.Register("hub", echo)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -105,6 +137,9 @@ func TestConcurrentCalls(t *testing.T) {
 	msgs, _ := n.Stats()
 	if msgs != 3200 {
 		t.Fatalf("msgs=%d", msgs)
+	}
+	if v, _ := reg.Snapshot().Counter("netsim_messages_total", "pair=hub->hub"); v != 3200 {
+		t.Fatalf("netsim_messages_total=%d, want 3200", v)
 	}
 	n.ResetStats()
 	if m, b := n.Stats(); m != 0 || b != 0 {

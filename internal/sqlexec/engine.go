@@ -613,7 +613,7 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 				vs[i] = victim{table: t.part.Table.Name(), id: t.snap.ID(sel.at(i))}
 			}
 			if box {
-				b := RowBatch{get: t.getters, sel: sel}
+				b := RowBatch{readers: t.readers, sel: sel}
 				rows := b.AppendRows(nil)
 				for i := range vs {
 					vs[i].row = rows[i]

@@ -175,13 +175,14 @@ func vecRows(p Plan, ctx *execCtx) (vpipe, error) {
 // matching positions to sel.
 type kernelFn func(lo, hi int, sel []int) []int
 
-// scanPrep is the compile-time part of a vectorized scan: validation that
-// every expression the scan may need compiles, done before the executor
-// commits to the vector path.
+// scanPrep is the compile-time part of a vectorized scan: the filter,
+// compiled once for every run and every delta morsel of it (an evalFn reads
+// its row and parameters from Env, so the workers share it).
 type scanPrep struct {
-	plan  *ScanPlan
-	cols  []Column
-	ncols int
+	plan   *ScanPlan
+	cols   []Column
+	ncols  int
+	filter evalFn // nil without a filter
 
 	// zoneAgg, when set by a fused aggregate, is offered each warm
 	// partition whose zone map exactly describes the snapshot (same
@@ -192,12 +193,14 @@ type scanPrep struct {
 }
 
 func prepScan(s *ScanPlan, ctx *execCtx) (*scanPrep, error) {
+	p := &scanPrep{plan: s, cols: s.columns(), ncols: len(s.Entry.Schema)}
 	if s.Filter != nil {
-		if _, err := compileExpr(s.Filter, resolverFor(s.columns()), ctx.reg); err != nil {
+		var err error
+		if p.filter, err = compileExpr(s.Filter, resolverFor(p.cols), ctx.reg); err != nil {
 			return nil, err
 		}
 	}
-	return &scanPrep{plan: s, cols: s.columns(), ncols: len(s.Entry.Schema)}, nil
+	return p, nil
 }
 
 // filterCols lists the scan columns the filter reads. Whatever part of
@@ -213,11 +216,11 @@ func (p *scanPrep) filterCols() []int {
 }
 
 // scanTask is one morsel: rows [lo, hi) of one partition snapshot. Main
-// morsels carry bound kernels plus a compiled residual; delta morsels
-// evaluate the full filter generically (delta storage is unencoded).
-// Each task runs on exactly one worker, so its compiled resid needs no
-// synchronization. Only scanRun.process reads kernels and resid: what it
-// hands on is the morsel's final selection.
+// morsels carry bound kernels plus the partition's compiled residual; delta
+// morsels evaluate the full filter generically (delta storage is
+// unencoded). A residual is compiled once and shared by every morsel it
+// applies to. Only scanRun.process reads kernels and resid: what it hands on
+// is the morsel's final selection.
 type scanTask struct {
 	seq     int
 	part    *catalog.Partition
@@ -225,9 +228,9 @@ type scanTask struct {
 	lo, hi  int
 	kernels []kernelFn
 	resid   evalFn
-	getters []colGetter
-	cold    int  // µs cold-read stall, charged by the partition's first morsel
-	main    bool // rows [lo, hi) lie in encoded main storage (capabilities apply)
+	readers []colReader // the partition's, one per scan column: a window of the run's slab
+	cold    int         // µs cold-read stall, charged by the partition's first morsel
+	main    bool        // rows [lo, hi) lie in encoded main storage (capabilities apply)
 }
 
 // rankShift places a morsel's sequence number above the ordinal of a row
@@ -363,7 +366,9 @@ func (p *scratchPool) put(s *scanScratch) {
 // drainOrdered and forEach runs the morsels.
 type scanRun struct {
 	ctx       *execCtx
-	tasks     []scanTask // one slab for the run; read through pointers once newRun has returned
+	tasks     []scanTask  // one slab for the run; read through pointers once newRun has returned
+	readers   []colReader // one slab for the run: ncols per scanned partition
+	kernels   []kernelFn  // one slab for the run: the kernels each partition bound
 	scratch   []*scanScratch
 	residCols []int // scan columns a residual may read: all its scratch row carries
 	stop      atomic.Bool
@@ -389,11 +394,13 @@ func (r *scanRun) forEach(fn func(t *scanTask, w int)) {
 // newRun snapshots the partitions, binds kernels against each partition's
 // physical encodings, and slices the row space into morsels. Partition
 // accounting (scanned/pruned, empty-partition cold stalls) matches the
-// interpreter exactly.
+// interpreter exactly. What a run allocates does not grow with its width or
+// its morsels: per run a task, a reader and a kernel slab, per partition a
+// snapshot (three allocations), each kernel it binds and, where one is
+// left, its compiled main residual.
 func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 	s := p.plan
 	r := &scanRun{ctx: ctx, op: ctx.prof.node(s)}
-	res := resolverFor(p.cols)
 	parts, pruned := s.bind(ctx.params)
 	ctx.mu.Lock()
 	ctx.stats.PartitionsPruned += pruned
@@ -435,11 +442,25 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 			}
 		}
 		mainRows := snap.MainRows()
-		var kernels []kernelFn
+		if r.tasks == nil {
+			// The run's slabs, the task slab sized as if every partition
+			// were like the first. Each partition takes a window of the
+			// other two, which never regrow: a window stays put.
+			n := (mainRows+morselRows-1)/morselRows + (rows-mainRows+morselRows-1)/morselRows
+			r.tasks = make([]scanTask, 0, n*len(parts))
+			r.readers = make([]colReader, 0, p.ncols*len(parts))
+			r.kernels = make([]kernelFn, 0, len(s.Preds)*len(parts))
+		}
+		at := len(r.readers)
+		for c := 0; c < p.ncols; c++ {
+			r.readers = append(r.readers, readerOf(snap, c))
+		}
+		readers := r.readers[at:len(r.readers):len(r.readers)]
 		// What the main morsels evaluate row by row: the residue, and every
 		// predicate's conjunct that binds no kernel here (kernels never
 		// apply to the delta, whose morsels evaluate the whole filter).
 		generic := append([]Expr(nil), s.Residue...)
+		at = len(r.kernels)
 		if mainRows > 0 {
 			hits, falls := 0, 0
 			for _, vp := range s.Preds {
@@ -452,7 +473,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 					}
 				}
 				if k := bindKernel(snap, vp); k != nil {
-					kernels = append(kernels, k)
+					r.kernels = append(r.kernels, k)
 					hits++
 				} else {
 					// Once per conjunct: the two predicates of a BETWEEN
@@ -474,46 +495,28 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 				r.op.kernelFallbacks.Add(int64(falls))
 			}
 		}
-		mainResid := andAll(generic)
-		getters := make([]colGetter, p.ncols)
-		for c := range getters {
-			getters[c] = makeGetter(snap, c)
-		}
-		addTask := func(lo, hi int, ks []kernelFn, filter Expr, main bool) error {
-			var resid evalFn
-			if filter != nil {
-				f, err := compileExpr(filter, res, ctx.reg)
-				if err != nil {
-					return err
-				}
-				resid = f
-				if r.residCols == nil {
-					r.residCols = p.filterCols()
-				}
+		kernels := r.kernels[at:len(r.kernels):len(r.kernels)]
+		var mainResid evalFn
+		if mainRows > 0 && len(generic) > 0 {
+			var err error
+			if mainResid, err = compileExpr(andAll(generic), resolverFor(p.cols), ctx.reg); err != nil {
+				return nil, err
 			}
-			r.tasks = append(r.tasks, scanTask{
-				seq: len(r.tasks), part: part, snap: snap, lo: lo, hi: hi,
-				kernels: ks, resid: resid, getters: getters, cold: cold, main: main,
-			})
-			cold = 0
-			return nil
 		}
 		// Morsels never straddle the main/delta boundary: main morsels run
 		// kernels over the encoded columns, delta morsels the full filter.
-		if r.tasks == nil {
-			// One slab, sized as if every partition were like the first.
-			n := (mainRows+morselRows-1)/morselRows + (rows-mainRows+morselRows-1)/morselRows
-			r.tasks = make([]scanTask, 0, n*len(parts))
-		}
-		for lo := 0; lo < mainRows; lo += morselRows {
-			if err := addTask(lo, min(lo+morselRows, mainRows), kernels, mainResid, true); err != nil {
-				return nil, err
+		for lo := 0; lo < rows; {
+			t := scanTask{seq: len(r.tasks), part: part, snap: snap, lo: lo, readers: readers, cold: cold}
+			if lo < mainRows {
+				t.hi, t.kernels, t.resid, t.main = min(lo+morselRows, mainRows), kernels, mainResid, true
+			} else {
+				t.hi, t.resid = min(lo+morselRows, rows), p.filter
 			}
-		}
-		for lo := mainRows; lo < rows; lo += morselRows {
-			if err := addTask(lo, min(lo+morselRows, rows), nil, s.Filter, false); err != nil {
-				return nil, err
+			if t.resid != nil && r.residCols == nil {
+				r.residCols = p.filterCols()
 			}
+			r.tasks = append(r.tasks, t)
+			lo, cold = t.hi, 0
 		}
 	}
 	r.scratch = ctx.scratch.takeRun(ctx.workersFor(len(r.tasks)))
@@ -604,15 +607,15 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel selection)) {
 // as every row is accepted: positions are written out, into the worker's
 // vector, only from the first rejection on.
 func (r *scanRun) filterResidual(t *scanTask, scr *scanScratch, sel selection) selection {
-	if cap(scr.env.Row) < len(t.getters) {
-		scr.env.Row = make(value.Row, len(t.getters))
+	if cap(scr.env.Row) < len(t.readers) {
+		scr.env.Row = make(value.Row, len(t.readers))
 	}
-	scr.env = Env{Row: scr.env.Row[:len(t.getters)], Params: r.ctx.params}
+	scr.env = Env{Row: scr.env.Row[:len(t.readers)], Params: r.ctx.params}
 	out, writing := sel.pos[:0], !sel.dense
 	for i, n := 0, sel.len(); i < n; i++ {
 		pos := sel.at(i)
 		for _, c := range r.residCols {
-			scr.env.Row[c] = t.getters[c](pos)
+			scr.env.Row[c] = t.readers[c].value(pos)
 		}
 		v := t.resid(&scr.env)
 		switch {
@@ -726,7 +729,7 @@ func scanOut[T, B any](s *ScanPlan, cols []int, ctx *execCtx, cut func(t *scanTa
 }
 
 // scanWindow is a root scan's window in the ordered hand-off: the task
-// whose getters read it, and its positions.
+// whose readers read it, and its positions.
 type scanWindow struct {
 	t   *scanTask
 	sel selection
@@ -745,7 +748,7 @@ func scanViews(s *ScanPlan, cols []int, ctx *execCtx) (func(emit func(RowBatch) 
 		}
 		return scanWindow{t, sel}
 	}, func(r *scanRun, w scanWindow, cols []int, emit func(RowBatch) error) (err error) {
-		b := RowBatch{get: w.t.getters, cols: cols, sel: w.sel}
+		b := RowBatch{readers: w.t.readers, cols: cols, sel: w.sel}
 		if len(r.tasks) == 1 {
 			return emit(b)
 		}
@@ -845,61 +848,63 @@ func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, send func(T)), 
 // the projected columns, never the full-width row.
 func vecScan(s *ScanPlan, cols []int, ctx *execCtx) (vpipe, error) {
 	return scanOut(s, cols, ctx, func(t *scanTask, sel selection, cols []int, _ bool) []value.Row {
-		b := RowBatch{get: t.getters, cols: cols, sel: sel}
+		b := RowBatch{readers: t.readers, cols: cols, sel: sel}
 		return b.AppendRows(nil)
 	}, func(_ *scanRun, rows []value.Row, _ []int, emit func([]value.Row) error) error { return emit(rows) })
 }
 
-// colGetter reads one column at a physical row position without boxing
-// intermediary rows.
-type colGetter func(pos int) value.Value
+// colReader reads one column of a partition snapshot at a physical row
+// position, main or delta alike, without boxing intermediary rows. It is a
+// value: a run keeps the readers of all its partitions in one slab, and its
+// users index into it and call value through the pointer.
+type colReader struct {
+	main     columnstore.MainColumn
+	ints     columnstore.IntAccessor   // main's, for an integer-kind column that has one
+	floats   columnstore.FloatAccessor // main's, for a DOUBLE column that has one
+	delta    *columnstore.DeltaColumn  // frozen with the snapshot
+	mainRows int
+	kind     value.Kind
+}
 
-// makeGetter builds a specialized accessor spanning main and delta parts.
-func makeGetter(snap *columnstore.Snapshot, col int) colGetter {
-	mainRows := snap.MainRows()
-	mc := snap.MainColumn(col)
-	dc := snap.DeltaColumn(col)
-	deltaGet := func(pos int) value.Value {
-		d := pos - mainRows
-		if dc == nil || d >= dc.Len() {
+// readerOf returns the reader of column col of snap. It specializes on
+// reader capabilities, not concrete structs: hot and paged warm columns
+// expose the same accessors.
+func readerOf(snap *columnstore.Snapshot, col int) colReader {
+	r := colReader{main: snap.MainColumn(col), delta: snap.DeltaColumn(col), mainRows: snap.MainRows()}
+	if r.main == nil {
+		return r
+	}
+	switch r.kind = r.main.Kind(); r.kind {
+	case value.KindFloat:
+		r.floats, _ = r.main.(columnstore.FloatAccessor)
+	case value.KindString:
+	default:
+		r.ints, _ = r.main.(columnstore.IntAccessor)
+	}
+	return r
+}
+
+// value returns the cell at pos.
+func (r *colReader) value(pos int) value.Value {
+	if pos >= r.mainRows {
+		if d := pos - r.mainRows; r.delta != nil && d < r.delta.Len() {
+			return r.delta.Get(d)
+		}
+		return value.Null
+	}
+	switch {
+	case r.ints != nil:
+		if r.main.IsNull(pos) {
 			return value.Null
 		}
-		return dc.Get(d)
-	}
-	if mc == nil {
-		return deltaGet
-	}
-	// Specialize on reader capabilities, not concrete structs: hot and
-	// paged warm columns expose the same accessors.
-	kind := mc.Kind()
-	if m, ok := mc.(columnstore.IntAccessor); ok && kind != value.KindFloat && kind != value.KindString {
-		return func(pos int) value.Value {
-			if pos < mainRows {
-				if mc.IsNull(pos) {
-					return value.Null
-				}
-				return value.Value{K: kind, I: m.Int64(pos)}
-			}
-			return deltaGet(pos)
+		return value.Value{K: r.kind, I: r.ints.Int64(pos)}
+	case r.floats != nil:
+		if r.main.IsNull(pos) {
+			return value.Null
 		}
+		return value.Float(r.floats.Float64(pos))
 	}
-	if m, ok := mc.(columnstore.FloatAccessor); ok && kind == value.KindFloat {
-		return func(pos int) value.Value {
-			if pos < mainRows {
-				if mc.IsNull(pos) {
-					return value.Null
-				}
-				return value.Float(m.Float64(pos))
-			}
-			return deltaGet(pos)
-		}
-	}
-	return func(pos int) value.Value {
-		if pos < mainRows {
-			return mc.Get(pos)
-		}
-		return deltaGet(pos)
-	}
+	return r.main.Get(pos)
 }
 
 // bindKernel resolves one eligible conjunct against a partition's main

@@ -18,7 +18,7 @@ import (
 // Operators exchange (morsel, selection): scanRun.process applies every
 // predicate, residual included, and what it hands on is positions — a
 // range of them while nothing has thinned the morsel, a vector after.
-// Values are read by position through the morsel's getters — main or
+// Values are read by position through the morsel's column readers — main or
 // delta alike — and a row is boxed only where it leaves the pipeline as
 // output. Every path is gated by a plan-shape check (plan.go), so results
 // stay byte-identical to the row-at-a-time executors.
@@ -212,7 +212,7 @@ type aggGroup struct {
 // global aggregation has one group. The input is positions: a scan
 // morsel's selection (foldMorsel, which dispatches per encoding — whole-run
 // folds for run-length group columns, code keys for dictionary columns, raw
-// int64 for frame-of-reference columns, the getters otherwise), the
+// int64 for frame-of-reference columns, the readers otherwise), the
 // (position, build row) pairs of a join probe, or rows (foldRow).
 type aggFold struct {
 	in       *aggInput
@@ -341,7 +341,7 @@ func (f *aggFold) colValue(c int, t *scanTask, pos int, build value.Row) value.V
 	case c < 0:
 		return value.Null
 	case c < f.nProbe:
-		return t.getters[c](pos)
+		return t.readers[c].value(pos)
 	case build != nil:
 		return build[c-f.nProbe]
 	}
@@ -358,7 +358,7 @@ func (f *aggFold) load(t *scanTask, pos int, build value.Row) {
 		f.env.Row = build
 	default:
 		for _, c := range f.in.refs {
-			f.env.Row[c] = t.getters[c](pos)
+			f.env.Row[c] = t.readers[c].value(pos)
 		}
 	}
 }
@@ -507,9 +507,9 @@ func (f *aggFold) foldRuns(rf columnstore.RunFolder, t *scanTask, sel selection,
 						}
 					})
 				} else {
-					gtr := t.getters[ac]
+					rd := &t.readers[ac]
 					for p := start; p < end; p++ {
-						g.accs[j].add(gtr(p), spec)
+						g.accs[j].add(rd.value(p), spec)
 					}
 				}
 			}
@@ -542,9 +542,9 @@ func (f *aggFold) foldGlobal(t *scanTask, sel selection) {
 				continue
 			}
 		}
-		gtr := t.getters[ac]
+		rd := &t.readers[ac]
 		for i, n := 0, sel.len(); i < n; i++ {
-			g.accs[j].add(gtr(sel.at(i)), spec)
+			g.accs[j].add(rd.value(sel.at(i)), spec)
 		}
 	}
 }
@@ -640,9 +640,10 @@ func finishAgg(folds []*aggFold, zoneAccs []aggAcc) []value.Row {
 		}
 		slices.SortFunc(list, func(a, b *aggGroup) int { return cmp.Compare(a.first, b.first) })
 	}
-	out := make([]value.Row, 0, len(list))
-	for _, g := range list {
-		row := make(value.Row, 0, len(in.keyCols)+len(in.specs))
+	// One slab for every row: appends fill each row in place.
+	out := slabRows(len(list), len(in.keyCols)+len(in.specs))
+	for r, g := range list {
+		row := out[r][:0]
 		switch {
 		case len(in.keyCols) == 0:
 		case g.key != nil:
@@ -657,7 +658,6 @@ func finishAgg(folds []*aggFold, zoneAccs []aggAcc) []value.Row {
 		for i, spec := range in.specs {
 			row = append(row, g.accs[i].result(spec))
 		}
-		out = append(out, row)
 	}
 	return out
 }
@@ -977,9 +977,9 @@ func (j *codeJoin) probeKeys(t *scanTask, sel selection, out []int64) (keys []in
 			return out, true
 		}
 	}
-	key := t.getters[j.info.keyCol]
+	key := &t.readers[j.info.keyCol]
 	for i := 0; i < n; i++ {
-		out = append(out, j.keyID(key(sel.at(i)), false))
+		out = append(out, j.keyID(key.value(sel.at(i)), false))
 	}
 	return out, false
 }
@@ -1083,8 +1083,8 @@ func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
 					if pos == probedPos {
 						copy(row[:nProbe], probed)
 					} else {
-						for c, g := range t.getters {
-							row[c] = g(pos)
+						for c := range t.readers {
+							row[c] = t.readers[c].value(pos)
 						}
 					}
 					probed, probedPos = row[:nProbe], pos

@@ -29,9 +29,15 @@ type vecPool struct {
 	stopped atomic.Bool
 }
 
-// vecJob is one unit of work; worker is the executing worker's index so
-// jobs can use per-worker scratch state without synchronization.
-type vecJob func(worker int)
+// vecJob is one unit of work, sent by value: task i of a runTasks call,
+// run as fn(i, worker) — worker is the executing worker's index, so jobs
+// can use per-worker scratch state without synchronization — and reported
+// to done. Dispatching a task allocates nothing.
+type vecJob struct {
+	fn   func(i, worker int)
+	i    int
+	done *sync.WaitGroup
+}
 
 func newVecPool(workers int) *vecPool {
 	p := &vecPool{
@@ -45,12 +51,18 @@ func newVecPool(workers int) *vecPool {
 			defer p.wg.Done()
 			for job := range p.jobs {
 				t0 := time.Now()
-				job(w)
+				job.run(w)
 				p.busyNS[w] += time.Since(t0).Nanoseconds()
 			}
 		}(w)
 	}
 	return p
+}
+
+// run runs the job on worker w and reports it done, also when fn panics.
+func (j vecJob) run(w int) {
+	defer j.done.Done()
+	j.fn(j.i, w)
 }
 
 // workersFor returns how many workers will share n tasks, for sizing
@@ -75,9 +87,9 @@ func (ctx *execCtx) poolSize() int {
 // have finished. A single task runs on the calling goroutine as worker 0
 // — no pool, no goroutines, no hand-off — so a one-morsel scan costs what
 // its rows cost; its busy time still reaches sql_vec_worker_busy_us when
-// the statement ends. More tasks go to the statement's worker pool. Scan
-// drain, partial aggregation and the partitioned join build all dispatch
-// through here.
+// the statement ends. More tasks go to the statement's worker pool, in
+// ascending order, each as a vecJob value. Scan drain, partial aggregation
+// and the partitioned join build all dispatch through here.
 func (ctx *execCtx) runTasks(n int, job func(i, worker int)) {
 	switch n {
 	case 0:
@@ -89,14 +101,10 @@ func (ctx *execCtx) runTasks(n int, job func(i, worker int)) {
 		return
 	}
 	pool := ctx.getPool()
-	var wg sync.WaitGroup
+	wg := new(sync.WaitGroup)
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		i := i
-		pool.submit(func(w int) {
-			defer wg.Done()
-			job(i, w)
-		})
+		pool.submit(vecJob{fn: job, i: i, done: wg})
 	}
 	wg.Wait()
 }

@@ -242,6 +242,82 @@ func TestSteadyStateAllocatesNoSelection(t *testing.T) {
 	}
 }
 
+// scanRunAllocs builds a table of cols columns — c0 INT, then INT, VARCHAR
+// and DOUBLE in turn — range-partitioned on c0 into parts partitions of 300
+// merged rows and 100 delta rows each, and returns what one execution of a
+// prepared filtered count over every partition allocates: two morsels a
+// partition, a kernel bound on each main one, the filter evaluated on each
+// delta one.
+func scanRunAllocs(t *testing.T, cols, parts int) float64 {
+	t.Helper()
+	defs, bounds := []string{"c0 INT"}, make([]string, parts-1)
+	for c := 1; c < cols; c++ {
+		defs = append(defs, fmt.Sprintf("c%d %s", c, [...]string{"INT", "VARCHAR", "DOUBLE"}[c%3]))
+	}
+	for i := range bounds {
+		bounds[i] = fmt.Sprint((i + 1) * 1000)
+	}
+	ddl := `CREATE TABLE t (` + strings.Join(defs, ", ") + `)`
+	if parts > 1 {
+		ddl += ` PARTITION BY RANGE(c0) VALUES (` + strings.Join(bounds, ", ") + `)`
+	}
+	e := NewEngine()
+	e.Workers = 1 // one fold: its group is allocated once however many morsels there are
+	mustExec(t, e, ddl)
+	for pi, part := range e.Cat.MustTable("t").Partitions {
+		rows := make([]value.Row, 400)
+		for i := range rows {
+			row := value.Row{value.Int(int64(pi*1000 + i))}
+			for c := 1; c < cols; c++ {
+				row = append(row, [...]value.Value{value.Int(int64(i * c)), value.String(fmt.Sprint("v", i%7)), value.Float(float64(i) / 3)}[c%3])
+			}
+			rows[i] = row
+		}
+		part.Table.ApplyInsert(rows[:300], 1)
+		part.Table.Merge(1)
+		part.Table.ApplyInsert(rows[300:], 1)
+	}
+	e.Mgr.AdvanceTo(1)
+	sess := e.NewSession()
+	defer sess.Close()
+	st, err := sess.Prepare(`SELECT COUNT(*) FROM t WHERE c0 > $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		res, err := st.Exec(value.Int(50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Rows[0][0].I, int64(400*parts-51); got != want {
+			t.Fatalf("COUNT(*) = %d, want %d", got, want)
+		}
+	}
+	run() // warm-up: grows the scan scratch
+	return testing.AllocsPerRun(20, run)
+}
+
+// TestScanRunAllocsFlat: a scan run allocates a fixed number of times per
+// statement whatever the table's width, and a small constant per partition
+// — its snapshot and the kernel it binds — whatever its morsel count: no
+// reader, no compiled filter and no dispatch is allocated per column or per
+// morsel.
+func TestScanRunAllocsFlat(t *testing.T) {
+	narrow, wide := scanRunAllocs(t, 2, 2), scanRunAllocs(t, 12, 2)
+	t.Logf("2 partitions: %.0f allocations at 2 columns, %.0f at 12", narrow, wide)
+	if wide-narrow > 2 {
+		t.Errorf("2 -> 12 columns adds %.0f allocations per statement, want at most 2", wide-narrow)
+	}
+	// A table of one partition is not range-partitioned, and binding a
+	// parameter to the range bounds costs the others one allocation a run:
+	// the per-partition cost is read between two and eight.
+	one, two, eight := scanRunAllocs(t, 6, 1), scanRunAllocs(t, 6, 2), scanRunAllocs(t, 6, 8)
+	t.Logf("6 columns: %.0f allocations at 1 partition, %.0f at 2, %.0f at 8", one, two, eight)
+	if per := (eight - two) / 6; per > 4 {
+		t.Errorf("2 -> 8 partitions adds %.1f allocations per extra partition, want at most 4", per)
+	}
+}
+
 // TestScratchPoolKeepsAFixedSet: the pool retains NumCPU+1 scratches, the
 // most recently returned first out, drops what is returned beyond that,
 // and keeps its set across collections — what an idle process holds does not

@@ -36,16 +36,16 @@ const BatchRows = 1024
 // of Width cells, cell (i, c) read by At. Two things back it. Rows an
 // operator built — a join, a sort, an aggregate, the row executor — are
 // the batch as they are. A window of the plan's root scan (or of a
-// projection fused into it) is a view: the morsel's column getters, the
+// projection fused into it) is a view: the morsel's column readers, the
 // output columns and the window's positions, so a cell is read from the
 // column store when the sink asks for it and boxed only by a sink that
 // keeps it.
 type RowBatch struct {
 	rows []value.Row // rows-backed: the batch; nil for a view
 
-	get  []colGetter // view: one getter per scan column
-	cols []int       // view: output column c reads get[cols[c]]; nil reads get[c]
-	sel  selection   // view: the rows' positions
+	readers []colReader // view: one reader per scan column
+	cols    []int       // view: output column c reads readers[cols[c]]; nil reads readers[c]
+	sel     selection   // view: the rows' positions
 }
 
 // RowsBatch returns the batch backed by rows, for a sink's caller outside
@@ -54,7 +54,7 @@ func RowsBatch(rows []value.Row) RowBatch { return RowBatch{rows: rows} }
 
 // Len is the number of rows in the batch.
 func (b *RowBatch) Len() int {
-	if b.get == nil {
+	if b.readers == nil {
 		return len(b.rows)
 	}
 	return b.sel.len()
@@ -64,12 +64,12 @@ func (b *RowBatch) Len() int {
 // rows-backed batch.
 func (b *RowBatch) Width() int {
 	switch {
-	case b.get == nil && len(b.rows) == 0:
+	case b.readers == nil && len(b.rows) == 0:
 		return 0
-	case b.get == nil:
+	case b.readers == nil:
 		return len(b.rows[0])
 	case b.cols == nil:
-		return len(b.get)
+		return len(b.readers)
 	}
 	return len(b.cols)
 }
@@ -77,7 +77,7 @@ func (b *RowBatch) Width() int {
 // At returns cell c of row i. It allocates nothing; a cell past the end of
 // a short row reads NULL.
 func (b *RowBatch) At(i, c int) value.Value {
-	if b.get == nil {
+	if b.readers == nil {
 		if row := b.rows[i]; c < len(row) {
 			return row[c]
 		}
@@ -86,7 +86,7 @@ func (b *RowBatch) At(i, c int) value.Value {
 	if b.cols != nil {
 		c = b.cols[c]
 	}
-	return b.get[c](b.sel.at(i))
+	return b.readers[c].value(b.sel.at(i))
 }
 
 // AppendRows appends the batch's rows to dst and returns the extended
@@ -94,7 +94,7 @@ func (b *RowBatch) At(i, c int) value.Value {
 // appends its rows, which are fresh, and to an empty dst is dst — so a
 // result of one such batch is never copied.
 func (b *RowBatch) AppendRows(dst []value.Row) []value.Row {
-	if b.get == nil {
+	if b.readers == nil {
 		if dst == nil {
 			return b.rows
 		}
@@ -118,13 +118,13 @@ func (b *RowBatch) fill(out []value.Row) {
 	for i, row := range out {
 		pos := b.sel.at(i)
 		if b.cols == nil {
-			for c, g := range b.get {
-				row[c] = g(pos)
+			for c := range b.readers {
+				row[c] = b.readers[c].value(pos)
 			}
 			continue
 		}
 		for c, idx := range b.cols {
-			row[c] = b.get[idx](pos)
+			row[c] = b.readers[idx].value(pos)
 		}
 	}
 }

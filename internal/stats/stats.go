@@ -214,17 +214,20 @@ func (h *Histogram) snapshot(name string, labels []string) HistogramSnap {
 	return snap
 }
 
-// Registry names and owns metrics. Lookups take a lock-free fast path
-// (sync.Map); hot call sites can additionally cache the returned pointer
-// so the name+label key is never rebuilt. All methods are safe on a nil
-// receiver and return nil metrics, so instrumentation can be wired
-// unconditionally and enabled by supplying a registry.
+// Registry names and owns metrics. A metric is filed under its canonical
+// key — name plus base and caller labels, sorted — which snapshots read. A
+// lookup that finds it again allocates nothing (see lookup). All methods
+// are safe on a nil receiver and return nil metrics, so instrumentation can
+// be wired unconditionally and enabled by supplying a registry.
 type Registry struct {
 	base     []string // labels stamped on every metric
 	histCap  int
 	counters sync.Map // key -> *counterEntry
 	gauges   sync.Map // key -> *gaugeEntry
 	hists    sync.Map // key -> *histEntry
+
+	fastMu sync.RWMutex
+	fast   map[string]any // a lookup's spelling (see lookup) -> *Counter, *Gauge or *Histogram
 }
 
 type counterEntry struct {
@@ -281,19 +284,45 @@ func metricKey(name string, labels []string) string {
 	return name + "{" + strings.Join(labels, ",") + "}"
 }
 
+// lookup returns the metric of type typ that the caller names. A hit —
+// a lookup spelled as an earlier one was: type, name and labels in the
+// caller's order — renders that spelling into a stack buffer and finds it
+// in r.fast, which indexing with string(key) does without a copy. A miss
+// resolves the canonical key, where create files the metric once however
+// it is spelled, and remembers the spelling.
+func lookup[M any](r *Registry, typ byte, name string, labels []string, create func(key string, all []string) *M) *M {
+	var buf [128]byte // a longer spelling is rendered on the heap, and still found
+	key := append(append(buf[:0], typ), name...)
+	for _, l := range labels {
+		key = append(append(key, 0), l...)
+	}
+	r.fastMu.RLock()
+	m, ok := r.fast[string(key)]
+	r.fastMu.RUnlock()
+	if ok {
+		return m.(*M)
+	}
+	all := r.canon(labels)
+	c := create(metricKey(name, all), all)
+	r.fastMu.Lock()
+	if r.fast == nil {
+		r.fast = map[string]any{}
+	}
+	r.fast[string(key)] = c
+	r.fastMu.Unlock()
+	return c
+}
+
 // Counter returns (creating if needed) the counter with this name and
 // label set.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	all := r.canon(labels)
-	k := metricKey(name, all)
-	if e, ok := r.counters.Load(k); ok {
+	return lookup(r, 'c', name, labels, func(k string, all []string) *Counter {
+		e, _ := r.counters.LoadOrStore(k, &counterEntry{name: name, labels: all, c: &Counter{}})
 		return e.(*counterEntry).c
-	}
-	e, _ := r.counters.LoadOrStore(k, &counterEntry{name: name, labels: all, c: &Counter{}})
-	return e.(*counterEntry).c
+	})
 }
 
 // Gauge returns (creating if needed) the gauge with this name and label
@@ -302,13 +331,10 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	all := r.canon(labels)
-	k := metricKey(name, all)
-	if e, ok := r.gauges.Load(k); ok {
+	return lookup(r, 'g', name, labels, func(k string, all []string) *Gauge {
+		e, _ := r.gauges.LoadOrStore(k, &gaugeEntry{name: name, labels: all, g: &Gauge{}})
 		return e.(*gaugeEntry).g
-	}
-	e, _ := r.gauges.LoadOrStore(k, &gaugeEntry{name: name, labels: all, g: &Gauge{}})
-	return e.(*gaugeEntry).g
+	})
 }
 
 // Histogram returns (creating if needed) the histogram with this name and
@@ -317,13 +343,10 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	all := r.canon(labels)
-	k := metricKey(name, all)
-	if e, ok := r.hists.Load(k); ok {
+	return lookup(r, 'h', name, labels, func(k string, all []string) *Histogram {
+		e, _ := r.hists.LoadOrStore(k, &histEntry{name: name, labels: all, h: NewHistogram(r.histCap)})
 		return e.(*histEntry).h
-	}
-	e, _ := r.hists.LoadOrStore(k, &histEntry{name: name, labels: all, h: NewHistogram(r.histCap)})
-	return e.(*histEntry).h
+	})
 }
 
 // --- snapshots ------------------------------------------------------------

@@ -84,8 +84,9 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				// Half the increments re-resolve the counter through the
-				// registry (the lock-free lookup path), half use a cached
-				// pointer — both must be race-free.
+				// registry (the lookup path, whose first calls race to
+				// create it), half use a cached pointer — both must be
+				// race-free.
 				r.Counter("hits_total", "svc=a").Inc()
 				c := r.Counter("hits_total", "svc=b")
 				c.Inc()
@@ -153,6 +154,43 @@ func TestRegistryBaseLabelsAndSnapshot(t *testing.T) {
 	}
 	if v, ok := back.Counter("q_total", "node=n1", "table=orders"); !ok || v != 7 {
 		t.Fatalf("roundtripped counter: %v %v", v, ok)
+	}
+}
+
+// TestRegistryHitAllocatesNothing: finding a metric again on a registry
+// with base labels — an SOE node's, a service's — allocates nothing, with
+// or without a label of the caller's, whatever the metric type. Two
+// spellings of one label set are one metric, and the snapshot lists it once.
+func TestRegistryHitAllocatesNothing(t *testing.T) {
+	r := NewRegistry("node=n1", "role=data")
+	for _, c := range []struct {
+		name string
+		hit  func()
+	}{
+		{"counter", func() { r.Counter("q_total").Inc() }},
+		{"labelled counter", func() { r.Counter("q_total", "result=ok").Inc() }},
+		{"two-label counter", func() { r.Counter("q_total", "service=v2dqp", "result=ok").Inc() }},
+		{"gauge", func() { r.Gauge("applied_ts").Set(1) }},
+		{"labelled histogram", func() { r.Histogram("exec_ms", "proto=simple").Observe(1) }},
+	} {
+		c.hit() // the miss that creates it
+		if got := testing.AllocsPerRun(100, c.hit); got != 0 {
+			t.Errorf("%s: a hit allocates %.0f times, want 0", c.name, got)
+		}
+	}
+
+	if r.Counter("q_total", "result=ok", "service=v2dqp") != r.Counter("q_total", "service=v2dqp", "result=ok") {
+		t.Fatal("two spellings of one label set are two counters")
+	}
+	if r.Counter("q_total", "result=ok") == r.Counter("q_total") || r.Gauge("q_total") == nil {
+		t.Fatal("a label set, or a metric type, shares another's metric")
+	}
+	snap := r.Snapshot()
+	if n := len(snap.CountersNamed("q_total")); n != 3 {
+		t.Fatalf("%d q_total counters in the snapshot, want 3: %+v", n, snap.Counters)
+	}
+	if v, _ := snap.Counter("q_total", "node=n1", "role=data", "result=ok", "service=v2dqp"); v != 102 {
+		t.Fatalf("two-label counter = %d, want 102: the miss, AllocsPerRun's warm-up run and 100 runs", v)
 	}
 }
 
