@@ -62,11 +62,12 @@ fuzzsmoke:
 benchsmoke:
 	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg' -benchtime=100x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg'
 
-# Compressed-execution micro-benchmarks: the code-valued join probe and
-# the run-folding group-by against their row-at-a-time counterparts,
+# Compressed-execution micro-benchmarks: the code-valued join probe, the
+# same join on two keys rendered per probe position, and the run-folding
+# group-by, the first and last against their row-at-a-time counterparts,
 # gated by the same baseline file (join/group-by subset via -match).
 benchcompressed:
-	$(GO) test -run xxx -bench 'BenchmarkJoinDict|BenchmarkGroupByRLE' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkJoinDict|BenchmarkGroupByRLE'
+	$(GO) test -run xxx -bench 'BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE'
 
 # Position-based aggregation micro-benchmarks: the float GROUP BY folded
 # on dictionary codes in morsel order, two rendered keys with a computed
@@ -140,7 +141,7 @@ benchmod:
 # benchmarks need more iterations than the big-table scans to settle, the
 # wide wire result and the merge fewer than what they are gated with.
 benchbaseline:
-	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkGroupByRLE|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkMergeAppend$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkUpdateUnderMerge$$' -benchtime=4000x -benchmem . | $(GO) run ./cmd/benchguard -write

@@ -816,6 +816,57 @@ func BenchmarkJoinAggDict(b *testing.B) {
 	}
 }
 
+// joinTwoKeysEng: joinDictEng's fact with a second key column g = i % 4,
+// against a dim of 128 rows — joinDictEng's 32 keys times the four values
+// of g. A fact row whose rk the dim covers (one in eight) matches exactly
+// one dim row on both keys.
+var joinTwoKeysEng *sqlexec.Engine
+
+// BenchmarkJoinTwoKeys joins on two bare columns: the key is rendered per
+// probe position into one reused buffer and looked up in the build's one
+// map, and the aggregate fuses into the probe of the fact scan.
+func BenchmarkJoinTwoKeys(b *testing.B) {
+	if joinTwoKeysEng == nil {
+		eng := sqlexec.NewEngine()
+		eng.MustQuery(`CREATE TABLE fact (id INT, rk VARCHAR, g INT, qty INT)`)
+		eng.MustQuery(`CREATE TABLE dim (rk VARCHAR, g INT, name VARCHAR)`)
+		rows := make([]value.Row, 500_000)
+		for i := range rows {
+			rows[i] = value.Row{
+				value.Int(int64(i)),
+				value.String(fmt.Sprintf("r%03d", i%256)),
+				value.Int(int64(i % 4)),
+				value.Int(int64(i % 100)),
+			}
+		}
+		ft := eng.Cat.MustTable("fact").Primary()
+		ft.ApplyInsert(rows, 1)
+		ft.Merge(2)
+		drows := make([]value.Row, 128)
+		for i := range drows {
+			drows[i] = value.Row{
+				value.String(fmt.Sprintf("r%03d", (i/4)*8)),
+				value.Int(int64(i % 4)),
+				value.String(fmt.Sprintf("name-%03d", i)),
+			}
+		}
+		dt := eng.Cat.MustTable("dim").Primary()
+		dt.ApplyInsert(drows, 1)
+		dt.Merge(2)
+		eng.Mgr.AdvanceTo(2)
+		joinTwoKeysEng = eng
+	}
+	joinTwoKeysEng.Mode = sqlexec.ModeVectorized
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := joinTwoKeysEng.MustQuery(`SELECT COUNT(*), SUM(f.qty) FROM fact f JOIN dim d ON f.rk = d.rk AND f.g = d.g`)
+		if len(r.Rows) != 1 || r.Rows[0][0].I != 62_500 {
+			b.Fatalf("bad result: %v", r.Rows)
+		}
+	}
+}
+
 // groupByFloatEng: 200k merged rows, a dictionary group column and a
 // DOUBLE measure — the olap_scan `groupby` class in process. The float
 // sum makes the fold order-sensitive: it runs on dictionary codes in

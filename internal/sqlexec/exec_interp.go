@@ -160,7 +160,6 @@ func runTo(out *feed, stats *ExecStats, p Plan, ts uint64, params []value.Value,
 	stats.RowsOut = ctx.out.rows
 	if prof != nil {
 		prof.Total = time.Since(t0)
-		prof.finish(p)
 	}
 	return prof, nil
 }
@@ -522,10 +521,12 @@ func (it *projectIter) Next() (value.Row, bool, error) {
 
 func (it *projectIter) Close() { it.child.Close() }
 
-// joinIter is a hash join (equi keys) or nested-loop join (none).
+// joinIter is a hash join (equi keys) or nested-loop join (none). Its
+// profile counts the rows it builds from and probes with.
 type joinIter struct {
 	plan     *JoinPlan
 	ctx      *execCtx
+	op       *OpProfile
 	left     iterator
 	right    iterator
 	lKeys    []evalFn
@@ -551,7 +552,7 @@ func newJoinIter(p *JoinPlan, ctx *execCtx) (iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &joinIter{plan: p, ctx: ctx, left: l, right: r, rWidth: len(p.R.columns())}
+	it := &joinIter{plan: p, ctx: ctx, op: ctx.prof.node(p), left: l, right: r, rWidth: len(p.R.columns())}
 	lres := resolverFor(p.L.columns())
 	rres := resolverFor(p.R.columns())
 	for i := range p.EquiL {
@@ -598,6 +599,9 @@ func (it *joinIter) Open() error {
 		if !ok {
 			break
 		}
+		if it.op != nil {
+			it.op.buildRows.Add(1)
+		}
 		if it.build != nil {
 			env.Row = row
 			for i, f := range it.rKeys {
@@ -619,6 +623,9 @@ func (it *joinIter) Next() (value.Row, bool, error) {
 			row, ok, err := it.left.Next()
 			if err != nil || !ok {
 				return nil, false, err
+			}
+			if it.op != nil {
+				it.op.probeRows.Add(1)
 			}
 			it.cur = row
 			it.matched = false

@@ -24,8 +24,9 @@ import (
 // dictionary ID intervals, frame-of-reference packed integers, whole RLE
 // runs — producing selection vectors, and only surviving positions
 // materialize boxed rows. Aggregation over a scan folds worker-local
-// partial tables merged at the end; hash-join builds partition across
-// workers. Output is kept byte-identical to the interpreter's:
+// partial tables merged at the end; a join probes a scan's morsels on the
+// workers against one hash table. Output is kept byte-identical to the
+// interpreter's:
 // scan batches emit in morsel order and merged aggregate groups sort by
 // first-seen input position.
 
@@ -115,7 +116,7 @@ func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 	case *AggPlan:
 		return vecAgg(x, ctx)
 	case *JoinPlan:
-		return vecJoin(x, ctx)
+		return vecJoinCode(x, ctx)
 	case *DistinctPlan:
 		child, err := vecCompile(x.Child, ctx)
 		if err != nil {
@@ -241,6 +242,14 @@ const rankShift = 40
 
 func (t *scanTask) rankBase() int64 { return int64(t.seq) << rankShift }
 
+// load reads the cells of cols at pos into row, a row over the scan's
+// columns: what an expression over a few of them needs, and no more.
+func (t *scanTask) load(row value.Row, cols []int, pos int) {
+	for _, c := range cols {
+		row[c] = t.readers[c].value(pos)
+	}
+}
+
 // selection is the set of one morsel's row positions still standing after
 // a step of the scan pipeline. Dense: every position of [lo, hi), carried
 // as those two ints — what a morsel is until an invisible row, a kernel or
@@ -288,14 +297,25 @@ func (s selection) window(from, to int) selection {
 }
 
 // scanScratch is one worker's reusable state: the selection vectors, the
-// code keys of the morsel being folded or probed, and the row the residual
-// predicate is evaluated against. It is borrowed from the engine's
-// scratchPool and outlives the statement, so in steady state a scan grows
-// none of it.
+// code keys of the morsel being folded or probed, the row the residual
+// predicate and a join's rendered probe keys are evaluated against, and the
+// key they render. It is borrowed from the engine's scratchPool and outlives
+// the statement, so in steady state a scan grows none of it.
 type scanScratch struct {
 	selA, selB []int
 	keys       []int64
 	env        Env
+	key        keyScratch
+}
+
+// rowEnv readies the scratch row for expressions over a morsel's width
+// columns; the caller loads the cells they read (scanTask.load).
+func (s *scanScratch) rowEnv(width int, params []value.Value) *Env {
+	if cap(s.env.Row) < width {
+		s.env.Row = make(value.Row, width)
+	}
+	s.env = Env{Row: s.env.Row[:width], Params: params}
+	return &s.env
 }
 
 // scratchPool lends scan scratch across the statements of one Engine — the
@@ -346,10 +366,11 @@ func (p *scratchPool) take() *scanScratch {
 }
 
 // put returns a scratch nobody reads any more. Its vectors keep their
-// capacity; the residual row is cleared so that an idle scratch pins no
-// statement's values or parameters.
+// capacity; the rows it evaluated and rendered keys from are cleared so that
+// an idle scratch pins no statement's values or parameters.
 func (p *scratchPool) put(s *scanScratch) {
 	clear(s.env.Row[:cap(s.env.Row)])
+	clear(s.key.row[:cap(s.key.row)])
 	s.env.Params = nil
 	if p.hook != nil {
 		p.hook(s, -1)
@@ -607,17 +628,12 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel selection)) {
 // as every row is accepted: positions are written out, into the worker's
 // vector, only from the first rejection on.
 func (r *scanRun) filterResidual(t *scanTask, scr *scanScratch, sel selection) selection {
-	if cap(scr.env.Row) < len(t.readers) {
-		scr.env.Row = make(value.Row, len(t.readers))
-	}
-	scr.env = Env{Row: scr.env.Row[:len(t.readers)], Params: r.ctx.params}
+	env := scr.rowEnv(len(t.readers), r.ctx.params)
 	out, writing := sel.pos[:0], !sel.dense
 	for i, n := 0, sel.len(); i < n; i++ {
 		pos := sel.at(i)
-		for _, c := range r.residCols {
-			scr.env.Row[c] = t.readers[c].value(pos)
-		}
-		v := t.resid(&scr.env)
+		t.load(env.Row, r.residCols, pos)
+		v := t.resid(env)
 		switch {
 		case !v.IsNull() && v.AsBool():
 			if writing {
@@ -1046,9 +1062,9 @@ func vecProject(x *ProjectPlan, ctx *execCtx) (vpipe, error) {
 // --- aggregation --------------------------------------------------------------
 
 // vecAgg runs every aggregation on one fold (aggFold, exec_vector_code.go),
-// fed one of three ways: over a scan, fused into its morsels; over a code
-// join with no residual and nothing to compute, fused into its probe — no
-// joined row is ever built; over anything else, the child's rows.
+// fed one of three ways: over a scan, fused into its morsels; over a join
+// that probes a scan, has no residual and nothing to compute, fused into its
+// probe — no joined row is ever built; over anything else, the child's rows.
 func vecAgg(x *AggPlan, ctx *execCtx) (vpipe, error) {
 	in, err := newAggInput(x, ctx)
 	if err != nil {
@@ -1058,165 +1074,11 @@ func vecAgg(x *AggPlan, ctx *execCtx) (vpipe, error) {
 	case *ScanPlan:
 		return vecAggScan(c, in, ctx)
 	case *JoinPlan:
-		if jinfo, ok := joinCodeShape(c); ok && c.Residual == nil && !in.computed {
-			return vecAggJoinCode(c, jinfo, in, ctx)
+		if _, scan := c.L.(*ScanPlan); scan && c.Residual == nil && !in.computed {
+			return vecAggJoinCode(c, in, ctx)
 		}
 	}
 	return vecAggRows(x.Child, in, ctx)
-}
-
-// --- parallel partitioned hash join ----------------------------------------
-
-func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
-	if info, ok := joinCodeShape(x); ok {
-		return vecJoinCode(x, info, ctx)
-	}
-	left, err := vecCompile(x.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	right, err := vecCompile(x.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	lres, rres := resolverFor(x.L.columns()), resolverFor(x.R.columns())
-	var lKeys, rKeys []evalFn
-	for i := range x.EquiL {
-		lf, err := compileExpr(x.EquiL[i], lres, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		rf, err := compileExpr(x.EquiR[i], rres, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		lKeys, rKeys = append(lKeys, lf), append(rKeys, rf)
-	}
-	var residual evalFn
-	if x.Residual != nil {
-		if residual, err = compileExpr(x.Residual, resolverFor(x.columns()), ctx.reg); err != nil {
-			return nil, err
-		}
-	}
-	rWidth := len(x.R.columns())
-
-	return func(emit func([]value.Row) error) error {
-		nPart := ctx.poolSize()
-		type keyedRow struct {
-			k   string
-			row value.Row
-		}
-		// Phase 1: drain the build side, bucketing rows by key hash.
-		buckets := make([][]keyedRow, nPart)
-		env := Env{Params: ctx.params}
-		key := make(value.Row, len(rKeys)) // scratch, both sides
-		if err := right(func(rows []value.Row) error {
-			for _, row := range rows {
-				env.Row = row
-				for i, f := range rKeys {
-					key[i] = f(&env)
-				}
-				k := key.Key()
-				b := int(fnv32a(k) % uint32(nPart))
-				buckets[b] = append(buckets[b], keyedRow{k, row})
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		// Phase 2: build the per-bucket hash tables in parallel.
-		maps := make([]map[string][]value.Row, nPart)
-		var live []int
-		for b := range buckets {
-			if len(buckets[b]) > 0 {
-				live = append(live, b)
-			}
-		}
-		ctx.runTasks(len(live), func(i, _ int) {
-			b := live[i]
-			m := make(map[string][]value.Row, len(buckets[b]))
-			for _, kr := range buckets[b] {
-				m[kr.k] = append(m[kr.k], kr.row)
-			}
-			maps[b] = m
-		})
-		// Phase 3: probe with the left side's ordered batches. The probe key
-		// renders into a reused buffer and combined rows come off a slab, so
-		// a probe row that matches nothing allocates nothing. Output leaves
-		// in windows of at most BatchRows: what a keyless join (every build
-		// row matches every probe row) holds at once is bounded by the build
-		// side, not by the product.
-		slab := rowSlab{width: len(x.L.columns()) + rWidth}
-		var keyBuf []byte
-		var out []value.Row
-		flush := func() error {
-			full := out
-			out = nil
-			return emit(full)
-		}
-		add := func(combined value.Row) error {
-			slab.keep()
-			out = append(out, combined)
-			if len(out) < BatchRows {
-				return nil
-			}
-			return flush()
-		}
-		return left(func(rows []value.Row) error {
-			for _, lrow := range rows {
-				env.Row = lrow
-				hasNull := false
-				for i, f := range lKeys {
-					key[i] = f(&env)
-					if key[i].IsNull() {
-						hasNull = true
-					}
-				}
-				var matches []value.Row
-				if !hasNull {
-					keyBuf = key.AppendKey(keyBuf[:0])
-					matches = maps[int(fnv32a(keyBuf)%uint32(nPart))][string(keyBuf)]
-				}
-				matched := false
-				for _, rrow := range matches {
-					combined := slab.row()
-					copy(combined, lrow)
-					copy(combined[len(lrow):], rrow)
-					if residual != nil {
-						env.Row = combined
-						if v := residual(&env); v.IsNull() || !v.AsBool() {
-							continue
-						}
-					}
-					matched = true
-					if err := add(combined); err != nil {
-						return err
-					}
-				}
-				if x.LeftOuter && !matched {
-					combined := slab.row()
-					copy(combined, lrow)
-					clear(combined[len(lrow):])
-					if err := add(combined); err != nil {
-						return err
-					}
-				}
-			}
-			if len(out) == 0 {
-				return nil
-			}
-			return flush()
-		})
-	}, nil
-}
-
-func fnv32a[T string | []byte](s T) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // --- sort / limit -----------------------------------------------------------

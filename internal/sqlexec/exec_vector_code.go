@@ -357,9 +357,7 @@ func (f *aggFold) load(t *scanTask, pos int, build value.Row) {
 	case f.nProbe == 0:
 		f.env.Row = build
 	default:
-		for _, c := range f.in.refs {
-			f.env.Row[c] = t.readers[c].value(pos)
-		}
+		t.load(f.env.Row, f.in.refs, pos)
 	}
 }
 
@@ -860,86 +858,120 @@ func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (vpipe, error) {
 	}, nil
 }
 
-// --- code-valued hash join --------------------------------------------------
+// --- the hash join ----------------------------------------------------------
 
-// codeJoin is a hash join probed on integer key codes. The build side
-// drains boxed (so a one-sided dictionary join qualifies naturally) and
-// every distinct non-NULL build key gets a dense id — interned for string
-// keys, mapped for integer-kind keys, boxed for any other kind. Probe
-// morsels translate their key column to ids and never box a probe row:
-// the probe loop emits (position, build row) pairs, and the parent's sink
-// decides what a pair becomes — a joined output row, or a fold into a
-// fused aggregate.
+// codeJoin is the vectorized executor's one hash join, whatever its shape.
+// The build side drains boxed on the statement's goroutine and each
+// distinct non-NULL build key gets a dense id, its index into lists. A code
+// key (joinShape.keyCol) maps its values by kind — interned strings, raw
+// integers — so a probe morsel translates its dictionary codes or integers
+// and never boxes a probe row. Any other key list is rendered (rowID). A
+// scan probe side feeds morsel selections on the workers (probeMorsel), any
+// other its rows in order (probeRows); both hand ids to the one probe loop,
+// whose (probe input, build row) pairs the parent's sink turns into joined
+// rows (vecJoinCode) or folds into a fused aggregate (vecAggJoinCode).
 type codeJoin struct {
-	x    *JoinPlan
-	info joinCodeInfo
-	ctx  *execCtx
-	op   *OpProfile
+	x     *JoinPlan
+	shape joinShape
+	ctx   *execCtx
+	op    *OpProfile
 
-	prep  *scanPrep // probe side
+	prep  *scanPrep // probe side, when it is a scan
+	left  vpipe     // probe side, when it is not
 	right vpipe     // build side
-	rKey  evalFn
+	lKeys []evalFn  // a rendered key's components over the probe side
+	lRefs []int     // the probe scan's columns they read
+	rKeys []evalFn  // the key's components over the build side
 
 	lists  [][]value.Row // key id → build rows, in build order
 	strIDs map[string]int64
 	intIDs map[int64]int64
 	oddIDs map[string]int64
+
+	// lookupStr is the probe side's interner, made once: a string the build
+	// side never saw must not grow the id space, it simply has no match.
+	lookupStr func(string) int64
+
+	key keyScratch // the build's and the row feed's: both run on the statement's goroutine
+	ids []int64    // the row feed's
 }
 
-// lookupStr is the probe side's interner: a string the build side never
-// saw must not grow the id space, it simply has no match.
-func (j *codeJoin) lookupStr(s string) int64 {
-	if id, ok := j.strIDs[s]; ok {
+// keyScratch is where one prober evaluates a key and renders it.
+type keyScratch struct {
+	row value.Row
+	buf []byte
+}
+
+// idIn returns k's id in *ids. A key the build side never saw has none
+// (nullCode) unless add is set: then it gets the next id.
+func idIn[K comparable](j *codeJoin, ids *map[K]int64, k K, add bool) int64 {
+	if id, ok := (*ids)[k]; ok {
 		return id
 	}
-	return nullCode
-}
-
-// keyID maps a boxed key value to its id. NULL never matches an equi key;
-// a key the build side never saw gets an id only when add is set.
-func (j *codeJoin) keyID(v value.Value, add bool) int64 {
-	if v.IsNull() {
+	if !add {
 		return nullCode
 	}
-	next := int64(len(j.lists))
-	var id int64
-	var ok bool
-	switch {
-	case v.K == value.KindString && j.info.keyKind == value.KindString:
-		if id, ok = j.strIDs[v.S]; !ok && add {
-			j.strIDs[v.S] = next
-		}
-	case v.K == j.info.keyKind:
-		if id, ok = j.intIDs[v.I]; !ok && add {
-			j.intIDs[v.I] = next
-		}
-	default:
-		k := value.Row{v}.Key()
-		if id, ok = j.oddIDs[k]; !ok && add {
-			j.oddIDs[k] = next
+	if *ids == nil {
+		*ids = map[K]int64{}
+	}
+	id := int64(len(j.lists))
+	j.lists = append(j.lists, nil)
+	(*ids)[k] = id
+	return id
+}
+
+// keyID is the id of the key that keys, one side's components, evaluate to
+// over env.
+func (j *codeJoin) keyID(keys []evalFn, env *Env, k *keyScratch, add bool) int64 {
+	k.row = k.row[:0]
+	for _, f := range keys {
+		k.row = append(k.row, f(env))
+	}
+	return j.rowID(k, add)
+}
+
+// rowID maps the key in k.row to its id. A NULL component never matches. A
+// code key's value maps by kind; a value of another kind (a delta row can
+// hold one) and every other key list — several keys, computed or float
+// keys, none at all — is rendered with Row.AppendKey into k.buf and looked
+// up in oddIDs: the key equality the interpreter's Row.Key() joins on, with
+// every build row of a keyless join under one id. A lookup allocates
+// nothing; only a new build key copies its rendering.
+func (j *codeJoin) rowID(k *keyScratch, add bool) int64 {
+	for _, v := range k.row {
+		if v.IsNull() {
+			return nullCode
 		}
 	}
-	switch {
-	case ok:
+	if j.shape.keyCol >= 0 {
+		switch v := k.row[0]; {
+		case v.K == value.KindString && j.shape.keyKind == value.KindString:
+			return idIn(j, &j.strIDs, v.S, add)
+		case v.K == j.shape.keyKind:
+			return idIn(j, &j.intIDs, v.I, add)
+		}
+	}
+	k.buf = k.row.AppendKey(k.buf[:0])
+	if id, ok := j.oddIDs[string(k.buf)]; ok {
 		return id
-	case add:
-		j.lists = append(j.lists, nil)
-		return next
 	}
-	return nullCode
+	if !add {
+		return nullCode
+	}
+	return idIn(j, &j.oddIDs, string(k.buf), true)
 }
 
 // build drains the build side, indexing rows by key id. Build order is
 // preserved per key, so match order equals the sequential join.
 func (j *codeJoin) build() error {
-	j.strIDs, j.intIDs, j.oddIDs = map[string]int64{}, map[int64]int64{}, map[string]int64{}
+	j.lists, j.strIDs, j.intIDs, j.oddIDs = nil, nil, nil, nil
 	var buildRows int64
 	env := Env{Params: j.ctx.params}
 	err := j.right(func(rows []value.Row) error {
 		buildRows += int64(len(rows))
 		for _, row := range rows {
 			env.Row = row
-			if id := j.keyID(j.rKey(&env), true); id >= 0 {
+			if id := j.keyID(j.rKeys, &env, &j.key, true); id >= 0 {
 				j.lists[id] = append(j.lists[id], row)
 			}
 		}
@@ -951,16 +983,25 @@ func (j *codeJoin) build() error {
 	return err
 }
 
-// probeKeys translates the join key at every selected position into a
-// build key id (nullCode: no match) by the cheapest route the morsel's
-// encoding offers: dictionary codes remapped once per distinct value, raw
-// integers, or — delta morsels — the boxed value. coded reports the first
-// two.
-func (j *codeJoin) probeKeys(t *scanTask, sel selection, out []int64) (keys []int64, coded bool) {
-	n := sel.len()
-	if t.main {
-		mc := t.snap.MainColumn(j.info.keyCol)
-		if j.info.keyKind == value.KindString {
+// morselIDs translates the probe key at every selected position of a scan
+// morsel into a build key id (nullCode: no match), into scr.keys, by the
+// cheapest route the morsel offers: dictionary codes remapped once per
+// distinct value, raw integers, the boxed value (delta morsels), or — a
+// rendered key — the key's expressions over the worker's scratch row,
+// loaded with only the columns they read. coded reports the first two.
+func (j *codeJoin) morselIDs(t *scanTask, sel selection, scr *scanScratch) (ids []int64, coded bool) {
+	out, n, c := scr.keys[:0], sel.len(), j.shape.keyCol
+	switch {
+	case c < 0:
+		env := scr.rowEnv(len(t.readers), j.ctx.params)
+		for i := 0; i < n; i++ {
+			t.load(env.Row, j.lRefs, sel.at(i))
+			out = append(out, j.keyID(j.lKeys, env, &scr.key, false))
+		}
+		return out, false
+	case t.main:
+		mc := t.snap.MainColumn(c)
+		if j.shape.keyKind == value.KindString {
 			if kc, ok := mc.(columnstore.KeyCoder); ok {
 				return codeKeys(kc, sel, j.lookupStr, out), true
 			}
@@ -977,82 +1018,187 @@ func (j *codeJoin) probeKeys(t *scanTask, sel selection, out []int64) (keys []in
 			return out, true
 		}
 	}
-	key := &t.readers[j.info.keyCol]
+	key := &t.readers[c]
 	for i := 0; i < n; i++ {
-		out = append(out, j.keyID(key.value(sel.at(i)), false))
+		scr.key.row = append(scr.key.row[:0], key.value(sel.at(i)))
+		out = append(out, j.rowID(&scr.key, false))
 	}
 	return out, false
 }
 
-// probe is the join's one probe loop. For every selected position it
-// emits (position, build row) per match, in build order, and — LEFT OUTER
-// — (position, nil) when no pair was accepted; emit reports acceptance
-// (a row sink's join residual may reject a pair). scr lends the key
-// buffer.
-func (j *codeJoin) probe(t *scanTask, sel selection, scr *scanScratch, emit func(pos int, build value.Row) bool) {
-	keys, coded := j.probeKeys(t, sel, scr.keys[:0])
-	scr.keys = keys
-	skipped := 0
-	for i, id := range keys {
-		pos, matched := sel.at(i), false
+// probe is the join's one probe loop. ids[i] is the build key id of the
+// i-th probe input — a selected position or a row. For every input it emits
+// (i, build row) per match, in build order, and — LEFT OUTER — (i, nil)
+// when no pair was accepted. emit reports whether it accepted the pair (a
+// row sink's join residual may reject one); an error from it ends the
+// loop. skipped counts the inputs nothing matched, which no output reads.
+func (j *codeJoin) probe(ids []int64, emit func(i int, build value.Row) (bool, error)) (skipped int, err error) {
+	if j.op != nil {
+		j.op.probeRows.Add(int64(len(ids)))
+	}
+	for i, id := range ids {
+		matched := false
 		if id >= 0 {
 			for _, build := range j.lists[id] {
-				if emit(pos, build) {
-					matched = true
+				ok, err := emit(i, build)
+				if err != nil {
+					return skipped, err
 				}
+				matched = matched || ok
 			}
 		}
 		switch {
 		case matched:
 		case j.x.LeftOuter:
-			emit(pos, nil)
+			if _, err := emit(i, nil); err != nil {
+				return skipped, err
+			}
 		default:
 			skipped++
 		}
 	}
-	if coded {
-		recordLateMat(j.ctx, j.op, int64(len(keys)), 0, 1, int64(skipped)*int64(j.prep.ncols)*16)
-	}
-	if j.op != nil {
-		j.op.probeRows.Add(int64(len(keys)))
-	}
+	return skipped, nil
 }
 
-// newCodeJoin compiles both sides of a code-shaped join.
-func newCodeJoin(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (*codeJoin, error) {
-	j := &codeJoin{x: x, info: info, ctx: ctx}
+// probeMorsel is the scan feed: one morsel's final selection through the
+// probe loop, emit's i indexing sel. scr lends the key buffers.
+func (j *codeJoin) probeMorsel(t *scanTask, sel selection, scr *scanScratch, emit func(i int, build value.Row) (bool, error)) error {
+	ids, coded := j.morselIDs(t, sel, scr)
+	scr.keys = ids
+	skipped, err := j.probe(ids, emit)
+	if coded {
+		recordLateMat(j.ctx, j.op, int64(len(ids)), 0, 1, int64(skipped)*int64(j.prep.ncols)*16)
+	}
+	return err
+}
+
+// probeRows is the row feed: one batch of a probe side that is not a scan
+// through the probe loop, its keys evaluated on each row, emit's i
+// indexing rows.
+func (j *codeJoin) probeRows(rows []value.Row, emit func(i int, build value.Row) (bool, error)) error {
+	env := Env{Params: j.ctx.params}
+	j.ids = j.ids[:0]
+	for _, row := range rows {
+		env.Row = row
+		j.ids = append(j.ids, j.keyID(j.lKeys, &env, &j.key, false))
+	}
+	_, err := j.probe(j.ids, emit)
+	return err
+}
+
+// newCodeJoin compiles both sides of a join and its keys.
+func newCodeJoin(x *JoinPlan, ctx *execCtx) (*codeJoin, error) {
+	j := &codeJoin{x: x, shape: joinShapeOf(x), ctx: ctx}
+	j.lookupStr = func(s string) int64 { return idIn(j, &j.strIDs, s, false) }
 	var err error
-	if j.prep, err = prepScan(info.scan, ctx); err != nil {
+	if j.shape.scan != nil {
+		j.prep, err = prepScan(j.shape.scan, ctx)
+	} else {
+		j.left, err = vecCompile(x.L, ctx)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if j.right, err = vecCompile(x.R, ctx); err != nil {
 		return nil, err
 	}
-	if j.rKey, err = compileExpr(x.EquiR[0], resolverFor(x.R.columns()), ctx.reg); err != nil {
-		return nil, err
+	var lres colResolver // a code key's probe side is read as codes
+	if j.shape.keyCol < 0 {
+		lres = resolverFor(x.L.columns())
+	}
+	rres := resolverFor(x.R.columns())
+	for i := range x.EquiL {
+		if lres != nil {
+			f, err := compileExpr(x.EquiL[i], lres, ctx.reg)
+			if err != nil {
+				return nil, err
+			}
+			j.lKeys = append(j.lKeys, f)
+			for _, cr := range appendColRefs(nil, x.EquiL[i]) {
+				if c := findCol(x.L.columns(), cr); c >= 0 && !slices.Contains(j.lRefs, c) {
+					j.lRefs = append(j.lRefs, c)
+				}
+			}
+		}
+		f, err := compileExpr(x.EquiR[i], rres, ctx.reg)
+		if err != nil {
+			return nil, err
+		}
+		j.rKeys = append(j.rKeys, f)
 	}
 	return j, nil
 }
 
-// open drains the build side and opens the probe-side scan run, whose
-// morsels the caller feeds to probe. The probe scan never passes through
-// vecCompile: it is marked fused into the join.
+// open drains the build side. A scan probe side is marked fused into the
+// join — it never passes through vecCompile — and its run is opened: the
+// caller feeds the run's morsels to probeMorsel. Any other probe side has
+// no run, and its rows go to probeRows.
 func (j *codeJoin) open() (*scanRun, error) {
 	j.op = j.ctx.prof.node(j.x)
-	if sop := j.ctx.prof.node(j.info.scan); sop != nil {
-		sop.fused = true
-	}
 	if err := j.build(); err != nil {
 		return nil, err
+	}
+	if j.prep == nil {
+		return nil, nil
+	}
+	if sop := j.ctx.prof.node(j.shape.scan); sop != nil {
+		sop.fused = true
 	}
 	return j.prep.newRun(j.ctx)
 }
 
-// vecJoinCode is the code join under a row-consuming parent: the sink
-// builds joined rows off a slab, reading the probe side's columns by
-// position, and applies the join residual to each candidate.
-func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
-	j, err := newCodeJoin(x, info, ctx)
+// joinOut is the joined-row sink of one probe feed: it finishes each
+// candidate pair's row off a slab, applies the join residual, and hands the
+// rows it accepts on in windows of at most BatchRows, so that what a join
+// holds at once is bounded by its build side and not by its output.
+type joinOut struct {
+	nProbe   int
+	residual evalFn
+	env      Env
+	slab     rowSlab
+	rows     []value.Row
+	send     func([]value.Row) error
+}
+
+// add finishes row — the slab's current row, its probe columns filled —
+// with the build row or, nil, the LEFT OUTER pad, and reports whether the
+// residual accepted it.
+func (o *joinOut) add(row, build value.Row) (bool, error) {
+	if build == nil {
+		clear(row[o.nProbe:])
+	} else {
+		copy(row[o.nProbe:], build)
+		if o.residual != nil {
+			o.env.Row = row
+			if v := o.residual(&o.env); v.IsNull() || !v.AsBool() {
+				return false, nil
+			}
+		}
+	}
+	o.slab.keep()
+	if o.rows = append(o.rows, row); len(o.rows) < BatchRows {
+		return true, nil
+	}
+	return true, o.flush()
+}
+
+// flush hands on the rows accepted since the last window.
+func (o *joinOut) flush() error {
+	if len(o.rows) == 0 {
+		return nil
+	}
+	rows := o.rows
+	o.rows = nil
+	return o.send(rows)
+}
+
+// vecJoinCode is the join under a row-consuming parent. The scan feed runs
+// a joinOut per probe morsel, on its worker, reading the probe columns by
+// position — once per position, however many build rows it matches — and
+// sending its windows through the ordered hand-off; the row feed runs one
+// joinOut over the probe side's rows.
+func vecJoinCode(x *JoinPlan, ctx *execCtx) (vpipe, error) {
+	j, err := newCodeJoin(x, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1062,63 +1208,68 @@ func vecJoinCode(x *JoinPlan, info joinCodeInfo, ctx *execCtx) (vpipe, error) {
 			return nil, err
 		}
 	}
-	nProbe := j.prep.ncols
-	width := nProbe + len(x.R.columns())
+	nProbe := len(x.L.columns())
+	sink := func(send func([]value.Row) error) *joinOut {
+		return &joinOut{nProbe: nProbe, residual: residual, env: Env{Params: ctx.params}, slab: rowSlab{width: len(x.columns())}, send: send}
+	}
 
 	return func(emit func([]value.Row) error) error {
 		run, err := j.open()
 		if err != nil {
 			return err
 		}
+		if run == nil {
+			out := sink(emit)
+			if err := j.left(func(rows []value.Row) error {
+				return j.probeRows(rows, func(i int, build value.Row) (bool, error) {
+					row := out.slab.row()
+					copy(row, rows[i])
+					return out.add(row, build)
+				})
+			}); err != nil {
+				return err
+			}
+			return out.flush()
+		}
 		return drainOrdered(run, func(t *scanTask, w int, send func([]value.Row)) {
 			run.process(t, w, func(sel selection) {
-				var out []value.Row
-				slab := rowSlab{width: width}
-				env := Env{Params: ctx.params}
-				var probed value.Row
-				probedPos := -1
-				j.probe(t, sel, run.scratch[w], func(pos int, build value.Row) bool {
-					row := slab.row()
-					// A position with several matches reads its columns once.
-					if pos == probedPos {
-						copy(row[:nProbe], probed)
+				out := sink(func(rows []value.Row) error {
+					if run.stop.Load() {
+						return errStop
+					}
+					send(rows)
+					return nil
+				})
+				probed := -1 // the input whose columns prev holds
+				var prev value.Row
+				if j.probeMorsel(t, sel, run.scratch[w], func(i int, build value.Row) (bool, error) {
+					row := out.slab.row()
+					if i == probed {
+						copy(row[:nProbe], prev)
 					} else {
+						pos := sel.at(i)
 						for c := range t.readers {
 							row[c] = t.readers[c].value(pos)
 						}
 					}
-					probed, probedPos = row[:nProbe], pos
-					if build == nil {
-						clear(row[nProbe:])
-					} else {
-						copy(row[nProbe:], build)
-						if residual != nil {
-							env.Row = row
-							if v := residual(&env); v.IsNull() || !v.AsBool() {
-								return false
-							}
-						}
-					}
-					slab.keep()
-					out = append(out, row)
-					return true
-				})
-				if len(out) > 0 {
-					send(out)
+					probed, prev = i, row[:nProbe]
+					return out.add(row, build)
+				}) == nil {
+					out.flush()
 				}
 			})
 		}, emit)
 	}, nil
 }
 
-// vecAggJoinCode fuses an aggregate into the code join's probe: the sink
-// folds each (position, build row) pair straight into an aggFold, per
-// worker or — order-sensitive aggregations — in morsel order
+// vecAggJoinCode fuses an aggregate into the probe of a join over a scan:
+// the sink folds each (position, build row) pair straight into an aggFold,
+// per worker or — order-sensitive aggregations — in morsel order
 // (foldMorsels), so neither a probe row nor a joined row is ever built. A
 // group's first-seen rank is (morsel, ordinal in the morsel's join output).
 // Keys and arguments are bare columns: nothing is evaluated per pair.
-func vecAggJoinCode(jp *JoinPlan, jinfo joinCodeInfo, in *aggInput, ctx *execCtx) (vpipe, error) {
-	j, err := newCodeJoin(jp, jinfo, ctx)
+func vecAggJoinCode(jp *JoinPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
+	j, err := newCodeJoin(jp, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1135,10 +1286,10 @@ func vecAggJoinCode(jp *JoinPlan, jinfo joinCodeInfo, in *aggInput, ctx *execCtx
 			func() *aggFold { return newAggFold(in, interner, j.prep.ncols) },
 			func(f *aggFold, t *scanTask, sel selection, scr *scanScratch) {
 				rank := t.rankBase()
-				j.probe(t, sel, scr, func(pos int, build value.Row) bool {
-					f.foldRow(t, pos, build, rank)
+				j.probeMorsel(t, sel, scr, func(i int, build value.Row) (bool, error) {
+					f.foldRow(t, sel.at(i), build, rank)
 					rank++
-					return true
+					return true, nil
 				})
 			})
 		return emit(finishAgg(folds, nil))

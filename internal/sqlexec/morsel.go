@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/columnstore"
@@ -18,15 +17,14 @@ import (
 const morselRows = 16 * columnstore.StampBlockRows
 
 // vecPool is the per-query worker pool. One pool is shared by every
-// vectorized operator of a statement (scan morsels, partitioned hash-join
-// build, partial aggregation), so a query never runs more than `workers`
-// goroutines regardless of plan shape.
+// vectorized operator of a statement (scan morsels, partial aggregation,
+// join probes), so a query never runs more than `workers` goroutines
+// regardless of plan shape.
 type vecPool struct {
 	workers int
 	jobs    chan vecJob
 	wg      sync.WaitGroup
 	busyNS  []int64 // per-worker accumulated busy time
-	stopped atomic.Bool
 }
 
 // vecJob is one unit of work, sent by value: task i of a runTasks call,
@@ -89,7 +87,7 @@ func (ctx *execCtx) poolSize() int {
 // its rows cost; its busy time still reaches sql_vec_worker_busy_us when
 // the statement ends. More tasks go to the statement's worker pool, in
 // ascending order, each as a vecJob value. Scan drain, partial aggregation
-// and the partitioned join build all dispatch through here.
+// and join probes all dispatch through here.
 func (ctx *execCtx) runTasks(n int, job func(i, worker int)) {
 	switch n {
 	case 0:
@@ -122,13 +120,6 @@ func (ctx *execCtx) endInline(t0 time.Time) { ctx.inlineNS += time.Since(t0).Nan
 
 // submit hands a job to the pool, blocking until a worker is free.
 func (p *vecPool) submit(j vecJob) { p.jobs <- j }
-
-// stop requests that in-flight and queued jobs finish early (jobs poll
-// stopping); used when a LIMIT downstream has seen enough rows.
-func (p *vecPool) stop() { p.stopped.Store(true) }
-
-// stopping reports whether downstream asked to cut the query short.
-func (p *vecPool) stopping() bool { return p.stopped.Load() }
 
 // close shuts the pool down, waits for the workers, and reports each
 // worker's busy time to the observability layer.

@@ -362,6 +362,15 @@ var parityQueries = []struct {
 	{sql: `SELECT region, COUNT(DISTINCT status), COUNT(*) FROM orders GROUP BY region`},
 	{sql: `SELECT status, AVG(DISTINCT yr), SUM(DISTINCT yr) FROM orders GROUP BY status`},
 	{sql: `SELECT o.status, COUNT(*), SUM(i.qty) FROM orders o JOIN items i ON o.id = i.order_id AND i.qty < o.yr - 2005 GROUP BY o.status`},
+	// Joins whose key is rendered, not coded: two columns, a computed key, a
+	// DOUBLE key, an INT = DOUBLE key (a kind never equals another), a probe
+	// side that is itself a join, and a table function probing LEFT OUTER.
+	{sql: `SELECT o.id, s.amount FROM orders o JOIN sales s ON o.region = s.region AND o.yr = s.yr WHERE o.id < 60`},
+	{sql: `SELECT o.id, i.qty, i.sku FROM orders o JOIN items i ON o.id + 1 = i.order_id`},
+	{sql: `SELECT a.id, b.id FROM orders a JOIN orders b ON a.amount = b.amount WHERE a.id < 200`},
+	{sql: `SELECT o.id, s.yr FROM orders o LEFT JOIN sales s ON o.yr = s.amount WHERE o.id < 30`},
+	{sql: `SELECT o.id, i.sku, s.amount FROM orders o JOIN items i ON o.id = i.order_id JOIN sales s ON o.yr = s.yr AND o.region = s.region WHERE i.qty = 3`},
+	{sql: `SELECT x.n, o.status FROM TABLE(NUMS(130)) x LEFT JOIN orders o ON x.n = o.id AND o.yr >= 2012`},
 }
 
 // resultKeys renders rows for exact ordered comparison.
@@ -491,20 +500,16 @@ func TestExecutorsReportTheSameError(t *testing.T) {
 	}
 }
 
-// TestCrossProductLeavesInWindows: a keyless join emits each probe batch's
-// output in windows of at most BatchRows, so what it holds at once is
-// bounded by the build side and not by the product. 16 000 probe rows
-// against 6 build rows: every probe batch of 1 024 rows makes 6 144.
-func TestCrossProductLeavesInWindows(t *testing.T) {
-	e := parityEngine(t)
+// planJoin plans sql on e and returns the plan's topmost join.
+func planJoin(t *testing.T, e *Engine, sql string) *JoinPlan {
+	t.Helper()
 	s := e.NewSession()
 	defer s.Close()
-	stmt, err := Parse(`SELECT e.qty, d.dname FROM events e JOIN dims d ON e.qty >= 0`)
+	stmt, err := Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := e.Mgr.Now()
-	plan, err := s.planSelect(stmt.(*SelectStmt), ts)
+	plan, err := s.planSelect(stmt.(*SelectStmt), e.Mgr.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,30 +517,84 @@ func TestCrossProductLeavesInWindows(t *testing.T) {
 	for p := plan; join == nil; p = planChildren(p)[0] {
 		join, _ = p.(*JoinPlan)
 	}
-	if len(join.EquiL) != 0 {
-		t.Fatalf("not a keyless join: %s", planLabel(join))
+	return join
+}
+
+// TestJoinLeavesInWindows: a join emits its output in windows of at most
+// BatchRows, so what it holds at once is bounded by the build side and not
+// by its output — a keyless join's every probe morsel of 16 384 rows
+// against 6 build rows, and an equi join's morsel matching up to two build
+// rows per probe row alike.
+func TestJoinLeavesInWindows(t *testing.T) {
+	e := parityEngine(t)
+	for _, c := range []struct {
+		sql  string
+		keys int
+		min  int
+	}{
+		{`SELECT e.qty, d.dname FROM events e JOIN dims d ON e.qty >= 0`, 0, 16 * BatchRows},
+		{`SELECT e.qty, d.dname FROM events e JOIN dims d ON e.region = d.region`, 1, 8 * BatchRows},
+	} {
+		join := planJoin(t, e, c.sql)
+		if len(join.EquiL) != c.keys {
+			t.Fatalf("%s: planned %s, want %d keys", c.sql, planLabel(join), c.keys)
+		}
+		ctx := &execCtx{ts: e.Mgr.Now(), reg: e.Reg, stats: &ExecStats{}, workers: 3, scratch: &e.scratch}
+		vp, err := vecCompile(join, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, peak := 0, 0
+		if err := vp(func(batch []value.Row) error {
+			rows, peak = rows+len(batch), max(peak, len(batch))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ctx.finish()
+		e.Mode = ModeInterpreted
+		want := len(mustExec(t, e, c.sql).Rows)
+		if rows != want || rows < c.min {
+			t.Fatalf("%s: join emitted %d rows, interpreted %d", c.sql, rows, want)
+		}
+		if peak > BatchRows {
+			t.Errorf("%s: largest batch %d rows, want at most %d", c.sql, peak, BatchRows)
+		}
 	}
-	ctx := &execCtx{ts: ts, reg: e.Reg, stats: &ExecStats{}, workers: 3, scratch: &e.scratch}
-	vp, err := vecCompile(join, ctx)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestOneSidedOnConjunctFiltersItsSide: an inner join's ON conjunct over one
+// side is that side's scan filter, and a constant keys nothing — so the
+// join keeps its single code key and its probe never renders one.
+func TestOneSidedOnConjunctFiltersItsSide(t *testing.T) {
+	e := parityEngine(t)
+	join := planJoin(t, e, `SELECT e.qty, d.dname FROM events e JOIN dims d ON e.region = d.region AND d.dname = 'nope'`)
+	if got, want := Explain(join), "HashJoin e.region=d.region\n  Scan events AS e [1/1 partitions]\n  Scan dims AS d [1/1 partitions] filter=(d.dname = 'nope')\n"; got != want {
+		t.Fatalf("planned\n%s\nwant\n%s", got, want)
 	}
-	rows, peak := 0, 0
-	if err := vp(func(batch []value.Row) error {
-		rows, peak = rows+len(batch), max(peak, len(batch))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	if s := joinShapeOf(join); s.scan == nil || s.keyCol < 0 {
+		t.Fatalf("not a code join: %+v", s)
 	}
-	if ctx.pool != nil {
-		ctx.pool.close()
+	// A LEFT OUTER join's ON clause decides matching: it stays.
+	join = planJoin(t, e, `SELECT e.qty, d.dname FROM events e LEFT JOIN dims d ON e.region = d.region AND d.dname = 'nope'`)
+	if join.Residual == nil || len(join.EquiL) != 1 {
+		t.Fatalf("LEFT JOIN's ON clause moved: %s", planLabel(join))
 	}
-	e.Mode = ModeInterpreted
-	want := mustExec(t, e, `SELECT COUNT(*) FROM events e JOIN dims d ON e.qty >= 0`).Rows[0][0].AsInt()
-	if int64(rows) != want || rows < 16*BatchRows {
-		t.Fatalf("join emitted %d rows, interpreted counts %d", rows, want)
-	}
-	if peak > BatchRows {
-		t.Fatalf("largest batch %d rows, want at most %d", peak, BatchRows)
+}
+
+// TestJoinCountsItsOwnSides: both executors report the rows a join built
+// from and probed with as the join counted them, also when the build side
+// is empty and the probe scan is fused into the join.
+func TestJoinCountsItsOwnSides(t *testing.T) {
+	e := parityEngine(t)
+	for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
+		e.Mode = mode
+		_, prof, err := e.AnalyzeSQL(`SELECT COUNT(*) FROM events e JOIN dims d ON e.region = d.region WHERE d.dname = 'nope'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text := prof.Render(); !strings.Contains(text, "build=0 probe=19758") {
+			t.Errorf("%s: no build=0 probe=19758 on the join:\n%s", mode, text)
+		}
 	}
 }

@@ -561,7 +561,10 @@ func (pl *Planner) optimize(p Plan) Plan {
 }
 
 // pushDown sinks filter conjuncts into the scans (or join conditions) that
-// cover them and turns l.x = r.y conditions into hash-join keys.
+// cover them and turns l.x = r.y conditions into hash-join keys. An inner
+// join's ON conjunct that reads one side only is that side's filter, exactly
+// like a WHERE conjunct; a LEFT OUTER join's ON clause decides matching, and
+// stays where it is.
 func (pl *Planner) pushDown(p Plan) Plan {
 	switch x := p.(type) {
 	case *FilterPlan:
@@ -575,6 +578,11 @@ func (pl *Planner) pushDown(p Plan) Plan {
 	case *JoinPlan:
 		x.L = pl.pushDown(x.L)
 		x.R = pl.pushDown(x.R)
+		if !x.LeftOuter {
+			var buf [8]Expr
+			rest := pl.pushConjuncts(x.L, appendConjuncts(buf[:0], x.Residual))
+			x.Residual = andAll(pl.pushConjuncts(x.R, rest))
+		}
 		pl.extractEquiKeys(x)
 	}
 	return p
@@ -599,9 +607,9 @@ func (pl *Planner) finish(p Plan) {
 }
 
 // pushConjuncts tries to sink each conjunct into a scan (or through joins)
-// and returns the conjuncts it could not place.
+// and returns the conjuncts it could not place, in conjs' own memory.
 func (pl *Planner) pushConjuncts(p Plan, conjs []Expr) []Expr {
-	var rest []Expr
+	rest := conjs[:0]
 	for _, c := range conjs {
 		if !pl.pushOne(p, c) {
 			rest = append(rest, c)
@@ -668,6 +676,14 @@ func coveredBy(e Expr, cols []Column) bool {
 	return true
 }
 
+// sideKey reports whether e can key one side of a hash join, the side whose
+// columns are cols: it reads at least one of them and nothing else. A
+// constant keys no side.
+func sideKey(e Expr, cols []Column) bool {
+	var buf [8]*ColRef
+	return len(appendColRefs(buf[:0], e)) > 0 && coveredBy(e, cols)
+}
+
 // extractEquiKeys moves residual conjuncts of the form l.x = r.y into the
 // hash-join key lists. Extraction is append-only and idempotent: keys
 // already extracted stay; only conjuncts still in Residual are examined
@@ -682,11 +698,11 @@ func (pl *Planner) extractEquiKeys(j *JoinPlan) {
 		be, ok := c.(*BinaryExpr)
 		if ok && be.Op == "=" {
 			switch {
-			case coveredBy(be.L, lcols) && coveredBy(be.R, rcols):
+			case sideKey(be.L, lcols) && sideKey(be.R, rcols):
 				j.EquiL = append(j.EquiL, be.L)
 				j.EquiR = append(j.EquiR, be.R)
 				continue
-			case coveredBy(be.R, lcols) && coveredBy(be.L, rcols):
+			case sideKey(be.R, lcols) && sideKey(be.L, rcols):
 				j.EquiL = append(j.EquiL, be.R)
 				j.EquiR = append(j.EquiR, be.L)
 				continue
@@ -748,8 +764,8 @@ func (s *ScanPlan) scanParts() []*catalog.Partition {
 // --- compressed-execution eligibility ---------------------------------------
 //
 // The late-materialization paths (exec_vector_code.go) key on canonical
-// int64 codes only where that translation is exact; an aggregation that
-// cannot renders its keys instead, a join runs on the boxed hash join.
+// int64 codes only where that translation is exact; an aggregation or a
+// join that cannot renders its keys instead.
 
 // findCol resolves a column reference against a plan node's output
 // columns with exactly the executor resolver's semantics (including the
@@ -979,37 +995,33 @@ func aggOrdered(x *AggPlan, cols []Column) bool {
 	return false
 }
 
-// joinCodeInfo is the shape summary of a code-keyed hash join: the probe
-// (left) side is a scan whose single equi key is a bare reference to a
-// non-float column.
-type joinCodeInfo struct {
-	scan    *ScanPlan
-	keyCol  int
+// joinShape is the shape summary of a join over its probe (left) side.
+// Every join has one: a probe side that is a scan feeds the probe by morsel
+// positions, and a single equi key that is a bare column of a code-key kind
+// of that scan probes on codes (keyCol). Any other key list — several keys,
+// computed or float keys, none, or any key over a probe side that is not a
+// scan — is rendered. Only the probe side shapes the join: the build side
+// drains boxed whichever plan it is, so a join where only one side is
+// dictionary-encoded probes on codes all the same.
+type joinShape struct {
+	scan    *ScanPlan // the probe side, when it is a scan
+	keyCol  int       // the code key's column of scan; -1 when the key is rendered
 	keyKind value.Kind
 }
 
-// joinCodeShape reports whether a hash join can probe on integer codes.
-// Only the probe side needs the shape: the build side drains boxed
-// whichever plan it is, so joins where only one side is dict-encoded
-// qualify naturally (the build keys are interned into the probe key
-// space once, at build time).
-func joinCodeShape(x *JoinPlan) (joinCodeInfo, bool) {
-	if len(x.EquiL) != 1 {
-		return joinCodeInfo{}, false
+// joinShapeOf summarizes x over its probe side.
+func joinShapeOf(x *JoinPlan) joinShape {
+	s := joinShape{keyCol: -1}
+	s.scan, _ = x.L.(*ScanPlan)
+	if s.scan == nil || len(x.EquiL) != 1 {
+		return s
 	}
-	s, ok := x.L.(*ScanPlan)
-	if !ok {
-		return joinCodeInfo{}, false
+	if cr, ok := x.EquiL[0].(*ColRef); ok {
+		if c := findCol(s.scan.cols, cr); c >= 0 && codeKeyKind(s.scan.cols[c].Kind) {
+			s.keyCol, s.keyKind = c, s.scan.cols[c].Kind
+		}
 	}
-	cr, ok := x.EquiL[0].(*ColRef)
-	if !ok {
-		return joinCodeInfo{}, false
-	}
-	idx := findCol(s.cols, cr)
-	if idx < 0 || !codeKeyKind(s.cols[idx].Kind) {
-		return joinCodeInfo{}, false
-	}
-	return joinCodeInfo{scan: s, keyCol: idx, keyKind: s.cols[idx].Kind}, true
+	return s
 }
 
 // projectScanShape reports whether a projection directly over a scan is

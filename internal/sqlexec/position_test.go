@@ -228,12 +228,16 @@ var joinAggQueries = []struct {
 	{`SELECT f.k, d.name, COUNT(*) FROM fact f JOIN dim d ON f.k = d.k GROUP BY f.k, d.name`, true},
 	{`SELECT COUNT(DISTINCT d.name) FROM fact f JOIN dim d ON f.k = d.k`, true},
 	{`SELECT d.name, COUNT(DISTINCT f.q), SUM(DISTINCT f.v) FROM fact f JOIN dim d ON f.k = d.k GROUP BY d.name`, true},
+	// A rendered join key over the probe scan fuses all the same.
+	{`SELECT d.name, COUNT(*), SUM(f.q), SUM(d.w) FROM fact f JOIN dim d ON f.k = d.k AND f.ik = d.ik GROUP BY d.name`, true},
 	// Shapes the fused sink rejects must be as correct over the join's
 	// rows: a join residual, an expression key, a computed argument.
 	{`SELECT d.name, COUNT(*), SUM(f.v) FROM fact f JOIN dim d ON f.k = d.k AND f.q < d.w GROUP BY d.name`, false},
 	{`SELECT COUNT(*), SUM(f.v) FROM fact f LEFT JOIN dim d ON f.k = d.k AND f.q < d.w`, false},
 	{`SELECT f.q % 5, COUNT(*) FROM fact f JOIN dim d ON f.k = d.k GROUP BY f.q % 5`, false},
 	{`SELECT d.name, SUM(f.q * d.w) FROM fact f JOIN dim d ON f.k = d.k GROUP BY d.name`, false},
+	// A probe side that is a join is fed as rows.
+	{`SELECT d.name, COUNT(*), SUM(f.q), SUM(e.w) FROM fact f JOIN dim d ON f.k = d.k JOIN dim e ON d.ik = e.ik GROUP BY d.name`, false},
 }
 
 // TestVectorizedJoinAggMatrix: an aggregate fused into the code join's

@@ -253,31 +253,6 @@ func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.3fms", float64(d)/float64(time.Millisecond))
 }
 
-// finish derives cross-operator numbers that are cheaper to infer than to
-// instrument: hash-join build/probe sizes from the children's row counts.
-func (p *Profile) finish(pl Plan) {
-	if p == nil {
-		return
-	}
-	var walk func(Plan)
-	walk = func(n Plan) {
-		if j, ok := n.(*JoinPlan); ok {
-			op, l, r := p.node(j), p.node(j.L), p.node(j.R)
-			if op != nil && l != nil && r != nil && op.buildRows.Load() == 0 {
-				// Both executors build the hash table on the right
-				// (the planner's chooseBuildSide already put the smaller
-				// input there) and probe with the left.
-				op.buildRows.Store(r.rowsOut.Load())
-				op.probeRows.Store(l.rowsOut.Load())
-			}
-		}
-		for _, c := range planChildren(n) {
-			walk(c)
-		}
-	}
-	walk(pl)
-}
-
 // planChildren enumerates a plan node's inputs.
 func planChildren(p Plan) []Plan {
 	switch x := p.(type) {
