@@ -41,7 +41,9 @@ experiments:
 # fed arbitrary bytes after the handshake; the client's DataRow decoder)
 # never panic on hostile bytes and never allocate more than a constant
 # times the input; value.Parse, which reads every wire parameter, never
-# panics and reads back what AppendString renders, bit for bit.
+# panics and reads back what AppendString renders, bit for bit; and the
+# aggregates' exact float sum is the correctly rounded sum in any order and
+# under any split into partial sums.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEntry' -fuzztime 10s ./internal/soe/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
@@ -50,6 +52,7 @@ fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzServerFrames' -fuzztime 10s ./internal/pgwire/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeDataRows' -fuzztime 10s ./internal/pgwire/
 	$(GO) test -run xxx -fuzz 'FuzzParseValue' -fuzztime 10s ./internal/value/
+	$(GO) test -run xxx -fuzz 'FuzzExactSum' -fuzztime 10s ./internal/sqlexec/
 
 # Quick pass over the vectorized scan/aggregation micro-benchmarks, gated
 # by cmd/benchguard against the committed BENCH_vectorized_baseline.json.
@@ -70,8 +73,8 @@ benchcompressed:
 	$(GO) test -run xxx -bench 'BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE'
 
 # Position-based aggregation micro-benchmarks: the float GROUP BY folded
-# on dictionary codes in morsel order, two rendered keys with a computed
-# argument folded the same way, the aggregate fused into the code
+# on dictionary codes per worker into exact sums, two rendered keys with a
+# computed argument folded the same way, the aggregate fused into the code
 # join's probe, and the scans whose morsels are all visible — a global
 # aggregate over merged storage, and soe_fanout's two GROUP BYs over eight
 # unmerged partitions. A per-input-row allocation coming back shows as a

@@ -929,9 +929,9 @@ func BenchmarkScanMainNoFilter(b *testing.B) {
 var twoKeysEng *sqlexec.Engine
 
 // BenchmarkGroupByTwoKeys groups by two columns with a computed float
-// argument: the key is rendered per row into one reused buffer, the
+// argument: the key is rendered per row into one reused buffer and the
 // argument evaluated over a scratch row holding only the column it reads,
-// in morsel order (a computed sum's kind is unknown until it runs).
+// folded per worker into exact float sums.
 func BenchmarkGroupByTwoKeys(b *testing.B) {
 	if twoKeysEng == nil {
 		eng := sqlexec.NewEngine()

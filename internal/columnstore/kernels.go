@@ -441,7 +441,8 @@ func (c *DictColumn) filterIDNot(lo, hi int, ex uint64, sel []int) []int {
 
 // FilterRange appends the positions in [lo, hi) whose float satisfies
 // (op, k). Floats are stored flat, so this is a straight slice sweep.
-// NULL rows never match.
+// NULL rows never match. k is not NaN, and a NaN row sorts above it, as in
+// value.Compare: native =, <>, < and <= already agree, > and >= test for it.
 func (c *FloatColumn) FilterRange(lo, hi int, op CmpOp, k float64, sel []int) []int {
 	start := len(sel)
 	vals := c.Vals
@@ -472,13 +473,13 @@ func (c *FloatColumn) FilterRange(lo, hi int, op CmpOp, k float64, sel []int) []
 		}
 	case CmpGT:
 		for i := lo; i < hi; i++ {
-			if vals[i] > k {
+			if v := vals[i]; v > k || v != v {
 				sel = append(sel, i)
 			}
 		}
 	case CmpGE:
 		for i := lo; i < hi; i++ {
-			if vals[i] >= k {
+			if v := vals[i]; v >= k || v != v {
 				sel = append(sel, i)
 			}
 		}

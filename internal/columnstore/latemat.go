@@ -21,9 +21,18 @@ type codeRemap struct {
 	have   []bool
 }
 
-func (c *DictColumn) newCodeRemap(intern func(string) int64) codeRemap {
-	n := c.Dict.Len()
-	return codeRemap{dict: c.Dict, intern: intern, keys: make([]int64, n), have: make([]bool, n)}
+// remapOnStack is the largest dictionary whose remap lives in its caller's
+// frame: a call over a small dictionary allocates nothing.
+const remapOnStack = 64
+
+func (c *DictColumn) newCodeRemap(intern func(string) int64, keys *[remapOnStack]int64, have *[remapOnStack]bool) codeRemap {
+	r := codeRemap{dict: c.Dict, intern: intern}
+	if n := c.Dict.Len(); n <= remapOnStack {
+		r.keys, r.have = keys[:n], have[:n]
+	} else {
+		r.keys, r.have = make([]int64, n), make([]bool, n)
+	}
+	return r
 }
 
 func (r *codeRemap) key(id int) int64 {
@@ -38,7 +47,9 @@ func (r *codeRemap) key(id int) int64 {
 // small-int code into the table-wide sorted dictionary, remapped through a
 // per-call codeRemap.
 func (c *DictColumn) CodeKeys(sel []int, intern func(string) int64, nullKey int64, out []int64) []int64 {
-	remap := c.newCodeRemap(intern)
+	var keys [remapOnStack]int64
+	var have [remapOnStack]bool
+	remap := c.newCodeRemap(intern, &keys, &have)
 	for _, pos := range sel {
 		if c.Nulls != nil && c.Nulls.Get(pos) {
 			out = append(out, nullKey)
@@ -53,7 +64,9 @@ func (c *DictColumn) CodeKeys(sel []int, intern func(string) int64, nullKey int6
 // out of the packed words a stack buffer at a time instead of being
 // re-addressed per position.
 func (c *DictColumn) CodeKeysRange(lo, hi int, intern func(string) int64, nullKey int64, out []int64) []int64 {
-	remap := c.newCodeRemap(intern)
+	var keys [remapOnStack]int64
+	var have [remapOnStack]bool
+	remap := c.newCodeRemap(intern, &keys, &have)
 	var buf [256]uint64
 	for lo < hi {
 		end := min(lo+len(buf), hi)

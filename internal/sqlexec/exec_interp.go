@@ -723,74 +723,102 @@ type aggState struct {
 	arg  evalFn
 }
 
-// aggAcc is the running state of one aggregate within one group.
+// aggAcc is the running state of one aggregate within one group. Two
+// accumulators of an aggregate over any split of its input merge into the
+// accumulator of the whole, so input may be folded in any order: float
+// addends sum exactly, and a DISTINCT aggregate keeps the values it counted.
 type aggAcc struct {
-	count   int64
-	sumI    int64
-	sumF    float64
-	isFloat bool
-	min     value.Value
-	max     value.Value
-	seen    map[string]bool // DISTINCT
+	count    int64
+	sumI     int64
+	sumF     exactSum // sumF.on: some addend was a float
+	min, max value.Value
+	seen     map[string]value.Value // DISTINCT, by AsString
 }
 
-func (a *aggAcc) add(v value.Value, spec aggSpec) {
-	if spec.Star {
-		a.count++
-		return
-	}
-	if v.IsNull() {
-		return
-	}
-	if spec.Distinct {
-		if a.seen == nil {
-			a.seen = map[string]bool{}
-		}
+// add folds n copies of v in one step — a run: COUNT gains n, SUM and AVG
+// v × n, MIN and MAX compare once, and a DISTINCT aggregate counts v once,
+// the first time its seen-set meets it.
+func (a *aggAcc) add(v value.Value, n int64, spec aggSpec) {
+	switch {
+	case n <= 0:
+	case spec.Star:
+		a.count += n
+	case v.IsNull():
+	case spec.Distinct:
 		k := v.AsString()
-		if a.seen[k] {
+		if _, dup := a.seen[k]; dup {
 			return
 		}
-		a.seen[k] = true
-	}
-	a.count++
-	switch v.K {
-	case value.KindFloat:
-		a.isFloat = true
-		a.sumF += v.F
+		if a.seen == nil {
+			a.seen = map[string]value.Value{}
+		}
+		a.seen[k], n = v, 1
+		fallthrough
 	default:
-		a.sumI += v.I
-	}
-	if a.min.IsNull() || value.Compare(v, a.min) < 0 {
-		a.min = v
-	}
-	if a.max.IsNull() || value.Compare(v, a.max) > 0 {
-		a.max = v
+		a.count += n
+		switch {
+		case spec.Fn != "SUM" && spec.Fn != "AVG": // nothing else reads a sum
+		case v.K == value.KindFloat:
+			a.sumF.addTimes(v.F, n)
+		default:
+			a.sumI += v.I * n
+		}
+		a.widen(v, v)
 	}
 }
 
-func (a *aggAcc) result(spec aggSpec) value.Value {
-	switch spec.Fn {
-	case "COUNT":
-		return value.Int(a.count)
-	case "SUM":
-		if a.count == 0 {
-			return value.Null
-		}
-		if a.isFloat {
-			return value.Float(a.sumF + float64(a.sumI))
-		}
-		return value.Int(a.sumI)
-	case "AVG":
-		if a.count == 0 {
-			return value.Null
-		}
-		return value.Float((a.sumF + float64(a.sumI)) / float64(a.count))
-	case "MIN":
-		return a.min
-	case "MAX":
-		return a.max
+// widen stretches [min, max] over lo and hi; NULL stretches nothing.
+func (a *aggAcc) widen(lo, hi value.Value) {
+	if !lo.IsNull() && (a.min.IsNull() || value.Compare(lo, a.min) < 0) {
+		a.min = lo
 	}
-	return value.Null
+	if !hi.IsNull() && (a.max.IsNull() || value.Compare(hi, a.max) > 0) {
+		a.max = hi
+	}
+}
+
+// merge folds b, the same aggregate spec over other input, into a: a
+// DISTINCT one adds the values of b's set that its own lacks.
+func (a *aggAcc) merge(b *aggAcc, spec aggSpec) {
+	for _, v := range b.seen {
+		a.add(v, 1, spec)
+	}
+	if b.seen == nil {
+		a.count += b.count
+		a.sumI += b.sumI
+		a.sumF.merge(&b.sumF)
+		a.widen(b.min, b.max)
+	}
+}
+
+// floatSum rounds the sum of every addend once. The integers' sum joins the
+// floats' exactly, as two float64 halves: it is the accumulator's last use.
+func (a *aggAcc) floatSum() float64 {
+	if hi := a.sumI &^ (1<<32 - 1); a.sumI != 0 {
+		a.sumF.add(float64(hi))
+		a.sumF.add(float64(a.sumI - hi))
+		a.sumI = 0
+	}
+	return a.sumF.round()
+}
+
+// result is the aggregate's value, and the accumulator's last use.
+func (a *aggAcc) result(spec aggSpec) value.Value {
+	switch {
+	case spec.Fn == "COUNT":
+		return value.Int(a.count)
+	case spec.Fn == "MIN":
+		return a.min
+	case spec.Fn == "MAX":
+		return a.max
+	case a.count == 0: // SUM or AVG of nothing
+		return value.Null
+	case spec.Fn == "AVG":
+		return value.Float(a.floatSum() / float64(a.count))
+	case a.sumF.on:
+		return value.Float(a.floatSum())
+	}
+	return value.Int(a.sumI)
 }
 
 func (it *aggIter) Open() error {
@@ -829,7 +857,7 @@ func (it *aggIter) Open() error {
 			if it.aggs[i].arg != nil {
 				v = it.aggs[i].arg(&env)
 			}
-			g.accs[i].add(v, it.aggs[i].spec)
+			g.accs[i].add(v, 1, it.aggs[i].spec)
 		}
 	}
 	// Aggregates without GROUP BY yield exactly one row.

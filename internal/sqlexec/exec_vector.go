@@ -26,9 +26,8 @@ import (
 // materialize boxed rows. Aggregation over a scan folds worker-local
 // partial tables merged at the end; a join probes a scan's morsels on the
 // workers against one hash table. Output is kept byte-identical to the
-// interpreter's:
-// scan batches emit in morsel order and merged aggregate groups sort by
-// first-seen input position.
+// interpreter's: scan batches emit in morsel order and merged aggregate
+// groups sort by first-seen input position.
 
 // vpipe pushes row batches into emit until exhausted.
 type vpipe func(emit func(rows []value.Row) error) error
@@ -323,23 +322,23 @@ func (s *scanScratch) rowEnv(width int, params []value.Value) *Env {
 // in a process (the data nodes of a cluster) do not evict each other's. A
 // last-in-first-out free list: the scratch a statement takes is the one the
 // statement before it warmed. It keeps what one run holds at once — a
-// scratch per worker (one per CPU unless more are configured) and one for
-// an ordered consumer, at most three morsel-sized vectors each — and drops
-// the rest, so what an idle engine retains is fixed by the CPU count: it
-// does not depend, as a sync.Pool's contents do, on how long ago the
-// collector last ran. The zero value is an empty pool. hook is set only by
-// tests: it sees every scratch taken (+1) and returned (-1).
+// scratch per worker (one per CPU unless more are configured), at most three
+// morsel-sized vectors each — and drops the rest, so what an idle engine
+// retains is fixed by the CPU count: it does not depend, as a sync.Pool's
+// contents do, on how long ago the collector last ran. The zero value is an
+// empty pool. hook is set only by tests: it sees every scratch taken (+1)
+// and returned (-1).
 type scratchPool struct {
 	mu   sync.Mutex
 	free []*scanScratch
-	wide int // the widest run's workers + 1, when that is more than NumCPU+1
+	wide int // the widest run's workers, when that is more than NumCPU
 	hook func(s *scanScratch, delta int)
 }
 
 // takeRun borrows one scratch for each worker of a run.
 func (p *scratchPool) takeRun(workers int) []*scanScratch {
 	p.mu.Lock()
-	p.wide = max(p.wide, workers+1)
+	p.wide = max(p.wide, workers)
 	p.mu.Unlock()
 	out := make([]*scanScratch, workers)
 	for w := range out {
@@ -376,7 +375,7 @@ func (p *scratchPool) put(s *scanScratch) {
 		p.hook(s, -1)
 	}
 	p.mu.Lock()
-	if len(p.free) < max(p.wide, runtime.NumCPU()+1) {
+	if len(p.free) < max(p.wide, runtime.NumCPU()) {
 		p.free = append(p.free, s)
 	}
 	p.mu.Unlock()
@@ -384,7 +383,7 @@ func (p *scratchPool) put(s *scanScratch) {
 
 // scanRun is one execution of a prepared scan: the morsel list plus
 // per-worker scratch, borrowed by newRun and returned by whichever of
-// drainOrdered and forEach runs the morsels.
+// drainOrdered and foldMorsels runs the morsels.
 type scanRun struct {
 	ctx       *execCtx
 	tasks     []scanTask  // one slab for the run; read through pointers once newRun has returned
@@ -403,13 +402,6 @@ func (r *scanRun) release() {
 		r.ctx.scratch.put(s)
 	}
 	r.scratch = nil
-}
-
-// forEach runs fn over every morsel on the statement's workers, in no
-// particular order, then releases the run.
-func (r *scanRun) forEach(fn func(t *scanTask, w int)) {
-	r.ctx.runTasks(len(r.tasks), func(i, w int) { fn(&r.tasks[i], w) })
-	r.release()
 }
 
 // newRun snapshots the partitions, binds kernels against each partition's
@@ -556,9 +548,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 // of the blocks they cannot vouch for). The residual predicate is the last
 // selection step, so consume sees the final selection whatever the
 // filter's shape. A sparse selection is memory of r.scratch[w]: consume
-// either finishes with it before returning or keeps worker w off its next
-// morsel until someone has (see foldMorsels). process does not touch it
-// afterwards.
+// finishes with it before returning, or copies it.
 func (r *scanRun) process(t *scanTask, w int, consume func(sel selection)) {
 	if r.stop.Load() {
 		return
@@ -653,17 +643,6 @@ func (r *scanRun) filterResidual(t *scanTask, scr *scanScratch, sel selection) s
 	return sparseSel(out)
 }
 
-// chargeFaults runs fn — work over a morsel's positions done outside
-// process, by an ordered consumer — and attributes the page faults it
-// takes to the scan operator, as process does for its own.
-func (r *scanRun) chargeFaults(fn func()) {
-	faults0, faultNS0 := extstore.FaultCounters()
-	fn()
-	r.ctx.mu.Lock()
-	attributeFaults(r.ctx.stats, r.op, faults0, faultNS0)
-	r.ctx.mu.Unlock()
-}
-
 // slabRows returns n rows of the given width carved out of one backing
 // array: a batch that leaves an operator costs two allocations, not one
 // per row.
@@ -756,19 +735,23 @@ type scanWindow struct {
 // refilling its scratch with its next morsel, unless lent — and reaches the
 // sink as a view, whose cells the sink reads on the statement's goroutine.
 // The page faults that takes are the scan's: process books them for an
-// inline morsel, chargeFaults otherwise.
+// inline morsel, show otherwise.
 func scanViews(s *ScanPlan, cols []int, ctx *execCtx) (func(emit func(RowBatch) error) error, error) {
 	return scanOut(s, cols, ctx, func(t *scanTask, sel selection, _ []int, lent bool) scanWindow {
 		if !lent && !sel.dense {
 			sel.pos = slices.Clone(sel.pos)
 		}
 		return scanWindow{t, sel}
-	}, func(r *scanRun, w scanWindow, cols []int, emit func(RowBatch) error) (err error) {
+	}, func(r *scanRun, w scanWindow, cols []int, emit func(RowBatch) error) error {
 		b := RowBatch{readers: w.t.readers, cols: cols, sel: w.sel}
 		if len(r.tasks) == 1 {
 			return emit(b)
 		}
-		r.chargeFaults(func() { err = emit(b) })
+		faults0, faultNS0 := extstore.FaultCounters()
+		err := emit(b)
+		r.ctx.mu.Lock()
+		attributeFaults(r.ctx.stats, r.op, faults0, faultNS0)
+		r.ctx.mu.Unlock()
 		return err
 	})
 }
@@ -783,11 +766,11 @@ const handoffDepth = 2
 // pool, and what it sends reaches consume on the calling goroutine in
 // morsel order — each morsel's values in the order sent — whatever order
 // the workers finish in. Every operator whose output depends on row order
-// — scan drain, fused projection, join probe, the order-sensitive folds —
-// comes through here with its own payload. A single morsel runs inline
-// and send is consume. With more, each morsel owns a channel of
-// handoffDepth values, closed when fn returns: a worker ahead of the
-// consumer blocks once its morsel's channel is full. That cannot
+// — scan drain, fused projection, join probe — comes through here with its
+// own payload. A single morsel runs inline and send is consume. With more,
+// each morsel owns a channel of handoffDepth values, closed when fn
+// returns: a worker ahead of the consumer blocks once its morsel's channel
+// is full. That cannot
 // deadlock: morsels are dispatched and consumed in ascending order, so the
 // morsel the consumer waits on was dispatched before any morsel a blocked
 // worker holds, and is either finished or running on a worker that only
@@ -934,7 +917,7 @@ func (r *colReader) value(pos int) value.Value {
 // the conjunct to the generic expression path for this partition.
 func bindKernel(snap *columnstore.Snapshot, p Pred) kernelFn {
 	mc := snap.MainColumn(p.Col)
-	if mc == nil || p.Lit.IsNull() {
+	if mc == nil || p.Lit.IsNull() || p.Lit.F != p.Lit.F { // NaN runs as Compare orders it
 		return nil
 	}
 	// Capability interfaces instead of concrete structs: hot columns and

@@ -57,62 +57,6 @@ func (it *strInterner) intern(s string) int64 {
 	return id
 }
 
-// addRepeat folds n identical values in one step — the run-length
-// contract: COUNT gains n, integer sums gain value × n (exact), MIN/MAX
-// compare once per run, and a DISTINCT aggregate sees the value once. A
-// float sum is never multiplied or regrouped: its n addends join one by
-// one, exactly as the interpreter adds them, so the ordered fold stays
-// bit-identical to them through run-length paths.
-func (a *aggAcc) addRepeat(v value.Value, n int64, spec aggSpec) {
-	if n <= 0 {
-		return
-	}
-	if spec.Star {
-		a.count += n
-		return
-	}
-	if spec.Distinct {
-		a.add(v, spec)
-		return
-	}
-	if v.IsNull() {
-		return
-	}
-	a.count += n
-	switch v.K {
-	case value.KindFloat:
-		a.isFloat = true
-		for ; n > 0; n-- {
-			a.sumF += v.F
-		}
-	default:
-		a.sumI += v.I * n
-	}
-	if a.min.IsNull() || value.Compare(v, a.min) < 0 {
-		a.min = v
-	}
-	if a.max.IsNull() || value.Compare(v, a.max) > 0 {
-		a.max = v
-	}
-}
-
-// merge folds another accumulator for the same aggregate into a. Only
-// non-DISTINCT state merges: a seen-set cannot be reconciled with the
-// partial sums it already filtered, which is why an aggregation with a
-// DISTINCT aggregate folds in ordered mode, as exactly one fold.
-func (a *aggAcc) merge(b *aggAcc) {
-	a.count += b.count
-	a.sumI += b.sumI
-	a.sumF += b.sumF
-	a.isFloat = a.isFloat || b.isFloat
-	if !b.min.IsNull() && (a.min.IsNull() || value.Compare(b.min, a.min) < 0) {
-		a.min = b.min
-	}
-	if !b.max.IsNull() && (a.max.IsNull() || value.Compare(b.max, a.max) > 0) {
-		a.max = b.max
-	}
-}
-
 // --- partial aggregation ----------------------------------------------------
 
 // aggInput is what the folds of one aggregation share: its shape and specs,
@@ -203,7 +147,7 @@ type aggGroup struct {
 }
 
 // aggFold is the one partial-aggregation table: every vectorized
-// aggregation folds into it, per worker or in order, and so does the
+// aggregation folds into it, one per worker, and so does the
 // coordinator's merge of node partials (FoldRows). A code key lands in a
 // flat array below the cutoff, an overflow map above it, or the NULL
 // group's slot. Every other key — several keys, computed or float keys, a
@@ -217,6 +161,7 @@ type aggGroup struct {
 type aggFold struct {
 	in       *aggInput
 	interner *strInterner
+	intern   func(string) int64 // interner's, bound by the first foldCodes: a method value allocates
 	// nProbe splits the input's column space: columns below it are the
 	// scan's, read by position; the rest index a join's build row. With
 	// nProbe 0 every column indexes the row.
@@ -370,7 +315,7 @@ func (f *aggFold) addArgs(g *aggGroup, t *scanTask, pos int, build value.Row) {
 		} else {
 			v = f.colValue(f.in.argCols[j], t, pos, build)
 		}
-		g.accs[j].add(v, spec)
+		g.accs[j].add(v, 1, spec)
 	}
 }
 
@@ -450,7 +395,10 @@ func codeKeys(kc columnstore.KeyCoder, sel selection, intern func(string) int64,
 // work is one int64 remap and an array index — each distinct string
 // decodes once per morsel, not once per row.
 func (f *aggFold) foldCodes(kc columnstore.KeyCoder, t *scanTask, sel selection, scr *scanScratch, base int64) {
-	scr.keys = codeKeys(kc, sel, f.interner.intern, scr.keys[:0])
+	if f.intern == nil {
+		f.intern = f.interner.intern
+	}
+	scr.keys = codeKeys(kc, sel, f.intern, scr.keys[:0])
 	for i, key := range scr.keys {
 		rank := base + int64(i)
 		var g *aggGroup
@@ -490,26 +438,13 @@ func (f *aggFold) foldRuns(rf columnstore.RunFolder, t *scanTask, sel selection,
 		n := int64(end - start)
 		g := f.groupFor(v, base+int64(start-sel.lo))
 		for j, spec := range f.in.specs {
-			ac := f.in.argCols[j]
-			switch {
+			switch ac := f.in.argCols[j]; {
 			case ac < 0:
-				g.accs[j].addRepeat(value.Null, n, spec)
+				g.accs[j].add(value.Null, n, spec)
 			case ac == f.in.groupCol:
-				g.accs[j].addRepeat(v, n, spec)
+				g.accs[j].add(v, n, spec)
 			default:
-				if arf, ok := t.snap.MainColumn(ac).(columnstore.RunFolder); ok {
-					arf.FoldRuns(start, end, func(av value.Value, s, e int) {
-						g.accs[j].addRepeat(av, int64(e-s), spec)
-						if e-s > 1 {
-							f.runsFolded++
-						}
-					})
-				} else {
-					rd := &t.readers[ac]
-					for p := start; p < end; p++ {
-						g.accs[j].add(rd.value(p), spec)
-					}
-				}
+				f.foldArg(&g.accs[j], spec, t, ac, start, end)
 			}
 		}
 		if n > 1 {
@@ -518,64 +453,71 @@ func (f *aggFold) foldRuns(rf columnstore.RunFolder, t *scanTask, sel selection,
 	})
 }
 
+// foldArg folds the main rows [lo, hi) of argument column ac into acc: whole
+// runs when the column has them, value by value otherwise.
+func (f *aggFold) foldArg(acc *aggAcc, spec aggSpec, t *scanTask, ac, lo, hi int) {
+	if arf, ok := t.snap.MainColumn(ac).(columnstore.RunFolder); ok {
+		arf.FoldRuns(lo, hi, func(av value.Value, s, e int) {
+			acc.add(av, int64(e-s), spec)
+			if e-s > 1 {
+				f.runsFolded++
+			}
+		})
+		return
+	}
+	for p := lo; p < hi; p++ {
+		acc.add(t.readers[ac].value(p), 1, spec)
+	}
+}
+
 // foldGlobal folds an aggregate-only morsel without any grouping:
-// COUNT(*) is the selection count, run-length arguments fold whole runs,
-// the rest read positions directly. Nothing is computed.
+// COUNT(*) is the selection count, a range over main storage folds its
+// arguments' runs, the rest read positions directly. Nothing is computed.
 func (f *aggFold) foldGlobal(t *scanTask, sel selection) {
 	g := f.globalGroup()
 	for j, spec := range f.in.specs {
-		ac := f.in.argCols[j]
-		if ac < 0 {
-			g.accs[j].addRepeat(value.Null, int64(sel.len()), spec)
-			continue
-		}
-		if sel.dense && t.main {
-			if arf, ok := t.snap.MainColumn(ac).(columnstore.RunFolder); ok {
-				arf.FoldRuns(sel.lo, sel.hi, func(av value.Value, s, e int) {
-					g.accs[j].addRepeat(av, int64(e-s), spec)
-					if e-s > 1 {
-						f.runsFolded++
-					}
-				})
-				continue
+		switch ac := f.in.argCols[j]; {
+		case ac < 0:
+			g.accs[j].add(value.Null, int64(sel.len()), spec)
+		case sel.dense && t.main:
+			f.foldArg(&g.accs[j], spec, t, ac, sel.lo, sel.hi)
+		default:
+			for i, n := 0, sel.len(); i < n; i++ {
+				g.accs[j].add(t.readers[ac].value(sel.at(i)), 1, spec)
 			}
-		}
-		rd := &t.readers[ac]
-		for i, n := 0, sel.len(); i < n; i++ {
-			g.accs[j].add(rd.value(sel.at(i)), spec)
 		}
 	}
 }
 
 // merge folds src, the same group of another fold, into g: the group
 // keeps the first-seen rank and key of whichever saw its key first.
-func (g *aggGroup) merge(src *aggGroup) {
+func (g *aggGroup) merge(src *aggGroup, specs []aggSpec) {
 	if src.first < g.first {
 		g.first, g.key = src.first, src.key
 	}
-	for i := range g.accs {
-		g.accs[i].merge(&src.accs[i])
+	for i, spec := range specs {
+		g.accs[i].merge(&src.accs[i], spec)
 	}
 }
 
 // adopt merges g into the group in *slot, or makes g that group.
-func adopt(slot **aggGroup, g *aggGroup) {
+func adopt(slot **aggGroup, g *aggGroup, specs []aggSpec) {
 	switch {
 	case g == nil:
 	case *slot == nil:
 		*slot = g
 	default:
-		(*slot).merge(g)
+		(*slot).merge(g, specs)
 	}
 }
 
 // adoptKey is adopt for the group under k in a map made on first use.
-func adoptKey[K comparable](m *map[K]*aggGroup, k K, g *aggGroup) {
+func adoptKey[K comparable](m *map[K]*aggGroup, k K, g *aggGroup, specs []aggSpec) {
 	if *m == nil {
 		*m = map[K]*aggGroup{}
 	}
 	slot := (*m)[k]
-	adopt(&slot, g)
+	adopt(&slot, g, specs)
 	(*m)[k] = slot
 }
 
@@ -586,17 +528,17 @@ func (f *aggFold) absorb(o *aggFold) {
 	for _, g := range o.flat {
 		if g != nil {
 			f.growFlat(g.code)
-			adopt(&f.flat[g.code], g)
+			adopt(&f.flat[g.code], g, f.in.specs)
 		}
 	}
 	for code, g := range o.overflow {
-		adoptKey(&f.overflow, code, g)
+		adoptKey(&f.overflow, code, g, f.in.specs)
 	}
 	for k, g := range o.keyed {
-		adoptKey(&f.keyed, k, g)
+		adoptKey(&f.keyed, k, g, f.in.specs)
 	}
-	adopt(&f.nullG, o.nullG)
-	adopt(&f.global, o.global)
+	adopt(&f.nullG, o.nullG, f.in.specs)
+	adopt(&f.global, o.global, f.in.specs)
 }
 
 // finishAgg merges the folds — there is always one — into the first, adds
@@ -612,21 +554,13 @@ func finishAgg(folds []*aggFold, zoneAccs []aggAcc) []value.Row {
 	if len(in.keyCols) == 0 {
 		list = []*aggGroup{f.globalGroup()}
 		for i := range zoneAccs {
-			list[0].accs[i].merge(&zoneAccs[i])
+			list[0].accs[i].merge(&zoneAccs[i], in.specs[i])
 		}
 	} else {
-		n := len(f.overflow) + len(f.keyed) + 1
-		for _, g := range f.flat {
-			if g != nil {
-				n++
-			}
-		}
-		list = make([]*aggGroup, 0, n)
-		for _, g := range f.flat {
-			if g != nil {
-				list = append(list, g)
-			}
-		}
+		// The flat array's groups, compacted in place (f is done with it),
+		// with room for every other group.
+		list = slices.DeleteFunc(f.flat, func(g *aggGroup) bool { return g == nil })
+		list = slices.Grow(list, len(f.overflow)+len(f.keyed)+1)
 		for _, g := range f.overflow {
 			list = append(list, g)
 		}
@@ -690,74 +624,22 @@ func FoldRows(batches [][]value.Row, groupCols int, fns []string) []value.Row {
 	return finishAgg([]*aggFold{f}, nil)
 }
 
-// morselSel is the ordered fold's hand-off payload: a morsel and its final
-// selection. A dense selection is two ints. A sparse one is lent: it stays
-// in the scratch of the worker that built it, and that worker starts no
-// other morsel until the consumer has folded this one and sent free.
-type morselSel struct {
-	t    *scanTask
-	sel  selection
-	free chan<- struct{} // non-nil when sel is sparse: tells the lender it is folded
-}
-
-// foldMorsels drives a fused aggregation over the run: every morsel's
-// selection phase — kernels, visibility, residual, cold-read stalls —
-// runs on the worker pool, and fold consumes the final selections.
-// Order-insensitive accumulators fold per worker, in whatever order the
-// morsels complete, and merge at the end. An order-sensitive aggregation —
-// a float sum, a DISTINCT seen-set — gets exactly one fold, fed in morsel
-// order: every input row joins its group in sequential row order, so a
-// float sum is bit-identical to the row executors under any scheduling and
-// no seen-set ever needs merging. With one worker the morsels already run
-// in order and the worker folds them in place; with more they come through
-// the ordered hand-off, which lends a sparse selection instead of copying
-// it or giving its scratch away: the run holds one scratch per worker and
-// one for the consumer however far the workers get ahead, where a scratch
-// per morsel in flight would be memory no bounded pool could lend twice.
-func (r *scanRun) foldMorsels(ordered bool, newFold func() *aggFold, fold func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)) []*aggFold {
-	if ordered && len(r.scratch) > 1 {
-		f := newFold()
-		own := r.ctx.scratch.take() // the consumer's key buffer
-		// mine[w] holds a token while worker w's scratch is its own to
-		// overwrite. The worker takes it before every morsel; whoever is done
-		// with that morsel's selection puts it back: the worker itself, or the
-		// consumer once it has folded a sparse one. Morsels are dispatched and
-		// folded in order and the fold never fails, so the morsel a worker
-		// waits on is always folded before the one the consumer waits on.
-		mine := make([]chan struct{}, len(r.scratch))
-		for w := range mine {
-			mine[w] = make(chan struct{}, 1)
-			mine[w] <- struct{}{}
-		}
-		_ = drainOrdered(r, func(t *scanTask, w int, send func(morselSel)) {
-			<-mine[w]
-			m := morselSel{t: t}
-			r.process(t, w, func(sel selection) { m.sel = sel })
-			if m.sel.dense || m.sel.len() == 0 {
-				mine[w] <- struct{}{}
-			} else {
-				m.free = mine[w]
-			}
-			send(m)
-		}, func(m morselSel) error {
-			if m.sel.len() > 0 {
-				r.chargeFaults(func() { fold(f, m.t, m.sel, own) })
-			}
-			if m.free != nil {
-				m.free <- struct{}{}
-			}
-			return nil
-		})
-		r.ctx.scratch.put(own)
-		return []*aggFold{f}
-	}
+// foldMorsels runs a fused aggregation of in over the run, a scan of ncols
+// columns, and releases it: each morsel's selection phase runs on the
+// worker pool and fold consumes its final selection into the worker's own
+// fold, in whatever order the morsels complete. Accumulators are order-free
+// (aggAcc), so finishAgg may merge the folds in any order too.
+func (r *scanRun) foldMorsels(in *aggInput, ncols int, fold func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)) []*aggFold {
+	interner := newStrInterner()
 	folds := make([]*aggFold, len(r.scratch))
 	for w := range folds {
-		folds[w] = newFold()
+		folds[w] = newAggFold(in, interner, ncols)
 	}
-	r.forEach(func(t *scanTask, w int) {
+	r.ctx.runTasks(len(r.tasks), func(i, w int) {
+		t := &r.tasks[i]
 		r.process(t, w, func(sel selection) { fold(folds[w], t, sel, r.scratch[w]) })
 	})
+	r.release()
 	return folds
 }
 
@@ -792,21 +674,12 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 			zoneAccs = make([]aggAcc, len(in.specs))
 			prep.zoneAgg = func(snap *columnstore.Snapshot, z *columnstore.ZoneMap) bool {
 				rows := snap.NumRows()
-				for i, spec := range in.specs {
-					ac := in.argCols[i]
-					switch {
-					case spec.Fn == "COUNT" && ac < 0:
+				for i, ac := range in.argCols {
+					if ac < 0 {
 						zoneAccs[i].count += int64(rows)
-					case spec.Fn == "COUNT":
+					} else {
 						zoneAccs[i].count += int64(z.Cols[ac].Count)
-					case spec.Fn == "MIN":
-						if z.Cols[ac].Count > 0 {
-							zoneAccs[i].add(z.Cols[ac].Min, spec)
-						}
-					case spec.Fn == "MAX":
-						if z.Cols[ac].Count > 0 {
-							zoneAccs[i].add(z.Cols[ac].Max, spec)
-						}
+						zoneAccs[i].widen(z.Cols[ac].Min, z.Cols[ac].Max)
 					}
 				}
 				zoneAvoided += int64(rows) * int64(prep.ncols) * 16
@@ -817,10 +690,7 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 		if err != nil {
 			return err
 		}
-		interner := newStrInterner()
-		folds := run.foldMorsels(in.ordered,
-			func() *aggFold { return newAggFold(in, interner, prep.ncols) },
-			(*aggFold).foldMorsel)
+		folds := run.foldMorsels(in, prep.ncols, (*aggFold).foldMorsel)
 		var runs, fused, avoided int64
 		for _, f := range folds {
 			runs += f.runsFolded
@@ -842,8 +712,7 @@ func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (vpipe, error) {
 		return nil, err
 	}
 	return func(emit func([]value.Row) error) error {
-		interner := newStrInterner()
-		f := newAggFold(in, interner, 0)
+		f := newAggFold(in, newStrInterner(), 0)
 		var rank int64
 		if err := rows(func(batch []value.Row) error {
 			for _, row := range batch {
@@ -1263,10 +1132,10 @@ func vecJoinCode(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 }
 
 // vecAggJoinCode fuses an aggregate into the probe of a join over a scan:
-// the sink folds each (position, build row) pair straight into an aggFold,
-// per worker or — order-sensitive aggregations — in morsel order
-// (foldMorsels), so neither a probe row nor a joined row is ever built. A
-// group's first-seen rank is (morsel, ordinal in the morsel's join output).
+// the sink folds each (position, build row) pair straight into the worker's
+// aggFold (foldMorsels), so neither a probe row nor a joined row is ever
+// built. A group's first-seen rank is (morsel, ordinal in the morsel's join
+// output).
 // Keys and arguments are bare columns: nothing is evaluated per pair.
 func vecAggJoinCode(jp *JoinPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 	j, err := newCodeJoin(jp, ctx)
@@ -1281,17 +1150,14 @@ func vecAggJoinCode(jp *JoinPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 		if j.op != nil {
 			j.op.fused = true
 		}
-		interner := newStrInterner()
-		folds := run.foldMorsels(in.ordered,
-			func() *aggFold { return newAggFold(in, interner, j.prep.ncols) },
-			func(f *aggFold, t *scanTask, sel selection, scr *scanScratch) {
-				rank := t.rankBase()
-				j.probeMorsel(t, sel, scr, func(i int, build value.Row) (bool, error) {
-					f.foldRow(t, sel.at(i), build, rank)
-					rank++
-					return true, nil
-				})
+		folds := run.foldMorsels(in, j.prep.ncols, func(f *aggFold, t *scanTask, sel selection, scr *scanScratch) {
+			rank := t.rankBase()
+			j.probeMorsel(t, sel, scr, func(i int, build value.Row) (bool, error) {
+				f.foldRow(t, sel.at(i), build, rank)
+				rank++
+				return true, nil
 			})
+		})
 		return emit(finishAgg(folds, nil))
 	}, nil
 }

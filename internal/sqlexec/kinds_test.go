@@ -190,47 +190,3 @@ func TestParamKinds(t *testing.T) {
 		}
 	}
 }
-
-// TestAggOrderedByPlannedKind: an aggregation folds in order for a DISTINCT
-// or a sum that is not planned as an integer's, and for nothing else. When
-// kinds stopped at scans and joins, every false case here read true: a
-// computed argument and a column of a derived table or a view were
-// "unknown", and summed on one goroutine.
-func TestAggOrderedByPlannedKind(t *testing.T) {
-	e := NewEngine()
-	mustExec(t, e, `CREATE TABLE items (qty INT, amount DOUBLE, sku VARCHAR)`)
-	mustExec(t, e, `CREATE VIEW iv AS SELECT qty, amount FROM items`)
-	s := e.NewSession()
-	defer s.Close()
-	for _, c := range []struct {
-		sql     string
-		ordered bool
-	}{
-		{`SELECT SUM(qty * 2) FROM items`, false},
-		{`SELECT sku, SUM(qty + 1), AVG(qty % 7) FROM items GROUP BY sku`, false},
-		{`SELECT SUM(q) FROM (SELECT qty AS q FROM items) d`, false},
-		{`SELECT SUM(qty) FROM iv`, false},
-		{`SELECT AVG(qty), MIN(amount), MAX(amount * 2), COUNT(amount) FROM iv`, false},
-		{`SELECT SUM(amount * 2) FROM items`, true},
-		{`SELECT SUM(qty / 2) FROM items`, true},
-		{`SELECT SUM(amount) FROM iv`, true},
-		{`SELECT COUNT(DISTINCT sku) FROM items`, true},
-		{`SELECT SUM(DISTINCT qty) FROM items`, true},
-	} {
-		stmt, err := Parse(c.sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := s.planSelect(stmt.(*SelectStmt), e.Mgr.Now())
-		if err != nil {
-			t.Fatalf("%s: %v", c.sql, err)
-		}
-		var agg *AggPlan
-		for p := plan; agg == nil; p = planChildren(p)[0] {
-			agg, _ = p.(*AggPlan)
-		}
-		if got := aggShapeOf(agg).ordered; got != c.ordered {
-			t.Errorf("%s: ordered = %v, want %v", c.sql, got, c.ordered)
-		}
-	}
-}

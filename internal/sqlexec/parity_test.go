@@ -85,8 +85,8 @@ func parityEngineLaidOut(t testing.TB, lay parityLayout) *Engine {
 	et := e.Cat.MustTable("events").Primary()
 	et.ApplyInsert(erows, 1)
 	// readings spans two morsels and carries the one DOUBLE measure on a
-	// multi-morsel table: float sums over it fold in morsel order, and its
-	// magnitudes make any regrouping of the addends show in the low bits.
+	// multi-morsel table: float sums over it fold per worker, and its
+	// magnitudes would show any regrouping of inexact addends in the low bits.
 	mustExec(t, e, `CREATE TABLE readings (id INT, site VARCHAR, temp DOUBLE, seq INT)`)
 	rrows := make([]value.Row, morselRows+2000)
 	for i := range rrows {

@@ -936,21 +936,19 @@ func codeKeyKind(k value.Kind) bool {
 // aggregation has one: a single GROUP BY expression that is a bare column
 // of a code-key kind keys the fold on codes (groupCol), anything else —
 // several keys, computed keys, float keys — renders its key. It says which
-// column feeds each key and each aggregate, whether anything must be
-// evaluated, and whether the fold must consume its input in order.
+// column feeds each key and aggregate, and whether any must be evaluated.
 type aggShape struct {
 	groupCol  int // the code key's column; -1 when the key is rendered or there is none
 	groupKind value.Kind
 	keyCols   []int // per GROUP BY expression: its bare column, -1 when computed
 	argCols   []int // per aggregate: its bare column, -1 for COUNT(*) or a computed argument
 	computed  bool  // some key or argument is an expression to evaluate
-	ordered   bool
 }
 
 // aggShapeOf summarizes x over its child's columns.
 func aggShapeOf(x *AggPlan) aggShape {
 	cols := x.Child.columns()
-	s := aggShape{groupCol: -1, ordered: aggOrdered(x, cols)}
+	s := aggShape{groupCol: -1}
 	bare := func(e Expr) int {
 		if cr, ok := e.(*ColRef); ok {
 			return findCol(cols, cr)
@@ -974,25 +972,6 @@ func aggShapeOf(x *AggPlan) aggShape {
 		s.argCols = append(s.argCols, c)
 	}
 	return s
-}
-
-// aggOrdered reports whether x must fold its input in order, as exactly
-// one fold. A DISTINCT aggregate must: its seen-set filters what it adds,
-// and two folds' sets cannot merge once their partial sums have been
-// filtered. So must a floating-point sum, whose value depends on addition
-// order: a SUM or AVG whose argument is not planned as an integer over the
-// input's columns cols. Which worker runs which morsel is the scheduler's
-// business, so per-worker folds would group the addends differently run to
-// run and the output would no longer be byte-identical to the
-// interpreter's. Integer sums, counts and min/max are exact under any
-// grouping.
-func aggOrdered(x *AggPlan, cols []Column) bool {
-	for _, a := range x.Aggs {
-		if a.Distinct || (a.Fn == "SUM" || a.Fn == "AVG") && exprKind(a.Arg, cols) != value.KindInt {
-			return true
-		}
-	}
-	return false
 }
 
 // joinShape is the shape summary of a join over its probe (left) side.

@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,16 +16,19 @@ import (
 // exchange (morsel, selection vector), results stay bit-identical to the
 // row executors, and no per-input-row allocation comes back.
 
-// --- (a) bit-identity of the ordered fold ------------------------------------
+// --- (a) one answer in any order --------------------------------------------
 
 // mags mixes magnitudes so that float association matters: regrouping or
-// reordering any stretch of these addends changes the sum's low bits.
+// reordering any stretch of these addends changes a left-to-right sum's low
+// bits, and leaves an exact sum's alone.
 var mags = []float64{1e16, 1, -1e16, 0.1, 3.3e-5, 7e15, -7e15, 12345.678, 2.5e-9, -0.3}
 
-// orderedFoldEngine builds a two-partition table whose every partition
-// has two main morsels plus a delta tail (six morsels in all), with NULL
-// amounts, NULL group keys and deletes in main and delta.
-func orderedFoldEngine(t testing.TB) *Engine {
+// foldEngine builds a two-partition table whose every partition has two
+// main morsels plus a delta tail (six morsels in all), with NULL amounts,
+// NULL group keys and deletes in main and delta. order 0 inserts each
+// partition's rows by id; any other order inserts them in a permutation of
+// its own, so the same rows land in other morsels, at other positions.
+func foldEngine(t testing.TB, order int64) *Engine {
 	t.Helper()
 	e := NewEngine()
 	mustExec(t, e, `CREATE TABLE ledger (p INT, id INT, acct VARCHAR, bucket INT, amount DOUBLE) PARTITION BY RANGE(p) VALUES (1)`)
@@ -42,17 +46,16 @@ func orderedFoldEngine(t testing.TB) *Engine {
 	}
 	const mainRows, deltaRows = morselRows + 1500, 700
 	for pi, part := range ent.Partitions {
-		rows := make([]value.Row, mainRows)
+		rows := make([]value.Row, mainRows+deltaRows)
 		for i := range rows {
 			rows[i] = row(pi, i)
 		}
-		part.Table.ApplyInsert(rows, 1)
-		part.Table.Merge(2)
-		rows = make([]value.Row, deltaRows)
-		for i := range rows {
-			rows[i] = row(pi, mainRows+i)
+		if order != 0 {
+			rand.New(rand.NewSource(order*10+int64(pi))).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 		}
-		part.Table.ApplyInsert(rows, 3)
+		part.Table.ApplyInsert(rows[:mainRows], 1)
+		part.Table.Merge(2)
+		part.Table.ApplyInsert(rows[mainRows:], 3)
 	}
 	e.Mgr.AdvanceTo(3)
 	mustExec(t, e, `DELETE FROM ledger WHERE id BETWEEN 16000 AND 16800`) // across a morsel boundary
@@ -60,11 +63,15 @@ func orderedFoldEngine(t testing.TB) *Engine {
 	return e
 }
 
-var orderedFoldQueries = []string{
-	`SELECT acct, SUM(amount), AVG(amount), COUNT(amount), COUNT(*) FROM ledger GROUP BY acct`,
-	`SELECT bucket, SUM(amount), AVG(amount), COUNT(*) FROM ledger GROUP BY bucket`,
+// foldQueries sum floats whose left-to-right sums differ by order, and
+// DISTINCT sets that two folds must merge; groups come out by key.
+var foldQueries = []string{
+	`SELECT acct, SUM(amount), AVG(amount), COUNT(amount), COUNT(*) FROM ledger GROUP BY acct ORDER BY acct`,
+	`SELECT bucket, SUM(amount), AVG(amount), COUNT(*) FROM ledger GROUP BY bucket ORDER BY bucket`,
 	`SELECT SUM(amount), AVG(amount), COUNT(amount) FROM ledger`,
-	`SELECT acct, SUM(amount) FROM ledger WHERE bucket <> 3 AND amount * 2 <> 2 GROUP BY acct`,
+	`SELECT acct, SUM(amount) FROM ledger WHERE bucket <> 3 AND amount * 2 <> 2 GROUP BY acct ORDER BY acct`,
+	`SELECT bucket, COUNT(DISTINCT acct), SUM(DISTINCT amount), AVG(DISTINCT amount), COUNT(*) FROM ledger GROUP BY bucket ORDER BY bucket`,
+	`SELECT COUNT(DISTINCT acct), SUM(DISTINCT amount), COUNT(DISTINCT bucket) FROM ledger WHERE id % 5 <> 2`,
 }
 
 // rowBits renders rows for comparison down to the float's bit pattern.
@@ -80,34 +87,52 @@ func rowBits(r *Result) []string {
 	return out
 }
 
-func checkOrderedFold(t *testing.T, e *Engine, reps int) {
+// checkFolds runs foldQueries on both executors, the vectorized one at one,
+// two and eight workers, reps times each, and holds every answer to want.
+func checkFolds(t *testing.T, e *Engine, want [][]string, reps int) {
 	t.Helper()
-	for _, sql := range orderedFoldQueries {
+	for i, sql := range foldQueries {
 		e.Mode = ModeInterpreted
-		want := rowBits(mustExec(t, e, sql))
+		if got := rowBits(mustExec(t, e, sql)); !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("%s: interpreted differs:\n got %v\nwant %v", sql, got, want[i])
+		}
 		e.Mode = ModeVectorized
 		for _, workers := range []int{1, 2, 8} {
 			e.Workers = workers
 			for rep := 0; rep < reps; rep++ {
-				if got := rowBits(mustExec(t, e, sql)); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: vectorized(workers=%d, rep %d) is not bit-identical to interpreted:\n got %v\nwant %v",
-						sql, workers, rep, got, want)
+				if got := rowBits(mustExec(t, e, sql)); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("%s: vectorized(workers=%d, rep %d) differs:\n got %v\nwant %v", sql, workers, rep, got, want[i])
 				}
 			}
 		}
 	}
 }
 
-// TestVectorizedOrderedFoldBitIdentity: a float SUM/AVG folded on codes in
-// morsel order equals the sequential executors bit for bit, under any
-// worker count and scheduling.
-func TestVectorizedOrderedFoldBitIdentity(t *testing.T) {
-	e := orderedFoldEngine(t)
-	checkOrderedFold(t, e, 20)
+// foldAnswers is what foldQueries answer over foldEngine(t, 0), interpreted.
+func foldAnswers(t *testing.T) [][]string {
+	e := foldEngine(t, 0)
+	e.Mode = ModeInterpreted
+	var want [][]string
+	for _, sql := range foldQueries {
+		want = append(want, rowBits(mustExec(t, e, sql)))
+	}
+	return want
+}
+
+// TestVectorizedFoldPermutations: float SUM/AVG and DISTINCT aggregates
+// give identical bytes whatever order the rows were inserted in, on either
+// executor, under any worker count and scheduling — every fold is per
+// worker, and no accumulator depends on the order it sees its input in.
+func TestVectorizedFoldPermutations(t *testing.T) {
+	want := foldAnswers(t)
+	for order := int64(0); order <= 4; order++ {
+		checkFolds(t, foldEngine(t, order), want, 5)
+	}
 
 	// The float GROUP BY runs fused on the code path, not over boxed rows.
+	e := foldEngine(t, 0)
 	e.Mode, e.Workers = ModeVectorized, 2
-	_, prof, err := e.AnalyzeSQL(orderedFoldQueries[0])
+	_, prof, err := e.AnalyzeSQL(foldQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +141,13 @@ func TestVectorizedOrderedFoldBitIdentity(t *testing.T) {
 	}
 }
 
-// TestVectorizedOrderedFoldDemoted repeats the check over a fully demoted
-// table under a pool far smaller than the data: the ordered fold reads
-// its arguments on the consumer side, and the page faults it takes there
-// must still land on the scan operator.
-func TestVectorizedOrderedFoldDemoted(t *testing.T) {
-	e := orderedFoldEngine(t)
+// TestVectorizedFoldDemoted repeats the check over a fully demoted table
+// under a pool far smaller than the data: the folds read their arguments
+// on the workers, and the page faults they take there must land on the
+// scan operator.
+func TestVectorizedFoldDemoted(t *testing.T) {
+	want := foldAnswers(t)
+	e := foldEngine(t, 3)
 	store, err := extstore.OpenTemp(extstore.Options{PageSize: 1024, ChunkRows: 256, PoolPages: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -130,10 +156,10 @@ func TestVectorizedOrderedFoldDemoted(t *testing.T) {
 	if _, err := store.DemoteTable(e.Cat.MustTable("ledger"), e.Mgr.MinActiveTS()); err != nil {
 		t.Fatal(err)
 	}
-	checkOrderedFold(t, e, 1)
+	checkFolds(t, e, want, 1)
 
 	e.Mode, e.Workers = ModeVectorized, 2
-	_, prof, err := e.AnalyzeSQL(orderedFoldQueries[0])
+	_, prof, err := e.AnalyzeSQL(foldQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +241,7 @@ var joinAggQueries = []struct {
 	// Integer-keyed join.
 	{`SELECT d.name, COUNT(*), SUM(f.q) FROM fact f JOIN dim d ON f.ik = d.ik GROUP BY d.name`, true},
 	{`SELECT f.ik, COUNT(*), SUM(d.w) FROM fact f JOIN dim d ON f.ik = d.ik GROUP BY f.ik`, true},
-	// Float sums from either side: the ordered mode of the fused fold.
+	// Float sums from either side: exact sums, one fold per worker.
 	{`SELECT d.name, SUM(f.v), AVG(f.v), COUNT(*) FROM fact f JOIN dim d ON f.k = d.k GROUP BY d.name`, true},
 	{`SELECT f.k, SUM(d.f), AVG(d.f) FROM fact f JOIN dim d ON f.k = d.k GROUP BY f.k`, true},
 	{`SELECT SUM(f.v), SUM(d.f) FROM fact f LEFT JOIN dim d ON f.ik = d.ik`, true},
@@ -224,7 +250,7 @@ var joinAggQueries = []struct {
 	// Probe rows only in the delta.
 	{`SELECT d.name, COUNT(*), SUM(r.q), SUM(r.v) FROM rawfact r JOIN dim d ON r.k = d.k GROUP BY d.name`, true},
 	{`SELECT COUNT(*), SUM(d.w) FROM rawfact r LEFT JOIN dim d ON r.ik = d.ik`, true},
-	// Rendered keys from both sides, and DISTINCT in ordered mode.
+	// Rendered keys from both sides, and DISTINCT sets merged as unions.
 	{`SELECT f.k, d.name, COUNT(*) FROM fact f JOIN dim d ON f.k = d.k GROUP BY f.k, d.name`, true},
 	{`SELECT COUNT(DISTINCT d.name) FROM fact f JOIN dim d ON f.k = d.k`, true},
 	{`SELECT d.name, COUNT(DISTINCT f.q), SUM(DISTINCT f.v) FROM fact f JOIN dim d ON f.k = d.k GROUP BY d.name`, true},

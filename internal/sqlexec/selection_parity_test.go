@@ -36,8 +36,8 @@ const selectionGolden = "testdata/selection_parity.golden"
 // scan, a residual that accepts every row (the range survives it), none,
 // or some (the range becomes a vector at the first rejection); kernels
 // that thin a morsel and kernels that keep all of it; a kernel under a
-// residual; and float sums over three morsels, whose ordered fold hands
-// sparse selections from worker to consumer.
+// residual; and float sums over three morsels, folded per worker and
+// merged.
 var selectionQueries = []string{
 	// Global and code-keyed folds under a residual: all / none / some.
 	`SELECT COUNT(*), SUM(qty), MIN(qty) FROM events WHERE qty + 0 >= 0`,
@@ -72,7 +72,7 @@ var selectionQueries = []string{
 	`SELECT d.dname, COUNT(*) FROM events e LEFT JOIN dims d ON e.region = d.region WHERE e.qty >= 0 GROUP BY d.dname`,
 	`SELECT e.qty, d.dname FROM events e JOIN dims d ON e.region = d.region WHERE e.qty % 1000 = 7`,
 	`SELECT e.qty, d.dname FROM events e JOIN dims d ON e.region = d.region WHERE e.qty * 0 = 0 AND e.grp = 5`,
-	// Float sums over three morsels: the ordered fold.
+	// Float sums over three morsels: exact partial sums, merged.
 	`SELECT site, COUNT(*), SUM(temp), AVG(temp) FROM readings GROUP BY site`,
 	`SELECT site, SUM(temp), COUNT(temp) FROM readings WHERE seq + 0 >= 0 GROUP BY site`,
 	`SELECT site, SUM(temp) FROM readings WHERE seq % 3 = 1 GROUP BY site`,

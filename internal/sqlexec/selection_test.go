@@ -106,9 +106,8 @@ func ownershipEngineRows(t *testing.T, rowsPer int) *Engine {
 }
 
 // TestScratchOwnership: a 40-morsel float GROUP BY whose workers finish out
-// of order returns the interpreted executor's sums bit for bit, the ordered
-// fold borrows one scratch per worker and one for its consumer however many
-// sparse selections are waiting their turn, and every scratch is returned
+// of order returns the interpreted executor's sums bit for bit, its folds
+// borrow one scratch per worker and no more, and every scratch is returned
 // exactly once. So is the scratch of every other consumer of a scan,
 // including a scan a LIMIT stops early.
 func TestScratchOwnership(t *testing.T) {
@@ -129,15 +128,8 @@ func TestScratchOwnership(t *testing.T) {
 				if got := rowBits(mustExec(t, e, sql)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: vectorized(workers=%d) is not bit-identical to interpreted:\n got %v\nwant %v", sql, workers, got, want)
 				}
-				takes := check(fmt.Sprintf("%s (workers=%d)", sql, workers))
-				// One worker folds in place. More lend their sparse selections
-				// to the consumer, which has a scratch of its own for keys.
-				want := workers + 1
-				if workers == 1 {
-					want = 1
-				}
-				if takes != want {
-					t.Errorf("%s (workers=%d): %d scratch takes, want %d", sql, workers, takes, want)
+				if takes := check(fmt.Sprintf("%s (workers=%d)", sql, workers)); takes != workers {
+					t.Errorf("%s (workers=%d): %d scratch takes, want %d", sql, workers, takes, workers)
 				}
 			}
 		}
@@ -300,8 +292,8 @@ func scanRunAllocs(t *testing.T, cols, parts int) float64 {
 // TestScanRunAllocsFlat: a scan run allocates a fixed number of times per
 // statement whatever the table's width, and a small constant per partition
 // — its snapshot and the kernel it binds — whatever its morsel count: no
-// reader, no compiled filter and no dispatch is allocated per column or per
-// morsel.
+// reader, no compiled filter, no dispatch and no code remap is allocated per
+// column or per morsel.
 func TestScanRunAllocsFlat(t *testing.T) {
 	narrow, wide := scanRunAllocs(t, 2, 2), scanRunAllocs(t, 12, 2)
 	t.Logf("2 partitions: %.0f allocations at 2 columns, %.0f at 12", narrow, wide)
@@ -316,16 +308,58 @@ func TestScanRunAllocsFlat(t *testing.T) {
 	if per := (eight - two) / 6; per > 4 {
 		t.Errorf("2 -> 8 partitions adds %.1f allocations per extra partition, want at most 4", per)
 	}
+	// A GROUP BY on a dictionary column remaps codes per morsel: nothing of
+	// that — the interner's function, the remap of a small dictionary — may
+	// be allocated per morsel.
+	two, sixteen := codeGroupAllocs(t, 2), codeGroupAllocs(t, 16)
+	t.Logf("GROUP BY a dictionary column: %.0f allocations at 2 morsels, %.0f at 16", two, sixteen)
+	if sixteen-two > 2 {
+		t.Errorf("2 -> 16 morsels adds %.0f allocations per statement, want at most 2", sixteen-two)
+	}
 }
 
-// TestScratchPoolKeepsAFixedSet: the pool retains NumCPU+1 scratches, the
+// codeGroupAllocs is what a statement grouping a merged table of the given
+// number of morsels by a dictionary column allocates, on one worker.
+func codeGroupAllocs(t *testing.T, morsels int) float64 {
+	t.Helper()
+	e := NewEngine()
+	e.Workers = 1
+	mustExec(t, e, `CREATE TABLE t (k VARCHAR, n INT)`)
+	rows := make([]value.Row, morsels*morselRows)
+	for i := range rows {
+		rows[i] = value.Row{value.String(fmt.Sprint("region-", i%8)), value.Int(int64(i))}
+	}
+	tbl := e.Cat.MustTable("t").Primary()
+	tbl.ApplyInsert(rows, 1)
+	tbl.Merge(1)
+	e.Mgr.AdvanceTo(1)
+	sess := e.NewSession()
+	defer sess.Close()
+	st, err := sess.Prepare(`SELECT k, COUNT(*), SUM(n) FROM t GROUP BY k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		res, err := st.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 8 {
+			t.Fatalf("%d groups, want 8", len(res.Rows))
+		}
+	}
+	run() // warm-up: grows the scan scratch
+	return testing.AllocsPerRun(10, run)
+}
+
+// TestScratchPoolKeepsAFixedSet: the pool retains NumCPU scratches, the
 // most recently returned first out, drops what is returned beyond that,
 // and keeps its set across collections — what an idle process holds does not
 // depend on when the collector last ran. Only a run with more workers than
-// CPUs widens the set, to its workers and one consumer.
+// CPUs widens the set, to its workers.
 func TestScratchPoolKeepsAFixedSet(t *testing.T) {
 	p := new(scratchPool)
-	keep := runtime.NumCPU() + 1
+	keep := runtime.NumCPU()
 	out := make([]*scanScratch, keep+5)
 	for i := range out {
 		out[i] = p.take()
@@ -334,7 +368,7 @@ func TestScratchPoolKeepsAFixedSet(t *testing.T) {
 		p.put(s)
 	}
 	if len(p.free) != keep {
-		t.Fatalf("pool keeps %d scratches, want NumCPU+1 = %d", len(p.free), keep)
+		t.Fatalf("pool keeps %d scratches, want NumCPU = %d", len(p.free), keep)
 	}
 	runtime.GC()
 	runtime.GC()
@@ -354,7 +388,7 @@ func TestScratchPoolKeepsAFixedSet(t *testing.T) {
 	for _, s := range wide {
 		p.put(s)
 	}
-	if len(p.free) != keep+4 {
-		t.Fatalf("pool keeps %d scratches after a run of %d workers, want one more than those", len(p.free), keep+3)
+	if len(p.free) != keep+3 {
+		t.Fatalf("pool keeps %d scratches after a run of %d workers, want as many", len(p.free), keep+3)
 	}
 }

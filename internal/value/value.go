@@ -204,7 +204,8 @@ func (v Value) Numeric() bool {
 
 // Compare orders two values. NULL sorts first; numeric kinds compare by
 // numeric value; strings lexicographically. Cross-kind numeric/string
-// comparison coerces the string.
+// comparison coerces the string. NaN equals NaN and sorts above every other
+// number, as in PostgreSQL.
 func Compare(a, b Value) int {
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
@@ -218,28 +219,9 @@ func Compare(a, b Value) int {
 	if a.K == KindString && b.K == KindString {
 		return strings.Compare(a.S, b.S)
 	}
-	if a.K == KindString || b.K == KindString {
-		// Coerce the string side to float for mixed comparisons.
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if a.K == KindFloat || b.K == KindFloat {
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+	if a.K == KindString || b.K == KindString || a.K == KindFloat || b.K == KindFloat {
+		// Mixed comparisons coerce the string side to float.
+		return compareFloat(a.AsFloat(), b.AsFloat())
 	}
 	switch {
 	case a.I < b.I:
@@ -249,6 +231,23 @@ func Compare(a, b Value) int {
 	default:
 		return 0
 	}
+}
+
+// compareFloat orders floats with NaN above every other number.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a == a: // b alone is NaN
+		return -1
+	case b == b: // a alone is NaN
+		return 1
+	}
+	return 0
 }
 
 // Equal reports whether two values compare equal.

@@ -69,10 +69,38 @@ func TestCompareOrdering(t *testing.T) {
 		{String("a"), String("b"), -1},
 		{String("10"), Int(9), 1}, // numeric coercion, not lexicographic
 		{Bool(true), Bool(false), 1},
+		// NaN equals NaN and sorts above every other number.
+		{Float(math.NaN()), Float(math.NaN()), 0},
+		{Float(math.NaN()), Float(math.Inf(1)), 1},
+		{Float(math.Inf(1)), Float(math.NaN()), -1},
+		{Int(3), Float(math.NaN()), -1},
+		{Null, Float(math.NaN()), -1},
+		{String("NaN"), Float(1), 1},
+		{Float(math.NaN()), String("5"), 1},
+		{Float(math.NaN()), String("NaN"), 0},
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
 			t.Fatalf("Compare(%v,%v)=%d want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestCompareFloatsIsATotalOrder: with NaN in it, Compare over floats is
+// antisymmetric and transitive — what sorting, MIN/MAX and zone maps need.
+func TestCompareFloatsIsATotalOrder(t *testing.T) {
+	fs := []float64{math.NaN(), math.Inf(-1), -1e300, -1, math.Copysign(0, -1), 0, 5e-324, 1, 1e300, math.Inf(1), math.NaN()}
+	for _, a := range fs {
+		for _, b := range fs {
+			ab := Compare(Float(a), Float(b))
+			if ab != -Compare(Float(b), Float(a)) {
+				t.Fatalf("Compare(%v, %v) = %d is not antisymmetric", a, b, ab)
+			}
+			for _, c := range fs {
+				if bc := Compare(Float(b), Float(c)); ab <= 0 && bc <= 0 && Compare(Float(a), Float(c)) > 0 {
+					t.Fatalf("%v <= %v <= %v but Compare(%v, %v) > 0", a, b, c, a, c)
+				}
+			}
 		}
 	}
 }
