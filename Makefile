@@ -43,7 +43,9 @@ experiments:
 # times the input; value.Parse, which reads every wire parameter, never
 # panics and reads back what AppendString renders, bit for bit; and the
 # aggregates' exact float sum is the correctly rounded sum in any order and
-# under any split into partial sums.
+# under any split into partial sums; a SELECT that parses deparses to text
+# that parses back to the same statement; and the split of a string of
+# statements on its `;` tokens hands over in-order slices that lex alone.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEntry' -fuzztime 10s ./internal/soe/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
@@ -53,6 +55,8 @@ fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeDataRows' -fuzztime 10s ./internal/pgwire/
 	$(GO) test -run xxx -fuzz 'FuzzParseValue' -fuzztime 10s ./internal/value/
 	$(GO) test -run xxx -fuzz 'FuzzExactSum' -fuzztime 10s ./internal/sqlexec/
+	$(GO) test -run xxx -fuzz 'FuzzDeparse' -fuzztime 10s ./internal/sqlexec/
+	$(GO) test -run xxx -fuzz 'FuzzSplitStatements' -fuzztime 10s ./internal/sqlexec/
 
 # Quick pass over the vectorized scan/aggregation micro-benchmarks, gated
 # by cmd/benchguard against the committed BENCH_vectorized_baseline.json.

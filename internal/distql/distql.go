@@ -136,7 +136,7 @@ func Rewrite(sel *sqlexec.SelectStmt) (*Plan, error) {
 
 	hasAgg := len(sel.GroupBy) > 0
 	for _, it := range sel.Items {
-		if !it.Star && containsAgg(it.Expr) {
+		if !it.Star && sqlexec.ContainsAggregate(it.Expr) {
 			hasAgg = true
 		}
 	}
@@ -158,7 +158,7 @@ func Rewrite(sel *sqlexec.SelectStmt) (*Plan, error) {
 			if it.Star && sel.Distinct {
 				return nil, fmt.Errorf("distql: distributed SELECT DISTINCT * unsupported")
 			}
-			p.OutCols = append(p.OutCols, itemName(it))
+			p.OutCols = append(p.OutCols, sqlexec.ItemName(it))
 		}
 		if sel.Distinct {
 			// Each node's rows are distinct, their union is not: the merge
@@ -187,16 +187,16 @@ func Rewrite(sel *sqlexec.SelectStmt) (*Plan, error) {
 		if it.Star {
 			return nil, fmt.Errorf("distql: SELECT * with aggregation unsupported")
 		}
-		p.OutCols = append(p.OutCols, itemName(it))
+		p.OutCols = append(p.OutCols, sqlexec.ItemName(it))
 		if g := groupIndex(it.Expr, sel.GroupBy); g >= 0 {
 			p.outPerm = append(p.outPerm, g) // already projected as a group column
 			continue
 		}
 		p.outPerm = append(p.outPerm, groupCols+len(finals))
-		fe, ok := it.Expr.(*sqlexec.FuncExpr)
-		if !ok || !isAggName(fe.Name) {
-			return nil, fmt.Errorf("distql: select item %q must be a group column or a plain aggregate", itemName(it))
+		if !sqlexec.IsAggregate(it.Expr) {
+			return nil, fmt.Errorf("distql: select item %q must be a group column or a plain aggregate", sqlexec.ItemName(it))
 		}
+		fe := it.Expr.(*sqlexec.FuncExpr)
 		if fe.Distinct && fe.Name != "MIN" && fe.Name != "MAX" {
 			// Each node counts or sums its own distinct values; a value two
 			// nodes hold would count twice.
@@ -278,33 +278,6 @@ func outputColumn(e sqlexec.Expr, items []sqlexec.SelectItem, outCols []string) 
 func groupIndex(e sqlexec.Expr, groups []sqlexec.Expr) int {
 	text := sqlexec.ExprText(e)
 	return slices.IndexFunc(groups, func(g sqlexec.Expr) bool { return sqlexec.ExprText(g) == text })
-}
-
-var aggNames = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
-
-func isAggName(n string) bool { return aggNames[n] }
-
-func containsAgg(e sqlexec.Expr) bool {
-	if fe, ok := e.(*sqlexec.FuncExpr); ok && aggNames[fe.Name] {
-		return true
-	}
-	switch x := e.(type) {
-	case *sqlexec.BinaryExpr:
-		return containsAgg(x.L) || containsAgg(x.R)
-	case *sqlexec.UnaryExpr:
-		return containsAgg(x.E)
-	}
-	return false
-}
-
-func itemName(it sqlexec.SelectItem) string {
-	if it.As != "" {
-		return it.As
-	}
-	if c, ok := it.Expr.(*sqlexec.ColRef); ok {
-		return c.Name
-	}
-	return strings.ToLower(sqlexec.ExprText(it.Expr))
 }
 
 // equiKeys extracts the single equi-join condition l.x = r.y.

@@ -6,23 +6,29 @@ import (
 )
 
 // Session is what one wire connection executes against: the sqlexec
-// session surface (auto-commit queries, prepared-statement handles,
-// explicit transactions, positional parameters). Implementations are used
-// by exactly one connection goroutine at a time — the same
-// single-goroutine contract sqlexec.Session documents.
+// session surface (prepared statements, explicit transactions).
+// Implementations are used by exactly one connection goroutine at a time —
+// the same single-goroutine contract sqlexec.Session documents.
 type Session interface {
-	// QueryTo parses and runs one statement of the simple protocol, its
-	// output going to sink as it is produced.
-	QueryTo(sink sqlexec.RowSink, sql string, params ...value.Value) (sqlexec.ExecStats, error)
-	// Prepare parses once; the extended protocol's Parse keeps the handle
-	// and Describe/Execute run it (Stmt.ExecTo) without touching the text
+	// PrepareAll parses a string of statements, every one before any runs;
+	// the slice is valid until the next call. The simple protocol runs each
+	// statement in turn; the extended protocol's Parse takes a string of one
+	// and keeps it for Describe and Execute, which never touch the text
 	// again.
-	Prepare(sql string) (*sqlexec.Stmt, error)
-	Begin() error
-	Commit() error
+	PrepareAll(sql string) ([]Stmt, error)
 	Rollback() error
 	InTxn() bool
 	Close()
+}
+
+// Stmt is one prepared statement as the wire runs it: a *sqlexec.Stmt.
+type Stmt interface {
+	SQL() string
+	NumParams() int
+	Columns() ([]sqlexec.Column, []value.Kind, error)
+	ReturnsRows() bool
+	Tag(n int64) string
+	ExecTo(sink sqlexec.RowSink, params ...value.Value) (sqlexec.ExecStats, error)
 }
 
 // Backend hands out per-connection sessions. The server calls NewSession
@@ -39,4 +45,18 @@ type EngineBackend struct {
 }
 
 // NewSession opens an engine session for one connection.
-func (b EngineBackend) NewSession() Session { return b.Engine.NewSession() }
+func (b EngineBackend) NewSession() Session { return &engineSession{Session: b.Engine.NewSession()} }
+
+// engineSession is a sqlexec.Session whose statements are Stmts.
+type engineSession struct {
+	*sqlexec.Session
+	stmts []Stmt // PrepareAll's answer, reused: valid until its next call
+}
+
+func (s *engineSession) PrepareAll(sql string) ([]Stmt, error) {
+	s.stmts = s.stmts[:0]
+	if err := s.Session.PrepareEach(sql, func(st *sqlexec.Stmt) { s.stmts = append(s.stmts, st) }); err != nil {
+		return nil, err
+	}
+	return s.stmts, nil
+}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,12 +16,11 @@ import (
 )
 
 // prepStmt is one named (or unnamed) prepared statement: the engine's
-// parsed-once handle plus what the wire layer derives from the text. st
-// is nil for the empty query string, which Parse accepts and Execute
-// answers with EmptyQueryResponse.
+// parsed-once handle plus the parameter types Parse fixed. st is nil for a
+// string of no statement, which Parse accepts and Execute answers with
+// EmptyQueryResponse.
 type prepStmt struct {
-	st      *sqlexec.Stmt
-	word    string // leading keyword: gates and the CommandComplete tag
+	st      Stmt
 	nparams int
 	params  []value.Kind // what each parameter binds as, fixed at Parse
 	oids    []int        // the parameter types the client declared, 0 where it left one open
@@ -343,16 +340,23 @@ func (c *conn) startup() bool {
 
 // --- simple query protocol -------------------------------------------------
 
+// simpleQuery runs a Query message: its string parses whole, then each
+// statement runs in turn through execute, as Execute runs a portal's. An
+// error ends the string; a string of no statement is EmptyQueryResponse.
 func (c *conn) simpleQuery(sql string) {
 	t0 := time.Now()
-	stmts := splitStatements(sql)
+	stmts, err := c.sess.PrepareAll(sql)
+	if err != nil {
+		c.queryError(err)
+		return
+	}
 	if len(stmts) == 0 {
 		c.out.start(msgEmptyQuery)
 		c.out.finish()
 		return
 	}
-	for _, stmt := range stmts {
-		if !c.runStatement(stmt) {
+	for _, st := range stmts {
+		if !c.runStatement(st) {
 			break // error already sent; abort the rest of the batch
 		}
 	}
@@ -361,21 +365,20 @@ func (c *conn) simpleQuery(sql string) {
 
 // runStatement executes one simple-protocol statement. Returns false if
 // an ErrorResponse was sent (aborting the rest of the batch).
-func (c *conn) runStatement(sql string) bool {
-	word := firstKeyword(sql)
-	switch c.gateStatement(word) {
+func (c *conn) runStatement(st Stmt) bool {
+	switch c.gateStatement(st) {
 	case gateErr:
 		return false
 	case gateHandled:
 		return true
 	}
-	w := c.rowWriter(word, true, "")
-	if err := c.execute(w, nil, sql, nil, nil); err != nil {
+	w := c.rowWriter(st, true, "")
+	if err := c.execute(w, st, nil, nil); err != nil {
 		c.queryError(err)
 		return false
 	}
 	c.srv.cOK.Inc()
-	c.sendCommandComplete(commandTag(word, w.count, w.sent))
+	c.sendCommandComplete(w.tag(st))
 	return true
 }
 
@@ -383,25 +386,18 @@ func (c *conn) runStatement(sql string) bool {
 // sink as the executor produces it — the one place the wire layer has a
 // statement executed, for both protocols and both sinks (the streaming
 // rowWriter; a collecting *sqlexec.Result for an Execute with a row
-// limit). st is a portal's prepared handle; the simple protocol has only
-// its text, sql, parsed here. The slot and the sys.m_connections entry are
-// held until the last batch has been handed to the sink, so a statement
-// whose client reads slowly occupies its slot for as long as it streams:
-// what admission bounds is statements in flight, and this one is. h, when
-// set, observes the execution, sink time included.
-func (c *conn) execute(sink sqlexec.RowSink, st *sqlexec.Stmt, sql string, params []value.Value, h *stats.Histogram) error {
+// limit). The slot and the sys.m_connections entry are held until the last
+// batch has been handed to the sink, so a statement whose client reads
+// slowly occupies its slot for as long as it streams: what admission
+// bounds is statements in flight, and this one is. h, when set, observes
+// the execution, sink time included.
+func (c *conn) execute(sink sqlexec.RowSink, st Stmt, params []value.Value, h *stats.Histogram) error {
 	if err := c.srv.admit(); err != nil {
 		return err
 	}
 	t0 := time.Now()
-	var err error
-	if st != nil {
-		c.monStart(st.SQL())
-		_, err = st.ExecTo(sink, params...)
-	} else {
-		c.monStart(sql)
-		_, err = c.sess.QueryTo(sink, sql)
-	}
+	c.monStart(st.SQL())
+	_, err := st.ExecTo(sink, params...)
 	c.monEnd()
 	c.srv.release()
 	h.ObserveSince(t0)
@@ -418,9 +414,9 @@ const (
 )
 
 // gateStatement enforces cancel and failed-transaction state before a
-// statement reaches the engine. COMMIT in a failed transaction rolls back
-// (reported as ROLLBACK), exactly like Postgres.
-func (c *conn) gateStatement(word string) gateResult {
+// statement reaches the engine. COMMIT (or END) in a failed transaction
+// rolls back (reported as ROLLBACK), exactly like Postgres.
+func (c *conn) gateStatement(st Stmt) gateResult {
 	if c.canceled.Swap(false) {
 		c.queryError(wireErr(CodeQueryCanceled, "canceling statement due to user request"))
 		return gateErr
@@ -428,8 +424,8 @@ func (c *conn) gateStatement(word string) gateResult {
 	if !c.txFailed {
 		return gateOK
 	}
-	switch word {
-	case "ROLLBACK", "COMMIT", "END":
+	switch st.Tag(0) {
+	case "ROLLBACK", "COMMIT":
 		if err := c.sess.Rollback(); err != nil {
 			c.queryError(err)
 			return gateErr
@@ -491,28 +487,31 @@ func (c *conn) handleParse(m *msgReader) {
 			return
 		}
 	}
-	if strings.TrimSpace(sql) != "" {
-		// Validate eagerly: a broken statement — one that does not parse
-		// or, for a SELECT, does not plan — must fail at Parse, not
-		// surface later as a surprising Execute error. The same planning
-		// fixes the kinds its parameters bind as, as in PostgreSQL: a later
-		// DDL does not change them. A type the client declared gives a
-		// parameter the plan leaves open its kind.
-		st, err := c.sess.Prepare(sql)
-		if err == nil {
-			_, ps.params, err = st.Columns()
-		}
-		if err != nil {
-			c.extQueryError(err)
-			return
-		}
+	// Validate eagerly: a broken statement — one that does not parse or,
+	// for a SELECT, does not plan — must fail at Parse, not surface later as
+	// a surprising Execute error. The same planning fixes the kinds its
+	// parameters bind as, as in PostgreSQL: a later DDL does not change
+	// them. A type the client declared gives a parameter the plan leaves
+	// open its kind.
+	stmts, err := c.sess.PrepareAll(sql)
+	if err == nil && len(stmts) > 1 {
+		err = wireErr(CodeSyntaxError, "cannot insert multiple commands into a prepared statement")
+	}
+	if err == nil && len(stmts) == 1 {
+		ps.st = stmts[0]
+		_, ps.params, err = ps.st.Columns()
+	}
+	if err != nil {
+		c.extQueryError(err)
+		return
+	}
+	if ps.st != nil {
 		for i, oid := range ps.oids {
 			if i < len(ps.params) && ps.params[i] == value.KindNull {
 				ps.params[i] = kindOfOID(oid)
 			}
 		}
-		ps.st, ps.word = st, firstKeyword(sql)
-		ps.nparams = max(noids, st.NumParams())
+		ps.nparams = max(noids, ps.st.NumParams())
 	}
 	c.stmts[name] = ps
 	c.out.start(msgParseComplete)
@@ -609,7 +608,7 @@ func (c *conn) handleDescribe(m *msgReader) {
 			c.extError(CodeInvalidCursor, fmt.Sprintf("portal %q does not exist", name))
 			return
 		}
-		if p.stmt.word == "SELECT" && !p.ran {
+		if p.stmt.st != nil && p.stmt.st.ReturnsRows() && !p.ran {
 			// Describing a SELECT means planning it, and the Execute that
 			// nearly always comes next plans it again. Write nothing yet: that
 			// Execute sends the RowDescription from the header its own plan
@@ -629,7 +628,7 @@ func (c *conn) handleDescribe(m *msgReader) {
 // never run. A statement that returns no rows asks the engine nothing.
 func (c *conn) describeRows(ps *prepStmt, f formats) {
 	var cols []sqlexec.Column
-	if ps.st != nil && isRowStatement(ps.word) {
+	if ps.st != nil && ps.st.ReturnsRows() {
 		var err error
 		if cols, _, err = ps.st.Columns(); err != nil {
 			c.extQueryError(err)
@@ -680,25 +679,25 @@ func (c *conn) handleExecute(m *msgReader) {
 		c.out.finish()
 		return
 	}
-	word := p.stmt.word
-	switch c.gateStatement(word) {
+	st := p.stmt.st
+	switch c.gateStatement(st) {
 	case gateErr:
 		c.skipSync = true
 		return
 	case gateHandled:
 		return
 	}
-	rowStmt := isRowStatement(word)
+	rowStmt := st.ReturnsRows()
 	if !p.ran {
 		p.ran = true
-		w := c.rowWriter(word, owed, p.formats)
+		w := c.rowWriter(st, owed, p.formats)
 		if rowStmt && maxRows > 0 {
 			// The one consumer whose rows must outlive the call: collect
 			// them, and send by the limit below.
 			p.res = &kept{}
 			w.keep = p.res
 		}
-		p.err = c.execute(w, p.stmt.st, "", p.params, c.srv.hExtended)
+		p.err = c.execute(w, st, p.params, c.srv.hExtended)
 		p.pos, p.count = w.sent, w.count
 	}
 	if p.err != nil {
@@ -711,7 +710,7 @@ func (c *conn) handleExecute(m *msgReader) {
 		c.srv.cOK.Inc()
 	}
 	if !rowStmt {
-		c.sendCommandComplete(commandTag(word, p.count, 0))
+		c.sendCommandComplete(st.Tag(p.count))
 		return
 	}
 	if p.res != nil {
@@ -731,7 +730,7 @@ func (c *conn) handleExecute(m *msgReader) {
 		// result set until the next Bind replaces the portal.
 		p.res = nil
 	}
-	c.sendCommandComplete(commandTag(word, 0, p.pos))
+	c.sendCommandComplete(st.Tag(int64(p.pos)))
 }
 
 func (c *conn) handleClose(m *msgReader) {
@@ -780,9 +779,18 @@ type rowWriter struct {
 }
 
 // rowWriter readies the connection's sink for one statement.
-func (c *conn) rowWriter(word string, describe bool, f formats) *rowWriter {
-	c.rows = rowWriter{c: c, rowStmt: isRowStatement(word), describe: describe, formats: f}
+func (c *conn) rowWriter(st Stmt, describe bool, f formats) *rowWriter {
+	c.rows = rowWriter{c: c, rowStmt: st.ReturnsRows(), describe: describe, formats: f}
 	return &c.rows
+}
+
+// tag is the CommandComplete tag of st, which ran into w: the rows sent or
+// the DML count.
+func (w *rowWriter) tag(st Stmt) string {
+	if w.rowStmt {
+		return st.Tag(int64(w.sent))
+	}
+	return st.Tag(w.count)
 }
 
 func (w *rowWriter) Header(cols []sqlexec.Column) error {
@@ -947,95 +955,3 @@ func (c *conn) drainIfIdle() { c.nc.SetReadDeadline(time.Unix(1, 0)) }
 // forceClose tears the socket down immediately, which also breaks a write
 // blocked on a client that stopped reading.
 func (c *conn) forceClose() { c.nc.Close() }
-
-// --- statement helpers -----------------------------------------------------
-
-// splitStatements splits a simple-query string on top-level semicolons
-// (outside quotes and comments), dropping empty statements.
-func splitStatements(sql string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(sql); i++ {
-		switch sql[i] {
-		case '\'':
-			for i++; i < len(sql); i++ {
-				if sql[i] == '\'' {
-					if i+1 < len(sql) && sql[i+1] == '\'' {
-						i++
-						continue
-					}
-					break
-				}
-			}
-		case '"':
-			for i++; i < len(sql) && sql[i] != '"'; i++ {
-			}
-		case '-':
-			if i+1 < len(sql) && sql[i+1] == '-' {
-				for ; i < len(sql) && sql[i] != '\n'; i++ {
-				}
-			}
-		case ';':
-			if s := strings.TrimSpace(sql[start:i]); s != "" {
-				out = append(out, s)
-			}
-			start = i + 1
-		}
-	}
-	if s := strings.TrimSpace(sql[start:]); s != "" {
-		out = append(out, s)
-	}
-	return out
-}
-
-// firstKeyword returns the statement's leading keyword, upper-cased.
-func firstKeyword(sql string) string {
-	sql = strings.TrimSpace(sql)
-	end := len(sql)
-	for i := 0; i < len(sql); i++ {
-		c := sql[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_') {
-			end = i
-			break
-		}
-	}
-	return strings.ToUpper(sql[:end])
-}
-
-// isRowStatement reports whether a statement produces a row set on the
-// wire (RowDescription + DataRows) rather than just a command tag.
-func isRowStatement(word string) bool {
-	switch word {
-	case "SELECT", "EXPLAIN", "VALUES", "SHOW", "WITH":
-		return true
-	default:
-		return false
-	}
-}
-
-// commandTag builds the CommandComplete tag: row statements report the
-// rows sent, DML statements the count the engine returned.
-func commandTag(word string, count int64, rows int) string {
-	switch word {
-	case "SELECT", "EXPLAIN", "VALUES", "SHOW", "WITH":
-		return "SELECT " + strconv.Itoa(rows)
-	case "INSERT":
-		return "INSERT 0 " + strconv.FormatInt(count, 10)
-	case "UPDATE":
-		return "UPDATE " + strconv.FormatInt(count, 10)
-	case "DELETE":
-		return "DELETE " + strconv.FormatInt(count, 10)
-	case "BEGIN":
-		return "BEGIN"
-	case "COMMIT", "END":
-		return "COMMIT"
-	case "ROLLBACK":
-		return "ROLLBACK"
-	case "CREATE", "DROP", "MERGE":
-		return word
-	case "":
-		return "OK"
-	default:
-		return word
-	}
-}

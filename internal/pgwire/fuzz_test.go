@@ -7,12 +7,10 @@ import (
 	"io"
 	"net"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sqlexec"
-	"repro/internal/value"
 )
 
 // Native fuzz targets for the two frame readers: hostile bytes on the
@@ -20,10 +18,9 @@ import (
 // an allocation sized by a number that was read before it was checked.
 
 // fuzzBackend keeps what the fuzzer can make the engine do small, so that
-// the allocation bound is a statement about the wire layer: the simple
-// protocol answers every statement with one canned row, and only
-// statements that cannot touch a table — the catalog stays empty and has
-// no sys views — are prepared.
+// the allocation bound is a statement about the wire layer: only strings
+// of statements that cannot touch a table — the catalog stays empty and has
+// no sys views — and transaction control are prepared, on either protocol.
 type fuzzBackend struct{ eng *sqlexec.Engine }
 
 type fuzzSession struct{ Session }
@@ -34,25 +31,16 @@ func newFuzzBackend() fuzzBackend {
 	return fuzzBackend{eng}
 }
 
-func (b fuzzBackend) NewSession() Session { return fuzzSession{b.eng.NewSession()} }
+func (b fuzzBackend) NewSession() Session { return fuzzSession{EngineBackend{b.eng}.NewSession()} }
 
-func (s fuzzSession) QueryTo(sink sqlexec.RowSink, sql string, params ...value.Value) (sqlexec.ExecStats, error) {
-	if strings.Contains(sql, "fail") {
-		return sqlexec.ExecStats{}, wireErr(CodeSyntaxError, "canned failure")
+func (s fuzzSession) PrepareAll(sql string) ([]Stmt, error) {
+	sts, err := s.Session.PrepareAll(sql)
+	for _, st := range sts {
+		if tag := st.Tag(0); !st.ReturnsRows() && tag != "BEGIN" && tag != "COMMIT" && tag != "ROLLBACK" {
+			return nil, wireErr(CodeFeatureNotSupported, "not under fuzz")
+		}
 	}
-	if err := sink.Header([]sqlexec.Column{{Name: "a", Kind: value.KindInt}, {Name: "b", Kind: value.KindString}}); err != nil {
-		return sqlexec.ExecStats{}, err
-	}
-	b := sqlexec.RowsBatch([]value.Row{{value.Int(1), value.String(sql)}})
-	return sqlexec.ExecStats{}, sink.Batch(&b)
-}
-
-func (s fuzzSession) Prepare(sql string) (*sqlexec.Stmt, error) {
-	switch firstKeyword(sql) {
-	case "SELECT", "EXPLAIN", "BEGIN", "COMMIT", "ROLLBACK":
-		return s.Session.Prepare(sql)
-	}
-	return nil, wireErr(CodeFeatureNotSupported, "not under fuzz")
+	return sts, err
 }
 
 // recordedExchanges are client-to-server byte streams of real sessions,

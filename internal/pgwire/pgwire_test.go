@@ -58,7 +58,7 @@ func TestWireSimpleQuery(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("want 3 results, got %d", len(results))
 	}
-	if results[0].Tag != "CREATE" {
+	if results[0].Tag != "CREATE TABLE" {
 		t.Fatalf("create tag %q", results[0].Tag)
 	}
 	if results[1].Tag != "INSERT 0 2" {

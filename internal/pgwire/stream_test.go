@@ -290,20 +290,32 @@ func TestWireDescribeDeferred(t *testing.T) {
 	}
 }
 
-// failingBackend serves sessions whose simple-protocol statements starting
-// with "SELECT boom" push two batches into the sink and then fail.
+// failingBackend serves sessions whose statements starting with "SELECT
+// boom" push two batches into the sink and then fail.
 type failingBackend struct{ eng *sqlexec.Engine }
 
 type failingSession struct{ Session }
 
+// boomStmt is a statement whose executor fails mid-result.
+type boomStmt struct{ Stmt }
+
 var errBoom = errors.New("executor failed mid-result")
 
-func (b failingBackend) NewSession() Session { return failingSession{b.eng.NewSession()} }
+func (b failingBackend) NewSession() Session {
+	return failingSession{EngineBackend{b.eng}.NewSession()}
+}
 
-func (s failingSession) QueryTo(sink sqlexec.RowSink, sql string, params ...value.Value) (sqlexec.ExecStats, error) {
-	if !strings.HasPrefix(sql, "SELECT boom") {
-		return s.Session.QueryTo(sink, sql, params...)
+func (s failingSession) PrepareAll(sql string) ([]Stmt, error) {
+	sts, err := s.Session.PrepareAll(sql)
+	for i, st := range sts {
+		if strings.HasPrefix(st.SQL(), "SELECT boom") {
+			sts[i] = boomStmt{st}
+		}
 	}
+	return sts, err
+}
+
+func (boomStmt) ExecTo(sink sqlexec.RowSink, params ...value.Value) (sqlexec.ExecStats, error) {
 	if err := sink.Header([]sqlexec.Column{{Name: "a", Kind: value.KindInt}}); err != nil {
 		return sqlexec.ExecStats{}, err
 	}

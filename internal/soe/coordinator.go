@@ -138,7 +138,7 @@ func NewCoordinator(name string, net *netsim.Network, disc *Discovery, ccat *Clu
 		}
 		// Continue the client's trace (if its message carried one): the
 		// whole distributed execution lands under the caller's TraceID.
-		res, _, err := c.queryFrom(req.Trace, r.SQL)
+		res, _, err := c.query(req.Trace, r.SQL, chosen)
 		if err != nil {
 			return netsim.Message{Kind: MsgExec, Payload: encode(ExecResp{Err: err.Error()})}, nil
 		}
@@ -277,14 +277,31 @@ func (c *Coordinator) observeCommitTS(ts uint64) {
 // Query plans and executes a distributed SELECT, returning the result and
 // the plan that produced it.
 func (c *Coordinator) Query(sql string) (*Result, *distql.Plan, error) {
-	return c.queryFrom(stats.SpanContext{}, sql)
+	return c.query(stats.SpanContext{}, sql, chosen)
 }
 
-// queryFrom is Query continuing a trace started elsewhere (a client whose
-// MsgExec carried a SpanContext); a zero parent starts a fresh trace.
-func (c *Coordinator) queryFrom(parent stats.SpanContext, sql string) (*Result, *distql.Plan, error) {
+// ForceStrategy executes a join with an explicit strategy instead of the
+// one the coordinator would choose (the E8 ablation).
+func (c *Coordinator) ForceStrategy(sql string, strategy distql.Strategy) (*Result, *distql.Plan, error) {
+	return c.query(stats.SpanContext{}, sql, strategy)
+}
+
+// chosen is the strategy argument of a query that leaves the choice to the
+// coordinator.
+const chosen distql.Strategy = -1
+
+// query is every distributed SELECT: parse, rewrite, the tables checked,
+// the span and the soe_queries_total / soe_query_ms accounting, then the
+// fan-out. A zero parent starts a fresh trace; a client whose MsgExec
+// carried a SpanContext continues its own. A join runs with strategy unless
+// that is chosen.
+func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distql.Strategy) (*Result, *distql.Plan, error) {
 	t0 := time.Now()
-	span := c.tracer.StartRemote("query", parent, "sql="+sql)
+	attrs := []string{"sql=" + sql}
+	if strategy != chosen {
+		attrs = append(attrs, "forced="+strategy.String())
+	}
+	span := c.tracer.StartRemote("query", parent, attrs...)
 	defer span.Finish()
 	defer c.obs.Histogram("soe_query_ms", "service=v2dqp").ObserveSince(t0)
 	c.obs.Counter("soe_queries_total", "service=v2dqp").Inc()
@@ -305,11 +322,16 @@ func (c *Coordinator) queryFrom(parent stats.SpanContext, sql string) (*Result, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, ok := c.ccat.Table(plan.LeftTable); !ok {
-		return nil, nil, fmt.Errorf("soe: unknown table %q", plan.LeftTable)
+	for _, table := range []string{plan.LeftTable, plan.RightTable} {
+		if _, ok := c.ccat.Table(table); !ok && table != "" {
+			return nil, nil, fmt.Errorf("soe: unknown table %q", table)
+		}
 	}
 
-	if plan.RightTable == "" {
+	switch {
+	case plan.RightTable == "" && strategy != chosen:
+		return nil, nil, fmt.Errorf("soe: ForceStrategy needs a join")
+	case plan.RightTable == "":
 		plan.Strategy = distql.StrategyLocalParallel
 		parts := c.pruneParts(sel, plan.LeftTable)
 		rows, rep, err := c.fanOut(span, plan.LocalSQL, c.tasksFor(plan.LeftTable, parts), plan.LeftTable, "")
@@ -317,8 +339,12 @@ func (c *Coordinator) queryFrom(parent stats.SpanContext, sql string) (*Result, 
 			return nil, nil, err
 		}
 		return c.finish(plan, rows, rep)
+	case strategy != chosen:
+		plan.Strategy = strategy
+	default:
+		plan.Strategy = c.joinStrategy(plan)
 	}
-	return c.queryJoin(sel, plan, span)
+	return c.executeJoin(sel, plan, span)
 }
 
 // pruneParts is distributed partition pruning: the WHERE clause is
@@ -349,45 +375,20 @@ func allParts(t *DistTable) []int {
 	return out
 }
 
-// ForceStrategy executes a join with an explicit strategy (the E8
-// ablation); empty string means the optimizer chooses.
-func (c *Coordinator) ForceStrategy(sql string, strategy distql.Strategy) (*Result, *distql.Plan, error) {
-	st, err := sqlexec.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, ok := st.(*sqlexec.SelectStmt)
-	if !ok {
-		return nil, nil, fmt.Errorf("soe: SELECT only")
-	}
-	plan, err := distql.Rewrite(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	if plan.RightTable == "" {
-		return nil, nil, fmt.Errorf("soe: ForceStrategy needs a join")
-	}
-	plan.Strategy = strategy
-	span := c.tracer.Start("query", "sql="+sql, "forced="+strategy.String())
-	defer span.Finish()
-	return c.executeJoin(sel, plan, span)
-}
-
-func (c *Coordinator) queryJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) (*Result, *distql.Plan, error) {
-	lt, lok := c.ccat.Table(plan.LeftTable)
-	rt, rok := c.ccat.Table(plan.RightTable)
-	if !lok || !rok {
-		return nil, nil, fmt.Errorf("soe: unknown join table")
-	}
+// joinStrategy is the coordinator's choice for a join of two existing
+// tables: co-located when they are co-partitioned on the join keys,
+// broadcast when one side is small, repartitioned otherwise.
+func (c *Coordinator) joinStrategy(plan *distql.Plan) distql.Strategy {
+	lt, _ := c.ccat.Table(plan.LeftTable)
+	rt, _ := c.ccat.Table(plan.RightTable)
 	switch {
 	case c.ccat.CoPartitioned(plan.LeftTable, plan.RightTable, plan.LeftKey, plan.RightKey):
-		plan.Strategy = distql.StrategyColocated
+		return distql.StrategyColocated
 	case rt.rows() <= int64(c.BroadcastThreshold) || lt.rows() <= int64(c.BroadcastThreshold):
-		plan.Strategy = distql.StrategyBroadcast
+		return distql.StrategyBroadcast
 	default:
-		plan.Strategy = distql.StrategyRepartition
+		return distql.StrategyRepartition
 	}
-	return c.executeJoin(sel, plan, span)
 }
 
 func (c *Coordinator) executeJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) (*Result, *distql.Plan, error) {

@@ -55,6 +55,9 @@ func TestCoordinatorMatchesOneEngine(t *testing.T) {
 		`SELECT COUNT(*), SUM(qty), AVG(qty) FROM t WHERE id = 'K00' AND id = 'K01'`,
 		`SELECT DISTINCT region FROM t ORDER BY region`,
 		`SELECT region, MAX(qty) FROM t GROUP BY region ORDER BY MAX(qty) DESC, region`,
+		// Expression items: named as one engine names them, and a float
+		// literal ships as a float.
+		`SELECT id, -qty, qty * 2.0, qty IS NULL FROM t ORDER BY id`,
 	} {
 		got, err := c.Query(q)
 		if err != nil {
@@ -66,6 +69,9 @@ func TestCoordinatorMatchesOneEngine(t *testing.T) {
 		if g, w := keysOf(got.Rows), keysOf(want.Rows); strings.Join(g, "\n") != strings.Join(w, "\n") {
 			t.Errorf("%s:\n cluster    %v\n one engine %v", q, got.Rows, want.Rows)
 		}
+		if g, w := strings.Join(got.Cols, ", "), strings.Join(want.Cols, ", "); g != w {
+			t.Errorf("%s: cluster names its columns %s, one engine %s", q, g, w)
+		}
 	}
 
 	for _, q := range []string{
@@ -74,6 +80,9 @@ func TestCoordinatorMatchesOneEngine(t *testing.T) {
 		`SELECT AVG(DISTINCT qty) FROM t`,
 		`SELECT DISTINCT * FROM t`,
 		`SELECT region, qty FROM t ORDER BY qty + 1`,
+		// An aggregate inside CASE is no plain aggregate: one engine answers
+		// one row, which the partials cannot make.
+		`SELECT CASE WHEN SUM(qty) > 5 THEN 1 ELSE 0 END FROM t`,
 	} {
 		if r, err := c.Query(q); err == nil || !strings.Contains(err.Error(), "distql:") {
 			t.Errorf("%s: answered %v (err %v), want a distql refusal", q, r, err)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -47,9 +46,6 @@ type DataNode struct {
 	warm       *extstore.Store                       // node-local extended store, lazily created
 	appliedPos uint64
 	appliedTS  uint64
-
-	queries     atomic.Int64
-	rowsScanned atomic.Int64
 
 	// Per-node observability registry (v2stats pulls it via MsgStatsPull).
 	// Hot-path metrics are cached as fields so the MsgExec path never
@@ -466,8 +462,6 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		if resp.Err != "" {
 			return netsim.Message{Kind: MsgExec, Payload: encode(resp)}, nil
 		}
-		n.queries.Add(1)
-		n.rowsScanned.Add(int64(resp.RowsScanned))
 		n.cQueries.Inc()
 		n.cRowsScan.Add(int64(resp.RowsScanned))
 		n.hExec.ObserveSince(t0)
@@ -556,7 +550,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		n.mu.Lock()
 		st := StatusResp{
 			Node: n.Name, AppliedTS: n.appliedTS,
-			QueriesRun: n.queries.Load(), RowsScanned: n.rowsScanned.Load(),
+			QueriesRun: n.cQueries.Value(), RowsScanned: n.cRowsScan.Value(),
 		}
 		for _, parts := range n.hosted {
 			st.Partitions += len(parts)

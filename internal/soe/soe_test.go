@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -237,6 +238,33 @@ func TestJoinStrategies(t *testing.T) {
 				t.Fatalf("rows=%v", r.Rows)
 			}
 		})
+	}
+}
+
+// TestForcedStrategyUnknownTable: a forced join over tables the cluster
+// does not have is the error Query answers, under every strategy, and is
+// counted like any query.
+func TestForcedStrategyUnknownTable(t *testing.T) {
+	c := newTestCluster(t, 2, OLTP)
+	loadJoinTables(t, c, 4, 1, false)
+	for _, sql := range []string{
+		`SELECT a.x FROM nope a JOIN nada b ON a.x = b.y`,
+		`SELECT o.id FROM orders o JOIN nada b ON o.id = b.y`,
+	} {
+		_, _, want := c.Coordinator.Query(sql)
+		if want == nil || !strings.Contains(want.Error(), "soe: unknown table") {
+			t.Fatalf("Query(%s) = %v, want an unknown table", sql, want)
+		}
+		for _, strat := range []distql.Strategy{distql.StrategyColocated, distql.StrategyBroadcast, distql.StrategyRepartition} {
+			before, _ := c.Coordinator.obs.Snapshot().Counter("soe_queries_total", "service=v2dqp")
+			_, _, err := c.Coordinator.ForceStrategy(sql, strat)
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s: ForceStrategy(%s) = %v, want %v", strat, sql, err, want)
+			}
+			if after, _ := c.Coordinator.obs.Snapshot().Counter("soe_queries_total", "service=v2dqp"); after != before+1 {
+				t.Errorf("%s: soe_queries_total went %d -> %d", strat, before, after)
+			}
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ package sqlexec
 import "repro/internal/value"
 
 // Statement is any parsed SQL statement.
-type Statement interface{ stmt() }
+type Statement interface{ kind() stmtKind }
 
 // SelectStmt is a SELECT query.
 type SelectStmt struct {
@@ -110,14 +110,14 @@ type DropTableStmt struct {
 // MergeDeltaStmt is the HANA-style "MERGE DELTA OF t" maintenance command.
 type MergeDeltaStmt struct{ Table string }
 
-func (*SelectStmt) stmt()      {}
-func (*InsertStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
-func (*CreateTableStmt) stmt() {}
-func (*CreateViewStmt) stmt()  {}
-func (*DropTableStmt) stmt()   {}
-func (*MergeDeltaStmt) stmt()  {}
+func (*SelectStmt) kind() stmtKind      { return stmtSelect }
+func (*InsertStmt) kind() stmtKind      { return stmtInsert }
+func (*UpdateStmt) kind() stmtKind      { return stmtUpdate }
+func (*DeleteStmt) kind() stmtKind      { return stmtDelete }
+func (*CreateTableStmt) kind() stmtKind { return stmtCreateTable }
+func (*CreateViewStmt) kind() stmtKind  { return stmtCreateView }
+func (*DropTableStmt) kind() stmtKind   { return stmtDropTable }
+func (*MergeDeltaStmt) kind() stmtKind  { return stmtMergeDelta }
 
 // Expr is any expression node.
 type Expr interface{ expr() }

@@ -2,15 +2,12 @@ package sqlexec
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/columnstore"
 	"repro/internal/value"
 )
-
-// ExprText renders an expression as SQL text (used by the distributed
-// planner to compare and ship expressions).
-func ExprText(e Expr) string { return deparseExpr(e) }
 
 // CompileRowPredicate parses a standalone SQL condition and binds it
 // against a row shape, returning a predicate over rows. External engines
@@ -35,10 +32,11 @@ func CompileRowPredicate(cond string, schema columnstore.Schema, reg *Registry) 
 	}, nil
 }
 
-// Deparse renders a SELECT statement back to SQL text. The distributed
-// coordinator rewrites parsed queries (partial aggregates, temp-table
-// substitution) and ships them to query services as text — the moral
-// equivalent of the paper's plan shipping.
+// Deparse renders a SELECT statement back to SQL text that parses to the
+// same statement (FuzzDeparse). The distributed coordinator rewrites parsed
+// queries (partial aggregates, temp-table substitution) and ships them to
+// query services as text — the moral equivalent of the paper's plan
+// shipping — and a view keeps its SELECT as this text.
 func Deparse(s *SelectStmt) string {
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
@@ -49,17 +47,22 @@ func Deparse(s *SelectStmt) string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		if it.Star {
-			if it.Qual != "" {
-				sb.WriteString(it.Qual + ".*")
-			} else {
-				sb.WriteString("*")
-			}
-			continue
+		switch {
+		case it.Star && it.Qual != "":
+			sb.WriteString(identText(it.Qual) + ".*")
+		case it.Star:
+			sb.WriteString("*")
+		default:
+			sb.WriteString(ExprText(it.Expr))
 		}
-		sb.WriteString(deparseExpr(it.Expr))
 		if it.As != "" {
-			sb.WriteString(" AS " + it.As)
+			// An alias that is no bare identifier is written as a string,
+			// which keeps its case.
+			as := identText(it.As)
+			if as != it.As {
+				as = stringText(it.As)
+			}
+			sb.WriteString(" AS " + as)
 		}
 	}
 	if s.From.Name != "" || s.From.Subquery != nil || s.From.Func != nil {
@@ -71,11 +74,11 @@ func Deparse(s *SelectStmt) string {
 				sb.WriteString(" JOIN ")
 			}
 			sb.WriteString(deparseTableRef(j.Table))
-			sb.WriteString(" ON " + deparseExpr(j.On))
+			sb.WriteString(" ON " + ExprText(j.On))
 		}
 	}
 	if s.Where != nil {
-		sb.WriteString(" WHERE " + deparseExpr(s.Where))
+		sb.WriteString(" WHERE " + ExprText(s.Where))
 	}
 	if len(s.GroupBy) > 0 {
 		sb.WriteString(" GROUP BY ")
@@ -83,11 +86,11 @@ func Deparse(s *SelectStmt) string {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(deparseExpr(g))
+			sb.WriteString(ExprText(g))
 		}
 	}
 	if s.Having != nil {
-		sb.WriteString(" HAVING " + deparseExpr(s.Having))
+		sb.WriteString(" HAVING " + ExprText(s.Having))
 	}
 	if len(s.OrderBy) > 0 {
 		sb.WriteString(" ORDER BY ")
@@ -95,7 +98,7 @@ func Deparse(s *SelectStmt) string {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(deparseExpr(o.Expr))
+			sb.WriteString(ExprText(o.Expr))
 			if o.Desc {
 				sb.WriteString(" DESC")
 			}
@@ -116,96 +119,143 @@ func deparseTableRef(r TableRef) string {
 	case r.Subquery != nil:
 		base = "(" + Deparse(r.Subquery) + ")"
 	case r.Func != nil:
-		base = "TABLE(" + deparseExpr(r.Func) + ")"
+		base = "TABLE(" + ExprText(r.Func) + ")"
+	case strings.Contains(r.Name, "."):
+		// A schema-qualified name (sys.m_statements).
+		schema, name, _ := strings.Cut(r.Name, ".")
+		base = identText(schema) + "." + identText(name)
 	default:
-		base = r.Name
+		base = identText(r.Name)
 	}
 	if r.Alias != "" && r.Alias != r.Name {
-		return base + " " + r.Alias
+		return base + " " + identText(r.Alias)
 	}
 	return base
 }
 
-func deparseExpr(e Expr) string {
+// ExprText renders an expression as SQL text that parses back to the same
+// expression: every compound expression is parenthesized, a parameter is
+// its `$N`, a float keeps a point or an exponent and an identifier that is
+// no bare one is double-quoted. Two expressions are the same expression
+// when their texts are equal — the planner matches GROUP BY keys and
+// shares aggregates by it, the distributed planner compares select items
+// with it, and it names computed columns, labels EXPLAIN and ships SQL to
+// the nodes.
+func ExprText(e Expr) string {
 	switch x := e.(type) {
 	case nil:
 		return ""
 	case *Literal:
-		switch {
-		case x.Val.IsNull():
+		switch x.Val.K {
+		case value.KindNull:
 			return "NULL"
-		case x.Val.K == 3: // KindString
-			return "'" + strings.ReplaceAll(x.Val.S, "'", "''") + "'"
-		case x.Val.K == 4: // KindBool
+		case value.KindString:
+			return stringText(x.Val.S)
+		case value.KindBool:
 			if x.Val.I != 0 {
 				return "TRUE"
 			}
 			return "FALSE"
-		default:
-			return x.Val.AsString()
+		case value.KindFloat:
+			s := strconv.FormatFloat(x.Val.F, 'g', -1, 64)
+			if !strings.ContainsAny(s, ".eIN") { // Inf and NaN have no literal
+				s += ".0"
+			}
+			return s
 		}
+		return x.Val.AsString()
 	case *ColRef:
 		if x.Qual != "" {
-			return x.Qual + "." + x.Name
+			return identText(x.Qual) + "." + identText(x.Name)
 		}
-		return x.Name
+		return identText(x.Name)
 	case *Param:
-		return "?"
+		return "$" + strconv.Itoa(x.Index+1)
 	case *BinaryExpr:
-		return "(" + deparseExpr(x.L) + " " + x.Op + " " + deparseExpr(x.R) + ")"
+		return "(" + ExprText(x.L) + " " + x.Op + " " + ExprText(x.R) + ")"
 	case *UnaryExpr:
 		if x.Op == "NOT" {
-			return "NOT (" + deparseExpr(x.E) + ")"
+			return "(NOT " + ExprText(x.E) + ")"
 		}
-		return "-(" + deparseExpr(x.E) + ")"
+		return "-(" + ExprText(x.E) + ")"
 	case *FuncExpr:
-		var args []string
-		if x.Star {
-			args = append(args, "*")
-		}
-		if x.Distinct {
-			args = append(args, "DISTINCT")
-		}
-		for _, a := range x.Args {
-			args = append(args, deparseExpr(a))
+		args := make([]string, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = ExprText(a)
 		}
 		joined := strings.Join(args, ", ")
-		if x.Distinct && len(x.Args) > 0 {
-			joined = "DISTINCT " + deparseExpr(x.Args[0])
+		switch {
+		case x.Star:
+			joined = "*"
+		case x.Distinct:
+			joined = "DISTINCT " + joined
 		}
-		return x.Name + "(" + joined + ")"
+		return funcText(x.Name) + "(" + joined + ")"
 	case *CaseExpr:
 		var sb strings.Builder
 		sb.WriteString("CASE")
 		for _, w := range x.Whens {
-			sb.WriteString(" WHEN " + deparseExpr(w.Cond) + " THEN " + deparseExpr(w.Then))
+			sb.WriteString(" WHEN " + ExprText(w.Cond) + " THEN " + ExprText(w.Then))
 		}
 		if x.Else != nil {
-			sb.WriteString(" ELSE " + deparseExpr(x.Else))
+			sb.WriteString(" ELSE " + ExprText(x.Else))
 		}
 		sb.WriteString(" END")
 		return sb.String()
 	case *InExpr:
-		var items []string
-		for _, v := range x.List {
-			items = append(items, deparseExpr(v))
+		items := make([]string, len(x.List))
+		for i, v := range x.List {
+			items[i] = ExprText(v)
 		}
-		op := " IN ("
-		if x.Not {
-			op = " NOT IN ("
-		}
-		return deparseExpr(x.E) + op + strings.Join(items, ", ") + ")"
+		return "(" + ExprText(x.E) + notWord(x.Not) + " IN (" + strings.Join(items, ", ") + "))"
 	case *BetweenExpr:
-		op := " BETWEEN "
-		if x.Not {
-			op = " NOT BETWEEN "
-		}
-		return deparseExpr(x.E) + op + deparseExpr(x.Lo) + " AND " + deparseExpr(x.Hi)
+		return "(" + ExprText(x.E) + notWord(x.Not) + " BETWEEN " + ExprText(x.Lo) + " AND " + ExprText(x.Hi) + ")"
 	case *IsNullExpr:
-		if x.Not {
-			return deparseExpr(x.E) + " IS NOT NULL"
-		}
-		return deparseExpr(x.E) + " IS NULL"
+		return "(" + ExprText(x.E) + " IS" + notWord(x.Not) + " NULL)"
 	}
 	return fmt.Sprintf("/*%T*/", e)
+}
+
+// notWord is the NOT of a negated IN, BETWEEN or IS NULL.
+func notWord(negated bool) string {
+	if negated {
+		return " NOT"
+	}
+	return ""
+}
+
+// stringText is s as a string literal.
+func stringText(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+}
+
+// identText is an identifier as the lexer reads it back: bare when it
+// lexes as itself, double-quoted otherwise — a keyword, a name the lexer
+// would fold to lower case or one with a character a bare word cannot
+// hold, a quote doubled.
+func identText(s string) string {
+	bare := s != "" && (s[0] < '0' || s[0] > '9') && !isKeyword(s) && strings.ToLower(s) == s
+	for i := 0; bare && i < len(s); i++ {
+		c := s[i]
+		bare = isIdentStart(rune(c)) || c >= '0' && c <= '9'
+	}
+	if bare {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+}
+
+// funcText is a function name, which the parser upper-cases, as the
+// lexer reads it back: the name itself when it is a bare upper-case word,
+// else its lower-case spelling as an identifier.
+func funcText(name string) string {
+	bare := name != "" && !isKeyword(name)
+	for i := 0; bare && i < len(name); i++ {
+		c := name[i]
+		bare = c >= 'A' && c <= 'Z' || c == '_' || i > 0 && c >= '0' && c <= '9'
+	}
+	if bare {
+		return name
+	}
+	return identText(strings.ToLower(name))
 }

@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,33 +9,69 @@ import (
 	"repro/internal/value"
 )
 
-func TestDeparseRoundTrip(t *testing.T) {
-	// Parse → deparse → parse → deparse must be a fixed point, and both
-	// parses must execute identically.
-	queries := []string{
-		`SELECT a, b AS x FROM t WHERE a > 1 AND b LIKE 'x%' ORDER BY x DESC LIMIT 3 OFFSET 1`,
-		`SELECT COUNT(*), SUM(a) FROM t GROUP BY b HAVING COUNT(*) > 2`,
-		`SELECT * FROM t1 JOIN t2 ON t1.a = t2.b LEFT JOIN t3 ON t2.c = t3.d`,
-		`SELECT a FROM (SELECT a FROM t) sub WHERE a IN (1, 2) OR a BETWEEN 5 AND 9`,
-		`SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t WHERE b IS NOT NULL`,
-		`SELECT DISTINCT UPPER(name) FROM t WHERE NOT (x = 1)`,
-		`SELECT a || '-' || b FROM t WHERE s = 'it''s'`,
+// deparseCases are statements whose expressions a lossy rendering would
+// confuse: CASE arms, IN lists, NOT, parameters, float literals, quoted
+// identifiers and aliases.
+var deparseCases = []string{
+	`SELECT a, b AS x FROM t WHERE a > 1 AND b LIKE 'x%' ORDER BY x DESC LIMIT 3 OFFSET 1`,
+	`SELECT COUNT(*), SUM(a) FROM t GROUP BY b HAVING COUNT(*) > 2`,
+	`SELECT * FROM t1 JOIN t2 ON t1.a = t2.b LEFT JOIN t3 ON t2.c = t3.d`,
+	`SELECT a FROM (SELECT a FROM t) sub WHERE a IN (1, 2) OR a BETWEEN 5 AND 9`,
+	`SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t WHERE b IS NOT NULL`,
+	`SELECT DISTINCT UPPER(name) FROM t WHERE NOT (x = 1)`,
+	`SELECT a || '-' || b FROM t WHERE s = 'it''s'`,
+	`SELECT SUM(CASE WHEN a > 1 THEN 1 ELSE 0 END), SUM(CASE WHEN a > 2 THEN 1 ELSE 0 END) FROM t`,
+	`SELECT SUM(a * $1), SUM(a * $2), SUM(a * ?) FROM t`,
+	`SELECT SUM(a * 2.0), SUM(a * 2), 1e21, -0.5, 1.5e-9 FROM t`,
+	`SELECT a BETWEEN 1 AND 2, a NOT BETWEEN 1 AND 2 FROM t GROUP BY a BETWEEN 1 AND 2, a NOT BETWEEN 1 AND 2`,
+	`SELECT a IN (1), a NOT IN (3), NOT a IN (3), a NOT LIKE 'x', (NOT a) = b, (a IS NULL) = FALSE FROM t`,
+	`SELECT "select", "Mixed Case", "1st", t."from" AS "order", x AS 'Total Sales' FROM "table" t`,
+	`SELECT COUNT(DISTINCT a, b), "left"(a), f() FROM sys.m_statements JOIN TABLE(series(1, 3)) s ON 1 = 1`,
+	`SELECT -a, - -a, -(a + 1), 2 - -3 FROM t ORDER BY 1`,
+}
+
+// roundTrip is FuzzDeparse's property for one statement: a SELECT that
+// parses deparses to text that parses to the same statement, and deparsing
+// that again gives the same text.
+func roundTrip(t *testing.T, sql string) {
+	t.Helper()
+	st, err := Parse(sql)
+	sel, ok := st.(*SelectStmt)
+	if err != nil || !ok {
+		return
 	}
-	for _, q := range queries {
-		st1, err := Parse(q)
-		if err != nil {
+	d1 := Deparse(sel)
+	st2, err := Parse(d1)
+	if err != nil {
+		t.Fatalf("%q deparses to %q, which does not parse: %v", sql, d1, err)
+	}
+	if !reflect.DeepEqual(st2, st) {
+		t.Fatalf("%q deparses to %q, which parses to another statement:\n%#v\n%#v", sql, d1, st, st2)
+	}
+	if d2 := Deparse(st2.(*SelectStmt)); d2 != d1 {
+		t.Fatalf("not a fixed point:\n%s\n%s", d1, d2)
+	}
+}
+
+func TestDeparseRoundTrip(t *testing.T) {
+	for _, q := range deparseCases {
+		if _, err := Parse(q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		d1 := Deparse(st1.(*SelectStmt))
-		st2, err := Parse(d1)
-		if err != nil {
-			t.Fatalf("deparse output unparseable: %s → %s: %v", q, d1, err)
-		}
-		d2 := Deparse(st2.(*SelectStmt))
-		if d1 != d2 {
-			t.Fatalf("not a fixed point:\n%s\n%s", d1, d2)
-		}
+		roundTrip(t, q)
 	}
+}
+
+// FuzzDeparse: for any text that parses as a SELECT, Parse(Deparse(ast))
+// is ast, and a second round is byte-identical.
+func FuzzDeparse(f *testing.F) {
+	for _, q := range deparseCases {
+		f.Add(q)
+	}
+	for _, q := range parityQueries {
+		f.Add(q.sql)
+	}
+	f.Fuzz(roundTrip)
 }
 
 func TestDeparsedQueryExecutesIdentically(t *testing.T) {

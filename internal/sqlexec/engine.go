@@ -134,7 +134,7 @@ func (e *Engine) AnalyzeSQL(sql string, params ...value.Value) (*Result, *Profil
 // points take.
 func (s *Session) prepareSelect(sql, verb string) (*Stmt, error) {
 	st, err := s.Prepare(sql)
-	if err == nil && (st.kind != stmtParsed || st.sel == nil) {
+	if err == nil && st.kind != stmtSelect {
 		err = fmt.Errorf("sql: %s supports only SELECT", verb)
 	}
 	return st, err
@@ -293,39 +293,15 @@ func (s *Session) Rollback() error {
 func (s *Session) InTxn() bool { return s.explicit }
 
 // Query executes one SQL statement and returns its materialized result:
-// QueryTo with the collecting sink.
+// Prepare, then Exec.
 func (s *Session) Query(sql string, params ...value.Value) (*Result, error) {
-	res := &Result{}
-	if err := s.queryTo(res, &res.Stats, sql, params); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// QueryTo executes one SQL statement into sink: Prepare, then ExecTo.
-func (s *Session) QueryTo(sink RowSink, sql string, params ...value.Value) (ExecStats, error) {
-	var stats ExecStats
-	if err := s.queryTo(sink, &stats, sql, params); err != nil {
-		return ExecStats{}, err
-	}
-	return stats, nil
-}
-
-// queryTo is what Query and QueryTo share. A statement that fails to parse
-// still counts — the session shows it and the error lands under the text's
-// fingerprint in sys.m_statements.
-func (s *Session) queryTo(sink RowSink, stats *ExecStats, sql string, params []value.Value) error {
 	t0 := time.Now()
 	st, err := s.Prepare(sql)
 	if err != nil {
-		s.setActive(sql)
-		id, norm := Fingerprint(sql)
-		s.e.stmts.record(id, norm, time.Since(t0), 0, true)
-		s.setIdle()
-		return err
+		return nil, err
 	}
-	_, err = st.execTo(sink, stats, t0, params, false)
-	return err
+	res, _, err := st.exec(t0, params, false)
+	return res, err
 }
 
 // setActive publishes the running statement to sys.m_sessions.
@@ -359,24 +335,6 @@ func textRows(text string) []value.Row {
 
 // countRows is the one row of one count a DML statement answers with.
 func countRows(n int) []value.Row { return []value.Row{{value.Int(int64(n))}} }
-
-// firstWord labels a statement span by its leading keyword.
-func firstWord(sql string) string {
-	if i := strings.IndexAny(sql, " \t\n"); i > 0 {
-		return strings.ToUpper(sql[:i])
-	}
-	return strings.ToUpper(sql)
-}
-
-// selectSQL extracts the SELECT text of a CREATE VIEW statement.
-func selectSQL(sql string) string {
-	up := strings.ToUpper(sql)
-	i := strings.Index(up, " AS ")
-	if i < 0 {
-		return sql
-	}
-	return strings.TrimSpace(sql[i+4:])
-}
 
 // snapshotTS is the timestamp a statement would read at, for callers that
 // only plan: nothing is pinned, so nothing may be read at it.

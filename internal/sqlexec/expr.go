@@ -148,7 +148,7 @@ func compileExpr(e Expr, resolve colResolver, reg *Registry) (evalFn, error) {
 		return func(env *Env) value.Value { return value.Neg(inner(env)) }, nil
 
 	case *FuncExpr:
-		if aggNames[x.Name] {
+		if IsAggregate(x) {
 			return nil, fmt.Errorf("sql: aggregate %s not allowed here", x.Name)
 		}
 		fn, ok := reg.Scalar(x.Name)
@@ -317,51 +317,6 @@ func likeRec(s, p string) bool {
 		}
 	}
 	return len(s) == 0
-}
-
-// exprString renders an expression for plan explanations and error text.
-func exprString(e Expr) string {
-	switch x := e.(type) {
-	case nil:
-		return ""
-	case *Literal:
-		if x.Val.K == value.KindString {
-			return "'" + x.Val.S + "'"
-		}
-		return x.Val.AsString()
-	case *ColRef:
-		if x.Qual != "" {
-			return x.Qual + "." + x.Name
-		}
-		return x.Name
-	case *Param:
-		return "?"
-	case *BinaryExpr:
-		return "(" + exprString(x.L) + " " + x.Op + " " + exprString(x.R) + ")"
-	case *UnaryExpr:
-		return x.Op + " " + exprString(x.E)
-	case *FuncExpr:
-		var args []string
-		if x.Star {
-			args = []string{"*"}
-		}
-		for _, a := range x.Args {
-			args = append(args, exprString(a))
-		}
-		return x.Name + "(" + strings.Join(args, ", ") + ")"
-	case *CaseExpr:
-		return "CASE ..."
-	case *InExpr:
-		return exprString(x.E) + " IN (...)"
-	case *BetweenExpr:
-		return exprString(x.E) + " BETWEEN " + exprString(x.Lo) + " AND " + exprString(x.Hi)
-	case *IsNullExpr:
-		if x.Not {
-			return exprString(x.E) + " IS NOT NULL"
-		}
-		return exprString(x.E) + " IS NULL"
-	}
-	return fmt.Sprintf("%T", e)
 }
 
 // operands calls f on each operand of e, in order.

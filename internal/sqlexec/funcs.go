@@ -264,16 +264,19 @@ func timePart(sel func(y, m, d, h int) int) ScalarFunc {
 	}
 }
 
-// aggregate names recognized by the planner.
+// aggNames are the aggregate functions.
 var aggNames = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
 
-// containsAggregate reports whether the expression tree contains an
+// IsAggregate reports whether e is an aggregate function call.
+func IsAggregate(e Expr) bool {
+	f, ok := e.(*FuncExpr)
+	return ok && aggNames[f.Name]
+}
+
+// ContainsAggregate reports whether the expression tree contains an
 // aggregate function call.
-func containsAggregate(e Expr) bool {
-	if f, ok := e.(*FuncExpr); ok && aggNames[f.Name] {
-		return true
-	}
-	found := false
-	operands(e, func(sub Expr) { found = found || containsAggregate(sub) })
+func ContainsAggregate(e Expr) bool {
+	found := IsAggregate(e)
+	operands(e, func(sub Expr) { found = found || ContainsAggregate(sub) })
 	return found
 }

@@ -21,7 +21,7 @@ const (
 type token struct {
 	kind tokenKind
 	text string // keywords upper-cased, idents original case-folded to lower
-	pos  int
+	pos  int    // of the token's first byte in the source
 }
 
 var keywords = map[string]bool{
@@ -36,6 +36,23 @@ var keywords = map[string]bool{
 	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
 	"TRUE": true, "FALSE": true, "MERGE": true, "DELTA": true, "OF": true,
 	"WITH": true, "PARTITION": true, "RANGE": true,
+}
+
+// isKeyword reports whether s, in any case, is a keyword. Every keyword is
+// ASCII, and no other letter upper-cases to one inside a bare word.
+func isKeyword(s string) bool {
+	var up [len("PARTITION")]byte
+	if len(s) > len(up) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	return keywords[string(up[:len(s)])]
 }
 
 type lexer struct {
@@ -57,7 +74,7 @@ func lex(src string) ([]token, error) {
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.pos++
 			}
-		case isIdentStart(rune(c)):
+		case c == '"' || isIdentStart(rune(c)):
 			l.lexWord()
 		case c >= '0' && c <= '9':
 			l.lexNumber()
@@ -66,7 +83,7 @@ func lex(src string) ([]token, error) {
 				return nil, err
 			}
 		case c == '?':
-			l.emit(tkParam, "?")
+			l.emit(tkParam, "?", l.pos)
 			l.pos++
 		case c == '$':
 			// $N positional parameter (PostgreSQL style); 1-based.
@@ -78,35 +95,39 @@ func lex(src string) ([]token, error) {
 			if l.pos == start+1 {
 				return nil, fmt.Errorf("sql: bare $ at %d", start)
 			}
-			l.toks = append(l.toks, token{kind: tkParam, text: l.src[start:l.pos], pos: start})
+			l.emit(tkParam, l.src[start:l.pos], start)
 		default:
 			if err := l.lexOp(); err != nil {
 				return nil, err
 			}
 		}
 	}
-	l.emit(tkEOF, "")
+	l.emit(tkEOF, "", len(l.src))
 	return l.toks, nil
 }
 
 func isIdentStart(c rune) bool {
-	return unicode.IsLetter(c) || c == '_' || c == '"'
+	return unicode.IsLetter(c) || c == '_'
 }
 
-func (l *lexer) emit(k tokenKind, s string) {
-	l.toks = append(l.toks, token{kind: k, text: s, pos: l.pos})
+func (l *lexer) emit(k tokenKind, s string, start int) {
+	l.toks = append(l.toks, token{kind: k, text: s, pos: start})
 }
 
 func (l *lexer) lexWord() {
 	start := l.pos
-	if l.src[l.pos] == '"' { // quoted identifier
-		l.pos++
-		for l.pos < len(l.src) && l.src[l.pos] != '"' {
-			l.pos++
+	if l.src[l.pos] == '"' { // quoted identifier; "" is a quote inside one
+		for l.pos++; l.pos < len(l.src); l.pos++ {
+			if l.src[l.pos] == '"' {
+				if l.pos+1 == len(l.src) || l.src[l.pos+1] != '"' {
+					break
+				}
+				l.pos++
+			}
 		}
-		word := l.src[start+1 : l.pos]
+		word := strings.ReplaceAll(l.src[start+1:l.pos], `""`, `"`)
 		l.pos++ // closing quote
-		l.emit(tkIdent, strings.ToLower(word))
+		l.emit(tkIdent, strings.ToLower(word), start)
 		return
 	}
 	for l.pos < len(l.src) && (isIdentStart(rune(l.src[l.pos])) || l.src[l.pos] >= '0' && l.src[l.pos] <= '9') {
@@ -115,9 +136,9 @@ func (l *lexer) lexWord() {
 	word := l.src[start:l.pos]
 	upper := strings.ToUpper(word)
 	if keywords[upper] {
-		l.emit(tkKeyword, upper)
+		l.emit(tkKeyword, upper, start)
 	} else {
-		l.emit(tkIdent, strings.ToLower(word))
+		l.emit(tkIdent, strings.ToLower(word), start)
 	}
 }
 
@@ -143,10 +164,11 @@ func (l *lexer) lexNumber() {
 		}
 		l.pos++
 	}
-	l.emit(tkNumber, l.src[start:l.pos])
+	l.emit(tkNumber, l.src[start:l.pos], start)
 }
 
 func (l *lexer) lexString() error {
+	start := l.pos
 	l.pos++ // opening quote
 	var sb strings.Builder
 	for l.pos < len(l.src) {
@@ -158,7 +180,7 @@ func (l *lexer) lexString() error {
 				continue
 			}
 			l.pos++
-			l.emit(tkString, sb.String())
+			l.emit(tkString, sb.String(), start)
 			return nil
 		}
 		sb.WriteByte(c)
@@ -173,7 +195,7 @@ func (l *lexer) lexOp() error {
 	if l.pos+1 < len(l.src) {
 		two := l.src[l.pos : l.pos+2]
 		if twoCharOps[two] {
-			l.emit(tkOp, two)
+			l.emit(tkOp, two, l.pos)
 			l.pos += 2
 			return nil
 		}
@@ -181,7 +203,7 @@ func (l *lexer) lexOp() error {
 	c := l.src[l.pos]
 	switch c {
 	case '(', ')', ',', '.', '*', '+', '-', '/', '%', '=', '<', '>', ';':
-		l.emit(tkOp, string(c))
+		l.emit(tkOp, string(c), l.pos)
 		l.pos++
 		return nil
 	}

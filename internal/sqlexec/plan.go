@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -235,7 +234,7 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 	// Aggregation.
 	needAgg := len(s.GroupBy) > 0
 	for _, it := range s.Items {
-		if !it.Star && containsAggregate(it.Expr) {
+		if !it.Star && ContainsAggregate(it.Expr) {
 			needAgg = true
 		}
 	}
@@ -262,7 +261,7 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 				return nil, err
 			}
 			projExprs = append(projExprs, e)
-			projCols = append(projCols, Column{Name: itemName(it)})
+			projCols = append(projCols, Column{Name: ItemName(it)})
 		}
 		if s.Having != nil {
 			h, err := rew.rewrite(s.Having)
@@ -288,7 +287,7 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 				continue
 			}
 			projExprs = append(projExprs, it.Expr)
-			projCols = append(projCols, Column{Name: itemName(it)})
+			projCols = append(projCols, Column{Name: ItemName(it)})
 		}
 	}
 
@@ -413,14 +412,16 @@ func (pl *Planner) buildTableRef(ref TableRef, depth int) (Plan, error) {
 	}
 }
 
-func itemName(it SelectItem) string {
+// ItemName names the output column of a select item: its alias, the
+// column it reads, or the lower-cased text of its expression.
+func ItemName(it SelectItem) string {
 	if it.As != "" {
 		return it.As
 	}
 	if c, ok := it.Expr.(*ColRef); ok {
 		return c.Name
 	}
-	return strings.ToLower(exprString(it.Expr))
+	return strings.ToLower(ExprText(it.Expr))
 }
 
 // --- aggregate rewriting ---------------------------------------------------
@@ -435,13 +436,13 @@ type aggRewriter struct {
 func (r *aggRewriter) rewrite(e Expr) (Expr, error) {
 	// Exact group-by match?
 	for i, g := range r.agg.GroupBy {
-		if exprString(g) == exprString(e) {
+		if ExprText(g) == ExprText(e) {
 			return &ColRef{Name: fmt.Sprintf("#g%d", i)}, nil
 		}
 	}
 	switch x := e.(type) {
 	case *FuncExpr:
-		if aggNames[x.Name] {
+		if IsAggregate(x) {
 			idx := r.addAgg(x)
 			return &ColRef{Name: fmt.Sprintf("#a%d", idx)}, nil
 		}
@@ -494,7 +495,7 @@ func (r *aggRewriter) rewrite(e Expr) (Expr, error) {
 	case *Literal, *Param:
 		return e, nil
 	case *ColRef:
-		return nil, fmt.Errorf("sql: column %q must appear in GROUP BY or inside an aggregate", exprString(x))
+		return nil, fmt.Errorf("sql: column %q must appear in GROUP BY or inside an aggregate", ExprText(x))
 	case *IsNullExpr:
 		inner, err := r.rewrite(x.E)
 		if err != nil {
@@ -513,7 +514,7 @@ func (r *aggRewriter) addAgg(f *FuncExpr) int {
 	spec := aggSpec{Fn: f.Name, Arg: arg, Star: f.Star, Distinct: f.Distinct}
 	// Reuse identical aggregates.
 	for i, a := range r.agg.Aggs {
-		if a.Fn == spec.Fn && a.Star == spec.Star && a.Distinct == spec.Distinct && exprString(a.Arg) == exprString(spec.Arg) {
+		if a.Fn == spec.Fn && a.Star == spec.Star && a.Distinct == spec.Distinct && ExprText(a.Arg) == ExprText(spec.Arg) {
 			return i
 		}
 	}
@@ -1035,69 +1036,9 @@ func Explain(p Plan) string {
 }
 
 func explainRec(p Plan, depth int, sb *strings.Builder) {
-	ind := strings.Repeat("  ", depth)
-	switch x := p.(type) {
-	case *ScanPlan:
-		sb.WriteString(ind + "Scan " + x.Entry.Name)
-		if x.Alias != x.Entry.Name {
-			sb.WriteString(" AS " + x.Alias)
-		}
-		sb.WriteString(" [" + strconv.Itoa(len(x.scanParts())) + "/" + strconv.Itoa(len(x.Entry.Partitions)) + " partitions]")
-		if x.Filter != nil {
-			sb.WriteString(" filter=" + exprString(x.Filter))
-		}
-		sb.WriteString("\n")
-	case *TableFuncPlan:
-		sb.WriteString(ind + "TableFunc " + x.Name + "\n")
-	case *VirtualScanPlan:
-		sb.WriteString(ind + "VirtualScan " + x.Table.Name)
-		if x.Alias != x.Table.Name && !strings.HasSuffix(x.Table.Name, "."+x.Alias) {
-			sb.WriteString(" AS " + x.Alias)
-		}
-		sb.WriteString("\n")
-	case *FilterPlan:
-		sb.WriteString(ind + "Filter " + exprString(x.Pred) + "\n")
-		explainRec(x.Child, depth+1, sb)
-	case *JoinPlan:
-		kind := "HashJoin"
-		if len(x.EquiL) == 0 {
-			kind = "NestedLoopJoin"
-		}
-		if x.LeftOuter {
-			kind = "Left" + kind
-		}
-		sb.WriteString(ind + kind)
-		for i := range x.EquiL {
-			sb.WriteString(" " + exprString(x.EquiL[i]) + "=" + exprString(x.EquiR[i]))
-		}
-		if x.Residual != nil {
-			sb.WriteString(" residual=" + exprString(x.Residual))
-		}
-		sb.WriteString("\n")
-		explainRec(x.L, depth+1, sb)
-		explainRec(x.R, depth+1, sb)
-	case *ProjectPlan:
-		sb.WriteString(ind + "Project " + strings.Join(colNames(x.cols), ", ") + "\n")
-		explainRec(x.Child, depth+1, sb)
-	case *AggPlan:
-		sb.WriteString(ind + fmt.Sprintf("Aggregate groups=%d aggs=%d\n", len(x.GroupBy), len(x.Aggs)))
-		explainRec(x.Child, depth+1, sb)
-	case *DistinctPlan:
-		sb.WriteString(ind + "Distinct\n")
-		explainRec(x.Child, depth+1, sb)
-	case *SortPlan:
-		sb.WriteString(ind + "Sort\n")
-		explainRec(x.Child, depth+1, sb)
-	case *LimitPlan:
-		sb.WriteString(ind + fmt.Sprintf("Limit %d offset %d\n", x.N, x.Offset))
-		explainRec(x.Child, depth+1, sb)
-	case *AliasPlan:
-		sb.WriteString(ind + "Alias " + x.Alias + "\n")
-		explainRec(x.Child, depth+1, sb)
-	case *ValuesPlan:
-		sb.WriteString(ind + fmt.Sprintf("Values %d rows\n", len(x.Rows)))
-	default:
-		sb.WriteString(ind + fmt.Sprintf("%T\n", p))
+	sb.WriteString(strings.Repeat("  ", depth) + planLabel(p) + "\n")
+	for _, c := range planChildren(p) {
+		explainRec(c, depth+1, sb)
 	}
 }
 

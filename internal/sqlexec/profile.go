@@ -276,7 +276,8 @@ func planChildren(p Plan) []Plan {
 	return nil
 }
 
-// planLabel is the one-line operator description, matching EXPLAIN.
+// planLabel is the one-line operator description EXPLAIN and EXPLAIN
+// ANALYZE print.
 func planLabel(p Plan) string {
 	switch x := p.(type) {
 	case *ScanPlan:
@@ -286,15 +287,18 @@ func planLabel(p Plan) string {
 		}
 		s += " [" + strconv.Itoa(len(x.scanParts())) + "/" + strconv.Itoa(len(x.Entry.Partitions)) + " partitions]"
 		if x.Filter != nil {
-			s += " filter=" + exprString(x.Filter)
+			s += " filter=" + ExprText(x.Filter)
 		}
 		return s
 	case *TableFuncPlan:
 		return "TableFunc " + x.Name
 	case *VirtualScanPlan:
+		if x.Alias != x.Table.Name && !strings.HasSuffix(x.Table.Name, "."+x.Alias) {
+			return "VirtualScan " + x.Table.Name + " AS " + x.Alias
+		}
 		return "VirtualScan " + x.Table.Name
 	case *FilterPlan:
-		return "Filter " + exprString(x.Pred)
+		return "Filter " + ExprText(x.Pred)
 	case *JoinPlan:
 		kind := "HashJoin"
 		if len(x.EquiL) == 0 {
@@ -304,10 +308,10 @@ func planLabel(p Plan) string {
 			kind = "Left" + kind
 		}
 		for i := range x.EquiL {
-			kind += " " + exprString(x.EquiL[i]) + "=" + exprString(x.EquiR[i])
+			kind += " " + ExprText(x.EquiL[i]) + "=" + ExprText(x.EquiR[i])
 		}
 		if x.Residual != nil {
-			kind += " residual=" + exprString(x.Residual)
+			kind += " residual=" + ExprText(x.Residual)
 		}
 		return kind
 	case *ProjectPlan:

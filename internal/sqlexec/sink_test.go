@@ -94,7 +94,7 @@ func execShown(t testing.TB, e *Engine, sql string, params ...value.Value) (*sho
 	s := e.NewSession()
 	defer s.Close()
 	sink := &showSink{t: t}
-	stats, err := s.QueryTo(sink, sql, params...)
+	stats, err := queryTo(s, sink, sql, params...)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -367,7 +367,7 @@ func TestSinkOrderAndStop(t *testing.T) {
 			label := fmt.Sprintf("workers=%d slow=%v", workers, slow)
 			s := e.NewSession()
 			sink := &showSink{t: t, slow: slow}
-			if _, err := s.QueryTo(sink, sql); err != nil {
+			if _, err := queryTo(s, sink, sql); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			s.Close()
@@ -392,7 +392,7 @@ func TestSinkOrderAndStop(t *testing.T) {
 			label := fmt.Sprintf("workers=%d: %s failAt=%d", workers, stop.sql, stop.failAt)
 			s := e.NewSession()
 			sink := &showSink{t: t, failAt: stop.failAt}
-			_, err := s.QueryTo(sink, stop.sql)
+			_, err := queryTo(s, sink, stop.sql)
 			s.Close()
 			if stop.failAt == 0 && err != nil || stop.failAt > 0 && !errors.Is(err, errSinkFull) {
 				t.Errorf("%s: error %v", label, err)
@@ -463,7 +463,7 @@ func TestSinkPanicReachesCaller(t *testing.T) {
 			defer func() { p = recover() }()
 			s := e.NewSession()
 			defer s.Close()
-			s.QueryTo(sink, `SELECT id, region, amount, qty FROM wide`)
+			queryTo(s, sink, `SELECT id, region, amount, qty FROM wide`)
 			return nil
 		}()
 		if got != errSinkPanic {
@@ -512,7 +512,7 @@ func TestSinkEveryStatementKind(t *testing.T) {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		sink := &showSink{t: t}
-		if _, err := shown.QueryTo(sink, sql); err != nil {
+		if _, err := queryTo(shown, sink, sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 		if sink.headers != 1 || !reflect.DeepEqual(sink.cols, want.Cols) || len(sink.rows) != len(want.Rows) {
@@ -523,7 +523,16 @@ func TestSinkEveryStatementKind(t *testing.T) {
 		}
 	}
 	sink := &showSink{t: t}
-	if _, err := shown.QueryTo(sink, `SELECT nope FROM nowhere`); err == nil || sink.headers != 0 {
+	if _, err := queryTo(shown, sink, `SELECT nope FROM nowhere`); err == nil || sink.headers != 0 {
 		t.Errorf("failed statement: err %v, %d headers", err, sink.headers)
 	}
+}
+
+// queryTo runs one statement into sink: Prepare, then ExecTo.
+func queryTo(s *Session, sink RowSink, sql string, params ...value.Value) (ExecStats, error) {
+	st, err := s.Prepare(sql)
+	if err != nil {
+		return ExecStats{}, err
+	}
+	return st.ExecTo(sink, params...)
 }

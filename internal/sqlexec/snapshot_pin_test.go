@@ -106,7 +106,7 @@ func TestStatementUnpinsOnEveryExit(t *testing.T) {
 			}
 		}},
 		{"sink error", func() {
-			if _, err := s.QueryTo(failingSink{}, "SELECT k FROM t"); err == nil {
+			if _, err := queryTo(s, failingSink{}, "SELECT k FROM t"); err == nil {
 				t.Error("sink error swallowed")
 			}
 		}},
@@ -121,7 +121,7 @@ func TestStatementUnpinsOnEveryExit(t *testing.T) {
 					t.Error("sink panic swallowed")
 				}
 			}()
-			s.QueryTo(failingSink{panics: true}, "SELECT k FROM t")
+			queryTo(s, failingSink{panics: true}, "SELECT k FROM t")
 		}},
 		{"update", func() { e.MustQuery("UPDATE t SET v = 0 WHERE k = 1") }},
 		{"update error", func() {

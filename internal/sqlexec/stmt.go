@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -11,31 +12,37 @@ import (
 
 // Stmt is a prepared statement: everything about a statement that does
 // not depend on parameter values or on the moment it runs, worked out by
-// one lexer pass in Session.Prepare — the AST, the parameter count and
-// the fingerprint. Exec runs it any number of times without touching the
-// text again. There is deliberately no cached plan: planning a point
-// select measures ~2 µs and 13 allocations, and a cache would need
-// catalog and merge-count invalidation to save that.
+// one lexer pass in Session.PrepareEach — the AST, the parameter count, the
+// fingerprint and what kind of statement it is. Exec runs it any number of
+// times without touching the text again. There is deliberately no cached
+// plan: planning a point select measures ~2 µs and 13 allocations, and a
+// cache would need catalog and merge-count invalidation to save that.
 //
 // A Stmt belongs to the session that prepared it and shares its
 // single-goroutine contract. The AST is read-only after Prepare — the
 // planner builds fresh plan nodes and never writes into it.
 type Stmt struct {
 	s       *Session
-	sql     string // trimmed text: sys.m_sessions, slow log, CREATE VIEW body
+	sql     string // its own text (SQL): sys.m_sessions, slow log
 	kind    stmtKind
 	ast     Statement   // the parsed statement; under EXPLAIN [ANALYZE], the explained one
 	sel     *SelectStmt // ast when it is a SELECT, else nil
 	nparams int
 	fpID    string
 	fpNorm  string
-	verb    string // span label, "stmt=SELECT"
 }
 
 type stmtKind uint8
 
 const (
-	stmtParsed stmtKind = iota
+	stmtSelect stmtKind = iota
+	stmtInsert
+	stmtUpdate
+	stmtDelete
+	stmtCreateTable
+	stmtCreateView
+	stmtDropTable
+	stmtMergeDelta
 	stmtBegin
 	stmtCommit
 	stmtRollback
@@ -43,31 +50,121 @@ const (
 	stmtAnalyze
 )
 
-// controlWords are the one-word statements handled without the parser.
-var controlWords = map[string]stmtKind{"begin": stmtBegin, "commit": stmtCommit, "rollback": stmtRollback}
-
-// Prepare lexes and parses one statement into a reusable handle. Control
-// statements (BEGIN/COMMIT/ROLLBACK) and the EXPLAIN [ANALYZE] prefix are
-// recognized on the token stream; everything else goes through the
-// parser. Parameter arity is not checked here but on every Exec.
-func (s *Session) Prepare(sql string) (*Stmt, error) {
-	tParse := time.Now()
-	st, err := s.prepare(sql)
-	s.e.Obs.Histogram("sql_parse_ms").ObserveSince(tParse)
-	return st, err
+// kindNames are what each kind of statement is called: the CommandComplete
+// tag it answers with — SELECT's and DML's followed by a count — and the
+// label of the span its execution records.
+var kindNames = [...]struct{ tag, span string }{
+	stmtSelect:      {"SELECT", "stmt=SELECT"},
+	stmtInsert:      {"INSERT 0", "stmt=INSERT"},
+	stmtUpdate:      {"UPDATE", "stmt=UPDATE"},
+	stmtDelete:      {"DELETE", "stmt=DELETE"},
+	stmtCreateTable: {"CREATE TABLE", "stmt=CREATE TABLE"},
+	stmtCreateView:  {"CREATE VIEW", "stmt=CREATE VIEW"},
+	stmtDropTable:   {"DROP TABLE", "stmt=DROP TABLE"},
+	stmtMergeDelta:  {"MERGE", "stmt=MERGE DELTA"},
+	stmtBegin:       {"BEGIN", "stmt=BEGIN"},
+	stmtCommit:      {"COMMIT", "stmt=COMMIT"},
+	stmtRollback:    {"ROLLBACK", "stmt=ROLLBACK"},
+	stmtExplain:     {"SELECT", "stmt=EXPLAIN"},
+	stmtAnalyze:     {"SELECT", "stmt=EXPLAIN ANALYZE"},
 }
 
-func (s *Session) prepare(sql string) (*Stmt, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return nil, err
+// controlWords are the one-word statements handled without the parser; END
+// is COMMIT, as in PostgreSQL.
+var controlWords = map[string]stmtKind{"begin": stmtBegin, "commit": stmtCommit, "END": stmtCommit, "rollback": stmtRollback}
+
+// ReturnsRows reports whether the statement answers with a row set — a
+// SELECT, an EXPLAIN — rather than with its tag alone.
+func (st *Stmt) ReturnsRows() bool {
+	return st.kind == stmtSelect || st.kind == stmtExplain || st.kind == stmtAnalyze
+}
+
+// Tag is the statement's CommandComplete tag as PostgreSQL spells it: n is
+// the rows a SELECT sent or the rows DML reported, and the tags of other
+// statements carry no count.
+func (st *Stmt) Tag(n int64) string {
+	if st.kind <= stmtDelete || st.ReturnsRows() {
+		return kindNames[st.kind].tag + " " + strconv.FormatInt(n, 10)
 	}
-	toks = trimTrailingSemi(toks)
-	st := &Stmt{s: s, sql: strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))}
+	return kindNames[st.kind].tag
+}
+
+// Prepare prepares the one statement sql holds (PrepareEach).
+func (s *Session) Prepare(sql string) (*Stmt, error) {
+	var one *Stmt
+	n := 0
+	err := s.PrepareEach(sql, func(st *Stmt) { one, n = st, n+1 })
+	switch {
+	case err != nil:
+		return nil, err
+	case n != 1:
+		return nil, fmt.Errorf("sql: expected one statement, found %d", n)
+	}
+	return one, nil
+}
+
+// PrepareEach prepares every statement of a string of them, in order, from
+// one lexer pass, and hands each to f as it parses: the string splits on
+// its `;` tokens, and a piece that holds no token — blank, or only a
+// comment — is no statement. A statement that does not parse fails the
+// string: the caller discards what f was handed and runs none of it, as
+// PostgreSQL parses a whole simple query before it runs any. Control
+// statements (BEGIN/COMMIT/END/ROLLBACK) and the EXPLAIN [ANALYZE] prefix
+// are recognized on the token stream; everything else goes through the
+// parser. Parameter arity is not checked here but on every Exec. A string
+// that does not lex or parse still counts — the session shows it and the
+// error lands under the text's fingerprint in sys.m_statements.
+func (s *Session) PrepareEach(sql string, f func(*Stmt)) error {
+	t0 := time.Now()
+	defer s.e.Obs.Histogram("sql_parse_ms").ObserveSince(t0)
+	toks, err := lex(sql)
+	if err == nil {
+		err = statements(toks, func(toks []token, from, to int) error {
+			st, err := s.prepare(strings.TrimSpace(sql[from:to]), toks)
+			if err == nil {
+				f(st)
+			}
+			return err
+		})
+	}
+	if err != nil {
+		s.setActive(sql)
+		id, norm := Fingerprint(sql)
+		s.e.stmts.record(id, norm, time.Since(t0), 0, true)
+		s.setIdle()
+	}
+	return err
+}
+
+// statements splits a lexed string of statements on its `;` tokens and
+// calls f with each statement in order: its tokens, EOF-terminated (the
+// `;` after them is overwritten with the EOF), and the byte range of the
+// source from its first token to that `;` or the end of the input. A piece
+// with no token in it is no statement.
+func statements(toks []token, f func(toks []token, from, to int) error) error {
+	start := 0
+	for i, t := range toks {
+		if t.kind != tkEOF && (t.kind != tkOp || t.text != ";") {
+			continue
+		}
+		if i > start {
+			toks[i] = token{kind: tkEOF, pos: t.pos}
+			if err := f(toks[start:i+1], toks[start].pos, t.pos); err != nil {
+				return err
+			}
+		}
+		start = i + 1
+	}
+	return nil
+}
+
+// prepare prepares one statement: its text and its EOF-terminated tokens.
+func (s *Session) prepare(sql string, toks []token) (*Stmt, error) {
+	st := &Stmt{s: s, sql: sql}
 	st.fpNorm = normalizeTokens(toks)
 	st.fpID = fingerprintID(st.fpNorm)
 
-	if len(toks) == 2 && toks[0].kind == tkIdent { // one word + EOF
+	if len(toks) == 2 && (toks[0].kind == tkIdent || toks[0].kind == tkKeyword) { // one word + EOF
 		if kind, ok := controlWords[toks[0].text]; ok {
 			st.kind = kind
 			return st, nil
@@ -87,10 +184,13 @@ func (s *Session) prepare(sql string) (*Stmt, error) {
 	}
 	st.ast, st.nparams = ast, nparams
 	st.sel, _ = ast.(*SelectStmt)
-	st.verb = "stmt=" + firstWord(st.sql)
-	if st.kind != stmtParsed && st.sel == nil {
-		return nil, fmt.Errorf("sql: EXPLAIN supports only SELECT")
+	if st.kind == stmtExplain || st.kind == stmtAnalyze {
+		if st.sel == nil {
+			return nil, fmt.Errorf("sql: EXPLAIN supports only SELECT")
+		}
+		return st, nil
 	}
+	st.kind = ast.kind()
 	return st, nil
 }
 
@@ -98,8 +198,8 @@ func (s *Session) prepare(sql string) (*Stmt, error) {
 // number of `?` occurrences or the highest `$N`.
 func (st *Stmt) NumParams() int { return st.nparams }
 
-// SQL returns the statement text, trimmed of surrounding space and the
-// trailing semicolon.
+// SQL returns the statement's own text: from its first token to the `;`
+// or the end of the string it came in, trimmed.
 func (st *Stmt) SQL() string { return st.sql }
 
 // Columns describes the statement without executing it: its output
@@ -243,7 +343,7 @@ func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profil
 	}
 
 	if s.e.Tracer != nil {
-		s.cur = s.e.Tracer.Start("sql", st.verb)
+		s.cur = s.e.Tracer.Start("sql", kindNames[st.kind].span)
 		defer s.cur.Finish()
 	}
 	s.curSQL = st.sql
@@ -281,7 +381,7 @@ func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profil
 	case *CreateTableStmt:
 		return st.answer(sink, nil, nil, s.execCreateTable(x))
 	case *CreateViewStmt:
-		return st.answer(sink, nil, nil, s.e.Cat.CreateView(x.Name, selectSQL(st.sql)))
+		return st.answer(sink, nil, nil, s.e.Cat.CreateView(x.Name, Deparse(x.Select)))
 	case *DropTableStmt:
 		if !s.e.Cat.DropTable(x.Name) && !x.IfExists {
 			return 0, nil, fmt.Errorf("sql: no table %q", x.Name)

@@ -88,7 +88,7 @@ func TestVictimsHaveAnOracle(t *testing.T) {
 		}
 		for i, sh := range shapes {
 			explicit := i%2 == 0
-			label := lay.String() + ": " + sh.table + " WHERE " + exprString(sh.where)
+			label := lay.String() + ": " + sh.table + " WHERE " + ExprText(sh.where)
 			e.Mode = ModeInterpreted
 			oracle, err := s.Query(Deparse(&SelectStmt{Items: []SelectItem{{Star: true}}, From: TableRef{Name: sh.table, Alias: sh.table}, Where: sh.where, Limit: -1}), sh.params...)
 			if err != nil {

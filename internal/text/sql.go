@@ -86,7 +86,7 @@ func Attach(eng *sqlexec.Engine) *Indexer {
 	})
 
 	// Auto-trigger: new or changed documents are analyzed on commit.
-	eng.Mgr.OnCommit(ix.onCommit)
+	eng.Mgr.OnCommitGroup(ix.onCommit)
 	return ix
 }
 
@@ -148,21 +148,23 @@ func (ti *tableIndex) dropRow(id int) {
 	delete(ti.senti, id)
 }
 
-func (ix *Indexer) onCommit(ts uint64, writes []txn.Write) {
+func (ix *Indexer) onCommit(batch []txn.GroupCommit) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, w := range writes {
-		for table, ti := range ix.indexes {
-			if ti.table.Name() != w.Table && table != w.Table {
-				continue
-			}
-			switch w.Kind {
-			case txn.WriteInsert:
-				if ti.col < len(w.Row) {
-					ti.indexRow(w.ID, w.Row[ti.col])
+	for _, c := range batch {
+		for _, w := range c.Writes {
+			for table, ti := range ix.indexes {
+				if ti.table.Name() != w.Table && table != w.Table {
+					continue
 				}
-			case txn.WriteDelete:
-				ti.dropRow(w.ID)
+				switch w.Kind {
+				case txn.WriteInsert:
+					if ti.col < len(w.Row) {
+						ti.indexRow(w.ID, w.Row[ti.col])
+					}
+				case txn.WriteDelete:
+					ti.dropRow(w.ID)
+				}
 			}
 		}
 	}

@@ -43,20 +43,16 @@ var ErrConflict = errors.New("txn: write-write conflict, transaction aborted")
 // ErrClosed is returned when operating on a finished transaction.
 var ErrClosed = errors.New("txn: transaction already committed or aborted")
 
-// CommitListener observes committed write sets one transaction at a time;
-// the streaming engine and the text indexer subscribe to it. Listeners run
-// on the group-commit leader goroutine in commit-timestamp order.
-type CommitListener func(commitTS uint64, writes []Write)
-
 // GroupCommit is one transaction of a published group-commit batch.
 type GroupCommit struct {
 	TS     uint64
 	Writes []Write
 }
 
-// GroupCommitListener observes whole group-commit batches (ascending TS).
-// The WAL subscribes here so a batch of N commits costs one append with
-// one flush and one fsync instead of N.
+// GroupCommitListener observes whole group-commit batches (ascending TS),
+// on the group-commit leader goroutine. The WAL subscribes here so a batch
+// of N commits costs one append with one flush and one fsync instead of N;
+// the text indexer walks each batch in TS order.
 type GroupCommitListener func(batch []GroupCommit)
 
 // WriteKind discriminates the operations in a write set.
@@ -80,14 +76,13 @@ type Write struct {
 
 // Manager coordinates transactions over a set of column-store tables.
 type Manager struct {
-	mu        sync.Mutex
-	clock     atomic.Uint64  // last published timestamp
-	active    map[uint64]int // snapshot TS -> number of active txns using it
-	tables    map[string]*columnstore.Table
-	latches   map[string]*sync.Mutex // per-table apply latches
-	listeners []CommitListener
-	groupLs   []GroupCommitListener
-	nextID    atomic.Uint64
+	mu      sync.Mutex
+	clock   atomic.Uint64  // last published timestamp
+	active  map[uint64]int // snapshot TS -> number of active txns using it
+	tables  map[string]*columnstore.Table
+	latches map[string]*sync.Mutex // per-table apply latches
+	groupLs []GroupCommitListener
+	nextID  atomic.Uint64
 
 	gcMu    sync.Mutex
 	gcQueue []*gcJob
@@ -145,15 +140,8 @@ func (m *Manager) TableNames() []string {
 	return names
 }
 
-// OnCommit registers a per-transaction commit listener (e.g. the
-// streaming engine or the text indexer).
-func (m *Manager) OnCommit(l CommitListener) {
-	m.mu.Lock()
-	m.listeners = append(m.listeners, l)
-	m.mu.Unlock()
-}
-
-// OnCommitGroup registers a batch listener (e.g. the WAL group appender).
+// OnCommitGroup registers a batch listener (the WAL group appender, the
+// text indexer).
 func (m *Manager) OnCommitGroup(l GroupCommitListener) {
 	m.mu.Lock()
 	m.groupLs = append(m.groupLs, l)
@@ -583,9 +571,8 @@ func (m *Manager) runGroup(commits []*gcJob, own *gcJob) {
 	m.AdvanceTo(base + uint64(len(commits)))
 
 	// Phase 4: listeners. The WAL's group listener appends the batch as one
-	// flush+fsync; per-commit listeners run in TS order.
+	// flush+fsync.
 	m.mu.Lock()
-	ls := append([]CommitListener(nil), m.listeners...)
 	gls := append([]GroupCommitListener(nil), m.groupLs...)
 	m.mu.Unlock()
 	if len(gls) > 0 {
@@ -597,12 +584,6 @@ func (m *Manager) runGroup(commits []*gcJob, own *gcJob) {
 			g(rec)
 		}
 	}
-	for _, j := range commits {
-		for _, l := range ls {
-			l(j.ts, j.txn.writes)
-		}
-	}
-
 	cGroupCommits.Inc()
 	hGroupSize.Observe(float64(len(commits)))
 

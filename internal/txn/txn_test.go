@@ -254,22 +254,48 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 	}
 }
 
+// TestCommitListenerReceivesWrites: the batch listener sees every commit
+// once, with its write set and the row IDs the table assigned, in ascending
+// timestamp order within each batch and from one batch to the next.
 func TestCommitListenerReceivesWrites(t *testing.T) {
 	m, _ := newManagerWithTable(t)
-	var gotTS uint64
-	var gotWrites []Write
-	m.OnCommit(func(ts uint64, ws []Write) { gotTS, gotWrites = ts, ws })
-	ts, err := m.RunInTxn(func(tx *Txn) error {
-		return tx.Insert("acct", value.Row{value.Int(9), value.Int(9)})
+	var mu sync.Mutex
+	var got []GroupCommit
+	m.OnCommitGroup(func(batch []GroupCommit) {
+		mu.Lock()
+		got = append(got, batch...)
+		mu.Unlock()
 	})
-	if err != nil {
-		t.Fatal(err)
+	const writers, each = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := m.RunInTxn(func(tx *Txn) error {
+					return tx.Insert("acct", value.Row{value.Int(int64(1000 + w*each + i)), value.Int(9)})
+				}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
 	}
-	if gotTS != ts || len(gotWrites) != 1 || gotWrites[0].Kind != WriteInsert {
-		t.Fatalf("listener got ts=%d writes=%v", gotTS, gotWrites)
+	wg.Wait()
+	if len(got) != writers*each {
+		t.Fatalf("listener saw %d commits, want %d", len(got), writers*each)
 	}
-	if snap := m.tables["acct"].Snapshot(ts); snap.ID(snap.NumRows()-1) != gotWrites[0].ID {
-		t.Fatalf("the listener was told row %d, the table appended row %d", gotWrites[0].ID, snap.ID(snap.NumRows()-1))
+	snap := m.tables["acct"].Snapshot(m.Now())
+	for i, c := range got {
+		if i > 0 && c.TS <= got[i-1].TS {
+			t.Fatalf("commit %d at ts %d follows ts %d", i, c.TS, got[i-1].TS)
+		}
+		if len(c.Writes) != 1 || c.Writes[0].Kind != WriteInsert {
+			t.Fatalf("commit at ts %d: writes %v", c.TS, c.Writes)
+		}
+		if pos, ok := snap.Pos(c.Writes[0].ID); !ok || !value.Equal(snap.Get(0, pos), c.Writes[0].Row[0]) {
+			t.Fatalf("the listener was told row %d holds %v, the table disagrees", c.Writes[0].ID, c.Writes[0].Row)
+		}
 	}
 }
 
