@@ -24,6 +24,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/columnstore"
 	"repro/internal/experiments"
 	"repro/internal/pgwire"
@@ -612,6 +613,36 @@ func BenchmarkWirePointSelect(b *testing.B) {
 		res, err := c.ExecPrepared("pt", k)
 		if err != nil || len(res.Rows) != 1 || res.Get(0, 0) != strconv.Itoa(k*3) {
 			b.Fatalf("k = %d: %v %+v", k, err, res)
+		}
+	}
+}
+
+// BenchmarkWireInsertPrepared is the ingest_durable statement over loopback
+// pgwire: a prepared five-parameter INSERT of one row, Bind/Describe/
+// Execute/Sync per op, auto-committed through group commit into a durable
+// store (wal.OpenStore, one write and fsync per batch) in a temporary
+// directory. Gated on allocs/op: a commit that builds maps, closures or
+// channels of its own, a cell compiled to a closure, or a count, portal or
+// tag allocated per statement each shows as allocations per op.
+func BenchmarkWireInsertPrepared(b *testing.B) {
+	store, err := wal.OpenStore(b.TempDir(), wal.SyncEveryCommit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Log.Close()
+	eng := sqlexec.NewEngineWith(catalog.New(), store.Mgr)
+	eng.MustQuery(`CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE, qty INT)`)
+	c := wireBench(b, eng)
+	if err := c.Prepare("ins", `INSERT INTO orders VALUES ($1,$2,$3,$4,$5)`); err != nil {
+		b.Fatal(err)
+	}
+	regions := []string{"north", "south", "east", "west", "central", "emea", "apj", "latam"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.ExecPrepared("ins", i, regions[i%8], "open", strconv.FormatFloat(float64(i%997)+0.25, 'g', -1, 64), i%20+1)
+		if err != nil || res.Tag != "INSERT 0 1" {
+			b.Fatalf("row %d: %v %+v", i, err, res)
 		}
 	}
 }

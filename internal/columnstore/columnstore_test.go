@@ -210,11 +210,11 @@ func TestTableInsertAndSnapshot(t *testing.T) {
 
 func TestTableDeleteVisibilityAndConflict(t *testing.T) {
 	tab := NewTable("t", sampleSchema())
-	pos := tab.ApplyInsert([]value.Row{{value.Int(1), value.String("x"), value.Float(1)}}, 1)
-	if !tab.ApplyDelete(pos[0], 10) {
+	id := tab.ApplyInsert([]value.Row{{value.Int(1), value.String("x"), value.Float(1)}}, 1)
+	if !tab.ApplyDelete(id, 10) {
 		t.Fatal("first delete must win")
 	}
-	if tab.ApplyDelete(pos[0], 11) {
+	if tab.ApplyDelete(id, 11) {
 		t.Fatal("second delete must report conflict")
 	}
 	if tab.Snapshot(9).LiveRows() != 1 {
@@ -231,9 +231,9 @@ func TestTableMergeCompactsAndPreservesData(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rows = append(rows, value.Row{value.Int(int64(i)), value.String(fmt.Sprintf("n%03d", i)), value.Float(float64(i) / 2)})
 	}
-	pos := tab.ApplyInsert(rows, 1)
+	first := tab.ApplyInsert(rows, 1)
 	for i := 0; i < 50; i++ {
-		tab.ApplyDelete(pos[i], 2)
+		tab.ApplyDelete(first+i, 2)
 	}
 	stats := tab.Merge(3) // everything deleted before ts 3 is dead
 	if stats.RowsMerged != 50 || stats.RowsEvicted != 50 {
@@ -274,11 +274,12 @@ func TestTableMergeCompactsAndPreservesData(t *testing.T) {
 // map it captured.
 func TestMergeKeepsRowIDs(t *testing.T) {
 	tab := NewTable("t", sampleSchema())
-	ids := tab.ApplyInsert([]value.Row{
+	first := tab.ApplyInsert([]value.Row{
 		{value.Int(1), value.String("a"), value.Float(0)},
 		{value.Int(2), value.String("b"), value.Float(0)},
 		{value.Int(3), value.String("c"), value.Float(0)},
 	}, 1)
+	ids := []int{first, first + 1, first + 2}
 	tab.ApplyDelete(ids[1], 2)
 	before := tab.Snapshot(5)
 	tab.Merge(5)
@@ -304,8 +305,8 @@ func TestMergeKeepsRowIDs(t *testing.T) {
 	}
 	// The last row evicted: its ID is not handed out again.
 	tab.Merge(6)
-	if got := tab.ApplyInsert([]value.Row{{value.Int(4), value.String("d"), value.Float(0)}}, 7); got[0] != 3 {
-		t.Errorf("the row appended after the merges is row %d, want 3", got[0])
+	if got := tab.ApplyInsert([]value.Row{{value.Int(4), value.String("d"), value.Float(0)}}, 7); got != 3 {
+		t.Errorf("the row appended after the merges is row %d, want 3", got)
 	}
 	if _, ok := tab.Snapshot(7).Pos(ids[2]); ok {
 		t.Error("row c still has a position after the merge that evicted it")
@@ -501,8 +502,8 @@ func TestTableMergePropertyRandomOps(t *testing.T) {
 				k := nextKey
 				nextKey++
 				v := fmt.Sprintf("val-%d-%d", trial, k)
-				ids := tab.ApplyInsert([]value.Row{{value.Int(k), value.String(v)}}, ts)
-				alive = append(alive, live{ids[0], k})
+				id := tab.ApplyInsert([]value.Row{{value.Int(k), value.String(v)}}, ts)
+				alive = append(alive, live{id, k})
 				expect[k] = v
 			} else {
 				i := rng.Intn(len(alive))
@@ -726,8 +727,8 @@ func TestApplyInsertStamped(t *testing.T) {
 			t.Fatalf("Pos(%d) = %d, %v; want position %d", id, pos, ok, want)
 		}
 	}
-	if got := tab.ApplyInsert(rows[:1], 10); got[0] != 7 {
-		t.Fatalf("the row appended after the restore is row %d, want 7", got[0])
+	if got := tab.ApplyInsert(rows[:1], 10); got != 7 {
+		t.Fatalf("the row appended after the restore is row %d, want 7", got)
 	}
 	for name, bad := range map[string]struct {
 		ids  []int

@@ -341,19 +341,18 @@ func (t *Table) AddColumn(def ColumnDef) int {
 }
 
 // ApplyInsert appends rows to the delta store with the given commit
-// timestamp and returns the row IDs assigned: consecutive, in the order the
-// rows were given. Called by the transaction layer at commit (or with ts=1
-// by bulk loaders).
-func (t *Table) ApplyInsert(rows []value.Row, ts uint64) []int {
+// timestamp and returns the row ID of the first: the rows take consecutive
+// IDs, in the order they were given. Called by the transaction layer at
+// commit (or with ts=1 by bulk loaders). The table keeps no reference to
+// rows or to any row.
+func (t *Table) ApplyInsert(rows []value.Row, ts uint64) (first int) {
 	t.lock(&t.stalledApplies)
 	defer t.mu.Unlock()
-	ids := make([]int, len(rows))
-	next := t.ids.id(t.rows)
-	for r, row := range rows {
+	first = t.ids.id(t.rows)
+	for _, row := range rows {
 		t.appendRow(row, ts, NeverDeleted)
-		ids[r] = next + r
 	}
-	return ids
+	return first
 }
 
 // appendRow adds one row slot — cells to the delta, stamps to the row's

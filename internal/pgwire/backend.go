@@ -27,7 +27,7 @@ type Stmt interface {
 	NumParams() int
 	Columns() ([]sqlexec.Column, []value.Kind, error)
 	ReturnsRows() bool
-	Tag(n int64) string
+	AppendTag(dst []byte, n int64) []byte
 	ExecTo(sink sqlexec.RowSink, params ...value.Value) (sqlexec.ExecStats, error)
 }
 

@@ -123,6 +123,11 @@ type conn struct {
 	// message to settle (see handleDescribe).
 	owed *portal
 	rows rowWriter // the streaming sink, reused by every statement
+	// unnamed is the unnamed portal's storage, reused by every Bind of it;
+	// spare is the parameter storage the next Bind fills, the one the
+	// portal it replaces had.
+	unnamed portal
+	spare   []value.Value
 
 	canceled atomic.Bool
 
@@ -378,7 +383,7 @@ func (c *conn) runStatement(st Stmt) bool {
 		return false
 	}
 	c.srv.cOK.Inc()
-	c.sendCommandComplete(w.tag(st))
+	c.sendCommandComplete(st, w.tagCount())
 	return true
 }
 
@@ -424,7 +429,8 @@ func (c *conn) gateStatement(st Stmt) gateResult {
 	if !c.txFailed {
 		return gateOK
 	}
-	switch st.Tag(0) {
+	var tag [16]byte
+	switch string(st.AppendTag(tag[:0], 0)) {
 	case "ROLLBACK", "COMMIT":
 		if err := c.sess.Rollback(); err != nil {
 			c.queryError(err)
@@ -432,7 +438,9 @@ func (c *conn) gateStatement(st Stmt) gateResult {
 		}
 		c.txFailed = false
 		c.srv.cOK.Inc()
-		c.sendCommandComplete("ROLLBACK")
+		c.out.start(msgCommandComplete)
+		c.out.string("ROLLBACK")
+		c.out.finish()
 		return gateHandled
 	default:
 		c.queryError(wireErr(CodeFailedTxn,
@@ -520,7 +528,7 @@ func (c *conn) handleParse(m *msgReader) {
 
 func (c *conn) handleBind(m *msgReader) {
 	portalName := m.string()
-	stmtName := m.string()
+	stmtName := m.cstring()
 	pf := formats(m.bytes(2 * m.int16()))
 	nparams := m.int16()
 	// Every parameter has a length word: a count the message has no room
@@ -529,8 +537,8 @@ func (c *conn) handleBind(m *msgReader) {
 		c.extError(CodeProtocolViolation, "malformed Bind message")
 		return
 	}
-	st, ok := c.stmts[stmtName]
-	params := make([]value.Value, 0, nparams)
+	st, ok := c.stmts[string(stmtName)]
+	params := c.spare[:0]
 	for i := 0; i < nparams; i++ {
 		n := m.int32()
 		if n < 0 {
@@ -572,7 +580,13 @@ func (c *conn) handleBind(m *msgReader) {
 			fmt.Sprintf("per-connection statement limit (%d) reached", c.srv.cfg.MaxStmts))
 		return
 	}
-	c.portals[portalName] = &portal{stmt: st, params: params, formats: rf}
+	p := &c.unnamed
+	if portalName != "" {
+		p = new(portal)
+	}
+	c.spare = p.params[:0]
+	*p = portal{stmt: st, params: params, formats: rf}
+	c.portals[portalName] = p
 	c.out.start(msgBindComplete)
 	c.out.finish()
 }
@@ -710,7 +724,7 @@ func (c *conn) handleExecute(m *msgReader) {
 		c.srv.cOK.Inc()
 	}
 	if !rowStmt {
-		c.sendCommandComplete(st.Tag(p.count))
+		c.sendCommandComplete(st, p.count)
 		return
 	}
 	if p.res != nil {
@@ -730,7 +744,7 @@ func (c *conn) handleExecute(m *msgReader) {
 		// result set until the next Bind replaces the portal.
 		p.res = nil
 	}
-	c.sendCommandComplete(st.Tag(int64(p.pos)))
+	c.sendCommandComplete(st, int64(p.pos))
 }
 
 func (c *conn) handleClose(m *msgReader) {
@@ -744,6 +758,9 @@ func (c *conn) handleClose(m *msgReader) {
 	case 'S':
 		delete(c.stmts, name)
 	case 'P':
+		if p := c.portals[name]; p != nil {
+			p.res = nil // the unnamed portal's storage outlives the Close
+		}
 		delete(c.portals, name)
 	default:
 		c.extError(CodeProtocolViolation, fmt.Sprintf("Close kind %q", kind))
@@ -784,13 +801,13 @@ func (c *conn) rowWriter(st Stmt, describe bool, f formats) *rowWriter {
 	return &c.rows
 }
 
-// tag is the CommandComplete tag of st, which ran into w: the rows sent or
-// the DML count.
-func (w *rowWriter) tag(st Stmt) string {
+// tagCount is the count the CommandComplete tag of the statement that ran
+// into w carries: the rows sent or the DML count.
+func (w *rowWriter) tagCount() int64 {
 	if w.rowStmt {
-		return st.Tag(int64(w.sent))
+		return int64(w.sent)
 	}
-	return st.Tag(w.count)
+	return w.count
 }
 
 func (w *rowWriter) Header(cols []sqlexec.Column) error {
@@ -906,9 +923,10 @@ func (c *conn) sendDataRows(cols []sqlexec.Column, f formats, b *sqlexec.RowBatc
 	return nil
 }
 
-func (c *conn) sendCommandComplete(tag string) {
+// sendCommandComplete sends st's tag for n rows, written into the frame.
+func (c *conn) sendCommandComplete(st Stmt, n int64) {
 	c.out.start(msgCommandComplete)
-	c.out.string(tag)
+	c.out.buf = append(st.AppendTag(c.out.buf, n), 0)
 	c.out.finish()
 }
 

@@ -36,7 +36,7 @@ func (b fuzzBackend) NewSession() Session { return fuzzSession{EngineBackend{b.e
 func (s fuzzSession) PrepareAll(sql string) ([]Stmt, error) {
 	sts, err := s.Session.PrepareAll(sql)
 	for _, st := range sts {
-		if tag := st.Tag(0); !st.ReturnsRows() && tag != "BEGIN" && tag != "COMMIT" && tag != "ROLLBACK" {
+		if tag := string(st.AppendTag(nil, 0)); !st.ReturnsRows() && tag != "BEGIN" && tag != "COMMIT" && tag != "ROLLBACK" {
 			return nil, wireErr(CodeFeatureNotSupported, "not under fuzz")
 		}
 	}

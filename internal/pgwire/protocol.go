@@ -168,19 +168,24 @@ func (m *msgReader) int32() int {
 	return v
 }
 
-func (m *msgReader) string() string {
+func (m *msgReader) string() string { return string(m.cstring()) }
+
+// cstring reads a NUL-terminated string in place: the bytes are the
+// message's, valid until the next frame is read. A name only looked up
+// (string(b) as a map key) costs no allocation.
+func (m *msgReader) cstring() []byte {
 	if m.err != nil {
-		return ""
+		return nil
 	}
 	for i := m.pos; i < len(m.buf); i++ {
 		if m.buf[i] == 0 {
-			s := string(m.buf[m.pos:i])
+			b := m.buf[m.pos:i]
 			m.pos = i + 1
-			return s
+			return b
 		}
 	}
 	m.truncated()
-	return ""
+	return nil
 }
 
 // bytes reads n raw bytes (a parameter value).

@@ -139,12 +139,12 @@ func embeddedOutcomes(sess Session, sql string) []outcome {
 				cells = append(cells, v.AsString())
 			}
 		}
-		o := outcome{tag: st.Tag(int64(len(res.Rows)))}
+		o := outcome{tag: string(st.AppendTag(nil, int64(len(res.Rows))))}
 		switch {
 		case st.ReturnsRows():
 			o.rows = strings.Join(cells, " ")
 		case len(res.Rows) == 1:
-			o.tag = st.Tag(res.Rows[0][0].AsInt()) // a DML count
+			o.tag = string(st.AppendTag(nil, res.Rows[0][0].AsInt())) // a DML count
 		}
 		out = append(out, o)
 	}

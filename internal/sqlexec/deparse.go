@@ -234,7 +234,8 @@ func stringText(s string) string {
 // would fold to lower case or one with a character a bare word cannot
 // hold, a quote doubled.
 func identText(s string) string {
-	bare := s != "" && (s[0] < '0' || s[0] > '9') && !isKeyword(s) && strings.ToLower(s) == s
+	_, kw := keyword(s)
+	bare := s != "" && (s[0] < '0' || s[0] > '9') && !kw && strings.ToLower(s) == s
 	for i := 0; bare && i < len(s); i++ {
 		c := s[i]
 		bare = isIdentStart(rune(c)) || c >= '0' && c <= '9'
@@ -249,7 +250,8 @@ func identText(s string) string {
 // lexer reads it back: the name itself when it is a bare upper-case word,
 // else its lower-case spelling as an identifier.
 func funcText(name string) string {
-	bare := name != "" && !isKeyword(name)
+	_, kw := keyword(name)
+	bare := name != "" && !kw
 	for i := 0; bare && i < len(name); i++ {
 		c := name[i]
 		bare = c >= 'A' && c <= 'Z' || c == '_' || i > 0 && c >= '0' && c <= '9'

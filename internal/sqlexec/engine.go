@@ -165,6 +165,12 @@ type Session struct {
 	// out is the feed the running statement answers through (see feed),
 	// cleared when it is done so that an idle session pins no rows.
 	out feed
+	// count and countRow are the one row of one count DML answers with,
+	// reused by every statement (answerCount).
+	count    [1]value.Value
+	countRow [1]value.Row
+	// stats is what ExecTo accounts a statement in, reused by every one.
+	stats ExecStats
 	// info mirrors the session state for sys.m_sessions: monitoring
 	// queries read it from other goroutines, so unlike the fields above
 	// it is mutex-guarded. The owning goroutine updates it at statement
@@ -333,9 +339,6 @@ func textRows(text string) []value.Row {
 	return rows
 }
 
-// countRows is the one row of one count a DML statement answers with.
-func countRows(n int) []value.Row { return []value.Row{{value.Int(int64(n))}} }
-
 // snapshotTS is the timestamp a statement would read at, for callers that
 // only plan: nothing is pinned, so nothing may be read at it.
 func (s *Session) snapshotTS() uint64 {
@@ -393,27 +396,32 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, pa
 	return prof, err
 }
 
-// currentTxn returns the session transaction, creating a one-statement
-// transaction in auto-commit mode. done ends the statement: given its
-// error it aborts the transaction when owned and hands the error back,
-// given nil it commits when owned; like Commit it never returns a bare txn
-// error (errors.Is still unwraps). An explicit transaction is left open
-// either way.
-func (s *Session) currentTxn() (tx *txn.Txn, done func(error) error) {
+// currentTxn returns the session transaction, beginning a one-statement
+// transaction in auto-commit mode.
+func (s *Session) currentTxn() *txn.Txn {
 	if s.tx != nil {
-		return s.tx, func(err error) error { return err }
+		return s.tx
 	}
-	tx = s.e.Mgr.Begin()
-	return tx, func(err error) error {
-		if err != nil {
-			tx.Abort()
-			return err
-		}
-		if _, err := tx.Commit(); err != nil {
-			return fmt.Errorf("sql: auto-commit failed: %w", err)
-		}
-		return nil
+	return s.e.Mgr.Begin()
+}
+
+// endStmt ends a statement that wrote in tx (currentTxn): given its error
+// it aborts a one-statement transaction and hands the error back, given nil
+// it commits one; like Commit it never returns a bare txn error (errors.Is
+// still unwraps). The session's explicit transaction is left open either
+// way.
+func (s *Session) endStmt(tx *txn.Txn, err error) error {
+	switch {
+	case tx == s.tx:
+		return err
+	case err != nil:
+		tx.Abort()
+		return err
 	}
+	if _, err := tx.Commit(); err != nil {
+		return fmt.Errorf("sql: auto-commit failed: %w", err)
+	}
+	return nil
 }
 
 func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error) {
@@ -431,42 +439,45 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error)
 		}
 		src = sel.Rows
 	} else {
-		env := Env{Params: params}
+		var one [1]value.Row
+		src = one[:0]
+		if len(ins.Rows) > 1 {
+			src = make([]value.Row, 0, len(ins.Rows))
+		}
 		for _, exprs := range ins.Rows {
 			row := make(value.Row, len(exprs))
 			for i, ex := range exprs {
-				f, err := compileExpr(ex, noColumns, s.e.Reg)
+				v, err := s.insertCell(ex, params)
 				if err != nil {
 					return 0, err
 				}
-				row[i] = f(&env)
+				row[i] = v
 			}
 			src = append(src, row)
 		}
 	}
 
-	// Column mapping; flexible tables create unknown columns on the fly
-	// (§II-H).
+	// Column mapping. A flexible table gains a column for every name it
+	// does not have (§II-H), but only once every row has converted: a
+	// statement that fails leaves the schema as it was. cols is the schema
+	// with those columns added, never written into the catalog's array.
+	n := len(entry.Schema)
+	cols := entry.Schema[:n:n]
 	colIdx := make([]int, 0, len(ins.Columns))
-	if len(ins.Columns) > 0 {
-		for _, c := range ins.Columns {
-			idx := entry.Schema.ColIndex(c)
-			if idx < 0 {
-				if !entry.Flexible {
-					return 0, fmt.Errorf("sql: unknown column %q in %s", c, ins.Table)
-				}
-				kind := value.KindString
-				if len(src) > 0 && len(colIdx) < len(src[0]) && !src[0][len(colIdx)].IsNull() {
-					kind = src[0][len(colIdx)].K
-				}
-				def := columnstore.ColumnDef{Name: c, Kind: kind}
-				for _, p := range entry.Partitions {
-					idx = p.Table.AddColumn(def)
-				}
-				entry.Schema = append(entry.Schema, def)
+	for _, c := range ins.Columns {
+		idx := cols.ColIndex(c)
+		if idx < 0 {
+			if !entry.Flexible {
+				return 0, fmt.Errorf("sql: unknown column %q in %s", c, ins.Table)
 			}
-			colIdx = append(colIdx, idx)
+			kind := value.KindString
+			if len(src) > 0 && len(colIdx) < len(src[0]) && !src[0][len(colIdx)].IsNull() {
+				kind = src[0][len(colIdx)].K
+			}
+			idx = len(cols)
+			cols = append(cols, columnstore.ColumnDef{Name: c, Kind: kind})
 		}
+		colIdx = append(colIdx, idx)
 	}
 
 	// Every row is converted before any is written: a value its column
@@ -474,7 +485,7 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error)
 	for j, row := range src {
 		full := row
 		if len(ins.Columns) > 0 {
-			full = make(value.Row, len(entry.Schema))
+			full = make(value.Row, len(cols))
 			for i, idx := range colIdx {
 				if i < len(row) {
 					full[idx] = row[i]
@@ -482,8 +493,8 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error)
 			}
 		}
 		for i := range full {
-			if i < len(entry.Schema) {
-				v, err := stored(full[i], entry.Schema[i].Kind)
+			if i < len(cols) {
+				v, err := stored(full[i], cols[i].Kind)
 				if err != nil {
 					return 0, err
 				}
@@ -492,16 +503,41 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error)
 		}
 		src[j] = full
 	}
-	tx, done := s.currentTxn()
-	count := 0
+	if len(cols) > n {
+		for _, def := range cols[n:] {
+			for _, p := range entry.Partitions {
+				p.Table.AddColumn(def)
+			}
+		}
+		entry.Schema = cols
+	}
+	tx := s.currentTxn()
 	for _, full := range src {
 		part := routePartition(entry, full)
 		if err := tx.Insert(part.Table.Name(), full); err != nil {
-			return 0, done(err)
+			return 0, s.endStmt(tx, err)
 		}
-		count++
 	}
-	return count, done(nil)
+	return len(src), s.endStmt(tx, nil)
+}
+
+// insertCell is the value of one VALUES cell: a literal or a parameter is
+// read as it is, and only another expression is compiled to be evaluated.
+func (s *Session) insertCell(ex Expr, params []value.Value) (value.Value, error) {
+	switch x := ex.(type) {
+	case *Literal:
+		return x.Val, nil
+	case *Param:
+		if x.Index < len(params) {
+			return params[x.Index], nil
+		}
+		return value.Null, nil
+	}
+	f, err := compileExpr(ex, noColumns, s.e.Reg)
+	if err != nil {
+		return value.Null, err
+	}
+	return f(&Env{Params: params}), nil
 }
 
 // stored is v as the kind of the column it is written to. Text that does
@@ -587,10 +623,10 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 }
 
 func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (int, error) {
-	tx, done := s.currentTxn()
+	tx := s.currentTxn()
 	scan, vs, err := s.findVictims(tx, up.Table, up.Where, params, true)
 	if err != nil {
-		return 0, done(err)
+		return 0, s.endStmt(tx, err)
 	}
 	entry, cols := scan.Entry, scan.columns()
 	type setter struct {
@@ -601,11 +637,11 @@ func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (int, error) 
 	for _, st := range up.Set {
 		idx := entry.Schema.ColIndex(st.Col)
 		if idx < 0 {
-			return 0, done(fmt.Errorf("sql: unknown column %q", st.Col))
+			return 0, s.endStmt(tx, fmt.Errorf("sql: unknown column %q", st.Col))
 		}
 		f, err := compileExpr(st.Expr, resolverFor(cols), s.e.Reg)
 		if err != nil {
-			return 0, done(err)
+			return 0, s.endStmt(tx, err)
 		}
 		setters = append(setters, setter{idx, f})
 	}
@@ -617,35 +653,35 @@ func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (int, error) 
 		env.Row = v.row
 		for _, st := range setters {
 			if newRow[st.idx], err = stored(st.fn(&env), entry.Schema[st.idx].Kind); err != nil {
-				return 0, done(err)
+				return 0, s.endStmt(tx, err)
 			}
 		}
 		vs[i].row = newRow
 	}
 	for _, v := range vs {
 		if err := tx.Delete(v.table, v.id); err != nil {
-			return 0, done(err)
+			return 0, s.endStmt(tx, err)
 		}
 		target := routePartition(entry, v.row)
 		if err := tx.Insert(target.Table.Name(), v.row); err != nil {
-			return 0, done(err)
+			return 0, s.endStmt(tx, err)
 		}
 	}
-	return len(vs), done(nil)
+	return len(vs), s.endStmt(tx, nil)
 }
 
 func (s *Session) execDelete(del *DeleteStmt, params []value.Value) (int, error) {
-	tx, done := s.currentTxn()
+	tx := s.currentTxn()
 	_, vs, err := s.findVictims(tx, del.Table, del.Where, params, false)
 	if err != nil {
-		return 0, done(err)
+		return 0, s.endStmt(tx, err)
 	}
 	for _, v := range vs {
 		if err := tx.Delete(v.table, v.id); err != nil {
-			return 0, done(err)
+			return 0, s.endStmt(tx, err)
 		}
 	}
-	return len(vs), done(nil)
+	return len(vs), s.endStmt(tx, nil)
 }
 
 func (s *Session) execCreateTable(ct *CreateTableStmt) error {

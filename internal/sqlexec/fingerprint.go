@@ -1,10 +1,6 @@
 package sqlexec
 
-import (
-	"fmt"
-	"hash/fnv"
-	"strings"
-)
+import "strings"
 
 // This file implements statement fingerprinting: the normalization that
 // folds every execution of "the same query shape" onto one stable ID, the
@@ -22,10 +18,20 @@ func Fingerprint(sql string) (id, norm string) {
 	return fingerprintID(norm), norm
 }
 
+// fingerprintID is the FNV-64a hash of norm in 16 lower-case hex digits.
 func fingerprintID(norm string) string {
-	h := fnv.New64a()
-	h.Write([]byte(norm))
-	return fmt.Sprintf("%016x", h.Sum64())
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(norm); i++ {
+		h ^= uint64(norm[i])
+		h *= prime64
+	}
+	var hex [16]byte
+	for i := len(hex) - 1; i >= 0; i-- {
+		hex[i] = "0123456789abcdef"[h&0xf]
+		h >>= 4
+	}
+	return string(hex[:])
 }
 
 // NormalizeSQL canonicalizes a statement for fingerprinting: keywords
@@ -53,35 +59,53 @@ func trimTrailingSemi(toks []token) []token {
 }
 
 // normalizeTokens is NormalizeSQL over an already-lexed statement, so a
-// prepared statement is fingerprinted by the lexer pass that parses it.
+// prepared statement is fingerprinted by the lexer pass that parses it. The
+// text is measured first and then written, into one allocation of its
+// exact length: sys.m_statements keeps it.
 func normalizeTokens(toks []token) string {
-	var parts []string
+	n := 0
+	normalPieces(toks, func(s string, space bool) {
+		if n += len(s); space {
+			n++
+		}
+	})
+	var sb strings.Builder
+	sb.Grow(n)
+	normalPieces(toks, func(s string, space bool) {
+		if space {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(s)
+	})
+	return sb.String()
+}
+
+// normalPieces hands f the pieces of a statement's normalized text in
+// order, each with whether a space goes before it.
+func normalPieces(toks []token, f func(s string, space bool)) {
+	prev, first := "", true
+	emit := func(s string) {
+		f(s, !first && spaceBetween(prev, s))
+		prev, first = s, false
+	}
 	for i := 0; i < len(toks); i++ {
 		t := toks[i]
 		switch t.kind {
 		case tkEOF:
 		case tkNumber, tkString, tkParam:
-			parts = append(parts, "?")
+			emit("?")
 		case tkKeyword:
-			parts = append(parts, t.text)
+			emit(t.text)
 			if t.text == "IN" {
 				if j, ok := literalListEnd(toks, i+1); ok {
-					parts = append(parts, "(...)")
+					emit("(...)")
 					i = j
 				}
 			}
 		default:
-			parts = append(parts, t.text)
+			emit(t.text)
 		}
 	}
-	var sb strings.Builder
-	for i, s := range parts {
-		if i > 0 && spaceBetween(parts[i-1], s) {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(s)
-	}
-	return sb.String()
 }
 
 // literalListEnd reports whether toks[start] opens a parenthesized list

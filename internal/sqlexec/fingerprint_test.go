@@ -1,6 +1,8 @@
 package sqlexec
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -57,8 +59,10 @@ func TestFingerprintEquivalence(t *testing.T) {
 	seen := map[string]int{} // fingerprint -> group index
 	for gi, g := range groups {
 		id0, norm0 := Fingerprint(g[0])
-		if len(id0) != 16 {
-			t.Fatalf("fingerprint %q is not 16 hex digits", id0)
+		h := fnv.New64a()
+		h.Write([]byte(norm0))
+		if want := fmt.Sprintf("%016x", h.Sum64()); id0 != want {
+			t.Fatalf("fingerprint of %q is %q, want FNV-64a %q", norm0, id0, want)
 		}
 		for _, sql := range g[1:] {
 			id, norm := Fingerprint(sql)

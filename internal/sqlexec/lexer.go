@@ -24,26 +24,26 @@ type token struct {
 	pos  int    // of the token's first byte in the source
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true, "AS": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "OUTER": true, "ON": true,
-	"AND": true, "OR": true, "NOT": true, "IN": true, "BETWEEN": true,
-	"IS": true, "NULL": true, "LIKE": true, "DISTINCT": true, "ASC": true,
-	"DESC": true, "INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
-	"TABLE": true, "VIEW": true, "DROP": true, "IF": true, "EXISTS": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"TRUE": true, "FALSE": true, "MERGE": true, "DELTA": true, "OF": true,
-	"WITH": true, "PARTITION": true, "RANGE": true,
-}
+// keywords maps every keyword to itself: the text of its token.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, k := range strings.Fields(`SELECT FROM WHERE GROUP BY HAVING ORDER
+		LIMIT OFFSET AS JOIN INNER LEFT OUTER ON AND OR NOT IN BETWEEN IS NULL
+		LIKE DISTINCT ASC DESC INSERT INTO VALUES UPDATE SET DELETE CREATE
+		TABLE VIEW DROP IF EXISTS CASE WHEN THEN ELSE END TRUE FALSE MERGE
+		DELTA OF WITH PARTITION RANGE`) {
+		m[k] = k
+	}
+	return m
+}()
 
-// isKeyword reports whether s, in any case, is a keyword. Every keyword is
-// ASCII, and no other letter upper-cases to one inside a bare word.
-func isKeyword(s string) bool {
+// keyword returns the upper-case text of s when s, in any case, is a
+// keyword. Every keyword is ASCII, and no other letter upper-cases to one
+// inside a bare word.
+func keyword(s string) (string, bool) {
 	var up [len("PARTITION")]byte
 	if len(s) > len(up) {
-		return false
+		return "", false
 	}
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -52,7 +52,8 @@ func isKeyword(s string) bool {
 		}
 		up[i] = c
 	}
-	return keywords[string(up[:len(s)])]
+	k, ok := keywords[string(up[:len(s)])]
+	return k, ok
 }
 
 type lexer struct {
@@ -134,9 +135,8 @@ func (l *lexer) lexWord() {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
-	upper := strings.ToUpper(word)
-	if keywords[upper] {
-		l.emit(tkKeyword, upper, start)
+	if k, ok := keyword(word); ok {
+		l.emit(tkKeyword, k, start)
 	} else {
 		l.emit(tkIdent, strings.ToLower(word), start)
 	}
@@ -203,7 +203,7 @@ func (l *lexer) lexOp() error {
 	c := l.src[l.pos]
 	switch c {
 	case '(', ')', ',', '.', '*', '+', '-', '/', '%', '=', '<', '>', ';':
-		l.emit(tkOp, string(c), l.pos)
+		l.emit(tkOp, l.src[l.pos:l.pos+1], l.pos)
 		l.pos++
 		return nil
 	}

@@ -42,6 +42,7 @@ const BatchRows = 1024
 // keeps it.
 type RowBatch struct {
 	rows []value.Row // rows-backed: the batch; nil for a view
+	lent bool        // rows-backed: the rows are the session's, reused by its next statement
 
 	readers []colReader // view: one reader per scan column
 	cols    []int       // view: output column c reads readers[cols[c]]; nil reads readers[c]
@@ -92,9 +93,15 @@ func (b *RowBatch) At(i, c int) value.Value {
 // AppendRows appends the batch's rows to dst and returns the extended
 // slice. A view is boxed into one slab of cells; a rows-backed batch
 // appends its rows, which are fresh, and to an empty dst is dst — so a
-// result of one such batch is never copied.
+// result of one such batch is never copied. Only lent rows are copied.
 func (b *RowBatch) AppendRows(dst []value.Row) []value.Row {
 	if b.readers == nil {
+		if b.lent {
+			for _, r := range b.rows {
+				dst = append(dst, r.Clone())
+			}
+			return dst
+		}
 		if dst == nil {
 			return b.rows
 		}

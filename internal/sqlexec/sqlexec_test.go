@@ -425,6 +425,18 @@ func TestFlexibleTableImplicitColumns(t *testing.T) {
 	if !r.Rows[0][1].IsNull() || r.Rows[1][1].S != "red" {
 		t.Fatalf("rows=%v", r.Rows)
 	}
+	// A statement that fails adds no column: size is an INT by its first
+	// row, and 'big' is refused.
+	if _, err := e.Query(`INSERT INTO things (id, size) VALUES (3, 10), (4, 'big')`); err == nil {
+		t.Fatal("'big' was accepted into an INT column")
+	}
+	entry, _ := e.Cat.Table("things")
+	if len(entry.Schema) != 2 || len(entry.Primary().Schema()) != 2 {
+		t.Fatalf("the failed INSERT left the schema %v, the table's %v", entry.Schema, entry.Primary().Schema())
+	}
+	if r := mustExec(t, e, `SELECT COUNT(*) FROM things`); r.Rows[0][0].I != 2 {
+		t.Fatalf("the failed INSERT left %v rows", r.Rows[0][0])
+	}
 	// Non-flexible tables reject unknown columns.
 	mustExec(t, e, `CREATE TABLE rigid (id INT)`)
 	if _, err := e.Query(`INSERT INTO rigid (id, nope) VALUES (1, 2)`); err == nil {

@@ -57,3 +57,18 @@ func FuzzSplitStatements(f *testing.F) {
 		})
 	})
 }
+
+// TestLexAllocs: lexing allocates the token slice and nothing else when the
+// text holds no string literal, quoted or upper-case identifier — a
+// keyword's token carries the keyword table's text, an operator's a slice
+// of the source.
+func TestLexAllocs(t *testing.T) {
+	const sql = `select region, sum(amount) from orders group by region`
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := lex(sql); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("lexing %q allocates %v times, want 1", sql, got)
+	}
+}

@@ -79,14 +79,15 @@ func (st *Stmt) ReturnsRows() bool {
 	return st.kind == stmtSelect || st.kind == stmtExplain || st.kind == stmtAnalyze
 }
 
-// Tag is the statement's CommandComplete tag as PostgreSQL spells it: n is
-// the rows a SELECT sent or the rows DML reported, and the tags of other
-// statements carry no count.
-func (st *Stmt) Tag(n int64) string {
+// AppendTag appends the statement's CommandComplete tag as PostgreSQL
+// spells it to dst: n is the rows a SELECT sent or the rows DML reported,
+// and the tags of other statements carry no count.
+func (st *Stmt) AppendTag(dst []byte, n int64) []byte {
+	dst = append(dst, kindNames[st.kind].tag...)
 	if st.kind <= stmtDelete || st.ReturnsRows() {
-		return kindNames[st.kind].tag + " " + strconv.FormatInt(n, 10)
+		dst = strconv.AppendInt(append(dst, ' '), n, 10)
 	}
-	return kindNames[st.kind].tag
+	return dst
 }
 
 // Prepare prepares the one statement sql holds (PrepareEach).
@@ -281,11 +282,12 @@ func (st *Stmt) tableCols(table string) []Column {
 // SELECT its rows, DML its one-row count, DDL and transaction control the
 // header alone.
 func (st *Stmt) ExecTo(sink RowSink, params ...value.Value) (ExecStats, error) {
-	var stats ExecStats
-	if _, err := st.execTo(sink, &stats, time.Now(), params, false); err != nil {
+	stats := &st.s.stats
+	*stats = ExecStats{}
+	if _, err := st.execTo(sink, stats, time.Now(), params, false); err != nil {
 		return ExecStats{}, err
 	}
-	return stats, nil
+	return *stats, nil
 }
 
 // Exec is ExecTo with the collecting sink: the whole result, materialized.
@@ -371,13 +373,13 @@ func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profil
 		return stats.RowsOut, prof, err
 	case *InsertStmt:
 		n, err := s.execInsert(x, params)
-		return st.answer(sink, insertedCols, countRows(n), err)
+		return st.answerCount(sink, insertedCols, n, err)
 	case *UpdateStmt:
 		n, err := s.execUpdate(x, params)
-		return st.answer(sink, updatedCols, countRows(n), err)
+		return st.answerCount(sink, updatedCols, n, err)
 	case *DeleteStmt:
 		n, err := s.execDelete(x, params)
-		return st.answer(sink, deletedCols, countRows(n), err)
+		return st.answerCount(sink, deletedCols, n, err)
 	case *CreateTableStmt:
 		return st.answer(sink, nil, nil, s.execCreateTable(x))
 	case *CreateViewStmt:
@@ -438,6 +440,25 @@ func (st *Stmt) answer(sink RowSink, cols []Column, rows []value.Row, err error)
 		return 0, nil, err
 	}
 	err = s.out.push(rows)
+	return s.out.rows, nil, err
+}
+
+// answerCount is answer for DML: the one row of its one count n. The row is
+// the session's, reused by its next statement, so the batch is lent — a
+// sink that keeps it boxes a copy (RowBatch.AppendRows).
+func (st *Stmt) answerCount(sink RowSink, cols []Column, n int, err error) (int, *Profile, error) {
+	if err != nil {
+		return 0, nil, err
+	}
+	s := st.s
+	s.out = feed{sink: sink}
+	defer func() { s.out = feed{} }()
+	if err := sink.Header(cols); err != nil {
+		return 0, nil, err
+	}
+	s.count[0] = value.Int(int64(n))
+	s.countRow[0] = s.count[:]
+	err = s.out.show(RowBatch{rows: s.countRow[:], lent: true})
 	return s.out.rows, nil, err
 }
 

@@ -514,3 +514,41 @@ func TestExplainThroughHandle(t *testing.T) {
 		t.Fatalf("after commit: %v", r.Rows)
 	}
 }
+
+// countOnly is a sink that reads a DML count and keeps nothing, as the
+// wire's does.
+type countOnly struct{ n int64 }
+
+func (s *countOnly) Header([]Column) error { return nil }
+func (s *countOnly) Batch(b *RowBatch) error {
+	s.n = b.At(0, 0).AsInt()
+	return nil
+}
+
+// TestPreparedInsertAllocs pins what one execution of a prepared five-
+// parameter INSERT costs, committed in auto-commit mode: the row, the
+// transaction and its one-write write set. A cell is read from its
+// parameter, not compiled, and the count is answered from the session's
+// own row.
+func TestPreparedInsertAllocs(t *testing.T) {
+	e := NewEngine()
+	e.MustQuery(`CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE, qty INT)`)
+	st, err := e.NewSession().Prepare(`INSERT INTO orders VALUES ($1, $2, $3, $4, $5)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := []value.Value{value.Int(7), value.String("emea"), value.String("open"), value.Float(2.5), value.Int(3)}
+	var sink countOnly
+	const want = 3
+	got := testing.AllocsPerRun(500, func() {
+		if _, err := st.ExecTo(&sink, params...); err != nil || sink.n != 1 {
+			t.Fatalf("%v, count %d", err, sink.n)
+		}
+	})
+	if got > want {
+		t.Errorf("a prepared one-row INSERT allocates %v times, want at most %d", got, want)
+	}
+	if r := e.MustQuery(`SELECT COUNT(*), SUM(qty) FROM orders`); r.Rows[0][0].AsInt() != 501 || r.Rows[0][1].AsInt() != 1503 {
+		t.Errorf("the table holds %v", r.Rows[0])
+	}
+}

@@ -498,8 +498,9 @@ func TestRunInTxnBoundedRetries(t *testing.T) {
 	}
 }
 
-// TestOwnInsertsIndexed: OwnInserts comes from the per-table index, in
-// insertion order, unaffected by interleaved writes to other tables.
+// TestOwnInsertsIndexed: OwnInserts returns the table's own rows from the
+// one write set, in insertion order, unaffected by interleaved writes to
+// other tables.
 func TestOwnInsertsIndexed(t *testing.T) {
 	m := NewManager()
 	m.Register(newHTAPTable("a"))

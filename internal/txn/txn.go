@@ -52,7 +52,10 @@ type GroupCommit struct {
 // GroupCommitListener observes whole group-commit batches (ascending TS),
 // on the group-commit leader goroutine. The WAL subscribes here so a batch
 // of N commits costs one append with one flush and one fsync instead of N;
-// the text indexer walks each batch in TS order.
+// the text indexer walks each batch in TS order. The batch slice is the
+// leader's, reused for the next batch: a listener must not keep it after it
+// returns (copying its elements is fine — each Writes slice is the commit's
+// own and is never written again).
 type GroupCommitListener func(batch []GroupCommit)
 
 // WriteKind discriminates the operations in a write set.
@@ -72,6 +75,7 @@ type Write struct {
 	Table string
 	Row   value.Row
 	ID    int
+	tab   *columnstore.Table // Table as the transaction resolved it; nil in a replayed record
 }
 
 // Manager coordinates transactions over a set of column-store tables.
@@ -81,12 +85,14 @@ type Manager struct {
 	active  map[uint64]int // snapshot TS -> number of active txns using it
 	tables  map[string]*columnstore.Table
 	latches map[string]*sync.Mutex // per-table apply latches
-	groupLs []GroupCommitListener
+	groupLs []GroupCommitListener  // only ever appended to: a copied header stays valid
 	nextID  atomic.Uint64
 
 	gcMu    sync.Mutex
-	gcQueue []*gcJob
+	gcQueue []*Txn
+	gcSpare []*Txn // the last batch's storage, the next queue's (leader only, under gcMu)
 	gcLead  bool
+	gcRec   []GroupCommit // the listeners' batch record, reused (leader only)
 
 	commits   atomic.Uint64
 	aborts    atomic.Uint64
@@ -244,12 +250,7 @@ func (m *Manager) Unpin(ts uint64) {
 // Begin starts a transaction reading at the current clock.
 func (m *Manager) Begin() *Txn {
 	snap := m.Pin()
-	return &Txn{
-		m:       m,
-		id:      m.nextID.Add(1),
-		snapTS:  snap,
-		deletes: make(map[string]map[int]bool),
-	}
+	return &Txn{m: m, id: m.nextID.Add(1), snapTS: snap}
 }
 
 // Txn is one transaction: a snapshot timestamp plus a buffered write set.
@@ -261,9 +262,10 @@ type Txn struct {
 	snapTS uint64
 	done   bool
 
-	writes  []Write
-	deletes map[string]map[int]bool // table -> victim row IDs
-	inserts map[string][]value.Row  // table -> buffered rows, insertion order
+	writes  []Write                 // the write set, in the order it was buffered
+	deletes map[string]map[int]bool // table -> victim row IDs; made by the first Delete
+
+	gcJob // the commit's place in the group-commit queue
 }
 
 // ID returns the transaction identifier.
@@ -282,21 +284,20 @@ func (t *Txn) SnapshotTable(table string) (*columnstore.Snapshot, error) {
 	return tab.Snapshot(t.snapTS), nil
 }
 
-// Insert buffers rows for insertion into the named table.
+// Insert buffers rows for insertion into the named table. The transaction
+// takes ownership of the rows, not a copy: the caller must not modify them
+// afterwards, because they are what commit applies and what the commit
+// listeners (the WAL, the text indexer) read.
 func (t *Txn) Insert(table string, rows ...value.Row) error {
 	if t.done {
 		return ErrClosed
 	}
-	if _, ok := t.m.Table(table); !ok {
+	tab, ok := t.m.Table(table)
+	if !ok {
 		return fmt.Errorf("txn: unknown table %q", table)
 	}
-	if t.inserts == nil {
-		t.inserts = make(map[string][]value.Row)
-	}
 	for _, r := range rows {
-		c := r.Clone()
-		t.writes = append(t.writes, Write{Kind: WriteInsert, Table: table, Row: c})
-		t.inserts[table] = append(t.inserts[table], c)
+		t.writes = append(t.writes, Write{Kind: WriteInsert, Table: table, Row: r, tab: tab})
 	}
 	return nil
 }
@@ -309,8 +310,12 @@ func (t *Txn) Delete(table string, id int) error {
 	if t.done {
 		return ErrClosed
 	}
-	if _, ok := t.m.Table(table); !ok {
+	tab, ok := t.m.Table(table)
+	if !ok {
 		return fmt.Errorf("txn: unknown table %q", table)
+	}
+	if t.deletes == nil {
+		t.deletes = make(map[string]map[int]bool)
 	}
 	if t.deletes[table] == nil {
 		t.deletes[table] = make(map[int]bool)
@@ -319,7 +324,7 @@ func (t *Txn) Delete(table string, id int) error {
 		return nil // idempotent within the transaction
 	}
 	t.deletes[table][id] = true
-	t.writes = append(t.writes, Write{Kind: WriteDelete, Table: table, ID: id})
+	t.writes = append(t.writes, Write{Kind: WriteDelete, Table: table, ID: id, tab: tab})
 	return nil
 }
 
@@ -342,62 +347,40 @@ func (t *Txn) View(table string) (*View, error) {
 	return &View{snap: snap, txn: t, table: table}, nil
 }
 
-// resolve maps every table the write set touches to its *Table and returns
-// the sorted list of tables with deletes. A concurrently dropped table
-// aborts the commit cleanly instead of panicking at apply.
-func (t *Txn) resolve() (tabs map[string]*columnstore.Table, delNames []string, err error) {
+// resolve checks that every table the write set touches is still the one
+// registered under its name — a concurrently dropped table aborts the commit
+// cleanly instead of being written — and returns the sorted names of the
+// tables with deletes.
+func (t *Txn) resolve() (delNames []string, err error) {
 	m := t.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tabs = make(map[string]*columnstore.Table)
-	need := func(name string) error {
-		if _, ok := tabs[name]; ok {
-			return nil
-		}
-		tab, ok := m.tables[name]
-		if !ok {
-			return fmt.Errorf("txn: table %q dropped", name)
-		}
-		tabs[name] = tab
-		return nil
-	}
-	for name := range t.inserts {
-		if err := need(name); err != nil {
-			return nil, nil, err
+	var last *columnstore.Table
+	for i := range t.writes {
+		if w := &t.writes[i]; w.tab != last {
+			if m.tables[w.Table] != w.tab {
+				return nil, fmt.Errorf("txn: table %q dropped", w.Table)
+			}
+			last = w.tab
 		}
 	}
 	for name := range t.deletes {
-		if err := need(name); err != nil {
-			return nil, nil, err
-		}
 		delNames = append(delNames, name)
 	}
 	sort.Strings(delNames)
-	return tabs, delNames, nil
+	return delNames, nil
 }
 
-// apply installs the write set at commitTS. Inserts are grouped per table
-// (one ApplyInsert lock round-trip each); deletes were validated under the
-// table latch the caller still holds, so the stamp cannot fail.
-func (t *Txn) apply(commitTS uint64, tabs map[string]*columnstore.Table) {
-	insNames := make([]string, 0, len(t.inserts))
-	for name := range t.inserts {
-		insNames = append(insNames, name)
-	}
-	sort.Strings(insNames)
-	idsOut := make(map[string][]int, len(insNames))
-	for _, name := range insNames {
-		idsOut[name] = tabs[name].ApplyInsert(t.inserts[name], commitTS)
-	}
-	next := make(map[string]int, len(insNames))
+// apply installs the write set at commitTS, write by write — the calls WAL
+// replay makes, so a row gets the same ID in both. Deletes were validated
+// under the table latch the caller still holds, so the stamp cannot fail.
+func (t *Txn) apply(commitTS uint64) {
 	for i := range t.writes {
-		w := &t.writes[i]
-		switch w.Kind {
+		switch w := &t.writes[i]; w.Kind {
 		case WriteInsert:
-			w.ID = idsOut[w.Table][next[w.Table]]
-			next[w.Table]++
+			w.ID = w.tab.ApplyInsert([]value.Row{w.Row}, commitTS)
 		case WriteDelete:
-			if !tabs[w.Table].ApplyDelete(w.ID, commitTS) {
+			if !w.tab.ApplyDelete(w.ID, commitTS) {
 				// Cannot happen: liveness was validated under the table
 				// latch, stamps are only placed by latch holders, and a
 				// merge evicts no row that is live.
@@ -429,7 +412,7 @@ func (t *Txn) Commit() (uint64, error) {
 		return m.clock.Load(), nil
 	}
 
-	tabs, delNames, err := t.resolve()
+	delNames, err := t.resolve()
 	if err != nil {
 		t.releaseAbort()
 		return 0, err
@@ -440,26 +423,23 @@ func (t *Txn) Commit() (uint64, error) {
 	// transaction's snapshot, had the transaction looked. Latches are held
 	// through apply (ownership passes to the batch leader), so validation
 	// cannot be invalidated before the stamp lands.
-	latches := m.latchTables(delNames)
-	for _, name := range delNames {
-		for id := range t.deletes[name] {
-			if !tabs[name].RowLive(id) {
-				unlatch(latches)
-				t.releaseAbort()
-				m.conflicts.Add(1)
-				cConflicts.Inc()
-				return 0, ErrConflict
-			}
+	t.latches = m.latchTables(delNames)
+	for i := range t.writes {
+		if w := &t.writes[i]; w.Kind == WriteDelete && !w.tab.RowLive(w.ID) {
+			unlatch(t.latches)
+			t.releaseAbort()
+			m.conflicts.Add(1)
+			cConflicts.Inc()
+			return 0, ErrConflict
 		}
 	}
 
-	job := &gcJob{txn: t, tabs: tabs, latches: latches}
-	m.enqueue(job)
+	m.enqueue(t)
 
 	m.Unpin(t.snapTS)
 	m.commits.Add(1)
 	cCommits.Inc()
-	return job.ts, nil
+	return t.ts, nil
 }
 
 // releaseAbort drops the snapshot pin and counts an abort.
@@ -480,16 +460,17 @@ func (t *Txn) Abort() {
 
 // --- Group commit -----------------------------------------------------
 
-// gcJob is one validated commit in the group-commit queue.
+// gcJob is a validated commit's part in the group-commit queue.
 type gcJob struct {
-	txn     *Txn
-	tabs    map[string]*columnstore.Table
 	latches []*sync.Mutex
-	ts      uint64 // assigned by the leader; read by the member after done
+	ts      uint64 // assigned by the leader; read by the member after wake
 
-	elect     chan struct{} // leader → member: take over leadership
-	done      chan struct{} // leader → member: fully committed
-	processed bool          // leader-side: job completed (leader goroutine only)
+	// wake is closed by a leader when this member's commit is done, or when
+	// elected says it is to lead. A commit that leads from the start is never
+	// woken and gets no channel.
+	wake      chan struct{}
+	elected   bool
+	processed bool // leader-side: job completed (leader goroutine only)
 }
 
 // maxLeaderDrains bounds how many batches one committer serves as leader
@@ -498,35 +479,39 @@ type gcJob struct {
 // without bound under sustained load.
 const maxLeaderDrains = 4
 
-// enqueue appends a job to the group-commit queue and blocks until it has
-// been processed. The first enqueuer with no active leader leads the
+// enqueue appends a commit to the group-commit queue and blocks until it
+// has been processed. The first enqueuer with no active leader leads the
 // batch; one that waits may inherit leadership.
-func (m *Manager) enqueue(j *gcJob) {
-	j.elect, j.done = make(chan struct{}), make(chan struct{})
+func (m *Manager) enqueue(t *Txn) {
 	m.gcMu.Lock()
-	m.gcQueue = append(m.gcQueue, j)
+	m.gcQueue = append(m.gcQueue, t)
 	lead := !m.gcLead
 	if lead {
 		m.gcLead = true
+	} else {
+		t.wake = make(chan struct{})
 	}
 	m.gcMu.Unlock()
-	if lead {
-		m.lead(j)
-		return
+	if !lead {
+		if <-t.wake; !t.elected {
+			return
+		}
 	}
-	select {
-	case <-j.done:
-	case <-j.elect:
-		m.lead(j)
-	}
+	m.lead(t)
 }
 
 // lead drains the group-commit queue until it is empty or leadership is
-// handed off. own is the leader's own job; leadership cannot be handed
-// off before it has been processed.
-func (m *Manager) lead(own *gcJob) {
+// handed off. own is the leader's own commit; leadership cannot be handed
+// off before it has been processed. A drained batch's storage becomes the
+// queue's again once the batch has run, so steady state appends allocate
+// nothing.
+func (m *Manager) lead(own *Txn) {
+	var ran []*Txn
 	for drains := 0; ; drains++ {
 		m.gcMu.Lock()
+		if ran != nil {
+			m.gcSpare = ran[:0]
+		}
 		if len(m.gcQueue) == 0 {
 			m.gcLead = false
 			m.gcMu.Unlock()
@@ -535,19 +520,22 @@ func (m *Manager) lead(own *gcJob) {
 		if drains >= maxLeaderDrains && own.processed {
 			next := m.gcQueue[0]
 			m.gcMu.Unlock()
-			close(next.elect) // leadership transfers; gcLead stays set
+			next.elected = true
+			close(next.wake) // leadership transfers; gcLead stays set
 			return
 		}
 		batch := m.gcQueue
-		m.gcQueue = nil
+		m.gcQueue, m.gcSpare = m.gcSpare, nil
 		m.gcMu.Unlock()
 		m.runGroup(batch, own)
+		clear(batch)
+		ran = batch
 	}
 }
 
 // runGroup commits one drained batch: a single clock bump, applies in
 // timestamp order, publish, listeners.
-func (m *Manager) runGroup(commits []*gcJob, own *gcJob) {
+func (m *Manager) runGroup(commits []*Txn, own *Txn) {
 	// Phase 1: assign a contiguous TS range under one clock bump and apply
 	// the write sets in that order. Only members with deletes hold a table
 	// latch, so two members may insert into the same table: applied in any
@@ -557,7 +545,7 @@ func (m *Manager) runGroup(commits []*gcJob, own *gcJob) {
 	base := m.clock.Load()
 	for i, j := range commits {
 		j.ts = base + 1 + uint64(i)
-		j.txn.apply(j.ts, j.tabs)
+		j.apply(j.ts)
 	}
 
 	// Phase 2: the validate→apply window is closed; release every member's
@@ -573,16 +561,18 @@ func (m *Manager) runGroup(commits []*gcJob, own *gcJob) {
 	// Phase 4: listeners. The WAL's group listener appends the batch as one
 	// flush+fsync.
 	m.mu.Lock()
-	gls := append([]GroupCommitListener(nil), m.groupLs...)
+	gls := m.groupLs
 	m.mu.Unlock()
 	if len(gls) > 0 {
-		rec := make([]GroupCommit, len(commits))
-		for i, j := range commits {
-			rec[i] = GroupCommit{TS: j.ts, Writes: j.txn.writes}
+		rec := m.gcRec[:0]
+		for _, j := range commits {
+			rec = append(rec, GroupCommit{TS: j.ts, Writes: j.writes})
 		}
 		for _, g := range gls {
 			g(rec)
 		}
+		clear(rec)
+		m.gcRec = rec
 	}
 	cGroupCommits.Inc()
 	hGroupSize.Observe(float64(len(commits)))
@@ -591,7 +581,7 @@ func (m *Manager) runGroup(commits []*gcJob, own *gcJob) {
 	for _, j := range commits {
 		j.processed = true
 		if j != own {
-			close(j.done)
+			close(j.wake)
 		}
 	}
 }
@@ -641,14 +631,15 @@ func (v *View) Visible(pos int) bool {
 func (v *View) Get(col, pos int) value.Value { return v.snap.Get(col, pos) }
 
 // OwnInserts returns the rows this transaction has buffered for the table,
-// in insertion order. The per-table index makes this O(own rows), not
-// O(write set) — multi-statement transactions used to rescan every write.
+// in insertion order.
 func (v *View) OwnInserts() []value.Row {
-	own := v.txn.inserts[v.table]
-	if len(own) == 0 {
-		return nil
+	var own []value.Row
+	for _, w := range v.txn.writes {
+		if w.Kind == WriteInsert && w.Table == v.table {
+			own = append(own, w.Row)
+		}
 	}
-	return append([]value.Row(nil), own...)
+	return own
 }
 
 // NumRows returns the committed row slot count.

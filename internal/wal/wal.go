@@ -527,7 +527,7 @@ func OpenStore(dir string, mode SyncMode) (*Store, error) {
 			}
 			switch w.Kind {
 			case txn.WriteInsert:
-				if id := t.ApplyInsert([]value.Row{w.Row}, ts)[0]; id != w.ID {
+				if id := t.ApplyInsert([]value.Row{w.Row}, ts); id != w.ID {
 					return fmt.Errorf("%w: table %q, commit %d: logged %d, replayed %d", ErrRowID, w.Table, ts, w.ID, id)
 				}
 			case txn.WriteDelete:

@@ -263,8 +263,8 @@ func TestCheckpointPreservesMVCCStamps(t *testing.T) {
 	dir := t.TempDir()
 	tab := columnstore.NewTable("t", columnstore.Schema{{Name: "v", Kind: value.KindInt}})
 	tab.ApplyInsert([]value.Row{{value.Int(1)}}, 5)
-	pos := tab.ApplyInsert([]value.Row{{value.Int(2)}}, 7)
-	tab.ApplyDelete(pos[0], 9)
+	id := tab.ApplyInsert([]value.Row{{value.Int(2)}}, 7)
+	tab.ApplyDelete(id, 9)
 	path := filepath.Join(dir, "ck.db")
 	if err := WriteCheckpoint(path, 10, map[string]*columnstore.Table{"t": tab}); err != nil {
 		t.Fatal(err)
