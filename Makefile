@@ -57,6 +57,7 @@ fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzExactSum' -fuzztime 10s ./internal/sqlexec/
 	$(GO) test -run xxx -fuzz 'FuzzDeparse' -fuzztime 10s ./internal/sqlexec/
 	$(GO) test -run xxx -fuzz 'FuzzSplitStatements' -fuzztime 10s ./internal/sqlexec/
+	$(GO) test -run xxx -fuzz 'FuzzPartialState' -fuzztime 10s ./internal/sqlexec/
 
 # Quick pass over the vectorized scan/aggregation micro-benchmarks, gated
 # by cmd/benchguard against the committed BENCH_vectorized_baseline.json.

@@ -112,11 +112,14 @@ func (t *DistTable) keyValue(key string) value.Value {
 type ClusterCatalog struct {
 	mu     sync.RWMutex
 	tables map[string]*DistTable
+	// schemas mirrors every table as an empty one of its schema: what the
+	// coordinator plans a statement against (sqlexec.Planner.BuildFinish).
+	schemas *catalog.Catalog
 }
 
 // NewClusterCatalog returns an empty catalog.
 func NewClusterCatalog() *ClusterCatalog {
-	return &ClusterCatalog{tables: map[string]*DistTable{}}
+	return &ClusterCatalog{tables: map[string]*DistTable{}, schemas: catalog.New()}
 }
 
 // Define registers a distributed table.
@@ -141,6 +144,9 @@ func (c *ClusterCatalog) Define(t *DistTable) error {
 	defer c.mu.Unlock()
 	if _, ok := c.tables[t.Name]; ok {
 		return fmt.Errorf("soe: table %q already defined", t.Name)
+	}
+	if _, err := c.schemas.CreateTable(t.Name, t.Schema); err != nil {
+		return err
 	}
 	c.tables[t.Name] = t
 	return nil

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,6 +46,10 @@ type Coordinator struct {
 	// replica can serve it, return what survived (labelled with its
 	// completeness fraction) instead of failing the query.
 	PartialResults bool
+
+	// reg is the function registry the coordinator plans and finishes
+	// statements with: the engine's builtins.
+	reg *sqlexec.Registry
 
 	obs    *stats.Registry
 	tracer *stats.Tracer
@@ -123,7 +126,7 @@ func (c *Coordinator) Instrument(reg *stats.Registry, tracer *stats.Tracer) {
 
 // NewCoordinator creates and registers a coordinator.
 func NewCoordinator(name string, net *netsim.Network, disc *Discovery, ccat *ClusterCatalog, broker string) *Coordinator {
-	c := &Coordinator{Name: name, net: net, disc: disc, ccat: ccat, broker: broker, BroadcastThreshold: 10_000}
+	c := &Coordinator{Name: name, net: net, disc: disc, ccat: ccat, broker: broker, BroadcastThreshold: 10_000, reg: sqlexec.NewRegistry()}
 	net.Register(name, func(from string, req netsim.Message) (netsim.Message, error) {
 		// Clients reach the coordinator through MsgExec.
 		if req.Kind != MsgExec {
@@ -290,11 +293,12 @@ func (c *Coordinator) ForceStrategy(sql string, strategy distql.Strategy) (*Resu
 // coordinator.
 const chosen distql.Strategy = -1
 
-// query is every distributed SELECT: parse, rewrite, the tables checked,
-// the span and the soe_queries_total / soe_query_ms accounting, then the
-// fan-out. A zero parent starts a fresh trace; a client whose MsgExec
-// carried a SpanContext continues its own. A join runs with strategy unless
-// that is chosen.
+// query is every distributed SELECT: parse, the shape checked, the tables
+// checked, the statement planned and cut (sqlexec.Planner.BuildFinish), the
+// span and the soe_queries_total / soe_query_ms accounting, then the
+// fan-out of the node's share as a Partial task. A zero parent starts a
+// fresh trace; a client whose MsgExec carried a SpanContext continues its
+// own. A join runs with strategy unless that is chosen.
 func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distql.Strategy) (*Result, *distql.Plan, error) {
 	t0 := time.Now()
 	attrs := []string{"sql=" + sql}
@@ -318,33 +322,55 @@ func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distq
 		return nil, nil, fmt.Errorf("soe: coordinator executes SELECT only (DML goes through Insert/Delete)")
 	}
 	plan, err := distql.Rewrite(sel)
+	var fin *sqlexec.Finish
+	if err == nil {
+		fin, err = c.buildFinish(sel, plan)
+	}
 	pl.Finish()
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, table := range []string{plan.LeftTable, plan.RightTable} {
-		if _, ok := c.ccat.Table(table); !ok && table != "" {
-			return nil, nil, fmt.Errorf("soe: unknown table %q", table)
-		}
+	// The nodes run the client's statement — as it was written, unless the
+	// engine leaves some of it to the coordinator alone.
+	node := fin.NodeSelect(sel)
+	plan.LocalSQL = sql
+	if node != sel {
+		plan.LocalSQL = sqlexec.Deparse(node)
 	}
 
+	var replies []sqlexec.Reply
+	var reports []*fanReport
 	switch {
 	case plan.RightTable == "" && strategy != chosen:
 		return nil, nil, fmt.Errorf("soe: ForceStrategy needs a join")
 	case plan.RightTable == "":
 		plan.Strategy = distql.StrategyLocalParallel
 		parts := c.pruneParts(sel, plan.LeftTable)
-		rows, rep, err := c.fanOut(span, plan.LocalSQL, c.tasksFor(plan.LeftTable, parts), plan.LeftTable, "")
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.finish(plan, rows, rep)
-	case strategy != chosen:
-		plan.Strategy = strategy
+		var rep *fanReport
+		replies, rep, err = c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Partial: true, Table: plan.LeftTable}, c.tasksFor(plan.LeftTable, parts))
+		reports = []*fanReport{rep}
 	default:
-		plan.Strategy = c.joinStrategy(plan)
+		if plan.Strategy = strategy; strategy == chosen {
+			plan.Strategy = c.joinStrategy(plan)
+		}
+		replies, reports, err = c.executeJoin(node, plan, span)
 	}
-	return c.executeJoin(sel, plan, span)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := c.finish(fin, replies, reports)
+	return res, plan, err
+}
+
+// buildFinish checks that the statement's tables exist and plans it against
+// their schemas, cut between the nodes and the coordinator.
+func (c *Coordinator) buildFinish(sel *sqlexec.SelectStmt, plan *distql.Plan) (*sqlexec.Finish, error) {
+	for _, table := range []string{plan.LeftTable, plan.RightTable} {
+		if _, ok := c.ccat.Table(table); !ok && table != "" {
+			return nil, fmt.Errorf("soe: unknown table %q", table)
+		}
+	}
+	return (&sqlexec.Planner{Cat: c.ccat.schemas, Reg: c.reg}).BuildFinish(sel)
 }
 
 // pruneParts is distributed partition pruning: the WHERE clause is
@@ -391,18 +417,18 @@ func (c *Coordinator) joinStrategy(plan *distql.Plan) distql.Strategy {
 	}
 }
 
-func (c *Coordinator) executeJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) (*Result, *distql.Plan, error) {
+// executeJoin runs the nodes' share of a join with the plan's strategy and
+// returns their replies and the coverage of every stage.
+func (c *Coordinator) executeJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) ([]sqlexec.Reply, []*fanReport, error) {
 	c.obs.Counter("soe_joins_total", "service=v2dqp", "strategy="+plan.Strategy.String()).Inc()
 	switch plan.Strategy {
 	case distql.StrategyColocated:
 		// Scoped on both sides: a failover target must hold the same
 		// partition of both tables for the bucket-local join to be correct.
 		lt, _ := c.ccat.Table(plan.LeftTable)
-		rows, rep, err := c.fanOut(span, plan.LocalSQL, c.tasksFor(plan.LeftTable, allParts(lt)), plan.LeftTable, plan.RightTable)
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.finish(plan, rows, rep)
+		req := ExecReq{SQL: plan.LocalSQL, Partial: true, Table: plan.LeftTable, Table2: plan.RightTable}
+		replies, rep, err := c.fanOut(span, req, c.tasksFor(plan.LeftTable, allParts(lt)))
+		return replies, []*fanReport{rep}, err
 	case distql.StrategyBroadcast:
 		return c.broadcastJoin(sel, plan, span)
 	case distql.StrategyRepartition:
@@ -414,7 +440,7 @@ func (c *Coordinator) executeJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, sp
 
 // broadcastJoin replicates the smaller side to every node of the bigger
 // side as a temp table.
-func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) (*Result, *distql.Plan, error) {
+func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) ([]sqlexec.Reply, []*fanReport, error) {
 	lt, _ := c.ccat.Table(plan.LeftTable)
 	rt, _ := c.ccat.Table(plan.RightTable)
 	small, big := rt, lt
@@ -426,13 +452,9 @@ func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, 
 	plan.BroadcastTable = small.Name
 
 	// Pull the small side (partition-scoped, so it fails over too).
-	smallRows, smallRep, err := c.fanOut(span, "SELECT * FROM "+small.Name, c.tasksFor(small.Name, allParts(small)), small.Name, "")
+	smallRows, smallRep, err := c.fanOut(span, ExecReq{SQL: "SELECT * FROM " + small.Name, Table: small.Name}, c.tasksFor(small.Name, allParts(small)))
 	if err != nil {
 		return nil, nil, err
-	}
-	var flat []value.Row
-	for _, b := range smallRows {
-		flat = append(flat, b...)
 	}
 
 	qid := c.queryID.Add(1)
@@ -445,7 +467,10 @@ func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, 
 	for p := 0; p < big.Partitions; p++ {
 		targets = unionNodes(targets, c.ccat.Replicas(big.Name, p))
 	}
-	payload := encode(CreateTempReq{Token: c.disc.Token(), Name: tmp, Cols: small.Schema.Names(), Kinds: kindsOf(small), Rows: flat})
+	payload := encode(CreateTempReq{Token: c.disc.Token(), Name: tmp, Cols: small.Schema.Names(), Kinds: kindsOf(small), Rows: rowsOf(smallRows)})
+	// Dropped wherever it may have landed, whether or not every install
+	// and the join succeed.
+	defer c.dropTempOn(targets, tmp)
 	for _, n := range targets {
 		resp, err := send[ExecResp](c.net, c.Name, n, MsgCreateTemp, payload, stats.SpanContext{}, 0)
 		if err != nil {
@@ -458,33 +483,25 @@ func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, 
 			return nil, nil, fmt.Errorf("soe: broadcast: %s", resp.Err)
 		}
 	}
-	defer c.dropTempOn(targets, tmp)
 
-	// Rewrite the AST with the temp name and re-derive local SQL.
+	// The nodes run the statement over the temp in place of the small side.
 	sub := cloneSelect(sel)
 	if smallIsRight {
 		sub.Joins[0].Table.Name = tmp
 	} else {
 		sub.From.Name = tmp
 	}
-	subPlan, err := distql.Rewrite(sub)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan.LocalSQL = subPlan.LocalSQL
+	plan.LocalSQL = sqlexec.Deparse(sub)
 
-	rows, bigRep, err := c.fanOut(span, plan.LocalSQL, c.tasksFor(big.Name, allParts(big)), big.Name, "")
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.finish(plan, rows, smallRep, bigRep)
+	replies, bigRep, err := c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Partial: true, Table: big.Name}, c.tasksFor(big.Name, allParts(big)))
+	return replies, []*fanReport{smallRep, bigRep}, err
 }
 
 // repartitionJoin shuffles both sides by join key across the participating
 // nodes, then joins bucket-locally. Data moves through the coordinator (a
 // star shuffle), which charges the same volume the direct node-to-node
 // shuffle would — a conservative model.
-func (c *Coordinator) repartitionJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) (*Result, *distql.Plan, error) {
+func (c *Coordinator) repartitionJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) ([]sqlexec.Reply, []*fanReport, error) {
 	lt, _ := c.ccat.Table(plan.LeftTable)
 	rt, _ := c.ccat.Table(plan.RightTable)
 	// Shuffle buckets land only on reachable nodes: a crashed node would
@@ -497,31 +514,26 @@ func (c *Coordinator) repartitionJoin(sel *sqlexec.SelectStmt, plan *distql.Plan
 	tmpL := fmt.Sprintf("tmp_rl_%d", qid)
 	tmpR := fmt.Sprintf("tmp_rr_%d", qid)
 
+	// Each temp is dropped wherever it may have landed, whether or not the
+	// shuffles and the join succeed.
+	defer c.dropTempOn(nodes, tmpL)
 	repL, err := c.shuffle(span, lt, plan.LeftKey, nodes, tmpL)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer c.dropTempOn(nodes, tmpR)
 	repR, err := c.shuffle(span, rt, plan.RightKey, nodes, tmpR)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer c.dropTempOn(nodes, tmpL)
-	defer c.dropTempOn(nodes, tmpR)
 
 	sub := cloneSelect(sel)
 	sub.From.Name = tmpL
 	sub.Joins[0].Table.Name = tmpR
-	subPlan, err := distql.Rewrite(sub)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan.LocalSQL = subPlan.LocalSQL
+	plan.LocalSQL = sqlexec.Deparse(sub)
 
-	rows, rep, err := c.fanOut(span, plan.LocalSQL, unscopedTasks(nodes), "", "")
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.finish(plan, rows, repL, repR, rep)
+	replies, rep, err := c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Partial: true}, unscopedTasks(nodes))
+	return replies, []*fanReport{repL, repR, rep}, err
 }
 
 // shuffle hashes a table's rows by the join key across the target nodes
@@ -534,16 +546,14 @@ func (c *Coordinator) shuffle(span *stats.Span, t *DistTable, key string, nodes 
 	if ki < 0 {
 		return nil, fmt.Errorf("soe: shuffle key %q not in %s", key, t.Name)
 	}
-	batches, rep, err := c.fanOut(sh, "SELECT * FROM "+t.Name, c.tasksFor(t.Name, allParts(t)), t.Name, "")
+	replies, rep, err := c.fanOut(sh, ExecReq{SQL: "SELECT * FROM " + t.Name, Table: t.Name}, c.tasksFor(t.Name, allParts(t)))
 	if err != nil {
 		return nil, err
 	}
 	buckets := make([][]value.Row, len(nodes))
-	for _, batch := range batches {
-		for _, row := range batch {
-			b := int(row[ki].Hash() % uint64(len(nodes)))
-			buckets[b] = append(buckets[b], row)
-		}
+	for _, row := range rowsOf(replies) {
+		b := int(row[ki].Hash() % uint64(len(nodes)))
+		buckets[b] = append(buckets[b], row)
 	}
 	kinds := kindsOf(t)
 	for i, n := range nodes {
@@ -613,8 +623,9 @@ func (r *fanReport) fraction() float64 {
 	return float64(r.covered) / float64(r.total)
 }
 
-// fanOut runs SQL on every task in parallel and returns the row batches
-// plus a coverage report. An empty task list is a valid (pruned-to-nothing)
+// fanOut runs req on every task in parallel — scoped to the task's
+// partitions of req.Table (and req.Table2) where it lists any — and returns
+// every reply plus a coverage report. An empty task list is a valid (pruned-to-nothing)
 // fan-out. Each attempt gets a "task" child span under the caller's span —
 // the DAG of Figure 3 made visible in the trace tree.
 //
@@ -624,25 +635,32 @@ func (r *fanReport) fraction() float64 {
 // from the catalog; coverage that cannot be served anywhere either fails
 // the query (default) or, with PartialResults, is dropped and reported in
 // the completeness fraction.
-func (c *Coordinator) fanOut(span *stats.Span, sql string, tasks []fanTask, table, table2 string) ([][]value.Row, *fanReport, error) {
+func (c *Coordinator) fanOut(span *stats.Span, req ExecReq, tasks []fanTask) ([]sqlexec.Reply, *fanReport, error) {
 	t0 := time.Now()
-	out := make([][]value.Row, len(tasks))
-	reps := make([]fanReport, len(tasks))
-	fatals := make([]error, len(tasks))
+	// Every task's reply, in task order; a task that failed over brings its
+	// replicas' instead (more), added after them.
+	out := make([]sqlexec.Reply, len(tasks))
+	type taskOut struct {
+		rep   fanReport
+		more  []sqlexec.Reply
+		fatal error
+	}
+	outs := make([]taskOut, len(tasks))
 	var scanned, morsels atomic.Int64
 	var wg sync.WaitGroup
 	for i, tk := range tasks {
 		wg.Add(1)
 		go func(i int, tk fanTask) {
 			defer wg.Done()
-			rep := &reps[i]
+			o := &outs[i]
+			rep := &o.rep
 			rep.total = 1
 			if tk.parts != nil {
 				rep.total = len(tk.parts)
 			}
-			resp, err := c.execTarget(span, sql, tk.node, table, table2, tk.parts)
+			resp, err := c.execTarget(span, req, tk.node, tk.parts)
 			if err == nil {
-				out[i] = resp.Rows
+				out[i] = sqlexec.Reply{Rows: resp.Rows, State: resp.State}
 				scanned.Add(int64(resp.RowsScanned))
 				morsels.Add(int64(resp.Morsels))
 				rep.covered = rep.total
@@ -650,32 +668,28 @@ func (c *Coordinator) fanOut(span *stats.Span, sql string, tasks []fanTask, tabl
 			}
 			var se *sqlError
 			if errors.As(err, &se) {
-				fatals[i] = err
+				o.fatal = err
 				return
 			}
 			if tk.parts == nil {
 				rep.lost = []string{fmt.Sprintf("%s (%v)", tk.node, err)}
 				return
 			}
-			rows, covered, lost := c.failover(span, sql, table, table2, tk.parts, tk.node, err, &scanned, &morsels)
-			out[i] = rows
-			rep.covered = covered
-			rep.lost = lost
+			o.more, rep.covered, rep.lost = c.failover(span, req, tk.parts, tk.node, err, &scanned, &morsels)
 		}(i, tk)
 	}
 	wg.Wait()
 
 	rep := &fanReport{}
-	for i := range reps {
-		rep.covered += reps[i].covered
-		rep.total += reps[i].total
-		rep.lost = append(rep.lost, reps[i].lost...)
-	}
 	var err error
-	for _, e := range fatals {
-		if e != nil {
-			err = e
-			break
+	for i := range outs {
+		o := &outs[i]
+		rep.covered += o.rep.covered
+		rep.total += o.rep.total
+		rep.lost = append(rep.lost, o.rep.lost...)
+		out = append(out, o.more...)
+		if err == nil {
+			err = o.fatal
 		}
 	}
 	if err == nil && rep.covered < rep.total && !c.PartialResults {
@@ -699,11 +713,11 @@ func (c *Coordinator) fanOut(span *stats.Span, sql string, tasks []fanTask, tabl
 // execTarget is the per-target retry loop: bounded attempts with
 // exponential backoff and jitter, a deadline per attempt. SQL-level
 // failures surface immediately as *sqlError (retrying cannot help).
-func (c *Coordinator) execTarget(span *stats.Span, sql, node, table, table2 string, parts []int) (ExecResp, error) {
+func (c *Coordinator) execTarget(span *stats.Span, req ExecReq, node string, parts []int) (ExecResp, error) {
 	pol := c.retry()
-	req := ExecReq{Token: c.disc.Token(), SQL: sql, Parts: parts}
-	if parts != nil {
-		req.Table, req.Table2 = table, table2
+	req.Token, req.Parts = c.disc.Token(), parts
+	if parts == nil {
+		req.Table, req.Table2 = "", ""
 	}
 	payload := encode(req)
 	var lastErr error
@@ -735,7 +749,8 @@ func (c *Coordinator) execTarget(span *stats.Span, sql, node, table, table2 stri
 // bound before serving. Partitions with no live replica — and SQL errors
 // on replicas, e.g. a temp relation a crashed install never reached — are
 // reported as lost, not fatal: degraded coverage is the caller's decision.
-func (c *Coordinator) failover(span *stats.Span, sql, table, table2 string, parts []int, failed string, cause error, scanned, morsels *atomic.Int64) (rows []value.Row, covered int, lost []string) {
+func (c *Coordinator) failover(span *stats.Span, req ExecReq, parts []int, failed string, cause error, scanned, morsels *atomic.Int64) (replies []sqlexec.Reply, covered int, lost []string) {
+	table, table2 := req.Table, req.Table2
 	group := map[string][]int{}
 	for _, p := range parts {
 		cands := c.ccat.Replicas(table, p)
@@ -778,20 +793,20 @@ func (c *Coordinator) failover(span *stats.Span, sql, table, table2 string, part
 	for _, rn := range targets {
 		ps := group[rn]
 		c.catchUp(span, rn, table, ps)
-		resp, err := c.execTarget(span, sql, rn, table, table2, ps)
+		resp, err := c.execTarget(span, req, rn, ps)
 		if err != nil {
 			for _, p := range ps {
 				lost = append(lost, fmt.Sprintf("%s p%d replica %s (%v)", table, p, rn, err))
 			}
 			continue
 		}
-		rows = append(rows, resp.Rows...)
+		replies = append(replies, sqlexec.Reply{Rows: resp.Rows, State: resp.State})
 		scanned.Add(int64(resp.RowsScanned))
 		morsels.Add(int64(resp.Morsels))
 		covered += len(ps)
 		c.obs.Counter("soe_failovers_total", "service=v2dqp").Inc()
 	}
-	return rows, covered, lost
+	return replies, covered, lost
 }
 
 // catchUp asks a replica to reach this coordinator's last observed commit
@@ -843,46 +858,17 @@ func intersect(a, b []string) []string {
 	return out
 }
 
-// finish merges partials, applies ORDER BY / LIMIT, and folds the
+// finish runs the plan above the cut over the nodes' replies and folds the
 // fan-out coverage reports into the result's completeness label (the
 // product of per-stage fractions: losing coverage in any stage of a
 // multi-stage plan makes the whole answer partial).
-func (c *Coordinator) finish(plan *distql.Plan, batches [][]value.Row, reports ...*fanReport) (*Result, *distql.Plan, error) {
-	rows := plan.MergePartials(batches)
-	if len(plan.OrderBy) > 0 {
-		// Rewrite left every key an output column's position.
-		var buf [8]int
-		cols := buf[:0]
-		for _, k := range plan.OrderBy {
-			cols = append(cols, int(k.Expr.(*sqlexec.Literal).Val.I)-1)
-		}
-		slices.SortStableFunc(rows, func(a, b value.Row) int {
-			for i, k := range plan.OrderBy {
-				if c := value.Compare(a[cols[i]], b[cols[i]]); c != 0 {
-					if k.Desc {
-						return -c
-					}
-					return c
-				}
-			}
-			return 0
-		})
+func (c *Coordinator) finish(fin *sqlexec.Finish, replies []sqlexec.Reply, reports []*fanReport) (*Result, error) {
+	out, err := fin.Run(replies)
+	if err != nil {
+		return nil, err
 	}
-	if plan.Offset > 0 {
-		if plan.Offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[plan.Offset:]
-		}
-	}
-	if plan.Limit >= 0 && plan.Limit < len(rows) {
-		rows = rows[:plan.Limit]
-	}
-	res := &Result{Cols: plan.OutCols, Rows: rows, Completeness: 1}
+	res := &Result{Cols: out.Cols, Rows: out.Rows, Completeness: 1}
 	for _, r := range reports {
-		if r == nil {
-			continue
-		}
 		res.Completeness *= r.fraction()
 		res.Lost = append(res.Lost, r.lost...)
 	}
@@ -890,7 +876,16 @@ func (c *Coordinator) finish(plan *distql.Plan, batches [][]value.Row, reports .
 		res.Partial = true
 		c.obs.Counter("soe_degraded_queries_total", "service=v2dqp").Inc()
 	}
-	return res, plan, nil
+	return res, nil
+}
+
+// rowsOf is every row of the replies, in order.
+func rowsOf(replies []sqlexec.Reply) []value.Row {
+	var rows []value.Row
+	for _, r := range replies {
+		rows = append(rows, r.Rows...)
+	}
+	return rows
 }
 
 func (c *Coordinator) dropTempOn(nodes []string, tmp string) {

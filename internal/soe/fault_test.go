@@ -56,7 +56,7 @@ func TestFTQueryFailsOverToReplica(t *testing.T) {
 		t.Fatalf("rows %d vs healthy %d", len(got.Rows), len(healthy.Rows))
 	}
 	for i := range healthy.Rows {
-		if canonKey(got.Rows[i]) != canonKey(healthy.Rows[i]) {
+		if got.Rows[i].Key() != healthy.Rows[i].Key() {
 			t.Fatalf("row %d differs: %v vs %v", i, got.Rows[i], healthy.Rows[i])
 		}
 	}
@@ -153,7 +153,7 @@ func TestFTColocatedJoinFailsOver(t *testing.T) {
 		t.Fatalf("completeness=%v rows=%d vs %d", got.Completeness, len(got.Rows), len(healthy.Rows))
 	}
 	for i := range healthy.Rows {
-		if canonKey(got.Rows[i]) != canonKey(healthy.Rows[i]) {
+		if got.Rows[i].Key() != healthy.Rows[i].Key() {
 			t.Fatalf("row %d differs: %v vs %v", i, got.Rows[i], healthy.Rows[i])
 		}
 	}

@@ -208,7 +208,7 @@ func (n *DataNode) detachPartition(table string, part int) {
 func (n *DataNode) Unhost(table string, part int) ([]value.Row, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	res, err := n.queryParts("SELECT * FROM "+table, table, "", []int{part})
+	res, _, err := n.queryParts(ExecReq{SQL: "SELECT * FROM " + table, Table: table, Parts: []int{part}})
 	if err != nil {
 		return nil, err
 	}
@@ -433,22 +433,23 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		// A task is one statement: one pinned snapshot and one plan, however
 		// many partitions it lists.
 		var sc *stats.Span
-		var res *sqlexec.Result
 		if r.Table != "" {
 			sc = sp.Child("scan", fmt.Sprintf("partitions=%v", r.Parts))
-			res, err = n.queryParts(r.SQL, r.Table, r.Table2, r.Parts)
 		} else {
 			sc = sp.Child("scan")
-			res, err = n.eng.Query(r.SQL)
 		}
+		res, state, err := n.queryParts(r)
 		sc.Finish()
 		var resp ExecResp
 		if err != nil {
 			resp = ExecResp{Err: err.Error()}
 		} else {
 			resp = ExecResp{
-				Cols: res.Cols, Rows: res.Rows,
+				Rows: res.Rows, State: state,
 				RowsScanned: res.Stats.RowsScanned, Morsels: res.Stats.Morsels,
+			}
+			if !r.Partial { // a Partial task's columns are the coordinator's plan's
+				resp.Cols = res.Cols
 			}
 		}
 		if sp != nil {
@@ -536,7 +537,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		// Under n.mu no log entry applies between the rows and the marks
 		// that say which entries they contain.
 		n.mu.Lock()
-		res, err := n.queryParts("SELECT * FROM "+r.Table, r.Table, "", []int{r.Partition})
+		res, _, err := n.queryParts(ExecReq{SQL: "SELECT * FROM " + r.Table, Table: r.Table, Parts: []int{r.Partition}})
 		resp := SnapshotResp{AppliedTS: n.appliedTS, NextPos: n.appliedPos}
 		n.mu.Unlock()
 		if err != nil {
@@ -571,40 +572,51 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 	return netsim.Message{}, errUnknownMsg(n.Name, req.Kind)
 }
 
-// queryParts runs one statement on the node's engine with table (and
-// table2, a co-located join's partner) pruned to the listed partitions, in
-// the order listed; whatever else the statement names — a broadcast or
-// shuffle temp — is read whole. This is the coordinator's
-// partition-addressed execution mode: a node hosting primaries and replicas
-// of one table reads exactly the partitions the task names, never
-// double-counting. A listed partition the planned table does not hold fails
-// the task, because the coordinator counts every listed one as covered.
-func (n *DataNode) queryParts(sql, table, table2 string, parts []int) (*sqlexec.Result, error) {
+// queryParts runs one task's statement on the node's engine — a Partial
+// one up to its plan's cut, with the fold state that produces. A scoped
+// task (Table set) reads Table (and Table2, a co-located join's partner)
+// pruned to the listed partitions, in the order listed; whatever else the
+// statement names — a broadcast or shuffle temp — is read whole. This is
+// the coordinator's partition-addressed execution mode: a node hosting
+// primaries and replicas of one table reads exactly the partitions the
+// task names, never double-counting. A listed partition the planned table
+// does not hold fails the task, because the coordinator counts every listed
+// one as covered.
+func (n *DataNode) queryParts(r ExecReq) (*sqlexec.Result, []byte, error) {
 	missing := -1
 	s := n.eng.NewSession()
 	defer s.Close()
-	s.Scope = func(entry *catalog.TableEntry, _ []sqlexec.Pred, hosted []*catalog.Partition) []*catalog.Partition {
-		if entry.Name != table && entry.Name != table2 {
-			return hosted
-		}
-		// Never nil, which a scan reads as "every partition".
-		kept := make([]*catalog.Partition, 0, len(parts))
-		for _, p := range parts {
-			name := partTableName(entry.Name, p)
-			i := slices.IndexFunc(hosted, func(h *catalog.Partition) bool { return h.Name == name })
-			if i < 0 {
-				missing = p
-				continue
+	if table, table2, parts := r.Table, r.Table2, r.Parts; table != "" {
+		s.Scope = func(entry *catalog.TableEntry, _ []sqlexec.Pred, hosted []*catalog.Partition) []*catalog.Partition {
+			if entry.Name != table && entry.Name != table2 {
+				return hosted
 			}
-			kept = append(kept, hosted[i])
+			// Never nil, which a scan reads as "every partition".
+			kept := make([]*catalog.Partition, 0, len(parts))
+			for _, p := range parts {
+				name := partTableName(entry.Name, p)
+				i := slices.IndexFunc(hosted, func(h *catalog.Partition) bool { return h.Name == name })
+				if i < 0 {
+					missing = p
+					continue
+				}
+				kept = append(kept, hosted[i])
+			}
+			return kept
 		}
-		return kept
 	}
-	res, err := s.Query(sql)
+	var res *sqlexec.Result
+	var state []byte
+	var err error
+	if r.Partial {
+		res, state, err = s.QueryPartial(r.SQL)
+	} else {
+		res, err = s.Query(r.SQL)
+	}
 	if missing >= 0 {
-		return nil, fmt.Errorf("soe: %s does not host partition %d", n.Name, missing)
+		return nil, nil, fmt.Errorf("soe: %s does not host partition %d", n.Name, missing)
 	}
-	return res, err
+	return res, state, err
 }
 
 func (n *DataNode) createTemp(r CreateTempReq) error {

@@ -37,7 +37,7 @@ func TestTieringWarmQueryParity(t *testing.T) {
 		t.Fatalf("warm rows %d vs hot %d", len(warm.Rows), len(hot.Rows))
 	}
 	for i := range hot.Rows {
-		if canonKey(warm.Rows[i]) != canonKey(hot.Rows[i]) {
+		if warm.Rows[i].Key() != hot.Rows[i].Key() {
 			t.Fatalf("row %d differs: %v vs %v", i, warm.Rows[i], hot.Rows[i])
 		}
 	}
@@ -95,7 +95,7 @@ func TestTieringFailoverToWarmReplica(t *testing.T) {
 		t.Fatalf("rows %d vs healthy %d", len(got.Rows), len(healthy.Rows))
 	}
 	for i := range healthy.Rows {
-		if canonKey(got.Rows[i]) != canonKey(healthy.Rows[i]) {
+		if got.Rows[i].Key() != healthy.Rows[i].Key() {
 			t.Fatalf("row %d differs: %v vs %v", i, got.Rows[i], healthy.Rows[i])
 		}
 	}

@@ -49,13 +49,15 @@ const (
 // request is partition-scoped: the statement's scans of Table (and Table2
 // for co-located joins) read the listed partitions and no other — the
 // addressing mode the coordinator uses so a node hosting both primaries and
-// replicas only scans the partitions a task names.
+// replicas only scans the partitions a task names. A Partial request runs
+// only the node's share of a distributed SELECT (sqlexec's QueryPartial).
 type ExecReq struct {
-	Token  string
-	SQL    string
-	Table  string // logical table the scoping applies to
-	Table2 string // co-located join partner, scoped in lockstep
-	Parts  []int  // partitions of Table (and Table2) to scan
+	Token   string
+	SQL     string
+	Table   string // logical table the scoping applies to
+	Table2  string // co-located join partner, scoped in lockstep
+	Parts   []int  // partitions of Table (and Table2) to scan
+	Partial bool
 }
 
 // ExecResp carries a result set plus the executing node's scan accounting,
@@ -63,8 +65,11 @@ type ExecReq struct {
 // examined and, when the node ran the query on the vectorized executor,
 // the number of morsels its worker pool dispatched.
 type ExecResp struct {
-	Cols        []string
-	Rows        []value.Row
+	Cols []string
+	Rows []value.Row
+	// State is a Partial task's aggregate fold state, when its plan
+	// aggregates; Rows are empty then.
+	State       []byte
 	RowsScanned int
 	Morsels     int
 	// Completeness is set by the coordinator's client-facing endpoint:

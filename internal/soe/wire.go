@@ -58,7 +58,7 @@ type wirePtr[T any] interface {
 
 func encode(m wireMsg) []byte { return m.appendWire(nil) }
 
-func appendStr(dst []byte, s string) []byte {
+func appendStr[T string | []byte](dst []byte, s T) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
@@ -131,113 +131,39 @@ func appendEntry(dst []byte, ts uint64, sections []byte) []byte {
 	return append(binary.AppendUvarint(dst, ts), sections...)
 }
 
-// rd is a cursor over one payload. The first read that fails records the
-// error and empties the cursor, after which every read returns a zero
-// value: a decoder reads its fields in a row and checks once, in end.
-type rd struct {
-	b   []byte
-	err error
-}
+// rd reads one payload (value.Reader) and the SOE's compound fields.
+type rd struct{ value.Reader }
 
 var (
-	errWireShort    = errors.New("soe: wire: length or count beyond the payload")
-	errWireVarint   = errors.New("soe: wire: malformed varint")
-	errWireTrailing = errors.New("soe: wire: bytes after the message")
-	errWireKind     = errors.New("soe: wire: unknown write kind")
+	errWireKind  = errors.New("soe: wire: unknown write kind")
+	errWireParts = errors.New("soe: wire: partition count beyond the payload")
 )
 
-func (r *rd) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-	r.b = nil
-}
-
-// end reports the decode's error, or leftover bytes as one.
-func (r *rd) end() error {
-	if r.err == nil && len(r.b) != 0 {
-		r.fail(errWireTrailing)
-	}
-	return r.err
-}
-
-func (r *rd) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(errWireVarint)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// take returns the next n bytes, aliasing the payload.
-func (r *rd) take(n uint64) []byte {
-	if n > uint64(len(r.b)) {
-		r.fail(errWireShort)
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-// count reads an element count. Every element takes at least one byte, so
-// a count above the bytes that remain is a lie: rejecting it here is what
-// bounds each make below by the size of the input.
-func (r *rd) count() int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail(errWireShort)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *rd) byte() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *rd) str() string { return string(r.take(r.uvarint())) }
-
 func (r *rd) strs() []string {
-	n := r.count()
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = r.str()
+		out[i] = r.Str()
 	}
 	return out
-}
-
-func (r *rd) value() value.Value {
-	v, n, err := value.ReadBinary(r.b)
-	if err != nil {
-		r.fail(err)
-		return value.Null
-	}
-	r.b = r.b[n:]
-	return v
 }
 
 // rows reads a row block. Rows of the first row's width — every row, in a
 // block an engine produced — are windows of one slab.
 func (r *rd) rows() []value.Row {
-	n := r.count()
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
 	rows := make([]value.Row, n)
 	var slab []value.Value
 	for i := range rows {
-		w := r.count()
+		w := r.Count(1)
 		if i == 0 && w > 0 {
-			slab = make([]value.Value, 0, w*min(n, len(r.b)/w))
+			slab = make([]value.Value, 0, w*min(n, len(r.Rest())/w))
 		}
 		if cap(slab)-len(slab) < w {
 			slab = make([]value.Value, 0, w)
@@ -245,7 +171,7 @@ func (r *rd) rows() []value.Row {
 		row := slab[len(slab) : len(slab)+w : len(slab)+w]
 		slab = slab[:len(slab)+w]
 		for j := range row {
-			row[j] = r.value()
+			row[j] = r.Value()
 		}
 		rows[i] = row
 	}
@@ -253,14 +179,14 @@ func (r *rd) rows() []value.Row {
 }
 
 func (r *rd) entries() []LogEntry {
-	n := r.count()
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]LogEntry, n)
 	for i := range out {
-		out[i].Pos = r.uvarint()
-		out[i].Data = r.take(r.uvarint())
+		out[i].Pos = r.Uvarint()
+		out[i].Data = r.Take(r.Uvarint())
 	}
 	return out
 }
@@ -278,34 +204,34 @@ type entrySection struct {
 // sections want accepts. Every other section is stepped over by its
 // length, so a node pays for the rows it hosts and no others.
 func readEntry(data []byte, want func(table []byte, part int) bool) (ts uint64, secs []entrySection, err error) {
-	r := rd{b: data}
-	ts = r.uvarint()
-	for r.err == nil && len(r.b) > 0 {
-		table, part, kind := r.take(r.uvarint()), int(r.uvarint()), r.byte()
+	r := rd{value.NewReader(data)}
+	ts = r.Uvarint()
+	for r.Err() == nil && len(r.Rest()) > 0 {
+		table, part, kind := r.Take(r.Uvarint()), int(r.Uvarint()), r.Byte()
 		var payload []byte
-		if l := r.take(4); l != nil {
-			payload = r.take(uint64(binary.LittleEndian.Uint32(l)))
+		if l := r.Take(4); l != nil {
+			payload = r.Take(uint64(binary.LittleEndian.Uint32(l)))
 		}
 		if kind > writeDelete {
-			r.fail(errWireKind)
+			r.Fail(errWireKind)
 		}
-		if r.err != nil || !want(table, part) {
+		if r.Err() != nil || !want(table, part) {
 			continue
 		}
-		p := rd{b: payload}
+		p := rd{value.NewReader(payload)}
 		s := entrySection{table: string(table), part: part}
 		if kind == writeInsert {
 			s.rows = p.rows()
 		} else {
 			s.keys = p.strs()
 		}
-		if err := p.end(); err != nil {
+		if err := p.End(); err != nil {
 			return 0, nil, err
 		}
 		secs = append(secs, s)
 	}
-	if r.err != nil {
-		return 0, nil, r.err
+	if r.Err() != nil {
+		return 0, nil, r.Err()
 	}
 	return ts, secs, nil
 }
@@ -313,12 +239,12 @@ func readEntry(data []byte, want func(table []byte, part int) bool) (ts uint64, 
 // commitHeader is all the broker reads of a MsgCommit payload; sections is
 // the rest of it, passed through unparsed.
 func commitHeader(payload []byte) (token, txnID string, writes int, sections []byte, err error) {
-	r := rd{b: payload}
-	token, txnID, writes = r.str(), r.str(), int(r.uvarint())
-	if r.err != nil {
-		return "", "", 0, nil, fmt.Errorf("soe: decode %s: %w", MsgCommit, r.err)
+	r := rd{value.NewReader(payload)}
+	token, txnID, writes = r.Str(), r.Str(), int(r.Uvarint())
+	if r.Err() != nil {
+		return "", "", 0, nil, fmt.Errorf("soe: decode %s: %w", MsgCommit, r.Err())
 	}
-	return token, txnID, writes, r.b, nil
+	return token, txnID, writes, r.Rest(), nil
 }
 
 // --- one encoding per message kind -----------------------------------------
@@ -331,33 +257,36 @@ func (m ExecReq) appendWire(dst []byte) []byte {
 	// nil (unscoped) and empty (scoped to nothing) are different requests:
 	// 0 is nil, n+1 is n partitions.
 	if m.Parts == nil {
-		return append(dst, 0)
+		dst = append(dst, 0)
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(len(m.Parts))+1)
+		for _, p := range m.Parts {
+			dst = binary.AppendUvarint(dst, uint64(p))
+		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(m.Parts))+1)
-	for _, p := range m.Parts {
-		dst = binary.AppendUvarint(dst, uint64(p))
-	}
-	return dst
+	return appendBool(dst, m.Partial)
 }
 
 func (m *ExecReq) readWire(b []byte) error {
-	r := rd{b: b}
-	m.Token, m.SQL, m.Table, m.Table2 = r.str(), r.str(), r.str(), r.str()
-	if n := r.uvarint(); n > 0 {
-		if n-1 > uint64(len(r.b)) {
-			return errWireShort
+	r := rd{value.NewReader(b)}
+	m.Token, m.SQL, m.Table, m.Table2 = r.Str(), r.Str(), r.Str(), r.Str()
+	if n := r.Uvarint(); n > 0 {
+		if n-1 > uint64(len(r.Rest())) {
+			return errWireParts
 		}
 		m.Parts = make([]int, n-1)
 		for i := range m.Parts {
-			m.Parts[i] = int(r.uvarint())
+			m.Parts[i] = int(r.Uvarint())
 		}
 	}
-	return r.end()
+	m.Partial = r.Byte() != 0
+	return r.End()
 }
 
 func (m ExecResp) appendWire(dst []byte) []byte {
 	dst = appendStrs(dst, m.Cols)
 	dst = appendRows(dst, m.Rows)
+	dst = appendStr(dst, m.State)
 	dst = binary.AppendUvarint(dst, uint64(m.RowsScanned))
 	dst = binary.AppendUvarint(dst, uint64(m.Morsels))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Completeness))
@@ -365,37 +294,42 @@ func (m ExecResp) appendWire(dst []byte) []byte {
 }
 
 func (m *ExecResp) readWire(b []byte) error {
-	r := rd{b: b}
+	r := rd{value.NewReader(b)}
 	m.Cols, m.Rows = r.strs(), r.rows()
-	m.RowsScanned, m.Morsels = int(r.uvarint()), int(r.uvarint())
-	if f := r.take(8); f != nil {
-		m.Completeness = math.Float64frombits(binary.LittleEndian.Uint64(f))
+	if st := r.Take(r.Uvarint()); len(st) > 0 {
+		m.State = st
 	}
-	m.Err = r.str()
-	return r.end()
+	m.RowsScanned, m.Morsels = int(r.Uvarint()), int(r.Uvarint())
+	m.Completeness = r.Float64()
+	m.Err = r.Str()
+	return r.End()
 }
 
 func (m CreateTempReq) appendWire(dst []byte) []byte {
 	dst = appendStr(dst, m.Token)
 	dst = appendStr(dst, m.Name)
 	dst = appendStrs(dst, m.Cols)
-	dst = appendStr(dst, string(m.Kinds))
+	dst = appendStr(dst, m.Kinds)
 	dst = appendRows(dst, m.Rows)
-	if m.Append {
+	return appendBool(dst, m.Append)
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
 		return append(dst, 1)
 	}
 	return append(dst, 0)
 }
 
 func (m *CreateTempReq) readWire(b []byte) error {
-	r := rd{b: b}
-	m.Token, m.Name, m.Cols = r.str(), r.str(), r.strs()
-	if k := r.take(r.uvarint()); len(k) > 0 {
+	r := rd{value.NewReader(b)}
+	m.Token, m.Name, m.Cols = r.Str(), r.Str(), r.strs()
+	if k := r.Take(r.Uvarint()); len(k) > 0 {
 		m.Kinds = append([]uint8(nil), k...)
 	}
 	m.Rows = r.rows()
-	m.Append = r.byte() != 0
-	return r.end()
+	m.Append = r.Byte() != 0
+	return r.End()
 }
 
 func (m CommitReq) appendWire(dst []byte) []byte {
@@ -412,9 +346,9 @@ func (m CommitResp) appendWire(dst []byte) []byte {
 }
 
 func (m *CommitResp) readWire(b []byte) error {
-	r := rd{b: b}
-	m.Pos, m.TS, m.Err = r.uvarint(), r.uvarint(), r.str()
-	return r.end()
+	r := rd{value.NewReader(b)}
+	m.Pos, m.TS, m.Err = r.Uvarint(), r.Uvarint(), r.Str()
+	return r.End()
 }
 
 func (m ApplyReq) appendWire(dst []byte) []byte {
@@ -422,9 +356,9 @@ func (m ApplyReq) appendWire(dst []byte) []byte {
 }
 
 func (m *ApplyReq) readWire(b []byte) error {
-	r := rd{b: b}
-	m.Token, m.Entries = r.str(), r.entries()
-	return r.end()
+	r := rd{value.NewReader(b)}
+	m.Token, m.Entries = r.Str(), r.entries()
+	return r.End()
 }
 
 func (m PollReq) appendWire(dst []byte) []byte {
@@ -434,9 +368,9 @@ func (m PollReq) appendWire(dst []byte) []byte {
 }
 
 func (m *PollReq) readWire(b []byte) error {
-	r := rd{b: b}
-	m.Token, m.From, m.Max = r.str(), r.uvarint(), int(r.uvarint())
-	return r.end()
+	r := rd{value.NewReader(b)}
+	m.Token, m.From, m.Max = r.Str(), r.Uvarint(), int(r.Uvarint())
+	return r.End()
 }
 
 func (m PollResp) appendWire(dst []byte) []byte {
@@ -447,9 +381,9 @@ func (m PollResp) appendWire(dst []byte) []byte {
 }
 
 func (m *PollResp) readWire(b []byte) error {
-	r := rd{b: b}
-	m.Entries, m.Next, m.Tail, m.Err = r.entries(), r.uvarint(), r.uvarint(), r.str()
-	return r.end()
+	r := rd{value.NewReader(b)}
+	m.Entries, m.Next, m.Tail, m.Err = r.entries(), r.Uvarint(), r.Uvarint(), r.Str()
+	return r.End()
 }
 
 func (m SnapshotReq) appendWire(dst []byte) []byte {
@@ -459,9 +393,9 @@ func (m SnapshotReq) appendWire(dst []byte) []byte {
 }
 
 func (m *SnapshotReq) readWire(b []byte) error {
-	r := rd{b: b}
-	m.Token, m.Table, m.Partition = r.str(), r.str(), int(r.uvarint())
-	return r.end()
+	r := rd{value.NewReader(b)}
+	m.Token, m.Table, m.Partition = r.Str(), r.Str(), int(r.Uvarint())
+	return r.End()
 }
 
 func (m SnapshotResp) appendWire(dst []byte) []byte {
@@ -472,9 +406,9 @@ func (m SnapshotResp) appendWire(dst []byte) []byte {
 }
 
 func (m *SnapshotResp) readWire(b []byte) error {
-	r := rd{b: b}
-	m.Rows, m.AppliedTS, m.NextPos, m.Err = r.rows(), r.uvarint(), r.uvarint(), r.str()
-	return r.end()
+	r := rd{value.NewReader(b)}
+	m.Rows, m.AppliedTS, m.NextPos, m.Err = r.rows(), r.Uvarint(), r.Uvarint(), r.Str()
+	return r.End()
 }
 
 // decode reads a message body as T, naming the kind in the error.

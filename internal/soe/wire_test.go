@@ -186,7 +186,7 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 	check("ExecReq", func(r *rand.Rand) bool {
-		m := ExecReq{Token: genString(r), SQL: genString(r), Table: genString(r), Table2: genString(r)}
+		m := ExecReq{Token: genString(r), SQL: genString(r), Table: genString(r), Table2: genString(r), Partial: r.Intn(2) == 0}
 		switch r.Intn(3) {
 		case 0:
 			m.Parts = []int{}
@@ -198,6 +198,9 @@ func TestWireRoundTrip(t *testing.T) {
 	})
 	check("ExecResp", func(r *rand.Rand) bool {
 		m := ExecResp{Cols: genStrings(r), Rows: genRows(r), RowsScanned: r.Intn(1 << 30), Morsels: r.Intn(99), Completeness: r.Float64(), Err: genString(r)}
+		if s := genString(r); s != "" {
+			m.State = []byte(s)
+		}
 		got, err := recode[ExecResp](m)
 		ok := err == nil && sameRows(got.Rows, m.Rows)
 		got.Rows, m.Rows = nil, nil
@@ -343,6 +346,10 @@ func FuzzDecodeMessage(f *testing.F) {
 			f.Add(uint8(k), m)
 		}
 	}
+	// A node's share of a distributed SELECT, and its answer: an aggregate's
+	// fold state.
+	f.Add(uint8(0), encode(ExecReq{Token: "tok", SQL: "SELECT region, SUM(amount) FROM orders GROUP BY region", Table: "orders", Parts: []int{1, 5}, Partial: true}))
+	f.Add(uint8(1), encode(ExecResp{State: partialState(f), RowsScanned: 9, Completeness: 1}))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		dec := messageDecoders[int(kind)%len(messageDecoders)]
 		boundedAlloc(t, len(data), func() { dec(data) })
@@ -758,4 +765,20 @@ func TestWirePoisonLogEntry(t *testing.T) {
 			t.Fatalf("%s still polling: applied=%d err=%v", n.Name, applied, err)
 		}
 	}
+}
+
+// partialState is a real node's answer to a distributed aggregate: the fold
+// state of a float SUM and a COUNT(DISTINCT) per region.
+func partialState(tb testing.TB) []byte {
+	tb.Helper()
+	eng := sqlexec.NewEngine()
+	eng.MustQuery(`CREATE TABLE orders (id VARCHAR, region VARCHAR, amount DOUBLE)`)
+	eng.MustQuery(`INSERT INTO orders VALUES ('a', 'EMEA', 1e15), ('b', 'APJ', 0.1), ('c', 'EMEA', 0.3)`)
+	s := eng.NewSession()
+	defer s.Close()
+	_, state, err := s.QueryPartial(`SELECT region, SUM(amount), COUNT(DISTINCT id) FROM orders GROUP BY region`)
+	if err != nil || len(state) == 0 {
+		tb.Fatalf("partial aggregate: state %x, %v", state, err)
+	}
+	return state
 }

@@ -160,11 +160,15 @@ type Session struct {
 	id       int64
 	tx       *txn.Txn
 	explicit bool
+	partial  bool        // QueryPartial is running: execSelect runs the plan below its cut
 	cur      *stats.Span // statement span while Query is executing
 	curSQL   string      // statement text, for the slow-query log
 	// out is the feed the running statement answers through (see feed),
 	// cleared when it is done so that an idle session pins no rows.
 	out feed
+	// state is where a plan cut for QueryPartial (partial) leaves its fold
+	// state (nodePlan).
+	state []byte
 	// count and countRow are the one row of one count DML answers with,
 	// reused by every statement (answerCount).
 	count    [1]value.Value
@@ -370,6 +374,9 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, pa
 	tPlan := time.Now()
 	psp := s.cur.Child("plan")
 	plan, err := s.planSelect(sel, ts)
+	if err == nil && s.partial {
+		plan = nodePlan(plan, &s.state)
+	}
 	psp.Finish()
 	s.e.Obs.Histogram("sql_plan_ms").ObserveSince(tPlan)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,6 +145,34 @@ func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 		return vecLimit(x, ctx)
 	case *AliasPlan:
 		return vecCompile(x.Child, ctx)
+	case *foldStatePlan:
+		run, err := vecFold(x.agg, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return func(func([]value.Row) error) error {
+			f, err := run()
+			if err == nil {
+				*x.dst = appendFoldState(*x.dst, f)
+			}
+			return err
+		}, nil
+	case *replyPlan:
+		// The replies' rows as one batch: what is above sizes itself once.
+		return func(emit func([]value.Row) error) error {
+			n := 0
+			for _, r := range x.replies {
+				n += len(r.Rows)
+			}
+			if n == 0 {
+				return nil
+			}
+			rows := make([]value.Row, 0, n)
+			for _, r := range x.replies {
+				rows = append(rows, r.Rows...)
+			}
+			return emit(rows)
+		}, nil
 	}
 	return nil, fmt.Errorf("sql: no vectorized operator for %T", p)
 }
@@ -1049,6 +1076,25 @@ func vecProject(x *ProjectPlan, ctx *execCtx) (vpipe, error) {
 // that probes a scan, has no residual and nothing to compute, fused into its
 // probe — no joined row is ever built; over anything else, the child's rows.
 func vecAgg(x *AggPlan, ctx *execCtx) (vpipe, error) {
+	run, err := vecFold(x, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return func(emit func([]value.Row) error) error {
+		f, err := run()
+		if err != nil {
+			return err
+		}
+		return emit(f.rows())
+	}, nil
+}
+
+// aggRun runs an aggregation's input into its one fold (finishAgg).
+type aggRun func() (*aggFold, error)
+
+// vecFold compiles the aggregation x up to its fold. A distributed plan's
+// coordinator absorbs its nodes' fold states instead (replyPlan.fold).
+func vecFold(x *AggPlan, ctx *execCtx) (aggRun, error) {
 	in, err := newAggInput(x, ctx)
 	if err != nil {
 		return nil, err
@@ -1060,6 +1106,8 @@ func vecAgg(x *AggPlan, ctx *execCtx) (vpipe, error) {
 		if _, scan := c.L.(*ScanPlan); scan && c.Residual == nil && !in.computed {
 			return vecAggJoinCode(c, in, ctx)
 		}
+	case *replyPlan:
+		return c.fold(in), nil
 	}
 	return vecAggRows(x.Child, in, ctx)
 }
@@ -1073,51 +1121,41 @@ func vecSort(x *SortPlan, ctx *execCtx) (vpipe, error) {
 	}
 	res := resolverFor(x.Child.columns())
 	keys := make([]evalFn, len(x.Keys))
-	descs := make([]bool, len(x.Keys))
 	for i, k := range x.Keys {
-		f, err := compileExpr(k.Expr, res, ctx.reg)
-		if err != nil {
+		if keys[i], err = compileExpr(k.Expr, res, ctx.reg); err != nil {
 			return nil, err
 		}
-		keys[i], descs[i] = f, k.Desc
 	}
 	return func(emit func([]value.Row) error) error {
-		type keyed struct{ row, k value.Row }
-		var all []keyed
-		env := Env{Params: ctx.params}
+		// A rows batch is fresh (RowBatch.AppendRows): the sort keeps the
+		// first one rather than copy it, clipped so that what follows does.
+		var all []value.Row
 		if err := child(func(rows []value.Row) error {
-			for _, row := range rows {
-				env.Row = row
-				ks := make(value.Row, len(keys))
-				for i, f := range keys {
-					ks[i] = f(&env)
-				}
-				all = append(all, keyed{row, ks})
+			if all == nil {
+				all = rows[:len(rows):len(rows)]
+			} else {
+				all = append(all, rows...)
 			}
 			return nil
-		}); err != nil {
+		}); err != nil || len(all) == 0 {
 			return err
 		}
-		sort.SliceStable(all, func(a, b int) bool {
-			for i := range keys {
-				c := value.Compare(all[a].k[i], all[b].k[i])
-				if descs[i] {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
+		// Keys are evaluated per comparison — a key is almost always a
+		// column, read in place — so nothing is kept per row.
+		env := [2]Env{{Params: ctx.params}, {Params: ctx.params}}
+		slices.SortStableFunc(all, func(a, b value.Row) int {
+			env[0].Row, env[1].Row = a, b
+			for i, f := range keys {
+				if c := value.Compare(f(&env[0]), f(&env[1])); c != 0 {
+					if x.Keys[i].Desc {
+						return -c
+					}
+					return c
 				}
 			}
-			return false
+			return 0
 		})
-		if len(all) == 0 {
-			return nil
-		}
-		out := make([]value.Row, len(all))
-		for i, kr := range all {
-			out[i] = kr.row
-		}
-		return emit(out)
+		return emit(all)
 	}, nil
 }
 

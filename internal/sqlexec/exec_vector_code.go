@@ -43,12 +43,15 @@ type strInterner struct {
 	vals []string
 }
 
-func newStrInterner() *strInterner { return &strInterner{ids: map[string]int64{}} }
+func newStrInterner() *strInterner { return &strInterner{} }
 
 func (it *strInterner) intern(s string) int64 {
 	it.mu.Lock()
 	id, ok := it.ids[s]
 	if !ok {
+		if it.ids == nil {
+			it.ids = map[string]int64{}
+		}
 		id = int64(len(it.vals))
 		it.ids[s] = id
 		it.vals = append(it.vals, s)
@@ -147,13 +150,14 @@ type aggGroup struct {
 }
 
 // aggFold is the one partial-aggregation table: every vectorized
-// aggregation folds into it, one per worker, and so does the
-// coordinator's merge of node partials (FoldRows). A code key lands in a
-// flat array below the cutoff, an overflow map above it, or the NULL
-// group's slot. Every other key — several keys, computed or float keys, a
-// code column's values of an odd kind — is rendered with Row.AppendKey into
-// one reused buffer and looked up in keyed; only a new group copies it. A
-// global aggregation has one group. The input is positions: a scan
+// aggregation folds into it, one per worker, and so does a distributed
+// one — each node ships its fold's state (appendFoldState) and the
+// coordinator absorbs the states into one fold (replyPlan.fold). A code
+// key lands in a flat array below the cutoff, an overflow map above it, or
+// the NULL group's slot. Every other key — several keys, computed or float
+// keys, a code column's values of an odd kind — is rendered with
+// Row.AppendKey into one reused buffer and looked up in keyed; only a new
+// group copies it. A global aggregation has one group. The input is positions: a scan
 // morsel's selection (foldMorsel, which dispatches per encoding — whole-run
 // folds for run-length group columns, code keys for dictionary columns, raw
 // int64 for frame-of-reference columns, the readers otherwise), the
@@ -541,87 +545,82 @@ func (f *aggFold) absorb(o *aggFold) {
 	adopt(&f.global, o.global, f.in.specs)
 }
 
-// finishAgg merges the folds — there is always one — into the first, adds
-// any zone-answered accumulators, and renders its groups in first-seen
-// order, matching the sequential executors byte for byte. A global
-// aggregation yields one row, even over no input.
-func finishAgg(folds []*aggFold, zoneAccs []aggAcc) []value.Row {
-	f, in := folds[0], folds[0].in
+// finishAgg merges the folds — there is always one — into the first and
+// adds any zone-answered accumulators: the aggregation's one fold.
+func finishAgg(folds []*aggFold, zoneAccs []aggAcc) *aggFold {
+	f := folds[0]
 	for _, o := range folds[1:] {
 		f.absorb(o)
 	}
-	var list []*aggGroup
-	if len(in.keyCols) == 0 {
-		list = []*aggGroup{f.globalGroup()}
-		for i := range zoneAccs {
-			list[0].accs[i].merge(&zoneAccs[i], in.specs[i])
-		}
-	} else {
-		// The flat array's groups, compacted in place (f is done with it),
-		// with room for every other group.
-		list = slices.DeleteFunc(f.flat, func(g *aggGroup) bool { return g == nil })
-		list = slices.Grow(list, len(f.overflow)+len(f.keyed)+1)
-		for _, g := range f.overflow {
-			list = append(list, g)
-		}
-		for _, g := range f.keyed {
-			list = append(list, g)
-		}
-		if f.nullG != nil {
-			list = append(list, f.nullG)
-		}
-		slices.SortFunc(list, func(a, b *aggGroup) int { return cmp.Compare(a.first, b.first) })
+	for i := range zoneAccs {
+		f.globalGroup().accs[i].merge(&zoneAccs[i], f.in.specs[i])
 	}
+	return f
+}
+
+// groups lists f's groups in first-seen order, matching the sequential
+// executors; a global aggregation has one, even over no input. The flat
+// array's groups are compacted in place: f is done with it.
+func (f *aggFold) groups() []*aggGroup {
+	if len(f.in.keyCols) == 0 {
+		return []*aggGroup{f.globalGroup()}
+	}
+	list := slices.DeleteFunc(f.flat, func(g *aggGroup) bool { return g == nil })
+	list = slices.Grow(list, len(f.overflow)+len(f.keyed)+1)
+	for _, g := range f.overflow {
+		list = append(list, g)
+	}
+	for _, g := range f.keyed {
+		list = append(list, g)
+	}
+	if f.nullG != nil {
+		list = append(list, f.nullG)
+	}
+	slices.SortFunc(list, func(a, b *aggGroup) int { return cmp.Compare(a.first, b.first) })
+	return list
+}
+
+// appendKey appends g's key values to dst: its rendered key, or its code's
+// value.
+func (f *aggFold) appendKey(dst value.Row, g *aggGroup) value.Row {
+	switch {
+	case len(f.in.keyCols) == 0:
+		return dst
+	case g.key != nil:
+		return append(dst, g.key...)
+	case g == f.nullG:
+		return append(dst, value.Null)
+	case f.in.groupKind == value.KindString:
+		return append(dst, value.String(f.interner.vals[g.code]))
+	}
+	return append(dst, value.Value{K: f.in.groupKind, I: g.code})
+}
+
+// groupOf resolves the group of a key given as its values, as the fold
+// keys a row: the global group, the code key's group, or the rendered key's.
+func (f *aggFold) groupOf(key value.Row, rank int64) *aggGroup {
+	switch {
+	case len(f.in.keyCols) == 0:
+		return f.globalGroup()
+	case f.in.groupCol >= 0:
+		return f.groupFor(key[0], rank)
+	}
+	copy(f.key, key)
+	return f.keyedGroup(rank)
+}
+
+// rows renders f's groups as the aggregation's output, keys first.
+func (f *aggFold) rows() []value.Row {
+	groups := f.groups()
 	// One slab for every row: appends fill each row in place.
-	out := slabRows(len(list), len(in.keyCols)+len(in.specs))
-	for r, g := range list {
-		row := out[r][:0]
-		switch {
-		case len(in.keyCols) == 0:
-		case g.key != nil:
-			row = append(row, g.key...)
-		case g == f.nullG:
-			row = append(row, value.Null)
-		case in.groupKind == value.KindString:
-			row = append(row, value.String(f.interner.vals[g.code]))
-		default:
-			row = append(row, value.Value{K: in.groupKind, I: g.code})
-		}
-		for i, spec := range in.specs {
+	out := slabRows(len(groups), len(f.in.keyCols)+len(f.in.specs))
+	for r, g := range groups {
+		row := f.appendKey(out[r][:0], g)
+		for i, spec := range f.in.specs {
 			row = append(row, g.accs[i].result(spec))
 		}
 	}
 	return out
-}
-
-// FoldRows folds batches of rows the way the engine folds any aggregation:
-// the first groupCols columns of a row are its group key, and column
-// groupCols+i merges by fns[i] — SUM, MIN or MAX, NULLs ignored, a SUM of
-// nothing NULL. Groups come out keys first, in the order their first row
-// arrives across the batches; with no group columns there is exactly one
-// row, even over no input. It is the SOE coordinator's merge of node
-// partials.
-func FoldRows(batches [][]value.Row, groupCols int, fns []string) []value.Row {
-	in := &aggInput{
-		aggShape: aggShape{groupCol: -1, keyCols: make([]int, groupCols), argCols: make([]int, len(fns))},
-		specs:    make([]aggSpec, len(fns)),
-	}
-	for c := range in.keyCols {
-		in.keyCols[c] = c
-	}
-	for i, fn := range fns {
-		in.specs[i] = aggSpec{Fn: fn}
-		in.argCols[i] = groupCols + i
-	}
-	f := newAggFold(in, nil, 0)
-	var rank int64
-	for _, batch := range batches {
-		for _, row := range batch {
-			f.foldRow(nil, 0, row, rank)
-			rank++
-		}
-	}
-	return finishAgg([]*aggFold{f}, nil)
 }
 
 // foldMorsels runs a fused aggregation of in over the run, a scan of ncols
@@ -646,7 +645,7 @@ func (r *scanRun) foldMorsels(in *aggInput, ncols int, fold func(f *aggFold, t *
 // vecAggScan fuses an aggregation into the scan morsels (see foldMorsels),
 // and warm partitions whose zone map exactly describes the snapshot answer
 // COUNT/MIN/MAX from the synopsis without faulting a page.
-func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
+func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
 	prep, err := prepScan(s, ctx)
 	if err != nil {
 		return nil, err
@@ -661,7 +660,7 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 			zoneEligible = false
 		}
 	}
-	return func(emit func([]value.Row) error) error {
+	return func() (*aggFold, error) {
 		// The scan child never passes through vecCompile here — its wall
 		// time is charged to the fused aggregate while morsel/kernel/row
 		// counters still reach the scan node via the scanRun hook.
@@ -688,7 +687,7 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 		}
 		run, err := prep.newRun(ctx)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		folds := run.foldMorsels(in, prep.ncols, (*aggFold).foldMorsel)
 		var runs, fused, avoided int64
@@ -698,7 +697,7 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 			avoided += f.decodeAvoided
 		}
 		recordLateMat(ctx, run.op, 0, runs, fused, avoided+zoneAvoided)
-		return emit(finishAgg(folds, zoneAccs))
+		return finishAgg(folds, zoneAccs), nil
 	}, nil
 }
 
@@ -706,12 +705,12 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 // residual or something to compute, a filter, a derived table, a rows
 // leaf: one fold consumes the child's rows as they arrive, in order (the
 // child still scans in parallel underneath).
-func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (vpipe, error) {
+func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (aggRun, error) {
 	rows, err := vecCompile(child, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return func(emit func([]value.Row) error) error {
+	return func() (*aggFold, error) {
 		f := newAggFold(in, newStrInterner(), 0)
 		var rank int64
 		if err := rows(func(batch []value.Row) error {
@@ -721,9 +720,9 @@ func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (vpipe, error) {
 			}
 			return nil
 		}); err != nil {
-			return err
+			return nil, err
 		}
-		return emit(finishAgg([]*aggFold{f}, nil))
+		return f, nil
 	}, nil
 }
 
@@ -1137,15 +1136,15 @@ func vecJoinCode(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 // built. A group's first-seen rank is (morsel, ordinal in the morsel's join
 // output).
 // Keys and arguments are bare columns: nothing is evaluated per pair.
-func vecAggJoinCode(jp *JoinPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
+func vecAggJoinCode(jp *JoinPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
 	j, err := newCodeJoin(jp, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return func(emit func([]value.Row) error) error {
+	return func() (*aggFold, error) {
 		run, err := j.open()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if j.op != nil {
 			j.op.fused = true
@@ -1158,7 +1157,7 @@ func vecAggJoinCode(jp *JoinPlan, in *aggInput, ctx *execCtx) (vpipe, error) {
 				return true, nil
 			})
 		})
-		return emit(finishAgg(folds, nil))
+		return finishAgg(folds, nil), nil
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -245,13 +246,14 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 	projExprs := make([]Expr, 0, len(s.Items))
 	projCols := make([]Column, 0, len(s.Items))
 	var aggNode *AggPlan
+	var rew *aggRewriter
 
 	if needAgg {
 		agg := &AggPlan{Child: root, GroupBy: s.GroupBy}
 		aggNode = agg
 		// Rewrite select items / having / order-by over the agg output:
 		// group expressions become ColRef{#g<i>}, aggregates ColRef{#a<i>}.
-		rew := &aggRewriter{agg: agg}
+		rew = &aggRewriter{agg: agg}
 		for _, it := range s.Items {
 			if it.Star {
 				return nil, fmt.Errorf("sql: SELECT * with GROUP BY is not supported")
@@ -318,7 +320,7 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 				continue
 			}
 			if aggNode != nil {
-				if e, err := (&aggRewriter{agg: aggNode}).rewrite(o.Expr); err == nil {
+				if e, err := rew.rewrite(o.Expr); err == nil {
 					aggNode.buildOutCols()
 					keys[i] = OrderItem{Expr: e, Desc: o.Desc}
 					continue
@@ -428,23 +430,31 @@ func ItemName(it SelectItem) string {
 
 // aggRewriter replaces aggregate calls and group-by expressions in a
 // select/having expression with references into the AggPlan output row:
-// #g<i> for group key i, #a<i> for aggregate i.
+// #g<i> for group key i, #a<i> for aggregate i. groups holds the texts of
+// the GROUP BY expressions, the identities they are matched by.
 type aggRewriter struct {
-	agg *AggPlan
+	agg    *AggPlan
+	groups []string
 }
 
 func (r *aggRewriter) rewrite(e Expr) (Expr, error) {
 	// Exact group-by match?
-	for i, g := range r.agg.GroupBy {
-		if ExprText(g) == ExprText(e) {
-			return &ColRef{Name: fmt.Sprintf("#g%d", i)}, nil
+	if len(r.agg.GroupBy) > 0 {
+		if r.groups == nil {
+			r.groups = make([]string, len(r.agg.GroupBy))
+			for i, g := range r.agg.GroupBy {
+				r.groups[i] = ExprText(g)
+			}
+		}
+		if i := slices.Index(r.groups, ExprText(e)); i >= 0 {
+			return &ColRef{Name: aggColName('g', i)}, nil
 		}
 	}
 	switch x := e.(type) {
 	case *FuncExpr:
 		if IsAggregate(x) {
 			idx := r.addAgg(x)
-			return &ColRef{Name: fmt.Sprintf("#a%d", idx)}, nil
+			return &ColRef{Name: aggColName('a', idx)}, nil
 		}
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
@@ -522,14 +532,36 @@ func (r *aggRewriter) addAgg(f *FuncExpr) int {
 	return len(r.agg.Aggs) - 1
 }
 
+// aggColNames are the names aggColName gives the first columns of an
+// aggregation's output, made once.
+var aggColNames = func() (names [2][16]string) {
+	for i := range names[0] {
+		names[0][i], names[1][i] = "#g"+strconv.Itoa(i), "#a"+strconv.Itoa(i)
+	}
+	return names
+}()
+
+// aggColName names column i of an aggregation's groups (kind 'g') or of its
+// aggregates ('a').
+func aggColName(kind byte, i int) string {
+	switch {
+	case i >= len(aggColNames[0]):
+	case kind == 'g':
+		return aggColNames[0][i]
+	default:
+		return aggColNames[1][i]
+	}
+	return "#" + string(kind) + strconv.Itoa(i)
+}
+
 func (a *AggPlan) buildOutCols() {
 	in := a.Child.columns()
 	a.outCols = slices.Grow(a.outCols[:0], len(a.GroupBy)+len(a.Aggs))
 	for i, g := range a.GroupBy {
-		a.outCols = append(a.outCols, Column{Name: fmt.Sprintf("#g%d", i), Kind: exprKind(g, in)})
+		a.outCols = append(a.outCols, Column{Name: aggColName('g', i), Kind: exprKind(g, in)})
 	}
 	for i, spec := range a.Aggs {
-		a.outCols = append(a.outCols, Column{Name: fmt.Sprintf("#a%d", i), Kind: spec.kind(in)})
+		a.outCols = append(a.outCols, Column{Name: aggColName('a', i), Kind: spec.kind(in)})
 	}
 }
 
@@ -949,7 +981,7 @@ type aggShape struct {
 // aggShapeOf summarizes x over its child's columns.
 func aggShapeOf(x *AggPlan) aggShape {
 	cols := x.Child.columns()
-	s := aggShape{groupCol: -1}
+	s := aggShape{groupCol: -1, keyCols: make([]int, 0, len(x.GroupBy)), argCols: make([]int, 0, len(x.Aggs))}
 	bare := func(e Expr) int {
 		if cr, ok := e.(*ColRef); ok {
 			return findCol(cols, cr)

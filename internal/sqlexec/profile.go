@@ -272,6 +272,8 @@ func planChildren(p Plan) []Plan {
 		return []Plan{x.Child}
 	case *AliasPlan:
 		return []Plan{x.Child}
+	case *foldStatePlan:
+		return []Plan{x.agg}
 	}
 	return nil
 }

@@ -168,13 +168,13 @@ func Replay(path string, fn ReplayFn) error {
 
 // replay walks a log image held in memory.
 func replay(data []byte, fn ReplayFn) error {
-	c := cursor{data}
-	for len(c.b) > 0 {
-		if kind, _ := c.byte(); kind != recCommit {
+	r := value.NewReader(data)
+	for len(r.Rest()) > 0 {
+		if kind := r.Byte(); kind != recCommit {
 			return fmt.Errorf("wal: corrupt record kind %d", kind)
 		}
-		ts, writes, err := c.commit()
-		if err != nil {
+		ts, writes := readCommit(&r)
+		if err := r.Err(); err != nil {
 			return truncated(err)
 		}
 		if err := fn(ts, writes); err != nil {
@@ -184,44 +184,19 @@ func replay(data []byte, fn ReplayFn) error {
 	return nil
 }
 
-// commit reads the body of one commit record.
-func (c *cursor) commit() (ts uint64, writes []txn.Write, err error) {
-	if ts, err = c.uvarint(); err != nil {
-		return 0, nil, err
-	}
-	n, err := c.count()
-	if err != nil {
-		return 0, nil, err
-	}
-	writes = make([]txn.Write, 0, n)
-	for i := 0; i < n; i++ {
-		var wr txn.Write
-		kb, err := c.byte()
-		if err != nil {
-			return 0, nil, err
-		}
-		wr.Kind = txn.WriteKind(kb)
-		if wr.Table, err = c.str(); err != nil {
-			return 0, nil, err
-		}
-		id, err := c.uvarint()
-		if err != nil {
-			return 0, nil, err
-		}
-		wr.ID = int(id)
-		rn, err := c.count()
-		if err != nil {
-			return 0, nil, err
-		}
-		wr.Row = make(value.Row, rn)
+// readCommit reads the body of one commit record.
+func readCommit(r *value.Reader) (ts uint64, writes []txn.Write) {
+	ts = r.Uvarint()
+	writes = make([]txn.Write, r.Count(1))
+	for i := range writes {
+		wr := &writes[i]
+		wr.Kind, wr.Table, wr.ID = txn.WriteKind(r.Byte()), r.Str(), int(r.Uvarint())
+		wr.Row = make(value.Row, r.Count(1))
 		for j := range wr.Row {
-			if wr.Row[j], err = c.value(); err != nil {
-				return 0, nil, err
-			}
+			wr.Row[j] = r.Value()
 		}
-		writes = append(writes, wr)
 	}
-	return ts, writes, nil
+	return ts, writes
 }
 
 func truncated(err error) error {
@@ -235,80 +210,26 @@ func truncated(err error) error {
 
 // Values are value.AppendBinary's bytes; a string that is not a value (a
 // table or column name) is the same uvarint length and raw bytes without
-// the kind byte.
+// the kind byte. Both read back through value.Reader, whose every count is
+// checked against the bytes left before anything is sized by it: a count
+// above them is a torn or damaged image, reported as a read off the end.
 
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// cursor reads a log or checkpoint image held in memory. A read that
-// runs off the end returns io.ErrUnexpectedEOF, as value.ReadBinary does.
-type cursor struct{ b []byte }
-
-func (c *cursor) byte() (byte, error) {
-	if len(c.b) == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v, nil
-}
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b)
-	if n == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if n < 0 {
-		return 0, errors.New("wal: varint overflows 64 bits")
-	}
-	c.b = c.b[n:]
-	return v, nil
-}
-
-// count reads the number of elements (or bytes of a string) that follow.
-// Every element of a log or checkpoint costs at least one byte, so a count
-// above the bytes left is a torn or damaged image: it is reported as a
-// read off the end before anything is sized by it.
-func (c *cursor) count() (int, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(c.b)) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return int(n), nil
-}
-
-// rowID reads how many row IDs a checkpoint skips after next — rows a merge
-// evicted before it was written — and returns the ID it arrives at.
-func (c *cursor) rowID(next int) (int, error) {
-	gap, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
+// readRowID reads how many row IDs a checkpoint skips after next — rows a
+// merge evicted before it was written — and returns the ID it arrives at.
+func readRowID(r *value.Reader, next int) int {
+	gap := r.Uvarint()
 	if next > maxRowID || gap > uint64(maxRowID-next) {
-		return 0, errors.New("wal: checkpoint row ID out of range")
+		r.Fail(errRowIDRange)
+		return 0
 	}
-	return next + int(gap), nil
+	return next + int(gap)
 }
 
-func (c *cursor) str() (string, error) {
-	n, err := c.count()
-	if err != nil {
-		return "", err
-	}
-	s := string(c.b[:n])
-	c.b = c.b[n:]
-	return s, nil
-}
-
-func (c *cursor) value() (value.Value, error) {
-	v, n, err := value.ReadBinary(c.b)
-	c.b = c.b[n:]
-	return v, err
-}
+var errRowIDRange = errors.New("wal: checkpoint row ID out of range")
 
 // --- checkpoints -----------------------------------------------------------
 
@@ -393,77 +314,44 @@ func readCheckpoint(data []byte) (map[string]*columnstore.Table, uint64, error) 
 	if !bytes.HasPrefix(data, []byte(checkpointMagic)) {
 		return nil, 0, fmt.Errorf("wal: bad checkpoint header")
 	}
-	c := cursor{data[len(checkpointMagic):]}
-	ts, err := c.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	nt, err := c.count()
-	if err != nil {
-		return nil, 0, err
-	}
-	tables := make(map[string]*columnstore.Table, nt)
-	for ti := 0; ti < nt; ti++ {
-		name, err := c.str()
-		if err != nil {
-			return nil, 0, err
-		}
-		nc, err := c.count()
-		if err != nil {
-			return nil, 0, err
-		}
-		schema := make(columnstore.Schema, nc)
+	r := value.NewReader(data[len(checkpointMagic):])
+	ts := r.Uvarint()
+	tables := map[string]*columnstore.Table{}
+	for nt := r.Count(1); nt > 0; nt-- {
+		name := r.Str()
+		schema := make(columnstore.Schema, r.Count(1))
 		for i := range schema {
-			if schema[i].Name, err = c.str(); err != nil {
-				return nil, 0, err
-			}
-			kb, err := c.byte()
-			if err != nil {
-				return nil, 0, err
-			}
-			schema[i].Kind = value.Kind(kb)
+			schema[i].Name, schema[i].Kind = r.Str(), value.Kind(r.Byte())
 		}
 		tab := columnstore.NewTable(name, schema)
-		n, err := c.count()
-		if err != nil {
-			return nil, 0, err
-		}
+		n := r.Count(1)
 		rows := make([]value.Row, 0, n)
 		ids := make([]int, 0, n)
 		created := make([]uint64, 0, n)
 		deleted := make([]uint64, 0, n)
 		next := 0
 		for i := 0; i < n; i++ {
-			id, err := c.rowID(next)
-			if err != nil {
-				return nil, 0, err
-			}
+			id := readRowID(&r, next)
 			ids, next = append(ids, id), id+1
-			cts, err := c.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			dts, err := c.uvarint()
-			if err != nil {
-				return nil, 0, err
-			}
-			row := make(value.Row, nc)
+			created = append(created, r.Uvarint())
+			deleted = append(deleted, r.Uvarint())
+			row := make(value.Row, len(schema))
 			for j := range row {
-				if row[j], err = c.value(); err != nil {
-					return nil, 0, err
-				}
+				row[j] = r.Value()
 			}
 			rows = append(rows, row)
-			created = append(created, cts)
-			deleted = append(deleted, dts)
 		}
-		if next, err = c.rowID(next); err != nil {
+		next = readRowID(&r, next)
+		if err := r.Err(); err != nil {
 			return nil, 0, err
 		}
 		if err := tab.ApplyInsertStamped(rows, ids, created, deleted, next); err != nil {
 			return nil, 0, err
 		}
 		tables[name] = tab
+	}
+	if err := r.Err(); err != nil {
+		return nil, 0, err
 	}
 	return tables, ts, nil
 }
