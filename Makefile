@@ -95,7 +95,9 @@ benchagg:
 # ingest_durable's prepared one-row INSERT over loopback pgwire into a
 # durable store, whose allocs/op say what a statement costs beside its row
 # (a map, closure or channel per commit, a compiled cell, a count, portal
-# or tag per statement each shows as one more). Two merges
+# or tag per statement each shows as one more), and olap_scan's bulk load
+# in process — 1,000-row literal INSERTs, where a node, a strings.Builder
+# or a slice per cell coming back shows as thousands of allocs/op. Two merges
 # ride along: 4,096 delta rows into a 200,000-row main — a stamp, a boxed
 # cell or a position remap copied per row again shows as megabytes — and
 # 4,000 single-row updates of disjoint keys from four goroutines with a
@@ -106,6 +108,7 @@ benchagg:
 benchcommit:
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkCommit'
 	$(GO) test -run xxx -bench 'BenchmarkWireInsertPrepared$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkWireInsertPrepared'
+	$(GO) test -run xxx -bench 'BenchmarkInsertValues$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkInsertValues'
 	$(GO) test -run xxx -bench 'BenchmarkMergeAppend$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkMergeAppend'
 	@out=$$($(GO) test -run xxx -bench 'BenchmarkUpdateUnderMerge$$' -benchtime=4000x -benchmem .); echo "$$out"; \
 	echo "$$out" | grep -Eq '[[:space:]]0 conflicts/op[[:space:]]+0 retries/op[[:space:]]' && \
@@ -150,13 +153,14 @@ benchmod:
 # Regenerate the committed benchmark baseline after an intentional perf
 # change; benchguard -write preserves the workload prose and recomputes
 # the derived speedups. See README "Benchmark baseline" for the workflow.
-# Eight passes merge into one file: the commit, point-select and SOE
+# Nine passes merge into one file: the commit, point-select and SOE
 # benchmarks need more iterations than the big-table scans to settle, the
 # wide wire result and the merge fewer than what they are gated with.
 benchbaseline:
 	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkWireInsertPrepared$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'BenchmarkInsertValues$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkMergeAppend$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkUpdateUnderMerge$$' -benchtime=4000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'Benchmark(Wire)?Point(Select|Delete|Update)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write

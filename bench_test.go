@@ -223,6 +223,42 @@ func BenchmarkUpdateUnderMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertValues is olap_scan's bulk load in process: one 1,000-row
+// literal INSERT of the orders shape per op through Session.Query, lexed,
+// parsed, converted and committed into the delta. Eight statements are
+// rendered before the timer starts and taken in turn; the table grows by
+// 1,000 rows an op, never merged. Gated on allocs/op and B/op: a node, a
+// strings.Builder or a slice per cell coming back shows as thousands per op.
+func BenchmarkInsertValues(b *testing.B) {
+	regions := []string{"north", "south", "east", "west", "central", "emea", "apj", "latam"}
+	statuses := []string{"cancelled", "open", "paid", "shipped"}
+	stmts := make([]string, 8)
+	for s := range stmts {
+		buf := []byte("INSERT INTO orders VALUES ")
+		for r := 0; r < 1000; r++ {
+			id := s*1000 + r
+			if r > 0 {
+				buf = append(buf, ',')
+			}
+			buf = fmt.Appendf(buf, "(%d,'%s','%s',%s,%d)", id, regions[id*7%8], statuses[id*3%4],
+				strconv.FormatFloat(float64(id%997)+0.25, 'g', -1, 64), id%20+1)
+		}
+		stmts[s] = string(buf)
+	}
+	eng := sqlexec.NewEngine()
+	eng.MustQuery(`CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE, qty INT)`)
+	sess := eng.NewSession()
+	defer sess.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := sess.Query(stmts[i%len(stmts)])
+		if err != nil || r.Rows[0][0].I != 1000 {
+			b.Fatalf("op %d: %v %+v", i, err, r)
+		}
+	}
+}
+
 // BenchmarkMergeAppend is a background merge in ingest_durable's shape:
 // 4,096 delta rows folded into a 200,000-row main
 // of the orders schema, every row older than the watermark. What it copies

@@ -31,9 +31,12 @@ func (c *DeltaColumn) Kind() value.Kind { return c.kind }
 // Len returns the number of buffered rows.
 func (c *DeltaColumn) Len() int { return c.n }
 
-// Append buffers one value, coercing it to the column kind.
+// Append buffers one value, coercing it to the column kind when it is not
+// of that kind already.
 func (c *DeltaColumn) Append(v value.Value) {
-	v = value.Coerce(v, c.kind)
+	if v.K != c.kind && !v.IsNull() {
+		v = value.Coerce(v, c.kind)
+	}
 	c.nulls = append(c.nulls, v.IsNull())
 	switch c.kind {
 	case value.KindString:

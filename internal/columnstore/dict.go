@@ -1,6 +1,9 @@
 package columnstore
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // Dictionary is the sorted, immutable string dictionary of a main-storage
 // column. Value IDs are positions in sorted order, so range predicates on
@@ -76,11 +79,14 @@ func NewDeltaDict() *DeltaDict {
 	return &DeltaDict{index: make(map[string]int)}
 }
 
-// Add interns s and returns its delta value ID.
+// Add interns s and returns its delta value ID. A new entry is a copy of
+// s: s may be a slice of a larger string, a statement's text, which the
+// dictionary must not keep alive.
 func (d *DeltaDict) Add(s string) int {
 	if id, ok := d.index[s]; ok {
 		return id
 	}
+	s = strings.Clone(s)
 	id := len(d.values)
 	d.values = append(d.values, s)
 	d.index[s] = id

@@ -75,7 +75,9 @@ func sqlstateFor(err error) string {
 		strings.Contains(msg, "unterminated"),
 		strings.Contains(msg, "unsupported statement"),
 		strings.Contains(msg, "trailing input"),
-		strings.Contains(msg, "expected "):
+		strings.Contains(msg, "expected "),
+		strings.Contains(msg, "VALUES lists"),
+		strings.Contains(msg, "INSERT has more"):
 		return CodeSyntaxError
 	case strings.Contains(msg, "unknown table"), strings.Contains(msg, "no table"):
 		return CodeUndefinedTable

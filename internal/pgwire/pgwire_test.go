@@ -220,6 +220,7 @@ func TestWireTransactions(t *testing.T) {
 func TestWireSQLSTATECodes(t *testing.T) {
 	srv, eng := startServer(t, Config{})
 	eng.MustQuery(`CREATE TABLE t (a INT)`)
+	eng.MustQuery(`CREATE TABLE t2 (a INT, b INT)`)
 	c := dialT(t, srv)
 
 	cases := []struct {
@@ -227,6 +228,10 @@ func TestWireSQLSTATECodes(t *testing.T) {
 		code string
 	}{
 		{`SELECT FROM WHERE`, CodeSyntaxError},
+		{`INSERT INTO t2 VALUES (1, 2), (3)`, CodeSyntaxError},
+		{`INSERT INTO t2 VALUES (1, 2, 3)`, CodeSyntaxError},
+		{`INSERT INTO t2 (a) VALUES (1, 2)`, CodeSyntaxError},
+		{`INSERT INTO t2 (a, b) VALUES (1)`, CodeSyntaxError},
 		{`SELECT * FROM nope`, CodeUndefinedTable},
 		{`SELECT zzz FROM t`, CodeUndefinedColumn},
 		{`SELECT nofunc(a) FROM t`, CodeUndefinedFunction},

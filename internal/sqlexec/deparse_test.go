@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,10 +33,15 @@ var deparseCases = []string{
 
 // roundTrip is FuzzDeparse's property for one statement: a SELECT that
 // parses deparses to text that parses to the same statement, and deparsing
-// that again gives the same text.
+// that again gives the same text. An INSERT's VALUES rows are held to the
+// expression parser (valuesRoundTrip).
 func roundTrip(t *testing.T, sql string) {
 	t.Helper()
 	st, err := Parse(sql)
+	if ins, ok := st.(*InsertStmt); ok && err == nil {
+		valuesRoundTrip(t, sql, ins)
+		return
+	}
 	sel, ok := st.(*SelectStmt)
 	if err != nil || !ok {
 		return
@@ -53,8 +59,41 @@ func roundTrip(t *testing.T, sql string) {
 	}
 }
 
+// valuesRoundTrip: every row of a VALUES list, its cells rendered as a
+// select list, parses back to the same expressions, so a cell read on the
+// one-token path is the node the precedence descent gives its text.
+func valuesRoundTrip(t *testing.T, sql string, ins *InsertStmt) {
+	t.Helper()
+	for _, row := range ins.Rows {
+		items := make([]string, len(row))
+		for i, e := range row {
+			items[i] = ExprText(e)
+		}
+		q := "SELECT " + strings.Join(items, ", ")
+		st, err := Parse(q)
+		if err != nil {
+			t.Fatalf("%q has a row that renders as %q, which does not parse: %v", sql, q, err)
+		}
+		sel := st.(*SelectStmt)
+		for i, e := range row {
+			if !reflect.DeepEqual(sel.Items[i].Expr, e) {
+				t.Fatalf("%q: cell %d is %#v, its text %q parses to %#v", sql, i, e, items[i], sel.Items[i].Expr)
+			}
+		}
+	}
+}
+
+// valuesCases are multi-row INSERTs for FuzzDeparse: one-token cells
+// beside signed, computed, escaped and parenthesised ones.
+var valuesCases = []string{
+	`INSERT INTO orders VALUES (1,'north','open',2.25,3),(2,'south','paid',0.5,4)`,
+	`INSERT INTO t (a, b) VALUES (-1, 'it''s'), (.5, 'a,b'), (-.5, 'x)'), (1e3, NULL)`,
+	`INSERT INTO t VALUES ($1, $2, TRUE), ($3, 1+2, FALSE), ((1), -(2), 'a'||'b')`,
+	`INSERT INTO t VALUES (CAST_INT('7'), CASE WHEN 1 = 1 THEN 'y' END, NOT TRUE), (?, ?, ?)`,
+}
+
 func TestDeparseRoundTrip(t *testing.T) {
-	for _, q := range deparseCases {
+	for _, q := range slices.Concat(deparseCases, valuesCases) {
 		if _, err := Parse(q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -70,6 +109,9 @@ func FuzzDeparse(f *testing.F) {
 	}
 	for _, q := range parityQueries {
 		f.Add(q.sql)
+	}
+	for _, q := range valuesCases {
+		f.Add(q)
 	}
 	f.Fuzz(roundTrip)
 }

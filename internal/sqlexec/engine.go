@@ -437,78 +437,98 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error)
 		return 0, fmt.Errorf("sql: unknown table %q", ins.Table)
 	}
 
-	// Source rows.
-	var src []value.Row
+	// Source: the SELECT's rows or the VALUES cells, width values a row.
+	var selected []value.Row
+	nrows, width := len(ins.Rows), 0
 	if ins.Select != nil {
 		var sel Result
 		if _, err := s.execSelect(&sel, &sel.Stats, ins.Select, params, false); err != nil {
 			return 0, err
 		}
-		src = sel.Rows
-	} else {
-		var one [1]value.Row
-		src = one[:0]
-		if len(ins.Rows) > 1 {
-			src = make([]value.Row, 0, len(ins.Rows))
+		selected, nrows, width = sel.Rows, len(sel.Rows), len(sel.Cols)
+	} else if nrows > 0 {
+		width = len(ins.Rows[0]) // the parser checked that every row is as long
+	}
+	cell := func(j, i int) (value.Value, error) {
+		if ins.Select != nil {
+			return selected[j][i], nil
 		}
-		for _, exprs := range ins.Rows {
-			row := make(value.Row, len(exprs))
-			for i, ex := range exprs {
-				v, err := s.insertCell(ex, params)
-				if err != nil {
-					return 0, err
-				}
-				row[i] = v
-			}
-			src = append(src, row)
+		if lit, ok := ins.Rows[j][i].(*Literal); ok {
+			return lit.Val, nil
 		}
+		return s.insertCell(ins.Rows[j][i], params)
+	}
+	targets := len(entry.Schema)
+	if len(ins.Columns) > 0 {
+		targets = len(ins.Columns)
+	}
+	switch {
+	case width > targets:
+		return 0, fmt.Errorf("sql: INSERT has more expressions than target columns")
+	case width < len(ins.Columns):
+		return 0, fmt.Errorf("sql: INSERT has more target columns than expressions")
 	}
 
 	// Column mapping. A flexible table gains a column for every name it
-	// does not have (§II-H), but only once every row has converted: a
-	// statement that fails leaves the schema as it was. cols is the schema
-	// with those columns added, never written into the catalog's array.
+	// does not have (§II-H), of the kind of the first row's value, but
+	// only once every row has converted: a statement that fails leaves the
+	// schema as it was. cols is the schema with those columns added, never
+	// written into the catalog's array.
 	n := len(entry.Schema)
 	cols := entry.Schema[:n:n]
-	colIdx := make([]int, 0, len(ins.Columns))
-	for _, c := range ins.Columns {
+	var colIdx []int // source value i goes to column colIdx[i]; nil: to column i
+	if len(ins.Columns) > 0 {
+		colIdx = make([]int, len(ins.Columns))
+	}
+	for i, c := range ins.Columns {
 		idx := cols.ColIndex(c)
 		if idx < 0 {
 			if !entry.Flexible {
 				return 0, fmt.Errorf("sql: unknown column %q in %s", c, ins.Table)
 			}
 			kind := value.KindString
-			if len(src) > 0 && len(colIdx) < len(src[0]) && !src[0][len(colIdx)].IsNull() {
-				kind = src[0][len(colIdx)].K
+			if nrows > 0 {
+				v, err := cell(0, i)
+				if err != nil {
+					return 0, err
+				}
+				if !v.IsNull() {
+					kind = v.K
+				}
 			}
 			idx = len(cols)
 			cols = append(cols, columnstore.ColumnDef{Name: c, Kind: kind})
 		}
-		colIdx = append(colIdx, idx)
+		colIdx[i] = idx
 	}
 
-	// Every row is converted before any is written: a value its column
-	// refuses fails the statement whole.
-	for j, row := range src {
-		full := row
-		if len(ins.Columns) > 0 {
-			full = make(value.Row, len(cols))
-			for i, idx := range colIdx {
-				if i < len(row) {
-					full[idx] = row[i]
-				}
+	// Every row is converted, each cell once and into its column's place
+	// in one slab of values, before any is written: a value its column
+	// refuses fails the statement whole. A column no value goes to is NULL.
+	w := len(cols)
+	vals := make([]value.Value, nrows*w)
+	var one [1]value.Row
+	rows := one[:0]
+	if nrows > 1 {
+		rows = make([]value.Row, 0, nrows)
+	}
+	for j := 0; j < nrows; j++ {
+		full := vals[j*w : (j+1)*w : (j+1)*w]
+		for i := 0; i < width; i++ {
+			c := i
+			if colIdx != nil {
+				c = colIdx[i]
 			}
-		}
-		for i := range full {
-			if i < len(cols) {
-				v, err := stored(full[i], cols[i].Kind)
-				if err != nil {
-					return 0, err
-				}
-				full[i] = v
+			v, err := cell(j, i)
+			if err == nil && v.K != cols[c].Kind && !v.IsNull() {
+				v, err = stored(v, cols[c].Kind)
 			}
+			if err != nil {
+				return 0, err
+			}
+			full[c] = v
 		}
-		src[j] = full
+		rows = append(rows, full)
 	}
 	if len(cols) > n {
 		for _, def := range cols[n:] {
@@ -519,13 +539,17 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error)
 		entry.Schema = cols
 	}
 	tx := s.currentTxn()
-	for _, full := range src {
-		part := routePartition(entry, full)
-		if err := tx.Insert(part.Table.Name(), full); err != nil {
+	for lo := 0; lo < nrows; {
+		part, hi := routePartition(entry, rows[lo]), lo+1
+		for hi < nrows && routePartition(entry, rows[hi]) == part {
+			hi++
+		}
+		if err := tx.Insert(part.Table.Name(), rows[lo:hi]...); err != nil {
 			return 0, s.endStmt(tx, err)
 		}
+		lo = hi
 	}
-	return len(src), s.endStmt(tx, nil)
+	return nrows, s.endStmt(tx, nil)
 }
 
 // insertCell is the value of one VALUES cell: a literal or a parameter is

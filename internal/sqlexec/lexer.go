@@ -2,11 +2,12 @@ package sqlexec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode"
 )
 
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tkEOF tokenKind = iota
@@ -19,9 +20,9 @@ const (
 )
 
 type token struct {
-	kind tokenKind
 	text string // keywords upper-cased, idents original case-folded to lower
-	pos  int    // of the token's first byte in the source
+	pos  int32  // of the token's first byte in the source
+	kind tokenKind
 }
 
 // keywords maps every keyword to itself: the text of its token.
@@ -63,6 +64,9 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("sql: a statement of %d bytes is too long", len(src))
+	}
 	// Sized once: a token is three characters or more of most statements,
 	// blanks included, and a statement dense with punctuation grows it once.
 	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+2)}
@@ -77,7 +81,7 @@ func lex(src string) ([]token, error) {
 			}
 		case c == '"' || isIdentStart(rune(c)):
 			l.lexWord()
-		case c >= '0' && c <= '9':
+		case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 			l.lexNumber()
 		case c == '\'':
 			if err := l.lexString(); err != nil {
@@ -112,7 +116,7 @@ func isIdentStart(c rune) bool {
 }
 
 func (l *lexer) emit(k tokenKind, s string, start int) {
-	l.toks = append(l.toks, token{kind: k, text: s, pos: start})
+	l.toks = append(l.toks, token{kind: k, text: s, pos: int32(start)})
 }
 
 func (l *lexer) lexWord() {
@@ -167,40 +171,42 @@ func (l *lexer) lexNumber() {
 	l.emit(tkNumber, l.src[start:l.pos], start)
 }
 
+// lexString emits a string literal's text: a slice of the source when no
+// quote inside it is escaped by doubling, else a copy with each pair read
+// as one quote.
 func (l *lexer) lexString() error {
 	start := l.pos
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' { // escaped quote
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.emit(tkString, sb.String(), start)
-			return nil
+	escaped := false
+	for l.pos++; l.pos < len(l.src); l.pos++ {
+		if l.src[l.pos] != '\'' {
+			continue
 		}
-		sb.WriteByte(c)
-		l.pos++
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' { // escaped quote
+			escaped = true
+			l.pos++
+			continue
+		}
+		text := l.src[start+1 : l.pos]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
+		l.pos++ // closing quote
+		l.emit(tkString, text, start)
+		return nil
 	}
 	return fmt.Errorf("sql: unterminated string literal at %d", l.pos)
 }
 
-var twoCharOps = map[string]bool{"<=": true, ">=": true, "<>": true, "!=": true, "||": true}
-
 func (l *lexer) lexOp() error {
+	c := l.src[l.pos]
 	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		if twoCharOps[two] {
-			l.emit(tkOp, two, l.pos)
+		switch d := l.src[l.pos+1]; {
+		case d == '=' && (c == '<' || c == '>' || c == '!'), c == '<' && d == '>', c == '|' && d == '|':
+			l.emit(tkOp, l.src[l.pos:l.pos+2], l.pos)
 			l.pos += 2
 			return nil
 		}
 	}
-	c := l.src[l.pos]
 	switch c {
 	case '(', ')', ',', '.', '*', '+', '-', '/', '%', '=', '<', '>', ';':
 		l.emit(tkOp, l.src[l.pos:l.pos+1], l.pos)

@@ -45,6 +45,18 @@ type parser struct {
 	i      int
 	src    string
 	params int
+	lits   []Literal // nodes for a VALUES list's literals, taken in order
+}
+
+// literal is a node holding v: the next of lits while any is left.
+func (p *parser) literal(v value.Value) *Literal {
+	if len(p.lits) == 0 {
+		return &Literal{Val: v}
+	}
+	l := &p.lits[0]
+	p.lits = p.lits[1:]
+	l.Val = v
+	return l
 }
 
 func (p *parser) cur() token {
@@ -374,23 +386,36 @@ func (p *parser) parseInsert() (Statement, error) {
 		}
 	}
 	if p.accept(tkKeyword, "VALUES") {
+		// The list is sized from its tokens before any cell is parsed: its
+		// rows are slices of one slab of cells, its literals nodes of one
+		// slab of Literals, each as long as this statement needs.
+		rows, cells, lits := valuesShape(p.toks[p.i:])
+		st.Rows = make([][]Expr, 0, rows)
+		slab := make([]Expr, 0, cells)
+		if lits > 0 {
+			p.lits = make([]Literal, lits)
+		}
 		for {
 			if _, err := p.expect(tkOp, "("); err != nil {
 				return nil, err
 			}
-			var row []Expr
+			from := len(slab)
 			for {
-				e, err := p.parseExpr()
+				e, err := p.parseCell()
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, e)
+				slab = append(slab, e)
 				if !p.accept(tkOp, ",") {
 					break
 				}
 			}
 			if _, err := p.expect(tkOp, ")"); err != nil {
 				return nil, err
+			}
+			row := slab[from:len(slab):len(slab)]
+			if len(st.Rows) > 0 && len(row) != len(st.Rows[0]) {
+				return nil, p.errf("VALUES lists must all be the same length")
 			}
 			st.Rows = append(st.Rows, row)
 			if !p.accept(tkOp, ",") {
@@ -408,6 +433,55 @@ func (p *parser) parseInsert() (Statement, error) {
 		return st, nil
 	}
 	return nil, p.errf("INSERT needs VALUES or SELECT")
+}
+
+// valuesShape counts what the VALUES list in toks holds: its rows (the
+// lists opened at depth 0), its cells (a row's first, and every comma at
+// depth 1) and its literal tokens.
+func valuesShape(toks []token) (rows, cells, lits int) {
+	depth := 0
+	for i := range toks {
+		switch t := &toks[i]; t.kind {
+		case tkOp:
+			switch t.text {
+			case "(":
+				if depth == 0 {
+					rows++
+					cells++
+				}
+				depth++
+			case ")":
+				depth--
+			case ",":
+				if depth == 1 {
+					cells++
+				}
+			}
+		default:
+			if isLiteralToken(*t) {
+				lits++
+			}
+		}
+	}
+	return rows, cells, lits
+}
+
+func isLiteralToken(t token) bool {
+	return t.kind == tkNumber || t.kind == tkString ||
+		t.kind == tkKeyword && (t.text == "NULL" || t.text == "TRUE" || t.text == "FALSE")
+}
+
+// parseCell parses one VALUES cell. A cell that is one literal or
+// parameter token, what a bulk load is made of, is parsed as the atom it
+// is: the precedence descent would come back with the same node.
+func (p *parser) parseCell() (Expr, error) {
+	if p.i+1 < len(p.toks) {
+		t, next := p.toks[p.i], p.toks[p.i+1]
+		if next.kind == tkOp && (next.text == "," || next.text == ")") && (t.kind == tkParam || isLiteralToken(t)) {
+			return p.parseAtom()
+		}
+	}
+	return p.parseExpr()
 }
 
 func (p *parser) parseUpdate() (Statement, error) {
@@ -826,8 +900,9 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := e.(*Literal); ok {
-			return &Literal{Val: value.Neg(lit.Val)}, nil
+		if lit, ok := e.(*Literal); ok { // the parser's own node: negated in place
+			lit.Val = value.Neg(lit.Val)
+			return lit, nil
 		}
 		return &UnaryExpr{Op: "-", E: e}, nil
 	}
@@ -844,16 +919,16 @@ func (p *parser) parseAtom() (Expr, error) {
 			if err != nil {
 				return nil, p.errf("bad number %q", t.text)
 			}
-			return &Literal{Val: value.Float(f)}, nil
+			return p.literal(value.Float(f)), nil
 		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errf("bad number %q", t.text)
 		}
-		return &Literal{Val: value.Int(n)}, nil
+		return p.literal(value.Int(n)), nil
 	case tkString:
 		p.next()
-		return &Literal{Val: value.String(t.text)}, nil
+		return p.literal(value.String(t.text)), nil
 	case tkParam:
 		p.next()
 		if strings.HasPrefix(t.text, "$") {
@@ -874,13 +949,13 @@ func (p *parser) parseAtom() (Expr, error) {
 		switch t.text {
 		case "NULL":
 			p.next()
-			return &Literal{Val: value.Null}, nil
+			return p.literal(value.Null), nil
 		case "TRUE":
 			p.next()
-			return &Literal{Val: value.Bool(true)}, nil
+			return p.literal(value.Bool(true)), nil
 		case "FALSE":
 			p.next()
-			return &Literal{Val: value.Bool(false)}, nil
+			return p.literal(value.Bool(false)), nil
 		case "CASE":
 			return p.parseCase()
 		}

@@ -46,7 +46,7 @@ func FuzzSplitStatements(f *testing.F) {
 				if tok.kind == tkOp && tok.text == ";" {
 					t.Fatalf("%q: statement %q holds a `;` token", src, src[from:to])
 				}
-				if again[i].kind != tok.kind || again[i].text != tok.text || again[i].pos+from != tok.pos {
+				if again[i].kind != tok.kind || again[i].text != tok.text || int(again[i].pos)+from != int(tok.pos) {
 					t.Fatalf("%q: token %d of %q is %+v, the split gave %+v", src, i, src[from:to], again[i], tok)
 				}
 			}

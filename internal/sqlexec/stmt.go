@@ -150,7 +150,7 @@ func statements(toks []token, f func(toks []token, from, to int) error) error {
 		}
 		if i > start {
 			toks[i] = token{kind: tkEOF, pos: t.pos}
-			if err := f(toks[start:i+1], toks[start].pos, t.pos); err != nil {
+			if err := f(toks[start:i+1], int(toks[start].pos), int(t.pos)); err != nil {
 				return err
 			}
 		}

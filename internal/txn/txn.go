@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -295,6 +296,9 @@ func (t *Txn) Insert(table string, rows ...value.Row) error {
 	tab, ok := t.m.Table(table)
 	if !ok {
 		return fmt.Errorf("txn: unknown table %q", table)
+	}
+	if len(rows) > 1 {
+		t.writes = slices.Grow(t.writes, len(rows))
 	}
 	for _, r := range rows {
 		t.writes = append(t.writes, Write{Kind: WriteInsert, Table: table, Row: r, tab: tab})
