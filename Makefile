@@ -59,8 +59,10 @@ fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzSplitStatements' -fuzztime 10s ./internal/sqlexec/
 	$(GO) test -run xxx -fuzz 'FuzzPartialState' -fuzztime 10s ./internal/sqlexec/
 
-# Quick pass over the vectorized scan/aggregation micro-benchmarks, gated
-# by cmd/benchguard against the committed BENCH_vectorized_baseline.json.
+# Quick pass over the vectorized scan/aggregation micro-benchmarks and the
+# ordered scan over 8 and over 32 morsels (which benchguard also holds to
+# the same allocs/op: the hand-off costs nothing per morsel), gated by
+# cmd/benchguard against the committed BENCH_vectorized_baseline.json.
 # This and every bench target below is held to the same two counts: a row
 # over 10% above its recorded allocs/op or 25% above its recorded B/op
 # fails. ns/op is printed with its delta and fails nothing — it does not
@@ -68,7 +70,7 @@ fuzzsmoke:
 # missing from the output, so a crashed bench run cannot slip through the
 # pipe as a pass.
 benchsmoke:
-	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg' -benchtime=100x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg'
+	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkOrderedScan' -benchtime=100x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkOrderedScan'
 
 # Compressed-execution micro-benchmarks: the code-valued join probe, the
 # same join on two keys rendered per probe position, and the run-folding
@@ -157,7 +159,7 @@ benchmod:
 # benchmarks need more iterations than the big-table scans to settle, the
 # wide wire result and the merge fewer than what they are gated with.
 benchbaseline:
-	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkOrderedScan|BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkWireInsertPrepared$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkInsertValues$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write

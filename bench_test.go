@@ -353,8 +353,9 @@ func BenchmarkScanVectorized(b *testing.B) { benchScanMode(b, sqlexec.ModeVector
 func BenchmarkScanRowAtATime(b *testing.B) { benchScanMode(b, sqlexec.ModeInterpreted) }
 
 // vecAggEng is a range-partitioned table whose partitions all carry a
-// cold-read penalty: the morsel pool overlaps those stalls, which is what
-// the ParallelAgg benchmarks measure (speedup holds even on one CPU).
+// cold-read penalty: a statement's runners overlap those stalls, which is
+// what the ParallelAgg benchmarks measure (up to GOMAXPROCS+1 at once: the
+// process's workers and the statement's own goroutine).
 var vecAggEng *sqlexec.Engine
 
 func vecAggEngine(b *testing.B) *sqlexec.Engine {
@@ -399,7 +400,47 @@ func benchParallelAgg(b *testing.B, workers int) {
 
 func BenchmarkParallelAgg1Worker(b *testing.B)  { benchParallelAgg(b, 1) }
 func BenchmarkParallelAgg4Workers(b *testing.B) { benchParallelAgg(b, 4) }
-func BenchmarkParallelAggNWorkers(b *testing.B) { benchParallelAgg(b, runtime.NumCPU()) }
+func BenchmarkParallelAggNWorkers(b *testing.B) { benchParallelAgg(b, runtime.GOMAXPROCS(0)) }
+
+// BenchmarkOrderedScan is olap_scan's wide class over 8 and over 32 morsels
+// of a merged orders table: every row of four columns through a prepared
+// statement's ExecTo into a sink that only counts them, on the default
+// runners. Its rows go through the ordered hand-off as views, so what a
+// statement allocates is its plan, its run and its hand-off: the two sizes
+// allocate the same (benchguard's allocPairs), and a channel, closure or
+// goroutine per morsel coming back shows as the gap between them.
+func BenchmarkOrderedScan(b *testing.B) {
+	for _, morsels := range []int{8, 32} {
+		b.Run(fmt.Sprintf("morsels=%d", morsels), func(b *testing.B) {
+			n := morsels * 16 * columnstore.StampBlockRows
+			s := wireOrdersEngine(n).NewSession()
+			defer s.Close()
+			st, err := s.Prepare(`SELECT id, region, amount, qty FROM orders`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink := &countingSink{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink.rows = 0
+				if _, err := st.ExecTo(sink); err != nil || sink.rows != n {
+					b.Fatalf("%d rows, err %v", sink.rows, err)
+				}
+			}
+		})
+	}
+}
+
+// countingSink is a row sink that counts what it is shown and keeps none.
+type countingSink struct{ rows int }
+
+func (s *countingSink) Header([]sqlexec.Column) error { return nil }
+
+func (s *countingSink) Batch(b *sqlexec.RowBatch) error {
+	s.rows += b.Len()
+	return nil
+}
 
 // --- point-select micro-benchmarks (DESIGN.md §4, E26) --------------------
 

@@ -73,6 +73,6 @@ func E18VectorizedMorsels(s Scale) *Table {
 			fmt.Sprint(res.Stats.Morsels), fmt.Sprint(res.Stats.KernelHits),
 			ratio(interp.Seconds(), dur.Seconds()))
 	}
-	t.Note("the dictionary kernel answers status<>'CLOSED' on codes; extra workers overlap the %d partitions' cold stalls even on one CPU", nPart)
+	t.Note("the dictionary kernel answers status<>'CLOSED' on codes; extra runners overlap the %d partitions' cold stalls, up to GOMAXPROCS+1 at once", nPart)
 	return t
 }

@@ -374,7 +374,7 @@ func TestWireErrorAfterRows(t *testing.T) {
 
 // quiesced waits for the server to have dropped every connection and
 // released every admission slot, and for the process to be back to base
-// goroutines (morsel workers exit a moment after their statement).
+// goroutines, taken with the process's morsel workers running.
 func quiesced(t *testing.T, srv *Server, base int, label string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -401,6 +401,9 @@ func TestWireClientGoesAway(t *testing.T) {
 	srv, eng := startServer(t, Config{})
 	loadWide(t, eng, 200_000)
 	eng.Workers = 4
+	// A statement of several morsels starts the process's morsel workers
+	// if none has yet: they stay, and belong in base.
+	eng.MustQuery(`SELECT COUNT(*) FROM wide`)
 	base := runtime.NumGoroutine()
 	const sql = "SELECT id, region, amount, qty FROM wide\x00"
 

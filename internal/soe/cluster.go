@@ -77,9 +77,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	for i := 0; i < cfg.Nodes; i++ {
 		n := mgr.StartNode(fmt.Sprintf("node%d", i), cfg.Mode)
 		n.SetTracer(tracer)
-		// The nodes are one process sharing its CPUs: a worker per CPU each
-		// would be Nodes workers per CPU when a query fans out to all.
-		n.eng.Workers = max(1, runtime.NumCPU()/cfg.Nodes)
+		// The nodes are one process sharing its CPUs: a runner per CPU each
+		// would be Nodes runners per CPU when a query fans out to all.
+		n.eng.Workers = max(1, runtime.GOMAXPROCS(0)/cfg.Nodes)
 		if cfg.Mode == OLAP && cfg.PollInterval > 0 {
 			n.StartPolling(cfg.PollInterval)
 		}

@@ -63,7 +63,7 @@ type ExecReq struct {
 // ExecResp carries a result set plus the executing node's scan accounting,
 // so the coordinator can attribute distributed query cost per task: rows
 // examined and, when the node ran the query on the vectorized executor,
-// the number of morsels its worker pool dispatched.
+// the number of morsels its runners ran.
 type ExecResp struct {
 	Cols []string
 	Rows []value.Row

@@ -23,8 +23,10 @@ type Engine struct {
 	Mgr  *txn.Manager
 	Reg  *Registry
 	Mode Mode
-	// Workers sizes the vectorized executor's per-query morsel pool;
-	// <=0 means one worker per CPU. Ignored by the row-at-a-time modes.
+	// Workers caps a statement's parallelism: how many runners each of
+	// its scans runs its morsels on, the statement's own goroutine and the
+	// process's shared morsel workers (morsel.go); <=0 means one per
+	// GOMAXPROCS. Ignored by the row-at-a-time modes.
 	Workers int
 	// Prune participates in partition pruning (installed by the aging
 	// engine).
@@ -621,7 +623,6 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 	scan.Filter = where
 	s.planner(tx.SnapshotTS()).pruneScan(scan)
 	ctx := &execCtx{ts: tx.SnapshotTS(), params: params, reg: s.e.Reg, stats: new(ExecStats), workers: s.e.Workers, scratch: &s.e.scratch}
-	defer ctx.finish()
 	prep, err := prepScan(scan, ctx)
 	if err != nil {
 		return nil, nil, err
@@ -631,7 +632,7 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 		return nil, nil, err
 	}
 	var out []victim
-	err = drainOrdered(run, func(t *scanTask, w int, send func([]victim)) {
+	err = drainOrdered(run, func(t *scanTask, w int, out *port[[]victim]) {
 		run.process(t, w, func(sel selection) {
 			vs := make([]victim, sel.len())
 			for i := range vs {
@@ -644,7 +645,7 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 					vs[i].row = rows[i]
 				}
 			}
-			send(vs)
+			out.send(vs)
 		})
 	}, func(vs []victim) error {
 		out = append(out, vs...)

@@ -70,10 +70,9 @@ type Result struct {
 	Stats ExecStats
 }
 
-// execCtx carries per-statement execution state. workers/pool/mu exist
-// for the vectorized executor: one worker pool is shared by every batch
-// operator of the statement, and morsel workers flush their stats under
-// mu.
+// execCtx carries per-statement execution state. workers caps how many
+// runners each of the statement's scans runs its morsels on (morsel.go),
+// and runners flush their stats under mu.
 type execCtx struct {
 	ts      uint64
 	params  []value.Value
@@ -83,22 +82,7 @@ type execCtx struct {
 	workers int
 	scratch *scratchPool // the engine's: what this statement's scans borrow from
 	mu      sync.Mutex
-	pool    *vecPool
 	prof    *Profile // non-nil under EXPLAIN ANALYZE
-	// inlineNS is the busy time of single-task runs executed on the
-	// statement's own goroutine (runTasks).
-	inlineNS int64
-}
-
-// getPool lazily starts the statement's morsel worker pool.
-func (ctx *execCtx) getPool() *vecPool {
-	if ctx.pool == nil {
-		ctx.pool = newVecPool(ctx.poolSize())
-		if ctx.prof != nil {
-			ctx.prof.Workers = ctx.pool.workers
-		}
-	}
-	return ctx.pool
 }
 
 // Mode selects the executor implementation (experiment E4). The zero value
@@ -119,8 +103,8 @@ func (m Mode) String() string {
 }
 
 // RunWorkers executes a plan to a materialized result outside any engine's
-// statement path, with scan scratch of its own. workers sizes the
-// vectorized executor's morsel pool (<=0 means runtime.NumCPU()); the
+// statement path, with scan scratch of its own. workers caps how many
+// runners a scan's morsels run on (<=0 means one per GOMAXPROCS); the
 // interpreter ignores it.
 func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, error) {
 	res := &Result{}

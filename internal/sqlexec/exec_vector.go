@@ -17,16 +17,16 @@ import (
 
 // This file implements the vectorized executor: plans run as batch
 // pipelines over encoded column data instead of row-at-a-time iterators.
-// Scans split into ~16k-row morsels dispatched to a per-query worker pool
-// (morsel-driven parallelism); pushed-down conjuncts of kernel shape
-// evaluate directly against the compressed main representations —
-// dictionary ID intervals, frame-of-reference packed integers, whole RLE
-// runs — producing selection vectors, and only surviving positions
-// materialize boxed rows. Aggregation over a scan folds worker-local
-// partial tables merged at the end; a join probes a scan's morsels on the
-// workers against one hash table. Output is kept byte-identical to the
-// interpreter's: scan batches emit in morsel order and merged aggregate
-// groups sort by first-seen input position.
+// Scans split into ~16k-row morsels that a statement's runners claim on
+// the process's shared workers (morsel-driven parallelism, morsel.go);
+// pushed-down conjuncts of kernel shape evaluate directly against the
+// compressed main representations — dictionary ID intervals,
+// frame-of-reference packed integers, whole RLE runs — producing selection
+// vectors, and only surviving positions materialize boxed rows. Aggregation
+// over a scan folds runner-local partial tables merged at the end; a join
+// probes a scan's morsels on the runners against one hash table. Output is
+// kept byte-identical to the interpreter's: scan batches emit in morsel
+// order and merged aggregate groups sort by first-seen input position.
 
 // vpipe pushes row batches into emit until exhausted.
 type vpipe func(emit func(rows []value.Row) error) error
@@ -42,7 +42,6 @@ func runVectorized(p Plan, ctx *execCtx) error {
 	if err != nil {
 		return err
 	}
-	defer ctx.finish()
 	if views != nil {
 		err = views(ctx.out.show)
 	} else {
@@ -53,18 +52,6 @@ func runVectorized(p Plan, ctx *execCtx) error {
 	}
 	cVecQueries.Inc()
 	return nil
-}
-
-// finish stops the statement's worker pool, if one was started, and books
-// the busy time of its inline runs.
-func (ctx *execCtx) finish() {
-	if ctx.pool != nil {
-		ctx.pool.close()
-		ctx.pool = nil
-	}
-	if ctx.inlineNS > 0 {
-		hVecWorkerBusy.Observe(float64(ctx.inlineNS) / 1e3)
-	}
 }
 
 // vecCompile builds the batch pipeline for a plan node, attaching the
@@ -349,25 +336,25 @@ func (s *scanScratch) rowEnv(width int, params []value.Value) *Env {
 // in a process (the data nodes of a cluster) do not evict each other's. A
 // last-in-first-out free list: the scratch a statement takes is the one the
 // statement before it warmed. It keeps what one run holds at once — a
-// scratch per worker (one per CPU unless more are configured), at most three
-// morsel-sized vectors each — and drops the rest, so what an idle engine
-// retains is fixed by the CPU count: it does not depend, as a sync.Pool's
+// scratch per runner (one per GOMAXPROCS unless more are configured), at
+// most three morsel-sized vectors each — and drops the rest, so what an idle
+// engine retains is fixed by GOMAXPROCS: it does not depend, as a sync.Pool's
 // contents do, on how long ago the collector last ran. The zero value is an
 // empty pool. hook is set only by tests: it sees every scratch taken (+1)
 // and returned (-1).
 type scratchPool struct {
 	mu   sync.Mutex
 	free []*scanScratch
-	wide int // the widest run's workers, when that is more than NumCPU
+	wide int // the widest run's runners, when that is more than GOMAXPROCS
 	hook func(s *scanScratch, delta int)
 }
 
-// takeRun borrows one scratch for each worker of a run.
-func (p *scratchPool) takeRun(workers int) []*scanScratch {
+// takeRun borrows one scratch for each runner of a run.
+func (p *scratchPool) takeRun(runners int) []*scanScratch {
 	p.mu.Lock()
-	p.wide = max(p.wide, workers)
+	p.wide = max(p.wide, runners)
 	p.mu.Unlock()
-	out := make([]*scanScratch, workers)
+	out := make([]*scanScratch, runners)
 	for w := range out {
 		out[w] = p.take()
 	}
@@ -402,28 +389,28 @@ func (p *scratchPool) put(s *scanScratch) {
 		p.hook(s, -1)
 	}
 	p.mu.Lock()
-	if len(p.free) < max(p.wide, runtime.NumCPU()) {
+	if len(p.free) < max(p.wide, runtime.GOMAXPROCS(0)) {
 		p.free = append(p.free, s)
 	}
 	p.mu.Unlock()
 }
 
 // scanRun is one execution of a prepared scan: the morsel list plus
-// per-worker scratch, borrowed by newRun and returned by whichever of
-// drainOrdered and foldMorsels runs the morsels.
+// per-runner scratch, borrowed by newRun and returned by whichever of
+// drainOrdered and foldMorsels runs the morsels. Its runners claim the
+// morsels in ascending order (morsel.go).
 type scanRun struct {
 	ctx       *execCtx
-	tasks     []scanTask  // one slab for the run; read through pointers once newRun has returned
-	readers   []colReader // one slab for the run: ncols per scanned partition
-	kernels   []kernelFn  // one slab for the run: the kernels each partition bound
+	tasks     []scanTask // one slab for the run; read through pointers once newRun has returned
 	scratch   []*scanScratch
 	residCols []int // scan columns a residual may read: all its scratch row carries
 	stop      atomic.Bool
-	err       error      // drainOrdered's inline hand-off: the consumer's first error
+	err       error      // drainOrdered: the consumer's first error
 	op        *OpProfile // scan operator's analyze counters; may be nil
+	par       *parallel  // set while the run has several runners
 }
 
-// release returns the run's scratch once no worker can touch it.
+// release returns the run's scratch once no runner can touch it.
 func (r *scanRun) release() {
 	for _, s := range r.scratch {
 		r.ctx.scratch.put(s)
@@ -441,6 +428,9 @@ func (r *scanRun) release() {
 func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 	s := p.plan
 	r := &scanRun{ctx: ctx, op: ctx.prof.node(s)}
+	// The run's reader and kernel slabs: see the first partition below.
+	var readerSlab []colReader
+	var kernelSlab []kernelFn
 	parts, pruned := s.bind(ctx.params)
 	ctx.mu.Lock()
 	ctx.stats.PartitionsPruned += pruned
@@ -488,19 +478,19 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 			// other two, which never regrow: a window stays put.
 			n := (mainRows+morselRows-1)/morselRows + (rows-mainRows+morselRows-1)/morselRows
 			r.tasks = make([]scanTask, 0, n*len(parts))
-			r.readers = make([]colReader, 0, p.ncols*len(parts))
-			r.kernels = make([]kernelFn, 0, len(s.Preds)*len(parts))
+			readerSlab = make([]colReader, 0, p.ncols*len(parts))
+			kernelSlab = make([]kernelFn, 0, len(s.Preds)*len(parts))
 		}
-		at := len(r.readers)
+		at := len(readerSlab)
 		for c := 0; c < p.ncols; c++ {
-			r.readers = append(r.readers, readerOf(snap, c))
+			readerSlab = append(readerSlab, readerOf(snap, c))
 		}
-		readers := r.readers[at:len(r.readers):len(r.readers)]
+		readers := readerSlab[at:len(readerSlab):len(readerSlab)]
 		// What the main morsels evaluate row by row: the residue, and every
 		// predicate's conjunct that binds no kernel here (kernels never
 		// apply to the delta, whose morsels evaluate the whole filter).
 		generic := append([]Expr(nil), s.Residue...)
-		at = len(r.kernels)
+		at = len(kernelSlab)
 		if mainRows > 0 {
 			hits, falls := 0, 0
 			for _, vp := range s.Preds {
@@ -513,7 +503,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 					}
 				}
 				if k := bindKernel(snap, vp); k != nil {
-					r.kernels = append(r.kernels, k)
+					kernelSlab = append(kernelSlab, k)
 					hits++
 				} else {
 					// Once per conjunct: the two predicates of a BETWEEN
@@ -535,7 +525,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 				r.op.kernelFallbacks.Add(int64(falls))
 			}
 		}
-		kernels := r.kernels[at:len(r.kernels):len(r.kernels)]
+		kernels := kernelSlab[at:len(kernelSlab):len(kernelSlab)]
 		var mainResid evalFn
 		if mainRows > 0 && len(generic) > 0 {
 			var err error
@@ -559,11 +549,14 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 			lo, cold = t.hi, 0
 		}
 	}
-	r.scratch = ctx.scratch.takeRun(ctx.workersFor(len(r.tasks)))
+	r.scratch = ctx.scratch.takeRun(ctx.runnersFor(len(r.tasks)))
+	if ctx.prof != nil {
+		ctx.prof.Workers = max(ctx.prof.Workers, len(r.scratch))
+	}
 	return r, nil
 }
 
-// process runs one morsel's selection phase on worker w and hands the
+// process runs one morsel's selection phase as runner w and hands the
 // surviving selection to consume, bracketing the whole morsel with the
 // scan's stats, profiling and page-fault attribution. Without kernels the
 // morsel starts as the range [lo, hi) and stays one unless the visibility
@@ -709,11 +702,11 @@ func (s *rowSlab) keep() { s.spare = s.spare[1:] }
 // or every column when cols is nil, and returns what runs it: the scan's
 // row exit, at the plan's root and below it. Every morsel's final selection
 // is cut into windows of at most BatchRows positions; cut makes each into
-// what the ordered hand-off carries, on the worker, while the selection's
-// memory is its own (lent: the run's one morsel runs inline, on the
-// consumer's goroutine, and lends it for as long as show takes), and show
-// hands those on to emit in morsel order, on the statement's goroutine — a
-// worker more than a couple of windows ahead waits. cut and show are handed
+// what the ordered hand-off carries, on the runner, while the selection's
+// memory is its own (lent: runner 0 runs the morsel on the consumer's
+// goroutine and lends it for as long as show takes), and show hands those
+// on to emit in morsel order, on the statement's goroutine — a runner more
+// than a couple of windows ahead waits. cut and show are handed
 // cols rather than capturing it, so that neither is a closure allocated per
 // statement. A fused projection also books each non-empty morsel as one
 // fused batch that spared avoidPerRow boxed values per row.
@@ -735,12 +728,11 @@ func scanOut[T, B any](s *ScanPlan, cols []int, ctx *execCtx, cut func(t *scanTa
 		if err != nil {
 			return err
 		}
-		lent := len(r.tasks) == 1
-		return drainOrdered(r, func(t *scanTask, w int, send func(T)) {
+		return drainOrdered(r, func(t *scanTask, w int, out *port[T]) {
 			r.process(t, w, func(sel selection) {
 				n := sel.len()
 				for from := 0; from < n && !r.stop.Load(); from += BatchRows {
-					send(cut(t, sel.window(from, min(n, from+BatchRows)), cols, lent))
+					out.send(cut(t, sel.window(from, min(n, from+BatchRows)), cols, w == 0))
 				}
 				if cols != nil {
 					recordLateMat(r.ctx, r.op, 0, 0, 1, int64(n)*int64(avoidPerRow)*16)
@@ -751,27 +743,28 @@ func scanOut[T, B any](s *ScanPlan, cols []int, ctx *execCtx, cut func(t *scanTa
 }
 
 // scanWindow is a root scan's window in the ordered hand-off: the task
-// whose readers read it, and its positions.
+// whose readers read it, its positions, and whether they are lent.
 type scanWindow struct {
-	t   *scanTask
-	sel selection
+	t    *scanTask
+	sel  selection
+	lent bool
 }
 
 // scanViews is a scan at the plan's root: a window travels as its
-// positions — a dense range's two ints; a sparse one's copy, the worker
+// positions — a dense range's two ints; a sparse one's copy, the runner
 // refilling its scratch with its next morsel, unless lent — and reaches the
 // sink as a view, whose cells the sink reads on the statement's goroutine.
-// The page faults that takes are the scan's: process books them for an
-// inline morsel, show otherwise.
+// The page faults that takes are the scan's: process books them for a lent
+// window — its morsel runs around the sink — and show otherwise.
 func scanViews(s *ScanPlan, cols []int, ctx *execCtx) (func(emit func(RowBatch) error) error, error) {
 	return scanOut(s, cols, ctx, func(t *scanTask, sel selection, _ []int, lent bool) scanWindow {
 		if !lent && !sel.dense {
 			sel.pos = slices.Clone(sel.pos)
 		}
-		return scanWindow{t, sel}
+		return scanWindow{t, sel, lent}
 	}, func(r *scanRun, w scanWindow, cols []int, emit func(RowBatch) error) error {
 		b := RowBatch{readers: w.t.readers, cols: cols, sel: w.sel}
-		if len(r.tasks) == 1 {
+		if w.lent {
 			return emit(b)
 		}
 		faults0, faultNS0 := extstore.FaultCounters()
@@ -784,88 +777,212 @@ func scanViews(s *ScanPlan, cols []int, ctx *execCtx) (func(emit func(RowBatch) 
 }
 
 // handoffDepth is how many values a morsel may have waiting for the
-// ordered consumer before the worker producing it blocks: enough that
+// ordered consumer before the runner producing it waits: enough that
 // filling the next window overlaps consuming the last, and all the
 // backpressure a slow sink needs.
 const handoffDepth = 2
 
-// drainOrdered is the ordered hand-off: fn runs per morsel on the worker
-// pool, and what it sends reaches consume on the calling goroutine in
+// drainOrdered is the ordered hand-off: fn runs per morsel on the run's
+// runners, and what it sends reaches consume on the calling goroutine in
 // morsel order — each morsel's values in the order sent — whatever order
-// the workers finish in. Every operator whose output depends on row order
-// — scan drain, fused projection, join probe — comes through here with its
-// own payload. A single morsel runs inline and send is consume. With more,
-// each morsel owns a channel of handoffDepth values, closed when fn
-// returns: a worker ahead of the consumer blocks once its morsel's channel
-// is full. That cannot
-// deadlock: morsels are dispatched and consumed in ascending order, so the
-// morsel the consumer waits on was dispatched before any morsel a blocked
-// worker holds, and is either finished or running on a worker that only
-// ever waits for this consumer. After an error from consume (LIMIT's
-// early exit, a sink that failed) the stop flag makes running morsels end
-// at their next window and later ones return at once, while the consumer
-// keeps emptying the channels so that every worker gets to see it. A
-// consume that panics is met the same way before the panic goes on up the
-// caller's goroutine: the stop flag raised, the channels emptied, the
-// dispatcher waited for — so the statement's pool closes under nobody and no
-// worker is left blocked on a full channel. The run is released on the way
-// out: by then every morsel has reported, so no worker holds its scratch.
-func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, send func(T)), consume func(T) error) error {
+// the runners finish in. Every operator whose output depends on row order
+// — scan drain, fused projection, join probe, a DML's victim search —
+// comes through here with its own payload, sending it through out. fn's w
+// is 0 exactly when it runs on the calling goroutine, where out hands a
+// value straight to consume: it is consumed before send returns.
+//
+// A run of one runner is inline: every morsel runs on the calling
+// goroutine, in order, as runner 0. With more, the calling goroutine is the
+// consumer and runner 0, the others run on process workers (dispatch) and
+// claim morsels in ascending order. The consumer takes morsel c = 0, 1, …
+// in turn: when no runner has claimed c yet it claims and runs c itself,
+// sending straight to consume; otherwise it takes c's values from c's slot
+// as they arrive. A runner holding morsel i waits before running it until
+// i is within a window of the consumer (handoff), and while sending when
+// the slot already holds handoffDepth values. That cannot deadlock: the
+// morsel the consumer wants is either unclaimed — it runs it — or held by
+// a runner that never waits for the window (it is within it) and only
+// waits for this consumer to empty its slot; no runner or consumer ever
+// waits for a process worker.
+//
+// After an error from consume (LIMIT's early exit, a sink that failed) the
+// run stops: running morsels end at their next window, sends are dropped,
+// no further morsel is claimed, and the consumer stops reading. A panic —
+// in consume, in a morsel run here, or recovered by a runner (ran) — stops
+// the run the same way and goes on up the calling goroutine once every
+// runner has returned. The run is released on the way out, last: by then no
+// runner holds its scratch.
+func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, out *port[T]), consume func(T) error) error {
 	defer r.release()
-	switch len(r.tasks) {
-	case 0:
+	if len(r.tasks) == 0 {
 		return nil
-	case 1:
-		t0 := r.ctx.beginInline()
-		fn(&r.tasks[0], 0, func(v T) {
-			if r.err == nil {
-				if r.err = consume(v); r.err != nil {
-					r.stop.Store(true)
-				}
+	}
+	if len(r.scratch) == 1 {
+		out := &port[T]{r: r, consume: consume}
+		t0 := time.Now()
+		for i := range r.tasks {
+			if r.stop.Load() {
+				break
 			}
-		})
-		r.ctx.endInline(t0)
+			fn(&r.tasks[i], 0, out)
+		}
+		observeBusy(t0)
 		return r.err
 	}
-	var err error
-	chans := make([]chan T, len(r.tasks))
-	for i := range chans {
-		chans[i] = make(chan T, handoffDepth)
+	h := &handoff[T]{fn: fn, slots: make([]handoffSlot[T], 2*len(r.scratch)), ports: make([]port[T], len(r.scratch))}
+	for w := range h.ports {
+		h.ports[w] = port[T]{r: r, h: h}
 	}
-	// Start the pool here: the dispatching goroutine must only read it.
-	r.ctx.getPool()
-	dispatched := make(chan struct{})
-	go func() {
-		defer close(dispatched)
-		r.ctx.runTasks(len(r.tasks), func(i, w int) {
-			fn(&r.tasks[i], w, func(v T) { chans[i] <- v })
-			close(chans[i])
-		})
-	}()
-	consumed := false
+	direct := &h.ports[0]
+	*direct = port[T]{r: r, consume: consume}
+	h.parallelize(r, h)
+	h.dispatch()
+	// However the consumer leaves — a panic too — the runners are stopped
+	// and have returned.
 	defer func() {
-		if !consumed { // consume panicked
-			r.stop.Store(true)
-			for _, ch := range chans {
-				for range ch {
-				}
-			}
-			<-dispatched
-		}
+		r.halt()
+		h.running.Wait()
 	}()
-	for _, ch := range chans {
-		for v := range ch {
-			if err != nil {
-				continue
-			}
-			if err = consume(v); err != nil {
-				r.stop.Store(true)
-			}
+	var busy time.Duration
+	for c := 0; c < len(r.tasks) && !r.stop.Load(); c++ {
+		if h.next.CompareAndSwap(int64(c), int64(c+1)) {
+			t0 := time.Now()
+			fn(&r.tasks[c], 0, direct)
+			busy += time.Since(t0)
+		} else {
+			h.drain(c, direct)
+		}
+		h.advance(c)
+	}
+	h.join()
+	if busy > 0 {
+		hVecWorkerBusy.Observe(float64(busy.Nanoseconds()) / 1e3)
+	}
+	return r.err
+}
+
+// handoff is an ordered run's hand-off between its runners and its
+// consumer, all of it under mu: a window of slots, one per morsel in
+// flight — morsel i's is slots[i % len(slots)] — of handoffDepth values
+// each. A window twice the runners lets a runner that has finished a morsel
+// start its next while the consumer still reads the last. What the
+// hand-off allocates does not grow with the morsels.
+type handoff[T any] struct {
+	parallel
+	fn    func(t *scanTask, w int, out *port[T])
+	slots []handoffSlot[T]
+	ports []port[T] // runner w's is ports[w]
+}
+
+type handoffSlot[T any] struct {
+	vals    [handoffDepth]T // a ring: n values from head on
+	head, n int
+	done    bool // its runner has finished the morsel
+}
+
+// port is where a runner of an ordered run sends its morsel's values:
+// runner 0, on the consumer's goroutine, straight to consume; any other
+// into the hand-off slot of the morsel it holds. A run allocates its ports
+// once, so sending costs no closure per runner or morsel.
+type port[T any] struct {
+	r       *scanRun
+	consume func(T) error // runner 0's
+	h       *handoff[T]   // the others'
+	i       int           // the morsel the runner holds
+}
+
+// send hands v on towards the consumer. A consume that fails stops the run.
+func (p *port[T]) send(v T) {
+	if p.h != nil {
+		p.h.put(p.i, v)
+		return
+	}
+	if r := p.r; r.err == nil {
+		if r.err = p.consume(v); r.err != nil {
+			r.halt()
 		}
 	}
-	consumed = true
-	<-dispatched
-	return err
+}
+
+// runAs is runner w of the ordered run, on a process worker.
+func (h *handoff[T]) runAs(w int) {
+	defer h.ran(time.Now())
+	p := &h.ports[w]
+	for i := h.claim(); i >= 0 && h.await(i); i = h.claim() {
+		p.i = i
+		h.fn(&h.r.tasks[i], w, p)
+		h.finish(i)
+	}
+}
+
+// await waits until morsel i is within the window of the consumer and
+// reports whether it is — false once the run has stopped.
+func (h *handoff[T]) await(i int) bool {
+	stop := &h.r.stop
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i >= h.consumed+len(h.slots) && !stop.Load() {
+		h.moved.Wait()
+	}
+	return !stop.Load()
+}
+
+// put appends v to morsel i's slot, waiting while the slot is full; once
+// the run has stopped it drops v.
+func (h *handoff[T]) put(i int, v T) {
+	stop, s := &h.r.stop, &h.slots[i%len(h.slots)]
+	h.mu.Lock()
+	for s.n == handoffDepth && !stop.Load() {
+		h.moved.Wait()
+	}
+	if !stop.Load() {
+		s.vals[(s.head+s.n)%handoffDepth] = v
+		s.n++
+		h.moved.Broadcast()
+	}
+	h.mu.Unlock()
+}
+
+// finish marks morsel i finished: its slot will receive nothing more.
+func (h *handoff[T]) finish(i int) {
+	h.mu.Lock()
+	h.slots[i%len(h.slots)].done = true
+	h.moved.Broadcast()
+	h.mu.Unlock()
+}
+
+// drain hands morsel c's values to the consumer's port as they arrive,
+// until its runner has finished it or the run stops. The consumer runs
+// outside the lock.
+func (h *handoff[T]) drain(c int, direct *port[T]) {
+	stop, s := &h.r.stop, &h.slots[c%len(h.slots)]
+	h.mu.Lock()
+	for {
+		for s.n == 0 && !s.done && !stop.Load() {
+			h.moved.Wait()
+		}
+		if s.n == 0 || stop.Load() {
+			break
+		}
+		v := s.vals[s.head]
+		s.vals[s.head] = *new(T)
+		s.head, s.n = (s.head+1)%handoffDepth, s.n-1
+		h.moved.Broadcast()
+		h.mu.Unlock()
+		direct.send(v)
+		h.mu.Lock()
+	}
+	h.mu.Unlock()
+}
+
+// advance moves the consumer past morsel c: its slot is emptied for morsel
+// c + len(slots), whose runner may now run it.
+func (h *handoff[T]) advance(c int) {
+	h.mu.Lock()
+	h.slots[c%len(h.slots)] = handoffSlot[T]{}
+	h.consumed = c + 1
+	h.moved.Broadcast()
+	h.mu.Unlock()
 }
 
 // vecScan is a scan below the plan's root, whose parent keeps rows: each

@@ -624,21 +624,22 @@ func (f *aggFold) rows() []value.Row {
 }
 
 // foldMorsels runs a fused aggregation of in over the run, a scan of ncols
-// columns, and releases it: each morsel's selection phase runs on the
-// worker pool and fold consumes its final selection into the worker's own
-// fold, in whatever order the morsels complete. Accumulators are order-free
-// (aggAcc), so finishAgg may merge the folds in any order too.
+// columns, and releases it: each morsel's selection phase runs on one of
+// the run's runners and fold consumes its final selection into the
+// runner's own fold, in whatever order the morsels complete. Accumulators
+// are order-free (aggAcc), so finishAgg may merge the folds in any order
+// too.
 func (r *scanRun) foldMorsels(in *aggInput, ncols int, fold func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)) []*aggFold {
+	defer r.release()
 	interner := newStrInterner()
 	folds := make([]*aggFold, len(r.scratch))
 	for w := range folds {
 		folds[w] = newAggFold(in, interner, ncols)
 	}
-	r.ctx.runTasks(len(r.tasks), func(i, w int) {
+	r.runTasks(func(i, w int) {
 		t := &r.tasks[i]
 		r.process(t, w, func(sel selection) { fold(folds[w], t, sel, r.scratch[w]) })
 	})
-	r.release()
 	return folds
 }
 
@@ -1099,13 +1100,13 @@ func vecJoinCode(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 			}
 			return out.flush()
 		}
-		return drainOrdered(run, func(t *scanTask, w int, send func([]value.Row)) {
+		return drainOrdered(run, func(t *scanTask, w int, to *port[[]value.Row]) {
 			run.process(t, w, func(sel selection) {
 				out := sink(func(rows []value.Row) error {
 					if run.stop.Load() {
 						return errStop
 					}
-					send(rows)
+					to.send(rows)
 					return nil
 				})
 				probed := -1 // the input whose columns prev holds

@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/columnstore"
@@ -16,119 +17,192 @@ import (
 // by the summaries of exactly the blocks it covers.
 const morselRows = 16 * columnstore.StampBlockRows
 
-// vecPool is the per-query worker pool. One pool is shared by every
-// vectorized operator of a statement (scan morsels, partial aggregation,
-// join probes), so a query never runs more than `workers` goroutines
-// regardless of plan shape.
-type vecPool struct {
-	workers int
-	jobs    chan vecJob
-	wg      sync.WaitGroup
-	busyNS  []int64 // per-worker accumulated busy time
+// The process's morsel workers: GOMAXPROCS goroutines, started by the first
+// run that has a runner to hand out and never stopped. Every statement of
+// every engine in the process shares them, so however many statements run
+// at once, no more than GOMAXPROCS morsels run off their statements' own
+// goroutines. A worker takes one runner at a time and runs it to the end.
+var (
+	workersOnce sync.Once
+	workerJobs  chan workerJob
+	// idleWorkers counts the workers parked on workerJobs, or about to be:
+	// a worker adds itself before it receives — and before it tells the
+	// run it ran for that it is done, so that the statement after finds it
+	// idle — and a dispatcher that takes one off the count is sure of a
+	// receiver.
+	idleWorkers atomic.Int64
+)
+
+// A runner is the body of one run's runners: runAs(w) claims the run's
+// morsels as runner w until none is left, and never blocks on the process
+// workers.
+type runner interface{ runAs(w int) }
+
+// workerJob is runner w of a run, sent by value: handing it over allocates
+// nothing.
+type workerJob struct {
+	p *parallel
+	w int
 }
 
-// vecJob is one unit of work, sent by value: task i of a runTasks call,
-// run as fn(i, worker) — worker is the executing worker's index, so jobs
-// can use per-worker scratch state without synchronization — and reported
-// to done. Dispatching a task allocates nothing.
-type vecJob struct {
-	fn   func(i, worker int)
-	i    int
-	done *sync.WaitGroup
-}
-
-func newVecPool(workers int) *vecPool {
-	p := &vecPool{
-		workers: workers,
-		jobs:    make(chan vecJob),
-		busyNS:  make([]int64, workers),
-	}
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer p.wg.Done()
-			for job := range p.jobs {
-				t0 := time.Now()
-				job.run(w)
-				p.busyNS[w] += time.Since(t0).Nanoseconds()
+func startWorkers() {
+	workerJobs = make(chan workerJob)
+	for range runtime.GOMAXPROCS(0) {
+		idleWorkers.Add(1)
+		go func() {
+			for j := range workerJobs {
+				j.p.body.runAs(j.w)
+				idleWorkers.Add(1)
+				j.p.running.Done()
 			}
-		}(w)
+		}()
 	}
-	return p
 }
 
-// run runs the job on worker w and reports it done, also when fn panics.
-func (j vecJob) run(w int) {
-	defer j.done.Done()
-	j.fn(j.i, w)
+// runnersFor returns how many runners share n morsels, for sizing
+// per-runner scratch before anything runs: the statement's parallelism cap,
+// Engine.Workers (<=0: GOMAXPROCS), but never more than there are morsels,
+// and at least one.
+func (ctx *execCtx) runnersFor(n int) int {
+	limit := ctx.workers
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(limit, n))
 }
 
-// workersFor returns how many workers will share n tasks, for sizing
-// per-worker state before anything runs: one for a single task (it runs
-// inline, see runTasks), the statement's pool size otherwise.
-func (ctx *execCtx) workersFor(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return ctx.poolSize()
+// parallel is the state of a run of several runners; a run of one does
+// without. Under mu: the first panic a runner recovered, and the ordered
+// hand-off's progress (drainOrdered) — moved is broadcast whenever a window
+// is sent or taken, a morsel is finished or consumed, or the run stops.
+type parallel struct {
+	r       *scanRun
+	body    runner         // what a dispatched runner runs
+	next    atomic.Int64   // the first morsel no runner has claimed
+	job     func(i, w int) // runTasks's
+	running sync.WaitGroup // runners dispatched to process workers and not yet returned
+
+	mu       sync.Mutex
+	moved    sync.Cond
+	consumed int // morsels the ordered consumer is done with
+	failed   bool
+	failure  any
 }
 
-// poolSize resolves the configured worker count (<=0: one per CPU).
-func (ctx *execCtx) poolSize() int {
-	if ctx.workers <= 0 {
-		return runtime.NumCPU()
-	}
-	return ctx.workers
+// parallelize readies p to run r's morsels on its runners, each running
+// body.
+func (p *parallel) parallelize(r *scanRun, body runner) {
+	p.r, p.body = r, body
+	p.moved.L = &p.mu
+	r.par = p
 }
 
-// runTasks runs job(i, worker) for every i in [0, n) and returns when all
-// have finished. A single task runs on the calling goroutine as worker 0
-// — no pool, no goroutines, no hand-off — so a one-morsel scan costs what
-// its rows cost; its busy time still reaches sql_vec_worker_busy_us when
-// the statement ends. More tasks go to the statement's worker pool, in
-// ascending order, each as a vecJob value. Scan drain, partial aggregation
-// and join probes all dispatch through here.
-func (ctx *execCtx) runTasks(n int, job func(i, worker int)) {
-	switch n {
-	case 0:
-		return
-	case 1:
-		t0 := ctx.beginInline()
-		job(0, 0)
-		ctx.endInline(t0)
-		return
+// claim hands out the run's next morsel, in ascending order, or -1 once
+// none is left or the run has stopped.
+func (p *parallel) claim() int {
+	if p.r.stop.Load() {
+		return -1
 	}
-	pool := ctx.getPool()
-	wg := new(sync.WaitGroup)
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		pool.submit(vecJob{fn: job, i: i, done: wg})
+	if i := int(p.next.Add(1)) - 1; i < len(p.r.tasks) {
+		return i
 	}
-	wg.Wait()
+	return -1
 }
 
-// beginInline and endInline bracket a single task run on the statement's
-// own goroutine as worker 0 (see runTasks).
-func (ctx *execCtx) beginInline() time.Time {
-	if ctx.prof != nil && ctx.prof.Workers == 0 {
-		ctx.prof.Workers = 1
-	}
-	return time.Now()
-}
-
-func (ctx *execCtx) endInline(t0 time.Time) { ctx.inlineNS += time.Since(t0).Nanoseconds() }
-
-// submit hands a job to the pool, blocking until a worker is free.
-func (p *vecPool) submit(j vecJob) { p.jobs <- j }
-
-// close shuts the pool down, waits for the workers, and reports each
-// worker's busy time to the observability layer.
-func (p *vecPool) close() {
-	close(p.jobs)
-	p.wg.Wait()
-	for _, ns := range p.busyNS {
-		if ns > 0 {
-			hVecWorkerBusy.Observe(float64(ns) / 1e3)
+// dispatch hands runners 1, 2, … of the run to idle process workers,
+// starting the workers on the first call. A runner no worker is idle for is
+// not run at all: the runners that do run claim its morsels, and runner 0 —
+// the statement's own goroutine — always runs. So a statement never waits
+// for a worker to become free, and a saturated or nested use of the workers
+// cannot deadlock it.
+func (p *parallel) dispatch() {
+	workersOnce.Do(startWorkers)
+	for w := 1; w < len(p.r.scratch); w++ {
+		n := idleWorkers.Load()
+		for n > 0 && !idleWorkers.CompareAndSwap(n, n-1) {
+			n = idleWorkers.Load()
 		}
+		if n <= 0 {
+			return
+		}
+		p.running.Add(1)
+		workerJobs <- workerJob{p, w}
+	}
+}
+
+// ran ends a runner begun at t0, as every runner ends: a panic in one of
+// its morsels is recovered and kept for the statement's goroutine to raise
+// (join) and the run stops, so the worker it ran on lives on; its busy time
+// goes to sql_vec_worker_busy_us. Deferred directly, so that its recover
+// sees the runner's panic.
+func (p *parallel) ran(t0 time.Time) {
+	if v := recover(); v != nil {
+		p.mu.Lock()
+		if !p.failed {
+			p.failed, p.failure = true, v
+		}
+		p.mu.Unlock()
+		p.r.halt()
+	}
+	observeBusy(t0)
+}
+
+// halt stops the run and wakes every runner and consumer waiting in the
+// ordered hand-off, so that each sees it.
+func (r *scanRun) halt() {
+	r.stop.Store(true)
+	if p := r.par; p != nil {
+		p.mu.Lock()
+		p.moved.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+// join waits for the run's dispatched runners, then raises on the calling
+// goroutine the panic one of them recovered.
+func (p *parallel) join() {
+	p.running.Wait()
+	if p.failed {
+		panic(p.failure)
+	}
+}
+
+func observeBusy(t0 time.Time) {
+	hVecWorkerBusy.Observe(float64(time.Since(t0).Nanoseconds()) / 1e3)
+}
+
+// runTasks runs job(i, runner) for every morsel i of the run and returns
+// when all have finished, runner being the index of the runner that ran it
+// — per-runner scratch needs no synchronization. A run of one runner runs
+// every morsel on the calling goroutine, in order; more run as runners,
+// the calling goroutine runner 0, the others on process workers (dispatch).
+// A panicking job is raised on the calling goroutine once every runner has
+// returned. Partial aggregation and fused join probes run through here; the
+// ordered hand-off (drainOrdered) has a consumer loop of its own over the
+// same claiming.
+func (r *scanRun) runTasks(job func(i, runner int)) {
+	if len(r.tasks) == 0 {
+		return
+	}
+	if len(r.scratch) == 1 {
+		t0 := time.Now()
+		for i := range r.tasks {
+			job(i, 0)
+		}
+		observeBusy(t0)
+		return
+	}
+	p := &parallel{job: job}
+	p.parallelize(r, p)
+	p.dispatch()
+	p.runAs(0)
+	p.join()
+}
+
+// runAs is runTasks's runner w.
+func (p *parallel) runAs(w int) {
+	defer p.ran(time.Now())
+	for i := p.claim(); i >= 0; i = p.claim() {
+		p.job(i, w)
 	}
 }

@@ -551,7 +551,6 @@ func TestJoinLeavesInWindows(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		ctx.finish()
 		e.Mode = ModeInterpreted
 		want := len(mustExec(t, e, c.sql).Rows)
 		if rows != want || rows < c.min {

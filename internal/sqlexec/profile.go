@@ -94,7 +94,7 @@ func (o *OpProfile) RowsOut() int64 { return o.rowsOut.Load() }
 type Profile struct {
 	Root    *OpProfile
 	Mode    Mode
-	Workers int           // morsel workers (vectorized mode)
+	Workers int           // runners of the widest morsel run (vectorized mode)
 	Total   time.Duration // end-to-end statement wall time
 	SQL     string
 

@@ -352,14 +352,14 @@ func codeGroupAllocs(t *testing.T, morsels int) float64 {
 	return testing.AllocsPerRun(10, run)
 }
 
-// TestScratchPoolKeepsAFixedSet: the pool retains NumCPU scratches, the
+// TestScratchPoolKeepsAFixedSet: the pool retains GOMAXPROCS scratches, the
 // most recently returned first out, drops what is returned beyond that,
 // and keeps its set across collections — what an idle process holds does not
-// depend on when the collector last ran. Only a run with more workers than
-// CPUs widens the set, to its workers.
+// depend on when the collector last ran. Only a run with more runners than
+// GOMAXPROCS widens the set, to its runners.
 func TestScratchPoolKeepsAFixedSet(t *testing.T) {
 	p := new(scratchPool)
-	keep := runtime.NumCPU()
+	keep := runtime.GOMAXPROCS(0)
 	out := make([]*scanScratch, keep+5)
 	for i := range out {
 		out[i] = p.take()
@@ -368,7 +368,7 @@ func TestScratchPoolKeepsAFixedSet(t *testing.T) {
 		p.put(s)
 	}
 	if len(p.free) != keep {
-		t.Fatalf("pool keeps %d scratches, want NumCPU = %d", len(p.free), keep)
+		t.Fatalf("pool keeps %d scratches, want GOMAXPROCS = %d", len(p.free), keep)
 	}
 	runtime.GC()
 	runtime.GC()

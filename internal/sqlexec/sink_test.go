@@ -333,9 +333,9 @@ func TestSinkBounds(t *testing.T) {
 	}
 }
 
-// settled waits for the goroutine count to come back down to base:
-// workers exit when their pool closes, a moment after the statement
-// returns.
+// settled waits for the goroutine count to come back down to base, taken
+// with the process's morsel workers running (workersBase): a statement
+// starts no goroutine, so whatever it leaves above base it has leaked.
 func settled(t *testing.T, base int, label string) {
 	t.Helper()
 	for i := 0; i < 200 && runtime.NumGoroutine() > base; i++ {
@@ -344,6 +344,19 @@ func settled(t *testing.T, base int, label string) {
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%s: %d goroutines, %d before the statement", label, n, base)
 	}
+}
+
+// workersBase runs sql, a statement of several morsels, at two runners —
+// the first such statement in the process starts its morsel workers — and
+// returns the goroutine count after it: the workers are the process's for
+// good, and a statement may leave nothing else behind.
+func workersBase(t *testing.T, e *Engine, sql string) int {
+	t.Helper()
+	workers := e.Workers
+	e.Workers = 2
+	mustExec(t, e, sql)
+	e.Workers = workers
+	return runtime.NumGoroutine()
 }
 
 // TestSinkOrderAndStop: 40 morsels of three windows each, finishing out
@@ -360,7 +373,7 @@ func TestSinkOrderAndStop(t *testing.T) {
 	e.Mode = ModeInterpreted
 	want := mustExec(t, e, sql).Rows
 	e.Mode = ModeVectorized
-	base := runtime.NumGoroutine()
+	base := workersBase(t, e, sql)
 	for _, workers := range []int{1, 2, 4} {
 		e.Workers = workers
 		for _, slow := range []time.Duration{0, 200 * time.Microsecond} {
@@ -454,7 +467,7 @@ var errSinkPanic = errors.New("sink: panicked")
 func TestSinkPanicReachesCaller(t *testing.T) {
 	e := projectionEngine(t, 200_000)
 	check := countScratch(t, e)
-	base := runtime.NumGoroutine()
+	base := workersBase(t, e, `SELECT COUNT(*) FROM wide`)
 	for _, workers := range []int{2, 4} {
 		e.Workers = workers
 		label := fmt.Sprintf("workers=%d", workers)
