@@ -352,10 +352,9 @@ func benchScanMode(b *testing.B, mode sqlexec.Mode) {
 func BenchmarkScanVectorized(b *testing.B) { benchScanMode(b, sqlexec.ModeVectorized) }
 func BenchmarkScanRowAtATime(b *testing.B) { benchScanMode(b, sqlexec.ModeInterpreted) }
 
-// vecAggEng is a range-partitioned table whose partitions all carry a
-// cold-read penalty: a statement's runners overlap those stalls, which is
-// what the ParallelAgg benchmarks measure (up to GOMAXPROCS+1 at once: the
-// process's workers and the statement's own goroutine).
+// vecAggEng is a range-partitioned table of eight merged partitions: a
+// statement's runners fold them in parallel, which is what the ParallelAgg
+// benchmarks measure.
 var vecAggEng *sqlexec.Engine
 
 func vecAggEngine(b *testing.B) *sqlexec.Engine {
@@ -368,7 +367,6 @@ func vecAggEngine(b *testing.B) *sqlexec.Engine {
 	ent := eng.Cat.MustTable("pt")
 	const perPart = 2_000
 	for pi, p := range ent.Partitions {
-		p.ColdReadPenalty = 5_000 // 5ms simulated cold fetch per scan
 		rows := make([]value.Row, perPart)
 		for i := range rows {
 			rows[i] = value.Row{

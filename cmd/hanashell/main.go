@@ -176,15 +176,20 @@ func command(eco *core.Ecosystem, cmd string) bool {
 		fmt.Printf("  buffer pool: %d/%d pages resident (%d chunks), store=%d pages of %d bytes\n",
 			pool.ResidentPages, pool.BudgetPages, pool.Chunks, eco.Warm.Pages(), eco.Warm.PageSize())
 		faults := eco.Warm.FaultsByTable()
+		if eco.Cold != nil {
+			for t, n := range eco.Cold.FaultsByTable() {
+				faults[t] += n
+			}
+		}
 		for _, name := range eco.Engine.Cat.Tables() {
 			entry, ok := eco.Engine.Cat.Table(name)
 			if !ok {
 				continue
 			}
 			for _, p := range entry.Partitions {
-				tier := p.ShownTier()
+				tier := p.Tier()
 				line := fmt.Sprintf("  %-24s %-12s tier=%-8s", name, p.Name, tier)
-				if tier == catalog.TierExtended {
+				if tier != catalog.TierHot {
 					line += fmt.Sprintf(" resident_pages=%d faults=%d",
 						residentPages(p), faults[p.Table.Name()])
 				}

@@ -63,9 +63,6 @@ type Manager struct {
 	rules   map[string]Rule
 	cold    map[string]*coldMeta
 	hotOnly map[string]bool
-	// ColdReadPenaltyMicros is charged per cold-partition scan to model
-	// extended-storage access latency (Figure 1's tiers).
-	ColdReadPenaltyMicros int
 
 	// Warm, when set, makes rule evaluation the demote policy: after each
 	// aging run the cold partition is paged out to the extended store, so
@@ -81,8 +78,6 @@ func Attach(eng *sqlexec.Engine) *Manager {
 		rules:   map[string]Rule{},
 		cold:    map[string]*coldMeta{},
 		hotOnly: map[string]bool{},
-
-		ColdReadPenaltyMicros: 200,
 	}
 	eng.Prune = m.Prune
 	return m
@@ -327,12 +322,7 @@ func (m *Manager) coldPartition(entry *catalog.TableEntry, rule Rule) (*coldMeta
 		return c, nil
 	}
 	name := entry.Name + "_aged"
-	p := &catalog.Partition{
-		Name:            name,
-		Table:           newColdTable(name, entry),
-		Tier:            catalog.TierExtended,
-		ColdReadPenalty: m.ColdReadPenaltyMicros,
-	}
+	p := &catalog.Partition{Name: name, Table: newColdTable(name, entry)}
 	if err := m.eng.Cat.AttachPartition(entry.Name, p); err != nil {
 		return nil, err
 	}

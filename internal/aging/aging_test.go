@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/extstore"
 	"repro/internal/sqlexec"
 )
 
@@ -18,7 +20,6 @@ func newOrderWorld(t *testing.T) (*sqlexec.Engine, *Manager) {
 	t.Helper()
 	eng := sqlexec.NewEngine()
 	m := Attach(eng)
-	m.ColdReadPenaltyMicros = 0 // keep unit tests fast; benches set it
 	eng.MustQuery(`CREATE TABLE orders (id VARCHAR, status VARCHAR, closed INT, total DOUBLE)`)
 	eng.MustQuery(`CREATE TABLE invoices (id VARCHAR, order_id VARCHAR, status VARCHAR, paid INT, amount DOUBLE)`)
 
@@ -242,5 +243,51 @@ func TestNewlyColdRowsAgeNextRun(t *testing.T) {
 	r := eng.MustQuery(`SELECT COUNT(*) FROM orders WHERE status = 'OPEN'`)
 	if r.Rows[0][0].I != 2 {
 		t.Fatalf("open=%v", r.Rows[0][0])
+	}
+}
+
+// TestAgedPartitionIsPagedOut: with a warm store, an aging run pages the
+// aged partition out, and its tier is the store's. A merge re-hydrates it;
+// the next run moves no row and pages it out again. Reading the aged rows
+// faults their pages in.
+func TestAgedPartitionIsPagedOut(t *testing.T) {
+	eng, m := newOrderWorld(t)
+	warm, err := extstore.OpenTemp(extstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	m.Warm = warm
+	aged := func() *catalog.Partition {
+		for _, p := range eng.Cat.MustTable("orders").Partitions {
+			if p.Name == "orders_aged" {
+				return p
+			}
+		}
+		t.Fatal("no aged partition")
+		return nil
+	}
+	if _, err := m.RunAging(now); err != nil {
+		t.Fatal(err)
+	}
+	if tier := aged().Tier(); tier != catalog.TierExtended {
+		t.Fatalf("after the aging run: tier %s", tier)
+	}
+	f0, _ := extstore.FaultCounters()
+	if r := eng.MustQuery(`SELECT SUM(total) FROM orders WHERE status = 'CLOSED'`); r.Stats.PartitionsScanned != 2 {
+		t.Fatalf("closed orders: %+v", r.Stats)
+	}
+	if f1, _ := extstore.FaultCounters(); f1 == f0 {
+		t.Error("reading the aged rows faulted no page")
+	}
+	eng.MustQuery(`MERGE DELTA OF orders`)
+	if tier := aged().Tier(); tier != catalog.TierHot {
+		t.Fatalf("after MERGE DELTA OF: tier %s", tier)
+	}
+	if moved, err := m.RunAging(now); err != nil || moved["orders"] != 0 {
+		t.Fatalf("second run: moved %v, err %v", moved, err)
+	}
+	if tier := aged().Tier(); tier != catalog.TierExtended {
+		t.Fatalf("after the second run: tier %s", tier)
 	}
 }

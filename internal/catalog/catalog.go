@@ -22,43 +22,34 @@ type Tier string
 // The storage tiers of the ecosystem.
 const (
 	TierHot      Tier = "hot"      // in-memory column store
-	TierExtended Tier = "extended" // extended storage (IQ-like, simulated)
-	TierHDFS     Tier = "hdfs"     // Hadoop tier
+	TierExtended Tier = "extended" // extended storage (IQ-like page store)
+	TierHDFS     Tier = "hdfs"     // Hadoop tier (a page store of its own)
 )
 
 // Partition is one horizontal partition of a logical table.
 type Partition struct {
 	Name  string
 	Table *columnstore.Table
-	Tier  Tier
 	// Range bounds on the partition column: rows r satisfy Lo <= r < Hi.
 	// Lo/Hi are NULL for unbounded ends; PruneCol "" means unpartitioned.
 	PruneCol string
 	Lo, Hi   value.Value
-	// ColdReadPenalty simulates the extra per-scan latency of non-hot
-	// tiers; the executor charges it once per scanned partition.
-	ColdReadPenalty int // microseconds
 	// Zone is the per-column min/max/count synopsis recorded when the
 	// partition was demoted to the warm tier; the planner prunes against
-	// it before any extended-store page is faulted. Nil for hot
-	// partitions and invalidated (by its Rows/Merges stamps) when the
+	// it before any extended-store page is faulted. Nil for partitions
+	// never demoted, and invalidated (by its Rows/Merges stamps) when the
 	// table changes after demotion.
 	Zone *columnstore.ZoneMap
 }
 
-// ShownTier is the tier a monitoring view or a shell shows for p. Tier is a
-// tag somebody set; what the table is made of is asked of the table: a
-// partition a demotion paged out (it carries the zone map) whose main store
-// a merge has since rebuilt in memory — the background daemon tags nothing —
-// shows hot. A partition tagged extended by temperature or aging, which
-// never paged anything out, shows its tag.
-func (p *Partition) ShownTier() Tier {
-	if p.Tier == TierExtended && p.Zone != nil {
-		if _, paged := p.Table.MainColumn(0).(interface{ ResidentPages() int }); !paged {
-			return TierHot
-		}
+// Tier is where p's main store lives: the tier of the store that paged it
+// out, or hot when none did — a merge rebuilds the main store in memory,
+// so a merged partition is hot until its next demotion.
+func (p *Partition) Tier() Tier {
+	if c, ok := p.Table.MainColumn(0).(interface{ Tier() Tier }); ok {
+		return c.Tier()
 	}
-	return p.Tier
+	return TierHot
 }
 
 // Covers reports whether a row with partition-column value v belongs here.
@@ -144,7 +135,6 @@ func (c *Catalog) CreateTable(name string, schema columnstore.Schema) (*TableEnt
 		Partitions: []*Partition{{
 			Name:  name,
 			Table: t,
-			Tier:  TierHot,
 		}},
 		Metadata: map[string]string{},
 	}
@@ -179,7 +169,6 @@ func (c *Catalog) CreateRangePartitioned(name string, schema columnstore.Schema,
 		e.Partitions = append(e.Partitions, &Partition{
 			Name:     pname,
 			Table:    columnstore.NewTable(pname, schema),
-			Tier:     TierHot,
 			PruneCol: col,
 			Lo:       lo,
 			Hi:       hi,

@@ -62,14 +62,17 @@ func TestAttachPartitionAndTiers(t *testing.T) {
 	cold := &Partition{
 		Name:  "orders_cold",
 		Table: columnstore.NewTable("orders_cold", schema()),
-		Tier:  TierHDFS,
 	}
 	if err := c.AttachPartition("orders", cold); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := c.Table("orders")
-	if len(e.Partitions) != 2 || e.Partitions[1].Tier != TierHDFS {
+	if len(e.Partitions) != 2 || e.Partitions[1] != cold {
 		t.Fatal("attach failed")
+	}
+	// No store paged the new partition out: it lives in memory.
+	if tier := cold.Tier(); tier != TierHot {
+		t.Fatalf("an in-memory partition reads tier %s", tier)
 	}
 	if err := c.AttachPartition("ghost", cold); err == nil {
 		t.Fatal("attach to missing table accepted")
@@ -81,7 +84,7 @@ func TestAttachPartitionAndTiers(t *testing.T) {
 func TestAttachDetachPublishNewLists(t *testing.T) {
 	c := New()
 	c.CreateTable("orders", schema())
-	cold := &Partition{Name: "orders_cold", Table: columnstore.NewTable("orders_cold", schema()), Tier: TierHDFS}
+	cold := &Partition{Name: "orders_cold", Table: columnstore.NewTable("orders_cold", schema())}
 	before, _ := c.Table("orders")
 	if err := c.AttachPartition("orders", cold); err != nil {
 		t.Fatal(err)

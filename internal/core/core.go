@@ -15,6 +15,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -64,6 +65,7 @@ type Ecosystem struct {
 	Repo  *Repository
 	Store *wal.Store      // non-nil when durable
 	Warm  *extstore.Store // page-based extended store (warm tier)
+	Cold  *extstore.Store // the HDFS tier's page store; nil without HDFS
 
 	// Obs and Tracer observe the local engine; SOE clusters additionally
 	// carry their own landscape registry (SOE.Obs) and v2stats service.
@@ -83,7 +85,8 @@ type Config struct {
 	// SOE attaches a scale-out cluster when non-nil.
 	SOE *soe.ClusterConfig
 	// ExtStore shapes the warm tier (page size, pool budget, chunk rows);
-	// zero values take the extstore defaults.
+	// zero values take the extstore defaults. The HDFS tier's store takes
+	// the same shape with an eighth of the pool.
 	ExtStore extstore.Options
 }
 
@@ -138,19 +141,10 @@ func New(cfg Config) (*Ecosystem, error) {
 	}
 	e.Fed = federation.Attach(eng)
 
-	// The warm tier: durable ecosystems page into a file next to the WAL,
-	// everything else uses an anonymous temp file.
-	var warm *extstore.Store
-	var err error
-	if cfg.DurableDir != "" {
-		warm, err = extstore.Open(cfg.DurableDir+"/extstore.pages", cfg.ExtStore)
-	} else {
-		warm, err = extstore.OpenTemp(cfg.ExtStore)
-	}
+	warm, err := openStore(cfg.DurableDir, "extstore.pages", cfg.ExtStore, tracer)
 	if err != nil {
 		return nil, err
 	}
-	warm.SetTracer(tracer)
 	e.Warm = warm
 	e.Aging.Warm = warm
 	registerBufferPoolView(eng, warm)
@@ -159,6 +153,13 @@ func New(cfg Config) (*Ecosystem, error) {
 		bs := cfg.HDFSBlockSize
 		if bs <= 0 {
 			bs = 1 << 16
+		}
+		opts := cfg.ExtStore
+		opts.PoolPages = max(1, cmp.Or(opts.PoolPages, extstore.DefaultPoolPages)/8)
+		opts.Tier = catalog.TierHDFS
+		if e.Cold, err = openStore(cfg.DurableDir, "hdfs.pages", opts, tracer); err != nil {
+			warm.Close()
+			return nil, err
 		}
 		e.HDFS = hdfs.New(cfg.HDFSDataNodes, bs, 2)
 		e.HiveSrc = federation.NewHiveSource(e.HDFS)
@@ -170,6 +171,23 @@ func New(cfg Config) (*Ecosystem, error) {
 		soe.RegisterClusterView(eng.SysViews(), e.SOE)
 	}
 	return e, nil
+}
+
+// openStore opens a tier's page store: a file next to the WAL in a durable
+// ecosystem, an anonymous temp file otherwise.
+func openStore(dir, name string, opts extstore.Options, tracer *stats.Tracer) (*extstore.Store, error) {
+	var s *extstore.Store
+	var err error
+	if dir != "" {
+		s, err = extstore.Open(dir+"/"+name, opts)
+	} else {
+		s, err = extstore.OpenTemp(opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.SetTracer(tracer)
+	return s, nil
 }
 
 // registerBufferPoolView publishes the warm tier's buffer pool as
@@ -231,6 +249,9 @@ func (e *Ecosystem) Close() {
 	if e.Warm != nil {
 		e.Warm.Close()
 	}
+	if e.Cold != nil {
+		e.Cold.Close()
+	}
 	if e.Store != nil {
 		e.Store.Log.Close()
 	}
@@ -291,7 +312,7 @@ func (e *Ecosystem) Status() Status {
 			t.DeltaRows += p.Table.DeltaRows()
 			t.Bytes += p.Table.Bytes()
 			t.Partitions++
-			t.Tiers[p.ShownTier()]++
+			t.Tiers[p.Tier()]++
 		}
 		st.Tables = append(st.Tables, t)
 	}
@@ -316,10 +337,9 @@ func (e *Ecosystem) DemoteTable(name string) (int, error) {
 	return e.Warm.DemoteTable(entry, e.Engine.Mgr.MinActiveTS())
 }
 
-// PromoteTable re-hydrates every warm partition of a table into memory and
-// returns how many it promoted. A partition is warm by what it shows
-// (Partition.ShownTier): one the merge daemon already re-hydrated is hot,
-// whatever its tag says, and is not counted.
+// PromoteTable re-hydrates every paged partition of a table into memory
+// and returns how many it promoted. One the merge daemon already
+// re-hydrated is hot and is not counted.
 func (e *Ecosystem) PromoteTable(name string) (int, error) {
 	entry, ok := e.Engine.Cat.Table(name)
 	if !ok {
@@ -328,12 +348,17 @@ func (e *Ecosystem) PromoteTable(name string) (int, error) {
 	n := 0
 	wm := e.Engine.Mgr.MinActiveTS()
 	for _, p := range entry.Partitions {
-		if p.ShownTier() == catalog.TierExtended {
-			if err := e.Warm.Promote(p, wm); err != nil {
-				return n, err
-			}
-			n++
+		store := e.Warm
+		switch p.Tier() {
+		case catalog.TierHot:
+			continue
+		case catalog.TierHDFS:
+			store = e.Cold
 		}
+		if err := store.Promote(p, wm); err != nil {
+			return n, err
+		}
+		n++
 	}
 	return n, nil
 }
@@ -348,7 +373,7 @@ func (e *Ecosystem) MergeAll() {
 			continue
 		}
 		for _, p := range entry.Partitions {
-			if p.Tier == catalog.TierHot && p.Table.DeltaRows() > 0 {
+			if p.Tier() == catalog.TierHot && p.Table.DeltaRows() > 0 {
 				e.Engine.Mgr.MergeNow(p.Table)
 			}
 		}

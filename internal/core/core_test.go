@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/extstore"
 	"repro/internal/soe"
 	"repro/internal/txn"
 	"repro/internal/value"
@@ -180,9 +182,8 @@ func TestDynamicTieringMovesRowsAndStaysQueryable(t *testing.T) {
 	}
 	toExt, toHDFS, err := e.TierByTemperature(TierPolicy{
 		Table: "events", DateCol: "ts",
-		ExtendedAfter:   30 * 24 * time.Hour,
-		HDFSAfter:       365 * 24 * time.Hour,
-		ExtendedPenalty: 1, HDFSPenalty: 1,
+		ExtendedAfter: 30 * 24 * time.Hour,
+		HDFSAfter:     365 * 24 * time.Hour,
 	}, now)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,6 @@ func TestDynamicTieringMovesRowsAndStaysQueryable(t *testing.T) {
 	toExt, toHDFS, _ = e.TierByTemperature(TierPolicy{
 		Table: "events", DateCol: "ts",
 		ExtendedAfter: 30 * 24 * time.Hour, HDFSAfter: 365 * 24 * time.Hour,
-		ExtendedPenalty: 1, HDFSPenalty: 1,
 	}, now)
 	if toExt != 0 || toHDFS != 0 {
 		t.Fatalf("re-run moved ext=%d hdfs=%d", toExt, toHDFS)
@@ -227,69 +227,111 @@ func TestTieringWithoutHDFSUsesExtendedOnly(t *testing.T) {
 	toExt, toHDFS, err := e.TierByTemperature(TierPolicy{
 		Table: "ev", DateCol: "ts",
 		ExtendedAfter: time.Hour, HDFSAfter: time.Hour,
-		ExtendedPenalty: 1, HDFSPenalty: 1,
 	}, now)
 	if err != nil || toExt != 1 || toHDFS != 0 {
 		t.Fatalf("ext=%d hdfs=%d err=%v", toExt, toHDFS, err)
 	}
 }
 
-// MERGE DELTA OF resets the tier tag of a partition a demotion paged out.
-// A partition temperature tiering tagged extended was never paged out: its
-// tag is how the next tiering run finds it, so the statement must leave it.
+// TestMergeDeltaKeepsTemperatureTiers: a tier is where a partition's main
+// store lives. A temperature run pages its extended and HDFS partitions out
+// to their stores; MERGE DELTA OF re-hydrates them, and they read hot; the
+// next run moves no row and pages them out again; a merge the daemon runs
+// re-hydrates one once more. After every step sys.m_partitions.tier,
+// Status().Tiers and TierCounts agree, and a full count over the paged
+// tiers faults their pages in.
 func TestMergeDeltaKeepsTemperatureTiers(t *testing.T) {
-	e := newEco(t, Config{})
+	e := newEco(t, Config{HDFSDataNodes: 2})
 	e.MustQuery(`CREATE TABLE ev (id INT, ts INT, note VARCHAR)`)
 	now := time.Date(2015, 4, 13, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 6; i++ {
-		age := 24 * time.Hour
-		if i%2 == 1 {
-			age = 90 * 24 * time.Hour
-		}
+	for i := 0; i < 9; i++ {
+		age := [...]time.Duration{24 * time.Hour, 90 * 24 * time.Hour, 2 * 365 * 24 * time.Hour}[i%3]
 		e.MustQuery(fmt.Sprintf(`INSERT INTO ev VALUES (%d, %d, 'n%d')`, i, now.Add(-age).UnixMicro(), i))
 	}
-	policy := TierPolicy{Table: "ev", DateCol: "ts",
-		ExtendedAfter: 30 * 24 * time.Hour, HDFSAfter: 30 * 24 * time.Hour, ExtendedPenalty: 1}
-	if toExt, _, err := e.TierByTemperature(policy, now); err != nil || toExt != 3 {
-		t.Fatalf("first run: ext=%d err=%v", toExt, err)
-	}
-	e.MustQuery(`MERGE DELTA OF ev`)
-	if toExt, _, err := e.TierByTemperature(policy, now); err != nil || toExt != 0 {
-		t.Fatalf("second run: ext=%d err=%v", toExt, err)
-	}
-	entry, _ := e.Engine.Cat.Table("ev")
-	extended := 0
-	for _, p := range entry.Partitions {
-		if p.Name == "ev_extended" {
-			extended++
-			if p.Tier != catalog.TierExtended {
-				t.Fatalf("ev_extended is tagged %s after MERGE DELTA OF", p.Tier)
+	policy := TierPolicy{Table: "ev", DateCol: "ts", ExtendedAfter: 30 * 24 * time.Hour, HDFSAfter: 365 * 24 * time.Hour}
+	tiered := map[string]catalog.Tier{"ev": catalog.TierHot, "ev_extended": catalog.TierExtended, "ev_hdfs": catalog.TierHDFS}
+	merged := map[string]catalog.Tier{"ev": catalog.TierHot, "ev_extended": catalog.TierHot, "ev_hdfs": catalog.TierHot}
+	// agree checks the tier each surface shows for every partition, and the
+	// rows TierCounts finds under each tier: three a partition.
+	agree := func(step string, want map[string]catalog.Tier) {
+		t.Helper()
+		r := e.MustQuery(`SELECT * FROM sys.m_partitions WHERE table_name = 'ev'`)
+		shown, rows := map[catalog.Tier]int{}, map[catalog.Tier]int{}
+		for _, row := range r.Rows {
+			name, tier := row[1].S, catalog.Tier(row[2].S)
+			if tier != want[name] {
+				t.Errorf("%s: sys.m_partitions shows %s as %s, want %s", step, name, tier, want[name])
+			}
+			shown[tier]++
+			rows[tier] += 3
+		}
+		if len(r.Rows) != len(want) {
+			t.Fatalf("%s: %d partitions in sys.m_partitions, want %d", step, len(r.Rows), len(want))
+		}
+		for _, ts := range e.Status().Tables {
+			if ts.Name == "ev" && !reflect.DeepEqual(ts.Tiers, shown) {
+				t.Errorf("%s: Status().Tiers %v, sys.m_partitions %v", step, ts.Tiers, shown)
 			}
 		}
+		if counts, _ := e.TierCounts("ev"); !reflect.DeepEqual(counts, rows) {
+			t.Errorf("%s: TierCounts %v, want %v", step, counts, rows)
+		}
 	}
-	if extended != 1 || len(entry.Partitions) != 2 {
-		t.Fatalf("%d partitions, %d named ev_extended; want 2 and 1", len(entry.Partitions), extended)
+	fullCount := func(step string) (faults int64) {
+		t.Helper()
+		f0, _ := extstore.FaultCounters()
+		if r := e.MustQuery(`SELECT COUNT(*), SUM(id) FROM ev`); r.Rows[0][0].I != 9 || r.Rows[0][1].I != 36 {
+			t.Fatalf("%s: count, sum = %v", step, r.Rows[0])
+		}
+		f1, _ := extstore.FaultCounters()
+		return f1 - f0
 	}
-	if counts, _ := e.TierCounts("ev"); counts[catalog.TierHot] != 3 || counts[catalog.TierExtended] != 3 {
-		t.Fatalf("counts=%v", counts)
+
+	if toExt, toHDFS, err := e.TierByTemperature(policy, now); err != nil || toExt != 3 || toHDFS != 3 {
+		t.Fatalf("first run: ext=%d hdfs=%d err=%v", toExt, toHDFS, err)
 	}
+	agree("first run", tiered)
+	if f := fullCount("first run"); f < 2 {
+		t.Errorf("a full count over two paged tiers faulted %d pages", f)
+	}
+	e.MustQuery(`MERGE DELTA OF ev`)
+	agree("MERGE DELTA OF", merged)
+	if f := fullCount("MERGE DELTA OF"); f != 0 {
+		t.Errorf("a full count over re-hydrated partitions faulted %d pages", f)
+	}
+	// The next run finds its partitions by name, not by tier: no row moves,
+	// and both are paged out again.
+	if toExt, toHDFS, err := e.TierByTemperature(policy, now); err != nil || toExt != 0 || toHDFS != 0 {
+		t.Fatalf("second run: ext=%d hdfs=%d err=%v", toExt, toHDFS, err)
+	}
+	agree("second run", tiered)
+	if f := fullCount("second run"); f < 2 {
+		t.Errorf("a full count after the second run faulted %d pages", f)
+	}
+	entry, _ := e.Engine.Cat.Table("ev")
+	for _, p := range entry.Partitions {
+		if p.Name == "ev_extended" {
+			e.Engine.Mgr.MergeNow(p.Table) // what the daemon's sweep calls
+		}
+	}
+	agree("daemon merge", map[string]catalog.Tier{"ev": catalog.TierHot, "ev_extended": catalog.TierHot, "ev_hdfs": catalog.TierHDFS})
+
 	// An aged row is still reachable by name: the update hits it and it alone.
-	if _, err := e.Query(`UPDATE ev SET note = 'aged' WHERE id = 3`); err != nil {
+	if _, err := e.Query(`UPDATE ev SET note = 'aged' WHERE id = 4`); err != nil {
 		t.Fatal(err)
 	}
 	r := e.MustQuery(`SELECT id FROM ev WHERE note = 'aged'`)
-	if len(r.Rows) != 1 || r.Rows[0][0].I != 3 {
+	if len(r.Rows) != 1 || r.Rows[0][0].I != 4 {
 		t.Fatalf("updated rows=%v", r.Rows)
 	}
-	if n := e.MustQuery(`SELECT COUNT(*) FROM ev`).Rows[0][0].I; n != 6 {
+	if n := e.MustQuery(`SELECT COUNT(*) FROM ev`).Rows[0][0].I; n != 9 {
 		t.Fatalf("total=%d", n)
 	}
 }
 
 // TestBackgroundMergeOfADemotedTableShowsHot: a merge nobody asked for by
-// name — the daemon's — rebuilds a demoted table's main store in memory and
-// tags nothing. The tag stays as Demote left it; the tier shown is asked of
-// the table, and the zone map reads stale.
+// name — the daemon's — rebuilds a demoted table's main store in memory, so
+// the table is hot, and its zone map reads stale.
 func TestBackgroundMergeOfADemotedTableShowsHot(t *testing.T) {
 	e := newEco(t, Config{})
 	e.MustQuery(`CREATE TABLE ev (id INT, note VARCHAR)`)
@@ -319,8 +361,8 @@ func TestBackgroundMergeOfADemotedTableShowsHot(t *testing.T) {
 	if tier, cols, fresh := shown(); tier != "hot" || cols != 2 || fresh {
 		t.Fatalf("after the background merge: tier %s, %d zone columns, fresh %v", tier, cols, fresh)
 	}
-	if p.Tier != catalog.TierExtended || p.Zone == nil {
-		t.Fatalf("the merge re-tagged the partition: %s, zone %v", p.Tier, p.Zone)
+	if p.Zone == nil {
+		t.Fatal("the merge dropped the zone map")
 	}
 	if n := e.MustQuery(`SELECT COUNT(*) FROM ev`).Rows[0][0].I; n != 9 {
 		t.Fatalf("count=%d", n)
@@ -335,9 +377,9 @@ func TestBackgroundMergeOfADemotedTableShowsHot(t *testing.T) {
 }
 
 // TestPromoteAfterBackgroundMergeCountsNothing: a demoted table whose delta
-// passed the merge daemon's threshold was re-hydrated by the daemon, which
-// tags nothing. What it is made of says hot, so PromoteTable promotes
-// nothing and Status counts the partition hot, tag or no tag.
+// passed the merge daemon's threshold was re-hydrated by the daemon. What it
+// is made of says hot, so PromoteTable promotes nothing and Status counts
+// the partition hot.
 func TestPromoteAfterBackgroundMergeCountsNothing(t *testing.T) {
 	e := newEco(t, Config{})
 	e.MustQuery(`CREATE TABLE ev (id INT, note VARCHAR)`)
@@ -373,9 +415,6 @@ func TestPromoteAfterBackgroundMergeCountsNothing(t *testing.T) {
 		}
 	}
 	daemon.Stop()
-	if p.Tier != catalog.TierExtended {
-		t.Fatalf("the daemon re-tagged the partition %s", p.Tier)
-	}
 	if got := tiers(); got[catalog.TierHot] != 1 || got[catalog.TierExtended] != 0 {
 		t.Errorf("after the background merge: tiers %v, want the partition hot", got)
 	}

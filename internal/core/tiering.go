@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/columnstore"
+	"repro/internal/extstore"
 	"repro/internal/federation"
 	"repro/internal/txn"
 	"repro/internal/value"
@@ -13,9 +14,12 @@ import (
 
 // Dynamic tiering (Figure 1): data moves along the temperature spectrum —
 // hot in-memory partitions, extended storage, and the HDFS tier — while
-// staying transparently queryable through the logical table. Rows landing
-// on the HDFS tier are additionally written as CSV files so the plain
-// Hadoop stack (file reader, MapReduce, Hive) can consume them (§IV-C).
+// staying transparently queryable through the logical table. A tier is a
+// page store (Ecosystem.Warm, Ecosystem.Cold): a policy run moves rows into
+// the tier's partition and pages that partition out to the tier's store.
+// Rows landing on the HDFS tier are additionally written as CSV files so
+// the plain Hadoop stack (file reader, MapReduce, Hive) can consume them
+// (§IV-C).
 
 // TierPolicy drives TierByTemperature.
 type TierPolicy struct {
@@ -25,13 +29,12 @@ type TierPolicy struct {
 	// HDFSAfter move to the HDFS tier. HDFSAfter must be >= ExtendedAfter.
 	ExtendedAfter time.Duration
 	HDFSAfter     time.Duration
-	// Scan penalties charged per cold partition scan (microseconds).
-	ExtendedPenalty int
-	HDFSPenalty     int
 }
 
 // TierByTemperature applies a policy at time now, returning rows moved per
-// tier.
+// tier. Source rows are chosen by partition, not by tier: a tier partition
+// a merge re-hydrated since the last run reads hot, yet its rows stay put,
+// and the run pages it out again.
 func (e *Ecosystem) TierByTemperature(p TierPolicy, now time.Time) (toExtended, toHDFS int, err error) {
 	entry, ok := e.Engine.Cat.Table(p.Table)
 	if !ok {
@@ -44,14 +47,7 @@ func (e *Ecosystem) TierByTemperature(p TierPolicy, now time.Time) (toExtended, 
 	if p.HDFSAfter < p.ExtendedAfter {
 		return 0, 0, fmt.Errorf("core: HDFSAfter must be >= ExtendedAfter")
 	}
-	if p.ExtendedPenalty <= 0 {
-		p.ExtendedPenalty = 100
-	}
-	if p.HDFSPenalty <= 0 {
-		p.HDFSPenalty = 1000
-	}
-
-	ext, err := e.tierPartition(entry, catalog.TierExtended, p.ExtendedPenalty)
+	ext, err := e.tierPartition(entry, catalog.TierExtended)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -60,7 +56,7 @@ func (e *Ecosystem) TierByTemperature(p TierPolicy, now time.Time) (toExtended, 
 
 	var hdfsPart *catalog.Partition
 	if e.HDFS != nil {
-		hdfsPart, err = e.tierPartition(entry, catalog.TierHDFS, p.HDFSPenalty)
+		hdfsPart, err = e.tierPartition(entry, catalog.TierHDFS)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -91,11 +87,9 @@ func (e *Ecosystem) TierByTemperature(p TierPolicy, now time.Time) (toExtended, 
 				d := snap.Get(di, pos).AsInt()
 				var target *catalog.Partition
 				switch {
-				case hdfsPart != nil && d <= hdfsCut && part.Tier != catalog.TierHDFS:
+				case hdfsPart != nil && d <= hdfsCut:
 					target = hdfsPart
-				case d <= extCut && d > hdfsCut && part.Tier == catalog.TierHot:
-					target = ext
-				case hdfsPart == nil && d <= extCut && part.Tier == catalog.TierHot:
+				case d <= extCut && part != ext && part != hdfsPart:
 					target = ext
 				}
 				if target == nil || target == part {
@@ -120,6 +114,15 @@ func (e *Ecosystem) TierByTemperature(p TierPolicy, now time.Time) (toExtended, 
 	})
 	if err != nil {
 		return 0, 0, err
+	}
+	wm := e.Engine.Mgr.MinActiveTS()
+	if err := demote(e.Warm, ext, wm); err != nil {
+		return toExtended, toHDFS, err
+	}
+	if hdfsPart != nil {
+		if err := demote(e.Cold, hdfsPart, wm); err != nil {
+			return toExtended, toHDFS, err
+		}
 	}
 
 	// Mirror HDFS-tier rows as CSV for the Hadoop-side consumers.
@@ -148,20 +151,26 @@ func widenBound(p *catalog.Partition, dateCol string, cutoff int64) {
 	p.Hi = hi
 }
 
-// tierPartition finds or creates the table's partition on a tier.
-func (e *Ecosystem) tierPartition(entry *catalog.TableEntry, tier catalog.Tier, penalty int) (*catalog.Partition, error) {
+// demote pages a tier partition out to its store, once it holds rows.
+func demote(store *extstore.Store, p *catalog.Partition, minActiveTS uint64) error {
+	if p.Table.NumRows() == 0 {
+		return nil
+	}
+	if err := store.Demote(p, minActiveTS); err != nil {
+		return fmt.Errorf("core: demote %s: %w", p.Name, err)
+	}
+	return nil
+}
+
+// tierPartition finds or creates the table's partition for a tier.
+func (e *Ecosystem) tierPartition(entry *catalog.TableEntry, tier catalog.Tier) (*catalog.Partition, error) {
+	name := fmt.Sprintf("%s_%s", entry.Name, tier)
 	for _, p := range entry.Partitions {
-		if p.Tier == tier {
+		if p.Name == name {
 			return p, nil
 		}
 	}
-	name := fmt.Sprintf("%s_%s", entry.Name, tier)
-	p := &catalog.Partition{
-		Name:            name,
-		Table:           columnstore.NewTable(name, entry.Schema),
-		Tier:            tier,
-		ColdReadPenalty: penalty,
-	}
+	p := &catalog.Partition{Name: name, Table: columnstore.NewTable(name, entry.Schema)}
 	if err := e.Engine.Cat.AttachPartition(entry.Name, p); err != nil {
 		return nil, err
 	}
@@ -178,7 +187,7 @@ func (e *Ecosystem) TierCounts(table string) (map[catalog.Tier]int, error) {
 	ts := e.Engine.Mgr.Now()
 	out := map[catalog.Tier]int{}
 	for _, p := range entry.Partitions {
-		out[p.Tier] += p.Table.Snapshot(ts).LiveRows()
+		out[p.Tier()] += p.Table.Snapshot(ts).LiveRows()
 	}
 	return out, nil
 }

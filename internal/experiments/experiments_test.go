@@ -106,6 +106,48 @@ func TestE6ShapeSemanticPrunesBest(t *testing.T) {
 	if !(split < join) {
 		t.Fatalf("join split did not help: %d vs %d", split, join)
 	}
+	// Merged, the aged partitions are in memory: nothing faults.
+	for row := 0; row < 5; row++ {
+		if f := atoi(t, cell(tab, row, 4)); f != 0 {
+			t.Fatalf("row %d faulted %d pages over re-hydrated partitions: %v", row, f, tab.Rows[row])
+		}
+	}
+	// Paged out again, the fresh zone map refutes what the rule refutes;
+	// the plain join faults the aged invoices in, the split faults nothing.
+	if zone := atoi(t, cell(tab, 5, 2)); zone != semantic || atoi(t, cell(tab, 5, 4)) != 0 {
+		t.Fatalf("paged open orders: %v, want %d partitions and no fault", tab.Rows[5], semantic)
+	}
+	if atoi(t, cell(tab, 6, 4)) == 0 || atoi(t, cell(tab, 6, 5)) == 0 {
+		t.Fatalf("the paged join read nothing from the extended store: %v", tab.Rows[6])
+	}
+	if atoi(t, cell(tab, 7, 2)) != split || atoi(t, cell(tab, 7, 4)) != 0 {
+		t.Fatalf("the paged join split: %v, want %d partitions and no fault", tab.Rows[7], split)
+	}
+}
+
+// TestF1ShapeTiersArePageStores: a tiering run leaves a third of the rows on
+// each tier, the extended and HDFS ones paged out: a full scan faults them
+// in, a bare COUNT(*) answers from their zone maps, and the all-hot run
+// faults nothing.
+func TestF1ShapeTiersArePageStores(t *testing.T) {
+	tab := F1Tiering(tiny)
+	if len(tab.Rows) != 2 {
+		t.Fatalf("unexpected table shape: %v", tab.Rows)
+	}
+	if cell(tab, 0, 1) != fmt.Sprint(tiny.Rows) || atoi(t, cell(tab, 0, 4)) != 0 || atoi(t, cell(tab, 0, 5)) != 0 {
+		t.Fatalf("all hot: %v", tab.Rows[0])
+	}
+	hot, ext, hdfs := atoi(t, cell(tab, 1, 1)), atoi(t, cell(tab, 1, 2)), atoi(t, cell(tab, 1, 3))
+	if hot+ext+hdfs != tiny.Rows || ext == 0 || hdfs == 0 || hot == 0 {
+		t.Fatalf("after tiering: hot %d, extended %d, hdfs %d of %d", hot, ext, hdfs, tiny.Rows)
+	}
+	if atoi(t, cell(tab, 1, 4)) < 2 || atoi(t, cell(tab, 1, 5)) == 0 {
+		t.Fatalf("a full scan over two paged tiers: %v", tab.Rows[1])
+	}
+	notes := strings.Join(tab.Notes, "\n")
+	if !strings.Contains(notes, fmt.Sprintf("a bare COUNT(*): %d rows, 0 page faults", tiny.Rows)) {
+		t.Fatalf("bare count: %q", notes)
+	}
 }
 
 func TestE9ShapeCrossover(t *testing.T) {
@@ -162,6 +204,13 @@ func TestE18ShapeVectorizedRuns(t *testing.T) {
 		}
 		if atoi(t, cell(tab, row, 4)) == 0 {
 			t.Fatalf("row %d: no kernels bound: %v", row, tab.Rows[row])
+		}
+	}
+	// The pool holds a quarter of the demoted table: every executor, at
+	// every worker count, faults pages back in and reads their bytes.
+	for row := 0; row < len(tab.Rows); row++ {
+		if atoi(t, cell(tab, row, 5)) == 0 || atoi(t, cell(tab, row, 6)) == 0 {
+			t.Fatalf("row %d: nothing faulted from the extended store: %v", row, tab.Rows[row])
 		}
 	}
 	// Timings are noisy at tiny scale, so assert only the structural shape:
@@ -245,7 +294,7 @@ func TestE21ShapeTieredScanParity(t *testing.T) {
 		if cell(tab, row, 2) != hotRows {
 			t.Fatalf("warm phase %q scanned %s rows vs hot %s", cell(tab, row, 0), cell(tab, row, 2), hotRows)
 		}
-		if atoi(t, cell(tab, row, 3)) == 0 {
+		if atoi(t, cell(tab, row, 3)) == 0 || atoi(t, cell(tab, row, 7)) == 0 {
 			t.Fatalf("warm phase %q faulted no pages: %v", cell(tab, row, 0), tab.Rows[row])
 		}
 	}

@@ -12,6 +12,14 @@ import (
 	"repro/internal/value"
 )
 
+// extReads returns the process-wide count of extstore page faults and the
+// bytes they read from the stores' files; an experiment diffs it around
+// the statements it measures, running nothing beside them.
+func extReads() (faults, bytes int64) {
+	return stats.Default.Counter("extstore_page_faults_total").Value(),
+		stats.Default.Counter("extstore_faulted_bytes_total").Value()
+}
+
 // E21ExtendedStoreTiering — §III: warm data lives in the page-based
 // extended store and is scanned through a shared buffer pool whose budget
 // is a small fraction of the dataset. The claim under test: with ≥5× more
@@ -23,7 +31,7 @@ func E21ExtendedStoreTiering(s Scale) *Table {
 		ID:     "E21",
 		Title:  "extended storage: scans through an undersized buffer pool",
 		Claim:  "a warm tier holding 5x+ the pool budget answers the all-hot result with bounded slowdown; pool counters are scrapeable (§III)",
-		Header: []string{"phase", "time", "rows", "page faults", "pool hits", "pool misses", "evictions"},
+		Header: []string{"phase", "time", "rows", "page faults", "pool hits", "pool misses", "evictions", "bytes read/scan"},
 	}
 
 	const nPart = 4
@@ -74,7 +82,7 @@ func E21ExtendedStoreTiering(s Scale) *Table {
 	}
 
 	hotDur, hotRes := measure()
-	t.AddRow("all-hot", ms(hotDur), fmt.Sprint(hotRes.Stats.RowsScanned), "0", "-", "-", "-")
+	t.AddRow("all-hot", ms(hotDur), fmt.Sprint(hotRes.Stats.RowsScanned), "0", "-", "-", "-", "0")
 
 	// Demote every partition, then shrink the pool so the on-disk dataset
 	// is at least 5x the page budget — the scans below must page.
@@ -94,11 +102,13 @@ func E21ExtendedStoreTiering(s Scale) *Table {
 
 	phase := func(name string) {
 		h0, m0, e0, _ := counters()
+		_, bytes0 := extReads()
 		dur, res := measure()
 		h1, m1, e1, _ := counters()
+		_, bytes1 := extReads()
 		t.AddRow(name, ms(dur), fmt.Sprint(res.Stats.RowsScanned),
 			fmt.Sprint(res.Stats.PageFaults),
-			fmt.Sprint(h1-h0), fmt.Sprint(m1-m0), fmt.Sprint(e1-e0))
+			fmt.Sprint(h1-h0), fmt.Sprint(m1-m0), fmt.Sprint(e1-e0), fmt.Sprint((bytes1-bytes0)/reps))
 	}
 	phase("warm, cold pool")
 	phase("warm, steady")

@@ -1,16 +1,13 @@
-// Demote/Promote: the tier transitions driven by the aging policy. Demote
-// merges a partition's delta, serializes every column into extended-store
-// chunks, records the zone-map synopsis on the catalog partition and swaps
-// paged columns into the table. Promote is a merge: the delta→main merge
-// always rebuilds hot encodings, so merging a warm table re-hydrates it.
-// Whether a table is paged out is asked of the table (paged); the catalog
-// tier tag is set here and reset by whoever asks for a merge by name
-// (Promote, MERGE DELTA OF). A merge nobody tagged — the background
-// daemon's — leaves a tag that says extended over a hot table until the
-// next Demote, Promote or MERGE DELTA OF: the tag is advisory (DESIGN.md
-// §9) — what a view shows is catalog.Partition.ShownTier, which asks the
-// table — and the zone map beside it is refused as stale by everything that
-// reads one (Zone.Merges).
+// Demote/Promote: the tier transitions. Demote merges a partition's delta,
+// serializes every column into this store's chunks, records the zone-map
+// synopsis on the catalog partition and swaps paged columns into the table.
+// Promote is a merge: the delta→main merge always rebuilds hot encodings,
+// so merging a paged table re-hydrates it. Neither writes a tier: a
+// partition's tier is where its main store lives (catalog.Partition.Tier
+// asks the main column which store paged it), so whoever merges it — a
+// Promote, MERGE DELTA OF or the background daemon — makes it hot, and the
+// zone map beside it is refused as stale by everything that reads one
+// (Zone.Merges). The policy that demoted it re-demotes it on its next run.
 package extstore
 
 import (
@@ -22,12 +19,12 @@ import (
 	"repro/internal/value"
 )
 
-// Demote serializes partition p to the warm tier: delta merged, columns
-// re-encoded into pages, zone map recorded, catalog tier flipped to
-// extended. Safe to call on an already-warm partition (re-demotes any
-// rows that arrived since; a no-op when nothing changed). Demotion is a
-// policy action, not a query-path one: callers (the aging manager, tests)
-// run it while no concurrent merge of the same table is in flight.
+// Demote serializes partition p to this store's tier: delta merged,
+// columns re-encoded into pages, zone map recorded. Safe to call on an
+// already-paged partition (re-demotes any rows that arrived since; a no-op
+// when nothing changed). Demotion is a policy action, not a query-path one:
+// callers (the tiering and aging policies, tests) run it while no
+// concurrent merge of the same table is in flight.
 func (s *Store) Demote(p *catalog.Partition, minActiveTS uint64) error {
 	t := p.Table
 	if s.paged(t) && t.DeltaRows() == 0 {
@@ -55,26 +52,21 @@ func (s *Store) Demote(p *catalog.Partition, minActiveTS uint64) error {
 	if err := t.ReplaceMain(cols); err != nil {
 		return err
 	}
-	p.Tier = catalog.TierExtended
 	p.Zone = zone
 	cDemotions.Inc()
 	return nil
 }
 
-// Promote re-hydrates partition p to the hot tier. The delta→main merge
-// rebuilds in-memory encodings from the paged columns (faulting every
-// chunk once); a table something else has merged since its demotion only
-// has its tag put right.
+// Promote re-hydrates partition p if this store paged it out: the
+// delta→main merge rebuilds in-memory encodings from the paged columns
+// (faulting every chunk once). A partition something else has merged since
+// its demotion is hot already; Promote only drops its stale zone map.
 func (s *Store) Promote(p *catalog.Partition, minActiveTS uint64) error {
-	if p.Tier != catalog.TierExtended {
-		return nil
-	}
 	if s.paged(p.Table) {
 		p.Table.Merge(minActiveTS)
+		cPromotions.Inc()
 	}
-	p.Tier = catalog.TierHot
 	p.Zone = nil
-	cPromotions.Inc()
 	return nil
 }
 

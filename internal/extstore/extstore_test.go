@@ -52,7 +52,7 @@ func demoted(t testing.TB, tab *columnstore.Table, opts Options) (*Store, *catal
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	p := &catalog.Partition{Name: tab.Name(), Table: tab, Tier: catalog.TierHot}
+	p := &catalog.Partition{Name: tab.Name(), Table: tab}
 	if err := s.Demote(p, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,8 @@ func demoted(t testing.TB, tab *columnstore.Table, opts Options) (*Store, *catal
 func TestCodecRoundTrip(t *testing.T) {
 	tab, want := buildTable(t, 500, 7)
 	_, p := demoted(t, tab, Options{PageSize: 256, ChunkRows: 48, PoolPages: 4})
-	if p.Tier != catalog.TierExtended {
-		t.Fatalf("tier=%s", p.Tier)
+	if p.Tier() != catalog.TierExtended {
+		t.Fatalf("tier=%s", p.Tier())
 	}
 	snap := tab.Snapshot(math.MaxUint64)
 	for i, row := range want {
@@ -221,8 +221,8 @@ func TestDemoteIdempotentAndRedemote(t *testing.T) {
 	if s.Pages() <= pages {
 		t.Fatal("re-demote after delta wrote nothing")
 	}
-	if p.Tier != catalog.TierExtended {
-		t.Fatalf("tier=%s", p.Tier)
+	if p.Tier() != catalog.TierExtended {
+		t.Fatalf("tier=%s", p.Tier())
 	}
 	snap := tab.Snapshot(math.MaxUint64)
 	if got := snap.Get(0, 100); got.I != 999 {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/catalog"
 	"repro/internal/columnstore"
 	"repro/internal/value"
 )
@@ -35,6 +36,10 @@ func (c *PagedColumn) Kind() value.Kind { return c.kind }
 
 // in reports whether the column's chunks live in store s.
 func (c *PagedColumn) in(s *Store) bool { return c.store == s }
+
+// Tier is the tier of the store the column's chunks live in: what
+// catalog.Partition.Tier asks a partition's main store.
+func (c *PagedColumn) Tier() catalog.Tier { return c.store.tier }
 
 // Len returns the row count.
 func (c *PagedColumn) Len() int { return c.n }

@@ -1,11 +1,12 @@
-// Package extstore is the warm tier of the data-temperature spectrum
-// (Figure 1, §III): a page-based on-disk extended store in the spirit of
-// SAP IQ-style dynamic tiering. Demoted partitions keep their existing
-// dict/RLE/bit-packed encodings, serialized chunk by chunk into fixed-size
-// pages of one store file; every read faults the containing chunk through
-// a shared buffer pool with clock eviction and a configurable page budget,
-// so the dataset can exceed memory by an order of magnitude while queries
-// stay correct.
+// Package extstore is the page store behind the warm and cold rungs of the
+// data-temperature spectrum (Figure 1, §III): a page-based on-disk extended
+// store in the spirit of SAP IQ-style dynamic tiering. Demoted partitions
+// keep their existing dict/RLE/bit-packed encodings, serialized chunk by
+// chunk into fixed-size pages of one store file; every read faults the
+// containing chunk through a shared buffer pool with clock eviction and a
+// configurable page budget, so the dataset can exceed memory by an order
+// of magnitude while queries stay correct. A store serves one tier
+// (Options.Tier): the HDFS tier is a second store with a smaller pool.
 package extstore
 
 import (
@@ -13,6 +14,7 @@ import (
 	"os"
 	"sync"
 
+	"repro/internal/catalog"
 	"repro/internal/stats"
 )
 
@@ -32,6 +34,9 @@ type Options struct {
 	PageSize  int // bytes per page; 0 = DefaultPageSize
 	PoolPages int // buffer-pool budget in pages; 0 = DefaultPoolPages
 	ChunkRows int // rows per column chunk; 0 = DefaultChunkRows
+	// Tier is the tier a partition this store paged out reads
+	// (catalog.Partition.Tier); "" = catalog.TierExtended.
+	Tier catalog.Tier
 }
 
 func (o Options) withDefaults() Options {
@@ -43,6 +48,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ChunkRows <= 0 {
 		o.ChunkRows = DefaultChunkRows
+	}
+	if o.Tier == "" {
+		o.Tier = catalog.TierExtended
 	}
 	return o
 }
@@ -57,6 +65,7 @@ type Store struct {
 	path      string
 	pageSize  int
 	chunkRows int
+	tier      catalog.Tier
 	pages     int64 // allocated pages
 	pool      *pool
 	tracer    *stats.Tracer
@@ -95,6 +104,7 @@ func newStore(f *os.File, path string, opts Options) *Store {
 		path:          path,
 		pageSize:      opts.PageSize,
 		chunkRows:     opts.ChunkRows,
+		tier:          opts.Tier,
 		faultsByTable: make(map[string]int64),
 	}
 	s.pool = newPool(opts.PoolPages)

@@ -35,10 +35,6 @@ type DistTable struct {
 	// the coordinator consults it for failover routing.
 	replicas map[int][]string
 
-	// tiers[p] records the storage tier of partition p; absent means hot.
-	// Guarded by the owning catalog's mutex.
-	tiers map[int]catalog.Tier
-
 	rowEstimate atomic.Int64 // maintained by the coordinator on insert
 }
 

@@ -184,7 +184,7 @@ func (n *DataNode) attachPartition(t *DistTable, p int, seed []value.Row) error 
 		}
 		n.eng.Cat.DetachPartition(t.Name, t.Name)
 	}
-	part := &catalog.Partition{Name: pname, Table: store, Tier: catalog.TierHot}
+	part := &catalog.Partition{Name: pname, Table: store}
 	if err := n.eng.Cat.AttachPartition(t.Name, part); err != nil {
 		return err
 	}

@@ -118,7 +118,6 @@ func TestPruningIsSound(t *testing.T) {
 	aged := sqlexec.NewEngine()
 	load(aged, `CREATE TABLE t `+pruneDDL)
 	mgr := aging.Attach(aged)
-	mgr.ColdReadPenaltyMicros = 0
 	if err := mgr.DefineRule(aging.Rule{Table: "t", StatusCol: "s", ClosedStatus: "b", DateCol: "i"}); err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func refTable(t *testing.T, e *sqlexec.Engine, name string, schema columnstore.S
 		store := columnstore.NewTable(pname, schema)
 		store.ApplyInsert(rows, 1)
 		store.Merge(1)
-		if err := e.Cat.AttachPartition(name, &catalog.Partition{Name: pname, Table: store, Tier: catalog.TierHot}); err != nil {
+		if err := e.Cat.AttachPartition(name, &catalog.Partition{Name: pname, Table: store}); err != nil {
 			t.Fatal(err)
 		}
 		e.Mgr.Register(store)

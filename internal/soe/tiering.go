@@ -7,47 +7,13 @@ import (
 	"repro/internal/extstore"
 )
 
-// Partition tiering across the scale-out landscape: the cluster catalog
-// records which tier every partition lives in (data discovery carries
-// temperature, §III + §IV-B), and each data node owns an extended store
-// so its copies — primary or replica — can page out. The coordinator's
-// fan-out and failover paths need no changes: node-local scans read warm
-// partitions through the buffer pool transparently, so failed-over reads
-// land on warm replicas and still return identical rows.
-
-// SetPartitionTier records the storage tier of one partition in the
-// data-discovery map.
-func (c *ClusterCatalog) SetPartitionTier(table string, part int, tier catalog.Tier) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.tables[table]
-	if !ok {
-		return fmt.Errorf("soe: unknown table %q", table)
-	}
-	if part < 0 || part >= t.Partitions {
-		return fmt.Errorf("soe: partition %d out of range", part)
-	}
-	if t.tiers == nil {
-		t.tiers = map[int]catalog.Tier{}
-	}
-	t.tiers[part] = tier
-	return nil
-}
-
-// PartitionTier returns the recorded tier of one partition (hot when
-// never set).
-func (c *ClusterCatalog) PartitionTier(table string, part int) catalog.Tier {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[table]
-	if !ok || t.tiers == nil {
-		return catalog.TierHot
-	}
-	if tier, ok := t.tiers[part]; ok {
-		return tier
-	}
-	return catalog.TierHot
-}
+// Partition tiering across the scale-out landscape: each data node owns an
+// extended store so its copies — primary or replica — can page out, and a
+// copy's tier is what its storage is made of (catalog.Partition.Tier), on
+// the node that holds it. The coordinator's fan-out and failover paths need
+// no changes: node-local scans read warm partitions through the buffer pool
+// transparently, so failed-over reads land on warm replicas and still
+// return identical rows.
 
 // Warm returns the node's extended store, created on first use over an
 // anonymous temp file.
@@ -116,8 +82,7 @@ func (n *DataNode) closeWarm() {
 }
 
 // DemoteTable pages every copy of every partition of a table — primaries
-// and registered replicas — to the warm tier and records the tier in the
-// cluster catalog so placement decisions see the temperature.
+// and registered replicas — to the warm tier.
 func (c *Cluster) DemoteTable(table string) error {
 	t, ok := c.Catalog.Table(table)
 	if !ok {
@@ -137,9 +102,6 @@ func (c *Cluster) DemoteTable(table string) error {
 			if err := node.DemotePartition(table, p); err != nil {
 				return err
 			}
-		}
-		if err := c.Catalog.SetPartitionTier(table, p, catalog.TierExtended); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -8,7 +8,7 @@ import (
 
 // TestTieringWarmQueryParity demotes every copy of a distributed table to
 // the warm tier and asserts fan-out queries still return the all-hot
-// answer, with the tier recorded in the cluster catalog.
+// answer, every hosted copy reading the tier of its node's store.
 func TestTieringWarmQueryParity(t *testing.T) {
 	c := newTestCluster(t, 3, OLTP)
 	loadOrders(t, c, 90)
@@ -24,8 +24,17 @@ func TestTieringWarmQueryParity(t *testing.T) {
 	}
 	dt, _ := c.Catalog.Table("orders")
 	for p := 0; p < dt.Partitions; p++ {
-		if tier := c.Catalog.PartitionTier("orders", p); tier != catalog.TierExtended {
-			t.Fatalf("partition %d tier=%s after demote", p, tier)
+		for _, n := range c.Nodes {
+			if n.Name != dt.NodeOf[p] {
+				continue
+			}
+			part, err := n.localPartition("orders", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tier := part.Tier(); tier != catalog.TierExtended {
+				t.Fatalf("partition %d tier=%s on %s after demote", p, tier, n.Name)
+			}
 		}
 	}
 

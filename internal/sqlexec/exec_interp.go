@@ -18,7 +18,6 @@ type ExecStats struct {
 	RowsOut           int
 	PartitionsScanned int
 	PartitionsPruned  int
-	ColdPenaltyMicros int
 
 	// Vectorized-executor accounting (zero on the row-at-a-time paths):
 	// morsels dispatched, scan conjuncts bound to encoded-column kernels
@@ -340,12 +339,7 @@ func (it *scanIter) Next() (value.Row, bool, error) {
 			if it.pi >= len(it.parts) {
 				return nil, false, nil
 			}
-			part := it.parts[it.pi]
-			if part.ColdReadPenalty > 0 {
-				time.Sleep(time.Duration(part.ColdReadPenalty) * time.Microsecond)
-				it.ctx.stats.ColdPenaltyMicros += part.ColdReadPenalty
-			}
-			s := part.Table.Snapshot(it.ctx.ts)
+			s := it.parts[it.pi].Table.Snapshot(it.ctx.ts)
 			it.snap = snapState{snap: s, n: s.NumRows()}
 			it.pos = 0
 			it.faults0, it.faultNS0 = extstore.FaultCounters()

@@ -198,11 +198,11 @@ type scanPrep struct {
 	ncols  int
 	filter evalFn // nil without a filter
 
-	// zoneAgg, when set by a fused aggregate, is offered each warm
+	// zoneAgg, when set by a fused aggregate, is offered each demoted
 	// partition whose zone map exactly describes the snapshot (same
 	// physical rows, no merge since demotion, every row visible, no
-	// filter, no cold stall). Returning true answers the partition from
-	// the synopsis and skips its morsels entirely.
+	// filter). Returning true answers the partition from the synopsis and
+	// skips its morsels entirely.
 	zoneAgg func(snap *columnstore.Snapshot, z *columnstore.ZoneMap) bool
 }
 
@@ -243,7 +243,6 @@ type scanTask struct {
 	kernels []kernelFn
 	resid   evalFn
 	readers []colReader // the partition's, one per scan column: a window of the run's slab
-	cold    int         // µs cold-read stall, charged by the partition's first morsel
 	main    bool        // rows [lo, hi) lie in encoded main storage (capabilities apply)
 }
 
@@ -420,11 +419,10 @@ func (r *scanRun) release() {
 
 // newRun snapshots the partitions, binds kernels against each partition's
 // physical encodings, and slices the row space into morsels. Partition
-// accounting (scanned/pruned, empty-partition cold stalls) matches the
-// interpreter exactly. What a run allocates does not grow with its width or
-// its morsels: per run a task, a reader and a kernel slab, per partition a
-// snapshot (three allocations), each kernel it binds and, where one is
-// left, its compiled main residual.
+// accounting (scanned/pruned) matches the interpreter exactly. What a run
+// allocates does not grow with its width or its morsels: per run a task, a
+// reader and a kernel slab, per partition a snapshot (three allocations),
+// each kernel it binds and, where one is left, its compiled main residual.
 func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 	s := p.plan
 	r := &scanRun{ctx: ctx, op: ctx.prof.node(s)}
@@ -439,7 +437,6 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 		r.op.partsPruned.Add(int64(pruned))
 	}
 	for _, part := range parts {
-		cold := part.ColdReadPenalty
 		snap := part.Table.Snapshot(ctx.ts)
 		ctx.mu.Lock()
 		ctx.stats.PartitionsScanned++
@@ -449,18 +446,9 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 		}
 		rows := snap.NumRows()
 		if rows == 0 {
-			// The interpreter stalls on the cold read before discovering
-			// the partition is empty; keep the accounting identical.
-			if cold > 0 {
-				time.Sleep(time.Duration(cold) * time.Microsecond)
-				ctx.mu.Lock()
-				ctx.stats.ColdPenaltyMicros += cold
-				ctx.mu.Unlock()
-			}
 			continue
 		}
-		if p.zoneAgg != nil && cold == 0 && s.Filter == nil &&
-			part.Tier == catalog.TierExtended && part.Zone != nil &&
+		if p.zoneAgg != nil && s.Filter == nil && part.Zone != nil &&
 			part.Zone.Rows == rows && part.Zone.Merges == part.Table.MergeCount() &&
 			snap.NumRows() == snap.MainRows() && snap.AllVisible() {
 			// Zone-map fast path: the synopsis covers exactly this
@@ -536,7 +524,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 		// Morsels never straddle the main/delta boundary: main morsels run
 		// kernels over the encoded columns, delta morsels the full filter.
 		for lo := 0; lo < rows; {
-			t := scanTask{seq: len(r.tasks), part: part, snap: snap, lo: lo, readers: readers, cold: cold}
+			t := scanTask{seq: len(r.tasks), part: part, snap: snap, lo: lo, readers: readers}
 			if lo < mainRows {
 				t.hi, t.kernels, t.resid, t.main = min(lo+morselRows, mainRows), kernels, mainResid, true
 			} else {
@@ -546,7 +534,7 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 				r.residCols = p.filterCols()
 			}
 			r.tasks = append(r.tasks, t)
-			lo, cold = t.hi, 0
+			lo = t.hi
 		}
 	}
 	r.scratch = ctx.scratch.takeRun(ctx.runnersFor(len(r.tasks)))
@@ -578,12 +566,6 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel selection)) {
 		defer func() { r.op.busyNS.Add(time.Since(t0).Nanoseconds()) }()
 	}
 	ctx := r.ctx
-	if t.cold > 0 {
-		time.Sleep(time.Duration(t.cold) * time.Microsecond)
-		ctx.mu.Lock()
-		ctx.stats.ColdPenaltyMicros += t.cold
-		ctx.mu.Unlock()
-	}
 	faults0, faultNS0 := extstore.FaultCounters()
 	scr := r.scratch[w]
 	sel := denseSel(t.lo, t.hi)

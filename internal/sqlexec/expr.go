@@ -228,10 +228,18 @@ func compileExpr(e Expr, resolve colResolver, reg *Registry) (evalFn, error) {
 			if v.IsNull() {
 				return value.Null
 			}
+			// No item equal to v and one of them NULL: unknown, not false.
+			unknown := false
 			for _, f := range list {
-				if value.Equal(v, f(env)) {
+				item := f(env)
+				if item.IsNull() {
+					unknown = true
+				} else if value.Equal(v, item) {
 					return value.Bool(!not)
 				}
+			}
+			if unknown {
+				return value.Null
 			}
 			return value.Bool(not)
 		}, nil

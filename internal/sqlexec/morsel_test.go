@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/value"
 )
@@ -93,6 +94,9 @@ func TestMorselSchedulerConcurrent(t *testing.T) {
 		{sql: `SELECT acct, SUM(amount), COUNT(*) FROM t GROUP BY acct`},
 		{sql: `SELECT bucket, SUM(amount) FROM t WHERE id % 3 <> 1 GROUP BY bucket`},
 		{sql: `SELECT t.id, a.tier FROM t JOIN accts a ON t.acct = a.acct WHERE t.bucket < 3`},
+	}
+	for _, q := range queries {
+		q.sql = stalled(t, e, q.sql)
 	}
 	// Each session's DELETE finds rows no other session's does.
 	for g := 0; g < 8; g++ {
@@ -182,7 +186,7 @@ func TestMorselSchedulerConcurrent(t *testing.T) {
 			s := e.NewSession()
 			defer s.Close()
 			sink := &stallSink{started: started, release: release}
-			if _, err := queryTo(s, sink, `SELECT id FROM t`); err != nil || sink.rows != len(queries[3].want) { // queries[3] is the same SELECT
+			if _, err := queryTo(s, sink, queries[3].sql); err != nil || sink.rows != len(queries[3].want) {
 				stalledErrs <- fmt.Errorf("stalled statement: %d rows, err %v", sink.rows, err)
 			}
 		}()
@@ -230,20 +234,36 @@ func (s *stallSink) Batch(b *RowBatch) error {
 // more than before it, once the morsel workers exist. What a runner
 // allocates — its partial aggregate — it allocates once, when it claims its
 // first morsel, so the statements run at two runners over a table whose
-// first morsel stalls on a cold read: whichever runner claims it, the other
-// claims morsels meanwhile, and both run at either size.
+// first morsel stalls in a scalar function, called on its first row only:
+// whichever runner claims it, the other claims morsels meanwhile, and both
+// run at either size. The stall is residue: the statements bind the kernels
+// they bind without it.
 func TestMorselRunShape(t *testing.T) {
+	const (
+		scanSQL  = `SELECT id, region, amount, qty FROM wide`
+		groupSQL = `SELECT region, COUNT(*), SUM(qty), MAX(amount) FROM wide WHERE qty < 10 GROUP BY region`
+		stall    = `id > 0 OR stall(id) = 0`
+	)
 	measure := func(morsels int) (ordered, agg float64) {
 		e := projectionEngine(t, morsels*morselRows)
-		e.Cat.MustTable("wide").Partitions[0].ColdReadPenalty = 2000
+		e.Reg.RegisterScalar("STALL", func(a []value.Value) (value.Value, error) {
+			time.Sleep(2 * time.Millisecond)
+			return a[0], nil
+		})
 		e.Workers = 2
+		stalledScan, stalledGroup := scanSQL+` WHERE `+stall, strings.Replace(groupSQL, ` GROUP BY`, ` AND (`+stall+`) GROUP BY`, 1)
+		for _, q := range [][2]string{{scanSQL, stalledScan}, {groupSQL, stalledGroup}} {
+			if want, got := mustExec(t, e, q[0]).Stats.KernelHits, mustExec(t, e, q[1]).Stats.KernelHits; got != want {
+				t.Fatalf("%s: %d kernel hits, %d without the stall", q[1], got, want)
+			}
+		}
 		s := e.NewSession()
 		defer s.Close()
-		scan, err := s.Prepare(`SELECT id, region, amount, qty FROM wide`)
+		scan, err := s.Prepare(stalledScan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		group, err := s.Prepare(`SELECT region, COUNT(*), SUM(qty), MAX(amount) FROM wide WHERE qty < 10 GROUP BY region`)
+		group, err := s.Prepare(stalledGroup)
 		if err != nil {
 			t.Fatal(err)
 		}

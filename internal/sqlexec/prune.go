@@ -282,7 +282,7 @@ func rangeRefutes(schema columnstore.Schema, p *catalog.Partition, preds []Pred)
 // superset — a refuted zone can never hide a visible matching row.
 func zoneRefutes(p *catalog.Partition, preds []Pred) bool {
 	z := p.Zone
-	if z == nil || p.Tier != catalog.TierExtended {
+	if z == nil {
 		return false
 	}
 	// Stale synopsis: rows were inserted or a merge re-hydrated the table

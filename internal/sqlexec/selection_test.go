@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/value"
 )
@@ -62,9 +63,9 @@ func countScratch(t *testing.T, e *Engine) (check func(label string) (takes int)
 
 // ownershipEngine builds a table of 40 one-morsel partitions: half in
 // encoded main storage, half in the delta; three in four with every 7th
-// row deleted (sparse by visibility), the rest untouched (dense). Every
-// other partition stalls on a cold read, so with two or more workers the
-// morsels finish out of order.
+// row deleted (sparse by visibility), the rest untouched (dense). A query
+// with the stall conjunct (stalled) stalls on every other partition, so
+// with two or more workers the morsels finish out of order.
 func ownershipEngine(t *testing.T) *Engine { return ownershipEngineRows(t, 300) }
 
 // ownershipEngineRows is ownershipEngine with rowsPer rows in each of the
@@ -93,7 +94,6 @@ func ownershipEngineRows(t *testing.T, rowsPer int) *Engine {
 		part.Table.ApplyInsert(rows, 1)
 		if pi%2 == 0 {
 			part.Table.Merge(1)
-			part.ColdReadPenalty = 1500
 		}
 		if pi%4 != 3 {
 			for pos := 0; pos < rowsPer; pos += 7 {
@@ -102,7 +102,41 @@ func ownershipEngineRows(t *testing.T, rowsPer int) *Engine {
 		}
 	}
 	e.Mgr.AdvanceTo(2)
+	// STALL(id) is id, 1.5 ms late on the second row — visible in every
+	// partition — of each merged partition.
+	e.Reg.RegisterScalar("STALL", func(a []value.Value) (value.Value, error) {
+		if id := a[0].I; id%int64(rowsPer) == 1 && id/int64(rowsPer)%2 == 0 {
+			time.Sleep(1500 * time.Microsecond)
+		}
+		return a[0], nil
+	})
 	return e
+}
+
+// stalled returns sql with a STALL conjunct in its WHERE, which slows every
+// other partition's morsel down: a residual the scan evaluates after its
+// kernels. It checks that the conjunct leaves the statement's kernels as
+// they are.
+func stalled(t *testing.T, e *Engine, sql string) string {
+	t.Helper()
+	const conj = "stall(t.id) >= 0"
+	out := strings.Replace(sql, " WHERE ", " WHERE "+conj+" AND ", 1)
+	if out == sql {
+		at := len(sql)
+		for _, kw := range []string{" GROUP BY ", " ORDER BY ", " LIMIT "} {
+			if i := strings.Index(sql, kw); i >= 0 && i < at {
+				at = i
+			}
+		}
+		out = sql[:at] + " WHERE " + conj + sql[at:]
+	}
+	mode := e.Mode
+	e.Mode = ModeVectorized
+	if want, got := mustExec(t, e, sql).Stats.KernelHits, mustExec(t, e, out).Stats.KernelHits; got != want {
+		t.Fatalf("%s: %d kernel hits, %d without the stall", out, got, want)
+	}
+	e.Mode = mode
+	return out
 }
 
 // TestScratchOwnership: a 40-morsel float GROUP BY whose workers finish out
@@ -112,13 +146,17 @@ func ownershipEngineRows(t *testing.T, rowsPer int) *Engine {
 // including a scan a LIMIT stops early.
 func TestScratchOwnership(t *testing.T) {
 	e := ownershipEngine(t)
-	check := countScratch(t, e)
-
-	for _, sql := range []string{
+	folds := []string{
 		`SELECT acct, SUM(amount), AVG(amount), COUNT(*) FROM t GROUP BY acct`,
 		`SELECT bucket, SUM(amount) FROM t WHERE id % 3 <> 1 AND bucket <> 2 GROUP BY bucket`,
 		`SELECT SUM(amount), AVG(amount) FROM t WHERE amount > 0`,
-	} {
+	}
+	for i, sql := range folds {
+		folds[i] = stalled(t, e, sql)
+	}
+	check := countScratch(t, e)
+
+	for _, sql := range folds {
 		e.Mode = ModeInterpreted
 		want := rowBits(mustExec(t, e, sql))
 		e.Mode = ModeVectorized
@@ -138,9 +176,8 @@ func TestScratchOwnership(t *testing.T) {
 	// Every other way a scan's morsels are run and ended.
 	mustExec(t, e, `CREATE TABLE accts (acct VARCHAR, tier VARCHAR)`)
 	mustExec(t, e, `INSERT INTO accts VALUES ('acct1', 'gold'), ('acct2', 'gold'), ('acct5', 'iron')`)
-	check("setup")
 	e.Workers = 4
-	for _, sql := range []string{
+	others := []string{
 		`SELECT id FROM t LIMIT 5`,
 		`SELECT * FROM t WHERE bucket <> 3 LIMIT 7`,
 		`SELECT id, amount FROM t WHERE id % 2 = 0 LIMIT 3`,
@@ -152,7 +189,12 @@ func TestScratchOwnership(t *testing.T) {
 		`SELECT a.tier, COUNT(*), SUM(t.amount) FROM t JOIN accts a ON t.acct = a.acct GROUP BY a.tier`,
 		`SELECT t.id, a.tier FROM t JOIN accts a ON t.acct = a.acct WHERE t.id < 100`,
 		`SELECT COUNT(*) FROM t WHERE id < 0`,
-	} {
+	}
+	for i, sql := range others {
+		others[i] = stalled(t, e, sql)
+	}
+	check("setup")
+	for _, sql := range others {
 		e.Mode = ModeInterpreted
 		want := rowBits(mustExec(t, e, sql))
 		e.Mode = ModeVectorized

@@ -360,7 +360,7 @@ func workersBase(t *testing.T, e *Engine, sql string) int {
 }
 
 // TestSinkOrderAndStop: 40 morsels of three windows each, finishing out
-// of order (every other partition stalls on a cold read), stream the
+// of order (every other partition stalls in a scalar function), stream the
 // interpreted executor's rows bit for bit at every worker count, to a fast
 // sink and to one slow enough that the workers run into the hand-off's
 // backpressure. A LIMIT above the projection and a sink that fails on its
@@ -368,8 +368,9 @@ func workersBase(t *testing.T, e *Engine, sql string) int {
 // every scratch returned and no goroutine left behind.
 func TestSinkOrderAndStop(t *testing.T) {
 	e := ownershipEngineRows(t, 3000)
+	sql := stalled(t, e, `SELECT id, acct, amount FROM t WHERE bucket <> 2`)
+	all := stalled(t, e, `SELECT * FROM t`)
 	check := countScratch(t, e)
-	const sql = `SELECT id, acct, amount FROM t WHERE bucket <> 2`
 	e.Mode = ModeInterpreted
 	want := mustExec(t, e, sql).Rows
 	e.Mode = ModeVectorized
@@ -400,7 +401,7 @@ func TestSinkOrderAndStop(t *testing.T) {
 			{sql + ` LIMIT 5000 OFFSET 2000`, 0, 5000},
 			{sql, 1, 0},
 			{sql, 4, -1},
-			{`SELECT * FROM t`, 7, -1},
+			{all, 7, -1},
 		} {
 			label := fmt.Sprintf("workers=%d: %s failAt=%d", workers, stop.sql, stop.failAt)
 			s := e.NewSession()

@@ -144,6 +144,11 @@ func TestWherePredicates(t *testing.T) {
 		{`SELECT id FROM orders WHERE NOT (id < 29)`, 1},
 		{`SELECT id FROM orders WHERE total > 10 AND yr = 2014`, 8},
 		{`SELECT id FROM orders WHERE id IS NULL`, 0},
+		// x IN (..., NULL) with no item equal to x is NULL, not FALSE.
+		{`SELECT id FROM orders WHERE id IN (2, NULL)`, 1},
+		{`SELECT id FROM orders WHERE id NOT IN (2, NULL)`, 0},
+		{`SELECT id FROM orders WHERE (1 IN (2, NULL)) IS NULL`, 30},
+		{`SELECT id FROM orders WHERE (id NOT IN (2, NULL)) IS NULL`, 29},
 	}
 	for _, c := range cases {
 		r := bothModes(t, e, c.sql)

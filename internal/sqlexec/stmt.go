@@ -404,15 +404,6 @@ func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profil
 				s.e.Mgr.MergeNow(p.Table)
 			}
 		}
-		// A merge rebuilds hot encodings: a demoted partition is hot again,
-		// and its zone map describes columns that are gone. Only a demotion
-		// records a zone map — a partition that aging or temperature tiering
-		// tagged extended was never paged out and keeps its tag.
-		for _, p := range entry.Partitions {
-			if p.Tier == catalog.TierExtended && p.Zone != nil {
-				p.Tier, p.Zone = catalog.TierHot, nil
-			}
-		}
 		return st.answer(sink, nil, nil, nil)
 	}
 	return 0, nil, fmt.Errorf("sql: unhandled statement %T", st.ast)

@@ -116,7 +116,6 @@ func registerEngineSysViews(e *Engine) {
 		sysCol("merge_count", value.KindInt),
 		sysCol("zone_cols", value.KindInt),
 		sysCol("zone_fresh", value.KindBool),
-		sysCol("cold_penalty_us", value.KindInt),
 	}, func() ([]value.Row, error) {
 		var rows []value.Row
 		for _, name := range e.Cat.Tables() {
@@ -135,7 +134,7 @@ func registerEngineSysViews(e *Engine) {
 				}
 				rows = append(rows, value.Row{
 					value.String(name), value.String(p.Name),
-					value.String(string(p.ShownTier())),
+					value.String(string(p.Tier())),
 					value.Int(int64(p.Table.NumRows())),
 					value.Int(int64(p.Table.DeltaRows())),
 					value.Int(int64(p.Table.MainRows())),
@@ -143,7 +142,6 @@ func registerEngineSysViews(e *Engine) {
 					value.Int(int64(p.Table.StampBytes())),
 					value.Int(int64(p.Table.MergeCount())),
 					value.Int(int64(zoneCols)), value.Bool(zoneFresh),
-					value.Int(int64(p.ColdReadPenalty)),
 				})
 			}
 		}
