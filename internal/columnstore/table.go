@@ -561,43 +561,75 @@ func (t *Table) Snapshot(ts uint64) *Snapshot {
 	return t.view(ts)
 }
 
+// SnapshotInto is Snapshot into a Snapshot the caller owns: it fills s,
+// reusing the delta and dictionary slabs s kept from the view it held before,
+// so a caller that keeps one Snapshot per partition it scans captures a view
+// without allocating once its slabs are wide enough. Whatever s viewed before
+// is gone; Clear drops what it views.
+func (t *Table) SnapshotInto(ts uint64, s *Snapshot) {
+	cSnapshots.Inc()
+	t.rlock(&t.stalledSnapshots)
+	defer t.mu.RUnlock()
+	t.viewInto(ts, s)
+}
+
 // view is Snapshot for a caller that holds t.mu. The frozen view is three
 // allocations at any width: the Snapshot, one slab of DeltaColumn copies and
-// one slab of DeltaDict views for the string columns. A copy captures the
-// column's slice headers and row count and a dictionary view its values'
-// header, here, under the lock, so later Appends — which may reallocate the
-// backing arrays — cannot race reads through the view. A dictionary view
-// carries no index map: snapshot readers only resolve IDs to values, never
-// intern.
+// one slab of DeltaDict views for the string columns.
 func (t *Table) view(ts uint64) *Snapshot {
+	s := new(Snapshot)
+	t.viewInto(ts, s)
+	return s
+}
+
+// viewInto fills s with the view of the table at ts, for a caller that holds
+// t.mu. A copy captures the column's slice headers and row count and a
+// dictionary view its values' header, here, under the lock, so later Appends
+// — which may reallocate the backing arrays — cannot race reads through the
+// view. A dictionary view carries no index map: snapshot readers only
+// resolve IDs to values, never intern. The slabs are s's when they are wide
+// enough and never grow once filled: &dicts[i] stays put.
+func (t *Table) viewInto(ts uint64, s *Snapshot) {
 	strs := 0
 	for _, dc := range t.delta {
 		if dc.dict != nil {
 			strs++
 		}
 	}
-	delta := make([]DeltaColumn, len(t.delta))
-	var dicts []DeltaDict
-	if strs > 0 {
-		dicts = make([]DeltaDict, 0, strs) // never grows: &dicts[i] stays put
+	delta, dicts := s.delta[:0], s.dicts[:0]
+	if cap(delta) < len(t.delta) {
+		delta = make([]DeltaColumn, 0, len(t.delta))
 	}
-	for i, dc := range t.delta {
-		delta[i] = *dc
+	if cap(dicts) < strs {
+		dicts = make([]DeltaDict, 0, strs)
+	}
+	for _, dc := range t.delta {
+		delta = append(delta, *dc)
 		if dc.dict != nil {
 			dicts = append(dicts, DeltaDict{values: dc.dict.values})
-			delta[i].dict = &dicts[len(dicts)-1]
+			delta[len(delta)-1].dict = &dicts[len(dicts)-1]
 		}
 	}
-	return &Snapshot{
+	*s = Snapshot{
 		ts:       ts,
 		schema:   t.schema,
 		main:     t.main,
 		mainRows: t.mainRows,
 		delta:    delta,
+		dicts:    dicts,
 		rows:     t.rows,
 		blocks:   t.blocks,
 		ids:      t.ids,
 	}
+}
+
+// Clear drops everything s views and keeps its slabs for the next
+// SnapshotInto: a cleared Snapshot pins no table's columns, rows or
+// dictionary values.
+func (s *Snapshot) Clear() {
+	clear(s.delta[:cap(s.delta)])
+	clear(s.dicts[:cap(s.dicts)])
+	*s = Snapshot{delta: s.delta[:0], dicts: s.dicts[:0]}
 }
 
 // Snapshot is a consistent, immutable read view of a table.
@@ -606,7 +638,8 @@ type Snapshot struct {
 	schema   Schema
 	main     []MainColumn
 	mainRows int
-	delta    []DeltaColumn // frozen copies, one slab (see view)
+	delta    []DeltaColumn // frozen copies, one slab (see viewInto)
+	dicts    []DeltaDict   // the string columns' dictionary views, one slab
 	rows     int
 	blocks   []stampBlock
 	ids      *idMap

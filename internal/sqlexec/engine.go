@@ -610,10 +610,11 @@ type victim struct {
 // findVictims finds the visible rows matching the WHERE clause of an
 // UPDATE or DELETE with the scan any SELECT would plan for `table WHERE
 // where`: pruned, kernel-bound, parameters bound at run time, its morsels'
-// selection phase run on the vectorized executor whatever Engine.Mode says.
-// The victims come back in partition-then-position order; only box makes
-// rows of them. A victim is named by its row ID (Snapshot.ID), which is the
-// same row at commit whatever merges in between.
+// selection phase run on the vectorized executor whatever Engine.Mode says,
+// on run state borrowed from the engine like a SELECT's. The victims come
+// back in partition-then-position order; only box makes rows of them. A
+// victim is named by its row ID (Snapshot.ID), which is the same row at
+// commit whatever merges in between.
 func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []value.Value, box bool) (*ScanPlan, []victim, error) {
 	entry, ok := s.e.Cat.Table(table)
 	if !ok {
@@ -622,36 +623,21 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 	scan := newScanPlan(entry, table)
 	scan.Filter = where
 	s.planner(tx.SnapshotTS()).pruneScan(scan)
-	ctx := &execCtx{ts: tx.SnapshotTS(), params: params, reg: s.e.Reg, stats: new(ExecStats), workers: s.e.Workers, scratch: &s.e.scratch}
-	prep, err := prepScan(scan, ctx)
+	ctx := s.e.scratch.borrow()
+	defer s.e.scratch.giveBack(ctx)
+	ctx.ts, ctx.params, ctx.reg, ctx.stats, ctx.workers = tx.SnapshotTS(), params, s.e.Reg, &ctx.local, s.e.Workers
+	r, err := prepScan(scan, ctx)
+	if err == nil {
+		r.exit, r.box = exitVictims, box
+		err = r.open()
+	}
+	if err == nil {
+		err = r.drainOrdered()
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	run, err := prep.newRun(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []victim
-	err = drainOrdered(run, func(t *scanTask, w int, out *port[[]victim]) {
-		run.process(t, w, func(sel selection) {
-			vs := make([]victim, sel.len())
-			for i := range vs {
-				vs[i] = victim{table: t.part.Table.Name(), id: t.snap.ID(sel.at(i))}
-			}
-			if box {
-				b := RowBatch{readers: t.readers, sel: sel}
-				rows := b.AppendRows(nil)
-				for i := range vs {
-					vs[i].row = rows[i]
-				}
-			}
-			out.send(vs)
-		})
-	}, func(vs []victim) error {
-		out = append(out, vs...)
-		return nil
-	})
-	return scan, out, err
+	return scan, r.victims, nil
 }
 
 func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (int, error) {

@@ -71,7 +71,10 @@ type Result struct {
 
 // execCtx carries per-statement execution state. workers caps how many
 // runners each of the statement's scans runs its morsels on (morsel.go),
-// and runners flush their stats under mu.
+// and runners flush their stats under mu. A statement borrows its execCtx
+// from the engine's scratchPool and gives it back when it ends, with the
+// scan runs it lent the statement's scans: their slabs are warm for the
+// next statement, everything else of this one is dropped (reset).
 type execCtx struct {
 	ts      uint64
 	params  []value.Value
@@ -79,9 +82,61 @@ type execCtx struct {
 	stats   *ExecStats
 	out     *feed // the statement's sink: every executor's root pushes here
 	workers int
-	scratch *scratchPool // the engine's: what this statement's scans borrow from
+	scratch *scratchPool // the pool the ctx came from, and its scans' scratch comes from
 	mu      sync.Mutex
 	prof    *Profile // non-nil under EXPLAIN ANALYZE
+
+	// scans are the scan runs the ctx keeps, the first nscans lent to the
+	// running statement's scans (scan).
+	scans  []*scanRun
+	nscans int
+	// rootCols is where the plan's root reads a projection fused into its
+	// scan (rootScan).
+	rootCols []int
+	// local accounts a statement that is accounted nowhere else: a DML's
+	// victim search.
+	local ExecStats
+}
+
+// scan lends one of the statement's scans its run: one the ctx kept from a
+// statement before, or a new one it keeps from now on.
+func (c *execCtx) scan() *scanRun {
+	if c.nscans == len(c.scans) {
+		r := new(scanRun)
+		r.par.r, r.par.moved.L = r, &r.par.mu
+		c.scans = append(c.scans, r)
+	}
+	r := c.scans[c.nscans]
+	c.nscans++
+	r.ctx = c
+	return r
+}
+
+// reset drops everything of the statement that ran on c — its parameters,
+// sink, stats, and what its scans read and computed — keeping the scans'
+// slabs: what the pool keeps pins no table, row or parameter.
+func (c *execCtx) reset() {
+	for _, r := range c.scans[:c.nscans] {
+		r.reset()
+	}
+	c.nscans = 0
+	c.ts, c.params, c.reg, c.stats, c.out, c.workers, c.prof = 0, nil, nil, nil, nil, 0, nil
+	c.local = ExecStats{}
+}
+
+// rootScan returns the scan at the root of p — p itself, or the child of a
+// projection fused into it, whose columns it reads (nil: every column) —
+// or nil when p's root is no scan.
+func (c *execCtx) rootScan(p Plan) (*ScanPlan, []int) {
+	switch x := p.(type) {
+	case *ScanPlan:
+		return x, nil
+	case *ProjectPlan:
+		var s *ScanPlan
+		s, c.rootCols, _ = projectScanShape(x, c.rootCols[:0])
+		return s, c.rootCols
+	}
+	return nil, nil
 }
 
 // Mode selects the executor implementation (experiment E4). The zero value
@@ -119,13 +174,15 @@ func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mod
 // produces them. The executor mode names runs the plan or returns the
 // statement's error; there is no other to fall back to. stats is where the
 // execution is accounted (a collecting caller's Result.Stats), scratch the
-// pool its scans borrow from (the engine's). A profile is recorded when
-// profiled is set.
+// pool the run borrows its state from (the engine's; nil: fresh state). A
+// profile is recorded when profiled is set.
 func runTo(out *feed, stats *ExecStats, p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, scratch *scratchPool, profiled bool) (*Profile, error) {
 	if err := out.sink.Header(p.columns()); err != nil {
 		return nil, err
 	}
-	ctx := &execCtx{ts: ts, params: params, reg: reg, stats: stats, out: out, workers: workers, scratch: scratch}
+	ctx := scratch.borrow()
+	defer scratch.giveBack(ctx)
+	ctx.ts, ctx.params, ctx.reg, ctx.stats, ctx.out, ctx.workers = ts, params, reg, stats, out, workers
 	var prof *Profile
 	var t0 time.Time
 	if profiled {

@@ -36,16 +36,26 @@ var errStop = errors.New("sqlexec: pipeline stop")
 
 // runVectorized runs the statement on the vectorized executor, the root of
 // its pipeline pushing into ctx.out. Every plan shape compiles: an error
-// from compiling is the statement's, like one from running.
+// from compiling is the statement's, like one from running. A scan at the
+// root, or a projection fused into one, shows the sink views (scanRun.show)
+// and nothing is boxed unless the sink keeps it; every other root compiles
+// to rows, as anywhere else, and what it emits is pushed as it is.
 func runVectorized(p Plan, ctx *execCtx) error {
-	views, rows, err := vecCompileRoot(p, ctx)
-	if err != nil {
-		return err
-	}
-	if views != nil {
-		err = views(ctx.out.show)
+	var err error
+	if s, cols := ctx.rootScan(p); s != nil {
+		var r *scanRun
+		if r, err = scanOut(s, cols, exitViews, ctx); err == nil {
+			if ctx.prof == nil {
+				err = r.run()
+			} else {
+				err = wrapPipe(ctx.prof, p, r.viewsTo, func(b RowBatch) int { return b.Len() })(ctx.out.show)
+			}
+		}
 	} else {
-		err = rows(ctx.out.push)
+		var rows vpipe
+		if rows, err = vecCompile(p, ctx); err == nil {
+			err = rows(ctx.out.push)
+		}
 	}
 	if err != nil {
 		return err
@@ -62,30 +72,6 @@ func vecCompile(p Plan, ctx *execCtx) (vpipe, error) {
 		return nil, err
 	}
 	return wrapPipe(ctx.prof, p, vp, func(rows []value.Row) int { return len(rows) }), nil
-}
-
-// vecCompileRoot compiles the plan's root, whose output is the statement's
-// sink. A scan, or a projection fused into one, compiles to views: it shows
-// the sink windows of its columns (scanViews), and nothing is boxed
-// unless the sink keeps it. Every other root compiles to rows, as anywhere
-// else, and what it emits is pushed as it is.
-func vecCompileRoot(p Plan, ctx *execCtx) (views func(emit func(RowBatch) error) error, rows vpipe, err error) {
-	var s *ScanPlan
-	var cols []int
-	switch x := p.(type) {
-	case *ScanPlan:
-		s = x
-	case *ProjectPlan:
-		s, cols, _ = projectScanShape(x)
-	}
-	if s == nil {
-		rows, err = vecCompile(p, ctx)
-		return nil, rows, err
-	}
-	if views, err = scanViews(s, cols, ctx); err != nil {
-		return nil, nil, err
-	}
-	return wrapPipe(ctx.prof, p, views, func(b RowBatch) int { return b.Len() }), nil, nil
 }
 
 func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
@@ -185,18 +171,63 @@ func vecRows(p Plan, ctx *execCtx) (vpipe, error) {
 
 // --- morsel-parallel scan ---------------------------------------------------
 
-// kernelFn evaluates one bound conjunct over main rows [lo, hi), appending
-// matching positions to sel.
-type kernelFn func(lo, hi int, sel []int) []int
+// kernel is one conjunct bound to a partition's main encoding (bindKernel):
+// the comparison, its literal as that encoding compares it, and the
+// column's filter capability — exactly one of the four is set. A kernel is
+// a value in its run's slab: binding one allocates nothing.
+type kernel struct {
+	op     columnstore.CmpOp
+	lit    value.Value
+	ints   columnstore.IntFilterer
+	floats columnstore.FloatFilterer
+	strs   columnstore.StringFilterer
+	vals   columnstore.ValueFilterer
+}
 
-// scanPrep is the compile-time part of a vectorized scan: the filter,
-// compiled once for every run and every delta morsel of it (an evalFn reads
-// its row and parameters from Env, so the workers share it).
-type scanPrep struct {
-	plan   *ScanPlan
-	cols   []Column
-	ncols  int
-	filter evalFn // nil without a filter
+// filter evaluates the kernel over main rows [lo, hi), appending matching
+// positions to sel.
+func (k *kernel) filter(lo, hi int, sel []int) []int {
+	switch {
+	case k.ints != nil:
+		return k.ints.FilterInts(lo, hi, k.op, k.lit.I, sel)
+	case k.floats != nil:
+		return k.floats.FilterFloats(lo, hi, k.op, k.lit.F, sel)
+	case k.strs != nil:
+		return k.strs.FilterString(lo, hi, k.op, k.lit.S, sel)
+	}
+	return k.vals.FilterValues(lo, hi, k.op, k.lit, sel)
+}
+
+// scanExit is what a scan run's morsels are for: where process hands each
+// morsel's final selection.
+type scanExit uint8
+
+const (
+	exitViews   scanExit = iota // the plan's root: windows shown to the statement's sink as views
+	exitRows                    // below the root: windows boxed on the runner, handed to the parent in order
+	exitVictims                 // an UPDATE's or DELETE's victim search: windows become victims, in order
+	exitProbe                   // a join's probe side: each morsel through the probe, its rows in order
+	exitFold                    // a fused aggregate: each morsel folded into its runner's fold
+)
+
+// scanRun is one vectorized scan of a statement: its plan and compiled
+// filter, what its morsels are for, and what an execution holds — the
+// morsel list and the snapshots, readers and kernels the morsels read
+// through, per-runner scratch and the ordered hand-off. It belongs to the
+// statement's execCtx (execCtx.scan), which the engine's scratchPool lends,
+// and keeps its slabs from statement to statement: in steady state a scan
+// allocates none of its run state. Its runners claim the morsels in
+// ascending order (morsel.go).
+type scanRun struct {
+	ctx   *execCtx
+	plan  *ScanPlan
+	cols  []Column
+	ncols int
+	// filter is the whole filter compiled, what a delta morsel evaluates:
+	// compiled by prepScan when the filter has residue — which every main
+	// morsel evaluates too, and which may fail to compile — and otherwise
+	// by the first delta morsel open makes. nil without a filter.
+	filter evalFn
 
 	// zoneAgg, when set by a fused aggregate, is offered each demoted
 	// partition whose zone map exactly describes the snapshot (same
@@ -204,27 +235,61 @@ type scanPrep struct {
 	// filter). Returning true answers the partition from the synopsis and
 	// skips its morsels entirely.
 	zoneAgg func(snap *columnstore.Snapshot, z *columnstore.ZoneMap) bool
+
+	// What the morsels are for (exit), and what that exit needs. fused is
+	// the projection fused into a root or boxed scan (nil reads every
+	// column) and avoidPerRow the boxed values it spares per row; emitView
+	// is the profile's wrapper around a root scan's sink (nil shows the sink
+	// itself); emit is the parent of a boxed scan or a probe; box says
+	// whether a victim search boxes each victim's row, and victims is what
+	// it found, fresh for every run; a fold run's runner w folds into
+	// folds[w].
+	exit        scanExit
+	fused       []int
+	avoidPerRow int
+	emitView    func(RowBatch) error
+	emit        func([]value.Row) error
+	box         bool
+	victims     []victim
+	probe       func(t *scanTask, w int, sel selection, out *port)
+	fold        func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)
+	folds       []*aggFold
+
+	// One execution (open).
+	tasks     []scanTask             // read through pointers once open has returned
+	snaps     []columnstore.Snapshot // one per partition, filled in place
+	readers   []colReader            // one slab: each partition's is a window of it
+	kernels   []kernel               // one slab: each partition's is a window of it
+	scratch   []*scanScratch         // runner w's is scratch[w]
+	residCols []int                  // scan columns a residual may read: all its scratch row carries
+	stop      atomic.Bool
+	err       error      // drainOrdered: the consumer's first error
+	op        *OpProfile // scan operator's analyze counters; may be nil
+	par       parallel   // what the runners share: claiming, a failure, the hand-off
 }
 
-func prepScan(s *ScanPlan, ctx *execCtx) (*scanPrep, error) {
-	p := &scanPrep{plan: s, cols: s.columns(), ncols: len(s.Entry.Schema)}
-	if s.Filter != nil {
+// prepScan readies the scan s to run in the statement of ctx, on a scanRun
+// the ctx lends it.
+func prepScan(s *ScanPlan, ctx *execCtx) (*scanRun, error) {
+	r := ctx.scan()
+	r.plan, r.cols, r.ncols = s, s.columns(), len(s.Entry.Schema)
+	if len(s.Residue) > 0 {
 		var err error
-		if p.filter, err = compileExpr(s.Filter, resolverFor(p.cols), ctx.reg); err != nil {
+		if r.filter, err = compileExpr(s.Filter, resolverFor(r.cols), ctx.reg); err != nil {
 			return nil, err
 		}
 	}
-	return p, nil
+	return r, nil
 }
 
 // filterCols lists the scan columns the filter reads. Whatever part of
 // the filter a morsel's residual is, it reads no other column. Worked out
 // only by a run that has a residual: a kernel-only scan pays nothing.
-func (p *scanPrep) filterCols() []int {
-	refs := appendColRefs(nil, p.plan.Filter)
+func (r *scanRun) filterCols() []int {
+	refs := appendColRefs(nil, r.plan.Filter)
 	cols := make([]int, len(refs))
 	for i, cr := range refs {
-		cols[i] = findCol(p.cols, cr)
+		cols[i] = findCol(r.cols, cr)
 	}
 	return cols
 }
@@ -240,7 +305,7 @@ type scanTask struct {
 	part    *catalog.Partition
 	snap    *columnstore.Snapshot
 	lo, hi  int
-	kernels []kernelFn
+	kernels []kernel // the partition's: a window of the run's slab
 	resid   evalFn
 	readers []colReader // the partition's, one per scan column: a window of the run's slab
 	main    bool        // rows [lo, hi) lie in encoded main storage (capabilities apply)
@@ -330,34 +395,81 @@ func (s *scanScratch) rowEnv(width int, params []value.Value) *Env {
 	return &s.env
 }
 
-// scratchPool lends scan scratch across the statements of one Engine — the
-// engine that runs a statement owns what it scans with, so several engines
-// in a process (the data nodes of a cluster) do not evict each other's. A
-// last-in-first-out free list: the scratch a statement takes is the one the
-// statement before it warmed. It keeps what one run holds at once — a
-// scratch per runner (one per GOMAXPROCS unless more are configured), at
-// most three morsel-sized vectors each — and drops the rest, so what an idle
-// engine retains is fixed by GOMAXPROCS: it does not depend, as a sync.Pool's
-// contents do, on how long ago the collector last ran. The zero value is an
-// empty pool. hook is set only by tests: it sees every scratch taken (+1)
+// scratchPool lends a statement the state it runs on, across the statements
+// of one Engine — the engine that runs a statement owns what it runs with,
+// so several engines in a process (the data nodes of a cluster) do not evict
+// each other's. It lends two things, each from a last-in-first-out free
+// list, so that what a statement takes is what the statement before it
+// warmed: the statement's execCtx with the scan runs it keeps (borrow,
+// giveBack), and one scratch per runner of each scan (takeRun, put). Each
+// list keeps what one run holds at once — GOMAXPROCS, unless a run had more
+// runners — and drops the rest, so what an idle engine retains is fixed by
+// GOMAXPROCS: it does not depend, as a sync.Pool's contents do, on how long
+// ago the collector last ran. Nothing is kept per session, so concurrent
+// sessions and an SOE node's one-session tasks share it alike. The zero
+// value is an empty pool; a nil pool lends fresh state and keeps none. hook
+// is set only by tests: it sees every *execCtx and *scanScratch lent (+1)
 // and returned (-1).
 type scratchPool struct {
 	mu   sync.Mutex
+	runs []*execCtx
 	free []*scanScratch
 	wide int // the widest run's runners, when that is more than GOMAXPROCS
-	hook func(s *scanScratch, delta int)
+	hook func(lent any, delta int)
 }
 
-// takeRun borrows one scratch for each runner of a run.
-func (p *scratchPool) takeRun(runners int) []*scanScratch {
+// keeps is how many of each the pool keeps; the caller holds p.mu.
+func (p *scratchPool) keeps() int { return max(p.wide, runtime.GOMAXPROCS(0)) }
+
+// borrow lends a statement an execCtx, empty but for the slabs of the scans
+// it ran before.
+func (p *scratchPool) borrow() *execCtx {
+	var c *execCtx
+	if p != nil {
+		p.mu.Lock()
+		if n := len(p.runs) - 1; n >= 0 {
+			c, p.runs[n] = p.runs[n], nil
+			p.runs = p.runs[:n]
+		}
+		p.mu.Unlock()
+	}
+	if c == nil {
+		c = new(execCtx)
+	}
+	c.scratch = p
+	if p != nil && p.hook != nil {
+		p.hook(c, +1)
+	}
+	return c
+}
+
+// giveBack returns a statement's execCtx once none of its runs is running:
+// everything the statement read, computed or was handed is dropped first
+// (execCtx.reset), so an idle pool pins no table, row or parameter.
+func (p *scratchPool) giveBack(c *execCtx) {
+	c.reset()
+	if p == nil {
+		return
+	}
+	if p.hook != nil {
+		p.hook(c, -1)
+	}
+	p.mu.Lock()
+	if len(p.runs) < p.keeps() {
+		p.runs = append(p.runs, c)
+	}
+	p.mu.Unlock()
+}
+
+// takeRun borrows one scratch for each runner of a run, into dst.
+func (p *scratchPool) takeRun(dst []*scanScratch, runners int) []*scanScratch {
 	p.mu.Lock()
 	p.wide = max(p.wide, runners)
 	p.mu.Unlock()
-	out := make([]*scanScratch, runners)
-	for w := range out {
-		out[w] = p.take()
+	for range runners {
+		dst = append(dst, p.take())
 	}
-	return out
+	return dst
 }
 
 func (p *scratchPool) take() *scanScratch {
@@ -388,25 +500,10 @@ func (p *scratchPool) put(s *scanScratch) {
 		p.hook(s, -1)
 	}
 	p.mu.Lock()
-	if len(p.free) < max(p.wide, runtime.GOMAXPROCS(0)) {
+	if len(p.free) < p.keeps() {
 		p.free = append(p.free, s)
 	}
 	p.mu.Unlock()
-}
-
-// scanRun is one execution of a prepared scan: the morsel list plus
-// per-runner scratch, borrowed by newRun and returned by whichever of
-// drainOrdered and foldMorsels runs the morsels. Its runners claim the
-// morsels in ascending order (morsel.go).
-type scanRun struct {
-	ctx       *execCtx
-	tasks     []scanTask // one slab for the run; read through pointers once newRun has returned
-	scratch   []*scanScratch
-	residCols []int // scan columns a residual may read: all its scratch row carries
-	stop      atomic.Bool
-	err       error      // drainOrdered: the consumer's first error
-	op        *OpProfile // scan operator's analyze counters; may be nil
-	par       *parallel  // set while the run has several runners
 }
 
 // release returns the run's scratch once no runner can touch it.
@@ -414,21 +511,50 @@ func (r *scanRun) release() {
 	for _, s := range r.scratch {
 		r.ctx.scratch.put(s)
 	}
-	r.scratch = nil
+	clear(r.scratch)
+	r.scratch = r.scratch[:0]
 }
 
-// newRun snapshots the partitions, binds kernels against each partition's
-// physical encodings, and slices the row space into morsels. Partition
-// accounting (scanned/pruned) matches the interpreter exactly. What a run
-// allocates does not grow with its width or its morsels: per run a task, a
-// reader and a kernel slab, per partition a snapshot (three allocations),
-// each kernel it binds and, where one is left, its compiled main residual.
-func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
-	s := p.plan
-	r := &scanRun{ctx: ctx, op: ctx.prof.node(s)}
-	// The run's reader and kernel slabs: see the first partition below.
-	var readerSlab []colReader
-	var kernelSlab []kernelFn
+// reset drops everything the run read, computed or was handed — snapshots,
+// readers, kernels and their literals, tasks, folds, the caller's functions
+// — and keeps its slabs for the next statement of the ctx it belongs to.
+func (r *scanRun) reset() {
+	r.release()
+	clear(r.tasks[:cap(r.tasks)])
+	clear(r.readers[:cap(r.readers)])
+	clear(r.kernels[:cap(r.kernels)])
+	clear(r.folds[:cap(r.folds)])
+	snaps := r.snaps[:cap(r.snaps)]
+	for i := range snaps {
+		snaps[i].Clear()
+	}
+	p := &r.par
+	clear(p.slots[:cap(p.slots)])
+	clear(p.ports[:cap(p.ports)])
+	p.begin()
+	p.ports = p.ports[:0]
+	r.tasks, r.readers, r.kernels, r.folds, r.snaps = r.tasks[:0], r.readers[:0], r.kernels[:0], r.folds[:0], r.snaps[:0]
+	r.plan, r.cols, r.ncols, r.filter, r.zoneAgg = nil, nil, 0, nil, nil
+	r.exit, r.fused, r.avoidPerRow, r.emitView, r.emit = exitViews, nil, 0, nil, nil
+	r.box, r.victims, r.probe, r.fold = false, nil, nil, nil
+	r.residCols, r.err, r.op = nil, nil, nil
+	r.stop.Store(false)
+}
+
+// open starts an execution of the scan: it snapshots the partitions the
+// run's parameters leave, binds kernels against each partition's physical
+// encodings, slices the row space into morsels and borrows a scratch per
+// runner. Partition accounting (scanned/pruned) matches the interpreter
+// exactly. Its snapshots, readers, kernels and morsels fill the run's slabs,
+// so in steady state open allocates nothing but what it compiles: where a
+// conjunct binds no kernel, the main residual of each partition it falls
+// back in, and — the first time a delta morsel needs it — the whole filter.
+func (r *scanRun) open() error {
+	ctx, s := r.ctx, r.plan
+	r.tasks, r.readers, r.kernels = r.tasks[:0], r.readers[:0], r.kernels[:0]
+	r.victims, r.err, r.op = nil, nil, ctx.prof.node(s)
+	r.stop.Store(false)
+	r.par.begin()
 	parts, pruned := s.bind(ctx.params)
 	ctx.mu.Lock()
 	ctx.stats.PartitionsPruned += pruned
@@ -436,8 +562,22 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 	if r.op != nil {
 		r.op.partsPruned.Add(int64(pruned))
 	}
-	for _, part := range parts {
-		snap := part.Table.Snapshot(ctx.ts)
+	// Every partition takes a window of the reader and kernel slabs, which
+	// never regrow once one is taken: a window stays put. So does a
+	// snapshot, filled in its slot.
+	if n := r.ncols * len(parts); cap(r.readers) < n {
+		r.readers = make([]colReader, 0, n)
+	}
+	if n := len(s.Preds) * len(parts); cap(r.kernels) < n {
+		r.kernels = make([]kernel, 0, n)
+	}
+	if n := len(parts); cap(r.snaps) < n {
+		r.snaps = append(r.snaps[:cap(r.snaps)], make([]columnstore.Snapshot, n-cap(r.snaps))...)
+	}
+	r.snaps = r.snaps[:len(parts)]
+	for pi, part := range parts {
+		snap := &r.snaps[pi]
+		part.Table.SnapshotInto(ctx.ts, snap)
 		ctx.mu.Lock()
 		ctx.stats.PartitionsScanned++
 		ctx.mu.Unlock()
@@ -448,37 +588,28 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 		if rows == 0 {
 			continue
 		}
-		if p.zoneAgg != nil && s.Filter == nil && part.Zone != nil &&
+		if r.zoneAgg != nil && s.Filter == nil && part.Zone != nil &&
 			part.Zone.Rows == rows && part.Zone.Merges == part.Table.MergeCount() &&
 			snap.NumRows() == snap.MainRows() && snap.AllVisible() {
 			// Zone-map fast path: the synopsis covers exactly this
 			// snapshot's rows and every one of them is visible, so
 			// COUNT/MIN/MAX answer from resident metadata without
 			// faulting a single page.
-			if p.zoneAgg(snap, part.Zone) {
+			if r.zoneAgg(snap, part.Zone) {
 				continue
 			}
 		}
 		mainRows := snap.MainRows()
-		if r.tasks == nil {
-			// The run's slabs, the task slab sized as if every partition
-			// were like the first. Each partition takes a window of the
-			// other two, which never regrow: a window stays put.
-			n := (mainRows+morselRows-1)/morselRows + (rows-mainRows+morselRows-1)/morselRows
-			r.tasks = make([]scanTask, 0, n*len(parts))
-			readerSlab = make([]colReader, 0, p.ncols*len(parts))
-			kernelSlab = make([]kernelFn, 0, len(s.Preds)*len(parts))
+		at := len(r.readers)
+		for c := 0; c < r.ncols; c++ {
+			r.readers = append(r.readers, readerOf(snap, c))
 		}
-		at := len(readerSlab)
-		for c := 0; c < p.ncols; c++ {
-			readerSlab = append(readerSlab, readerOf(snap, c))
-		}
-		readers := readerSlab[at:len(readerSlab):len(readerSlab)]
+		readers := r.readers[at:len(r.readers):len(r.readers)]
 		// What the main morsels evaluate row by row: the residue, and every
 		// predicate's conjunct that binds no kernel here (kernels never
 		// apply to the delta, whose morsels evaluate the whole filter).
 		generic := append([]Expr(nil), s.Residue...)
-		at = len(kernelSlab)
+		at = len(r.kernels)
 		if mainRows > 0 {
 			hits, falls := 0, 0
 			for _, vp := range s.Preds {
@@ -490,8 +621,8 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 						vp.Lit = ctx.params[vp.Param]
 					}
 				}
-				if k := bindKernel(snap, vp); k != nil {
-					kernelSlab = append(kernelSlab, k)
+				if k, ok := bindKernel(snap, vp); ok {
+					r.kernels = append(r.kernels, k)
 					hits++
 				} else {
 					// Once per conjunct: the two predicates of a BETWEEN
@@ -513,12 +644,18 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 				r.op.kernelFallbacks.Add(int64(falls))
 			}
 		}
-		kernels := kernelSlab[at:len(kernelSlab):len(kernelSlab)]
+		kernels := r.kernels[at:len(r.kernels):len(r.kernels)]
 		var mainResid evalFn
 		if mainRows > 0 && len(generic) > 0 {
 			var err error
-			if mainResid, err = compileExpr(andAll(generic), resolverFor(p.cols), ctx.reg); err != nil {
-				return nil, err
+			if mainResid, err = compileExpr(andAll(generic), resolverFor(r.cols), ctx.reg); err != nil {
+				return err
+			}
+		}
+		if rows > mainRows && r.filter == nil && s.Filter != nil {
+			var err error
+			if r.filter, err = compileExpr(s.Filter, resolverFor(r.cols), ctx.reg); err != nil {
+				return err
 			}
 		}
 		// Morsels never straddle the main/delta boundary: main morsels run
@@ -528,24 +665,24 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 			if lo < mainRows {
 				t.hi, t.kernels, t.resid, t.main = min(lo+morselRows, mainRows), kernels, mainResid, true
 			} else {
-				t.hi, t.resid = min(lo+morselRows, rows), p.filter
+				t.hi, t.resid = min(lo+morselRows, rows), r.filter
 			}
 			if t.resid != nil && r.residCols == nil {
-				r.residCols = p.filterCols()
+				r.residCols = r.filterCols()
 			}
 			r.tasks = append(r.tasks, t)
 			lo = t.hi
 		}
 	}
-	r.scratch = ctx.scratch.takeRun(ctx.runnersFor(len(r.tasks)))
+	r.scratch = ctx.scratch.takeRun(r.scratch[:0], ctx.runnersFor(len(r.tasks)))
 	if ctx.prof != nil {
 		ctx.prof.Workers = max(ctx.prof.Workers, len(r.scratch))
 	}
-	return r, nil
+	return nil
 }
 
 // process runs one morsel's selection phase as runner w and hands the
-// surviving selection to consume, bracketing the whole morsel with the
+// surviving selection on (take), bracketing the whole morsel with the
 // scan's stats, profiling and page-fault attribution. Without kernels the
 // morsel starts as the range [lo, hi) and stays one unless the visibility
 // pass meets an invisible row. A morsel with bound kernels goes
@@ -554,16 +691,16 @@ func (p *scanPrep) newRun(ctx *execCtx) (*scanRun, error) {
 // predicate never builds a selection vector of every visible row (the
 // visible count the stats need comes from the stamp summaries, or a sweep
 // of the blocks they cannot vouch for). The residual predicate is the last
-// selection step, so consume sees the final selection whatever the
-// filter's shape. A sparse selection is memory of r.scratch[w]: consume
-// finishes with it before returning, or copies it.
-func (r *scanRun) process(t *scanTask, w int, consume func(sel selection)) {
+// selection step, so take sees the final selection whatever the filter's
+// shape. A sparse selection is memory of r.scratch[w]: take finishes with
+// it before returning, or copies it.
+func (r *scanRun) process(t *scanTask, w int) {
 	if r.stop.Load() {
 		return
 	}
+	var t0 time.Time
 	if r.op != nil {
-		t0 := time.Now()
-		defer func() { r.op.busyNS.Add(time.Since(t0).Nanoseconds()) }()
+		t0 = time.Now()
 	}
 	ctx := r.ctx
 	faults0, faultNS0 := extstore.FaultCounters()
@@ -578,12 +715,12 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel selection)) {
 		}
 		visible = sel.len()
 	} else {
-		pos := t.kernels[0](t.lo, t.hi, scr.selA[:0])
-		for _, k := range t.kernels[1:] {
+		pos := t.kernels[0].filter(t.lo, t.hi, scr.selA[:0])
+		for k := range t.kernels[1:] {
 			if len(pos) == 0 {
 				break
 			}
-			scr.selB = k(t.lo, t.hi, scr.selB[:0])
+			scr.selB = t.kernels[1+k].filter(t.lo, t.hi, scr.selB[:0])
 			pos = intersectInto(pos, scr.selB)
 		}
 		pos = t.snap.FilterVisible(pos)
@@ -599,7 +736,7 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel selection)) {
 		sel = r.filterResidual(t, scr, sel)
 	}
 	if sel.len() > 0 {
-		consume(sel)
+		r.take(t, w, sel)
 	}
 	ctx.mu.Lock()
 	ctx.stats.RowsScanned += visible
@@ -609,8 +746,113 @@ func (r *scanRun) process(t *scanTask, w int, consume func(sel selection)) {
 	if r.op != nil {
 		r.op.rowsScanned.Add(int64(visible))
 		r.op.morsels.Add(1)
+		r.op.busyNS.Add(time.Since(t0).Nanoseconds())
 	}
 	cVecMorsels.Inc()
+}
+
+// take hands one morsel's final selection on to what the run is for, on
+// runner w: a fold or a join probe takes the morsel whole; every other exit
+// cuts it into windows of at most BatchRows positions and sends them
+// through the runner's port of the ordered hand-off. A fused projection
+// also books each non-empty morsel as one fused batch that spared
+// avoidPerRow boxed values per row.
+func (r *scanRun) take(t *scanTask, w int, sel selection) {
+	switch r.exit {
+	case exitFold:
+		r.fold(r.folds[w], t, sel, r.scratch[w])
+		return
+	case exitProbe:
+		r.probe(t, w, sel, &r.par.ports[w])
+		return
+	}
+	n, out := sel.len(), &r.par.ports[w]
+	for from := 0; from < n && !r.stop.Load(); from += BatchRows {
+		out.send(r.cut(t, sel.window(from, min(n, from+BatchRows)), w == 0))
+	}
+	if r.fused != nil {
+		recordLateMat(r.ctx, r.op, 0, 0, 1, int64(n)*int64(r.avoidPerRow)*16)
+	}
+}
+
+// window is what the ordered hand-off carries: a window of one morsel's
+// final selection — the task whose readers read it, its positions, and
+// whether they are lent — or the rows a runner made of one.
+type window struct {
+	t    *scanTask
+	sel  selection
+	lent bool
+	rows []value.Row
+}
+
+// cut makes one window of a morsel's selection into what the hand-off
+// carries, on the runner, while the selection's memory is its own: below the
+// plan's root the window's rows, boxed into a fresh slab; otherwise its
+// positions — a dense range's two ints, a sparse one's copy, the runner
+// refilling its scratch with its next morsel, unless lent (runner 0 runs the
+// morsel on the consumer's goroutine and lends it for as long as show
+// takes).
+func (r *scanRun) cut(t *scanTask, sel selection, lent bool) window {
+	if r.exit == exitRows {
+		b := RowBatch{readers: t.readers, cols: r.fused, sel: sel}
+		return window{rows: b.AppendRows(nil)}
+	}
+	if !lent && !sel.dense {
+		sel.pos = slices.Clone(sel.pos)
+	}
+	return window{t: t, sel: sel, lent: lent}
+}
+
+// show hands one window on, in morsel order, on the statement's goroutine.
+// At the plan's root it reaches the sink as a view, whose cells the sink
+// reads here: the page faults that takes are the scan's — process books them
+// for a lent window, whose morsel runs around the sink, and show otherwise.
+// A victim search's window becomes victims, anything else's rows go to the
+// parent.
+func (r *scanRun) show(v window) error {
+	switch r.exit {
+	case exitViews:
+		b := RowBatch{readers: v.t.readers, cols: r.fused, sel: v.sel}
+		if v.lent {
+			return r.emitBatch(b)
+		}
+		faults0, faultNS0 := extstore.FaultCounters()
+		err := r.emitBatch(b)
+		r.ctx.mu.Lock()
+		attributeFaults(r.ctx.stats, r.op, faults0, faultNS0)
+		r.ctx.mu.Unlock()
+		return err
+	case exitVictims:
+		r.addVictims(v.t, v.sel)
+		return nil
+	}
+	return r.emit(v.rows)
+}
+
+// emitBatch shows a root scan's view to the statement's sink, through the
+// profile's wrapper when there is one.
+func (r *scanRun) emitBatch(b RowBatch) error {
+	if r.emitView != nil {
+		return r.emitView(b)
+	}
+	return r.ctx.out.show(b)
+}
+
+// addVictims appends the rows at sel of t's partition to the run's victims,
+// each with its row boxed when the search boxes.
+func (r *scanRun) addVictims(t *scanTask, sel selection) {
+	var rows []value.Row
+	if r.box {
+		b := RowBatch{readers: t.readers, sel: sel}
+		rows = b.AppendRows(nil)
+	}
+	for i := range sel.len() {
+		v := victim{table: t.part.Table.Name(), id: t.snap.ID(sel.at(i))}
+		if rows != nil {
+			v.row = rows[i]
+		}
+		r.victims = append(r.victims, v)
+	}
 }
 
 // filterResidual narrows sel to the positions the morsel's residual
@@ -680,291 +922,221 @@ func (s *rowSlab) row() value.Row {
 // keep hands the current row over to the caller for good.
 func (s *rowSlab) keep() { s.spare = s.spare[1:] }
 
-// scanOut prepares the scan s, reading cols — a projection fused into it —
-// or every column when cols is nil, and returns what runs it: the scan's
-// row exit, at the plan's root and below it. Every morsel's final selection
-// is cut into windows of at most BatchRows positions; cut makes each into
-// what the ordered hand-off carries, on the runner, while the selection's
-// memory is its own (lent: runner 0 runs the morsel on the consumer's
-// goroutine and lends it for as long as show takes), and show hands those
-// on to emit in morsel order, on the statement's goroutine — a runner more
-// than a couple of windows ahead waits. cut and show are handed
-// cols rather than capturing it, so that neither is a closure allocated per
-// statement. A fused projection also books each non-empty morsel as one
-// fused batch that spared avoidPerRow boxed values per row.
-func scanOut[T, B any](s *ScanPlan, cols []int, ctx *execCtx, cut func(t *scanTask, sel selection, cols []int, lent bool) T, show func(r *scanRun, v T, cols []int, emit func(B) error) error) (func(emit func(B) error) error, error) {
-	prep, err := prepScan(s, ctx)
+// scanOut prepares the scan s for an ordered exit — exitViews at the plan's
+// root, exitRows below it — reading cols, a projection fused into it, or
+// every column when cols is nil.
+func scanOut(s *ScanPlan, cols []int, exit scanExit, ctx *execCtx) (*scanRun, error) {
+	r, err := prepScan(s, ctx)
 	if err != nil {
 		return nil, err
 	}
-	distinct := map[int]bool{}
-	for _, c := range cols {
-		distinct[c] = true
+	distinct := 0
+	for i, c := range cols {
+		if !slices.Contains(cols[:i], c) {
+			distinct++
+		}
 	}
-	avoidPerRow := prep.ncols - len(distinct)
-	return func(emit func(B) error) error {
-		if op := ctx.prof.node(s); op != nil && cols != nil {
-			op.fused = true
-		}
-		r, err := prep.newRun(ctx)
-		if err != nil {
-			return err
-		}
-		return drainOrdered(r, func(t *scanTask, w int, out *port[T]) {
-			r.process(t, w, func(sel selection) {
-				n := sel.len()
-				for from := 0; from < n && !r.stop.Load(); from += BatchRows {
-					out.send(cut(t, sel.window(from, min(n, from+BatchRows)), cols, w == 0))
-				}
-				if cols != nil {
-					recordLateMat(r.ctx, r.op, 0, 0, 1, int64(n)*int64(avoidPerRow)*16)
-				}
-			})
-		}, func(v T) error { return show(r, v, cols, emit) })
-	}, nil
+	r.exit, r.fused, r.avoidPerRow = exit, cols, r.ncols-distinct
+	return r, nil
 }
 
-// scanWindow is a root scan's window in the ordered hand-off: the task
-// whose readers read it, its positions, and whether they are lent.
-type scanWindow struct {
-	t    *scanTask
-	sel  selection
-	lent bool
-}
-
-// scanViews is a scan at the plan's root: a window travels as its
-// positions — a dense range's two ints; a sparse one's copy, the runner
-// refilling its scratch with its next morsel, unless lent — and reaches the
-// sink as a view, whose cells the sink reads on the statement's goroutine.
-// The page faults that takes are the scan's: process books them for a lent
-// window — its morsel runs around the sink — and show otherwise.
-func scanViews(s *ScanPlan, cols []int, ctx *execCtx) (func(emit func(RowBatch) error) error, error) {
-	return scanOut(s, cols, ctx, func(t *scanTask, sel selection, _ []int, lent bool) scanWindow {
-		if !lent && !sel.dense {
-			sel.pos = slices.Clone(sel.pos)
-		}
-		return scanWindow{t, sel, lent}
-	}, func(r *scanRun, w scanWindow, cols []int, emit func(RowBatch) error) error {
-		b := RowBatch{readers: w.t.readers, cols: cols, sel: w.sel}
-		if w.lent {
-			return emit(b)
-		}
-		faults0, faultNS0 := extstore.FaultCounters()
-		err := emit(b)
-		r.ctx.mu.Lock()
-		attributeFaults(r.ctx.stats, r.op, faults0, faultNS0)
-		r.ctx.mu.Unlock()
+// run executes an ordered scan prepared by scanOut: open, then the hand-off.
+func (r *scanRun) run() error {
+	if op := r.ctx.prof.node(r.plan); op != nil && r.fused != nil {
+		op.fused = true
+	}
+	if err := r.open(); err != nil {
 		return err
-	})
+	}
+	return r.drainOrdered()
 }
 
-// handoffDepth is how many values a morsel may have waiting for the
+// viewsTo is run at the plan's root under a profile: the views go to emit,
+// the profile's wrapper around the sink.
+func (r *scanRun) viewsTo(emit func(RowBatch) error) error {
+	r.emitView = emit
+	return r.run()
+}
+
+// handoffDepth is how many windows a morsel may have waiting for the
 // ordered consumer before the runner producing it waits: enough that
 // filling the next window overlaps consuming the last, and all the
 // backpressure a slow sink needs.
 const handoffDepth = 2
 
-// drainOrdered is the ordered hand-off: fn runs per morsel on the run's
-// runners, and what it sends reaches consume on the calling goroutine in
-// morsel order — each morsel's values in the order sent — whatever order
-// the runners finish in. Every operator whose output depends on row order
-// — scan drain, fused projection, join probe, a DML's victim search —
-// comes through here with its own payload, sending it through out. fn's w
-// is 0 exactly when it runs on the calling goroutine, where out hands a
-// value straight to consume: it is consumed before send returns.
+// drainOrdered is the ordered hand-off: each morsel is processed on one of
+// the run's runners, and the windows it sends (take, or a join's probe)
+// reach show on the calling goroutine in morsel order — each morsel's in the
+// order sent — whatever order the runners finish in. Every exit whose
+// output depends on row order — a root scan, a scan below the root, a join
+// probe, a DML's victim search — comes through here. Runner 0 runs on the
+// calling goroutine, where its port hands a window straight to show: it is
+// shown before send returns.
 //
 // A run of one runner is inline: every morsel runs on the calling
 // goroutine, in order, as runner 0. With more, the calling goroutine is the
 // consumer and runner 0, the others run on process workers (dispatch) and
 // claim morsels in ascending order. The consumer takes morsel c = 0, 1, …
 // in turn: when no runner has claimed c yet it claims and runs c itself,
-// sending straight to consume; otherwise it takes c's values from c's slot
+// sending straight to show; otherwise it takes c's windows from c's slot
 // as they arrive. A runner holding morsel i waits before running it until
-// i is within a window of the consumer (handoff), and while sending when
-// the slot already holds handoffDepth values. That cannot deadlock: the
+// i is within a window of the consumer (await), and while sending when
+// the slot already holds handoffDepth windows. That cannot deadlock: the
 // morsel the consumer wants is either unclaimed — it runs it — or held by
 // a runner that never waits for the window (it is within it) and only
 // waits for this consumer to empty its slot; no runner or consumer ever
-// waits for a process worker.
+// waits for a process worker. A window of slots twice the runners lets a
+// runner that has finished a morsel start its next while the consumer still
+// reads the last.
 //
-// After an error from consume (LIMIT's early exit, a sink that failed) the
+// After an error from show (LIMIT's early exit, a sink that failed) the
 // run stops: running morsels end at their next window, sends are dropped,
 // no further morsel is claimed, and the consumer stops reading. A panic —
-// in consume, in a morsel run here, or recovered by a runner (ran) — stops
+// in show, in a morsel run here, or recovered by a runner (ran) — stops
 // the run the same way and goes on up the calling goroutine once every
-// runner has returned. The run is released on the way out, last: by then no
-// runner holds its scratch.
-func drainOrdered[T any](r *scanRun, fn func(t *scanTask, w int, out *port[T]), consume func(T) error) error {
+// runner has returned. The run's scratch is released on the way out, last:
+// by then no runner holds it.
+func (r *scanRun) drainOrdered() error {
 	defer r.release()
 	if len(r.tasks) == 0 {
 		return nil
 	}
-	if len(r.scratch) == 1 {
-		out := &port[T]{r: r, consume: consume}
+	p, n := &r.par, len(r.scratch)
+	p.ports = slices.Grow(p.ports[:0], n)[:n]
+	for w := range p.ports {
+		p.ports[w] = port{r: r, h: p}
+	}
+	direct := &p.ports[0]
+	direct.h = nil
+	if n == 1 {
 		t0 := time.Now()
 		for i := range r.tasks {
 			if r.stop.Load() {
 				break
 			}
-			fn(&r.tasks[i], 0, out)
+			r.process(&r.tasks[i], 0)
 		}
 		observeBusy(t0)
 		return r.err
 	}
-	h := &handoff[T]{fn: fn, slots: make([]handoffSlot[T], 2*len(r.scratch)), ports: make([]port[T], len(r.scratch))}
-	for w := range h.ports {
-		h.ports[w] = port[T]{r: r, h: h}
-	}
-	direct := &h.ports[0]
-	*direct = port[T]{r: r, consume: consume}
-	h.parallelize(r, h)
-	h.dispatch()
+	p.slots = slices.Grow(p.slots[:0], 2*n)[:2*n]
+	clear(p.slots)
+	p.dispatch()
 	// However the consumer leaves — a panic too — the runners are stopped
 	// and have returned.
 	defer func() {
 		r.halt()
-		h.running.Wait()
+		p.running.Wait()
 	}()
 	var busy time.Duration
 	for c := 0; c < len(r.tasks) && !r.stop.Load(); c++ {
-		if h.next.CompareAndSwap(int64(c), int64(c+1)) {
+		if p.next.CompareAndSwap(int64(c), int64(c+1)) {
 			t0 := time.Now()
-			fn(&r.tasks[c], 0, direct)
+			r.process(&r.tasks[c], 0)
 			busy += time.Since(t0)
 		} else {
-			h.drain(c, direct)
+			p.drain(c, direct)
 		}
-		h.advance(c)
+		p.advance(c)
 	}
-	h.join()
+	p.join()
 	if busy > 0 {
 		hVecWorkerBusy.Observe(float64(busy.Nanoseconds()) / 1e3)
 	}
 	return r.err
 }
 
-// handoff is an ordered run's hand-off between its runners and its
-// consumer, all of it under mu: a window of slots, one per morsel in
-// flight — morsel i's is slots[i % len(slots)] — of handoffDepth values
-// each. A window twice the runners lets a runner that has finished a morsel
-// start its next while the consumer still reads the last. What the
-// hand-off allocates does not grow with the morsels.
-type handoff[T any] struct {
-	parallel
-	fn    func(t *scanTask, w int, out *port[T])
-	slots []handoffSlot[T]
-	ports []port[T] // runner w's is ports[w]
+// port is where a runner of an ordered run sends its morsel's windows:
+// runner 0, on the consumer's goroutine, straight to show; any other into
+// the hand-off slot of the morsel it holds. A run keeps its ports, so
+// sending costs no closure per runner, morsel or statement.
+type port struct {
+	r *scanRun
+	h *parallel // nil for runner 0
+	i int       // the morsel the runner holds
 }
 
-type handoffSlot[T any] struct {
-	vals    [handoffDepth]T // a ring: n values from head on
-	head, n int
-	done    bool // its runner has finished the morsel
-}
-
-// port is where a runner of an ordered run sends its morsel's values:
-// runner 0, on the consumer's goroutine, straight to consume; any other
-// into the hand-off slot of the morsel it holds. A run allocates its ports
-// once, so sending costs no closure per runner or morsel.
-type port[T any] struct {
-	r       *scanRun
-	consume func(T) error // runner 0's
-	h       *handoff[T]   // the others'
-	i       int           // the morsel the runner holds
-}
-
-// send hands v on towards the consumer. A consume that fails stops the run.
-func (p *port[T]) send(v T) {
+// send hands v on towards the consumer. A show that fails stops the run.
+func (p *port) send(v window) {
 	if p.h != nil {
 		p.h.put(p.i, v)
 		return
 	}
 	if r := p.r; r.err == nil {
-		if r.err = p.consume(v); r.err != nil {
+		if r.err = r.show(v); r.err != nil {
 			r.halt()
 		}
 	}
 }
 
-// runAs is runner w of the ordered run, on a process worker.
-func (h *handoff[T]) runAs(w int) {
-	defer h.ran(time.Now())
-	p := &h.ports[w]
-	for i := h.claim(); i >= 0 && h.await(i); i = h.claim() {
-		p.i = i
-		h.fn(&h.r.tasks[i], w, p)
-		h.finish(i)
-	}
-}
-
 // await waits until morsel i is within the window of the consumer and
 // reports whether it is — false once the run has stopped.
-func (h *handoff[T]) await(i int) bool {
-	stop := &h.r.stop
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i >= h.consumed+len(h.slots) && !stop.Load() {
-		h.moved.Wait()
+func (p *parallel) await(i int) bool {
+	stop := &p.r.stop
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i >= p.consumed+len(p.slots) && !stop.Load() {
+		p.moved.Wait()
 	}
 	return !stop.Load()
 }
 
 // put appends v to morsel i's slot, waiting while the slot is full; once
 // the run has stopped it drops v.
-func (h *handoff[T]) put(i int, v T) {
-	stop, s := &h.r.stop, &h.slots[i%len(h.slots)]
-	h.mu.Lock()
+func (p *parallel) put(i int, v window) {
+	stop, s := &p.r.stop, &p.slots[i%len(p.slots)]
+	p.mu.Lock()
 	for s.n == handoffDepth && !stop.Load() {
-		h.moved.Wait()
+		p.moved.Wait()
 	}
 	if !stop.Load() {
 		s.vals[(s.head+s.n)%handoffDepth] = v
 		s.n++
-		h.moved.Broadcast()
+		p.moved.Broadcast()
 	}
-	h.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // finish marks morsel i finished: its slot will receive nothing more.
-func (h *handoff[T]) finish(i int) {
-	h.mu.Lock()
-	h.slots[i%len(h.slots)].done = true
-	h.moved.Broadcast()
-	h.mu.Unlock()
+func (p *parallel) finish(i int) {
+	p.mu.Lock()
+	p.slots[i%len(p.slots)].done = true
+	p.moved.Broadcast()
+	p.mu.Unlock()
 }
 
-// drain hands morsel c's values to the consumer's port as they arrive,
+// drain hands morsel c's windows to the consumer's port as they arrive,
 // until its runner has finished it or the run stops. The consumer runs
 // outside the lock.
-func (h *handoff[T]) drain(c int, direct *port[T]) {
-	stop, s := &h.r.stop, &h.slots[c%len(h.slots)]
-	h.mu.Lock()
+func (p *parallel) drain(c int, direct *port) {
+	stop, s := &p.r.stop, &p.slots[c%len(p.slots)]
+	p.mu.Lock()
 	for {
 		for s.n == 0 && !s.done && !stop.Load() {
-			h.moved.Wait()
+			p.moved.Wait()
 		}
 		if s.n == 0 || stop.Load() {
 			break
 		}
 		v := s.vals[s.head]
-		s.vals[s.head] = *new(T)
+		s.vals[s.head] = window{}
 		s.head, s.n = (s.head+1)%handoffDepth, s.n-1
-		h.moved.Broadcast()
-		h.mu.Unlock()
+		p.moved.Broadcast()
+		p.mu.Unlock()
 		direct.send(v)
-		h.mu.Lock()
+		p.mu.Lock()
 	}
-	h.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // advance moves the consumer past morsel c: its slot is emptied for morsel
 // c + len(slots), whose runner may now run it.
-func (h *handoff[T]) advance(c int) {
-	h.mu.Lock()
-	h.slots[c%len(h.slots)] = handoffSlot[T]{}
-	h.consumed = c + 1
-	h.moved.Broadcast()
-	h.mu.Unlock()
+func (p *parallel) advance(c int) {
+	p.mu.Lock()
+	p.slots[c%len(p.slots)] = handoffSlot{}
+	p.consumed = c + 1
+	p.moved.Broadcast()
+	p.mu.Unlock()
 }
 
 // vecScan is a scan below the plan's root, whose parent keeps rows: each
@@ -972,10 +1144,14 @@ func (h *handoff[T]) advance(c int) {
 // set, is a projection fused into the scan: surviving positions box only
 // the projected columns, never the full-width row.
 func vecScan(s *ScanPlan, cols []int, ctx *execCtx) (vpipe, error) {
-	return scanOut(s, cols, ctx, func(t *scanTask, sel selection, cols []int, _ bool) []value.Row {
-		b := RowBatch{readers: t.readers, cols: cols, sel: sel}
-		return b.AppendRows(nil)
-	}, func(_ *scanRun, rows []value.Row, _ []int, emit func([]value.Row) error) error { return emit(rows) })
+	r, err := scanOut(s, cols, exitRows, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return func(emit func([]value.Row) error) error {
+		r.emit = emit
+		return r.run()
+	}, nil
 }
 
 // colReader reads one column of a partition snapshot at a physical row
@@ -1039,52 +1215,40 @@ func (r *colReader) value(pos int) value.Value {
 // the dictionary kernel binds string literals, and the RLE kernel calls
 // Compare itself once per run so any non-NULL kind is safe. Literals and
 // bound parameters take the same rules: a NULL (possible only from a
-// parameter) or kind-mismatched value binds nothing. A nil return sends
-// the conjunct to the generic expression path for this partition.
-func bindKernel(snap *columnstore.Snapshot, p Pred) kernelFn {
+// parameter) or kind-mismatched value binds nothing. false sends the
+// conjunct to the generic expression path for this partition.
+func bindKernel(snap *columnstore.Snapshot, p Pred) (kernel, bool) {
 	mc := snap.MainColumn(p.Col)
 	if mc == nil || p.Lit.IsNull() || p.Lit.F != p.Lit.F { // NaN runs as Compare orders it
-		return nil
+		return kernel{}, false
 	}
+	k := kernel{op: p.Op, lit: p.Lit}
 	// Capability interfaces instead of concrete structs: hot columns and
 	// paged warm columns bind the same kernels.
 	if c, ok := mc.(columnstore.IntFilterer); ok {
-		if p.Lit.K == mc.Kind() && p.Lit.K != value.KindFloat {
-			k := p.Lit.I
-			return func(lo, hi int, sel []int) []int {
-				return c.FilterInts(lo, hi, p.Op, k, sel)
-			}
-		}
-		return nil
+		k.ints = c
+		return k, p.Lit.K == mc.Kind() && p.Lit.K != value.KindFloat
 	}
 	if c, ok := mc.(columnstore.FloatFilterer); ok {
-		var k float64
 		switch p.Lit.K {
 		case value.KindFloat:
-			k = p.Lit.F
 		case value.KindInt:
-			k = float64(p.Lit.I)
+			k.lit = value.Float(float64(p.Lit.I))
 		default:
-			return nil
+			return kernel{}, false
 		}
-		return func(lo, hi int, sel []int) []int {
-			return c.FilterFloats(lo, hi, p.Op, k, sel)
-		}
+		k.floats = c
+		return k, true
 	}
 	if c, ok := mc.(columnstore.StringFilterer); ok {
-		if p.Lit.K == value.KindString {
-			return func(lo, hi int, sel []int) []int {
-				return c.FilterString(lo, hi, p.Op, p.Lit.S, sel)
-			}
-		}
-		return nil
+		k.strs = c
+		return k, p.Lit.K == value.KindString
 	}
 	if c, ok := mc.(columnstore.ValueFilterer); ok {
-		return func(lo, hi int, sel []int) []int {
-			return c.FilterValues(lo, hi, p.Op, p.Lit, sel)
-		}
+		k.vals = c
+		return k, true
 	}
-	return nil
+	return kernel{}, false
 }
 
 // intersectInto keeps the elements of a that also appear in b (both
@@ -1137,7 +1301,7 @@ func vecFilter(x *FilterPlan, ctx *execCtx) (vpipe, error) {
 }
 
 func vecProject(x *ProjectPlan, ctx *execCtx) (vpipe, error) {
-	if s, cols, ok := projectScanShape(x); ok {
+	if s, cols, ok := projectScanShape(x, nil); ok {
 		return vecScan(s, cols, ctx)
 	}
 	child, err := vecCompile(x.Child, ctx)

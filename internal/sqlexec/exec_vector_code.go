@@ -181,6 +181,13 @@ type aggFold struct {
 	key    value.Row // the current row's rendered key
 	keyBuf []byte    // and its rendering
 
+	// spare and spareAccs are the rest of the fold's current chunk of
+	// groups and of their accumulators, made the groups made before
+	// (newGroup).
+	spare     []aggGroup
+	spareAccs []aggAcc
+	made      int
+
 	runsFolded    int64
 	batchesFused  int64
 	decodeAvoided int64
@@ -197,8 +204,20 @@ func newAggFold(in *aggInput, interner *strInterner, nProbe int) *aggFold {
 	return f
 }
 
+// newGroup carves a group and its accumulators out of the fold's chunks.
+// A new chunk holds as many groups as the fold has made, at least one and
+// at most 1 024: a fold of g groups costs two allocations per doubling of
+// g, not two per group, and a chunk is never more than half unused.
 func (f *aggFold) newGroup(code, rank int64) *aggGroup {
-	return &aggGroup{code: code, accs: make([]aggAcc, len(f.in.specs)), first: rank}
+	n := len(f.in.specs)
+	if len(f.spare) == 0 {
+		chunk := min(max(f.made, 1), 1024)
+		f.spare, f.spareAccs = make([]aggGroup, chunk), make([]aggAcc, chunk*n)
+	}
+	g := &f.spare[0]
+	*g = aggGroup{code: code, accs: f.spareAccs[:n:n], first: rank}
+	f.spare, f.spareAccs, f.made = f.spare[1:], f.spareAccs[n:], f.made+1
+	return g
 }
 
 // group resolves the partial group for a canonical code. Workers consume
@@ -623,35 +642,33 @@ func (f *aggFold) rows() []value.Row {
 	return out
 }
 
-// foldMorsels runs a fused aggregation of in over the run, a scan of ncols
-// columns, and releases it: each morsel's selection phase runs on one of
-// the run's runners and fold consumes its final selection into the
-// runner's own fold, in whatever order the morsels complete. Accumulators
-// are order-free (aggAcc), so finishAgg may merge the folds in any order
-// too.
-func (r *scanRun) foldMorsels(in *aggInput, ncols int, fold func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)) []*aggFold {
+// foldMorsels runs a fused aggregation of in over the run and releases it:
+// each morsel's selection phase runs on one of the run's runners and fold
+// consumes its final selection into the runner's own fold, in whatever
+// order the morsels complete. Accumulators are order-free (aggAcc), so
+// finishAgg may merge the folds in any order too. The folds are the run's
+// until the statement ends.
+func (r *scanRun) foldMorsels(in *aggInput, fold func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)) []*aggFold {
 	defer r.release()
 	interner := newStrInterner()
-	folds := make([]*aggFold, len(r.scratch))
-	for w := range folds {
-		folds[w] = newAggFold(in, interner, ncols)
+	r.folds = r.folds[:0]
+	for range r.scratch {
+		r.folds = append(r.folds, newAggFold(in, interner, r.ncols))
 	}
-	r.runTasks(func(i, w int) {
-		t := &r.tasks[i]
-		r.process(t, w, func(sel selection) { fold(folds[w], t, sel, r.scratch[w]) })
-	})
-	return folds
+	r.exit, r.fold = exitFold, fold
+	r.runTasks()
+	return r.folds
 }
 
 // vecAggScan fuses an aggregation into the scan morsels (see foldMorsels),
 // and warm partitions whose zone map exactly describes the snapshot answer
 // COUNT/MIN/MAX from the synopsis without faulting a page.
 func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
-	prep, err := prepScan(s, ctx)
+	r, err := prepScan(s, ctx)
 	if err != nil {
 		return nil, err
 	}
-	in.avoidPerRow = prep.ncols - in.decoded(prep.ncols)
+	in.avoidPerRow = r.ncols - in.decoded(r.ncols)
 	zoneEligible := len(in.keyCols) == 0 && s.Filter == nil && !in.computed
 	for i, spec := range in.specs {
 		switch {
@@ -672,7 +689,7 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
 		var zoneAvoided int64
 		if zoneEligible {
 			zoneAccs = make([]aggAcc, len(in.specs))
-			prep.zoneAgg = func(snap *columnstore.Snapshot, z *columnstore.ZoneMap) bool {
+			r.zoneAgg = func(snap *columnstore.Snapshot, z *columnstore.ZoneMap) bool {
 				rows := snap.NumRows()
 				for i, ac := range in.argCols {
 					if ac < 0 {
@@ -682,22 +699,21 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
 						zoneAccs[i].widen(z.Cols[ac].Min, z.Cols[ac].Max)
 					}
 				}
-				zoneAvoided += int64(rows) * int64(prep.ncols) * 16
+				zoneAvoided += int64(rows) * int64(r.ncols) * 16
 				return true
 			}
 		}
-		run, err := prep.newRun(ctx)
-		if err != nil {
+		if err := r.open(); err != nil {
 			return nil, err
 		}
-		folds := run.foldMorsels(in, prep.ncols, (*aggFold).foldMorsel)
+		folds := r.foldMorsels(in, (*aggFold).foldMorsel)
 		var runs, fused, avoided int64
 		for _, f := range folds {
 			runs += f.runsFolded
 			fused += f.batchesFused
 			avoided += f.decodeAvoided
 		}
-		recordLateMat(ctx, run.op, 0, runs, fused, avoided+zoneAvoided)
+		recordLateMat(ctx, r.op, 0, runs, fused, avoided+zoneAvoided)
 		return finishAgg(folds, zoneAccs), nil
 	}, nil
 }
@@ -745,12 +761,12 @@ type codeJoin struct {
 	ctx   *execCtx
 	op    *OpProfile
 
-	prep  *scanPrep // probe side, when it is a scan
-	left  vpipe     // probe side, when it is not
-	right vpipe     // build side
-	lKeys []evalFn  // a rendered key's components over the probe side
-	lRefs []int     // the probe scan's columns they read
-	rKeys []evalFn  // the key's components over the build side
+	prep  *scanRun // probe side, when it is a scan
+	left  vpipe    // probe side, when it is not
+	right vpipe    // build side
+	lKeys []evalFn // a rendered key's components over the probe side
+	lRefs []int    // the probe scan's columns they read
+	rKeys []evalFn // the key's components over the build side
 
 	lists  [][]value.Row // key id → build rows, in build order
 	strIDs map[string]int64
@@ -1013,7 +1029,7 @@ func (j *codeJoin) open() (*scanRun, error) {
 	if sop := j.ctx.prof.node(j.shape.scan); sop != nil {
 		sop.fused = true
 	}
-	return j.prep.newRun(j.ctx)
+	return j.prep, j.prep.open()
 }
 
 // joinOut is the joined-row sink of one probe feed: it finishes each
@@ -1100,34 +1116,34 @@ func vecJoinCode(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 			}
 			return out.flush()
 		}
-		return drainOrdered(run, func(t *scanTask, w int, to *port[[]value.Row]) {
-			run.process(t, w, func(sel selection) {
-				out := sink(func(rows []value.Row) error {
-					if run.stop.Load() {
-						return errStop
-					}
-					to.send(rows)
-					return nil
-				})
-				probed := -1 // the input whose columns prev holds
-				var prev value.Row
-				if j.probeMorsel(t, sel, run.scratch[w], func(i int, build value.Row) (bool, error) {
-					row := out.slab.row()
-					if i == probed {
-						copy(row[:nProbe], prev)
-					} else {
-						pos := sel.at(i)
-						for c := range t.readers {
-							row[c] = t.readers[c].value(pos)
-						}
-					}
-					probed, prev = i, row[:nProbe]
-					return out.add(row, build)
-				}) == nil {
-					out.flush()
+		run.exit, run.emit = exitProbe, emit
+		run.probe = func(t *scanTask, w int, sel selection, to *port) {
+			out := sink(func(rows []value.Row) error {
+				if run.stop.Load() {
+					return errStop
 				}
+				to.send(window{rows: rows})
+				return nil
 			})
-		}, emit)
+			probed := -1 // the input whose columns prev holds
+			var prev value.Row
+			if j.probeMorsel(t, sel, run.scratch[w], func(i int, build value.Row) (bool, error) {
+				row := out.slab.row()
+				if i == probed {
+					copy(row[:nProbe], prev)
+				} else {
+					pos := sel.at(i)
+					for c := range t.readers {
+						row[c] = t.readers[c].value(pos)
+					}
+				}
+				probed, prev = i, row[:nProbe]
+				return out.add(row, build)
+			}) == nil {
+				out.flush()
+			}
+		}
+		return run.drainOrdered()
 	}, nil
 }
 
@@ -1150,7 +1166,7 @@ func vecAggJoinCode(jp *JoinPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
 		if j.op != nil {
 			j.op.fused = true
 		}
-		folds := run.foldMorsels(in, j.prep.ncols, func(f *aggFold, t *scanTask, sel selection, scr *scanScratch) {
+		folds := run.foldMorsels(in, func(f *aggFold, t *scanTask, sel selection, scr *scanScratch) {
 			rank := t.rankBase()
 			j.probeMorsel(t, sel, scr, func(i int, build value.Row) (bool, error) {
 				f.foldRow(t, sel.at(i), build, rank)

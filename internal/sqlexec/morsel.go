@@ -33,11 +33,6 @@ var (
 	idleWorkers atomic.Int64
 )
 
-// A runner is the body of one run's runners: runAs(w) claims the run's
-// morsels as runner w until none is left, and never blocks on the process
-// workers.
-type runner interface{ runAs(w int) }
-
 // workerJob is runner w of a run, sent by value: handing it over allocates
 // nothing.
 type workerJob struct {
@@ -51,7 +46,7 @@ func startWorkers() {
 		idleWorkers.Add(1)
 		go func() {
 			for j := range workerJobs {
-				j.p.body.runAs(j.w)
+				j.p.runAs(j.w)
 				idleWorkers.Add(1)
 				j.p.running.Done()
 			}
@@ -71,15 +66,18 @@ func (ctx *execCtx) runnersFor(n int) int {
 	return max(1, min(limit, n))
 }
 
-// parallel is the state of a run of several runners; a run of one does
-// without. Under mu: the first panic a runner recovered, and the ordered
-// hand-off's progress (drainOrdered) — moved is broadcast whenever a window
-// is sent or taken, a morsel is finished or consumed, or the run stops.
+// parallel is what a scan run's runners share: the claiming, the first
+// panic a runner recovered and, for an ordered run, the hand-off
+// (drainOrdered) — a port per runner (runner 0's is the consumer's own, in a
+// run of one too) and, with several runners, a window of slots, one per
+// morsel in flight, morsel i's being slots[i % len(slots)], of handoffDepth
+// windows each, and the consumer's progress. moved is broadcast whenever a
+// window is sent or taken, a morsel is finished or consumed, or the run
+// stops. It lives in its scanRun and is reused with it, so what a run
+// allocates does not grow with its morsels, and in steady state is nothing.
 type parallel struct {
 	r       *scanRun
-	body    runner         // what a dispatched runner runs
 	next    atomic.Int64   // the first morsel no runner has claimed
-	job     func(i, w int) // runTasks's
 	running sync.WaitGroup // runners dispatched to process workers and not yet returned
 
 	mu       sync.Mutex
@@ -87,14 +85,23 @@ type parallel struct {
 	consumed int // morsels the ordered consumer is done with
 	failed   bool
 	failure  any
+	slots    []handoffSlot // empty unless the run is ordered
+	ports    []port        // runner w's is ports[w]; ports[0] is the consumer's own
 }
 
-// parallelize readies p to run r's morsels on its runners, each running
-// body.
-func (p *parallel) parallelize(r *scanRun, body runner) {
-	p.r, p.body = r, body
-	p.moved.L = &p.mu
-	r.par = p
+// handoffSlot is one morsel's place in the ordered hand-off.
+type handoffSlot struct {
+	vals    [handoffDepth]window // a ring: n windows from head on
+	head, n int
+	done    bool // its runner has finished the morsel
+}
+
+// begin readies p for a new run of r's morsels: nothing claimed, consumed
+// or failed yet.
+func (p *parallel) begin() {
+	p.next.Store(0)
+	p.consumed, p.failed, p.failure = 0, false, nil
+	p.slots = p.slots[:0]
 }
 
 // claim hands out the run's next morsel, in ascending order, or -1 once
@@ -130,6 +137,26 @@ func (p *parallel) dispatch() {
 	}
 }
 
+// runAs is runner w of the run: it claims morsels and processes them until
+// none is left. In an ordered run it waits before running morsel i until i
+// is within the consumer's window, and marks i finished after.
+func (p *parallel) runAs(w int) {
+	defer p.ran(time.Now())
+	r := p.r
+	for i := p.claim(); i >= 0; i = p.claim() {
+		if len(p.slots) == 0 {
+			r.process(&r.tasks[i], w)
+			continue
+		}
+		if !p.await(i) {
+			return
+		}
+		p.ports[w].i = i
+		r.process(&r.tasks[i], w)
+		p.finish(i)
+	}
+}
+
 // ran ends a runner begun at t0, as every runner ends: a panic in one of
 // its morsels is recovered and kept for the statement's goroutine to raise
 // (join) and the run stops, so the worker it ran on lives on; its busy time
@@ -151,11 +178,10 @@ func (p *parallel) ran(t0 time.Time) {
 // ordered hand-off, so that each sees it.
 func (r *scanRun) halt() {
 	r.stop.Store(true)
-	if p := r.par; p != nil {
-		p.mu.Lock()
-		p.moved.Broadcast()
-		p.mu.Unlock()
-	}
+	p := &r.par
+	p.mu.Lock()
+	p.moved.Broadcast()
+	p.mu.Unlock()
 }
 
 // join waits for the run's dispatched runners, then raises on the calling
@@ -171,38 +197,28 @@ func observeBusy(t0 time.Time) {
 	hVecWorkerBusy.Observe(float64(time.Since(t0).Nanoseconds()) / 1e3)
 }
 
-// runTasks runs job(i, runner) for every morsel i of the run and returns
-// when all have finished, runner being the index of the runner that ran it
-// — per-runner scratch needs no synchronization. A run of one runner runs
-// every morsel on the calling goroutine, in order; more run as runners,
-// the calling goroutine runner 0, the others on process workers (dispatch).
-// A panicking job is raised on the calling goroutine once every runner has
-// returned. Partial aggregation and fused join probes run through here; the
-// ordered hand-off (drainOrdered) has a consumer loop of its own over the
-// same claiming.
-func (r *scanRun) runTasks(job func(i, runner int)) {
+// runTasks processes every morsel of the run and returns when all have
+// finished, each on one runner, in whatever order they complete — per-runner
+// scratch needs no synchronization. A run of one runner runs every morsel on
+// the calling goroutine, in order; more run as runners, the calling
+// goroutine runner 0, the others on process workers (dispatch). A panicking
+// morsel is raised on the calling goroutine once every runner has returned.
+// Partial aggregation runs through here; the ordered hand-off
+// (drainOrdered) has a consumer loop of its own over the same claiming.
+func (r *scanRun) runTasks() {
 	if len(r.tasks) == 0 {
 		return
 	}
 	if len(r.scratch) == 1 {
 		t0 := time.Now()
 		for i := range r.tasks {
-			job(i, 0)
+			r.process(&r.tasks[i], 0)
 		}
 		observeBusy(t0)
 		return
 	}
-	p := &parallel{job: job}
-	p.parallelize(r, p)
+	p := &r.par
 	p.dispatch()
 	p.runAs(0)
 	p.join()
-}
-
-// runAs is runTasks's runner w.
-func (p *parallel) runAs(w int) {
-	defer p.ran(time.Now())
-	for i := p.claim(); i >= 0; i = p.claim() {
-		p.job(i, w)
-	}
 }

@@ -1039,13 +1039,13 @@ func joinShapeOf(x *JoinPlan) joinShape {
 // projectScanShape reports whether a projection directly over a scan is
 // pure column selection — every output expression a bare column
 // reference — so the fused path can materialize only the projected
-// columns.
-func projectScanShape(x *ProjectPlan) (*ScanPlan, []int, bool) {
+// columns, whose scan column indexes it returns in cols' memory.
+func projectScanShape(x *ProjectPlan, cols []int) (*ScanPlan, []int, bool) {
 	s, ok := x.Child.(*ScanPlan)
 	if !ok {
 		return nil, nil, false
 	}
-	cols := make([]int, len(x.Exprs))
+	cols = slices.Grow(cols[:0], len(x.Exprs))[:len(x.Exprs)]
 	for i, e := range x.Exprs {
 		cr, ok := e.(*ColRef)
 		if !ok {

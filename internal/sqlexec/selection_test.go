@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,26 +19,34 @@ import (
 // all visible and unfiltered allocates no selection, key or scratch memory
 // at all once one statement has warmed the pool.
 
-// countScratch hooks e's scratch pool to book every take and put, and
-// returns a check to run between statements: nothing may be outstanding,
-// and no scratch may ever have been out twice at once or returned without
-// having been taken.
+// countScratch hooks e's scratch pool to book every run state and scratch
+// it lends and every one returned, and returns a check to run between
+// statements: nothing may be outstanding, nothing may ever have been out
+// twice at once or returned without having been taken, and the idle pool
+// may pin nothing of the statements that ran (poolPins). The check returns
+// how many scratches were taken since the last.
 func countScratch(t *testing.T, e *Engine) (check func(label string) (takes int)) {
 	var mu sync.Mutex
-	out := map[*scanScratch]int{}
-	var takes, puts int
+	out := map[any]int{}
+	var takes, puts, borrows, returns int
 	var broken []string
-	e.scratch.hook = func(s *scanScratch, delta int) {
+	e.scratch.hook = func(x any, delta int) {
 		mu.Lock()
 		defer mu.Unlock()
-		out[s] += delta
-		if delta > 0 {
+		out[x] += delta
+		_, scratch := x.(*scanScratch)
+		switch {
+		case scratch && delta > 0:
 			takes++
-		} else {
+		case scratch:
 			puts++
+		case delta > 0:
+			borrows++
+		default:
+			returns++
 		}
-		if out[s] != 0 && out[s] != 1 {
-			broken = append(broken, fmt.Sprintf("a scratch is out %d times", out[s]))
+		if out[x] != 0 && out[x] != 1 {
+			broken = append(broken, fmt.Sprintf("a %T is out %d times", x, out[x]))
 		}
 	}
 	return func(label string) int {
@@ -47,18 +56,79 @@ func countScratch(t *testing.T, e *Engine) (check func(label string) (takes int)
 		for _, msg := range broken {
 			t.Errorf("%s: %s", label, msg)
 		}
-		for _, n := range out {
+		for x, n := range out {
 			if n != 0 {
-				t.Errorf("%s: a scratch was taken and never returned", label)
+				t.Errorf("%s: a %T was lent and never returned", label, x)
 			}
 		}
 		if takes != puts {
-			t.Errorf("%s: %d takes, %d puts", label, takes, puts)
+			t.Errorf("%s: %d scratch takes, %d puts", label, takes, puts)
+		}
+		if borrows != returns {
+			t.Errorf("%s: %d run states borrowed, %d returned", label, borrows, returns)
+		}
+		for _, pin := range poolPins(&e.scratch) {
+			t.Errorf("%s: the idle pool pins %s", label, pin)
 		}
 		n := takes
-		broken, takes, puts = nil, 0, 0
+		broken, takes, puts, borrows, returns = nil, 0, 0, 0, 0
 		return n
 	}
+}
+
+// poolPins lists what an idle pool still holds of the statements that ran
+// on it: parameters, a sink or stats, a plan or compiled code, a snapshot's
+// view, readers, kernels and their literals, morsels, folds, hand-off
+// windows, rows in a scratch. Capacity is all it may keep.
+func poolPins(p *scratchPool) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var pins []string
+	pin := func(held bool, what string) {
+		if held && !slices.Contains(pins, what) {
+			pins = append(pins, what)
+		}
+	}
+	for _, c := range p.runs {
+		pin(c.params != nil || c.reg != nil || c.stats != nil || c.out != nil || c.prof != nil, "a statement's parameters, sink or stats")
+		pin(c.nscans != 0, "scans lent to no statement")
+		for _, r := range c.scans {
+			pin(r.ctx == nil, "a scan of no ctx")
+			pin(r.plan != nil || r.cols != nil || r.filter != nil || r.zoneAgg != nil, "a scan's plan or filter")
+			pin(r.fused != nil || r.emitView != nil || r.emit != nil || r.victims != nil || r.probe != nil || r.fold != nil || r.op != nil || r.residCols != nil,
+				"what a scan's exit was handed")
+			pin(len(r.scratch) != 0, "a scan's runner scratch")
+			for _, x := range r.tasks[:cap(r.tasks)] {
+				pin(x.part != nil || x.snap != nil || x.kernels != nil || x.resid != nil || x.readers != nil, "a morsel")
+			}
+			for _, x := range r.readers[:cap(r.readers)] {
+				pin(x.main != nil || x.ints != nil || x.floats != nil || x.delta != nil, "a column reader")
+			}
+			for _, x := range r.kernels[:cap(r.kernels)] {
+				pin(x.lit != value.Null || x.ints != nil || x.floats != nil || x.strs != nil || x.vals != nil, "a kernel or its literal")
+			}
+			for i := range r.snaps[:cap(r.snaps)] {
+				snap := &r.snaps[:cap(r.snaps)][i]
+				pin(snap.NumRows() != 0 || snap.MainColumn(0) != nil || snap.DeltaColumn(0) != nil || snap.Schema() != nil, "a snapshot's view")
+			}
+			for _, f := range r.folds[:cap(r.folds)] {
+				pin(f != nil, "a fold")
+			}
+			for _, sl := range r.par.slots[:cap(r.par.slots)] {
+				for _, v := range sl.vals {
+					pin(v.t != nil || v.rows != nil || v.sel.pos != nil, "a hand-off window")
+				}
+			}
+			pin(r.par.failure != nil, "a recovered panic")
+		}
+	}
+	for _, s := range p.free {
+		pin(s.env.Params != nil, "a scratch's parameters")
+		for _, v := range append(s.env.Row[:cap(s.env.Row)], s.key.row[:cap(s.key.row)]...) {
+			pin(v != value.Null, "a value in a scratch row")
+		}
+	}
+	return pins
 }
 
 // ownershipEngine builds a table of 40 one-morsel partitions: half in
@@ -426,7 +496,7 @@ func TestScratchPoolKeepsAFixedSet(t *testing.T) {
 		}
 	}
 
-	wide := append(p.takeRun(keep+3), p.take(), p.take())
+	wide := append(p.takeRun(nil, keep+3), p.take(), p.take())
 	for _, s := range wide {
 		p.put(s)
 	}

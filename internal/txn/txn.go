@@ -94,6 +94,10 @@ type Manager struct {
 	gcSpare []*Txn // the last batch's storage, the next queue's (leader only, under gcMu)
 	gcLead  bool
 	gcRec   []GroupCommit // the listeners' batch record, reused (leader only)
+	// groupMu is held by runGroup from its first apply to its last
+	// listener — uncontended, there being one leader at a time — and by
+	// WithoutCommits.
+	groupMu sync.Mutex
 
 	commits   atomic.Uint64
 	aborts    atomic.Uint64
@@ -540,6 +544,7 @@ func (m *Manager) lead(own *Txn) {
 // runGroup commits one drained batch: a single clock bump, applies in
 // timestamp order, publish, listeners.
 func (m *Manager) runGroup(commits []*Txn, own *Txn) {
+	m.groupMu.Lock()
 	// Phase 1: assign a contiguous TS range under one clock bump and apply
 	// the write sets in that order. Only members with deletes hold a table
 	// latch, so two members may insert into the same table: applied in any
@@ -580,6 +585,7 @@ func (m *Manager) runGroup(commits []*Txn, own *Txn) {
 	}
 	cGroupCommits.Inc()
 	hGroupSize.Observe(float64(len(commits)))
+	m.groupMu.Unlock()
 
 	// Phase 5: wake the members.
 	for _, j := range commits {
@@ -588,6 +594,17 @@ func (m *Manager) runGroup(commits []*Txn, own *Txn) {
 			close(j.wake)
 		}
 	}
+}
+
+// WithoutCommits runs f while no commit group is applying or calling its
+// listeners: every commit the clock has published is applied and logged
+// before f starts, and none applies until f returns — committers wait. A
+// checkpoint runs under it, so that what it images and what it truncates
+// are the same commits.
+func (m *Manager) WithoutCommits(f func() error) error {
+	m.groupMu.Lock()
+	defer m.groupMu.Unlock()
+	return f()
 }
 
 // MergeNow merges the table's delta into main at the current MinActiveTS

@@ -249,3 +249,93 @@ func TestGroupCommitAppliesInLogOrder(t *testing.T) {
 	}
 	requireRecovered(t, s, tableContent(tab, s.Mgr.Now()))
 }
+
+// TestCheckpointUnderLiveCommits: five checkpoints taken while eight
+// committers insert lose none of the rows whose commits returned, and
+// recover none twice. A commit is either in a checkpoint's image or in the
+// log that follows it — never applied after the image's clock reading and
+// then truncated with the log — and no group commit appends to a log the
+// checkpoint is closing (which panicked the committer).
+func TestCheckpointUnderLiveCommits(t *testing.T) {
+	const committers, perCommitter, checkpoints = 8, 150, 5
+	dir := t.TempDir()
+	s, err := OpenStore(dir, SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := columnstore.NewTable("ev", columnstore.Schema{
+		{Name: "id", Kind: value.KindInt},
+		{Name: "v", Kind: value.KindInt},
+	})
+	s.Mgr.Register(tab)
+	tables := map[string]*columnstore.Table{"ev": tab}
+	if err := s.Checkpoint(tables); err != nil {
+		t.Fatal(err)
+	}
+
+	acked := make([][]int64, committers)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < committers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perCommitter; i++ {
+				id := int64(w*perCommitter + i)
+				if _, err := s.Mgr.RunInTxn(func(tx *txn.Txn) error {
+					return tx.Insert("ev", value.Row{value.Int(id), value.Int(int64(w))})
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				acked[w] = append(acked[w], id)
+			}
+		}(w)
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	// Each checkpoint lands after another sixth of the commits, while the
+	// committers are still at it.
+	base := s.Mgr.Now()
+	for c := 1; c <= checkpoints; c++ {
+		for s.Mgr.Now() < base+uint64(c*committers*perCommitter/(checkpoints+1)) {
+			select {
+			case <-done:
+				t.Fatalf("the committers finished before checkpoint %d", c)
+			default:
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		if err := s.Checkpoint(tables); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	if err := s.Log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(dir, SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab2, ok := s2.Mgr.Table("ev")
+	if !ok {
+		t.Fatal("the checkpointed table was not recovered")
+	}
+	got := tableContent(tab2, s2.Mgr.Now())
+	n := 0
+	for w, ids := range acked {
+		for _, id := range ids {
+			n++
+			if k := got[fmt.Sprintf("%d|%d", id, w)]; k != 1 {
+				t.Errorf("acknowledged row %d recovered %d times", id, k)
+			}
+		}
+	}
+	if len(got) != n {
+		t.Errorf("recovered %d distinct rows, %d were acknowledged", len(got), n)
+	}
+}

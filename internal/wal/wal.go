@@ -468,27 +468,31 @@ func (s *Store) StartMerger(threshold int, interval time.Duration) *txn.Merger {
 	return s.Mgr.StartMerger(txn.MergerConfig{Threshold: threshold, Interval: interval})
 }
 
-// Checkpoint captures the current state and truncates the redo log.
+// Checkpoint captures the current state and truncates the redo log. It
+// runs with commits held off (txn.Manager.WithoutCommits): a commit is in
+// the image or in the log that follows it, and the group-commit listener
+// never appends to the log being swapped out.
 func (s *Store) Checkpoint(tables map[string]*columnstore.Table) error {
-	ts := s.Mgr.Now()
-	if err := WriteCheckpoint(filepath.Join(s.Dir, "checkpoint.db"), ts, tables); err != nil {
-		return err
-	}
-	// Truncate the log: records up to ts are superseded by the checkpoint.
-	// (Records after ts cannot exist yet because commits are serialized
-	// through the manager and the caller quiesced writers.)
-	if err := s.Log.Close(); err != nil {
-		return err
-	}
-	if err := os.Truncate(filepath.Join(s.Dir, "redo.log"), 0); err != nil {
-		return err
-	}
-	log, err := Open(filepath.Join(s.Dir, "redo.log"), s.Log.mode)
-	if err != nil {
-		return err
-	}
-	s.Log = log
-	return nil
+	return s.Mgr.WithoutCommits(func() error {
+		ts := s.Mgr.Now()
+		if err := WriteCheckpoint(filepath.Join(s.Dir, "checkpoint.db"), ts, tables); err != nil {
+			return err
+		}
+		// Truncate the log: every record in it is at or below ts, superseded
+		// by the checkpoint.
+		if err := s.Log.Close(); err != nil {
+			return err
+		}
+		if err := os.Truncate(filepath.Join(s.Dir, "redo.log"), 0); err != nil {
+			return err
+		}
+		log, err := Open(filepath.Join(s.Dir, "redo.log"), s.Log.mode)
+		if err != nil {
+			return err
+		}
+		s.Log = log
+		return nil
+	})
 }
 
 // Backup writes a consistent full backup (a checkpoint file) to path.
