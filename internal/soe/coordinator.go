@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,6 +55,11 @@ type Coordinator struct {
 
 	obs    *stats.Registry
 	tracer *stats.Tracer
+
+	// nodeAttrs holds each target's "node=<name>" span attribute, built
+	// the first time a task goes there.
+	attrMu    sync.Mutex
+	nodeAttrs map[string]string
 }
 
 // RetryPolicy bounds the fault-tolerance loop around every remote task.
@@ -109,6 +116,34 @@ func (p RetryPolicy) backoff(attempt int) {
 // abandoned by its deadline. Application-level errors are never retried.
 func retryable(err error) bool {
 	return netsim.IsUnavailable(err) || errors.Is(err, errTaskTimeout)
+}
+
+// nodeAttr is the "node=<name>" attribute of the spans of a task sent to
+// node.
+func (c *Coordinator) nodeAttr(node string) string {
+	c.attrMu.Lock()
+	defer c.attrMu.Unlock()
+	a, ok := c.nodeAttrs[node]
+	if !ok {
+		if c.nodeAttrs == nil {
+			c.nodeAttrs = map[string]string{}
+		}
+		a = "node=" + node
+		c.nodeAttrs[node] = a
+	}
+	return a
+}
+
+// attemptAttrs are the "attempt=N" span attributes of a retry loop's
+// attempts, built once.
+var attemptAttrs = [...]string{"attempt=1", "attempt=2", "attempt=3", "attempt=4", "attempt=5", "attempt=6", "attempt=7", "attempt=8"}
+
+// attemptAttr is the span attribute of attempt n (1-based).
+func attemptAttr(n int) string {
+	if n <= len(attemptAttrs) {
+		return attemptAttrs[n-1]
+	}
+	return countLabel("attempt", n)
 }
 
 // sqlError is an application-level failure from a node's engine: the query
@@ -250,8 +285,12 @@ func (c *Coordinator) commit(span *stats.Span, writes []LogWrite) (CommitResp, e
 			c.obs.Counter("soe_commit_retries_total", "service=v2dqp").Inc()
 			pol.backoff(a - 1)
 		}
-		cm := span.Child("commit", fmt.Sprintf("attempt=%d", a+1))
-		resp, err := send[CommitResp](c.net, c.Name, c.broker, MsgCommit, payload, cm.Context(), pol.TaskTimeout)
+		cm := span.Child("commit", attemptAttr(a+1))
+		var resp CommitResp
+		msg, err := exchange(c.net, c.Name, c.broker, netsim.Message{Kind: MsgCommit, Payload: payload, Trace: cm.Context()}, pol.TaskTimeout)
+		if err == nil {
+			err = decodeErr(msg.Kind, resp.readWire(msg.Payload))
+		}
 		cm.Finish()
 		if err == nil {
 			if resp.Err == "" {
@@ -578,25 +617,36 @@ type fanTask struct {
 	parts []int
 }
 
-// tasksFor groups a table's partitions by hosting node into scoped tasks.
+// tasksFor groups a table's partitions by hosting node into scoped tasks,
+// in node-name order, each listing its partitions in the order given. The
+// tasks' partition lists are windows of one slice.
 func (c *Coordinator) tasksFor(table string, parts []int) []fanTask {
 	t, ok := c.ccat.Table(table)
 	if !ok {
 		return nil
 	}
-	byNode := map[string][]int{}
+	type placed struct {
+		node string
+		part int
+	}
+	var buf [16]placed
+	byNode := buf[:0]
 	for _, p := range parts {
-		n := c.ccat.nodeOf(t, p)
-		byNode[n] = append(byNode[n], p)
+		byNode = append(byNode, placed{c.ccat.nodeOf(t, p), p})
 	}
-	nodes := make([]string, 0, len(byNode))
-	for n := range byNode {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	out := make([]fanTask, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, fanTask{node: n, parts: byNode[n]})
+	slices.SortStableFunc(byNode, func(a, b placed) int { return strings.Compare(a.node, b.node) })
+	grouped := make([]int, 0, len(parts))
+	out := make([]fanTask, 0, len(parts))
+	for i := 0; i < len(byNode); {
+		start := len(grouped)
+		for _, p := range byNode[i:] {
+			if p.node != byNode[i].node {
+				break
+			}
+			grouped = append(grouped, p.part)
+		}
+		out = append(out, fanTask{node: byNode[i].node, parts: grouped[start:len(grouped):len(grouped)]})
+		i += len(grouped) - start
 	}
 	return out
 }
@@ -635,61 +685,38 @@ func (r *fanReport) fraction() float64 {
 // from the catalog; coverage that cannot be served anywhere either fails
 // the query (default) or, with PartialResults, is dropped and reported in
 // the completeness fraction.
+//
+// The first task runs on the caller's goroutine, every other on one of its
+// own.
 func (c *Coordinator) fanOut(span *stats.Span, req ExecReq, tasks []fanTask) ([]sqlexec.Reply, *fanReport, error) {
 	t0 := time.Now()
+	f := &fanRun{c: c, span: span, req: req, tasks: make([]taskRun, len(tasks))}
+	f.wg.Add(len(tasks))
+	for i := range tasks {
+		f.tasks[i].fanTask = tasks[i]
+		if i > 0 {
+			go f.run(i)
+		}
+	}
+	if len(tasks) > 0 {
+		f.run(0)
+	}
+	f.wg.Wait()
+
 	// Every task's reply, in task order; a task that failed over brings its
 	// replicas' instead (more), added after them.
 	out := make([]sqlexec.Reply, len(tasks))
-	type taskOut struct {
-		rep   fanReport
-		more  []sqlexec.Reply
-		fatal error
-	}
-	outs := make([]taskOut, len(tasks))
-	var scanned, morsels atomic.Int64
-	var wg sync.WaitGroup
-	for i, tk := range tasks {
-		wg.Add(1)
-		go func(i int, tk fanTask) {
-			defer wg.Done()
-			o := &outs[i]
-			rep := &o.rep
-			rep.total = 1
-			if tk.parts != nil {
-				rep.total = len(tk.parts)
-			}
-			resp, err := c.execTarget(span, req, tk.node, tk.parts)
-			if err == nil {
-				out[i] = sqlexec.Reply{Rows: resp.Rows, State: resp.State}
-				scanned.Add(int64(resp.RowsScanned))
-				morsels.Add(int64(resp.Morsels))
-				rep.covered = rep.total
-				return
-			}
-			var se *sqlError
-			if errors.As(err, &se) {
-				o.fatal = err
-				return
-			}
-			if tk.parts == nil {
-				rep.lost = []string{fmt.Sprintf("%s (%v)", tk.node, err)}
-				return
-			}
-			o.more, rep.covered, rep.lost = c.failover(span, req, tk.parts, tk.node, err, &scanned, &morsels)
-		}(i, tk)
-	}
-	wg.Wait()
-
 	rep := &fanReport{}
 	var err error
-	for i := range outs {
-		o := &outs[i]
-		rep.covered += o.rep.covered
-		rep.total += o.rep.total
-		rep.lost = append(rep.lost, o.rep.lost...)
-		out = append(out, o.more...)
+	for i := range f.tasks {
+		t := &f.tasks[i]
+		out[i] = t.reply
+		rep.covered += t.rep.covered
+		rep.total += t.rep.total
+		rep.lost = append(rep.lost, t.rep.lost...)
+		out = append(out, t.more...)
 		if err == nil {
-			err = o.fatal
+			err = t.fatal
 		}
 	}
 	if err == nil && rep.covered < rep.total && !c.PartialResults {
@@ -702,12 +729,63 @@ func (c *Coordinator) fanOut(span *stats.Span, req ExecReq, tasks []fanTask) ([]
 		outcome = "result=error"
 	}
 	c.obs.Histogram("soe_fanout_ms", "service=v2dqp", outcome).ObserveSince(t0)
-	c.obs.Counter("soe_fanout_rows_scanned_total", "service=v2dqp", outcome).Add(scanned.Load())
-	c.obs.Counter("soe_fanout_morsels_total", "service=v2dqp", outcome).Add(morsels.Load())
+	c.obs.Counter("soe_fanout_rows_scanned_total", "service=v2dqp", outcome).Add(f.scanned.Load())
+	c.obs.Counter("soe_fanout_morsels_total", "service=v2dqp", outcome).Add(f.morsels.Load())
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, rep, nil
+}
+
+// fanRun is one fan-out in flight: its request, the scan counters every
+// task adds to, and every task's state, in one slice.
+type fanRun struct {
+	c       *Coordinator
+	span    *stats.Span
+	req     ExecReq
+	scanned atomic.Int64
+	morsels atomic.Int64
+	wg      sync.WaitGroup
+	tasks   []taskRun
+}
+
+// taskRun is one task of a fan-out and what it brought back: its reply and
+// its coverage, or the replicas' replies when it failed over (more), or the
+// SQL error that fails the query (fatal).
+type taskRun struct {
+	fanTask
+	reply sqlexec.Reply
+	rep   fanReport
+	more  []sqlexec.Reply
+	fatal error
+}
+
+// run runs task i.
+func (f *fanRun) run(i int) {
+	defer f.wg.Done()
+	t := &f.tasks[i]
+	t.rep.total = 1
+	if t.parts != nil {
+		t.rep.total = len(t.parts)
+	}
+	resp, err := f.c.execTarget(f.span, f.req, t.node, t.parts)
+	if err == nil {
+		t.reply = sqlexec.Reply{Rows: resp.Rows, State: resp.State}
+		f.scanned.Add(int64(resp.RowsScanned))
+		f.morsels.Add(int64(resp.Morsels))
+		t.rep.covered = t.rep.total
+		return
+	}
+	var se *sqlError
+	if errors.As(err, &se) {
+		t.fatal = err
+		return
+	}
+	if t.parts == nil {
+		t.rep.lost = []string{fmt.Sprintf("%s (%v)", t.node, err)}
+		return
+	}
+	t.more, t.rep.covered, t.rep.lost = f.c.failover(f.span, f.req, t.parts, t.node, err, &f.scanned, &f.morsels)
 }
 
 // execTarget is the per-target retry loop: bounded attempts with
@@ -720,14 +798,19 @@ func (c *Coordinator) execTarget(span *stats.Span, req ExecReq, node string, par
 		req.Table, req.Table2 = "", ""
 	}
 	payload := encode(req)
+	attr := c.nodeAttr(node)
 	var lastErr error
 	for a := 0; a < pol.MaxAttempts; a++ {
 		if a > 0 {
 			c.obs.Counter("soe_task_retries_total", "service=v2dqp").Inc()
 			pol.backoff(a - 1)
 		}
-		task := span.Child("task", "node="+node, fmt.Sprintf("attempt=%d", a+1))
-		resp, err := send[ExecResp](c.net, c.Name, node, MsgExec, payload, task.Context(), pol.TaskTimeout)
+		task := span.Child("task", attr, attemptAttr(a+1))
+		var resp ExecResp
+		msg, err := exchange(c.net, c.Name, node, netsim.Message{Kind: MsgExec, Payload: payload, Trace: task.Context()}, pol.TaskTimeout)
+		if err == nil {
+			err = decodeErr(msg.Kind, resp.readWire(msg.Payload))
+		}
 		task.Finish()
 		if err == nil {
 			if resp.Err != "" {
@@ -827,7 +910,7 @@ func (c *Coordinator) catchUp(span *stats.Span, node, table string, parts []int)
 			}
 		}
 	}
-	cu := span.Child("catch_up", "node="+node)
+	cu := span.Child("catch_up", c.nodeAttr(node))
 	defer cu.Finish()
 	send[CatchUpResp](c.net, c.Name, node, MsgCatchUp,
 		encode(CatchUpReq{Token: c.disc.Token(), Table: table, MinTS: minTS, Peers: peers}), cu.Context(), c.retry().TaskTimeout)

@@ -1,0 +1,126 @@
+package soe
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/value"
+)
+
+// A node task's envelope — its spans, its deadline, its wire messages and
+// its place in the fan-out — costs a fixed handful of allocations, and the
+// call state a deadline borrows is reused only when it is clean.
+
+// TestTaskDeadlineUnderReuse: node0's first exec stalls past TaskTimeout.
+// The attempt times out, the retry answers, and the abandoned call's late
+// reply never reaches a later call: the next 200 queries, each with its own
+// answer, read that answer and time out never. Then calls whose deadline
+// fires just as their reply comes, followed by calls that must not time
+// out: a state that went back to the pool with its timer's tick still in
+// the channel would time the next call out at once.
+func TestTaskDeadlineUnderReuse(t *testing.T) {
+	c := newTestCluster(t, 2, OLTP)
+	c.Coordinator.Retry = RetryPolicy{MaxAttempts: 3, TaskTimeout: 300 * time.Millisecond, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
+	loadOrders(t, c, 40) // amounts 0..39
+	retries := func() int64 { return c.Obs.Snapshot().CounterTotal("soe_task_retries_total") }
+	count := func(min int) int64 {
+		t.Helper()
+		r, err := c.Query(fmt.Sprintf(`SELECT COUNT(*) FROM orders WHERE amount >= %d`, min))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Rows[0][0].AsInt()
+	}
+
+	st := stallFirstExec(c, c.Nodes[0])
+	if got := count(0); got != 40 {
+		t.Fatalf("count(*) over the retried task = %d, want 40", got)
+	}
+	if got := retries(); got != 1 {
+		t.Fatalf("%d task retries, want 1", got)
+	}
+	close(st.release)
+	<-st.done
+	for i := 0; i < 200; i++ {
+		min := 1 + i%39
+		if got := count(min); got != int64(40-min) {
+			t.Fatalf("query %d: count(amount >= %d) = %d, want %d: a late reply reached a later call", i, min, got, 40-min)
+		}
+	}
+	if got := retries(); got != 1 {
+		t.Fatalf("%d task retries after 200 queries, want 1: a deadline fired that had not passed", got)
+	}
+
+	// One P: the reply readies the caller, and the timer, due while the
+	// handler spun, fires before the caller runs again.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net := netsim.New(netsim.Config{})
+	net.Register("slow", func(string, netsim.Message) (netsim.Message, error) {
+		for t0 := time.Now(); time.Since(t0) < 3*time.Millisecond; {
+		}
+		return netsim.Message{Kind: "pong"}, nil
+	})
+	net.Register("fast", func(string, netsim.Message) (netsim.Message, error) {
+		return netsim.Message{Kind: "pong"}, nil
+	})
+	req := netsim.Message{Kind: "ping"}
+	for i := 0; i < 20; i++ {
+		if _, err := exchange(net, "client", "slow", req, 2*time.Millisecond); err != nil && !errors.Is(err, errTaskTimeout) {
+			t.Fatal(err)
+		}
+		for j := 0; j < 10; j++ {
+			if _, err := exchange(net, "client", "fast", req, 10*time.Second); err != nil {
+				t.Fatalf("round %d, call %d: %v", i, j, err)
+			}
+		}
+	}
+}
+
+// TestFanoutTaskAllocs holds a distributed aggregate's allocations on a
+// zero-latency 4-node cluster at what the statement and its four node tasks
+// cost: the coordinator's parse, plan and finish, and per task its spans,
+// its call, its two messages and the node's statement. An envelope that
+// formats, wraps or regrows per call again shows as a few more per task.
+func TestFanoutTaskAllocs(t *testing.T) {
+	c := newTestCluster(t, 4, OLTP)
+	if _, err := c.CreateTable("orders", fanoutSchema(), "id", 8); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]value.Row, 2000)
+	for i := range rows {
+		rows[i] = fanoutRow(i)
+	}
+	if _, err := c.Insert("orders", rows...); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing but the statement may allocate while it is counted.
+	for _, n := range c.Nodes {
+		n.stopMerger()
+	}
+	const sql = `SELECT COUNT(*), SUM(qty) FROM orders`
+	query := func() {
+		if r, err := c.Query(sql); err != nil || r.Rows[0][0].AsInt() != int64(len(rows)) {
+			t.Fatalf("%v %v", r, err)
+		}
+	}
+	query()
+	if raceDetector() {
+		t.Skip("the race detector's sync.Pools drop what they are given at random")
+	}
+	const tasks, budget = 4, 308 // 435 (108.8 a task) before the envelope was trimmed
+	if got := testing.AllocsPerRun(50, query); got > budget {
+		t.Fatalf("%s allocates %.0f times (%.1f per node task), budget %d", sql, got, got/tasks, budget)
+	}
+}
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}

@@ -63,8 +63,13 @@ type DataNode struct {
 
 	// tracer records this node's side of distributed operations: exec and
 	// catch-up requests arriving with a SpanContext continue the caller's
-	// trace here. Nil disables (stand-alone nodes).
-	tracer *stats.Tracer
+	// trace here. Nil disables (stand-alone nodes). nodeAttr is its spans'
+	// "node=<name>" attribute.
+	tracer   *stats.Tracer
+	nodeAttr string
+
+	// scopes holds the taskScopes of finished node tasks.
+	scopes freeList[taskScope]
 
 	pollStop chan struct{}
 	// merger folds each hosted partition's delta into compressed main as it
@@ -87,6 +92,7 @@ func NewDataNode(name string, mode Mode, net *netsim.Network, disc *Discovery, c
 		hosted: map[string]map[int]*catalog.Partition{},
 		obs:    stats.NewRegistry("node=" + name),
 	}
+	n.nodeAttr = "node=" + name
 	n.cQueries = n.obs.Counter("soe_queries_total")
 	n.cRowsScan = n.obs.Counter("soe_rows_scanned_total")
 	n.cApplied = n.obs.Counter("soe_log_entries_applied_total")
@@ -419,54 +425,7 @@ func (n *DataNode) StopPolling() {
 func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, error) {
 	switch req.Kind {
 	case MsgExec:
-		r, err := decode[ExecReq](req)
-		if err != nil {
-			return netsim.Message{}, err
-		}
-		if !n.disc.Validate(r.Token) {
-			return netsim.Message{Kind: MsgExec, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
-		}
-		t0 := time.Now()
-		// Continue the coordinator's trace on this node: the task span that
-		// issued the request becomes this exec span's remote parent.
-		sp := n.tracer.StartRemote("exec", req.Trace, "node="+n.Name)
-		// A task is one statement: one pinned snapshot and one plan, however
-		// many partitions it lists.
-		var sc *stats.Span
-		if r.Table != "" {
-			sc = sp.Child("scan", fmt.Sprintf("partitions=%v", r.Parts))
-		} else {
-			sc = sp.Child("scan")
-		}
-		res, state, err := n.queryParts(r)
-		sc.Finish()
-		var resp ExecResp
-		if err != nil {
-			resp = ExecResp{Err: err.Error()}
-		} else {
-			resp = ExecResp{
-				Rows: res.Rows, State: state,
-				RowsScanned: res.Stats.RowsScanned, Morsels: res.Stats.Morsels,
-			}
-			if !r.Partial { // a Partial task's columns are the coordinator's plan's
-				resp.Cols = res.Cols
-			}
-		}
-		if sp != nil {
-			if resp.Err != "" {
-				sp.Attrs = append(sp.Attrs, "error="+resp.Err)
-			} else {
-				sp.Attrs = append(sp.Attrs, fmt.Sprintf("rows_scanned=%d", resp.RowsScanned))
-			}
-		}
-		sp.Finish()
-		if resp.Err != "" {
-			return netsim.Message{Kind: MsgExec, Payload: encode(resp)}, nil
-		}
-		n.cQueries.Inc()
-		n.cRowsScan.Add(int64(resp.RowsScanned))
-		n.hExec.ObserveSince(t0)
-		return netsim.Message{Kind: MsgExec, Payload: encode(resp)}, nil
+		return n.exec(req)
 
 	case MsgCatchUp:
 		r, err := decode[CatchUpReq](req)
@@ -476,7 +435,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		if !n.disc.Validate(r.Token) {
 			return netsim.Message{Kind: MsgCatchUp, Payload: encode(CatchUpResp{Err: "unauthorized"})}, nil
 		}
-		sp := n.tracer.StartRemote("catch_up", req.Trace, "node="+n.Name, fmt.Sprintf("min_ts=%d", r.MinTS))
+		sp := n.tracer.StartRemote("catch_up", req.Trace, n.nodeAttr, countLabel("min_ts", int(r.MinTS)))
 		// Drain the log toward the bound; stop when stuck (broker down, or
 		// the bound is a timestamp the log has not surfaced yet).
 		pl := sp.Child("poll_log")
@@ -492,7 +451,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		// instead of replaying a log suffix the broker cannot serve.
 		if n.AppliedTS() < r.MinTS {
 			for part, peer := range r.Peers {
-				sf := sp.Child("snapshot_fetch", "peer="+peer, fmt.Sprintf("part=%d", part))
+				sf := sp.Child("snapshot_fetch", "peer="+peer, countLabel("part", part))
 				n.CatchUpSnapshot(peer, r.Table, part)
 				sf.Finish()
 			}
@@ -572,6 +531,70 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 	return netsim.Message{}, errUnknownMsg(n.Name, req.Kind)
 }
 
+// exec runs one node task (MsgExec) and answers it. The task continues the
+// coordinator's trace: an "exec" span whose remote parent is the task span
+// that sent it, and under it a "scan" span naming the partitions it lists.
+func (n *DataNode) exec(req netsim.Message) (netsim.Message, error) {
+	var r ExecReq
+	if err := decodeErr(req.Kind, r.readWire(req.Payload)); err != nil {
+		return netsim.Message{}, err
+	}
+	if !n.disc.Validate(r.Token) {
+		return netsim.Message{Kind: MsgExec, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
+	}
+	t0 := time.Now()
+	sp := n.tracer.StartRemote("exec", req.Trace, n.nodeAttr)
+	// A task is one statement: one pinned snapshot and one plan, however
+	// many partitions it lists.
+	var sc *stats.Span
+	switch {
+	case sp == nil:
+	case r.Table != "":
+		sc = sp.Child("scan", partitionsAttr(r.Parts))
+	default:
+		sc = sp.Child("scan")
+	}
+	res, state, err := n.queryParts(r)
+	sc.Finish()
+	var resp ExecResp
+	if err != nil {
+		resp = ExecResp{Err: err.Error()}
+		sp.AddAttr("error=" + resp.Err)
+	} else {
+		resp = ExecResp{
+			Rows: res.Rows, State: state,
+			RowsScanned: res.Stats.RowsScanned, Morsels: res.Stats.Morsels,
+		}
+		if !r.Partial { // a Partial task's columns are the coordinator's plan's
+			resp.Cols = res.Cols
+		}
+		if sp != nil {
+			sp.AddAttr(countLabel("rows_scanned", resp.RowsScanned))
+		}
+	}
+	sp.Finish()
+	if resp.Err == "" {
+		n.cQueries.Inc()
+		n.cRowsScan.Add(int64(resp.RowsScanned))
+		n.hExec.ObserveSince(t0)
+	}
+	return netsim.Message{Kind: MsgExec, Payload: encode(resp)}, nil
+}
+
+// partitionsAttr is the scan span's attribute for a task's partition list,
+// as fmt's %v prints it: "partitions=[0 4]".
+func partitionsAttr(parts []int) string {
+	var buf [64]byte
+	b := append(buf[:0], "partitions=["...)
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(p), 10)
+	}
+	return string(append(b, ']'))
+}
+
 // queryParts runs one task's statement on the node's engine — a Partial
 // one up to its plan's cut, with the fold state that produces. A scoped
 // task (Table set) reads Table (and Table2, a co-located join's partner)
@@ -583,27 +606,17 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 // does not hold fails the task, because the coordinator counts every listed
 // one as covered.
 func (n *DataNode) queryParts(r ExecReq) (*sqlexec.Result, []byte, error) {
-	missing := -1
 	s := n.eng.NewSession()
 	defer s.Close()
-	if table, table2, parts := r.Table, r.Table2, r.Parts; table != "" {
-		s.Scope = func(entry *catalog.TableEntry, _ []sqlexec.Pred, hosted []*catalog.Partition) []*catalog.Partition {
-			if entry.Name != table && entry.Name != table2 {
-				return hosted
-			}
-			// Never nil, which a scan reads as "every partition".
-			kept := make([]*catalog.Partition, 0, len(parts))
-			for _, p := range parts {
-				name := partTableName(entry.Name, p)
-				i := slices.IndexFunc(hosted, func(h *catalog.Partition) bool { return h.Name == name })
-				if i < 0 {
-					missing = p
-					continue
-				}
-				kept = append(kept, hosted[i])
-			}
-			return kept
+	var sc *taskScope
+	if r.Table != "" {
+		if sc = n.scopes.get(); sc == nil {
+			sc = &taskScope{kept: make([]*catalog.Partition, 0, 8)}
+			sc.hook = sc.prune
 		}
+		sc.table, sc.table2, sc.parts, sc.missing = r.Table, r.Table2, r.Parts, -1
+		s.Scope = sc.hook
+		defer sc.release(&n.scopes)
 	}
 	var res *sqlexec.Result
 	var state []byte
@@ -613,10 +626,49 @@ func (n *DataNode) queryParts(r ExecReq) (*sqlexec.Result, []byte, error) {
 	} else {
 		res, err = s.Query(r.SQL)
 	}
-	if missing >= 0 {
-		return nil, nil, fmt.Errorf("soe: %s does not host partition %d", n.Name, missing)
+	if sc != nil && sc.missing >= 0 {
+		return nil, nil, fmt.Errorf("soe: %s does not host partition %d", n.Name, sc.missing)
 	}
 	return res, state, err
+}
+
+// taskScope is a scoped task's Scope: it narrows the scans of the task's
+// table (and of a co-located join's partner) to the partitions the task
+// lists. A node keeps them on a free list, hook bound once, and a task
+// borrows one for its statement: every scoped scan's list is a window of
+// kept, which the plan reads until the statement is done.
+type taskScope struct {
+	table, table2 string
+	parts         []int
+	missing       int // a listed partition the planned table does not hold, or -1
+	kept          []*catalog.Partition
+	hook          sqlexec.PruneHook // prune
+}
+
+func (sc *taskScope) prune(entry *catalog.TableEntry, _ []sqlexec.Pred, hosted []*catalog.Partition) []*catalog.Partition {
+	if entry.Name != sc.table && entry.Name != sc.table2 {
+		return hosted
+	}
+	start := len(sc.kept)
+	for _, p := range sc.parts {
+		name := partTableName(entry.Name, p)
+		i := slices.IndexFunc(hosted, func(h *catalog.Partition) bool { return h.Name == name })
+		if i < 0 {
+			sc.missing = p
+			continue
+		}
+		sc.kept = append(sc.kept, hosted[i])
+	}
+	// Never nil, which a scan reads as "every partition".
+	return sc.kept[start:len(sc.kept):len(sc.kept)]
+}
+
+// release returns sc to free once its statement is done, holding no
+// partition and no task's list.
+func (sc *taskScope) release(free *freeList[taskScope]) {
+	clear(sc.kept)
+	sc.kept, sc.parts = sc.kept[:0], nil
+	free.put(sc)
 }
 
 func (n *DataNode) createTemp(r CreateTempReq) error {

@@ -2,9 +2,14 @@ package soe
 
 import (
 	"fmt"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/value"
 )
 
@@ -126,5 +131,124 @@ func TestTraceBarrierCommitBoundsFailoverStaleness(t *testing.T) {
 	}
 	if r.Rows[0][0].AsInt() != 9 {
 		t.Fatalf("stale failover read: count=%v, want 9 (barrier commit should bound staleness)", r.Rows[0][0])
+	}
+}
+
+// stall holds up one exec on a node: stalled is closed when it arrives,
+// release lets it run, done is closed once it has answered.
+type stall struct{ stalled, release, done chan struct{} }
+
+// stallFirstExec re-registers n's handler so that the first MsgExec it
+// receives waits for release before it runs; every other message runs at
+// once.
+func stallFirstExec(c *Cluster, n *DataNode) *stall {
+	s := &stall{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+	var once sync.Once
+	c.Net.Register(n.Name, func(from string, req netsim.Message) (netsim.Message, error) {
+		first := false
+		if req.Kind == MsgExec {
+			once.Do(func() { first = true })
+		}
+		if !first {
+			return n.handle(from, req)
+		}
+		close(s.stalled)
+		<-s.release
+		defer close(s.done)
+		return n.handle(from, req)
+	})
+	return s
+}
+
+// spanDurations matches the time a rendered span line carries.
+var spanDurations = regexp.MustCompile(` [0-9]+\.[0-9]{3}ms`)
+
+// The trace of a distributed query reads the same whatever a task costs to
+// send: on 4 nodes, with node0's first attempt held past its deadline and
+// retried, the stitched tree is the query, its plan, and per attempt a task
+// span naming node and attempt, with the node's exec (node, rows scanned)
+// and scan (the partitions the task listed) under it — the abandoned
+// attempt's too, once it has run. Tasks run in parallel, so the task
+// subtrees are compared as a sorted list.
+func TestTraceTextOfARetriedFanOut(t *testing.T) {
+	c := newTestCluster(t, 4, OLTP)
+	c.Coordinator.Retry = fastRetry
+	if _, err := c.CreateTable("orders", fanoutSchema(), "id", 8); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 400
+	batch := make([]value.Row, rows)
+	for i := range batch {
+		batch[i] = fanoutRow(i)
+	}
+	if _, err := c.Insert("orders", batch...); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := c.Catalog.Table("orders")
+	st := stallFirstExec(c, c.Nodes[0])
+
+	const sql = `SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region ORDER BY region`
+	r, err := c.Query(sql)
+	if err != nil || len(r.Rows) != 4 || r.Partial {
+		t.Fatalf("query: %v %+v", err, r)
+	}
+	close(st.release)
+	<-st.done
+
+	// What every node's task lists and scans.
+	var want []string
+	for _, n := range c.Nodes {
+		var parts []string
+		scanned := 0
+		for p, host := range tbl.NodeOf {
+			if host != n.Name {
+				continue
+			}
+			parts = append(parts, fmt.Sprint(p))
+			for i := 0; i < rows; i++ {
+				if tbl.PartitionFor(value.Int(int64(i))) == p {
+					scanned++
+				}
+			}
+		}
+		attempts := 1
+		if n == c.Nodes[0] {
+			attempts = 2
+		}
+		for a := 1; a <= attempts; a++ {
+			want = append(want, fmt.Sprintf("    task [node=%s attempt=%d]\n      exec [node=%s rows_scanned=%d]\n        scan [partitions=[%s]]\n",
+				n.Name, a, n.Name, scanned, strings.Join(parts, " ")))
+		}
+	}
+	sort.Strings(want)
+
+	var traceID uint64
+	for _, root := range c.Tracer.Recent(64) {
+		if root.Name == "query" {
+			traceID = root.TraceID
+			break
+		}
+	}
+	text := spanDurations.ReplaceAllString(c.Tracer.RenderTrace(traceID), "")
+	lines := strings.SplitAfter(text, "\n")
+	head := fmt.Sprintf("trace %x\n  query [sql=%s]\n    plan\n", traceID, sql)
+	if len(lines) < 3 || strings.Join(lines[:3], "") != head {
+		t.Fatalf("trace head:\n%s\nwant:\n%s", text, head)
+	}
+	var got []string
+	for _, l := range lines[3:] {
+		switch {
+		case l == "":
+		case strings.HasPrefix(l, "    task "):
+			got = append(got, l)
+		case len(got) > 0 && strings.HasPrefix(l, "      "):
+			got[len(got)-1] += l
+		default:
+			t.Fatalf("line %q outside a task:\n%s", l, text)
+		}
+	}
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("task subtrees:\n%s\nwant:\n%s", strings.Join(got, ""), strings.Join(want, ""))
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/netsim"
 	"repro/internal/value"
@@ -35,9 +37,12 @@ import (
 //	        | count key*          (kind 1, delete by key)
 //	row     = width value*
 //
-// Encoders append and cannot fail. Decoders check every count and length
-// against the bytes that remain before they allocate, so hostile input
-// yields an error and allocations proportional to its size.
+// Encoders append and cannot fail; the two messages of a node task,
+// ExecReq and ExecResp, are sized once (wireSize) and grow their buffer to
+// that size before they write it. Decoders fill a value the caller owns,
+// and check every count and length against the bytes that remain before
+// they allocate, so hostile input yields an error and allocations
+// proportional to its size.
 
 // Write kinds of a LogWrite and of a section.
 const (
@@ -57,6 +62,31 @@ type wirePtr[T any] interface {
 }
 
 func encode(m wireMsg) []byte { return m.appendWire(nil) }
+
+// uvarintSize is the length of x as a uvarint.
+func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// strSize is the length of appendStr's encoding of s.
+func strSize[T string | []byte](s T) int { return uvarintSize(uint64(len(s))) + len(s) }
+
+func strsSize(ss []string) int {
+	n := uvarintSize(uint64(len(ss)))
+	for _, s := range ss {
+		n += strSize(s)
+	}
+	return n
+}
+
+func rowsSize(rows []value.Row) int {
+	n := uvarintSize(uint64(len(rows)))
+	for _, row := range rows {
+		n += uvarintSize(uint64(len(row)))
+		for _, v := range row {
+			n += value.BinarySize(v)
+		}
+	}
+	return n
+}
 
 func appendStr[T string | []byte](dst []byte, s T) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
@@ -249,7 +279,20 @@ func commitHeader(payload []byte) (token, txnID string, writes int, sections []b
 
 // --- one encoding per message kind -----------------------------------------
 
+// wireSize is the length of m's encoding.
+func (m ExecReq) wireSize() int {
+	n := strSize(m.Token) + strSize(m.SQL) + strSize(m.Table) + strSize(m.Table2) + 1 + 1
+	if m.Parts != nil {
+		n += uvarintSize(uint64(len(m.Parts))+1) - 1
+		for _, p := range m.Parts {
+			n += uvarintSize(uint64(p))
+		}
+	}
+	return n
+}
+
 func (m ExecReq) appendWire(dst []byte) []byte {
+	dst = slices.Grow(dst, m.wireSize())
 	dst = appendStr(dst, m.Token)
 	dst = appendStr(dst, m.SQL)
 	dst = appendStr(dst, m.Table)
@@ -270,6 +313,7 @@ func (m ExecReq) appendWire(dst []byte) []byte {
 func (m *ExecReq) readWire(b []byte) error {
 	r := rd{value.NewReader(b)}
 	m.Token, m.SQL, m.Table, m.Table2 = r.Str(), r.Str(), r.Str(), r.Str()
+	m.Parts = nil
 	if n := r.Uvarint(); n > 0 {
 		if n-1 > uint64(len(r.Rest())) {
 			return errWireParts
@@ -283,7 +327,14 @@ func (m *ExecReq) readWire(b []byte) error {
 	return r.End()
 }
 
+// wireSize is the length of m's encoding.
+func (m ExecResp) wireSize() int {
+	return strsSize(m.Cols) + rowsSize(m.Rows) + strSize(m.State) +
+		uvarintSize(uint64(m.RowsScanned)) + uvarintSize(uint64(m.Morsels)) + 8 + strSize(m.Err)
+}
+
 func (m ExecResp) appendWire(dst []byte) []byte {
+	dst = slices.Grow(dst, m.wireSize())
 	dst = appendStrs(dst, m.Cols)
 	dst = appendRows(dst, m.Rows)
 	dst = appendStr(dst, m.State)
@@ -295,7 +346,7 @@ func (m ExecResp) appendWire(dst []byte) []byte {
 
 func (m *ExecResp) readWire(b []byte) error {
 	r := rd{value.NewReader(b)}
-	m.Cols, m.Rows = r.strs(), r.rows()
+	m.Cols, m.Rows, m.State = r.strs(), r.rows(), nil
 	if st := r.Take(r.Uvarint()); len(st) > 0 {
 		m.State = st
 	}
@@ -414,9 +465,18 @@ func (m *SnapshotResp) readWire(b []byte) error {
 // decode reads a message body as T, naming the kind in the error.
 func decode[T any, P wirePtr[T]](m netsim.Message) (T, error) {
 	var out T
-	if err := P(&out).readWire(m.Payload); err != nil {
+	if err := decodeErr(m.Kind, P(&out).readWire(m.Payload)); err != nil {
 		var zero T
-		return zero, fmt.Errorf("soe: decode %s: %w", m.Kind, err)
+		return zero, err
 	}
 	return out, nil
+}
+
+// decodeErr is a decoder's error with the message kind named: what a
+// caller that decodes into its own value (m.readWire) returns.
+func decodeErr(kind string, err error) error {
+	if err != nil {
+		return fmt.Errorf("soe: decode %s: %w", kind, err)
+	}
+	return nil
 }

@@ -177,7 +177,8 @@ func recode[T any, P wirePtr[T]](m wireMsg) (T, error) {
 }
 
 // (a) every message kind and the log entry survive a round trip, including
-// Parts == nil vs []int{}, zero rows, zero-width rows and empty strings.
+// Parts == nil vs []int{}, zero rows, zero-width rows and empty strings; a
+// node task's two messages encode to exactly their wireSize.
 func TestWireRoundTrip(t *testing.T) {
 	check := func(name string, f func(r *rand.Rand) bool) {
 		t.Helper()
@@ -194,7 +195,7 @@ func TestWireRoundTrip(t *testing.T) {
 			m.Parts = []int{r.Intn(9), r.Intn(1 << 20), -1}
 		}
 		got, err := recode[ExecReq](m)
-		return err == nil && reflect.DeepEqual(got, m)
+		return err == nil && reflect.DeepEqual(got, m) && len(encode(m)) == m.wireSize()
 	})
 	check("ExecResp", func(r *rand.Rand) bool {
 		m := ExecResp{Cols: genStrings(r), Rows: genRows(r), RowsScanned: r.Intn(1 << 30), Morsels: r.Intn(99), Completeness: r.Float64(), Err: genString(r)}
@@ -202,7 +203,7 @@ func TestWireRoundTrip(t *testing.T) {
 			m.State = []byte(s)
 		}
 		got, err := recode[ExecResp](m)
-		ok := err == nil && sameRows(got.Rows, m.Rows)
+		ok := err == nil && sameRows(got.Rows, m.Rows) && len(encode(m)) == m.wireSize()
 		got.Rows, m.Rows = nil, nil
 		return ok && reflect.DeepEqual(got, m)
 	})

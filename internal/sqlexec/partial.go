@@ -136,13 +136,15 @@ type Finish struct {
 }
 
 // BuildFinish plans sel as BuildSelect does — against a catalog whose tables
-// need hold only their schemas — with a leaf in place of everything below
-// the cut, which Run fills. The WHERE clause filters only below the cut,
-// so it is not planned here.
+// need hold only their schemas, each planned as its columns (colsPlan) —
+// with a leaf in place of everything below the cut, which Run fills. The
+// WHERE clause filters only below the cut, so it is not planned here.
 func (pl *Planner) BuildFinish(sel *SelectStmt) (*Finish, error) {
 	above := *sel
 	above.Where = nil
-	p, err := pl.BuildSelect(&above)
+	cols := *pl
+	cols.colsOnly = true
+	p, err := cols.BuildSelect(&above)
 	if err != nil {
 		return nil, err
 	}

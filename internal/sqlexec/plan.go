@@ -73,6 +73,26 @@ func newScanPlan(entry *catalog.TableEntry, alias string) *ScanPlan {
 
 func (s *ScanPlan) columns() []Column { return s.cols }
 
+// colsPlan is a table as the coordinator's half of a distributed SELECT
+// plans it (BuildFinish): its columns and nothing to read, since the
+// nodes' replies take the place of everything below the cut. A table of up
+// to len(inline) columns is one allocation.
+type colsPlan struct {
+	cols   []Column
+	inline [8]Column
+}
+
+func newColsPlan(schema columnstore.Schema, alias string) *colsPlan {
+	p := &colsPlan{}
+	p.cols = p.inline[:0]
+	for _, c := range schema {
+		p.cols = append(p.cols, Column{Qual: alias, Name: c.Name, Kind: c.Kind})
+	}
+	return p
+}
+
+func (p *colsPlan) columns() []Column { return p.cols }
+
 // TableFuncPlan invokes a registered table function.
 type TableFuncPlan struct {
 	Name  string
@@ -191,6 +211,9 @@ type Planner struct {
 	Sys *SysCatalog
 	// MaxViewDepth caps view expansion recursion.
 	MaxViewDepth int
+	// colsOnly plans every base table as a colsPlan: the coordinator's
+	// half of a distributed statement (BuildFinish) reads no table.
+	colsOnly bool
 }
 
 // BuildSelect turns a parsed SELECT into an optimized plan.
@@ -409,6 +432,9 @@ func (pl *Planner) buildTableRef(ref TableRef, depth int) (Plan, error) {
 				return &VirtualScanPlan{Table: st, Alias: ref.Alias, cols: schemaCols(st.Schema, ref.Alias)}, nil
 			}
 			return nil, fmt.Errorf("sql: unknown table %q", ref.Name)
+		}
+		if pl.colsOnly {
+			return newColsPlan(entry.Schema, ref.Alias), nil
 		}
 		return newScanPlan(entry, ref.Alias), nil
 	}

@@ -463,15 +463,15 @@ func (s *Session) planSelect(sel *SelectStmt, ts uint64) (Plan, error) {
 // planner is the planner of one statement of this session reading at ts:
 // the session's Scope prunes before the engine's hook does.
 func (s *Session) planner(ts uint64) *Planner {
-	prune := s.e.Prune
-	if scope := s.Scope; scope != nil {
+	prune, scope := s.e.Prune, s.Scope
+	switch {
+	case scope == nil:
+	case prune == nil:
+		prune = scope
+	default:
 		engine := prune
 		prune = func(entry *catalog.TableEntry, preds []Pred, parts []*catalog.Partition) []*catalog.Partition {
-			parts = scope(entry, preds, parts)
-			if engine != nil {
-				parts = engine(entry, preds, parts)
-			}
-			return parts
+			return engine(entry, preds, scope(entry, preds, parts))
 		}
 	}
 	return &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: prune}

@@ -243,7 +243,7 @@ func registerEngineSysViews(e *Engine) {
 		for _, sp := range e.Tracer.Recent(64) {
 			rows = append(rows, value.Row{
 				value.Int(int64(sp.TraceID)), value.String(sp.Name),
-				value.String(strings.Join(sp.Attrs, ",")),
+				value.String(strings.Join(sp.Attrs(), ",")),
 				value.Int(int64(countSpans(sp))),
 				value.Float(float64(sp.Duration()) / 1e6),
 				value.Time(sp.Begin),

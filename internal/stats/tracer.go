@@ -37,9 +37,13 @@ func (sc SpanContext) Valid() bool { return sc.TraceID != 0 && sc.SpanID != 0 }
 // operation, including spans recorded by remote services) and its own
 // SpanID; ParentID links remote continuation roots back to the span that
 // issued the request.
+//
+// A span keeps its attributes ("key=value" labels) and its first child in
+// its own memory: the constructors copy the attributes in, so the caller's
+// argument list stays on its stack, and only a span with more than
+// inlineAttrs of them, or a second child, allocates for the rest.
 type Span struct {
 	Name  string
-	Attrs []string
 	Begin time.Time
 
 	TraceID  uint64
@@ -47,9 +51,44 @@ type Span struct {
 	ParentID uint64 // 0 for trace origins
 
 	mu       sync.Mutex
+	attrs    []string // inline's memory unless there are more
+	inline   [inlineAttrs]string
 	end      time.Time
-	children []*Span
+	children []*Span // first's memory until there is a second
+	first    [1]*Span
 	tracer   *Tracer // set on roots; Finish records the trace
+}
+
+// inlineAttrs is how many attributes a span holds without allocating:
+// every span the landscape records carries at most this many.
+const inlineAttrs = 2
+
+// newSpan is a span with its attributes copied in.
+func newSpan(name string, attrs []string, traceID, spanID, parentID uint64) *Span {
+	s := &Span{Name: name, Begin: time.Now(), TraceID: traceID, SpanID: spanID, ParentID: parentID}
+	s.attrs = append(s.inline[:0], attrs...)
+	return s
+}
+
+// Attrs returns the span's attributes in the order they were given.
+func (s *Span) Attrs() []string {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.attrs
+}
+
+// AddAttr appends an attribute learned after the span was opened (a row
+// count, an error).
+func (s *Span) AddAttr(attr string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.attrs = append(s.attrs, attr)
+	s.mu.Unlock()
 }
 
 // Child opens a sub-span sharing the trace ID.
@@ -57,11 +96,11 @@ func (s *Span) Child(name string, attrs ...string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{
-		Name: name, Attrs: attrs, Begin: time.Now(),
-		TraceID: s.TraceID, SpanID: nextID(), ParentID: s.SpanID,
-	}
+	c := newSpan(name, attrs, s.TraceID, nextID(), s.SpanID)
 	s.mu.Lock()
+	if s.children == nil {
+		s.children = s.first[:0]
+	}
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
@@ -147,7 +186,9 @@ func (t *Tracer) Start(name string, attrs ...string) *Span {
 		return nil
 	}
 	id := nextID()
-	return &Span{Name: name, Attrs: attrs, Begin: time.Now(), TraceID: id, SpanID: id, tracer: t}
+	s := newSpan(name, attrs, id, id, 0)
+	s.tracer = t
+	return s
 }
 
 // StartRemote opens a root span that continues a trace started elsewhere:
@@ -161,11 +202,9 @@ func (t *Tracer) StartRemote(name string, parent SpanContext, attrs ...string) *
 	if !parent.Valid() {
 		return t.Start(name, attrs...)
 	}
-	return &Span{
-		Name: name, Attrs: attrs, Begin: time.Now(),
-		TraceID: parent.TraceID, SpanID: nextID(), ParentID: parent.SpanID,
-		tracer: t,
-	}
+	s := newSpan(name, attrs, parent.TraceID, nextID(), parent.SpanID)
+	s.tracer = t
+	return s
 }
 
 func (t *Tracer) record(root *Span) {
@@ -317,8 +356,8 @@ func walkSpans(s *Span, fn func(*Span)) {
 func renderSpan(sb *strings.Builder, s *Span, depth int, byParent map[uint64][]*Span, detached bool) {
 	sb.WriteString(strings.Repeat("  ", depth))
 	fmt.Fprintf(sb, "%s %.3fms", s.Name, float64(s.Duration())/float64(time.Millisecond))
-	if len(s.Attrs) > 0 {
-		fmt.Fprintf(sb, " [%s]", strings.Join(s.Attrs, " "))
+	if attrs := s.Attrs(); len(attrs) > 0 {
+		fmt.Fprintf(sb, " [%s]", strings.Join(attrs, " "))
 	}
 	if detached {
 		sb.WriteString(" (detached: parent evicted)")

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -517,6 +518,19 @@ func AppendBinary(dst []byte, v Value) []byte {
 		return append(dst, v.S...)
 	default:
 		return binary.LittleEndian.AppendUint64(dst, uint64(v.I))
+	}
+}
+
+// BinarySize is the number of bytes AppendBinary appends for v.
+func BinarySize(v Value) int {
+	switch v.K {
+	case KindNull:
+		return 1
+	case KindString:
+		n := uint64(len(v.S))
+		return 1 + (bits.Len64(n|1)+6)/7 + len(v.S)
+	default:
+		return 9
 	}
 }
 

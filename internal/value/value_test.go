@@ -326,7 +326,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	var buf []byte
 	for _, v := range vals {
-		buf = AppendBinary(buf, v)
+		n := len(buf)
+		if buf = AppendBinary(buf, v); len(buf)-n != BinarySize(v) {
+			t.Fatalf("%#v: %d bytes, BinarySize says %d", v, len(buf)-n, BinarySize(v))
+		}
 	}
 	for i, want := range vals {
 		got, n, err := ReadBinary(buf)
@@ -344,7 +347,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	check := func(k int64, f float64, s string) bool {
 		for _, v := range []Value{Int(k), Float(f), String(s)} {
 			got, n, err := ReadBinary(AppendBinary(nil, v))
-			if err != nil || n != len(AppendBinary(nil, v)) || got.K != v.K || got.I != v.I || got.S != v.S || math.Float64bits(got.F) != math.Float64bits(v.F) {
+			if err != nil || n != len(AppendBinary(nil, v)) || n != BinarySize(v) || got.K != v.K || got.I != v.I || got.S != v.S || math.Float64bits(got.F) != math.Float64bits(v.F) {
 				return false
 			}
 		}
