@@ -44,8 +44,11 @@ experiments:
 # panics and reads back what AppendString renders, bit for bit; and the
 # aggregates' exact float sum is the correctly rounded sum in any order and
 # under any split into partial sums; a SELECT that parses deparses to text
-# that parses back to the same statement; and the split of a string of
-# statements on its `;` tokens hands over in-order slices that lex alone.
+# that parses back to the same statement; the split of a string of
+# statements on its `;` tokens hands over in-order slices that lex alone;
+# and any string prepared three times on one engine, the third time from
+# its parse cache, reads as a fresh parse, and its normal form (NormalizeSQL)
+# normalizes to itself.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEntry' -fuzztime 10s ./internal/soe/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
@@ -58,6 +61,7 @@ fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDeparse' -fuzztime 10s ./internal/sqlexec/
 	$(GO) test -run xxx -fuzz 'FuzzSplitStatements' -fuzztime 10s ./internal/sqlexec/
 	$(GO) test -run xxx -fuzz 'FuzzPartialState' -fuzztime 10s ./internal/sqlexec/
+	$(GO) test -run xxx -fuzz 'FuzzPrepareCached' -fuzztime 10s ./internal/sqlexec/
 
 # Quick pass over the vectorized scan/aggregation micro-benchmarks and the
 # ordered scan over 8 and over 32 morsels (which benchguard also holds to

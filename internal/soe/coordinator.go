@@ -52,6 +52,8 @@ type Coordinator struct {
 	// reg is the function registry the coordinator plans and finishes
 	// statements with: the engine's builtins.
 	reg *sqlexec.Registry
+	// parses holds the parses of the SELECT texts clients repeat.
+	parses sqlexec.ParseCache
 
 	obs    *stats.Registry
 	tracer *stats.Tracer
@@ -350,17 +352,16 @@ func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distq
 	c.obs.Counter("soe_queries_total", "service=v2dqp").Inc()
 
 	pl := span.Child("plan")
-	st, err := sqlexec.Parse(sql)
-	if err != nil {
-		pl.Finish()
-		return nil, nil, err
+	// The AST may be the cache's, shared by every query of the same text:
+	// the coordinator writes only into copies of it (cloneSelect).
+	sel, err := c.parses.Select(sql)
+	if err == nil && sel == nil {
+		err = fmt.Errorf("soe: coordinator executes SELECT only (DML goes through Insert/Delete)")
 	}
-	sel, ok := st.(*sqlexec.SelectStmt)
-	if !ok {
-		pl.Finish()
-		return nil, nil, fmt.Errorf("soe: coordinator executes SELECT only (DML goes through Insert/Delete)")
+	var plan *distql.Plan
+	if err == nil {
+		plan, err = distql.Rewrite(sel)
 	}
-	plan, err := distql.Rewrite(sel)
 	var fin *sqlexec.Finish
 	if err == nil {
 		fin, err = c.buildFinish(sel, plan)

@@ -2,8 +2,10 @@ package soe
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/columnstore"
@@ -12,19 +14,10 @@ import (
 	"repro/internal/value"
 )
 
-// TestCoordinatorMatchesOneEngine: a distributed SELECT answers exactly as
-// one engine holding the same rows does — the same rows, every value of the
-// same kind and bits, the columns named alike — in the same order where the
-// statement orders them totally. The shapes are the ones a merge of node
-// partials gets wrong: groups whose partial sums are NULL on some nodes,
-// MIN/MAX/SUM/AVG, an AVG of an INT column, a global aggregate pruned to no
-// partition at all, SELECT DISTINCT, ORDER BY an aggregate, DISTINCT
-// aggregates over values several nodes hold, HAVING, a CASE over an
-// aggregate, ORDER BY an expression that is no output column, and a float
-// sum whose value depends on the order of its addends. Only a sort on a
-// column the projection drops is refused.
-func TestCoordinatorMatchesOneEngine(t *testing.T) {
-	c := newTestCluster(t, 3, OLTP)
+// newMatchCluster is a cluster of nodes nodes and one engine holding the
+// same rows of t (id, region, qty, amount), six partitions on the cluster.
+func newMatchCluster(t *testing.T, nodes int) (*Cluster, *sqlexec.Engine) {
+	c := newTestCluster(t, nodes, OLTP)
 	schema := columnstore.Schema{
 		{Name: "id", Kind: value.KindString},
 		{Name: "region", Kind: value.KindString},
@@ -58,33 +51,58 @@ func TestCoordinatorMatchesOneEngine(t *testing.T) {
 	if dt.PartitionFor(value.String("K00")) == dt.PartitionFor(value.String("K01")) {
 		t.Fatal("K00 and K01 hash to one partition: pick keys that do not")
 	}
+	return c, ref
+}
 
-	for _, q := range []string{
-		`SELECT region, COUNT(*), COUNT(qty), MIN(qty), MAX(qty), SUM(qty), AVG(qty) FROM t GROUP BY region ORDER BY region`,
-		`SELECT COUNT(*), SUM(qty), AVG(qty) FROM t WHERE id = 'K00' AND id = 'K01'`,
-		`SELECT DISTINCT region FROM t ORDER BY region`,
-		`SELECT region, MAX(qty) FROM t GROUP BY region ORDER BY MAX(qty) DESC, region`,
-		// Expression items: named as one engine names them, and a float
-		// literal ships as a float.
-		`SELECT id, -qty, qty * 2.0, qty IS NULL FROM t ORDER BY id`,
-		// Refused before the cluster ran the engine's plan.
-		`SELECT COUNT(DISTINCT region) FROM t`,
-		`SELECT region, SUM(DISTINCT qty) FROM t GROUP BY region ORDER BY region`,
-		`SELECT AVG(DISTINCT qty) FROM t`,
-		`SELECT DISTINCT * FROM t`,
-		`SELECT region, qty FROM t ORDER BY qty + 1, region`,
-		`SELECT CASE WHEN SUM(qty) > 5 THEN 1 ELSE 0 END FROM t`,
-		// Float sums of mixed magnitude, spread over every node.
-		`SELECT SUM(amount), AVG(amount), MIN(amount), MAX(amount) FROM t`,
-		`SELECT region = 'D', SUM(amount), AVG(amount) FROM t GROUP BY region = 'D' ORDER BY 1`,
-		// DISTINCT aggregates over a value every node holds.
-		`SELECT COUNT(DISTINCT qty), SUM(DISTINCT qty), AVG(DISTINCT qty) FROM t`,
-		`SELECT region, SUM(qty) FROM t GROUP BY region HAVING SUM(qty) > 5 OR COUNT(*) > 2 ORDER BY region`,
-		`SELECT region, CASE WHEN MAX(qty) > 5 THEN 'big' ELSE 'small' END AS size FROM t GROUP BY region ORDER BY region`,
-		`SELECT region FROM t GROUP BY region ORDER BY COUNT(qty) + SUM(qty) DESC, region`,
-		`SELECT region, COUNT(*) FROM t GROUP BY region ORDER BY region DESC LIMIT 2 OFFSET 1`,
-		`SELECT id FROM t ORDER BY t.id LIMIT 3 OFFSET 2`,
-	} {
+// matchQueries are what a cluster must answer as one engine does.
+var matchQueries = []string{
+	`SELECT region, COUNT(*), COUNT(qty), MIN(qty), MAX(qty), SUM(qty), AVG(qty) FROM t GROUP BY region ORDER BY region`,
+	`SELECT COUNT(*), SUM(qty), AVG(qty) FROM t WHERE id = 'K00' AND id = 'K01'`,
+	`SELECT DISTINCT region FROM t ORDER BY region`,
+	`SELECT region, MAX(qty) FROM t GROUP BY region ORDER BY MAX(qty) DESC, region`,
+	// Expression items: named as one engine names them, and a float
+	// literal ships as a float.
+	`SELECT id, -qty, qty * 2.0, qty IS NULL FROM t ORDER BY id`,
+	// Refused before the cluster ran the engine's plan.
+	`SELECT COUNT(DISTINCT region) FROM t`,
+	`SELECT region, SUM(DISTINCT qty) FROM t GROUP BY region ORDER BY region`,
+	`SELECT AVG(DISTINCT qty) FROM t`,
+	`SELECT DISTINCT * FROM t`,
+	`SELECT region, qty FROM t ORDER BY qty + 1, region`,
+	`SELECT CASE WHEN SUM(qty) > 5 THEN 1 ELSE 0 END FROM t`,
+	// Float sums of mixed magnitude, spread over every node.
+	`SELECT SUM(amount), AVG(amount), MIN(amount), MAX(amount) FROM t`,
+	`SELECT region = 'D', SUM(amount), AVG(amount) FROM t GROUP BY region = 'D' ORDER BY 1`,
+	// DISTINCT aggregates over a value every node holds.
+	`SELECT COUNT(DISTINCT qty), SUM(DISTINCT qty), AVG(DISTINCT qty) FROM t`,
+	`SELECT region, SUM(qty) FROM t GROUP BY region HAVING SUM(qty) > 5 OR COUNT(*) > 2 ORDER BY region`,
+	`SELECT region, CASE WHEN MAX(qty) > 5 THEN 'big' ELSE 'small' END AS size FROM t GROUP BY region ORDER BY region`,
+	`SELECT region FROM t GROUP BY region ORDER BY COUNT(qty) + SUM(qty) DESC, region`,
+	`SELECT region, COUNT(*) FROM t GROUP BY region ORDER BY region DESC LIMIT 2 OFFSET 1`,
+	`SELECT id FROM t ORDER BY t.id LIMIT 3 OFFSET 2`,
+	// NULL order: the nodes' pushed ORDER BY … LIMIT and the
+	// coordinator's sort put NULLs where the key says.
+	`SELECT id, qty FROM t ORDER BY qty, id LIMIT 3`,
+	`SELECT id, qty FROM t ORDER BY qty DESC, id LIMIT 3`,
+	`SELECT id, qty FROM t ORDER BY qty DESC NULLS LAST, id LIMIT 2`,
+	`SELECT qty, COUNT(*) FROM t GROUP BY qty ORDER BY qty`,
+	`SELECT qty, COUNT(*) FROM t GROUP BY qty ORDER BY qty NULLS FIRST`,
+}
+
+// TestCoordinatorMatchesOneEngine: a distributed SELECT answers exactly as
+// one engine holding the same rows does — the same rows, every value of the
+// same kind and bits, the columns named alike — in the same order where the
+// statement orders them totally. The shapes are the ones a merge of node
+// partials gets wrong: groups whose partial sums are NULL on some nodes,
+// MIN/MAX/SUM/AVG, an AVG of an INT column, a global aggregate pruned to no
+// partition at all, SELECT DISTINCT, ORDER BY an aggregate, DISTINCT
+// aggregates over values several nodes hold, HAVING, a CASE over an
+// aggregate, ORDER BY an expression that is no output column, and a float
+// sum whose value depends on the order of its addends. Only a sort on a
+// column the projection drops is refused.
+func TestCoordinatorMatchesOneEngine(t *testing.T) {
+	c, ref := newMatchCluster(t, 3)
+	for _, q := range matchQueries {
 		got, err := c.Query(q)
 		if err != nil {
 			t.Errorf("%s: %v", q, err)
@@ -105,10 +123,71 @@ func TestCoordinatorMatchesOneEngine(t *testing.T) {
 		}
 	}
 
+	// NULLs sort last ascending: the first qty is a number, not the NULL
+	// every region holds.
+	if r, err := c.Query(`SELECT qty FROM t ORDER BY qty LIMIT 1`); err != nil || r.Rows[0][0].IsNull() {
+		t.Errorf("ORDER BY qty LIMIT 1 answered %v, %v", r, err)
+	}
+
 	// The nodes' rows do not carry qty.
 	if r, err := c.Query(`SELECT region FROM t ORDER BY qty`); err == nil {
 		t.Errorf("a sort below the projection answered %v", r)
 	}
+}
+
+// TestConcurrentQueriesShareParses: a 4-node cluster answers every
+// statement of matchQueries from four clients at once, each text eight
+// times — so the coordinator and every node run most of them from a parse
+// their caches share among the four — exactly as the interpreter does over
+// one engine's fresh parse, and the coordinator's cached ASTs are still a
+// fresh parse's. Under -race, a coordinator, planner or node that writes
+// into a shared AST fails it.
+func TestConcurrentQueriesShareParses(t *testing.T) {
+	c, ref := newMatchCluster(t, 4)
+	ref.Mode = sqlexec.ModeInterpreted
+	want := make(map[string]string, len(matchQueries))
+	for _, q := range matchQueries {
+		r := ref.MustQuery(q)
+		want[q] = answerText(q, r.Cols, r.Rows)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for k := range matchQueries {
+					q := matchQueries[(k+g*len(matchQueries)/4)%len(matchQueries)]
+					got, err := c.Query(q)
+					if err != nil {
+						t.Errorf("client %d: %s: %v", g, q, err)
+						return
+					}
+					if a := answerText(q, got.Cols, got.Rows); a != want[q] {
+						t.Errorf("client %d: %s:\n cluster    %s\n one engine %s", g, q, a, want[q])
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, q := range matchQueries {
+		cached, err := c.Coordinator.parses.Select(q)
+		fresh, _ := sqlexec.Parse(q)
+		if err != nil || !reflect.DeepEqual(cached, fresh) || sqlexec.Deparse(cached) != sqlexec.Deparse(fresh.(*sqlexec.SelectStmt)) {
+			t.Errorf("%s: the coordinator's cached AST is not a fresh parse's any more", q)
+		}
+	}
+}
+
+// answerText is a result as text to compare: its columns and its rows, in
+// order when the statement orders them.
+func answerText(q string, cols []string, rows []value.Row) string {
+	keys := keysOf(rows)
+	if !strings.Contains(q, "ORDER BY") {
+		slices.Sort(keys)
+	}
+	return strings.Join(cols, ", ") + "\n" + strings.Join(keys, "\n")
 }
 
 func keysOf(rows []value.Row) []string {

@@ -536,7 +536,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 // that sent it, and under it a "scan" span naming the partitions it lists.
 func (n *DataNode) exec(req netsim.Message) (netsim.Message, error) {
 	var r ExecReq
-	if err := decodeErr(req.Kind, r.readWire(req.Payload)); err != nil {
+	if err := decodeErr(req.Kind, r.readWireText(req.Payload, n.eng.SQLText)); err != nil {
 		return netsim.Message{}, err
 	}
 	if !n.disc.Validate(r.Token) {

@@ -311,8 +311,17 @@ func (m ExecReq) appendWire(dst []byte) []byte {
 }
 
 func (m *ExecReq) readWire(b []byte) error {
+	return m.readWireText(b, func(b []byte) string { return string(b) })
+}
+
+// readWireText is readWire with the statement's text made from its bytes by
+// text: a node hands it its engine's SQLText, so a text the engine holds a
+// parse of is not copied.
+func (m *ExecReq) readWireText(b []byte, text func([]byte) string) error {
 	r := rd{value.NewReader(b)}
-	m.Token, m.SQL, m.Table, m.Table2 = r.Str(), r.Str(), r.Str(), r.Str()
+	m.Token = r.Str()
+	m.SQL = text(r.Take(r.Uvarint()))
+	m.Table, m.Table2 = r.Str(), r.Str()
 	m.Parts = nil
 	if n := r.Uvarint(); n > 0 {
 		if n-1 > uint64(len(r.Rest())) {

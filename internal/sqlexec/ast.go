@@ -33,10 +33,42 @@ type SelectItem struct {
 	Qual string // alias for alias.*
 }
 
-// OrderItem is one ORDER BY key.
+// OrderItem is one ORDER BY key. Where its NULLs go is the key's to say,
+// not value.Compare's: last ascending and first descending, as in
+// PostgreSQL, unless NULLS FIRST or NULLS LAST is written.
 type OrderItem struct {
-	Expr Expr
-	Desc bool
+	Expr  Expr
+	Desc  bool
+	Nulls NullOrder
+}
+
+// NullOrder is an ORDER BY key's NULLS FIRST or NULLS LAST, or neither.
+type NullOrder uint8
+
+const (
+	NullsDefault NullOrder = iota // last ascending, first descending
+	NullsFirst
+	NullsLast
+)
+
+// compare orders a and b as the key sorts them: by value.Compare,
+// reversed when descending, with NULLs where the key puts them.
+func (o *OrderItem) compare(a, b value.Value) int {
+	if an, bn := a.IsNull(), b.IsNull(); an || bn {
+		first := o.Nulls == NullsFirst || o.Nulls == NullsDefault && o.Desc
+		switch {
+		case an == bn:
+			return 0
+		case an == first:
+			return -1
+		}
+		return 1
+	}
+	c := value.Compare(a, b)
+	if o.Desc {
+		return -c
+	}
+	return c
 }
 
 // JoinClause is one JOIN ... ON ... in a FROM chain.

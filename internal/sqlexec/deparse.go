@@ -102,6 +102,12 @@ func Deparse(s *SelectStmt) string {
 			if o.Desc {
 				sb.WriteString(" DESC")
 			}
+			switch o.Nulls {
+			case NullsFirst:
+				sb.WriteString(" NULLS FIRST")
+			case NullsLast:
+				sb.WriteString(" NULLS LAST")
+			}
 		}
 	}
 	if s.Limit >= 0 {

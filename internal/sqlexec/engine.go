@@ -57,6 +57,8 @@ type Engine struct {
 	stmts stmtLog
 	// scratch is the scan scratch every statement of this engine borrows.
 	scratch scratchPool
+	// parses is the parse cache every session's statements go through.
+	parses ParseCache
 	// Open-session registry behind sys.m_sessions.
 	sessMu   sync.Mutex
 	sessions map[int64]*Session
@@ -93,6 +95,11 @@ func (e *Engine) Query(sql string, params ...value.Value) (*Result, error) {
 	defer s.Close()
 	return s.Query(sql, params...)
 }
+
+// SQLText is the string b spells, through the engine's parse cache (see
+// ParseCache.Text): a statement text the engine holds a parse of costs no
+// copy.
+func (e *Engine) SQLText(b []byte) string { return e.parses.Text(b) }
 
 // MustQuery is Query that panics on error; for tests and examples.
 func (e *Engine) MustQuery(sql string, params ...value.Value) *Result {
@@ -177,6 +184,9 @@ type Session struct {
 	countRow [1]value.Row
 	// stats is what ExecTo accounts a statement in, reused by every one.
 	stats ExecStats
+	// one is the statement Query and QueryPartial run, bound here rather
+	// than allocated, and unbound when it is done.
+	one Stmt
 	// info mirrors the session state for sys.m_sessions: monitoring
 	// queries read it from other goroutines, so unlike the fields above
 	// it is mutex-guarded. The owning goroutine updates it at statement
@@ -308,13 +318,28 @@ func (s *Session) InTxn() bool { return s.explicit }
 // Prepare, then Exec.
 func (s *Session) Query(sql string, params ...value.Value) (*Result, error) {
 	t0 := time.Now()
-	st, err := s.Prepare(sql)
+	st, err := s.bindOne(sql)
 	if err != nil {
 		return nil, err
 	}
+	defer s.unbindOne()
 	res, _, err := st.exec(t0, params, false)
 	return res, err
 }
+
+// bindOne prepares the one statement sql holds as the session's own
+// statement (one), which the caller runs and then unbinds (unbindOne).
+func (s *Session) bindOne(sql string) (*Stmt, error) {
+	p, err := s.prepareOne(sql)
+	if err != nil {
+		return nil, err
+	}
+	s.one = Stmt{s: s, parsed: p}
+	return &s.one, nil
+}
+
+// unbindOne lets go of the parse bindOne bound.
+func (s *Session) unbindOne() { s.one.parsed = nil }
 
 // setActive publishes the running statement to sys.m_sessions.
 func (s *Session) setActive(sql string) {

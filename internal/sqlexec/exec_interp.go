@@ -957,7 +957,6 @@ type sortIter struct {
 	ctx   *execCtx
 	child iterator
 	keys  []evalFn
-	descs []bool
 	rows  []value.Row
 	i     int
 }
@@ -975,7 +974,6 @@ func newSortIter(p *SortPlan, ctx *execCtx) (iterator, error) {
 			return nil, err
 		}
 		it.keys = append(it.keys, f)
-		it.descs = append(it.descs, k.Desc)
 	}
 	return it, nil
 }
@@ -1007,11 +1005,7 @@ func (it *sortIter) Open() error {
 	}
 	sort.SliceStable(all, func(a, b int) bool {
 		for i := range it.keys {
-			c := value.Compare(all[a].keys[i], all[b].keys[i])
-			if it.descs[i] {
-				c = -c
-			}
-			if c != 0 {
+			if c := it.plan.Keys[i].compare(all[a].keys[i], all[b].keys[i]); c != 0 {
 				return c < 0
 			}
 		}

@@ -1409,10 +1409,7 @@ func vecSort(x *SortPlan, ctx *execCtx) (vpipe, error) {
 		slices.SortStableFunc(all, func(a, b value.Row) int {
 			env[0].Row, env[1].Row = a, b
 			for i, f := range keys {
-				if c := value.Compare(f(&env[0]), f(&env[1])); c != 0 {
-					if x.Keys[i].Desc {
-						return -c
-					}
+				if c := x.Keys[i].compare(f(&env[0]), f(&env[1])); c != 0 {
 					return c
 				}
 			}

@@ -38,24 +38,53 @@ func fingerprintID(norm string) string {
 // uppercase, identifiers lowercase, every literal and parameter replaced
 // by `?`, IN-lists of literals collapsed to `(...)`, and spacing reduced
 // to a single canonical form. Statements the lexer rejects fall back to
-// whitespace collapsing, so every string — even unparseable garbage —
-// gets a deterministic fingerprint.
+// collapsing the lexer's blanks (collapseBlanks), so every string — even
+// unparseable garbage — gets a deterministic fingerprint. A normal form
+// is its own normal form.
 func NormalizeSQL(sql string) string {
 	toks, err := lex(sql)
 	if err != nil {
-		return strings.Join(strings.Fields(sql), " ")
+		return collapseBlanks(sql)
 	}
 	return normalizeTokens(trimTrailingSemi(toks))
 }
 
-// trimTrailingSemi drops, in place, the one statement-terminating `;`
-// before EOF.
-func trimTrailingSemi(toks []token) []token {
-	if n := len(toks); n >= 2 && toks[n-2].kind == tkOp && toks[n-2].text == ";" {
-		toks[n-2] = toks[n-1]
-		return toks[:n-1]
+// collapseBlanks drops the leading and trailing blanks of sql and turns
+// each run of blanks inside it into one: a newline when the run holds one,
+// since a newline ends a comment, else a space. Blanks are what the lexer
+// skips and nothing else, so the result lexes — or fails to — as sql did.
+func collapseBlanks(sql string) string {
+	var sb strings.Builder
+	sb.Grow(len(sql))
+	run, nl := false, false
+	for i := 0; i < len(sql); i++ {
+		switch c := sql[i]; c {
+		case ' ', '\t', '\r', '\n':
+			run, nl = true, nl || c == '\n'
+		default:
+			switch {
+			case !run || sb.Len() == 0:
+			case nl:
+				sb.WriteByte('\n')
+			default:
+				sb.WriteByte(' ')
+			}
+			run, nl = false, false
+			sb.WriteByte(c)
+		}
 	}
-	return toks
+	return sb.String()
+}
+
+// trimTrailingSemi drops, in place, the `;` tokens that end a statement
+// before EOF: all of them, or ";;" would normalize to ";" and that to "".
+func trimTrailingSemi(toks []token) []token {
+	n := len(toks)
+	for n >= 2 && toks[n-2].kind == tkOp && toks[n-2].text == ";" {
+		toks[n-2] = toks[n-1]
+		n--
+	}
+	return toks[:n]
 }
 
 // normalizeTokens is NormalizeSQL over an already-lexed statement, so a
@@ -94,6 +123,8 @@ func normalPieces(toks []token, f func(s string, space bool)) {
 		case tkEOF:
 		case tkNumber, tkString, tkParam:
 			emit("?")
+		case tkIdent:
+			emit(identText(t.text)) // quoted when bare it would lex as another token
 		case tkKeyword:
 			emit(t.text)
 			if t.text == "IN" {

@@ -104,8 +104,8 @@ func TestInsertArity(t *testing.T) {
 	mustExec(t, e, `INSERT INTO t VALUES (1)`)
 	mustExec(t, e, `INSERT INTO t (b) VALUES (2), (3)`)
 	mustExec(t, e, `INSERT INTO t (b, a) SELECT 4, 5`)
-	r := mustExec(t, e, `SELECT a, b FROM t ORDER BY b`)
-	want := []value.Row{{value.Int(1), value.Null}, {value.Null, value.Int(2)}, {value.Null, value.Int(3)}, {value.Int(5), value.Int(4)}}
+	r := mustExec(t, e, `SELECT a, b FROM t ORDER BY b`) // NULLs last, as in PostgreSQL
+	want := []value.Row{{value.Null, value.Int(2)}, {value.Null, value.Int(3)}, {value.Int(5), value.Int(4)}, {value.Int(1), value.Null}}
 	if len(r.Rows) != len(want) {
 		t.Fatalf("rows %v, want %v", r.Rows, want)
 	}

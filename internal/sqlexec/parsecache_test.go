@@ -1,0 +1,264 @@
+package sqlexec
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/stats"
+	"repro/internal/value"
+)
+
+// TestSharedParsesUnderRace: one engine runs every parity query, literal
+// and parameterised, from four sessions at once, each text eight times —
+// so most of them from a parse the cache shares among the four. Every
+// answer must equal the interpreter's over a fresh parse, and every parse
+// the cache still holds must equal a fresh parse of its text, Deparse and
+// all. Under -race, a planner or executor that writes into a shared AST
+// fails it.
+func TestSharedParsesUnderRace(t *testing.T) {
+	e := parityEngine(t)
+	type job struct {
+		sql    string
+		params []value.Value
+		want   []string
+	}
+	var jobs []job
+	for _, q := range parityQueries {
+		jobs = append(jobs, job{sql: q.sql, params: q.params})
+	}
+	for _, q := range paramTwins(t) {
+		jobs = append(jobs, job{sql: q.param, params: q.params})
+	}
+	// Keys the planner resolves: an ordinal, an alias, an aggregate.
+	for _, q := range []string{
+		`SELECT region, COUNT(*) FROM orders GROUP BY region ORDER BY 2 DESC, 1`,
+		`SELECT id AS k, amount FROM orders WHERE id < 40 ORDER BY amount NULLS FIRST, k LIMIT 7`,
+		`SELECT status FROM orders GROUP BY status ORDER BY SUM(amount) DESC`,
+	} {
+		jobs = append(jobs, job{sql: q})
+	}
+	e.Mode = ModeInterpreted
+	s := e.NewSession()
+	for i, j := range jobs {
+		st, err := Parse(j.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", j.sql, err)
+		}
+		var res Result
+		if _, err := s.execSelect(&res, &res.Stats, st.(*SelectStmt), j.params, false); err != nil {
+			t.Fatalf("%s: %v", j.sql, err)
+		}
+		jobs[i].want = resultKeys(&res)
+	}
+	s.Close()
+	if n := cacheLen(&e.parses); n != 0 {
+		t.Fatalf("a fresh parse left %d entries in the cache", n)
+	}
+
+	e.Mode = ModeVectorized
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := e.NewSession()
+			defer s.Close()
+			for round := 0; round < 2; round++ {
+				for k := range jobs {
+					j := jobs[(k+g*len(jobs)/4)%len(jobs)]
+					res, err := s.Query(j.sql, j.params...)
+					if err != nil {
+						t.Errorf("session %d: %s: %v", g, j.sql, err)
+						return
+					}
+					if got := resultKeys(res); !reflect.DeepEqual(got, j.want) {
+						t.Errorf("session %d: %s: %d rows differ from the interpreter's %d", g, j.sql, len(got), len(j.want))
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	held := 0
+	for _, j := range jobs {
+		e.parses.mu.RLock()
+		c, ok := e.parses.entries[j.sql]
+		e.parses.mu.RUnlock()
+		if !ok {
+			continue
+		}
+		held++
+		fresh, _ := Parse(j.sql)
+		if !reflect.DeepEqual(c.p.ast, fresh) {
+			t.Errorf("%s: the cached AST is not a fresh parse's any more", j.sql)
+		}
+		if got, want := Deparse(c.p.sel), Deparse(fresh.(*SelectStmt)); got != want {
+			t.Errorf("%s: cached AST deparses as %s, a fresh parse as %s", j.sql, got, want)
+		}
+	}
+	if held < parseCacheCap/2 {
+		t.Errorf("the cache holds %d of %d texts each sent eight times", held, len(jobs))
+	}
+}
+
+// TestQueryHitAllocs: a SELECT text sent again through Session.Query costs
+// at most one allocation more than executing a prepared handle of it — the
+// lexer, the parser and the fingerprint are not run again.
+func TestQueryHitAllocs(t *testing.T) {
+	e := pointEngine(t, 1000)
+	s := e.NewSession()
+	defer s.Close()
+	const q = `SELECT k, v, s FROM kv WHERE k = 7`
+	st, err := s.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(r *Result, err error) {
+		if err != nil || len(r.Rows) != 1 {
+			t.Fatalf("%s: %v %v", q, r, err)
+		}
+	}
+	check(s.Query(q)) // the text's second sighting admits it
+	prepared := testing.AllocsPerRun(200, func() { check(st.Exec()) })
+	query := testing.AllocsPerRun(200, func() { check(s.Query(q)) })
+	if query > prepared+1 {
+		t.Errorf("Query of a cached text allocates %v times, a prepared Exec %v", query, prepared)
+	}
+	t.Logf("prepared Exec %v allocations, Query of a cached text %v", prepared, query)
+}
+
+// TestParseCacheAdmission: a text seen once leaves nothing but its hash;
+// its second sighting admits it. Only single-statement SELECTs are ever
+// admitted, and however many texts come twice the cache holds at most its
+// cap. Hits and misses are counted in the engine's registry.
+func TestParseCacheAdmission(t *testing.T) {
+	e := NewEngine()
+	e.Obs = stats.NewRegistry()
+	mustExec(t, e, `CREATE TABLE t (a INT)`)
+	s := e.NewSession()
+	defer s.Close()
+	query := func(sql string) {
+		t.Helper()
+		if _, err := s.Query(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for i := 0; i < 3*parseCacheCap; i++ {
+		query(fmt.Sprintf(`SELECT a FROM t WHERE a = %d`, i))
+	}
+	if n := cacheLen(&e.parses); n != 0 {
+		t.Fatalf("%d texts seen once each hold %d entries", 3*parseCacheCap, n)
+	}
+	for i := 0; i < 2; i++ {
+		query(`INSERT INTO t VALUES (1)`)
+		query(`SELECT a FROM t; `)
+		if _, err := s.Query(`SELECT a FROM t WHERE`); err == nil {
+			t.Fatal("a statement that does not parse ran")
+		}
+		if err := s.PrepareEach(`SELECT 1; SELECT 2`, func(*Stmt) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cacheLen(&e.parses); n != 1 {
+		t.Fatalf("the cache holds %d entries, want only the repeated SELECT", n)
+	}
+	text := []byte(`SELECT a FROM t; `)
+	if got := e.SQLText(text); got != `SELECT a FROM t; ` {
+		t.Fatalf("SQLText = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.SQLText(text) }); n != 0 {
+		t.Fatalf("SQLText of a cached text allocates %v times", n)
+	}
+	before := e.Obs.Counter("sql_parse_cache_hits_total").Value()
+	query(`SELECT a FROM t; `)
+	if after := e.Obs.Counter("sql_parse_cache_hits_total").Value(); after != before+1 {
+		t.Fatalf("a hit counted %d hits", after-before)
+	}
+	for i := 0; i < 3*parseCacheCap; i++ {
+		q := fmt.Sprintf(`SELECT a + %d FROM t`, i)
+		query(q)
+		query(q)
+		if n := cacheLen(&e.parses); n > parseCacheCap {
+			t.Fatalf("the cache holds %d entries, cap %d", n, parseCacheCap)
+		}
+	}
+	if n := cacheLen(&e.parses); n != parseCacheCap {
+		t.Fatalf("the cache holds %d entries after %d texts came twice, want its cap %d", n, 3*parseCacheCap, parseCacheCap)
+	}
+	if misses := e.Obs.Counter("sql_parse_cache_misses_total").Value(); misses == 0 {
+		t.Fatal("no miss counted")
+	}
+}
+
+// FuzzPrepareCached: any input prepared three times on one engine — the
+// third time from the cache when it is a repeated SELECT — gives the same
+// statements as a fresh parse: kind, parameter count, fingerprint and
+// Deparse, or the same error. NormalizeSQL is idempotent on it.
+func FuzzPrepareCached(f *testing.F) {
+	for _, q := range parityQueries {
+		f.Add(q.sql)
+	}
+	for _, q := range deparseCases {
+		f.Add(q)
+	}
+	for _, q := range []string{`SELECT 1; SELECT 2`, `BEGIN`, `EXPLAIN SELECT 1`, `INSERT INTO t VALUES (1)`, `SELECT a FROM t ORDER BY a DESC NULLS LAST`, ``, `-- c`, `SELECT 'x`} {
+		f.Add(q)
+	}
+	e := NewEngine()
+	f.Fuzz(func(t *testing.T, sql string) {
+		if n := NormalizeSQL(sql); NormalizeSQL(n) != n {
+			t.Fatalf("NormalizeSQL(%q) = %q, and again %q", sql, n, NormalizeSQL(n))
+		}
+		want, wantErr := freshParses(sql)
+		s := e.NewSession()
+		defer s.Close()
+		for i := 0; i < 3; i++ {
+			var got []*Stmt
+			err := s.PrepareEach(sql, func(st *Stmt) { got = append(got, st) })
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("prepare %d of %q: error %v, a fresh parse %v", i+1, sql, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if len(got) != len(want) {
+				t.Fatalf("prepare %d of %q: %d statements, a fresh parse %d", i+1, sql, len(got), len(want))
+			}
+			for k, st := range got {
+				if d, w := describeParse(st.parsed), describeParse(want[k]); d != w {
+					t.Fatalf("prepare %d of %q, statement %d:\n got   %s\n fresh %s", i+1, sql, k, d, w)
+				}
+			}
+		}
+	})
+}
+
+// freshParses parses a string of statements as PrepareEach does, with no
+// cache in the way.
+func freshParses(sql string) ([]*parsed, error) {
+	var c ParseCache
+	var out []*parsed
+	_, err := c.each(sql, func(p *parsed) { out = append(out, p) })
+	return out, err
+}
+
+// describeParse is what a statement's parse says about it, as text.
+func describeParse(p *parsed) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "kind=%d params=%d fp=%s norm=%q sql=%q", p.kind, p.nparams, p.fpID, p.fpNorm, p.sql)
+	if p.sel != nil {
+		sb.WriteString(" deparse=" + Deparse(p.sel))
+	}
+	return sb.String()
+}
+
+// cacheLen is how many statements c holds.
+func cacheLen(c *ParseCache) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries)
+}

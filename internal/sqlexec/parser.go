@@ -229,6 +229,16 @@ afterJoins:
 			} else {
 				p.accept(tkKeyword, "ASC")
 			}
+			if p.accept(tkIdent, "nulls") {
+				switch {
+				case p.accept(tkIdent, "first"):
+					item.Nulls = NullsFirst
+				case p.accept(tkIdent, "last"):
+					item.Nulls = NullsLast
+				default:
+					return nil, p.errf("expected FIRST or LAST after NULLS, found %q", p.cur().text)
+				}
+			}
 			s.OrderBy = append(s.OrderBy, item)
 			if !p.accept(tkOp, ",") {
 				break

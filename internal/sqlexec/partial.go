@@ -86,10 +86,11 @@ func nodePlan(p Plan, dst *[]byte) Plan {
 // the vectorized executor only.
 func (s *Session) QueryPartial(sql string) (res *Result, state []byte, err error) {
 	t0 := time.Now()
-	st, err := s.Prepare(sql)
+	st, err := s.bindOne(sql)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer s.unbindOne()
 	if st.kind != stmtSelect {
 		return nil, nil, fmt.Errorf("sql: a partial statement is a SELECT")
 	}
@@ -203,7 +204,8 @@ func outputKeys(keys []OrderItem, proj *ProjectPlan) ([]OrderItem, error) {
 		if at, err := res("", proj.cols[c].Name); err != nil || at != c {
 			return nil, errSortBelowCut
 		}
-		out[i] = OrderItem{Expr: &ColRef{Name: proj.cols[c].Name}, Desc: k.Desc}
+		k.Expr = &ColRef{Name: proj.cols[c].Name}
+		out[i] = k
 	}
 	return out, nil
 }

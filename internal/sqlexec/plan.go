@@ -339,13 +339,15 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 				if idx < 1 || idx > len(projCols) {
 					return nil, fmt.Errorf("sql: ORDER BY position %d out of range", idx)
 				}
-				keys[i] = OrderItem{Expr: &ColRef{Name: projCols[idx-1].Name}, Desc: o.Desc}
+				keys[i] = o
+				keys[i].Expr = &ColRef{Name: projCols[idx-1].Name}
 				continue
 			}
 			if aggNode != nil {
 				if e, err := rew.rewrite(o.Expr); err == nil {
 					aggNode.buildOutCols()
-					keys[i] = OrderItem{Expr: e, Desc: o.Desc}
+					keys[i] = o
+					keys[i].Expr = e
 					continue
 				}
 			}

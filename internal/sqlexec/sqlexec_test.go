@@ -796,3 +796,48 @@ func TestCaseWithoutElseAndNestedAggRewrite(t *testing.T) {
 		t.Fatalf("rows=%v", r.Rows)
 	}
 }
+
+// TestNullOrder: NULLs sort as in PostgreSQL — last ascending, first
+// descending — unless NULLS FIRST or NULLS LAST says otherwise, on both
+// executors, before and after a merge, through a sort with and without a
+// LIMIT and through an aggregate's ORDER BY.
+func TestNullOrder(t *testing.T) {
+	e := NewEngine()
+	mustExec(t, e, `CREATE TABLE n (a INT, b VARCHAR)`)
+	mustExec(t, e, `INSERT INTO n VALUES (2, 'x'), (NULL, 'y'), (3, NULL), (1, 'x')`)
+	cases := []struct{ sql, want string }{
+		{`SELECT a FROM n ORDER BY a LIMIT 1`, "1"},
+		{`SELECT a FROM n ORDER BY a`, "1 2 3 NULL"},
+		{`SELECT a FROM n ORDER BY a ASC`, "1 2 3 NULL"},
+		{`SELECT a FROM n ORDER BY a DESC`, "NULL 3 2 1"},
+		{`SELECT a FROM n ORDER BY a DESC LIMIT 1`, "NULL"},
+		{`SELECT a FROM n ORDER BY a NULLS FIRST`, "NULL 1 2 3"},
+		{`SELECT a FROM n ORDER BY a ASC NULLS LAST`, "1 2 3 NULL"},
+		{`SELECT a FROM n ORDER BY a DESC NULLS LAST`, "3 2 1 NULL"},
+		{`SELECT a FROM n ORDER BY a DESC NULLS FIRST LIMIT 2`, "NULL 3"},
+		{`SELECT a FROM n ORDER BY b, a`, "1 2 NULL 3"},
+		{`SELECT a FROM n ORDER BY b NULLS FIRST, a DESC`, "3 2 1 NULL"},
+		{`SELECT b FROM n GROUP BY b ORDER BY b`, "x y NULL"},
+		{`SELECT b, COUNT(*) FROM n GROUP BY b ORDER BY b DESC LIMIT 1`, "NULL"},
+		{`SELECT MAX(a) FROM n GROUP BY b ORDER BY MAX(a) NULLS FIRST`, "NULL 2 3"},
+	}
+	for _, merged := range []bool{false, true} {
+		if merged {
+			mustExec(t, e, `MERGE DELTA OF n`)
+		}
+		for _, c := range cases {
+			r := bothModes(t, e, c.sql)
+			var got []string
+			for _, row := range r.Rows {
+				if row[0].IsNull() {
+					got = append(got, "NULL")
+				} else {
+					got = append(got, row[0].AsString())
+				}
+			}
+			if s := strings.Join(got, " "); s != c.want {
+				t.Errorf("merged=%v %s: got %s, want %s", merged, c.sql, s, c.want)
+			}
+		}
+	}
+}

@@ -3,26 +3,35 @@ package sqlexec
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/value"
 )
 
-// Stmt is a prepared statement: everything about a statement that does
-// not depend on parameter values or on the moment it runs, worked out by
-// one lexer pass in Session.PrepareEach — the AST, the parameter count, the
-// fingerprint and what kind of statement it is. Exec runs it any number of
-// times without touching the text again. There is deliberately no cached
-// plan: planning a point select measures ~2 µs and 7 allocations, and a
-// cache would need catalog and merge-count invalidation to save that.
+// Stmt is a prepared statement: its parse — the AST, the parameter count,
+// the fingerprint and what kind of statement it is, worked out by one lexer
+// pass in Session.PrepareEach — bound to the session that prepared it. Exec
+// runs it any number of times without touching the text again. There is
+// deliberately no cached plan: planning a point select measures ~2 µs and
+// 7 allocations, and a cache would need catalog and merge-count
+// invalidation to save that.
 //
 // A Stmt belongs to the session that prepared it and shares its
-// single-goroutine contract. The AST is read-only after Prepare — the
-// planner builds fresh plan nodes and never writes into it.
+// single-goroutine contract. Its parse may not: a repeated SELECT text
+// shares one from the engine's ParseCache with every session that sends it,
+// so the AST is read-only — the planner builds fresh plan nodes and never
+// writes into it.
 type Stmt struct {
-	s       *Session
+	s *Session
+	*parsed
+}
+
+// parsed is the half of a prepared statement that does not depend on the
+// session: what one lexer pass over its text worked out. A Stmt binds one
+// to a session; a ParseCache shares one among every session that sends
+// the same text, so nothing may write into it once it is made.
+type parsed struct {
 	sql     string // its own text (SQL): sys.m_sessions, slow log
 	kind    stmtKind
 	ast     Statement   // the parsed statement; under EXPLAIN [ANALYZE], the explained one
@@ -92,16 +101,28 @@ func (st *Stmt) AppendTag(dst []byte, n int64) []byte {
 
 // Prepare prepares the one statement sql holds (PrepareEach).
 func (s *Session) Prepare(sql string) (*Stmt, error) {
-	var one *Stmt
-	n := 0
-	err := s.PrepareEach(sql, func(st *Stmt) { one, n = st, n+1 })
-	switch {
-	case err != nil:
+	p, err := s.prepareOne(sql)
+	if err != nil {
 		return nil, err
-	case n != 1:
-		return nil, fmt.Errorf("sql: expected one statement, found %d", n)
+	}
+	return &Stmt{s: s, parsed: p}, nil
+}
+
+// prepareOne is the parse of the one statement sql holds.
+func (s *Session) prepareOne(sql string) (*parsed, error) {
+	var one *parsed
+	n := 0
+	if err := s.prepareEach(sql, func(p *parsed) { one, n = p, n+1 }); err != nil {
+		return nil, err
+	}
+	if n != 1 {
+		return nil, errStatementCount(n)
 	}
 	return one, nil
+}
+
+func errStatementCount(n int) error {
+	return fmt.Errorf("sql: expected one statement, found %d", n)
 }
 
 // PrepareEach prepares every statement of a string of them, in order, from
@@ -115,19 +136,21 @@ func (s *Session) Prepare(sql string) (*Stmt, error) {
 // parser. Parameter arity is not checked here but on every Exec. A string
 // that does not lex or parse still counts — the session shows it and the
 // error lands under the text's fingerprint in sys.m_statements.
+//
+// The engine's ParseCache is asked first: a SELECT text seen before is not
+// lexed again, and its Stmt shares the cached parse.
 func (s *Session) PrepareEach(sql string, f func(*Stmt)) error {
+	return s.prepareEach(sql, func(p *parsed) { f(&Stmt{s: s, parsed: p}) })
+}
+
+// prepareEach is PrepareEach before the parses are bound to the session,
+// timed as sql_parse_ms whether the cache answered or not and counted as
+// sql_parse_cache_hits_total or sql_parse_cache_misses_total.
+func (s *Session) prepareEach(sql string, f func(*parsed)) error {
 	t0 := time.Now()
 	defer s.e.Obs.Histogram("sql_parse_ms").ObserveSince(t0)
-	toks, err := lex(sql)
-	if err == nil {
-		err = statements(toks, func(toks []token, from, to int) error {
-			st, err := s.prepare(strings.TrimSpace(sql[from:to]), toks)
-			if err == nil {
-				f(st)
-			}
-			return err
-		})
-	}
+	hit, err := s.e.parses.each(sql, f)
+	s.e.parses.count(s.e.Obs, hit)
 	if err != nil {
 		s.setActive(sql)
 		id, norm := Fingerprint(sql)
@@ -159,9 +182,9 @@ func statements(toks []token, f func(toks []token, from, to int) error) error {
 	return nil
 }
 
-// prepare prepares one statement: its text and its EOF-terminated tokens.
-func (s *Session) prepare(sql string, toks []token) (*Stmt, error) {
-	st := &Stmt{s: s, sql: sql}
+// newParsed parses one statement: its text and its EOF-terminated tokens.
+func newParsed(sql string, toks []token) (*parsed, error) {
+	st := &parsed{sql: sql}
 	st.fpNorm = normalizeTokens(toks)
 	st.fpID = fingerprintID(st.fpNorm)
 
