@@ -47,8 +47,11 @@ experiments:
 # that parses back to the same statement; the split of a string of
 # statements on its `;` tokens hands over in-order slices that lex alone;
 # and any string prepared three times on one engine, the third time from
-# its parse cache, reads as a fresh parse, and its normal form (NormalizeSQL)
-# normalizes to itself.
+# its parse cache, reads as a fresh parse, its normal form (NormalizeSQL)
+# normalizes to itself, and each SELECT of it answers through its cached
+# plan as through a fresh one; and the extended store's chunk decoder never
+# panics on hostile bytes, never returns a column that does not read, and
+# round-trips every chunk encoding, run-length included.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEntry' -fuzztime 10s ./internal/soe/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
@@ -62,6 +65,7 @@ fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzSplitStatements' -fuzztime 10s ./internal/sqlexec/
 	$(GO) test -run xxx -fuzz 'FuzzPartialState' -fuzztime 10s ./internal/sqlexec/
 	$(GO) test -run xxx -fuzz 'FuzzPrepareCached' -fuzztime 10s ./internal/sqlexec/
+	$(GO) test -run xxx -fuzz 'FuzzDecodeChunk' -fuzztime 10s ./internal/extstore/
 
 # Quick pass over the vectorized scan/aggregation micro-benchmarks and the
 # ordered scan over 8 and over 32 morsels (which benchguard also holds to

@@ -8,6 +8,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/extstore"
 	"repro/internal/sqlexec"
+	"repro/internal/value"
 )
 
 var now = time.Date(2015, 4, 13, 0, 0, 0, 0, time.UTC)
@@ -290,4 +291,43 @@ func TestAgedPartitionIsPagedOut(t *testing.T) {
 	if tier := aged().Tier(); tier != catalog.TierExtended {
 		t.Fatalf("after the second run: tier %s", tier)
 	}
+}
+
+// TestPlanKeptAcrossAgingRuns: a statement planned once keeps answering
+// right as aging runs move rows under it. The first run attaches the cold
+// partition (a catalog change: the plan is made again); the second moves
+// O2 into it without one, widening the dates the cold rows span, so the
+// rule hook, asked on every execution, stops refuting the cold partition
+// for a date the plan was first pruned by.
+func TestPlanKeptAcrossAgingRuns(t *testing.T) {
+	eng, m := newOrderWorld(t)
+	s := eng.NewSession()
+	defer s.Close()
+	cut := micros(now.AddDate(0, -2, 0)) // after O1/O4 closed, before O2
+	q := fmt.Sprintf(`SELECT COUNT(*) FROM orders WHERE closed > %d`, cut)
+	st, err := s.Prepare(`SELECT COUNT(*) FROM orders WHERE closed > $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, pruned int) {
+		t.Helper()
+		param, err := st.Exec(value.Int(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*sqlexec.Result{param, eng.MustQuery(q), eng.MustQuery(q)} {
+			if r.Rows[0][0].I != 2 || r.Stats.PartitionsPruned != pruned {
+				t.Fatalf("%s: count %v, %d partitions pruned; want 2 (O2 and O5), %d pruned", when, r.Rows[0][0], r.Stats.PartitionsPruned, pruned)
+			}
+		}
+	}
+	check("before aging", 0)
+	if _, err := m.RunAging(now); err != nil {
+		t.Fatal(err)
+	}
+	check("after the first run", 1) // the cold rows all closed before cut
+	if _, err := m.RunAging(now.AddDate(1, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	check("after O2 aged", 0) // O2 is cold now, and closed after cut
 }

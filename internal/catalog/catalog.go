@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/columnstore"
 	"repro/internal/value"
@@ -114,7 +115,16 @@ type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*TableEntry
 	views  map[string]*View
+	// version counts the changes a plan can depend on (Version).
+	version atomic.Uint64
 }
+
+// Version is the catalog's version: it moves whenever a table, its schema,
+// its partition list or its metadata, or a view, is created, changed or
+// dropped. A plan built against the catalog is good for as long as the
+// version it was built at is current. What the partitions hold — rows, zone
+// maps, bounds widened by aging — does not move it.
+func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // New returns an empty catalog.
 func New() *Catalog {
@@ -139,6 +149,7 @@ func (c *Catalog) CreateTable(name string, schema columnstore.Schema) (*TableEnt
 		Metadata: map[string]string{},
 	}
 	c.tables[name] = e
+	c.version.Add(1)
 	return e, nil
 }
 
@@ -175,6 +186,7 @@ func (c *Catalog) CreateRangePartitioned(name string, schema columnstore.Schema,
 		})
 	}
 	c.tables[name] = e
+	c.version.Add(1)
 	return e, nil
 }
 
@@ -218,6 +230,32 @@ func (c *Catalog) publish(e *TableEntry, parts []*Partition) {
 	next := *e
 	next.Partitions = parts
 	c.tables[e.Name] = &next
+	c.version.Add(1)
+}
+
+// WidenSchema gives a flexible table (§II-H) the columns of schema past the
+// ones e, the entry the caller resolved, has: each is added to every
+// partition's store, and a copy of the entry with schema is published, as
+// AttachPartition publishes one — a statement reading the entry it resolved
+// before keeps the schema it had. It fails when the table's schema is no
+// longer e's, having been widened or dropped since.
+func (c *Catalog) WidenSchema(e *TableEntry, schema columnstore.Schema) (*TableEntry, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur, ok := c.tables[e.Name]
+	if !ok || len(cur.Schema) != len(e.Schema) {
+		return nil, fmt.Errorf("catalog: table %q changed while its schema was widened", e.Name)
+	}
+	for _, def := range schema[len(cur.Schema):] {
+		for _, p := range cur.Partitions {
+			p.Table.AddColumn(def)
+		}
+	}
+	next := *cur
+	next.Schema = schema.Clone()
+	c.tables[e.Name] = &next
+	c.version.Add(1)
+	return &next, nil
 }
 
 // Table resolves a table entry.
@@ -243,7 +281,10 @@ func (c *Catalog) DropTable(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.tables[name]
-	delete(c.tables, name)
+	if ok {
+		delete(c.tables, name)
+		c.version.Add(1)
+	}
 	return ok
 }
 
@@ -270,6 +311,7 @@ func (c *Catalog) CreateView(name, sql string) error {
 		return fmt.Errorf("catalog: %q already names a table", name)
 	}
 	c.views[name] = &View{Name: name, SQL: sql}
+	c.version.Add(1)
 	return nil
 }
 
@@ -290,6 +332,7 @@ func (c *Catalog) SetMetadata(table, key, val string) error {
 		return fmt.Errorf("catalog: no table %q", table)
 	}
 	e.Metadata[key] = val
+	c.version.Add(1)
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/columnstore"
 	"repro/internal/value"
@@ -166,13 +167,23 @@ func encodeChunk(src *columnstore.Snapshot, col, lo, hi int, kind value.Kind) []
 	return buf.Bytes()
 }
 
-// decodeChunk rebuilds the hot column a chunk was encoded from.
+// maxChunkRows is the most rows a chunk may claim: far more than a store
+// writes into one (Options.ChunkRows), so that a corrupt count cannot make
+// a column of billions of rows out of a few bytes.
+const maxChunkRows = 1 << 20
+
+// decodeChunk rebuilds the hot column a chunk was encoded from. It trusts
+// nothing it reads: every count is checked against the bytes that remain
+// before anything is sized by it, and a chunk whose parts do not fit
+// together — packed words too few for its rows, a reference past its
+// dictionary, runs that do not end at its last row, a kind no column has —
+// is an error, so every row of a column it returns reads.
 func decodeChunk(raw []byte) (fragment, error) {
 	r := &reader{buf: raw}
 	switch tag := r.byte(); tag {
 	case encInt:
-		kind := value.Kind(r.byte())
-		n := int(r.uint32())
+		kind := r.kind(intKinds)
+		n := r.rows()
 		base := int64(r.uint64())
 		refs := r.packed(n)
 		nulls := r.nulls(n)
@@ -181,7 +192,10 @@ func decodeChunk(raw []byte) (fragment, error) {
 		}
 		return columnstore.NewIntColumnFromParts(base, refs, nulls, kind), nil
 	case encFloat:
-		n := int(r.uint32())
+		n := r.rows()
+		if !r.fits(n, 8) {
+			return nil, r.err
+		}
 		vals := make([]float64, n)
 		for i := range vals {
 			vals[i] = math.Float64frombits(r.uint64())
@@ -192,8 +206,11 @@ func decodeChunk(raw []byte) (fragment, error) {
 		}
 		return &columnstore.FloatColumn{Vals: vals, Nulls: nulls}, nil
 	case encDict:
-		n := int(r.uint32())
+		n := r.rows()
 		dlen := int(r.uint32())
+		if !r.fits(dlen, 4) {
+			return nil, r.err
+		}
 		vals := make([]string, dlen)
 		for i := range vals {
 			vals[i] = r.string()
@@ -203,24 +220,45 @@ func decodeChunk(raw []byte) (fragment, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
+		if refs.Width() >= 64 || 1<<refs.Width() > uint64(dlen) {
+			for i := 0; i < n; i++ {
+				if (nulls == nil || !nulls.Get(i)) && refs.Get(i) >= uint64(dlen) {
+					return nil, fmt.Errorf("extstore: row %d of a dictionary chunk refers past its %d strings", i, dlen)
+				}
+			}
+		}
 		return &columnstore.DictColumn{Dict: columnstore.NewDictionary(vals), Refs: refs, Nulls: nulls}, nil
 	case encRLE:
-		kind := value.Kind(r.byte())
-		n := int(r.uint32())
+		kind := r.kind(intKinds)
+		n := r.rows()
 		runs := int(r.uint32())
+		if !r.fits(runs, 12) {
+			return nil, r.err
+		}
 		ends := make([]int, runs)
 		vals := make([]value.Value, runs)
-		for i := 0; i < runs; i++ {
+		last := 0
+		for i := 0; i < runs && r.err == nil; i++ {
 			ends[i] = int(r.uint32())
 			vals[i] = value.Value{K: kind, I: int64(r.uint64())}
+			if ends[i] <= last {
+				r.err = fmt.Errorf("extstore: run %d of an RLE chunk ends at row %d, not after %d", i, ends[i], last)
+			}
+			last = ends[i]
+		}
+		if r.err == nil && last != n {
+			r.err = fmt.Errorf("extstore: the runs of an RLE chunk end at row %d of %d", last, n)
 		}
 		if r.err != nil {
 			return nil, r.err
 		}
 		return columnstore.NewRLEColumnFromParts(ends, vals, n), nil
 	case encBoxed:
-		kind := value.Kind(r.byte())
-		n := int(r.uint32())
+		kind := r.kind(anyKind)
+		n := r.rows()
+		if !r.fits(n, 1) {
+			return nil, r.err
+		}
 		vals := make([]value.Value, n)
 		for i := range vals {
 			vals[i] = r.value()
@@ -350,6 +388,48 @@ func (r *reader) uint64() uint64 {
 	return v
 }
 
+// fail records err unless an error came first.
+func (r *reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// fits reports whether n items of at least size bytes each remain, failing
+// the read when they do not.
+func (r *reader) fits(n, size int) bool {
+	if r.err == nil && n > (len(r.buf)-r.off)/size {
+		r.fail(fmt.Errorf("extstore: truncated chunk (%d items of %d bytes at %d of %d)", n, size, r.off, len(r.buf)))
+	}
+	return r.err == nil
+}
+
+// rows reads a chunk's row count.
+func (r *reader) rows() int {
+	n := r.uint32()
+	if n > maxChunkRows {
+		r.fail(fmt.Errorf("extstore: a chunk of %d rows", n))
+		return 0
+	}
+	return int(n)
+}
+
+// The kinds a chunk's kind byte may name: an integer-payload encoding's,
+// or any.
+var (
+	intKinds = []value.Kind{value.KindInt, value.KindBool, value.KindTime}
+	anyKind  = []value.Kind{value.KindNull, value.KindInt, value.KindFloat, value.KindString, value.KindBool, value.KindTime}
+)
+
+// kind reads a kind byte, one of allowed.
+func (r *reader) kind(allowed []value.Kind) value.Kind {
+	k := value.Kind(r.byte())
+	if r.err == nil && !slices.Contains(allowed, k) {
+		r.fail(fmt.Errorf("extstore: a chunk of kind %d", k))
+	}
+	return k
+}
+
 func (r *reader) string() string {
 	n := int(r.uint32())
 	if !r.need(n) {
@@ -362,6 +442,9 @@ func (r *reader) string() string {
 
 func (r *reader) words() []uint64 {
 	n := int(r.uint32())
+	if !r.fits(n, 8) {
+		return nil
+	}
 	out := make([]uint64, n)
 	for i := range out {
 		out[i] = r.uint64()
@@ -369,20 +452,31 @@ func (r *reader) words() []uint64 {
 	return out
 }
 
+// packed reads n entries bit-packed, refusing a width past 64 bits and
+// words too few for n entries of it.
 func (r *reader) packed(n int) *columnstore.BitPacked {
 	width := uint(r.byte())
-	return columnstore.NewBitPackedFromWords(r.words(), width, n)
+	words := r.words()
+	if r.err == nil && (width > 64 || uint64(len(words))*64 < uint64(n)*uint64(width)) {
+		r.fail(fmt.Errorf("extstore: %d words hold no %d entries of %d bits", len(words), n, width))
+	}
+	return columnstore.NewBitPackedFromWords(words, width, n)
 }
 
+// nulls reads the NULL bitmap of n rows, when the chunk has one.
 func (r *reader) nulls(n int) *columnstore.Bitset {
 	if r.byte() == 0 {
 		return nil
 	}
-	return columnstore.NewBitsetFromWords(r.words(), n)
+	words := r.words()
+	if r.err == nil && len(words)*64 < n {
+		r.fail(fmt.Errorf("extstore: %d words hold no bitmap of %d rows", len(words), n))
+	}
+	return columnstore.NewBitsetFromWords(words, n)
 }
 
 func (r *reader) value() value.Value {
-	k := value.Kind(r.byte())
+	k := r.kind(anyKind)
 	switch k {
 	case value.KindNull:
 		return value.Null

@@ -33,7 +33,7 @@ const DefaultChunkRows = 2048
 type Options struct {
 	PageSize  int // bytes per page; 0 = DefaultPageSize
 	PoolPages int // buffer-pool budget in pages; 0 = DefaultPoolPages
-	ChunkRows int // rows per column chunk; 0 = DefaultChunkRows
+	ChunkRows int // rows per column chunk; 0 = DefaultChunkRows, at most 1<<20
 	// Tier is the tier a partition this store paged out reads
 	// (catalog.Partition.Tier); "" = catalog.TierExtended.
 	Tier catalog.Tier
@@ -49,6 +49,7 @@ func (o Options) withDefaults() Options {
 	if o.ChunkRows <= 0 {
 		o.ChunkRows = DefaultChunkRows
 	}
+	o.ChunkRows = min(o.ChunkRows, maxChunkRows)
 	if o.Tier == "" {
 		o.Tier = catalog.TierExtended
 	}

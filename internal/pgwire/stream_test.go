@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/sqlexec"
 	"repro/internal/stats"
 	"repro/internal/value"
@@ -198,36 +197,32 @@ var syncMsg = wireMsg{msgSync, nil}
 // TestWireDescribeDeferred: Describe(P) followed by Execute plans the
 // statement once, and the client sees the messages it always saw in the
 // order it always saw them; anything else arriving after the Describe
-// settles it by planning, as before; a planning error is one
-// ErrorResponse.
+// settles it by planning, as before, and a plan made by the Describe is the
+// one the Execute runs; a planning error is one ErrorResponse. Plans are
+// counted as the engine builds them (sql_plans_built_total); every case
+// starts from a catalog change, so its statement has no plan yet.
 func TestWireDescribeDeferred(t *testing.T) {
 	srv, eng := startServer(t, Config{})
 	loadWide(t, eng, 3000)
-	var plans atomic.Int64
-	eng.Prune = func(_ *catalog.TableEntry, _ []sqlexec.Pred, parts []*catalog.Partition) []*catalog.Partition {
-		plans.Add(1)
-		return parts
-	}
-	// The planner consults the hook a fixed number of times per plan of a
-	// given statement; its Parse, which plans once to validate, says how
-	// many.
-	planned := func() int64 { return plans.Swap(0) }
+	eng.Obs = stats.NewRegistry()
+	built := eng.Obs.Counter("sql_plans_built_total")
+	planned := func() int64 { n := built.Value(); built.Add(-n); return n }
+	replan := func() { eng.Cat.SetMetadata("wide", "describe_case", "") }
 
 	// The client library's own flow: Bind, Describe(P), Execute, Sync.
 	c := dialT(t, srv)
 	if err := c.Prepare("pt", `SELECT id, region FROM wide WHERE id = $1`); err != nil {
 		t.Fatal(err)
 	}
-	perPlan := planned()
-	if perPlan < 1 {
-		t.Fatal("Parse did not plan")
+	if n := planned(); n != 1 {
+		t.Fatalf("Parse planned %d times, want once", n)
 	}
 	res, err := c.ExecPrepared("pt", 42)
 	if err != nil || len(res.Rows) != 1 || res.Get(0, 0) != "42" || !reflect.DeepEqual(res.Cols, []string{"id", "region"}) {
 		t.Fatalf("prepared point select: %+v, %v", res, err)
 	}
-	if n := planned(); n != perPlan {
-		t.Errorf("Bind/Describe/Execute/Sync consulted the planner hook %d times, one plan is %d", n, perPlan)
+	if n := planned(); n != 0 {
+		t.Errorf("Bind/Describe/Execute/Sync planned %d times, want the plan Parse made", n)
 	}
 
 	nc, r := rawDial(t, srv)
@@ -236,37 +231,37 @@ func TestWireDescribeDeferred(t *testing.T) {
 	if types, code := exchange(t, nc, r, parseMsg("s", sel), syncMsg); types != "1Z" || code != "" {
 		t.Fatalf("parse: %q %s", types, code)
 	}
-	perPlan = planned()
+	planned()
 	if types, code := exchange(t, nc, r, parseMsg("e", `EXPLAIN SELECT id, region FROM wide WHERE id >= 1 AND id < 2`), syncMsg); types != "1Z" || code != "" {
 		t.Fatalf("parse: %q %s", types, code)
 	}
 	if n := planned(); n != 0 {
-		t.Fatalf("parsing an EXPLAIN consulted the planner hook %d times: its columns need no plan", n)
+		t.Fatalf("parsing an EXPLAIN planned %d times: its columns need no plan", n)
 	}
 	for _, tc := range []struct {
-		name  string
-		msgs  []wireMsg
-		want  string
-		plans int64
+		name string
+		msgs []wireMsg
+		want string
 	}{
-		{"describe then execute", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TDCZ", 1},
-		{"no rows", []wireMsg{bindMsg("", "s", "10", "10"), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TCZ", 1},
-		{"many windows", []wireMsg{bindMsg("", "s", "0", "2500"), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TDCZ", 1},
-		{"row limit", []wireMsg{bindMsg("", "s", "0", "10"), describeMsg('P', ""), executeMsg("", 4), executeMsg("", 4), executeMsg("", 4), syncMsg}, "2TDsDsDCZ", 1},
-		{"sync settles", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), syncMsg}, "2TZ", 1},
-		{"flush settles", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), {msgFlush, nil}, syncMsg}, "2TZ", 1},
-		{"describe settles", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TTDCZ", 2},
-		{"close settles", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), closeMsg('P', ""), syncMsg}, "2T3Z", 1},
-		{"another portal's execute settles", []wireMsg{bindMsg("a", "s", "10", "20"), bindMsg("b", "s", "0", "1"), describeMsg('P', "a"), executeMsg("b", 0), executeMsg("a", 0), syncMsg}, "22TDCDCZ", 3},
-		{"describe after execute", []wireMsg{bindMsg("", "s", "10", "20"), executeMsg("", 0), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2DCTCZ", 2},
-		{"explain describes at once", []wireMsg{bindMsg("", "e"), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TDCZ", 1},
+		{"describe then execute", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TDCZ"},
+		{"no rows", []wireMsg{bindMsg("", "s", "10", "10"), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TCZ"},
+		{"many windows", []wireMsg{bindMsg("", "s", "0", "2500"), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TDCZ"},
+		{"row limit", []wireMsg{bindMsg("", "s", "0", "10"), describeMsg('P', ""), executeMsg("", 4), executeMsg("", 4), executeMsg("", 4), syncMsg}, "2TDsDsDCZ"},
+		{"sync settles", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), syncMsg}, "2TZ"},
+		{"flush settles", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), {msgFlush, nil}, syncMsg}, "2TZ"},
+		{"describe settles", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TTDCZ"},
+		{"close settles", []wireMsg{bindMsg("", "s", "10", "20"), describeMsg('P', ""), closeMsg('P', ""), syncMsg}, "2T3Z"},
+		{"another portal's execute settles", []wireMsg{bindMsg("a", "s", "10", "20"), bindMsg("b", "s", "0", "1"), describeMsg('P', "a"), executeMsg("b", 0), executeMsg("a", 0), syncMsg}, "22TDCDCZ"},
+		{"describe after execute", []wireMsg{bindMsg("", "s", "10", "20"), executeMsg("", 0), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2DCTCZ"},
+		{"explain describes at once", []wireMsg{bindMsg("", "e"), describeMsg('P', ""), executeMsg("", 0), syncMsg}, "2TDCZ"},
 	} {
+		replan()
 		types, code := exchange(t, nc, r, tc.msgs...)
 		if types != tc.want || code != "" {
 			t.Errorf("%s: messages %q (error %q), want %q", tc.name, types, code, tc.want)
 		}
-		if n := planned(); n != tc.plans*perPlan {
-			t.Errorf("%s: the planner hook was consulted %d times, want %d plans of %d", tc.name, n, tc.plans, perPlan)
+		if n := planned(); n != 1 {
+			t.Errorf("%s: planned %d times, want once", tc.name, n)
 		}
 	}
 

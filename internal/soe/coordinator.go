@@ -334,10 +334,10 @@ func (c *Coordinator) ForceStrategy(sql string, strategy distql.Strategy) (*Resu
 // coordinator.
 const chosen distql.Strategy = -1
 
-// query is every distributed SELECT: parse, the shape checked, the tables
-// checked, the statement planned and cut (sqlexec.Planner.BuildFinish), the
-// span and the soe_queries_total / soe_query_ms accounting, then the
-// fan-out of the node's share as a Partial task. A zero parent starts a
+// query is every distributed SELECT: its plan (Coordinator.plan: made once
+// per text and cluster catalog version), the span and the
+// soe_queries_total / soe_query_ms accounting, then the fan-out of the
+// node's share as a Partial task. A zero parent starts a
 // fresh trace; a client whose MsgExec carried a SpanContext continues its
 // own. A join runs with strategy unless that is chosen.
 func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distql.Strategy) (*Result, *distql.Plan, error) {
@@ -352,31 +352,15 @@ func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distq
 	c.obs.Counter("soe_queries_total", "service=v2dqp").Inc()
 
 	pl := span.Child("plan")
-	// The AST may be the cache's, shared by every query of the same text:
-	// the coordinator writes only into copies of it (cloneSelect).
-	sel, err := c.parses.Select(sql)
-	if err == nil && sel == nil {
-		err = fmt.Errorf("soe: coordinator executes SELECT only (DML goes through Insert/Delete)")
-	}
-	var plan *distql.Plan
-	if err == nil {
-		plan, err = distql.Rewrite(sel)
-	}
-	var fin *sqlexec.Finish
-	if err == nil {
-		fin, err = c.buildFinish(sel, plan)
-	}
+	qp, err := c.plan(sql)
 	pl.Finish()
 	if err != nil {
 		return nil, nil, err
 	}
-	// The nodes run the client's statement — as it was written, unless the
-	// engine leaves some of it to the coordinator alone.
-	node := fin.NodeSelect(sel)
-	plan.LocalSQL = sql
-	if node != sel {
-		plan.LocalSQL = sqlexec.Deparse(node)
-	}
+	// The caller's copy: a join's strategy and temp names are this query's.
+	plan := new(distql.Plan)
+	*plan = qp.dist
+	node, fin := qp.node, qp.fin
 
 	var replies []sqlexec.Reply
 	var reports []*fanReport
@@ -385,7 +369,7 @@ func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distq
 		return nil, nil, fmt.Errorf("soe: ForceStrategy needs a join")
 	case plan.RightTable == "":
 		plan.Strategy = distql.StrategyLocalParallel
-		parts := c.pruneParts(sel, plan.LeftTable)
+		parts := c.pruneParts(qp.preds, plan.LeftTable)
 		var rep *fanReport
 		replies, rep, err = c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Partial: true, Table: plan.LeftTable}, c.tasksFor(plan.LeftTable, parts))
 		reports = []*fanReport{rep}
@@ -402,28 +386,72 @@ func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distq
 	return res, plan, err
 }
 
-// buildFinish checks that the statement's tables exist and plans it against
-// their schemas, cut between the nodes and the coordinator.
-func (c *Coordinator) buildFinish(sel *sqlexec.SelectStmt, plan *distql.Plan) (*sqlexec.Finish, error) {
-	for _, table := range []string{plan.LeftTable, plan.RightTable} {
+// queryPlan is what the coordinator makes of a SELECT text, once per
+// cluster catalog version (Coordinator.plan), and shares among every query
+// that sends it: read-only.
+type queryPlan struct {
+	sel   *sqlexec.SelectStmt // the statement: the cache's AST
+	node  *sqlexec.SelectStmt // what the nodes run (Finish.NodeSelect)
+	dist  distql.Plan         // Rewrite's, LocalSQL filled in
+	fin   *sqlexec.Finish
+	preds []sqlexec.Pred // the WHERE clause classified against the left table (pruneParts)
+}
+
+// plan is the queryPlan of sql: the one its parse carries when the cluster
+// catalog has not changed since it was made, else a new one — the shape
+// checked (distql.Rewrite), the tables checked, the statement planned and
+// cut (sqlexec.Planner.BuildFinish) and the nodes' statement spelled.
+func (c *Coordinator) plan(sql string) (*queryPlan, error) {
+	qp, err := c.parses.PlanSelect(sql, c.ccat.schemas.Version(), c.buildPlan)
+	if err != nil {
+		return nil, err
+	}
+	return qp.(*queryPlan), nil
+}
+
+// buildPlan makes the queryPlan of sql, whose AST is sel. The AST may be the
+// cache's, shared by every query of the same text: the coordinator writes
+// only into copies of it (cloneSelect).
+func (c *Coordinator) buildPlan(sql string, sel *sqlexec.SelectStmt) (any, error) {
+	if sel == nil {
+		return nil, fmt.Errorf("soe: coordinator executes SELECT only (DML goes through Insert/Delete)")
+	}
+	dist, err := distql.Rewrite(sel)
+	if err != nil {
+		return nil, err
+	}
+	qp := &queryPlan{sel: sel, dist: *dist}
+	for _, table := range []string{dist.LeftTable, dist.RightTable} {
 		if _, ok := c.ccat.Table(table); !ok && table != "" {
 			return nil, fmt.Errorf("soe: unknown table %q", table)
 		}
 	}
-	return (&sqlexec.Planner{Cat: c.ccat.schemas, Reg: c.reg}).BuildFinish(sel)
+	if qp.fin, err = (&sqlexec.Planner{Cat: c.ccat.schemas, Reg: c.reg}).BuildFinish(sel); err != nil {
+		return nil, err
+	}
+	// The nodes run the client's statement — as it was written, unless the
+	// engine leaves some of it to the coordinator alone.
+	qp.node = qp.fin.NodeSelect(sel)
+	qp.dist.LocalSQL = sql
+	if qp.node != sel {
+		qp.dist.LocalSQL = sqlexec.Deparse(qp.node)
+	}
+	if t, ok := c.ccat.Table(dist.LeftTable); ok {
+		qp.preds, _ = sqlexec.Classify(sel.Where, sel.From.Alias, t.Schema)
+	}
+	return qp, nil
 }
 
-// pruneParts is distributed partition pruning: the WHERE clause is
-// classified against the table's schema, as a node's scan will classify it
-// again, and the fan-out keeps the partitions no predicate on the
-// partition key refutes. The list is explicit and possibly empty
+// pruneParts is distributed partition pruning: the WHERE clause,
+// classified against the table's schema (queryPlan.preds) as a node's scan
+// classifies it again, and the fan-out keeps the partitions no predicate on
+// the partition key refutes. The list is explicit and possibly empty
 // (contradictory bounds).
-func (c *Coordinator) pruneParts(sel *sqlexec.SelectStmt, table string) []int {
+func (c *Coordinator) pruneParts(preds []sqlexec.Pred, table string) []int {
 	t, ok := c.ccat.Table(table)
 	if !ok {
 		return nil
 	}
-	preds, _ := sqlexec.Classify(sel.Where, sel.From.Alias, t.Schema)
 	parts := make([]int, 0, t.Partitions)
 	for p := 0; p < t.Partitions; p++ {
 		if !t.refuted(p, preds) {

@@ -172,9 +172,13 @@ func TestConcurrentQueriesShareParses(t *testing.T) {
 	}
 	wg.Wait()
 	for _, q := range matchQueries {
-		cached, err := c.Coordinator.parses.Select(q)
+		qp, err := c.Coordinator.plan(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		cached := qp.sel
 		fresh, _ := sqlexec.Parse(q)
-		if err != nil || !reflect.DeepEqual(cached, fresh) || sqlexec.Deparse(cached) != sqlexec.Deparse(fresh.(*sqlexec.SelectStmt)) {
+		if !reflect.DeepEqual(cached, fresh) || sqlexec.Deparse(cached) != sqlexec.Deparse(fresh.(*sqlexec.SelectStmt)) {
 			t.Errorf("%s: the coordinator's cached AST is not a fresh parse's any more", q)
 		}
 	}

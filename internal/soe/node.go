@@ -636,7 +636,7 @@ func (n *DataNode) queryParts(r ExecReq) (*sqlexec.Result, []byte, error) {
 // table (and of a co-located join's partner) to the partitions the task
 // lists. A node keeps them on a free list, hook bound once, and a task
 // borrows one for its statement: every scoped scan's list is a window of
-// kept, which the plan reads until the statement is done.
+// kept, which the run reads until the statement is done.
 type taskScope struct {
 	table, table2 string
 	parts         []int

@@ -706,11 +706,11 @@ func TestPartitionsInRangeHash(t *testing.T) {
 	}
 	fanOut := func(sql, table string) []int {
 		t.Helper()
-		st, err := sqlexec.Parse(sql)
+		qp, err := c.Coordinator.plan(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Coordinator.pruneParts(st.(*sqlexec.SelectStmt), table)
+		return c.Coordinator.pruneParts(qp.preds, table)
 	}
 	for _, tc := range []struct {
 		sql, table string

@@ -165,8 +165,8 @@ func TestScopedTaskPartitionList(t *testing.T) {
 	}
 }
 
-// countPlans counts, through the engine's prune hook, how many times a
-// scan of table is planned on the node.
+// countPlans counts, through the engine's prune hook — called once per scan
+// per execution — how many times a scan of table runs on the node.
 func countPlans(n *DataNode, table string) *int {
 	plans := new(int)
 	n.Engine().Prune = func(entry *catalog.TableEntry, _ []sqlexec.Pred, parts []*catalog.Partition) []*catalog.Partition {
@@ -178,8 +178,8 @@ func countPlans(n *DataNode, table string) *int {
 	return plans
 }
 
-// TestScopedTaskPlansOnce: a task is one plan whatever the length of its
-// partition list.
+// TestScopedTaskPlansOnce: a task is one statement — one plan, one run of
+// its scan — whatever the length of its partition list.
 func TestScopedTaskPlansOnce(t *testing.T) {
 	c := newTestCluster(t, 1, OLTP)
 	if _, err := c.CreateTable("orders", ordersSchema(), "id", 6); err != nil {
@@ -193,14 +193,14 @@ func TestScopedTaskPlansOnce(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 		if *plans != 1 {
-			t.Errorf("a task over %d partitions planned its scan %d times, want 1", len(parts), *plans)
+			t.Errorf("a task over %d partitions ran its scan %d times, want 1", len(parts), *plans)
 		}
 	}
 }
 
 // TestNodeTaskReadsOneSnapshot is "a node task can see half of a commit"
 // without goroutine luck: a commit that writes both of a task's partitions
-// lands from inside the planner's prune call — after the statement has its
+// lands from inside its scan's prune call — after the statement has its
 // timestamp, before any partition is read. The task counts both new rows or
 // neither.
 func TestNodeTaskReadsOneSnapshot(t *testing.T) {

@@ -118,11 +118,19 @@ func (e *Engine) ExplainSQL(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	plan, err := s.planSelect(st.sel, s.snapshotTS())
+	plan, err := st.plan(false)
 	if err != nil {
 		return "", err
 	}
-	return Explain(plan), nil
+	return explain(plan, s.hooks()), nil
+}
+
+// catalogVersion is the version the engine's plans are built at: it moves
+// when the catalog does (catalog.Catalog.Version) and when a function or a
+// sys view is registered. Each of the three only counts up, so their sum
+// moves whenever any does.
+func (e *Engine) catalogVersion() uint64 {
+	return e.Cat.Version() + e.Reg.registrations() + e.Sys.registrations()
 }
 
 // AnalyzeSQL executes a SELECT with per-operator profiling attached and
@@ -160,7 +168,7 @@ func (s *Session) prepareSelect(sql, verb string) (*Stmt, error) {
 // share); the wire front end opens one session per connection for exactly
 // this reason. Sharing one Session across goroutines is a data race.
 type Session struct {
-	// Scope, when set, prunes every scan this session plans before the
+	// Scope, when set, prunes every scan this session runs before the
 	// engine's own hook does: the partitions of a table this session's
 	// statements may read (an SOE node task's partition list).
 	Scope PruneHook
@@ -370,22 +378,14 @@ func textRows(text string) []value.Row {
 	return rows
 }
 
-// snapshotTS is the timestamp a statement would read at, for callers that
-// only plan: nothing is pinned, so nothing may be read at it.
-func (s *Session) snapshotTS() uint64 {
-	if s.tx != nil {
-		return s.tx.SnapshotTS()
-	}
-	return s.e.Mgr.Now()
-}
-
-// execSelect plans and runs a SELECT into sink, accounted in stats. It
-// runs profiled when the caller asks (EXPLAIN ANALYZE) or the engine's
-// always-on profiling is set: the slow execution is captured with its
-// operator breakdown, not re-run after the fact. sql_exec_ms spans the
+// execSelect runs the SELECT st plans (parsed.query) into sink, accounted
+// in stats, on its plan (Stmt.plan). It runs profiled when the caller asks
+// (EXPLAIN ANALYZE) or the engine's always-on profiling is set: the slow
+// execution is captured with its operator breakdown, not re-run after the
+// fact. sql_exec_ms spans the
 // run, so it includes whatever time the sink spends on the batches it is
 // handed.
-func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, params []value.Value, profiled bool) (*Profile, error) {
+func (s *Session) execSelect(sink RowSink, stats *ExecStats, st *Stmt, params []value.Value, profiled bool) (*Profile, error) {
 	// A statement pins its snapshot: an explicit transaction did at Begin,
 	// an auto-commit statement does here, from before it is planned until
 	// its sink has the last batch — whichever way it ends. Without the pin
@@ -400,10 +400,7 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, pa
 	}
 	tPlan := time.Now()
 	psp := s.cur.Child("plan")
-	plan, err := s.planSelect(sel, ts)
-	if err == nil && s.partial {
-		plan = nodePlan(plan, &s.state)
-	}
+	plan, err := st.plan(s.partial)
 	psp.Finish()
 	s.e.Obs.Histogram("sql_plan_ms").ObserveSince(tPlan)
 	if err != nil {
@@ -414,7 +411,11 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, sel *SelectStmt, pa
 	profiled = profiled || s.e.SlowThreshold > 0
 	s.out = feed{sink: sink}
 	defer func() { s.out = feed{} }()
-	prof, err := runTo(&s.out, stats, plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers, &s.e.scratch, profiled)
+	args := runArgs{ts: ts, params: params, reg: s.e.Reg, mode: s.e.Mode, workers: s.e.Workers, hooks: s.hooks()}
+	if s.partial {
+		args.state = &s.state
+	}
+	prof, err := runTo(&s.out, stats, plan, args, &s.e.scratch, profiled)
 	if profiled {
 		if prof != nil {
 			prof.SQL = s.curSQL
@@ -458,7 +459,7 @@ func (s *Session) endStmt(tx *txn.Txn, err error) error {
 	return nil
 }
 
-func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error) {
+func (s *Session) execInsert(st *Stmt, ins *InsertStmt, params []value.Value) (int, error) {
 	entry, ok := s.e.Cat.Table(ins.Table)
 	if !ok {
 		return 0, fmt.Errorf("sql: unknown table %q", ins.Table)
@@ -469,7 +470,7 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error)
 	nrows, width := len(ins.Rows), 0
 	if ins.Select != nil {
 		var sel Result
-		if _, err := s.execSelect(&sel, &sel.Stats, ins.Select, params, false); err != nil {
+		if _, err := s.execSelect(&sel, &sel.Stats, st, params, false); err != nil {
 			return 0, err
 		}
 		selected, nrows, width = sel.Rows, len(sel.Rows), len(sel.Cols)
@@ -558,12 +559,10 @@ func (s *Session) execInsert(ins *InsertStmt, params []value.Value) (int, error)
 		rows = append(rows, full)
 	}
 	if len(cols) > n {
-		for _, def := range cols[n:] {
-			for _, p := range entry.Partitions {
-				p.Table.AddColumn(def)
-			}
+		var err error
+		if entry, err = s.e.Cat.WidenSchema(entry, cols); err != nil {
+			return 0, err
 		}
-		entry.Schema = cols
 	}
 	tx := s.currentTxn()
 	for lo := 0; lo < nrows; {
@@ -647,10 +646,10 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 	}
 	scan := newScanPlan(entry, table)
 	scan.Filter = where
-	s.planner(tx.SnapshotTS()).pruneScan(scan)
+	scan.classify()
 	ctx := s.e.scratch.borrow()
 	defer s.e.scratch.giveBack(ctx)
-	ctx.ts, ctx.params, ctx.reg, ctx.stats, ctx.workers = tx.SnapshotTS(), params, s.e.Reg, &ctx.local, s.e.Workers
+	ctx.ts, ctx.params, ctx.reg, ctx.stats, ctx.workers, ctx.hooks = tx.SnapshotTS(), params, s.e.Reg, &ctx.local, s.e.Workers, s.hooks()
 	r, err := prepScan(scan, ctx)
 	if err == nil {
 		r.exit, r.box = exitVictims, box

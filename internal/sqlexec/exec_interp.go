@@ -79,6 +79,9 @@ type execCtx struct {
 	ts      uint64
 	params  []value.Value
 	reg     *Registry
+	hooks   pruneHooks // what its scans prune through, besides their own (binding.bind)
+	state   *[]byte    // where a node's fold state goes (foldStatePlan)
+	replies []Reply    // what a coordinator's leaf reads (replyPlan)
 	stats   *ExecStats
 	out     *feed // the statement's sink: every executor's root pushes here
 	workers int
@@ -121,6 +124,7 @@ func (c *execCtx) reset() {
 	}
 	c.nscans = 0
 	c.ts, c.params, c.reg, c.stats, c.out, c.workers, c.prof = 0, nil, nil, nil, nil, 0, nil
+	c.hooks, c.state, c.replies = pruneHooks{}, nil, nil
 	c.local = ExecStats{}
 }
 
@@ -162,36 +166,55 @@ func (m Mode) String() string {
 // interpreter ignores it.
 func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, error) {
 	res := &Result{}
-	if _, err := runTo(&feed{sink: res}, &res.Stats, p, ts, params, reg, mode, workers, new(scratchPool), false); err != nil {
+	args := runArgs{ts: ts, params: params, reg: reg, mode: mode, workers: workers}
+	if _, err := runTo(&feed{sink: res}, &res.Stats, p, args, new(scratchPool), false); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
+// runArgs are what one run of a plan is given: the snapshot it reads, its
+// parameters, the registry its expressions compile against, the executor
+// and its runners, the hooks its scans prune through and — for a
+// distributed plan's halves — where a node's fold state goes and the
+// replies a coordinator finishes.
+type runArgs struct {
+	ts      uint64
+	params  []value.Value
+	reg     *Registry
+	mode    Mode
+	workers int
+	hooks   pruneHooks
+	state   *[]byte
+	replies []Reply
+}
+
 // runTo executes a plan into out's sink — the one way a plan runs,
 // whichever executor runs it and whoever reads the rows: the header goes
 // out first, then the executor's root pushes batches through out as it
-// produces them. The executor mode names runs the plan or returns the
+// produces them. The executor args.mode names runs the plan or returns the
 // statement's error; there is no other to fall back to. stats is where the
 // execution is accounted (a collecting caller's Result.Stats), scratch the
 // pool the run borrows its state from (the engine's; nil: fresh state). A
-// profile is recorded when profiled is set.
-func runTo(out *feed, stats *ExecStats, p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int, scratch *scratchPool, profiled bool) (*Profile, error) {
+// profile is recorded when profiled is set. The plan is only read: every
+// run keeps what it binds on its own execCtx.
+func runTo(out *feed, stats *ExecStats, p Plan, args runArgs, scratch *scratchPool, profiled bool) (*Profile, error) {
 	if err := out.sink.Header(p.columns()); err != nil {
 		return nil, err
 	}
 	ctx := scratch.borrow()
 	defer scratch.giveBack(ctx)
-	ctx.ts, ctx.params, ctx.reg, ctx.stats, ctx.out, ctx.workers = ts, params, reg, stats, out, workers
+	ctx.ts, ctx.params, ctx.reg, ctx.stats, ctx.out, ctx.workers = args.ts, args.params, args.reg, stats, out, args.workers
+	ctx.hooks, ctx.state, ctx.replies = args.hooks, args.state, args.replies
 	var prof *Profile
 	var t0 time.Time
 	if profiled {
-		prof = newProfile(p, mode, 0)
+		prof = newProfile(p, args.mode, 0, args.hooks)
 		ctx.prof = prof
 		t0 = time.Now()
 	}
 	run := runVectorized
-	if mode == ModeInterpreted {
+	if args.mode == ModeInterpreted {
 		run = runInterpreted
 	}
 	if err := run(p, ctx); err != nil {
@@ -350,7 +373,8 @@ type snapState struct {
 
 func newScanIter(p *ScanPlan, ctx *execCtx) (*scanIter, error) {
 	it := &scanIter{plan: p, ctx: ctx, op: ctx.prof.node(p)}
-	it.parts, it.pruned = p.bind(ctx.params)
+	var b binding
+	it.parts, it.pruned = b.bind(p, ctx.hooks, ctx.params)
 	if p.Filter != nil {
 		f, err := compileExpr(p.Filter, resolverFor(p.columns()), ctx.reg)
 		if err != nil {

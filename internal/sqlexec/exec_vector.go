@@ -126,7 +126,7 @@ func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 		return func(func([]value.Row) error) error {
 			f, err := run()
 			if err == nil {
-				*x.dst = appendFoldState(*x.dst, f)
+				*ctx.state = appendFoldState(*ctx.state, f)
 			}
 			return err
 		}, nil
@@ -134,14 +134,14 @@ func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 		// The replies' rows as one batch: what is above sizes itself once.
 		return func(emit func([]value.Row) error) error {
 			n := 0
-			for _, r := range x.replies {
+			for _, r := range ctx.replies {
 				n += len(r.Rows)
 			}
 			if n == 0 {
 				return nil
 			}
 			rows := make([]value.Row, 0, n)
-			for _, r := range x.replies {
+			for _, r := range ctx.replies {
 				rows = append(rows, r.Rows...)
 			}
 			return emit(rows)
@@ -262,6 +262,7 @@ type scanRun struct {
 	kernels   []kernel               // one slab: each partition's is a window of it
 	scratch   []*scanScratch         // runner w's is scratch[w]
 	residCols []int                  // scan columns a residual may read: all its scratch row carries
+	binding   binding                // the partitions open reads
 	stop      atomic.Bool
 	err       error      // drainOrdered: the consumer's first error
 	op        *OpProfile // scan operator's analyze counters; may be nil
@@ -524,6 +525,7 @@ func (r *scanRun) reset() {
 	clear(r.readers[:cap(r.readers)])
 	clear(r.kernels[:cap(r.kernels)])
 	clear(r.folds[:cap(r.folds)])
+	r.binding.reset()
 	snaps := r.snaps[:cap(r.snaps)]
 	for i := range snaps {
 		snaps[i].Clear()
@@ -555,7 +557,7 @@ func (r *scanRun) open() error {
 	r.victims, r.err, r.op = nil, nil, ctx.prof.node(s)
 	r.stop.Store(false)
 	r.par.begin()
-	parts, pruned := s.bind(ctx.params)
+	parts, pruned := r.binding.bind(s, ctx.hooks, ctx.params)
 	ctx.mu.Lock()
 	ctx.stats.PartitionsPruned += pruned
 	ctx.mu.Unlock()
@@ -1370,7 +1372,7 @@ func vecFold(x *AggPlan, ctx *execCtx) (aggRun, error) {
 			return vecAggJoinCode(c, in, ctx)
 		}
 	case *replyPlan:
-		return c.fold(in), nil
+		return foldReplies(in, ctx.replies), nil
 	}
 	return vecAggRows(x.Child, in, ctx)
 }

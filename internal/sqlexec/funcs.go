@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/columnstore"
 	"repro/internal/value"
@@ -29,6 +30,8 @@ type Registry struct {
 	mu      sync.RWMutex
 	scalars map[string]ScalarFunc
 	tables  map[string]TableFunc
+	// version counts registrations: part of an engine's catalog version.
+	version atomic.Uint64
 }
 
 // NewRegistry returns a registry pre-loaded with the SQL builtins.
@@ -38,12 +41,22 @@ func NewRegistry() *Registry {
 	return r
 }
 
+// registrations is how many functions have been registered, 0 on a nil
+// registry.
+func (r *Registry) registrations() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.version.Load()
+}
+
 // RegisterScalar adds or replaces a scalar function (name is
 // case-insensitive).
 func (r *Registry) RegisterScalar(name string, fn ScalarFunc) {
 	r.mu.Lock()
 	r.scalars[strings.ToUpper(name)] = fn
 	r.mu.Unlock()
+	r.version.Add(1)
 }
 
 // RegisterTable adds or replaces a table function.
@@ -51,6 +64,7 @@ func (r *Registry) RegisterTable(name string, schema columnstore.Schema, fn func
 	r.mu.Lock()
 	r.tables[strings.ToUpper(name)] = TableFunc{Schema: schema, Fn: fn}
 	r.mu.Unlock()
+	r.version.Add(1)
 }
 
 // Scalar resolves a scalar function.

@@ -509,7 +509,7 @@ func planJoin(t *testing.T, e *Engine, sql string) *JoinPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.planSelect(stmt.(*SelectStmt), e.Mgr.Now())
+	plan, err := s.buildPlan(stmt.(*SelectStmt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestJoinLeavesInWindows(t *testing.T) {
 	} {
 		join := planJoin(t, e, c.sql)
 		if len(join.EquiL) != c.keys {
-			t.Fatalf("%s: planned %s, want %d keys", c.sql, planLabel(join), c.keys)
+			t.Fatalf("%s: planned %s, want %d keys", c.sql, planLabel(join, pruneHooks{}), c.keys)
 		}
 		ctx := &execCtx{ts: e.Mgr.Now(), reg: e.Reg, stats: &ExecStats{}, workers: 3, scratch: &e.scratch}
 		vp, err := vecCompile(join, ctx)
@@ -577,7 +577,7 @@ func TestOneSidedOnConjunctFiltersItsSide(t *testing.T) {
 	// A LEFT OUTER join's ON clause decides matching: it stays.
 	join = planJoin(t, e, `SELECT e.qty, d.dname FROM events e LEFT JOIN dims d ON e.region = d.region AND d.dname = 'nope'`)
 	if join.Residual == nil || len(join.EquiL) != 1 {
-		t.Fatalf("LEFT JOIN's ON clause moved: %s", planLabel(join))
+		t.Fatalf("LEFT JOIN's ON clause moved: %s", planLabel(join, pruneHooks{}))
 	}
 }
 

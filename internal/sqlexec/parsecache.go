@@ -22,9 +22,13 @@ var parseSeed = maphash.MakeSeed()
 // ParseCache keeps the parses of single-statement SELECT texts, keyed by
 // the exact text: an Engine's serves every session's Prepare, Query and
 // QueryPartial (and so the wire's Parse and every SOE node task), and the
-// SOE coordinator keeps its own. Parsing reads no catalog, so an entry
-// cannot go stale and nothing invalidates one; it is a parse cache, not a
-// plan cache — a plan is built on every execution.
+// SOE coordinator keeps its own. Parsing reads no catalog, so a parse
+// cannot go stale and nothing evicts one for it. Each parse carries the plan
+// last made of it, stamped with the catalog version it was made at; a plan
+// of another version is made again on its next use, in place. So the cache
+// is a plan cache as well, with no second map and no invalidation pass: an
+// engine's sessions plan through it (Stmt.plan), the coordinator through
+// PlanSelect.
 //
 // A text is admitted on its second sighting: the first leaves only its
 // hash in a fixed ring, so a one-off text — fresh literals, a bulk INSERT —
@@ -107,6 +111,7 @@ func (c *ParseCache) sighted(sql string, p *parsed) {
 				break
 			}
 		}
+		p.cached = true
 		c.entries[sql] = cachedParse{text: sql, p: p}
 		return
 	}
@@ -114,10 +119,15 @@ func (c *ParseCache) sighted(sql string, p *parsed) {
 	c.next = (c.next + 1) % len(c.seen)
 }
 
-// Select parses sql, one statement, through the cache: its AST when it is a
-// SELECT, nil when it is any other statement. The AST may be shared: the
-// caller must not write into it.
-func (c *ParseCache) Select(sql string) (*SelectStmt, error) {
+// PlanSelect parses sql, one statement, through the cache and returns what
+// build makes of its SELECT at catalog version: the plan the parse carries
+// when it was built at that version, else build's, which the parse carries
+// from then on when the cache holds it (a one-off text's is made for its
+// one use). build is handed sql and its AST. Every caller that sends
+// the text shares both, so neither the AST nor the plan may be written
+// into. A statement that is no SELECT is build's to refuse: it is handed a
+// nil AST.
+func (c *ParseCache) PlanSelect(sql string, version uint64, build func(sql string, sel *SelectStmt) (any, error)) (any, error) {
 	var one *parsed
 	n := 0
 	if _, err := c.each(sql, func(p *parsed) { one, n = p, n+1 }); err != nil {
@@ -126,10 +136,18 @@ func (c *ParseCache) Select(sql string) (*SelectStmt, error) {
 	if n != 1 {
 		return nil, errStatementCount(n)
 	}
-	if one.kind != stmtSelect {
-		return nil, nil
+	if slot := one.plan.Load(); slot != nil && slot.version == version {
+		return slot.plan, nil
 	}
-	return one.sel, nil
+	var sel *SelectStmt
+	if one.kind == stmtSelect {
+		sel = one.sel
+	}
+	plan, err := build(sql, sel)
+	if err == nil && one.cached {
+		one.plan.Store(&planSlot{version: version, plan: plan})
+	}
+	return plan, err
 }
 
 // Text is the string b spells: the very text of an entry when the cache

@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -43,12 +44,12 @@ func TestSharedParsesUnderRace(t *testing.T) {
 	e.Mode = ModeInterpreted
 	s := e.NewSession()
 	for i, j := range jobs {
-		st, err := Parse(j.sql)
+		ps, err := freshParses(j.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", j.sql, err)
 		}
 		var res Result
-		if _, err := s.execSelect(&res, &res.Stats, st.(*SelectStmt), j.params, false); err != nil {
+		if _, err := s.execSelect(&res, &res.Stats, &Stmt{s: s, parsed: ps[0]}, j.params, false); err != nil {
 			t.Fatalf("%s: %v", j.sql, err)
 		}
 		jobs[i].want = resultKeys(&res)
@@ -197,7 +198,11 @@ func TestParseCacheAdmission(t *testing.T) {
 // FuzzPrepareCached: any input prepared three times on one engine — the
 // third time from the cache when it is a repeated SELECT — gives the same
 // statements as a fresh parse: kind, parameter count, fingerprint and
-// Deparse, or the same error. NormalizeSQL is idempotent on it.
+// Deparse, or the same error. NormalizeSQL is idempotent on it. Each SELECT
+// of it over at most two of the engine's small tables then runs through its
+// cached plan and through a fresh parse's, its parameters NULL, and the two
+// answer alike: the same columns, the same first rows in the same order, or
+// the same error.
 func FuzzPrepareCached(f *testing.F) {
 	for _, q := range parityQueries {
 		f.Add(q.sql)
@@ -205,10 +210,13 @@ func FuzzPrepareCached(f *testing.F) {
 	for _, q := range deparseCases {
 		f.Add(q)
 	}
-	for _, q := range []string{`SELECT 1; SELECT 2`, `BEGIN`, `EXPLAIN SELECT 1`, `INSERT INTO t VALUES (1)`, `SELECT a FROM t ORDER BY a DESC NULLS LAST`, ``, `-- c`, `SELECT 'x`} {
+	for _, q := range []string{`SELECT 1; SELECT 2`, `BEGIN`, `EXPLAIN SELECT 1`, `INSERT INTO t VALUES (1)`, `SELECT a FROM t ORDER BY a DESC NULLS LAST`, ``, `-- c`, `SELECT 'x`,
+		`SELECT region, SUM(amount) FROM orders WHERE yr >= $1 GROUP BY region ORDER BY 1`,
+		`SELECT o.id, i.sku FROM orders o JOIN items i ON o.id = i.order_id WHERE i.qty > 2 ORDER BY o.id, i.sku`,
+		`SELECT yr, COUNT(*) FROM sales WHERE yr BETWEEN 2012 AND 2013 GROUP BY yr ORDER BY yr`} {
 		f.Add(q)
 	}
-	e := NewEngine()
+	e := smallEngine(f)
 	f.Fuzz(func(t *testing.T, sql string) {
 		if n := NormalizeSQL(sql); NormalizeSQL(n) != n {
 			t.Fatalf("NormalizeSQL(%q) = %q, and again %q", sql, n, NormalizeSQL(n))
@@ -216,14 +224,15 @@ func FuzzPrepareCached(f *testing.F) {
 		want, wantErr := freshParses(sql)
 		s := e.NewSession()
 		defer s.Close()
+		var got []*Stmt
 		for i := 0; i < 3; i++ {
-			var got []*Stmt
+			got = got[:0]
 			err := s.PrepareEach(sql, func(st *Stmt) { got = append(got, st) })
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("prepare %d of %q: error %v, a fresh parse %v", i+1, sql, err, wantErr)
 			}
 			if err != nil {
-				continue
+				return
 			}
 			if len(got) != len(want) {
 				t.Fatalf("prepare %d of %q: %d statements, a fresh parse %d", i+1, sql, len(got), len(want))
@@ -234,7 +243,105 @@ func FuzzPrepareCached(f *testing.F) {
 				}
 			}
 		}
+		for k, st := range got {
+			if st.kind != stmtSelect || !smallQuery(st.sel, 2) {
+				continue
+			}
+			params := make([]value.Value, st.nparams)
+			st.ExecTo(discard{}, params...) // plans it, when it plans, into its parse
+			cached := cappedRun(st, params)
+			if fresh := cappedRun(&Stmt{s: s, parsed: want[k]}, params); cached != fresh {
+				t.Fatalf("%q, statement %d: its cached plan answers\n%s\na fresh plan\n%s", sql, k, cached, fresh)
+			}
+		}
 	})
+}
+
+// smallEngine is an engine over small copies of three of the parity tables,
+// one of them range-partitioned: any join of two of them stays small.
+func smallEngine(t testing.TB) *Engine {
+	e := NewEngine()
+	mustExec(t, e, `CREATE TABLE orders (id INT, region VARCHAR, status VARCHAR, amount DOUBLE, yr INT)`)
+	mustExec(t, e, `CREATE TABLE items (order_id INT, qty INT, sku VARCHAR)`)
+	mustExec(t, e, `CREATE TABLE sales (yr INT, region VARCHAR, amount DOUBLE) PARTITION BY RANGE(yr) VALUES (2012, 2014)`)
+	regions := []string{"EMEA", "AMER", "APJ"}
+	for i := 0; i < 24; i++ {
+		region := value.String(regions[i%3])
+		if i%7 == 0 {
+			region = value.Null
+		}
+		yr := value.Int(int64(2010 + i%6))
+		mustExec(t, e, `INSERT INTO orders VALUES (?, ?, ?, ?, ?)`, value.Int(int64(i)), region, value.String([]string{"OPEN", "PAID"}[i%2]), value.Float(float64(i)*1.5), yr)
+		mustExec(t, e, `INSERT INTO items VALUES (?, ?, ?)`, value.Int(int64(i/2)), value.Int(int64(i%5)), value.String(fmt.Sprintf("S%d", i%4)))
+		mustExec(t, e, `INSERT INTO sales VALUES (?, ?, ?)`, yr, region, value.Float(float64(i)))
+	}
+	mustExec(t, e, `MERGE DELTA OF orders`)
+	return e
+}
+
+// smallQuery reports whether sel reads at most n tables, counting those of
+// its derived tables, and no sys view, whose rows change from run to run.
+func smallQuery(sel *SelectStmt, n int) bool {
+	var count func(sel *SelectStmt) int
+	count = func(sel *SelectStmt) int {
+		refs := []TableRef{sel.From}
+		for _, j := range sel.Joins {
+			refs = append(refs, j.Table)
+		}
+		c := 0
+		for _, r := range refs {
+			switch {
+			case r.Subquery != nil:
+				c += count(r.Subquery)
+			case strings.HasPrefix(r.Name, "sys."):
+				c += n + 1
+			case r.Name != "" || r.Func != nil:
+				c++
+			}
+		}
+		return c
+	}
+	return count(sel) <= n
+}
+
+// cappedRun runs st with params and describes its answer: its columns and
+// its first rows, or its error.
+func cappedRun(st *Stmt, params []value.Value) string {
+	var sink cappedSink
+	_, err := st.ExecTo(&sink, params...)
+	if err != nil && err != errCapped {
+		return "error: " + err.Error()
+	}
+	return sink.sb.String()
+}
+
+var errCapped = errors.New("enough rows")
+
+// cappedSink writes its header and up to 200 rows as text, and then stops
+// the statement.
+type cappedSink struct {
+	sb   strings.Builder
+	rows int
+}
+
+func (c *cappedSink) Header(cols []Column) error {
+	fmt.Fprintln(&c.sb, cols)
+	return nil
+}
+
+func (c *cappedSink) Batch(b *RowBatch) error {
+	for i := 0; i < b.Len(); i++ {
+		if c.rows++; c.rows > 200 {
+			return errCapped
+		}
+		row := make(value.Row, b.Width())
+		for col := range row {
+			row[col] = b.At(i, col)
+		}
+		c.sb.WriteString(row.Key())
+		c.sb.WriteByte('\n')
+	}
+	return nil
 }
 
 // freshParses parses a string of statements as PrepareEach does, with no

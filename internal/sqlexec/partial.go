@@ -59,19 +59,19 @@ func cutPlan(root *Plan) (agg *AggPlan, slot *Plan) {
 }
 
 // foldStatePlan is a node's plan of a distributed aggregation: the top
-// aggregate, run to its one fold, whose state lands in *dst.
+// aggregate, run to its one fold, whose state lands where the run says
+// (execCtx.state).
 type foldStatePlan struct {
 	agg *AggPlan
-	dst *[]byte
 }
 
 func (p *foldStatePlan) columns() []Column { return nil }
 
-// nodePlan is p cut for a node.
-func nodePlan(p Plan, dst *[]byte) Plan {
+// nodePlan is p cut for a node. Like p, it holds nothing of a run.
+func nodePlan(p Plan) Plan {
 	agg, slot := cutPlan(&p)
 	if agg != nil {
-		return &foldStatePlan{agg: agg, dst: dst}
+		return &foldStatePlan{agg: agg}
 	}
 	if l, ok := p.(*LimitPlan); ok {
 		return &LimitPlan{Child: l.Child, N: l.N + l.Offset}
@@ -109,31 +109,30 @@ type Reply struct {
 
 // replyPlan is the coordinator's leaf of a distributed plan, in place of
 // everything below the cut: the nodes' fold states under the top
-// aggregate, their rows anywhere else. cols are the columns it stands in
-// for.
+// aggregate, their rows anywhere else — the replies of the run
+// (execCtx.replies). cols are the columns it stands in for.
 type replyPlan struct {
-	cols    []Column
-	replies []Reply
+	cols []Column
 }
 
 func (p *replyPlan) columns() []Column { return p.cols }
 
-// fold absorbs every state into one fold of in, in reply order.
-func (p *replyPlan) fold(in *aggInput) aggRun {
+// foldReplies absorbs every reply's state into one fold of in, in reply
+// order.
+func foldReplies(in *aggInput, replies []Reply) aggRun {
 	return func() (*aggFold, error) {
 		f := newAggFold(in, newStrInterner(), 0)
-		return f, f.absorbStates(p.replies)
+		return f, f.absorbStates(replies)
 	}
 }
 
-// Finish is the coordinator's half of a distributed SELECT.
+// Finish is the coordinator's half of a distributed SELECT. It is built
+// once per statement text and catalog version, and is read-only: any
+// number of queries may Run it at once.
 type Finish struct {
 	plan       Plan
-	reply      replyPlan
 	reg        *Registry
 	aggregates bool
-	res        Result
-	out        feed
 }
 
 // BuildFinish plans sel as BuildSelect does — against a catalog whose tables
@@ -153,8 +152,8 @@ func (pl *Planner) BuildFinish(sel *SelectStmt) (*Finish, error) {
 	if agg != nil {
 		slot = &agg.Child
 	}
-	f := &Finish{reply: replyPlan{cols: (*slot).columns()}, reg: pl.Reg, aggregates: agg != nil}
-	var leaf Plan = &f.reply
+	f := &Finish{reg: pl.Reg, aggregates: agg != nil}
+	var leaf Plan = &replyPlan{cols: (*slot).columns()}
 	if proj, ok := (*slot).(*ProjectPlan); ok {
 		if s, ok := proj.Child.(*SortPlan); ok {
 			keys, err := outputKeys(s.Keys, proj)
@@ -211,11 +210,16 @@ func outputKeys(keys []OrderItem, proj *ProjectPlan) ([]OrderItem, error) {
 }
 
 // Run runs the plan above the cut over the nodes' replies, on the
-// vectorized executor's operators, once.
+// vectorized executor's operators.
 func (f *Finish) Run(replies []Reply) (*Result, error) {
-	f.reply.replies, f.out.sink = replies, &f.res
-	_, err := runTo(&f.out, &f.res.Stats, f.plan, 0, nil, f.reg, ModeVectorized, 1, nil, false)
-	return &f.res, err
+	// One allocation: the answer and the feed that fills it.
+	run := &struct {
+		res Result
+		out feed
+	}{}
+	run.out.sink = &run.res
+	_, err := runTo(&run.out, &run.res.Stats, f.plan, runArgs{reg: f.reg, mode: ModeVectorized, workers: 1, replies: replies}, nil, false)
+	return &run.res, err
 }
 
 // --- the fold's state on the wire --------------------------------------------

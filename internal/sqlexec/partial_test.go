@@ -86,7 +86,7 @@ func absorbed(in *aggInput, states ...[]byte) (*aggFold, error) {
 	for _, st := range states {
 		replies = append(replies, Reply{State: st})
 	}
-	return (&replyPlan{replies: replies}).fold(in)()
+	return foldReplies(in, replies)()
 }
 
 // checkRoundTrip folds rows, encodes the fold and absorbs the state into

@@ -47,23 +47,26 @@ type Plan interface {
 	columns() []Column
 }
 
-// ScanPlan reads one logical table: all partitions surviving pruning, with
-// an optional pushed-down predicate.
+// ScanPlan reads one logical table: the partitions of its entry that
+// survive pruning, which every execution does anew (binding.bind), with an
+// optional pushed-down predicate.
 type ScanPlan struct {
 	Entry  *catalog.TableEntry
 	Alias  string
-	Filter Expr                 // conjunction over this table's columns
-	Parts  []*catalog.Partition // post-pruning; nil means "all"
-	Pruned int                  // partitions eliminated (for stats)
+	Filter Expr // conjunction over this table's columns
 	cols   []Column
 
-	// Preds/Residue are Filter's conjuncts, classified once by pruneScan:
+	// Preds/Residue are Filter's conjuncts, classified once by classify:
 	// the comparisons of a column against a literal or a parameter, which
 	// prune partitions and run as batch kernels over encoded main columns,
-	// and the rest, which needs the row-at-a-time expression evaluator. A
-	// predicate that waits for a parameter prunes when a run binds it.
+	// and the rest, which needs the row-at-a-time expression evaluator.
+	// params says whether a predicate waits for a parameter.
 	Preds   []Pred
 	Residue []Expr
+	params  bool
+	// hook is the Prune of the Planner that built the scan: nil on an
+	// engine's plans, which its sessions share and prune through their own.
+	hook PruneHook
 }
 
 // newScanPlan is the unfiltered, unpruned scan of entry under alias.
@@ -200,11 +203,15 @@ func newAliasPlan(child Plan, alias string) *AliasPlan {
 
 func (a *AliasPlan) columns() []Column { return a.cols }
 
-// Planner builds optimized plans against a catalog.
+// Planner builds optimized plans against a catalog. A plan reads nothing
+// but the catalog, the registry and the sys views, so an engine keeps one
+// per statement text and catalog version (Stmt.plan).
 type Planner struct {
-	Cat   *catalog.Catalog
-	Reg   *Registry
-	TS    uint64 // statement snapshot, for size estimates
+	Cat *catalog.Catalog
+	Reg *Registry
+	TS  uint64 // statement snapshot; the plan does not depend on it
+	// Prune, when set, is applied by every run of the plans this planner
+	// builds, after the hooks of the run itself (binding.bind).
 	Prune PruneHook
 	// Sys resolves virtual monitoring views (sys.m_statements, ...);
 	// nil-safe — a planner without one sees only base tables.
@@ -649,11 +656,10 @@ func (pl *Planner) pushDown(p Plan) Plan {
 	return p
 }
 
-// finish prunes every scan of the relational core, once, and picks each
-// join's build side bottom-up: estimate reads the pruned partition lists
-// (a node task's Scope shrinks them), so a scan is pruned before any join
-// above it chooses. A derived table below was finished by its own
-// buildSelect.
+// finish classifies every scan's filter, once, and picks each
+// join's build side bottom-up: estimate reads the classified predicates, so
+// a scan is finished before any join above it chooses. A derived table
+// below was finished by its own buildSelect.
 func (pl *Planner) finish(p Plan) {
 	switch x := p.(type) {
 	case *FilterPlan:
@@ -663,7 +669,8 @@ func (pl *Planner) finish(p Plan) {
 		pl.finish(x.R)
 		pl.chooseBuildSide(x)
 	case *ScanPlan:
-		pl.pruneScan(x)
+		x.classify()
+		x.hook = pl.Prune
 	}
 }
 
@@ -791,10 +798,14 @@ func (pl *Planner) estimate(p Plan) int {
 	case *ScanPlan:
 		n := 0
 		// Rows read, not rows kept: a filter counts only through the
-		// partitions it pruned. There is no selectivity guess — the plan
-		// shapes the parity goldens record are picked on this number.
-		for _, part := range x.scanParts() {
-			n += part.Table.NumRows()
+		// partitions the catalog alone refutes, by their range bounds —
+		// the rest of pruning is the run's. There is no selectivity guess:
+		// the plan shapes the parity goldens record are picked on this
+		// number.
+		for _, part := range x.Entry.Partitions {
+			if !rangeRefutes(x.Entry.Schema, part, x.Preds) {
+				n += part.Table.NumRows()
+			}
 		}
 		return n
 	case *FilterPlan:
@@ -812,14 +823,6 @@ func (pl *Planner) estimate(p Plan) int {
 	default:
 		return 1 << 20
 	}
-}
-
-// scanParts returns the effective partition list of a scan.
-func (s *ScanPlan) scanParts() []*catalog.Partition {
-	if s.Parts != nil {
-		return s.Parts
-	}
-	return s.Entry.Partitions
 }
 
 // --- compressed-execution eligibility ---------------------------------------
@@ -1089,16 +1092,19 @@ func projectScanShape(x *ProjectPlan, cols []int) (*ScanPlan, []int, bool) {
 }
 
 // Explain renders a plan tree for debugging and the shell's EXPLAIN.
-func Explain(p Plan) string {
+func Explain(p Plan) string { return explain(p, pruneHooks{}) }
+
+// explain renders a plan tree whose scans a run prunes through hooks.
+func explain(p Plan, hooks pruneHooks) string {
 	var sb strings.Builder
-	explainRec(p, 0, &sb)
+	explainRec(p, hooks, 0, &sb)
 	return sb.String()
 }
 
-func explainRec(p Plan, depth int, sb *strings.Builder) {
-	sb.WriteString(strings.Repeat("  ", depth) + planLabel(p) + "\n")
+func explainRec(p Plan, hooks pruneHooks, depth int, sb *strings.Builder) {
+	sb.WriteString(strings.Repeat("  ", depth) + planLabel(p, hooks) + "\n")
 	for _, c := range planChildren(p) {
-		explainRec(c, depth+1, sb)
+		explainRec(c, hooks, depth+1, sb)
 	}
 }
 

@@ -101,18 +101,19 @@ type Profile struct {
 	byPlan map[Plan]*OpProfile
 }
 
-// newProfile builds the OpProfile tree mirroring a plan.
-func newProfile(p Plan, mode Mode, workers int) *Profile {
+// newProfile builds the OpProfile tree mirroring a plan, whose scans the
+// run prunes through hooks.
+func newProfile(p Plan, mode Mode, workers int, hooks pruneHooks) *Profile {
 	prof := &Profile{Mode: mode, Workers: workers, byPlan: map[Plan]*OpProfile{}}
-	prof.Root = prof.build(p)
+	prof.Root = prof.build(p, hooks)
 	return prof
 }
 
-func (p *Profile) build(pl Plan) *OpProfile {
-	op := &OpProfile{Label: planLabel(pl)}
+func (p *Profile) build(pl Plan, hooks pruneHooks) *OpProfile {
+	op := &OpProfile{Label: planLabel(pl, hooks)}
 	p.byPlan[pl] = op
 	for _, c := range planChildren(pl) {
-		op.Children = append(op.Children, p.build(c))
+		op.Children = append(op.Children, p.build(c, hooks))
 	}
 	return op
 }
@@ -279,15 +280,18 @@ func planChildren(p Plan) []Plan {
 }
 
 // planLabel is the one-line operator description EXPLAIN and EXPLAIN
-// ANALYZE print.
-func planLabel(p Plan) string {
+// ANALYZE print. A scan counts the partitions a run through hooks reads,
+// its parameters unbound.
+func planLabel(p Plan, hooks pruneHooks) string {
 	switch x := p.(type) {
 	case *ScanPlan:
 		s := "Scan " + x.Entry.Name
 		if x.Alias != x.Entry.Name {
 			s += " AS " + x.Alias
 		}
-		s += " [" + strconv.Itoa(len(x.scanParts())) + "/" + strconv.Itoa(len(x.Entry.Partitions)) + " partitions]"
+		var b binding
+		parts, _ := b.bind(x, hooks, nil)
+		s += " [" + strconv.Itoa(len(parts)) + "/" + strconv.Itoa(len(x.Entry.Partitions)) + " partitions]"
 		if x.Filter != nil {
 			s += " filter=" + ExprText(x.Filter)
 		}

@@ -1,6 +1,8 @@
 package sqlexec
 
 import (
+	"slices"
+
 	"repro/internal/catalog"
 	"repro/internal/columnstore"
 	"repro/internal/value"
@@ -13,9 +15,11 @@ import (
 // (Refutes). The summaries are a range partition's bounds and a warm
 // partition's zone map here, a distributed table's range slots in the SOE
 // coordinator, and the aging engine's rule invariants and its statistics
-// baseline behind the prune hook. Literal predicates refute when a scan is
-// planned, parameter predicates when a run binds their values
-// (ScanPlan.bind); scan kernels bind to the same predicates.
+// baseline behind the prune hook. The planner classifies a scan's filter
+// once; every execution refutes partitions with the predicates, a
+// parameter's value bound in (binding.bind), since a plan outlives the data
+// and the hooks it was built beside. Scan kernels bind to the same
+// predicates.
 
 // Pred is one classified filter conjunct: <column> <cmp> <literal> or
 // <column> <cmp> <parameter>, the column on the left whichever way the
@@ -176,78 +180,92 @@ func kindsComparable(a, b value.Kind) bool {
 
 // PruneHook lets an outer layer take part in partition pruning with what
 // only it knows: the aging engine's rule invariants (§III), an SOE node
-// task's partition list. It is called once per planned scan with the
-// scan's classified predicates and returns the subset of parts that must
-// be scanned.
+// task's partition list. It is called once per scan per execution, with the
+// scan's classified predicates — a parameter's value bound in — and returns
+// the subset of parts that must be scanned (nil: none).
 type PruneHook func(entry *catalog.TableEntry, preds []Pred, parts []*catalog.Partition) []*catalog.Partition
 
-// pruneScan classifies the scan's filter and eliminates the partitions
-// that cannot hold a matching row: first through the prune hook, then by
-// range bounds and zone maps. It runs once per scan, when everything that
-// will be pushed into the scan has been.
-func (pl *Planner) pruneScan(s *ScanPlan) {
+// pruneHooks are the hooks a run prunes its scans through: the session's
+// Scope, then the engine's Prune.
+type pruneHooks struct{ scope, engine PruneHook }
+
+// classify readies the scan for pruning, once, when everything that will be
+// pushed into it has been: it classifies the filter. The pruning itself
+// reads what the catalog does not hold still — a zone map's freshness, the
+// aging rules, a node task's partition list, a parameter — and so runs on
+// every execution (binding.bind): a plan is shared by every session and
+// every run of its statement.
+func (s *ScanPlan) classify() {
 	s.Preds, s.Residue = Classify(s.Filter, s.Alias, s.Entry.Schema)
-	parts := s.Entry.Partitions
-	if pl.Prune != nil {
-		if parts = pl.Prune(s.Entry, s.Preds, parts); parts == nil {
-			parts = []*catalog.Partition{} // nil would read as "all"
-		}
-	}
-	s.Parts = unrefuted(s.Entry.Schema, s.Preds, parts)
-	s.Pruned = len(s.Entry.Partitions) - len(s.Parts)
+	s.params = slices.ContainsFunc(s.Preds, func(p Pred) bool { return p.Param >= 0 })
 }
 
-// bind is pruning's run-time half: the partitions a run with these
-// parameters reads, and how many of the table's that leaves out. Only a
-// scan with parameter predicates over partitions that carry a summary has
-// anything to decide here; every other returns what the plan holds.
-func (s *ScanPlan) bind(params []value.Value) (parts []*catalog.Partition, pruned int) {
-	parts = s.scanParts()
-	if !summarized(parts) {
-		return parts, s.Pruned
-	}
-	var bound []Pred
-	for _, p := range s.Preds {
-		if p.Param >= 0 && p.Param < len(params) {
-			p.Lit = params[p.Param]
-			bound = append(bound, p)
-		}
-	}
-	kept := unrefuted(s.Entry.Schema, bound, parts)
-	return kept, s.Pruned + len(parts) - len(kept)
+// binding is a run of a scan's pruning and its scratch: the predicates the
+// run bound and the partitions it kept. A vectorized scan run keeps one
+// across statements; anywhere else it is fresh.
+type binding struct {
+	preds []Pred
+	parts []*catalog.Partition
 }
 
-// summarized reports whether any partition carries range bounds or a zone
-// map.
-func summarized(parts []*catalog.Partition) bool {
-	for _, p := range parts {
-		if p.PruneCol != "" || p.Zone != nil {
-			return true
+// reset drops what a run bound and kept, keeping the memory.
+func (b *binding) reset() {
+	clear(b.preds[:cap(b.preds)])
+	clear(b.parts[:cap(b.parts)])
+	b.preds, b.parts = b.preds[:0], b.parts[:0]
+}
+
+// bind is partition pruning, run by every execution of scan s: the
+// partitions it reads and how many of the table's that leaves out. The
+// run's parameters are bound into the predicates first; then the hooks
+// (the session's Scope, the engine's Prune, and the hook of the Planner
+// that built s when it had one) keep what they keep, and of that range
+// bounds and fresh zone maps refute what they can.
+func (b *binding) bind(s *ScanPlan, hooks pruneHooks, params []value.Value) (parts []*catalog.Partition, pruned int) {
+	preds := s.Preds
+	if s.params {
+		b.preds = append(b.preds[:0], s.Preds...)
+		for i := range b.preds {
+			if p := &b.preds[i]; p.Param >= 0 {
+				p.Lit = value.Null
+				if p.Param < len(params) {
+					p.Lit = params[p.Param]
+				}
+			}
+		}
+		preds = b.preds
+	}
+	parts = s.Entry.Partitions
+	for _, hook := range [...]PruneHook{hooks.scope, hooks.engine, s.hook} {
+		if hook != nil {
+			parts = hook(s.Entry, preds, parts)
 		}
 	}
-	return false
+	if kept := unrefuted(b.parts[:0], s.Entry.Schema, preds, parts); len(kept) < len(parts) {
+		b.parts, parts = kept, kept
+	}
+	return parts, len(s.Entry.Partitions) - len(parts)
 }
 
 // unrefuted returns the partitions no predicate refutes: parts itself when
-// that is all of them, otherwise a new — never nil — list.
-func unrefuted(schema columnstore.Schema, preds []Pred, parts []*catalog.Partition) []*catalog.Partition {
+// that is all of them, otherwise a list in dst's memory.
+func unrefuted(dst []*catalog.Partition, schema columnstore.Schema, preds []Pred, parts []*catalog.Partition) []*catalog.Partition {
 	if len(preds) == 0 {
 		return parts
 	}
-	var kept []*catalog.Partition
-	copied := false // kept is parts, untouched, until the first refutation
+	copied := false // dst holds nothing, and parts is the answer, until the first refutation
 	for i, p := range parts {
 		switch refuted := rangeRefutes(schema, p, preds) || zoneRefutes(p, preds); {
 		case refuted && !copied:
-			kept, copied = append(make([]*catalog.Partition, 0, len(parts)-1), parts[:i]...), true
+			dst, copied = append(dst, parts[:i]...), true
 		case !refuted && copied:
-			kept = append(kept, p)
+			dst = append(dst, p)
 		}
 	}
 	if !copied {
 		return parts
 	}
-	return kept
+	return dst
 }
 
 // rangeRefutes reports whether a predicate on the partition column proves

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,32 +14,17 @@ import (
 
 // This file holds a statement's borrowed run state — the execCtx, its scan
 // runs and their slabs, lent by the engine's scratchPool — to its two
-// promises: a point select allocates only its plan and its answer, and
-// nothing of one statement's run reaches another's.
+// promises: a point select allocates only its answer, and nothing of one
+// statement's run reaches another's.
 
 // TestPreparedPointSelectAllocs: an embedded prepared point select over a
-// merged 10,000-row table allocates its plan (7: the plan nodes, the scan's
-// column list and its one classified predicate) and its answer (4: the
-// Result, its column names, one boxed row and its slab) and nothing else —
-// no execCtx, run, snapshot, kernel, closure or port.
+// merged 10,000-row table allocates its answer (4: the Result, its column
+// names, one boxed row and its slab) and nothing else — no plan, which the
+// statement's parse carries, and no execCtx, run, snapshot, kernel, closure
+// or port.
 func TestPreparedPointSelectAllocs(t *testing.T) {
-	const n, want = 10_000, 11
-	e := NewEngine()
-	mustExec(t, e, `CREATE TABLE kv (k INT, v INT)`)
-	rows := make([]value.Row, n)
-	for i := range rows {
-		rows[i] = value.Row{value.Int(int64(i)), value.Int(int64(i) * 3)}
-	}
-	tbl := e.Cat.MustTable("kv").Primary()
-	tbl.ApplyInsert(rows, 1)
-	tbl.Merge(2)
-	e.Mgr.AdvanceTo(2)
-	s := e.NewSession()
-	defer s.Close()
-	st, err := s.Prepare(`SELECT v FROM kv WHERE k = $1`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const n, want = 10_000, 4
+	st := pointSelect(t, n)
 	params := make([]value.Value, 1)
 	k := 0
 	run := func() {
@@ -50,8 +37,73 @@ func TestPreparedPointSelectAllocs(t *testing.T) {
 	}
 	run() // warm-up: the pool's run state grows its slabs
 	if got := testing.AllocsPerRun(500, run); got > want {
-		t.Errorf("a prepared point select allocates %v times a statement, want at most %d (its plan and its answer)", got, want)
+		t.Errorf("a prepared point select allocates %v times a statement, want at most %d (its answer)", got, want)
 	}
+}
+
+// pointSink is a sink that keeps the one value a point select answers.
+type pointSink struct {
+	v    value.Value
+	rows int
+}
+
+func (s *pointSink) Header([]Column) error { return nil }
+
+func (s *pointSink) Batch(b *RowBatch) error {
+	if s.rows += b.Len(); b.Len() > 0 {
+		s.v = b.At(0, 0)
+	}
+	return nil
+}
+
+// TestPreparedPointAllocs: the same prepared point select run with ExecTo
+// into a sink the caller reuses allocates nothing in the engine — no plan,
+// no run state, no answer. Under -race, whose pools drop what they are
+// given at random, only the answers are checked.
+func TestPreparedPointAllocs(t *testing.T) {
+	const n = 10_000
+	st := pointSelect(t, n)
+	var sink pointSink
+	params := make([]value.Value, 1)
+	k := 0
+	run := func() {
+		k = (k + 7919) % n
+		params[0] = value.Int(int64(k))
+		sink.rows = 0
+		if _, err := st.ExecTo(&sink, params...); err != nil || sink.rows != 1 || sink.v.I != int64(3*k) {
+			t.Fatalf("k = %d: %v: %d rows, %v", k, err, sink.rows, sink.v)
+		}
+	}
+	run()
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("the race detector's sync.Pools drop what they are given at random")
+	}
+	if got := testing.AllocsPerRun(500, run); got != 0 {
+		t.Errorf("a prepared point select into a reused sink allocates %v times a statement, want 0", got)
+	}
+}
+
+// pointSelect is the prepared point select of v by k on a session of an
+// engine over a merged n-row table kv (k, v = 3k).
+func pointSelect(t *testing.T, n int) *Stmt {
+	t.Helper()
+	e := NewEngine()
+	mustExec(t, e, `CREATE TABLE kv (k INT, v INT)`)
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{value.Int(int64(i)), value.Int(int64(i) * 3)}
+	}
+	tbl := e.Cat.MustTable("kv").Primary()
+	tbl.ApplyInsert(rows, 1)
+	tbl.Merge(2)
+	e.Mgr.AdvanceTo(2)
+	s := e.NewSession()
+	t.Cleanup(s.Close)
+	st, err := s.Prepare(`SELECT v FROM kv WHERE k = $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // leakProbe is one statement of TestBorrowedRunNeverLeaks: its text and

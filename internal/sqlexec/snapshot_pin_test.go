@@ -12,7 +12,8 @@ import (
 // An auto-commit statement pins the timestamp it reads at from before it is
 // planned until its sink has the last batch. These tests open the gap
 // between "the statement has its timestamp" and "the executor captures its
-// snapshots" deterministically: the planner's Prune hook runs exactly there.
+// snapshots" deterministically: the engine's Prune hook runs exactly there,
+// as the run's scan opens.
 
 // pinFixture is a 64-row merged table t(k, v).
 func pinFixture(t *testing.T) *Engine {

@@ -3,25 +3,27 @@ package sqlexec
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/value"
 )
 
 // Stmt is a prepared statement: its parse — the AST, the parameter count,
 // the fingerprint and what kind of statement it is, worked out by one lexer
 // pass in Session.PrepareEach — bound to the session that prepared it. Exec
-// runs it any number of times without touching the text again. There is
-// deliberately no cached plan: planning a point select measures ~2 µs and
-// 7 allocations, and a cache would need catalog and merge-count
-// invalidation to save that.
+// runs it any number of times without touching the text again, and plans
+// it once per catalog version: the parse carries its plan (Stmt.plan),
+// which is rebuilt only when a table, view, partition list, table function
+// or sys view changes. Pruning reads the data and the session, so it is
+// not in the plan: every run prunes anew (binding.bind).
 //
 // A Stmt belongs to the session that prepared it and shares its
 // single-goroutine contract. Its parse may not: a repeated SELECT text
 // shares one from the engine's ParseCache with every session that sends it,
-// so the AST is read-only — the planner builds fresh plan nodes and never
-// writes into it.
+// so the AST and the plan are read-only — the planner builds fresh plan
+// nodes and never writes into the AST, and a run keeps its state on its
+// own execCtx.
 type Stmt struct {
 	s *Session
 	*parsed
@@ -39,6 +41,32 @@ type parsed struct {
 	nparams int
 	fpID    string
 	fpNorm  string
+	// plan is the one thing written after the parse is shared: the plan of
+	// its query, built on first use and again whenever the catalog version
+	// it was built at is no longer current (Stmt.plan).
+	plan atomic.Pointer[planSlot]
+	// cached says a ParseCache holds the parse: set before the cache
+	// shares it, never after.
+	cached bool
+}
+
+// planSlot is what a parse's plan slot holds: the plan the planner of the
+// parse's cache made of it at one catalog version — an engine's Plan
+// (Stmt.plan), or the SOE coordinator's own (ParseCache.PlanSelect) —
+// and, for an engine's, that plan cut for a node task once one has run it.
+type planSlot struct {
+	version uint64
+	plan    any
+	node    Plan
+}
+
+// query is the SELECT a parse plans: the statement, the explained
+// statement, or an INSERT's source; nil for any other.
+func (p *parsed) query() *SelectStmt {
+	if ins, ok := p.ast.(*InsertStmt); ok {
+		return ins.Select
+	}
+	return p.sel
 }
 
 type stmtKind uint8
@@ -241,7 +269,7 @@ func (st *Stmt) Columns() (cols []Column, params []value.Kind, err error) {
 		st.landDML(pk)
 		return nil, pk, nil
 	}
-	plan, err := st.s.planSelect(st.sel, st.s.snapshotTS())
+	plan, err := st.plan(false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -270,7 +298,7 @@ func (st *Stmt) landDML(pk paramKinds) {
 			}
 		}
 		if x.Select != nil {
-			if plan, err := st.s.planSelect(x.Select, st.s.snapshotTS()); err == nil {
+			if plan, err := st.plan(false); err == nil {
 				pk.plan(plan)
 			}
 		}
@@ -375,15 +403,15 @@ func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profil
 	defer func() { s.cur, s.curSQL = nil, "" }()
 	switch st.kind {
 	case stmtExplain:
-		plan, err := s.planSelect(st.sel, s.snapshotTS())
+		plan, err := st.plan(false)
 		if err != nil {
 			return 0, nil, err
 		}
-		return st.answer(sink, planCols, textRows(Explain(plan)), nil)
+		return st.answer(sink, planCols, textRows(explain(plan, s.hooks())), nil)
 	case stmtAnalyze:
 		// The statement runs for its profile: the rows go nowhere, and
 		// neither do their counts.
-		prof, err := s.execSelect(discard{}, new(ExecStats), st.sel, params, true)
+		prof, err := s.execSelect(discard{}, new(ExecStats), st, params, true)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -392,10 +420,10 @@ func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profil
 	}
 	switch x := st.ast.(type) {
 	case *SelectStmt:
-		prof, err := s.execSelect(sink, stats, x, params, profiled)
+		prof, err := s.execSelect(sink, stats, st, params, profiled)
 		return stats.RowsOut, prof, err
 	case *InsertStmt:
-		n, err := s.execInsert(x, params)
+		n, err := s.execInsert(st, x, params)
 		return st.answerCount(sink, insertedCols, n, err)
 	case *UpdateStmt:
 		n, err := s.execUpdate(x, params)
@@ -476,26 +504,49 @@ func (st *Stmt) answerCount(sink RowSink, cols []Column, n int, err error) (int,
 	return s.out.rows, nil, err
 }
 
-// planSelect builds the optimized plan of a SELECT reading at ts — the one
-// place a statement turns into a plan, whether it is about to be executed,
-// explained, analyzed or only described.
-func (s *Session) planSelect(sel *SelectStmt, ts uint64) (Plan, error) {
-	return s.planner(ts).BuildSelect(sel)
+// plan is the plan of the SELECT st holds (parsed.query), and — for a node
+// task (partial) — that plan cut for the node (nodePlan). A parse that
+// outlives the statement — a prepared handle's, or one the engine's
+// ParseCache holds — carries its plan: the one made at the engine's current
+// catalog version is taken, else a new one is made and carried from then on
+// by every session that shares the parse. A one-off text's plan is made for
+// its one run. Plans made are counted in sql_plans_built_total. A plan is
+// read-only: everything a run of it binds or prunes is the run's.
+func (st *Stmt) plan(partial bool) (Plan, error) {
+	s, p := st.s, st.parsed
+	v := s.e.catalogVersion()
+	slot := p.plan.Load()
+	if slot == nil || slot.version != v {
+		plan, err := s.buildPlan(p.query())
+		if err != nil {
+			return nil, err
+		}
+		s.e.Obs.Counter("sql_plans_built_total").Inc()
+		if st == &s.one && !p.cached {
+			if partial {
+				return nodePlan(plan), nil
+			}
+			return plan, nil
+		}
+		slot = &planSlot{version: v, plan: plan}
+		p.plan.Store(slot)
+	}
+	plan := slot.plan.(Plan)
+	if !partial {
+		return plan, nil
+	}
+	if slot.node == nil {
+		slot = &planSlot{version: v, plan: plan, node: nodePlan(plan)}
+		p.plan.Store(slot)
+	}
+	return slot.node, nil
 }
 
-// planner is the planner of one statement of this session reading at ts:
-// the session's Scope prunes before the engine's hook does.
-func (s *Session) planner(ts uint64) *Planner {
-	prune, scope := s.e.Prune, s.Scope
-	switch {
-	case scope == nil:
-	case prune == nil:
-		prune = scope
-	default:
-		engine := prune
-		prune = func(entry *catalog.TableEntry, preds []Pred, parts []*catalog.Partition) []*catalog.Partition {
-			return engine(entry, preds, scope(entry, preds, parts))
-		}
-	}
-	return &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: prune}
+// buildPlan plans sel afresh.
+func (s *Session) buildPlan(sel *SelectStmt) (Plan, error) {
+	return (&Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys}).BuildSelect(sel)
 }
+
+// hooks are the prune hooks of this session's runs: its Scope, then the
+// engine's Prune.
+func (s *Session) hooks() pruneHooks { return pruneHooks{scope: s.Scope, engine: s.e.Prune} }

@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/columnstore"
 	"repro/internal/value"
@@ -30,6 +31,8 @@ type SysTable struct {
 type SysCatalog struct {
 	mu     sync.RWMutex
 	tables map[string]*SysTable
+	// version counts registrations: part of an engine's catalog version.
+	version atomic.Uint64
 }
 
 // NewSysCatalog returns an empty virtual-view registry.
@@ -43,6 +46,16 @@ func (sc *SysCatalog) Register(name string, schema columnstore.Schema, snap func
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.tables[name] = &SysTable{Name: name, Schema: schema, Snapshot: snap}
+	sc.version.Add(1)
+}
+
+// registrations is how many views have been registered, 0 on a nil
+// catalog.
+func (sc *SysCatalog) registrations() uint64 {
+	if sc == nil {
+		return 0
+	}
+	return sc.version.Load()
 }
 
 // Lookup resolves a fully qualified view name.
