@@ -51,7 +51,10 @@ experiments:
 # normalizes to itself, and each SELECT of it answers through its cached
 # plan as through a fresh one; and the extended store's chunk decoder never
 # panics on hostile bytes, never returns a column that does not read, and
-# round-trips every chunk encoding, run-length included.
+# round-trips every chunk encoding, run-length included; and a shared-log
+# unit's record file, whatever its bytes, loads without a panic or an
+# allocation sized by a length it has not checked, reads back as data, a
+# fill or an error, and reloads a record put after the load byte for byte.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEntry' -fuzztime 10s ./internal/soe/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
@@ -66,6 +69,7 @@ fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzPartialState' -fuzztime 10s ./internal/sqlexec/
 	$(GO) test -run xxx -fuzz 'FuzzPrepareCached' -fuzztime 10s ./internal/sqlexec/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeChunk' -fuzztime 10s ./internal/extstore/
+	$(GO) test -run xxx -fuzz 'FuzzOpenFileStore' -fuzztime 10s ./internal/sharedlog/
 
 # Quick pass over the vectorized scan/aggregation micro-benchmarks and the
 # ordered scan over 8 and over 32 morsels (which benchguard also holds to

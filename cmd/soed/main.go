@@ -29,6 +29,7 @@ import (
 	netpprof "net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -180,14 +181,22 @@ func main() {
 		fmt.Println()
 	}
 
+	// v2stats: the landscape-wide metrics aggregate. A node's status is
+	// its own registry's series; a crashed node answers no pull and is
+	// absent.
+	snap := cluster.CollectStats()
 	fmt.Println("cluster status:")
-	for _, st := range cluster.Manager.Status() {
+	for _, g := range snap.Gauges {
+		node, ok := stats.LabelValue(g.Labels, "node")
+		if !ok || g.Name != "soe_applied_ts" {
+			continue
+		}
+		label := "node=" + node
 		fmt.Printf("  %-8s partitions=%-3d queries=%-5d rows_scanned=%-9d applied_ts=%d\n",
-			st.Node, st.Partitions, st.QueriesRun, st.RowsScanned, st.AppliedTS)
+			node, int(gaugeOf(snap, "soe_partitions_hosted", label)), counterOf(snap, "soe_queries_total", label),
+			counterOf(snap, "soe_rows_scanned_total", label), uint64(g.Value))
 	}
 
-	// v2stats: the landscape-wide metrics aggregate.
-	snap := cluster.CollectStats()
 	fmt.Println("\nv2stats landscape snapshot (selected):")
 	fmt.Printf("  queries:      %d (coordinator) / %d (nodes)\n",
 		counterOf(snap, "soe_queries_total", "service=v2dqp"), nodeQueries(snap))
@@ -353,6 +362,16 @@ func addrPort(addr string) int {
 func counterOf(snap stats.Snapshot, name string, labels ...string) int64 {
 	v, _ := snap.Counter(name, labels...)
 	return v
+}
+
+// gaugeOf is counterOf for a gauge carrying label.
+func gaugeOf(snap stats.Snapshot, name, label string) float64 {
+	for _, g := range snap.Gauges {
+		if g.Name == name && slices.Contains(g.Labels, label) {
+			return g.Value
+		}
+	}
+	return 0
 }
 
 // nodeQueries sums per-node query counters (labeled node=...).

@@ -19,31 +19,55 @@ type FileStore struct {
 	index map[uint64][]byte
 }
 
-// OpenFileStore opens (creating or reloading) a file-backed store.
+// OpenFileStore opens (creating or reloading) a file-backed store. A file
+// is a run of records — position (8 bytes LE), length (4 bytes LE), data —
+// and loading stops at the first one that is not whole: a torn tail, or a
+// length running past the end of the file, which is refused before
+// anything is sized by it. The tail from there is cut off, so the next Put
+// lands where the next load looks for it.
 func OpenFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("sharedlog: open %s: %w", path, err)
 	}
 	s := &FileStore{f: f, index: map[uint64][]byte{}}
-	r := bufio.NewReader(f)
+	if err := s.load(); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("sharedlog: open %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// load indexes the file's whole records and leaves the file ending, and
+// its offset standing, after the last of them.
+func (s *FileStore) load() error {
+	fi, err := s.f.Stat()
+	if err != nil {
+		return err
+	}
+	r := bufio.NewReader(s.f)
+	var end int64
 	for {
 		var hdr [12]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break // EOF or torn tail: loaded what we could
+			break
 		}
-		pos := binary.LittleEndian.Uint64(hdr[:8])
-		n := binary.LittleEndian.Uint32(hdr[8:])
+		n := int64(binary.LittleEndian.Uint32(hdr[8:]))
+		if n > fi.Size()-end-int64(len(hdr)) {
+			break
+		}
 		data := make([]byte, n)
 		if _, err := io.ReadFull(r, data); err != nil {
 			break
 		}
-		s.index[pos] = data
+		s.index[binary.LittleEndian.Uint64(hdr[:8])] = data
+		end += int64(len(hdr)) + n
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		return nil, err
+	if err := s.f.Truncate(end); err != nil {
+		return err
 	}
-	return s, nil
+	_, err = s.f.Seek(end, io.SeekStart)
+	return err
 }
 
 // Put appends the record and indexes it.

@@ -1,9 +1,14 @@
 package sharedlog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -314,6 +319,78 @@ func TestFileStorePersistence(t *testing.T) {
 	if err := s2.Put(3, []byte("dup")); !errors.Is(err, ErrWritten) {
 		t.Fatal("write-once lost after reload")
 	}
+}
+
+// fileRecord is one record of a FileStore's file.
+func fileRecord(pos uint64, data []byte) []byte {
+	rec := binary.LittleEndian.AppendUint64(nil, pos)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(data)))
+	return append(rec, data...)
+}
+
+// FuzzOpenFileStore loads arbitrary bytes as a unit's record file. Loading
+// never panics and never allocates more than a constant times the file;
+// every position loaded reads back through Log.Read as data, a fill or an
+// error; and a record Put after the load reloads byte for byte, beside
+// every record loaded before it.
+func FuzzOpenFileStore(f *testing.F) {
+	good := append(fileRecord(0, frame([]byte("zero"))), fileRecord(1, fillFrame)...)
+	f.Add(good)
+	f.Add(good[:len(good)-1])                                                                // torn tail
+	f.Add(append(fileRecord(7, frame(nil)), 9, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff)) // a length of 4 GiB - 1
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, file []byte) {
+		path := filepath.Join(t.TempDir(), "unit.log")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := OpenFileStore(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+64*len(file)); got > limit {
+			t.Fatalf("loading %d bytes allocated %d (limit %d)", len(file), got, limit)
+		}
+		loaded := maps.Clone(s.index)
+		l, err := New(Config{Stripes: [][]*Unit{{NewUnit(s)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos, rec := range loaded {
+			d, err := l.Read(pos)
+			switch {
+			case err == nil:
+				if len(rec) == 0 || rec[0] == tagFill || !bytes.Equal(d, rec[1:]) {
+					t.Fatalf("position %d: record %x reads as data %x", pos, rec, d)
+				}
+			case errors.Is(err, ErrFilled):
+				if len(rec) > 0 && rec[0] != tagFill {
+					t.Fatalf("position %d: record %x reads as a fill", pos, rec)
+				}
+			}
+		}
+		pos := uint64(0)
+		for loaded[pos] != nil {
+			pos++
+		}
+		rec := file[:min(len(file), 16)]
+		if err := s.Put(pos, rec); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s2, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		loaded[pos] = rec
+		if !maps.EqualFunc(s2.index, loaded, bytes.Equal) {
+			t.Fatalf("reload after Put(%d, %x): %d records, want %d", pos, rec, len(s2.index), len(loaded))
+		}
+	})
 }
 
 func TestFileBackedLog(t *testing.T) {

@@ -1,7 +1,6 @@
 package soe
 
 import (
-	"encoding/binary"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -13,17 +12,16 @@ import (
 )
 
 // Broker is the v2transact service: it "executes, serializes, and
-// persists transactions to a distributed shared log". Commit requests get
-// a global timestamp, land in the log (totally ordered), and are pushed
-// synchronously to OLTP nodes; OLAP nodes pull through MsgPoll. This
-// decouples the transaction mechanism from query processing (§IV-B).
+// persists transactions to a distributed shared log". Commit requests land
+// in the log, whose position totally orders them and is their commit
+// timestamp (commitTS), and are pushed synchronously to OLTP nodes; OLAP
+// nodes pull through MsgPoll. This decouples the transaction mechanism
+// from query processing (§IV-B).
 type Broker struct {
 	Name string
 	net  *netsim.Network
 	disc *Discovery
 	log  *sharedlog.Log
-
-	clock atomic.Uint64
 
 	mu        sync.Mutex
 	oltpNodes []string
@@ -53,7 +51,6 @@ func NewBroker(name string, net *netsim.Network, disc *Discovery, log *sharedlog
 		Name: name, net: net, disc: disc, log: log,
 		done: map[string]CommitResp{}, pending: map[string]chan struct{}{},
 	}
-	b.clock.Store(1)
 	net.Register(name, b.handle)
 	disc.Announce("v2transact", name)
 	return b
@@ -76,17 +73,21 @@ func (b *Broker) AddOLTPNode(node string) {
 // Commits returns the number of committed transactions.
 func (b *Broker) Commits() int64 { return b.commits.Load() }
 
-// Clock returns the current commit timestamp.
-func (b *Broker) Clock() uint64 { return b.clock.Load() }
+// commitTS is the commit timestamp of the log entry at pos. The log
+// position is the version, as in Tango over CORFU: one sequencer orders
+// commits and stamps them in the same step. The offset makes the first
+// commit (position 0) read 2, above the timestamp 1 of a node's fresh
+// clock and of the rows a partition is seeded with.
+func commitTS(pos uint64) uint64 { return pos + 2 }
 
-// commit serializes one write set: timestamp, log append, synchronous
-// OLTP push. sections is the body of the client's MsgCommit exactly as the
-// coordinator encoded it: the broker puts the timestamp in front and never
+// commit serializes one write set: log append, synchronous OLTP push.
+// sections is the body of the client's MsgCommit exactly as the
+// coordinator encoded it, and is the log entry as it is: the broker never
 // looks inside, so what a commit costs here does not depend on its rows.
 // When the MsgCommit carried a SpanContext the commit span — and the
 // shared-log append under it — lands in the client's trace tree; a zero
 // context starts a fresh trace.
-func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos uint64, ts uint64, err error) {
+func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos uint64, err error) {
 	b.mu.Lock()
 	obs, tracer := b.obs, b.tracer
 	b.mu.Unlock()
@@ -94,10 +95,8 @@ func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos 
 	span := tracer.StartRemote("commit", tc, "service=v2transact", countLabel("writes", writes))
 	defer span.Finish()
 
-	ts = b.clock.Add(1)
-	entry := appendEntry(make([]byte, 0, binary.MaxVarintLen64+len(sections)), ts, sections)
 	app := span.Child("log_append")
-	pos, err = b.log.Append(entry)
+	pos, err = b.log.Append(sections)
 	if err != nil {
 		// The log client repairs transient failures itself (hole fills,
 		// epoch adoption), so an error here means the configuration moved
@@ -105,15 +104,15 @@ func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos 
 		// with the units and retry once before failing the commit.
 		obs.Counter("soe_commit_log_recoveries_total", "service=v2transact").Inc()
 		b.log.Reseal()
-		pos, err = b.log.Append(entry)
+		pos, err = b.log.Append(sections)
 	}
 	app.Finish()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	b.commits.Add(1)
 	obs.Counter("soe_commits_total", "service=v2transact").Inc()
-	obs.Counter("soe_commit_bytes_total", "service=v2transact").Add(int64(len(entry)))
+	obs.Counter("soe_commit_bytes_total", "service=v2transact").Add(int64(len(sections)))
 
 	// OLTP nodes update "during the update transaction": synchronous push
 	// before the commit is acknowledged, to every node at once, so a commit
@@ -126,7 +125,7 @@ func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos 
 	b.mu.Unlock()
 	push := span.Child("oltp_push", countLabel("targets", len(targets)))
 	if len(targets) > 0 {
-		payload := encode(ApplyReq{Token: b.disc.Token(), Entries: []LogEntry{{Pos: pos, Data: entry}}})
+		payload := encode(ApplyReq{Token: b.disc.Token(), Entries: []LogEntry{{Pos: pos, Data: sections}}})
 		var wg sync.WaitGroup
 		for _, node := range targets {
 			wg.Add(1)
@@ -139,7 +138,7 @@ func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos 
 	}
 	push.Finish()
 	obs.Histogram("soe_commit_ms", "service=v2transact").ObserveSince(t0)
-	return pos, ts, nil
+	return pos, nil
 }
 
 // countLabel renders a span label "name=n" in one allocation whatever n
@@ -154,17 +153,17 @@ func countLabel(name string, n int) string {
 
 // commitIdempotent wraps commit with transaction-token deduplication. A
 // retried request for a completed transaction returns the original
-// position and timestamp; a retry racing its own still-running original
+// position; a retry racing its own still-running original
 // (the network cannot cancel in-flight calls) waits for it instead of
 // committing a duplicate. Failed commits are not cached — the client's
 // next retry re-attempts them.
 func (b *Broker) commitIdempotent(txnID string, writes int, sections []byte, tc stats.SpanContext) CommitResp {
 	if txnID == "" {
-		pos, ts, err := b.commit(writes, sections, tc)
+		pos, err := b.commit(writes, sections, tc)
 		if err != nil {
 			return CommitResp{Err: err.Error()}
 		}
-		return CommitResp{Pos: pos, TS: ts}
+		return CommitResp{Pos: pos}
 	}
 	for {
 		b.cmu.Lock()
@@ -190,7 +189,7 @@ func (b *Broker) commitIdempotent(txnID string, writes int, sections []byte, tc 
 		b.pending[txnID] = ch
 		b.cmu.Unlock()
 
-		pos, ts, err := b.commit(writes, sections, tc)
+		pos, err := b.commit(writes, sections, tc)
 
 		b.cmu.Lock()
 		delete(b.pending, txnID)
@@ -198,7 +197,7 @@ func (b *Broker) commitIdempotent(txnID string, writes int, sections []byte, tc 
 		if err != nil {
 			resp = CommitResp{Err: err.Error()}
 		} else {
-			resp = CommitResp{Pos: pos, TS: ts}
+			resp = CommitResp{Pos: pos}
 			b.done[txnID] = resp
 			b.order = append(b.order, txnID)
 			if len(b.order) > maxTxnCache {

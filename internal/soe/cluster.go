@@ -63,7 +63,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	ccat := NewClusterCatalog()
 	log := sharedlog.NewInMemory(cfg.LogStripes, cfg.LogReplicas)
 	broker := NewBroker("v2transact", net, disc, log)
-	mgr := NewManager("v2clustermgr", net, disc, ccat, broker, log)
 
 	obs := stats.NewRegistry()
 	tracer := stats.NewTracer(256)
@@ -71,7 +70,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	log.Instrument(obs)
 	broker.Instrument(obs, tracer)
 	statsSvc := NewStatsService("v2stats", net, disc, obs, tracer)
-	mgr.SetStatsService(statsSvc)
+	mgr := NewManager("v2clustermgr", net, disc, ccat, broker, log, statsSvc)
 
 	c := &Cluster{Net: net, Disc: disc, Catalog: ccat, Log: log, Broker: broker, Manager: mgr, Stats: statsSvc, Obs: obs, Tracer: tracer}
 	for i := 0; i < cfg.Nodes; i++ {

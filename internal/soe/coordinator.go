@@ -203,7 +203,7 @@ type Result struct {
 }
 
 // Insert routes rows by partition key and commits them through the
-// transaction broker.
+// transaction broker, returning the commit timestamp.
 func (c *Coordinator) Insert(table string, rows []value.Row) (uint64, error) {
 	t0 := time.Now()
 	span := c.tracer.Start("insert", "table="+table, fmt.Sprintf("rows=%d", len(rows)))
@@ -244,7 +244,7 @@ func (c *Coordinator) Insert(table string, rows []value.Row) (uint64, error) {
 		return 0, fmt.Errorf("soe: commit: %s", resp.Err)
 	}
 	t.addRows(int64(len(rows)))
-	return resp.TS, nil
+	return commitTS(resp.Pos), nil
 }
 
 // Delete removes rows by partition-key value.
@@ -263,7 +263,7 @@ func (c *Coordinator) Delete(table, key string) (uint64, error) {
 	if resp.Err != "" {
 		return 0, fmt.Errorf("soe: commit: %s", resp.Err)
 	}
-	return resp.TS, nil
+	return commitTS(resp.Pos), nil
 }
 
 // commit sends one write set to the broker under an idempotency token,
@@ -296,7 +296,7 @@ func (c *Coordinator) commit(span *stats.Span, writes []LogWrite) (CommitResp, e
 		cm.Finish()
 		if err == nil {
 			if resp.Err == "" {
-				c.observeCommitTS(resp.TS)
+				c.observeCommitTS(commitTS(resp.Pos))
 			}
 			return resp, nil
 		}
@@ -886,9 +886,8 @@ func (c *Coordinator) failover(span *stats.Span, req ExecReq, parts []int, faile
 	// hand a replica — lastCommitTS only tracks this coordinator's own
 	// writes — so catchUp would silently no-op and the failover read could
 	// serve arbitrarily stale data. An empty idempotent commit serializes
-	// behind every completed transaction in the shared log and returns the
-	// broker's authoritative commit timestamp: the barrier replicas must
-	// catch up to. Best-effort — with the broker unreachable the read
+	// behind every completed transaction in the shared log, and its log
+	// position's timestamp is the barrier replicas must catch up to. Best-effort — with the broker unreachable the read
 	// proceeds and staleness is bounded only by the completeness label.
 	if len(group) > 0 && c.lastCommitTS.Load() == 0 {
 		bc := span.Child("barrier_commit")

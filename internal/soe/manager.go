@@ -13,43 +13,37 @@ import (
 
 // Manager is the v2clustermgr service: it supervises the landscape,
 // detects hotspots, starts and stops query services, and orchestrates
-// partition movement. Statistics collection lives in the dedicated
-// StatsService (v2stats); the manager consumes its aggregate snapshot.
+// partition movement. What it knows of a node's state — applied log
+// position, query volume — is the node's own metrics registry, read
+// through the StatsService (v2stats) aggregate.
 type Manager struct {
-	Name string
-	net  *netsim.Network
-	disc *Discovery
-	ccat *ClusterCatalog
+	Name  string
+	net   *netsim.Network
+	disc  *Discovery
+	ccat  *ClusterCatalog
+	log   *sharedlog.Log
+	brk   *Broker
+	stats *StatsService
 
-	mu       sync.Mutex
-	nodes    map[string]*DataNode
-	log      *sharedlog.Log
-	brk      *Broker
-	statsSvc *StatsService
+	mu    sync.Mutex
+	nodes map[string]*DataNode
 }
 
 // NewManager creates the cluster manager.
-func NewManager(name string, net *netsim.Network, disc *Discovery, ccat *ClusterCatalog, brk *Broker, log *sharedlog.Log) *Manager {
-	m := &Manager{Name: name, net: net, disc: disc, ccat: ccat, nodes: map[string]*DataNode{}, log: log, brk: brk}
+func NewManager(name string, net *netsim.Network, disc *Discovery, ccat *ClusterCatalog, brk *Broker, log *sharedlog.Log, svc *StatsService) *Manager {
+	m := &Manager{Name: name, net: net, disc: disc, ccat: ccat, nodes: map[string]*DataNode{}, log: log, brk: brk, stats: svc}
 	disc.Announce("v2clustermgr", name)
 	return m
 }
 
-// SetStatsService wires the v2stats service; once set, hotspot detection
-// reads the landscape metrics snapshot instead of polling node status,
-// and nodes started by the manager are subscribed as metric sources.
-func (m *Manager) SetStatsService(s *StatsService) {
-	m.mu.Lock()
-	m.statsSvc = s
-	m.mu.Unlock()
-}
-
 // Track registers a node object with the manager (orchestration needs the
-// handle, the network name is not enough for partition movement).
+// handle, the network name is not enough for partition movement) and
+// subscribes its registry to the StatsService.
 func (m *Manager) Track(n *DataNode) {
 	m.mu.Lock()
 	m.nodes[n.Name] = n
 	m.mu.Unlock()
+	m.stats.AddSource(n.Name)
 }
 
 // Node returns a tracked node.
@@ -69,12 +63,6 @@ func (m *Manager) StartNode(name string, mode Mode) *DataNode {
 		m.brk.AddOLTPNode(name)
 	}
 	m.Track(n)
-	m.mu.Lock()
-	svc := m.statsSvc
-	m.mu.Unlock()
-	if svc != nil {
-		svc.AddSource(name)
-	}
 	return n
 }
 
@@ -107,43 +95,12 @@ func (m *Manager) RecoverNode(name string) {
 	m.net.Recover(name)
 }
 
-// Status polls every tracked node ("statistical information about the
-// current cluster usage").
-func (m *Manager) Status() []StatusResp {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.nodes))
-	for n := range m.nodes {
-		names = append(names, n)
-	}
-	m.mu.Unlock()
-	sort.Strings(names)
-	var out []StatusResp
-	for _, n := range names {
-		st, err := call[StatusResp](m.net, m.Name, n, MsgStatus, nil)
-		if err != nil {
-			continue // crashed nodes are simply absent
-		}
-		out = append(out, st)
-	}
-	return out
-}
-
 // HotSpots returns nodes whose query volume exceeds factor × the cluster
-// average. With a StatsService wired it reads per-node soe_queries_total
-// from the landscape metrics snapshot; otherwise it falls back to the
-// legacy per-node status poll.
+// average: per-node soe_queries_total from the landscape metrics snapshot
+// ("statistical information about the current cluster usage"). A crashed
+// node answers no pull and is left out.
 func (m *Manager) HotSpots(factor float64) []string {
-	m.mu.Lock()
-	svc := m.statsSvc
-	m.mu.Unlock()
-	if svc != nil {
-		return hotFromCounts(nodeQueryCounts(svc.Collect()), factor)
-	}
-	counts := map[string]int64{}
-	for _, s := range m.Status() {
-		counts[s.Node] = s.QueriesRun
-	}
-	return hotFromCounts(counts, factor)
+	return hotFromCounts(nodeQueryCounts(m.stats.Collect()), factor)
 }
 
 // nodeQueryCounts extracts per-node query volume from a landscape
@@ -212,15 +169,17 @@ func (m *Manager) MovePartition(table string, part int, from, to string) error {
 	return m.ccat.Move(table, part, to)
 }
 
-// WaitForFreshness blocks until every tracked node has applied the log at
-// least through ts, or the timeout elapses. Returns the laggards.
+// WaitForFreshness blocks until every node the StatsService reaches has
+// applied the log at least through ts — its soe_applied_ts gauge — or the
+// timeout elapses. Returns the laggards, sorted; a crashed node answers no
+// pull and is left out.
 func (m *Manager) WaitForFreshness(ts uint64, timeout time.Duration) []string {
 	deadline := time.Now().Add(timeout)
 	for {
 		var lagging []string
-		for _, st := range m.Status() {
-			if st.AppliedTS < ts {
-				lagging = append(lagging, st.Node)
+		for _, g := range m.stats.Collect().Gauges {
+			if node, ok := stats.LabelValue(g.Labels, "node"); ok && g.Name == "soe_applied_ts" && g.Value < float64(ts) {
+				lagging = append(lagging, node)
 			}
 		}
 		if len(lagging) == 0 || time.Now().After(deadline) {

@@ -41,11 +41,12 @@ type DataNode struct {
 
 	eng *sqlexec.Engine
 
-	mu         sync.Mutex
-	hosted     map[string]map[int]*catalog.Partition // table -> part -> the catalog partition it is
-	warm       *extstore.Store                       // node-local extended store, lazily created
+	mu     sync.Mutex
+	hosted map[string]map[int]*catalog.Partition // table -> part -> the catalog partition it is
+	warm   *extstore.Store                       // node-local extended store, lazily created
+	// appliedPos is the node's watermark: the log position after the
+	// newest entry applied. Its timestamp is AppliedTS.
 	appliedPos uint64
-	appliedTS  uint64
 
 	// Per-node observability registry (v2stats pulls it via MsgStatsPull).
 	// Hot-path metrics are cached as fields so the MsgExec path never
@@ -58,6 +59,7 @@ type DataNode struct {
 	cDecodeErr  *stats.Counter
 	cDeleteScan *stats.Counter
 	gAppliedTS  *stats.Gauge
+	gHosted     *stats.Gauge
 	gBacklog    *stats.Gauge
 	hExec       *stats.Histogram
 
@@ -100,7 +102,9 @@ func NewDataNode(name string, mode Mode, net *netsim.Network, disc *Discovery, c
 	n.cDecodeErr = n.obs.Counter("soe_log_decode_errors_total")
 	n.cDeleteScan = n.obs.Counter("soe_delete_rows_searched_total")
 	n.gAppliedTS = n.obs.Gauge("soe_applied_ts")
+	n.gHosted = n.obs.Gauge("soe_partitions_hosted")
 	n.gBacklog = n.obs.Gauge("soe_poll_backlog")
+	n.advance(0) // the gauge reads a fresh node's watermark
 	n.hExec = n.obs.Histogram("soe_exec_ms")
 	// The node-local SQL engine reports into the same registry, so parse/
 	// plan/exec timings surface per node in the v2stats aggregate.
@@ -199,6 +203,7 @@ func (n *DataNode) attachPartition(t *DistTable, p int, seed []value.Row) error 
 		n.hosted[t.Name] = map[int]*catalog.Partition{}
 	}
 	n.hosted[t.Name][p] = part
+	n.countHosted()
 	return nil
 }
 
@@ -208,6 +213,16 @@ func (n *DataNode) detachPartition(table string, part int) {
 	n.eng.Cat.DetachPartition(table, pname)
 	n.eng.Mgr.Deregister(pname)
 	delete(n.hosted[table], part)
+	n.countHosted()
+}
+
+// countHosted sets the soe_partitions_hosted gauge. Caller holds n.mu.
+func (n *DataNode) countHosted() {
+	total := 0
+	for _, parts := range n.hosted {
+		total += len(parts)
+	}
+	n.gHosted.Set(float64(total))
 }
 
 // Unhost detaches a partition (after movement) and returns its rows.
@@ -271,61 +286,67 @@ func (n *DataNode) CatchUpSnapshot(peer, table string, part int) error {
 	if err := n.attachPartition(t, part, resp.Rows); err != nil {
 		return err
 	}
-	if resp.AppliedTS > n.appliedTS {
-		n.appliedTS = resp.AppliedTS
-	}
-	if resp.NextPos > n.appliedPos {
-		n.appliedPos = resp.NextPos
-	}
-	n.eng.Mgr.AdvanceTo(resp.AppliedTS)
+	n.advance(resp.NextPos)
 	return nil
 }
 
-// AppliedTS returns the node's log high-water mark: the staleness metric
-// of experiment E7.
+// AppliedTS returns the node's log high-water mark as a timestamp — that
+// of the newest position below its watermark: the staleness metric of
+// experiment E7.
 func (n *DataNode) AppliedTS() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.appliedTS
+	return commitTS(n.appliedPos) - 1
+}
+
+// advance raises the node's watermark to next and with it the engine's
+// clock and the soe_applied_ts gauge. It never lowers it: a poll's answer
+// can trail a push that landed meanwhile. Caller holds n.mu.
+func (n *DataNode) advance(next uint64) {
+	if next < n.appliedPos {
+		return
+	}
+	n.appliedPos = next
+	ts := commitTS(next) - 1
+	n.eng.Mgr.AdvanceTo(ts)
+	n.gAppliedTS.Set(float64(ts))
 }
 
 // applyEntries installs committed writes hitting locally hosted
 // partitions. An entry that does not decode is counted, reported and
-// stepped over — appliedPos moves past it and the entries after it still
-// apply — because a poison entry must not wedge a poller; the error names
+// stepped over — the watermark moves past it and the entries after it
+// still apply — because a poison entry must not wedge a poller; the error names
 // the first such position.
 func (n *DataNode) applyEntries(entries []LogEntry) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var firstErr error
 	for _, e := range entries {
-		if err := n.applyEntry(e.Data); err != nil {
+		if err := n.applyEntry(e); err != nil {
 			n.cDecodeErr.Inc()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("soe: %s: log entry at position %d: %w", n.Name, e.Pos, err)
 			}
 		}
-		if e.Pos+1 > n.appliedPos {
-			n.appliedPos = e.Pos + 1
-		}
+		n.advance(e.Pos + 1)
 	}
 	n.cApplied.Add(int64(len(entries)))
-	n.gAppliedTS.Set(float64(n.appliedTS))
 	return firstErr
 }
 
 // applyEntry decodes the sections of one entry that land on partitions
-// this node hosts and applies them in order — nothing of an entry applies
-// unless all of it decoded. The freshness marks advance whether or not a
-// section was hosted. Caller holds n.mu.
-func (n *DataNode) applyEntry(data []byte) error {
-	ts, secs, err := readEntry(data, func(table []byte, part int) bool {
+// this node hosts and applies them in order, stamped with the entry's
+// commit timestamp — nothing of an entry applies unless all of it
+// decoded. Caller holds n.mu.
+func (n *DataNode) applyEntry(e LogEntry) error {
+	secs, err := readEntry(e.Data, func(table []byte, part int) bool {
 		_, ok := n.hosted[string(table)][part]
 		return ok
 	})
 	if err != nil {
 		return err
 	}
+	ts := commitTS(e.Pos)
 	for _, s := range secs {
 		store := n.hosted[s.table][s.part].Table
 		if len(s.rows) > 0 {
@@ -336,10 +357,6 @@ func (n *DataNode) applyEntry(data []byte) error {
 			n.deleteByKey(store, s.table, key, ts)
 		}
 	}
-	if ts > n.appliedTS {
-		n.appliedTS = ts
-	}
-	n.eng.Mgr.AdvanceTo(ts)
 	return nil
 }
 
@@ -377,7 +394,7 @@ func (n *DataNode) PollOnce(max int) (int, error) {
 	}
 	applyErr := n.applyEntries(resp.Entries)
 	n.mu.Lock()
-	n.appliedPos = resp.Next
+	n.advance(resp.Next)
 	n.mu.Unlock()
 	// OLAP apply lag: log entries still ahead of this node after the poll
 	// — the measured form of the bounded-staleness trade-off (§IV-B).
@@ -493,11 +510,11 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		if !n.disc.Validate(r.Token) {
 			return netsim.Message{Kind: MsgSnapshot, Payload: encode(SnapshotResp{Err: "unauthorized"})}, nil
 		}
-		// Under n.mu no log entry applies between the rows and the marks
-		// that say which entries they contain.
+		// Under n.mu no log entry applies between the rows and the
+		// watermark that says which entries they contain.
 		n.mu.Lock()
 		res, _, err := n.queryParts(ExecReq{SQL: "SELECT * FROM " + r.Table, Table: r.Table, Parts: []int{r.Partition}})
-		resp := SnapshotResp{AppliedTS: n.appliedTS, NextPos: n.appliedPos}
+		resp := SnapshotResp{NextPos: n.appliedPos}
 		n.mu.Unlock()
 		if err != nil {
 			resp = SnapshotResp{Err: err.Error()}
@@ -505,18 +522,6 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 			resp.Rows = res.Rows
 		}
 		return netsim.Message{Kind: MsgSnapshot, Payload: encode(resp)}, nil
-
-	case MsgStatus:
-		n.mu.Lock()
-		st := StatusResp{
-			Node: n.Name, AppliedTS: n.appliedTS,
-			QueriesRun: n.cQueries.Value(), RowsScanned: n.cRowsScan.Value(),
-		}
-		for _, parts := range n.hosted {
-			st.Partitions += len(parts)
-		}
-		n.mu.Unlock()
-		return netsim.Message{Kind: MsgStatus, Payload: encode(st)}, nil
 
 	case MsgStatsPull:
 		r, err := decode[StatsReq](req)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -323,9 +324,25 @@ func TestManagerStatusAndHotspots(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		call[ExecResp](c.Net, "client", c.Nodes[0].Name, MsgExec, ExecReq{Token: c.Disc.Token(), SQL: "SELECT COUNT(*) FROM orders"})
 	}
-	sts := c.Manager.Status()
-	if len(sts) != 3 {
-		t.Fatalf("status=%v", sts)
+	// A node's status is its registry: each reports its watermark and the
+	// partitions it hosts, 2 of loadOrders' 6 each.
+	snap := c.CollectStats()
+	for _, n := range c.Nodes {
+		label := "node=" + n.Name
+		applied, hosted := -1.0, -1.0
+		for _, g := range snap.Gauges {
+			if slices.Contains(g.Labels, label) {
+				switch g.Name {
+				case "soe_applied_ts":
+					applied = g.Value
+				case "soe_partitions_hosted":
+					hosted = g.Value
+				}
+			}
+		}
+		if applied != float64(n.AppliedTS()) || hosted != 2 {
+			t.Errorf("%s: soe_applied_ts=%v (AppliedTS %d), soe_partitions_hosted=%v (want 2)", n.Name, applied, n.AppliedTS(), hosted)
+		}
 	}
 	hot := c.Manager.HotSpots(2)
 	if len(hot) != 1 || hot[0] != "node0" {
@@ -420,7 +437,7 @@ func TestDiscoveryServices(t *testing.T) {
 func TestWaitForFreshness(t *testing.T) {
 	c := newTestCluster(t, 2, OLAP)
 	loadOrders(t, c, 5)
-	ts := c.Broker.Clock()
+	ts := commitTS(c.Log.Tail() - 1)
 	lag := c.Manager.WaitForFreshness(ts, 10*time.Millisecond)
 	if len(lag) != 2 {
 		t.Fatalf("expected both nodes lagging, got %v", lag)
@@ -429,6 +446,74 @@ func TestWaitForFreshness(t *testing.T) {
 	lag = c.Manager.WaitForFreshness(ts, 100*time.Millisecond)
 	if len(lag) != 0 {
 		t.Fatalf("laggards after sync: %v", lag)
+	}
+}
+
+// The log position is the commit timestamp. Under concurrent commits,
+// every entry's row is stamped with its own position's timestamp on the
+// node that hosts it — a snapshot there at that timestamp sees it and one
+// below does not — and the timestamp Insert returns names that entry.
+func TestCommitTimestampIsLogPosition(t *testing.T) {
+	const rounds, writers, perWriter = 5, 8, 100
+	for round := 0; round < rounds; round++ {
+		c := newTestCluster(t, 4, OLTP)
+		tbl, err := c.CreateTable("orders", ordersSchema(), "id", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		keyAt := map[uint64]string{} // the timestamp Insert returned -> the key it wrote
+		var wg sync.WaitGroup
+		errs := make(chan error, writers)
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					key := fmt.Sprintf("g%d-%03d", g, i)
+					ts, err := c.Insert("orders", value.Row{value.String(key), value.String("EMEA"), value.Float(1)})
+					if err != nil {
+						errs <- err
+						return
+					}
+					mu.Lock()
+					keyAt[ts] = key
+					mu.Unlock()
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		raw, positions, _ := c.Log.ReadFrom(0, 2*writers*perWriter)
+		if len(raw) != writers*perWriter {
+			t.Fatalf("round %d: %d log entries, want %d", round, len(raw), writers*perWriter)
+		}
+		var unseen, early, misnamed int
+		for i, data := range raw {
+			secs, err := readEntry(data, func([]byte, int) bool { return true })
+			if err != nil || len(secs) != 1 || len(secs[0].rows) != 1 {
+				t.Fatalf("round %d: entry at %d: %v %v", round, positions[i], secs, err)
+			}
+			s, ts := secs[0], commitTS(positions[i])
+			host, _ := c.Manager.Node(tbl.NodeOf[s.part])
+			store, key := host.hosted["orders"][s.part].Table, s.rows[0][0]
+			if len(store.Snapshot(ts).FindRows(0, key)) != 1 {
+				unseen++
+			}
+			if len(store.Snapshot(ts-1).FindRows(0, key)) != 0 {
+				early++
+			}
+			if keyAt[ts] != key.S {
+				misnamed++
+			}
+		}
+		if unseen+early+misnamed > 0 {
+			t.Errorf("round %d of %d entries: %d unseen at their position's timestamp, %d seen one below, %d whose Insert answered another timestamp",
+				round, len(raw), unseen, early, misnamed)
+		}
 	}
 }
 
@@ -442,6 +527,20 @@ func TestSnapshotCatchUp(t *testing.T) {
 	// A fresh OLAP replica hosts copies of every orders partition.
 	replica := NewDataNode("replica0", OLAP, c.Net, c.Disc, c.Catalog, c.Broker.Name)
 	c.Manager.Track(replica)
+	// sys.m_cluster shows the replica's soe_applied_ts, which must move
+	// with its watermark on every path: snapshot, poll and re-snapshot.
+	oracle := sqlexec.NewEngine()
+	RegisterClusterView(oracle.SysViews(), c)
+	gaugeCurrent := func(step string) {
+		t.Helper()
+		r, err := oracle.Query(`SELECT value FROM sys.m_cluster WHERE node = 'replica0' AND metric = 'soe_applied_ts'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != 1 || r.Rows[0][0].AsFloat() != float64(replica.AppliedTS()) {
+			t.Fatalf("%s: sys.m_cluster soe_applied_ts=%v, AppliedTS=%d", step, r.Rows, replica.AppliedTS())
+		}
+	}
 	mergeEagerly(c) // peers serve snapshots of merged partitions; the replica merges what it catches up
 	tbl, _ := c.Catalog.Table("orders")
 	for p := 0; p < tbl.Partitions; p++ {
@@ -464,6 +563,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 	if r.Rows[0][0].I != 60 {
 		t.Fatalf("replica post-catchup count=%v", r.Rows[0][0])
 	}
+	gaugeCurrent("after the snapshot catch-up")
 	waitMerged(t, c, 0)
 	if r = replica.Engine().MustQuery(`SELECT COUNT(*) FROM orders`); r.Rows[0][0].I != 60 {
 		t.Fatalf("replica count once its partitions are merged=%v", r.Rows[0][0])
@@ -486,6 +586,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 	if r.Rows[0][0].I != 61 {
 		t.Fatalf("replica count after poll=%v", r.Rows[0][0])
 	}
+	gaugeCurrent("after the poll")
 	// Repeated catch-up replaces, not duplicates.
 	if err := replica.CatchUpSnapshot(tbl.NodeOf[0], "orders", 0); err != nil {
 		t.Fatal(err)
@@ -494,6 +595,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 	if r.Rows[0][0].I != 61 {
 		t.Fatalf("duplicate rows after re-catchup: %v", r.Rows[0][0])
 	}
+	gaugeCurrent("after the re-catch-up")
 }
 
 func TestSnapshotFromNonHostingPeerErrors(t *testing.T) {

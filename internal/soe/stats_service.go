@@ -74,7 +74,7 @@ func (s *StatsService) Registry() *stats.Registry { return s.cluster }
 // Collect aggregates the landscape: the cluster registry, the process
 // default registry, and every source's per-node registry pulled over
 // netsim. Crashed sources are simply absent (availability over
-// completeness, like the manager's Status poll).
+// completeness).
 func (s *StatsService) Collect() stats.Snapshot {
 	snaps := make([]stats.Snapshot, 0, 2+len(s.sources))
 	snaps = append(snaps, s.cluster.Snapshot(), stats.Default.Snapshot())

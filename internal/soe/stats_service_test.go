@@ -3,8 +3,6 @@ package soe
 import (
 	"testing"
 
-	"repro/internal/netsim"
-	"repro/internal/sharedlog"
 	"repro/internal/stats"
 	"repro/internal/value"
 )
@@ -100,35 +98,6 @@ func TestHotSpotsFromRegistry(t *testing.T) {
 	got := c.Manager.HotSpots(1.5)
 	if len(got) != 1 || got[0] != hot {
 		t.Fatalf("HotSpots = %v, want [%s]", got, hot)
-	}
-}
-
-func TestHotSpotsLegacyFallback(t *testing.T) {
-	// A manager without a StatsService falls back to the status poll.
-	net := netsim.New(netsim.Config{})
-	disc := NewDiscovery("velocity")
-	ccat := NewClusterCatalog()
-	log := sharedlog.NewInMemory(2, 1)
-	brk := NewBroker("v2transact", net, disc, log)
-	mgr := NewManager("v2clustermgr", net, disc, ccat, brk, log)
-	n0 := mgr.StartNode("node0", OLTP)
-	n1 := mgr.StartNode("node1", OLTP)
-	t.Cleanup(func() { n0.stopMerger(); n1.stopMerger() })
-	tbl := &DistTable{Name: "t", Schema: ordersSchema(), PartKey: "id", Partitions: 2, NodeOf: []string{"node0", "node1"}}
-	if err := ccat.Define(tbl); err != nil {
-		t.Fatal(err)
-	}
-	if err := n0.Host(tbl); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := call[ExecResp](net, "x", "node0", MsgExec, ExecReq{Token: disc.Token(), SQL: "SELECT COUNT(*) FROM t"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := mgr.HotSpots(1.5)
-	if len(got) != 1 || got[0] != "node0" {
-		t.Fatalf("legacy HotSpots = %v, want [node0]", got)
 	}
 }
 

@@ -11,11 +11,12 @@ import (
 // catalog: one row per (node, metric) pair, melted from the v2stats
 // landscape aggregate — every per-node registry is pulled over the wire
 // by StatsService.Collect at scan time, so a SQL client sees the same
-// numbers a /metrics scrape would, keyed by node. Node liveness and
-// catch-up state (applied_ts, partitions, queries) come from the cluster
-// manager's status probes and appear as synthetic gauges per node; so does
-// what each node's store looks like — delta rows, main rows and merges run,
-// summed over the tables of the node's own transaction manager.
+// numbers a /metrics scrape would, keyed by node. A node's catch-up state
+// and load are its own series — soe_applied_ts, soe_partitions_hosted,
+// soe_queries_total — and a crashed node, which answers no pull, has
+// none. What each node's store looks like — delta rows, main rows and
+// merges run, summed over the tables of the node's own transaction
+// manager — appears as synthetic series per node.
 func RegisterClusterView(sys *sqlexec.SysCatalog, c *Cluster) {
 	schema := columnstore.Schema{
 		{Name: "node", Kind: value.KindString},
@@ -41,12 +42,6 @@ func RegisterClusterView(sys *sqlexec.SysCatalog, c *Cluster) {
 		for _, h := range snap.Histograms {
 			add(seriesNode(h.Labels), h.Name+"_count", "histogram", float64(h.Count))
 			add(seriesNode(h.Labels), h.Name+"_p99", "histogram", h.P99)
-		}
-		for _, st := range c.Manager.Status() {
-			add(st.Node, "soe_status_applied_ts", "gauge", float64(st.AppliedTS))
-			add(st.Node, "soe_status_partitions", "gauge", float64(st.Partitions))
-			add(st.Node, "soe_status_queries_run", "gauge", float64(st.QueriesRun))
-			add(st.Node, "soe_status_rows_scanned", "gauge", float64(st.RowsScanned))
 		}
 		for _, n := range c.Nodes {
 			var delta, main, merges int

@@ -40,10 +40,9 @@ const (
 	MsgApply      = "apply"       // push log entries (OLTP synchronous)
 	MsgPoll       = "read_log"    // pull log entries (OLAP asynchronous)
 	MsgCommit     = "commit"      // client -> broker
-	MsgStatus     = "status"
-	MsgSnapshot   = "snapshot"   // fetch a partition snapshot from a peer
-	MsgStatsPull  = "stats_pull" // fetch a metrics-registry snapshot (v2stats)
-	MsgCatchUp    = "catch_up"   // ask a replica to reach a freshness bound
+	MsgSnapshot   = "snapshot"    // fetch a partition snapshot from a peer
+	MsgStatsPull  = "stats_pull"  // fetch a metrics-registry snapshot (v2stats)
+	MsgCatchUp    = "catch_up"    // ask a replica to reach a freshness bound
 )
 
 // ExecReq asks a query service to run local SQL, once. When Table is set the
@@ -100,10 +99,10 @@ type CommitReq struct {
 	Writes []LogWrite
 }
 
-// CommitResp acknowledges with the log position and commit timestamp.
+// CommitResp acknowledges with the log position the commit landed at;
+// commitTS(Pos) is its commit timestamp.
 type CommitResp struct {
 	Pos uint64
-	TS  uint64
 	Err string
 }
 
@@ -117,9 +116,10 @@ type LogWrite struct {
 }
 
 // LogEntry is one shared-log record as it travels to a node: Data is the
-// encoded entry (commit timestamp, then the commit's sections — wire.go
-// has the layout) and Pos the position it was appended at, carried beside
-// the bytes so receivers can resume polling after a snapshot catch-up.
+// commit's sections as the coordinator encoded them (wire.go has the
+// layout) and Pos the position it was appended at, carried beside the
+// bytes. The position is the commit's version: commitTS(Pos) stamps its
+// rows, and a receiver resumes polling after it.
 type LogEntry struct {
 	Pos  uint64
 	Data []byte
@@ -154,14 +154,14 @@ type SnapshotReq struct {
 	Partition int
 }
 
-// SnapshotResp carries the partition rows plus the log position through
-// which they are current — "retrieving the latest snapshot of the data
-// hosted by a particular node" (§IV-B).
+// SnapshotResp carries the partition rows plus the serving node's
+// watermark: NextPos, the log position below which every entry is in the
+// rows — "retrieving the latest snapshot of the data hosted by a
+// particular node" (§IV-B).
 type SnapshotResp struct {
-	Rows      []value.Row
-	AppliedTS uint64
-	NextPos   uint64
-	Err       string
+	Rows    []value.Row
+	NextPos uint64
+	Err     string
 }
 
 // CatchUpReq asks a replica-holding node to reach a freshness bound before
@@ -193,16 +193,7 @@ type StatsResp struct {
 	Err      string
 }
 
-// StatusResp is a node heartbeat.
-type StatusResp struct {
-	Node        string
-	AppliedTS   uint64
-	Partitions  int
-	QueriesRun  int64
-	RowsScanned int64
-}
-
-// The row-less control kinds — Status, StatsPull, CatchUp — stay JSON: they
+// The row-less control kinds — StatsPull, CatchUp — stay JSON: they
 // are off every data path, and a StatsResp is a stats.Snapshot, whose shape
 // belongs to package stats and already has JSON tags for /metrics.json.
 // This file is the only one in the package that imports encoding/json.
@@ -218,8 +209,6 @@ func appendJSON(dst []byte, v any) []byte {
 	return append(dst, b...)
 }
 
-func (m StatusResp) appendWire(dst []byte) []byte  { return appendJSON(dst, m) }
-func (m *StatusResp) readWire(b []byte) error      { return json.Unmarshal(b, m) }
 func (m StatsReq) appendWire(dst []byte) []byte    { return appendJSON(dst, m) }
 func (m *StatsReq) readWire(b []byte) error        { return json.Unmarshal(b, m) }
 func (m StatsResp) appendWire(dst []byte) []byte   { return appendJSON(dst, m) }

@@ -19,10 +19,10 @@ import (
 //     writes out as sections, one per run of writes to the same (table,
 //     partition), each led by the byte length of what follows.
 //  2. Opaque to the broker: it reads the commit header (token, TxnID,
-//     write count), puts the commit timestamp in front of the sections and
-//     appends those bytes to the shared log. The same bytes are the Apply
-//     payload and what MsgPoll returns; a log position rides beside an
-//     entry, never inside it.
+//     write count) and appends the sections to the shared log as they
+//     are. The same bytes are the Apply payload and what MsgPoll returns;
+//     a log position rides beside an entry, never inside it, and is the
+//     entry's commit timestamp (commitTS).
 //  3. Decoded only by a host: a node walks the section directory, steps
 //     over the partitions it does not host by length, and turns the rest
 //     into rows.
@@ -31,7 +31,7 @@ import (
 // raw bytes, a value value.AppendBinary's bytes:
 //
 //	commit  = token txnID writes section*
-//	entry   = ts section*
+//	entry   = section*
 //	section = table partition kind(1 byte) len(4 bytes LE) payload
 //	payload = count row*          (kind 0, insert)
 //	        | count key*          (kind 1, delete by key)
@@ -155,12 +155,6 @@ func appendSections(dst []byte, writes []LogWrite) []byte {
 	return dst
 }
 
-// appendEntry builds a log entry: the commit timestamp, then the commit's
-// sections exactly as the coordinator encoded them.
-func appendEntry(dst []byte, ts uint64, sections []byte) []byte {
-	return append(binary.AppendUvarint(dst, ts), sections...)
-}
-
 // rd reads one payload (value.Reader) and the SOE's compound fields.
 type rd struct{ value.Reader }
 
@@ -230,12 +224,11 @@ type entrySection struct {
 	keys  []string
 }
 
-// readEntry decodes a log entry: its commit timestamp and, in order, the
-// sections want accepts. Every other section is stepped over by its
-// length, so a node pays for the rows it hosts and no others.
-func readEntry(data []byte, want func(table []byte, part int) bool) (ts uint64, secs []entrySection, err error) {
+// readEntry decodes, in order, the sections of a log entry that want
+// accepts. Every other section is stepped over by its length, so a node
+// pays for the rows it hosts and no others.
+func readEntry(data []byte, want func(table []byte, part int) bool) (secs []entrySection, err error) {
 	r := rd{value.NewReader(data)}
-	ts = r.Uvarint()
 	for r.Err() == nil && len(r.Rest()) > 0 {
 		table, part, kind := r.Take(r.Uvarint()), int(r.Uvarint()), r.Byte()
 		var payload []byte
@@ -256,14 +249,14 @@ func readEntry(data []byte, want func(table []byte, part int) bool) (ts uint64, 
 			s.keys = p.strs()
 		}
 		if err := p.End(); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		secs = append(secs, s)
 	}
 	if r.Err() != nil {
-		return 0, nil, r.Err()
+		return nil, r.Err()
 	}
-	return ts, secs, nil
+	return secs, nil
 }
 
 // commitHeader is all the broker reads of a MsgCommit payload; sections is
@@ -400,14 +393,12 @@ func (m CommitReq) appendWire(dst []byte) []byte {
 }
 
 func (m CommitResp) appendWire(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, m.Pos)
-	dst = binary.AppendUvarint(dst, m.TS)
-	return appendStr(dst, m.Err)
+	return appendStr(binary.AppendUvarint(dst, m.Pos), m.Err)
 }
 
 func (m *CommitResp) readWire(b []byte) error {
 	r := rd{value.NewReader(b)}
-	m.Pos, m.TS, m.Err = r.Uvarint(), r.Uvarint(), r.Str()
+	m.Pos, m.Err = r.Uvarint(), r.Str()
 	return r.End()
 }
 
@@ -460,14 +451,13 @@ func (m *SnapshotReq) readWire(b []byte) error {
 
 func (m SnapshotResp) appendWire(dst []byte) []byte {
 	dst = appendRows(dst, m.Rows)
-	dst = binary.AppendUvarint(dst, m.AppliedTS)
 	dst = binary.AppendUvarint(dst, m.NextPos)
 	return appendStr(dst, m.Err)
 }
 
 func (m *SnapshotResp) readWire(b []byte) error {
 	r := rd{value.NewReader(b)}
-	m.Rows, m.AppliedTS, m.NextPos, m.Err = r.rows(), r.Uvarint(), r.Uvarint(), r.Str()
+	m.Rows, m.NextPos, m.Err = r.rows(), r.Uvarint(), r.Str()
 	return r.End()
 }
 

@@ -106,7 +106,7 @@ func genWrites(r *rand.Rand) []LogWrite {
 func genEntries(r *rand.Rand) []LogEntry {
 	var es []LogEntry
 	for i := r.Intn(4); i > 0; i-- {
-		es = append(es, LogEntry{Pos: r.Uint64(), Data: appendEntry(nil, r.Uint64(), appendSections(nil, genWrites(r)))})
+		es = append(es, LogEntry{Pos: r.Uint64(), Data: appendSections(nil, genWrites(r))})
 	}
 	return es
 }
@@ -144,8 +144,8 @@ func sameEntries(a, b []LogEntry) bool {
 }
 
 // writesOf decodes every section of an entry back into the write list.
-func writesOf(data []byte) (uint64, []LogWrite, error) {
-	ts, secs, err := readEntry(data, func([]byte, int) bool { return true })
+func writesOf(data []byte) ([]LogWrite, error) {
+	secs, err := readEntry(data, func([]byte, int) bool { return true })
 	var ws []LogWrite
 	for _, s := range secs {
 		for _, row := range s.rows {
@@ -155,7 +155,7 @@ func writesOf(data []byte) (uint64, []LogWrite, error) {
 			ws = append(ws, LogWrite{Table: s.table, Partition: s.part, Kind: writeDelete, Key: key})
 		}
 	}
-	return ts, ws, err
+	return ws, err
 }
 
 func sameWrites(a, b []LogWrite) bool {
@@ -223,16 +223,16 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil || token != m.Token || txnID != m.TxnID || n != len(m.Writes) {
 			return false
 		}
-		ts, ws, err := writesOf(appendEntry(nil, 42, sections))
-		return err == nil && ts == 42 && sameWrites(ws, m.Writes)
+		ws, err := writesOf(sections)
+		return err == nil && sameWrites(ws, m.Writes)
 	})
 	check("log entry", func(r *rand.Rand) bool {
-		want, wantTS := genWrites(r), r.Uint64()
-		ts, ws, err := writesOf(appendEntry(nil, wantTS, appendSections(nil, want)))
-		return err == nil && ts == wantTS && sameWrites(ws, want)
+		want := genWrites(r)
+		ws, err := writesOf(appendSections(nil, want))
+		return err == nil && sameWrites(ws, want)
 	})
 	check("CommitResp", func(r *rand.Rand) bool {
-		m := CommitResp{Pos: r.Uint64(), TS: r.Uint64(), Err: genString(r)}
+		m := CommitResp{Pos: r.Uint64(), Err: genString(r)}
 		got, err := recode[CommitResp](m)
 		return err == nil && got == m
 	})
@@ -257,9 +257,9 @@ func TestWireRoundTrip(t *testing.T) {
 		return err == nil && got == m
 	})
 	check("SnapshotResp", func(r *rand.Rand) bool {
-		m := SnapshotResp{Rows: genRows(r), AppliedTS: r.Uint64(), NextPos: r.Uint64(), Err: genString(r)}
+		m := SnapshotResp{Rows: genRows(r), NextPos: r.Uint64(), Err: genString(r)}
 		got, err := recode[SnapshotResp](m)
-		return err == nil && sameRows(got.Rows, m.Rows) && got.AppliedTS == m.AppliedTS && got.NextPos == m.NextPos && got.Err == m.Err
+		return err == nil && sameRows(got.Rows, m.Rows) && got.NextPos == m.NextPos && got.Err == m.Err
 	})
 	// The control kinds (JSON): text fields must be valid UTF-8 there.
 	check("control kinds", func(r *rand.Rand) bool {
@@ -267,11 +267,9 @@ func TestWireRoundTrip(t *testing.T) {
 		gotCU, err1 := recode[CatchUpReq](cu)
 		cr := CatchUpResp{AppliedTS: r.Uint64(), Err: "x"}
 		gotCR, err2 := recode[CatchUpResp](cr)
-		st := StatusResp{Node: "node0", AppliedTS: r.Uint64(), Partitions: r.Intn(9), QueriesRun: r.Int63(), RowsScanned: r.Int63()}
-		gotST, err3 := recode[StatusResp](st)
 		sr := StatsResp{Snapshot: stats.Snapshot{Counters: []stats.CounterSnap{{Name: "c", Labels: []string{"node=n"}, Value: r.Int63()}}}}
-		gotSR, err4 := recode[StatsResp](sr)
-		return err1 == nil && err2 == nil && err3 == nil && err4 == nil && reflect.DeepEqual(gotCU, cu) && gotCR == cr && gotST == st && reflect.DeepEqual(gotSR, sr)
+		gotSR, err3 := recode[StatsResp](sr)
+		return err1 == nil && err2 == nil && err3 == nil && reflect.DeepEqual(gotCU, cu) && gotCR == cr && reflect.DeepEqual(gotSR, sr)
 	})
 	// A gauge JSON cannot carry becomes the reply's error, not a panic.
 	bad, err := recode[StatsResp](StatsResp{Snapshot: stats.Snapshot{Gauges: []stats.GaugeSnap{{Name: "g", Value: math.NaN()}}}})
@@ -303,12 +301,12 @@ func seedMessages(r *rand.Rand) [][]byte {
 		encode(ExecResp{Cols: []string{"a", "b"}, Rows: genRows(r), RowsScanned: 7, Completeness: 1}),
 		encode(CreateTempReq{Token: "tok", Name: "tmp", Cols: []string{"a"}, Kinds: []uint8{1}, Rows: genRows(r)}),
 		encode(CommitReq{Token: "tok", TxnID: "txn-1", Writes: genWrites(r)}),
-		encode(CommitResp{Pos: 3, TS: 9}),
+		encode(CommitResp{Pos: 3}),
 		encode(ApplyReq{Token: "tok", Entries: genEntries(r)}),
 		encode(PollReq{Token: "tok", From: 5, Max: 4096}),
 		encode(PollResp{Entries: genEntries(r), Next: 8, Tail: 9}),
 		encode(SnapshotReq{Token: "tok", Table: "orders", Partition: 3}),
-		encode(SnapshotResp{Rows: genRows(r), AppliedTS: 4, NextPos: 5}),
+		encode(SnapshotResp{Rows: genRows(r), NextPos: 5}),
 	}
 }
 
@@ -329,7 +327,7 @@ func boundedAlloc(t *testing.T, input int, fn func()) {
 func FuzzDecodeEntry(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 16; i++ {
-		f.Add(appendEntry(nil, r.Uint64(), appendSections(nil, genWrites(r))))
+		f.Add(appendSections(nil, genWrites(r)))
 	}
 	f.Add([]byte("junk"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -376,12 +374,12 @@ func TestWireHostileCounts(t *testing.T) {
 		})
 	}
 	for name, entry := range map[string][]byte{
-		"section length": {7, 1, 't', 0, 0, 0xff, 0xff, 0xff, 0x7f},
-		"section kind":   {7, 1, 't', 0, 2, 1, 0, 0, 0, 0},
-		"payload count":  append([]byte{7, 1, 't', 0, 0, 9, 0, 0, 0}, append(huge, 0)...),
+		"section length": {1, 't', 0, 0, 0xff, 0xff, 0xff, 0x7f},
+		"section kind":   {1, 't', 0, 2, 1, 0, 0, 0, 0},
+		"payload count":  append([]byte{1, 't', 0, 0, 9, 0, 0, 0}, append(huge, 0)...),
 	} {
 		boundedAlloc(t, len(entry), func() {
-			if _, _, err := readEntry(entry, func([]byte, int) bool { return true }); err == nil {
+			if _, err := readEntry(entry, func([]byte, int) bool { return true }); err == nil {
 				t.Errorf("%s: hostile entry decoded", name)
 			}
 		})
@@ -401,7 +399,7 @@ func TestWireHostilePayloadFailsTheRPC(t *testing.T) {
 	}{
 		MsgExec:  {c.Nodes[0].Name, encode(ExecReq{Token: tok, SQL: "SELECT COUNT(*) FROM orders"})},
 		MsgPoll:  {c.Broker.Name, encode(PollReq{Token: tok, From: 0, Max: 8})},
-		MsgApply: {c.Nodes[0].Name, encode(ApplyReq{Token: tok, Entries: []LogEntry{{Pos: 99, Data: appendEntry(nil, 1, nil)}}})},
+		MsgApply: {c.Nodes[0].Name, encode(ApplyReq{Token: tok, Entries: []LogEntry{{Pos: 99}}})},
 	}
 	for kind, g := range good {
 		if _, err := c.Net.Call("client", g.to, netsim.Message{Kind: kind, Payload: g.payload}); err != nil {
@@ -422,8 +420,7 @@ func TestWireHostilePayloadFailsTheRPC(t *testing.T) {
 	}
 	// A well-framed Apply whose entry is cut short: the node reports the
 	// position, counts it, and has still moved past it.
-	sections := appendSections(nil, []LogWrite{{Table: "orders", Partition: 0, Row: value.Row{value.String("Z1"), value.String("EMEA"), value.Float(1)}}})
-	entry := appendEntry(nil, 500, sections)
+	entry := appendSections(nil, []LogWrite{{Table: "orders", Partition: 0, Row: value.Row{value.String("Z1"), value.String("EMEA"), value.Float(1)}}})
 	_, err := c.Net.Call("client", c.Nodes[0].Name, netsim.Message{Kind: MsgApply,
 		Payload: encode(ApplyReq{Token: tok, Entries: []LogEntry{{Pos: 123, Data: entry[:len(entry)-2]}}})})
 	if err == nil || retryable(err) || !strings.Contains(err.Error(), "position 123") {
