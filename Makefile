@@ -49,12 +49,16 @@ experiments:
 # and any string prepared three times on one engine, the third time from
 # its parse cache, reads as a fresh parse, its normal form (NormalizeSQL)
 # normalizes to itself, and each SELECT of it answers through its cached
-# plan as through a fresh one; and the extended store's chunk decoder never
+# plan as through a fresh one, and — spelled anew, each literal the shape
+# made a parameter slot another literal of its kind — is served by its
+# shape's parse and answers as a parse of its literals; and the extended
+# store's chunk decoder never
 # panics on hostile bytes, never returns a column that does not read, and
 # round-trips every chunk encoding, run-length included; and a shared-log
 # unit's record file, whatever its bytes, loads without a panic or an
 # allocation sized by a length it has not checked, reads back as data, a
-# fill or an error, and reloads a record put after the load byte for byte.
+# fill or an error (a trim record drops its position), and reloads a
+# record put after the load byte for byte.
 fuzzsmoke:
 	$(GO) test -run xxx -fuzz 'FuzzDecodeEntry' -fuzztime 10s ./internal/soe/
 	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
@@ -151,10 +155,12 @@ benchpoint:
 # per hop or decoded on a node that does not host it shows as a multiple
 # of allocs/op; rows/s and log bytes per row are reported beside it), and
 # soe_fanout's four SELECTs over 50,000 rows in partitions as the nodes'
-# merge daemons leave them, main plus a short delta, and the first of them
-# again over partitions merged to the last row (a node task that parses,
-# plans or snapshots once per partition again shows in allocs/op, a node's
-# workers outnumbering its engine's scan-scratch free list in B/op).
+# merge daemons leave them, main plus a short delta, the range select with
+# new literals on every op (a new spelling of the coordinator's cached
+# shape), and the first of them again over partitions merged to the last
+# row (a node task that parses, plans or snapshots once per partition
+# again shows in allocs/op, a node's workers outnumbering its engine's
+# scan-scratch free list in B/op).
 benchsoe:
 	$(GO) test -run xxx -bench 'BenchmarkSOE(Insert(Batch|Row)|FanoutQuery)$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkSOE'
 

@@ -789,6 +789,9 @@ func BenchmarkSOEInsertRow(b *testing.B)   { benchSOEInsert(b, 1) }
 // rows that arrived after its merge, two morsels a partition — which is
 // what soe_fanout queries; all_main is the first statement again once
 // every partition has been merged to the last row (one morsel each).
+// range_literals is range_select as soe_fanout sends it, new literals on
+// every op: a new spelling of the shape the coordinator holds, whose node
+// tasks ship the shape's text and two values.
 func BenchmarkSOEFanoutQuery(b *testing.B) {
 	c, row := benchSOECluster(b)
 	const n = 50_000
@@ -828,6 +831,7 @@ func BenchmarkSOEFanoutQuery(b *testing.B) {
 		{"groupby", groupby, 8},
 		{"filtered_groupby", `SELECT status, COUNT(*), SUM(amount) FROM orders WHERE qty > 9 GROUP BY status ORDER BY status`, 4},
 		{"range_select", `SELECT id, amount FROM orders WHERE id >= 25000 AND id < 25020 ORDER BY id`, 20},
+		{"range_literals", `SELECT id, amount FROM orders WHERE id >= %d AND id < %d ORDER BY id`, 20},
 		{"global_agg", `SELECT COUNT(*), SUM(qty) FROM orders`, 1},
 		{"all_main", groupby, 8},
 	} {
@@ -835,9 +839,18 @@ func BenchmarkSOEFanoutQuery(b *testing.B) {
 			eachPartition(func(mgr *txn.Manager, tab *columnstore.Table) { mgr.MergeNow(tab) })
 		}
 		b.Run(q.name, func(b *testing.B) {
+			texts := []string{q.sql}
+			if q.name == "range_literals" {
+				texts = make([]string, b.N)
+				for i := range texts {
+					lo := (i * 7919) % (n - q.rows)
+					texts[i] = fmt.Sprintf(q.sql, lo, lo+q.rows)
+				}
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if r, err := c.Query(q.sql); err != nil || len(r.Rows) != q.rows || r.Partial {
+				if r, err := c.Query(texts[i%len(texts)]); err != nil || len(r.Rows) != q.rows || r.Partial {
 					b.Fatalf("%v %+v", err, r)
 				}
 			}

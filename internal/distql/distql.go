@@ -2,9 +2,10 @@
 // coordinator (v2dqp): the strategy vocabulary (co-located / broadcast /
 // repartition joins) and the shape check that reads a SELECT's tables and
 // join keys. It writes no second copy of the plan: every node task runs the
-// client's statement, and the engine's planner cuts that one plan between
-// the nodes and the coordinator (sqlexec.Planner.BuildFinish) — below the
-// top aggregate, whose fold state each node ships. Plans "specifically
+// client's statement — its shape, the values of its literal slots sent as
+// parameters — and the engine's planner cuts that one plan between the
+// nodes and the coordinator (sqlexec.Planner.BuildFinish), below the top
+// aggregate, whose fold state each node ships. Plans "specifically
 // tailored for a clustered execution" are what §IV-A credits for strong
 // distributed speedups [13]; experiment E8 sweeps the strategies.
 package distql
@@ -14,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/sqlexec"
+	"repro/internal/value"
 )
 
 // Strategy is how a query spreads over the cluster.
@@ -48,8 +50,14 @@ type Plan struct {
 	Strategy Strategy
 	// LocalSQL is the statement every node task runs, temp names already
 	// substituted for broadcast/repartition: the coordinator's to write,
-	// once the engine has planned the statement.
+	// once the engine has planned the statement. It is the text of the
+	// client statement's shape: every literal the engine makes a slot of
+	// (a WHERE operand against a column) spelled as a parameter after the
+	// client's own, so every spelling of the shape ships the same text.
 	LocalSQL string
+	// Params are the values of LocalSQL's parameters, which every node
+	// task ships with it: the client's, then the literal slots'.
+	Params []value.Value
 
 	// Join metadata (strategies other than local-parallel).
 	LeftTable, RightTable string
@@ -71,9 +79,9 @@ func (p *Plan) Describe() string {
 // Rewrite checks that a parsed SELECT has a shape the cluster runs — one
 // table or one inner equi-join, no derived table or table function — and
 // reads its tables and join keys. Join strategy selection happens in the
-// coordinator (it needs the cluster catalog), and so does LocalSQL: every
-// node task runs the statement itself, and where its plan splits between
-// the nodes and the coordinator is the engine's to say
+// coordinator (it needs the cluster catalog), and so do LocalSQL and
+// Params: every node task runs the statement itself, and where its plan
+// splits between the nodes and the coordinator is the engine's to say
 // (sqlexec.Planner.BuildFinish).
 func Rewrite(sel *sqlexec.SelectStmt) (*Plan, error) {
 	if len(sel.Joins) > 1 {

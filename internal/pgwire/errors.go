@@ -50,6 +50,9 @@ func (e *WireError) Error() string { return e.Message }
 // wireErr builds a coded error.
 func wireErr(code, msg string) *WireError { return &WireError{Code: code, Message: msg} }
 
+// SQLState is the SQLSTATE an ErrorResponse carries for err (sqlstateFor).
+func SQLState(err error) string { return sqlstateFor(err) }
+
 // sqlstateFor maps any engine error onto a SQLSTATE. Explicitly coded
 // errors pass through; known engine error shapes (parser, catalog,
 // transaction manager) are classified by their stable prefixes; anything

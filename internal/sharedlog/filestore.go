@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 )
@@ -19,12 +20,18 @@ type FileStore struct {
 	index map[uint64][]byte
 }
 
+// trimLen is the length field of a trim record: a record with no data that
+// drops the position it names, as Delete did. No record of data is that
+// long.
+const trimLen = math.MaxUint32
+
 // OpenFileStore opens (creating or reloading) a file-backed store. A file
 // is a run of records — position (8 bytes LE), length (4 bytes LE), data —
-// and loading stops at the first one that is not whole: a torn tail, or a
-// length running past the end of the file, which is refused before
-// anything is sized by it. The tail from there is cut off, so the next Put
-// lands where the next load looks for it.
+// or trim records (position, trimLen), replayed in order. Loading stops at
+// the first record that is not whole: a torn tail, or a length running past
+// the end of the file, which is refused before anything is sized by it.
+// The tail from there is cut off, so the next Put lands where the next load
+// looks for it.
 func OpenFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -52,6 +59,12 @@ func (s *FileStore) load() error {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			break
 		}
+		pos := binary.LittleEndian.Uint64(hdr[:8])
+		if binary.LittleEndian.Uint32(hdr[8:]) == trimLen {
+			delete(s.index, pos)
+			end += int64(len(hdr))
+			continue
+		}
 		n := int64(binary.LittleEndian.Uint32(hdr[8:]))
 		if n > fi.Size()-end-int64(len(hdr)) {
 			break
@@ -60,7 +73,7 @@ func (s *FileStore) load() error {
 		if _, err := io.ReadFull(r, data); err != nil {
 			break
 		}
-		s.index[binary.LittleEndian.Uint64(hdr[:8])] = data
+		s.index[pos] = data
 		end += int64(len(hdr)) + n
 	}
 	if err := s.f.Truncate(end); err != nil {
@@ -98,12 +111,23 @@ func (s *FileStore) Get(pos uint64) ([]byte, bool, error) {
 	return d, ok, nil
 }
 
-// Delete drops a position from the index (physical space reclaimed at the
-// next compaction, which this simulation does not need).
+// Delete drops a position: a trim record appended to the file, which every
+// later load honours, and the index entry (the record's space is reclaimed
+// at the next compaction, which this simulation does not need). A position
+// the store does not hold costs nothing.
 func (s *FileStore) Delete(pos uint64) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.index[pos]; !ok {
+		return nil
+	}
+	var rec [12]byte
+	binary.LittleEndian.PutUint64(rec[:8], pos)
+	binary.LittleEndian.PutUint32(rec[8:], trimLen)
+	if _, err := s.f.Write(rec[:]); err != nil {
+		return err
+	}
 	delete(s.index, pos)
-	s.mu.Unlock()
 	return nil
 }
 

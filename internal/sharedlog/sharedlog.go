@@ -347,17 +347,18 @@ func (l *Log) completeAt(pos uint64, data []byte) error {
 // Tail returns the next position the sequencer will issue.
 func (l *Log) Tail() uint64 { return l.seq.Tail() }
 
-// Trim discards entries below pos.
+// Trim discards entries below pos: those from the previous low-water mark
+// on, which the previous trim left.
 func (l *Log) Trim(pos uint64) {
-	for {
-		lo := l.trimmedLo.Load()
-		if pos <= lo || l.trimmedLo.CompareAndSwap(lo, pos) {
+	lo := l.trimmedLo.Load()
+	for ; pos > lo; lo = l.trimmedLo.Load() {
+		if l.trimmedLo.CompareAndSwap(lo, pos) {
 			break
 		}
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	for p := uint64(0); p < pos; p++ {
+	for p := lo; p < pos; p++ {
 		chain := l.stripes[p%uint64(len(l.stripes))]
 		for _, u := range chain {
 			u.Trim(p)

@@ -154,6 +154,91 @@ func TestTrim(t *testing.T) {
 	}
 }
 
+// countingStore is a MemStore that counts the deletes it is asked for.
+type countingStore struct {
+	*MemStore
+	deletes int
+}
+
+func (s *countingStore) Delete(pos uint64) error {
+	s.deletes++
+	return s.MemStore.Delete(pos)
+}
+
+// TestTrimFromLowWaterMark: a trim deletes the positions from the previous
+// low-water mark to its own, not every position below its own again, and
+// one below the mark deletes nothing.
+func TestTrimFromLowWaterMark(t *testing.T) {
+	s := &countingStore{MemStore: NewMemStore()}
+	l, err := New(Config{Stripes: [][]*Unit{{NewUnit(s)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		l.Append([]byte{byte(i)})
+	}
+	for _, step := range []struct {
+		pos     uint64
+		deletes int
+	}{{5, 5}, {7, 2}, {3, 0}, {7, 0}, {10, 3}} {
+		s.deletes = 0
+		l.Trim(step.pos)
+		if s.deletes != step.deletes {
+			t.Fatalf("Trim(%d) at mark %d: %d deletes, want %d", step.pos, l.Trimmed(), s.deletes, step.deletes)
+		}
+	}
+}
+
+// TestFileStoreTrimSurvivesReopen: a position a log trims stays trimmed in
+// its file-backed units after they are closed and opened again, and the
+// positions above the mark keep their data.
+func TestFileStoreTrimSurvivesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "unit.log")
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := New(Config{Stripes: [][]*Unit{{NewUnit(s)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Trim(1)
+	l.Trim(2)
+	s.Close()
+
+	s2, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for pos := uint64(0); pos < 2; pos++ {
+		if d, ok, _ := s2.Get(pos); ok {
+			t.Fatalf("position %d, trimmed, reads back %x after a reopen", pos, d)
+		}
+	}
+	if d, ok, _ := s2.Get(2); !ok || !bytes.Equal(d, frame([]byte{2})) {
+		t.Fatalf("position 2 reads back %x %v after a reopen", d, ok)
+	}
+	// A position trimmed before may be written again, and reloads as written.
+	if err := s2.Put(0, []byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if d, ok, _ := s3.Get(0); !ok || string(d) != "again" {
+		t.Fatalf("position 0, written after its trim, reloads as %q %v", d, ok)
+	}
+}
+
 func TestReplicationAllReplicasHoldData(t *testing.T) {
 	l := NewInMemory(1, 3)
 	pos, err := l.Append([]byte("replicated"))
@@ -337,7 +422,8 @@ func FuzzOpenFileStore(f *testing.F) {
 	good := append(fileRecord(0, frame([]byte("zero"))), fileRecord(1, fillFrame)...)
 	f.Add(good)
 	f.Add(good[:len(good)-1])                                                                // torn tail
-	f.Add(append(fileRecord(7, frame(nil)), 9, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff)) // a length of 4 GiB - 1
+	f.Add(append(fileRecord(7, frame(nil)), 9, 0, 0, 0, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff)) // a length of 4 GiB - 2
+	f.Add(append(good, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff))                      // a trim of position 0
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, file []byte) {
 		path := filepath.Join(t.TempDir(), "unit.log")

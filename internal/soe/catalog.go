@@ -62,12 +62,14 @@ func (t *DistTable) PartitionFor(v value.Value) int {
 // [RangeBounds[p-1], RangeBounds[p]-1] of an integer key, open at the
 // table's ends; on a hash table only an equality says anything: every row
 // equal to its literal hashes where the literal — coerced to the key's
-// kind, and only when that coercion is exact — does.
+// kind, and only when that coercion is exact — does. A parameter's
+// predicate says something once its value is bound in (sqlexec.BindPreds);
+// unbound, it reads NULL and refutes nothing.
 func (t *DistTable) refuted(p int, preds []sqlexec.Pred) bool {
 	ki := t.KeyIndex()
 	kind := t.Schema[ki].Kind
 	for _, pr := range preds {
-		if pr.Col != ki || pr.Param >= 0 {
+		if pr.Col != ki || pr.Lit.IsNull() {
 			continue
 		}
 		if t.RangeBounds == nil {

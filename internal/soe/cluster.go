@@ -169,9 +169,9 @@ func (c *Cluster) Insert(table string, rows ...value.Row) (uint64, error) {
 	return c.Coordinator.Insert(table, rows)
 }
 
-// Query runs a distributed SELECT.
-func (c *Cluster) Query(sql string) (*Result, error) {
-	r, _, err := c.Coordinator.Query(sql)
+// Query runs a distributed SELECT with params, the values of its $N.
+func (c *Cluster) Query(sql string, params ...value.Value) (*Result, error) {
+	r, _, err := c.Coordinator.Query(sql, params...)
 	return r, err
 }
 

@@ -178,7 +178,7 @@ func NewCoordinator(name string, net *netsim.Network, disc *Discovery, ccat *Clu
 		}
 		// Continue the client's trace (if its message carried one): the
 		// whole distributed execution lands under the caller's TraceID.
-		res, _, err := c.query(req.Trace, r.SQL, chosen)
+		res, _, err := c.query(req.Trace, r.SQL, r.Params, chosen)
 		if err != nil {
 			return netsim.Message{Kind: MsgExec, Payload: encode(ExecResp{Err: err.Error()})}, nil
 		}
@@ -318,16 +318,16 @@ func (c *Coordinator) observeCommitTS(ts uint64) {
 	}
 }
 
-// Query plans and executes a distributed SELECT, returning the result and
-// the plan that produced it.
-func (c *Coordinator) Query(sql string) (*Result, *distql.Plan, error) {
-	return c.query(stats.SpanContext{}, sql, chosen)
+// Query plans and executes a distributed SELECT with params, the values of
+// its $N, returning the result and the plan that produced it.
+func (c *Coordinator) Query(sql string, params ...value.Value) (*Result, *distql.Plan, error) {
+	return c.query(stats.SpanContext{}, sql, params, chosen)
 }
 
 // ForceStrategy executes a join with an explicit strategy instead of the
 // one the coordinator would choose (the E8 ablation).
 func (c *Coordinator) ForceStrategy(sql string, strategy distql.Strategy) (*Result, *distql.Plan, error) {
-	return c.query(stats.SpanContext{}, sql, strategy)
+	return c.query(stats.SpanContext{}, sql, nil, strategy)
 }
 
 // chosen is the strategy argument of a query that leaves the choice to the
@@ -335,12 +335,13 @@ func (c *Coordinator) ForceStrategy(sql string, strategy distql.Strategy) (*Resu
 const chosen distql.Strategy = -1
 
 // query is every distributed SELECT: its plan (Coordinator.plan: made once
-// per text and cluster catalog version), the span and the
+// per shape and cluster catalog version), the span and the
 // soe_queries_total / soe_query_ms accounting, then the fan-out of the
-// node's share as a Partial task. A zero parent starts a
-// fresh trace; a client whose MsgExec carried a SpanContext continues its
-// own. A join runs with strategy unless that is chosen.
-func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distql.Strategy) (*Result, *distql.Plan, error) {
+// node's share as a Partial task: the shape's text and its parameters,
+// params followed by the values of the text's literal slots. A zero parent
+// starts a fresh trace; a client whose MsgExec carried a SpanContext
+// continues its own. A join runs with strategy unless that is chosen.
+func (c *Coordinator) query(parent stats.SpanContext, sql string, params []value.Value, strategy distql.Strategy) (*Result, *distql.Plan, error) {
 	t0 := time.Now()
 	attrs := []string{"sql=" + sql}
 	if strategy != chosen {
@@ -352,14 +353,16 @@ func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distq
 	c.obs.Counter("soe_queries_total", "service=v2dqp").Inc()
 
 	pl := span.Child("plan")
-	qp, err := c.plan(sql)
+	qp, params, err := c.plan(sql, params)
 	pl.Finish()
 	if err != nil {
 		return nil, nil, err
 	}
-	// The caller's copy: a join's strategy and temp names are this query's.
+	// The caller's copy: a join's strategy and temp names are this query's,
+	// and so are the parameters.
 	plan := new(distql.Plan)
 	*plan = qp.dist
+	plan.Params = params
 	node, fin := qp.node, qp.fin
 
 	var replies []sqlexec.Reply
@@ -369,9 +372,9 @@ func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distq
 		return nil, nil, fmt.Errorf("soe: ForceStrategy needs a join")
 	case plan.RightTable == "":
 		plan.Strategy = distql.StrategyLocalParallel
-		parts := c.pruneParts(qp.preds, plan.LeftTable)
+		parts := c.pruneParts(qp.preds, params, plan.LeftTable)
 		var rep *fanReport
-		replies, rep, err = c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Partial: true, Table: plan.LeftTable}, c.tasksFor(plan.LeftTable, parts))
+		replies, rep, err = c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Params: params, Partial: true, Table: plan.LeftTable}, c.tasksFor(plan.LeftTable, parts))
 		reports = []*fanReport{rep}
 	default:
 		if plan.Strategy = strategy; strategy == chosen {
@@ -382,37 +385,40 @@ func (c *Coordinator) query(parent stats.SpanContext, sql string, strategy distq
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := c.finish(fin, replies, reports)
+	res, err := c.finish(fin, replies, reports, params)
 	return res, plan, err
 }
 
-// queryPlan is what the coordinator makes of a SELECT text, once per
+// queryPlan is what the coordinator makes of a SELECT's shape, once per
 // cluster catalog version (Coordinator.plan), and shares among every query
-// that sends it: read-only.
+// that sends a spelling of it: read-only.
 type queryPlan struct {
 	sel   *sqlexec.SelectStmt // the statement: the cache's AST
 	node  *sqlexec.SelectStmt // what the nodes run (Finish.NodeSelect)
-	dist  distql.Plan         // Rewrite's, LocalSQL filled in
+	dist  distql.Plan         // Rewrite's, LocalSQL filled in; no Params
 	fin   *sqlexec.Finish
 	preds []sqlexec.Pred // the WHERE clause classified against the left table (pruneParts)
 }
 
-// plan is the queryPlan of sql: the one its parse carries when the cluster
-// catalog has not changed since it was made, else a new one — the shape
-// checked (distql.Rewrite), the tables checked, the statement planned and
-// cut (sqlexec.Planner.BuildFinish) and the nodes' statement spelled.
-func (c *Coordinator) plan(sql string) (*queryPlan, error) {
-	qp, err := c.parses.PlanSelect(sql, c.ccat.schemas.Version(), c.buildPlan)
+// plan is the queryPlan of sql's shape — the one its parse carries when the
+// cluster catalog has not changed since it was made, else a new one: the
+// statement checked (distql.Rewrite), the tables checked, the statement
+// planned and cut (sqlexec.Planner.BuildFinish) and the nodes' statement
+// spelled — and the parameters it runs with: params, then the values of
+// sql's literal slots.
+func (c *Coordinator) plan(sql string, params []value.Value) (*queryPlan, []value.Value, error) {
+	qp, params, err := c.parses.PlanSelect(sql, params, c.ccat.schemas.Version(), c.buildPlan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return qp.(*queryPlan), nil
+	return qp.(*queryPlan), params, nil
 }
 
-// buildPlan makes the queryPlan of sql, whose AST is sel. The AST may be the
-// cache's, shared by every query of the same text: the coordinator writes
-// only into copies of it (cloneSelect).
-func (c *Coordinator) buildPlan(sql string, sel *sqlexec.SelectStmt) (any, error) {
+// buildPlan makes the queryPlan of shape, the text of a SELECT's shape,
+// whose AST is sel. The AST may be the cache's, shared by every query of
+// the same shape: the coordinator writes only into copies of it
+// (cloneSelect).
+func (c *Coordinator) buildPlan(shape string, sel *sqlexec.SelectStmt) (any, error) {
 	if sel == nil {
 		return nil, fmt.Errorf("soe: coordinator executes SELECT only (DML goes through Insert/Delete)")
 	}
@@ -429,10 +435,10 @@ func (c *Coordinator) buildPlan(sql string, sel *sqlexec.SelectStmt) (any, error
 	if qp.fin, err = (&sqlexec.Planner{Cat: c.ccat.schemas, Reg: c.reg}).BuildFinish(sel); err != nil {
 		return nil, err
 	}
-	// The nodes run the client's statement — as it was written, unless the
+	// The nodes run the statement's shape — as it was written, unless the
 	// engine leaves some of it to the coordinator alone.
 	qp.node = qp.fin.NodeSelect(sel)
-	qp.dist.LocalSQL = sql
+	qp.dist.LocalSQL = shape
 	if qp.node != sel {
 		qp.dist.LocalSQL = sqlexec.Deparse(qp.node)
 	}
@@ -444,14 +450,16 @@ func (c *Coordinator) buildPlan(sql string, sel *sqlexec.SelectStmt) (any, error
 
 // pruneParts is distributed partition pruning: the WHERE clause,
 // classified against the table's schema (queryPlan.preds) as a node's scan
-// classifies it again, and the fan-out keeps the partitions no predicate on
-// the partition key refutes. The list is explicit and possibly empty
+// classifies it again, the query's parameters bound in, and the fan-out
+// keeps the partitions no predicate on the partition key refutes. The list is explicit and possibly empty
 // (contradictory bounds).
-func (c *Coordinator) pruneParts(preds []sqlexec.Pred, table string) []int {
+func (c *Coordinator) pruneParts(preds []sqlexec.Pred, params []value.Value, table string) []int {
 	t, ok := c.ccat.Table(table)
 	if !ok {
 		return nil
 	}
+	var bound [8]sqlexec.Pred
+	preds = sqlexec.BindPreds(bound[:0], preds, params)
 	parts := make([]int, 0, t.Partitions)
 	for p := 0; p < t.Partitions; p++ {
 		if !t.refuted(p, preds) {
@@ -494,7 +502,7 @@ func (c *Coordinator) executeJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, sp
 		// Scoped on both sides: a failover target must hold the same
 		// partition of both tables for the bucket-local join to be correct.
 		lt, _ := c.ccat.Table(plan.LeftTable)
-		req := ExecReq{SQL: plan.LocalSQL, Partial: true, Table: plan.LeftTable, Table2: plan.RightTable}
+		req := ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true, Table: plan.LeftTable, Table2: plan.RightTable}
 		replies, rep, err := c.fanOut(span, req, c.tasksFor(plan.LeftTable, allParts(lt)))
 		return replies, []*fanReport{rep}, err
 	case distql.StrategyBroadcast:
@@ -561,7 +569,7 @@ func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, 
 	}
 	plan.LocalSQL = sqlexec.Deparse(sub)
 
-	replies, bigRep, err := c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Partial: true, Table: big.Name}, c.tasksFor(big.Name, allParts(big)))
+	replies, bigRep, err := c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true, Table: big.Name}, c.tasksFor(big.Name, allParts(big)))
 	return replies, []*fanReport{smallRep, bigRep}, err
 }
 
@@ -600,7 +608,7 @@ func (c *Coordinator) repartitionJoin(sel *sqlexec.SelectStmt, plan *distql.Plan
 	sub.Joins[0].Table.Name = tmpR
 	plan.LocalSQL = sqlexec.Deparse(sub)
 
-	replies, rep, err := c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Partial: true}, unscopedTasks(nodes))
+	replies, rep, err := c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true}, unscopedTasks(nodes))
 	return replies, []*fanReport{repL, repR, rep}, err
 }
 
@@ -969,12 +977,13 @@ func intersect(a, b []string) []string {
 	return out
 }
 
-// finish runs the plan above the cut over the nodes' replies and folds the
-// fan-out coverage reports into the result's completeness label (the
-// product of per-stage fractions: losing coverage in any stage of a
-// multi-stage plan makes the whole answer partial).
-func (c *Coordinator) finish(fin *sqlexec.Finish, replies []sqlexec.Reply, reports []*fanReport) (*Result, error) {
-	out, err := fin.Run(replies)
+// finish runs the plan above the cut over the nodes' replies, with the
+// statement's parameters, and folds the fan-out coverage reports into the
+// result's completeness label (the product of per-stage fractions: losing
+// coverage in any stage of a multi-stage plan makes the whole answer
+// partial).
+func (c *Coordinator) finish(fin *sqlexec.Finish, replies []sqlexec.Reply, reports []*fanReport, params []value.Value) (*Result, error) {
+	out, err := fin.Run(replies, params...)
 	if err != nil {
 		return nil, err
 	}

@@ -135,6 +135,39 @@ func TestCoordinatorMatchesOneEngine(t *testing.T) {
 	}
 }
 
+// TestCoordinatorParams: a distributed SELECT with the client's own $N or
+// ? — in WHERE beside literal slots, above the cut in the select list and
+// HAVING — answers as one engine does with the same values, and one sent
+// too few of them is refused as an engine refuses it.
+func TestCoordinatorParams(t *testing.T) {
+	c, ref := newMatchCluster(t, 3)
+	for _, q := range []struct {
+		sql    string
+		params []value.Value
+	}{
+		{`SELECT region, SUM(qty) FROM t WHERE qty >= $1 AND region <> 'B' GROUP BY region ORDER BY region`, []value.Value{value.Int(5)}},
+		{`SELECT region, COUNT(*) + $2 FROM t WHERE id >= 'K1' AND qty = $1 GROUP BY region ORDER BY region`, []value.Value{value.Int(5), value.Int(100)}},
+		{`SELECT region, SUM(qty) FROM t WHERE id < ? AND qty > 4 GROUP BY region HAVING SUM(qty) > ? ORDER BY region`, []value.Value{value.String("K4"), value.Int(5)}},
+		{`SELECT id, qty FROM t WHERE id IN ('K00', $1, 'K32') ORDER BY id`, []value.Value{value.String("K11")}},
+	} {
+		got, err := c.Query(q.sql, q.params...)
+		if err != nil {
+			t.Errorf("%s: %v", q.sql, err)
+			continue
+		}
+		want := ref.MustQuery(q.sql, q.params...)
+		if g, w := strings.Join(keysOf(got.Rows), "\n"), strings.Join(keysOf(want.Rows), "\n"); g != w {
+			t.Errorf("%s %v:\n cluster    %v\n one engine %v", q.sql, q.params, got.Rows, want.Rows)
+		}
+	}
+	const q = `SELECT COUNT(*) FROM t WHERE qty = $2 AND region = 'D'`
+	_, err := c.Query(q, value.Int(5))
+	_, want := ref.NewSession().Query(q, value.Int(5))
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("%s with one parameter: %v, one engine %v", q, err, want)
+	}
+}
+
 // TestConcurrentQueriesShareParses: a 4-node cluster answers every
 // statement of matchQueries from four clients at once, each text eight
 // times — so the coordinator and every node run most of them from a parse
@@ -172,16 +205,26 @@ func TestConcurrentQueriesShareParses(t *testing.T) {
 	}
 	wg.Wait()
 	for _, q := range matchQueries {
-		qp, err := c.Coordinator.plan(q)
+		qp, _, err := c.Coordinator.plan(q, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		cached := qp.sel
-		fresh, _ := sqlexec.Parse(q)
-		if !reflect.DeepEqual(cached, fresh) || sqlexec.Deparse(cached) != sqlexec.Deparse(fresh.(*sqlexec.SelectStmt)) {
+		cached, fresh := qp.sel, freshShape(t, q)
+		if !reflect.DeepEqual(cached, fresh) || sqlexec.Deparse(cached) != sqlexec.Deparse(fresh) {
 			t.Errorf("%s: the coordinator's cached AST is not a fresh parse's any more", q)
 		}
 	}
+}
+
+// freshShape is the AST of q's shape, parsed through a cache of its own.
+func freshShape(t *testing.T, q string) *sqlexec.SelectStmt {
+	t.Helper()
+	var c sqlexec.ParseCache
+	var sel *sqlexec.SelectStmt
+	if _, _, err := c.PlanSelect(q, nil, 0, func(_ string, s *sqlexec.SelectStmt) (any, error) { sel = s; return nil, nil }); err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return sel
 }
 
 // answerText is a result as text to compare: its columns and its rows, in

@@ -118,6 +118,31 @@ func TestFanoutTaskAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(50, query); got > budget {
 		t.Fatalf("%s allocates %.0f times (%.1f per node task), budget %d", sql, got, got/tasks, budget)
 	}
+
+	// A new spelling of a cached shape on every run: the coordinator lexes
+	// it and binds its literals to the shape's plan, and each node task
+	// ships the shape's text, which the node holds, and the two values.
+	var texts []string
+	for lo := 0; lo < 1900; lo += 17 {
+		texts = append(texts, fmt.Sprintf(`SELECT id, qty FROM orders WHERE id >= %d AND id < %d ORDER BY id`, lo, lo+20))
+	}
+	next := 0
+	fresh := func() {
+		q := texts[next%len(texts)]
+		next++
+		if r, err := c.Query(q); err != nil || len(r.Rows) != 20 {
+			t.Fatalf("%s: %v %v", q, r, err)
+		}
+	}
+	for range 3 { // the shape's second sighting admits it on the coordinator; on the nodes its text's
+		fresh()
+	}
+	const freshBudget = 159 // 156 measured; 296 before a literal was a parameter slot
+	if got := testing.AllocsPerRun(50, fresh); got > freshBudget {
+		t.Fatalf("a new spelling of a cached shape allocates %.0f times (%.1f per node task), budget %d", got, got/tasks, freshBudget)
+	} else {
+		t.Logf("a new spelling of a cached shape allocates %.0f times", got)
+	}
 }
 
 // raceDetector reports whether the test binary was built with -race.

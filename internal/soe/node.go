@@ -70,8 +70,10 @@ type DataNode struct {
 	tracer   *stats.Tracer
 	nodeAttr string
 
-	// scopes holds the taskScopes of finished node tasks.
+	// scopes holds the taskScopes of finished node tasks, and params the
+	// slices their parameters were decoded into.
 	scopes freeList[taskScope]
+	params freeList[[]value.Value]
 
 	pollStop chan struct{}
 	// merger folds each hosted partition's delta into compressed main as it
@@ -541,6 +543,16 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 // that sent it, and under it a "scan" span naming the partitions it lists.
 func (n *DataNode) exec(req netsim.Message) (netsim.Message, error) {
 	var r ExecReq
+	params := n.params.get()
+	if params == nil {
+		params = new([]value.Value)
+	}
+	r.Params = *params
+	defer func() {
+		clear(r.Params)
+		*params = r.Params[:0]
+		n.params.put(params)
+	}()
 	if err := decodeErr(req.Kind, r.readWireText(req.Payload, n.eng.SQLText)); err != nil {
 		return netsim.Message{}, err
 	}
@@ -627,9 +639,9 @@ func (n *DataNode) queryParts(r ExecReq) (*sqlexec.Result, []byte, error) {
 	var state []byte
 	var err error
 	if r.Partial {
-		res, state, err = s.QueryPartial(r.SQL)
+		res, state, err = s.QueryPartial(r.SQL, r.Params...)
 	} else {
-		res, err = s.Query(r.SQL)
+		res, err = s.Query(r.SQL, r.Params...)
 	}
 	if sc != nil && sc.missing >= 0 {
 		return nil, nil, fmt.Errorf("soe: %s does not host partition %d", n.Name, sc.missing)

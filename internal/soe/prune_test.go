@@ -192,12 +192,12 @@ func TestPruningIsSound(t *testing.T) {
 			if !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Errorf("cluster: %s: %d rows, single node %d", dq, len(got.Rows), len(want.Rows))
 			}
-			qp, err := c.Coordinator.plan(dq)
+			qp, params, err := c.Coordinator.plan(dq, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", dq, err)
 			}
 			tbl, _ := c.Catalog.Table(table)
-			pruned["dist "+table] += tbl.Partitions - len(c.Coordinator.pruneParts(qp.preds, table))
+			pruned["dist "+table] += tbl.Partitions - len(c.Coordinator.pruneParts(qp.preds, params, table))
 		}
 	}
 

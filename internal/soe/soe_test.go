@@ -808,11 +808,11 @@ func TestPartitionsInRangeHash(t *testing.T) {
 	}
 	fanOut := func(sql, table string) []int {
 		t.Helper()
-		qp, err := c.Coordinator.plan(sql)
+		qp, params, err := c.Coordinator.plan(sql, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Coordinator.pruneParts(qp.preds, table)
+		return c.Coordinator.pruneParts(qp.preds, params, table)
 	}
 	for _, tc := range []struct {
 		sql, table string

@@ -1,7 +1,9 @@
 package soe
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -332,5 +334,60 @@ func TestHostedPartitionsListedOnce(t *testing.T) {
 		if len(seen) != hosted {
 			t.Errorf("%s: sys.m_partitions lists %d partitions, node hosts %d", n.Name, len(seen), hosted)
 		}
+	}
+}
+
+// TestNodeTaskShapeScans: a node task sent a statement's shape and the
+// values of its literal slots reads exactly the rows the task sent its
+// literals reads, and answers alike.
+func TestNodeTaskShapeScans(t *testing.T) {
+	c := newTestCluster(t, 2, OLTP)
+	if _, err := c.CreateTable("orders", fanoutSchema(), "id", 4); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]value.Row, 2000)
+	for i := range rows {
+		rows[i] = fanoutRow(i)
+	}
+	if _, err := c.Insert("orders", rows...); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		for _, part := range n.hosted["orders"] {
+			n.eng.Mgr.MergeNow(part.Table)
+		}
+	}
+	kernels := 0
+	for _, q := range []string{
+		`SELECT id, amount FROM orders WHERE id >= 310 AND id < 330 ORDER BY id`,
+		`SELECT status, COUNT(*), SUM(amount) FROM orders WHERE qty > 11 AND region = 'APJ' GROUP BY status ORDER BY status`,
+		`SELECT COUNT(*) FROM orders WHERE id BETWEEN 1500 AND 1620 AND qty IN (3, 4)`,
+	} {
+		_, plan, err := c.Coordinator.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Params) == 0 || strings.Contains(plan.LocalSQL, "310") {
+			t.Fatalf("%s: the nodes are sent %q with %v", q, plan.LocalSQL, plan.Params)
+		}
+		for _, n := range c.Nodes {
+			shaped, sstate, err := n.queryParts(ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			literal, lstate, err := n.queryParts(ExecReq{SQL: q, Partial: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shaped.Stats.RowsScanned != literal.Stats.RowsScanned || shaped.Stats.KernelHits != literal.Stats.KernelHits ||
+				!reflect.DeepEqual(shaped.Rows, literal.Rows) || !bytes.Equal(sstate, lstate) {
+				t.Errorf("%s on %s: its shape scans %d rows with %d kernels, its literals %d with %d", q, n.Name,
+					shaped.Stats.RowsScanned, shaped.Stats.KernelHits, literal.Stats.RowsScanned, literal.Stats.KernelHits)
+			}
+			kernels += literal.Stats.KernelHits
+		}
+	}
+	if kernels == 0 {
+		t.Fatal("no task bound a kernel: the partitions are not merged")
 	}
 }

@@ -54,9 +54,10 @@ const (
 type ExecReq struct {
 	Token   string
 	SQL     string
-	Table   string // logical table the scoping applies to
-	Table2  string // co-located join partner, scoped in lockstep
-	Parts   []int  // partitions of Table (and Table2) to scan
+	Params  []value.Value // the values of SQL's $N
+	Table   string        // logical table the scoping applies to
+	Table2  string        // co-located join partner, scoped in lockstep
+	Parts   []int         // partitions of Table (and Table2) to scan
 	Partial bool
 }
 

@@ -274,7 +274,10 @@ func commitHeader(payload []byte) (token, txnID string, writes int, sections []b
 
 // wireSize is the length of m's encoding.
 func (m ExecReq) wireSize() int {
-	n := strSize(m.Token) + strSize(m.SQL) + strSize(m.Table) + strSize(m.Table2) + 1 + 1
+	n := strSize(m.Token) + strSize(m.SQL) + uvarintSize(uint64(len(m.Params))) + strSize(m.Table) + strSize(m.Table2) + 1 + 1
+	for _, v := range m.Params {
+		n += value.BinarySize(v)
+	}
 	if m.Parts != nil {
 		n += uvarintSize(uint64(len(m.Parts))+1) - 1
 		for _, p := range m.Parts {
@@ -288,6 +291,10 @@ func (m ExecReq) appendWire(dst []byte) []byte {
 	dst = slices.Grow(dst, m.wireSize())
 	dst = appendStr(dst, m.Token)
 	dst = appendStr(dst, m.SQL)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Params)))
+	for _, v := range m.Params {
+		dst = value.AppendBinary(dst, v)
+	}
 	dst = appendStr(dst, m.Table)
 	dst = appendStr(dst, m.Table2)
 	// nil (unscoped) and empty (scoped to nothing) are different requests:
@@ -309,11 +316,16 @@ func (m *ExecReq) readWire(b []byte) error {
 
 // readWireText is readWire with the statement's text made from its bytes by
 // text: a node hands it its engine's SQLText, so a text the engine holds a
-// parse of is not copied.
+// parse of is not copied. The parameters are read into m.Params's memory.
 func (m *ExecReq) readWireText(b []byte, text func([]byte) string) error {
 	r := rd{value.NewReader(b)}
 	m.Token = r.Str()
 	m.SQL = text(r.Take(r.Uvarint()))
+	n := r.Count(1)
+	m.Params = slices.Grow(m.Params[:0], n)
+	for ; n > 0; n-- {
+		m.Params = append(m.Params, r.Value())
+	}
 	m.Table, m.Table2 = r.Str(), r.Str()
 	m.Parts = nil
 	if n := r.Uvarint(); n > 0 {

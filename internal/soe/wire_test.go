@@ -194,8 +194,13 @@ func TestWireRoundTrip(t *testing.T) {
 		case 1:
 			m.Parts = []int{r.Intn(9), r.Intn(1 << 20), -1}
 		}
+		for range r.Intn(3) {
+			m.Params = append(m.Params, genValue(r))
+		}
 		got, err := recode[ExecReq](m)
-		return err == nil && reflect.DeepEqual(got, m) && len(encode(m)) == m.wireSize()
+		ok := err == nil && sameRows([]value.Row{got.Params}, []value.Row{m.Params}) && len(encode(m)) == m.wireSize()
+		got.Params, m.Params = nil, nil
+		return ok && reflect.DeepEqual(got, m)
 	})
 	check("ExecResp", func(r *rand.Rand) bool {
 		m := ExecResp{Cols: genStrings(r), Rows: genRows(r), RowsScanned: r.Intn(1 << 30), Morsels: r.Intn(99), Completeness: r.Float64(), Err: genString(r)}
@@ -348,6 +353,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	// A node's share of a distributed SELECT, and its answer: an aggregate's
 	// fold state.
 	f.Add(uint8(0), encode(ExecReq{Token: "tok", SQL: "SELECT region, SUM(amount) FROM orders GROUP BY region", Table: "orders", Parts: []int{1, 5}, Partial: true}))
+	f.Add(uint8(0), encode(ExecReq{Token: "tok", SQL: "SELECT id FROM orders WHERE id >= $1 AND region = $2", Params: []value.Value{value.Int(7), value.String("EMEA")}, Table: "orders", Parts: []int{1, 5}, Partial: true}))
 	f.Add(uint8(1), encode(ExecResp{State: partialState(f), RowsScanned: 9, Completeness: 1}))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		dec := messageDecoders[int(kind)%len(messageDecoders)]

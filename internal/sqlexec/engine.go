@@ -148,11 +148,15 @@ func (e *Engine) AnalyzeSQL(sql string, params ...value.Value) (*Result, *Profil
 }
 
 // prepareSelect prepares the bare SELECT the engine-level EXPLAIN entry
-// points take.
+// points take, each literal the literal it is, as the plan shows it.
 func (s *Session) prepareSelect(sql, verb string) (*Stmt, error) {
 	st, err := s.Prepare(sql)
 	if err == nil && st.kind != stmtSelect {
 		err = fmt.Errorf("sql: %s supports only SELECT", verb)
+	}
+	if err == nil && len(st.lits) > 0 {
+		st.parsed, err = parseLiteral(st.text)
+		st.lits = nil
 	}
 	return st, err
 }
@@ -338,16 +342,16 @@ func (s *Session) Query(sql string, params ...value.Value) (*Result, error) {
 // bindOne prepares the one statement sql holds as the session's own
 // statement (one), which the caller runs and then unbinds (unbindOne).
 func (s *Session) bindOne(sql string) (*Stmt, error) {
-	p, err := s.prepareOne(sql)
+	sp, err := s.prepareOne(sql)
 	if err != nil {
 		return nil, err
 	}
-	s.one = Stmt{s: s, parsed: p}
+	s.one = Stmt{s: s, parsed: sp.p, text: sp.text, lits: sp.lits}
 	return &s.one, nil
 }
 
-// unbindOne lets go of the parse bindOne bound.
-func (s *Session) unbindOne() { s.one.parsed = nil }
+// unbindOne lets go of the statement bindOne bound.
+func (s *Session) unbindOne() { s.one = Stmt{} }
 
 // setActive publishes the running statement to sys.m_sessions.
 func (s *Session) setActive(sql string) {

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 	"repro/internal/value"
@@ -44,12 +46,12 @@ func TestSharedParsesUnderRace(t *testing.T) {
 	e.Mode = ModeInterpreted
 	s := e.NewSession()
 	for i, j := range jobs {
-		ps, err := freshParses(j.sql)
+		p, err := parseLiteral(j.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", j.sql, err)
 		}
 		var res Result
-		if _, err := s.execSelect(&res, &res.Stats, &Stmt{s: s, parsed: ps[0]}, j.params, false); err != nil {
+		if _, err := s.execSelect(&res, &res.Stats, &Stmt{s: s, parsed: p}, j.params, false); err != nil {
 			t.Fatalf("%s: %v", j.sql, err)
 		}
 		jobs[i].want = resultKeys(&res)
@@ -93,11 +95,12 @@ func TestSharedParsesUnderRace(t *testing.T) {
 			continue
 		}
 		held++
-		fresh, _ := Parse(j.sql)
-		if !reflect.DeepEqual(c.p.ast, fresh) {
+		ps, _ := freshParses(j.sql)
+		fresh := ps[0].p
+		if !reflect.DeepEqual(c.p.ast, fresh.ast) {
 			t.Errorf("%s: the cached AST is not a fresh parse's any more", j.sql)
 		}
-		if got, want := Deparse(c.p.sel), Deparse(fresh.(*SelectStmt)); got != want {
+		if got, want := Deparse(c.p.sel), Deparse(fresh.sel); got != want {
 			t.Errorf("%s: cached AST deparses as %s, a fresh parse as %s", j.sql, got, want)
 		}
 	}
@@ -130,6 +133,123 @@ func TestQueryHitAllocs(t *testing.T) {
 		t.Errorf("Query of a cached text allocates %v times, a prepared Exec %v", query, prepared)
 	}
 	t.Logf("prepared Exec %v allocations, Query of a cached text %v", prepared, query)
+}
+
+// TestLiteralShapeHitAllocs: a new spelling of a SELECT's cached shape sent
+// through Session.Query costs at most two allocations more than executing
+// a prepared handle of the shape — the lexer's tokens and the literal
+// values bound to the slots; the parser, the fingerprint and the planner
+// are not run again.
+func TestLiteralShapeHitAllocs(t *testing.T) {
+	e := pointEngine(t, 1000)
+	e.Obs = stats.NewRegistry()
+	s := e.NewSession()
+	defer s.Close()
+	st, err := s.Prepare(`SELECT k, v, s FROM kv WHERE k = $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := make([]string, 500)
+	for i := range texts {
+		texts[i] = fmt.Sprintf(`SELECT k, v, s FROM kv WHERE k = %d`, i)
+	}
+	check := func(r *Result, err error) {
+		if err != nil || len(r.Rows) != 1 {
+			t.Fatalf("%v %v", r, err)
+		}
+	}
+	next := 0
+	query := func() {
+		check(s.Query(texts[next]))
+		next++
+	}
+	query()
+	query() // the shape's second sighting admits it
+	hits := e.Obs.Counter("sql_parse_cache_hits_total").Value()
+	prepared := testing.AllocsPerRun(200, func() { check(st.Exec(value.Int(7))) })
+	fresh := testing.AllocsPerRun(200, query)
+	if fresh > prepared+2 {
+		t.Errorf("Query of a new spelling of a cached shape allocates %v times, a prepared Exec %v", fresh, prepared)
+	}
+	if got := e.Obs.Counter("sql_parse_cache_hits_total").Value() - hits; got != 201 {
+		t.Errorf("201 spellings of a cached shape counted %d hits", got)
+	}
+	t.Logf("prepared Exec %v allocations, Query of a new spelling of a cached shape %v", prepared, fresh)
+}
+
+// TestShapeObservability: a statement served by its shape's parse shows as
+// the client wrote it — in sys.m_sessions while it runs and in the slow
+// log — counts under its own fingerprint in sys.m_statements, and counts as
+// a parse-cache hit. Its literal slots narrow its scan exactly as its
+// literals do: it reads the rows, partitions and kernels a parse of its
+// literals reads.
+func TestShapeObservability(t *testing.T) {
+	e := NewEngine()
+	e.Obs = stats.NewRegistry()
+	mustExec(t, e, `CREATE TABLE ev (id INT, v INT, s VARCHAR) PARTITION BY RANGE(id) VALUES (100, 200)`)
+	for i := 0; i < 300; i++ {
+		mustExec(t, e, `INSERT INTO ev VALUES (?, ?, ?)`, value.Int(int64(i)), value.Int(int64(i%7)), value.String(string(rune('a'+i%5))))
+	}
+	mustExec(t, e, `MERGE DELTA OF ev`)
+	e.SlowThreshold = time.Nanosecond
+	s := e.NewSession()
+	defer s.Close()
+	hits := func() int64 { return e.Obs.Counter("sql_parse_cache_hits_total").Value() }
+
+	for i := 0; i < 3; i++ {
+		q := fmt.Sprintf(`SELECT statement FROM sys.m_sessions WHERE session_id = %d AND statements >= %d`, s.id, i)
+		before := hits()
+		res, err := s.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0].S != q {
+			t.Fatalf("sys.m_sessions shows %v while %q runs", res.Rows, q)
+		}
+		if slow := e.SlowQueries(); len(slow) == 0 || slow[0].SQL != q {
+			t.Fatalf("the slow log's newest statement is not %q", q)
+		}
+		if hit := hits() - before; hit != int64(max(0, i-1)) {
+			t.Fatalf("spelling %d of a shape counted %d parse-cache hits", i+1, hit)
+		}
+	}
+
+	const spellings = 40
+	var fp string
+	for i := 0; i < spellings; i++ {
+		lo := 7 * i
+		q := fmt.Sprintf(`SELECT COUNT(*), SUM(v) FROM ev WHERE id >= %d AND id < %d AND s <> 'c'`, lo, lo+25)
+		if i == 0 {
+			fp, _ = Fingerprint(q)
+		}
+		shaped, err := s.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, err := parseLiteral(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		literal, err := (&Stmt{s: s, parsed: lit, text: q}).Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := shaped.Stats, literal.Stats
+		if g.RowsScanned != w.RowsScanned || g.PartitionsScanned != w.PartitionsScanned || g.KernelHits != w.KernelHits ||
+			!reflect.DeepEqual(shaped.Rows, literal.Rows) {
+			t.Fatalf("%s: its shape scans %d rows of %d partitions with %d kernels for %v, its literals %d of %d with %d for %v", q,
+				g.RowsScanned, g.PartitionsScanned, g.KernelHits, shaped.Rows, w.RowsScanned, w.PartitionsScanned, w.KernelHits, literal.Rows)
+		}
+	}
+	calls := int64(0)
+	for _, st := range e.StatementStats() {
+		if st.ID == fp {
+			calls = st.Calls
+		}
+	}
+	if calls != 2*spellings {
+		t.Fatalf("sys.m_statements counts %d calls under the fingerprint %s, want %d", calls, fp, 2*spellings)
+	}
 }
 
 // TestParseCacheAdmission: a text seen once leaves nothing but its hash;
@@ -195,14 +315,17 @@ func TestParseCacheAdmission(t *testing.T) {
 	}
 }
 
-// FuzzPrepareCached: any input prepared three times on one engine — the
-// third time from the cache when it is a repeated SELECT — gives the same
+// FuzzPrepareCached: any input prepared three times on one engine, its
+// cache emptied first — the third time from the cache when it is a
+// repeated SELECT — gives the same
 // statements as a fresh parse: kind, parameter count, fingerprint and
 // Deparse, or the same error. NormalizeSQL is idempotent on it. Each SELECT
 // of it over at most two of the engine's small tables then runs through its
 // cached plan and through a fresh parse's, its parameters NULL, and the two
 // answer alike: the same columns, the same first rows in the same order, or
-// the same error.
+// the same error. A SELECT with literal slots is then spelled anew, every
+// slot's literal another of its kind: the new spelling must be served by
+// the shape's cached parse and answer as a parse of its literals does.
 func FuzzPrepareCached(f *testing.F) {
 	for _, q := range parityQueries {
 		f.Add(q.sql)
@@ -222,6 +345,7 @@ func FuzzPrepareCached(f *testing.F) {
 			t.Fatalf("NormalizeSQL(%q) = %q, and again %q", sql, n, NormalizeSQL(n))
 		}
 		want, wantErr := freshParses(sql)
+		e.parses = ParseCache{} // what the cache holds is this input's alone
 		s := e.NewSession()
 		defer s.Close()
 		var got []*Stmt
@@ -238,23 +362,81 @@ func FuzzPrepareCached(f *testing.F) {
 				t.Fatalf("prepare %d of %q: %d statements, a fresh parse %d", i+1, sql, len(got), len(want))
 			}
 			for k, st := range got {
-				if d, w := describeParse(st.parsed), describeParse(want[k]); d != w {
+				if d, w := describeParse(spelling{st.parsed, st.text, st.lits}), describeParse(want[k]); d != w {
 					t.Fatalf("prepare %d of %q, statement %d:\n got   %s\n fresh %s", i+1, sql, k, d, w)
 				}
 			}
 		}
 		for k, st := range got {
-			if st.kind != stmtSelect || !smallQuery(st.sel, 2) {
+			// A $N in the millions is a parameter list this harness would
+			// have to allocate before the statement runs.
+			if st.kind != stmtSelect || st.nparams > 1<<10 || !smallQuery(st.sel, 2) {
 				continue
 			}
 			params := make([]value.Value, st.nparams)
 			st.ExecTo(discard{}, params...) // plans it, when it plans, into its parse
 			cached := cappedRun(st, params)
-			if fresh := cappedRun(&Stmt{s: s, parsed: want[k]}, params); cached != fresh {
+			if fresh := cappedRun(s.stmt(want[k]), params); cached != fresh {
 				t.Fatalf("%q, statement %d: its cached plan answers\n%s\na fresh plan\n%s", sql, k, cached, fresh)
+			}
+			if len(st.lits) == 0 {
+				continue
+			}
+			re := respell(t, &e.parses, st)
+			rs, err := s.Prepare(re)
+			if err != nil {
+				t.Fatalf("%q, spelled anew as %q: %v", sql, re, err)
+			}
+			if rs.parsed != st.parsed {
+				t.Fatalf("%q, spelled anew as %q, is not served by its shape's parse", sql, re)
+			}
+			lit, err := parseLiteral(rs.text)
+			if err != nil {
+				t.Fatalf("%q: %v", re, err)
+			}
+			if shaped, literal := cappedRun(rs, params), cappedRun(&Stmt{s: s, parsed: lit, text: rs.text}, params); shaped != literal {
+				t.Fatalf("%q, spelled anew as %q: its shape answers\n%s\na parse of its literals\n%s", sql, re, shaped, literal)
 			}
 		}
 	})
+}
+
+// respell is a new spelling of st's shape, which c holds: its text with the
+// literal of each slot another literal of the same kind.
+func respell(t *testing.T, c *ParseCache, st *Stmt) string {
+	toks, err := lex(st.text)
+	if err != nil {
+		t.Fatalf("%q: %v", st.text, err)
+	}
+	c.mu.RLock()
+	sh := c.shapes[shapeHash(toks)]
+	for sh != nil && !sh.matches(toks) {
+		sh = sh.next
+	}
+	c.mu.RUnlock()
+	if sh == nil || sh.p != st.parsed {
+		t.Fatalf("%q: its shape is not the cache's", st.text)
+	}
+	var sb strings.Builder
+	at := 0
+	for k, i := range sh.slots {
+		tk := toks[i]
+		sb.WriteString(st.text[at:tk.pos])
+		switch v := st.lits[k]; v.K {
+		case value.KindInt:
+			sb.WriteString(strconv.FormatInt(max(v.I-1, 1-v.I), 10))
+		case value.KindFloat:
+			sb.WriteString(strconv.FormatFloat(v.F/2+0.25, 'e', -1, 64))
+		default:
+			sb.WriteString("'" + strings.ReplaceAll(v.S+"x", "'", "''") + "'")
+		}
+		at = int(tk.pos) + len(tk.text)
+		if tk.kind == tkString { // the quotes, and each quote inside doubled
+			at += 2 + strings.Count(tk.text, "'")
+		}
+	}
+	sb.WriteString(st.text[at:])
+	return sb.String()
 }
 
 // smallEngine is an engine over small copies of three of the parity tables,
@@ -346,17 +528,19 @@ func (c *cappedSink) Batch(b *RowBatch) error {
 
 // freshParses parses a string of statements as PrepareEach does, with no
 // cache in the way.
-func freshParses(sql string) ([]*parsed, error) {
+func freshParses(sql string) ([]spelling, error) {
 	var c ParseCache
-	var out []*parsed
-	_, err := c.each(sql, func(p *parsed) { out = append(out, p) })
+	var out []spelling
+	_, err := c.each(sql, func(sp spelling) { out = append(out, sp) })
 	return out, err
 }
 
-// describeParse is what a statement's parse says about it, as text.
-func describeParse(p *parsed) string {
+// describeParse is what a statement says about itself, as text: its
+// parse, its own text and its literal slots' values.
+func describeParse(sp spelling) string {
+	p := sp.p
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "kind=%d params=%d fp=%s norm=%q sql=%q", p.kind, p.nparams, p.fpID, p.fpNorm, p.sql)
+	fmt.Fprintf(&sb, "kind=%d params=%d fp=%s norm=%q sql=%q lits=%v", p.kind, p.nparams, p.fpID, p.fpNorm, sp.text, sp.lits)
 	if p.sel != nil {
 		sb.WriteString(" deparse=" + Deparse(p.sel))
 	}

@@ -28,7 +28,11 @@ func ParseWithParams(src string) (Statement, int, error) {
 // parseTokens parses an already-lexed statement (EOF-terminated); src is
 // only quoted in error messages.
 func parseTokens(toks []token, src string) (Statement, int, error) {
-	p := &parser{toks: toks, src: src}
+	return (&parser{toks: toks, src: src}).parse()
+}
+
+// parse parses the parser's statement and reports its parameter count.
+func (p *parser) parse() (Statement, int, error) {
 	st, err := p.parseStatement()
 	if err != nil {
 		return nil, 0, err
@@ -46,6 +50,17 @@ type parser struct {
 	src    string
 	params int
 	lits   []Literal // nodes for a VALUES list's literals, taken in order
+	// shaping is set while a SELECT is parsed for its shape (slotLiterals):
+	// atoms then records every literal made of one number or string token.
+	shaping bool
+	atoms   []atom
+}
+
+// atom is a literal the shaping parser made of one token, and the index of
+// its token.
+type atom struct {
+	lit *Literal
+	tok int32
 }
 
 // literal is a node holding v: the next of lits while any is left.
@@ -912,6 +927,9 @@ func (p *parser) parseUnary() (Expr, error) {
 		}
 		if lit, ok := e.(*Literal); ok { // the parser's own node: negated in place
 			lit.Val = value.Neg(lit.Val)
+			if n := len(p.atoms); n > 0 && p.atoms[n-1].lit == lit {
+				p.atoms = p.atoms[:n-1] // two tokens now: no slot
+			}
 			return lit, nil
 		}
 		return &UnaryExpr{Op: "-", E: e}, nil
@@ -922,23 +940,17 @@ func (p *parser) parseUnary() (Expr, error) {
 func (p *parser) parseAtom() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
-	case tkNumber:
+	case tkNumber, tkString:
 		p.next()
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return p.literal(value.Float(f)), nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
+		v, ok := literalValue(t)
+		if !ok {
 			return nil, p.errf("bad number %q", t.text)
 		}
-		return p.literal(value.Int(n)), nil
-	case tkString:
-		p.next()
-		return p.literal(value.String(t.text)), nil
+		lit := p.literal(v)
+		if p.shaping {
+			p.atoms = append(p.atoms, atom{lit, int32(p.i - 1)})
+		}
+		return lit, nil
 	case tkParam:
 		p.next()
 		if strings.HasPrefix(t.text, "$") {
@@ -999,6 +1011,21 @@ func (p *parser) parseAtom() (Expr, error) {
 		}
 	}
 	return nil, p.errf("unexpected token %q in expression", t.text)
+}
+
+// literalValue is the value a number or string token spells: a number
+// with a point or an exponent is a float, any other an integer. false: a
+// number that does not read as its kind (out of range, or malformed).
+func literalValue(t token) (value.Value, bool) {
+	if t.kind == tkString {
+		return value.String(t.text), true
+	}
+	if strings.ContainsAny(t.text, ".eE") {
+		f, err := strconv.ParseFloat(t.text, 64)
+		return value.Float(f), err == nil
+	}
+	n, err := strconv.ParseInt(t.text, 10, 64)
+	return value.Int(n), err == nil
 }
 
 func (p *parser) parseFuncCall(name string) (Expr, error) {

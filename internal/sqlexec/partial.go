@@ -79,12 +79,12 @@ func nodePlan(p Plan) Plan {
 	return *slot
 }
 
-// QueryPartial runs sql, a SELECT, as one node's share of a distributed
-// statement: the plan below its cut, accounted as Query accounts a
-// statement. A plan that aggregates answers with its top aggregate's fold
-// state and no rows; any other with its rows and a nil state. It runs on
-// the vectorized executor only.
-func (s *Session) QueryPartial(sql string) (res *Result, state []byte, err error) {
+// QueryPartial runs sql, a SELECT, with params as one node's share of a
+// distributed statement: the plan below its cut, accounted as Query
+// accounts a statement. A plan that aggregates answers with its top
+// aggregate's fold state and no rows; any other with its rows and a nil
+// state. It runs on the vectorized executor only.
+func (s *Session) QueryPartial(sql string, params ...value.Value) (res *Result, state []byte, err error) {
 	t0 := time.Now()
 	st, err := s.bindOne(sql)
 	if err != nil {
@@ -95,7 +95,7 @@ func (s *Session) QueryPartial(sql string) (res *Result, state []byte, err error
 		return nil, nil, fmt.Errorf("sql: a partial statement is a SELECT")
 	}
 	s.partial, s.state = true, nil
-	res, _, err = st.exec(t0, nil, false)
+	res, _, err = st.exec(t0, params, false)
 	s.partial, state = false, s.state
 	return res, state, err
 }
@@ -209,16 +209,16 @@ func outputKeys(keys []OrderItem, proj *ProjectPlan) ([]OrderItem, error) {
 	return out, nil
 }
 
-// Run runs the plan above the cut over the nodes' replies, on the
-// vectorized executor's operators.
-func (f *Finish) Run(replies []Reply) (*Result, error) {
+// Run runs the plan above the cut over the nodes' replies, with the
+// statement's parameters, on the vectorized executor's operators.
+func (f *Finish) Run(replies []Reply, params ...value.Value) (*Result, error) {
 	// One allocation: the answer and the feed that fills it.
 	run := &struct {
 		res Result
 		out feed
 	}{}
 	run.out.sink = &run.res
-	_, err := runTo(&run.out, &run.res.Stats, f.plan, runArgs{reg: f.reg, mode: ModeVectorized, workers: 1, replies: replies}, nil, false)
+	_, err := runTo(&run.out, &run.res.Stats, f.plan, runArgs{params: params, reg: f.reg, mode: ModeVectorized, workers: 1, replies: replies}, nil, false)
 	return &run.res, err
 }
 

@@ -27,7 +27,7 @@ func freshRun(t *testing.T, s *Session, sql string, params ...value.Value) *Resu
 	if err != nil || len(ps) != 1 {
 		t.Fatalf("%s: %d statements, %v", sql, len(ps), err)
 	}
-	res, err := (&Stmt{s: s, parsed: ps[0]}).Exec(params...)
+	res, err := s.stmt(ps[0]).Exec(params...)
 	if err != nil {
 		t.Fatalf("%s (fresh plan): %v", sql, err)
 	}

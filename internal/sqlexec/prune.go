@@ -224,15 +224,7 @@ func (b *binding) reset() {
 func (b *binding) bind(s *ScanPlan, hooks pruneHooks, params []value.Value) (parts []*catalog.Partition, pruned int) {
 	preds := s.Preds
 	if s.params {
-		b.preds = append(b.preds[:0], s.Preds...)
-		for i := range b.preds {
-			if p := &b.preds[i]; p.Param >= 0 {
-				p.Lit = value.Null
-				if p.Param < len(params) {
-					p.Lit = params[p.Param]
-				}
-			}
-		}
+		b.preds = BindPreds(b.preds[:0], s.Preds, params)
 		preds = b.preds
 	}
 	parts = s.Entry.Partitions
@@ -245,6 +237,26 @@ func (b *binding) bind(s *ScanPlan, hooks pruneHooks, params []value.Value) (par
 		b.parts, parts = kept, kept
 	}
 	return parts, len(s.Entry.Partitions) - len(parts)
+}
+
+// BindPreds is preds with each parameter's value bound in, for a run with
+// params: preds itself when none has a parameter, else copies appended to
+// dst. An unbound parameter binds NULL, which refutes nothing.
+func BindPreds(dst, preds []Pred, params []value.Value) []Pred {
+	if !slices.ContainsFunc(preds, func(p Pred) bool { return p.Param >= 0 }) {
+		return preds
+	}
+	at := len(dst)
+	dst = append(dst, preds...)
+	for i := at; i < len(dst); i++ {
+		if p := &dst[i]; p.Param >= 0 {
+			p.Lit = value.Null
+			if p.Param < len(params) {
+				p.Lit = params[p.Param]
+			}
+		}
+	}
+	return dst
 }
 
 // unrefuted returns the partitions no predicate refutes: parts itself when

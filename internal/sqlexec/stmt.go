@@ -11,30 +11,35 @@ import (
 
 // Stmt is a prepared statement: its parse — the AST, the parameter count,
 // the fingerprint and what kind of statement it is, worked out by one lexer
-// pass in Session.PrepareEach — bound to the session that prepared it. Exec
-// runs it any number of times without touching the text again, and plans
-// it once per catalog version: the parse carries its plan (Stmt.plan),
-// which is rebuilt only when a table, view, partition list, table function
-// or sys view changes. Pruning reads the data and the session, so it is
+// pass in Session.PrepareEach — bound to the session that prepared it,
+// with its own text and the values of its literal slots: a SELECT's parse
+// is its shape's, whose eligible literals are parameters after the
+// client's own (ParseCache), and every run binds them after the client's
+// parameters. Exec runs it any number of times without touching the text
+// again, and plans it once per catalog version: the parse carries its plan
+// (Stmt.plan), which is rebuilt only when a table, view, partition list,
+// table function or sys view changes. Pruning reads the data and the session, so it is
 // not in the plan: every run prunes anew (binding.bind).
 //
 // A Stmt belongs to the session that prepared it and shares its
-// single-goroutine contract. Its parse may not: a repeated SELECT text
-// shares one from the engine's ParseCache with every session that sends it,
+// single-goroutine contract. Its parse may not: a SELECT shares one from
+// the engine's ParseCache with every session that sends its shape,
 // so the AST and the plan are read-only — the planner builds fresh plan
 // nodes and never writes into the AST, and a run keeps its state on its
 // own execCtx.
 type Stmt struct {
 	s *Session
 	*parsed
+	text string        // the statement as the client wrote it (SQL): sys.m_sessions, slow log
+	lits []value.Value // the values its literals give the parse's slots (ParseCache)
 }
 
 // parsed is the half of a prepared statement that does not depend on the
 // session: what one lexer pass over its text worked out. A Stmt binds one
 // to a session; a ParseCache shares one among every session that sends
-// the same text, so nothing may write into it once it is made.
+// the same shape, so nothing may write into it once it is made.
 type parsed struct {
-	sql     string // its own text (SQL): sys.m_sessions, slow log
+	sql     string // its text; a SELECT's spells its literal slots as $N: its shape's text
 	kind    stmtKind
 	ast     Statement   // the parsed statement; under EXPLAIN [ANALYZE], the explained one
 	sel     *SelectStmt // ast when it is a SELECT, else nil
@@ -129,28 +134,39 @@ func (st *Stmt) AppendTag(dst []byte, n int64) []byte {
 
 // Prepare prepares the one statement sql holds (PrepareEach).
 func (s *Session) Prepare(sql string) (*Stmt, error) {
-	p, err := s.prepareOne(sql)
+	sp, err := s.prepareOne(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{s: s, parsed: p}, nil
+	return s.stmt(sp), nil
 }
 
-// prepareOne is the parse of the one statement sql holds.
-func (s *Session) prepareOne(sql string) (*parsed, error) {
-	var one *parsed
+// stmt binds sp to the session.
+func (s *Session) stmt(sp spelling) *Stmt {
+	return &Stmt{s: s, parsed: sp.p, text: sp.text, lits: sp.lits}
+}
+
+// prepareOne is the one statement sql holds.
+func (s *Session) prepareOne(sql string) (spelling, error) {
+	var one spelling
 	n := 0
-	if err := s.prepareEach(sql, func(p *parsed) { one, n = p, n+1 }); err != nil {
-		return nil, err
+	if err := s.prepareEach(sql, func(sp spelling) { one, n = sp, n+1 }); err != nil {
+		return spelling{}, err
 	}
 	if n != 1 {
-		return nil, errStatementCount(n)
+		return spelling{}, errStatementCount(n)
 	}
 	return one, nil
 }
 
 func errStatementCount(n int) error {
 	return fmt.Errorf("sql: expected one statement, found %d", n)
+}
+
+// errParamCount refuses a run of a statement of nparams parameters with
+// only got.
+func errParamCount(nparams, got int) error {
+	return fmt.Errorf("sql: statement requires parameter $%d, got %d", nparams, got)
 }
 
 // PrepareEach prepares every statement of a string of them, in order, from
@@ -166,15 +182,16 @@ func errStatementCount(n int) error {
 // error lands under the text's fingerprint in sys.m_statements.
 //
 // The engine's ParseCache is asked first: a SELECT text seen before is not
-// lexed again, and its Stmt shares the cached parse.
+// lexed again, a new spelling of a shape it holds is not parsed, and its
+// Stmt shares the cached parse.
 func (s *Session) PrepareEach(sql string, f func(*Stmt)) error {
-	return s.prepareEach(sql, func(p *parsed) { f(&Stmt{s: s, parsed: p}) })
+	return s.prepareEach(sql, func(sp spelling) { f(s.stmt(sp)) })
 }
 
 // prepareEach is PrepareEach before the parses are bound to the session,
 // timed as sql_parse_ms whether the cache answered or not and counted as
 // sql_parse_cache_hits_total or sql_parse_cache_misses_total.
-func (s *Session) prepareEach(sql string, f func(*parsed)) error {
+func (s *Session) prepareEach(sql string, f func(spelling)) error {
 	t0 := time.Now()
 	defer s.e.Obs.Histogram("sql_parse_ms").ObserveSince(t0)
 	hit, err := s.e.parses.each(sql, f)
@@ -252,7 +269,7 @@ func (st *Stmt) NumParams() int { return st.nparams }
 
 // SQL returns the statement's own text: from its first token to the `;`
 // or the end of the string it came in, trimmed.
-func (st *Stmt) SQL() string { return st.sql }
+func (st *Stmt) SQL() string { return st.text }
 
 // Columns describes the statement without executing it: its output
 // columns, each with the kind the plan gives it — the plan of a SELECT is
@@ -362,15 +379,15 @@ func (st *Stmt) exec(t0 time.Time, params []value.Value, profiled bool) (*Result
 // set, a per-operator Profile of the statement's SELECT.
 func (st *Stmt) execTo(sink RowSink, stats *ExecStats, t0 time.Time, params []value.Value, profiled bool) (*Profile, error) {
 	s := st.s
-	s.setActive(st.sql)
+	s.setActive(st.text)
 	var rows int
 	var prof *Profile
 	var err error
 	if st.kind != stmtExplain && st.nparams > len(params) {
 		// EXPLAIN alone never evaluates a parameter, so it needs none.
-		err = fmt.Errorf("sql: statement requires parameter $%d, got %d", st.nparams, len(params))
+		err = errParamCount(st.nparams, len(params))
 	} else {
-		rows, prof, err = st.run(sink, stats, params, profiled)
+		rows, prof, err = st.run(sink, stats, bindLiterals(params, st.nparams, st.lits), profiled)
 	}
 	if err != nil {
 		rows, prof = 0, nil
@@ -399,7 +416,7 @@ func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profil
 		s.cur = s.e.Tracer.Start("sql", kindNames[st.kind].span)
 		defer s.cur.Finish()
 	}
-	s.curSQL = st.sql
+	s.curSQL = st.text
 	defer func() { s.cur, s.curSQL = nil, "" }()
 	switch st.kind {
 	case stmtExplain:
