@@ -85,15 +85,17 @@ fuzzsmoke:
 # repeat on this host. benchguard also fails if a baseline benchmark is
 # missing from the output, so a crashed bench run cannot slip through the
 # pipe as a pass.
+BENCHSMOKE = BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkOrderedScan
 benchsmoke:
-	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkOrderedScan' -benchtime=100x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkOrderedScan'
+	$(GO) test -run xxx -bench '$(BENCHSMOKE)' -benchtime=100x -benchmem . | $(GO) run ./cmd/benchguard -match '$(BENCHSMOKE)'
 
 # Compressed-execution micro-benchmarks: the code-valued join probe, the
 # same join on two keys rendered per probe position, and the run-folding
 # group-by, the first and last against their row-at-a-time counterparts,
 # gated by the same baseline file (join/group-by subset via -match).
+BENCHCOMPRESSED = BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE
 benchcompressed:
-	$(GO) test -run xxx -bench 'BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE'
+	$(GO) test -run xxx -bench '$(BENCHCOMPRESSED)' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match '$(BENCHCOMPRESSED)'
 
 # Position-based aggregation micro-benchmarks: the float GROUP BY folded
 # on dictionary codes per worker into exact sums, two rendered keys with a
@@ -123,8 +125,9 @@ benchagg:
 # 0 and which must report what the merges did under the table lock
 # (rows_under_lock/op, stalled_applies/op; the benchmark itself fails when
 # that is every row merged).
+BENCHCOMMIT = BenchmarkCommit(GroupDisjoint|Serialized)$$
 benchcommit:
-	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkCommit'
+	$(GO) test -run xxx -bench '$(BENCHCOMMIT)' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkCommit'
 	$(GO) test -run xxx -bench 'BenchmarkWireInsertPrepared$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkWireInsertPrepared'
 	$(GO) test -run xxx -bench 'BenchmarkInsertValues$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkInsertValues'
 	$(GO) test -run xxx -bench 'BenchmarkMergeAppend$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkMergeAppend'
@@ -146,9 +149,11 @@ benchcommit:
 # jump, and a wide result boxed on its way to the wire (windows of cells
 # in flight, ~1.3 MB; the whole result materialized before it is sent, a
 # multiple) in B/op, most of which is this client's decoded rows.
+BENCHPOINT = Benchmark(Wire)?Point(Select|Delete|Update)
+BENCHWIDE = BenchmarkWireWideResult
 benchpoint:
-	$(GO) test -run xxx -bench 'Benchmark(Wire)?Point(Select|Delete|Update)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match 'Benchmark(Wire)?Point(Select|Delete|Update)'
-	$(GO) test -run xxx -bench 'BenchmarkWireWideResult$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkWireWideResult'
+	$(GO) test -run xxx -bench '$(BENCHPOINT)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -match '$(BENCHPOINT)'
+	$(GO) test -run xxx -bench '$(BENCHWIDE)$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -match '$(BENCHWIDE)'
 
 # SOE micro-benchmarks on a 4-node cluster over a zero-latency network:
 # Cluster.Insert of 1,000-row batches and of single rows (a row re-encoded
@@ -161,8 +166,9 @@ benchpoint:
 # row (a node task that parses, plans or snapshots once per partition
 # again shows in allocs/op, a node's workers outnumbering its engine's
 # scan-scratch free list in B/op).
+BENCHSOE = BenchmarkSOE(Insert(Batch|Row)|FanoutQuery)$$
 benchsoe:
-	$(GO) test -run xxx -bench 'BenchmarkSOE(Insert(Batch|Row)|FanoutQuery)$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkSOE'
+	$(GO) test -run xxx -bench '$(BENCHSOE)' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkSOE'
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), so the
 # root `go build ./... && go test ./...` never compiles it: this target
@@ -177,15 +183,15 @@ benchmod:
 # benchmarks need more iterations than the big-table scans to settle, the
 # wide wire result and the merge fewer than what they are gated with.
 benchbaseline:
-	$(GO) test -run xxx -bench 'BenchmarkScan(Vectorized|RowAtATime)$$|BenchmarkParallelAgg|BenchmarkOrderedScan|BenchmarkJoinDict|BenchmarkJoinTwoKeys|BenchmarkGroupByRLE|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
-	$(GO) test -run xxx -bench 'BenchmarkCommit(GroupDisjoint|Serialized)$$' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench '$(BENCHSMOKE)|$(BENCHCOMPRESSED)|$(BENCHAGG)' -benchtime=10x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench '$(BENCHCOMMIT)' -benchtime=1000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkWireInsertPrepared$$' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkInsertValues$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkMergeAppend$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench 'BenchmarkUpdateUnderMerge$$' -benchtime=4000x -benchmem . | $(GO) run ./cmd/benchguard -write
-	$(GO) test -run xxx -bench 'Benchmark(Wire)?Point(Select|Delete|Update)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
-	$(GO) test -run xxx -bench 'BenchmarkWireWideResult$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
-	$(GO) test -run xxx -bench 'BenchmarkSOE(Insert(Batch|Row)|FanoutQuery)$$' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench '$(BENCHPOINT)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench '$(BENCHWIDE)$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench '$(BENCHSOE)' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -28,6 +28,7 @@ const (
 	CodeNoActiveTxn                 = "25P01" // COMMIT/ROLLBACK outside one
 	CodeFailedTxn                   = "25P02" // statement in an aborted transaction
 	CodeSerializationFail           = "40001" // write-write conflict
+	CodeStatementTooComplex         = "54001" // nested past the parser's bound
 	CodeTooManyConnections          = "53300"
 	CodeAdmissionRejected           = "53400" // configuration_limit_exceeded: queue full
 	CodeQueryCanceled               = "57014"
@@ -61,6 +62,10 @@ func sqlstateFor(err error) string {
 	var we *WireError
 	if errors.As(err, &we) {
 		return we.Code
+	}
+	var coded interface{ SQLState() string } // an engine error PostgreSQL answers with a code of its own
+	if errors.As(err, &coded) {
+		return coded.SQLState()
 	}
 	if errors.Is(err, txn.ErrConflict) {
 		return CodeSerializationFail

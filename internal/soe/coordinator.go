@@ -443,7 +443,7 @@ func (c *Coordinator) buildPlan(shape string, sel *sqlexec.SelectStmt) (any, err
 		qp.dist.LocalSQL = sqlexec.Deparse(qp.node)
 	}
 	if t, ok := c.ccat.Table(dist.LeftTable); ok {
-		qp.preds, _ = sqlexec.Classify(sel.Where, sel.From.Alias, t.Schema)
+		qp.preds = sqlexec.Classify(sel.Where, sel.From.Alias, t.Schema)
 	}
 	return qp, nil
 }

@@ -114,7 +114,7 @@ func TestFanoutTaskAllocs(t *testing.T) {
 	if raceDetector() {
 		t.Skip("the race detector's sync.Pools drop what they are given at random")
 	}
-	const tasks, budget = 4, 148 // 145 measured; 228 before a parse carried its plan, 304 before a node kept its parses, 435 before the envelope was trimmed
+	const tasks, budget = 4, 131 // 128 measured; 145 before the plan carried its compiled expressions, 228 before a parse carried its plan, 304 before a node kept its parses, 435 before the envelope was trimmed
 	if got := testing.AllocsPerRun(50, query); got > budget {
 		t.Fatalf("%s allocates %.0f times (%.1f per node task), budget %d", sql, got, got/tasks, budget)
 	}
@@ -137,7 +137,7 @@ func TestFanoutTaskAllocs(t *testing.T) {
 	for range 3 { // the shape's second sighting admits it on the coordinator; on the nodes its text's
 		fresh()
 	}
-	const freshBudget = 159 // 156 measured; 296 before a literal was a parameter slot
+	const freshBudget = 113 // 110 measured; 156 before the plan carried its compiled expressions, 296 before a literal was a parameter slot
 	if got := testing.AllocsPerRun(50, fresh); got > freshBudget {
 		t.Fatalf("a new spelling of a cached shape allocates %.0f times (%.1f per node task), budget %d", got, got/tasks, freshBudget)
 	} else {

@@ -140,86 +140,175 @@ func deparseTableRef(r TableRef) string {
 }
 
 // ExprText renders an expression as SQL text that parses back to the same
-// expression: every compound expression is parenthesized, a parameter is
-// its `$N`, a float keeps a point or an exponent and an identifier that is
-// no bare one is double-quoted. Two expressions are the same expression
-// when their texts are equal — the planner matches GROUP BY keys and
-// shares aggregates by it, the distributed planner compares select items
-// with it, and it names computed columns, labels EXPLAIN and ships SQL to
-// the nodes.
+// expression: every compound expression is parenthesized — a chain of
+// binary operators of one precedence, which the parser builds left to
+// right, in one pair (a + b - c) — a parameter is its `$N`, a float keeps a
+// point or an exponent and an identifier that is no bare one is
+// double-quoted. Two expressions are the same expression when their texts
+// are equal — the planner matches GROUP BY keys and shares aggregates by
+// it, the distributed planner compares select items with it, and it names
+// computed columns, labels EXPLAIN and ships SQL to the nodes.
 func ExprText(e Expr) string {
+	if s, ok := leafText(e); ok {
+		return s
+	}
+	var sb strings.Builder
+	sb.Grow(64)
+	writeExpr(&sb, e)
+	return sb.String()
+}
+
+// leafText is ExprText(e) when e is a leaf: no expression, a literal, a
+// column or a parameter.
+func leafText(e Expr) (string, bool) {
 	switch x := e.(type) {
 	case nil:
-		return ""
+		return "", true
 	case *Literal:
 		switch x.Val.K {
 		case value.KindNull:
-			return "NULL"
+			return "NULL", true
 		case value.KindString:
-			return stringText(x.Val.S)
+			return stringText(x.Val.S), true
 		case value.KindBool:
 			if x.Val.I != 0 {
-				return "TRUE"
+				return "TRUE", true
 			}
-			return "FALSE"
+			return "FALSE", true
 		case value.KindFloat:
 			s := strconv.FormatFloat(x.Val.F, 'g', -1, 64)
 			if !strings.ContainsAny(s, ".eIN") { // Inf and NaN have no literal
 				s += ".0"
 			}
-			return s
+			return s, true
 		}
-		return x.Val.AsString()
+		return x.Val.AsString(), true
 	case *ColRef:
 		if x.Qual != "" {
-			return identText(x.Qual) + "." + identText(x.Name)
+			return identText(x.Qual) + "." + identText(x.Name), true
 		}
-		return identText(x.Name)
+		return identText(x.Name), true
 	case *Param:
-		return "$" + strconv.Itoa(x.Index+1)
+		return "$" + strconv.Itoa(x.Index+1), true
+	}
+	return "", false
+}
+
+// writeExpr writes ExprText(e) to sb.
+func writeExpr(sb *strings.Builder, e Expr) {
+	if s, ok := leafText(e); ok {
+		sb.WriteString(s)
+		return
+	}
+	switch x := e.(type) {
 	case *BinaryExpr:
-		return "(" + ExprText(x.L) + " " + x.Op + " " + ExprText(x.R) + ")"
+		sb.WriteByte('(')
+		writeChain(sb, x)
+		sb.WriteByte(')')
 	case *UnaryExpr:
 		if x.Op == "NOT" {
-			return "(NOT " + ExprText(x.E) + ")"
+			sb.WriteString("(NOT ")
+			writeExpr(sb, x.E)
+			sb.WriteByte(')')
+			return
 		}
-		return "-(" + ExprText(x.E) + ")"
+		sb.WriteString("-(")
+		writeExpr(sb, x.E)
+		sb.WriteByte(')')
 	case *FuncExpr:
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = ExprText(a)
-		}
-		joined := strings.Join(args, ", ")
+		sb.WriteString(funcText(x.Name))
+		sb.WriteByte('(')
 		switch {
 		case x.Star:
-			joined = "*"
+			sb.WriteByte('*')
 		case x.Distinct:
-			joined = "DISTINCT " + joined
+			sb.WriteString("DISTINCT ")
 		}
-		return funcText(x.Name) + "(" + joined + ")"
+		if !x.Star {
+			writeList(sb, x.Args)
+		}
+		sb.WriteByte(')')
 	case *CaseExpr:
-		var sb strings.Builder
 		sb.WriteString("CASE")
 		for _, w := range x.Whens {
-			sb.WriteString(" WHEN " + ExprText(w.Cond) + " THEN " + ExprText(w.Then))
+			sb.WriteString(" WHEN ")
+			writeExpr(sb, w.Cond)
+			sb.WriteString(" THEN ")
+			writeExpr(sb, w.Then)
 		}
 		if x.Else != nil {
-			sb.WriteString(" ELSE " + ExprText(x.Else))
+			sb.WriteString(" ELSE ")
+			writeExpr(sb, x.Else)
 		}
 		sb.WriteString(" END")
-		return sb.String()
 	case *InExpr:
-		items := make([]string, len(x.List))
-		for i, v := range x.List {
-			items[i] = ExprText(v)
-		}
-		return "(" + ExprText(x.E) + notWord(x.Not) + " IN (" + strings.Join(items, ", ") + "))"
+		sb.WriteByte('(')
+		writeExpr(sb, x.E)
+		sb.WriteString(notWord(x.Not))
+		sb.WriteString(" IN (")
+		writeList(sb, x.List)
+		sb.WriteString("))")
 	case *BetweenExpr:
-		return "(" + ExprText(x.E) + notWord(x.Not) + " BETWEEN " + ExprText(x.Lo) + " AND " + ExprText(x.Hi) + ")"
+		sb.WriteByte('(')
+		writeExpr(sb, x.E)
+		sb.WriteString(notWord(x.Not))
+		sb.WriteString(" BETWEEN ")
+		writeExpr(sb, x.Lo)
+		sb.WriteString(" AND ")
+		writeExpr(sb, x.Hi)
+		sb.WriteByte(')')
 	case *IsNullExpr:
-		return "(" + ExprText(x.E) + " IS" + notWord(x.Not) + " NULL)"
+		sb.WriteByte('(')
+		writeExpr(sb, x.E)
+		sb.WriteString(" IS")
+		sb.WriteString(notWord(x.Not))
+		sb.WriteString(" NULL)")
+	default:
+		sb.WriteString(fmt.Sprintf("/*%T*/", e))
 	}
-	return fmt.Sprintf("/*%T*/", e)
+}
+
+// writeList writes es to sb, separated by commas.
+func writeList(sb *strings.Builder, es []Expr) {
+	for i, e := range es {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		writeExpr(sb, e)
+	}
+}
+
+// writeChain writes x without its parentheses, and a left operand that
+// chains with it — of the same precedence (chainLevel), which the parser
+// reads left to right — without its own.
+func writeChain(sb *strings.Builder, x *BinaryExpr) {
+	if l, ok := x.L.(*BinaryExpr); ok && chainLevel(l.Op) > 0 && chainLevel(l.Op) == chainLevel(x.Op) {
+		writeChain(sb, l)
+	} else {
+		writeExpr(sb, x.L)
+	}
+	sb.WriteByte(' ')
+	sb.WriteString(x.Op)
+	sb.WriteByte(' ')
+	writeExpr(sb, x.R)
+}
+
+// chainLevel is the precedence of the binary operator op, loosest first,
+// among those the parser chains in one loop; 0 for LIKE, which it does not.
+func chainLevel(op string) int {
+	switch op {
+	case "OR":
+		return 1
+	case "AND":
+		return 2
+	case "=", "<>", "<", "<=", ">", ">=":
+		return 3
+	case "+", "-", "||":
+		return 4
+	case "*", "/", "%":
+		return 5
+	}
+	return 0
 }
 
 // notWord is the NOT of a negated IN, BETWEEN or IS NULL.

@@ -415,7 +415,7 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, st *Stmt, params []
 	profiled = profiled || s.e.SlowThreshold > 0
 	s.out = feed{sink: sink}
 	defer func() { s.out = feed{} }()
-	args := runArgs{ts: ts, params: params, reg: s.e.Reg, mode: s.e.Mode, workers: s.e.Workers, hooks: s.hooks()}
+	args := runArgs{ts: ts, params: params, mode: s.e.Mode, workers: s.e.Workers, hooks: s.hooks()}
 	if s.partial {
 		args.state = &s.state
 	}
@@ -651,18 +651,19 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 	scan := newScanPlan(entry, table)
 	scan.Filter = where
 	scan.classify()
+	// The scan runs vectorized only: its filter needs no interpreter's
+	// compile.
+	c := compiler{reg: s.e.Reg}
+	if c.conjuncts(scan); c.err != nil {
+		return nil, nil, c.err
+	}
 	ctx := s.e.scratch.borrow()
 	defer s.e.scratch.giveBack(ctx)
-	ctx.ts, ctx.params, ctx.reg, ctx.stats, ctx.workers, ctx.hooks = tx.SnapshotTS(), params, s.e.Reg, &ctx.local, s.e.Workers, s.hooks()
-	r, err := prepScan(scan, ctx)
-	if err == nil {
-		r.exit, r.box = exitVictims, box
-		err = r.open()
-	}
-	if err == nil {
-		err = r.drainOrdered()
-	}
-	if err != nil {
+	ctx.ts, ctx.params, ctx.stats, ctx.workers, ctx.hooks = tx.SnapshotTS(), params, &ctx.local, s.e.Workers, s.hooks()
+	r := prepScan(scan, ctx)
+	r.exit, r.box = exitVictims, box
+	r.open()
+	if err := r.drainOrdered(); err != nil {
 		return nil, nil, err
 	}
 	return scan, r.victims, nil

@@ -78,7 +78,6 @@ type Result struct {
 type execCtx struct {
 	ts      uint64
 	params  []value.Value
-	reg     *Registry
 	hooks   pruneHooks // what its scans prune through, besides their own (binding.bind)
 	state   *[]byte    // where a node's fold state goes (foldStatePlan)
 	replies []Reply    // what a coordinator's leaf reads (replyPlan)
@@ -93,9 +92,6 @@ type execCtx struct {
 	// running statement's scans (scan).
 	scans  []*scanRun
 	nscans int
-	// rootCols is where the plan's root reads a projection fused into its
-	// scan (rootScan).
-	rootCols []int
 	// local accounts a statement that is accounted nowhere else: a DML's
 	// victim search.
 	local ExecStats
@@ -123,24 +119,9 @@ func (c *execCtx) reset() {
 		r.reset()
 	}
 	c.nscans = 0
-	c.ts, c.params, c.reg, c.stats, c.out, c.workers, c.prof = 0, nil, nil, nil, nil, 0, nil
+	c.ts, c.params, c.stats, c.out, c.workers, c.prof = 0, nil, nil, nil, 0, nil
 	c.hooks, c.state, c.replies = pruneHooks{}, nil, nil
 	c.local = ExecStats{}
-}
-
-// rootScan returns the scan at the root of p — p itself, or the child of a
-// projection fused into it, whose columns it reads (nil: every column) —
-// or nil when p's root is no scan.
-func (c *execCtx) rootScan(p Plan) (*ScanPlan, []int) {
-	switch x := p.(type) {
-	case *ScanPlan:
-		return x, nil
-	case *ProjectPlan:
-		var s *ScanPlan
-		s, c.rootCols, _ = projectScanShape(x, c.rootCols[:0])
-		return s, c.rootCols
-	}
-	return nil, nil
 }
 
 // Mode selects the executor implementation (experiment E4). The zero value
@@ -163,10 +144,11 @@ func (m Mode) String() string {
 // RunWorkers executes a plan to a materialized result outside any engine's
 // statement path, with scan scratch of its own. workers caps how many
 // runners a scan's morsels run on (<=0 means one per GOMAXPROCS); the
-// interpreter ignores it.
+// interpreter ignores it. reg is the registry the plan was built against:
+// the plan carries what its planner compiled, so no run reads it.
 func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, error) {
 	res := &Result{}
-	args := runArgs{ts: ts, params: params, reg: reg, mode: mode, workers: workers}
+	args := runArgs{ts: ts, params: params, mode: mode, workers: workers}
 	if _, err := runTo(&feed{sink: res}, &res.Stats, p, args, new(scratchPool), false); err != nil {
 		return nil, err
 	}
@@ -174,14 +156,12 @@ func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mod
 }
 
 // runArgs are what one run of a plan is given: the snapshot it reads, its
-// parameters, the registry its expressions compile against, the executor
-// and its runners, the hooks its scans prune through and — for a
-// distributed plan's halves — where a node's fold state goes and the
-// replies a coordinator finishes.
+// parameters, the executor and its runners, the hooks its scans prune
+// through and — for a distributed plan's halves — where a node's fold state
+// goes and the replies a coordinator finishes.
 type runArgs struct {
 	ts      uint64
 	params  []value.Value
-	reg     *Registry
 	mode    Mode
 	workers int
 	hooks   pruneHooks
@@ -204,7 +184,7 @@ func runTo(out *feed, stats *ExecStats, p Plan, args runArgs, scratch *scratchPo
 	}
 	ctx := scratch.borrow()
 	defer scratch.giveBack(ctx)
-	ctx.ts, ctx.params, ctx.reg, ctx.stats, ctx.out, ctx.workers = args.ts, args.params, args.reg, stats, out, args.workers
+	ctx.ts, ctx.params, ctx.stats, ctx.out, ctx.workers = args.ts, args.params, stats, out, args.workers
 	ctx.hooks, ctx.state, ctx.replies = args.hooks, args.state, args.replies
 	var prof *Profile
 	var t0 time.Time
@@ -282,7 +262,7 @@ func buildIter(p Plan, ctx *execCtx) (iterator, error) {
 func buildIterRaw(p Plan, ctx *execCtx) (iterator, error) {
 	switch x := p.(type) {
 	case *ScanPlan:
-		return newScanIter(x, ctx)
+		return newScanIter(x, ctx), nil
 	case *TableFuncPlan, *ValuesPlan, *VirtualScanPlan:
 		rows, err := leafRows(p, ctx)
 		if err != nil {
@@ -294,26 +274,13 @@ func buildIterRaw(p Plan, ctx *execCtx) (iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := compileExpr(x.Pred, resolverFor(x.Child.columns()), ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		return &filterIter{child: child, pred: pred, ctx: ctx}, nil
+		return &filterIter{child: child, pred: x.pred, ctx: ctx}, nil
 	case *ProjectPlan:
 		child, err := buildIter(x.Child, ctx)
 		if err != nil {
 			return nil, err
 		}
-		res := resolverFor(x.Child.columns())
-		exprs := make([]evalFn, len(x.Exprs))
-		for i, e := range x.Exprs {
-			f, err := compileExpr(e, res, ctx.reg)
-			if err != nil {
-				return nil, err
-			}
-			exprs[i] = f
-		}
-		return &projectIter{child: child, exprs: exprs, ctx: ctx}, nil
+		return &projectIter{child: child, plan: x, ctx: ctx}, nil
 	case *JoinPlan:
 		return newJoinIter(x, ctx)
 	case *AggPlan:
@@ -345,7 +312,6 @@ func buildIterRaw(p Plan, ctx *execCtx) (iterator, error) {
 type scanIter struct {
 	plan    *ScanPlan
 	ctx     *execCtx
-	filter  evalFn
 	parts   []*catalog.Partition // what this run's parameters leave of the plan's list
 	pruned  int
 	pi      int
@@ -371,18 +337,11 @@ type snapState struct {
 	n int
 }
 
-func newScanIter(p *ScanPlan, ctx *execCtx) (*scanIter, error) {
+func newScanIter(p *ScanPlan, ctx *execCtx) *scanIter {
 	it := &scanIter{plan: p, ctx: ctx, op: ctx.prof.node(p)}
 	var b binding
 	it.parts, it.pruned = b.bind(p, ctx.hooks, ctx.params)
-	if p.Filter != nil {
-		f, err := compileExpr(p.Filter, resolverFor(p.columns()), ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		it.filter = f
-	}
-	return it, nil
+	return it
 }
 
 func (it *scanIter) Open() error {
@@ -438,9 +397,9 @@ func (it *scanIter) Next() (value.Row, bool, error) {
 		}
 		it.scanned++
 		row := it.snap.snap.Row(pos)
-		if it.filter != nil {
-			it.env.Row = row
-			if v := it.filter(&it.env); v.IsNull() || !v.AsBool() {
+		it.env.Row = row
+		if f := it.plan.filter; f != nil {
+			if v := f(&it.env); v.IsNull() || !v.AsBool() {
 				continue
 			}
 		}
@@ -459,22 +418,11 @@ func (it *scanIter) Close() { it.flushStats() }
 func leafRows(p Plan, ctx *execCtx) ([]value.Row, error) {
 	switch x := p.(type) {
 	case *TableFuncPlan:
-		fn, ok := ctx.reg.Table(x.Name)
-		if !ok {
-			return nil, fmt.Errorf("sql: unknown table function %s", x.Name)
-		}
-		args, err := evalConstRow(x.Args, constArgsOnly, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return fn.Fn(args)
+		return x.fn.Fn(evalConstRow(x.args, ctx.params))
 	case *ValuesPlan:
-		rows := make([]value.Row, len(x.Rows))
-		for i, exprs := range x.Rows {
-			var err error
-			if rows[i], err = evalConstRow(exprs, noColumns, ctx); err != nil {
-				return nil, err
-			}
+		rows := make([]value.Row, len(x.rows))
+		for i, fns := range x.rows {
+			rows[i] = evalConstRow(fns, ctx.params)
 		}
 		return rows, nil
 	case *VirtualScanPlan:
@@ -494,19 +442,15 @@ func constArgsOnly(q, n string) (int, error) {
 	return 0, fmt.Errorf("sql: table function arguments must be constants")
 }
 
-// evalConstRow evaluates one row of expressions that may read parameters
-// but no column: resolve is what a column reference fails with.
-func evalConstRow(exprs []Expr, resolve colResolver, ctx *execCtx) (value.Row, error) {
-	row := make(value.Row, len(exprs))
-	env := Env{Params: ctx.params}
-	for i, e := range exprs {
-		f, err := compileExpr(e, resolve, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
+// evalConstRow evaluates one row of compiled expressions that may read
+// parameters but no column.
+func evalConstRow(fns []evalFn, params []value.Value) value.Row {
+	row := make(value.Row, len(fns))
+	env := Env{Params: params}
+	for i, f := range fns {
 		row[i] = f(&env)
 	}
-	return row, nil
+	return row
 }
 
 // rowsIter streams rows materialized up front (see leafRows).
@@ -555,7 +499,7 @@ func (it *filterIter) Close() { it.child.Close() }
 
 type projectIter struct {
 	child iterator
-	exprs []evalFn
+	plan  *ProjectPlan
 	ctx   *execCtx
 	env   Env
 }
@@ -570,9 +514,12 @@ func (it *projectIter) Next() (value.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
+	out := make(value.Row, len(it.plan.Exprs))
+	for i, c := range it.plan.scanCols { // a selection of the scan's columns
+		out[i] = row[c]
+	}
 	it.env.Row = row
-	out := make(value.Row, len(it.exprs))
-	for i, f := range it.exprs {
+	for i, f := range it.plan.exprs {
 		out[i] = f(&it.env)
 	}
 	return out, true, nil
@@ -583,15 +530,12 @@ func (it *projectIter) Close() { it.child.Close() }
 // joinIter is a hash join (equi keys) or nested-loop join (none). Its
 // profile counts the rows it builds from and probes with.
 type joinIter struct {
-	plan     *JoinPlan
-	ctx      *execCtx
-	op       *OpProfile
-	left     iterator
-	right    iterator
-	lKeys    []evalFn
-	rKeys    []evalFn
-	residual evalFn
-	rWidth   int
+	plan   *JoinPlan
+	ctx    *execCtx
+	op     *OpProfile
+	left   iterator
+	right  iterator
+	rWidth int
 
 	build   map[string][]value.Row
 	rRows   []value.Row // nested-loop fallback
@@ -611,29 +555,7 @@ func newJoinIter(p *JoinPlan, ctx *execCtx) (iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &joinIter{plan: p, ctx: ctx, op: ctx.prof.node(p), left: l, right: r, rWidth: len(p.R.columns())}
-	lres := resolverFor(p.L.columns())
-	rres := resolverFor(p.R.columns())
-	for i := range p.EquiL {
-		lf, err := compileExpr(p.EquiL[i], lres, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		rf, err := compileExpr(p.EquiR[i], rres, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		it.lKeys = append(it.lKeys, lf)
-		it.rKeys = append(it.rKeys, rf)
-	}
-	if p.Residual != nil {
-		f, err := compileExpr(p.Residual, resolverFor(p.columns()), ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		it.residual = f
-	}
-	return it, nil
+	return &joinIter{plan: p, ctx: ctx, op: ctx.prof.node(p), left: l, right: r, rWidth: len(p.R.columns())}, nil
 }
 
 func (it *joinIter) Open() error {
@@ -645,11 +567,11 @@ func (it *joinIter) Open() error {
 		return err
 	}
 	// Build phase.
-	if len(it.rKeys) > 0 {
+	if len(it.plan.rKeys) > 0 {
 		it.build = make(map[string][]value.Row)
 	}
 	env := Env{Params: it.ctx.params}
-	key := make(value.Row, len(it.rKeys))
+	key := make(value.Row, len(it.plan.rKeys))
 	for {
 		row, ok, err := it.right.Next()
 		if err != nil {
@@ -663,7 +585,7 @@ func (it *joinIter) Open() error {
 		}
 		if it.build != nil {
 			env.Row = row
-			for i, f := range it.rKeys {
+			for i, f := range it.plan.rKeys {
 				key[i] = f(&env)
 			}
 			k := key.Key()
@@ -691,9 +613,9 @@ func (it *joinIter) Next() (value.Row, bool, error) {
 			it.mi = 0
 			if it.build != nil {
 				it.env.Row = row
-				key := make(value.Row, len(it.lKeys))
+				key := make(value.Row, len(it.plan.lKeys))
 				hasNull := false
-				for i, f := range it.lKeys {
+				for i, f := range it.plan.lKeys {
 					key[i] = f(&it.env)
 					if key[i].IsNull() {
 						hasNull = true
@@ -714,9 +636,9 @@ func (it *joinIter) Next() (value.Row, bool, error) {
 			combined := make(value.Row, 0, len(it.cur)+len(r))
 			combined = append(combined, it.cur...)
 			combined = append(combined, r...)
-			if it.residual != nil {
+			if it.plan.residual != nil {
 				it.env.Row = combined
-				if v := it.residual(&it.env); v.IsNull() || !v.AsBool() {
+				if v := it.plan.residual(&it.env); v.IsNull() || !v.AsBool() {
 					continue
 				}
 			}
@@ -740,13 +662,11 @@ func (it *joinIter) Close() {
 
 // aggIter hash-aggregates its input.
 type aggIter struct {
-	plan   *AggPlan
-	ctx    *execCtx
-	child  iterator
-	groups []evalFn
-	aggs   []aggState
-	out    []value.Row
-	i      int
+	plan  *AggPlan
+	ctx   *execCtx
+	child iterator
+	out   []value.Row
+	i     int
 }
 
 func newAggIter(p *AggPlan, ctx *execCtx) (iterator, error) {
@@ -754,32 +674,21 @@ func newAggIter(p *AggPlan, ctx *execCtx) (iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &aggIter{plan: p, ctx: ctx, child: child}
-	res := resolverFor(p.Child.columns())
-	for _, g := range p.GroupBy {
-		f, err := compileExpr(g, res, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		it.groups = append(it.groups, f)
-	}
-	for _, a := range p.Aggs {
-		st := aggState{spec: a}
-		if a.Arg != nil {
-			f, err := compileExpr(a.Arg, res, ctx.reg)
-			if err != nil {
-				return nil, err
-			}
-			st.arg = f
-		}
-		it.aggs = append(it.aggs, st)
-	}
-	return it, nil
+	return &aggIter{plan: p, ctx: ctx, child: child}, nil
 }
 
-type aggState struct {
-	spec aggSpec
-	arg  evalFn
+// inputValue is the value over env.Row of GROUP BY key or aggregate
+// argument i, whose compiled expressions are fns (nil when the aggregation
+// computes nothing): fns[i]'s when it is computed, the cell of col when it
+// is a bare column, and NULL for COUNT(*).
+func inputValue(fns []evalFn, i, col int, env *Env) value.Value {
+	switch {
+	case fns != nil && fns[i] != nil:
+		return fns[i](env)
+	case col >= 0:
+		return env.Row[col]
+	}
+	return value.Null
 }
 
 // aggAcc is the running state of one aggregate within one group. Two
@@ -888,6 +797,7 @@ func (it *aggIter) Open() error {
 		key  value.Row
 		accs []aggAcc
 	}
+	in := &it.plan.in
 	groups := map[string]*group{}
 	var order []string
 	env := Env{Params: it.ctx.params}
@@ -900,37 +810,33 @@ func (it *aggIter) Open() error {
 			break
 		}
 		env.Row = row
-		key := make(value.Row, len(it.groups))
-		for i, f := range it.groups {
-			key[i] = f(&env)
+		key := make(value.Row, len(in.keyCols))
+		for i, c := range in.keyCols {
+			key[i] = inputValue(in.keys, i, c, &env)
 		}
 		k := key.Key()
 		g := groups[k]
 		if g == nil {
-			g = &group{key: key, accs: make([]aggAcc, len(it.aggs))}
+			g = &group{key: key, accs: make([]aggAcc, len(in.specs))}
 			groups[k] = g
 			order = append(order, k)
 		}
-		for i := range it.aggs {
-			var v value.Value
-			if it.aggs[i].arg != nil {
-				v = it.aggs[i].arg(&env)
-			}
-			g.accs[i].add(v, 1, it.aggs[i].spec)
+		for i, spec := range in.specs {
+			g.accs[i].add(inputValue(in.args, i, in.argCols[i], &env), 1, spec)
 		}
 	}
 	// Aggregates without GROUP BY yield exactly one row.
-	if len(order) == 0 && len(it.groups) == 0 {
-		g := &group{accs: make([]aggAcc, len(it.aggs))}
+	if len(order) == 0 && len(in.keyCols) == 0 {
+		g := &group{accs: make([]aggAcc, len(in.specs))}
 		groups[""] = g
 		order = append(order, "")
 	}
 	for _, k := range order {
 		g := groups[k]
-		row := make(value.Row, 0, len(g.key)+len(it.aggs))
+		row := make(value.Row, 0, len(g.key)+len(in.specs))
 		row = append(row, g.key...)
-		for i := range it.aggs {
-			row = append(row, g.accs[i].result(it.aggs[i].spec))
+		for i, spec := range in.specs {
+			row = append(row, g.accs[i].result(spec))
 		}
 		it.out = append(it.out, row)
 	}
@@ -980,7 +886,6 @@ type sortIter struct {
 	plan  *SortPlan
 	ctx   *execCtx
 	child iterator
-	keys  []evalFn
 	rows  []value.Row
 	i     int
 }
@@ -990,16 +895,7 @@ func newSortIter(p *SortPlan, ctx *execCtx) (iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &sortIter{plan: p, ctx: ctx, child: child}
-	res := resolverFor(p.Child.columns())
-	for _, k := range p.Keys {
-		f, err := compileExpr(k.Expr, res, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		it.keys = append(it.keys, f)
-	}
-	return it, nil
+	return &sortIter{plan: p, ctx: ctx, child: child}, nil
 }
 
 func (it *sortIter) Open() error {
@@ -1021,14 +917,14 @@ func (it *sortIter) Open() error {
 			break
 		}
 		env.Row = row
-		ks := make(value.Row, len(it.keys))
-		for i, f := range it.keys {
+		ks := make(value.Row, len(it.plan.keys))
+		for i, f := range it.plan.keys {
 			ks[i] = f(&env)
 		}
 		all = append(all, keyed{row, ks})
 	}
 	sort.SliceStable(all, func(a, b int) bool {
-		for i := range it.keys {
+		for i := range it.plan.keys {
 			if c := it.plan.Keys[i].compare(all[a].keys[i], all[b].keys[i]); c != 0 {
 				return c < 0
 			}

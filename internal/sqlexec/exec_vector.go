@@ -35,21 +35,29 @@ type vpipe func(emit func(rows []value.Row) error) error
 var errStop = errors.New("sqlexec: pipeline stop")
 
 // runVectorized runs the statement on the vectorized executor, the root of
-// its pipeline pushing into ctx.out. Every plan shape compiles: an error
-// from compiling is the statement's, like one from running. A scan at the
-// root, or a projection fused into one, shows the sink views (scanRun.show)
-// and nothing is boxed unless the sink keeps it; every other root compiles
-// to rows, as anywhere else, and what it emits is pushed as it is.
+// its pipeline pushing into ctx.out. Every plan shape has a pipeline: an
+// error from building it (a leaf whose rows fail) is the statement's, like
+// one from running. A scan at the root, or a projection fused into one
+// (whose columns it reads; nil: every column), shows the sink views
+// (scanRun.show) and nothing is boxed unless the sink keeps it; every other
+// root builds a pipeline of rows, as anywhere else, and what it emits is
+// pushed as it is.
 func runVectorized(p Plan, ctx *execCtx) error {
 	var err error
-	if s, cols := ctx.rootScan(p); s != nil {
-		var r *scanRun
-		if r, err = scanOut(s, cols, exitViews, ctx); err == nil {
-			if ctx.prof == nil {
-				err = r.run()
-			} else {
-				err = wrapPipe(ctx.prof, p, r.viewsTo, func(b RowBatch) int { return b.Len() })(ctx.out.show)
-			}
+	var s *ScanPlan
+	var cols []int
+	switch x := p.(type) {
+	case *ScanPlan:
+		s = x
+	case *ProjectPlan:
+		s, cols = x.scan, x.scanCols
+	}
+	if s != nil {
+		r := scanOut(s, cols, exitViews, ctx)
+		if ctx.prof == nil {
+			err = r.run()
+		} else {
+			err = wrapPipe(ctx.prof, p, r.viewsTo, func(b RowBatch) int { return b.Len() })(ctx.out.show)
 		}
 	} else {
 		var rows vpipe
@@ -77,7 +85,7 @@ func vecCompile(p Plan, ctx *execCtx) (vpipe, error) {
 func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 	switch x := p.(type) {
 	case *ScanPlan:
-		return vecScan(x, nil, ctx)
+		return vecScan(x, nil, ctx), nil
 	case *TableFuncPlan, *ValuesPlan, *VirtualScanPlan:
 		return vecRows(p, ctx)
 	case *FilterPlan:
@@ -210,10 +218,10 @@ const (
 	exitFold                    // a fused aggregate: each morsel folded into its runner's fold
 )
 
-// scanRun is one vectorized scan of a statement: its plan and compiled
-// filter, what its morsels are for, and what an execution holds — the
-// morsel list and the snapshots, readers and kernels the morsels read
-// through, per-runner scratch and the ordered hand-off. It belongs to the
+// scanRun is one vectorized scan of a statement: its plan, what its morsels
+// are for, and what an execution holds — the morsel list and the
+// snapshots, readers, kernels and residuals the morsels read through,
+// per-runner scratch and the ordered hand-off. It belongs to the
 // statement's execCtx (execCtx.scan), which the engine's scratchPool lends,
 // and keeps its slabs from statement to statement: in steady state a scan
 // allocates none of its run state. Its runners claim the morsels in
@@ -221,13 +229,7 @@ const (
 type scanRun struct {
 	ctx   *execCtx
 	plan  *ScanPlan
-	cols  []Column
 	ncols int
-	// filter is the whole filter compiled, what a delta morsel evaluates:
-	// compiled by prepScan when the filter has residue — which every main
-	// morsel evaluates too, and which may fail to compile — and otherwise
-	// by the first delta morsel open makes. nil without a filter.
-	filter evalFn
 
 	// zoneAgg, when set by a fused aggregate, is offered each demoted
 	// partition whose zone map exactly describes the snapshot (same
@@ -256,60 +258,44 @@ type scanRun struct {
 	folds       []*aggFold
 
 	// One execution (open).
-	tasks     []scanTask             // read through pointers once open has returned
-	snaps     []columnstore.Snapshot // one per partition, filled in place
-	readers   []colReader            // one slab: each partition's is a window of it
-	kernels   []kernel               // one slab: each partition's is a window of it
-	scratch   []*scanScratch         // runner w's is scratch[w]
-	residCols []int                  // scan columns a residual may read: all its scratch row carries
-	binding   binding                // the partitions open reads
-	stop      atomic.Bool
-	err       error      // drainOrdered: the consumer's first error
-	op        *OpProfile // scan operator's analyze counters; may be nil
-	par       parallel   // what the runners share: claiming, a failure, the hand-off
+	tasks   []scanTask             // read through pointers once open has returned
+	snaps   []columnstore.Snapshot // one per partition, filled in place
+	readers []colReader            // one slab: each partition's is a window of it
+	kernels []kernel               // one slab: each partition's is a window of it
+	resids  []int                  // one slab: each partition's main residual is a window of it
+	scratch []*scanScratch         // runner w's is scratch[w]
+	binding binding                // the partitions open reads
+	stop    atomic.Bool
+	err     error      // drainOrdered: the consumer's first error
+	op      *OpProfile // scan operator's analyze counters; may be nil
+	par     parallel   // what the runners share: claiming, a failure, the hand-off
 }
 
 // prepScan readies the scan s to run in the statement of ctx, on a scanRun
 // the ctx lends it.
-func prepScan(s *ScanPlan, ctx *execCtx) (*scanRun, error) {
+func prepScan(s *ScanPlan, ctx *execCtx) *scanRun {
 	r := ctx.scan()
-	r.plan, r.cols, r.ncols = s, s.columns(), len(s.Entry.Schema)
-	if len(s.Residue) > 0 {
-		var err error
-		if r.filter, err = compileExpr(s.Filter, resolverFor(r.cols), ctx.reg); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// filterCols lists the scan columns the filter reads. Whatever part of
-// the filter a morsel's residual is, it reads no other column. Worked out
-// only by a run that has a residual: a kernel-only scan pays nothing.
-func (r *scanRun) filterCols() []int {
-	refs := appendColRefs(nil, r.plan.Filter)
-	cols := make([]int, len(refs))
-	for i, cr := range refs {
-		cols[i] = findCol(r.cols, cr)
-	}
-	return cols
+	r.plan, r.ncols = s, len(s.Entry.Schema)
+	return r
 }
 
 // scanTask is one morsel: rows [lo, hi) of one partition snapshot. Main
-// morsels carry bound kernels plus the partition's compiled residual; delta
-// morsels evaluate the full filter generically (delta storage is
-// unencoded). A residual is compiled once and shared by every morsel it
-// applies to. Only scanRun.process reads kernels and resid: what it hands on
-// is the morsel's final selection.
+// morsels carry bound kernels plus the partition's residual: the conjuncts
+// of the scan's filter that no kernel took there. Delta morsels evaluate
+// the whole filter (delta storage is unencoded). Only scanRun.process
+// reads kernels and resid: what it hands on is the morsel's final
+// selection.
 type scanTask struct {
 	seq     int
 	part    *catalog.Partition
 	snap    *columnstore.Snapshot
 	lo, hi  int
-	kernels []kernel // the partition's: a window of the run's slab
-	resid   evalFn
+	kernels []kernel    // the partition's: a window of the run's slab
 	readers []colReader // the partition's, one per scan column: a window of the run's slab
-	main    bool        // rows [lo, hi) lie in encoded main storage (capabilities apply)
+	// rlo, rhi bound its residual in the run's slab (resids): conjunct ids
+	// (ScanPlan.conjHolds).
+	rlo, rhi int32
+	main     bool // rows [lo, hi) lie in encoded main storage (capabilities apply)
 }
 
 // rankShift places a morsel's sequence number above the ordinal of a row
@@ -518,7 +504,8 @@ func (r *scanRun) release() {
 
 // reset drops everything the run read, computed or was handed — snapshots,
 // readers, kernels and their literals, tasks, folds, the caller's functions
-// — and keeps its slabs for the next statement of the ctx it belongs to.
+// — and keeps its slabs for the next statement of the ctx it belongs to
+// (the residuals' slab holds only conjunct ids).
 func (r *scanRun) reset() {
 	r.release()
 	clear(r.tasks[:cap(r.tasks)])
@@ -536,10 +523,11 @@ func (r *scanRun) reset() {
 	p.begin()
 	p.ports = p.ports[:0]
 	r.tasks, r.readers, r.kernels, r.folds, r.snaps = r.tasks[:0], r.readers[:0], r.kernels[:0], r.folds[:0], r.snaps[:0]
-	r.plan, r.cols, r.ncols, r.filter, r.zoneAgg = nil, nil, 0, nil, nil
+	r.resids = r.resids[:0]
+	r.plan, r.ncols, r.zoneAgg = nil, 0, nil
 	r.exit, r.fused, r.avoidPerRow, r.emitView, r.emit = exitViews, nil, 0, nil, nil
 	r.box, r.victims, r.probe, r.fold = false, nil, nil, nil
-	r.residCols, r.err, r.op = nil, nil, nil
+	r.err, r.op = nil, nil
 	r.stop.Store(false)
 }
 
@@ -547,13 +535,12 @@ func (r *scanRun) reset() {
 // run's parameters leave, binds kernels against each partition's physical
 // encodings, slices the row space into morsels and borrows a scratch per
 // runner. Partition accounting (scanned/pruned) matches the interpreter
-// exactly. Its snapshots, readers, kernels and morsels fill the run's slabs,
-// so in steady state open allocates nothing but what it compiles: where a
-// conjunct binds no kernel, the main residual of each partition it falls
-// back in, and — the first time a delta morsel needs it — the whole filter.
-func (r *scanRun) open() error {
+// exactly. Its snapshots, readers, kernels, residuals and morsels fill the
+// run's slabs, so in steady state open allocates nothing: everything a
+// morsel evaluates the plan compiled.
+func (r *scanRun) open() {
 	ctx, s := r.ctx, r.plan
-	r.tasks, r.readers, r.kernels = r.tasks[:0], r.readers[:0], r.kernels[:0]
+	r.tasks, r.readers, r.kernels, r.resids = r.tasks[:0], r.readers[:0], r.kernels[:0], r.resids[:0]
 	r.victims, r.err, r.op = nil, nil, ctx.prof.node(s)
 	r.stop.Store(false)
 	r.par.begin()
@@ -564,14 +551,17 @@ func (r *scanRun) open() error {
 	if r.op != nil {
 		r.op.partsPruned.Add(int64(pruned))
 	}
-	// Every partition takes a window of the reader and kernel slabs, which
-	// never regrow once one is taken: a window stays put. So does a
-	// snapshot, filled in its slot.
+	// Every partition takes a window of the reader, kernel and residual
+	// slabs, which never regrow once one is taken: a window stays put. So
+	// does a snapshot, filled in its slot.
 	if n := r.ncols * len(parts); cap(r.readers) < n {
 		r.readers = make([]colReader, 0, n)
 	}
 	if n := len(s.Preds) * len(parts); cap(r.kernels) < n {
 		r.kernels = make([]kernel, 0, n)
+	}
+	if n := 2 * (len(s.Preds) + len(s.conjs)) * len(parts); cap(r.resids) < n {
+		r.resids = make([]int, 0, n)
 	}
 	if n := len(parts); cap(r.snaps) < n {
 		r.snaps = append(r.snaps[:cap(r.snaps)], make([]columnstore.Snapshot, n-cap(r.snaps))...)
@@ -610,11 +600,15 @@ func (r *scanRun) open() error {
 		// What the main morsels evaluate row by row: the residue, and every
 		// predicate's conjunct that binds no kernel here (kernels never
 		// apply to the delta, whose morsels evaluate the whole filter).
-		generic := append([]Expr(nil), s.Residue...)
-		at = len(r.kernels)
+		at, rat := len(r.kernels), len(r.resids)
 		if mainRows > 0 {
+			for k := range s.conjs {
+				if s.conjs[k].residue {
+					r.resids = append(r.resids, len(s.Preds)+k)
+				}
+			}
 			hits, falls := 0, 0
-			for _, vp := range s.Preds {
+			for i, vp := range s.Preds {
 				if vp.Param >= 0 {
 					// Fill the slot on this run's copy; an unbound slot
 					// reads NULL, exactly as the generic evaluator sees it.
@@ -627,10 +621,15 @@ func (r *scanRun) open() error {
 					r.kernels = append(r.kernels, k)
 					hits++
 				} else {
-					// Once per conjunct: the two predicates of a BETWEEN
-					// are adjacent and share theirs.
-					if n := len(generic); n == 0 || generic[n-1] != vp.Orig {
-						generic = append(generic, vp.Orig)
+					// A lone comparison falls back on its predicate, a
+					// BETWEEN on its compiled conjunct — once: its two
+					// predicates are adjacent.
+					id := i
+					if vp.conj >= 0 {
+						id = len(s.Preds) + vp.conj
+					}
+					if n := len(r.resids); n == rat || r.resids[n-1] != id {
+						r.resids = append(r.resids, id)
 					}
 					falls++
 				}
@@ -647,30 +646,22 @@ func (r *scanRun) open() error {
 			}
 		}
 		kernels := r.kernels[at:len(r.kernels):len(r.kernels)]
-		var mainResid evalFn
-		if mainRows > 0 && len(generic) > 0 {
-			var err error
-			if mainResid, err = compileExpr(andAll(generic), resolverFor(r.cols), ctx.reg); err != nil {
-				return err
-			}
-		}
-		if rows > mainRows && r.filter == nil && s.Filter != nil {
-			var err error
-			if r.filter, err = compileExpr(s.Filter, resolverFor(r.cols), ctx.reg); err != nil {
-				return err
+		wat := len(r.resids)
+		if rows > mainRows { // what the delta morsels evaluate: the whole filter
+			for id := range len(s.Preds) + len(s.conjs) {
+				if s.whole(id) {
+					r.resids = append(r.resids, id)
+				}
 			}
 		}
 		// Morsels never straddle the main/delta boundary: main morsels run
-		// kernels over the encoded columns, delta morsels the full filter.
+		// kernels over the encoded columns, delta morsels the whole filter.
 		for lo := 0; lo < rows; {
 			t := scanTask{seq: len(r.tasks), part: part, snap: snap, lo: lo, readers: readers}
 			if lo < mainRows {
-				t.hi, t.kernels, t.resid, t.main = min(lo+morselRows, mainRows), kernels, mainResid, true
+				t.hi, t.kernels, t.rlo, t.rhi, t.main = min(lo+morselRows, mainRows), kernels, int32(rat), int32(wat), true
 			} else {
-				t.hi, t.resid = min(lo+morselRows, rows), r.filter
-			}
-			if t.resid != nil && r.residCols == nil {
-				r.residCols = r.filterCols()
+				t.hi, t.rlo, t.rhi = min(lo+morselRows, rows), int32(wat), int32(len(r.resids))
 			}
 			r.tasks = append(r.tasks, t)
 			lo = t.hi
@@ -680,7 +671,6 @@ func (r *scanRun) open() error {
 	if ctx.prof != nil {
 		ctx.prof.Workers = max(ctx.prof.Workers, len(r.scratch))
 	}
-	return nil
 }
 
 // process runs one morsel's selection phase as runner w and hands the
@@ -734,7 +724,7 @@ func (r *scanRun) process(t *scanTask, w int) {
 		}
 		visible = t.snap.VisibleCount(t.lo, t.hi)
 	}
-	if t.resid != nil && sel.len() > 0 {
+	if t.rhi > t.rlo && sel.len() > 0 {
 		sel = r.filterResidual(t, scr, sel)
 	}
 	if sel.len() > 0 {
@@ -857,21 +847,18 @@ func (r *scanRun) addVictims(t *scanTask, sel selection) {
 	}
 }
 
-// filterResidual narrows sel to the positions the morsel's residual
-// predicate accepts. The predicate reads a per-worker scratch row that
-// carries only the columns the filter references; no row is boxed. A
-// sparse selection compacts in place. A dense one stays dense for as long
-// as every row is accepted: positions are written out, into the worker's
-// vector, only from the first rejection on.
+// filterResidual narrows sel to the positions where every conjunct of the
+// morsel's residual — of a delta morsel's, the whole filter — holds. The
+// conjuncts read a per-worker scratch row that carries only the columns
+// they reference; no row is boxed. A sparse selection compacts in place. A
+// dense one stays dense for as long as every row is accepted: positions are
+// written out, into the worker's vector, only from the first rejection on.
 func (r *scanRun) filterResidual(t *scanTask, scr *scanScratch, sel selection) selection {
 	env := scr.rowEnv(len(t.readers), r.ctx.params)
 	out, writing := sel.pos[:0], !sel.dense
 	for i, n := 0, sel.len(); i < n; i++ {
-		pos := sel.at(i)
-		t.load(env.Row, r.residCols, pos)
-		v := t.resid(env)
-		switch {
-		case !v.IsNull() && v.AsBool():
+		switch pos := sel.at(i); {
+		case r.passes(t, env, pos):
 			if writing {
 				out = append(out, pos)
 			}
@@ -887,6 +874,24 @@ func (r *scanRun) filterResidual(t *scanTask, scr *scanScratch, sel selection) s
 	}
 	scr.selA = out[:0]
 	return sparseSel(out)
+}
+
+// passes reports whether the row at pos of t passes its residual: each
+// conjunct, its cells loaded into env.Row, in turn until one is false.
+func (r *scanRun) passes(t *scanTask, env *Env, pos int) bool {
+	s := r.plan
+	for _, id := range r.resids[t.rlo:t.rhi] {
+		if id < len(s.Preds) {
+			c := s.Preds[id].Col
+			env.Row[c] = t.readers[c].value(pos)
+		} else {
+			t.load(env.Row, s.conjs[id-len(s.Preds)].cols, pos)
+		}
+		if !s.conjHolds(id, env) {
+			return false
+		}
+	}
+	return true
 }
 
 // slabRows returns n rows of the given width carved out of one backing
@@ -927,11 +932,8 @@ func (s *rowSlab) keep() { s.spare = s.spare[1:] }
 // scanOut prepares the scan s for an ordered exit — exitViews at the plan's
 // root, exitRows below it — reading cols, a projection fused into it, or
 // every column when cols is nil.
-func scanOut(s *ScanPlan, cols []int, exit scanExit, ctx *execCtx) (*scanRun, error) {
-	r, err := prepScan(s, ctx)
-	if err != nil {
-		return nil, err
-	}
+func scanOut(s *ScanPlan, cols []int, exit scanExit, ctx *execCtx) *scanRun {
+	r := prepScan(s, ctx)
 	distinct := 0
 	for i, c := range cols {
 		if !slices.Contains(cols[:i], c) {
@@ -939,7 +941,7 @@ func scanOut(s *ScanPlan, cols []int, exit scanExit, ctx *execCtx) (*scanRun, er
 		}
 	}
 	r.exit, r.fused, r.avoidPerRow = exit, cols, r.ncols-distinct
-	return r, nil
+	return r
 }
 
 // run executes an ordered scan prepared by scanOut: open, then the hand-off.
@@ -947,9 +949,7 @@ func (r *scanRun) run() error {
 	if op := r.ctx.prof.node(r.plan); op != nil && r.fused != nil {
 		op.fused = true
 	}
-	if err := r.open(); err != nil {
-		return err
-	}
+	r.open()
 	return r.drainOrdered()
 }
 
@@ -1145,15 +1145,12 @@ func (p *parallel) advance(c int) {
 // window is boxed into a fresh slab by the worker that cut it. cols, when
 // set, is a projection fused into the scan: surviving positions box only
 // the projected columns, never the full-width row.
-func vecScan(s *ScanPlan, cols []int, ctx *execCtx) (vpipe, error) {
-	r, err := scanOut(s, cols, exitRows, ctx)
-	if err != nil {
-		return nil, err
-	}
+func vecScan(s *ScanPlan, cols []int, ctx *execCtx) vpipe {
+	r := scanOut(s, cols, exitRows, ctx)
 	return func(emit func([]value.Row) error) error {
 		r.emit = emit
 		return r.run()
-	}, nil
+	}
 }
 
 // colReader reads one column of a partition snapshot at a physical row
@@ -1280,17 +1277,13 @@ func vecFilter(x *FilterPlan, ctx *execCtx) (vpipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := compileExpr(x.Pred, resolverFor(x.Child.columns()), ctx.reg)
-	if err != nil {
-		return nil, err
-	}
 	return func(emit func([]value.Row) error) error {
 		env := Env{Params: ctx.params}
 		return child(func(rows []value.Row) error {
 			out := rows[:0]
 			for _, row := range rows {
 				env.Row = row
-				if v := pred(&env); !v.IsNull() && v.AsBool() {
+				if v := x.pred(&env); !v.IsNull() && v.AsBool() {
 					out = append(out, row)
 				}
 			}
@@ -1303,29 +1296,20 @@ func vecFilter(x *FilterPlan, ctx *execCtx) (vpipe, error) {
 }
 
 func vecProject(x *ProjectPlan, ctx *execCtx) (vpipe, error) {
-	if s, cols, ok := projectScanShape(x, nil); ok {
-		return vecScan(s, cols, ctx)
+	if x.scan != nil {
+		return vecScan(x.scan, x.scanCols, ctx), nil
 	}
 	child, err := vecCompile(x.Child, ctx)
 	if err != nil {
 		return nil, err
 	}
-	res := resolverFor(x.Child.columns())
-	exprs := make([]evalFn, len(x.Exprs))
-	for i, e := range x.Exprs {
-		f, err := compileExpr(e, res, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		exprs[i] = f
-	}
 	return func(emit func([]value.Row) error) error {
 		env := Env{Params: ctx.params}
 		return child(func(rows []value.Row) error {
-			out := slabRows(len(rows), len(exprs))
+			out := slabRows(len(rows), len(x.exprs))
 			for i, row := range rows {
 				env.Row = row
-				for c, f := range exprs {
+				for c, f := range x.exprs {
 					out[i][c] = f(&env)
 				}
 			}
@@ -1360,19 +1344,16 @@ type aggRun func() (*aggFold, error)
 // vecFold compiles the aggregation x up to its fold. A distributed plan's
 // coordinator absorbs its nodes' fold states instead (replyPlan.fold).
 func vecFold(x *AggPlan, ctx *execCtx) (aggRun, error) {
-	in, err := newAggInput(x, ctx)
-	if err != nil {
-		return nil, err
-	}
+	in := &x.in
 	switch c := x.Child.(type) {
 	case *ScanPlan:
-		return vecAggScan(c, in, ctx)
+		return vecAggScan(c, in, ctx), nil
 	case *JoinPlan:
-		if _, scan := c.L.(*ScanPlan); scan && c.Residual == nil && !in.computed {
+		if c.shape.scan != nil && c.Residual == nil && !in.computed {
 			return vecAggJoinCode(c, in, ctx)
 		}
 	case *replyPlan:
-		return foldReplies(in, ctx.replies), nil
+		return foldReplies(in, ctx.replies, ctx.params), nil
 	}
 	return vecAggRows(x.Child, in, ctx)
 }
@@ -1383,13 +1364,6 @@ func vecSort(x *SortPlan, ctx *execCtx) (vpipe, error) {
 	child, err := vecCompile(x.Child, ctx)
 	if err != nil {
 		return nil, err
-	}
-	res := resolverFor(x.Child.columns())
-	keys := make([]evalFn, len(x.Keys))
-	for i, k := range x.Keys {
-		if keys[i], err = compileExpr(k.Expr, res, ctx.reg); err != nil {
-			return nil, err
-		}
 	}
 	return func(emit func([]value.Row) error) error {
 		// A rows batch is fresh (RowBatch.AppendRows): the sort keeps the
@@ -1410,7 +1384,7 @@ func vecSort(x *SortPlan, ctx *execCtx) (vpipe, error) {
 		env := [2]Env{{Params: ctx.params}, {Params: ctx.params}}
 		slices.SortStableFunc(all, func(a, b value.Row) int {
 			env[0].Row, env[1].Row = a, b
-			for i, f := range keys {
+			for i, f := range x.keys {
 				if c := x.Keys[i].compare(f(&env[0]), f(&env[1])); c != 0 {
 					return c
 				}

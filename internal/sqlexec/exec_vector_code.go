@@ -62,58 +62,22 @@ func (it *strInterner) intern(s string) int64 {
 
 // --- partial aggregation ----------------------------------------------------
 
-// aggInput is what the folds of one aggregation share: its shape and specs,
-// and its computed keys and arguments compiled against the input's columns
-// — nil slices when nothing is computed, a nil entry for a bare column or
-// *. refs lists the input columns those expressions read: over a scan, all
-// a fold's scratch row carries.
+// aggInput is what the folds of one aggregation share, the aggregation as
+// the compile pass leaves it (AggPlan.in): its shape and specs, and its
+// computed keys and arguments compiled against the input's columns — nil
+// slices when nothing is computed, a nil entry for a bare column or *.
+// refs lists the input columns those expressions read: over a scan, all a
+// fold's scratch row carries.
 type aggInput struct {
 	aggShape
-	specs  []aggSpec
-	keys   []evalFn
-	args   []evalFn
-	refs   []int
-	params []value.Value
+	specs []aggSpec
+	keys  []evalFn
+	args  []evalFn
+	refs  []int
 
 	// avoidPerRow estimates boxed values NOT materialized per surviving
 	// row of a scan: its width minus the distinct columns a fold decodes.
 	avoidPerRow int
-}
-
-// newAggInput summarizes x over its child and compiles what it computes.
-func newAggInput(x *AggPlan, ctx *execCtx) (*aggInput, error) {
-	in := &aggInput{aggShape: aggShapeOf(x), specs: x.Aggs, params: ctx.params}
-	if !in.computed {
-		return in, nil
-	}
-	cols := x.Child.columns()
-	res := resolverFor(cols)
-	compile := func(e Expr) (evalFn, error) {
-		for _, cr := range appendColRefs(nil, e) {
-			if c := findCol(cols, cr); c >= 0 && !slices.Contains(in.refs, c) {
-				in.refs = append(in.refs, c)
-			}
-		}
-		return compileExpr(e, res, ctx.reg)
-	}
-	var err error
-	in.keys = make([]evalFn, len(x.GroupBy))
-	for i, g := range x.GroupBy {
-		if in.keyCols[i] < 0 {
-			if in.keys[i], err = compile(g); err != nil {
-				return nil, err
-			}
-		}
-	}
-	in.args = make([]evalFn, len(x.Aggs))
-	for j, a := range x.Aggs {
-		if in.argCols[j] < 0 && !a.Star && a.Arg != nil {
-			if in.args[j], err = compile(a.Arg); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return in, nil
 }
 
 // decoded counts the distinct columns below n a fold boxes per row: bare
@@ -193,8 +157,8 @@ type aggFold struct {
 	decodeAvoided int64
 }
 
-func newAggFold(in *aggInput, interner *strInterner, nProbe int) *aggFold {
-	f := &aggFold{in: in, interner: interner, nProbe: nProbe, env: Env{Params: in.params}}
+func newAggFold(in *aggInput, interner *strInterner, nProbe int, params []value.Value) *aggFold {
+	f := &aggFold{in: in, interner: interner, nProbe: nProbe, env: Env{Params: params}}
 	if in.groupCol < 0 && len(in.keyCols) > 0 {
 		f.key = make(value.Row, len(in.keyCols))
 	}
@@ -653,7 +617,7 @@ func (r *scanRun) foldMorsels(in *aggInput, fold func(f *aggFold, t *scanTask, s
 	interner := newStrInterner()
 	r.folds = r.folds[:0]
 	for range r.scratch {
-		r.folds = append(r.folds, newAggFold(in, interner, r.ncols))
+		r.folds = append(r.folds, newAggFold(in, interner, r.ncols, r.ctx.params))
 	}
 	r.exit, r.fold = exitFold, fold
 	r.runTasks()
@@ -663,12 +627,8 @@ func (r *scanRun) foldMorsels(in *aggInput, fold func(f *aggFold, t *scanTask, s
 // vecAggScan fuses an aggregation into the scan morsels (see foldMorsels),
 // and warm partitions whose zone map exactly describes the snapshot answer
 // COUNT/MIN/MAX from the synopsis without faulting a page.
-func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
-	r, err := prepScan(s, ctx)
-	if err != nil {
-		return nil, err
-	}
-	in.avoidPerRow = r.ncols - in.decoded(r.ncols)
+func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) aggRun {
+	r := prepScan(s, ctx)
 	zoneEligible := len(in.keyCols) == 0 && s.Filter == nil && !in.computed
 	for i, spec := range in.specs {
 		switch {
@@ -703,9 +663,7 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
 				return true
 			}
 		}
-		if err := r.open(); err != nil {
-			return nil, err
-		}
+		r.open()
 		folds := r.foldMorsels(in, (*aggFold).foldMorsel)
 		var runs, fused, avoided int64
 		for _, f := range folds {
@@ -715,7 +673,7 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
 		}
 		recordLateMat(ctx, r.op, 0, runs, fused, avoided+zoneAvoided)
 		return finishAgg(folds, zoneAccs), nil
-	}, nil
+	}
 }
 
 // vecAggRows is an aggregation over any other input — a join with a
@@ -728,7 +686,7 @@ func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (aggRun, error) {
 		return nil, err
 	}
 	return func() (*aggFold, error) {
-		f := newAggFold(in, newStrInterner(), 0)
+		f := newAggFold(in, newStrInterner(), 0, ctx.params)
 		var rank int64
 		if err := rows(func(batch []value.Row) error {
 			for _, row := range batch {
@@ -750,23 +708,20 @@ func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (aggRun, error) {
 // distinct non-NULL build key gets a dense id, its index into lists. A code
 // key (joinShape.keyCol) maps its values by kind — interned strings, raw
 // integers — so a probe morsel translates its dictionary codes or integers
-// and never boxes a probe row. Any other key list is rendered (rowID). A
-// scan probe side feeds morsel selections on the workers (probeMorsel), any
-// other its rows in order (probeRows); both hand ids to the one probe loop,
-// whose (probe input, build row) pairs the parent's sink turns into joined
-// rows (vecJoinCode) or folds into a fused aggregate (vecAggJoinCode).
+// and never boxes a probe row. Any other key list is rendered (rowID) from
+// the plan's compiled keys. A scan probe side feeds morsel selections on the
+// workers (probeMorsel), any other its rows in order (probeRows); both hand
+// ids to the one probe loop, whose (probe input, build row) pairs the
+// parent's sink turns into joined rows (vecJoinCode) or folds into a fused
+// aggregate (vecAggJoinCode).
 type codeJoin struct {
-	x     *JoinPlan
-	shape joinShape
-	ctx   *execCtx
-	op    *OpProfile
+	x   *JoinPlan
+	ctx *execCtx
+	op  *OpProfile
 
 	prep  *scanRun // probe side, when it is a scan
 	left  vpipe    // probe side, when it is not
 	right vpipe    // build side
-	lKeys []evalFn // a rendered key's components over the probe side
-	lRefs []int    // the probe scan's columns they read
-	rKeys []evalFn // the key's components over the build side
 
 	lists  [][]value.Row // key id → build rows, in build order
 	strIDs map[string]int64
@@ -828,11 +783,11 @@ func (j *codeJoin) rowID(k *keyScratch, add bool) int64 {
 			return nullCode
 		}
 	}
-	if j.shape.keyCol >= 0 {
+	if shape := &j.x.shape; shape.keyCol >= 0 {
 		switch v := k.row[0]; {
-		case v.K == value.KindString && j.shape.keyKind == value.KindString:
+		case v.K == value.KindString && shape.keyKind == value.KindString:
 			return idIn(j, &j.strIDs, v.S, add)
-		case v.K == j.shape.keyKind:
+		case v.K == shape.keyKind:
 			return idIn(j, &j.intIDs, v.I, add)
 		}
 	}
@@ -856,7 +811,7 @@ func (j *codeJoin) build() error {
 		buildRows += int64(len(rows))
 		for _, row := range rows {
 			env.Row = row
-			if id := j.keyID(j.rKeys, &env, &j.key, true); id >= 0 {
+			if id := j.keyID(j.x.rKeys, &env, &j.key, true); id >= 0 {
 				j.lists[id] = append(j.lists[id], row)
 			}
 		}
@@ -875,18 +830,18 @@ func (j *codeJoin) build() error {
 // rendered key — the key's expressions over the worker's scratch row,
 // loaded with only the columns they read. coded reports the first two.
 func (j *codeJoin) morselIDs(t *scanTask, sel selection, scr *scanScratch) (ids []int64, coded bool) {
-	out, n, c := scr.keys[:0], sel.len(), j.shape.keyCol
+	out, n, c := scr.keys[:0], sel.len(), j.x.shape.keyCol
 	switch {
 	case c < 0:
 		env := scr.rowEnv(len(t.readers), j.ctx.params)
 		for i := 0; i < n; i++ {
-			t.load(env.Row, j.lRefs, sel.at(i))
-			out = append(out, j.keyID(j.lKeys, env, &scr.key, false))
+			t.load(env.Row, j.x.lRefs, sel.at(i))
+			out = append(out, j.keyID(j.x.lKeys, env, &scr.key, false))
 		}
 		return out, false
 	case t.main:
 		mc := t.snap.MainColumn(c)
-		if j.shape.keyKind == value.KindString {
+		if j.x.shape.keyKind == value.KindString {
 			if kc, ok := mc.(columnstore.KeyCoder); ok {
 				return codeKeys(kc, sel, j.lookupStr, out), true
 			}
@@ -965,51 +920,24 @@ func (j *codeJoin) probeRows(rows []value.Row, emit func(i int, build value.Row)
 	j.ids = j.ids[:0]
 	for _, row := range rows {
 		env.Row = row
-		j.ids = append(j.ids, j.keyID(j.lKeys, &env, &j.key, false))
+		j.ids = append(j.ids, j.keyID(j.x.lKeys, &env, &j.key, false))
 	}
 	_, err := j.probe(j.ids, emit)
 	return err
 }
 
-// newCodeJoin compiles both sides of a join and its keys.
+// newCodeJoin readies both sides of a join.
 func newCodeJoin(x *JoinPlan, ctx *execCtx) (*codeJoin, error) {
-	j := &codeJoin{x: x, shape: joinShapeOf(x), ctx: ctx}
+	j := &codeJoin{x: x, ctx: ctx}
 	j.lookupStr = func(s string) int64 { return idIn(j, &j.strIDs, s, false) }
 	var err error
-	if j.shape.scan != nil {
-		j.prep, err = prepScan(j.shape.scan, ctx)
-	} else {
-		j.left, err = vecCompile(x.L, ctx)
-	}
-	if err != nil {
+	if x.shape.scan != nil {
+		j.prep = prepScan(x.shape.scan, ctx)
+	} else if j.left, err = vecCompile(x.L, ctx); err != nil {
 		return nil, err
 	}
 	if j.right, err = vecCompile(x.R, ctx); err != nil {
 		return nil, err
-	}
-	var lres colResolver // a code key's probe side is read as codes
-	if j.shape.keyCol < 0 {
-		lres = resolverFor(x.L.columns())
-	}
-	rres := resolverFor(x.R.columns())
-	for i := range x.EquiL {
-		if lres != nil {
-			f, err := compileExpr(x.EquiL[i], lres, ctx.reg)
-			if err != nil {
-				return nil, err
-			}
-			j.lKeys = append(j.lKeys, f)
-			for _, cr := range appendColRefs(nil, x.EquiL[i]) {
-				if c := findCol(x.L.columns(), cr); c >= 0 && !slices.Contains(j.lRefs, c) {
-					j.lRefs = append(j.lRefs, c)
-				}
-			}
-		}
-		f, err := compileExpr(x.EquiR[i], rres, ctx.reg)
-		if err != nil {
-			return nil, err
-		}
-		j.rKeys = append(j.rKeys, f)
 	}
 	return j, nil
 }
@@ -1026,10 +954,11 @@ func (j *codeJoin) open() (*scanRun, error) {
 	if j.prep == nil {
 		return nil, nil
 	}
-	if sop := j.ctx.prof.node(j.shape.scan); sop != nil {
+	if sop := j.ctx.prof.node(j.x.shape.scan); sop != nil {
 		sop.fused = true
 	}
-	return j.prep, j.prep.open()
+	j.prep.open()
+	return j.prep, nil
 }
 
 // joinOut is the joined-row sink of one probe feed: it finishes each
@@ -1087,15 +1016,9 @@ func vecJoinCode(x *JoinPlan, ctx *execCtx) (vpipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	var residual evalFn
-	if x.Residual != nil {
-		if residual, err = compileExpr(x.Residual, resolverFor(x.columns()), ctx.reg); err != nil {
-			return nil, err
-		}
-	}
 	nProbe := len(x.L.columns())
 	sink := func(send func([]value.Row) error) *joinOut {
-		return &joinOut{nProbe: nProbe, residual: residual, env: Env{Params: ctx.params}, slab: rowSlab{width: len(x.columns())}, send: send}
+		return &joinOut{nProbe: nProbe, residual: x.residual, env: Env{Params: ctx.params}, slab: rowSlab{width: len(x.columns())}, send: send}
 	}
 
 	return func(emit func([]value.Row) error) error {

@@ -61,6 +61,12 @@ type lexer struct {
 	src  string
 	pos  int
 	toks []token
+	// parens counts the parentheses open in the statement being lexed. A
+	// statement holds at most one unparsed list (a VALUES row, a TABLE
+	// call, a column list) around its subqueries' and its expressions'
+	// parentheses, so past 3*maxNesting+1 open ones no parse of it could
+	// pass the parser's bounds: it is refused before the rest is lexed.
+	parens int
 }
 
 func lex(src string) ([]token, error) {
@@ -206,6 +212,16 @@ func (l *lexer) lexOp() error {
 			l.pos += 2
 			return nil
 		}
+	}
+	switch c {
+	case '(':
+		if l.parens++; l.parens > 3*maxNesting+1 {
+			return stateError{"54001", fmt.Errorf("sql: statement nested more than %d levels deep at %d", maxNesting, l.pos)}
+		}
+	case ')':
+		l.parens = max(l.parens-1, 0)
+	case ';':
+		l.parens = 0
 	}
 	switch c {
 	case '(', ')', ',', '.', '*', '+', '-', '/', '%', '=', '<', '>', ';':

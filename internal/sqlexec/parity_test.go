@@ -539,7 +539,7 @@ func TestJoinLeavesInWindows(t *testing.T) {
 		if len(join.EquiL) != c.keys {
 			t.Fatalf("%s: planned %s, want %d keys", c.sql, planLabel(join, pruneHooks{}), c.keys)
 		}
-		ctx := &execCtx{ts: e.Mgr.Now(), reg: e.Reg, stats: &ExecStats{}, workers: 3, scratch: &e.scratch}
+		ctx := &execCtx{ts: e.Mgr.Now(), stats: &ExecStats{}, workers: 3, scratch: &e.scratch}
 		vp, err := vecCompile(join, ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -571,7 +571,7 @@ func TestOneSidedOnConjunctFiltersItsSide(t *testing.T) {
 	if got, want := Explain(join), "HashJoin e.region=d.region\n  Scan events AS e [1/1 partitions]\n  Scan dims AS d [1/1 partitions] filter=(d.dname = 'nope')\n"; got != want {
 		t.Fatalf("planned\n%s\nwant\n%s", got, want)
 	}
-	if s := joinShapeOf(join); s.scan == nil || s.keyCol < 0 {
+	if s := join.shape; s.scan == nil || s.keyCol < 0 {
 		t.Fatalf("not a code join: %+v", s)
 	}
 	// A LEFT OUTER join's ON clause decides matching: it stays.

@@ -54,6 +54,13 @@ type parser struct {
 	// atoms then records every literal made of one number or string token.
 	shaping bool
 	atoms   []atom
+	// h is how many levels the expression last parsed nests: a leaf is 1
+	// high, a node or a chain of binary operators (chained) one more than
+	// its highest operand. depth is how deep the parser recurses into the
+	// expression being parsed, selects how deep into subqueries
+	// (maxNesting); links counts the statement's binary operators
+	// (maxLinks).
+	h, depth, selects, links int
 }
 
 // atom is a literal the shaping parser made of one token, and the index of
@@ -111,6 +118,59 @@ func (p *parser) expect(k tokenKind, text string) (token, error) {
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sql: %s (near byte %d of %q)", fmt.Sprintf(format, args...), p.cur().pos, truncate(p.src, 80))
+}
+
+// A statement nests at most maxNesting levels: an expression nests at most
+// maxNesting levels high, where a chain of binary operators of one
+// precedence (a OR b OR c, a + b - c) is one level however long, and
+// subqueries nest at most maxNesting deep. The parser recurses through an
+// expression's parentheses, unary operators, CASE, function calls and IN
+// lists at most twice as deep, plus one: as deep as Deparse spells any
+// expression the parser admits. A statement holds at most maxLinks binary
+// operators, so a chain makes its tree at most that much higher, and every
+// walk of the tree — the plan's compile pass, Deparse, paramKinds — stays
+// that shallow. A statement past any of these is refused with 54001, what
+// PostgreSQL answers a statement past its max_stack_depth with, and the
+// server goes on.
+const (
+	maxNesting = 1000
+	maxLinks   = 100_000
+)
+
+// maxParams is the most parameters a statement may have, $65535 the highest
+// it may name: the wire protocol counts them in 16 bits.
+const maxParams = 65535
+
+// stateError is an error PostgreSQL answers with a SQLSTATE of its own,
+// which the wire front end sends as it is.
+type stateError struct {
+	state string
+	error
+}
+
+// SQLState is the SQLSTATE the error is answered with.
+func (e stateError) SQLState() string { return e.state }
+
+// errTooDeep refuses a statement nested past maxNesting.
+func (p *parser) errTooDeep() error {
+	return stateError{"54001", p.errf("statement nested more than %d levels deep", maxNesting)}
+}
+
+// enter takes the parser one level deeper into the expression it parses;
+// the caller steps back out (depth--).
+func (p *parser) enter() error {
+	if p.depth++; p.depth > 2*maxNesting+1 {
+		return p.errTooDeep()
+	}
+	return nil
+}
+
+// grow records h, the height of the expression just built.
+func (p *parser) grow(h int) error {
+	if p.h = h; h > maxNesting {
+		return p.errTooDeep()
+	}
+	return nil
 }
 
 func truncate(s string, n int) string {
@@ -323,7 +383,11 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	var ref TableRef
 	switch {
 	case p.accept(tkOp, "("):
+		if p.selects++; p.selects > maxNesting {
+			return ref, p.errTooDeep()
+		}
 		sub, err := p.parseSelect()
+		p.selects--
 		if err != nil {
 			return ref, err
 		}
@@ -738,14 +802,15 @@ func (p *parser) parseOr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h, n := p.h, 0
 	for p.accept(tkKeyword, "OR") {
 		r, err := p.parseAnd()
-		if err != nil {
+		if err := p.link(err); err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "OR", L: l, R: r}
+		l, h, n = &BinaryExpr{Op: "OR", L: l, R: r}, max(h, p.h), n+1
 	}
-	return l, nil
+	return l, p.chained(h, n)
 }
 
 func (p *parser) parseAnd() (Expr, error) {
@@ -753,19 +818,27 @@ func (p *parser) parseAnd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	h, n := p.h, 0
 	for p.accept(tkKeyword, "AND") {
 		r, err := p.parseNot()
-		if err != nil {
+		if err := p.link(err); err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "AND", L: l, R: r}
+		l, h, n = &BinaryExpr{Op: "AND", L: l, R: r}, max(h, p.h), n+1
 	}
-	return l, nil
+	return l, p.chained(h, n)
 }
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.accept(tkKeyword, "NOT") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		e, err := p.parseNot()
+		p.depth--
+		if err == nil {
+			err = p.grow(p.h + 1)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -779,13 +852,14 @@ func (p *parser) parseComparison() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	hl := p.h
 	// IS [NOT] NULL
 	if p.accept(tkKeyword, "IS") {
 		not := p.accept(tkKeyword, "NOT")
 		if _, err := p.expect(tkKeyword, "NULL"); err != nil {
 			return nil, err
 		}
-		return &IsNullExpr{E: l, Not: not}, nil
+		return &IsNullExpr{E: l, Not: not}, p.grow(hl + 1)
 	}
 	notIn := false
 	if p.at(tkKeyword, "NOT") && p.i+1 < len(p.toks) &&
@@ -797,27 +871,32 @@ func (p *parser) parseComparison() (Expr, error) {
 		if _, err := p.expect(tkOp, "("); err != nil {
 			return nil, err
 		}
-		ie := &InExpr{E: l, Not: notIn}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		ie, h := &InExpr{E: l, Not: notIn}, hl
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			ie.List = append(ie.List, e)
+			ie.List, h = append(ie.List, e), max(h, p.h)
 			if !p.accept(tkOp, ",") {
 				break
 			}
 		}
+		p.depth--
 		if _, err := p.expect(tkOp, ")"); err != nil {
 			return nil, err
 		}
-		return ie, nil
+		return ie, p.grow(h + 1)
 	}
 	if p.accept(tkKeyword, "BETWEEN") {
 		lo, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
 		}
+		h := max(hl, p.h)
 		if _, err := p.expect(tkKeyword, "AND"); err != nil {
 			return nil, err
 		}
@@ -825,20 +904,20 @@ func (p *parser) parseComparison() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BetweenExpr{E: l, Lo: lo, Hi: hi, Not: notIn}, nil
+		return &BetweenExpr{E: l, Lo: lo, Hi: hi, Not: notIn}, p.grow(max(h, p.h) + 1)
 	}
 	if p.accept(tkKeyword, "LIKE") {
 		r, err := p.parseAdditive()
 		if err != nil {
 			return nil, err
 		}
-		e := Expr(&BinaryExpr{Op: "LIKE", L: l, R: r})
+		e, h := Expr(&BinaryExpr{Op: "LIKE", L: l, R: r}), max(hl, p.h)+1
 		if notIn {
-			e = &UnaryExpr{Op: "NOT", E: e}
+			e, h = &UnaryExpr{Op: "NOT", E: e}, h+1
 		}
-		return e, nil
+		return e, p.grow(h)
 	}
-	for {
+	for n := 0; ; n++ {
 		var op string
 		switch {
 		case p.at(tkOp, "="), p.at(tkOp, "<"), p.at(tkOp, ">"), p.at(tkOp, "<="), p.at(tkOp, ">="), p.at(tkOp, "<>"), p.at(tkOp, "!="):
@@ -847,13 +926,13 @@ func (p *parser) parseComparison() (Expr, error) {
 				op = "<>"
 			}
 		default:
-			return l, nil
+			return l, p.chained(hl, n)
 		}
 		r, err := p.parseAdditive()
-		if err != nil {
+		if err := p.link(err); err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
+		l, hl = &BinaryExpr{Op: op, L: l, R: r}, max(hl, p.h)
 	}
 }
 
@@ -862,29 +941,17 @@ func (p *parser) parseAdditive() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.accept(tkOp, "+"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: "+", L: l, R: r}
-		case p.accept(tkOp, "-"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: "-", L: l, R: r}
-		case p.accept(tkOp, "||"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: "||", L: l, R: r}
-		default:
-			return l, nil
+	h := p.h
+	for n := 0; ; n++ {
+		op := p.acceptOp("+", "-", "||")
+		if op == "" {
+			return l, p.chained(h, n)
 		}
+		r, err := p.parseMultiplicative()
+		if err := p.link(err); err != nil {
+			return nil, err
+		}
+		l, h = &BinaryExpr{Op: op, L: l, R: r}, max(h, p.h)
 	}
 }
 
@@ -893,35 +960,57 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.accept(tkOp, "*"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: "*", L: l, R: r}
-		case p.accept(tkOp, "/"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: "/", L: l, R: r}
-		case p.accept(tkOp, "%"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: "%", L: l, R: r}
-		default:
-			return l, nil
+	h := p.h
+	for n := 0; ; n++ {
+		op := p.acceptOp("*", "/", "%")
+		if op == "" {
+			return l, p.chained(h, n)
+		}
+		r, err := p.parseUnary()
+		if err := p.link(err); err != nil {
+			return nil, err
+		}
+		l, h = &BinaryExpr{Op: op, L: l, R: r}, max(h, p.h)
+	}
+}
+
+// acceptOp consumes the current token if it is one of the operators ops,
+// and returns it; "" if it is none.
+func (p *parser) acceptOp(ops ...string) string {
+	for _, op := range ops {
+		if p.accept(tkOp, op) {
+			return op
 		}
 	}
+	return ""
+}
+
+// link counts one more binary operator of the statement, once its right
+// operand is parsed with err.
+func (p *parser) link(err error) error {
+	if p.links++; err == nil && p.links > maxLinks {
+		return stateError{"54001", p.errf("statement has more than %d binary operators", maxLinks)}
+	}
+	return err
+}
+
+// chained ends an operator loop that chained n operators, left to right,
+// over operands at most h high: the chain is one level higher, however
+// long it is, as Deparse spells it in one pair of parentheses.
+func (p *parser) chained(h, n int) error {
+	if n == 0 {
+		return nil
+	}
+	return p.grow(h + 1)
 }
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.accept(tkOp, "-") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		e, err := p.parseUnary()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -932,13 +1021,14 @@ func (p *parser) parseUnary() (Expr, error) {
 			}
 			return lit, nil
 		}
-		return &UnaryExpr{Op: "-", E: e}, nil
+		return &UnaryExpr{Op: "-", E: e}, p.grow(p.h + 1)
 	}
 	return p.parseAtom()
 }
 
 func (p *parser) parseAtom() (Expr, error) {
 	t := p.cur()
+	p.h = 1 // a leaf, unless it is more
 	switch t.kind {
 	case tkNumber, tkString:
 		p.next()
@@ -960,12 +1050,17 @@ func (p *parser) parseAtom() (Expr, error) {
 			if err != nil || n < 1 {
 				return nil, p.errf("bad parameter reference %q", t.text)
 			}
+			if n > maxParams {
+				return nil, p.errParams(n)
+			}
 			if n > p.params {
 				p.params = n
 			}
 			return &Param{Index: n - 1}, nil
 		}
-		p.params++
+		if p.params++; p.params > maxParams {
+			return nil, p.errParams(p.params)
+		}
 		return &Param{Index: p.params - 1}, nil
 	case tkKeyword:
 		switch t.text {
@@ -1000,7 +1095,11 @@ func (p *parser) parseAtom() (Expr, error) {
 	case tkOp:
 		if t.text == "(" {
 			p.next()
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
 			e, err := p.parseExpr()
+			p.depth--
 			if err != nil {
 				return nil, err
 			}
@@ -1028,6 +1127,11 @@ func literalValue(t token) (value.Value, bool) {
 	return value.Int(n), err == nil
 }
 
+// errParams refuses parameter $n, past maxParams.
+func (p *parser) errParams(n int) error {
+	return stateError{"42601", p.errf("there is no parameter $%d: a statement has at most %d", n, maxParams)}
+}
+
 func (p *parser) parseFuncCall(name string) (Expr, error) {
 	p.next() // (
 	fe := &FuncExpr{Name: strings.ToUpper(name)}
@@ -1039,29 +1143,40 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 	if p.accept(tkOp, ")") {
 		return fe, nil
 	}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
 	fe.Distinct = p.accept(tkKeyword, "DISTINCT")
+	h := 0
 	for {
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		fe.Args = append(fe.Args, e)
+		fe.Args, h = append(fe.Args, e), max(h, p.h)
 		if !p.accept(tkOp, ",") {
 			break
 		}
 	}
-	_, err := p.expect(tkOp, ")")
-	return fe, err
+	p.depth--
+	if _, err := p.expect(tkOp, ")"); err != nil {
+		return nil, err
+	}
+	return fe, p.grow(h + 1)
 }
 
 func (p *parser) parseCase() (Expr, error) {
 	p.next() // CASE
-	ce := &CaseExpr{}
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	ce, h := &CaseExpr{}, 0
 	for p.accept(tkKeyword, "WHEN") {
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
+		h = max(h, p.h)
 		if _, err := p.expect(tkKeyword, "THEN"); err != nil {
 			return nil, err
 		}
@@ -1069,7 +1184,7 @@ func (p *parser) parseCase() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		ce.Whens = append(ce.Whens, struct{ Cond, Then Expr }{cond, then})
+		ce.Whens, h = append(ce.Whens, struct{ Cond, Then Expr }{cond, then}), max(h, p.h)
 	}
 	if len(ce.Whens) == 0 {
 		return nil, p.errf("CASE needs at least one WHEN")
@@ -1079,10 +1194,11 @@ func (p *parser) parseCase() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		ce.Else = e
+		ce.Else, h = e, max(h, p.h)
 	}
+	p.depth--
 	if _, err := p.expect(tkKeyword, "END"); err != nil {
 		return nil, err
 	}
-	return ce, nil
+	return ce, p.grow(h + 1)
 }

@@ -119,32 +119,32 @@ func (p *replyPlan) columns() []Column { return p.cols }
 
 // foldReplies absorbs every reply's state into one fold of in, in reply
 // order.
-func foldReplies(in *aggInput, replies []Reply) aggRun {
+func foldReplies(in *aggInput, replies []Reply, params []value.Value) aggRun {
 	return func() (*aggFold, error) {
-		f := newAggFold(in, newStrInterner(), 0)
+		f := newAggFold(in, newStrInterner(), 0, params)
 		return f, f.absorbStates(replies)
 	}
 }
 
 // Finish is the coordinator's half of a distributed SELECT. It is built
-// once per statement text and catalog version, and is read-only: any
-// number of queries may Run it at once.
+// once per statement text and catalog version, compiled, and is read-only:
+// any number of queries may Run it at once.
 type Finish struct {
 	plan       Plan
-	reg        *Registry
 	aggregates bool
 }
 
 // BuildFinish plans sel as BuildSelect does — against a catalog whose tables
 // need hold only their schemas, each planned as its columns (colsPlan) —
-// with a leaf in place of everything below the cut, which Run fills. The
-// WHERE clause filters only below the cut, so it is not planned here.
+// with a leaf in place of everything below the cut, which Run fills, and
+// compiles what is above the cut. The WHERE clause filters only below the
+// cut, so it is not planned here.
 func (pl *Planner) BuildFinish(sel *SelectStmt) (*Finish, error) {
 	above := *sel
 	above.Where = nil
 	cols := *pl
 	cols.colsOnly = true
-	p, err := cols.BuildSelect(&above)
+	p, err := cols.buildSelect(&above, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func (pl *Planner) BuildFinish(sel *SelectStmt) (*Finish, error) {
 	if agg != nil {
 		slot = &agg.Child
 	}
-	f := &Finish{reg: pl.Reg, aggregates: agg != nil}
+	f := &Finish{aggregates: agg != nil}
 	var leaf Plan = &replyPlan{cols: (*slot).columns()}
 	if proj, ok := (*slot).(*ProjectPlan); ok {
 		if s, ok := proj.Child.(*SortPlan); ok {
@@ -164,6 +164,9 @@ func (pl *Planner) BuildFinish(sel *SelectStmt) (*Finish, error) {
 		}
 	}
 	*slot = leaf
+	if err := compilePlan(p, pl.Reg); err != nil {
+		return nil, err
+	}
 	f.plan = p
 	return f, nil
 }
@@ -218,7 +221,7 @@ func (f *Finish) Run(replies []Reply, params ...value.Value) (*Result, error) {
 		out feed
 	}{}
 	run.out.sink = &run.res
-	_, err := runTo(&run.out, &run.res.Stats, f.plan, runArgs{params: params, reg: f.reg, mode: ModeVectorized, workers: 1, replies: replies}, nil, false)
+	_, err := runTo(&run.out, &run.res.Stats, f.plan, runArgs{params: params, mode: ModeVectorized, workers: 1, replies: replies}, nil, false)
 	return &run.res, err
 }
 

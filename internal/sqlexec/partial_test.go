@@ -73,7 +73,7 @@ func stateRows(data []byte, keys int) []value.Row {
 }
 
 func foldOf(in *aggInput, rows []value.Row) *aggFold {
-	f := newAggFold(in, newStrInterner(), 0)
+	f := newAggFold(in, newStrInterner(), 0, nil)
 	for i, row := range rows {
 		f.foldRow(nil, 0, row, int64(i))
 	}
@@ -86,7 +86,7 @@ func absorbed(in *aggInput, states ...[]byte) (*aggFold, error) {
 	for _, st := range states {
 		replies = append(replies, Reply{State: st})
 	}
-	return foldReplies(in, replies)()
+	return foldReplies(in, replies, nil)()
 }
 
 // checkRoundTrip folds rows, encodes the fold and absorbs the state into

@@ -56,17 +56,35 @@ type ScanPlan struct {
 	Filter Expr // conjunction over this table's columns
 	cols   []Column
 
-	// Preds/Residue are Filter's conjuncts, classified once by classify:
-	// the comparisons of a column against a literal or a parameter, which
-	// prune partitions and run as batch kernels over encoded main columns,
-	// and the rest, which needs the row-at-a-time expression evaluator.
+	// Preds are the comparisons among Filter's conjuncts of a column
+	// against a literal or a parameter, classified once by classify: they
+	// prune partitions and run as batch kernels over encoded main columns.
 	// params says whether a predicate waits for a parameter.
-	Preds   []Pred
-	Residue []Expr
-	params  bool
+	Preds  []Pred
+	params bool
 	// hook is the Prune of the Planner that built the scan: nil on an
 	// engine's plans, which its sessions share and prune through their own.
 	hook PruneHook
+
+	// conjs are the conjuncts of Filter its predicates do not decide alone
+	// — the residue, and each BETWEEN — compiled by compilePlan, which the
+	// vectorized executor evaluates where no kernel binds. filter is Filter
+	// compiled whole, which the interpreter evaluates row by row: the
+	// reference the kernels and conjuncts answer as, so it owes nothing to
+	// Classify.
+	conjs  []conjunct
+	filter evalFn
+}
+
+// conjunct is one conjunct of a scan's filter that its predicates do not
+// decide alone: its expression and, compiled, its evalFn and the scan
+// columns it reads. residue says no predicate came from it, so no kernel
+// ever takes it.
+type conjunct struct {
+	expr    Expr
+	eval    evalFn
+	cols    []int
+	residue bool
 }
 
 // newScanPlan is the unfiltered, unpruned scan of entry under alias.
@@ -75,6 +93,26 @@ func newScanPlan(entry *catalog.TableEntry, alias string) *ScanPlan {
 }
 
 func (s *ScanPlan) columns() []Column { return s.cols }
+
+// A scan names each conjunct of its filter by an id: below len(Preds) a
+// lone comparison, which its predicate decides (Pred.holds), from len(Preds)
+// on a compiled conjunct, conjs[id-len(Preds)]. The whole filter is every
+// lone comparison and every compiled conjunct; a BETWEEN's two predicates
+// are not conjuncts of it, their compiled conjunct is.
+
+// whole reports whether conjunct id is one of the whole filter's.
+func (s *ScanPlan) whole(id int) bool { return id >= len(s.Preds) || s.Preds[id].conj < 0 }
+
+// conjHolds reports whether conjunct id is true over env.Row, a row of the
+// scan's columns that holds the cells it reads.
+func (s *ScanPlan) conjHolds(id int, env *Env) bool {
+	if id < len(s.Preds) {
+		p := &s.Preds[id]
+		return p.holds(env.Row[p.Col], env.Params)
+	}
+	v := s.conjs[id-len(s.Preds)].eval(env)
+	return !v.IsNull() && v.AsBool()
+}
 
 // colsPlan is a table as the coordinator's half of a distributed SELECT
 // plans it (BuildFinish): its columns and nothing to read, since the
@@ -96,27 +134,33 @@ func newColsPlan(schema columnstore.Schema, alias string) *colsPlan {
 
 func (p *colsPlan) columns() []Column { return p.cols }
 
-// TableFuncPlan invokes a registered table function.
+// TableFuncPlan invokes a registered table function: fn, the one the
+// planner resolved, with args, its arguments compiled.
 type TableFuncPlan struct {
 	Name  string
 	Args  []Expr
 	Alias string
 	cols  []Column
+	fn    TableFunc
+	args  []evalFn
 }
 
 func (s *TableFuncPlan) columns() []Column { return s.cols }
 
-// FilterPlan applies a residual predicate.
+// FilterPlan applies a residual predicate, compiled as pred.
 type FilterPlan struct {
 	Child Plan
 	Pred  Expr
+	pred  evalFn
 }
 
 func (f *FilterPlan) columns() []Column { return f.Child.columns() }
 
 // JoinPlan is a hash join. EquiL/EquiR are the equi-key expressions over
 // the left/right child rows; Residual is evaluated on the combined row,
-// whose columns, L's then R's, cols holds (setSides).
+// whose columns, L's then R's, cols holds (setSides). Compiled, the keys
+// are lKeys and rKeys, lRefs the probe side's columns the left keys read,
+// and the residual is residual.
 type JoinPlan struct {
 	L, R      Plan
 	LeftOuter bool
@@ -124,6 +168,11 @@ type JoinPlan struct {
 	EquiR     []Expr
 	Residual  Expr
 	cols      []Column
+
+	lKeys, rKeys []evalFn
+	lRefs        []int
+	residual     evalFn
+	shape        joinShape
 }
 
 func (j *JoinPlan) columns() []Column { return j.cols }
@@ -136,11 +185,17 @@ func (j *JoinPlan) setSides(l, r Plan) {
 }
 
 // ProjectPlan computes the select list: cols names each expression and
-// holds its kind (exprKind).
+// holds its kind (exprKind), and exprs are the expressions compiled. A
+// projection that only selects columns of a scan below it is fused into
+// that scan instead: scan is the scan, scanCols the columns it reads.
 type ProjectPlan struct {
 	Child Plan
 	Exprs []Expr
 	cols  []Column
+
+	exprs    []evalFn
+	scan     *ScanPlan
+	scanCols []int
 }
 
 func (p *ProjectPlan) columns() []Column { return p.cols }
@@ -154,12 +209,14 @@ type aggSpec struct {
 }
 
 // AggPlan groups and aggregates. Output row = group values followed by
-// aggregate values.
+// aggregate values. in is the aggregation as the compile pass leaves it:
+// its shape and what it computes, compiled.
 type AggPlan struct {
 	Child   Plan
 	GroupBy []Expr
 	Aggs    []aggSpec
 	outCols []Column
+	in      aggInput
 }
 
 func (a *AggPlan) columns() []Column { return a.outCols }
@@ -169,10 +226,12 @@ type DistinctPlan struct{ Child Plan }
 
 func (d *DistinctPlan) columns() []Column { return d.Child.columns() }
 
-// SortPlan orders rows by compiled key expressions over its input.
+// SortPlan orders rows by key expressions over its input, compiled as
+// keys.
 type SortPlan struct {
 	Child Plan
 	Keys  []OrderItem
+	keys  []evalFn
 }
 
 func (s *SortPlan) columns() []Column { return s.Child.columns() }
@@ -223,9 +282,16 @@ type Planner struct {
 	colsOnly bool
 }
 
-// BuildSelect turns a parsed SELECT into an optimized plan.
+// BuildSelect turns a parsed SELECT into an optimized plan, compiled.
 func (pl *Planner) BuildSelect(s *SelectStmt) (Plan, error) {
-	return pl.buildSelect(s, 0)
+	p, err := pl.buildSelect(s, 0)
+	if err == nil {
+		err = compilePlan(p, pl.Reg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
@@ -393,8 +459,11 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 }
 
 // ValuesPlan emits literal rows of no columns (the one row a FROM-less
-// select projects from).
-type ValuesPlan struct{ Rows [][]Expr }
+// select projects from), whose cells rows holds compiled.
+type ValuesPlan struct {
+	Rows [][]Expr
+	rows [][]evalFn
+}
 
 func (v *ValuesPlan) columns() []Column { return nil }
 
@@ -418,7 +487,7 @@ func (pl *Planner) buildTableRef(ref TableRef, depth int) (Plan, error) {
 		if !ok {
 			return nil, fmt.Errorf("sql: unknown table function %s", ref.Func.Name)
 		}
-		return &TableFuncPlan{Name: ref.Func.Name, Args: ref.Func.Args, Alias: ref.Alias, cols: schemaCols(tf.Schema, ref.Alias)}, nil
+		return &TableFuncPlan{Name: ref.Func.Name, Args: ref.Func.Args, Alias: ref.Alias, cols: schemaCols(tf.Schema, ref.Alias), fn: tf}, nil
 	default:
 		if v, ok := pl.Cat.View(ref.Name); ok {
 			st, err := Parse(v.SQL)
@@ -902,12 +971,21 @@ type paramKinds []value.Kind
 // land gives e the kind k when e is a parameter, or the negation of one,
 // that has no kind yet.
 func (pk paramKinds) land(e Expr, k value.Kind) {
+	if p := pk.open(e); p != nil {
+		pk[p.Index] = k
+	}
+}
+
+// open is the parameter e is, or is the negation of, when it has no kind
+// yet; else nil.
+func (pk paramKinds) open(e Expr) *Param {
 	if u, ok := e.(*UnaryExpr); ok && u.Op == "-" {
 		e = u.E
 	}
 	if p, ok := e.(*Param); ok && p.Index < len(pk) && pk[p.Index] == value.KindNull {
-		pk[p.Index] = k
+		return p
 	}
+	return nil
 }
 
 // expr lands the parameters of e, an expression over cols.
@@ -916,6 +994,9 @@ func (pk paramKinds) expr(e Expr, cols []Column) {
 	case *BinaryExpr:
 		_, cmp := cmpOps[x.Op]
 		for _, side := range [2][2]Expr{{x.L, x.R}, {x.R, x.L}} {
+			if pk.open(side[0]) == nil {
+				continue // the other side's kind is worked out only for a parameter
+			}
 			switch k := exprKind(side[1], cols); {
 			case cmp:
 				pk.land(side[0], k)
@@ -939,8 +1020,9 @@ func (pk paramKinds) expr(e Expr, cols []Column) {
 			pk.land(w.Cond, value.KindBool)
 		}
 	case *InExpr:
+		k := exprKind(x.E, cols)
 		for _, it := range x.List {
-			pk.land(it, exprKind(x.E, cols))
+			pk.land(it, k)
 		}
 	case *BetweenExpr:
 		pk.land(x.Lo, exprKind(x.E, cols))
@@ -1009,35 +1091,6 @@ type aggShape struct {
 	computed  bool  // some key or argument is an expression to evaluate
 }
 
-// aggShapeOf summarizes x over its child's columns.
-func aggShapeOf(x *AggPlan) aggShape {
-	cols := x.Child.columns()
-	s := aggShape{groupCol: -1, keyCols: make([]int, 0, len(x.GroupBy)), argCols: make([]int, 0, len(x.Aggs))}
-	bare := func(e Expr) int {
-		if cr, ok := e.(*ColRef); ok {
-			return findCol(cols, cr)
-		}
-		return -1
-	}
-	for _, g := range x.GroupBy {
-		c := bare(g)
-		s.keyCols = append(s.keyCols, c)
-		s.computed = s.computed || c < 0
-	}
-	if len(s.keyCols) == 1 && s.keyCols[0] >= 0 && codeKeyKind(cols[s.keyCols[0]].Kind) {
-		s.groupCol, s.groupKind = s.keyCols[0], cols[s.keyCols[0]].Kind
-	}
-	for _, a := range x.Aggs {
-		c := -1
-		if !a.Star && a.Arg != nil {
-			c = bare(a.Arg)
-			s.computed = s.computed || c < 0
-		}
-		s.argCols = append(s.argCols, c)
-	}
-	return s
-}
-
 // joinShape is the shape summary of a join over its probe (left) side.
 // Every join has one: a probe side that is a scan feeds the probe by morsel
 // positions, and a single equi key that is a bare column of a code-key kind
@@ -1050,45 +1103,6 @@ type joinShape struct {
 	scan    *ScanPlan // the probe side, when it is a scan
 	keyCol  int       // the code key's column of scan; -1 when the key is rendered
 	keyKind value.Kind
-}
-
-// joinShapeOf summarizes x over its probe side.
-func joinShapeOf(x *JoinPlan) joinShape {
-	s := joinShape{keyCol: -1}
-	s.scan, _ = x.L.(*ScanPlan)
-	if s.scan == nil || len(x.EquiL) != 1 {
-		return s
-	}
-	if cr, ok := x.EquiL[0].(*ColRef); ok {
-		if c := findCol(s.scan.cols, cr); c >= 0 && codeKeyKind(s.scan.cols[c].Kind) {
-			s.keyCol, s.keyKind = c, s.scan.cols[c].Kind
-		}
-	}
-	return s
-}
-
-// projectScanShape reports whether a projection directly over a scan is
-// pure column selection — every output expression a bare column
-// reference — so the fused path can materialize only the projected
-// columns, whose scan column indexes it returns in cols' memory.
-func projectScanShape(x *ProjectPlan, cols []int) (*ScanPlan, []int, bool) {
-	s, ok := x.Child.(*ScanPlan)
-	if !ok {
-		return nil, nil, false
-	}
-	cols = slices.Grow(cols[:0], len(x.Exprs))[:len(x.Exprs)]
-	for i, e := range x.Exprs {
-		cr, ok := e.(*ColRef)
-		if !ok {
-			return nil, nil, false
-		}
-		idx := findCol(s.cols, cr)
-		if idx < 0 {
-			return nil, nil, false
-		}
-		cols[i] = idx
-	}
-	return s, cols, true
 }
 
 // Explain renders a plan tree for debugging and the shell's EXPLAIN.

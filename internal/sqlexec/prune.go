@@ -25,15 +25,16 @@ import (
 // <column> <cmp> <parameter>, the column on the left whichever way the
 // statement spelled it. A parameter predicate carries the slot, not the
 // value, so a plan stays parameter-independent: Lit is NULL until a run
-// copies the bound value in. Orig is the conjunct the predicate came from,
-// which the executor evaluates where no kernel binds; the two predicates
-// of a BETWEEN share theirs.
+// copies the bound value in. Where no kernel binds, the executor evaluates
+// the conjunct the predicate came from: a lone comparison is decided by the
+// predicate itself (holds), and conj is -1; the two predicates of a BETWEEN
+// share the compiled conjunct ScanPlan.conjs[conj].
 type Pred struct {
 	Col   int // index into the table's schema
 	Op    columnstore.CmpOp
 	Lit   value.Value
 	Param int // 0-based parameter slot that supplies Lit; -1 for a literal
-	Orig  Expr
+	conj  int
 }
 
 // cmpOps maps SQL comparison spellings to kernel operators.
@@ -50,24 +51,26 @@ var flipped = [...]columnstore.CmpOp{
 	columnstore.CmpGT: columnstore.CmpLT, columnstore.CmpGE: columnstore.CmpLE,
 }
 
-// Classify splits filter into its conjuncts and sorts them, in order, into
-// predicates and the residue. A conjunct becomes a predicate when it
-// compares a column of schema — unqualified or qualified by qual — with a
-// non-NULL literal or a parameter through a plain comparison operator, in
-// either operand order; a non-negated BETWEEN over such bounds becomes the
-// two comparisons it means. Everything else (functions, LIKE, IN, several
+// Classify splits filter into its conjuncts and returns, in order, the
+// predicates among them. A conjunct becomes a predicate when it compares a
+// column of schema — unqualified or qualified by qual — with a non-NULL
+// literal or a parameter through a plain comparison operator, in either
+// operand order; a non-negated BETWEEN over such bounds becomes the two
+// comparisons it means. Everything else (functions, LIKE, IN, several
 // columns) is residue, which only a row-at-a-time evaluator can decide.
-func Classify(filter Expr, qual string, schema columnstore.Schema) (preds []Pred, residue []Expr) {
+func Classify(filter Expr, qual string, schema columnstore.Schema) []Pred {
 	c := classifier{qual: qual, schema: schema}
 	c.add(filter)
-	return c.preds, c.residue
+	return c.preds
 }
 
+// classifier walks a filter's conjuncts in order. conjs are those its
+// predicates do not decide alone: the residue, and each BETWEEN.
 type classifier struct {
-	qual    string
-	schema  columnstore.Schema
-	preds   []Pred
-	residue []Expr
+	qual   string
+	schema columnstore.Schema
+	preds  []Pred
+	conjs  []conjunct
 }
 
 func (c *classifier) add(e Expr) {
@@ -80,23 +83,23 @@ func (c *classifier) add(e Expr) {
 			c.add(x.R)
 			return
 		}
-		if op, ok := cmpOps[x.Op]; ok {
-			if c.compare(x.L, op, x.R, e) || c.compare(x.R, flipped[op], x.L, e) {
-				return
-			}
+		if op, ok := cmpOps[x.Op]; ok && (c.compare(x.L, op, x.R, -1) || c.compare(x.R, flipped[op], x.L, -1)) {
+			return
 		}
 	case *BetweenExpr:
-		if !x.Not && operandOK(x.Lo) && operandOK(x.Hi) &&
-			c.compare(x.E, columnstore.CmpGE, x.Lo, e) && c.compare(x.E, columnstore.CmpLE, x.Hi, e) {
+		if k := len(c.conjs); !x.Not && operandOK(x.Lo) && operandOK(x.Hi) &&
+			c.compare(x.E, columnstore.CmpGE, x.Lo, k) && c.compare(x.E, columnstore.CmpLE, x.Hi, k) {
+			c.conjs = append(c.conjs, conjunct{expr: e})
 			return
 		}
 	}
-	c.residue = append(c.residue, e)
+	c.conjs = append(c.conjs, conjunct{expr: e, residue: true})
 }
 
-// compare appends the predicate "col op operand" when col is a column of
-// the schema and operand a non-NULL literal or a parameter.
-func (c *classifier) compare(col Expr, op columnstore.CmpOp, operand, orig Expr) bool {
+// compare appends the predicate "col op operand", of the compiled conjunct
+// conj (-1: none), when col is a column of the schema and operand a
+// non-NULL literal or a parameter.
+func (c *classifier) compare(col Expr, op columnstore.CmpOp, operand Expr, conj int) bool {
 	cr, ok := col.(*ColRef)
 	if !ok || (cr.Qual != "" && cr.Qual != c.qual) || !operandOK(operand) {
 		return false
@@ -105,7 +108,7 @@ func (c *classifier) compare(col Expr, op columnstore.CmpOp, operand, orig Expr)
 	if idx < 0 {
 		return false
 	}
-	p := Pred{Col: idx, Op: op, Param: -1, Orig: orig}
+	p := Pred{Col: idx, Op: op, Param: -1, conj: conj}
 	switch x := operand.(type) {
 	case *Literal:
 		p.Lit = x.Val
@@ -196,8 +199,24 @@ type pruneHooks struct{ scope, engine PruneHook }
 // every execution (binding.bind): a plan is shared by every session and
 // every run of its statement.
 func (s *ScanPlan) classify() {
-	s.Preds, s.Residue = Classify(s.Filter, s.Alias, s.Entry.Schema)
+	c := classifier{qual: s.Alias, schema: s.Entry.Schema}
+	c.add(s.Filter)
+	s.Preds, s.conjs = c.preds, c.conjs
 	s.params = slices.ContainsFunc(s.Preds, func(p Pred) bool { return p.Param >= 0 })
+}
+
+// holds reports whether the lone comparison p holds for the cell v, the
+// run's params bound: never when either side is NULL — as the comparison
+// compiled, and the kernels, decide it.
+func (p *Pred) holds(v value.Value, params []value.Value) bool {
+	lit := p.Lit
+	if p.Param >= 0 {
+		lit = value.Null
+		if p.Param < len(params) {
+			lit = params[p.Param]
+		}
+	}
+	return !v.IsNull() && !lit.IsNull() && p.Op.MatchOrd(value.Compare(v, lit))
 }
 
 // binding is a run of a scan's pruning and its scratch: the predicates the

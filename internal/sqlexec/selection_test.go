@@ -90,23 +90,23 @@ func poolPins(p *scratchPool) []string {
 		}
 	}
 	for _, c := range p.runs {
-		pin(c.params != nil || c.reg != nil || c.stats != nil || c.out != nil || c.prof != nil, "a statement's parameters, sink or stats")
+		pin(c.params != nil || c.stats != nil || c.out != nil || c.prof != nil, "a statement's parameters, sink or stats")
 		pin(c.hooks.scope != nil || c.hooks.engine != nil || c.state != nil || c.replies != nil, "a statement's prune hooks, fold state or replies")
 		pin(c.nscans != 0, "scans lent to no statement")
 		for _, r := range c.scans {
 			pin(r.ctx == nil, "a scan of no ctx")
-			pin(r.plan != nil || r.cols != nil || r.filter != nil || r.zoneAgg != nil, "a scan's plan or filter")
-			pin(r.fused != nil || r.emitView != nil || r.emit != nil || r.victims != nil || r.probe != nil || r.fold != nil || r.op != nil || r.residCols != nil,
+			pin(r.plan != nil || r.zoneAgg != nil, "a scan's plan or filter")
+			pin(r.fused != nil || r.emitView != nil || r.emit != nil || r.victims != nil || r.probe != nil || r.fold != nil || r.op != nil,
 				"what a scan's exit was handed")
 			pin(len(r.scratch) != 0, "a scan's runner scratch")
 			for _, x := range r.binding.preds[:cap(r.binding.preds)] {
-				pin(x.Orig != nil || x.Lit != value.Null, "a bound predicate")
+				pin(x != (Pred{}), "a bound predicate")
 			}
 			for _, x := range r.binding.parts[:cap(r.binding.parts)] {
 				pin(x != nil, "a partition a run kept")
 			}
 			for _, x := range r.tasks[:cap(r.tasks)] {
-				pin(x.part != nil || x.snap != nil || x.kernels != nil || x.resid != nil || x.readers != nil, "a morsel")
+				pin(x.part != nil || x.snap != nil || x.kernels != nil || x.readers != nil, "a morsel")
 			}
 			for _, x := range r.readers[:cap(r.readers)] {
 				pin(x.main != nil || x.ints != nil || x.floats != nil || x.delta != nil, "a column reader")
