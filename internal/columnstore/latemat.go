@@ -21,17 +21,25 @@ type codeRemap struct {
 	have   []bool
 }
 
-// remapOnStack is the largest dictionary whose remap lives in its caller's
-// frame: a call over a small dictionary allocates nothing.
-const remapOnStack = 64
+// CodeRemap is the memory a KeyCoder call's table from dictionary code to
+// canonical key lives in. Its caller keeps it from call to call, so that a
+// dictionary no larger than one translated before costs no allocation. The
+// zero value is empty; it is never shared by two calls at once.
+type CodeRemap struct {
+	keys []int64
+	have []bool
+}
 
-func (c *DictColumn) newCodeRemap(intern func(string) int64, keys *[remapOnStack]int64, have *[remapOnStack]bool) codeRemap {
-	r := codeRemap{dict: c.Dict, intern: intern}
-	if n := c.Dict.Len(); n <= remapOnStack {
-		r.keys, r.have = keys[:n], have[:n]
-	} else {
-		r.keys, r.have = make([]int64, n), make([]bool, n)
+// Cap is the largest dictionary rm holds a table for without growing.
+func (rm *CodeRemap) Cap() int { return cap(rm.have) }
+
+func (c *DictColumn) newCodeRemap(intern func(string) int64, rm *CodeRemap) codeRemap {
+	n := c.Dict.Len()
+	if cap(rm.have) < n {
+		rm.keys, rm.have = make([]int64, n), make([]bool, n)
 	}
+	r := codeRemap{dict: c.Dict, intern: intern, keys: rm.keys[:n], have: rm.have[:n]}
+	clear(r.have)
 	return r
 }
 
@@ -45,11 +53,9 @@ func (r *codeRemap) key(id int) int64 {
 
 // CodeKeys implements KeyCoder for a dictionary column: every row is a
 // small-int code into the table-wide sorted dictionary, remapped through a
-// per-call codeRemap.
-func (c *DictColumn) CodeKeys(sel []int, intern func(string) int64, nullKey int64, out []int64) []int64 {
-	var keys [remapOnStack]int64
-	var have [remapOnStack]bool
-	remap := c.newCodeRemap(intern, &keys, &have)
+// per-call codeRemap over rm.
+func (c *DictColumn) CodeKeys(sel []int, intern func(string) int64, nullKey int64, out []int64, rm *CodeRemap) []int64 {
+	remap := c.newCodeRemap(intern, rm)
 	for _, pos := range sel {
 		if c.Nulls != nil && c.Nulls.Get(pos) {
 			out = append(out, nullKey)
@@ -63,10 +69,8 @@ func (c *DictColumn) CodeKeys(sel []int, intern func(string) int64, nullKey int6
 // CodeKeysRange is CodeKeys over every row of [lo, hi): the codes stream
 // out of the packed words a stack buffer at a time instead of being
 // re-addressed per position.
-func (c *DictColumn) CodeKeysRange(lo, hi int, intern func(string) int64, nullKey int64, out []int64) []int64 {
-	var keys [remapOnStack]int64
-	var have [remapOnStack]bool
-	remap := c.newCodeRemap(intern, &keys, &have)
+func (c *DictColumn) CodeKeysRange(lo, hi int, intern func(string) int64, nullKey int64, out []int64, rm *CodeRemap) []int64 {
+	remap := c.newCodeRemap(intern, rm)
 	var buf [256]uint64
 	for lo < hi {
 		end := min(lo+len(buf), hi)

@@ -45,11 +45,12 @@ type ValueFilterer interface {
 // distinct dictionary entry per call (the late-materialization contract:
 // the per-row work is an integer remap, decode happens once per distinct
 // value). NULL rows yield nullKey. Keys append to out, one per position
-// in sel, in order. CodeKeysRange is the same over every row of [lo, hi),
-// for a selection that is still a range and has no position vector.
+// in sel, in order. rm is the caller's memory for the call's remap table.
+// CodeKeysRange is the same over every row of [lo, hi), for a selection
+// that is still a range and has no position vector.
 type KeyCoder interface {
-	CodeKeys(sel []int, intern func(string) int64, nullKey int64, out []int64) []int64
-	CodeKeysRange(lo, hi int, intern func(string) int64, nullKey int64, out []int64) []int64
+	CodeKeys(sel []int, intern func(string) int64, nullKey int64, out []int64, rm *CodeRemap) []int64
+	CodeKeysRange(lo, hi int, intern func(string) int64, nullKey int64, out []int64, rm *CodeRemap) []int64
 }
 
 // RunFolder exposes run-granular iteration for run-length-aware

@@ -196,7 +196,7 @@ func E8ScaleOutSpeedup(s Scale) *Table {
 		if err != nil {
 			panic(err)
 		}
-		if _, err := fin.Run(replies); err != nil {
+		if _, err := fin.Run(new(sqlexec.FinishPool), replies); err != nil {
 			panic(err)
 		}
 		merge := time.Since(st)

@@ -234,7 +234,7 @@ func (c *PagedStrings) FilterString(lo, hi int, op columnstore.CmpOp, lit string
 // dictionaries: positions (ascending) group by covering chunk, each
 // chunk faults once and forwards to its fragment's code remap, so a
 // distinct value decodes once per chunk rather than once per row.
-func (c *PagedStrings) CodeKeys(sel []int, intern func(string) int64, nullKey int64, out []int64) []int64 {
+func (c *PagedStrings) CodeKeys(sel []int, intern func(string) int64, nullKey int64, out []int64, rm *columnstore.CodeRemap) []int64 {
 	for i := 0; i < len(sel); {
 		k := c.chunkAt(sel[i])
 		ch := c.chunk[k]
@@ -248,7 +248,7 @@ func (c *PagedStrings) CodeKeys(sel []int, intern func(string) int64, nullKey in
 			for _, pos := range sel[i:j] {
 				local = append(local, pos-ch.rowLo)
 			}
-			out = kc.CodeKeys(local, intern, nullKey, out)
+			out = kc.CodeKeys(local, intern, nullKey, out, rm)
 		} else {
 			for _, pos := range sel[i:j] {
 				out = appendKey(out, frag.Get(pos-ch.rowLo), intern, nullKey)
@@ -262,7 +262,7 @@ func (c *PagedStrings) CodeKeys(sel []int, intern func(string) int64, nullKey in
 
 // CodeKeysRange is CodeKeys over every row of [lo, hi): each overlapping
 // chunk faults once and translates its part of the range.
-func (c *PagedStrings) CodeKeysRange(lo, hi int, intern func(string) int64, nullKey int64, out []int64) []int64 {
+func (c *PagedStrings) CodeKeysRange(lo, hi int, intern func(string) int64, nullKey int64, out []int64, rm *columnstore.CodeRemap) []int64 {
 	if lo >= hi || c.n == 0 {
 		return out
 	}
@@ -271,7 +271,7 @@ func (c *PagedStrings) CodeKeysRange(lo, hi int, intern func(string) int64, null
 		clo, chi := max(lo, ch.rowLo)-ch.rowLo, min(hi, ch.rowHi)-ch.rowLo
 		f, frag := c.fault(k)
 		if kc, ok := frag.(columnstore.KeyCoder); ok {
-			out = kc.CodeKeysRange(clo, chi, intern, nullKey, out)
+			out = kc.CodeKeysRange(clo, chi, intern, nullKey, out, rm)
 		} else {
 			for i := clo; i < chi; i++ {
 				out = appendKey(out, frag.Get(i), intern, nullKey)

@@ -54,6 +54,8 @@ type Coordinator struct {
 	reg *sqlexec.Registry
 	// parses holds the parses of the SELECT texts clients repeat.
 	parses sqlexec.ParseCache
+	// finishes lends the plans above the cut their run state (finish).
+	finishes sqlexec.FinishPool
 
 	obs    *stats.Registry
 	tracer *stats.Tracer
@@ -983,7 +985,7 @@ func intersect(a, b []string) []string {
 // coverage in any stage of a multi-stage plan makes the whole answer
 // partial).
 func (c *Coordinator) finish(fin *sqlexec.Finish, replies []sqlexec.Reply, reports []*fanReport, params []value.Value) (*Result, error) {
-	out, err := fin.Run(replies, params...)
+	out, err := fin.Run(&c.finishes, replies, params...)
 	if err != nil {
 		return nil, err
 	}

@@ -135,6 +135,98 @@ func TestCoordinatorMatchesOneEngine(t *testing.T) {
 	}
 }
 
+// TestCoordinatorFinishConcurrent: four goroutines querying one
+// coordinator at once — whose finishes borrow their folds and interners
+// from one pool — each get the answer the statement gives alone, for every
+// aggregate shape of matchQueries and a plain SELECT.
+func TestCoordinatorFinishConcurrent(t *testing.T) {
+	c, _ := newMatchCluster(t, 3)
+	queries := []string{
+		`SELECT region, COUNT(*), COUNT(qty), MIN(qty), MAX(qty), SUM(qty), AVG(qty) FROM t GROUP BY region ORDER BY region`,
+		`SELECT SUM(amount), AVG(amount), MIN(amount), MAX(amount) FROM t`,
+		`SELECT region = 'D', SUM(amount), AVG(amount) FROM t GROUP BY region = 'D' ORDER BY 1`,
+		`SELECT COUNT(DISTINCT qty), SUM(DISTINCT qty), AVG(DISTINCT qty) FROM t`,
+		`SELECT qty, COUNT(*) FROM t GROUP BY qty ORDER BY qty`,
+		`SELECT id, qty FROM t ORDER BY qty, id LIMIT 3`,
+	}
+	answer := func(q string) (string, error) {
+		r, err := c.Query(q)
+		if err != nil {
+			return "", err
+		}
+		return strings.Join(keysOf(r.Rows), "\n"), nil
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = answer(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 30 {
+				i := (w + r) % len(queries)
+				got, err := answer(queries[i])
+				if err == nil && got != want[i] {
+					err = fmt.Errorf("%s: concurrently\n%s\nalone\n%s", queries[i], got, want[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestBetweenNullBoundDistributed: a NULL bound of BETWEEN, bound to a
+// parameter or spelled as a literal, answers on a 3-node cluster as on one
+// engine and as lo <= x AND x <= hi under three-valued logic does: no row
+// for BETWEEN, and for NOT BETWEEN the rows the other bound alone rules out.
+func TestBetweenNullBoundDistributed(t *testing.T) {
+	c, ref := newMatchCluster(t, 3)
+	for _, q := range []struct {
+		sql    string
+		params []value.Value
+		want   string
+	}{
+		{`SELECT id FROM t WHERE qty BETWEEN $1 AND 6 ORDER BY id`, []value.Value{value.Null}, ""},
+		{`SELECT id FROM t WHERE qty NOT BETWEEN $1 AND 6 ORDER BY id`, []value.Value{value.Null}, "K32"},
+		{`SELECT id FROM t WHERE qty BETWEEN NULL AND 6 ORDER BY id`, nil, ""},
+		{`SELECT id FROM t WHERE qty NOT BETWEEN 6 AND NULL ORDER BY id`, nil, "K01 K11 K21 K31 K41 K51"},
+		{`SELECT COUNT(*) FROM t WHERE qty BETWEEN $1 AND 10`, []value.Value{value.Null}, "0"},
+	} {
+		got, err := c.Query(q.sql, q.params...)
+		if err != nil {
+			t.Fatalf("%s: %v", q.sql, err)
+		}
+		want, err := ref.Query(q.sql, q.params...)
+		if err != nil {
+			t.Fatalf("%s, one engine: %v", q.sql, err)
+		}
+		if g, w := keysOf(got.Rows), keysOf(want.Rows); !slices.Equal(g, w) {
+			t.Errorf("%s:\n cluster    %v\n one engine %v", q.sql, got.Rows, want.Rows)
+		}
+		var cells []string
+		for _, row := range got.Rows {
+			cells = append(cells, row[0].AsString())
+		}
+		if g := strings.Join(cells, " "); g != q.want {
+			t.Errorf("%s: %q, want %q", q.sql, g, q.want)
+		}
+	}
+}
+
 // TestCoordinatorParams: a distributed SELECT with the client's own $N or
 // ? — in WHERE beside literal slots, above the cut in the select list and
 // HAVING — answers as one engine does with the same values, and one sent

@@ -86,7 +86,8 @@ func TestTaskDeadlineUnderReuse(t *testing.T) {
 // zero-latency 4-node cluster at what the statement and its four node tasks
 // cost: the coordinator's finish, and per task its spans, its call, its two
 // messages and the node's statement — the coordinator's plan and every
-// node's are made once, by the first query. An envelope that
+// node's are made once, by the first query, and every fold and interner is
+// lent by its engine's or the coordinator's pool. An envelope that
 // formats, wraps or regrows per call again shows as a few more per task.
 func TestFanoutTaskAllocs(t *testing.T) {
 	c := newTestCluster(t, 4, OLTP)
@@ -114,7 +115,7 @@ func TestFanoutTaskAllocs(t *testing.T) {
 	if raceDetector() {
 		t.Skip("the race detector's sync.Pools drop what they are given at random")
 	}
-	const tasks, budget = 4, 131 // 128 measured; 145 before the plan carried its compiled expressions, 228 before a parse carried its plan, 304 before a node kept its parses, 435 before the envelope was trimmed
+	const tasks, budget = 4, 101 // 98 measured; 128 before a run borrowed its folds from the pool, 145 before the plan carried its compiled expressions, 228 before a parse carried its plan, 304 before a node kept its parses, 435 before the envelope was trimmed
 	if got := testing.AllocsPerRun(50, query); got > budget {
 		t.Fatalf("%s allocates %.0f times (%.1f per node task), budget %d", sql, got, got/tasks, budget)
 	}

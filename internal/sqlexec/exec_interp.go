@@ -89,9 +89,13 @@ type execCtx struct {
 	prof    *Profile // non-nil under EXPLAIN ANALYZE
 
 	// scans are the scan runs the ctx keeps, the first nscans lent to the
-	// running statement's scans (scan).
-	scans  []*scanRun
-	nscans int
+	// running statement's scans (scan). folds and interners are what the
+	// statement's aggregations borrowed from the pool (fold, interner); they
+	// go back to it with the ctx.
+	scans     []*scanRun
+	nscans    int
+	folds     []*aggFold
+	interners []*strInterner
 	// local accounts a statement that is accounted nowhere else: a DML's
 	// victim search.
 	local ExecStats
@@ -111,14 +115,44 @@ func (c *execCtx) scan() *scanRun {
 	return r
 }
 
+// fold lends one of the statement's aggregations a fold of in, interning
+// into it and reading columns below nProbe by position (aggFold.nProbe),
+// borrowed from the ctx's pool (scratchPool.takeFold). Folds are lent on
+// the statement's goroutine, as its runs start.
+func (c *execCtx) fold(in *aggInput, it *strInterner, nProbe int) *aggFold {
+	f := c.scratch.takeFold()
+	c.folds = append(c.folds, f)
+	f.bind(in, it, nProbe, c.params)
+	return f
+}
+
+// interner lends one of the statement's aggregations the interner its
+// folds share, as fold lends a fold.
+func (c *execCtx) interner() *strInterner {
+	it := c.scratch.takeInterner()
+	c.interners = append(c.interners, it)
+	return it
+}
+
 // reset drops everything of the statement that ran on c — its parameters,
-// sink, stats, and what its scans read and computed — keeping the scans'
-// slabs: what the pool keeps pins no table, row or parameter.
+// sink, stats, and what its scans and aggregations read and computed —
+// keeping the scans' slabs, and gives the pool back the folds and
+// interners, emptied to their capacity (aggFold.reset): what the pool keeps
+// pins no table, row or parameter.
 func (c *execCtx) reset() {
 	for _, r := range c.scans[:c.nscans] {
 		r.reset()
 	}
-	c.nscans = 0
+	for _, f := range c.folds {
+		f.reset()
+	}
+	for _, it := range c.interners {
+		it.reset()
+	}
+	c.scratch.keepFolds(c.folds, c.interners)
+	clear(c.folds)
+	clear(c.interners)
+	c.nscans, c.folds, c.interners = 0, c.folds[:0], c.interners[:0]
 	c.ts, c.params, c.stats, c.out, c.workers, c.prof = 0, nil, nil, nil, 0, nil
 	c.hooks, c.state, c.replies = pruneHooks{}, nil, nil
 	c.local = ExecStats{}

@@ -368,6 +368,7 @@ func (s selection) window(from, to int) selection {
 type scanScratch struct {
 	selA, selB []int
 	keys       []int64
+	remap      columnstore.CodeRemap // codeKeys' table
 	env        Env
 	key        keyScratch
 }
@@ -385,28 +386,45 @@ func (s *scanScratch) rowEnv(width int, params []value.Value) *Env {
 // scratchPool lends a statement the state it runs on, across the statements
 // of one Engine — the engine that runs a statement owns what it runs with,
 // so several engines in a process (the data nodes of a cluster) do not evict
-// each other's. It lends two things, each from a last-in-first-out free
+// each other's. It lends four things, each from a last-in-first-out free
 // list, so that what a statement takes is what the statement before it
 // warmed: the statement's execCtx with the scan runs it keeps (borrow,
-// giveBack), and one scratch per runner of each scan (takeRun, put). Each
-// list keeps what one run holds at once — GOMAXPROCS, unless a run had more
-// runners — and drops the rest, so what an idle engine retains is fixed by
-// GOMAXPROCS: it does not depend, as a sync.Pool's contents do, on how long
-// ago the collector last ran. Nothing is kept per session, so concurrent
-// sessions and an SOE node's one-session tasks share it alike. The zero
-// value is an empty pool; a nil pool lends fresh state and keeps none. hook
-// is set only by tests: it sees every *execCtx and *scanScratch lent (+1)
-// and returned (-1).
+// giveBack), one scratch per runner of each scan (takeRun, put), and one
+// fold per runner of each aggregation and the interner they share
+// (takeFold, takeInterner, keepFolds). Each list keeps what one run holds at
+// once — GOMAXPROCS, unless a run had more runners — and drops the rest, and
+// a kept fold has room for at most vecFlatGroupCutoff groups
+// (aggFold.reset), so what an idle engine retains is fixed by GOMAXPROCS:
+// it does not depend, as a sync.Pool's contents do, on how long ago the
+// collector last ran, nor on how many statements ran at once. Nothing is
+// kept per session, so concurrent sessions and an SOE node's one-session
+// tasks share it alike. The zero value is an empty pool; a nil pool lends
+// fresh state and keeps none. hook is set only by tests: it sees every
+// *execCtx and *scanScratch lent (+1) and returned (-1).
 type scratchPool struct {
-	mu   sync.Mutex
-	runs []*execCtx
-	free []*scanScratch
-	wide int // the widest run's runners, when that is more than GOMAXPROCS
-	hook func(lent any, delta int)
+	mu        sync.Mutex
+	runs      []*execCtx
+	free      []*scanScratch
+	folds     []*aggFold
+	interners []*strInterner
+	wide      int // the widest run's runners, when that is more than GOMAXPROCS
+	hook      func(lent any, delta int)
 }
 
 // keeps is how many of each the pool keeps; the caller holds p.mu.
 func (p *scratchPool) keeps() int { return max(p.wide, runtime.GOMAXPROCS(0)) }
+
+// pop takes the last of a free list, nil from an empty one; the caller
+// holds the pool's mu.
+func pop[T any](list *[]*T) *T {
+	n := len(*list) - 1
+	if n < 0 {
+		return nil
+	}
+	x := (*list)[n]
+	(*list)[n], *list = nil, (*list)[:n]
+	return x
+}
 
 // borrow lends a statement an execCtx, empty but for the slabs of the scans
 // it ran before.
@@ -414,10 +432,7 @@ func (p *scratchPool) borrow() *execCtx {
 	var c *execCtx
 	if p != nil {
 		p.mu.Lock()
-		if n := len(p.runs) - 1; n >= 0 {
-			c, p.runs[n] = p.runs[n], nil
-			p.runs = p.runs[:n]
-		}
+		c = pop(&p.runs)
 		p.mu.Unlock()
 	}
 	if c == nil {
@@ -448,6 +463,50 @@ func (p *scratchPool) giveBack(c *execCtx) {
 	p.mu.Unlock()
 }
 
+// takeFold lends an aggregation a fold, empty but for the capacity a fold
+// before it kept (aggFold.reset).
+func (p *scratchPool) takeFold() *aggFold {
+	var f *aggFold
+	if p != nil {
+		p.mu.Lock()
+		f = pop(&p.folds)
+		p.mu.Unlock()
+	}
+	if f == nil {
+		f = new(aggFold)
+	}
+	return f
+}
+
+// takeInterner lends an aggregation an interner, as takeFold lends a fold.
+func (p *scratchPool) takeInterner() *strInterner {
+	var it *strInterner
+	if p != nil {
+		p.mu.Lock()
+		it = pop(&p.interners)
+		p.mu.Unlock()
+	}
+	if it == nil {
+		it = new(strInterner)
+		it.fn = it.intern
+	}
+	return it
+}
+
+// keepFolds takes back folds and interners a statement is done with,
+// already emptied, keeping as many of each as keeps allows.
+func (p *scratchPool) keepFolds(folds []*aggFold, interners []*strInterner) {
+	if p == nil || len(folds)+len(interners) == 0 {
+		return
+	}
+	p.mu.Lock()
+	room := max(p.keeps()-len(p.folds), 0)
+	p.folds = append(p.folds, folds[:min(room, len(folds))]...)
+	room = max(p.keeps()-len(p.interners), 0)
+	p.interners = append(p.interners, interners[:min(room, len(interners))]...)
+	p.mu.Unlock()
+}
+
 // takeRun borrows one scratch for each runner of a run, into dst.
 func (p *scratchPool) takeRun(dst []*scanScratch, runners int) []*scanScratch {
 	p.mu.Lock()
@@ -460,12 +519,8 @@ func (p *scratchPool) takeRun(dst []*scanScratch, runners int) []*scanScratch {
 }
 
 func (p *scratchPool) take() *scanScratch {
-	var s *scanScratch
 	p.mu.Lock()
-	if n := len(p.free) - 1; n >= 0 {
-		s, p.free[n] = p.free[n], nil
-		p.free = p.free[:n]
-	}
+	s := pop(&p.free)
 	p.mu.Unlock()
 	if s == nil {
 		s = new(scanScratch)
@@ -477,12 +532,16 @@ func (p *scratchPool) take() *scanScratch {
 }
 
 // put returns a scratch nobody reads any more. Its vectors keep their
-// capacity; the rows it evaluated and rendered keys from are cleared so that
-// an idle scratch pins no statement's values or parameters.
+// capacity, and its remap table room for vecFlatGroupCutoff dictionary
+// entries at most; the rows it evaluated and rendered keys from are cleared
+// so that an idle scratch pins no statement's values or parameters.
 func (p *scratchPool) put(s *scanScratch) {
 	clear(s.env.Row[:cap(s.env.Row)])
 	clear(s.key.row[:cap(s.key.row)])
 	s.env.Params = nil
+	if s.remap.Cap() > vecFlatGroupCutoff {
+		s.remap = columnstore.CodeRemap{}
+	}
 	if p.hook != nil {
 		p.hook(s, -1)
 	}
@@ -1353,7 +1412,7 @@ func vecFold(x *AggPlan, ctx *execCtx) (aggRun, error) {
 			return vecAggJoinCode(c, in, ctx)
 		}
 	case *replyPlan:
-		return foldReplies(in, ctx.replies, ctx.params), nil
+		return foldReplies(in, ctx), nil
 	}
 	return vecAggRows(x.Child, in, ctx)
 }

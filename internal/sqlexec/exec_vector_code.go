@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/columnstore"
 	"repro/internal/value"
@@ -36,14 +37,15 @@ const nullCode int64 = -1
 // strInterner assigns dense int64 ids to decoded strings, shared across
 // the worker folds of one query so every worker agrees on the code
 // space. The KeyCoder contract calls intern once per distinct value per
-// morsel, which keeps the mutex off the per-row path.
+// morsel, which keeps the mutex off the per-row path. The statement's
+// execCtx lends it (execCtx.interner) and keeps it, emptied, for the next
+// statement; fn is its intern method, bound once: a method value allocates.
 type strInterner struct {
 	mu   sync.Mutex
 	ids  map[string]int64
 	vals []string
+	fn   func(string) int64
 }
-
-func newStrInterner() *strInterner { return &strInterner{} }
 
 func (it *strInterner) intern(s string) int64 {
 	it.mu.Lock()
@@ -58,6 +60,29 @@ func (it *strInterner) intern(s string) int64 {
 	}
 	it.mu.Unlock()
 	return id
+}
+
+// internBytes interns b's text, copying it only when it is new.
+func (it *strInterner) internBytes(b []byte) int64 {
+	it.mu.Lock()
+	id, ok := it.ids[string(b)]
+	it.mu.Unlock()
+	if !ok {
+		id = it.intern(string(b))
+	}
+	return id
+}
+
+// reset empties the interner for the next statement: it keeps its map and
+// list unless they grew past vecFlatGroupCutoff strings.
+func (it *strInterner) reset() {
+	if len(it.vals) > vecFlatGroupCutoff {
+		it.ids, it.vals = nil, nil
+		return
+	}
+	clear(it.ids)
+	clear(it.vals)
+	it.vals = it.vals[:0]
 }
 
 // --- partial aggregation ----------------------------------------------------
@@ -126,10 +151,14 @@ type aggGroup struct {
 // folds for run-length group columns, code keys for dictionary columns, raw
 // int64 for frame-of-reference columns, the readers otherwise), the
 // (position, build row) pairs of a join probe, or rows (foldRow).
+//
+// A fold is lent by the statement's execCtx (execCtx.fold) and kept by it
+// from statement to statement: reset empties it and keeps its capacity —
+// chunks, flat array, maps, buffers — for up to vecFlatGroupCutoff groups,
+// so a warm aggregation of that many groups allocates none of its state.
 type aggFold struct {
 	in       *aggInput
 	interner *strInterner
-	intern   func(string) int64 // interner's, bound by the first foldCodes: a method value allocates
 	// nProbe splits the input's column space: columns below it are the
 	// scan's, read by position; the rest index a join's build row. With
 	// nProbe 0 every column indexes the row.
@@ -139,48 +168,130 @@ type aggFold struct {
 	overflow map[int64]*aggGroup
 	nullG    *aggGroup
 	global   *aggGroup
-	keyed    map[string]*aggGroup
+	keyed    map[string]*aggGroup // by rendered key: a string over texts (keyText)
 
 	env    Env       // the row computed keys and arguments read
+	row    value.Row // env.Row's memory when the fold reads positions
 	key    value.Row // the current row's rendered key
 	keyBuf []byte    // and its rendering
+	texts  []byte    // every rendered group's key, as keyed holds it
 
-	// spare and spareAccs are the rest of the fold's current chunk of
-	// groups and of their accumulators, made the groups made before
-	// (newGroup).
-	spare     []aggGroup
-	spareAccs []aggAcc
-	made      int
+	// A group, its accumulators and a rendered group's key row are carved
+	// out of the fold's chunks (newGroup); list is what groups() lists.
+	groupChunks chunks[aggGroup]
+	accChunks   chunks[aggAcc]
+	keyChunks   chunks[value.Value]
+	list        []*aggGroup
 
 	runsFolded    int64
 	batchesFused  int64
 	decodeAvoided int64
 }
 
-func newAggFold(in *aggInput, interner *strInterner, nProbe int, params []value.Value) *aggFold {
-	f := &aggFold{in: in, interner: interner, nProbe: nProbe, env: Env{Params: params}}
+// bind readies a fold for an aggregation of in, whose strings it interns in
+// it and whose computed expressions read params.
+func (f *aggFold) bind(in *aggInput, it *strInterner, nProbe int, params []value.Value) {
+	f.in, f.interner, f.nProbe, f.env.Params = in, it, nProbe, params
+	f.key = f.key[:0]
 	if in.groupCol < 0 && len(in.keyCols) > 0 {
-		f.key = make(value.Row, len(in.keyCols))
+		f.key = sized(f.key, len(in.keyCols))
 	}
 	if in.computed && nProbe > 0 {
-		f.env.Row = make(value.Row, nProbe)
+		f.row = sized(f.row, nProbe)
+		f.env.Row = f.row
 	}
-	return f
+}
+
+// sized is r at length n, over r's memory when it has room.
+func sized(r value.Row, n int) value.Row {
+	if cap(r) < n {
+		return make(value.Row, n)
+	}
+	return r[:n]
+}
+
+// reset empties f for the next statement: every group, accumulator, key,
+// DISTINCT seen-set and parameter it held is dropped, and what it keeps is
+// capacity for vecFlatGroupCutoff groups — chunks beyond those, maps that
+// held more, and rendered-key buffers past that many keys of 64 bytes go
+// with the statement.
+func (f *aggFold) reset() {
+	limit := vecFlatGroupCutoff
+	f.groupChunks.reset(limit)
+	f.accChunks.reset(limit * len(f.in.specs))
+	f.keyChunks.reset(limit * len(f.key))
+	if len(f.keyed) > limit {
+		f.keyed = nil
+	}
+	if len(f.overflow) > limit {
+		f.overflow = nil
+	}
+	if cap(f.texts) > 64*limit {
+		f.texts = nil
+	}
+	if cap(f.keyBuf) > 64*limit {
+		f.keyBuf = nil
+	}
+	clear(f.keyed)
+	clear(f.overflow)
+	clear(f.flat[:cap(f.flat)])
+	clear(f.list[:cap(f.list)])
+	clear(f.key[:cap(f.key)])
+	clear(f.row[:cap(f.row)])
+	f.flat, f.list, f.texts = f.flat[:0], f.list[:0], f.texts[:0]
+	f.in, f.interner, f.nProbe, f.nullG, f.global, f.env = nil, nil, 0, nil, nil, Env{}
+	f.runsFolded, f.batchesFused, f.decodeAvoided = 0, 0, 0
+}
+
+// chunks lends runs of n zeroed Ts out of chunks it keeps from one
+// aggregation to the next. A new chunk holds as many elements as it has
+// lent, at least n and at most 1 024 runs of them: lending k costs two
+// allocations per doubling of k at most, none once the chunks are there,
+// and a chunk is never more than half unused.
+type chunks[T any] struct {
+	list [][]T // every chunk at its full length; list[:next] are lent from
+	next int
+	free []T // the rest of list[next-1]
+	made int // elements lent since reset
+}
+
+func (c *chunks[T]) take(n int) []T {
+	if len(c.free) < n {
+		if c.next == len(c.list) {
+			c.list = append(c.list, nil)
+		}
+		if len(c.list[c.next]) < n { // kept for a narrower run, or new
+			c.list[c.next] = make([]T, min(max(c.made, n), 1024*n))
+		}
+		c.free = c.list[c.next]
+		c.next++
+	}
+	s := c.free[:n:n]
+	c.free, c.made = c.free[n:], c.made+n
+	return s
+}
+
+// reset zeroes what c lent and keeps its leading chunks of at most limit
+// elements in all.
+func (c *chunks[T]) reset(limit int) {
+	kept := 0
+	for i, ch := range c.list {
+		if kept += len(ch); kept > limit {
+			clear(c.list[i:])
+			c.list = c.list[:i]
+			break
+		}
+		if i < c.next {
+			clear(ch)
+		}
+	}
+	c.next, c.free, c.made = 0, nil, 0
 }
 
 // newGroup carves a group and its accumulators out of the fold's chunks.
-// A new chunk holds as many groups as the fold has made, at least one and
-// at most 1 024: a fold of g groups costs two allocations per doubling of
-// g, not two per group, and a chunk is never more than half unused.
 func (f *aggFold) newGroup(code, rank int64) *aggGroup {
-	n := len(f.in.specs)
-	if len(f.spare) == 0 {
-		chunk := min(max(f.made, 1), 1024)
-		f.spare, f.spareAccs = make([]aggGroup, chunk), make([]aggAcc, chunk*n)
-	}
-	g := &f.spare[0]
-	*g = aggGroup{code: code, accs: f.spareAccs[:n:n], first: rank}
-	f.spare, f.spareAccs, f.made = f.spare[1:], f.spareAccs[n:], f.made+1
+	g := &f.groupChunks.take(1)[0]
+	*g = aggGroup{code: code, accs: f.accChunks.take(len(f.in.specs)), first: rank}
 	return g
 }
 
@@ -208,11 +319,16 @@ func (f *aggFold) group(code, rank int64) *aggGroup {
 	return g
 }
 
-// growFlat makes the flat array hold code, a code below the cutoff.
+// growFlat makes the flat array hold code, a code below the cutoff: within
+// the array's capacity, which a fold keeps from statement to statement, or
+// grown geometrically, so eight groups do not cost a cutoff-sized array.
 func (f *aggFold) growFlat(code int64) {
-	if int(code) >= len(f.flat) {
-		// Geometric, so eight groups do not cost a cutoff-sized array.
-		grown := make([]*aggGroup, min(max(2*len(f.flat), int(code)+1, 16), vecFlatGroupCutoff))
+	switch {
+	case int(code) < len(f.flat):
+	case int(code) < cap(f.flat):
+		f.flat = f.flat[:code+1]
+	default:
+		grown := make([]*aggGroup, min(max(2*cap(f.flat), int(code)+1, 16), vecFlatGroupCutoff))
 		copy(grown, f.flat)
 		f.flat = grown
 	}
@@ -242,10 +358,22 @@ func (f *aggFold) keyedGroup(rank int64) *aggGroup {
 			f.keyed = map[string]*aggGroup{}
 		}
 		g = f.newGroup(0, rank)
-		g.key = f.key.Clone()
-		f.keyed[string(f.keyBuf)] = g
+		g.key = f.keyChunks.take(len(f.key))
+		copy(g.key, f.key)
+		f.keyed[f.keyText()] = g
 	}
 	return g
+}
+
+// keyText copies the rendered key in keyBuf to texts and returns it as a
+// string over those bytes: a new group's key in keyed, at no allocation of
+// its own. Bytes once handed out are never written again while the fold
+// holds them — texts only grows until reset empties keyed, and an append
+// that moves it leaves the old bytes to the strings over them.
+func (f *aggFold) keyText() string {
+	at := len(f.texts)
+	f.texts = append(f.texts, f.keyBuf...)
+	return unsafe.String(unsafe.SliceData(f.texts[at:]), len(f.keyBuf))
 }
 
 // groupFor maps one boxed value of the code key's column onto its group: a
@@ -369,23 +497,21 @@ func (f *aggFold) foldMorsel(t *scanTask, sel selection, scr *scanScratch) {
 }
 
 // codeKeys translates the selected positions of a dictionary-coded column
-// into canonical keys, one per position: the range form while the
-// selection is one, by position otherwise.
-func codeKeys(kc columnstore.KeyCoder, sel selection, intern func(string) int64, out []int64) []int64 {
+// into canonical keys, one per position, into scr.keys and through its
+// remap memory: the range form while the selection is one, by position
+// otherwise.
+func codeKeys(kc columnstore.KeyCoder, sel selection, intern func(string) int64, scr *scanScratch) []int64 {
 	if sel.dense {
-		return kc.CodeKeysRange(sel.lo, sel.hi, intern, nullCode, out)
+		return kc.CodeKeysRange(sel.lo, sel.hi, intern, nullCode, scr.keys[:0], &scr.remap)
 	}
-	return kc.CodeKeys(sel.pos, intern, nullCode, out)
+	return kc.CodeKeys(sel.pos, intern, nullCode, scr.keys[:0], &scr.remap)
 }
 
 // foldCodes groups a morsel by dictionary code: per surviving row the
 // work is one int64 remap and an array index — each distinct string
 // decodes once per morsel, not once per row.
 func (f *aggFold) foldCodes(kc columnstore.KeyCoder, t *scanTask, sel selection, scr *scanScratch, base int64) {
-	if f.intern == nil {
-		f.intern = f.interner.intern
-	}
-	scr.keys = codeKeys(kc, sel, f.intern, scr.keys[:0])
+	scr.keys = codeKeys(kc, sel, f.interner.fn, scr)
 	for i, key := range scr.keys {
 		rank := base + int64(i)
 		var g *aggGroup
@@ -542,14 +668,18 @@ func finishAgg(folds []*aggFold, zoneAccs []aggAcc) *aggFold {
 }
 
 // groups lists f's groups in first-seen order, matching the sequential
-// executors; a global aggregation has one, even over no input. The flat
-// array's groups are compacted in place: f is done with it.
+// executors; a global aggregation has one, even over no input.
 func (f *aggFold) groups() []*aggGroup {
+	list := f.list[:0]
 	if len(f.in.keyCols) == 0 {
-		return []*aggGroup{f.globalGroup()}
+		f.list = append(list, f.globalGroup())
+		return f.list
 	}
-	list := slices.DeleteFunc(f.flat, func(g *aggGroup) bool { return g == nil })
-	list = slices.Grow(list, len(f.overflow)+len(f.keyed)+1)
+	for _, g := range f.flat {
+		if g != nil {
+			list = append(list, g)
+		}
+	}
 	for _, g := range f.overflow {
 		list = append(list, g)
 	}
@@ -560,6 +690,7 @@ func (f *aggFold) groups() []*aggGroup {
 		list = append(list, f.nullG)
 	}
 	slices.SortFunc(list, func(a, b *aggGroup) int { return cmp.Compare(a.first, b.first) })
+	f.list = list
 	return list
 }
 
@@ -610,14 +741,14 @@ func (f *aggFold) rows() []value.Row {
 // each morsel's selection phase runs on one of the run's runners and fold
 // consumes its final selection into the runner's own fold, in whatever
 // order the morsels complete. Accumulators are order-free (aggAcc), so
-// finishAgg may merge the folds in any order too. The folds are the run's
-// until the statement ends.
+// finishAgg may merge the folds in any order too. The folds, and the
+// interner they share, are the statement's loan (execCtx.fold) until it ends.
 func (r *scanRun) foldMorsels(in *aggInput, fold func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)) []*aggFold {
 	defer r.release()
-	interner := newStrInterner()
+	it := r.ctx.interner()
 	r.folds = r.folds[:0]
 	for range r.scratch {
-		r.folds = append(r.folds, newAggFold(in, interner, r.ncols, r.ctx.params))
+		r.folds = append(r.folds, r.ctx.fold(in, it, r.ncols))
 	}
 	r.exit, r.fold = exitFold, fold
 	r.runTasks()
@@ -645,23 +776,10 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) aggRun {
 		if op := ctx.prof.node(s); op != nil {
 			op.fused = true
 		}
-		var zoneAccs []aggAcc
-		var zoneAvoided int64
+		var zone *zoneFold
 		if zoneEligible {
-			zoneAccs = make([]aggAcc, len(in.specs))
-			r.zoneAgg = func(snap *columnstore.Snapshot, z *columnstore.ZoneMap) bool {
-				rows := snap.NumRows()
-				for i, ac := range in.argCols {
-					if ac < 0 {
-						zoneAccs[i].count += int64(rows)
-					} else {
-						zoneAccs[i].count += int64(z.Cols[ac].Count)
-						zoneAccs[i].widen(z.Cols[ac].Min, z.Cols[ac].Max)
-					}
-				}
-				zoneAvoided += int64(rows) * int64(r.ncols) * 16
-				return true
-			}
+			zone = &zoneFold{in: in, accs: make([]aggAcc, len(in.specs)), ncols: r.ncols}
+			r.zoneAgg = zone.answer
 		}
 		r.open()
 		folds := r.foldMorsels(in, (*aggFold).foldMorsel)
@@ -671,9 +789,37 @@ func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) aggRun {
 			fused += f.batchesFused
 			avoided += f.decodeAvoided
 		}
-		recordLateMat(ctx, r.op, 0, runs, fused, avoided+zoneAvoided)
+		var zoneAccs []aggAcc
+		if zone != nil {
+			zoneAccs, avoided = zone.accs, avoided+zone.avoided
+		}
+		recordLateMat(ctx, r.op, 0, runs, fused, avoided)
 		return finishAgg(folds, zoneAccs), nil
 	}
+}
+
+// zoneFold is a global aggregation's COUNT/MIN/MAX over the partitions
+// answered from their zone maps (scanRun.zoneAgg), made only for an
+// aggregation that may be.
+type zoneFold struct {
+	in      *aggInput
+	accs    []aggAcc
+	ncols   int
+	avoided int64
+}
+
+func (z *zoneFold) answer(snap *columnstore.Snapshot, zm *columnstore.ZoneMap) bool {
+	rows := snap.NumRows()
+	for i, ac := range z.in.argCols {
+		if ac < 0 {
+			z.accs[i].count += int64(rows)
+		} else {
+			z.accs[i].count += int64(zm.Cols[ac].Count)
+			z.accs[i].widen(zm.Cols[ac].Min, zm.Cols[ac].Max)
+		}
+	}
+	z.avoided += int64(rows) * int64(z.ncols) * 16
+	return true
 }
 
 // vecAggRows is an aggregation over any other input — a join with a
@@ -686,7 +832,7 @@ func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (aggRun, error) {
 		return nil, err
 	}
 	return func() (*aggFold, error) {
-		f := newAggFold(in, newStrInterner(), 0, ctx.params)
+		f := ctx.fold(in, ctx.interner(), 0)
 		var rank int64
 		if err := rows(func(batch []value.Row) error {
 			for _, row := range batch {
@@ -843,7 +989,7 @@ func (j *codeJoin) morselIDs(t *scanTask, sel selection, scr *scanScratch) (ids 
 		mc := t.snap.MainColumn(c)
 		if j.x.shape.keyKind == value.KindString {
 			if kc, ok := mc.(columnstore.KeyCoder); ok {
-				return codeKeys(kc, sel, j.lookupStr, out), true
+				return codeKeys(kc, sel, j.lookupStr, scr), true
 			}
 		} else if ia, ok := mc.(columnstore.IntAccessor); ok {
 			for i := 0; i < n; i++ {

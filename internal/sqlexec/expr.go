@@ -257,14 +257,20 @@ func compileExpr(e Expr, resolve colResolver, reg *Registry) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
+		// lo <= v AND v <= hi, and NOT of it: a side that is false decides,
+		// and a NULL operand leaves any other answer unknown.
 		not := x.Not
 		return func(env *Env) value.Value {
-			v := inner(env)
-			if v.IsNull() {
+			v, l, h := inner(env), lo(env), hi(env)
+			switch {
+			case v.IsNull():
+				return value.Null
+			case !l.IsNull() && value.Compare(v, l) < 0, !h.IsNull() && value.Compare(v, h) > 0:
+				return value.Bool(not)
+			case l.IsNull() || h.IsNull():
 				return value.Null
 			}
-			in := value.Compare(v, lo(env)) >= 0 && value.Compare(v, hi(env)) <= 0
-			return value.Bool(in != not)
+			return value.Bool(!not)
 		}, nil
 
 	case *IsNullExpr:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/value"
 )
@@ -165,6 +166,36 @@ func TestLinkBound(t *testing.T) {
 	}
 	if _, err := Parse(spell(maxLinks + 1)); sqlState(err) != "54001" {
 		t.Fatalf("%d operators: %v, want 54001", maxLinks+1, err)
+	}
+}
+
+// TestGroupByRewriteLinear: matching the expressions over an aggregation
+// against its GROUP BY expressions costs time linear in the statement, so
+// statements of maxLinks operators plan and answer on both executors inside
+// a limit that rendering every subtree's text to match it, quadratic in the
+// chain, takes minutes to pass: a select item that is one long chain over a
+// grouped column, and one half as long whose every prefix is no larger
+// than a GROUP BY expression that is the other half.
+func TestGroupByRewriteLinear(t *testing.T) {
+	e := NewEngine()
+	e.MustQuery(`CREATE TABLE t (a INT, b INT)`)
+	e.MustQuery(`INSERT INTO t VALUES (1, 2), (2, 3), (3, 2)`)
+	half := maxLinks / 2
+	for _, c := range []struct{ name, sql, want string }{
+		{"a long select item", "SELECT b" + strings.Repeat(" + b", maxLinks) + " AS s FROM t GROUP BY b ORDER BY s",
+			fmt.Sprintf("%d %d", 2*(maxLinks+1), 3*(maxLinks+1))},
+		{"a long GROUP BY expression", "SELECT COUNT(*)" + strings.Repeat(" + COUNT(*)", half) + " AS s FROM t GROUP BY b" + strings.Repeat(" + b", half) + " ORDER BY s",
+			fmt.Sprintf("%d %d", half+1, 2*(half+1))},
+	} {
+		t0 := time.Now()
+		if got := render(answers(t, e, c.name, c.sql)); got != c.want {
+			t.Fatalf("%s: %s, want %s", c.name, got, c.want)
+		}
+		took := time.Since(t0)
+		t.Logf("%s: planned and run on both executors in %v", c.name, took)
+		if limit := 20 * time.Second; took > limit {
+			t.Errorf("%s: %v, want under %v", c.name, took, limit)
+		}
 	}
 }
 

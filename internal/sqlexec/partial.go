@@ -119,10 +119,10 @@ func (p *replyPlan) columns() []Column { return p.cols }
 
 // foldReplies absorbs every reply's state into one fold of in, in reply
 // order.
-func foldReplies(in *aggInput, replies []Reply, params []value.Value) aggRun {
+func foldReplies(in *aggInput, ctx *execCtx) aggRun {
 	return func() (*aggFold, error) {
-		f := newAggFold(in, newStrInterner(), 0, params)
-		return f, f.absorbStates(replies)
+		f := ctx.fold(in, ctx.interner(), 0)
+		return f, f.absorbStates(ctx.replies)
 	}
 }
 
@@ -212,16 +212,25 @@ func outputKeys(keys []OrderItem, proj *ProjectPlan) ([]OrderItem, error) {
 	return out, nil
 }
 
+// FinishPool lends a coordinator's finishes the state they run on, as an
+// engine's scratchPool lends its statements theirs, and keeps it from one
+// finish to the next. The zero value is an empty pool; finishes may share
+// one concurrently.
+type FinishPool struct {
+	scratch scratchPool
+}
+
 // Run runs the plan above the cut over the nodes' replies, with the
-// statement's parameters, on the vectorized executor's operators.
-func (f *Finish) Run(replies []Reply, params ...value.Value) (*Result, error) {
+// statement's parameters, on the vectorized executor's operators, with
+// state borrowed from pool.
+func (f *Finish) Run(pool *FinishPool, replies []Reply, params ...value.Value) (*Result, error) {
 	// One allocation: the answer and the feed that fills it.
 	run := &struct {
 		res Result
 		out feed
 	}{}
 	run.out.sink = &run.res
-	_, err := runTo(&run.out, &run.res.Stats, f.plan, runArgs{params: params, mode: ModeVectorized, workers: 1, replies: replies}, nil, false)
+	_, err := runTo(&run.out, &run.res.Stats, f.plan, runArgs{params: params, mode: ModeVectorized, workers: 1, replies: replies}, &pool.scratch, false)
 	return &run.res, err
 }
 
@@ -304,9 +313,12 @@ var errBadState = errors.New("sql: malformed aggregate state")
 // absorbStates merges the replies' fold states into f, group by group in
 // reply order, as absorb merges another worker's fold: a group f holds
 // merges into f's, any other becomes f's own. An accumulator is read
-// straight into its group's, as aggAcc.merge would add it.
+// straight into its group's, as aggAcc.merge would add it. A string code
+// key is looked up by its encoded bytes: it costs a string only the first
+// time f meets it.
 func (f *aggFold) absorbStates(replies []Reply) error {
 	key := make(value.Row, len(f.in.keyCols))
+	strCode := f.in.groupCol >= 0 && f.in.groupKind == value.KindString
 	var rank int64
 	for _, reply := range replies {
 		if reply.State == nil {
@@ -314,10 +326,18 @@ func (f *aggFold) absorbStates(replies []Reply) error {
 		}
 		r := value.NewReader(reply.State)
 		for n := r.Count(1); n > 0 && r.Err() == nil; n-- {
-			for i := range key {
-				key[i] = r.Value()
+			var g *aggGroup
+			if strCode {
+				if s, ok := r.StringBytes(); ok {
+					g = f.group(f.interner.internBytes(s), rank)
+				}
 			}
-			g := f.groupOf(key, rank)
+			if g == nil {
+				for i := range key {
+					key[i] = r.Value()
+				}
+				g = f.groupOf(key, rank)
+			}
 			rank++
 			for i, spec := range f.in.specs {
 				readAcc(&r, &g.accs[i], spec)

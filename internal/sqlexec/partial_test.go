@@ -73,7 +73,8 @@ func stateRows(data []byte, keys int) []value.Row {
 }
 
 func foldOf(in *aggInput, rows []value.Row) *aggFold {
-	f := newAggFold(in, newStrInterner(), 0, nil)
+	ctx := new(execCtx)
+	f := ctx.fold(in, ctx.interner(), 0)
 	for i, row := range rows {
 		f.foldRow(nil, 0, row, int64(i))
 	}
@@ -86,7 +87,7 @@ func absorbed(in *aggInput, states ...[]byte) (*aggFold, error) {
 	for _, st := range states {
 		replies = append(replies, Reply{State: st})
 	}
-	return foldReplies(in, replies, nil)()
+	return foldReplies(in, &execCtx{replies: replies})()
 }
 
 // checkRoundTrip folds rows, encodes the fold and absorbs the state into

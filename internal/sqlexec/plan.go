@@ -535,24 +535,19 @@ func ItemName(it SelectItem) string {
 // aggRewriter replaces aggregate calls and group-by expressions in a
 // select/having expression with references into the AggPlan output row:
 // #g<i> for group key i, #a<i> for aggregate i. groups holds the texts of
-// the GROUP BY expressions, the identities they are matched by.
+// the GROUP BY expressions, the identities they are matched by, and sizes
+// how many nodes each has: only a subtree of one of those sizes is
+// rendered to be matched (groupOf).
 type aggRewriter struct {
 	agg    *AggPlan
 	groups []string
+	sizes  []int
+	nodes  map[Expr]int // nodeCount's counts of subtrees past memoNodes
 }
 
 func (r *aggRewriter) rewrite(e Expr) (Expr, error) {
-	// Exact group-by match?
-	if len(r.agg.GroupBy) > 0 {
-		if r.groups == nil {
-			r.groups = make([]string, len(r.agg.GroupBy))
-			for i, g := range r.agg.GroupBy {
-				r.groups[i] = ExprText(g)
-			}
-		}
-		if i := slices.Index(r.groups, ExprText(e)); i >= 0 {
-			return &ColRef{Name: aggColName('g', i)}, nil
-		}
+	if i := r.groupOf(e); i >= 0 {
+		return &ColRef{Name: aggColName('g', i)}, nil
 	}
 	switch x := e.(type) {
 	case *FuncExpr:
@@ -618,6 +613,48 @@ func (r *aggRewriter) rewrite(e Expr) (Expr, error) {
 		return &IsNullExpr{E: inner, Not: x.Not}, nil
 	}
 	return nil, fmt.Errorf("sql: unsupported expression %T over aggregation", e)
+}
+
+// groupOf is the index of the GROUP BY expression e is, -1 if none. Two
+// subtrees of one size are disjoint, so rewriting an expression renders
+// each of its nodes at most once for each size a GROUP BY expression has:
+// matching is linear in the expression however long a chain it is.
+func (r *aggRewriter) groupOf(e Expr) int {
+	if len(r.agg.GroupBy) == 0 {
+		return -1
+	}
+	if r.groups == nil {
+		r.groups, r.sizes = make([]string, len(r.agg.GroupBy)), make([]int, len(r.agg.GroupBy))
+		for i, g := range r.agg.GroupBy {
+			r.groups[i], r.sizes[i] = ExprText(g), r.nodeCount(g)
+		}
+	}
+	if !slices.Contains(r.sizes, r.nodeCount(e)) {
+		return -1
+	}
+	return slices.Index(r.groups, ExprText(e))
+}
+
+// memoNodes is the size past which nodeCount remembers a subtree's count:
+// a smaller one is counted again when asked, at most memoNodes steps, so
+// asking for every node of an expression costs time linear in it, and a
+// statement of small expressions makes no map.
+const memoNodes = 64
+
+// nodeCount is how many nodes e has.
+func (r *aggRewriter) nodeCount(e Expr) int {
+	if n, ok := r.nodes[e]; ok {
+		return n
+	}
+	n := 1
+	operands(e, func(sub Expr) { n += r.nodeCount(sub) })
+	if n > memoNodes {
+		if r.nodes == nil {
+			r.nodes = map[Expr]int{}
+		}
+		r.nodes[e] = n
+	}
+	return n
 }
 
 func (r *aggRewriter) addAgg(f *FuncExpr) int {

@@ -78,8 +78,10 @@ func countScratch(t *testing.T, e *Engine) (check func(label string) (takes int)
 
 // poolPins lists what an idle pool still holds of the statements that ran
 // on it: parameters, a sink or stats, a plan or compiled code, a snapshot's
-// view, readers, kernels and their literals, morsels, folds, hand-off
-// windows, rows in a scratch. Capacity is all it may keep.
+// view, readers, kernels and their literals, morsels, a scan's folds,
+// hand-off windows, rows in a scratch, and in the folds it keeps groups,
+// keys, accumulators, DISTINCT seen-sets and interned strings. Capacity is
+// all it may keep.
 func poolPins(p *scratchPool) []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -127,6 +129,45 @@ func poolPins(p *scratchPool) []string {
 				}
 			}
 			pin(r.par.failure != nil, "a recovered panic")
+		}
+		for _, f := range c.folds[:cap(c.folds)] {
+			pin(f != nil, "a fold lent to no statement")
+		}
+		for _, it := range c.interners[:cap(c.interners)] {
+			pin(it != nil, "an interner lent to no statement")
+		}
+	}
+	for _, f := range p.folds {
+		pin(f.in != nil || f.interner != nil || f.env.Params != nil || f.env.Row != nil, "a fold's aggregation, interner or parameters")
+		pin(f.nullG != nil || f.global != nil || len(f.overflow) != 0 || len(f.keyed) != 0, "a fold's groups")
+		for _, g := range append(f.flat[:cap(f.flat)], f.list[:cap(f.list)]...) {
+			pin(g != nil, "a fold's groups")
+		}
+		for _, v := range append(f.key[:cap(f.key)], f.row[:cap(f.row)]...) {
+			pin(v != value.Null, "a value in a fold's key or row")
+		}
+		for _, ch := range f.groupChunks.list {
+			for i := range ch {
+				pin(ch[i].key != nil || ch[i].accs != nil || ch[i].code != 0 || ch[i].first != 0, "a group in a fold's chunks")
+			}
+		}
+		for _, ch := range f.accChunks.list {
+			for i := range ch {
+				pin(ch[i].seen != nil, "a DISTINCT seen-set")
+				pin(ch[i].count != 0 || ch[i].sumI != 0 || ch[i].sumF != (exactSum{}) || ch[i].min != value.Null || ch[i].max != value.Null, "an accumulator's value")
+			}
+		}
+		for _, ch := range f.keyChunks.list {
+			for _, v := range ch {
+				pin(v != value.Null, "a value in a group's key row")
+			}
+		}
+		pin(f.groupChunks.next != 0 || f.accChunks.next != 0 || f.keyChunks.next != 0, "chunks lent to no group")
+	}
+	for _, it := range p.interners {
+		pin(len(it.ids) != 0 || len(it.vals) != 0, "an interned string")
+		for _, s := range it.vals[:cap(it.vals)] {
+			pin(s != "", "an interned string")
 		}
 	}
 	for _, s := range p.free {

@@ -115,6 +115,22 @@ func (r *Reader) Float64() float64 {
 	return 0
 }
 
+// StringBytes reads one AppendBinary value when it is a string, and returns
+// its bytes without copying them: they alias the payload. Any other value it
+// leaves unread, and ok is false; so it is when the string is cut short.
+func (r *Reader) StringBytes() (s []byte, ok bool) {
+	if len(r.b) == 0 || Kind(r.b[0]) != KindString {
+		return nil, false
+	}
+	s, n, err := stringBinary(r.b)
+	if err != nil {
+		r.Fail(err)
+		return nil, false
+	}
+	r.b = r.b[n:]
+	return s, true
+}
+
 // Value reads one AppendBinary value.
 func (r *Reader) Value() Value {
 	v, n, err := ReadBinary(r.b)

@@ -555,16 +555,26 @@ func ReadBinary(b []byte) (Value, int, error) {
 		}
 		return Value{K: k, I: int64(u)}, 9, nil
 	case KindString:
-		n, w := binary.Uvarint(b[1:])
-		if w < 0 {
-			return Null, 0, fmt.Errorf("value: string length overflows 64 bits")
+		s, end, err := stringBinary(b)
+		if err != nil {
+			return Null, 0, err
 		}
-		if w == 0 || n > uint64(len(b)-1-w) {
-			return Null, 0, errShortBinary
-		}
-		end := 1 + w + int(n)
-		return String(string(b[1+w : end])), end, nil
+		return String(string(s)), end, nil
 	default:
 		return Null, 0, fmt.Errorf("value: unknown kind byte %d", b[0])
 	}
+}
+
+// stringBinary decodes the string value at the head of b, kind byte first:
+// its bytes, aliasing b, and how many bytes of b it occupied.
+func stringBinary(b []byte) ([]byte, int, error) {
+	n, w := binary.Uvarint(b[1:])
+	if w < 0 {
+		return nil, 0, fmt.Errorf("value: string length overflows 64 bits")
+	}
+	if w == 0 || n > uint64(len(b)-1-w) {
+		return nil, 0, errShortBinary
+	}
+	end := 1 + w + int(n)
+	return b[1+w : end], end, nil
 }
