@@ -1,12 +1,12 @@
 # Developer entry points. `make ci` is the gate: lint (gofmt + vet), build,
 # the whole tree's tests under -race (every parity, chaos, wire, HTAP and
-# monitoring suite is one of them, run once), the experiment shape
-# assertions, 10 s of each native fuzz target, the benchguard-gated
+# monitoring suite and the E1..E25 shape assertions are among them, run
+# once), 10 s of each native fuzz target, the benchguard-gated
 # micro-benchmarks, and vet + tests of the end-to-end benchmark's module.
 
 GO ?= go
 
-.PHONY: all lint vet build test race experiments fuzzsmoke benchsmoke benchcompressed benchagg benchcommit benchpoint benchsoe benchbaseline benchmod bench loc ci
+.PHONY: all lint vet build test race fuzzsmoke benchsmoke benchcompressed benchagg benchcommit benchpoint benchsoe benchbaseline benchmod bench loc ci
 
 all: ci
 
@@ -30,10 +30,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The EXPERIMENTS.md shape assertions (E1..E25 tables must reproduce).
-experiments:
-	$(GO) test -run Experiment ./...
 
 # Ten seconds of each native fuzz target (go test runs one -fuzz target per
 # invocation): the SOE decoders, the WAL's log and checkpoint readers and
@@ -203,4 +199,4 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-ci: lint build race experiments fuzzsmoke benchsmoke benchcompressed benchagg benchcommit benchpoint benchsoe benchmod
+ci: lint build race fuzzsmoke benchsmoke benchcompressed benchagg benchcommit benchpoint benchsoe benchmod

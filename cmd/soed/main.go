@@ -141,7 +141,7 @@ func main() {
 
 	// Fault tolerance: replicate every partition, kill a node, and keep
 	// answering — the coordinator retries, then routes the victim's
-	// partitions to their replicas (catching them up to the last commit).
+	// partitions to their replicas (catching them up to the log's tail).
 	if *nodes >= 2 {
 		must0(cluster.ReplicateTable("orders"))
 		must0(cluster.ReplicateTable("items"))
@@ -175,9 +175,9 @@ func main() {
 			fmt.Printf("with %s also down: %s rows, completeness %.2f, lost: %v\n",
 				second, r.Rows[0][0].AsString(), r.Completeness, r.Lost)
 			cluster.Coordinator.PartialResults = false
-			cluster.Manager.RecoverNode(second)
+			must0(cluster.Manager.RecoverNode(second))
 		}
-		cluster.Manager.RecoverNode(victim)
+		must0(cluster.Manager.RecoverNode(victim))
 		fmt.Println()
 	}
 

@@ -251,13 +251,18 @@ func TestE19ShapeNoBareErrors(t *testing.T) {
 		}
 	}
 	// Single-fault rounds (crash or partition with a replica available)
-	// must answer in full; the double crash must degrade to partials.
+	// must answer in full; the double crash must degrade to partials; and
+	// once a node that missed commits is recovered, every query — COUNT(*)
+	// of the rows acknowledged among them — answers as the oracle does.
 	if atoi(t, cell(tab, 1, 2)) != atoi(t, cell(tab, 1, 1)) {
 		t.Fatalf("single crash did not fail over fully: %v", tab.Rows[1])
 	}
-	last := len(tab.Rows) - 1
-	if atoi(t, cell(tab, last, 3)) == 0 {
-		t.Fatalf("double crash produced no labelled partials: %v", tab.Rows[last])
+	double, last := len(tab.Rows)-2, len(tab.Rows)-1
+	if !strings.Contains(cell(tab, double, 0), " + ") || atoi(t, cell(tab, double, 3)) == 0 {
+		t.Fatalf("double crash produced no labelled partials: %v", tab.Rows[double])
+	}
+	if !strings.HasSuffix(cell(tab, last, 0), "recover") || atoi(t, cell(tab, last, 2)) != atoi(t, cell(tab, last, 1)) {
+		t.Fatalf("recovered cluster did not answer in full: %v", tab.Rows[last])
 	}
 	// The chaos run must actually exercise the fault machinery: failovers
 	// and the sealed-unit log repair show up in the notes.

@@ -16,7 +16,8 @@ import (
 // explicitly labelled partial with its completeness fraction — a bare
 // error is a reproduction failure. The run also seals a shared-log unit
 // mid-stream to force the append path through epoch adoption and hole
-// repair.
+// repair, and ends by crashing a node while rows are committed: once it
+// is recovered, the cluster must answer as an unwounded oracle does.
 func E19ChaosFailover(s Scale) *Table {
 	t := &Table{
 		ID:     "E19",
@@ -43,6 +44,20 @@ func E19ChaosFailover(s Scale) *Table {
 			panic(err)
 		}
 	}
+	// The oracle: one node, loaded as c is and sent every row c
+	// acknowledges, never wounded.
+	ref := soe.NewCluster(soe.ClusterConfig{Nodes: 1, Mode: soe.OLTP})
+	defer ref.Shutdown()
+	if err := loadCluster(ref, s.Rows/5, true); err != nil {
+		panic(err)
+	}
+	commit := func(id string) (err error) {
+		row := value.Row{value.String(id), value.String("EMEA"), value.Float(1)}
+		if _, err = c.Insert("orders", row); err == nil {
+			_, err = ref.Insert("orders", row)
+		}
+		return err
+	}
 
 	catalog := []string{
 		`SELECT COUNT(*) FROM orders`,
@@ -50,17 +65,21 @@ func E19ChaosFailover(s Scale) *Table {
 		`SELECT COUNT(*) FROM orders WHERE amount < 100`,
 		`SELECT orders.region, SUM(items.qty) FROM orders JOIN items ON orders.id = items.order_id GROUP BY orders.region ORDER BY orders.region`,
 	}
-	healthy := make([]string, len(catalog))
-	for i, q := range catalog {
-		r, err := c.Query(q)
-		if err != nil {
-			panic(err)
+	answers := func(c *soe.Cluster) []string {
+		out := make([]string, len(catalog))
+		for i, q := range catalog {
+			r, err := c.Query(q)
+			if err != nil {
+				panic(err)
+			}
+			out[i] = canonRows(r.Rows)
 		}
-		healthy[i] = canonRows(r.Rows)
+		return out
 	}
+	healthy := answers(c)
 
 	var totalFull, totalPartial, totalErrors int
-	round := func(label string) {
+	round := func(label string, healthy []string) {
 		var full, partial, bare int
 		for i, q := range catalog {
 			r, err := c.Query(q)
@@ -85,22 +104,22 @@ func E19ChaosFailover(s Scale) *Table {
 		t.AddRow(label, fmt.Sprint(len(catalog)), fmt.Sprint(full), fmt.Sprint(partial), fmt.Sprint(bare))
 	}
 
-	round("none (baseline)")
+	round("none (baseline)", healthy)
 	for i := 0; i < len(c.Nodes); i++ {
 		victim := c.Nodes[i].Name
 		c.Net.Crash(victim)
-		round("crash " + victim)
+		round("crash "+victim, healthy)
 		c.Net.Recover(victim)
 	}
 	c.Net.Partition(c.Coordinator.Name, c.Nodes[0].Name)
-	round("partition v2dqp ↔ " + c.Nodes[0].Name)
+	round("partition v2dqp ↔ "+c.Nodes[0].Name, healthy)
 	c.Net.Heal(c.Coordinator.Name, c.Nodes[0].Name)
 
 	// Losing a primary AND its replica at once exceeds the replication
 	// factor: those answers must degrade to labelled partials, not errors.
 	c.Net.Crash(c.Nodes[0].Name)
 	c.Net.Crash(c.Nodes[1].Name)
-	round(fmt.Sprintf("crash %s + %s", c.Nodes[0].Name, c.Nodes[1].Name))
+	round(fmt.Sprintf("crash %s + %s", c.Nodes[0].Name, c.Nodes[1].Name), healthy)
 	c.Net.Recover(c.Nodes[0].Name)
 	c.Net.Recover(c.Nodes[1].Name)
 
@@ -110,11 +129,26 @@ func E19ChaosFailover(s Scale) *Table {
 	c.Log.SealStripeUnit(0, 0)
 	commitsOK := 0
 	for i := 0; i < 8; i++ {
-		row := value.Row{value.String(fmt.Sprintf("OCHAOS%02d", i)), value.String("EMEA"), value.Float(1)}
-		if _, err := c.Insert("orders", row); err == nil {
+		if commit(fmt.Sprintf("OCHAOS%02d", i)) == nil {
 			commitsOK++
 		}
 	}
+
+	// Recovery: a node down while rows are committed misses their pushes
+	// and must drain them from the log when it comes back; then every
+	// answer, COUNT(*) first, is the oracle's, which holds each row
+	// acknowledged once.
+	victim := c.Nodes[len(c.Nodes)-1].Name
+	c.Manager.StopNode(victim)
+	for i := 0; i < 8; i++ {
+		if err := commit(fmt.Sprintf("ORECOV%02d", i)); err != nil {
+			panic(err)
+		}
+	}
+	if err := c.Manager.RecoverNode(victim); err != nil {
+		panic(err)
+	}
+	round(fmt.Sprintf("crash %s, commit, recover", victim), answers(ref))
 
 	snap := c.Obs.Snapshot()
 	counter := func(name string) int64 { return snap.CounterTotal(name) }

@@ -211,18 +211,6 @@ func (b *Broker) commitIdempotent(txnID string, writes int, sections []byte, tc 
 	}
 }
 
-// ReadLog serves the OLAP polling path: entries as the log holds them,
-// each beside its position. Decoding — and reporting an entry that will not
-// decode — is the polling node's.
-func (b *Broker) ReadLog(from uint64, max int) ([]LogEntry, uint64) {
-	raw, positions, next := b.log.ReadFrom(from, max)
-	entries := make([]LogEntry, len(raw))
-	for i, d := range raw {
-		entries[i] = LogEntry{Pos: positions[i], Data: d}
-	}
-	return entries, next
-}
-
 func (b *Broker) handle(from string, req netsim.Message) (netsim.Message, error) {
 	switch req.Kind {
 	case MsgCommit:
@@ -243,8 +231,14 @@ func (b *Broker) handle(from string, req netsim.Message) (netsim.Message, error)
 		if !b.disc.Validate(r.Token) {
 			return netsim.Message{Kind: MsgPoll, Payload: encode(PollResp{Err: "unauthorized"})}, nil
 		}
-		entries, next := b.ReadLog(r.From, r.Max)
-		return netsim.Message{Kind: MsgPoll, Payload: encode(PollResp{Entries: entries, Next: next, Tail: b.log.Tail()})}, nil
+		// Entries as the log holds them, each beside its position: decoding
+		// — and reporting an entry that will not decode — is the poller's.
+		raw, positions, next := b.log.ReadFrom(r.From, r.Max)
+		resp := PollResp{Entries: make([]LogEntry, len(raw)), Next: next, Tail: b.log.Tail()}
+		for i, d := range raw {
+			resp.Entries[i] = LogEntry{Pos: positions[i], Data: d}
+		}
+		return netsim.Message{Kind: MsgPoll, Payload: encode(resp)}, nil
 	}
 	return netsim.Message{}, errUnknownMsg(b.Name, req.Kind)
 }

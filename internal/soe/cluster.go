@@ -39,7 +39,7 @@ type ClusterConfig struct {
 	Net          netsim.Config // link model
 	LogStripes   int
 	LogReplicas  int
-	PollInterval time.Duration // OLAP polling; 0 = manual PollOnce
+	PollInterval time.Duration // OLAP polling; 0 = manual PollOnce or SyncOLAP
 	Secret       string
 }
 
@@ -112,19 +112,7 @@ func (c *Cluster) CreateTable(name string, schema columnstore.Schema, partKey st
 	if partitions <= 0 {
 		partitions = len(c.Nodes)
 	}
-	t := &DistTable{Name: name, Schema: schema.Clone(), PartKey: partKey, Partitions: partitions}
-	for p := 0; p < partitions; p++ {
-		t.NodeOf = append(t.NodeOf, c.Nodes[p%len(c.Nodes)].Name)
-	}
-	if err := c.Catalog.Define(t); err != nil {
-		return nil, err
-	}
-	for _, n := range c.Nodes {
-		if err := n.Host(t); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return c.define(&DistTable{Name: name, Schema: schema.Clone(), PartKey: partKey, Partitions: partitions})
 }
 
 // ReplicateTable installs one read replica of every partition of a table
@@ -175,9 +163,9 @@ func (c *Cluster) Query(sql string, params ...value.Value) (*Result, error) {
 	return r, err
 }
 
-// SyncOLAP forces every OLAP node to drain the log (deterministic tests
-// and benchmarks). A node that cannot poll, or that stepped over an entry
-// it could not decode, does not stop the others: the first error is
+// SyncOLAP drains every OLAP node to the log's tail (deterministic tests
+// and benchmarks). A node that cannot reach it, or that stepped over an
+// entry it could not decode, does not stop the others: the first error is
 // returned once every node has drained what it can.
 func (c *Cluster) SyncOLAP() error {
 	var firstErr error
@@ -185,14 +173,8 @@ func (c *Cluster) SyncOLAP() error {
 		if n.Mode != OLAP {
 			continue
 		}
-		for {
-			applied, err := n.PollOnce(8192)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if applied == 0 {
-				break
-			}
+		if err := n.drain(toTail); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -202,18 +184,27 @@ func (c *Cluster) SyncOLAP() error {
 // [bounds[i-1], bounds[i]) on an integer key, with open ends (§IV-B:
 // "multi-level horizontal partitioning (range and hash)").
 func (c *Cluster) CreateRangeTable(name string, schema columnstore.Schema, partKey string, bounds []int64) (*DistTable, error) {
-	t := &DistTable{
+	return c.define(&DistTable{
 		Name: name, Schema: schema.Clone(), PartKey: partKey,
 		Partitions: len(bounds) + 1, RangeBounds: append([]int64(nil), bounds...),
-	}
+	})
+}
+
+// define places t's partitions on the cluster's nodes round-robin, defines
+// it in the catalog and installs the partitions: prepackaged, ready for
+// "fast distribution of the data when scaling out or for data recovery"
+// (§IV-B). Every entry below the log's tail before the definition was
+// committed without t, so its empty partitions hold the log below it.
+func (c *Cluster) define(t *DistTable) (*DistTable, error) {
+	pos := c.Log.Tail()
 	for p := 0; p < t.Partitions; p++ {
 		t.NodeOf = append(t.NodeOf, c.Nodes[p%len(c.Nodes)].Name)
 	}
 	if err := c.Catalog.Define(t); err != nil {
 		return nil, err
 	}
-	for _, n := range c.Nodes {
-		if err := n.Host(t); err != nil {
+	for p := range t.NodeOf {
+		if err := c.Nodes[p%len(c.Nodes)].AcceptPartition(t, p, nil, pos); err != nil {
 			return nil, err
 		}
 	}

@@ -31,11 +31,6 @@ type Coordinator struct {
 	queryID atomic.Uint64
 	txnSeq  atomic.Uint64
 
-	// lastCommitTS is the newest commit timestamp this coordinator has
-	// observed; failover reads ask replicas to catch up to it (the
-	// freshness bound of degraded operation).
-	lastCommitTS atomic.Uint64
-
 	// BroadcastThreshold: a join side with at most this many estimated
 	// rows is broadcast instead of repartitioned.
 	BroadcastThreshold int
@@ -297,9 +292,6 @@ func (c *Coordinator) commit(span *stats.Span, writes []LogWrite) (CommitResp, e
 		}
 		cm.Finish()
 		if err == nil {
-			if resp.Err == "" {
-				c.observeCommitTS(commitTS(resp.Pos))
-			}
 			return resp, nil
 		}
 		if !retryable(err) {
@@ -308,16 +300,6 @@ func (c *Coordinator) commit(span *stats.Span, writes []LogWrite) (CommitResp, e
 		lastErr = err
 	}
 	return CommitResp{}, lastErr
-}
-
-// observeCommitTS advances the freshness bound failover reads must reach.
-func (c *Coordinator) observeCommitTS(ts uint64) {
-	for {
-		old := c.lastCommitTS.Load()
-		if ts <= old || c.lastCommitTS.CompareAndSwap(old, ts) {
-			return
-		}
-	}
 }
 
 // Query plans and executes a distributed SELECT with params, the values of
@@ -867,21 +849,17 @@ func (c *Coordinator) execTarget(span *stats.Span, req ExecReq, node string, par
 
 // failover re-groups a failed task's partitions onto live replica nodes.
 // For co-located joins a target must replicate the partition of both
-// tables. Replicas are asked to catch up to the coordinator's freshness
-// bound before serving. Partitions with no live replica — and SQL errors
-// on replicas, e.g. a temp relation a crashed install never reached — are
-// reported as lost, not fatal: degraded coverage is the caller's decision.
+// tables. Replicas are asked to catch up to the log's tail before serving.
+// Partitions with no live replica — and SQL errors on replicas, e.g. a
+// temp relation a crashed install never reached — are reported as lost,
+// not fatal: degraded coverage is the caller's decision.
 func (c *Coordinator) failover(span *stats.Span, req ExecReq, parts []int, failed string, cause error, scanned, morsels *atomic.Int64) (replies []sqlexec.Reply, covered int, lost []string) {
 	table, table2 := req.Table, req.Table2
 	group := map[string][]int{}
 	for _, p := range parts {
-		cands := c.ccat.Replicas(table, p)
-		if table2 != "" {
-			cands = intersect(cands, c.ccat.Replicas(table2, p))
-		}
 		target := ""
-		for _, cand := range cands {
-			if c.net.Alive(cand) {
+		for _, cand := range c.ccat.Replicas(table, p) {
+			if c.net.Alive(cand) && (table2 == "" || slices.Contains(c.ccat.Replicas(table2, p), cand)) {
 				target = cand
 				break
 			}
@@ -891,20 +869,6 @@ func (c *Coordinator) failover(span *stats.Span, req ExecReq, parts []int, faile
 			continue
 		}
 		group[target] = append(group[target], p)
-	}
-	// A coordinator that has never committed holds no freshness bound to
-	// hand a replica — lastCommitTS only tracks this coordinator's own
-	// writes — so catchUp would silently no-op and the failover read could
-	// serve arbitrarily stale data. An empty idempotent commit serializes
-	// behind every completed transaction in the shared log, and its log
-	// position's timestamp is the barrier replicas must catch up to. Best-effort — with the broker unreachable the read
-	// proceeds and staleness is bounded only by the completeness label.
-	if len(group) > 0 && c.lastCommitTS.Load() == 0 {
-		bc := span.Child("barrier_commit")
-		if resp, err := c.commit(bc, nil); err == nil && resp.Err == "" {
-			c.obs.Counter("soe_barrier_commits_total", "service=v2dqp").Inc()
-		}
-		bc.Finish()
 	}
 	targets := make([]string, 0, len(group))
 	for n := range group {
@@ -930,16 +894,13 @@ func (c *Coordinator) failover(span *stats.Span, req ExecReq, parts []int, faile
 	return replies, covered, lost
 }
 
-// catchUp asks a replica to reach this coordinator's last observed commit
-// timestamp before serving a failed-over read — the freshness bound of
-// degraded OLAP operation. Best-effort: if the replica cannot catch up
+// catchUp asks a replica to drain the log to the tail it reads before
+// serving a failed-over read: every commit acknowledged before the read
+// began, whoever made it, is in the log below that tail — the freshness
+// bound of degraded operation. Best-effort: if the replica cannot catch up
 // (broker unreachable, peers gone) the read proceeds on what it has; the
 // completeness label, not silent staleness, is the contract under failure.
 func (c *Coordinator) catchUp(span *stats.Span, node, table string, parts []int) {
-	minTS := c.lastCommitTS.Load()
-	if minTS == 0 {
-		return
-	}
 	peers := map[int]string{}
 	if t, ok := c.ccat.Table(table); ok {
 		for _, p := range parts {
@@ -950,8 +911,8 @@ func (c *Coordinator) catchUp(span *stats.Span, node, table string, parts []int)
 	}
 	cu := span.Child("catch_up", c.nodeAttr(node))
 	defer cu.Finish()
-	send[CatchUpResp](c.net, c.Name, node, MsgCatchUp,
-		encode(CatchUpReq{Token: c.disc.Token(), Table: table, MinTS: minTS, Peers: peers}), cu.Context(), c.retry().TaskTimeout)
+	send[ExecResp](c.net, c.Name, node, MsgCatchUp,
+		encode(CatchUpReq{Token: c.disc.Token(), Table: table, Peers: peers}), cu.Context(), c.retry().TaskTimeout)
 }
 
 // aliveNodes filters a node list down to reachable members.
@@ -960,20 +921,6 @@ func (c *Coordinator) aliveNodes(nodes []string) []string {
 	for _, n := range nodes {
 		if c.net.Alive(n) {
 			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func intersect(a, b []string) []string {
-	in := map[string]bool{}
-	for _, s := range b {
-		in[s] = true
-	}
-	var out []string
-	for _, s := range a {
-		if in[s] {
-			out = append(out, s)
 		}
 	}
 	return out

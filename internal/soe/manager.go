@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/sharedlog"
@@ -86,13 +85,20 @@ func (m *Manager) StopNode(name string) {
 	}
 }
 
-// RecoverNode brings a crashed node back, its merge daemon with it; OLAP
-// nodes catch up from the log on their next poll.
-func (m *Manager) RecoverNode(name string) {
-	if n, ok := m.Node(name); ok {
+// RecoverNode brings a crashed node back, its merge daemon with it, and
+// drains what the node missed of the log — an OLTP node's lost pushes and
+// an OLAP node's polls alike. A drain that cannot reach the log's tail is
+// the error; the node is back either way.
+func (m *Manager) RecoverNode(name string) error {
+	n, ok := m.Node(name)
+	if ok {
 		n.startMerger()
 	}
 	m.net.Recover(name)
+	if !ok {
+		return nil
+	}
+	return n.drain(toTail)
 }
 
 // HotSpots returns nodes whose query volume exceeds factor × the cluster
@@ -153,40 +159,20 @@ func (m *Manager) MovePartition(table string, part int, from, to string) error {
 	if !ok {
 		return fmt.Errorf("soe: destination node %q not tracked", to)
 	}
-	rows, err := src.Unhost(table, part)
+	rows, pos, err := src.Unhost(table, part)
 	if err != nil {
 		return err
 	}
-	if err := dst.AcceptPartition(t, part, rows); err != nil {
+	if err := dst.AcceptPartition(t, part, rows, pos); err != nil {
 		// The destination refused (e.g. it already holds this partition as
 		// a replica). The rows are only in our hands now — restore them to
 		// the source so the move fails cleanly instead of dropping data.
-		if rerr := src.AcceptPartition(t, part, rows); rerr != nil {
+		if rerr := src.AcceptPartition(t, part, rows, pos); rerr != nil {
 			return fmt.Errorf("soe: move %s p%d: accept on %s failed (%v) and restore to %s failed (%v) — rows lost", table, part, to, err, from, rerr)
 		}
 		return fmt.Errorf("soe: move %s p%d to %s failed (rows restored to %s): %w", table, part, to, from, err)
 	}
 	return m.ccat.Move(table, part, to)
-}
-
-// WaitForFreshness blocks until every node the StatsService reaches has
-// applied the log at least through ts — its soe_applied_ts gauge — or the
-// timeout elapses. Returns the laggards, sorted; a crashed node answers no
-// pull and is left out.
-func (m *Manager) WaitForFreshness(ts uint64, timeout time.Duration) []string {
-	deadline := time.Now().Add(timeout)
-	for {
-		var lagging []string
-		for _, g := range m.stats.Collect().Gauges {
-			if node, ok := stats.LabelValue(g.Labels, "node"); ok && g.Name == "soe_applied_ts" && g.Value < float64(ts) {
-				lagging = append(lagging, node)
-			}
-		}
-		if len(lagging) == 0 || time.Now().After(deadline) {
-			return lagging
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // LogTail returns the shared-log tail position (monitoring).

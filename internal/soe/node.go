@@ -1,6 +1,7 @@
 package soe
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -42,11 +43,12 @@ type DataNode struct {
 	eng *sqlexec.Engine
 
 	mu     sync.Mutex
-	hosted map[string]map[int]*catalog.Partition // table -> part -> the catalog partition it is
-	warm   *extstore.Store                       // node-local extended store, lazily created
-	// appliedPos is the node's watermark: the log position after the
-	// newest entry applied. Its timestamp is AppliedTS.
-	appliedPos uint64
+	hosted map[string]map[int]*hostedPart // table -> part -> the partition and its position
+	warm   *extstore.Store                // node-local extended store, lazily created
+	// pos is the node's watermark, the lowest position of a partition it
+	// hosts (settle); AppliedTS is its timestamp.
+	pos     uint64
+	drainMu sync.Mutex // drains take turns
 
 	// Per-node observability registry (v2stats pulls it via MsgStatsPull).
 	// Hot-path metrics are cached as fields so the MsgExec path never
@@ -82,6 +84,14 @@ type DataNode struct {
 	merger *txn.Merger
 }
 
+// hostedPart is a hosted partition and the log position its rows hold
+// through: every entry below pos is in them, none at or above. Every way a
+// partition arrives hands its position over with its rows.
+type hostedPart struct {
+	*catalog.Partition
+	pos uint64
+}
+
 // partTableName names a hosted partition — its catalog.Partition and the
 // column-store table behind it — inside the logical table's entry.
 func partTableName(table string, part int) string {
@@ -93,7 +103,7 @@ func NewDataNode(name string, mode Mode, net *netsim.Network, disc *Discovery, c
 	n := &DataNode{
 		Name: name, Mode: mode, net: net, disc: disc, ccat: ccat, broker: broker,
 		eng:    sqlexec.NewEngine(),
-		hosted: map[string]map[int]*catalog.Partition{},
+		hosted: map[string]map[int]*hostedPart{},
 		obs:    stats.NewRegistry("node=" + name),
 	}
 	n.nodeAttr = "node=" + name
@@ -106,7 +116,7 @@ func NewDataNode(name string, mode Mode, net *netsim.Network, disc *Discovery, c
 	n.gAppliedTS = n.obs.Gauge("soe_applied_ts")
 	n.gHosted = n.obs.Gauge("soe_partitions_hosted")
 	n.gBacklog = n.obs.Gauge("soe_poll_backlog")
-	n.advance(0) // the gauge reads a fresh node's watermark
+	n.settle(0, 0) // the gauge reads a fresh node's watermark
 	n.hExec = n.obs.Histogram("soe_exec_ms")
 	// The node-local SQL engine reports into the same registry, so parse/
 	// plan/exec timings surface per node in the v2stats aggregate.
@@ -159,30 +169,11 @@ func (n *DataNode) SetExecutor(mode sqlexec.Mode, workers int) {
 	n.eng.Workers = workers
 }
 
-// Host installs the partitions of a distributed table assigned to this
-// node: prepackaged partitions ready for "fast distribution of the data
-// when scaling out or for data recovery" (§IV-B).
-func (n *DataNode) Host(t *DistTable) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for p, node := range t.NodeOf {
-		if node != n.Name {
-			continue
-		}
-		if _, ok := n.hosted[t.Name][p]; ok {
-			continue
-		}
-		if err := n.attachPartition(t, p, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // attachPartition makes one physical partition a catalog partition of its
-// logical table in the local engine, optionally pre-seeding rows (partition
-// movement). Caller holds n.mu.
-func (n *DataNode) attachPartition(t *DistTable, p int, seed []value.Row) error {
+// logical table in the local engine, holding the log below pos: the seed
+// rows, if any (a snapshot or a move), are what that prefix left in it.
+// Caller holds n.mu.
+func (n *DataNode) attachPartition(t *DistTable, p int, seed []value.Row, pos uint64) error {
 	pname := partTableName(t.Name, p)
 	store := columnstore.NewTable(pname, t.Schema)
 	if len(seed) > 0 {
@@ -202,10 +193,10 @@ func (n *DataNode) attachPartition(t *DistTable, p int, seed []value.Row) error 
 	}
 	n.eng.Mgr.Register(store)
 	if n.hosted[t.Name] == nil {
-		n.hosted[t.Name] = map[int]*catalog.Partition{}
+		n.hosted[t.Name] = map[int]*hostedPart{}
 	}
-	n.hosted[t.Name][p] = part
-	n.countHosted()
+	n.hosted[t.Name][p] = &hostedPart{Partition: part, pos: pos}
+	n.settle(0, 0)
 	return nil
 }
 
@@ -215,57 +206,56 @@ func (n *DataNode) detachPartition(table string, part int) {
 	n.eng.Cat.DetachPartition(table, pname)
 	n.eng.Mgr.Deregister(pname)
 	delete(n.hosted[table], part)
-	n.countHosted()
+	n.settle(0, 0)
 }
 
-// countHosted sets the soe_partitions_hosted gauge. Caller holds n.mu.
-func (n *DataNode) countHosted() {
-	total := 0
-	for _, parts := range n.hosted {
-		total += len(parts)
-	}
-	n.gHosted.Set(float64(total))
-}
-
-// Unhost detaches a partition (after movement) and returns its rows.
-func (n *DataNode) Unhost(table string, part int) ([]value.Row, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// copyPartition reads a hosted partition's rows and the log position they
+// hold through: no entry applies between the two. Caller holds n.mu.
+func (n *DataNode) copyPartition(table string, part int) ([]value.Row, uint64, error) {
 	res, _, err := n.queryParts(ExecReq{SQL: "SELECT * FROM " + table, Table: table, Parts: []int{part}})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	n.detachPartition(table, part)
-	return res.Rows, nil
+	return res.Rows, n.hosted[table][part].pos, nil
 }
 
-// AcceptPartition installs a moved partition with its rows.
-func (n *DataNode) AcceptPartition(t *DistTable, part int, rows []value.Row) error {
-	return n.hostNew(t, part, rows)
+// Unhost detaches a partition (after movement) and returns its rows and the
+// log position they hold through.
+func (n *DataNode) Unhost(table string, part int) ([]value.Row, uint64, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	rows, pos, err := n.copyPartition(table, part)
+	if err == nil {
+		n.detachPartition(table, part)
+	}
+	return rows, pos, err
 }
 
 // HostReplica installs a read replica of one partition on this node even
-// though the data-discovery map routes it elsewhere. Replicas catch up
-// either by polling the log or through snapshot fetches (§IV-B).
+// though the data-discovery map routes it elsewhere. It holds nothing, so
+// its position is the log's start: a drain replays the log into it, or a
+// snapshot fetch (CatchUpSnapshot) replaces it (§IV-B).
 func (n *DataNode) HostReplica(t *DistTable, part int) error {
-	return n.hostNew(t, part, nil)
+	return n.AcceptPartition(t, part, nil, 0)
 }
 
-// hostNew attaches a partition this node must not already host.
-func (n *DataNode) hostNew(t *DistTable, part int, rows []value.Row) error {
+// AcceptPartition installs a partition this node must not already host,
+// with its rows and the log position they hold through (a move).
+func (n *DataNode) AcceptPartition(t *DistTable, part int, rows []value.Row, pos uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.hosted[t.Name][part]; ok {
 		return fmt.Errorf("soe: %s already hosts %s partition %d", n.Name, t.Name, part)
 	}
-	return n.attachPartition(t, part, rows)
+	return n.attachPartition(t, part, rows, pos)
 }
 
 // CatchUpSnapshot replaces this node's copy of one partition with a fresh
 // snapshot fetched from a peer — the fast alternative to replaying a long
 // log suffix ("retrieving the latest snapshot of the data hosted by a
-// particular node", §IV-B). After the call, polling resumes from the
-// snapshot's log position.
+// particular node", §IV-B). The copy takes the position the peer's rows
+// hold through, ahead of the node's watermark or behind it, and the log
+// from there on reaches it like any partition's.
 func (n *DataNode) CatchUpSnapshot(peer, table string, part int) error {
 	resp, err := call[SnapshotResp](n.net, n.Name, peer, MsgSnapshot,
 		SnapshotReq{Token: n.disc.Token(), Table: table, Partition: part})
@@ -281,85 +271,85 @@ func (n *DataNode) CatchUpSnapshot(peer, table string, part int) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	// Replace the partition storage wholesale.
-	if _, hosted := n.hosted[table][part]; hosted {
-		n.detachPartition(table, part)
-	}
-	if err := n.attachPartition(t, part, resp.Rows); err != nil {
-		return err
-	}
-	n.advance(resp.NextPos)
-	return nil
+	n.detachPartition(table, part) // the copy it replaces, if any
+	return n.attachPartition(t, part, resp.Rows, resp.NextPos)
 }
 
-// AppliedTS returns the node's log high-water mark as a timestamp — that
-// of the newest position below its watermark: the staleness metric of
-// experiment E7.
+// AppliedTS returns the node's watermark as a timestamp — that of the
+// newest position below it: the staleness metric of experiment E7.
 func (n *DataNode) AppliedTS() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return commitTS(n.appliedPos) - 1
+	return commitTS(n.pos) - 1
 }
 
-// advance raises the node's watermark to next and with it the engine's
-// clock and the soe_applied_ts gauge. It never lowers it: a poll's answer
-// can trail a push that landed meanwhile. Caller holds n.mu.
-func (n *DataNode) advance(next uint64) {
-	if next < n.appliedPos {
-		return
+// settle moves every partition at a position in [from, next), a run it has
+// taken, to next. The watermark becomes the lowest position (hosting none,
+// next), the engine's clock the highest, so every row applied is visible;
+// and the gauges follow. Caller holds n.mu.
+func (n *DataNode) settle(from, next uint64) {
+	lo, hi, hosted := ^uint64(0), uint64(0), 0
+	for _, parts := range n.hosted {
+		for _, hp := range parts {
+			if from <= hp.pos && hp.pos < next {
+				hp.pos = next
+			}
+			lo, hi, hosted = min(lo, hp.pos), max(hi, hp.pos), hosted+1
+		}
 	}
-	n.appliedPos = next
-	ts := commitTS(next) - 1
-	n.eng.Mgr.AdvanceTo(ts)
-	n.gAppliedTS.Set(float64(ts))
+	if hosted == 0 {
+		lo = max(n.pos, next)
+		hi = lo
+	}
+	n.pos = lo
+	n.eng.Mgr.AdvanceTo(commitTS(hi) - 1)
+	n.gAppliedTS.Set(float64(commitTS(lo) - 1))
+	n.gHosted.Set(float64(hosted))
 }
 
-// applyEntries installs committed writes hitting locally hosted
-// partitions. An entry that does not decode is counted, reported and
-// stepped over — the watermark moves past it and the entries after it
-// still apply — because a poison entry must not wedge a poller; the error names
-// the first such position.
-func (n *DataNode) applyEntries(entries []LogEntry) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// apply is the one apply rule, whatever the feed: a run of the log, the
+// positions from up to next, whose data is entries (a position without one
+// was filled). A partition at a position in the run takes the entries from
+// there on and moves to next; one ahead takes nothing twice, one behind
+// waits for a drain from its own position. An entry that does not decode
+// is counted and stepped over like a fill; the error names the first.
+// Caller holds n.mu.
+func (n *DataNode) apply(from uint64, entries []LogEntry, next uint64) error {
 	var firstErr error
 	for _, e := range entries {
-		if err := n.applyEntry(e); err != nil {
+		if e.Pos >= n.pos {
+			n.cApplied.Inc()
+		}
+		if err := n.applyEntry(from, e); err != nil {
 			n.cDecodeErr.Inc()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("soe: %s: log entry at position %d: %w", n.Name, e.Pos, err)
 			}
 		}
-		n.advance(e.Pos + 1)
 	}
-	n.cApplied.Add(int64(len(entries)))
+	n.settle(from, next)
 	return firstErr
 }
 
-// applyEntry decodes the sections of one entry that land on partitions
-// this node hosts and applies them in order, stamped with the entry's
-// commit timestamp — nothing of an entry applies unless all of it
-// decoded. Caller holds n.mu.
-func (n *DataNode) applyEntry(e LogEntry) error {
+// applyEntry applies, stamped with its commit timestamp, the sections of
+// e, in a run from from, that land on partitions at a position in [from,
+// e.Pos] — nothing of it unless all of it decoded. Caller holds n.mu.
+func (n *DataNode) applyEntry(from uint64, e LogEntry) error {
 	secs, err := readEntry(e.Data, func(table []byte, part int) bool {
-		_, ok := n.hosted[string(table)][part]
-		return ok
+		hp, ok := n.hosted[string(table)][part]
+		return ok && from <= hp.pos && hp.pos <= e.Pos
 	})
-	if err != nil {
-		return err
-	}
-	ts := commitTS(e.Pos)
 	for _, s := range secs {
 		store := n.hosted[s.table][s.part].Table
 		if len(s.rows) > 0 {
-			store.ApplyInsert(s.rows, ts)
+			store.ApplyInsert(s.rows, commitTS(e.Pos))
 			n.cApplyRows.Add(int64(len(s.rows)))
 		}
 		for _, key := range s.keys {
-			n.deleteByKey(store, s.table, key, ts)
+			n.deleteByKey(store, s.table, key, commitTS(e.Pos))
 		}
 	}
-	return nil
+	return err
 }
 
 // deleteByKey stamps the rows of store whose key column reads key — the
@@ -379,31 +369,96 @@ func (n *DataNode) deleteByKey(store *columnstore.Table, table, key string, ts u
 	}
 }
 
-// PollOnce pulls and applies the next batch from the broker's log (OLAP
-// path). Returns the number of entries consumed; an entry among them that
-// would not decode is an error naming its log position, returned after the
-// rest of the batch has been applied.
+// push applies entries the broker pushed (OLTP), each a run of its own: in
+// place at the watermark, the serial commit case, else through a drain.
+func (n *DataNode) push(entries []LogEntry) error {
+	var err error
+	for i, e := range entries {
+		n.mu.Lock()
+		err = errors.Join(err, n.apply(e.Pos, entries[i:i+1], e.Pos+1))
+		behind := n.pos <= e.Pos
+		n.mu.Unlock()
+		if behind {
+			err = errors.Join(err, n.drain(e.Pos+1))
+		}
+	}
+	return err
+}
+
+// PollOnce reads up to max log entries from the node's watermark and
+// applies them, one step of a drain, answering how many it read; an entry
+// that would not decode is an error, after the rest have been applied.
 func (n *DataNode) PollOnce(max int) (int, error) {
+	read, _, err := n.poll(max)
+	return read, err
+}
+
+// poll is PollOnce answering the log's tail too; an error reaching the
+// broker is errBehind.
+func (n *DataNode) poll(max int) (read int, tail uint64, err error) {
 	n.mu.Lock()
-	from := n.appliedPos
+	from := n.pos
 	n.mu.Unlock()
 	resp, err := call[PollResp](n.net, n.Name, n.broker, MsgPoll, PollReq{Token: n.disc.Token(), From: from, Max: max})
+	if err == nil && resp.Err != "" {
+		err = errors.New(resp.Err)
+	}
 	if err != nil {
-		return 0, err
+		return 0, 0, fmt.Errorf("%w: poll: %v", errBehind, err)
 	}
-	if resp.Err != "" {
-		return 0, fmt.Errorf("soe: poll: %s", resp.Err)
-	}
-	applyErr := n.applyEntries(resp.Entries)
 	n.mu.Lock()
-	n.advance(resp.Next)
+	err = n.apply(from, resp.Entries, resp.Next)
 	n.mu.Unlock()
 	// OLAP apply lag: log entries still ahead of this node after the poll
 	// — the measured form of the bounded-staleness trade-off (§IV-B).
-	if resp.Tail >= resp.Next {
-		n.gBacklog.Set(float64(resp.Tail - resp.Next))
+	n.gBacklog.Set(float64(resp.Tail - min(resp.Tail, resp.Next)))
+	return len(resp.Entries), resp.Tail, err
+}
+
+// appendWait bounds a drain's wait on a position still being appended (an
+// append fills a position it cannot write, so no hole outlives it).
+const appendWait = 100 * time.Millisecond
+
+// toTail asks a drain for the log's tail.
+const toTail = ^uint64(0)
+
+// errBehind is a node that could not read the log to where it was asked.
+var errBehind = errors.New("soe: node behind the log")
+
+// drain is every feed but the in-place push: RecoverNode, SyncOLAP, a
+// failover catch-up, the OLAP poller, a push ahead of the watermark. It
+// polls until the watermark reaches to, or the log's tail as its first poll
+// finds it — every commit acknowledged before it began — stepping over
+// fills and waiting appendWait on a position in flight; short of that it
+// answers errBehind. Drains take turns.
+func (n *DataNode) drain(to uint64) error {
+	n.drainMu.Lock()
+	defer n.drainMu.Unlock()
+	var decodeErr error
+	var since time.Time
+	for last := toTail; ; {
+		n.mu.Lock()
+		at := n.pos
+		n.mu.Unlock()
+		switch {
+		case at >= to:
+			return decodeErr
+		case at != last:
+			last, since = at, time.Now()
+		case time.Since(since) > appendWait:
+			return errors.Join(decodeErr, fmt.Errorf("%w: %s stopped at position %d", errBehind, n.Name, at))
+		default:
+			time.Sleep(100 * time.Microsecond)
+		}
+		_, tail, err := n.poll(4096)
+		if errors.Is(err, errBehind) {
+			return errors.Join(decodeErr, err)
+		}
+		if decodeErr == nil {
+			decodeErr = err
+		}
+		to = min(to, tail)
 	}
-	return len(resp.Entries), applyErr
 }
 
 // StartPolling launches the OLAP update loop at the given interval.
@@ -424,7 +479,7 @@ func (n *DataNode) StartPolling(interval time.Duration) {
 			case <-stop:
 				return
 			case <-t.C:
-				n.PollOnce(4096)
+				n.drain(toTail)
 			}
 		}
 	}()
@@ -452,23 +507,15 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 			return netsim.Message{}, err
 		}
 		if !n.disc.Validate(r.Token) {
-			return netsim.Message{Kind: MsgCatchUp, Payload: encode(CatchUpResp{Err: "unauthorized"})}, nil
+			return netsim.Message{Kind: MsgCatchUp, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
 		}
-		sp := n.tracer.StartRemote("catch_up", req.Trace, n.nodeAttr, countLabel("min_ts", int(r.MinTS)))
-		// Drain the log toward the bound; stop when stuck (broker down, or
-		// the bound is a timestamp the log has not surfaced yet).
+		sp := n.tracer.StartRemote("catch_up", req.Trace, n.nodeAttr)
 		pl := sp.Child("poll_log")
-		for n.AppliedTS() < r.MinTS {
-			// An error beside progress is an undecodable entry, counted and
-			// stepped over: keep draining.
-			if applied, _ := n.PollOnce(4096); applied == 0 {
-				break
-			}
-		}
+		err = n.drain(toTail)
 		pl.Finish()
-		// Snapshot fallback: fetch the partitions wholesale from live peers
-		// instead of replaying a log suffix the broker cannot serve.
-		if n.AppliedTS() < r.MinTS {
+		// Snapshot fallback: a node the log could not bring to its tail
+		// fetches the partitions wholesale from live peers.
+		if errors.Is(err, errBehind) {
 			for part, peer := range r.Peers {
 				sf := sp.Child("snapshot_fetch", "peer="+peer, countLabel("part", part))
 				n.CatchUpSnapshot(peer, r.Table, part)
@@ -476,7 +523,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 			}
 		}
 		sp.Finish()
-		return netsim.Message{Kind: MsgCatchUp, Payload: encode(CatchUpResp{AppliedTS: n.AppliedTS()})}, nil
+		return netsim.Message{Kind: MsgCatchUp, Payload: encode(ExecResp{})}, nil
 
 	case MsgCreateTemp:
 		r, err := decode[CreateTempReq](req)
@@ -499,7 +546,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		if !n.disc.Validate(r.Token) {
 			return netsim.Message{Kind: MsgApply, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
 		}
-		if err := n.applyEntries(r.Entries); err != nil {
+		if err := n.push(r.Entries); err != nil {
 			return netsim.Message{}, err
 		}
 		return netsim.Message{Kind: MsgApply, Payload: encode(ExecResp{})}, nil
@@ -512,16 +559,12 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		if !n.disc.Validate(r.Token) {
 			return netsim.Message{Kind: MsgSnapshot, Payload: encode(SnapshotResp{Err: "unauthorized"})}, nil
 		}
-		// Under n.mu no log entry applies between the rows and the
-		// watermark that says which entries they contain.
 		n.mu.Lock()
-		res, _, err := n.queryParts(ExecReq{SQL: "SELECT * FROM " + r.Table, Table: r.Table, Parts: []int{r.Partition}})
-		resp := SnapshotResp{NextPos: n.appliedPos}
+		rows, pos, err := n.copyPartition(r.Table, r.Partition)
 		n.mu.Unlock()
+		resp := SnapshotResp{Rows: rows, NextPos: pos}
 		if err != nil {
 			resp = SnapshotResp{Err: err.Error()}
-		} else {
-			resp.Rows = res.Rows
 		}
 		return netsim.Message{Kind: MsgSnapshot, Payload: encode(resp)}, nil
 

@@ -434,21 +434,6 @@ func TestDiscoveryServices(t *testing.T) {
 	}
 }
 
-func TestWaitForFreshness(t *testing.T) {
-	c := newTestCluster(t, 2, OLAP)
-	loadOrders(t, c, 5)
-	ts := commitTS(c.Log.Tail() - 1)
-	lag := c.Manager.WaitForFreshness(ts, 10*time.Millisecond)
-	if len(lag) != 2 {
-		t.Fatalf("expected both nodes lagging, got %v", lag)
-	}
-	c.SyncOLAP()
-	lag = c.Manager.WaitForFreshness(ts, 100*time.Millisecond)
-	if len(lag) != 0 {
-		t.Fatalf("laggards after sync: %v", lag)
-	}
-}
-
 // The log position is the commit timestamp. Under concurrent commits,
 // every entry's row is stamped with its own position's timestamp on the
 // node that hosts it — a snapshot there at that timestamp sees it and one
@@ -570,8 +555,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 	}
 	// New commits reach the replica through incremental polling only —
 	// no re-replay of the already-snapshotted prefix.
-	before := replica.appliedPos
-	if before == 0 {
+	if replica.pos == 0 {
 		t.Fatal("snapshot did not carry a log position")
 	}
 	c.Insert("orders", value.Row{value.String("O9990"), value.String("EMEA"), value.Float(1)})
@@ -929,7 +913,7 @@ func TestNodeTasksUnpinTheirSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Nodes[0].Unhost("orders", 0); err == nil {
+	if _, _, err := c.Nodes[0].Unhost("orders", 0); err == nil {
 		t.Fatal("a node handed over a partition it does not host")
 	}
 	// Move every node's clock past whatever its tasks read at.

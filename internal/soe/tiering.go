@@ -67,7 +67,7 @@ func (n *DataNode) localPartition(table string, part int) (*catalog.Partition, e
 	if !ok {
 		return nil, fmt.Errorf("soe: %s does not host %s partition %d", n.Name, table, part)
 	}
-	return p, nil
+	return p.Partition, nil
 }
 
 // closeWarm releases the node's extended store (cluster shutdown).

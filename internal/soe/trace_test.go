@@ -15,10 +15,9 @@ import (
 
 // Acceptance: a distributed query riding out one induced node failure
 // must land in ONE trace — the coordinator's query root, the retried task
-// attempts against the crashed node, the barrier commit through the
-// broker (with its shared-log append), the replica catch-up, and the
-// replica node's remote exec/scan spans — stitched across services by the
-// SpanContext riding the netsim message envelopes.
+// attempts against the crashed node, the replica catch-up with its log
+// drain, and the replica node's remote exec/scan spans — stitched across
+// services by the SpanContext riding the netsim message envelopes.
 func TestTraceFailoverLandsInSingleTrace(t *testing.T) {
 	c := newTestCluster(t, 3, OLTP)
 	c.Coordinator.Retry = fastRetry
@@ -33,10 +32,8 @@ func TestTraceFailoverLandsInSingleTrace(t *testing.T) {
 			value.Float(float64(i)),
 		})
 	}
-	// The load goes through a coordinator of its own, so the querying
-	// coordinator's lastCommitTS stays zero: the failover must learn its
-	// freshness bound through a barrier commit — which also puts a genuine
-	// broker commit (and its shared-log append) inside the trace under test.
+	// The load goes through a coordinator of its own: the querying one has
+	// no commit of its own to go by.
 	loader := NewCoordinator("v2dqp-loader", c.Net, c.Disc, c.Catalog, c.Broker.Name)
 	if _, err := loader.Insert("orders", rows); err != nil {
 		t.Fatal(err)
@@ -66,12 +63,10 @@ func TestTraceFailoverLandsInSingleTrace(t *testing.T) {
 	}
 	text := c.Tracer.RenderTrace(traceID)
 	for _, want := range []string{
-		"query",          // coordinator root
-		"attempt=2",      // retry against the crashed node
-		"barrier_commit", // failover freshness barrier
-		"commit",         // the broker's side of that commit
-		"log_append",     // its shared-log append
-		"catch_up",       // replica asked to reach the bound
+		"query",     // coordinator root
+		"attempt=2", // retry against the crashed node
+		"catch_up",  // replica asked to reach the log's tail
+		"poll_log",  // its drain
 		"node=" + c.Nodes[1].Name,
 		"exec",           // remote exec continuation on a node
 		"partitions=[0]", // the crashed node's partition, scanned by its replica
@@ -84,17 +79,13 @@ func TestTraceFailoverLandsInSingleTrace(t *testing.T) {
 	if strings.Contains(text, "detached") {
 		t.Fatalf("trace has detached continuations:\n%s", text)
 	}
-	if c.Obs.Snapshot().CounterTotal("soe_barrier_commits_total") == 0 {
-		t.Fatal("barrier commit not counted")
-	}
 }
 
-// The freshness gap the barrier commit closes: a coordinator that never
-// committed anything itself must not let a failover read serve stale
-// replica data when OTHER clients' writes are in the log. Before the
-// barrier, catchUp no-ops on lastCommitTS==0 and the replica answers from
-// whatever it last applied.
-func TestTraceBarrierCommitBoundsFailoverStaleness(t *testing.T) {
+// A coordinator that never committed anything itself must not let a
+// failover read serve stale replica data when OTHER clients' writes are in
+// the log: the replica drains to the log's tail, which every acknowledged
+// commit lies below, and the read makes no commit of its own to learn that.
+func TestFailoverReadSeesEveryAcknowledgedCommit(t *testing.T) {
 	c := newTestCluster(t, 2, OLAP)
 	c.Coordinator.Retry = fastRetry
 	loadOrders(t, c, 8)
@@ -130,7 +121,17 @@ func TestTraceBarrierCommitBoundsFailoverStaleness(t *testing.T) {
 		t.Fatalf("failover read failed: %v", err)
 	}
 	if r.Rows[0][0].AsInt() != 9 {
-		t.Fatalf("stale failover read: count=%v, want 9 (barrier commit should bound staleness)", r.Rows[0][0])
+		t.Fatalf("stale failover read: count=%v, want 9", r.Rows[0][0])
+	}
+	var trace string
+	for _, root := range c.Tracer.Recent(64) {
+		if root.Name == "query" {
+			trace = c.Tracer.RenderTrace(root.TraceID)
+			break
+		}
+	}
+	if !strings.Contains(trace, "catch_up") || regexp.MustCompile(`(?m)^\s*commit\b`).MatchString(trace) {
+		t.Fatalf("failover read's trace: want a catch_up and no commit:\n%s", trace)
 	}
 }
 

@@ -42,7 +42,7 @@ const (
 	MsgCommit     = "commit"      // client -> broker
 	MsgSnapshot   = "snapshot"    // fetch a partition snapshot from a peer
 	MsgStatsPull  = "stats_pull"  // fetch a metrics-registry snapshot (v2stats)
-	MsgCatchUp    = "catch_up"    // ask a replica to reach a freshness bound
+	MsgCatchUp    = "catch_up"    // ask a replica to reach the log's tail
 )
 
 // ExecReq asks a query service to run local SQL, once. When Table is set the
@@ -165,21 +165,14 @@ type SnapshotResp struct {
 	Err     string
 }
 
-// CatchUpReq asks a replica-holding node to reach a freshness bound before
-// serving a failover read: drain the log until MinTS is applied, falling
-// back to snapshot fetches from the listed peers (partition → node) when
-// polling makes no progress.
+// CatchUpReq asks a replica-holding node to reach the log's tail before
+// serving a failover read — every commit acknowledged before it asked —
+// falling back to snapshot fetches from the listed peers (partition → node)
+// when the log cannot take it there.
 type CatchUpReq struct {
 	Token string
 	Table string
-	MinTS uint64
 	Peers map[int]string
-}
-
-// CatchUpResp reports the freshness the node reached.
-type CatchUpResp struct {
-	AppliedTS uint64
-	Err       string
 }
 
 // StatsReq asks an endpoint for its metrics-registry snapshot (v2stats).
@@ -210,14 +203,12 @@ func appendJSON(dst []byte, v any) []byte {
 	return append(dst, b...)
 }
 
-func (m StatsReq) appendWire(dst []byte) []byte    { return appendJSON(dst, m) }
-func (m *StatsReq) readWire(b []byte) error        { return json.Unmarshal(b, m) }
-func (m StatsResp) appendWire(dst []byte) []byte   { return appendJSON(dst, m) }
-func (m *StatsResp) readWire(b []byte) error       { return json.Unmarshal(b, m) }
-func (m CatchUpReq) appendWire(dst []byte) []byte  { return appendJSON(dst, m) }
-func (m *CatchUpReq) readWire(b []byte) error      { return json.Unmarshal(b, m) }
-func (m CatchUpResp) appendWire(dst []byte) []byte { return appendJSON(dst, m) }
-func (m *CatchUpResp) readWire(b []byte) error     { return json.Unmarshal(b, m) }
+func (m StatsReq) appendWire(dst []byte) []byte   { return appendJSON(dst, m) }
+func (m *StatsReq) readWire(b []byte) error       { return json.Unmarshal(b, m) }
+func (m StatsResp) appendWire(dst []byte) []byte  { return appendJSON(dst, m) }
+func (m *StatsResp) readWire(b []byte) error      { return json.Unmarshal(b, m) }
+func (m CatchUpReq) appendWire(dst []byte) []byte { return appendJSON(dst, m) }
+func (m *CatchUpReq) readWire(b []byte) error     { return json.Unmarshal(b, m) }
 
 func errUnknownMsg(svc, kind string) error {
 	return fmt.Errorf("soe: %s: unknown message %q", svc, kind)

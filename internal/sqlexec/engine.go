@@ -148,17 +148,24 @@ func (e *Engine) AnalyzeSQL(sql string, params ...value.Value) (*Result, *Profil
 }
 
 // prepareSelect prepares the bare SELECT the engine-level EXPLAIN entry
-// points take, each literal the literal it is, as the plan shows it.
+// points take, each literal the literal it is, as the plan shows it: one
+// lex and one parse, past the parse cache, which holds shapes. A string
+// that does not lex or parse is recorded as Prepare records it.
 func (s *Session) prepareSelect(sql, verb string) (*Stmt, error) {
-	st, err := s.Prepare(sql)
-	if err == nil && st.kind != stmtSelect {
-		err = fmt.Errorf("sql: %s supports only SELECT", verb)
+	t0 := time.Now()
+	toks, err := lex(sql)
+	var p *parsed
+	if err == nil {
+		p, err = newParsed(strings.TrimSpace(sql), toks)
 	}
-	if err == nil && len(st.lits) > 0 {
-		st.parsed, err = parseLiteral(st.text)
-		st.lits = nil
+	if err != nil {
+		s.recordParseError(sql, t0)
+		return nil, err
 	}
-	return st, err
+	if p.kind != stmtSelect {
+		return nil, fmt.Errorf("sql: %s supports only SELECT", verb)
+	}
+	return &Stmt{s: s, parsed: p, text: p.sql}, nil
 }
 
 // Session executes statements; DML inside an explicit transaction is

@@ -747,14 +747,23 @@ func (a *aggAcc) add(v value.Value, n int64, spec aggSpec) {
 		a.count += n
 	case v.IsNull():
 	case spec.Distinct:
-		k := v.AsString()
-		if _, dup := a.seen[k]; dup {
+		// Looked up by its AsString text without building it — a string is
+		// its own key, any other value renders on the stack — so only a
+		// value seen the first time allocates its key.
+		var buf [32]byte
+		var dup bool
+		if v.K == value.KindString {
+			_, dup = a.seen[v.S]
+		} else {
+			_, dup = a.seen[string(v.AppendString(buf[:0]))]
+		}
+		if dup {
 			return
 		}
 		if a.seen == nil {
 			a.seen = map[string]value.Value{}
 		}
-		a.seen[k], n = v, 1
+		a.seen[v.AsString()], n = v, 1
 		fallthrough
 	default:
 		a.count += n

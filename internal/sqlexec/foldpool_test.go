@@ -265,3 +265,37 @@ func raceDetector() bool {
 	bi, ok := debug.ReadBuildInfo()
 	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
+
+// TestDistinctAllocsGrowWithValuesNotRows: a DISTINCT aggregate looks up a
+// value it has already counted without building its key, so a warm
+// COUNT(DISTINCT k) allocates per distinct value and not per row: as often
+// over 8 192 rows as over 4 096, each over 512 values, and more over 512
+// values than over 8.
+func TestDistinctAllocsGrowWithValuesNotRows(t *testing.T) {
+	if raceDetector() {
+		t.Skip("the race detector's sync.Pools drop what they are given at random")
+	}
+	measure := func(rows, values int) float64 {
+		e := groupsEngine(t, rows, values)
+		e.Workers = 1
+		st, err := e.NewSession().Prepare(`SELECT COUNT(DISTINCT k) FROM g WHERE v >= $1`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if r, err := st.Exec(value.Int(0)); err != nil || r.Rows[0][0].AsInt() != int64(values) {
+				t.Fatalf("COUNT(DISTINCT k) over %d values: %v, %v", values, r, err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	few, many, longer := measure(4096, 8), measure(4096, 512), measure(8192, 512)
+	t.Logf("allocations: %v over 8 values, %v over 512, %v over 512 in twice the rows", few, many, longer)
+	if longer != many {
+		t.Errorf("COUNT(DISTINCT k) over 512 values allocates %v times in 4 096 rows, %v in 8 192", many, longer)
+	}
+	if many <= few {
+		t.Errorf("COUNT(DISTINCT k) allocates %v times over 512 values, %v over 8", many, few)
+	}
+}

@@ -195,16 +195,6 @@ func newShape(text string, toks []token) (*shape, []value.Value, error) {
 	return &shape{p: p, toks: toks, slots: slots}, lits, nil
 }
 
-// parseLiteral parses text, one statement, with each literal the literal
-// it is: the parse EXPLAIN shows, and the one a shape's answers as.
-func parseLiteral(text string) (*parsed, error) {
-	toks, err := lex(text)
-	if err != nil {
-		return nil, err
-	}
-	return newParsed(text, toks)
-}
-
 // slotLiterals makes a parameter slot of every eligible literal of sel: one
 // number or string token standing as a direct operand, against a column, of
 // a conjunct of a WHERE clause — a comparison, either way round, a

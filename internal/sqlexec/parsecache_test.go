@@ -553,3 +553,13 @@ func cacheLen(c *ParseCache) int {
 	defer c.mu.RUnlock()
 	return len(c.entries)
 }
+
+// parseLiteral parses text, one statement, with each literal the literal
+// it is: the parse EXPLAIN shows, and the one a shape's answers as.
+func parseLiteral(text string) (*parsed, error) {
+	toks, err := lex(text)
+	if err != nil {
+		return nil, err
+	}
+	return newParsed(text, toks)
+}

@@ -197,12 +197,18 @@ func (s *Session) prepareEach(sql string, f func(spelling)) error {
 	hit, err := s.e.parses.each(sql, f)
 	s.e.parses.count(s.e.Obs, hit)
 	if err != nil {
-		s.setActive(sql)
-		id, norm := Fingerprint(sql)
-		s.e.stmts.record(id, norm, time.Since(t0), 0, true)
-		s.setIdle()
+		s.recordParseError(sql, t0)
 	}
 	return err
+}
+
+// recordParseError books sql, which did not lex or parse from t0 on, under
+// its fingerprint in sys.m_statements.
+func (s *Session) recordParseError(sql string, t0 time.Time) {
+	s.setActive(sql)
+	id, norm := Fingerprint(sql)
+	s.e.stmts.record(id, norm, time.Since(t0), 0, true)
+	s.setIdle()
 }
 
 // statements splits a lexed string of statements on its `;` tokens and
