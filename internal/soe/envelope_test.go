@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/sqlexec"
 	"repro/internal/value"
 )
 
@@ -115,7 +116,7 @@ func TestFanoutTaskAllocs(t *testing.T) {
 	if raceDetector() {
 		t.Skip("the race detector's sync.Pools drop what they are given at random")
 	}
-	const tasks, budget = 4, 101 // 98 measured; 128 before a run borrowed its folds from the pool, 145 before the plan carried its compiled expressions, 228 before a parse carried its plan, 304 before a node kept its parses, 435 before the envelope was trimmed
+	const tasks, budget = 4, 79 // 76 measured; 98 before a plan ran as a program and a task reused its session, 128 before a run borrowed its folds from the pool, 145 before the plan carried its compiled expressions, 228 before a parse carried its plan, 304 before a node kept its parses, 435 before the envelope was trimmed
 	if got := testing.AllocsPerRun(50, query); got > budget {
 		t.Fatalf("%s allocates %.0f times (%.1f per node task), budget %d", sql, got, got/tasks, budget)
 	}
@@ -138,11 +139,69 @@ func TestFanoutTaskAllocs(t *testing.T) {
 	for range 3 { // the shape's second sighting admits it on the coordinator; on the nodes its text's
 		fresh()
 	}
-	const freshBudget = 113 // 110 measured; 156 before the plan carried its compiled expressions, 296 before a literal was a parameter slot
+	const freshBudget = 103 // 100 measured; 110 before a plan ran as a program and a task reused its session, 156 before the plan carried its compiled expressions, 296 before a literal was a parameter slot
 	if got := testing.AllocsPerRun(50, fresh); got > freshBudget {
 		t.Fatalf("a new spelling of a cached shape allocates %.0f times (%.1f per node task), budget %d", got, got/tasks, freshBudget)
 	} else {
 		t.Logf("a new spelling of a cached shape allocates %.0f times", got)
+	}
+}
+
+// TestReusedTaskSessionStartsClean: a node task runs on a session a task
+// before it closed, and one that failed mid-statement — its scans narrowed
+// to its partitions, its aggregate's fold state written, the statement
+// bound — or that left a transaction open leaves nothing to the next: it
+// reads the whole table, answers rows and no state, is in no transaction,
+// is its session's first statement, and is registered only while it runs.
+func TestReusedTaskSessionStartsClean(t *testing.T) {
+	c := newTestCluster(t, 1, OLTP)
+	if _, err := c.CreateTable("orders", fanoutSchema(), "id", 4); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]value.Row, 100)
+	for i := range rows {
+		rows[i] = fanoutRow(i)
+	}
+	if _, err := c.Insert("orders", rows...); err != nil {
+		t.Fatal(err)
+	}
+	n := c.Nodes[0]
+	task := func(r ExecReq) (*sqlexec.Result, []byte, error) {
+		t.Helper()
+		res, state, err := n.queryParts(r)
+		if got := len(n.sessions.free); got != 1 {
+			t.Fatalf("%s: %d sessions on the free list, want the one every task reuses", r.SQL, got)
+		}
+		return res, state, err
+	}
+	whole := ExecReq{SQL: `SELECT COUNT(*) FROM orders`}
+	if res, _, err := task(whole); err != nil || res.Rows[0][0].AsInt() != int64(len(rows)) {
+		t.Fatalf("%v %v", res, err)
+	}
+	reused := n.sessions.free[0]
+
+	// Partition 9 is nowhere: the scan of 0 runs and folds, then the task fails.
+	if _, _, err := task(ExecReq{SQL: `SELECT SUM(qty) FROM orders`, Partial: true, Table: "orders", Parts: []int{0, 9}}); err == nil {
+		t.Fatal("a task over a partition the node does not host succeeded")
+	}
+	if _, _, err := task(ExecReq{SQL: `BEGIN`}); err != nil {
+		t.Fatal(err)
+	}
+	res, state, err := task(whole)
+	if err != nil || state != nil || len(res.Rows) != 1 || res.Rows[0][0].AsInt() != int64(len(rows)) {
+		t.Fatalf("after a failed task: %v, state %v, %v; want %d rows counted and no state", res, state, err, len(rows))
+	}
+	res, _, err = task(ExecReq{SQL: `SELECT in_txn, statements, state FROM sys.m_sessions`})
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsBool() || res.Rows[0][1].AsInt() != 1 {
+		t.Fatalf("the task's own session: %v %v; want one row, no transaction, its first statement", res, err)
+	}
+	if n.sessions.free[0] != reused {
+		t.Fatal("a task made a session of its own")
+	}
+	s := n.Engine().NewSession()
+	defer s.Close()
+	if res, err := s.Query(`SELECT COUNT(*) FROM sys.m_sessions`); err != nil || res.Rows[0][0].AsInt() != 1 {
+		t.Fatalf("sessions registered between tasks: %v %v; want only the querying one", res, err)
 	}
 }
 

@@ -72,10 +72,12 @@ type DataNode struct {
 	tracer   *stats.Tracer
 	nodeAttr string
 
-	// scopes holds the taskScopes of finished node tasks, and params the
-	// slices their parameters were decoded into.
-	scopes freeList[taskScope]
-	params freeList[[]value.Value]
+	// sessions, scopes and params hold what finished node tasks ran on: the
+	// closed sessions, which a task reopens (sqlexec.Engine.Reopen), the
+	// taskScopes, and the slices their parameters were decoded into.
+	sessions freeList[sqlexec.Session]
+	scopes   freeList[taskScope]
+	params   freeList[[]value.Value]
 
 	pollStop chan struct{}
 	// merger folds each hosted partition's delta into compressed main as it
@@ -664,9 +666,17 @@ func partitionsAttr(parts []int) string {
 // primaries and replicas of one table reads exactly the partitions the
 // task names, never double-counting. A listed partition the planned table
 // does not hold fails the task, because the coordinator counts every listed
-// one as covered.
+// one as covered. The task runs on a session of the node's free list,
+// reopened: registered (sys.m_sessions) only while it runs, and holding
+// nothing of the task before it.
 func (n *DataNode) queryParts(r ExecReq) (*sqlexec.Result, []byte, error) {
-	s := n.eng.NewSession()
+	s := n.sessions.get()
+	if s == nil {
+		s = n.eng.NewSession()
+	} else {
+		n.eng.Reopen(s)
+	}
+	defer n.sessions.put(s)
 	defer s.Close()
 	var sc *taskScope
 	if r.Table != "" {

@@ -156,6 +156,11 @@ func (c *compiler) agg(a *AggPlan) {
 	}
 	if s, ok := a.Child.(*ScanPlan); ok {
 		in.avoidPerRow = len(s.cols) - in.decoded(len(s.cols))
+		in.zoneable = len(in.keyCols) == 0 && s.Filter == nil && !in.computed
+		for i, spec := range in.specs {
+			zoned := spec.Fn == "COUNT" && !spec.Distinct || (spec.Fn == "MIN" || spec.Fn == "MAX") && in.argCols[i] >= 0
+			in.zoneable = in.zoneable && zoned
+		}
 	}
 }
 

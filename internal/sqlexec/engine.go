@@ -240,19 +240,33 @@ func (e *Engine) SysViews() *SysCatalog {
 // NewSession opens a session in auto-commit mode and registers it with
 // the engine's session table (sys.m_sessions).
 func (e *Engine) NewSession() *Session {
+	s := new(Session)
+	e.Reopen(s)
+	return s
+}
+
+// Reopen opens s, a session of e's that was closed, as a new one: nothing
+// a statement before left on it remains — its scope, transaction, answer,
+// fold state, stats, statement and monitoring record — and it is
+// registered anew under a fresh id, as NewSession registers a new session.
+// A caller that opens many short sessions (an SOE node's tasks) keeps the
+// closed ones to reopen.
+func (e *Engine) Reopen(s *Session) {
 	e.SysViews()
+	s.Scope, s.tx, s.explicit, s.partial, s.cur, s.curSQL = nil, nil, false, false, nil, ""
+	s.out, s.state, s.count, s.countRow, s.stats, s.one = feed{}, nil, [1]value.Value{}, [1]value.Row{}, ExecStats{}, Stmt{}
+	now := time.Now()
 	e.sessMu.Lock()
 	e.sessSeq++
-	s := &Session{e: e, id: e.sessSeq}
-	now := time.Now()
-	s.info.started = now
-	s.info.lastActive = now
+	s.info.mu.Lock()
+	s.e, s.id = e, e.sessSeq
+	s.info.started, s.info.lastActive, s.info.active, s.info.sql, s.info.stmts, s.info.inTxn = now, now, false, "", 0, false
+	s.info.mu.Unlock()
 	if e.sessions == nil {
 		e.sessions = map[int64]*Session{}
 	}
 	e.sessions[s.id] = s
 	e.sessMu.Unlock()
-	return s
 }
 
 // Close aborts any open explicit transaction and deregisters the session.
@@ -281,7 +295,7 @@ func (e *Engine) sessionRows() []value.Row {
 		if s.info.active {
 			state = "active"
 		}
-		rows = append(rows, value.Row{
+		rows = append(rows, value.Row{ // a reopened session's id changes under info.mu
 			value.Int(s.id), value.String(state), value.String(s.info.sql),
 			value.Bool(s.info.inTxn), value.Int(s.info.stmts),
 			value.Time(s.info.started), value.Time(s.info.lastActive),
@@ -642,28 +656,34 @@ type victim struct {
 	row   value.Row // nil unless boxed
 }
 
-// findVictims finds the visible rows matching the WHERE clause of an
-// UPDATE or DELETE with the scan any SELECT would plan for `table WHERE
-// where`: pruned, kernel-bound, parameters bound at run time, its morsels'
-// selection phase run on the vectorized executor whatever Engine.Mode says,
-// on run state borrowed from the engine like a SELECT's. The victims come
-// back in partition-then-position order; only box makes rows of them. A
-// victim is named by its row ID (Snapshot.ID), which is the same row at
-// commit whatever merges in between.
-func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []value.Value, box bool) (*ScanPlan, []victim, error) {
-	entry, ok := s.e.Cat.Table(table)
-	if !ok {
-		return nil, nil, fmt.Errorf("sql: unknown table %q", table)
+// findVictims finds the visible rows matching the WHERE clause of st, an
+// UPDATE or DELETE, with the scan any SELECT would plan for `table WHERE
+// where`: pruned, kernel-bound, parameters bound at run time, planned as a
+// query is, once per catalog version (Stmt.slot), its morsels' selection
+// phase run on the vectorized executor whatever Engine.Mode says, on run
+// state borrowed from the engine like a SELECT's. The victims come back in
+// partition-then-position order; only box makes rows of them. A victim is
+// named by its row ID (Snapshot.ID), which is the same row at commit
+// whatever merges in between.
+func (s *Session) findVictims(tx *txn.Txn, st *Stmt, table string, where Expr, params []value.Value, box bool) (*ScanPlan, []victim, error) {
+	_, plan, err := st.slot(func() (any, error) {
+		entry, ok := s.e.Cat.Table(table)
+		if !ok {
+			return nil, fmt.Errorf("sql: unknown table %q", table)
+		}
+		scan := newScanPlan(entry, table)
+		scan.Filter = where
+		scan.classify()
+		// The scan runs vectorized only: its filter needs no interpreter's
+		// compile.
+		c := compiler{reg: s.e.Reg}
+		c.conjuncts(scan)
+		return scan, c.err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	scan := newScanPlan(entry, table)
-	scan.Filter = where
-	scan.classify()
-	// The scan runs vectorized only: its filter needs no interpreter's
-	// compile.
-	c := compiler{reg: s.e.Reg}
-	if c.conjuncts(scan); c.err != nil {
-		return nil, nil, c.err
-	}
+	scan := plan.(*ScanPlan)
 	ctx := s.e.scratch.borrow()
 	defer s.e.scratch.giveBack(ctx)
 	ctx.ts, ctx.params, ctx.stats, ctx.workers, ctx.hooks = tx.SnapshotTS(), params, &ctx.local, s.e.Workers, s.hooks()
@@ -676,9 +696,9 @@ func (s *Session) findVictims(tx *txn.Txn, table string, where Expr, params []va
 	return scan, r.victims, nil
 }
 
-func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (int, error) {
+func (s *Session) execUpdate(st *Stmt, up *UpdateStmt, params []value.Value) (int, error) {
 	tx := s.currentTxn()
-	scan, vs, err := s.findVictims(tx, up.Table, up.Where, params, true)
+	scan, vs, err := s.findVictims(tx, st, up.Table, up.Where, params, true)
 	if err != nil {
 		return 0, s.endStmt(tx, err)
 	}
@@ -724,9 +744,9 @@ func (s *Session) execUpdate(up *UpdateStmt, params []value.Value) (int, error) 
 	return len(vs), s.endStmt(tx, nil)
 }
 
-func (s *Session) execDelete(del *DeleteStmt, params []value.Value) (int, error) {
+func (s *Session) execDelete(st *Stmt, del *DeleteStmt, params []value.Value) (int, error) {
 	tx := s.currentTxn()
-	_, vs, err := s.findVictims(tx, del.Table, del.Where, params, false)
+	_, vs, err := s.findVictims(tx, st, del.Table, del.Where, params, false)
 	if err != nil {
 		return 0, s.endStmt(tx, err)
 	}

@@ -94,6 +94,8 @@ type execCtx struct {
 	// go back to it with the ctx.
 	scans     []*scanRun
 	nscans    int
+	ops       []*opRun // as scans: the first nops lent to the running statement's operators (op)
+	nops      int
 	folds     []*aggFold
 	interners []*strInterner
 	// local accounts a statement that is accounted nowhere else: a DML's
@@ -112,6 +114,22 @@ func (c *execCtx) scan() *scanRun {
 	r := c.scans[c.nscans]
 	c.nscans++
 	r.ctx = c
+	return r
+}
+
+// op lends the operator p of the statement's program, pushing into out, its
+// run state: one the ctx kept from a statement before, or a new one it keeps
+// from now on.
+func (c *execCtx) op(p Plan, out sink) *opRun {
+	if c.nops == len(c.ops) {
+		r := new(opRun)
+		r.cmp = r.compare
+		r.join.lookupStr = func(s string) int64 { return idIn(&r.join, &r.join.strIDs, s, false) }
+		c.ops = append(c.ops, r)
+	}
+	r := c.ops[c.nops]
+	c.nops++
+	r.ctx, r.node, r.out, r.prof = c, p, out, c.prof.node(p)
 	return r
 }
 
@@ -143,6 +161,9 @@ func (c *execCtx) reset() {
 	for _, r := range c.scans[:c.nscans] {
 		r.reset()
 	}
+	for _, r := range c.ops[:c.nops] {
+		r.reset()
+	}
 	for _, f := range c.folds {
 		f.reset()
 	}
@@ -152,7 +173,7 @@ func (c *execCtx) reset() {
 	c.scratch.keepFolds(c.folds, c.interners)
 	clear(c.folds)
 	clear(c.interners)
-	c.nscans, c.folds, c.interners = 0, c.folds[:0], c.interners[:0]
+	c.nscans, c.nops, c.folds, c.interners = 0, 0, c.folds[:0], c.interners[:0]
 	c.ts, c.params, c.stats, c.out, c.workers, c.prof = 0, nil, nil, nil, 0, nil
 	c.hooks, c.state, c.replies = pruneHooks{}, nil, nil
 	c.local = ExecStats{}
@@ -448,7 +469,7 @@ func (it *scanIter) Close() { it.flushStats() }
 // a table function's result, the literal rows of VALUES, a sys view's
 // snapshot, whose rows count as scanned. Both executors read their leaves
 // from here: the interpreter through rowsIter, the vectorized executor in
-// batches (vecRows).
+// batches (opRun.emitLeaf).
 func leafRows(p Plan, ctx *execCtx) ([]value.Row, error) {
 	switch x := p.(type) {
 	case *TableFuncPlan:

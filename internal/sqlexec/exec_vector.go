@@ -2,12 +2,12 @@ package sqlexec
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/columnstore"
@@ -16,7 +16,7 @@ import (
 )
 
 // This file implements the vectorized executor: plans run as batch
-// pipelines over encoded column data instead of row-at-a-time iterators.
+// programs over encoded column data instead of row-at-a-time iterators.
 // Scans split into ~16k-row morsels that a statement's runners claim on
 // the process's shared workers (morsel-driven parallelism, morsel.go);
 // pushed-down conjuncts of kernel shape evaluate directly against the
@@ -28,153 +28,148 @@ import (
 // kept byte-identical to the interpreter's: scan batches emit in morsel
 // order and merged aggregate groups sort by first-seen input position.
 
-// vpipe pushes row batches into emit until exhausted.
-type vpipe func(emit func(rows []value.Row) error) error
+// A plan runs as a program: each node of the compiled plan is an operator
+// whose run method pushes its batches into a sink — its parent's run
+// state, or the statement's feed at the root — and whose push method, for
+// a node with children, takes one batch of a child's. The plan is
+// read-only and shared by every run; what a run mutates is an opRun the
+// statement's execCtx lends (execCtx.op).
+
+// sink is where an operator pushes its batches. A batch pushed is the
+// receiver's: it may filter it in place, keep it or hand it on.
+type sink interface {
+	push(rows []value.Row) error
+}
+
+// consumer is an operator whose children push their batches into it.
+type consumer interface {
+	push(r *opRun, rows []value.Row) error
+}
 
 // errStop terminates a pipeline early (LIMIT).
 var errStop = errors.New("sqlexec: pipeline stop")
 
-// runVectorized runs the statement on the vectorized executor, the root of
-// its pipeline pushing into ctx.out. Every plan shape has a pipeline: an
-// error from building it (a leaf whose rows fail) is the statement's, like
-// one from running. A scan at the root, or a projection fused into one
-// (whose columns it reads; nil: every column), shows the sink views
-// (scanRun.show) and nothing is boxed unless the sink keeps it; every other
-// root builds a pipeline of rows, as anywhere else, and what it emits is
-// pushed as it is.
+// runVectorized runs the statement's program, its root pushing into
+// ctx.out. A scan at the root, or a projection fused into one, shows the
+// sink views (opRun.scanOut) and nothing is boxed unless the sink keeps
+// it; every other root pushes rows, which go to the sink as they are.
 func runVectorized(p Plan, ctx *execCtx) error {
-	var err error
-	var s *ScanPlan
-	var cols []int
-	switch x := p.(type) {
-	case *ScanPlan:
-		s = x
-	case *ProjectPlan:
-		s, cols = x.scan, x.scanCols
-	}
-	if s != nil {
-		r := scanOut(s, cols, exitViews, ctx)
-		if ctx.prof == nil {
-			err = r.run()
-		} else {
-			err = wrapPipe(ctx.prof, p, r.viewsTo, func(b RowBatch) int { return b.Len() })(ctx.out.show)
-		}
-	} else {
-		var rows vpipe
-		if rows, err = vecCompile(p, ctx); err == nil {
-			err = rows(ctx.out.push)
-		}
-	}
-	if err != nil {
+	if err := runOp(ctx, p, ctx.out); err != nil {
 		return err
 	}
 	cVecQueries.Inc()
 	return nil
 }
 
-// vecCompile builds the batch pipeline for a plan node, attaching the
-// analyze wrapper when the statement is profiled.
-func vecCompile(p Plan, ctx *execCtx) (vpipe, error) {
-	vp, err := vecCompileRaw(p, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return wrapPipe(ctx.prof, p, vp, func(rows []value.Row) int { return len(rows) }), nil
+// opRun is one operator's state in one run of the program: its node, the
+// sink it pushes into, its profile node (nil unless analyzed), and what the
+// operator mutates. The statement's execCtx keeps it for the next
+// statement, reset: no row of a run, and of its buffers only what
+// vecFlatGroupCutoff bounds.
+type opRun struct {
+	ctx    *execCtx
+	node   Plan
+	out    sink
+	prof   *OpProfile
+	emitNS int64 // analyzed: the time out took, which is not the operator's
+
+	env        [2]Env                   // a filter's or projection's row (env[0]); a sort comparator's pair
+	cmp        func(a, b value.Row) int // compare, bound once: a method value allocates
+	rows       []value.Row              // a sort's input, handed on sorted: the answer's, never kept
+	seen       map[string]bool          // a distinct's rows, by rendered key (key),
+	key, texts []byte                   // each new one kept in texts (appendText)
+	skipped    int                      // a limit's
+	emitted    int
+	fold       *aggFold // an aggregation's over rows, and the rank of its next row
+	rank       int64
+	zone       zoneFold
+	join       codeJoin
 }
 
-func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
-	switch x := p.(type) {
-	case *ScanPlan:
-		return vecScan(x, nil, ctx), nil
-	case *TableFuncPlan, *ValuesPlan, *VirtualScanPlan:
-		return vecRows(p, ctx)
-	case *FilterPlan:
-		return vecFilter(x, ctx)
-	case *ProjectPlan:
-		return vecProject(x, ctx)
-	case *AggPlan:
-		return vecAgg(x, ctx)
-	case *JoinPlan:
-		return vecJoinCode(x, ctx)
-	case *DistinctPlan:
-		child, err := vecCompile(x.Child, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return func(emit func([]value.Row) error) error {
-			seen := map[string]bool{}
-			var buf []byte
-			return child(func(rows []value.Row) error {
-				out := rows[:0]
-				for _, row := range rows {
-					buf = row.AppendKey(buf[:0])
-					if seen[string(buf)] {
-						continue
-					}
-					seen[string(buf)] = true
-					out = append(out, row)
-				}
-				if len(out) == 0 {
-					return nil
-				}
-				return emit(out)
-			})
-		}, nil
-	case *SortPlan:
-		return vecSort(x, ctx)
-	case *LimitPlan:
-		return vecLimit(x, ctx)
-	case *AliasPlan:
-		return vecCompile(x.Child, ctx)
-	case *foldStatePlan:
-		run, err := vecFold(x.agg, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return func(func([]value.Row) error) error {
-			f, err := run()
-			if err == nil {
-				*ctx.state = appendFoldState(*ctx.state, f)
-			}
-			return err
-		}, nil
-	case *replyPlan:
-		// The replies' rows as one batch: what is above sizes itself once.
-		return func(emit func([]value.Row) error) error {
-			n := 0
-			for _, r := range ctx.replies {
-				n += len(r.Rows)
-			}
-			if n == 0 {
-				return nil
-			}
-			rows := make([]value.Row, 0, n)
-			for _, r := range ctx.replies {
-				rows = append(rows, r.Rows...)
-			}
-			return emit(rows)
-		}, nil
+// runOp runs the operator p into out on a run state the statement lends;
+// under a profile its wall time is the call's, less the time out took.
+func runOp(ctx *execCtx, p Plan, out sink) error {
+	r := ctx.op(p, out)
+	if r.prof == nil {
+		return p.run(r)
 	}
-	return nil, fmt.Errorf("sql: no vectorized operator for %T", p)
+	t0 := time.Now()
+	err := p.run(r)
+	r.prof.wallNS.Add(time.Since(t0).Nanoseconds() - r.emitNS)
+	return err
 }
 
-// vecRows is the batch leaf over rows materialized up front (leafRows),
-// emitted in windows of at most BatchRows.
-func vecRows(p Plan, ctx *execCtx) (vpipe, error) {
-	rows, err := leafRows(p, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return func(emit func([]value.Row) error) error {
-		for rest := rows; len(rest) > 0; {
-			n := min(len(rest), BatchRows)
-			if err := emit(rest[:n:n]); err != nil {
-				return err
-			}
-			rest = rest[n:]
+// push is r as its children's sink.
+func (r *opRun) push(rows []value.Row) error { return r.node.(consumer).push(r, rows) }
+
+// emit pushes one batch of the operator's output into its sink.
+func (r *opRun) emit(rows []value.Row) error { return r.hand(rows, nil) }
+
+// hand pushes rows into the operator's sink or — a root scan's window —
+// shows view to the statement's feed, counted and timed under a profile.
+func (r *opRun) hand(rows []value.Row, view *RowBatch) error {
+	if r.prof != nil {
+		n := len(rows)
+		if view != nil {
+			n = view.Len()
 		}
+		r.prof.rowsOut.Add(int64(n))
+		r.prof.batches.Add(1)
+		defer func(t0 time.Time) { r.emitNS += time.Since(t0).Nanoseconds() }(time.Now())
+	}
+	if view != nil {
+		return r.ctx.out.show(*view)
+	}
+	return r.out.push(rows)
+}
+
+// reset drops everything the operator read, computed or was handed.
+func (r *opRun) reset() {
+	r.join.reset()
+	clear(r.zone.accs[:cap(r.zone.accs)])
+	r.zone.in = nil
+	if len(r.seen) > vecFlatGroupCutoff {
+		r.seen = nil
+	}
+	clear(r.seen)
+	r.key, r.texts = keptBytes(r.key), keptBytes(r.texts)
+	r.ctx, r.node, r.out, r.prof, r.emitNS = nil, nil, nil, nil, 0
+	r.env, r.rows, r.skipped, r.emitted, r.fold, r.rank = [2]Env{}, nil, 0, 0, nil, 0
+}
+
+// keptBytes is b emptied for the next statement, or nil past the 64 bytes
+// a key for each of vecFlatGroupCutoff keys may take.
+func keptBytes(b []byte) []byte {
+	if cap(b) > 64*vecFlatGroupCutoff {
 		return nil
-	}, nil
+	}
+	return b[:0]
+}
+
+// appendText copies b to *texts and returns a string over the copy, at no
+// allocation of its own: texts only grows until the map keyed by such
+// strings is emptied, and an append that moves it leaves the old bytes to
+// the strings over them.
+func appendText(texts *[]byte, b []byte) string {
+	at := len(*texts)
+	*texts = append(*texts, b...)
+	return unsafe.String(unsafe.SliceData((*texts)[at:]), len(b))
+}
+
+func (x *ScanPlan) run(r *opRun) error        { return r.scanOut(x, nil) }
+func (x *TableFuncPlan) run(r *opRun) error   { return r.emitLeaf(x) }
+func (x *ValuesPlan) run(r *opRun) error      { return r.emitLeaf(x) }
+func (x *VirtualScanPlan) run(r *opRun) error { return r.emitLeaf(x) }
+
+// emitLeaf pushes the rows of a leaf materialized up front (leafRows), in
+// windows of at most BatchRows.
+func (r *opRun) emitLeaf(p Plan) error {
+	rows, err := leafRows(p, r.ctx)
+	for err == nil && len(rows) > 0 {
+		n := min(len(rows), BatchRows)
+		err, rows = r.emit(rows[:n:n]), rows[n:]
+	}
+	return err
 }
 
 // --- morsel-parallel scan ---------------------------------------------------
@@ -231,30 +226,28 @@ type scanRun struct {
 	plan  *ScanPlan
 	ncols int
 
-	// zoneAgg, when set by a fused aggregate, is offered each demoted
-	// partition whose zone map exactly describes the snapshot (same
-	// physical rows, no merge since demotion, every row visible, no
-	// filter). Returning true answers the partition from the synopsis and
-	// skips its morsels entirely.
-	zoneAgg func(snap *columnstore.Snapshot, z *columnstore.ZoneMap) bool
+	// zone, when a fused aggregate sets it, is offered each demoted partition
+	// whose zone map exactly describes the snapshot (same physical rows, no
+	// merge since demotion, every row visible, no filter), and answers it
+	// from the synopsis: the partition's morsels are skipped entirely.
+	zone *zoneFold
 
 	// What the morsels are for (exit), and what that exit needs. fused is
 	// the projection fused into a root or boxed scan (nil reads every
-	// column) and avoidPerRow the boxed values it spares per row; emitView
-	// is the profile's wrapper around a root scan's sink (nil shows the sink
-	// itself); emit is the parent of a boxed scan or a probe; box says
+	// column) and avoidPerRow the boxed values it spares per row; to is the
+	// operator the run's windows go to: a root scan's shows them to the
+	// sink, a boxed scan's or a join probe's pushes their rows; box says
 	// whether a victim search boxes each victim's row, and victims is what
 	// it found, fresh for every run; a fold run's runner w folds into
-	// folds[w].
+	// folds[w]; join is the join a probe run, or a fold run fused into a
+	// probe, probes.
 	exit        scanExit
 	fused       []int
 	avoidPerRow int
-	emitView    func(RowBatch) error
-	emit        func([]value.Row) error
+	to          *opRun
 	box         bool
 	victims     []victim
-	probe       func(t *scanTask, w int, sel selection, out *port)
-	fold        func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)
+	join        *codeJoin
 	folds       []*aggFold
 
 	// One execution (open).
@@ -388,10 +381,10 @@ func (s *scanScratch) rowEnv(width int, params []value.Value) *Env {
 // so several engines in a process (the data nodes of a cluster) do not evict
 // each other's. It lends four things, each from a last-in-first-out free
 // list, so that what a statement takes is what the statement before it
-// warmed: the statement's execCtx with the scan runs it keeps (borrow,
-// giveBack), one scratch per runner of each scan (takeRun, put), and one
-// fold per runner of each aggregation and the interner they share
-// (takeFold, takeInterner, keepFolds). Each list keeps what one run holds at
+// warmed: the statement's execCtx with the scan runs and operator states it
+// keeps (borrow, giveBack), one scratch per runner of each scan (takeRun,
+// put), and one fold per runner of each aggregation and the interner they
+// share (takeFold, takeInterner, keepFolds). Each list keeps what one run holds at
 // once — GOMAXPROCS, unless a run had more runners — and drops the rest, and
 // a kept fold has room for at most vecFlatGroupCutoff groups
 // (aggFold.reset), so what an idle engine retains is fixed by GOMAXPROCS:
@@ -583,9 +576,9 @@ func (r *scanRun) reset() {
 	p.ports = p.ports[:0]
 	r.tasks, r.readers, r.kernels, r.folds, r.snaps = r.tasks[:0], r.readers[:0], r.kernels[:0], r.folds[:0], r.snaps[:0]
 	r.resids = r.resids[:0]
-	r.plan, r.ncols, r.zoneAgg = nil, 0, nil
-	r.exit, r.fused, r.avoidPerRow, r.emitView, r.emit = exitViews, nil, 0, nil, nil
-	r.box, r.victims, r.probe, r.fold = false, nil, nil, nil
+	r.plan, r.ncols, r.zone = nil, 0, nil
+	r.exit, r.fused, r.avoidPerRow, r.to = exitViews, nil, 0, nil
+	r.box, r.victims, r.join = false, nil, nil
 	r.err, r.op = nil, nil
 	r.stop.Store(false)
 }
@@ -639,16 +632,15 @@ func (r *scanRun) open() {
 		if rows == 0 {
 			continue
 		}
-		if r.zoneAgg != nil && s.Filter == nil && part.Zone != nil &&
+		if r.zone != nil && s.Filter == nil && part.Zone != nil &&
 			part.Zone.Rows == rows && part.Zone.Merges == part.Table.MergeCount() &&
 			snap.NumRows() == snap.MainRows() && snap.AllVisible() {
 			// Zone-map fast path: the synopsis covers exactly this
 			// snapshot's rows and every one of them is visible, so
 			// COUNT/MIN/MAX answer from resident metadata without
 			// faulting a single page.
-			if r.zoneAgg(snap, part.Zone) {
-				continue
-			}
+			r.zone.answer(snap, part.Zone)
+			continue
 		}
 		mainRows := snap.MainRows()
 		at := len(r.readers)
@@ -811,10 +803,14 @@ func (r *scanRun) process(t *scanTask, w int) {
 func (r *scanRun) take(t *scanTask, w int, sel selection) {
 	switch r.exit {
 	case exitFold:
-		r.fold(r.folds[w], t, sel, r.scratch[w])
+		if r.join != nil {
+			r.join.foldMorsel(r.folds[w], t, sel, r.scratch[w])
+		} else {
+			r.folds[w].foldMorsel(t, sel, r.scratch[w])
+		}
 		return
 	case exitProbe:
-		r.probe(t, w, sel, &r.par.ports[w])
+		r.join.probeOut(t, w, sel)
 		return
 	}
 	n, out := sel.len(), &r.par.ports[w]
@@ -865,10 +861,10 @@ func (r *scanRun) show(v window) error {
 	case exitViews:
 		b := RowBatch{readers: v.t.readers, cols: r.fused, sel: v.sel}
 		if v.lent {
-			return r.emitBatch(b)
+			return r.to.hand(nil, &b)
 		}
 		faults0, faultNS0 := extstore.FaultCounters()
-		err := r.emitBatch(b)
+		err := r.to.hand(nil, &b)
 		r.ctx.mu.Lock()
 		attributeFaults(r.ctx.stats, r.op, faults0, faultNS0)
 		r.ctx.mu.Unlock()
@@ -877,16 +873,7 @@ func (r *scanRun) show(v window) error {
 		r.addVictims(v.t, v.sel)
 		return nil
 	}
-	return r.emit(v.rows)
-}
-
-// emitBatch shows a root scan's view to the statement's sink, through the
-// profile's wrapper when there is one.
-func (r *scanRun) emitBatch(b RowBatch) error {
-	if r.emitView != nil {
-		return r.emitView(b)
-	}
-	return r.ctx.out.show(b)
+	return r.to.emit(v.rows)
 }
 
 // addVictims appends the rows at sel of t's partition to the run's victims,
@@ -988,35 +975,27 @@ func (s *rowSlab) row() value.Row {
 // keep hands the current row over to the caller for good.
 func (s *rowSlab) keep() { s.spare = s.spare[1:] }
 
-// scanOut prepares the scan s for an ordered exit — exitViews at the plan's
-// root, exitRows below it — reading cols, a projection fused into it, or
-// every column when cols is nil.
-func scanOut(s *ScanPlan, cols []int, exit scanExit, ctx *execCtx) *scanRun {
-	r := prepScan(s, ctx)
+// scanOut runs the scan s for r, reading cols — a projection fused into it
+// — or every column when cols is nil: at the plan's root its windows are
+// shown to the sink as views (exitViews), anywhere else boxed into a fresh
+// slab by the runner that cut them (exitRows).
+func (r *opRun) scanOut(s *ScanPlan, cols []int) error {
+	sr := prepScan(s, r.ctx)
 	distinct := 0
 	for i, c := range cols {
 		if !slices.Contains(cols[:i], c) {
 			distinct++
 		}
 	}
-	r.exit, r.fused, r.avoidPerRow = exit, cols, r.ncols-distinct
-	return r
-}
-
-// run executes an ordered scan prepared by scanOut: open, then the hand-off.
-func (r *scanRun) run() error {
-	if op := r.ctx.prof.node(r.plan); op != nil && r.fused != nil {
+	sr.exit, sr.fused, sr.avoidPerRow, sr.to = exitRows, cols, sr.ncols-distinct, r
+	if r.out == sink(r.ctx.out) {
+		sr.exit = exitViews
+	}
+	if op := r.ctx.prof.node(s); op != nil && cols != nil {
 		op.fused = true
 	}
-	r.open()
-	return r.drainOrdered()
-}
-
-// viewsTo is run at the plan's root under a profile: the views go to emit,
-// the profile's wrapper around the sink.
-func (r *scanRun) viewsTo(emit func(RowBatch) error) error {
-	r.emitView = emit
-	return r.run()
+	sr.open()
+	return sr.drainOrdered()
 }
 
 // handoffDepth is how many windows a morsel may have waiting for the
@@ -1200,18 +1179,6 @@ func (p *parallel) advance(c int) {
 	p.mu.Unlock()
 }
 
-// vecScan is a scan below the plan's root, whose parent keeps rows: each
-// window is boxed into a fresh slab by the worker that cut it. cols, when
-// set, is a projection fused into the scan: surviving positions box only
-// the projected columns, never the full-width row.
-func vecScan(s *ScanPlan, cols []int, ctx *execCtx) vpipe {
-	r := scanOut(s, cols, exitRows, ctx)
-	return func(emit func([]value.Row) error) error {
-		r.emit = emit
-		return r.run()
-	}
-}
-
 // colReader reads one column of a partition snapshot at a physical row
 // position, main or delta alike, without boxing intermediary rows. It is a
 // value: a run keeps the readers of all its partitions in one slab, and its
@@ -1329,162 +1296,177 @@ func intersectInto(a, b []int) []int {
 	return out
 }
 
-// --- batch filter / project -------------------------------------------------
+// --- filter / project / distinct / alias -----------------------------------
 
-func vecFilter(x *FilterPlan, ctx *execCtx) (vpipe, error) {
-	child, err := vecCompile(x.Child, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return func(emit func([]value.Row) error) error {
-		env := Env{Params: ctx.params}
-		return child(func(rows []value.Row) error {
-			out := rows[:0]
-			for _, row := range rows {
-				env.Row = row
-				if v := x.pred(&env); !v.IsNull() && v.AsBool() {
-					out = append(out, row)
-				}
-			}
-			if len(out) == 0 {
-				return nil
-			}
-			return emit(out)
-		})
-	}, nil
+func (x *FilterPlan) run(r *opRun) error {
+	r.env[0].Params = r.ctx.params
+	return runOp(r.ctx, x.Child, r)
 }
 
-func vecProject(x *ProjectPlan, ctx *execCtx) (vpipe, error) {
+func (x *FilterPlan) push(r *opRun, rows []value.Row) error {
+	out := rows[:0]
+	for _, row := range rows {
+		r.env[0].Row = row
+		if v := x.pred(&r.env[0]); !v.IsNull() && v.AsBool() {
+			out = append(out, row)
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return r.emit(out)
+}
+
+func (x *ProjectPlan) run(r *opRun) error {
 	if x.scan != nil {
-		return vecScan(x.scan, x.scanCols, ctx), nil
+		return r.scanOut(x.scan, x.scanCols)
 	}
-	child, err := vecCompile(x.Child, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return func(emit func([]value.Row) error) error {
-		env := Env{Params: ctx.params}
-		return child(func(rows []value.Row) error {
-			out := slabRows(len(rows), len(x.exprs))
-			for i, row := range rows {
-				env.Row = row
-				for c, f := range x.exprs {
-					out[i][c] = f(&env)
-				}
-			}
-			return emit(out)
-		})
-	}, nil
+	r.env[0].Params = r.ctx.params
+	return runOp(r.ctx, x.Child, r)
 }
+
+func (x *ProjectPlan) push(r *opRun, rows []value.Row) error {
+	out := slabRows(len(rows), len(x.exprs))
+	for i, row := range rows {
+		r.env[0].Row = row
+		for c, f := range x.exprs {
+			out[i][c] = f(&r.env[0])
+		}
+	}
+	return r.emit(out)
+}
+
+func (x *DistinctPlan) run(r *opRun) error { return runOp(r.ctx, x.Child, r) }
+
+func (x *DistinctPlan) push(r *opRun, rows []value.Row) error {
+	out := rows[:0]
+	for _, row := range rows {
+		r.key = row.AppendKey(r.key[:0])
+		if r.seen[string(r.key)] {
+			continue
+		}
+		if r.seen == nil {
+			r.seen = map[string]bool{}
+		}
+		r.seen[appendText(&r.texts, r.key)] = true
+		out = append(out, row)
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return r.emit(out)
+}
+
+func (x *AliasPlan) run(r *opRun) error                    { return runOp(r.ctx, x.Child, r) }
+func (x *AliasPlan) push(r *opRun, rows []value.Row) error { return r.emit(rows) }
 
 // --- aggregation --------------------------------------------------------------
 
-// vecAgg runs every aggregation on one fold (aggFold, exec_vector_code.go),
-// fed one of three ways: over a scan, fused into its morsels; over a join
-// that probes a scan, has no residual and nothing to compute, fused into its
-// probe — no joined row is ever built; over anything else, the child's rows.
-func vecAgg(x *AggPlan, ctx *execCtx) (vpipe, error) {
-	run, err := vecFold(x, ctx)
+func (x *AggPlan) run(r *opRun) error {
+	f, err := x.fold(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return func(emit func([]value.Row) error) error {
-		f, err := run()
-		if err != nil {
-			return err
-		}
-		return emit(f.rows())
-	}, nil
+	return r.emit(f.rows())
 }
 
-// aggRun runs an aggregation's input into its one fold (finishAgg).
-type aggRun func() (*aggFold, error)
+func (x *AggPlan) push(r *opRun, rows []value.Row) error { return r.foldRows(rows) }
 
-// vecFold compiles the aggregation x up to its fold. A distributed plan's
-// coordinator absorbs its nodes' fold states instead (replyPlan.fold).
-func vecFold(x *AggPlan, ctx *execCtx) (aggRun, error) {
-	in := &x.in
+// fold runs the aggregation x to its one fold (aggFold) as the operator r —
+// x's own, or a node's foldStatePlan — fed one of four ways: a scan, fused
+// into its morsels; a join that probes a scan, has no residual and nothing
+// to compute, fused into its probe; a distributed plan's replies, whose
+// fold states it absorbs; anything else, the child's rows, pushed into r.
+func (x *AggPlan) fold(r *opRun) (*aggFold, error) {
+	in, ctx := &x.in, r.ctx
 	switch c := x.Child.(type) {
 	case *ScanPlan:
-		return vecAggScan(c, in, ctx), nil
+		return r.foldScan(c, in), nil
 	case *JoinPlan:
 		if c.shape.scan != nil && c.Residual == nil && !in.computed {
-			return vecAggJoinCode(c, in, ctx)
+			return foldJoin(c, in, ctx)
 		}
 	case *replyPlan:
-		return foldReplies(in, ctx), nil
+		f := ctx.fold(in, ctx.interner(), 0)
+		return f, f.absorbStates(ctx.replies)
 	}
-	return vecAggRows(x.Child, in, ctx)
+	r.fold, r.rank = ctx.fold(in, ctx.interner(), 0), 0
+	if err := runOp(ctx, x.Child, r); err != nil {
+		return nil, err
+	}
+	return r.fold, nil
+}
+
+// foldRows folds one batch of an aggregation's input rows, in order: the
+// child still scans in parallel underneath.
+func (r *opRun) foldRows(rows []value.Row) error {
+	for _, row := range rows {
+		r.fold.foldRow(nil, 0, row, r.rank)
+		r.rank++
+	}
+	return nil
 }
 
 // --- sort / limit -----------------------------------------------------------
 
-func vecSort(x *SortPlan, ctx *execCtx) (vpipe, error) {
-	child, err := vecCompile(x.Child, ctx)
-	if err != nil {
-		return nil, err
+func (x *SortPlan) run(r *opRun) error {
+	r.env[0].Params, r.env[1].Params = r.ctx.params, r.ctx.params
+	if err := runOp(r.ctx, x.Child, r); err != nil || len(r.rows) == 0 {
+		return err
 	}
-	return func(emit func([]value.Row) error) error {
-		// A rows batch is fresh (RowBatch.AppendRows): the sort keeps the
-		// first one rather than copy it, clipped so that what follows does.
-		var all []value.Row
-		if err := child(func(rows []value.Row) error {
-			if all == nil {
-				all = rows[:len(rows):len(rows)]
-			} else {
-				all = append(all, rows...)
-			}
-			return nil
-		}); err != nil || len(all) == 0 {
-			return err
-		}
-		// Keys are evaluated per comparison — a key is almost always a
-		// column, read in place — so nothing is kept per row.
-		env := [2]Env{{Params: ctx.params}, {Params: ctx.params}}
-		slices.SortStableFunc(all, func(a, b value.Row) int {
-			env[0].Row, env[1].Row = a, b
-			for i, f := range x.keys {
-				if c := x.Keys[i].compare(f(&env[0]), f(&env[1])); c != 0 {
-					return c
-				}
-			}
-			return 0
-		})
-		return emit(all)
-	}, nil
+	slices.SortStableFunc(r.rows, r.cmp)
+	return r.emit(r.rows)
 }
 
-func vecLimit(x *LimitPlan, ctx *execCtx) (vpipe, error) {
-	child, err := vecCompile(x.Child, ctx)
-	if err != nil {
-		return nil, err
+// push keeps a batch for the sort: the first as it is, clipped so that what
+// follows is copied. The rows go on as the answer's, not the run state's.
+func (x *SortPlan) push(r *opRun, rows []value.Row) error {
+	if r.rows == nil {
+		r.rows = rows[:len(rows):len(rows)]
+	} else {
+		r.rows = append(r.rows, rows...)
 	}
-	return func(emit func([]value.Row) error) error {
-		skipped, emitted := 0, 0
-		err := child(func(rows []value.Row) error {
-			out := rows
-			if skipped < x.Offset {
-				drop := min(x.Offset-skipped, len(out))
-				skipped += drop
-				out = out[drop:]
-			}
-			if emitted+len(out) > x.N {
-				out = out[:x.N-emitted]
-			}
-			if len(out) > 0 {
-				emitted += len(out)
-				if err := emit(out); err != nil {
-					return err
-				}
-			}
-			if emitted >= x.N {
-				return errStop
-			}
-			return nil
-		})
-		if err == errStop {
-			return nil
+	return nil
+}
+
+// compare orders two of a sort's rows. Keys are evaluated per comparison —
+// a key is almost always a column, read in place — so nothing is kept per
+// row.
+func (r *opRun) compare(a, b value.Row) int {
+	x := r.node.(*SortPlan)
+	r.env[0].Row, r.env[1].Row = a, b
+	for i, f := range x.keys {
+		if c := x.Keys[i].compare(f(&r.env[0]), f(&r.env[1])); c != 0 {
+			return c
 		}
+	}
+	return 0
+}
+
+func (x *LimitPlan) run(r *opRun) error {
+	if err := runOp(r.ctx, x.Child, r); err != errStop {
 		return err
-	}, nil
+	}
+	return nil
+}
+
+func (x *LimitPlan) push(r *opRun, rows []value.Row) error {
+	if r.skipped < x.Offset {
+		drop := min(x.Offset-r.skipped, len(rows))
+		r.skipped += drop
+		rows = rows[drop:]
+	}
+	if r.emitted+len(rows) > x.N {
+		rows = rows[:x.N-r.emitted]
+	}
+	if len(rows) > 0 {
+		r.emitted += len(rows)
+		if err := r.emit(rows); err != nil {
+			return err
+		}
+	}
+	if r.emitted >= x.N {
+		return errStop
+	}
+	return nil
 }

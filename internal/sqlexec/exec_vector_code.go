@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-	"unsafe"
 
 	"repro/internal/columnstore"
 	"repro/internal/value"
@@ -102,7 +101,10 @@ type aggInput struct {
 
 	// avoidPerRow estimates boxed values NOT materialized per surviving
 	// row of a scan: its width minus the distinct columns a fold decodes.
+	// zoneable says a zone map may answer the aggregation over a scan: a
+	// global COUNT/MIN/MAX of bare columns over an unfiltered scan.
 	avoidPerRow int
+	zoneable    bool
 }
 
 // decoded counts the distinct columns below n a fold boxes per row: bare
@@ -168,7 +170,7 @@ type aggFold struct {
 	overflow map[int64]*aggGroup
 	nullG    *aggGroup
 	global   *aggGroup
-	keyed    map[string]*aggGroup // by rendered key: a string over texts (keyText)
+	keyed    map[string]*aggGroup // by rendered key: a string over texts (appendText)
 
 	env    Env       // the row computed keys and arguments read
 	row    value.Row // env.Row's memory when the fold reads positions
@@ -186,16 +188,19 @@ type aggFold struct {
 	runsFolded    int64
 	batchesFused  int64
 	decodeAvoided int64
+
+	// The join probe morsel the fold takes pairs of (codeJoin.foldMorsel),
+	// and the rank of its next pair.
+	t    *scanTask
+	sel  selection
+	rank int64
 }
 
 // bind readies a fold for an aggregation of in, whose strings it interns in
 // it and whose computed expressions read params.
 func (f *aggFold) bind(in *aggInput, it *strInterner, nProbe int, params []value.Value) {
 	f.in, f.interner, f.nProbe, f.env.Params = in, it, nProbe, params
-	f.key = f.key[:0]
-	if in.groupCol < 0 && len(in.keyCols) > 0 {
-		f.key = sized(f.key, len(in.keyCols))
-	}
+	f.key = sized(f.key, len(in.keyCols))
 	if in.computed && nProbe > 0 {
 		f.row = sized(f.row, nProbe)
 		f.env.Row = f.row
@@ -226,20 +231,16 @@ func (f *aggFold) reset() {
 	if len(f.overflow) > limit {
 		f.overflow = nil
 	}
-	if cap(f.texts) > 64*limit {
-		f.texts = nil
-	}
-	if cap(f.keyBuf) > 64*limit {
-		f.keyBuf = nil
-	}
+	f.texts, f.keyBuf = keptBytes(f.texts), keptBytes(f.keyBuf)
 	clear(f.keyed)
 	clear(f.overflow)
 	clear(f.flat[:cap(f.flat)])
 	clear(f.list[:cap(f.list)])
 	clear(f.key[:cap(f.key)])
 	clear(f.row[:cap(f.row)])
-	f.flat, f.list, f.texts = f.flat[:0], f.list[:0], f.texts[:0]
+	f.flat, f.list = f.flat[:0], f.list[:0]
 	f.in, f.interner, f.nProbe, f.nullG, f.global, f.env = nil, nil, 0, nil, nil, Env{}
+	f.t, f.sel, f.rank = nil, selection{}, 0
 	f.runsFolded, f.batchesFused, f.decodeAvoided = 0, 0, 0
 }
 
@@ -360,20 +361,9 @@ func (f *aggFold) keyedGroup(rank int64) *aggGroup {
 		g = f.newGroup(0, rank)
 		g.key = f.keyChunks.take(len(f.key))
 		copy(g.key, f.key)
-		f.keyed[f.keyText()] = g
+		f.keyed[appendText(&f.texts, f.keyBuf)] = g
 	}
 	return g
-}
-
-// keyText copies the rendered key in keyBuf to texts and returns it as a
-// string over those bytes: a new group's key in keyed, at no allocation of
-// its own. Bytes once handed out are never written again while the fold
-// holds them — texts only grows until reset empties keyed, and an append
-// that moves it leaves the old bytes to the strings over them.
-func (f *aggFold) keyText() string {
-	at := len(f.texts)
-	f.texts = append(f.texts, f.keyBuf...)
-	return unsafe.String(unsafe.SliceData(f.texts[at:]), len(f.keyBuf))
 }
 
 // groupFor maps one boxed value of the code key's column onto its group: a
@@ -738,69 +728,59 @@ func (f *aggFold) rows() []value.Row {
 }
 
 // foldMorsels runs a fused aggregation of in over the run and releases it:
-// each morsel's selection phase runs on one of the run's runners and fold
-// consumes its final selection into the runner's own fold, in whatever
-// order the morsels complete. Accumulators are order-free (aggAcc), so
-// finishAgg may merge the folds in any order too. The folds, and the
-// interner they share, are the statement's loan (execCtx.fold) until it ends.
-func (r *scanRun) foldMorsels(in *aggInput, fold func(f *aggFold, t *scanTask, sel selection, scr *scanScratch)) []*aggFold {
+// each morsel's selection phase runs on one of the run's runners, whose own
+// fold consumes its final selection — or the pairs a join's probe (r.join)
+// makes of it — in whatever order the morsels complete. Accumulators are
+// order-free (aggAcc), so finishAgg may merge the folds in any order too.
+// The folds, and the interner they share, are the statement's loan
+// (execCtx.fold) until it ends.
+func (r *scanRun) foldMorsels(in *aggInput) []*aggFold {
 	defer r.release()
 	it := r.ctx.interner()
 	r.folds = r.folds[:0]
 	for range r.scratch {
 		r.folds = append(r.folds, r.ctx.fold(in, it, r.ncols))
 	}
-	r.exit, r.fold = exitFold, fold
+	r.exit = exitFold
 	r.runTasks()
 	return r.folds
 }
 
-// vecAggScan fuses an aggregation into the scan morsels (see foldMorsels),
+// foldScan fuses an aggregation into the scan morsels (see foldMorsels),
 // and warm partitions whose zone map exactly describes the snapshot answer
-// COUNT/MIN/MAX from the synopsis without faulting a page.
-func vecAggScan(s *ScanPlan, in *aggInput, ctx *execCtx) aggRun {
-	r := prepScan(s, ctx)
-	zoneEligible := len(in.keyCols) == 0 && s.Filter == nil && !in.computed
-	for i, spec := range in.specs {
-		switch {
-		case spec.Fn == "COUNT" && !spec.Distinct:
-		case (spec.Fn == "MIN" || spec.Fn == "MAX") && in.argCols[i] >= 0:
-		default:
-			zoneEligible = false
-		}
+// COUNT/MIN/MAX from the synopsis without faulting a page (r.zone). The
+// scan's wall time is the aggregate's; its counters still reach its own
+// profile node (scanRun.op).
+func (r *opRun) foldScan(s *ScanPlan, in *aggInput) *aggFold {
+	ctx := r.ctx
+	sr := prepScan(s, ctx)
+	if op := ctx.prof.node(s); op != nil {
+		op.fused = true
 	}
-	return func() (*aggFold, error) {
-		// The scan child never passes through vecCompile here — its wall
-		// time is charged to the fused aggregate while morsel/kernel/row
-		// counters still reach the scan node via the scanRun hook.
-		if op := ctx.prof.node(s); op != nil {
-			op.fused = true
-		}
-		var zone *zoneFold
-		if zoneEligible {
-			zone = &zoneFold{in: in, accs: make([]aggAcc, len(in.specs)), ncols: r.ncols}
-			r.zoneAgg = zone.answer
-		}
-		r.open()
-		folds := r.foldMorsels(in, (*aggFold).foldMorsel)
-		var runs, fused, avoided int64
-		for _, f := range folds {
-			runs += f.runsFolded
-			fused += f.batchesFused
-			avoided += f.decodeAvoided
-		}
-		var zoneAccs []aggAcc
-		if zone != nil {
-			zoneAccs, avoided = zone.accs, avoided+zone.avoided
-		}
-		recordLateMat(ctx, r.op, 0, runs, fused, avoided)
-		return finishAgg(folds, zoneAccs), nil
+	if z := &r.zone; in.zoneable {
+		z.accs = slices.Grow(z.accs[:0], len(in.specs))[:len(in.specs)]
+		clear(z.accs)
+		z.in, z.ncols, z.avoided, sr.zone = in, sr.ncols, 0, z
 	}
+	sr.open()
+	folds := sr.foldMorsels(in)
+	var runs, fused, avoided int64
+	for _, f := range folds {
+		runs += f.runsFolded
+		fused += f.batchesFused
+		avoided += f.decodeAvoided
+	}
+	var zoneAccs []aggAcc
+	if sr.zone != nil {
+		zoneAccs, avoided = r.zone.accs, avoided+r.zone.avoided
+	}
+	recordLateMat(ctx, sr.op, 0, runs, fused, avoided)
+	return finishAgg(folds, zoneAccs)
 }
 
 // zoneFold is a global aggregation's COUNT/MIN/MAX over the partitions
-// answered from their zone maps (scanRun.zoneAgg), made only for an
-// aggregation that may be.
+// answered from their zone maps (scanRun.zone), readied only for an
+// aggregation that may be (aggInput.zoneable).
 type zoneFold struct {
 	in      *aggInput
 	accs    []aggAcc
@@ -808,7 +788,7 @@ type zoneFold struct {
 	avoided int64
 }
 
-func (z *zoneFold) answer(snap *columnstore.Snapshot, zm *columnstore.ZoneMap) bool {
+func (z *zoneFold) answer(snap *columnstore.Snapshot, zm *columnstore.ZoneMap) {
 	rows := snap.NumRows()
 	for i, ac := range z.in.argCols {
 		if ac < 0 {
@@ -819,67 +799,72 @@ func (z *zoneFold) answer(snap *columnstore.Snapshot, zm *columnstore.ZoneMap) b
 		}
 	}
 	z.avoided += int64(rows) * int64(z.ncols) * 16
-	return true
-}
-
-// vecAggRows is an aggregation over any other input — a join with a
-// residual or something to compute, a filter, a derived table, a rows
-// leaf: one fold consumes the child's rows as they arrive, in order (the
-// child still scans in parallel underneath).
-func vecAggRows(child Plan, in *aggInput, ctx *execCtx) (aggRun, error) {
-	rows, err := vecCompile(child, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return func() (*aggFold, error) {
-		f := ctx.fold(in, ctx.interner(), 0)
-		var rank int64
-		if err := rows(func(batch []value.Row) error {
-			for _, row := range batch {
-				f.foldRow(nil, 0, row, rank)
-				rank++
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}, nil
 }
 
 // --- the hash join ----------------------------------------------------------
 
-// codeJoin is the vectorized executor's one hash join, whatever its shape.
-// The build side drains boxed on the statement's goroutine and each
+// codeJoin is the vectorized executor's one hash join, whatever its shape,
+// as its operator's run state holds it (opRun.join). The build side pushes
+// its rows into the join (index) on the statement's goroutine, and each
 // distinct non-NULL build key gets a dense id, its index into lists. A code
 // key (joinShape.keyCol) maps its values by kind — interned strings, raw
 // integers — so a probe morsel translates its dictionary codes or integers
-// and never boxes a probe row. Any other key list is rendered (rowID) from
-// the plan's compiled keys. A scan probe side feeds morsel selections on the
-// workers (probeMorsel), any other its rows in order (probeRows); both hand
-// ids to the one probe loop, whose (probe input, build row) pairs the
-// parent's sink turns into joined rows (vecJoinCode) or folds into a fused
-// aggregate (vecAggJoinCode).
+// and never boxes a probe row. Any other key
+// list is rendered (rowID) from the plan's compiled keys. A scan probe side
+// feeds morsel selections on the runners (probeMorsel), any other pushes its
+// rows in order (probeRows); both hand ids to the one probe loop, whose
+// (probe input, build row) pairs a joinOut turns into joined rows or a fold
+// fused into the probe folds (aggFold.pair).
 type codeJoin struct {
-	x   *JoinPlan
-	ctx *execCtx
-	op  *OpProfile
-
-	prep  *scanRun // probe side, when it is a scan
-	left  vpipe    // probe side, when it is not
-	right vpipe    // build side
+	x        *JoinPlan
+	r        *opRun   // the join's operator, which its sides push into
+	prep     *scanRun // probe side, when it is a scan
+	building bool     // the build side is pushing
 
 	lists  [][]value.Row // key id → build rows, in build order
 	strIDs map[string]int64
 	intIDs map[int64]int64
 	oddIDs map[string]int64
 
-	// lookupStr is the probe side's interner, made once: a string the build
+	// lookupStr is the probe side's interner, bound once: a string the build
 	// side never saw must not grow the id space, it simply has no match.
 	lookupStr func(string) int64
 
-	key keyScratch // the build's and the row feed's: both run on the statement's goroutine
-	ids []int64    // the row feed's
+	key  keyScratch // the build's and the row feed's: both run on the statement's goroutine
+	ids  []int64    // the row feed's
+	outs []joinOut  // runner w's joined-row sink; the row feed's is outs[0]
+}
+
+// reset empties the join for its operator's next run, dropping every row
+// and key it held, and keeps its table for at most vecFlatGroupCutoff keys
+// and as many build rows, and its probe ids for a batch of BatchRows.
+func (j *codeJoin) reset() {
+	kept := 0
+	for _, l := range j.lists[:cap(j.lists)] {
+		clear(l[:cap(l)])
+		kept += cap(l)
+	}
+	if kept > vecFlatGroupCutoff || cap(j.lists) > vecFlatGroupCutoff {
+		j.lists = nil
+	}
+	j.strIDs, j.intIDs, j.oddIDs = keptIDs(j.strIDs), keptIDs(j.intIDs), keptIDs(j.oddIDs)
+	clear(j.key.row[:cap(j.key.row)])
+	j.key.buf = keptBytes(j.key.buf)
+	clear(j.outs[:cap(j.outs)])
+	if cap(j.ids) > BatchRows {
+		j.ids = nil
+	}
+	j.lists, j.ids, j.outs = j.lists[:0], j.ids[:0], j.outs[:0]
+	j.x, j.r, j.prep, j.building = nil, nil, nil, false
+}
+
+// keptIDs is m emptied, or nil past vecFlatGroupCutoff keys.
+func keptIDs[K comparable](m map[K]int64) map[K]int64 {
+	if len(m) > vecFlatGroupCutoff {
+		return nil
+	}
+	clear(m)
+	return m
 }
 
 // keyScratch is where one prober evaluates a key and renders it.
@@ -889,7 +874,8 @@ type keyScratch struct {
 }
 
 // idIn returns k's id in *ids. A key the build side never saw has none
-// (nullCode) unless add is set: then it gets the next id.
+// (nullCode) unless add is set: then it gets the next id, and the list a
+// run before may have left there.
 func idIn[K comparable](j *codeJoin, ids *map[K]int64, k K, add bool) int64 {
 	if id, ok := (*ids)[k]; ok {
 		return id
@@ -900,10 +886,15 @@ func idIn[K comparable](j *codeJoin, ids *map[K]int64, k K, add bool) int64 {
 	if *ids == nil {
 		*ids = map[K]int64{}
 	}
-	id := int64(len(j.lists))
-	j.lists = append(j.lists, nil)
-	(*ids)[k] = id
-	return id
+	id := len(j.lists)
+	if id < cap(j.lists) {
+		j.lists = j.lists[:id+1]
+		j.lists[id] = j.lists[id][:0]
+	} else {
+		j.lists = append(j.lists, nil)
+	}
+	(*ids)[k] = int64(id)
+	return int64(id)
 }
 
 // keyID is the id of the key that keys, one side's components, evaluate to
@@ -947,26 +938,41 @@ func (j *codeJoin) rowID(k *keyScratch, add bool) int64 {
 	return idIn(j, &j.oddIDs, string(k.buf), true)
 }
 
-// build drains the build side, indexing rows by key id. Build order is
-// preserved per key, so match order equals the sequential join.
-func (j *codeJoin) build() error {
-	j.lists, j.strIDs, j.intIDs, j.oddIDs = nil, nil, nil, nil
-	var buildRows int64
-	env := Env{Params: j.ctx.params}
-	err := j.right(func(rows []value.Row) error {
-		buildRows += int64(len(rows))
-		for _, row := range rows {
-			env.Row = row
-			if id := j.keyID(j.x.rKeys, &env, &j.key, true); id >= 0 {
-				j.lists[id] = append(j.lists[id], row)
-			}
-		}
-		return nil
-	})
-	if j.op != nil {
-		j.op.buildRows.Store(buildRows)
+// open runs the join's build side into r, the join's operator, which
+// indexes its rows by key id — in build order per key, so match order is
+// the sequential join's. A scan probe side is fused into the join, and its
+// run opened for the caller to feed to the probe; any other probe side has
+// no run: it pushes its rows into r (probeRows).
+func (j *codeJoin) open(r *opRun) (*scanRun, error) {
+	x := r.node.(*JoinPlan)
+	j.x, j.r, j.building = x, r, true
+	r.env[0].Params = r.ctx.params
+	err := runOp(r.ctx, x.R, r)
+	j.building = false
+	if err != nil || x.shape.scan == nil {
+		return nil, err
 	}
-	return err
+	if sop := r.ctx.prof.node(x.shape.scan); sop != nil {
+		sop.fused = true
+	}
+	j.prep = prepScan(x.shape.scan, r.ctx)
+	j.prep.join = j
+	j.prep.open()
+	return j.prep, nil
+}
+
+// index adds a batch of the build side to the join's table.
+func (j *codeJoin) index(rows []value.Row) {
+	if j.r.prof != nil {
+		j.r.prof.buildRows.Add(int64(len(rows)))
+	}
+	env := &j.r.env[0]
+	for _, row := range rows {
+		env.Row = row
+		if id := j.keyID(j.x.rKeys, env, &j.key, true); id >= 0 {
+			j.lists[id] = append(j.lists[id], row)
+		}
+	}
 }
 
 // morselIDs translates the probe key at every selected position of a scan
@@ -979,7 +985,7 @@ func (j *codeJoin) morselIDs(t *scanTask, sel selection, scr *scanScratch) (ids 
 	out, n, c := scr.keys[:0], sel.len(), j.x.shape.keyCol
 	switch {
 	case c < 0:
-		env := scr.rowEnv(len(t.readers), j.ctx.params)
+		env := scr.rowEnv(len(t.readers), j.r.ctx.params)
 		for i := 0; i < n; i++ {
 			t.load(env.Row, j.x.lRefs, sel.at(i))
 			out = append(out, j.keyID(j.x.lKeys, env, &scr.key, false))
@@ -1012,21 +1018,28 @@ func (j *codeJoin) morselIDs(t *scanTask, sel selection, scr *scanScratch) (ids 
 	return out, false
 }
 
+// pairer takes the (input i, build row) pairs of a probe (codeJoin.probe),
+// a nil build row a LEFT OUTER pad, and reports whether it accepted one: a
+// joinOut, or a fold fused into the probe.
+type pairer interface {
+	pair(i int, build value.Row) (bool, error)
+}
+
 // probe is the join's one probe loop. ids[i] is the build key id of the
-// i-th probe input — a selected position or a row. For every input it emits
-// (i, build row) per match, in build order, and — LEFT OUTER — (i, nil)
-// when no pair was accepted. emit reports whether it accepted the pair (a
-// row sink's join residual may reject one); an error from it ends the
-// loop. skipped counts the inputs nothing matched, which no output reads.
-func (j *codeJoin) probe(ids []int64, emit func(i int, build value.Row) (bool, error)) (skipped int, err error) {
-	if j.op != nil {
-		j.op.probeRows.Add(int64(len(ids)))
+// i-th probe input — a selected position or a row. For every input it
+// hands p (i, build row) per match, in build order, and — LEFT OUTER — (i,
+// nil) when no pair was accepted (a joinOut's residual may reject one); an
+// error from p ends the loop. skipped counts the inputs nothing matched,
+// which no output reads.
+func (j *codeJoin) probe(ids []int64, p pairer) (skipped int, err error) {
+	if j.r.prof != nil {
+		j.r.prof.probeRows.Add(int64(len(ids)))
 	}
 	for i, id := range ids {
 		matched := false
 		if id >= 0 {
 			for _, build := range j.lists[id] {
-				ok, err := emit(i, build)
+				ok, err := p.pair(i, build)
 				if err != nil {
 					return skipped, err
 				}
@@ -1036,7 +1049,7 @@ func (j *codeJoin) probe(ids []int64, emit func(i int, build value.Row) (bool, e
 		switch {
 		case matched:
 		case j.x.LeftOuter:
-			if _, err := emit(i, nil); err != nil {
+			if _, err := p.pair(i, nil); err != nil {
 				return skipped, err
 			}
 		default:
@@ -1047,77 +1060,93 @@ func (j *codeJoin) probe(ids []int64, emit func(i int, build value.Row) (bool, e
 }
 
 // probeMorsel is the scan feed: one morsel's final selection through the
-// probe loop, emit's i indexing sel. scr lends the key buffers.
-func (j *codeJoin) probeMorsel(t *scanTask, sel selection, scr *scanScratch, emit func(i int, build value.Row) (bool, error)) error {
+// probe loop, p's i indexing sel. scr lends the key buffers.
+func (j *codeJoin) probeMorsel(t *scanTask, sel selection, scr *scanScratch, p pairer) error {
 	ids, coded := j.morselIDs(t, sel, scr)
 	scr.keys = ids
-	skipped, err := j.probe(ids, emit)
+	skipped, err := j.probe(ids, p)
 	if coded {
-		recordLateMat(j.ctx, j.op, int64(len(ids)), 0, 1, int64(skipped)*int64(j.prep.ncols)*16)
+		recordLateMat(j.r.ctx, j.r.prof, int64(len(ids)), 0, 1, int64(skipped)*int64(j.prep.ncols)*16)
 	}
 	return err
 }
 
 // probeRows is the row feed: one batch of a probe side that is not a scan
-// through the probe loop, its keys evaluated on each row, emit's i
-// indexing rows.
-func (j *codeJoin) probeRows(rows []value.Row, emit func(i int, build value.Row) (bool, error)) error {
-	env := Env{Params: j.ctx.params}
+// through the probe loop, its keys evaluated on each row, into outs[0].
+func (j *codeJoin) probeRows(rows []value.Row) error {
+	o, env := &j.outs[0], &j.r.env[0]
+	o.in, o.probed = rows, -1
 	j.ids = j.ids[:0]
 	for _, row := range rows {
 		env.Row = row
-		j.ids = append(j.ids, j.keyID(j.x.lKeys, &env, &j.key, false))
+		j.ids = append(j.ids, j.keyID(j.x.lKeys, env, &j.key, false))
 	}
-	_, err := j.probe(j.ids, emit)
+	_, err := j.probe(j.ids, o)
 	return err
 }
 
-// newCodeJoin readies both sides of a join.
-func newCodeJoin(x *JoinPlan, ctx *execCtx) (*codeJoin, error) {
-	j := &codeJoin{x: x, ctx: ctx}
-	j.lookupStr = func(s string) int64 { return idIn(j, &j.strIDs, s, false) }
-	var err error
-	if x.shape.scan != nil {
-		j.prep = prepScan(x.shape.scan, ctx)
-	} else if j.left, err = vecCompile(x.L, ctx); err != nil {
-		return nil, err
+// probeOut runs one morsel of a scan probe side through the probe loop on
+// runner w, whose joinOut sends its windows through the runner's port of
+// the ordered hand-off.
+func (j *codeJoin) probeOut(t *scanTask, w int, sel selection) {
+	o := &j.outs[w]
+	o.to, o.t, o.sel, o.probed, o.rows = &j.prep.par.ports[w], t, sel, -1, nil
+	if j.probeMorsel(t, sel, j.prep.scratch[w], o) == nil {
+		o.flush()
 	}
-	if j.right, err = vecCompile(x.R, ctx); err != nil {
-		return nil, err
-	}
-	return j, nil
 }
 
-// open drains the build side. A scan probe side is marked fused into the
-// join — it never passes through vecCompile — and its run is opened: the
-// caller feeds the run's morsels to probeMorsel. Any other probe side has
-// no run, and its rows go to probeRows.
-func (j *codeJoin) open() (*scanRun, error) {
-	j.op = j.ctx.prof.node(j.x)
-	if err := j.build(); err != nil {
-		return nil, err
-	}
-	if j.prep == nil {
-		return nil, nil
-	}
-	if sop := j.ctx.prof.node(j.x.shape.scan); sop != nil {
-		sop.fused = true
-	}
-	j.prep.open()
-	return j.prep, nil
+// foldMorsel folds the pairs a scan morsel probes into f, runner w's fold.
+// A group's first-seen rank is (morsel, ordinal in the morsel's join
+// output).
+func (j *codeJoin) foldMorsel(f *aggFold, t *scanTask, sel selection, scr *scanScratch) {
+	f.t, f.sel, f.rank = t, sel, t.rankBase()
+	j.probeMorsel(t, sel, scr, f)
 }
 
-// joinOut is the joined-row sink of one probe feed: it finishes each
-// candidate pair's row off a slab, applies the join residual, and hands the
-// rows it accepts on in windows of at most BatchRows, so that what a join
-// holds at once is bounded by its build side and not by its output.
+// pair folds one (position, build row) pair of a join probe: keys and
+// arguments are bare columns, so nothing is evaluated per pair.
+func (f *aggFold) pair(i int, build value.Row) (bool, error) {
+	f.foldRow(f.t, f.sel.at(i), build, f.rank)
+	f.rank++
+	return true, nil
+}
+
+// joinOut is the joined-row sink of one probe feed — a scan feed's runner,
+// or the row feed: it finishes each candidate pair's row off a slab —
+// reading a scan's probe columns once per position however many build rows
+// match — applies the join residual, and hands the rows it accepts on in
+// windows of at most BatchRows, so that what a join holds at once is
+// bounded by its build side and not by its output.
 type joinOut struct {
-	nProbe   int
-	residual evalFn
-	env      Env
-	slab     rowSlab
-	rows     []value.Row
-	send     func([]value.Row) error
+	j      *codeJoin
+	nProbe int
+	to     *port       // a scan feed's runner's port; nil: the row feed, pushing through the join's operator
+	in     []value.Row // the row feed's batch being probed
+	t      *scanTask   // the scan feed's morsel being probed, and its selection
+	sel    selection
+	probed int // the input whose probe columns prev holds
+	prev   value.Row
+	env    Env
+	slab   rowSlab
+	rows   []value.Row
+}
+
+func (o *joinOut) pair(i int, build value.Row) (bool, error) {
+	row := o.slab.row()
+	switch {
+	case o.t == nil:
+		copy(row, o.in[i])
+	case i == o.probed:
+		copy(row[:o.nProbe], o.prev)
+	default:
+		pos := o.sel.at(i)
+		for c := range o.t.readers {
+			row[c] = o.t.readers[c].value(pos)
+		}
+	}
+	o.probed, o.prev = i, row[:o.nProbe]
+	return o.add(row, build)
 }
 
 // add finishes row — the slab's current row, its probe columns filled —
@@ -1128,9 +1157,9 @@ func (o *joinOut) add(row, build value.Row) (bool, error) {
 		clear(row[o.nProbe:])
 	} else {
 		copy(row[o.nProbe:], build)
-		if o.residual != nil {
+		if residual := o.j.x.residual; residual != nil {
 			o.env.Row = row
-			if v := o.residual(&o.env); v.IsNull() || !v.AsBool() {
+			if v := residual(&o.env); v.IsNull() || !v.AsBool() {
 				return false, nil
 			}
 		}
@@ -1149,102 +1178,67 @@ func (o *joinOut) flush() error {
 	}
 	rows := o.rows
 	o.rows = nil
-	return o.send(rows)
+	switch {
+	case o.to == nil:
+		return o.j.r.emit(rows)
+	case o.to.r.stop.Load():
+		return errStop
+	}
+	o.to.send(window{rows: rows})
+	return nil
 }
 
-// vecJoinCode is the join under a row-consuming parent. The scan feed runs
-// a joinOut per probe morsel, on its worker, reading the probe columns by
-// position — once per position, however many build rows it matches — and
-// sending its windows through the ordered hand-off; the row feed runs one
-// joinOut over the probe side's rows.
-func vecJoinCode(x *JoinPlan, ctx *execCtx) (vpipe, error) {
-	j, err := newCodeJoin(x, ctx)
+// run builds (open), then probes: a scan probe side's windows of joined
+// rows reach r's sink through the ordered hand-off (probeOut), any other's
+// as its rows arrive (probeRows).
+func (x *JoinPlan) run(r *opRun) error {
+	j := &r.join
+	run, err := j.open(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nProbe := len(x.L.columns())
-	sink := func(send func([]value.Row) error) *joinOut {
-		return &joinOut{nProbe: nProbe, residual: x.residual, env: Env{Params: ctx.params}, slab: rowSlab{width: len(x.columns())}, send: send}
+	n := 1
+	if run != nil {
+		n = len(run.scratch)
 	}
-
-	return func(emit func([]value.Row) error) error {
-		run, err := j.open()
-		if err != nil {
+	j.outs = slices.Grow(j.outs[:0], n)[:n]
+	for w := range j.outs {
+		j.outs[w] = joinOut{j: j, nProbe: len(x.L.columns()), env: Env{Params: r.ctx.params}, slab: rowSlab{width: len(x.cols)}}
+	}
+	if run == nil {
+		if err := runOp(r.ctx, x.L, r); err != nil {
 			return err
 		}
-		if run == nil {
-			out := sink(emit)
-			if err := j.left(func(rows []value.Row) error {
-				return j.probeRows(rows, func(i int, build value.Row) (bool, error) {
-					row := out.slab.row()
-					copy(row, rows[i])
-					return out.add(row, build)
-				})
-			}); err != nil {
-				return err
-			}
-			return out.flush()
-		}
-		run.exit, run.emit = exitProbe, emit
-		run.probe = func(t *scanTask, w int, sel selection, to *port) {
-			out := sink(func(rows []value.Row) error {
-				if run.stop.Load() {
-					return errStop
-				}
-				to.send(window{rows: rows})
-				return nil
-			})
-			probed := -1 // the input whose columns prev holds
-			var prev value.Row
-			if j.probeMorsel(t, sel, run.scratch[w], func(i int, build value.Row) (bool, error) {
-				row := out.slab.row()
-				if i == probed {
-					copy(row[:nProbe], prev)
-				} else {
-					pos := sel.at(i)
-					for c := range t.readers {
-						row[c] = t.readers[c].value(pos)
-					}
-				}
-				probed, prev = i, row[:nProbe]
-				return out.add(row, build)
-			}) == nil {
-				out.flush()
-			}
-		}
-		return run.drainOrdered()
-	}, nil
+		return j.outs[0].flush()
+	}
+	run.exit, run.to = exitProbe, r
+	return run.drainOrdered()
 }
 
-// vecAggJoinCode fuses an aggregate into the probe of a join over a scan:
-// the sink folds each (position, build row) pair straight into the worker's
-// aggFold (foldMorsels), so neither a probe row nor a joined row is ever
-// built. A group's first-seen rank is (morsel, ordinal in the morsel's join
-// output).
-// Keys and arguments are bare columns: nothing is evaluated per pair.
-func vecAggJoinCode(jp *JoinPlan, in *aggInput, ctx *execCtx) (aggRun, error) {
-	j, err := newCodeJoin(jp, ctx)
+// push takes a batch of the build side, or of a probe side that is not a
+// scan.
+func (x *JoinPlan) push(r *opRun, rows []value.Row) error {
+	if r.join.building {
+		r.join.index(rows)
+		return nil
+	}
+	return r.join.probeRows(rows)
+}
+
+// foldJoin fuses an aggregation into the probe of a join over a scan: each
+// runner's fold takes the pairs its morsels probe (aggFold.pair), so
+// neither a probe row nor a joined row is ever built. The join's operator
+// state is lent, and never run.
+func foldJoin(x *JoinPlan, in *aggInput, ctx *execCtx) (*aggFold, error) {
+	jr := ctx.op(x, nil)
+	run, err := jr.join.open(jr)
 	if err != nil {
 		return nil, err
 	}
-	return func() (*aggFold, error) {
-		run, err := j.open()
-		if err != nil {
-			return nil, err
-		}
-		if j.op != nil {
-			j.op.fused = true
-		}
-		folds := run.foldMorsels(in, func(f *aggFold, t *scanTask, sel selection, scr *scanScratch) {
-			rank := t.rankBase()
-			j.probeMorsel(t, sel, scr, func(i int, build value.Row) (bool, error) {
-				f.foldRow(t, sel.at(i), build, rank)
-				rank++
-				return true, nil
-			})
-		})
-		return finishAgg(folds, nil), nil
-	}, nil
+	if jr.prof != nil {
+		jr.prof.fused = true
+	}
+	return finishAgg(run.foldMorsels(in), nil), nil
 }
 
 // recordLateMat flushes late-materialization counters into the query

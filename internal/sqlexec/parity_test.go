@@ -540,17 +540,11 @@ func TestJoinLeavesInWindows(t *testing.T) {
 			t.Fatalf("%s: planned %s, want %d keys", c.sql, planLabel(join, pruneHooks{}), c.keys)
 		}
 		ctx := &execCtx{ts: e.Mgr.Now(), stats: &ExecStats{}, workers: 3, scratch: &e.scratch}
-		vp, err := vecCompile(join, ctx)
-		if err != nil {
+		var out batchPeak
+		if err := runOp(ctx, join, &out); err != nil {
 			t.Fatal(err)
 		}
-		rows, peak := 0, 0
-		if err := vp(func(batch []value.Row) error {
-			rows, peak = rows+len(batch), max(peak, len(batch))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		rows, peak := out.rows, out.peak
 		e.Mode = ModeInterpreted
 		want := len(mustExec(t, e, c.sql).Rows)
 		if rows != want || rows < c.min {
@@ -560,6 +554,15 @@ func TestJoinLeavesInWindows(t *testing.T) {
 			t.Errorf("%s: largest batch %d rows, want at most %d", c.sql, peak, BatchRows)
 		}
 	}
+}
+
+// batchPeak is a sink that counts the rows pushed into it and the largest
+// batch.
+type batchPeak struct{ rows, peak int }
+
+func (b *batchPeak) push(batch []value.Row) error {
+	b.rows, b.peak = b.rows+len(batch), max(b.peak, len(batch))
+	return nil
 }
 
 // TestOneSidedOnConjunctFiltersItsSide: an inner join's ON conjunct over one

@@ -67,6 +67,16 @@ type foldStatePlan struct {
 
 func (p *foldStatePlan) columns() []Column { return nil }
 
+func (p *foldStatePlan) run(r *opRun) error {
+	f, err := p.agg.fold(r)
+	if err == nil {
+		*r.ctx.state = appendFoldState(*r.ctx.state, f)
+	}
+	return err
+}
+
+func (p *foldStatePlan) push(r *opRun, rows []value.Row) error { return r.foldRows(rows) }
+
 // nodePlan is p cut for a node. Like p, it holds nothing of a run.
 func nodePlan(p Plan) Plan {
 	agg, slot := cutPlan(&p)
@@ -117,13 +127,21 @@ type replyPlan struct {
 
 func (p *replyPlan) columns() []Column { return p.cols }
 
-// foldReplies absorbs every reply's state into one fold of in, in reply
-// order.
-func foldReplies(in *aggInput, ctx *execCtx) aggRun {
-	return func() (*aggFold, error) {
-		f := ctx.fold(in, ctx.interner(), 0)
-		return f, f.absorbStates(ctx.replies)
+// run pushes the replies' rows as one batch: what is above sizes itself
+// once. An aggregate above absorbs their fold states itself (AggPlan.fold).
+func (p *replyPlan) run(r *opRun) error {
+	n := 0
+	for _, rep := range r.ctx.replies {
+		n += len(rep.Rows)
 	}
+	if n == 0 {
+		return nil
+	}
+	rows := make([]value.Row, 0, n)
+	for _, rep := range r.ctx.replies {
+		rows = append(rows, rep.Rows...)
+	}
+	return r.emit(rows)
 }
 
 // Finish is the coordinator's half of a distributed SELECT. It is built
@@ -317,7 +335,7 @@ var errBadState = errors.New("sql: malformed aggregate state")
 // key is looked up by its encoded bytes: it costs a string only the first
 // time f meets it.
 func (f *aggFold) absorbStates(replies []Reply) error {
-	key := make(value.Row, len(f.in.keyCols))
+	key := f.key
 	strCode := f.in.groupCol >= 0 && f.in.groupKind == value.KindString
 	var rank int64
 	for _, reply := range replies {

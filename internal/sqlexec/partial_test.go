@@ -87,7 +87,9 @@ func absorbed(in *aggInput, states ...[]byte) (*aggFold, error) {
 	for _, st := range states {
 		replies = append(replies, Reply{State: st})
 	}
-	return foldReplies(in, &execCtx{replies: replies})()
+	ctx := new(execCtx)
+	f := ctx.fold(in, ctx.interner(), 0)
+	return f, f.absorbStates(replies)
 }
 
 // checkRoundTrip folds rows, encodes the fold and absorbs the state into

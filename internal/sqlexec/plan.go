@@ -1,6 +1,7 @@
 package sqlexec
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -42,9 +43,12 @@ func colNames(cols []Column) []string {
 }
 
 // Plan is a logical/physical query plan node. The same tree is consumed by
-// both executors (interpreted and vectorized).
+// both executors: the interpreter builds its iterators over it, and the
+// vectorized executor runs it as a program, each node through its run
+// method (exec_vector.go).
 type Plan interface {
 	columns() []Column
+	run(r *opRun) error
 }
 
 // ScanPlan reads one logical table: the partitions of its entry that
@@ -133,6 +137,11 @@ func newColsPlan(schema columnstore.Schema, alias string) *colsPlan {
 }
 
 func (p *colsPlan) columns() []Column { return p.cols }
+
+// run refuses: a Finish runs the replies in a table's place (replyPlan).
+func (p *colsPlan) run(*opRun) error {
+	return errors.New("sql: a table planned as its columns has no rows")
+}
 
 // TableFuncPlan invokes a registered table function: fn, the one the
 // planner resolved, with args, its arguments compiled.

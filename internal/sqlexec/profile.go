@@ -146,9 +146,9 @@ func (p *Profile) OperatorTotal() time.Duration {
 }
 
 // ClockReads is the number of clock reads the vectorized executor's
-// instrumentation made for this statement, derived from its counters: the
-// pipeline wrapper reads the clock twice per operator invocation and
-// twice per batch the operator emits, the scan twice per morsel. It is
+// instrumentation made for this statement, derived from its counters: an
+// operator reads the clock twice per run (runOp) and twice per batch it
+// emits (opRun.hand), the scan twice per morsel. It is
 // what profiling costs in time, stated as a count that repeats: per batch
 // and per morsel, never per row.
 func (p *Profile) ClockReads() int64 {
@@ -382,34 +382,4 @@ func (p *Profile) wrapIter(pl Plan, it iterator) iterator {
 		return it
 	}
 	return &profIter{inner: it, op: op}
-}
-
-// wrapPipe attaches profiling to a vectorized (push) operator whose
-// batches are B, size counting a batch's rows: rows below the root, the
-// root scan's views (scanViews) at it. A push pipeline inverts control —
-// the scan loop drives everything — so the operator's inclusive time is its
-// invocation time minus the time spent inside the downstream emit it was
-// handed, charged once per batch.
-func wrapPipe[B any, P ~func(func(B) error) error](p *Profile, pl Plan, inner P, size func(B) int) P {
-	if p == nil {
-		return inner
-	}
-	op := p.byPlan[pl]
-	if op == nil {
-		return inner
-	}
-	return func(emit func(B) error) error {
-		var emitNS int64
-		t0 := time.Now()
-		err := inner(func(b B) error {
-			op.rowsOut.Add(int64(size(b)))
-			op.batches.Add(1)
-			e0 := time.Now()
-			eerr := emit(b)
-			emitNS += time.Since(e0).Nanoseconds()
-			return eerr
-		})
-		op.wallNS.Add(time.Since(t0).Nanoseconds() - emitNS)
-		return err
-	}
 }

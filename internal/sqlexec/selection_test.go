@@ -97,8 +97,8 @@ func poolPins(p *scratchPool) []string {
 		pin(c.nscans != 0, "scans lent to no statement")
 		for _, r := range c.scans {
 			pin(r.ctx == nil, "a scan of no ctx")
-			pin(r.plan != nil || r.zoneAgg != nil, "a scan's plan or filter")
-			pin(r.fused != nil || r.emitView != nil || r.emit != nil || r.victims != nil || r.probe != nil || r.fold != nil || r.op != nil,
+			pin(r.plan != nil || r.zone != nil, "a scan's plan or filter")
+			pin(r.fused != nil || r.to != nil || r.victims != nil || r.join != nil || r.op != nil,
 				"what a scan's exit was handed")
 			pin(len(r.scratch) != 0, "a scan's runner scratch")
 			for _, x := range r.binding.preds[:cap(r.binding.preds)] {
@@ -130,6 +130,30 @@ func poolPins(p *scratchPool) []string {
 			}
 			pin(r.par.failure != nil, "a recovered panic")
 		}
+		pin(c.nops != 0, "operators lent to no statement")
+		for _, r := range c.ops {
+			pin(r.ctx != nil || r.node != nil || r.out != nil || r.prof != nil, "an operator's plan, sink or profile")
+			pin(r.env[0].Row != nil || r.env[0].Params != nil || r.env[1].Row != nil || r.env[1].Params != nil || r.rows != nil || r.fold != nil || len(r.seen) != 0, "what an operator read, kept or folded")
+			pin(r.zone.in != nil, "a zone fold's aggregation")
+			for _, a := range r.zone.accs[:cap(r.zone.accs)] {
+				pin(a.count != 0 || a.min != value.Null || a.max != value.Null, "a zone fold's value")
+			}
+			j := &r.join
+			pin(j.x != nil || j.r != nil || j.prep != nil, "a join's plan or runs")
+			pin(len(j.strIDs) != 0 || len(j.intIDs) != 0 || len(j.oddIDs) != 0, "a join's build keys")
+			for _, l := range j.lists[:cap(j.lists)] {
+				for _, row := range l[:cap(l)] {
+					pin(row != nil, "a join's build row")
+				}
+			}
+			for _, v := range j.key.row[:cap(j.key.row)] {
+				pin(v != value.Null, "a value in a join's key")
+			}
+			for _, o := range j.outs[:cap(j.outs)] {
+				pin(o.j != nil || o.to != nil || o.in != nil || o.t != nil || o.prev != nil || o.env.Params != nil || o.slab.spare != nil || o.rows != nil, "a join's output")
+			}
+			pin(cap(j.lists) > vecFlatGroupCutoff || cap(r.key) > 64*vecFlatGroupCutoff || cap(r.texts) > 64*vecFlatGroupCutoff, "an operator's buffer past its bound")
+		}
 		for _, f := range c.folds[:cap(c.folds)] {
 			pin(f != nil, "a fold lent to no statement")
 		}
@@ -139,6 +163,7 @@ func poolPins(p *scratchPool) []string {
 	}
 	for _, f := range p.folds {
 		pin(f.in != nil || f.interner != nil || f.env.Params != nil || f.env.Row != nil, "a fold's aggregation, interner or parameters")
+		pin(f.t != nil || f.sel.pos != nil, "a fold's join morsel")
 		pin(f.nullG != nil || f.global != nil || len(f.overflow) != 0 || len(f.keyed) != 0, "a fold's groups")
 		for _, g := range append(f.flat[:cap(f.flat)], f.list[:cap(f.list)]...) {
 			pin(g != nil, "a fold's groups")

@@ -449,10 +449,10 @@ func (st *Stmt) run(sink RowSink, stats *ExecStats, params []value.Value, profil
 		n, err := s.execInsert(st, x, params)
 		return st.answerCount(sink, insertedCols, n, err)
 	case *UpdateStmt:
-		n, err := s.execUpdate(x, params)
+		n, err := s.execUpdate(st, x, params)
 		return st.answerCount(sink, updatedCols, n, err)
 	case *DeleteStmt:
-		n, err := s.execDelete(x, params)
+		n, err := s.execDelete(st, x, params)
 		return st.answerCount(sink, deletedCols, n, err)
 	case *CreateTableStmt:
 		return st.answer(sink, nil, nil, s.execCreateTable(x))
@@ -536,33 +536,44 @@ func (st *Stmt) answerCount(sink RowSink, cols []Column, n int, err error) (int,
 // its one run. Plans made are counted in sql_plans_built_total. A plan is
 // read-only: everything a run of it binds or prunes is the run's.
 func (st *Stmt) plan(partial bool) (Plan, error) {
-	s, p := st.s, st.parsed
-	v := s.e.catalogVersion()
-	slot := p.plan.Load()
-	if slot == nil || slot.version != v {
-		plan, err := s.buildPlan(p.query())
-		if err != nil {
-			return nil, err
-		}
-		s.e.Obs.Counter("sql_plans_built_total").Inc()
-		if st == &s.one && !p.cached {
-			if partial {
-				return nodePlan(plan), nil
-			}
-			return plan, nil
-		}
-		slot = &planSlot{version: v, plan: plan}
-		p.plan.Store(slot)
-	}
-	plan := slot.plan.(Plan)
-	if !partial {
-		return plan, nil
+	slot, plan, err := st.slot(func() (any, error) { return st.s.buildPlan(st.query()) })
+	switch {
+	case err != nil:
+		return nil, err
+	case !partial:
+		return plan.(Plan), nil
+	case slot == nil:
+		return nodePlan(plan.(Plan)), nil
 	}
 	if slot.node == nil {
-		slot = &planSlot{version: v, plan: plan, node: nodePlan(plan)}
-		p.plan.Store(slot)
+		slot = &planSlot{version: slot.version, plan: plan, node: nodePlan(plan.(Plan))}
+		st.parsed.plan.Store(slot)
 	}
 	return slot.node, nil
+}
+
+// slot returns the parse's plan at the catalog's current version and the
+// slot that holds it: the one the parse holds, or a new one holding what
+// build makes, which the parse keeps — unless it is the session's one-shot
+// statement and in no cache, which is planned on every run and keeps no
+// slot (nil).
+func (st *Stmt) slot(build func() (any, error)) (*planSlot, any, error) {
+	s, p := st.s, st.parsed
+	v := s.e.catalogVersion()
+	if slot := p.plan.Load(); slot != nil && slot.version == v {
+		return slot, slot.plan, nil
+	}
+	plan, err := build()
+	if err != nil {
+		return nil, nil, err
+	}
+	s.e.Obs.Counter("sql_plans_built_total").Inc()
+	if st == &s.one && !p.cached {
+		return nil, plan, nil
+	}
+	slot := &planSlot{version: v, plan: plan}
+	p.plan.Store(slot)
+	return slot, plan, nil
 }
 
 // buildPlan plans sel afresh.

@@ -5,6 +5,9 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/columnstore"
+	"repro/internal/stats"
 	"repro/internal/value"
 )
 
@@ -106,7 +109,7 @@ func TestVictimsHaveAnOracle(t *testing.T) {
 				Col  string
 				Expr Expr
 			}{"yr", &BinaryExpr{Op: "+", L: yr, R: &Literal{Val: value.Int(mark)}}})
-			if n := statement(explicit, func() (int, error) { return s.execUpdate(up, sh.params) }); n != int64(len(want)) {
+			if n := statement(explicit, func() (int, error) { return s.execUpdate(&Stmt{s: s, parsed: new(parsed)}, up, sh.params) }); n != int64(len(want)) {
 				t.Errorf("%s: UPDATE touched %d rows, the oracle selects %d", label, n, len(want))
 			}
 			marked := mustExec(t, e, `SELECT * FROM `+sh.table+` WHERE yr >= 50000`).Rows
@@ -138,7 +141,7 @@ func TestVictimsHaveAnOracle(t *testing.T) {
 
 			// DELETE: what is left is everything but the oracle's rows.
 			del := &DeleteStmt{Table: sh.table, Where: sh.where}
-			if n := statement(explicit, func() (int, error) { return s.execDelete(del, sh.params) }); n != int64(len(want)) {
+			if n := statement(explicit, func() (int, error) { return s.execDelete(&Stmt{s: s, parsed: new(parsed)}, del, sh.params) }); n != int64(len(want)) {
 				t.Errorf("%s: DELETE touched %d rows, the oracle selects %d", label, n, len(want))
 			}
 			left := sortedKeys(all(sh.table))
@@ -167,4 +170,58 @@ func mergeSorted(a, b []string) []string {
 	out := append(append([]string(nil), a...), b...)
 	sort.Strings(out)
 	return out
+}
+
+// TestPreparedDMLKeepsItsScan: a prepared UPDATE or DELETE finds its rows
+// with the scan its parse keeps, planned once per catalog version: repeated
+// runs plan nothing, and a catalog change — a flexible table widened by an
+// INSERT, a partition attached — plans it again, so the new column is
+// carried and the new partition searched.
+func TestPreparedDMLKeepsItsScan(t *testing.T) {
+	e := NewEngine()
+	e.Obs = stats.NewRegistry()
+	mustExec(t, e, `CREATE TABLE f (k INT, v INT) WITH (flexible = 'true')`)
+	mustExec(t, e, `INSERT INTO f VALUES (1, 10), (2, 20), (3, 30), (4, 40)`)
+	s := e.NewSession()
+	defer s.Close()
+	up, err := s.Prepare(`UPDATE f SET v = v + 1 WHERE k = $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := s.Prepare(`DELETE FROM f WHERE k = $1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(st *Stmt, k int64) {
+		t.Helper()
+		if r, err := st.Exec(value.Int(k)); err != nil || r.Rows[0][0].I != 1 {
+			t.Fatalf("%s with k = %d: %v %v, want one row", st.text, k, r, err)
+		}
+	}
+	built := e.Obs.Counter("sql_plans_built_total")
+	planned := func(what string, want int64, runs func()) {
+		t.Helper()
+		before := built.Value()
+		runs()
+		if n := built.Value() - before; n != want {
+			t.Fatalf("%s: %d scans planned, want %d", what, n, want)
+		}
+	}
+	planned("the first runs", 2, func() { run(up, 1); run(del, 1) })
+	planned("repeated runs", 0, func() { run(up, 2); run(del, 2); run(up, 3) })
+
+	mustExec(t, e, `INSERT INTO f (k, v, w) VALUES (5, 50, 7)`)
+	planned("after widening", 2, func() { run(up, 5); run(del, 3) })
+	if r := mustExec(t, e, `SELECT v, w FROM f WHERE k = 5`); len(r.Rows) != 1 || r.Rows[0][0].I != 51 || r.Rows[0][1].I != 7 {
+		t.Fatalf("an UPDATE after widening left %v, want [51 7]", r.Rows)
+	}
+
+	extra := columnstore.NewTable("f_extra", e.Cat.MustTable("f").Schema)
+	extra.ApplyInsert([]value.Row{{value.Int(6), value.Int(60), value.Int(8)}}, 1)
+	e.Mgr.Register(extra)
+	if err := e.Cat.AttachPartition("f", &catalog.Partition{Name: "f_extra", Table: extra}); err != nil {
+		t.Fatal(err)
+	}
+	planned("after attaching a partition", 2, func() { run(up, 6); run(del, 6) })
+	planned("repeated runs", 0, func() { run(up, 4); run(del, 4) })
 }
