@@ -161,10 +161,15 @@ benchpoint:
 # shape), and the first of them again over partitions merged to the last
 # row (a node task that parses, plans or snapshots once per partition
 # again shows in allocs/op, a node's workers outnumbering its engine's
-# scan-scratch free list in B/op).
+# scan-scratch free list in B/op). The tracing of one of those SELECTs —
+# fourteen spans in five roots with their attributes, on a warm tracer
+# whose ring evicts as many — is recorded at 0 allocs/op: a span that
+# allocates again fails.
 BENCHSOE = BenchmarkSOE(Insert(Batch|Row)|FanoutQuery)$$
+BENCHTRACE = BenchmarkTraceSpanTree$$
 benchsoe:
 	$(GO) test -run xxx -bench '$(BENCHSOE)' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -match 'BenchmarkSOE'
+	$(GO) test -run xxx -bench '$(BENCHTRACE)' -benchtime=10000x -benchmem ./internal/stats/ | $(GO) run ./cmd/benchguard -match 'BenchmarkTraceSpanTree'
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), so the
 # root `go build ./... && go test ./...` never compiles it: this target
@@ -175,7 +180,7 @@ benchmod:
 # Regenerate the committed benchmark baseline after an intentional perf
 # change; benchguard -write preserves the workload prose and recomputes
 # the derived speedups. See README "Benchmark baseline" for the workflow.
-# Nine passes merge into one file: the commit, point-select and SOE
+# Ten passes merge into one file: the commit, point-select and SOE
 # benchmarks need more iterations than the big-table scans to settle, the
 # wide wire result and the merge fewer than what they are gated with.
 benchbaseline:
@@ -188,6 +193,7 @@ benchbaseline:
 	$(GO) test -run xxx -bench '$(BENCHPOINT)' -benchtime=5000x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench '$(BENCHWIDE)$$' -benchtime=20x -benchmem . | $(GO) run ./cmd/benchguard -write
 	$(GO) test -run xxx -bench '$(BENCHSOE)' -benchtime=200x -benchmem . | $(GO) run ./cmd/benchguard -write
+	$(GO) test -run xxx -bench '$(BENCHTRACE)' -benchtime=10000x -benchmem ./internal/stats/ | $(GO) run ./cmd/benchguard -write
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

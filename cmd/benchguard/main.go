@@ -4,10 +4,11 @@
 // records of it that repeats from run to run and host to host — allocs/op
 // (at most 10% over) and B/op (at most 25% over: a selection vector coming
 // back is a hundred kilobytes in one allocation, the count barely moves, the
-// bytes do). It exits non-zero if either is exceeded, or if a baseline
-// benchmark is missing from the run, so a crashed bench pass cannot read as
-// a pass. ns/op is printed beside its recorded value and gates nothing: on
-// this host it drifts by more than any tolerance worth setting.
+// bytes do); a row that records 0 admits none. It exits non-zero if either
+// is exceeded, or if a baseline benchmark is missing from the run, so a
+// crashed bench pass cannot read as a pass. ns/op is printed beside its
+// recorded value and gates nothing: on this host it drifts by more than any
+// tolerance worth setting.
 // Benchmark pairs that must cost the same (allocPairs) are also gated on
 // allocs/op against each other, whatever the baseline says.
 //
@@ -42,8 +43,8 @@ type result struct {
 	Name        string `json:"name"`
 	Iterations  int64  `json:"iterations"`
 	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64  `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *int64 `json:"bytes_per_op,omitempty"` // nil: not recorded; a recorded 0 is held to 0
+	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
 	Note        string `json:"note,omitempty"`
 }
 
@@ -153,10 +154,10 @@ func main() {
 			got[m[1]] = ns
 			r := result{Name: m[1], Iterations: iters, NsPerOp: int64(math.Round(ns))}
 			if m[4] != "" {
-				r.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-				r.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-				allocs[m[1]] = r.AllocsPerOp
-				bytes[m[1]] = r.BytesPerOp
+				b, _ := strconv.ParseInt(m[4], 10, 64)
+				a, _ := strconv.ParseInt(m[5], 10, 64)
+				r.BytesPerOp, r.AllocsPerOp = &b, &a
+				allocs[m[1]], bytes[m[1]] = a, b
 			}
 			measured = append(measured, r)
 		}
@@ -183,7 +184,7 @@ func main() {
 		}
 		delta := (ns - float64(r.NsPerOp)) / float64(r.NsPerOp) * 100
 		fmt.Printf("       %-40s %12.0f ns/op     baseline %9d  %+6.1f%% (not gated)\n", r.Name, ns, r.NsPerOp, delta)
-		if r.AllocsPerOp <= 0 && r.BytesPerOp <= 0 {
+		if r.AllocsPerOp == nil && r.BytesPerOp == nil {
 			fmt.Printf("  FAIL %-40s baseline records neither allocs/op nor B/op: nothing to hold it to (re-record with -benchmem)\n", r.Name)
 			failed = true
 		}
@@ -215,10 +216,11 @@ func main() {
 	fmt.Println("benchguard: within the baseline")
 }
 
-// gateRecorded holds one count the baseline row records (want > 0) to its
-// tolerance and prints the verdict; it reports whether the row passed.
-func gateRecorded(name, unit string, got map[string]int64, want int64, tolerance float64) bool {
-	if want <= 0 {
+// gateRecorded holds one count the baseline row records (want non-nil; a
+// recorded 0 admits none) to its tolerance and prints the verdict; it
+// reports whether the row passed.
+func gateRecorded(name, unit string, got map[string]int64, want *int64, tolerance float64) bool {
+	if want == nil {
 		return true
 	}
 	v, ok := got[name]
@@ -226,11 +228,11 @@ func gateRecorded(name, unit string, got map[string]int64, want int64, tolerance
 	case !ok:
 		fmt.Printf("  FAIL %-40s %s missing (run with -benchmem)\n", name, unit)
 		return false
-	case float64(v) > float64(want)*tolerance:
-		fmt.Printf("  FAIL %-40s %12d %-9s baseline %9d  exceeds it by more than %.0f%%\n", name, v, unit, want, (tolerance-1)*100)
+	case float64(v) > float64(*want)*tolerance:
+		fmt.Printf("  FAIL %-40s %12d %-9s baseline %9d  exceeds it by more than %.0f%%\n", name, v, unit, *want, (tolerance-1)*100)
 		return false
 	}
-	fmt.Printf("  ok   %-40s %12d %-9s baseline %9d\n", name, v, unit, want)
+	fmt.Printf("  ok   %-40s %12d %-9s baseline %9d\n", name, v, unit, *want)
 	return true
 }
 

@@ -6,6 +6,7 @@
 package columnstore
 
 import (
+	"cmp"
 	"sort"
 
 	"repro/internal/value"
@@ -96,40 +97,31 @@ func (c *RLEColumn) Int64(i int) int64 { return c.Get(i).I }
 // only bound when the literal kind matches the column kind, so raw
 // payload comparison is exact.
 func (c *RLEColumn) FilterInts(lo, hi int, op CmpOp, k int64, sel []int) []int {
-	c.FoldRuns(lo, hi, func(v value.Value, start, end int) {
-		if v.IsNull() || v.K == value.KindFloat {
-			return
-		}
-		cmp := 0
-		switch {
-		case v.I < k:
-			cmp = -1
-		case v.I > k:
-			cmp = 1
-		}
-		if op.MatchOrd(cmp) {
+	start := lo
+	for r := sort.SearchInts(c.Ends, lo+1); r < len(c.Ends) && start < hi; r++ {
+		v, end := c.Values[r], min(c.Ends[r], hi)
+		if !v.IsNull() && v.K != value.KindFloat && op.MatchOrd(cmp.Compare(v.I, k)) {
 			for i := start; i < end; i++ {
 				sel = append(sel, i)
 			}
 		}
-	})
+		start = end
+	}
 	return sel
 }
 
-// FoldRuns implements RunFolder over the run table: binary-search the
+// AppendRuns implements RunFolder over the run table: binary-search the
 // first run covering lo, then walk runs clipped to [lo, hi).
-func (c *RLEColumn) FoldRuns(lo, hi int, fn func(v value.Value, start, end int)) {
+func (c *RLEColumn) AppendRuns(lo, hi int, dst []Run) ([]Run, int) {
 	if lo >= hi || c.n == 0 {
-		return
+		return dst, hi
 	}
-	k := sort.SearchInts(c.Ends, lo+1)
-	start := lo
-	for ; k < len(c.Ends) && start < hi; k++ {
-		end := c.Ends[k]
-		if end > hi {
-			end = hi
+	for r := sort.SearchInts(c.Ends, lo+1); r < len(c.Ends); r++ {
+		end := min(c.Ends[r], hi)
+		dst = append(dst, Run{Start: lo, End: end, Val: c.Values[r]})
+		if lo = end; lo == hi || len(dst) == cap(dst) {
+			return dst, lo
 		}
-		fn(c.Values[k], start, end)
-		start = c.Ends[k]
 	}
+	return dst, hi
 }

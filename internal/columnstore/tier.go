@@ -54,11 +54,14 @@ type KeyCoder interface {
 }
 
 // RunFolder exposes run-granular iteration for run-length-aware
-// aggregation: fn observes each maximal run of identical values clipped
-// to [lo, hi), in ascending row order. Aggregates consume whole runs
-// (count × value) instead of expanding them row by row.
+// aggregation: AppendRuns appends to dst, the caller's memory, the maximal
+// runs of identical values clipped to [lo, hi), in ascending row order,
+// until dst is full (one run at least) or the range is covered, and
+// returns dst and the row the next call goes on from — hi once it is
+// covered. Aggregates consume whole runs (count × value) instead of
+// expanding them row by row.
 type RunFolder interface {
-	FoldRuns(lo, hi int, fn func(v value.Value, start, end int))
+	AppendRuns(lo, hi int, dst []Run) ([]Run, int)
 }
 
 // FilterInts aliases IntColumn.FilterRange under the capability name.

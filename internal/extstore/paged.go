@@ -81,7 +81,9 @@ func (c *PagedColumn) fault(k int) (*frame, fragment) {
 	ch := c.chunk[k]
 	f, faulted, err := c.store.pool.acquire(ch.loc, func() (fragment, error) {
 		if tr := c.store.tracerRef(); tr != nil {
-			sp := tr.Start("page_fault", "table="+c.table, fmt.Sprintf("pages=%d", ch.loc.npages))
+			sp := tr.Start("page_fault")
+			sp.AddString("table", c.table)
+			sp.AddInt("pages", ch.loc.npages)
 			defer sp.Finish()
 		}
 		raw, err := c.store.readChunk(ch.loc)
@@ -147,36 +149,36 @@ func (c *PagedColumn) filterChunks(lo, hi int, sel []int, fn func(frag fragment,
 	return sel
 }
 
-// FoldRuns implements the run-folding capability chunk by chunk: one
-// fault per chunk, forwarding to run-length fragments and degrading to
-// unit runs on fragments without run structure. Positions translate by
-// the chunk base, so the executor folds warm columns exactly like hot
-// ones.
-func (c *PagedColumn) FoldRuns(lo, hi int, fn func(v value.Value, start, end int)) {
-	if lo >= hi || c.n == 0 {
-		return
+// AppendRuns implements the run-folding capability within the chunk that
+// holds lo: one fault per call, forwarding to run-length fragments and
+// degrading to unit runs on fragments without run structure. Positions
+// translate by the chunk base, so the executor folds warm columns exactly
+// like hot ones; the next call goes on in the next chunk.
+func (c *PagedColumn) AppendRuns(lo, hi int, dst []columnstore.Run) ([]columnstore.Run, int) {
+	k := c.chunkAt(lo)
+	if lo >= hi || k == len(c.chunk) {
+		return dst, hi
 	}
-	for k := c.chunkAt(lo); k < len(c.chunk) && c.chunk[k].rowLo < hi; k++ {
-		ch := c.chunk[k]
-		clo, chi := lo, hi
-		if clo < ch.rowLo {
-			clo = ch.rowLo
+	ch := c.chunk[k]
+	chi := min(hi, ch.rowHi)
+	f, frag := c.fault(k)
+	defer c.release(f)
+	if rf, ok := frag.(columnstore.RunFolder); ok {
+		n := len(dst)
+		dst, lo = rf.AppendRuns(lo-ch.rowLo, chi-ch.rowLo, dst)
+		for i := n; i < len(dst); i++ {
+			dst[i].Start += ch.rowLo
+			dst[i].End += ch.rowLo
 		}
-		if chi > ch.rowHi {
-			chi = ch.rowHi
-		}
-		f, frag := c.fault(k)
-		if rf, ok := frag.(columnstore.RunFolder); ok {
-			rf.FoldRuns(clo-ch.rowLo, chi-ch.rowLo, func(v value.Value, start, end int) {
-				fn(v, start+ch.rowLo, end+ch.rowLo)
-			})
-		} else {
-			for i := clo; i < chi; i++ {
-				fn(frag.Get(i-ch.rowLo), i, i+1)
-			}
-		}
-		c.release(f)
+		return dst, lo + ch.rowLo
 	}
+	for lo < chi {
+		dst = append(dst, columnstore.Run{Start: lo, End: lo + 1, Val: frag.Get(lo - ch.rowLo)})
+		if lo++; len(dst) == cap(dst) {
+			break
+		}
+	}
+	return dst, lo
 }
 
 // PagedInts is a warm integer column (Int/Bool/Time): chunks decode to

@@ -1,7 +1,6 @@
 package soe
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,7 +91,8 @@ func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos 
 	obs, tracer := b.obs, b.tracer
 	b.mu.Unlock()
 	t0 := time.Now()
-	span := tracer.StartRemote("commit", tc, "service=v2transact", countLabel("writes", writes))
+	span := tracer.StartRemote("commit", tc, "service=v2transact")
+	span.AddInt("writes", writes)
 	defer span.Finish()
 
 	app := span.Child("log_append")
@@ -123,7 +123,8 @@ func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos 
 	b.mu.Lock()
 	targets := append([]string(nil), b.oltpNodes...)
 	b.mu.Unlock()
-	push := span.Child("oltp_push", countLabel("targets", len(targets)))
+	push := span.Child("oltp_push")
+	push.AddInt("targets", len(targets))
 	if len(targets) > 0 {
 		payload := encode(ApplyReq{Token: b.disc.Token(), Entries: []LogEntry{{Pos: pos, Data: sections}}})
 		var wg sync.WaitGroup
@@ -139,16 +140,6 @@ func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos 
 	push.Finish()
 	obs.Histogram("soe_commit_ms", "service=v2transact").ObserveSince(t0)
 	return pos, nil
-}
-
-// countLabel renders a span label "name=n" in one allocation whatever n
-// is. fmt boxes an n above 255 and, under the race detector, refills its
-// pool at random; without it the allocations of a commit are a constant,
-// which is how the tests show that the broker's work does not grow with a
-// commit's rows.
-func countLabel(name string, n int) string {
-	var buf [32]byte
-	return string(strconv.AppendInt(append(append(buf[:0], name...), '='), int64(n), 10))
 }
 
 // commitIdempotent wraps commit with transaction-token deduplication. A

@@ -54,11 +54,6 @@ type Coordinator struct {
 
 	obs    *stats.Registry
 	tracer *stats.Tracer
-
-	// nodeAttrs holds each target's "node=<name>" span attribute, built
-	// the first time a task goes there.
-	attrMu    sync.Mutex
-	nodeAttrs map[string]string
 }
 
 // RetryPolicy bounds the fault-tolerance loop around every remote task.
@@ -115,34 +110,6 @@ func (p RetryPolicy) backoff(attempt int) {
 // abandoned by its deadline. Application-level errors are never retried.
 func retryable(err error) bool {
 	return netsim.IsUnavailable(err) || errors.Is(err, errTaskTimeout)
-}
-
-// nodeAttr is the "node=<name>" attribute of the spans of a task sent to
-// node.
-func (c *Coordinator) nodeAttr(node string) string {
-	c.attrMu.Lock()
-	defer c.attrMu.Unlock()
-	a, ok := c.nodeAttrs[node]
-	if !ok {
-		if c.nodeAttrs == nil {
-			c.nodeAttrs = map[string]string{}
-		}
-		a = "node=" + node
-		c.nodeAttrs[node] = a
-	}
-	return a
-}
-
-// attemptAttrs are the "attempt=N" span attributes of a retry loop's
-// attempts, built once.
-var attemptAttrs = [...]string{"attempt=1", "attempt=2", "attempt=3", "attempt=4", "attempt=5", "attempt=6", "attempt=7", "attempt=8"}
-
-// attemptAttr is the span attribute of attempt n (1-based).
-func attemptAttr(n int) string {
-	if n <= len(attemptAttrs) {
-		return attemptAttrs[n-1]
-	}
-	return countLabel("attempt", n)
 }
 
 // sqlError is an application-level failure from a node's engine: the query
@@ -203,7 +170,9 @@ type Result struct {
 // transaction broker, returning the commit timestamp.
 func (c *Coordinator) Insert(table string, rows []value.Row) (uint64, error) {
 	t0 := time.Now()
-	span := c.tracer.Start("insert", "table="+table, fmt.Sprintf("rows=%d", len(rows)))
+	span := c.tracer.Start("insert")
+	span.AddString("table", table)
+	span.AddInt("rows", len(rows))
 	defer span.Finish()
 	defer c.obs.Histogram("soe_insert_ms", "service=v2dqp").ObserveSince(t0)
 
@@ -250,7 +219,8 @@ func (c *Coordinator) Delete(table, key string) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("soe: unknown table %q", table)
 	}
-	span := c.tracer.Start("delete", "table="+table)
+	span := c.tracer.Start("delete")
+	span.AddString("table", table)
 	defer span.Finish()
 	w := LogWrite{Table: table, Partition: t.PartitionFor(t.keyValue(key)), Kind: writeDelete, Key: key}
 	resp, err := c.commit(span, []LogWrite{w})
@@ -284,7 +254,8 @@ func (c *Coordinator) commit(span *stats.Span, writes []LogWrite) (CommitResp, e
 			c.obs.Counter("soe_commit_retries_total", "service=v2dqp").Inc()
 			pol.backoff(a - 1)
 		}
-		cm := span.Child("commit", attemptAttr(a+1))
+		cm := span.Child("commit")
+		cm.AddInt("attempt", a+1)
 		var resp CommitResp
 		msg, err := exchange(c.net, c.Name, c.broker, netsim.Message{Kind: MsgCommit, Payload: payload, Trace: cm.Context()}, pol.TaskTimeout)
 		if err == nil {
@@ -327,11 +298,11 @@ const chosen distql.Strategy = -1
 // continues its own. A join runs with strategy unless that is chosen.
 func (c *Coordinator) query(parent stats.SpanContext, sql string, params []value.Value, strategy distql.Strategy) (*Result, *distql.Plan, error) {
 	t0 := time.Now()
-	attrs := []string{"sql=" + sql}
+	span := c.tracer.StartRemote("query", parent)
+	span.AddString("sql", sql)
 	if strategy != chosen {
-		attrs = append(attrs, "forced="+strategy.String())
+		span.AddString("forced", strategy.String())
 	}
-	span := c.tracer.StartRemote("query", parent, attrs...)
 	defer span.Finish()
 	defer c.obs.Histogram("soe_query_ms", "service=v2dqp").ObserveSince(t0)
 	c.obs.Counter("soe_queries_total", "service=v2dqp").Inc()
@@ -819,14 +790,15 @@ func (c *Coordinator) execTarget(span *stats.Span, req ExecReq, node string, par
 		req.Table, req.Table2 = "", ""
 	}
 	payload := encode(req)
-	attr := c.nodeAttr(node)
 	var lastErr error
 	for a := 0; a < pol.MaxAttempts; a++ {
 		if a > 0 {
 			c.obs.Counter("soe_task_retries_total", "service=v2dqp").Inc()
 			pol.backoff(a - 1)
 		}
-		task := span.Child("task", attr, attemptAttr(a+1))
+		task := span.Child("task")
+		task.AddString("node", node)
+		task.AddInt("attempt", a+1)
 		var resp ExecResp
 		msg, err := exchange(c.net, c.Name, node, netsim.Message{Kind: MsgExec, Payload: payload, Trace: task.Context()}, pol.TaskTimeout)
 		if err == nil {
@@ -909,7 +881,8 @@ func (c *Coordinator) catchUp(span *stats.Span, node, table string, parts []int)
 			}
 		}
 	}
-	cu := span.Child("catch_up", c.nodeAttr(node))
+	cu := span.Child("catch_up")
+	cu.AddString("node", node)
 	defer cu.Finish()
 	send[ExecResp](c.net, c.Name, node, MsgCatchUp,
 		encode(CatchUpReq{Token: c.disc.Token(), Table: table, Peers: peers}), cu.Context(), c.retry().TaskTimeout)

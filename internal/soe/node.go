@@ -67,10 +67,8 @@ type DataNode struct {
 
 	// tracer records this node's side of distributed operations: exec and
 	// catch-up requests arriving with a SpanContext continue the caller's
-	// trace here. Nil disables (stand-alone nodes). nodeAttr is its spans'
-	// "node=<name>" attribute.
-	tracer   *stats.Tracer
-	nodeAttr string
+	// trace here. Nil disables (stand-alone nodes).
+	tracer *stats.Tracer
 
 	// sessions, scopes and params hold what finished node tasks ran on: the
 	// closed sessions, which a task reopens (sqlexec.Engine.Reopen), the
@@ -108,7 +106,6 @@ func NewDataNode(name string, mode Mode, net *netsim.Network, disc *Discovery, c
 		hosted: map[string]map[int]*hostedPart{},
 		obs:    stats.NewRegistry("node=" + name),
 	}
-	n.nodeAttr = "node=" + name
 	n.cQueries = n.obs.Counter("soe_queries_total")
 	n.cRowsScan = n.obs.Counter("soe_rows_scanned_total")
 	n.cApplied = n.obs.Counter("soe_log_entries_applied_total")
@@ -511,7 +508,8 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		if !n.disc.Validate(r.Token) {
 			return netsim.Message{Kind: MsgCatchUp, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
 		}
-		sp := n.tracer.StartRemote("catch_up", req.Trace, n.nodeAttr)
+		sp := n.tracer.StartRemote("catch_up", req.Trace)
+		sp.AddString("node", n.Name)
 		pl := sp.Child("poll_log")
 		err = n.drain(toTail)
 		pl.Finish()
@@ -519,7 +517,9 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		// fetches the partitions wholesale from live peers.
 		if errors.Is(err, errBehind) {
 			for part, peer := range r.Peers {
-				sf := sp.Child("snapshot_fetch", "peer="+peer, countLabel("part", part))
+				sf := sp.Child("snapshot_fetch")
+				sf.AddString("peer", peer)
+				sf.AddInt("part", part)
 				n.CatchUpSnapshot(peer, r.Table, part)
 				sf.Finish()
 			}
@@ -605,23 +605,20 @@ func (n *DataNode) exec(req netsim.Message) (netsim.Message, error) {
 		return netsim.Message{Kind: MsgExec, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
 	}
 	t0 := time.Now()
-	sp := n.tracer.StartRemote("exec", req.Trace, n.nodeAttr)
+	sp := n.tracer.StartRemote("exec", req.Trace)
+	sp.AddString("node", n.Name)
 	// A task is one statement: one pinned snapshot and one plan, however
 	// many partitions it lists.
-	var sc *stats.Span
-	switch {
-	case sp == nil:
-	case r.Table != "":
-		sc = sp.Child("scan", partitionsAttr(r.Parts))
-	default:
-		sc = sp.Child("scan")
+	sc := sp.Child("scan")
+	if r.Table != "" {
+		sc.AddInts("partitions", r.Parts)
 	}
 	res, state, err := n.queryParts(r)
 	sc.Finish()
 	var resp ExecResp
 	if err != nil {
 		resp = ExecResp{Err: err.Error()}
-		sp.AddAttr("error=" + resp.Err)
+		sp.AddString("error", resp.Err)
 	} else {
 		resp = ExecResp{
 			Rows: res.Rows, State: state,
@@ -630,9 +627,7 @@ func (n *DataNode) exec(req netsim.Message) (netsim.Message, error) {
 		if !r.Partial { // a Partial task's columns are the coordinator's plan's
 			resp.Cols = res.Cols
 		}
-		if sp != nil {
-			sp.AddAttr(countLabel("rows_scanned", resp.RowsScanned))
-		}
+		sp.AddInt("rows_scanned", resp.RowsScanned)
 	}
 	sp.Finish()
 	if resp.Err == "" {
@@ -641,20 +636,6 @@ func (n *DataNode) exec(req netsim.Message) (netsim.Message, error) {
 		n.hExec.ObserveSince(t0)
 	}
 	return netsim.Message{Kind: MsgExec, Payload: encode(resp)}, nil
-}
-
-// partitionsAttr is the scan span's attribute for a task's partition list,
-// as fmt's %v prints it: "partitions=[0 4]".
-func partitionsAttr(parts []int) string {
-	var buf [64]byte
-	b := append(buf[:0], "partitions=["...)
-	for i, p := range parts {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = strconv.AppendInt(b, int64(p), 10)
-	}
-	return string(append(b, ']'))
 }
 
 // queryParts runs one task's statement on the node's engine — a Partial

@@ -24,6 +24,17 @@ type sumSpill struct {
 	big *big.Float // the whole sum, past 2^1022
 }
 
+// reset empties s for another sum and keeps its spill, the partials'
+// memory.
+func (s *exactSum) reset() {
+	lo := s.lo
+	*s = exactSum{}
+	if lo != nil {
+		lo.p, lo.big = lo.buf[:0], nil
+		s.lo = lo
+	}
+}
+
 // twoSum returns a+b rounded and its rounding error (Knuth).
 func twoSum(a, b float64) (float64, float64) {
 	s := a + b

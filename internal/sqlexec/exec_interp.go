@@ -799,6 +799,16 @@ func (a *aggAcc) add(v value.Value, n int64, spec aggSpec) {
 	}
 }
 
+// resetAccs empties accumulators for other groups: each keeps its float
+// sum's spill, so a warm inexact SUM or AVG allocates none.
+func resetAccs(accs []aggAcc) {
+	for i := range accs {
+		a := &accs[i]
+		a.sumF.reset()
+		*a = aggAcc{sumF: a.sumF}
+	}
+}
+
 // widen stretches [min, max] over lo and hi; NULL stretches nothing.
 func (a *aggAcc) widen(lo, hi value.Value) {
 	if !lo.IsNull() && (a.min.IsNull() || value.Compare(lo, a.min) < 0) {

@@ -467,6 +467,7 @@ func (p *scratchPool) takeFold() *aggFold {
 	}
 	if f == nil {
 		f = new(aggFold)
+		f.accChunks.zero = resetAccs
 	}
 	return f
 }

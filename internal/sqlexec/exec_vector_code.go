@@ -194,6 +194,10 @@ type aggFold struct {
 	t    *scanTask
 	sel  selection
 	rank int64
+
+	// What a run-length group column and argument column lend their runs
+	// to (foldRuns, foldArg), emptied after each use.
+	runs, argRuns []columnstore.Run
 }
 
 // bind readies a fold for an aggregation of in, whose strings it interns in
@@ -252,8 +256,9 @@ func (f *aggFold) reset() {
 type chunks[T any] struct {
 	list [][]T // every chunk at its full length; list[:next] are lent from
 	next int
-	free []T // the rest of list[next-1]
-	made int // elements lent since reset
+	free []T       // the rest of list[next-1]
+	made int       // elements lent since reset
+	zero func([]T) // empties what was lent, in place of clear
 }
 
 func (c *chunks[T]) take(n int) []T {
@@ -272,8 +277,8 @@ func (c *chunks[T]) take(n int) []T {
 	return s
 }
 
-// reset zeroes what c lent and keeps its leading chunks of at most limit
-// elements in all.
+// reset zeroes what c lent (zero, when set, empties it) and keeps its
+// leading chunks of at most limit elements in all.
 func (c *chunks[T]) reset(limit int) {
 	kept := 0
 	for i, ch := range c.list {
@@ -282,7 +287,11 @@ func (c *chunks[T]) reset(limit int) {
 			c.list = c.list[:i]
 			break
 		}
-		if i < c.next {
+		switch {
+		case i >= c.next:
+		case c.zero != nil:
+			c.zero(ch)
+		default:
 			clear(ch)
 		}
 	}
@@ -537,35 +546,57 @@ func (f *aggFold) foldInts(mc columnstore.MainColumn, ia columnstore.IntAccessor
 // arguments without run structure walk rows. sel is dense, and nothing is
 // computed.
 func (f *aggFold) foldRuns(rf columnstore.RunFolder, t *scanTask, sel selection, base int64) {
-	rf.FoldRuns(sel.lo, sel.hi, func(v value.Value, start, end int) {
-		n := int64(end - start)
-		g := f.groupFor(v, base+int64(start-sel.lo))
-		for j, spec := range f.in.specs {
-			switch ac := f.in.argCols[j]; {
-			case ac < 0:
-				g.accs[j].add(value.Null, n, spec)
-			case ac == f.in.groupCol:
-				g.accs[j].add(v, n, spec)
-			default:
-				f.foldArg(&g.accs[j], spec, t, ac, start, end)
+	for lo := sel.lo; lo < sel.hi; {
+		var runs []columnstore.Run
+		runs, lo = rf.AppendRuns(lo, sel.hi, runBuf(&f.runs))
+		for _, r := range runs {
+			n := int64(r.End - r.Start)
+			g := f.groupFor(r.Val, base+int64(r.Start-sel.lo))
+			for j, spec := range f.in.specs {
+				switch ac := f.in.argCols[j]; {
+				case ac < 0:
+					g.accs[j].add(value.Null, n, spec)
+				case ac == f.in.groupCol:
+					g.accs[j].add(r.Val, n, spec)
+				default:
+					f.foldArg(&g.accs[j], spec, t, ac, r.Start, r.End)
+				}
+			}
+			if n > 1 {
+				f.runsFolded++
 			}
 		}
-		if n > 1 {
-			f.runsFolded++
-		}
-	})
+		clear(runs)
+	}
+}
+
+// runsPerCall is how many runs a fold takes from a column at a time.
+const runsPerCall = 64
+
+// runBuf is *buf emptied, made the first time with room for runsPerCall
+// runs.
+func runBuf(buf *[]columnstore.Run) []columnstore.Run {
+	if *buf == nil {
+		*buf = make([]columnstore.Run, 0, runsPerCall)
+	}
+	return (*buf)[:0]
 }
 
 // foldArg folds the main rows [lo, hi) of argument column ac into acc: whole
 // runs when the column has them, value by value otherwise.
 func (f *aggFold) foldArg(acc *aggAcc, spec aggSpec, t *scanTask, ac, lo, hi int) {
 	if arf, ok := t.snap.MainColumn(ac).(columnstore.RunFolder); ok {
-		arf.FoldRuns(lo, hi, func(av value.Value, s, e int) {
-			acc.add(av, int64(e-s), spec)
-			if e-s > 1 {
-				f.runsFolded++
+		for lo < hi {
+			var runs []columnstore.Run
+			runs, lo = arf.AppendRuns(lo, hi, runBuf(&f.argRuns))
+			for _, r := range runs {
+				acc.add(r.Val, int64(r.End-r.Start), spec)
+				if r.End-r.Start > 1 {
+					f.runsFolded++
+				}
 			}
-		})
+			clear(runs)
+		}
 		return
 	}
 	for p := lo; p < hi; p++ {

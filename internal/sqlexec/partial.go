@@ -21,9 +21,9 @@ import (
 // absorbs the replies into one fold, as finishAgg merges the folds of its
 // workers; HAVING, the projection, DISTINCT, ORDER BY and LIMIT then run on
 // the coordinator. In a plan that does not, a node replies with its
-// projection's rows — ordered, distinct and cut to LIMIT + OFFSET first when
-// the statement has a LIMIT — and the coordinator runs the rest again over
-// their union.
+// projection's rows — distinct when the statement is, and ordered and cut
+// to LIMIT + OFFSET first when it has a LIMIT — and the coordinator runs
+// the rest again over their union.
 
 // errSortBelowCut refuses the one plan shape that cannot be cut: rows
 // ordered by a column the projection drops, which no reply carries.
@@ -77,7 +77,9 @@ func (p *foldStatePlan) run(r *opRun) error {
 
 func (p *foldStatePlan) push(r *opRun, rows []value.Row) error { return r.foldRows(rows) }
 
-// nodePlan is p cut for a node. Like p, it holds nothing of a run.
+// nodePlan is p cut for a node. Like p, it holds nothing of a run. A node
+// of a plan that does not aggregate deduplicates its rows when the
+// statement is DISTINCT, and the coordinator again over their union.
 func nodePlan(p Plan) Plan {
 	agg, slot := cutPlan(&p)
 	if agg != nil {
@@ -85,6 +87,12 @@ func nodePlan(p Plan) Plan {
 	}
 	if l, ok := p.(*LimitPlan); ok {
 		return &LimitPlan{Child: l.Child, N: l.N + l.Offset}
+	}
+	if s, ok := p.(*SortPlan); ok {
+		p = s.Child
+	}
+	if d, ok := p.(*DistinctPlan); ok {
+		return d
 	}
 	return *slot
 }

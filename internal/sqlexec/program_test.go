@@ -15,9 +15,10 @@ import (
 // per run. What each budget counts is the Result and its column names, the
 // rows each operator that makes rows makes (a scan window's box, a
 // projection's or an aggregate's slab, a join's windows, the sort's buffer
-// grown past its first batch), a new distinct row's bytes, and each group's
-// interned key and inexact float sum. The counts were 21, 378, 37, 18, 14
-// and 24 when each run built a closure tree.
+// grown past its first batch), a new distinct row's bytes and each group's
+// interned key; a group's inexact float sum keeps its spill in the pooled
+// accumulator (the first shape read 11 when it did not). The counts were 21, 378, 37, 18, 14 and
+// 24 when each run built a closure tree.
 func TestPipelineRunAllocs(t *testing.T) {
 	e := parityEngine(t)
 	e.Workers = 1
@@ -29,7 +30,7 @@ func TestPipelineRunAllocs(t *testing.T) {
 		rows      int
 		budget    float64
 	}{
-		{"group by + order by", `SELECT region, COUNT(*), SUM(amount) FROM orders WHERE yr >= $1 GROUP BY region ORDER BY region`, 4, 11},
+		{"group by + order by", `SELECT region, COUNT(*), SUM(amount) FROM orders WHERE yr >= $1 GROUP BY region ORDER BY region`, 4, 7},
 		{"filter + project over a join", `SELECT o.id, i.qty * 2 FROM orders o LEFT JOIN items i ON o.id = i.order_id WHERE o.yr >= $1 AND (i.qty IS NULL OR i.qty + o.yr > 2013)`, 374, 32},
 		{"distinct", `SELECT DISTINCT region, status FROM orders WHERE yr >= $1`, 16, 7},
 		{"limit/offset over a sort", `SELECT id, amount FROM orders WHERE yr >= $1 ORDER BY amount DESC, id LIMIT 5 OFFSET 2`, 5, 8},
@@ -47,6 +48,8 @@ func TestPipelineRunAllocs(t *testing.T) {
 		run()
 		if got := testing.AllocsPerRun(50, run); measure && got > c.budget {
 			t.Errorf("a warm run of %s allocates %v times, budget %v", c.name, got, c.budget)
+		} else {
+			t.Logf("a warm run of %s allocates %v times", c.name, got)
 		}
 	}
 

@@ -179,7 +179,7 @@ func poolPins(p *scratchPool) []string {
 		for _, ch := range f.accChunks.list {
 			for i := range ch {
 				pin(ch[i].seen != nil, "a DISTINCT seen-set")
-				pin(ch[i].count != 0 || ch[i].sumI != 0 || ch[i].sumF != (exactSum{}) || ch[i].min != value.Null || ch[i].max != value.Null, "an accumulator's value")
+				pin(ch[i].count != 0 || ch[i].sumI != 0 || !ch[i].sumF.emptied() || ch[i].min != value.Null || ch[i].max != value.Null, "an accumulator's value")
 			}
 		}
 		for _, ch := range f.keyChunks.list {
@@ -576,4 +576,10 @@ func TestScratchPoolKeepsAFixedSet(t *testing.T) {
 	if len(p.free) != keep+3 {
 		t.Fatalf("pool keeps %d scratches after a run of %d workers, want as many", len(p.free), keep+3)
 	}
+}
+
+// emptied reports whether s holds no sum: at most the spill a reset keeps,
+// with no partials in it.
+func (s *exactSum) emptied() bool {
+	return s.hi == 0 && !s.on && (s.lo == nil || len(s.lo.p) == 0 && s.lo.big == nil)
 }

@@ -152,3 +152,80 @@ func TestTracerRenderEmpty(t *testing.T) {
 		t.Fatalf("empty render: %q", got)
 	}
 }
+
+// fanoutTree records what one distributed SELECT on four nodes records:
+// the coordinator's query with its plan and a task per node, and each
+// node's exec continuation with its scan — fourteen spans in five roots,
+// with their attributes.
+func fanoutTree(tr *Tracer, nodes []string, parts [][]int) {
+	q := tr.Start("query")
+	q.AddString("sql", "SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region")
+	q.Child("plan").Finish()
+	for i, node := range nodes {
+		task := q.Child("task")
+		task.AddString("node", node)
+		task.AddInt("attempt", 1)
+		exec := tr.StartRemote("exec", task.Context())
+		exec.AddString("node", node)
+		scan := exec.Child("scan")
+		scan.AddInts("partitions", parts[i])
+		scan.Finish()
+		exec.AddInt("rows_scanned", 12500+i)
+		exec.Finish()
+		task.Finish()
+	}
+	q.Finish()
+}
+
+var (
+	treeNodes = []string{"node1", "node2", "node3", "node4"}
+	treeParts = [][]int{{0, 4}, {1, 5}, {2, 6}, {3, 7}}
+)
+
+// A warm tracer — its ring full, so that every trace it records evicts
+// one — records a fan-out's span tree without allocating: the spans come
+// from the trees the ring evicts, their attributes are fields, and a
+// recycled span renders what its new trace gave it and nothing of its
+// old one.
+func TestWarmSpanTreeAllocatesNothing(t *testing.T) {
+	tr := NewTracer(256)
+	for range 256 {
+		fanoutTree(tr, treeNodes, treeParts)
+	}
+	if got := testing.AllocsPerRun(100, func() { fanoutTree(tr, treeNodes, treeParts) }); got != 0 {
+		t.Fatalf("a warm fan-out span tree allocates %v times, want 0", got)
+	}
+	text := tr.Render(1)
+	for _, want := range []string{
+		"ms [sql=SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region]\n",
+		"    plan ",
+		"ms [node=node3 attempt=1]\n",
+		"ms [node=node3 rows_scanned=12502]\n",
+		"ms [partitions=[2 6]]\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("recycled trace lacks %q:\n%s", want, text)
+		}
+	}
+	if n := strings.Count(text, "\n"); n != 15 {
+		t.Fatalf("recycled trace renders %d lines, want the heading and 14 spans:\n%s", n, text)
+	}
+	if tr.Total() != 5*(256+101) {
+		t.Fatalf("total = %d roots, want %d", tr.Total(), 5*(256+101))
+	}
+}
+
+// BenchmarkTraceSpanTree is the tracing of one soe_fanout SELECT on a warm
+// tracer: fourteen spans in five roots, their attributes, and the ring
+// evicting as many roots. It allocates nothing.
+func BenchmarkTraceSpanTree(b *testing.B) {
+	tr := NewTracer(256)
+	for range 256 {
+		fanoutTree(tr, treeNodes, treeParts)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fanoutTree(tr, treeNodes, treeParts)
+	}
+}
