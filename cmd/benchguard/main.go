@@ -12,6 +12,10 @@
 // Benchmark pairs that must cost the same (allocPairs) are also gated on
 // allocs/op against each other, whatever the baseline says.
 //
+// The baseline's derived speedups and acceptance verdict are what its own
+// rows give (derive): the gate also fails when the committed block says
+// otherwise.
+//
 // With -write it regenerates the baseline instead of gating: measured
 // results replace the committed ones (suite/workload prose and per-result
 // notes are carried over), derived speedups and the acceptance verdict
@@ -31,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"regexp"
@@ -175,6 +180,11 @@ func main() {
 
 	failed := false
 	fmt.Printf("\nbenchguard: vs %s\n", *baseFile)
+	if derived, met := derive(base.Results); !maps.Equal(derived, base.Derived) || met != base.Acceptance.Met {
+		fmt.Printf("  FAIL derived block %v (met=%v) is not what the baseline's rows give: %v (met=%v) — regenerate it\n",
+			base.Derived, base.Acceptance.Met, derived, met)
+		failed = true
+	}
 	for _, r := range gated {
 		ns, ok := got[r.Name]
 		if !ok {
@@ -260,20 +270,38 @@ func writeBaseline(path string, old baseline, measured []result) error {
 		fresh[r.Name] = r
 	}
 	next.Results = nil
-	ns := map[string]float64{}
 	for _, r := range old.Results {
 		if m, ok := fresh[r.Name]; ok {
 			r = m
 			delete(fresh, r.Name)
 		}
 		next.Results = append(next.Results, r)
-		ns[r.Name] = float64(r.NsPerOp)
 	}
 	for _, r := range measured {
 		if m, ok := fresh[r.Name]; ok {
 			next.Results = append(next.Results, m)
-			ns[r.Name] = float64(m.NsPerOp)
 		}
+	}
+	next.Derived, next.Acceptance.Met = derive(next.Results)
+	out, err := json.MarshalIndent(next, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("\nbenchguard: wrote %s (%d benchmarks, derived %v, acceptance met=%v)\n",
+		path, len(next.Results), next.Derived, next.Acceptance.Met)
+	return nil
+}
+
+// derive computes the baseline's derived speedups from its rows' ns/op —
+// each a 1-CPU row-at-a-time or serialized row over its counterpart — and
+// whether they meet the acceptance targets.
+func derive(results []result) (map[string]float64, bool) {
+	ns := map[string]float64{}
+	for _, r := range results {
+		ns[r.Name] = float64(r.NsPerOp)
 	}
 	round1 := func(x float64) float64 { return math.Round(x*10) / 10 }
 	scan, agg, join, groupby, commit := 0.0, 0.0, 0.0, 0.0, 0.0
@@ -292,24 +320,13 @@ func writeBaseline(path string, old baseline, measured []result) error {
 	if v := ns["BenchmarkCommitGroupDisjoint"]; v > 0 {
 		commit = round1(ns["BenchmarkCommitSerialized"] / v)
 	}
-	next.Derived = map[string]float64{
+	return map[string]float64{
 		"scan_speedup_vectorized_vs_row_at_a_time": scan,
 		"parallel_agg_speedup_4_workers_vs_1":      agg,
 		"join_code_speedup_vs_row_at_a_time":       join,
 		"groupby_rle_speedup_vs_row_at_a_time":     groupby,
 		"commit_group_speedup_vs_serialized":       commit,
-	}
-	next.Acceptance.Met = scan >= 3 && agg >= 2 && join >= 2 && groupby >= 2 && commit >= 2
-	out, err := json.MarshalIndent(next, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nbenchguard: wrote %s (%d benchmarks, scan %.1fx, parallel agg %.1fx, join %.1fx, group-by %.1fx, commit %.1fx, acceptance met=%v)\n",
-		path, len(next.Results), scan, agg, join, groupby, commit, next.Acceptance.Met)
-	return nil
+	}, scan >= 3 && agg >= 2 && join >= 2 && groupby >= 2 && commit >= 2
 }
 
 func fatal(err error) {

@@ -43,6 +43,18 @@ type Partition struct {
 	Zone *columnstore.ZoneMap
 }
 
+// FreshZone is p's zone map while it still describes the table: nil when
+// the partition was never demoted, and nil once rows were added or a merge
+// rebuilt the table since (its Rows/Merges stamps no longer match) — a
+// stale synopsis can neither prune nor answer.
+func (p *Partition) FreshZone() *columnstore.ZoneMap {
+	z := p.Zone
+	if z == nil || z.Rows != p.Table.NumRows() || z.Merges != p.Table.MergeCount() {
+		return nil
+	}
+	return z
+}
+
 // Tier is where p's main store lives: the tier of the store that paged it
 // out, or hot when none did — a merge rebuilds the main store in memory,
 // so a merged partition is hot until its next demotion.

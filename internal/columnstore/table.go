@@ -1143,25 +1143,6 @@ func (s *Snapshot) mergeStringColumn(c int, keep []int, stage []int64, stats *Me
 	return &DictColumn{Dict: merged, Refs: packOffsets(refs, 0), Nulls: nulls}
 }
 
-// SortedBy reports whether the visible rows of snapshot s are sorted
-// ascending by column col — a cheap statistic the optimizer uses for RLE
-// and pruning decisions.
-func (s *Snapshot) SortedBy(col int) bool {
-	var prev value.Value
-	first := true
-	for i := 0; i < s.NumRows(); i++ {
-		if !s.Visible(i) {
-			continue
-		}
-		v := s.Get(col, i)
-		if !first && value.Compare(prev, v) > 0 {
-			return false
-		}
-		prev, first = v, false
-	}
-	return true
-}
-
 // CollectVisible returns the positions of all rows visible to s, in
 // physical order. Utility for engines that build secondary structures.
 func (s *Snapshot) CollectVisible() []int {

@@ -159,15 +159,6 @@ func (n *DataNode) SetTracer(t *stats.Tracer) { n.tracer = t }
 // Engine exposes the node-local relational engine (tests, local tools).
 func (n *DataNode) Engine() *sqlexec.Engine { return n.eng }
 
-// SetExecutor configures the node-local executor: the mode (vectorized by
-// default) and, for the vectorized mode, the morsel worker-pool size per
-// query (<=0 means one worker per CPU). Cluster setups use it to pin
-// per-partition scans to a known parallelism for experiments.
-func (n *DataNode) SetExecutor(mode sqlexec.Mode, workers int) {
-	n.eng.Mode = mode
-	n.eng.Workers = workers
-}
-
 // attachPartition makes one physical partition a catalog partition of its
 // logical table in the local engine, holding the log below pos: the seed
 // rows, if any (a snapshot or a move), are what that prefix left in it.

@@ -46,19 +46,6 @@ func (n *DataNode) DemotePartition(table string, part int) error {
 	return warm.Demote(p, n.eng.Mgr.MinActiveTS())
 }
 
-// PromotePartition re-hydrates this node's copy of one partition.
-func (n *DataNode) PromotePartition(table string, part int) error {
-	warm, err := n.Warm()
-	if err != nil {
-		return err
-	}
-	p, err := n.localPartition(table, part)
-	if err != nil {
-		return err
-	}
-	return warm.Promote(p, n.eng.Mgr.MinActiveTS())
-}
-
 // localPartition resolves the catalog wrapper of a hosted partition.
 func (n *DataNode) localPartition(table string, part int) (*catalog.Partition, error) {
 	n.mu.Lock()

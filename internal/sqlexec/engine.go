@@ -44,9 +44,7 @@ type Engine struct {
 	// profile included — in the slow-query log. Zero disables profiling
 	// outside EXPLAIN ANALYZE / AnalyzeSQL.
 	SlowThreshold time.Duration
-	// SlowLogCap bounds the slow-query log ring (default 32).
-	SlowLogCap int
-	slow       slowLog
+	slow          slowLog
 	// Sys serves the virtual monitoring views of the `sys` schema
 	// (sys.m_statements, sys.m_sessions, ...). Engine-local views are
 	// registered at construction; outer layers (pgwire, extstore, soe)
@@ -441,11 +439,9 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, st *Stmt, params []
 		args.state = &s.state
 	}
 	prof, err := runTo(&s.out, stats, plan, args, &s.e.scratch, profiled)
-	if profiled {
-		if prof != nil {
-			prof.SQL = s.curSQL
-		}
-		s.e.maybeRecordSlow(s.curSQL, prof)
+	if prof != nil {
+		prof.SQL = s.curSQL
+		s.e.maybeRecordSlow(st.fpID, prof)
 	}
 	esp.Finish()
 	s.e.Obs.Histogram("sql_exec_ms").ObserveSince(tExec)
@@ -686,7 +682,7 @@ func (s *Session) findVictims(tx *txn.Txn, st *Stmt, table string, where Expr, p
 	scan := plan.(*ScanPlan)
 	ctx := s.e.scratch.borrow()
 	defer s.e.scratch.giveBack(ctx)
-	ctx.ts, ctx.params, ctx.stats, ctx.workers, ctx.hooks = tx.SnapshotTS(), params, &ctx.local, s.e.Workers, s.hooks()
+	ctx.ts, ctx.params, ctx.workers, ctx.hooks = tx.SnapshotTS(), params, s.e.Workers, s.hooks()
 	r := prepScan(scan, ctx)
 	r.exit, r.box = exitVictims, box
 	r.open()

@@ -3,7 +3,6 @@ package sqlexec
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/catalog"
@@ -45,21 +44,33 @@ type ExecStats struct {
 	DecodeBytesAvoided int
 }
 
-// attributeFaults charges the page faults that happened since the given
-// extstore counter snapshot to the stats block and operator profile.
-// Under concurrent queries the per-operator attribution is approximate
-// (the process-wide counters stay exact).
-func attributeFaults(stats *ExecStats, op *OpProfile, faults0, faultNS0 int64) {
+// add adds t's counts to s.
+func (s *ExecStats) add(t *ExecStats) {
+	s.RowsScanned += t.RowsScanned
+	s.RowsOut += t.RowsOut
+	s.PartitionsScanned += t.PartitionsScanned
+	s.PartitionsPruned += t.PartitionsPruned
+	s.Morsels += t.Morsels
+	s.KernelHits += t.KernelHits
+	s.KernelFallbacks += t.KernelFallbacks
+	s.PageFaults += t.PageFaults
+	s.PageFaultMicros += t.PageFaultMicros
+	s.CodesJoined += t.CodesJoined
+	s.RunsFolded += t.RunsFolded
+	s.BatchesFused += t.BatchesFused
+	s.DecodeBytesAvoided += t.DecodeBytesAvoided
+}
+
+// addFaults adds to s the page faults that happened since the given
+// extstore counter snapshot. Under concurrent queries the attribution is
+// approximate (the process-wide counters stay exact).
+func (s *ExecStats) addFaults(faults0, faultNS0 int64) {
 	faults1, faultNS1 := extstore.FaultCounters()
 	if faults1 == faults0 {
 		return
 	}
-	stats.PageFaults += int(faults1 - faults0)
-	stats.PageFaultMicros += int((faultNS1 - faultNS0) / 1000)
-	if op != nil {
-		op.pageFaults.Add(faults1 - faults0)
-		op.faultNS.Add(faultNS1 - faultNS0)
-	}
+	s.PageFaults += int(faults1 - faults0)
+	s.PageFaultMicros += int((faultNS1 - faultNS0) / 1000)
 }
 
 // Result is a materialized query result.
@@ -71,22 +82,22 @@ type Result struct {
 
 // execCtx carries per-statement execution state. workers caps how many
 // runners each of the statement's scans runs its morsels on (morsel.go),
-// and runners flush their stats under mu. A statement borrows its execCtx
-// from the engine's scratchPool and gives it back when it ends, with the
-// scan runs it lent the statement's scans: their slabs are warm for the
-// next statement, everything else of this one is dropped (reset).
+// and stats is the statement's tally, which only publish writes. A
+// statement borrows its execCtx from the engine's scratchPool and gives it
+// back when it ends, with the scan runs it lent the statement's scans:
+// their slabs are warm for the next statement, everything else of this one
+// is dropped (reset).
 type execCtx struct {
 	ts      uint64
 	params  []value.Value
 	hooks   pruneHooks // what its scans prune through, besides their own (binding.bind)
 	state   *[]byte    // where a node's fold state goes (foldStatePlan)
 	replies []Reply    // what a coordinator's leaf reads (replyPlan)
-	stats   *ExecStats
+	stats   ExecStats
 	out     *feed // the statement's sink: every executor's root pushes here
 	workers int
 	scratch *scratchPool // the pool the ctx came from, and its scans' scratch comes from
-	mu      sync.Mutex
-	prof    *Profile // non-nil under EXPLAIN ANALYZE
+	prof    *Profile     // non-nil under EXPLAIN ANALYZE
 
 	// scans are the scan runs the ctx keeps, the first nscans lent to the
 	// running statement's scans (scan). folds and interners are what the
@@ -98,9 +109,21 @@ type execCtx struct {
 	nops      int
 	folds     []*aggFold
 	interners []*strInterner
-	// local accounts a statement that is accounted nowhere else: a DML's
-	// victim search.
-	local ExecStats
+}
+
+// publish adds the tally t of one operator's run to the statement's stats
+// and, when the run is profiled, to the operator's profile op, and empties
+// it. It is the one way a count reaches either: a run counts into tallies
+// nothing else writes — a scan run's own, each runner's scratch, a fold, a
+// join's prober, an interpreter scan — and its operator publishes them when
+// the run ends, on the statement's goroutine, once every runner has
+// returned.
+func (c *execCtx) publish(op *OpProfile, t *ExecStats) {
+	c.stats.add(t)
+	if op != nil {
+		op.stats.add(t)
+	}
+	*t = ExecStats{}
 }
 
 // scan lends one of the statement's scans its run: one the ctx kept from a
@@ -174,9 +197,8 @@ func (c *execCtx) reset() {
 	clear(c.folds)
 	clear(c.interners)
 	c.nscans, c.nops, c.folds, c.interners = 0, 0, c.folds[:0], c.interners[:0]
-	c.ts, c.params, c.stats, c.out, c.workers, c.prof = 0, nil, nil, nil, 0, nil
+	c.ts, c.params, c.stats, c.out, c.workers, c.prof = 0, nil, ExecStats{}, nil, 0, nil
 	c.hooks, c.state, c.replies = pruneHooks{}, nil, nil
-	c.local = ExecStats{}
 }
 
 // Mode selects the executor implementation (experiment E4). The zero value
@@ -239,7 +261,7 @@ func runTo(out *feed, stats *ExecStats, p Plan, args runArgs, scratch *scratchPo
 	}
 	ctx := scratch.borrow()
 	defer scratch.giveBack(ctx)
-	ctx.ts, ctx.params, ctx.stats, ctx.out, ctx.workers = args.ts, args.params, stats, out, args.workers
+	ctx.ts, ctx.params, ctx.out, ctx.workers = args.ts, args.params, out, args.workers
 	ctx.hooks, ctx.state, ctx.replies = args.hooks, args.state, args.replies
 	var prof *Profile
 	var t0 time.Time
@@ -252,7 +274,9 @@ func runTo(out *feed, stats *ExecStats, p Plan, args runArgs, scratch *scratchPo
 	if args.mode == ModeInterpreted {
 		run = runInterpreted
 	}
-	if err := run(p, ctx); err != nil {
+	err := run(p, ctx)
+	stats.add(&ctx.stats)
+	if err != nil {
 		return nil, err
 	}
 	stats.RowsOut = ctx.out.rows
@@ -360,24 +384,22 @@ func buildIterRaw(p Plan, ctx *execCtx) (iterator, error) {
 	return nil, fmt.Errorf("sql: no interpreter for %T", p)
 }
 
-// scanIter scans partitions row by row. Row counts accumulate in scanned
-// and flush to the shared stats once per partition (and on Close) instead
-// of bumping the counter on every row — per-row stats writes showed up in
-// scan profiles.
+// scanIter scans partitions row by row, counting into a tally of its own
+// that Close publishes.
 type scanIter struct {
-	plan    *ScanPlan
-	ctx     *execCtx
-	parts   []*catalog.Partition // what this run's parameters leave of the plan's list
-	pruned  int
-	pi      int
-	snap    snapState
-	pos     int
-	scanned int
-	env     Env
-	op      *OpProfile // per-operator analyze counters; may be nil
+	plan   *ScanPlan
+	ctx    *execCtx
+	parts  []*catalog.Partition // what this run's parameters leave of the plan's list
+	pruned int
+	pi     int
+	snap   snapState
+	pos    int
+	env    Env
+	op     *OpProfile // per-operator analyze counters; may be nil
+	tally  ExecStats
 
-	// Extended-store fault baseline, re-armed per partition so warm-scan
-	// faults are charged to this operator.
+	// Extended-store fault baseline, taken when the first partition opens,
+	// so warm-scan faults are charged to this operator.
 	faults0  int64
 	faultNS0 int64
 	tracking bool
@@ -400,49 +422,28 @@ func newScanIter(p *ScanPlan, ctx *execCtx) *scanIter {
 }
 
 func (it *scanIter) Open() error {
-	it.ctx.stats.PartitionsPruned += it.pruned
-	if it.op != nil {
-		it.op.partsPruned.Add(int64(it.pruned))
-	}
+	it.tally.PartitionsPruned += it.pruned
 	it.pi = -1
 	it.snap.snap = nil
 	it.env.Params = it.ctx.params
 	return nil
 }
 
-// flushStats moves the locally accumulated row count into the shared
-// statement stats. Idempotent between accumulations.
-func (it *scanIter) flushStats() {
-	if it.scanned > 0 {
-		it.ctx.stats.RowsScanned += it.scanned
-		if it.op != nil {
-			it.op.rowsScanned.Add(int64(it.scanned))
-		}
-		it.scanned = 0
-	}
-	if it.tracking {
-		attributeFaults(it.ctx.stats, it.op, it.faults0, it.faultNS0)
-		it.faults0, it.faultNS0 = extstore.FaultCounters()
-	}
-}
-
 func (it *scanIter) Next() (value.Row, bool, error) {
 	for {
 		if it.snap.snap == nil || it.pos >= it.snap.n {
-			it.flushStats()
 			it.pi++
 			if it.pi >= len(it.parts) {
 				return nil, false, nil
 			}
+			if !it.tracking {
+				it.faults0, it.faultNS0 = extstore.FaultCounters()
+				it.tracking = true
+			}
 			s := it.parts[it.pi].Table.Snapshot(it.ctx.ts)
 			it.snap = snapState{snap: s, n: s.NumRows()}
 			it.pos = 0
-			it.faults0, it.faultNS0 = extstore.FaultCounters()
-			it.tracking = true
-			it.ctx.stats.PartitionsScanned++
-			if it.op != nil {
-				it.op.partsScanned.Add(1)
-			}
+			it.tally.PartitionsScanned++
 			continue
 		}
 		pos := it.pos
@@ -450,7 +451,7 @@ func (it *scanIter) Next() (value.Row, bool, error) {
 		if !it.snap.snap.Visible(pos) {
 			continue
 		}
-		it.scanned++
+		it.tally.RowsScanned++
 		row := it.snap.snap.Row(pos)
 		it.env.Row = row
 		if f := it.plan.filter; f != nil {
@@ -462,12 +463,20 @@ func (it *scanIter) Next() (value.Row, bool, error) {
 	}
 }
 
-// Close flushes counts a LIMIT may have cut short mid-partition.
-func (it *scanIter) Close() { it.flushStats() }
+// Close publishes the scan's tally, with the page faults since its first
+// partition opened.
+func (it *scanIter) Close() {
+	if it.tracking {
+		it.tally.addFaults(it.faults0, it.faultNS0)
+		it.tracking = false
+	}
+	it.ctx.publish(it.op, &it.tally)
+}
 
 // leafRows materializes the rows of a leaf that is not a base-table scan —
 // a table function's result, the literal rows of VALUES, a sys view's
-// snapshot, whose rows count as scanned. Both executors read their leaves
+// snapshot, whose rows count as the statement's scanned (no operator's:
+// its profile shows them as rows out). Both executors read their leaves
 // from here: the interpreter through rowsIter, the vectorized executor in
 // batches (opRun.emitLeaf).
 func leafRows(p Plan, ctx *execCtx) ([]value.Row, error) {
@@ -485,9 +494,7 @@ func leafRows(p Plan, ctx *execCtx) ([]value.Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sql: %s snapshot: %w", x.Table.Name, err)
 		}
-		ctx.mu.Lock()
-		ctx.stats.RowsScanned += len(rows)
-		ctx.mu.Unlock()
+		ctx.publish(nil, &ExecStats{RowsScanned: len(rows)})
 		return rows, nil
 	}
 	return nil, fmt.Errorf("sql: %T is not a rows leaf", p)

@@ -262,6 +262,10 @@ type scanRun struct {
 	err     error      // drainOrdered: the consumer's first error
 	op      *OpProfile // scan operator's analyze counters; may be nil
 	par     parallel   // what the runners share: claiming, a failure, the hand-off
+	// tally is what the run counts on the statement's goroutine: open's
+	// partitions, kernels and zone-answered bytes, and the faults of windows
+	// show reads off a runner. Each runner counts into its scratch's.
+	tally ExecStats
 }
 
 // prepScan readies the scan s to run in the statement of ctx, on a scanRun
@@ -355,15 +359,18 @@ func (s selection) window(from, to int) selection {
 
 // scanScratch is one worker's reusable state: the selection vectors, the
 // code keys of the morsel being folded or probed, the row the residual
-// predicate and a join's rendered probe keys are evaluated against, and the
-// key they render. It is borrowed from the engine's scratchPool and outlives
-// the statement, so in steady state a scan grows none of it.
+// predicate and a join's rendered probe keys are evaluated against, the
+// key they render, and the runner's tally of the morsels it ran (the run
+// publishes it: scanRun.release). It is borrowed from the engine's
+// scratchPool and outlives the statement, so in steady state a scan grows
+// none of it.
 type scanScratch struct {
 	selA, selB []int
 	keys       []int64
 	remap      columnstore.CodeRemap // codeKeys' table
 	env        Env
 	key        keyScratch
+	tally      ExecStats
 }
 
 // rowEnv readies the scratch row for expressions over a morsel's width
@@ -439,9 +446,11 @@ func (p *scratchPool) borrow() *execCtx {
 }
 
 // giveBack returns a statement's execCtx once none of its runs is running:
-// everything the statement read, computed or was handed is dropped first
+// the statement's totals go to the process's counters (ExecStats.count),
+// then everything it read, computed or was handed is dropped
 // (execCtx.reset), so an idle pool pins no table, row or parameter.
 func (p *scratchPool) giveBack(c *execCtx) {
+	c.stats.count()
 	c.reset()
 	if p == nil {
 		return
@@ -546,9 +555,12 @@ func (p *scratchPool) put(s *scanScratch) {
 	p.mu.Unlock()
 }
 
-// release returns the run's scratch once no runner can touch it.
+// release publishes the run's tallies — its own and each runner's — and
+// returns the run's scratch, once no runner can touch either.
 func (r *scanRun) release() {
+	r.ctx.publish(r.op, &r.tally)
 	for _, s := range r.scratch {
+		r.ctx.publish(r.op, &s.tally)
 		r.ctx.scratch.put(s)
 	}
 	clear(r.scratch)
@@ -598,12 +610,7 @@ func (r *scanRun) open() {
 	r.stop.Store(false)
 	r.par.begin()
 	parts, pruned := r.binding.bind(s, ctx.hooks, ctx.params)
-	ctx.mu.Lock()
-	ctx.stats.PartitionsPruned += pruned
-	ctx.mu.Unlock()
-	if r.op != nil {
-		r.op.partsPruned.Add(int64(pruned))
-	}
+	r.tally.PartitionsPruned += pruned
 	// Every partition takes a window of the reader, kernel and residual
 	// slabs, which never regrow once one is taken: a window stays put. So
 	// does a snapshot, filled in its slot.
@@ -623,24 +630,19 @@ func (r *scanRun) open() {
 	for pi, part := range parts {
 		snap := &r.snaps[pi]
 		part.Table.SnapshotInto(ctx.ts, snap)
-		ctx.mu.Lock()
-		ctx.stats.PartitionsScanned++
-		ctx.mu.Unlock()
-		if r.op != nil {
-			r.op.partsScanned.Add(1)
-		}
+		r.tally.PartitionsScanned++
 		rows := snap.NumRows()
 		if rows == 0 {
 			continue
 		}
-		if r.zone != nil && s.Filter == nil && part.Zone != nil &&
-			part.Zone.Rows == rows && part.Zone.Merges == part.Table.MergeCount() &&
-			snap.NumRows() == snap.MainRows() && snap.AllVisible() {
+		if zm := part.FreshZone(); r.zone != nil && s.Filter == nil && zm != nil &&
+			zm.Rows == rows && rows == snap.MainRows() && snap.AllVisible() {
 			// Zone-map fast path: the synopsis covers exactly this
 			// snapshot's rows and every one of them is visible, so
 			// COUNT/MIN/MAX answer from resident metadata without
-			// faulting a single page.
-			r.zone.answer(snap, part.Zone)
+			// faulting a single page, or boxing any of the values.
+			r.zone.answer(snap, zm)
+			r.tally.DecodeBytesAvoided += rows * r.ncols * 16
 			continue
 		}
 		mainRows := snap.MainRows()
@@ -686,16 +688,8 @@ func (r *scanRun) open() {
 					falls++
 				}
 			}
-			cVecKernelHits.Add(int64(hits))
-			cVecKernelFallbacks.Add(int64(falls))
-			ctx.mu.Lock()
-			ctx.stats.KernelHits += hits
-			ctx.stats.KernelFallbacks += falls
-			ctx.mu.Unlock()
-			if r.op != nil {
-				r.op.kernelHits.Add(int64(hits))
-				r.op.kernelFallbacks.Add(int64(falls))
-			}
+			r.tally.KernelHits += hits
+			r.tally.KernelFallbacks += falls
 		}
 		kernels := r.kernels[at:len(r.kernels):len(r.kernels)]
 		wat := len(r.resids)
@@ -726,10 +720,10 @@ func (r *scanRun) open() {
 }
 
 // process runs one morsel's selection phase as runner w and hands the
-// surviving selection on (take), bracketing the whole morsel with the
-// scan's stats, profiling and page-fault attribution. Without kernels the
-// morsel starts as the range [lo, hi) and stays one unless the visibility
-// pass meets an invisible row. A morsel with bound kernels goes
+// surviving selection on (take), counting the morsel, its visible rows and
+// the page faults of the whole morsel into the runner's tally. Without
+// kernels the morsel starts as the range [lo, hi) and stays one unless the
+// visibility pass meets an invisible row. A morsel with bound kernels goes
 // kernel-first: the kernels thin the range over the encoded columns and
 // only their survivors are checked for visibility, so a selective
 // predicate never builds a selection vector of every visible row (the
@@ -746,7 +740,6 @@ func (r *scanRun) process(t *scanTask, w int) {
 	if r.op != nil {
 		t0 = time.Now()
 	}
-	ctx := r.ctx
 	faults0, faultNS0 := extstore.FaultCounters()
 	scr := r.scratch[w]
 	sel := denseSel(t.lo, t.hi)
@@ -782,17 +775,12 @@ func (r *scanRun) process(t *scanTask, w int) {
 	if sel.len() > 0 {
 		r.take(t, w, sel)
 	}
-	ctx.mu.Lock()
-	ctx.stats.RowsScanned += visible
-	ctx.stats.Morsels++
-	attributeFaults(ctx.stats, r.op, faults0, faultNS0)
-	ctx.mu.Unlock()
+	scr.tally.RowsScanned += visible
+	scr.tally.Morsels++
+	scr.tally.addFaults(faults0, faultNS0)
 	if r.op != nil {
-		r.op.rowsScanned.Add(int64(visible))
-		r.op.morsels.Add(1)
 		r.op.busyNS.Add(time.Since(t0).Nanoseconds())
 	}
-	cVecMorsels.Inc()
 }
 
 // take hands one morsel's final selection on to what the run is for, on
@@ -819,7 +807,9 @@ func (r *scanRun) take(t *scanTask, w int, sel selection) {
 		out.send(r.cut(t, sel.window(from, min(n, from+BatchRows)), w == 0))
 	}
 	if r.fused != nil {
-		recordLateMat(r.ctx, r.op, 0, 0, 1, int64(n)*int64(r.avoidPerRow)*16)
+		tally := &r.scratch[w].tally
+		tally.BatchesFused++
+		tally.DecodeBytesAvoided += n * r.avoidPerRow * 16
 	}
 }
 
@@ -853,8 +843,9 @@ func (r *scanRun) cut(t *scanTask, sel selection, lent bool) window {
 
 // show hands one window on, in morsel order, on the statement's goroutine.
 // At the plan's root it reaches the sink as a view, whose cells the sink
-// reads here: the page faults that takes are the scan's — process books them
-// for a lent window, whose morsel runs around the sink, and show otherwise.
+// reads here: the page faults that takes are the scan's — process counts
+// them for a lent window, whose morsel runs around the sink, and show, into
+// the run's tally, otherwise.
 // A victim search's window becomes victims, anything else's rows go to the
 // parent.
 func (r *scanRun) show(v window) error {
@@ -866,9 +857,7 @@ func (r *scanRun) show(v window) error {
 		}
 		faults0, faultNS0 := extstore.FaultCounters()
 		err := r.to.hand(nil, &b)
-		r.ctx.mu.Lock()
-		attributeFaults(r.ctx.stats, r.op, faults0, faultNS0)
-		r.ctx.mu.Unlock()
+		r.tally.addFaults(faults0, faultNS0)
 		return err
 	case exitVictims:
 		r.addVictims(v.t, v.sel)

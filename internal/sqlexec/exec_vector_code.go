@@ -185,9 +185,10 @@ type aggFold struct {
 	keyChunks   chunks[value.Value]
 	list        []*aggGroup
 
-	runsFolded    int64
-	batchesFused  int64
-	decodeAvoided int64
+	// tally is what the fold counted — runs folded whole, morsels fused and
+	// the bytes they spared, and a probe feeding it the codes it joined —
+	// for its run to publish (scanRun.foldMorsels).
+	tally ExecStats
 
 	// The join probe morsel the fold takes pairs of (codeJoin.foldMorsel),
 	// and the rank of its next pair.
@@ -245,7 +246,7 @@ func (f *aggFold) reset() {
 	f.flat, f.list = f.flat[:0], f.list[:0]
 	f.in, f.interner, f.nProbe, f.nullG, f.global, f.env = nil, nil, 0, nil, nil, Env{}
 	f.t, f.sel, f.rank = nil, selection{}, 0
-	f.runsFolded, f.batchesFused, f.decodeAvoided = 0, 0, 0
+	f.tally = ExecStats{}
 }
 
 // chunks lends runs of n zeroed Ts out of chunks it keeps from one
@@ -462,8 +463,8 @@ func (f *aggFold) foldRow(t *scanTask, pos int, build value.Row, rank int64) {
 // retained. Whole-run folds need a selection that is still a range over
 // encoded storage, and the form says whether it is.
 func (f *aggFold) foldMorsel(t *scanTask, sel selection, scr *scanScratch) {
-	f.batchesFused++
-	f.decodeAvoided += int64(sel.len()) * int64(f.in.avoidPerRow) * 16
+	f.tally.BatchesFused++
+	f.tally.DecodeBytesAvoided += sel.len() * f.in.avoidPerRow * 16
 	base := t.rankBase()
 	if len(f.in.keyCols) == 0 && !f.in.computed {
 		f.foldGlobal(t, sel)
@@ -563,7 +564,7 @@ func (f *aggFold) foldRuns(rf columnstore.RunFolder, t *scanTask, sel selection,
 				}
 			}
 			if n > 1 {
-				f.runsFolded++
+				f.tally.RunsFolded++
 			}
 		}
 		clear(runs)
@@ -592,7 +593,7 @@ func (f *aggFold) foldArg(acc *aggAcc, spec aggSpec, t *scanTask, ac, lo, hi int
 			for _, r := range runs {
 				acc.add(r.Val, int64(r.End-r.Start), spec)
 				if r.End-r.Start > 1 {
-					f.runsFolded++
+					f.tally.RunsFolded++
 				}
 			}
 			clear(runs)
@@ -763,9 +764,10 @@ func (f *aggFold) rows() []value.Row {
 // fold consumes its final selection — or the pairs a join's probe (r.join)
 // makes of it — in whatever order the morsels complete. Accumulators are
 // order-free (aggAcc), so finishAgg may merge the folds in any order too.
-// The folds, and the interner they share, are the statement's loan
-// (execCtx.fold) until it ends.
-func (r *scanRun) foldMorsels(in *aggInput) []*aggFold {
+// What the folds counted is published to op: the scan's profile node, or
+// the join's a probe folds through. The folds, and the interner they share,
+// are the statement's loan (execCtx.fold) until it ends.
+func (r *scanRun) foldMorsels(in *aggInput, op *OpProfile) []*aggFold {
 	defer r.release()
 	it := r.ctx.interner()
 	r.folds = r.folds[:0]
@@ -774,6 +776,9 @@ func (r *scanRun) foldMorsels(in *aggInput) []*aggFold {
 	}
 	r.exit = exitFold
 	r.runTasks()
+	for _, f := range r.folds {
+		r.ctx.publish(op, &f.tally)
+	}
 	return r.folds
 }
 
@@ -788,35 +793,22 @@ func (r *opRun) foldScan(s *ScanPlan, in *aggInput) *aggFold {
 	if op := ctx.prof.node(s); op != nil {
 		op.fused = true
 	}
+	var zoneAccs []aggAcc
 	if z := &r.zone; in.zoneable {
 		z.accs = slices.Grow(z.accs[:0], len(in.specs))[:len(in.specs)]
 		clear(z.accs)
-		z.in, z.ncols, z.avoided, sr.zone = in, sr.ncols, 0, z
+		z.in, sr.zone, zoneAccs = in, z, z.accs
 	}
 	sr.open()
-	folds := sr.foldMorsels(in)
-	var runs, fused, avoided int64
-	for _, f := range folds {
-		runs += f.runsFolded
-		fused += f.batchesFused
-		avoided += f.decodeAvoided
-	}
-	var zoneAccs []aggAcc
-	if sr.zone != nil {
-		zoneAccs, avoided = r.zone.accs, avoided+r.zone.avoided
-	}
-	recordLateMat(ctx, sr.op, 0, runs, fused, avoided)
-	return finishAgg(folds, zoneAccs)
+	return finishAgg(sr.foldMorsels(in, sr.op), zoneAccs)
 }
 
 // zoneFold is a global aggregation's COUNT/MIN/MAX over the partitions
 // answered from their zone maps (scanRun.zone), readied only for an
 // aggregation that may be (aggInput.zoneable).
 type zoneFold struct {
-	in      *aggInput
-	accs    []aggAcc
-	ncols   int
-	avoided int64
+	in   *aggInput
+	accs []aggAcc
 }
 
 func (z *zoneFold) answer(snap *columnstore.Snapshot, zm *columnstore.ZoneMap) {
@@ -829,7 +821,6 @@ func (z *zoneFold) answer(snap *columnstore.Snapshot, zm *columnstore.ZoneMap) {
 			z.accs[i].widen(zm.Cols[ac].Min, zm.Cols[ac].Max)
 		}
 	}
-	z.avoided += int64(rows) * int64(z.ncols) * 16
 }
 
 // --- the hash join ----------------------------------------------------------
@@ -863,7 +854,7 @@ type codeJoin struct {
 
 	key  keyScratch // the build's and the row feed's: both run on the statement's goroutine
 	ids  []int64    // the row feed's
-	outs []joinOut  // runner w's joined-row sink; the row feed's is outs[0]
+	outs []joinOut  // runner w's joined-row sink and prober; the row feed's is outs[0]
 }
 
 // reset empties the join for its operator's next run, dropping every row
@@ -1091,13 +1082,16 @@ func (j *codeJoin) probe(ids []int64, p pairer) (skipped int, err error) {
 }
 
 // probeMorsel is the scan feed: one morsel's final selection through the
-// probe loop, p's i indexing sel. scr lends the key buffers.
-func (j *codeJoin) probeMorsel(t *scanTask, sel selection, scr *scanScratch, p pairer) error {
+// probe loop, p's i indexing sel. scr lends the key buffers; a morsel
+// probed on its codes is counted into tally, the prober's.
+func (j *codeJoin) probeMorsel(t *scanTask, sel selection, scr *scanScratch, p pairer, tally *ExecStats) error {
 	ids, coded := j.morselIDs(t, sel, scr)
 	scr.keys = ids
 	skipped, err := j.probe(ids, p)
 	if coded {
-		recordLateMat(j.r.ctx, j.r.prof, int64(len(ids)), 0, 1, int64(skipped)*int64(j.prep.ncols)*16)
+		tally.CodesJoined += len(ids)
+		tally.BatchesFused++
+		tally.DecodeBytesAvoided += skipped * j.prep.ncols * 16
 	}
 	return err
 }
@@ -1122,7 +1116,7 @@ func (j *codeJoin) probeRows(rows []value.Row) error {
 func (j *codeJoin) probeOut(t *scanTask, w int, sel selection) {
 	o := &j.outs[w]
 	o.to, o.t, o.sel, o.probed, o.rows = &j.prep.par.ports[w], t, sel, -1, nil
-	if j.probeMorsel(t, sel, j.prep.scratch[w], o) == nil {
+	if j.probeMorsel(t, sel, j.prep.scratch[w], o, &o.tally) == nil {
 		o.flush()
 	}
 }
@@ -1132,7 +1126,7 @@ func (j *codeJoin) probeOut(t *scanTask, w int, sel selection) {
 // output).
 func (j *codeJoin) foldMorsel(f *aggFold, t *scanTask, sel selection, scr *scanScratch) {
 	f.t, f.sel, f.rank = t, sel, t.rankBase()
-	j.probeMorsel(t, sel, scr, f)
+	j.probeMorsel(t, sel, scr, f, &f.tally)
 }
 
 // pair folds one (position, build row) pair of a join probe: keys and
@@ -1161,6 +1155,7 @@ type joinOut struct {
 	env    Env
 	slab   rowSlab
 	rows   []value.Row
+	tally  ExecStats // a scan feed's runner's, which the join publishes
 }
 
 func (o *joinOut) pair(i int, build value.Row) (bool, error) {
@@ -1243,7 +1238,11 @@ func (x *JoinPlan) run(r *opRun) error {
 		return j.outs[0].flush()
 	}
 	run.exit, run.to = exitProbe, r
-	return run.drainOrdered()
+	err = run.drainOrdered()
+	for w := range j.outs {
+		r.ctx.publish(r.prof, &j.outs[w].tally)
+	}
+	return err
 }
 
 // push takes a batch of the build side, or of a probe side that is not a
@@ -1269,29 +1268,5 @@ func foldJoin(x *JoinPlan, in *aggInput, ctx *execCtx) (*aggFold, error) {
 	if jr.prof != nil {
 		jr.prof.fused = true
 	}
-	return finishAgg(run.foldMorsels(in), nil), nil
-}
-
-// recordLateMat flushes late-materialization counters into the query
-// stats, the operator profile and the process-wide registry.
-func recordLateMat(ctx *execCtx, op *OpProfile, codes, runs, fused, avoided int64) {
-	if codes == 0 && runs == 0 && fused == 0 && avoided == 0 {
-		return
-	}
-	ctx.mu.Lock()
-	ctx.stats.CodesJoined += int(codes)
-	ctx.stats.RunsFolded += int(runs)
-	ctx.stats.BatchesFused += int(fused)
-	ctx.stats.DecodeBytesAvoided += int(avoided)
-	ctx.mu.Unlock()
-	if op != nil {
-		op.codesJoined.Add(codes)
-		op.runsFolded.Add(runs)
-		op.batchesFused.Add(fused)
-		op.decodeAvoided.Add(avoided)
-	}
-	cVecCodesJoined.Add(codes)
-	cVecRunsFolded.Add(runs)
-	cVecBatchesFused.Add(fused)
-	cVecDecodeAvoided.Add(avoided)
+	return finishAgg(run.foldMorsels(in, jr.prof), nil), nil
 }

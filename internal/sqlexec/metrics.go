@@ -5,8 +5,9 @@ import "repro/internal/stats"
 // Vectorized-execution observability. Like the column store, the executor
 // has no per-instance registry path inside Run, so morsel and kernel
 // accounting reports into the process-wide default registry (the SOE
-// stats service folds it into every collection). Counters are cached at
-// package level so the hot path pays one atomic add, never a lookup.
+// stats service folds it into every collection). A statement adds its
+// totals once, when it ends (ExecStats.count): no morsel, partition or
+// batch touches a counter.
 var (
 	// cVecQueries counts queries the vectorized executor ran to the end.
 	cVecQueries = stats.Default.Counter("sql_vec_queries_total")
@@ -32,3 +33,16 @@ var (
 	cVecBatchesFused  = stats.Default.Counter("sql_vec_batches_fused_total")
 	cVecDecodeAvoided = stats.Default.Counter("sql_vec_decode_bytes_avoided_total")
 )
+
+// count adds a statement's totals to the process-wide sql_vec_* counters.
+// The scratch pool calls it once per statement, as the statement gives its
+// execCtx back.
+func (s *ExecStats) count() {
+	cVecMorsels.Add(int64(s.Morsels))
+	cVecKernelHits.Add(int64(s.KernelHits))
+	cVecKernelFallbacks.Add(int64(s.KernelFallbacks))
+	cVecCodesJoined.Add(int64(s.CodesJoined))
+	cVecRunsFolded.Add(int64(s.RunsFolded))
+	cVecBatchesFused.Add(int64(s.BatchesFused))
+	cVecDecodeAvoided.Add(int64(s.DecodeBytesAvoided))
+}

@@ -539,7 +539,7 @@ func TestJoinLeavesInWindows(t *testing.T) {
 		if len(join.EquiL) != c.keys {
 			t.Fatalf("%s: planned %s, want %d keys", c.sql, planLabel(join, pruneHooks{}), c.keys)
 		}
-		ctx := &execCtx{ts: e.Mgr.Now(), stats: &ExecStats{}, workers: 3, scratch: &e.scratch}
+		ctx := &execCtx{ts: e.Mgr.Now(), workers: 3, scratch: &e.scratch}
 		var out batchPeak
 		if err := runOp(ctx, join, &out); err != nil {
 			t.Fatal(err)

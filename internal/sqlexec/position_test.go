@@ -167,7 +167,7 @@ func TestVectorizedFoldDemoted(t *testing.T) {
 	for len(scan.Children) > 0 {
 		scan = scan.Children[0]
 	}
-	if !strings.HasPrefix(scan.Label, "Scan ledger") || scan.pageFaults.Load() == 0 {
+	if !strings.HasPrefix(scan.Label, "Scan ledger") || scan.stats.PageFaults == 0 {
 		t.Fatalf("no page faults attributed to the scan operator:\n%s", prof.Render())
 	}
 }

@@ -22,31 +22,24 @@ import (
 // path pays a handful of clock reads per 16k-row morsel — experiment E20
 // pins the overhead below 10%.
 
-// OpProfile is one operator's measured runtime behavior. Counters use
-// atomics because morsel workers update the scan operator concurrently.
+// OpProfile is one operator's measured runtime behavior. What its runs
+// count — rows and partitions scanned, morsels, kernels, page faults and
+// late materialization — is the ExecStats its runs published
+// (execCtx.publish): the statement's stats are the sum over its operators.
+// Time and the join's build and probe inputs are timed and counted where
+// they happen.
 type OpProfile struct {
 	Label    string
 	Children []*OpProfile
 
-	wallNS          atomic.Int64 // inclusive: operator + descendants
-	rowsOut         atomic.Int64
-	batches         atomic.Int64
-	rowsScanned     atomic.Int64 // scans: visible rows examined
-	partsScanned    atomic.Int64
-	partsPruned     atomic.Int64
-	morsels         atomic.Int64
-	kernelHits      atomic.Int64
-	kernelFallbacks atomic.Int64
-	busyNS          atomic.Int64 // summed worker-side morsel time
-	pageFaults      atomic.Int64 // scans: extended-store chunk faults
-	faultNS         atomic.Int64 // scans: time inside those faults
-	buildRows       atomic.Int64 // joins: hash-table input
-	probeRows       atomic.Int64 // joins: probe-side input
-	codesJoined     atomic.Int64 // joins: probe keys answered as integer codes
-	runsFolded      atomic.Int64 // aggregates: RLE runs consumed whole
-	batchesFused    atomic.Int64 // batches fused past an intermediate materialization
-	decodeAvoided   atomic.Int64 // estimated boxed bytes never materialized
-	fused           bool         // executed inside the parent (agg+scan fusion)
+	stats     ExecStats
+	wallNS    atomic.Int64 // inclusive: operator + descendants
+	rowsOut   atomic.Int64
+	batches   atomic.Int64
+	busyNS    atomic.Int64 // summed worker-side morsel time
+	buildRows atomic.Int64 // joins: hash-table input
+	probeRows atomic.Int64 // joins: probe-side input
+	fused     bool         // executed inside the parent (agg+scan fusion)
 }
 
 // Wall returns the operator's inclusive wall time.
@@ -158,7 +151,7 @@ func (p *Profile) ClockReads() int64 {
 		if !o.fused {
 			n += 2 + 2*o.batches.Load()
 		}
-		n += 2 * o.morsels.Load()
+		n += 2 * int64(o.stats.Morsels)
 		for _, c := range o.Children {
 			walk(c)
 		}
@@ -197,23 +190,24 @@ func (p *Profile) renderOp(sb *strings.Builder, o *OpProfile, depth int) {
 	if n := o.batches.Load(); n > 0 {
 		fmt.Fprintf(sb, " batches=%d", n)
 	}
-	if n := o.rowsScanned.Load(); n > 0 {
+	st := &o.stats
+	if n := st.RowsScanned; n > 0 {
 		fmt.Fprintf(sb, " rows_scanned=%d", n)
 	}
-	if n := o.partsScanned.Load(); n > 0 {
+	if n := st.PartitionsScanned; n > 0 {
 		fmt.Fprintf(sb, " partitions=%d", n)
-		if pr := o.partsPruned.Load(); pr > 0 {
+		if pr := st.PartitionsPruned; pr > 0 {
 			fmt.Fprintf(sb, " pruned=%d", pr)
 		}
 	}
-	if n := o.morsels.Load(); n > 0 {
+	if n := st.Morsels; n > 0 {
 		fmt.Fprintf(sb, " morsels=%d", n)
 	}
-	if h, f := o.kernelHits.Load(), o.kernelFallbacks.Load(); h+f > 0 {
+	if h, f := st.KernelHits, st.KernelFallbacks; h+f > 0 {
 		fmt.Fprintf(sb, " kernels=%d/%d", h, f)
 	}
-	if n := o.pageFaults.Load(); n > 0 {
-		fmt.Fprintf(sb, " page_faults=%d fault_time=%s", n, fmtDur(time.Duration(o.faultNS.Load())))
+	if n := st.PageFaults; n > 0 {
+		fmt.Fprintf(sb, " page_faults=%d fault_time=%s", n, fmtDur(time.Duration(st.PageFaultMicros)*time.Microsecond))
 	}
 	if busy := o.busyNS.Load(); busy > 0 {
 		fmt.Fprintf(sb, " worker_busy=%s", fmtDur(time.Duration(busy)))
@@ -232,16 +226,16 @@ func (p *Profile) renderOp(sb *strings.Builder, o *OpProfile, depth int) {
 	if b := o.buildRows.Load(); b > 0 || o.probeRows.Load() > 0 {
 		fmt.Fprintf(sb, " build=%d probe=%d", b, o.probeRows.Load())
 	}
-	if n := o.codesJoined.Load(); n > 0 {
+	if n := st.CodesJoined; n > 0 {
 		fmt.Fprintf(sb, " codes_joined=%d", n)
 	}
-	if n := o.runsFolded.Load(); n > 0 {
+	if n := st.RunsFolded; n > 0 {
 		fmt.Fprintf(sb, " runs_folded=%d", n)
 	}
-	if n := o.batchesFused.Load(); n > 0 {
+	if n := st.BatchesFused; n > 0 {
 		fmt.Fprintf(sb, " batches_fused=%d", n)
 	}
-	if n := o.decodeAvoided.Load(); n > 0 {
+	if n := st.DecodeBytesAvoided; n > 0 {
 		fmt.Fprintf(sb, " decode_avoided=%dB", n)
 	}
 	sb.WriteString("\n")

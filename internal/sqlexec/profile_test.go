@@ -134,10 +134,10 @@ func TestAnalyzeVectorizedFusedScanCounters(t *testing.T) {
 	if scan == nil {
 		t.Fatalf("no scan node in\n%s", text)
 	}
-	if scan.morsels.Load() == 0 || scan.rowsScanned.Load() != 60_000 {
-		t.Fatalf("scan counters: morsels=%d rows_scanned=%d", scan.morsels.Load(), scan.rowsScanned.Load())
+	if scan.stats.Morsels == 0 || scan.stats.RowsScanned != 60_000 {
+		t.Fatalf("scan counters: morsels=%d rows_scanned=%d", scan.stats.Morsels, scan.stats.RowsScanned)
 	}
-	if scan.kernelHits.Load() == 0 {
+	if scan.stats.KernelHits == 0 {
 		t.Fatalf("v < 500 should bind a float kernel:\n%s", text)
 	}
 	if scan.busyNS.Load() == 0 {
@@ -172,7 +172,7 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 func TestSlowQueryLogRetainsProfiles(t *testing.T) {
 	e := profileEngine(t)
 	e.SlowThreshold = time.Nanosecond // everything is slow
-	e.SlowLogCap = 2
+	e.SetSlowCapacity(2)
 	for i := 0; i < 3; i++ {
 		mustExec(t, e, fmt.Sprintf(`SELECT COUNT(*) FROM dim WHERE id > %d`, i))
 	}

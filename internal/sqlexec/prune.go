@@ -328,15 +328,11 @@ func rangeRefutes(schema columnstore.Schema, p *catalog.Partition, preds []Pred)
 // its zone map: the per-column min/max/count synopsis recorded at demotion
 // time, consulted before the executor faults a single page. A zone map
 // covers every physical row (MVCC-dead versions included), a conservative
-// superset — a refuted zone can never hide a visible matching row.
+// superset — a refuted zone can never hide a visible matching row. A stale
+// one (Partition.FreshZone) never prunes.
 func zoneRefutes(p *catalog.Partition, preds []Pred) bool {
-	z := p.Zone
+	z := p.FreshZone()
 	if z == nil {
-		return false
-	}
-	// Stale synopsis: rows were inserted or a merge re-hydrated the table
-	// since demotion. Never prune on it.
-	if z.Rows != p.Table.NumRows() || z.Merges != p.Table.MergeCount() {
 		return false
 	}
 	for _, pr := range preds {

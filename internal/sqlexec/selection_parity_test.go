@@ -129,10 +129,11 @@ func profileSig(p *Profile) string {
 		if o.fused {
 			sb.WriteString(" fused")
 		}
-		writeCounters(&sb, counter{"out", o.rowsOut.Load()}, counter{"scanned", o.rowsScanned.Load()}, counter{"morsels", o.morsels.Load()},
-			counter{"khit", o.kernelHits.Load()}, counter{"kfall", o.kernelFallbacks.Load()},
-			counter{"build", o.buildRows.Load()}, counter{"probe", o.probeRows.Load()}, counter{"codes", o.codesJoined.Load()},
-			counter{"runs", o.runsFolded.Load()}, counter{"bfused", o.batchesFused.Load()}, counter{"avoided", o.decodeAvoided.Load()})
+		st := &o.stats
+		writeCounters(&sb, counter{"out", o.rowsOut.Load()}, counter{"scanned", int64(st.RowsScanned)}, counter{"morsels", int64(st.Morsels)},
+			counter{"khit", int64(st.KernelHits)}, counter{"kfall", int64(st.KernelFallbacks)},
+			counter{"build", o.buildRows.Load()}, counter{"probe", o.probeRows.Load()}, counter{"codes", int64(st.CodesJoined)},
+			counter{"runs", int64(st.RunsFolded)}, counter{"bfused", int64(st.BatchesFused)}, counter{"avoided", int64(st.DecodeBytesAvoided)})
 		sb.WriteString("]")
 		for _, c := range o.Children {
 			walk(c)

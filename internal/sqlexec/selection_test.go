@@ -92,7 +92,7 @@ func poolPins(p *scratchPool) []string {
 		}
 	}
 	for _, c := range p.runs {
-		pin(c.params != nil || c.stats != nil || c.out != nil || c.prof != nil, "a statement's parameters, sink or stats")
+		pin(c.params != nil || c.stats != (ExecStats{}) || c.out != nil || c.prof != nil, "a statement's parameters, sink or stats")
 		pin(c.hooks.scope != nil || c.hooks.engine != nil || c.state != nil || c.replies != nil, "a statement's prune hooks, fold state or replies")
 		pin(c.nscans != 0, "scans lent to no statement")
 		for _, r := range c.scans {
@@ -101,6 +101,7 @@ func poolPins(p *scratchPool) []string {
 			pin(r.fused != nil || r.to != nil || r.victims != nil || r.join != nil || r.op != nil,
 				"what a scan's exit was handed")
 			pin(len(r.scratch) != 0, "a scan's runner scratch")
+			pin(r.tally != (ExecStats{}), "a scan's unpublished tally")
 			for _, x := range r.binding.preds[:cap(r.binding.preds)] {
 				pin(x != (Pred{}), "a bound predicate")
 			}
@@ -151,6 +152,7 @@ func poolPins(p *scratchPool) []string {
 			}
 			for _, o := range j.outs[:cap(j.outs)] {
 				pin(o.j != nil || o.to != nil || o.in != nil || o.t != nil || o.prev != nil || o.env.Params != nil || o.slab.spare != nil || o.rows != nil, "a join's output")
+				pin(o.tally != (ExecStats{}), "a prober's unpublished tally")
 			}
 			pin(cap(j.lists) > vecFlatGroupCutoff || cap(r.key) > 64*vecFlatGroupCutoff || cap(r.texts) > 64*vecFlatGroupCutoff, "an operator's buffer past its bound")
 		}
@@ -197,6 +199,7 @@ func poolPins(p *scratchPool) []string {
 	}
 	for _, s := range p.free {
 		pin(s.env.Params != nil, "a scratch's parameters")
+		pin(s.tally != (ExecStats{}), "a runner's unpublished tally")
 		for _, v := range append(s.env.Row[:cap(s.env.Row)], s.key.row[:cap(s.key.row)]...) {
 			pin(v != value.Null, "a value in a scratch row")
 		}

@@ -25,15 +25,13 @@ type slowLog struct {
 	ring  []*SlowQuery
 	next  int
 	total int64
-	cap   int // SetSlowCapacity override; 0 defers to the engine field
+	cap   int // retention (SetSlowCapacity); <= 0 is the default
 }
 
-func (l *slowLog) add(q *SlowQuery, capacity int) {
+func (l *slowLog) add(q *SlowQuery) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cap > 0 {
-		capacity = l.cap
-	}
+	capacity := l.cap
 	if capacity <= 0 {
 		capacity = 32
 	}
@@ -70,22 +68,21 @@ func (l *slowLog) recent() []*SlowQuery {
 	return out
 }
 
-// maybeRecordSlow retains the profile when it crossed the engine's
-// threshold; called on every profiled statement.
-func (e *Engine) maybeRecordSlow(sql string, prof *Profile) {
-	if prof == nil || e.SlowThreshold <= 0 || prof.Total < e.SlowThreshold {
+// maybeRecordSlow retains the profile of a statement whose fingerprint is
+// fp when it crossed the engine's threshold; called on every profiled
+// statement.
+func (e *Engine) maybeRecordSlow(fp string, prof *Profile) {
+	if e.SlowThreshold <= 0 || prof.Total < e.SlowThreshold {
 		return
 	}
-	prof.SQL = sql
-	fp, _ := Fingerprint(sql)
-	e.slow.add(&SlowQuery{SQL: sql, Fingerprint: fp, When: time.Now(),
-		Total: prof.Total, Profile: prof}, e.SlowLogCap)
+	e.slow.add(&SlowQuery{SQL: prof.SQL, Fingerprint: fp, When: time.Now(),
+		Total: prof.Total, Profile: prof})
 	e.Obs.Counter("sql_slow_queries_total").Inc()
 }
 
-// SetSlowCapacity reconfigures the slow-query log retention; the ring
-// resizes on the next retained statement, keeping the newest entries when
-// shrinking. Values <= 0 restore the construction-time default. Safe to
+// SetSlowCapacity reconfigures the slow-query log retention (32 statements
+// by default); the ring resizes on the next retained statement, keeping the
+// newest entries when shrinking. Values <= 0 restore the default. Safe to
 // call while sessions are executing.
 func (e *Engine) SetSlowCapacity(n int) {
 	e.slow.mu.Lock()

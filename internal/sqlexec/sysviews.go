@@ -124,14 +124,11 @@ func registerEngineSysViews(e *Engine) {
 				continue
 			}
 			for _, p := range entry.Partitions {
-				zoneCols, zoneFresh := 0, false
+				zoneCols := 0
 				if p.Zone != nil {
 					zoneCols = len(p.Zone.Cols)
-					// A zone map is fresh when its stamps still match the
-					// partition — stale synopses cannot prune safely.
-					zoneFresh = p.Zone.Rows == p.Table.NumRows() &&
-						p.Zone.Merges == p.Table.MergeCount()
 				}
+				zoneFresh := p.FreshZone() != nil
 				rows = append(rows, value.Row{
 					value.String(name), value.String(p.Name),
 					value.String(string(p.Tier())),

@@ -133,7 +133,7 @@ func TestTierPromoteRoundTrip(t *testing.T) {
 	if p.Tier() != catalog.TierHot {
 		t.Fatalf("tier after MERGE DELTA: %s", p.Tier())
 	}
-	if z := p.Zone; z != nil && z.Merges == p.Table.MergeCount() {
+	if p.FreshZone() != nil {
 		t.Fatal("zone map still reads fresh after re-hydration")
 	}
 }
