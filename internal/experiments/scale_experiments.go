@@ -172,7 +172,8 @@ func E8ScaleOutSpeedup(s Scale) *Table {
 				// The node's task: the plan up to its aggregate's fold state.
 				sess := n.Engine().NewSession()
 				st := time.Now()
-				_, state, err := sess.QueryPartial(aggQ)
+				var state []byte
+				_, err := sess.QueryPartial(&sqlexec.Result{}, &state, aggQ)
 				d := time.Since(st)
 				sess.Close()
 				if err != nil {

@@ -21,14 +21,21 @@ import (
 // span context riding the envelope (W3C traceparent style): handlers
 // that keep tracers parent their own spans under it, stitching a
 // coordinator fan-out and its remote work into one trace.
+//
+// Recv is a request's receive buffer: memory the caller lends for the
+// reply, which a handler may append its answer into (Recv[:0]) and hand
+// back as the reply's Payload, grown or not. It is not part of the
+// message on the wire (Size). Whatever Payload a handler answers with is
+// the caller's once Call returns: the handler keeps no reference to it.
 type Message struct {
 	Kind    string
 	Payload []byte
 	Trace   stats.SpanContext
+	Recv    []byte
 }
 
 // Size returns the modeled wire size (trace context adds the fixed two
-// IDs a binary traceparent header would).
+// IDs a binary traceparent header would); a receive buffer is not sent.
 func (m Message) Size() int {
 	s := len(m.Kind) + len(m.Payload)
 	if m.Trace.Valid() {

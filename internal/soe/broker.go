@@ -25,6 +25,9 @@ type Broker struct {
 	mu        sync.Mutex
 	oltpNodes []string
 
+	// callers make the OLTP pushes.
+	callers callers
+
 	commits atomic.Int64
 
 	// Idempotency cache: completed transactions by client token, so a
@@ -47,7 +50,7 @@ const maxTxnCache = 4096
 // NewBroker creates and registers the broker on the network.
 func NewBroker(name string, net *netsim.Network, disc *Discovery, log *sharedlog.Log) *Broker {
 	b := &Broker{
-		Name: name, net: net, disc: disc, log: log,
+		Name: name, net: net, disc: disc, log: log, callers: callers{net: net},
 		done: map[string]CommitResp{}, pending: map[string]chan struct{}{},
 	}
 	net.Register(name, b.handle)
@@ -65,7 +68,7 @@ func (b *Broker) Instrument(reg *stats.Registry, tracer *stats.Tracer) {
 // AddOLTPNode subscribes a node to synchronous apply.
 func (b *Broker) AddOLTPNode(node string) {
 	b.mu.Lock()
-	b.oltpNodes = append(b.oltpNodes, node)
+	b.oltpNodes = append(b.oltpNodes[:len(b.oltpNodes):len(b.oltpNodes)], node)
 	b.mu.Unlock()
 }
 
@@ -116,26 +119,34 @@ func (b *Broker) commit(writes int, sections []byte, tc stats.SpanContext) (pos 
 
 	// OLTP nodes update "during the update transaction": synchronous push
 	// before the commit is acknowledged, to every node at once, so a commit
-	// is four message latencies deep whatever the node count. One payload
-	// serves all targets. A crashed OLTP node must not block commits
+	// is four message latencies deep whatever the node count. Each push runs
+	// on a caller of the broker's; one payload, encoded into the first
+	// one's buffer, serves all targets, and every node answers into its
+	// caller's own. A crashed OLTP node must not block commits
 	// (availability over consistency, §IV-B), so a failed push is not a
 	// failed commit; the node catches up from the log on recovery.
 	b.mu.Lock()
-	targets := append([]string(nil), b.oltpNodes...)
+	targets := b.oltpNodes // replaced, never written, by AddOLTPNode
 	b.mu.Unlock()
 	push := span.Child("oltp_push")
 	push.AddInt("targets", len(targets))
-	if len(targets) > 0 {
-		payload := encode(ApplyReq{Token: b.disc.Token(), Entries: []LogEntry{{Pos: pos, Data: sections}}})
-		var wg sync.WaitGroup
-		for _, node := range targets {
-			wg.Add(1)
-			go func(node string) {
-				defer wg.Done()
-				send[ExecResp](b.net, b.Name, node, MsgApply, payload, stats.SpanContext{}, 0)
-			}(node)
+	var buf [8]*caller
+	pushes := buf[:0]
+	var payload []byte
+	for _, node := range targets {
+		cl := b.callers.get()
+		if payload == nil {
+			cl.req = ApplyReq{Token: b.disc.Token(), Entries: []LogEntry{{Pos: pos, Data: sections}}}.appendWire(cl.req[:0])
+			payload = cl.req
 		}
-		wg.Wait()
+		cl.lend(b.Name, node, netsim.Message{Kind: MsgApply, Payload: payload}, 0)
+		pushes = append(pushes, cl)
+	}
+	for _, cl := range pushes {
+		cl.wait()
+	}
+	for _, cl := range pushes { // after every push: they share the first one's request
+		b.callers.put(cl)
 	}
 	push.Finish()
 	obs.Histogram("soe_commit_ms", "service=v2transact").ObserveSince(t0)
@@ -210,9 +221,9 @@ func (b *Broker) handle(from string, req netsim.Message) (netsim.Message, error)
 			return netsim.Message{}, err
 		}
 		if !b.disc.Validate(token) {
-			return netsim.Message{Kind: MsgCommit, Payload: encode(CommitResp{Err: "unauthorized"})}, nil
+			return reply(req, CommitResp{Err: "unauthorized"}), nil
 		}
-		return netsim.Message{Kind: MsgCommit, Payload: encode(b.commitIdempotent(txnID, writes, sections, req.Trace))}, nil
+		return reply(req, b.commitIdempotent(txnID, writes, sections, req.Trace)), nil
 
 	case MsgPoll:
 		r, err := decode[PollReq](req)
@@ -220,7 +231,7 @@ func (b *Broker) handle(from string, req netsim.Message) (netsim.Message, error)
 			return netsim.Message{}, err
 		}
 		if !b.disc.Validate(r.Token) {
-			return netsim.Message{Kind: MsgPoll, Payload: encode(PollResp{Err: "unauthorized"})}, nil
+			return reply(req, PollResp{Err: "unauthorized"}), nil
 		}
 		// Entries as the log holds them, each beside its position: decoding
 		// — and reporting an entry that will not decode — is the poller's.
@@ -229,7 +240,7 @@ func (b *Broker) handle(from string, req netsim.Message) (netsim.Message, error)
 		for i, d := range raw {
 			resp.Entries[i] = LogEntry{Pos: positions[i], Data: d}
 		}
-		return netsim.Message{Kind: MsgPoll, Payload: encode(resp)}, nil
+		return reply(req, resp), nil
 	}
 	return netsim.Message{}, errUnknownMsg(b.Name, req.Kind)
 }

@@ -96,14 +96,17 @@ func (c *Cluster) CollectStats() stats.Snapshot {
 }
 
 // Shutdown stops the polling loop and the merge daemon of every node the
-// manager tracks — the cluster's own and any started since — and releases
-// node-local extended stores.
+// manager tracks — the cluster's own and any started since — releases
+// node-local extended stores, and ends the coordinator's and the broker's
+// callers: no goroutine of the cluster's outlives it.
 func (c *Cluster) Shutdown() {
 	for _, n := range c.Manager.tracked() {
 		n.StopPolling()
 		n.stopMerger()
 		n.closeWarm()
 	}
+	c.Coordinator.callers.close()
+	c.Broker.callers.close()
 }
 
 // CreateTable defines a hash-partitioned table across the cluster's nodes

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,6 +50,10 @@ type Coordinator struct {
 	parses sqlexec.ParseCache
 	// finishes lends the plans above the cut their run state (finish).
 	finishes sqlexec.FinishPool
+	// callers make every remote call a query or a commit sends with a
+	// deadline; runs keeps the released fan-outs' state (fan).
+	callers callers
+	runs    freeList[fanRun]
 
 	obs    *stats.Registry
 	tracer *stats.Tracer
@@ -118,6 +121,11 @@ type sqlError struct{ node, msg string }
 
 func (e *sqlError) Error() string { return fmt.Sprintf("soe: %s: %s", e.node, e.msg) }
 
+func isSQLError(err error) bool {
+	var se *sqlError
+	return errors.As(err, &se)
+}
+
 // Instrument attaches the landscape registry and tracer. Call during
 // boot, before the coordinator serves queries; nil receivers in the
 // stats package make uninstrumented coordinators free.
@@ -127,7 +135,7 @@ func (c *Coordinator) Instrument(reg *stats.Registry, tracer *stats.Tracer) {
 
 // NewCoordinator creates and registers a coordinator.
 func NewCoordinator(name string, net *netsim.Network, disc *Discovery, ccat *ClusterCatalog, broker string) *Coordinator {
-	c := &Coordinator{Name: name, net: net, disc: disc, ccat: ccat, broker: broker, BroadcastThreshold: 10_000, reg: sqlexec.NewRegistry()}
+	c := &Coordinator{Name: name, net: net, disc: disc, ccat: ccat, broker: broker, BroadcastThreshold: 10_000, reg: sqlexec.NewRegistry(), callers: callers{net: net}}
 	net.Register(name, func(from string, req netsim.Message) (netsim.Message, error) {
 		// Clients reach the coordinator through MsgExec.
 		if req.Kind != MsgExec {
@@ -138,15 +146,15 @@ func NewCoordinator(name string, net *netsim.Network, disc *Discovery, ccat *Clu
 			return netsim.Message{}, err
 		}
 		if !disc.Validate(r.Token) {
-			return netsim.Message{Kind: MsgExec, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
+			return reply(req, ExecResp{Err: "unauthorized"}), nil
 		}
 		// Continue the client's trace (if its message carried one): the
 		// whole distributed execution lands under the caller's TraceID.
 		res, _, err := c.query(req.Trace, r.SQL, r.Params, chosen)
 		if err != nil {
-			return netsim.Message{Kind: MsgExec, Payload: encode(ExecResp{Err: err.Error()})}, nil
+			return reply(req, ExecResp{Err: err.Error()}), nil
 		}
-		return netsim.Message{Kind: MsgExec, Payload: encode(ExecResp{Cols: res.Cols, Rows: res.Rows, Completeness: res.Completeness})}, nil
+		return reply(req, ExecResp{Cols: res.Cols, Rows: res.Rows, Completeness: res.Completeness}), nil
 	})
 	disc.Announce("v2dqp", name)
 	return c
@@ -257,7 +265,7 @@ func (c *Coordinator) commit(span *stats.Span, writes []LogWrite) (CommitResp, e
 		cm := span.Child("commit")
 		cm.AddInt("attempt", a+1)
 		var resp CommitResp
-		msg, err := exchange(c.net, c.Name, c.broker, netsim.Message{Kind: MsgCommit, Payload: payload, Trace: cm.Context()}, pol.TaskTimeout)
+		msg, err := c.callers.exchange(c.Name, c.broker, netsim.Message{Kind: MsgCommit, Payload: payload, Trace: cm.Context()}, pol.TaskTimeout)
 		if err == nil {
 			err = decodeErr(msg.Kind, resp.readWire(msg.Payload))
 		}
@@ -320,27 +328,35 @@ func (c *Coordinator) query(parent stats.SpanContext, sql string, params []value
 	plan.Params = params
 	node, fin := qp.node, qp.fin
 
-	var replies []sqlexec.Reply
-	var reports []*fanReport
+	// The statement's fan-outs — one, or a join's stages — hold their
+	// replies' buffers until the answer is built from them.
+	var one [1]*fanRun
+	fans := one[:0]
+	defer func() {
+		for _, f := range fans {
+			if f != nil {
+				f.release()
+			}
+		}
+	}()
 	switch {
 	case plan.RightTable == "" && strategy != chosen:
 		return nil, nil, fmt.Errorf("soe: ForceStrategy needs a join")
 	case plan.RightTable == "":
 		plan.Strategy = distql.StrategyLocalParallel
-		parts := c.pruneParts(qp.preds, params, plan.LeftTable)
-		var rep *fanReport
-		replies, rep, err = c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Params: params, Partial: true, Table: plan.LeftTable}, c.tasksFor(plan.LeftTable, parts))
-		reports = []*fanReport{rep}
+		var f *fanRun
+		f, err = c.scopedFan(span, ExecReq{SQL: plan.LocalSQL, Params: params, Partial: true, Table: plan.LeftTable}, qp.preds, params)
+		fans = append(fans, f)
 	default:
 		if plan.Strategy = strategy; strategy == chosen {
 			plan.Strategy = c.joinStrategy(plan)
 		}
-		replies, reports, err = c.executeJoin(node, plan, span)
+		fans, err = c.executeJoin(node, plan, span)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := c.finish(fin, replies, reports, params)
+	res, err := c.finish(fin, fans, params)
 	return res, plan, err
 }
 
@@ -403,35 +419,6 @@ func (c *Coordinator) buildPlan(shape string, sel *sqlexec.SelectStmt) (any, err
 	return qp, nil
 }
 
-// pruneParts is distributed partition pruning: the WHERE clause,
-// classified against the table's schema (queryPlan.preds) as a node's scan
-// classifies it again, the query's parameters bound in, and the fan-out
-// keeps the partitions no predicate on the partition key refutes. The list is explicit and possibly empty
-// (contradictory bounds).
-func (c *Coordinator) pruneParts(preds []sqlexec.Pred, params []value.Value, table string) []int {
-	t, ok := c.ccat.Table(table)
-	if !ok {
-		return nil
-	}
-	var bound [8]sqlexec.Pred
-	preds = sqlexec.BindPreds(bound[:0], preds, params)
-	parts := make([]int, 0, t.Partitions)
-	for p := 0; p < t.Partitions; p++ {
-		if !t.refuted(p, preds) {
-			parts = append(parts, p)
-		}
-	}
-	return parts
-}
-
-func allParts(t *DistTable) []int {
-	out := make([]int, t.Partitions)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // joinStrategy is the coordinator's choice for a join of two existing
 // tables: co-located when they are co-partitioned on the join keys,
 // broadcast when one side is small, repartitioned otherwise.
@@ -449,29 +436,28 @@ func (c *Coordinator) joinStrategy(plan *distql.Plan) distql.Strategy {
 }
 
 // executeJoin runs the nodes' share of a join with the plan's strategy and
-// returns their replies and the coverage of every stage.
-func (c *Coordinator) executeJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) ([]sqlexec.Reply, []*fanReport, error) {
+// returns its fan-outs, the last one's replies the join's, even when one
+// failed.
+func (c *Coordinator) executeJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) ([]*fanRun, error) {
 	c.obs.Counter("soe_joins_total", "service=v2dqp", "strategy="+plan.Strategy.String()).Inc()
 	switch plan.Strategy {
 	case distql.StrategyColocated:
 		// Scoped on both sides: a failover target must hold the same
 		// partition of both tables for the bucket-local join to be correct.
-		lt, _ := c.ccat.Table(plan.LeftTable)
-		req := ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true, Table: plan.LeftTable, Table2: plan.RightTable}
-		replies, rep, err := c.fanOut(span, req, c.tasksFor(plan.LeftTable, allParts(lt)))
-		return replies, []*fanReport{rep}, err
+		f, err := c.scopedFan(span, ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true, Table: plan.LeftTable, Table2: plan.RightTable}, nil, nil)
+		return []*fanRun{f}, err
 	case distql.StrategyBroadcast:
 		return c.broadcastJoin(sel, plan, span)
 	case distql.StrategyRepartition:
 		return c.repartitionJoin(sel, plan, span)
 	default:
-		return nil, nil, fmt.Errorf("soe: strategy %v not executable for joins", plan.Strategy)
+		return nil, fmt.Errorf("soe: strategy %v not executable for joins", plan.Strategy)
 	}
 }
 
 // broadcastJoin replicates the smaller side to every node of the bigger
 // side as a temp table.
-func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) ([]sqlexec.Reply, []*fanReport, error) {
+func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) ([]*fanRun, error) {
 	lt, _ := c.ccat.Table(plan.LeftTable)
 	rt, _ := c.ccat.Table(plan.RightTable)
 	small, big := rt, lt
@@ -483,9 +469,10 @@ func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, 
 	plan.BroadcastTable = small.Name
 
 	// Pull the small side (partition-scoped, so it fails over too).
-	smallRows, smallRep, err := c.fanOut(span, ExecReq{SQL: "SELECT * FROM " + small.Name, Table: small.Name}, c.tasksFor(small.Name, allParts(small)))
+	pull, err := c.scopedFan(span, ExecReq{SQL: "SELECT * FROM " + small.Name, Table: small.Name}, nil, nil)
+	fans := []*fanRun{pull}
 	if err != nil {
-		return nil, nil, err
+		return fans, err
 	}
 
 	qid := c.queryID.Add(1)
@@ -498,20 +485,20 @@ func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, 
 	for p := 0; p < big.Partitions; p++ {
 		targets = unionNodes(targets, c.ccat.Replicas(big.Name, p))
 	}
-	payload := encode(CreateTempReq{Token: c.disc.Token(), Name: tmp, Cols: small.Schema.Names(), Kinds: kindsOf(small), Rows: rowsOf(smallRows)})
+	payload := encode(CreateTempReq{Token: c.disc.Token(), Name: tmp, Cols: small.Schema.Names(), Kinds: kindsOf(small), Rows: rowsOf(pull.replies)})
 	// Dropped wherever it may have landed, whether or not every install
 	// and the join succeed.
 	defer c.dropTempOn(targets, tmp)
 	for _, n := range targets {
-		resp, err := send[ExecResp](c.net, c.Name, n, MsgCreateTemp, payload, stats.SpanContext{}, 0)
+		resp, err := send[ExecResp](c.net, c.Name, n, MsgCreateTemp, payload)
 		if err != nil {
 			if netsim.IsUnavailable(err) {
 				continue
 			}
-			return nil, nil, err
+			return fans, err
 		}
 		if resp.Err != "" {
-			return nil, nil, fmt.Errorf("soe: broadcast: %s", resp.Err)
+			return fans, fmt.Errorf("soe: broadcast: %s", resp.Err)
 		}
 	}
 
@@ -524,22 +511,22 @@ func (c *Coordinator) broadcastJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, 
 	}
 	plan.LocalSQL = sqlexec.Deparse(sub)
 
-	replies, bigRep, err := c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true, Table: big.Name}, c.tasksFor(big.Name, allParts(big)))
-	return replies, []*fanReport{smallRep, bigRep}, err
+	f, err := c.scopedFan(span, ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true, Table: big.Name}, nil, nil)
+	return append(fans, f), err
 }
 
 // repartitionJoin shuffles both sides by join key across the participating
 // nodes, then joins bucket-locally. Data moves through the coordinator (a
 // star shuffle), which charges the same volume the direct node-to-node
 // shuffle would — a conservative model.
-func (c *Coordinator) repartitionJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) ([]sqlexec.Reply, []*fanReport, error) {
+func (c *Coordinator) repartitionJoin(sel *sqlexec.SelectStmt, plan *distql.Plan, span *stats.Span) ([]*fanRun, error) {
 	lt, _ := c.ccat.Table(plan.LeftTable)
 	rt, _ := c.ccat.Table(plan.RightTable)
 	// Shuffle buckets land only on reachable nodes: a crashed node would
 	// otherwise sink its bucket and fail the join outright.
 	nodes := c.aliveNodes(unionNodes(c.ccat.NodesOf(lt.Name), c.ccat.NodesOf(rt.Name)))
 	if len(nodes) == 0 {
-		return nil, nil, fmt.Errorf("soe: repartition join: no reachable nodes")
+		return nil, fmt.Errorf("soe: repartition join: no reachable nodes")
 	}
 	qid := c.queryID.Add(1)
 	tmpL := fmt.Sprintf("tmp_rl_%d", qid)
@@ -548,14 +535,16 @@ func (c *Coordinator) repartitionJoin(sel *sqlexec.SelectStmt, plan *distql.Plan
 	// Each temp is dropped wherever it may have landed, whether or not the
 	// shuffles and the join succeed.
 	defer c.dropTempOn(nodes, tmpL)
-	repL, err := c.shuffle(span, lt, plan.LeftKey, nodes, tmpL)
+	shL, err := c.shuffle(span, lt, plan.LeftKey, nodes, tmpL)
+	fans := []*fanRun{shL}
 	if err != nil {
-		return nil, nil, err
+		return fans, err
 	}
 	defer c.dropTempOn(nodes, tmpR)
-	repR, err := c.shuffle(span, rt, plan.RightKey, nodes, tmpR)
+	shR, err := c.shuffle(span, rt, plan.RightKey, nodes, tmpR)
+	fans = append(fans, shR)
 	if err != nil {
-		return nil, nil, err
+		return fans, err
 	}
 
 	sub := cloneSelect(sel)
@@ -563,26 +552,29 @@ func (c *Coordinator) repartitionJoin(sel *sqlexec.SelectStmt, plan *distql.Plan
 	sub.Joins[0].Table.Name = tmpR
 	plan.LocalSQL = sqlexec.Deparse(sub)
 
-	replies, rep, err := c.fanOut(span, ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true}, unscopedTasks(nodes))
-	return replies, []*fanReport{repL, repR, rep}, err
+	f := c.fan(span, ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true})
+	for _, n := range nodes {
+		f.tasks = append(f.tasks, taskRun{fanTask: fanTask{node: n}})
+	}
+	return append(fans, f), f.run()
 }
 
 // shuffle hashes a table's rows by the join key across the target nodes
 // into per-node temp tables. The pull is partition-scoped, so a crashed
 // source node fails over to replicas like any other read.
-func (c *Coordinator) shuffle(span *stats.Span, t *DistTable, key string, nodes []string, tmp string) (*fanReport, error) {
+func (c *Coordinator) shuffle(span *stats.Span, t *DistTable, key string, nodes []string, tmp string) (*fanRun, error) {
 	sh := span.Child("shuffle", "table="+t.Name)
 	defer sh.Finish()
 	ki := t.Schema.ColIndex(key)
 	if ki < 0 {
 		return nil, fmt.Errorf("soe: shuffle key %q not in %s", key, t.Name)
 	}
-	replies, rep, err := c.fanOut(sh, ExecReq{SQL: "SELECT * FROM " + t.Name, Table: t.Name}, c.tasksFor(t.Name, allParts(t)))
+	f, err := c.scopedFan(sh, ExecReq{SQL: "SELECT * FROM " + t.Name, Table: t.Name}, nil, nil)
 	if err != nil {
-		return nil, err
+		return f, err
 	}
 	buckets := make([][]value.Row, len(nodes))
-	for _, row := range rowsOf(replies) {
+	for _, row := range rowsOf(f.replies) {
 		b := int(row[ki].Hash() % uint64(len(nodes)))
 		buckets[b] = append(buckets[b], row)
 	}
@@ -591,13 +583,13 @@ func (c *Coordinator) shuffle(span *stats.Span, t *DistTable, key string, nodes 
 		req := CreateTempReq{Token: c.disc.Token(), Name: tmp, Cols: t.Schema.Names(), Kinds: kinds, Rows: buckets[i]}
 		resp, err := call[ExecResp](c.net, c.Name, n, MsgCreateTemp, req)
 		if err != nil {
-			return nil, err
+			return f, err
 		}
 		if resp.Err != "" {
-			return nil, fmt.Errorf("soe: shuffle: %s", resp.Err)
+			return f, fmt.Errorf("soe: shuffle: %s", resp.Err)
 		}
 	}
-	return rep, nil
+	return f, nil
 }
 
 // fanTask is one unit of fan-out work: a target node and, for
@@ -609,48 +601,6 @@ type fanTask struct {
 	parts []int
 }
 
-// tasksFor groups a table's partitions by hosting node into scoped tasks,
-// in node-name order, each listing its partitions in the order given. The
-// tasks' partition lists are windows of one slice.
-func (c *Coordinator) tasksFor(table string, parts []int) []fanTask {
-	t, ok := c.ccat.Table(table)
-	if !ok {
-		return nil
-	}
-	type placed struct {
-		node string
-		part int
-	}
-	var buf [16]placed
-	byNode := buf[:0]
-	for _, p := range parts {
-		byNode = append(byNode, placed{c.ccat.nodeOf(t, p), p})
-	}
-	slices.SortStableFunc(byNode, func(a, b placed) int { return strings.Compare(a.node, b.node) })
-	grouped := make([]int, 0, len(parts))
-	out := make([]fanTask, 0, len(parts))
-	for i := 0; i < len(byNode); {
-		start := len(grouped)
-		for _, p := range byNode[i:] {
-			if p.node != byNode[i].node {
-				break
-			}
-			grouped = append(grouped, p.part)
-		}
-		out = append(out, fanTask{node: byNode[i].node, parts: grouped[start:len(grouped):len(grouped)]})
-		i += len(grouped) - start
-	}
-	return out
-}
-
-func unscopedTasks(nodes []string) []fanTask {
-	out := make([]fanTask, 0, len(nodes))
-	for _, n := range nodes {
-		out = append(out, fanTask{node: n})
-	}
-	return out
-}
-
 // fanReport accounts one fan-out's coverage for partial-result labelling:
 // covered/total is the fraction of required work that contributed rows.
 type fanReport struct {
@@ -659,60 +609,177 @@ type fanReport struct {
 }
 
 func (r *fanReport) fraction() float64 {
-	if r == nil || r.total == 0 {
+	if r.total == 0 {
 		return 1
 	}
 	return float64(r.covered) / float64(r.total)
 }
 
-// fanOut runs req on every task in parallel — scoped to the task's
-// partitions of req.Table (and req.Table2) where it lists any — and returns
-// every reply plus a coverage report. An empty task list is a valid (pruned-to-nothing)
-// fan-out. Each attempt gets a "task" child span under the caller's span —
-// the DAG of Figure 3 made visible in the trace tree.
+// fanRun is one fan-out: its request, its tasks, and what they brought
+// back — the replies, the coverage, the scan counters — with the callers
+// whose receive buffers the replies' fold states are windows of. Those go
+// back only when the run is released, once the statement's answer is
+// built (finish). A coordinator keeps released runs (runs) with every
+// slice they grew, and lends one to each fan-out (fan).
+type fanRun struct {
+	c                *Coordinator
+	span             *stats.Span
+	req              ExecReq
+	tasks            []taskRun
+	replies          []sqlexec.Reply
+	report           fanReport
+	scanned, morsels int64
+	placed           []placed // scopedFan's partitions with their nodes
+	parts            []int    // the scoped tasks' partition lists, windows of it
+	held             []*caller
+}
+
+// placed is a partition and the node that hosts it.
+type placed struct {
+	node string
+	part int
+}
+
+// taskRun is one task of a fan-out: its attempts so far, the one in flight
+// (its caller and span), and what the last brought back — the reply (ok)
+// or the error that failed it.
+type taskRun struct {
+	fanTask
+	attempt int
+	cl      *caller
+	sp      *stats.Span
+	ok      bool
+	reply   sqlexec.Reply
+	err     error
+}
+
+// fan lends a fan-out of req under span its run state.
+func (c *Coordinator) fan(span *stats.Span, req ExecReq) *fanRun {
+	f := c.runs.get()
+	if f == nil {
+		f = &fanRun{c: c}
+	}
+	f.span, f.req = span, req
+	return f
+}
+
+// release gives the callers that hold the replies back, and f to its
+// coordinator, holding nothing of the fan-out.
+func (f *fanRun) release() {
+	for _, cl := range f.held {
+		f.c.callers.put(cl)
+	}
+	clear(f.held)
+	clear(f.tasks)
+	clear(f.replies)
+	clear(f.placed)
+	f.held, f.tasks, f.replies, f.placed, f.parts = f.held[:0], f.tasks[:0], f.replies[:0], f.placed[:0], f.parts[:0]
+	f.span, f.req, f.report, f.scanned, f.morsels = nil, ExecReq{}, fanReport{}, 0, 0
+	f.c.runs.put(f)
+}
+
+// scopedFan runs req as a fan-out over the partitions of req.Table that
+// pruneParts keeps, grouped by hosting node into scoped tasks, in
+// node-name order, each listing its partitions in ascending order.
+func (c *Coordinator) scopedFan(span *stats.Span, req ExecReq, preds []sqlexec.Pred, params []value.Value) (*fanRun, error) {
+	f := c.fan(span, req)
+	if t, ok := c.ccat.Table(req.Table); ok {
+		f.parts = c.pruneParts(f.parts[:0], preds, params, req.Table)
+		for _, p := range f.parts {
+			f.placed = append(f.placed, placed{c.ccat.nodeOf(t, p), p})
+		}
+	}
+	slices.SortStableFunc(f.placed, func(a, b placed) int { return strings.Compare(a.node, b.node) })
+	f.parts = slices.Grow(f.parts[:0], len(f.placed))
+	for i := 0; i < len(f.placed); {
+		node, start := f.placed[i].node, len(f.parts)
+		for ; i < len(f.placed) && f.placed[i].node == node; i++ {
+			f.parts = append(f.parts, f.placed[i].part)
+		}
+		f.tasks = append(f.tasks, taskRun{fanTask: fanTask{node: node, parts: f.parts[start:len(f.parts):len(f.parts)]}})
+	}
+	return f, f.run()
+}
+
+// pruneParts is distributed partition pruning: the WHERE clause,
+// classified against the table's schema (queryPlan.preds) as a node's scan
+// classifies it again, the query's parameters bound in, and the fan-out
+// keeps the partitions no predicate on the partition key refutes — every
+// one when there are no predicates. It appends them to dst, in ascending
+// order: possibly none (contradictory bounds), a valid fan-out.
+func (c *Coordinator) pruneParts(dst []int, preds []sqlexec.Pred, params []value.Value, table string) []int {
+	t, ok := c.ccat.Table(table)
+	if !ok {
+		return dst
+	}
+	var bound [8]sqlexec.Pred
+	preds = sqlexec.BindPreds(bound[:0], preds, params)
+	for p := 0; p < t.Partitions; p++ {
+		if !t.refuted(p, preds) {
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
+// run runs f's request on every task in parallel — scoped to the task's
+// partitions of req.Table (and req.Table2) where it lists any — and
+// gathers every reply, in task order, and the coverage. Each attempt gets
+// a "task" child span under the fan-out's span — the DAG of Figure 3 made
+// visible in the trace tree — and runs on a caller of the coordinator's.
 //
-// Fault tolerance, in order: each target is retried per RetryPolicy
+// Fault tolerance, in order: each task is retried per RetryPolicy
 // (timeouts, crashes, partitions — never SQL errors); a scoped task that
 // still fails is re-grouped partition-by-partition onto live replica nodes
-// from the catalog; coverage that cannot be served anywhere either fails
-// the query (default) or, with PartialResults, is dropped and reported in
-// the completeness fraction.
-//
-// The first task runs on the caller's goroutine, every other on one of its
-// own.
-func (c *Coordinator) fanOut(span *stats.Span, req ExecReq, tasks []fanTask) ([]sqlexec.Reply, *fanReport, error) {
+// from the catalog, whose replies come after every task's; coverage that
+// cannot be served anywhere either fails the query (default) or, with
+// PartialResults, is dropped and reported in the completeness fraction.
+func (f *fanRun) run() error {
 	t0 := time.Now()
-	f := &fanRun{c: c, span: span, req: req, tasks: make([]taskRun, len(tasks))}
-	f.wg.Add(len(tasks))
-	for i := range tasks {
-		f.tasks[i].fanTask = tasks[i]
-		if i > 0 {
-			go f.run(i)
-		}
-	}
-	if len(tasks) > 0 {
-		f.run(0)
-	}
-	f.wg.Wait()
-
-	// Every task's reply, in task order; a task that failed over brings its
-	// replicas' instead (more), added after them.
-	out := make([]sqlexec.Reply, len(tasks))
-	rep := &fanReport{}
+	c := f.c
+	n := len(f.tasks)
+	f.attempts(0)
 	var err error
-	for i := range f.tasks {
+	for i := 0; i < n; i++ {
 		t := &f.tasks[i]
-		out[i] = t.reply
-		rep.covered += t.rep.covered
-		rep.total += t.rep.total
-		rep.lost = append(rep.lost, t.rep.lost...)
-		out = append(out, t.more...)
-		if err == nil {
-			err = t.fatal
+		total := 1
+		if t.parts != nil {
+			total = len(t.parts)
+		}
+		f.report.total += total
+		switch {
+		case t.ok:
+			f.report.covered += total
+		case isSQLError(t.err):
+			if err == nil {
+				err = t.err
+			}
+		case t.parts == nil:
+			f.report.lost = append(f.report.lost, fmt.Sprintf("%s (%v)", t.node, t.err))
+		default:
+			f.failover(i)
 		}
 	}
-	if err == nil && rep.covered < rep.total && !c.PartialResults {
-		err = fmt.Errorf("soe: fan-out lost coverage: %v", rep.lost)
+	if len(f.tasks) > n {
+		f.attempts(n)
+		for _, t := range f.tasks[n:] {
+			if !t.ok {
+				for _, p := range t.parts {
+					f.report.lost = append(f.report.lost, fmt.Sprintf("%s p%d replica %s (%v)", f.req.Table, p, t.node, t.err))
+				}
+				continue
+			}
+			f.report.covered += len(t.parts)
+			c.obs.Counter("soe_failovers_total", "service=v2dqp").Inc()
+		}
+	}
+	for i := range f.tasks {
+		if f.tasks[i].ok {
+			f.replies = append(f.replies, f.tasks[i].reply)
+		}
+	}
+	if err == nil && f.report.covered < f.report.total && !c.PartialResults {
+		err = fmt.Errorf("soe: fan-out lost coverage: %v", f.report.lost)
 	}
 	// Outcome-labelled observability: failed fan-outs must not pollute the
 	// success latency histogram or the scan-cost counters.
@@ -721,114 +788,102 @@ func (c *Coordinator) fanOut(span *stats.Span, req ExecReq, tasks []fanTask) ([]
 		outcome = "result=error"
 	}
 	c.obs.Histogram("soe_fanout_ms", "service=v2dqp", outcome).ObserveSince(t0)
-	c.obs.Counter("soe_fanout_rows_scanned_total", "service=v2dqp", outcome).Add(f.scanned.Load())
-	c.obs.Counter("soe_fanout_morsels_total", "service=v2dqp", outcome).Add(f.morsels.Load())
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
+	c.obs.Counter("soe_fanout_rows_scanned_total", "service=v2dqp", outcome).Add(f.scanned)
+	c.obs.Counter("soe_fanout_morsels_total", "service=v2dqp", outcome).Add(f.morsels)
+	return err
 }
 
-// fanRun is one fan-out in flight: its request, the scan counters every
-// task adds to, and every task's state, in one slice.
-type fanRun struct {
-	c       *Coordinator
-	span    *stats.Span
-	req     ExecReq
-	scanned atomic.Int64
-	morsels atomic.Int64
-	wg      sync.WaitGroup
-	tasks   []taskRun
+// attempts runs the tasks from the from-th on: every one's first attempt
+// at once, then, in rounds after a backoff, another for each whose attempt
+// failed with a retryable error, up to the policy's MaxAttempts: bounded
+// attempts with exponential backoff and jitter, a deadline per attempt.
+// SQL-level failures are not retried (retrying cannot help).
+func (f *fanRun) attempts(from int) {
+	pol := f.c.retry()
+	again := func(t *taskRun) bool { return !t.ok && retryable(t.err) && t.attempt < pol.MaxAttempts }
+	for i := from; i < len(f.tasks); i++ {
+		f.post(&f.tasks[i], pol.TaskTimeout)
+	}
+	for round := 1; ; round++ {
+		retry := false
+		for i := from; i < len(f.tasks); i++ {
+			if t := &f.tasks[i]; t.cl != nil {
+				f.collect(t)
+				retry = retry || again(t)
+			}
+		}
+		if !retry {
+			return
+		}
+		pol.backoff(round - 1)
+		for i := from; i < len(f.tasks); i++ {
+			if t := &f.tasks[i]; again(t) {
+				f.c.obs.Counter("soe_task_retries_total", "service=v2dqp").Inc()
+				f.post(t, pol.TaskTimeout)
+			}
+		}
+	}
 }
 
-// taskRun is one task of a fan-out and what it brought back: its reply and
-// its coverage, or the replicas' replies when it failed over (more), or the
-// SQL error that fails the query (fatal).
-type taskRun struct {
-	fanTask
-	reply sqlexec.Reply
-	rep   fanReport
-	more  []sqlexec.Reply
-	fatal error
-}
-
-// run runs task i.
-func (f *fanRun) run(i int) {
-	defer f.wg.Done()
-	t := &f.tasks[i]
-	t.rep.total = 1
-	if t.parts != nil {
-		t.rep.total = len(t.parts)
-	}
-	resp, err := f.c.execTarget(f.span, f.req, t.node, t.parts)
-	if err == nil {
-		t.reply = sqlexec.Reply{Rows: resp.Rows, State: resp.State}
-		f.scanned.Add(int64(resp.RowsScanned))
-		f.morsels.Add(int64(resp.Morsels))
-		t.rep.covered = t.rep.total
-		return
-	}
-	var se *sqlError
-	if errors.As(err, &se) {
-		t.fatal = err
-		return
-	}
+// post sends t's next attempt, with deadline d, on a caller, its request
+// encoded into the caller's buffer.
+func (f *fanRun) post(t *taskRun, d time.Duration) {
+	t.attempt++
+	t.sp = f.span.Child("task")
+	t.sp.AddString("node", t.node)
+	t.sp.AddInt("attempt", t.attempt)
+	req := f.req
+	req.Token, req.Parts = f.c.disc.Token(), t.parts
 	if t.parts == nil {
-		t.rep.lost = []string{fmt.Sprintf("%s (%v)", t.node, err)}
-		return
-	}
-	t.more, t.rep.covered, t.rep.lost = f.c.failover(f.span, f.req, t.parts, t.node, err, &f.scanned, &f.morsels)
-}
-
-// execTarget is the per-target retry loop: bounded attempts with
-// exponential backoff and jitter, a deadline per attempt. SQL-level
-// failures surface immediately as *sqlError (retrying cannot help).
-func (c *Coordinator) execTarget(span *stats.Span, req ExecReq, node string, parts []int) (ExecResp, error) {
-	pol := c.retry()
-	req.Token, req.Parts = c.disc.Token(), parts
-	if parts == nil {
 		req.Table, req.Table2 = "", ""
 	}
-	payload := encode(req)
-	var lastErr error
-	for a := 0; a < pol.MaxAttempts; a++ {
-		if a > 0 {
-			c.obs.Counter("soe_task_retries_total", "service=v2dqp").Inc()
-			pol.backoff(a - 1)
-		}
-		task := span.Child("task")
-		task.AddString("node", node)
-		task.AddInt("attempt", a+1)
-		var resp ExecResp
-		msg, err := exchange(c.net, c.Name, node, netsim.Message{Kind: MsgExec, Payload: payload, Trace: task.Context()}, pol.TaskTimeout)
-		if err == nil {
-			err = decodeErr(msg.Kind, resp.readWire(msg.Payload))
-		}
-		task.Finish()
-		if err == nil {
-			if resp.Err != "" {
-				return ExecResp{}, &sqlError{node: node, msg: resp.Err}
-			}
-			return resp, nil
-		}
-		if !retryable(err) {
-			return ExecResp{}, err
-		}
-		lastErr = err
-	}
-	return ExecResp{}, lastErr
+	t.cl = f.c.callers.get()
+	t.cl.req = req.appendWire(t.cl.req[:0])
+	t.cl.lend(f.c.Name, t.node, netsim.Message{Kind: MsgExec, Payload: t.cl.req, Trace: t.sp.Context()}, d)
 }
 
-// failover re-groups a failed task's partitions onto live replica nodes.
-// For co-located joins a target must replicate the partition of both
-// tables. Replicas are asked to catch up to the log's tail before serving.
-// Partitions with no live replica — and SQL errors on replicas, e.g. a
-// temp relation a crashed install never reached — are reported as lost,
-// not fatal: degraded coverage is the caller's decision.
-func (c *Coordinator) failover(span *stats.Span, req ExecReq, parts []int, failed string, cause error, scanned, morsels *atomic.Int64) (replies []sqlexec.Reply, covered int, lost []string) {
-	table, table2 := req.Table, req.Table2
+// collect waits for t's attempt and reads its reply: the rows, the fold
+// state — a window of the caller's receive buffer, so f holds the caller
+// from then on — and the node's scan counters; or the error that failed
+// it, a SQL error from the node's engine as *sqlError.
+func (f *fanRun) collect(t *taskRun) {
+	cl := t.cl
+	t.cl = nil
+	msg, kept, err := cl.wait()
+	var resp ExecResp
+	if err == nil {
+		err = decodeErr(msg.Kind, resp.readWire(msg.Payload))
+	}
+	t.sp.Finish()
+	t.sp = nil
+	if err == nil && resp.Err != "" {
+		err = &sqlError{node: t.node, msg: resp.Err}
+	}
+	t.ok, t.err = err == nil, err
+	if err != nil {
+		if kept {
+			f.c.callers.put(cl)
+		}
+		return
+	}
+	t.reply = sqlexec.Reply{Rows: resp.Rows, State: resp.State}
+	f.scanned += int64(resp.RowsScanned)
+	f.morsels += int64(resp.Morsels)
+	f.held = append(f.held, cl)
+}
+
+// failover re-groups the partitions of task i, whose node could not serve
+// them, onto live replica nodes as tasks of their own, asking each target
+// to catch up first. For co-located joins a target must replicate the
+// partition of both tables. Partitions with no live replica are reported
+// lost, and so — not fatal — are those a replica fails to serve, e.g. with
+// a SQL error over a temp relation a crashed install never reached:
+// degraded coverage is the caller's decision.
+func (f *fanRun) failover(i int) {
+	c, failed := f.c, f.tasks[i]
+	table, table2 := f.req.Table, f.req.Table2
 	group := map[string][]int{}
-	for _, p := range parts {
+	for _, p := range failed.parts {
 		target := ""
 		for _, cand := range c.ccat.Replicas(table, p) {
 			if c.net.Alive(cand) && (table2 == "" || slices.Contains(c.ccat.Replicas(table2, p), cand)) {
@@ -837,7 +892,7 @@ func (c *Coordinator) failover(span *stats.Span, req ExecReq, parts []int, faile
 			}
 		}
 		if target == "" {
-			lost = append(lost, fmt.Sprintf("%s p%d on %s (%v; no live replica)", table, p, failed, cause))
+			f.report.lost = append(f.report.lost, fmt.Sprintf("%s p%d on %s (%v; no live replica)", table, p, failed.node, failed.err))
 			continue
 		}
 		group[target] = append(group[target], p)
@@ -848,22 +903,9 @@ func (c *Coordinator) failover(span *stats.Span, req ExecReq, parts []int, faile
 	}
 	sort.Strings(targets)
 	for _, rn := range targets {
-		ps := group[rn]
-		c.catchUp(span, rn, table, ps)
-		resp, err := c.execTarget(span, req, rn, ps)
-		if err != nil {
-			for _, p := range ps {
-				lost = append(lost, fmt.Sprintf("%s p%d replica %s (%v)", table, p, rn, err))
-			}
-			continue
-		}
-		replies = append(replies, sqlexec.Reply{Rows: resp.Rows, State: resp.State})
-		scanned.Add(int64(resp.RowsScanned))
-		morsels.Add(int64(resp.Morsels))
-		covered += len(ps)
-		c.obs.Counter("soe_failovers_total", "service=v2dqp").Inc()
+		c.catchUp(f.span, rn, table, group[rn])
+		f.tasks = append(f.tasks, taskRun{fanTask: fanTask{node: rn, parts: group[rn]}})
 	}
-	return replies, covered, lost
 }
 
 // catchUp asks a replica to drain the log to the tail it reads before
@@ -884,8 +926,8 @@ func (c *Coordinator) catchUp(span *stats.Span, node, table string, parts []int)
 	cu := span.Child("catch_up")
 	cu.AddString("node", node)
 	defer cu.Finish()
-	send[ExecResp](c.net, c.Name, node, MsgCatchUp,
-		encode(CatchUpReq{Token: c.disc.Token(), Table: table, Peers: peers}), cu.Context(), c.retry().TaskTimeout)
+	payload := encode(CatchUpReq{Token: c.disc.Token(), Table: table, Peers: peers})
+	c.callers.exchange(c.Name, node, netsim.Message{Kind: MsgCatchUp, Payload: payload, Trace: cu.Context()}, c.retry().TaskTimeout)
 }
 
 // aliveNodes filters a node list down to reachable members.
@@ -899,20 +941,20 @@ func (c *Coordinator) aliveNodes(nodes []string) []string {
 	return out
 }
 
-// finish runs the plan above the cut over the nodes' replies, with the
-// statement's parameters, and folds the fan-out coverage reports into the
-// result's completeness label (the product of per-stage fractions: losing
-// coverage in any stage of a multi-stage plan makes the whole answer
-// partial).
-func (c *Coordinator) finish(fin *sqlexec.Finish, replies []sqlexec.Reply, reports []*fanReport, params []value.Value) (*Result, error) {
-	out, err := fin.Run(&c.finishes, replies, params...)
+// finish runs the plan above the cut over the replies of the statement's
+// last fan-out, with the statement's parameters, and folds every fan-out's
+// coverage into the result's completeness label (the product of per-stage
+// fractions: losing coverage in any stage of a multi-stage plan makes the
+// whole answer partial).
+func (c *Coordinator) finish(fin *sqlexec.Finish, fans []*fanRun, params []value.Value) (*Result, error) {
+	out, err := fin.Run(&c.finishes, fans[len(fans)-1].replies, params...)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Cols: out.Cols, Rows: out.Rows, Completeness: 1}
-	for _, r := range reports {
-		res.Completeness *= r.fraction()
-		res.Lost = append(res.Lost, r.lost...)
+	for _, f := range fans {
+		res.Completeness *= f.report.fraction()
+		res.Lost = append(res.Lost, f.report.lost...)
 	}
 	if res.Completeness < 1 {
 		res.Partial = true

@@ -12,7 +12,8 @@ import (
 // TestDistinctRunsOnTheNodes: a distributed SELECT DISTINCT deduplicates on
 // every node and again on the coordinator, so a node ships its distinct
 // rows, not every row it projects. Over 2,000 rows on four nodes the
-// statement allocates within twice what the matching GROUP BY does (it
+// statement allocates what the matching GROUP BY does plus at most three
+// per row the nodes ship, four regions from each of four nodes (it
 // allocated 2,100-odd times against 80 while the nodes shipped every row),
 // and every DISTINCT answers what one engine answers on either executor,
 // with a LIMIT and without.
@@ -79,8 +80,9 @@ func TestDistinctRunsOnTheNodes(t *testing.T) {
 	if raceDetector() {
 		t.Skip("the race detector's sync.Pools drop what they are given at random")
 	}
+	const shipped = 4 * 4
 	d, g := testing.AllocsPerRun(20, distinct), testing.AllocsPerRun(20, groupBy)
-	if d > 2*g {
+	if d > g+3*shipped {
 		t.Fatalf("SELECT DISTINCT allocates %.0f times, the matching GROUP BY %.0f: the nodes ship every row", d, g)
 	}
 	t.Logf("SELECT DISTINCT allocates %.0f times, the matching GROUP BY %.0f", d, g)

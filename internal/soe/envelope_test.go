@@ -71,12 +71,14 @@ func TestTaskDeadlineUnderReuse(t *testing.T) {
 		return netsim.Message{Kind: "pong"}, nil
 	})
 	req := netsim.Message{Kind: "ping"}
+	p := &callers{net: net}
+	defer p.close()
 	for i := 0; i < 20; i++ {
-		if _, err := exchange(net, "client", "slow", req, 2*time.Millisecond); err != nil && !errors.Is(err, errTaskTimeout) {
+		if _, err := p.exchange("client", "slow", req, 2*time.Millisecond); err != nil && !errors.Is(err, errTaskTimeout) {
 			t.Fatal(err)
 		}
 		for j := 0; j < 10; j++ {
-			if _, err := exchange(net, "client", "fast", req, 10*time.Second); err != nil {
+			if _, err := p.exchange("client", "fast", req, 10*time.Second); err != nil {
 				t.Fatalf("round %d, call %d: %v", i, j, err)
 			}
 		}
@@ -85,43 +87,35 @@ func TestTaskDeadlineUnderReuse(t *testing.T) {
 
 // TestFanoutTaskAllocs holds a distributed aggregate's allocations on a
 // zero-latency 4-node cluster at what the statement and its four node tasks
-// cost: the coordinator's finish, and per task its spans, its call, its two
-// messages and the node's statement — the coordinator's plan and every
-// node's are made once, by the first query, and every fold and interner is
-// lent by its engine's or the coordinator's pool. An envelope that
-// formats, wraps or regrows per call again shows as a few more per task.
+// cost: the coordinator's finish and the answer's rows — the coordinator's
+// plan and every node's are made once, by the first query; every fold and
+// interner is lent by its engine's or the coordinator's pool; every call
+// runs on a kept caller, into buffers the caller lends; and every task's
+// request and answer are decoded into and encoded from memory the node
+// keeps. An envelope that formats, wraps or regrows per call again shows as
+// a few more per task. Over links with latency a statement allocates what
+// it does without: a goroutine started per call would allocate its
+// runtime timer at its first sleep. And a cluster shut down leaves no
+// goroutine of its own behind.
 func TestFanoutTaskAllocs(t *testing.T) {
-	c := newTestCluster(t, 4, OLTP)
-	if _, err := c.CreateTable("orders", fanoutSchema(), "id", 8); err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]value.Row, 2000)
-	for i := range rows {
-		rows[i] = fanoutRow(i)
-	}
-	if _, err := c.Insert("orders", rows...); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing but the statement may allocate while it is counted.
-	for _, n := range c.Nodes {
-		n.stopMerger()
-	}
+	const tasks = 4
+	counts := !raceDetector() // the race detector's sync.Pools drop what they are given at random
+	c := newFanoutCluster(t, netsim.Config{})
 	const sql = `SELECT COUNT(*), SUM(qty) FROM orders`
-	query := func() {
-		if r, err := c.Query(sql); err != nil || r.Rows[0][0].AsInt() != int64(len(rows)) {
-			t.Fatalf("%v %v", r, err)
+	query := func(c *Cluster) func() {
+		return func() {
+			if r, err := c.Query(sql); err != nil || r.Rows[0][0].AsInt() != fanoutRows {
+				t.Fatalf("%v %v", r, err)
+			}
 		}
 	}
 	// Warm: the cluster's tracer keeps 256 roots, five per statement, and
 	// takes the spans of a statement from the traces its ring evicts.
 	for range 60 {
-		query()
+		query(c)()
 	}
-	if raceDetector() {
-		t.Skip("the race detector's sync.Pools drop what they are given at random")
-	}
-	const tasks, budget = 4, 53 // 50 measured; 76 before a span came from the tracer's free list, 98 before a plan ran as a program and a task reused its session, 128 before a run borrowed its folds from the pool, 145 before the plan carried its compiled expressions, 228 before a parse carried its plan, 304 before a node kept its parses, 435 before the envelope was trimmed
-	if got := testing.AllocsPerRun(50, query); got > budget {
+	const budget = 11 // 8 measured; 53 before a task's calls and bytes were loans, 76 before a span came from the tracer's free list, 98 before a plan ran as a program and a task reused its session, 128 before a run borrowed its folds from the pool, 145 before the plan carried its compiled expressions, 228 before a parse carried its plan, 304 before a node kept its parses, 435 before the envelope was trimmed
+	if got := testing.AllocsPerRun(50, query(c)); counts && got > budget {
 		t.Fatalf("%s allocates %.0f times (%.1f per node task), budget %d", sql, got, got/tasks, budget)
 	} else {
 		t.Logf("%s allocates %.0f times", sql, got)
@@ -145,12 +139,59 @@ func TestFanoutTaskAllocs(t *testing.T) {
 	for range 3 { // the shape's second sighting admits it on the coordinator; on the nodes its text's
 		fresh()
 	}
-	const freshBudget = 76 // 73 measured; 100 before a span came from the tracer's free list, 110 before a plan ran as a program and a task reused its session, 156 before the plan carried its compiled expressions, 296 before a literal was a parameter slot
-	if got := testing.AllocsPerRun(50, fresh); got > freshBudget {
+	const freshBudget = 18 // 15 measured; 76 before a task's calls and bytes were loans, 100 before a span came from the tracer's free list, 110 before a plan ran as a program and a task reused its session, 156 before the plan carried its compiled expressions, 296 before a literal was a parameter slot
+	if got := testing.AllocsPerRun(50, fresh); counts && got > freshBudget {
 		t.Fatalf("a new spelling of a cached shape allocates %.0f times (%.1f per node task), budget %d", got, got/tasks, freshBudget)
 	} else {
 		t.Logf("a new spelling of a cached shape allocates %.0f times", got)
 	}
+
+	// The same statement over links with 50µs of latency, where every call
+	// sleeps on the goroutine that makes it.
+	base := runtime.NumGoroutine()
+	slow := newFanoutCluster(t, netsim.Config{Latency: 50 * time.Microsecond})
+	for range 60 {
+		query(slow)()
+	}
+	const latencyBudget = 11 // 8 measured; 16 with a goroutine started per call (12 without latency)
+	if got := testing.AllocsPerRun(20, query(slow)); counts && got > latencyBudget {
+		t.Fatalf("over links with latency %s allocates %.0f times (%.1f per node task), budget %d: a call started a goroutine", sql, got, got/tasks, latencyBudget)
+	} else {
+		t.Logf("over links with latency %s allocates %.0f times", sql, got)
+	}
+	slow.Shutdown()
+	var now int
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if now = runtime.NumGoroutine(); now <= base {
+			return
+		}
+	}
+	t.Fatalf("%d goroutines after Shutdown, %d before the cluster started: the cluster's callers outlive it", now, base)
+}
+
+// fanoutRows is what newFanoutCluster loads.
+const fanoutRows = 2000
+
+// newFanoutCluster is a 4-node OLTP cluster over net holding fanoutRows
+// rows of orders in 8 partitions, its merge daemons stopped: nothing but
+// the statements a test runs may allocate.
+func newFanoutCluster(t *testing.T, net netsim.Config) *Cluster {
+	c := NewCluster(ClusterConfig{Nodes: 4, Mode: OLTP, Net: net, LogStripes: 2, LogReplicas: 2})
+	t.Cleanup(c.Shutdown)
+	if _, err := c.CreateTable("orders", fanoutSchema(), "id", 8); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]value.Row, fanoutRows)
+	for i := range rows {
+		rows[i] = fanoutRow(i)
+	}
+	if _, err := c.Insert("orders", rows...); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		n.stopMerger()
+	}
+	return c
 }
 
 // TestReusedTaskSessionStartsClean: a node task runs on a session a task
@@ -174,7 +215,7 @@ func TestReusedTaskSessionStartsClean(t *testing.T) {
 	n := c.Nodes[0]
 	task := func(r ExecReq) (*sqlexec.Result, []byte, error) {
 		t.Helper()
-		res, state, err := n.queryParts(r)
+		res, state, err := runTask(n, r)
 		if got := len(n.sessions.free); got != 1 {
 			t.Fatalf("%s: %d sessions on the free list, want the one every task reuses", r.SQL, got)
 		}
@@ -209,6 +250,20 @@ func TestReusedTaskSessionStartsClean(t *testing.T) {
 	if res, err := s.Query(`SELECT COUNT(*) FROM sys.m_sessions`); err != nil || res.Rows[0][0].AsInt() != 1 {
 		t.Fatalf("sessions registered between tasks: %v %v; want only the querying one", res, err)
 	}
+}
+
+// runTask runs a node task's statement (DataNode.queryParts) into a
+// collecting sink and returns what it answered: its rows and stats, and a
+// Partial task's fold state.
+func runTask(n *DataNode, r ExecReq) (*sqlexec.Result, []byte, error) {
+	res := new(sqlexec.Result)
+	var state []byte
+	st, err := n.queryParts(r, res, &state)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Stats = st
+	return res, state, nil
 }
 
 // raceDetector reports whether the test binary was built with -race.

@@ -70,12 +70,18 @@ type DataNode struct {
 	// trace here. Nil disables (stand-alone nodes).
 	tracer *stats.Tracer
 
-	// sessions, scopes and params hold what finished node tasks ran on: the
-	// closed sessions, which a task reopens (sqlexec.Engine.Reopen), the
-	// taskScopes, and the slices their parameters were decoded into.
+	// sessions, scopes, tasks and applies hold what finished node tasks and
+	// pushes ran on: the closed sessions, which a task reopens
+	// (sqlexec.Engine.Reopen), the taskScopes, and the requests they were
+	// decoded into, with the memory of their lists.
 	sessions freeList[sqlexec.Session]
 	scopes   freeList[taskScope]
-	params   freeList[[]value.Value]
+	tasks    freeList[nodeTask]
+	applies  freeList[ApplyReq]
+	// sqlText and word make a request's strings from its bytes
+	// (ExecReq.readWireText): the engine's SQLText and knownWord, bound
+	// once.
+	sqlText, word func([]byte) string
 
 	pollStop chan struct{}
 	// merger folds each hosted partition's delta into compressed main as it
@@ -120,6 +126,7 @@ func NewDataNode(name string, mode Mode, net *netsim.Network, disc *Discovery, c
 	// The node-local SQL engine reports into the same registry, so parse/
 	// plan/exec timings surface per node in the v2stats aggregate.
 	n.eng.Obs = n.obs
+	n.sqlText, n.word = n.eng.SQLText, n.knownWord
 	n.startMerger()
 	net.Register(name, n.handle)
 	disc.Announce("v2lqp/"+name, name)
@@ -202,8 +209,8 @@ func (n *DataNode) detachPartition(table string, part int) {
 // copyPartition reads a hosted partition's rows and the log position they
 // hold through: no entry applies between the two. Caller holds n.mu.
 func (n *DataNode) copyPartition(table string, part int) ([]value.Row, uint64, error) {
-	res, _, err := n.queryParts(ExecReq{SQL: "SELECT * FROM " + table, Table: table, Parts: []int{part}})
-	if err != nil {
+	var res sqlexec.Result
+	if _, err := n.queryParts(ExecReq{SQL: "SELECT * FROM " + table, Table: table, Parts: []int{part}}, &res, nil); err != nil {
 		return nil, 0, err
 	}
 	return res.Rows, n.hosted[table][part].pos, nil
@@ -497,7 +504,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 			return netsim.Message{}, err
 		}
 		if !n.disc.Validate(r.Token) {
-			return netsim.Message{Kind: MsgCatchUp, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
+			return reply(req, ExecResp{Err: "unauthorized"}), nil
 		}
 		sp := n.tracer.StartRemote("catch_up", req.Trace)
 		sp.AddString("node", n.Name)
@@ -516,7 +523,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 			}
 		}
 		sp.Finish()
-		return netsim.Message{Kind: MsgCatchUp, Payload: encode(ExecResp{})}, nil
+		return reply(req, ExecResp{}), nil
 
 	case MsgCreateTemp:
 		r, err := decode[CreateTempReq](req)
@@ -524,25 +531,15 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 			return netsim.Message{}, err
 		}
 		if !n.disc.Validate(r.Token) {
-			return netsim.Message{Kind: MsgCreateTemp, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
+			return reply(req, ExecResp{Err: "unauthorized"}), nil
 		}
 		if err := n.createTemp(r); err != nil {
-			return netsim.Message{Kind: MsgCreateTemp, Payload: encode(ExecResp{Err: err.Error()})}, nil
+			return reply(req, ExecResp{Err: err.Error()}), nil
 		}
-		return netsim.Message{Kind: MsgCreateTemp, Payload: encode(ExecResp{})}, nil
+		return reply(req, ExecResp{}), nil
 
 	case MsgApply:
-		r, err := decode[ApplyReq](req)
-		if err != nil {
-			return netsim.Message{}, err
-		}
-		if !n.disc.Validate(r.Token) {
-			return netsim.Message{Kind: MsgApply, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
-		}
-		if err := n.push(r.Entries); err != nil {
-			return netsim.Message{}, err
-		}
-		return netsim.Message{Kind: MsgApply, Payload: encode(ExecResp{})}, nil
+		return n.applyPush(req)
 
 	case MsgSnapshot:
 		r, err := decode[SnapshotReq](req)
@@ -550,7 +547,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 			return netsim.Message{}, err
 		}
 		if !n.disc.Validate(r.Token) {
-			return netsim.Message{Kind: MsgSnapshot, Payload: encode(SnapshotResp{Err: "unauthorized"})}, nil
+			return reply(req, SnapshotResp{Err: "unauthorized"}), nil
 		}
 		n.mu.Lock()
 		rows, pos, err := n.copyPartition(r.Table, r.Partition)
@@ -559,7 +556,7 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 		if err != nil {
 			resp = SnapshotResp{Err: err.Error()}
 		}
-		return netsim.Message{Kind: MsgSnapshot, Payload: encode(resp)}, nil
+		return reply(req, resp), nil
 
 	case MsgStatsPull:
 		r, err := decode[StatsReq](req)
@@ -567,33 +564,57 @@ func (n *DataNode) handle(from string, req netsim.Message) (netsim.Message, erro
 			return netsim.Message{}, err
 		}
 		if !n.disc.Validate(r.Token) {
-			return netsim.Message{Kind: MsgStatsPull, Payload: encode(StatsResp{Err: "unauthorized"})}, nil
+			return reply(req, StatsResp{Err: "unauthorized"}), nil
 		}
-		return netsim.Message{Kind: MsgStatsPull, Payload: encode(StatsResp{Snapshot: n.obs.Snapshot()})}, nil
+		return reply(req, StatsResp{Snapshot: n.obs.Snapshot()}), nil
 	}
 	return netsim.Message{}, errUnknownMsg(n.Name, req.Kind)
 }
 
-// exec runs one node task (MsgExec) and answers it. The task continues the
-// coordinator's trace: an "exec" span whose remote parent is the task span
-// that sent it, and under it a "scan" span naming the partitions it lists.
-func (n *DataNode) exec(req netsim.Message) (netsim.Message, error) {
-	var r ExecReq
-	params := n.params.get()
-	if params == nil {
-		params = new([]value.Value)
+// knownWord is the string b spells, made from the words the node knows —
+// the discovery token and the cluster's table names — when it is one, so
+// that decoding a task the node can serve makes no string of its own.
+func (n *DataNode) knownWord(b []byte) string {
+	if tok := n.disc.Token(); string(b) == tok {
+		return tok
 	}
-	r.Params = *params
+	if t, ok := n.ccat.Table(string(b)); ok {
+		return t.Name
+	}
+	return string(b)
+}
+
+// nodeTask is what a node task borrows from its node: the request it is
+// decoded into, whose parameters and partitions keep their memory from
+// task to task, and the sink its answer is encoded through.
+type nodeTask struct {
+	req ExecReq
+	ans execAnswer
+}
+
+// exec runs one node task (MsgExec) and answers it into the buffer the
+// caller lent (netsim.Message.Recv): its rows as the statement produces
+// them, or a partial plan's fold state, appended in place. The task
+// continues the coordinator's trace: an "exec" span whose remote parent is
+// the task span that sent it, and under it a "scan" span naming the
+// partitions it lists.
+func (n *DataNode) exec(req netsim.Message) (netsim.Message, error) {
+	t := n.tasks.get()
+	if t == nil {
+		t = new(nodeTask)
+	}
 	defer func() {
-		clear(r.Params)
-		*params = r.Params[:0]
-		n.params.put(params)
+		clear(t.req.Params)
+		t.req = ExecReq{Params: t.req.Params[:0], Parts: t.req.Parts[:0]}
+		t.ans = execAnswer{}
+		n.tasks.put(t)
 	}()
-	if err := decodeErr(req.Kind, r.readWireText(req.Payload, n.eng.SQLText)); err != nil {
+	r := &t.req
+	if err := decodeErr(req.Kind, r.readWireText(req.Payload, n.sqlText, n.word)); err != nil {
 		return netsim.Message{}, err
 	}
 	if !n.disc.Validate(r.Token) {
-		return netsim.Message{Kind: MsgExec, Payload: encode(ExecResp{Err: "unauthorized"})}, nil
+		return reply(req, ExecResp{Err: "unauthorized"}), nil
 	}
 	t0 := time.Now()
 	sp := n.tracer.StartRemote("exec", req.Trace)
@@ -604,44 +625,59 @@ func (n *DataNode) exec(req netsim.Message) (netsim.Message, error) {
 	if r.Table != "" {
 		sc.AddInts("partitions", r.Parts)
 	}
-	res, state, err := n.queryParts(r)
+	t.ans = execAnswer{buf: req.Recv[:0], names: !r.Partial}
+	st, err := n.queryParts(*r, &t.ans, &t.ans.buf)
 	sc.Finish()
-	var resp ExecResp
 	if err != nil {
-		resp = ExecResp{Err: err.Error()}
-		sp.AddString("error", resp.Err)
-	} else {
-		resp = ExecResp{
-			Rows: res.Rows, State: state,
-			RowsScanned: res.Stats.RowsScanned, Morsels: res.Stats.Morsels,
-		}
-		if !r.Partial { // a Partial task's columns are the coordinator's plan's
-			resp.Cols = res.Cols
-		}
-		sp.AddInt("rows_scanned", resp.RowsScanned)
+		sp.AddString("error", err.Error())
+		sp.Finish()
+		return netsim.Message{Kind: MsgExec, Payload: ExecResp{Err: err.Error()}.appendWire(t.ans.buf[:0])}, nil
 	}
+	sp.AddInt("rows_scanned", st.RowsScanned)
 	sp.Finish()
-	if resp.Err == "" {
-		n.cQueries.Inc()
-		n.cRowsScan.Add(int64(resp.RowsScanned))
-		n.hExec.ObserveSince(t0)
-	}
-	return netsim.Message{Kind: MsgExec, Payload: encode(resp)}, nil
+	n.cQueries.Inc()
+	n.cRowsScan.Add(int64(st.RowsScanned))
+	n.hExec.ObserveSince(t0)
+	return netsim.Message{Kind: MsgExec, Payload: t.ans.finish(st.RowsScanned, st.Morsels)}, nil
 }
 
-// queryParts runs one task's statement on the node's engine — a Partial
-// one up to its plan's cut, with the fold state that produces. A scoped
-// task (Table set) reads Table (and Table2, a co-located join's partner)
-// pruned to the listed partitions, in the order listed; whatever else the
-// statement names — a broadcast or shuffle temp — is read whole. This is
-// the coordinator's partition-addressed execution mode: a node hosting
-// primaries and replicas of one table reads exactly the partitions the
-// task names, never double-counting. A listed partition the planned table
-// does not hold fails the task, because the coordinator counts every listed
-// one as covered. The task runs on a session of the node's free list,
-// reopened: registered (sys.m_sessions) only while it runs, and holding
-// nothing of the task before it.
-func (n *DataNode) queryParts(r ExecReq) (*sqlexec.Result, []byte, error) {
+// applyPush applies the entries the broker pushed (MsgApply), decoded into
+// a request the node keeps, and answers into the buffer the broker lent.
+func (n *DataNode) applyPush(req netsim.Message) (netsim.Message, error) {
+	r := n.applies.get()
+	if r == nil {
+		r = new(ApplyReq)
+	}
+	defer func() {
+		clear(r.Entries)
+		r.Entries = r.Entries[:0]
+		n.applies.put(r)
+	}()
+	if err := decodeErr(req.Kind, r.readWireText(req.Payload, n.word)); err != nil {
+		return netsim.Message{}, err
+	}
+	if !n.disc.Validate(r.Token) {
+		return reply(req, ExecResp{Err: "unauthorized"}), nil
+	}
+	if err := n.push(r.Entries); err != nil {
+		return netsim.Message{}, err
+	}
+	return reply(req, ExecResp{}), nil
+}
+
+// queryParts runs one task's statement on the node's engine into sink — a
+// Partial one up to its plan's cut, its fold state appended to *state. A
+// scoped task (Table set) reads Table (and Table2, a co-located join's
+// partner) pruned to the listed partitions, in the order listed; whatever
+// else the statement names — a broadcast or shuffle temp — is read whole.
+// This is the coordinator's partition-addressed execution mode: a node
+// hosting primaries and replicas of one table reads exactly the partitions
+// the task names, never double-counting. A listed partition the planned
+// table does not hold fails the task, because the coordinator counts every
+// listed one as covered. The task runs on a session of the node's free
+// list, reopened: registered (sys.m_sessions) only while it runs, and
+// holding nothing of the task before it.
+func (n *DataNode) queryParts(r ExecReq, sink sqlexec.RowSink, state *[]byte) (sqlexec.ExecStats, error) {
 	s := n.sessions.get()
 	if s == nil {
 		s = n.eng.NewSession()
@@ -660,18 +696,17 @@ func (n *DataNode) queryParts(r ExecReq) (*sqlexec.Result, []byte, error) {
 		s.Scope = sc.hook
 		defer sc.release(&n.scopes)
 	}
-	var res *sqlexec.Result
-	var state []byte
+	var st sqlexec.ExecStats
 	var err error
 	if r.Partial {
-		res, state, err = s.QueryPartial(r.SQL, r.Params...)
+		st, err = s.QueryPartial(sink, state, r.SQL, r.Params...)
 	} else {
-		res, err = s.Query(r.SQL, r.Params...)
+		st, err = s.QueryTo(sink, r.SQL, r.Params...)
 	}
 	if sc != nil && sc.missing >= 0 {
-		return nil, nil, fmt.Errorf("soe: %s does not host partition %d", n.Name, sc.missing)
+		return sqlexec.ExecStats{}, fmt.Errorf("soe: %s does not host partition %d", n.Name, sc.missing)
 	}
-	return res, state, err
+	return st, err
 }
 
 // taskScope is a scoped task's Scope: it narrows the scans of the task's

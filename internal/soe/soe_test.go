@@ -796,7 +796,7 @@ func TestPartitionsInRangeHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Coordinator.pruneParts(qp.preds, params, table)
+		return c.Coordinator.pruneParts(nil, qp.preds, params, table)
 	}
 	for _, tc := range []struct {
 		sql, table string

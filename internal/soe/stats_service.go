@@ -97,7 +97,7 @@ func (s *StatsService) handle(from string, req netsim.Message) (netsim.Message, 
 		return netsim.Message{}, err
 	}
 	if !s.disc.Validate(r.Token) {
-		return netsim.Message{Kind: MsgStatsPull, Payload: encode(StatsResp{Err: "unauthorized"})}, nil
+		return reply(req, StatsResp{Err: "unauthorized"}), nil
 	}
-	return netsim.Message{Kind: MsgStatsPull, Payload: encode(StatsResp{Snapshot: s.Collect()})}, nil
+	return reply(req, StatsResp{Snapshot: s.Collect()}), nil
 }

@@ -371,11 +371,11 @@ func TestNodeTaskShapeScans(t *testing.T) {
 			t.Fatalf("%s: the nodes are sent %q with %v", q, plan.LocalSQL, plan.Params)
 		}
 		for _, n := range c.Nodes {
-			shaped, sstate, err := n.queryParts(ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true})
+			shaped, sstate, err := runTask(n, ExecReq{SQL: plan.LocalSQL, Params: plan.Params, Partial: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			literal, lstate, err := n.queryParts(ExecReq{SQL: q, Partial: true})
+			literal, lstate, err := runTask(n, ExecReq{SQL: q, Partial: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,8 +25,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/stats"
@@ -220,104 +218,19 @@ func call[T any, P wirePtr[T]](net *netsim.Network, from, to, kind string, req w
 	if req != nil {
 		payload = encode(req)
 	}
-	return send[T, P](net, from, to, kind, payload, stats.SpanContext{}, 0)
+	return send[T, P](net, from, to, kind, payload)
 }
 
 // errTaskTimeout marks a call abandoned by its per-attempt deadline.
 var errTaskTimeout = errors.New("soe: task timed out")
 
 // send is an RPC with an already encoded request and its reply decoded as
-// T: exchange, then decode.
-func send[T any, P wirePtr[T]](net *netsim.Network, from, to, kind string, payload []byte, tc stats.SpanContext, d time.Duration) (T, error) {
-	resp, err := exchange(net, from, to, netsim.Message{Kind: kind, Payload: payload, Trace: tc}, d)
+// T, on the calling goroutine and with no deadline.
+func send[T any, P wirePtr[T]](net *netsim.Network, from, to, kind string, payload []byte) (T, error) {
+	resp, err := net.Call(from, to, netsim.Message{Kind: kind, Payload: payload})
 	if err != nil {
 		var zero T
 		return zero, err
 	}
 	return decode[T, P](resp)
-}
-
-// exchange is one attempt of an RPC: an already encoded request — a retry
-// loop encodes once and sends the same bytes on every attempt — with a
-// span context riding the message envelope, so the remote handler can
-// parent its own spans into the caller's trace (one TraceID covers
-// coordinator, nodes, broker and shared log; a zero context degrades to an
-// untraced call), and a per-attempt deadline. It returns the reply
-// undecoded: the caller decodes it into a value of its own. The simulated
-// network has no cancellation: a timed-out call may still complete on the
-// server, which is why retried requests must be idempotent (commit TxnIDs,
-// read-only execs). d <= 0 disables the deadline.
-//
-// A deadline costs one goroutine, which makes the call, and a callState
-// from callStates, which the caller waits on.
-func exchange(net *netsim.Network, from, to string, req netsim.Message, d time.Duration) (netsim.Message, error) {
-	if d <= 0 {
-		return net.Call(from, to, req)
-	}
-	cs := callStates.get()
-	if cs == nil {
-		cs = &callState{reply: make(chan callReply, 1), timer: time.NewTimer(d)}
-	} else {
-		cs.timer.Reset(d)
-	}
-	go cs.call(net, from, to, req)
-	select {
-	case r := <-cs.reply:
-		if !cs.timer.Stop() {
-			<-cs.timer.C // it fired as the reply came: the next Reset must find it empty
-		}
-		callStates.put(cs)
-		return r.msg, r.err
-	case <-cs.timer.C:
-		// cs stays with its goroutine: the late reply lands in a channel
-		// no later call reads.
-		return netsim.Message{}, fmt.Errorf("%w: %s->%s %s after %v", errTaskTimeout, from, to, req.Kind, d)
-	}
-}
-
-// callState is what a deadline-bounded call waits on: the channel its
-// goroutine answers on and the timer of its deadline, stopped and drained
-// whenever the state is on callStates. A state goes back there only when
-// its reply beat the deadline.
-type callState struct {
-	reply chan callReply
-	timer *time.Timer
-}
-
-type callReply struct {
-	msg netsim.Message
-	err error
-}
-
-var callStates freeList[callState]
-
-// freeList is a stack of values to reuse. Unlike a sync.Pool it keeps what
-// it is given across collections and under the race detector, so what a
-// call allocates does not depend on when the collector last ran.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	free []*T
-}
-
-// get returns a value put before, or nil.
-func (l *freeList[T]) get() (x *T) {
-	l.mu.Lock()
-	if n := len(l.free); n > 0 {
-		x, l.free[n-1], l.free = l.free[n-1], nil, l.free[:n-1]
-	}
-	l.mu.Unlock()
-	return x
-}
-
-func (l *freeList[T]) put(x *T) {
-	l.mu.Lock()
-	l.free = append(l.free, x)
-	l.mu.Unlock()
-}
-
-// call makes the call and answers on cs.reply, which has room for it
-// whether or not anyone still waits.
-func (cs *callState) call(net *netsim.Network, from, to string, req netsim.Message) {
-	msg, err := net.Call(from, to, req)
-	cs.reply <- callReply{msg, err}
 }

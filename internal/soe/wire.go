@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"repro/internal/netsim"
+	"repro/internal/sqlexec"
 	"repro/internal/value"
 )
 
@@ -37,12 +37,16 @@ import (
 //	        | count key*          (kind 1, delete by key)
 //	row     = width value*
 //
-// Encoders append and cannot fail; the two messages of a node task,
-// ExecReq and ExecResp, are sized once (wireSize) and grow their buffer to
-// that size before they write it. Decoders fill a value the caller owns,
-// and check every count and length against the bytes that remain before
-// they allocate, so hostile input yields an error and allocations
-// proportional to its size.
+// Encoders append and cannot fail. A node task's and a push's bytes are
+// loans (callers.go says who owns them): the coordinator encodes ExecReq
+// into its caller's request buffer, the node appends its ExecResp
+// (execAnswer) into the receive buffer the caller lent, and the broker
+// encodes ApplyReq once, into one push caller's buffer, for every OLTP
+// node. Decoders fill a value the caller owns — a node decodes every task
+// and push into one it keeps, so a decoder sets every field — and check
+// every count and length against the bytes that remain before they
+// allocate, so hostile input yields an error and allocations proportional
+// to its size.
 
 // Write kinds of a LogWrite and of a section.
 const (
@@ -63,29 +67,10 @@ type wirePtr[T any] interface {
 
 func encode(m wireMsg) []byte { return m.appendWire(nil) }
 
-// uvarintSize is the length of x as a uvarint.
-func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// strSize is the length of appendStr's encoding of s.
-func strSize[T string | []byte](s T) int { return uvarintSize(uint64(len(s))) + len(s) }
-
-func strsSize(ss []string) int {
-	n := uvarintSize(uint64(len(ss)))
-	for _, s := range ss {
-		n += strSize(s)
-	}
-	return n
-}
-
-func rowsSize(rows []value.Row) int {
-	n := uvarintSize(uint64(len(rows)))
-	for _, row := range rows {
-		n += uvarintSize(uint64(len(row)))
-		for _, v := range row {
-			n += value.BinarySize(v)
-		}
-	}
-	return n
+// reply is every handler's answer to req: m, encoded into the receive
+// buffer req lent (netsim.Message.Recv), if any.
+func reply(req netsim.Message, m wireMsg) netsim.Message {
+	return netsim.Message{Kind: req.Kind, Payload: m.appendWire(req.Recv[:0])}
 }
 
 func appendStr[T string | []byte](dst []byte, s T) []byte {
@@ -202,17 +187,19 @@ func (r *rd) rows() []value.Row {
 	return rows
 }
 
-func (r *rd) entries() []LogEntry {
+// entries reads a list of log entries into dst's memory, each entry's data
+// a window of the payload.
+func (r *rd) entries(dst []LogEntry) []LogEntry {
 	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
-	out := make([]LogEntry, n)
-	for i := range out {
-		out[i].Pos = r.Uvarint()
-		out[i].Data = r.Take(r.Uvarint())
+	dst = slices.Grow(dst[:0], n)[:n]
+	for i := range dst {
+		dst[i].Pos = r.Uvarint()
+		dst[i].Data = r.Take(r.Uvarint())
 	}
-	return out
+	return dst
 }
 
 // entrySection is one decoded section of a log entry: rows to insert or
@@ -272,23 +259,7 @@ func commitHeader(payload []byte) (token, txnID string, writes int, sections []b
 
 // --- one encoding per message kind -----------------------------------------
 
-// wireSize is the length of m's encoding.
-func (m ExecReq) wireSize() int {
-	n := strSize(m.Token) + strSize(m.SQL) + uvarintSize(uint64(len(m.Params))) + strSize(m.Table) + strSize(m.Table2) + 1 + 1
-	for _, v := range m.Params {
-		n += value.BinarySize(v)
-	}
-	if m.Parts != nil {
-		n += uvarintSize(uint64(len(m.Parts))+1) - 1
-		for _, p := range m.Parts {
-			n += uvarintSize(uint64(p))
-		}
-	}
-	return n
-}
-
 func (m ExecReq) appendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, m.wireSize())
 	dst = appendStr(dst, m.Token)
 	dst = appendStr(dst, m.SQL)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Params)))
@@ -310,45 +281,45 @@ func (m ExecReq) appendWire(dst []byte) []byte {
 	return appendBool(dst, m.Partial)
 }
 
-func (m *ExecReq) readWire(b []byte) error {
-	return m.readWireText(b, func(b []byte) string { return string(b) })
-}
+// newString is a string of its own for every text a decoder reads.
+func newString(b []byte) string { return string(b) }
 
-// readWireText is readWire with the statement's text made from its bytes by
-// text: a node hands it its engine's SQLText, so a text the engine holds a
-// parse of is not copied. The parameters are read into m.Params's memory.
-func (m *ExecReq) readWireText(b []byte, text func([]byte) string) error {
+func (m *ExecReq) readWire(b []byte) error { return m.readWireText(b, newString, newString) }
+
+// readWireText is readWire with the statement's text made from its bytes
+// by sql and the token and table names by name: a node hands it its
+// engine's SQLText, so a text the engine holds a parse of is not copied,
+// and a lookup of the words it knows, so a task it can serve makes no
+// string of its own. The parameters and partitions are read into the
+// memory of m's, which a node keeps from task to task.
+func (m *ExecReq) readWireText(b []byte, sql, name func([]byte) string) error {
 	r := rd{value.NewReader(b)}
-	m.Token = r.Str()
-	m.SQL = text(r.Take(r.Uvarint()))
+	m.Token = name(r.Take(r.Uvarint()))
+	m.SQL = sql(r.Take(r.Uvarint()))
 	n := r.Count(1)
 	m.Params = slices.Grow(m.Params[:0], n)
 	for ; n > 0; n-- {
 		m.Params = append(m.Params, r.Value())
 	}
-	m.Table, m.Table2 = r.Str(), r.Str()
-	m.Parts = nil
+	m.Table, m.Table2 = name(r.Take(r.Uvarint())), name(r.Take(r.Uvarint()))
+	parts := m.Parts[:0]
+	m.Parts = nil // unscoped
 	if n := r.Uvarint(); n > 0 {
 		if n-1 > uint64(len(r.Rest())) {
 			return errWireParts
 		}
-		m.Parts = make([]int, n-1)
-		for i := range m.Parts {
-			m.Parts[i] = int(r.Uvarint())
+		if m.Parts = slices.Grow(parts, int(n-1)); m.Parts == nil {
+			m.Parts = []int{} // scoped to nothing, which is not unscoped
+		}
+		for ; n > 1; n-- {
+			m.Parts = append(m.Parts, int(r.Uvarint()))
 		}
 	}
 	m.Partial = r.Byte() != 0
 	return r.End()
 }
 
-// wireSize is the length of m's encoding.
-func (m ExecResp) wireSize() int {
-	return strsSize(m.Cols) + rowsSize(m.Rows) + strSize(m.State) +
-		uvarintSize(uint64(m.RowsScanned)) + uvarintSize(uint64(m.Morsels)) + 8 + strSize(m.Err)
-}
-
 func (m ExecResp) appendWire(dst []byte) []byte {
-	dst = slices.Grow(dst, m.wireSize())
 	dst = appendStrs(dst, m.Cols)
 	dst = appendRows(dst, m.Rows)
 	dst = appendStr(dst, m.State)
@@ -368,6 +339,74 @@ func (m *ExecResp) readWire(b []byte) error {
 	m.Completeness = r.Float64()
 	m.Err = r.Str()
 	return r.End()
+}
+
+// execAnswer is a node task's ExecResp encoded as its statement runs: a
+// sqlexec.RowSink that writes the columns when it is shown the header and
+// each batch's rows from their cells as they come, with the fold state of
+// a partial plan that aggregates appended in place (state) — all into the
+// receive buffer the caller lent (buf). finish closes it with the node's
+// scan counters. The bytes are ExecResp.appendWire's, so the reply costs
+// neither an ExecResp nor a copy of its rows or state.
+type execAnswer struct {
+	buf   []byte
+	names bool // the columns' names go out; a Partial task's are the coordinator's plan's
+	at    int  // where the row count goes: the start of the gap the header leaves
+	rows  int
+}
+
+// countGap is the room the header leaves for what is known only once the
+// statement is done: the row count — or, when there are no rows, its one
+// byte and the length of the fold state that follows.
+const countGap = 1 + binary.MaxVarintLen64
+
+var gap [countGap]byte
+
+func (a *execAnswer) Header(cols []sqlexec.Column) error {
+	if !a.names {
+		cols = nil
+	}
+	a.buf = binary.AppendUvarint(a.buf, uint64(len(cols)))
+	for _, c := range cols {
+		a.buf = appendStr(a.buf, c.Name)
+	}
+	a.at = len(a.buf)
+	a.buf = append(a.buf, gap[:]...)
+	return nil
+}
+
+func (a *execAnswer) Batch(b *sqlexec.RowBatch) error {
+	n, w := b.Len(), b.Width()
+	for i := 0; i < n; i++ {
+		a.buf = binary.AppendUvarint(a.buf, uint64(w))
+		for c := 0; c < w; c++ {
+			a.buf = value.AppendBinary(a.buf, b.At(i, c))
+		}
+	}
+	a.rows += n
+	return nil
+}
+
+// finish returns the whole reply of a statement that succeeded, and so
+// showed the sink its header: the gap closed over the rows — or, a plan
+// that aggregates showing none, over the fold state after it — and the
+// counters after them.
+func (a *execAnswer) finish(scanned, morsels int) []byte {
+	body := a.buf[a.at+countGap:]
+	var head [countGap]byte
+	h := binary.PutUvarint(head[:], uint64(a.rows))
+	if a.rows == 0 {
+		h += binary.PutUvarint(head[h:], uint64(len(body))) // the fold state's length
+	}
+	copy(a.buf[a.at:], head[:h])
+	a.buf = a.buf[:a.at+h+copy(a.buf[a.at+h:], body)]
+	if a.rows > 0 {
+		a.buf = append(a.buf, 0) // no fold state
+	}
+	a.buf = binary.AppendUvarint(a.buf, uint64(scanned))
+	a.buf = binary.AppendUvarint(a.buf, uint64(morsels))
+	a.buf = binary.LittleEndian.AppendUint64(a.buf, 0) // Completeness: the coordinator's
+	return append(a.buf, 0)                            // no Err
 }
 
 func (m CreateTempReq) appendWire(dst []byte) []byte {
@@ -418,9 +457,14 @@ func (m ApplyReq) appendWire(dst []byte) []byte {
 	return appendEntries(appendStr(dst, m.Token), m.Entries)
 }
 
-func (m *ApplyReq) readWire(b []byte) error {
+func (m *ApplyReq) readWire(b []byte) error { return m.readWireText(b, newString) }
+
+// readWireText is readWire with the token made from its bytes by name (as
+// ExecReq's) and the entries read into the memory of m's.
+func (m *ApplyReq) readWireText(b []byte, name func([]byte) string) error {
 	r := rd{value.NewReader(b)}
-	m.Token, m.Entries = r.Str(), r.entries()
+	m.Token = name(r.Take(r.Uvarint()))
+	m.Entries = r.entries(m.Entries)
 	return r.End()
 }
 
@@ -445,7 +489,7 @@ func (m PollResp) appendWire(dst []byte) []byte {
 
 func (m *PollResp) readWire(b []byte) error {
 	r := rd{value.NewReader(b)}
-	m.Entries, m.Next, m.Tail, m.Err = r.entries(), r.Uvarint(), r.Uvarint(), r.Str()
+	m.Entries, m.Next, m.Tail, m.Err = r.entries(nil), r.Uvarint(), r.Uvarint(), r.Str()
 	return r.End()
 }
 

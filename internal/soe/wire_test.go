@@ -177,8 +177,9 @@ func recode[T any, P wirePtr[T]](m wireMsg) (T, error) {
 }
 
 // (a) every message kind and the log entry survive a round trip, including
-// Parts == nil vs []int{}, zero rows, zero-width rows and empty strings; a
-// node task's two messages encode to exactly their wireSize.
+// Parts == nil vs []int{}, zero rows, zero-width rows and empty strings;
+// and a node's answer encoded as its statement runs (execAnswer), into a
+// lent buffer that held another, is ExecResp's encoding byte for byte.
 func TestWireRoundTrip(t *testing.T) {
 	check := func(name string, f func(r *rand.Rand) bool) {
 		t.Helper()
@@ -198,7 +199,7 @@ func TestWireRoundTrip(t *testing.T) {
 			m.Params = append(m.Params, genValue(r))
 		}
 		got, err := recode[ExecReq](m)
-		ok := err == nil && sameRows([]value.Row{got.Params}, []value.Row{m.Params}) && len(encode(m)) == m.wireSize()
+		ok := err == nil && sameRows([]value.Row{got.Params}, []value.Row{m.Params})
 		got.Params, m.Params = nil, nil
 		return ok && reflect.DeepEqual(got, m)
 	})
@@ -208,9 +209,44 @@ func TestWireRoundTrip(t *testing.T) {
 			m.State = []byte(s)
 		}
 		got, err := recode[ExecResp](m)
-		ok := err == nil && sameRows(got.Rows, m.Rows) && len(encode(m)) == m.wireSize()
+		ok := err == nil && sameRows(got.Rows, m.Rows)
 		got.Rows, m.Rows = nil, nil
 		return ok && reflect.DeepEqual(got, m)
+	})
+	check("execAnswer", func(r *rand.Rand) bool {
+		m := ExecResp{RowsScanned: r.Intn(1 << 30), Morsels: r.Intn(99)}
+		cols := make([]sqlexec.Column, r.Intn(4))
+		for i := range cols {
+			cols[i].Name = genString(r)
+		}
+		partial := r.Intn(2) == 0
+		if !partial {
+			m.Cols = make([]string, len(cols))
+			for i, c := range cols {
+				m.Cols[i] = c.Name
+			}
+		}
+		if r.Intn(3) == 0 { // a fold state, and no rows
+			m.State = []byte(genString(r) + "x")
+		} else { // rows as an engine makes them: one width
+			for range r.Intn(2 * sqlexec.BatchRows) {
+				row := make(value.Row, len(cols))
+				for j := range row {
+					row[j] = genValue(r)
+				}
+				m.Rows = append(m.Rows, row)
+			}
+		}
+		a := execAnswer{buf: []byte(genString(r))[:0], names: !partial}
+		a.Header(cols)
+		for rows := m.Rows; len(rows) > 0; {
+			n := min(len(rows), 1+r.Intn(sqlexec.BatchRows))
+			b := sqlexec.RowsBatch(rows[:n])
+			a.Batch(&b)
+			rows = rows[n:]
+		}
+		a.buf = append(a.buf, m.State...)
+		return bytes.Equal(a.finish(m.RowsScanned, m.Morsels), encode(m))
 	})
 	check("CreateTempReq", func(r *rand.Rand) bool {
 		m := CreateTempReq{Token: genString(r), Name: genString(r), Cols: genStrings(r), Rows: genRows(r), Append: r.Intn(2) == 0}
@@ -354,9 +390,36 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(uint8(0), encode(ExecReq{Token: "tok", SQL: "SELECT id FROM orders WHERE id >= $1 AND region = $2", Params: []value.Value{value.Int(7), value.String("EMEA")}, Table: "orders", Parts: []int{1, 5}, Partial: true}))
 	f.Add(uint8(1), encode(ExecResp{State: partialState(f), RowsScanned: 9, Completeness: 1}))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		dec := messageDecoders[int(kind)%len(messageDecoders)]
-		boundedAlloc(t, len(data), func() { dec(data) })
+		k := int(kind) % len(messageDecoders)
+		boundedAlloc(t, len(data), func() { messageDecoders[k](data) })
+		switch k {
+		case 0: // a node's task
+			decodeKept[ExecReq](t, ExecReq{Token: "old", SQL: "SELECT 2", Params: []value.Value{value.Int(1), value.String("x")},
+				Table: "was", Table2: "also", Parts: []int{3, 1, 4}, Partial: true}, data)
+		case 5: // a node's push
+			decodeKept[ApplyReq](t, ApplyReq{Token: "old", Entries: []LogEntry{{Pos: 7, Data: []byte("stale")}, {Pos: 8}}}, data)
+		}
 	})
+}
+
+// decodeKept decodes data into a value that held another message first,
+// as a node decodes every task and push into one it keeps, and into a zero
+// value, and fails unless the two read the same: nothing of the message
+// before survives the decode.
+func decodeKept[T wireMsg, P wirePtr[T]](t *testing.T, held T, data []byte) {
+	t.Helper()
+	kept := held
+	if err := P(&kept).readWire(encode(held)); err != nil {
+		t.Fatal(err)
+	}
+	var fresh T
+	errK, errF := P(&kept).readWire(data), P(&fresh).readWire(data)
+	if (errK == nil) != (errF == nil) {
+		t.Fatalf("%T into a value that held a message: %v; into a zero one: %v", held, errK, errF)
+	}
+	if errF == nil && !bytes.Equal(encode(kept), encode(fresh)) {
+		t.Fatalf("%T into a value that held a message reads %+v, into a zero one %+v", held, kept, fresh)
+	}
 }
 
 // Counts that lie are refused before anything is sized by them.
@@ -778,7 +841,8 @@ func partialState(tb testing.TB) []byte {
 	eng.MustQuery(`INSERT INTO orders VALUES ('a', 'EMEA', 1e15), ('b', 'APJ', 0.1), ('c', 'EMEA', 0.3)`)
 	s := eng.NewSession()
 	defer s.Close()
-	_, state, err := s.QueryPartial(`SELECT region, SUM(amount), COUNT(DISTINCT id) FROM orders GROUP BY region`)
+	var state []byte
+	_, err := s.QueryPartial(&sqlexec.Result{}, &state, `SELECT region, SUM(amount), COUNT(DISTINCT id) FROM orders GROUP BY region`)
 	if err != nil || len(state) == 0 {
 		tb.Fatalf("partial aggregate: state %x, %v", state, err)
 	}

@@ -192,9 +192,9 @@ type Session struct {
 	// out is the feed the running statement answers through (see feed),
 	// cleared when it is done so that an idle session pins no rows.
 	out feed
-	// state is where a plan cut for QueryPartial (partial) leaves its fold
-	// state (nodePlan).
-	state []byte
+	// state is where a plan cut for QueryPartial (partial) appends its fold
+	// state (nodePlan): the caller's.
+	state *[]byte
 	// count and countRow are the one row of one count DML answers with,
 	// reused by every statement (answerCount).
 	count    [1]value.Value
@@ -358,6 +358,35 @@ func (s *Session) Query(sql string, params ...value.Value) (*Result, error) {
 	return res, err
 }
 
+// QueryTo executes one SQL statement into sink: Prepare, then ExecTo.
+func (s *Session) QueryTo(sink RowSink, sql string, params ...value.Value) (ExecStats, error) {
+	return s.queryTo(sink, nil, sql, params)
+}
+
+// queryTo is QueryTo and, given somewhere for a fold state to go,
+// QueryPartial.
+func (s *Session) queryTo(sink RowSink, state *[]byte, sql string, params []value.Value) (ExecStats, error) {
+	t0 := time.Now()
+	st, err := s.bindOne(sql)
+	if err != nil {
+		return ExecStats{}, err
+	}
+	defer s.unbindOne()
+	if state != nil {
+		if st.kind != stmtSelect {
+			return ExecStats{}, fmt.Errorf("sql: a partial statement is a SELECT")
+		}
+		s.partial, s.state = true, state
+		defer func() { s.partial, s.state = false, nil }()
+	}
+	stats := &s.stats
+	*stats = ExecStats{}
+	if _, err := st.execTo(sink, stats, t0, params, false); err != nil {
+		return ExecStats{}, err
+	}
+	return *stats, nil
+}
+
 // bindOne prepares the one statement sql holds as the session's own
 // statement (one), which the caller runs and then unbinds (unbindOne).
 func (s *Session) bindOne(sql string) (*Stmt, error) {
@@ -436,7 +465,7 @@ func (s *Session) execSelect(sink RowSink, stats *ExecStats, st *Stmt, params []
 	defer func() { s.out = feed{} }()
 	args := runArgs{ts: ts, params: params, mode: s.e.Mode, workers: s.e.Workers, hooks: s.hooks()}
 	if s.partial {
-		args.state = &s.state
+		args.state = s.state
 	}
 	prof, err := runTo(&s.out, stats, plan, args, &s.e.scratch, profiled)
 	if prof != nil {

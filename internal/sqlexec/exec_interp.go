@@ -475,10 +475,10 @@ func (it *scanIter) Close() {
 
 // leafRows materializes the rows of a leaf that is not a base-table scan —
 // a table function's result, the literal rows of VALUES, a sys view's
-// snapshot, whose rows count as the statement's scanned (no operator's:
-// its profile shows them as rows out). Both executors read their leaves
-// from here: the interpreter through rowsIter, the vectorized executor in
-// batches (opRun.emitLeaf).
+// snapshot, whose rows the view's operator publishes as scanned, as a
+// scan publishes its table's. Both executors read their leaves from here:
+// the interpreter through rowsIter, the vectorized executor in batches
+// (opRun.emitLeaf).
 func leafRows(p Plan, ctx *execCtx) ([]value.Row, error) {
 	switch x := p.(type) {
 	case *TableFuncPlan:
@@ -494,7 +494,7 @@ func leafRows(p Plan, ctx *execCtx) ([]value.Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sql: %s snapshot: %w", x.Table.Name, err)
 		}
-		ctx.publish(nil, &ExecStats{RowsScanned: len(rows)})
+		ctx.publish(ctx.prof.node(p), &ExecStats{RowsScanned: len(rows)})
 		return rows, nil
 	}
 	return nil, fmt.Errorf("sql: %T is not a rows leaf", p)

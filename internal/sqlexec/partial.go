@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/big"
 	"slices"
-	"time"
 
 	"repro/internal/value"
 )
@@ -98,24 +97,14 @@ func nodePlan(p Plan) Plan {
 }
 
 // QueryPartial runs sql, a SELECT, with params as one node's share of a
-// distributed statement: the plan below its cut, accounted as Query
+// distributed statement: the plan below its cut, accounted as ExecTo
 // accounts a statement. A plan that aggregates answers with its top
-// aggregate's fold state and no rows; any other with its rows and a nil
-// state. It runs on the vectorized executor only.
-func (s *Session) QueryPartial(sql string, params ...value.Value) (res *Result, state []byte, err error) {
-	t0 := time.Now()
-	st, err := s.bindOne(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer s.unbindOne()
-	if st.kind != stmtSelect {
-		return nil, nil, fmt.Errorf("sql: a partial statement is a SELECT")
-	}
-	s.partial, s.state = true, nil
-	res, _, err = st.exec(t0, params, false)
-	s.partial, state = false, s.state
-	return res, state, err
+// aggregate's fold state, appended to *state, and no rows; any other
+// answers with its rows, pushed into sink as ExecTo pushes them, and
+// leaves *state alone. Either way sink is shown the header first. It runs
+// on the vectorized executor only.
+func (s *Session) QueryPartial(sink RowSink, state *[]byte, sql string, params ...value.Value) (ExecStats, error) {
+	return s.queryTo(sink, state, sql, params)
 }
 
 // Reply is one node's answer to a distributed SELECT (QueryPartial): its

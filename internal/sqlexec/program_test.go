@@ -56,8 +56,8 @@ func TestPipelineRunAllocs(t *testing.T) {
 	// A coordinator's finish over two nodes' fold states runs the same
 	// program, on state its FinishPool lends.
 	const sql = `SELECT region, COUNT(*), SUM(amount) FROM orders GROUP BY region ORDER BY region`
-	_, state, err := s.QueryPartial(sql)
-	if err != nil {
+	var state []byte
+	if _, err := s.QueryPartial(&Result{}, &state, sql); err != nil {
 		t.Fatal(err)
 	}
 	ast, err := Parse(sql)

@@ -79,10 +79,11 @@ func profileTally(o *OpProfile) ExecStats {
 // TestCountsAgree: a statement counts once, so its three views agree. For
 // a filtered scan, a fold over a run-length column, a code join and a
 // scan of a warm partition that faults pages, each run by two runners
-// over four to six morsels, profiled and not, the sql_vec_* counters of
-// the process move by exactly the statement's ExecStats, and the profile's
-// operators together published exactly the statement's ExecStats. Run it
-// under -race: the runners count while the statement's goroutine consumes.
+// over four to six morsels, and for a sys view's snapshot, profiled and
+// not, the sql_vec_* counters of the process move by exactly the
+// statement's ExecStats, and the profile's operators together published
+// exactly the statement's ExecStats. Run it under -race: the runners
+// count while the statement's goroutine consumes.
 func TestCountsAgree(t *testing.T) {
 	hot := tallyEngine(t)
 	warm := tallyEngine(t)
@@ -100,19 +101,21 @@ func TestCountsAgree(t *testing.T) {
 	mustExec(t, warm, `INSERT INTO t VALUES (2, 99998, 0, 's1', 5), (3, 99999, 0, 's1', 5)`)
 
 	cases := []struct {
-		shape string
-		e     *Engine
-		sql   string
-		shows func(*ExecStats) int // the count the shape exists for
+		shape   string
+		e       *Engine
+		sql     string
+		shows   func(*ExecStats) int // the count the shape exists for
+		morsels int                  // at least
 	}{
-		{"filtered scan", hot, `SELECT id, v FROM t WHERE v > 3 AND id % 3 = 0`, func(s *ExecStats) int { return s.KernelHits }},
-		{"filtered scan below a sort", hot, `SELECT id FROM t WHERE v > 3 ORDER BY id`, func(s *ExecStats) int { return s.BatchesFused }},
-		{"fold over runs", hot, `SELECT g, COUNT(*), SUM(g) FROM t GROUP BY g`, func(s *ExecStats) int { return s.RunsFolded }},
-		{"code join", hot, `SELECT t.id, d.name FROM t JOIN d ON t.s = d.s`, func(s *ExecStats) int { return s.CodesJoined }},
-		{"fold through a code join", hot, `SELECT d.name, COUNT(*), SUM(t.v) FROM t JOIN d ON t.s = d.s GROUP BY d.name`, func(s *ExecStats) int { return s.CodesJoined }},
-		{"warm scan", warm, `SELECT id, s FROM t WHERE v > 3`, func(s *ExecStats) int { return s.PageFaults }},
-		{"warm fold", warm, `SELECT s, SUM(v) FROM t GROUP BY s`, func(s *ExecStats) int { return s.PageFaults }},
-		{"warm global aggregate", warm, `SELECT COUNT(*), MIN(v), MAX(v) FROM t`, func(s *ExecStats) int { return s.PageFaults }},
+		{"filtered scan", hot, `SELECT id, v FROM t WHERE v > 3 AND id % 3 = 0`, func(s *ExecStats) int { return s.KernelHits }, 4},
+		{"filtered scan below a sort", hot, `SELECT id FROM t WHERE v > 3 ORDER BY id`, func(s *ExecStats) int { return s.BatchesFused }, 4},
+		{"fold over runs", hot, `SELECT g, COUNT(*), SUM(g) FROM t GROUP BY g`, func(s *ExecStats) int { return s.RunsFolded }, 4},
+		{"code join", hot, `SELECT t.id, d.name FROM t JOIN d ON t.s = d.s`, func(s *ExecStats) int { return s.CodesJoined }, 4},
+		{"fold through a code join", hot, `SELECT d.name, COUNT(*), SUM(t.v) FROM t JOIN d ON t.s = d.s GROUP BY d.name`, func(s *ExecStats) int { return s.CodesJoined }, 4},
+		{"warm scan", warm, `SELECT id, s FROM t WHERE v > 3`, func(s *ExecStats) int { return s.PageFaults }, 4},
+		{"warm fold", warm, `SELECT s, SUM(v) FROM t GROUP BY s`, func(s *ExecStats) int { return s.PageFaults }, 4},
+		{"warm global aggregate", warm, `SELECT COUNT(*), MIN(v), MAX(v) FROM t`, func(s *ExecStats) int { return s.PageFaults }, 4},
+		{"sys view", hot, `SELECT table_name, bytes FROM sys.m_partitions`, func(s *ExecStats) int { return s.RowsScanned }, 0},
 	}
 	for _, c := range cases {
 		for _, profiled := range []bool{false, true} {
@@ -129,7 +132,7 @@ func TestCountsAgree(t *testing.T) {
 				st = mustExec(t, c.e, c.sql).Stats
 			}
 			after := readVecCounters()
-			if st.Morsels < 4 || c.shows(&st) == 0 {
+			if st.Morsels < c.morsels || c.shows(&st) == 0 {
 				t.Fatalf("%s: the statement does not show its shape: %+v", c.shape, st)
 			}
 			for i, vc := range vecCounters {
@@ -140,7 +143,7 @@ func TestCountsAgree(t *testing.T) {
 			if prof == nil {
 				continue
 			}
-			if prof.Workers != 2 {
+			if c.morsels > 0 && prof.Workers != 2 { // a sys view's snapshot runs on no runner
 				t.Errorf("%s: %d workers, want 2", c.shape, prof.Workers)
 			}
 			sum := profileTally(prof.Root)

@@ -32,6 +32,7 @@ type Merger struct {
 	stop   chan struct{}
 	done   chan struct{}
 	merges atomic.Uint64
+	names  []string // the sweep's listing, into the same memory every tick
 }
 
 // StartMerger launches the background merge daemon for this manager's
@@ -72,10 +73,13 @@ func (g *Merger) loop() {
 }
 
 // sweep merges every table whose delta crossed the threshold and records
-// the residual delta backlog of the rest.
+// the residual delta backlog of the rest. A sweep that merges nothing
+// allocates nothing: it runs every Interval on every engine, whatever the
+// work.
 func (g *Merger) sweep() {
 	backlog := 0
-	for _, name := range g.m.TableNames() {
+	g.names = g.m.AppendTableNames(g.names[:0])
+	for _, name := range g.names {
 		if g.cfg.Filter != nil && !g.cfg.Filter(name) {
 			continue
 		}
@@ -92,5 +96,6 @@ func (g *Merger) sweep() {
 		g.merges.Add(1)
 		cBgMerges.Inc()
 	}
+	clear(g.names)
 	gMergeBacklog.Set(float64(backlog))
 }

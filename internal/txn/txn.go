@@ -140,15 +140,20 @@ func (m *Manager) Table(name string) (*columnstore.Table, bool) {
 }
 
 // TableNames returns the names of all registered tables, sorted.
-func (m *Manager) TableNames() []string {
+func (m *Manager) TableNames() []string { return m.AppendTableNames(nil) }
+
+// AppendTableNames appends the names of all registered tables, sorted, to
+// dst: a caller that lists them again and again (the merge daemon's sweep)
+// lists them into the same memory.
+func (m *Manager) AppendTableNames(dst []string) []string {
+	at := len(dst)
 	m.mu.Lock()
-	names := make([]string, 0, len(m.tables))
 	for name := range m.tables {
-		names = append(names, name)
+		dst = append(dst, name)
 	}
 	m.mu.Unlock()
-	sort.Strings(names)
-	return names
+	slices.Sort(dst[at:])
+	return dst
 }
 
 // OnCommitGroup registers a batch listener (the WAL group appender, the

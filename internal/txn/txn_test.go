@@ -390,3 +390,25 @@ func TestSingleRowCommitAllocs(t *testing.T) {
 		t.Errorf("the listener saw %d commits", batches)
 	}
 }
+
+// TestWarmSweepAllocatesNothing: the merge daemon sweeps every Interval on
+// every engine whether or not anything arrived, so a sweep that merges
+// nothing lists the tables into the memory of the sweep before it and
+// allocates nothing.
+func TestWarmSweepAllocatesNothing(t *testing.T) {
+	m, _ := newManagerWithTable(t)
+	for i := 0; i < 8; i++ {
+		m.Register(columnstore.NewTable(fmt.Sprintf("t%d", i), columnstore.Schema{{Name: "id", Kind: value.KindInt}}))
+	}
+	m.RunInTxn(func(tx *Txn) error {
+		return tx.Insert("acct", value.Row{value.Int(1), value.Int(1)})
+	})
+	g := &Merger{m: m, cfg: MergerConfig{Threshold: 4096}}
+	g.sweep()
+	if got := testing.AllocsPerRun(100, g.sweep); got != 0 {
+		t.Fatalf("a sweep over %d tables that merges nothing allocates %v times", len(m.TableNames()), got)
+	}
+	if g.Merges() != 0 {
+		t.Fatalf("%d merges below the threshold", g.Merges())
+	}
+}
