@@ -31,11 +31,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Ten seconds of each native fuzz target (go test runs one -fuzz target per
-# invocation): the SOE decoders, the WAL's log and checkpoint readers and
-# the wire front end's two frame readers (a real connection's serve loop
-# fed arbitrary bytes after the handshake; the client's DataRow decoder)
-# never panic on hostile bytes and never allocate more than a constant
+# Ten seconds of each native fuzz target, found by grep over the test
+# files, so a new target cannot be left out; each runs alone in its own
+# package (go test runs one -fuzz target per invocation) under an anchored
+# pattern, so a target whose name starts with another's is not a second
+# match. The targets: the SOE decoders, the WAL's log and checkpoint
+# readers and the wire front end's two frame readers (a real connection's
+# serve loop fed arbitrary bytes after the handshake; the client's DataRow
+# decoder) never panic on hostile bytes and never allocate more than a constant
 # times the input; value.Parse, which reads every wire parameter, never
 # panics and reads back what AppendString renders, bit for bit; and the
 # aggregates' exact float sum is the correctly rounded sum in any order and
@@ -56,20 +59,12 @@ race:
 # fill or an error (a trim record drops its position), and reloads a
 # record put after the load byte for byte.
 fuzzsmoke:
-	$(GO) test -run xxx -fuzz 'FuzzDecodeEntry' -fuzztime 10s ./internal/soe/
-	$(GO) test -run xxx -fuzz 'FuzzDecodeMessage' -fuzztime 10s ./internal/soe/
-	$(GO) test -run xxx -fuzz 'FuzzReplay' -fuzztime 10s ./internal/wal/
-	$(GO) test -run xxx -fuzz 'FuzzReadCheckpoint' -fuzztime 10s ./internal/wal/
-	$(GO) test -run xxx -fuzz 'FuzzServerFrames' -fuzztime 10s ./internal/pgwire/
-	$(GO) test -run xxx -fuzz 'FuzzDecodeDataRows' -fuzztime 10s ./internal/pgwire/
-	$(GO) test -run xxx -fuzz 'FuzzParseValue' -fuzztime 10s ./internal/value/
-	$(GO) test -run xxx -fuzz 'FuzzExactSum' -fuzztime 10s ./internal/sqlexec/
-	$(GO) test -run xxx -fuzz 'FuzzDeparse' -fuzztime 10s ./internal/sqlexec/
-	$(GO) test -run xxx -fuzz 'FuzzSplitStatements' -fuzztime 10s ./internal/sqlexec/
-	$(GO) test -run xxx -fuzz 'FuzzPartialState' -fuzztime 10s ./internal/sqlexec/
-	$(GO) test -run xxx -fuzz 'FuzzPrepareCached' -fuzztime 10s ./internal/sqlexec/
-	$(GO) test -run xxx -fuzz 'FuzzDecodeChunk' -fuzztime 10s ./internal/extstore/
-	$(GO) test -run xxx -fuzz 'FuzzOpenFileStore' -fuzztime 10s ./internal/sharedlog/
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=bench '^func Fuzz' .); do \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' $$f); do \
+			echo "fuzz $$name $$(dirname $$f)/"; \
+			$(GO) test -run xxx -fuzz "^$$name\$$" -fuzztime 10s $$(dirname $$f)/; \
+		done; \
+	done
 
 # Quick pass over the vectorized scan/aggregation micro-benchmarks and the
 # ordered scan over 8 and over 32 morsels (which benchguard also holds to

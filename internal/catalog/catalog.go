@@ -35,24 +35,6 @@ type Partition struct {
 	// Lo/Hi are NULL for unbounded ends; PruneCol "" means unpartitioned.
 	PruneCol string
 	Lo, Hi   value.Value
-	// Zone is the per-column min/max/count synopsis recorded when the
-	// partition was demoted to the warm tier; the planner prunes against
-	// it before any extended-store page is faulted. Nil for partitions
-	// never demoted, and invalidated (by its Rows/Merges stamps) when the
-	// table changes after demotion.
-	Zone *columnstore.ZoneMap
-}
-
-// FreshZone is p's zone map while it still describes the table: nil when
-// the partition was never demoted, and nil once rows were added or a merge
-// rebuilt the table since (its Rows/Merges stamps no longer match) — a
-// stale synopsis can neither prune nor answer.
-func (p *Partition) FreshZone() *columnstore.ZoneMap {
-	z := p.Zone
-	if z == nil || z.Rows != p.Table.NumRows() || z.Merges != p.Table.MergeCount() {
-		return nil
-	}
-	return z
 }
 
 // Tier is where p's main store lives: the tier of the store that paged it
@@ -134,8 +116,8 @@ type Catalog struct {
 // Version is the catalog's version: it moves whenever a table, its schema,
 // its partition list or its metadata, or a view, is created, changed or
 // dropped. A plan built against the catalog is good for as long as the
-// version it was built at is current. What the partitions hold — rows, zone
-// maps, bounds widened by aging — does not move it.
+// version it was built at is current. What the partitions hold — rows,
+// synopses, bounds widened by aging — does not move it.
 func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // New returns an empty catalog.

@@ -142,9 +142,9 @@ func (s *Snapshot) VisibleCount(lo, hi int) int {
 }
 
 // AllVisible reports whether every physical row slot is visible to this
-// snapshot — the precondition for answering aggregates from a zone-map
-// synopsis (which is built over all physical rows) without touching any
-// column data.
+// snapshot — the precondition for answering aggregates from the main's
+// synopsis (which is built over all its rows) without touching any column
+// data.
 func (s *Snapshot) AllVisible() bool { return s.firstInvisible(0, s.NumRows()) == s.NumRows() }
 
 // FilterVisible keeps, in place, the positions of sel the snapshot sees:

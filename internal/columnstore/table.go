@@ -208,6 +208,7 @@ type Table struct {
 
 	main     []MainColumn
 	mainRows int
+	syn      *Synopsis // main's, built with it; nil before the first merge
 	delta    []*DeltaColumn
 
 	// rows counts the logical row slots, main rows first, then delta rows.
@@ -329,6 +330,9 @@ func (t *Table) AddColumn(def ColumnDef) int {
 	t.schema = append(t.schema, def)
 	// Main part: a sparse column of NULLs covering existing main rows.
 	t.main = append(t.main, NewSparseColumn(t.mainRows, value.Null, nil, nil, def.Kind))
+	if t.syn != nil { // a new one: snapshots keep the one they captured
+		t.syn = &Synopsis{Cols: append(t.syn.Cols[:len(t.syn.Cols):len(t.syn.Cols)], ColumnSynopsis{Nulls: t.mainRows})}
+	}
 	// Delta part: backfill NULLs for rows already buffered.
 	dc := NewDeltaColumn(def.Kind)
 	if len(t.delta) > 0 {
@@ -615,6 +619,7 @@ func (t *Table) viewInto(ts uint64, s *Snapshot) {
 		schema:   t.schema,
 		main:     t.main,
 		mainRows: t.mainRows,
+		syn:      t.syn,
 		delta:    delta,
 		dicts:    dicts,
 		rows:     t.rows,
@@ -638,6 +643,7 @@ type Snapshot struct {
 	schema   Schema
 	main     []MainColumn
 	mainRows int
+	syn      *Synopsis
 	delta    []DeltaColumn // frozen copies, one slab (see viewInto)
 	dicts    []DeltaDict   // the string columns' dictionary views, one slab
 	rows     int
@@ -781,6 +787,7 @@ type PendingMerge struct {
 
 	keep   []int // frozen positions of the rows the new main keeps, ascending
 	main   []MainColumn
+	syn    *Synopsis
 	blocks []stampBlock
 	runs   []idRun
 
@@ -856,12 +863,13 @@ func (t *Table) beginMerge(minActiveTS uint64) *PendingMerge {
 
 	p.stats = MergeStats{RowsMerged: len(keep), RowsEvicted: total - len(keep)}
 	p.main = make([]MainColumn, len(from.schema))
+	p.syn = &Synopsis{Cols: make([]ColumnSynopsis, len(from.schema))}
 	var stage []int64 // integer and string cells before packing; no column keeps it
 	for c, def := range from.schema {
 		if stage == nil && def.Kind != value.KindFloat {
 			stage = make([]int64, len(keep))
 		}
-		p.main[c] = from.mergeColumn(c, keep, stage, &p.stats)
+		p.main[c], p.syn.Cols[c] = from.mergeColumn(c, keep, stage, &p.stats)
 		p.stats.BytesBuilt += p.main[c].Bytes()
 	}
 
@@ -908,6 +916,7 @@ func (p *PendingMerge) Publish() MergeStats {
 
 	for c := len(p.main); c < len(t.schema); c++ {
 		p.main = append(p.main, NewSparseColumn(len(keep), value.Null, nil, nil, t.schema[c].Kind))
+		p.syn.Cols = append(p.syn.Cols, ColumnSynopsis{Nulls: len(keep)})
 	}
 	delta := make([]*DeltaColumn, len(t.schema))
 	for c, def := range t.schema {
@@ -924,6 +933,7 @@ func (p *PendingMerge) Publish() MergeStats {
 	stats.RowsUnderLock = t.rows - from.rows
 
 	t.main = p.main
+	t.syn = p.syn
 	t.mainRows = len(keep)
 	t.rows = len(keep) + stats.RowsUnderLock
 	t.blocks = blocks
@@ -938,15 +948,15 @@ func (p *PendingMerge) Publish() MergeStats {
 	return *stats
 }
 
-// mergeColumn builds the new main column c from the rows of s at the kept
-// positions. Cells are copied typed: a frame-of-reference main column is
-// decoded a chunk at a time, flat and run-length ones are read where they
-// lie, the delta's payload slices directly; only a main column of another
-// shape (sparse, paged) goes through one boxed Get per cell. An integer or
-// string column is staged in stage, len(keep) long, before it is packed;
-// the column built keeps none of it, so the caller passes the same stage
-// for every column.
-func (s *Snapshot) mergeColumn(c int, keep []int, stage []int64, stats *MergeStats) MainColumn {
+// mergeColumn builds the new main column c, and its synopsis, from the rows
+// of s at the kept positions. Cells are copied typed: a frame-of-reference
+// main column is decoded a chunk at a time, flat and run-length ones are
+// read where they lie, the delta's payload slices directly; only a main
+// column of another shape (sparse, paged) goes through one boxed Get per
+// cell. An integer or string column is staged in stage, len(keep) long,
+// before it is packed; the column built keeps none of it, so the caller
+// passes the same stage for every column.
+func (s *Snapshot) mergeColumn(c int, keep []int, stage []int64, stats *MergeStats) (MainColumn, ColumnSynopsis) {
 	kind := s.schema[c].Kind
 	if kind == value.KindString {
 		return s.mergeStringColumn(c, keep, stage, stats)
@@ -989,7 +999,7 @@ func (s *Snapshot) mergeColumn(c int, keep []int, stage []int64, stats *MergeSta
 				vals[n] = dc.flts[d]
 			}
 		}
-		return &FloatColumn{Vals: vals, Nulls: nulls}
+		return &FloatColumn{Vals: vals, Nulls: nulls}, synopsisOf(vals, nulls, value.Float)
 	}
 
 	// Int, Bool, Time
@@ -1039,6 +1049,7 @@ func (s *Snapshot) mergeColumn(c int, keep []int, stage []int64, stats *MergeSta
 			vals[n] = dc.ints[d]
 		}
 	}
+	syn := synopsisOf(vals, nulls, func(v int64) value.Value { return value.Value{K: kind, I: v} })
 	// Prefer RLE when the data is extremely runny (sorted sensor IDs,
 	// status flags); otherwise frame-of-reference bit packing.
 	if len(vals) >= 1024 && nulls == nil {
@@ -1049,10 +1060,10 @@ func (s *Snapshot) mergeColumn(c int, keep []int, stage []int64, stats *MergeSta
 			}
 		}
 		if runs*8 < len(vals) {
-			return newRLEInts(vals, runs, kind)
+			return newRLEInts(vals, runs, kind), syn
 		}
 	}
-	return NewIntColumn(vals, nulls, kind)
+	return NewIntColumn(vals, nulls, kind), syn
 }
 
 // newRLEInts run-length encodes vals, which hold runs runs and no NULL.
@@ -1069,7 +1080,9 @@ func newRLEInts(vals []int64, runs int, kind value.Kind) *RLEColumn {
 	return c
 }
 
-func (s *Snapshot) mergeStringColumn(c int, keep []int, stage []int64, stats *MergeStats) MainColumn {
+// mergeStringColumn is mergeColumn of a string column; its synopsis reads
+// the sorted codes kept rows hold, not the dictionary's ends (evicted rows').
+func (s *Snapshot) mergeStringColumn(c int, keep []int, stage []int64, stats *MergeStats) (MainColumn, ColumnSynopsis) {
 	dc := &s.delta[c]
 	var oldDict *Dictionary
 	var oldRefs func(i int) (id int, null bool)
@@ -1140,7 +1153,8 @@ func (s *Snapshot) mergeStringColumn(c int, keep []int, stage []int64, stats *Me
 		}
 		refs[n] = int64(deltaRemap[dc.refs[d]])
 	}
-	return &DictColumn{Dict: merged, Refs: packOffsets(refs, 0), Nulls: nulls}
+	syn := synopsisOf(refs, nulls, func(id int64) value.Value { return value.String(merged.Value(int(id))) })
+	return &DictColumn{Dict: merged, Refs: packOffsets(refs, 0), Nulls: nulls}, syn
 }
 
 // CollectVisible returns the positions of all rows visible to s, in

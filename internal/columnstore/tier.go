@@ -1,6 +1,6 @@
 // Tier support: the reader-capability interfaces the executors specialize
-// on (instead of type-switching on concrete column structs), the zone-map
-// synopsis the planner prunes warm partitions with, and the raw accessors
+// on (instead of type-switching on concrete column structs), the synopsis
+// the planner prunes partitions of every tier with, and the raw accessors
 // the extended store needs to serialize encoded columns page by page.
 //
 // The capability methods carry distinct names (FilterInts/FilterFloats/
@@ -79,47 +79,64 @@ func (c *RLEColumn) FilterValues(lo, hi int, op CmpOp, lit value.Value, sel []in
 	return c.FilterRange(lo, hi, op, lit, sel)
 }
 
-// --- Zone maps -------------------------------------------------------------
+// --- Synopses --------------------------------------------------------------
 
-// ColumnZone is the per-column synopsis of a warm partition: min/max over
-// non-NULL values plus value and NULL counts, computed over every physical
-// row at demotion time (a conservative superset of any snapshot's visible
-// rows, so pruning with it can never drop a matching row).
-type ColumnZone struct {
+// Synopsis is what a merge records of each column of the main it builds,
+// offered only while the delta is empty (Table.Synopsis). Immutable; a
+// Snapshot holds a pointer to it, which keeps it in its size class.
+type Synopsis struct{ Cols []ColumnSynopsis }
+
+// ColumnSynopsis is one column's: the least and greatest non-NULL value the
+// main's rows hold, as value.Compare orders them (NaN on top; of -0 and +0,
+// the lower row's), and how many rows are and are not NULL. It covers dead
+// versions the merge kept too, so a predicate it refutes matches no
+// visible row.
+type ColumnSynopsis struct {
 	Min, Max value.Value
 	Count    int // non-NULL rows
 	Nulls    int
 }
 
-// ZoneMap is the partition synopsis the planner consults before faulting
-// any page. Rows and Merges stamp the table state the map was built from;
-// a mismatch (new inserts or a merge since demotion) invalidates the map.
-type ZoneMap struct {
-	Cols   []ColumnZone
-	Rows   int
-	Merges int
+// Synopsis returns the synopsis of each column of the table's main store
+// while it describes the whole table: nil when the delta holds rows, or
+// before the first merge built a main.
+func (t *Table) Synopsis() *Synopsis {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.rows > t.mainRows {
+		return nil
+	}
+	return t.syn
 }
 
-// BuildZoneMap computes the synopsis over all physical rows of a snapshot
-// (visible or not — MVCC-dead rows only widen the bounds).
-func BuildZoneMap(s *Snapshot) *ZoneMap {
-	z := &ZoneMap{Cols: make([]ColumnZone, len(s.Schema())), Rows: s.NumRows()}
-	for c := range z.Cols {
-		cz := &z.Cols[c]
-		for i := 0; i < s.NumRows(); i++ {
-			v := s.Get(c, i)
-			if v.IsNull() {
-				cz.Nulls++
-				continue
-			}
-			if cz.Count == 0 || value.Compare(v, cz.Min) < 0 {
-				cz.Min = v
-			}
-			if cz.Count == 0 || value.Compare(v, cz.Max) > 0 {
-				cz.Max = v
-			}
-			cz.Count++
+// Synopsis is Table.Synopsis of the table as the snapshot captured it.
+func (s *Snapshot) Synopsis() *Synopsis {
+	if s.rows > s.mainRows {
+		return nil
+	}
+	return s.syn
+}
+
+// synopsisOf is the synopsis of the cells of vals outside nulls, read
+// making one a value. Cells compare as value.Compare compares their values:
+// a NaN above every number (v != v holds for a NaN alone).
+func synopsisOf[T int64 | float64](vals []T, nulls *Bitset, read func(T) value.Value) ColumnSynopsis {
+	var z ColumnSynopsis
+	var lo, hi T
+	for i, v := range vals {
+		if nulls != nil && nulls.Get(i) {
+			continue
 		}
+		if z.Count == 0 || v < lo || lo != lo && v == v {
+			lo = v
+		}
+		if z.Count == 0 || v > hi || v != v && hi == hi {
+			hi = v
+		}
+		z.Count++
+	}
+	if z.Nulls = len(vals) - z.Count; z.Count > 0 {
+		z.Min, z.Max = read(lo), read(hi)
 	}
 	return z
 }
@@ -162,8 +179,8 @@ func NewRLEColumnFromParts(ends []int, vals []value.Value, n int) *RLEColumn {
 // representations of the same logical rows (the demote/promote paths swap
 // in-memory encodings for paged warm columns and back). Every replacement
 // must cover exactly the current main row count; the delta store, MVCC
-// stamps and schema are untouched. Snapshots taken before the swap keep
-// reading the old columns.
+// stamps, schema and synopsis are untouched. Snapshots taken before the
+// swap keep reading the old columns.
 func (t *Table) ReplaceMain(cols []MainColumn) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()

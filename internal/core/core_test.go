@@ -331,7 +331,8 @@ func TestMergeDeltaKeepsTemperatureTiers(t *testing.T) {
 
 // TestBackgroundMergeOfADemotedTableShowsHot: a merge nobody asked for by
 // name — the daemon's — rebuilds a demoted table's main store in memory, so
-// the table is hot, and its zone map reads stale.
+// the table is hot, and records the synopsis of the main it built; a row
+// in the delta hides it.
 func TestBackgroundMergeOfADemotedTableShowsHot(t *testing.T) {
 	e := newEco(t, Config{})
 	e.MustQuery(`CREATE TABLE ev (id INT, note VARCHAR)`)
@@ -354,15 +355,15 @@ func TestBackgroundMergeOfADemotedTableShowsHot(t *testing.T) {
 	e.MustQuery(`INSERT INTO ev VALUES (8, 'n8')`)
 	entry, _ := e.Engine.Cat.Table("ev")
 	p := entry.Partitions[0]
-	if tier, _, _ := shown(); tier != "extended" {
-		t.Fatalf("a demoted table with a row in its delta shows %s", tier)
+	if tier, cols, fresh := shown(); tier != "extended" || cols != 0 || fresh {
+		t.Fatalf("a demoted table with a row in its delta shows %s, %d zone columns, fresh %v", tier, cols, fresh)
 	}
 	e.Engine.Mgr.MergeNow(p.Table) // what the daemon's sweep calls
-	if tier, cols, fresh := shown(); tier != "hot" || cols != 2 || fresh {
+	if tier, cols, fresh := shown(); tier != "hot" || cols != 2 || !fresh {
 		t.Fatalf("after the background merge: tier %s, %d zone columns, fresh %v", tier, cols, fresh)
 	}
-	if p.Zone == nil {
-		t.Fatal("the merge dropped the zone map")
+	if z := p.Table.Synopsis(); z.Cols[0].Count != 9 {
+		t.Fatalf("the merge's synopsis: %+v", z)
 	}
 	if n := e.MustQuery(`SELECT COUNT(*) FROM ev`).Rows[0][0].I; n != 9 {
 		t.Fatalf("count=%d", n)

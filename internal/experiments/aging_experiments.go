@@ -16,11 +16,12 @@ import (
 // dependency-coupled rule enables the join split. Aged rows are paged out
 // to an extended store whose pool holds one page, so every scan of a paged
 // partition faults each chunk it reads: a pruned partition is I/O saved.
-// The rows are read in two states. After MERGE DELTA OF, which re-hydrates
-// the aged partitions, their zone maps are stale and only the rule knows
-// what they hold. After the rules' next run has paged them out again, the
-// fresh zone map refutes what the rule refutes on one table, and the join
-// split is what the rule adds.
+// The rows are read in two states. Right after the first run, which moves
+// the aged rows with no store to page them out to, they sit in their
+// partitions' deltas: no merge has built a main, so no synopsis describes
+// them and only the rule knows what they hold. After the rules' next run
+// has merged and paged them out, each main's synopsis refutes what the rule
+// refutes on one table, and the join split is what the rule adds.
 func E6AgingPruning(s Scale) *Table {
 	t := &Table{
 		ID:     "E6",
@@ -36,7 +37,6 @@ func E6AgingPruning(s Scale) *Table {
 		panic(err)
 	}
 	defer warm.Close()
-	mgr.Warm = warm
 
 	eng.MustQuery(`CREATE TABLE orders (id VARCHAR, status VARCHAR, closed INT, total DOUBLE)`)
 	eng.MustQuery(`CREATE TABLE invoices (id VARCHAR, order_id VARCHAR, status VARCHAR, paid INT, amount DOUBLE)`)
@@ -76,8 +76,6 @@ func E6AgingPruning(s Scale) *Table {
 	if _, err := mgr.RunAging(now); err != nil {
 		panic(err)
 	}
-	eng.MustQuery(`MERGE DELTA OF orders`)
-	eng.MustQuery(`MERGE DELTA OF invoices`)
 
 	row := func(query, pruner, q string) {
 		faults0, bytes0 := extReads()
@@ -99,7 +97,7 @@ func E6AgingPruning(s Scale) *Table {
 		}
 	}
 
-	// Merged: the aged partitions are in memory, their zone maps stale.
+	// Moved: the aged rows are in memory, in deltas no synopsis describes.
 	eng.Prune = nil
 	row("open orders", "none", openQ)
 	eng.Prune = aging.StatsPrune(eng)
@@ -108,14 +106,15 @@ func E6AgingPruning(s Scale) *Table {
 	row("open orders", "semantic rule", openQ)
 	joins("")
 
-	// The rules' next run moves nothing and pages the aged partitions out
-	// again, each with a fresh zone map.
+	// The rules' next run moves nothing and merges and pages the aged
+	// partitions out, each main with its synopsis.
+	mgr.Warm = warm
 	if _, err := mgr.RunAging(now); err != nil {
 		panic(err)
 	}
 	eng.Prune = nil
-	row("open orders, paged", "none (zone maps)", openQ)
+	row("open orders, paged", "none (synopses)", openQ)
 	joins(", paged")
-	t.Note("rows 1-5 after MERGE DELTA OF re-hydrated the aged partitions (tier hot, zone maps stale); rows 6-8 after the next aging run paged them out under a one-page pool")
+	t.Note("rows 1-5 after the first aging run moved the aged rows into their partitions' deltas (tier hot, no synopsis); rows 6-8 after the next aging run merged and paged them out under a one-page pool")
 	return t
 }

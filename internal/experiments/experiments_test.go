@@ -106,13 +106,13 @@ func TestE6ShapeSemanticPrunesBest(t *testing.T) {
 	if !(split < join) {
 		t.Fatalf("join split did not help: %d vs %d", split, join)
 	}
-	// Merged, the aged partitions are in memory: nothing faults.
+	// Moved, the aged rows are in memory: nothing faults.
 	for row := 0; row < 5; row++ {
 		if f := atoi(t, cell(tab, row, 4)); f != 0 {
-			t.Fatalf("row %d faulted %d pages over re-hydrated partitions: %v", row, f, tab.Rows[row])
+			t.Fatalf("row %d faulted %d pages over in-memory partitions: %v", row, f, tab.Rows[row])
 		}
 	}
-	// Paged out again, the fresh zone map refutes what the rule refutes;
+	// Paged out, each main's synopsis refutes what the rule refutes;
 	// the plain join faults the aged invoices in, the split faults nothing.
 	if zone := atoi(t, cell(tab, 5, 2)); zone != semantic || atoi(t, cell(tab, 5, 4)) != 0 {
 		t.Fatalf("paged open orders: %v, want %d partitions and no fault", tab.Rows[5], semantic)

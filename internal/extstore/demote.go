@@ -1,13 +1,12 @@
 // Demote/Promote: the tier transitions. Demote merges a partition's delta,
-// serializes every column into this store's chunks, records the zone-map
-// synopsis on the catalog partition and swaps paged columns into the table.
-// Promote is a merge: the delta→main merge always rebuilds hot encodings,
-// so merging a paged table re-hydrates it. Neither writes a tier: a
-// partition's tier is where its main store lives (catalog.Partition.Tier
-// asks the main column which store paged it), so whoever merges it — a
-// Promote, MERGE DELTA OF or the background daemon — makes it hot, and the
-// zone map beside it is refused as stale by everything that reads one
-// (Zone.Merges). The policy that demoted it re-demotes it on its next run.
+// serializes every column into this store's chunks and swaps paged columns
+// into the table. Promote is a merge: the delta→main merge always rebuilds
+// hot encodings, so merging a paged table re-hydrates it. Neither writes a
+// tier: a partition's tier is where its main store lives
+// (catalog.Partition.Tier asks the main column which store paged it), so
+// whoever merges it — a Promote, MERGE DELTA OF or the background daemon —
+// makes it hot. The policy that demoted it re-demotes it on its next run.
+// Neither touches the synopsis the merge recorded: the rows stay the same.
 package extstore
 
 import (
@@ -20,11 +19,11 @@ import (
 )
 
 // Demote serializes partition p to this store's tier: delta merged,
-// columns re-encoded into pages, zone map recorded. Safe to call on an
-// already-paged partition (re-demotes any rows that arrived since; a no-op
-// when nothing changed). Demotion is a policy action, not a query-path one:
-// callers (the tiering and aging policies, tests) run it while no
-// concurrent merge of the same table is in flight.
+// columns re-encoded into pages. Safe to call on an already-paged partition
+// (re-demotes any rows that arrived since; a no-op when nothing changed).
+// Demotion is a policy action, not a query-path one: callers (the tiering
+// and aging policies, tests) run it while no concurrent merge of the same
+// table is in flight.
 func (s *Store) Demote(p *catalog.Partition, minActiveTS uint64) error {
 	t := p.Table
 	if s.paged(t) && t.DeltaRows() == 0 {
@@ -37,10 +36,6 @@ func (s *Store) Demote(p *catalog.Partition, minActiveTS uint64) error {
 	snap := t.Snapshot(math.MaxUint64)
 	rows := snap.MainRows()
 	schema := snap.Schema()
-
-	zone := columnstore.BuildZoneMap(snap)
-	zone.Merges = t.MergeCount()
-
 	cols := make([]columnstore.MainColumn, len(schema))
 	for c := range schema {
 		pc, err := s.pageColumn(snap, c, rows, t.Name())
@@ -52,7 +47,6 @@ func (s *Store) Demote(p *catalog.Partition, minActiveTS uint64) error {
 	if err := t.ReplaceMain(cols); err != nil {
 		return err
 	}
-	p.Zone = zone
 	cDemotions.Inc()
 	return nil
 }
@@ -60,13 +54,12 @@ func (s *Store) Demote(p *catalog.Partition, minActiveTS uint64) error {
 // Promote re-hydrates partition p if this store paged it out: the
 // delta→main merge rebuilds in-memory encodings from the paged columns
 // (faulting every chunk once). A partition something else has merged since
-// its demotion is hot already; Promote only drops its stale zone map.
+// its demotion is hot already, and Promote leaves it as it is.
 func (s *Store) Promote(p *catalog.Partition, minActiveTS uint64) error {
 	if s.paged(p.Table) {
 		p.Table.Merge(minActiveTS)
 		cPromotions.Inc()
 	}
-	p.Zone = nil
 	return nil
 }
 

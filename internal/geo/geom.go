@@ -157,12 +157,3 @@ func (pg Polygon) AreaKm2() float64 {
 	}
 	return math.Abs(area) / 2
 }
-
-// BoundingBox returns the lat/lon envelope of the polygon.
-func (pg Polygon) BoundingBox() Rect {
-	r := Rect{MinLat: math.MaxFloat64, MinLon: math.MaxFloat64, MaxLat: -math.MaxFloat64, MaxLon: -math.MaxFloat64}
-	for _, p := range pg.Ring {
-		r = r.expand(p)
-	}
-	return r
-}

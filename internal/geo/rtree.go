@@ -10,13 +10,6 @@ type Rect struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
 }
 
-func (r Rect) expand(p Point) Rect {
-	return Rect{
-		MinLat: math.Min(r.MinLat, p.Lat), MinLon: math.Min(r.MinLon, p.Lon),
-		MaxLat: math.Max(r.MaxLat, p.Lat), MaxLon: math.Max(r.MaxLon, p.Lon),
-	}
-}
-
 func (r Rect) union(o Rect) Rect {
 	return Rect{
 		MinLat: math.Min(r.MinLat, o.MinLat), MinLon: math.Min(r.MinLon, o.MinLon),

@@ -60,9 +60,6 @@ func (g *Graph) intern(name string) int {
 	return id
 }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.names) }
-
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int { return g.edges }
 

@@ -44,13 +44,6 @@ func (d *DataNode) Alive() bool {
 	return d.alive
 }
 
-// BlockCount returns how many blocks the node stores.
-func (d *DataNode) BlockCount() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.data)
-}
-
 func (d *DataNode) put(b BlockID, data []byte) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -103,9 +96,6 @@ func New(datanodes, blockSize, replication int) *FS {
 	}
 	return fs
 }
-
-// BlockSize returns the configured block size.
-func (fs *FS) BlockSize() int { return fs.blockSize }
 
 // WriteFile creates a file with the given content (no appends — HDFS
 // semantics: write once).
@@ -287,14 +277,6 @@ func (fs *FS) ReadSplit(s Split) ([]byte, error) { return fs.readBlock(s.Block) 
 func (fs *FS) KillDataNode(id int) {
 	fs.nodes[id].mu.Lock()
 	fs.nodes[id].alive = false
-	fs.nodes[id].mu.Unlock()
-}
-
-// ReviveDataNode brings a datanode back (its blocks are stale until the
-// next re-replication pass rebuilds placement).
-func (fs *FS) ReviveDataNode(id int) {
-	fs.nodes[id].mu.Lock()
-	fs.nodes[id].alive = true
 	fs.nodes[id].mu.Unlock()
 }
 

@@ -188,17 +188,6 @@ func (c *CSR) Transpose() *CSR {
 	return out
 }
 
-// ToDense materializes the matrix.
-func (c *CSR) ToDense() *Dense {
-	out := NewDense(c.Rows, c.Cols)
-	for i := 0; i < c.Rows; i++ {
-		for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-			out.Set(i, c.ColIdx[k], c.Vals[k])
-		}
-	}
-	return out
-}
-
 // Triples returns the non-zero entries in row-major order.
 func (c *CSR) Triples() []Triple {
 	var ts []Triple

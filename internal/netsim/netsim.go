@@ -197,12 +197,6 @@ func (n *Network) Instrument(reg *stats.Registry) {
 	n.obs.Store(&instruments{reg: reg, pairs: map[[2]string]pairCounters{}})
 }
 
-// Send is a one-way, fire-and-forget message (log replication fan-out).
-func (n *Network) Send(from, to string, req Message) error {
-	_, err := n.Call(from, to, req)
-	return err
-}
-
 func (n *Network) charge(cfg Config, size int) {
 	n.msgs.Add(1)
 	n.bytesSent.Add(int64(size))

@@ -191,15 +191,21 @@ func (c *Coordinator) Insert(table string, rows []value.Row) (uint64, error) {
 	// Rows are placed by partition (a counting sort, order kept within
 	// each), so the write set encodes as one section per partition: a host
 	// decodes its rows as one batch and every other node steps over them
-	// by length.
+	// by length. A row goes where its key hashes as a node stores it:
+	// coerced to the key column's kind.
 	ki := t.KeyIndex()
+	kind := t.Schema[ki].Kind
 	parts := make([]int, len(rows))
 	next := make([]int, t.Partitions+1) // next[p+1] counts partition p, then next[p] is its next slot
 	for i, r := range rows {
 		if len(r) != len(t.Schema) {
 			return 0, fmt.Errorf("soe: row width %d for table %s (%d cols)", len(r), table, len(t.Schema))
 		}
-		parts[i] = t.PartitionFor(r[ki])
+		key := value.Coerce(r[ki], kind)
+		if key.IsNull() && !r[ki].IsNull() {
+			return 0, fmt.Errorf("soe: key %s of table %s is not a %s", r[ki].AsString(), table, kind)
+		}
+		parts[i] = t.PartitionFor(key)
 		next[parts[i]+1]++
 	}
 	for p := 0; p < t.Partitions; p++ {

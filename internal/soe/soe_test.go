@@ -194,6 +194,50 @@ func TestDeleteByKey(t *testing.T) {
 	}
 }
 
+// TestInsertRoutesTheStoredKey: a key the client spells in another kind
+// than its column's is stored coerced to the column's kind, so the row must
+// go where that value hashes — where pruning looks for it and Delete
+// routes. A key that does not coerce is refused.
+func TestInsertRoutesTheStoredKey(t *testing.T) {
+	c := newTestCluster(t, 4, OLTP)
+	schema := columnstore.Schema{{Name: "id", Kind: value.KindInt}, {Name: "v", Kind: value.KindInt}}
+	if _, err := c.CreateTable("t", schema, "id", 8); err != nil {
+		t.Fatal(err)
+	}
+	var rows []value.Row
+	for k := 0; k < 40; k++ {
+		rows = append(rows, value.Row{value.String(fmt.Sprint(k)), value.Int(int64(k))})
+	}
+	if _, err := c.Insert("t", rows...); err != nil {
+		t.Fatal(err)
+	}
+	missed := 0
+	for k := 0; k < 40; k++ {
+		r, err := c.Query(fmt.Sprintf(`SELECT v FROM t WHERE id = %d`, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != 1 {
+			missed++
+		}
+	}
+	if missed != 0 {
+		t.Errorf("%d of 40 selects by key missed their row", missed)
+	}
+	if _, err := c.Coordinator.Delete("t", "3"); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := c.Query(`SELECT COUNT(*) FROM t`); r.Rows[0][0].AsInt() != 39 {
+		t.Errorf("count after deleting key 3: %v", r.Rows[0][0])
+	}
+	if _, err := c.Insert("t", value.Row{value.String("k"), value.Int(0)}); err == nil {
+		t.Error("a key that is no INT was inserted")
+	}
+	if r, _ := c.Query(`SELECT COUNT(*) FROM t`); r.Rows[0][0].AsInt() != 39 {
+		t.Errorf("count after the refused insert: %v", r.Rows[0][0])
+	}
+}
+
 func loadJoinTables(t *testing.T, c *Cluster, orders, itemsPerOrder int, coPartition bool) {
 	t.Helper()
 	if _, err := c.CreateTable("orders", ordersSchema(), "id", 2*len(c.Nodes)); err != nil {

@@ -46,13 +46,6 @@ func (s *StatsService) AddSource(endpoint string) {
 	s.mu.Unlock()
 }
 
-// RemoveSource drops an endpoint (decommissioned node).
-func (s *StatsService) RemoveSource(endpoint string) {
-	s.mu.Lock()
-	delete(s.sources, endpoint)
-	s.mu.Unlock()
-}
-
 // Sources lists subscribed endpoints, sorted.
 func (s *StatsService) Sources() []string {
 	s.mu.Lock()

@@ -827,12 +827,3 @@ func (s *Session) execCreateTable(ct *CreateTableStmt) error {
 	}
 	return nil
 }
-
-// RegisterEntryTables registers all partitions of an externally created
-// entry with the transaction manager (engines that create tables through
-// the catalog directly use this).
-func (e *Engine) RegisterEntryTables(entry *catalog.TableEntry) {
-	for _, p := range entry.Partitions {
-		e.Mgr.Register(p.Table)
-	}
-}

@@ -226,10 +226,10 @@ type scanRun struct {
 	plan  *ScanPlan
 	ncols int
 
-	// zone, when a fused aggregate sets it, is offered each demoted partition
-	// whose zone map exactly describes the snapshot (same physical rows, no
-	// merge since demotion, every row visible, no filter), and answers it
-	// from the synopsis: the partition's morsels are skipped entirely.
+	// zone, when a fused aggregate sets it, is offered each partition whose
+	// main's synopsis exactly describes the snapshot (no delta row, every
+	// row visible, no filter), and answers it from the synopsis: the
+	// partition's morsels are skipped entirely.
 	zone *zoneFold
 
 	// What the morsels are for (exit), and what that exit needs. fused is
@@ -635,13 +635,12 @@ func (r *scanRun) open() {
 		if rows == 0 {
 			continue
 		}
-		if zm := part.FreshZone(); r.zone != nil && s.Filter == nil && zm != nil &&
-			zm.Rows == rows && rows == snap.MainRows() && snap.AllVisible() {
-			// Zone-map fast path: the synopsis covers exactly this
-			// snapshot's rows and every one of them is visible, so
-			// COUNT/MIN/MAX answer from resident metadata without
-			// faulting a single page, or boxing any of the values.
-			r.zone.answer(snap, zm)
+		if syn := snap.Synopsis(); r.zone != nil && syn != nil && snap.AllVisible() {
+			// The synopsis covers exactly this snapshot's rows and every
+			// one of them is visible, so COUNT/MIN/MAX answer from
+			// resident metadata without reading (or faulting) a single
+			// page, or boxing any of the values.
+			r.zone.answer(rows, syn)
 			r.tally.DecodeBytesAvoided += rows * r.ncols * 16
 			continue
 		}

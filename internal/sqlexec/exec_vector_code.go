@@ -101,7 +101,7 @@ type aggInput struct {
 
 	// avoidPerRow estimates boxed values NOT materialized per surviving
 	// row of a scan: its width minus the distinct columns a fold decodes.
-	// zoneable says a zone map may answer the aggregation over a scan: a
+	// zoneable says a synopsis may answer the aggregation over a scan: a
 	// global COUNT/MIN/MAX of bare columns over an unfiltered scan.
 	avoidPerRow int
 	zoneable    bool
@@ -783,8 +783,8 @@ func (r *scanRun) foldMorsels(in *aggInput, op *OpProfile) []*aggFold {
 }
 
 // foldScan fuses an aggregation into the scan morsels (see foldMorsels),
-// and warm partitions whose zone map exactly describes the snapshot answer
-// COUNT/MIN/MAX from the synopsis without faulting a page (r.zone). The
+// and partitions whose main's synopsis exactly describes the snapshot
+// answer COUNT/MIN/MAX from it without reading a page (r.zone). The
 // scan's wall time is the aggregate's; its counters still reach its own
 // profile node (scanRun.op).
 func (r *opRun) foldScan(s *ScanPlan, in *aggInput) *aggFold {
@@ -804,21 +804,23 @@ func (r *opRun) foldScan(s *ScanPlan, in *aggInput) *aggFold {
 }
 
 // zoneFold is a global aggregation's COUNT/MIN/MAX over the partitions
-// answered from their zone maps (scanRun.zone), readied only for an
+// answered from their synopses (scanRun.zone), readied only for an
 // aggregation that may be (aggInput.zoneable).
 type zoneFold struct {
 	in   *aggInput
 	accs []aggAcc
 }
 
-func (z *zoneFold) answer(snap *columnstore.Snapshot, zm *columnstore.ZoneMap) {
-	rows := snap.NumRows()
+// answer folds in a partition of rows rows, every one visible, that syn
+// describes.
+func (z *zoneFold) answer(rows int, syn *columnstore.Synopsis) {
 	for i, ac := range z.in.argCols {
 		if ac < 0 {
 			z.accs[i].count += int64(rows)
 		} else {
-			z.accs[i].count += int64(zm.Cols[ac].Count)
-			z.accs[i].widen(zm.Cols[ac].Min, zm.Cols[ac].Max)
+			zc := &syn.Cols[ac]
+			z.accs[i].count += int64(zc.Count)
+			z.accs[i].widen(zc.Min, zc.Max)
 		}
 	}
 }

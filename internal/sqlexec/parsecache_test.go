@@ -421,7 +421,9 @@ func respell(t *testing.T, c *ParseCache, st *Stmt) string {
 	at := 0
 	for k, i := range sh.slots {
 		tk := toks[i]
-		sb.WriteString(st.text[at:tk.pos])
+		// Spaced: a literal spelled longer must not run into a neighbour
+		// its old spelling touched (BETWEEN.5AND).
+		sb.WriteString(st.text[at:tk.pos] + " ")
 		switch v := st.lits[k]; v.K {
 		case value.KindInt:
 			sb.WriteString(strconv.FormatInt(max(v.I-1, 1-v.I), 10))
@@ -430,6 +432,7 @@ func respell(t *testing.T, c *ParseCache, st *Stmt) string {
 		default:
 			sb.WriteString("'" + strings.ReplaceAll(v.S+"x", "'", "''") + "'")
 		}
+		sb.WriteByte(' ')
 		at = int(tk.pos) + len(tk.text)
 		if tk.kind == tkString { // the quotes, and each quote inside doubled
 			at += 2 + strings.Count(tk.text, "'")

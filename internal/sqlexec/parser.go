@@ -413,7 +413,7 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		ref.Func = fe
 	default:
 		t := p.next()
-		if t.kind != tkIdent {
+		if t.kind != tkIdent || t.text == "" { // "" names no table
 			return ref, p.errf("expected table name, found %q", t.text)
 		}
 		ref.Name = t.text

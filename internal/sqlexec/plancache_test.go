@@ -120,10 +120,10 @@ func TestPlanFollowsTheCatalog(t *testing.T) {
 	}
 }
 
-// TestStaleZoneMapPrunesNothing: a demoted partition's zone map refutes a
-// filter on the first run; a row inserted after that run makes the zone
-// map stale, and the next run of the same plan reads the partition and
-// finds the row.
+// TestStaleZoneMapPrunesNothing: a merged partition's synopsis refutes a
+// filter, hot or demoted alike; a row inserted after that run lands in the
+// delta, which disables the synopsis, and the next run of the same plan
+// reads the partition and finds the row.
 func TestStaleZoneMapPrunesNothing(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, `CREATE TABLE zoned (d INT, v INT) PARTITION BY RANGE(d) VALUES (100)`)
@@ -131,6 +131,10 @@ func TestStaleZoneMapPrunesNothing(t *testing.T) {
 		mustExec(t, e, fmt.Sprintf(`INSERT INTO zoned VALUES (%d, %d)`, i, i%7))
 	}
 	mustExec(t, e, `MERGE DELTA OF zoned`)
+	p := newPlanProbe(t, e, `SELECT d, v FROM zoned WHERE v > 100 ORDER BY d`)
+	if r := p.check(t, "merged"); len(r.Rows) != 0 || r.Stats.PartitionsPruned != 2 {
+		t.Fatalf("merged: the synopses refute both partitions: %s", answer(r))
+	}
 	store, err := extstore.OpenTemp(extstore.Options{PageSize: 512, ChunkRows: 32, PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +143,12 @@ func TestStaleZoneMapPrunesNothing(t *testing.T) {
 	if _, err := store.DemoteTable(e.Cat.MustTable("zoned"), e.Mgr.MinActiveTS()); err != nil {
 		t.Fatal(err)
 	}
-	p := newPlanProbe(t, e, `SELECT d, v FROM zoned WHERE v > 100 ORDER BY d`)
 	if r := p.check(t, "demoted"); len(r.Rows) != 0 || r.Stats.PartitionsPruned != 2 {
-		t.Fatalf("demoted: the zone maps refute both partitions: %s", answer(r))
+		t.Fatalf("demoted: the synopses refute both partitions: %s", answer(r))
 	}
 	mustExec(t, e, `INSERT INTO zoned VALUES (150, 500)`)
 	if r := p.check(t, "a row after the first run"); len(r.Rows) != 1 || r.Stats.PartitionsPruned != 1 {
-		t.Fatalf("a row after the first run: the stale zone map must prune nothing: %s", answer(r))
+		t.Fatalf("a row after the first run: a partition with a delta row must not be pruned: %s", answer(r))
 	}
 }
 

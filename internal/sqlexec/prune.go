@@ -12,8 +12,8 @@ import (
 // match. A filter is classified once (Classify) into comparisons of a
 // column against a literal or a parameter; a partition is refuted when one
 // of them is false for every value a min/max summary of that column admits
-// (Refutes). The summaries are a range partition's bounds and a warm
-// partition's zone map here, a distributed table's range slots in the SOE
+// (Refutes). The summaries are a range partition's bounds and its main's
+// synopsis here, a distributed table's range slots in the SOE
 // coordinator, and the aging engine's rule invariants and its statistics
 // baseline behind the prune hook. The planner classifies a scan's filter
 // once; every execution refutes partitions with the predicates, a
@@ -194,7 +194,7 @@ type pruneHooks struct{ scope, engine PruneHook }
 
 // classify readies the scan for pruning, once, when everything that will be
 // pushed into it has been: it classifies the filter. The pruning itself
-// reads what the catalog does not hold still — a zone map's freshness, the
+// reads what the catalog does not hold still — a main's synopsis, the
 // aging rules, a node task's partition list, a parameter — and so runs on
 // every execution (binding.bind): a plan is shared by every session and
 // every run of its statement.
@@ -239,7 +239,7 @@ func (b *binding) reset() {
 // run's parameters are bound into the predicates first; then the hooks
 // (the session's Scope, the engine's Prune, and the hook of the Planner
 // that built s when it had one) keep what they keep, and of that range
-// bounds and fresh zone maps refute what they can.
+// bounds and synopses refute what they can.
 func (b *binding) bind(s *ScanPlan, hooks pruneHooks, params []value.Value) (parts []*catalog.Partition, pruned int) {
 	preds := s.Preds
 	if s.params {
@@ -324,14 +324,12 @@ func rangeRefutes(schema columnstore.Schema, p *catalog.Partition, preds []Pred)
 	return false
 }
 
-// zoneRefutes reports whether a predicate proves warm partition p empty by
-// its zone map: the per-column min/max/count synopsis recorded at demotion
-// time, consulted before the executor faults a single page. A zone map
-// covers every physical row (MVCC-dead versions included), a conservative
-// superset — a refuted zone can never hide a visible matching row. A stale
-// one (Partition.FreshZone) never prunes.
+// zoneRefutes reports whether a predicate proves partition p empty by its
+// main's synopsis, whatever the tier, before a page is read or faulted.
+// There is none while the delta holds rows (Table.Synopsis); it covers dead
+// versions too, a superset that can never hide a visible match.
 func zoneRefutes(p *catalog.Partition, preds []Pred) bool {
-	z := p.FreshZone()
+	z := p.Table.Synopsis()
 	if z == nil {
 		return false
 	}

@@ -13,11 +13,13 @@ import (
 	"repro/internal/value"
 )
 
-// TestZonePruneProperty is the zone-map pruning correctness property
+// TestZonePruneProperty is the synopsis pruning correctness property
 // (quick.Check, matching the mergeDictionaries style): for randomized
-// datasets and randomized int/string predicates, a scan over warm
-// partitions — where the planner prunes via zone maps before any page
-// fault — returns exactly the rows of the unpruned all-hot scan.
+// datasets and randomized int/string predicates, a scan over merged
+// partitions, hot and warm — where the planner prunes by each main's
+// synopsis before it reads or faults any page — returns exactly the rows of
+// the same rows left in the delta, which no synopsis can prune, and the hot
+// and the warm scan prune the same partitions.
 func TestZonePruneProperty(t *testing.T) {
 	ops := []string{"=", "<>", "<", "<=", ">", ">="}
 	var pruned int64
@@ -25,7 +27,7 @@ func TestZonePruneProperty(t *testing.T) {
 	f := func(seed int64, kRaw int64, litSel, opSel, colSel uint8) bool {
 		letters := []string{"alpha", "bravo", "charlie", "delta", "echo"}
 
-		build := func() *Engine {
+		build := func(merge bool) *Engine {
 			e := NewEngine()
 			mustExec(t, e, `CREATE TABLE zt (pk INT, v INT, s VARCHAR) PARTITION BY RANGE(pk) VALUES (60, 120)`)
 			sess := e.NewSession()
@@ -49,12 +51,15 @@ func TestZonePruneProperty(t *testing.T) {
 			if err := sess.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			mustExec(t, e, `MERGE DELTA OF zt`)
+			if merge {
+				mustExec(t, e, `MERGE DELTA OF zt`)
+			}
 			return e
 		}
 
-		hot := build()
-		warm := build()
+		delta := build(false)
+		hot := build(true)
+		warm := build(true)
 		store, err := extstore.OpenTemp(extstore.Options{PageSize: 512, ChunkRows: 32, PoolPages: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -79,16 +84,27 @@ func TestZonePruneProperty(t *testing.T) {
 			q = fmt.Sprintf(`SELECT pk, v, s FROM zt WHERE s %s '%s' ORDER BY pk`, op, lits[int(litSel)%len(lits)])
 		}
 
-		hot.Mode = ModeInterpreted
-		want := resultKeys(mustExec(t, hot, q))
+		delta.Mode = ModeInterpreted
+		ref := mustExec(t, delta, q)
+		if ref.Stats.PartitionsPruned != 0 {
+			t.Logf("%s: a delta-only table pruned %d partitions", q, ref.Stats.PartitionsPruned)
+			return false
+		}
+		want := resultKeys(ref)
 		for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
-			warm.Mode = mode
-			got := mustExec(t, warm, q)
-			if keys := resultKeys(got); !reflect.DeepEqual(keys, want) {
-				t.Logf("%s: mode=%d pruned warm scan %d rows, unpruned hot scan %d rows", q, mode, len(keys), len(want))
+			hot.Mode, warm.Mode = mode, mode
+			h, w := mustExec(t, hot, q), mustExec(t, warm, q)
+			for _, got := range []*Result{h, w} {
+				if keys := resultKeys(got); !reflect.DeepEqual(keys, want) {
+					t.Logf("%s: mode=%d pruned scan %d rows, unpruned delta scan %d rows", q, mode, len(keys), len(want))
+					return false
+				}
+			}
+			if h.Stats.PartitionsPruned != w.Stats.PartitionsPruned {
+				t.Logf("%s: mode=%d hot pruned %d partitions, warm %d", q, mode, h.Stats.PartitionsPruned, w.Stats.PartitionsPruned)
 				return false
 			}
-			pruned += int64(got.Stats.PartitionsPruned)
+			pruned += int64(w.Stats.PartitionsPruned)
 		}
 		return true
 	}

@@ -68,6 +68,7 @@ func TestParserRejectsGarbage(t *testing.T) {
 	for _, sql := range []string{
 		"", "SELEC 1", "SELECT", "SELECT * FROM", "INSERT INTO", "SELECT 1 FROM t WHERE",
 		"SELECT 'unterminated", "CREATE TABLE t", "SELECT 1 2",
+		`SELECT 1 FROM "" a`,
 	} {
 		if _, err := Parse(sql); err == nil {
 			t.Fatalf("%q must not parse", sql)

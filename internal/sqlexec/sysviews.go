@@ -125,10 +125,10 @@ func registerEngineSysViews(e *Engine) {
 			}
 			for _, p := range entry.Partitions {
 				zoneCols := 0
-				if p.Zone != nil {
-					zoneCols = len(p.Zone.Cols)
+				syn := p.Table.Synopsis()
+				if syn != nil {
+					zoneCols = len(syn.Cols)
 				}
-				zoneFresh := p.FreshZone() != nil
 				rows = append(rows, value.Row{
 					value.String(name), value.String(p.Name),
 					value.String(string(p.Tier())),
@@ -138,7 +138,7 @@ func registerEngineSysViews(e *Engine) {
 					value.Int(int64(p.Table.Bytes())),
 					value.Int(int64(p.Table.StampBytes())),
 					value.Int(int64(p.Table.MergeCount())),
-					value.Int(int64(zoneCols)), value.Bool(zoneFresh),
+					value.Int(int64(zoneCols)), value.Bool(syn != nil),
 				})
 			}
 		}

@@ -38,8 +38,8 @@ func TestTierParity(t *testing.T) {
 			if p.Tier() != catalog.TierExtended {
 				t.Fatalf("%s partition %s still %s after demote", name, p.Name, p.Tier())
 			}
-			if p.Zone == nil {
-				t.Fatalf("%s partition %s has no zone map", name, p.Name)
+			if p.Table.Synopsis() == nil {
+				t.Fatalf("%s partition %s has no synopsis", name, p.Name)
 			}
 		}
 	}
@@ -88,7 +88,7 @@ func TestTierParity(t *testing.T) {
 
 // TestTierPromoteRoundTrip demotes, queries, promotes and asserts results
 // and tier tags stay consistent — plus re-hydration via an ordinary MERGE
-// DELTA, which resets the tag it made stale.
+// DELTA, which records the synopsis of the main it builds.
 func TestTierPromoteRoundTrip(t *testing.T) {
 	e := parityEngine(t)
 	store, err := extstore.OpenTemp(extstore.Options{PageSize: 1024, ChunkRows: 128, PoolPages: 4})
@@ -133,8 +133,8 @@ func TestTierPromoteRoundTrip(t *testing.T) {
 	if p.Tier() != catalog.TierHot {
 		t.Fatalf("tier after MERGE DELTA: %s", p.Tier())
 	}
-	if p.FreshZone() != nil {
-		t.Fatal("zone map still reads fresh after re-hydration")
+	if z := p.Table.Synopsis(); z == nil || len(z.Cols) != 5 || z.Cols[0].Count != p.Table.MainRows() {
+		t.Fatalf("synopsis after re-hydration: %+v", z)
 	}
 }
 
