@@ -35,29 +35,7 @@ race:
 # files, so a new target cannot be left out; each runs alone in its own
 # package (go test runs one -fuzz target per invocation) under an anchored
 # pattern, so a target whose name starts with another's is not a second
-# match. The targets: the SOE decoders, the WAL's log and checkpoint
-# readers and the wire front end's two frame readers (a real connection's
-# serve loop fed arbitrary bytes after the handshake; the client's DataRow
-# decoder) never panic on hostile bytes and never allocate more than a constant
-# times the input; value.Parse, which reads every wire parameter, never
-# panics and reads back what AppendString renders, bit for bit; and the
-# aggregates' exact float sum is the correctly rounded sum in any order and
-# under any split into partial sums; a SELECT that parses deparses to text
-# that parses back to the same statement; the split of a string of
-# statements on its `;` tokens hands over in-order slices that lex alone;
-# and any string prepared three times on one engine, the third time from
-# its parse cache, reads as a fresh parse, its normal form (NormalizeSQL)
-# normalizes to itself, and each SELECT of it answers through its cached
-# plan as through a fresh one, and — spelled anew, each literal the shape
-# made a parameter slot another literal of its kind — is served by its
-# shape's parse and answers as a parse of its literals; and the extended
-# store's chunk decoder never
-# panics on hostile bytes, never returns a column that does not read, and
-# round-trips every chunk encoding, run-length included; and a shared-log
-# unit's record file, whatever its bytes, loads without a panic or an
-# allocation sized by a length it has not checked, reads back as data, a
-# fill or an error (a trim record drops its position), and reloads a
-# record put after the load byte for byte.
+# match. What a target checks is said in its own doc comment.
 fuzzsmoke:
 	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=bench '^func Fuzz' .); do \
 		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' $$f); do \

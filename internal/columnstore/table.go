@@ -1053,17 +1053,22 @@ func (s *Snapshot) mergeColumn(c int, keep []int, stage []int64, stats *MergeSta
 	// Prefer RLE when the data is extremely runny (sorted sensor IDs,
 	// status flags); otherwise frame-of-reference bit packing.
 	if len(vals) >= 1024 && nulls == nil {
-		runs := 1
-		for i := 1; i < len(vals); i++ {
-			if vals[i] != vals[i-1] {
-				runs++
-			}
-		}
-		if runs*8 < len(vals) {
+		if runs := countRuns(vals); runs*8 < len(vals) {
 			return newRLEInts(vals, runs, kind), syn
 		}
 	}
 	return NewIntColumn(vals, nulls, kind), syn
+}
+
+// countRuns is the number of runs of equal values vals holds.
+func countRuns(vals []int64) int {
+	runs := min(len(vals), 1)
+	for i := 1; i < len(vals); i++ {
+		if vals[i] != vals[i-1] {
+			runs++
+		}
+	}
+	return runs
 }
 
 // newRLEInts run-length encodes vals, which hold runs runs and no NULL.

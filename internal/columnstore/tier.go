@@ -1,7 +1,7 @@
 // Tier support: the reader-capability interfaces the executors specialize
 // on (instead of type-switching on concrete column structs), the synopsis
-// the planner prunes partitions of every tier with, and the raw accessors
-// the extended store needs to serialize encoded columns page by page.
+// the planner prunes partitions of every tier with, and the main-column
+// swap the extended store pages a table's columns in with.
 //
 // The capability methods carry distinct names (FilterInts/FilterFloats/
 // FilterValues) because the concrete columns already overload FilterRange
@@ -139,40 +139,6 @@ func synopsisOf[T int64 | float64](vals []T, nulls *Bitset, read func(T) value.V
 		z.Min, z.Max = read(lo), read(hi)
 	}
 	return z
-}
-
-// --- Raw codec accessors ---------------------------------------------------
-//
-// The extended store serializes the encoded representations verbatim; these
-// constructors and accessors expose just enough of the unexported physical
-// state to round-trip a column without re-encoding it.
-
-// Words returns the packed backing words (callers must not mutate).
-func (b *BitPacked) Words() []uint64 { return b.words }
-
-// NewBitPackedFromWords reassembles a packed vector from its physical
-// parts, as produced by Words/Width/Len.
-func NewBitPackedFromWords(words []uint64, width uint, n int) *BitPacked {
-	return &BitPacked{words: words, width: width, n: n}
-}
-
-// Words returns the bitmap backing words (callers must not mutate).
-func (s *Bitset) Words() []uint64 { return s.words }
-
-// NewBitsetFromWords reassembles a bitset from its physical parts.
-func NewBitsetFromWords(words []uint64, n int) *Bitset {
-	return &Bitset{words: words, n: n}
-}
-
-// NewIntColumnFromParts reassembles a frame-of-reference column from its
-// physical parts without re-deriving the base.
-func NewIntColumnFromParts(base int64, refs *BitPacked, nulls *Bitset, kind value.Kind) *IntColumn {
-	return &IntColumn{Base: base, Refs: refs, Nulls: nulls, kind: kind}
-}
-
-// NewRLEColumnFromParts reassembles an RLE column from its run table.
-func NewRLEColumnFromParts(ends []int, vals []value.Value, n int) *RLEColumn {
-	return &RLEColumn{Ends: ends, Values: vals, n: n}
 }
 
 // ReplaceMain swaps the main-storage columns for alternative physical

@@ -1,6 +1,8 @@
 // Demote/Promote: the tier transitions. Demote merges a partition's delta,
-// serializes every column into this store's chunks and swaps paged columns
-// into the table. Promote is a merge: the delta→main merge always rebuilds
+// writes every column into this store's pages chunk by chunk, in the byte
+// form the column store gives a chunk (columnstore.AppendChunk; a fault
+// reads it back with columnstore.ReadChunk), and swaps paged columns into
+// the table. Promote is a merge: the delta→main merge always rebuilds
 // hot encodings, so merging a paged table re-hydrates it. Neither writes a
 // tier: a partition's tier is where its main store lives
 // (catalog.Partition.Tier asks the main column which store paged it), so
@@ -82,15 +84,11 @@ func (s *Store) pageColumn(snap *columnstore.Snapshot, col, rows int, table stri
 	kind := snap.Schema()[col].Kind
 	base := PagedColumn{store: s, table: table, kind: kind, n: rows}
 	boxed := false
+	var enc []byte
 	for lo := 0; lo < rows; lo += s.chunkRows {
-		hi := lo + s.chunkRows
-		if hi > rows {
-			hi = rows
-		}
-		enc := encodeChunk(snap, col, lo, hi, kind)
-		if enc[0] == encBoxed {
-			boxed = true
-		}
+		hi := min(lo+s.chunkRows, rows)
+		enc = columnstore.AppendChunk(enc[:0], snap, col, lo, hi)
+		boxed = boxed || columnstore.ChunkBoxed(enc)
 		loc, err := s.writeChunk(enc)
 		if err != nil {
 			return nil, fmt.Errorf("extstore: demote %s column %d: %w", table, col, err)

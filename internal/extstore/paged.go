@@ -90,7 +90,7 @@ func (c *PagedColumn) fault(k int) (*frame, fragment) {
 		if err != nil {
 			return nil, err
 		}
-		return decodeChunk(raw)
+		return columnstore.ReadChunk(raw)
 	})
 	if err != nil {
 		// A local store file going bad mid-query has no recovery path in

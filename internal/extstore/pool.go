@@ -4,7 +4,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/columnstore"
 )
+
+// fragment is a decoded chunk: a hot column over the chunk-local rows
+// (columnstore.ReadChunk).
+type fragment = columnstore.MainColumn
 
 // chunkLoc addresses one chunk inside a store file.
 type chunkLoc struct {

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
+	"repro/internal/columnstore"
 	"repro/internal/stats"
 )
 
@@ -33,7 +34,7 @@ const DefaultChunkRows = 2048
 type Options struct {
 	PageSize  int // bytes per page; 0 = DefaultPageSize
 	PoolPages int // buffer-pool budget in pages; 0 = DefaultPoolPages
-	ChunkRows int // rows per column chunk; 0 = DefaultChunkRows, at most 1<<20
+	ChunkRows int // rows per column chunk; 0 = DefaultChunkRows, at most columnstore.MaxChunkRows
 	// Tier is the tier a partition this store paged out reads
 	// (catalog.Partition.Tier); "" = catalog.TierExtended.
 	Tier catalog.Tier
@@ -49,7 +50,7 @@ func (o Options) withDefaults() Options {
 	if o.ChunkRows <= 0 {
 		o.ChunkRows = DefaultChunkRows
 	}
-	o.ChunkRows = min(o.ChunkRows, maxChunkRows)
+	o.ChunkRows = min(o.ChunkRows, columnstore.MaxChunkRows)
 	if o.Tier == "" {
 		o.Tier = catalog.TierExtended
 	}

@@ -233,10 +233,16 @@ func (c *Coordinator) Delete(table, key string) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("soe: unknown table %q", table)
 	}
+	// A key that does not coerce to the key column's kind names no row:
+	// refused before anything is logged, as Insert refuses one.
+	kv := t.keyValue(key)
+	if kv.IsNull() && key != "" {
+		return 0, fmt.Errorf("soe: key %s of table %s is not a %s", key, table, t.Schema[t.KeyIndex()].Kind)
+	}
 	span := c.tracer.Start("delete")
 	span.AddString("table", table)
 	defer span.Finish()
-	w := LogWrite{Table: table, Partition: t.PartitionFor(t.keyValue(key)), Kind: writeDelete, Key: key}
+	w := LogWrite{Table: table, Partition: t.PartitionFor(kv), Kind: writeDelete, Key: key}
 	resp, err := c.commit(span, []LogWrite{w})
 	if err != nil {
 		return 0, err

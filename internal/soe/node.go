@@ -748,6 +748,8 @@ func (sc *taskScope) release(free *freeList[taskScope]) {
 	free.put(sc)
 }
 
+// createTemp installs r's rows as the temp relation r.Name, replacing any
+// of that name.
 func (n *DataNode) createTemp(r CreateTempReq) error {
 	if len(r.Kinds) != len(r.Cols) {
 		return fmt.Errorf("soe: temp %s: %d column kinds for %d columns", r.Name, len(r.Kinds), len(r.Cols))
@@ -758,28 +760,14 @@ func (n *DataNode) createTemp(r CreateTempReq) error {
 	for i := range r.Cols {
 		schema[i] = columnstore.ColumnDef{Name: r.Cols[i], Kind: value.Kind(r.Kinds[i])}
 	}
-	entry, ok := n.eng.Cat.Table(r.Name)
-	if ok && !r.Append {
-		n.eng.Cat.DropTable(r.Name)
+	if n.eng.Cat.DropTable(r.Name) {
 		n.eng.Mgr.Deregister(r.Name)
-		ok = false
 	}
-	if !ok {
-		created, err := n.eng.Cat.CreateTable(r.Name, schema)
-		if err != nil {
-			return err
-		}
-		n.eng.Mgr.Register(created.Primary())
-		entry = created
+	entry, err := n.eng.Cat.CreateTable(r.Name, schema)
+	if err != nil {
+		return err
 	}
+	n.eng.Mgr.Register(entry.Primary())
 	entry.Primary().ApplyInsert(r.Rows, n.eng.Mgr.Now())
 	return nil
-}
-
-// DropTemp removes a temp relation after a distributed query completes.
-func (n *DataNode) DropTemp(name string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.eng.Cat.DropTable(name)
-	n.eng.Mgr.Deregister(name)
 }

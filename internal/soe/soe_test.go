@@ -197,7 +197,7 @@ func TestDeleteByKey(t *testing.T) {
 // TestInsertRoutesTheStoredKey: a key the client spells in another kind
 // than its column's is stored coerced to the column's kind, so the row must
 // go where that value hashes — where pruning looks for it and Delete
-// routes. A key that does not coerce is refused.
+// routes. A key that does not coerce is refused, by Insert and by Delete.
 func TestInsertRoutesTheStoredKey(t *testing.T) {
 	c := newTestCluster(t, 4, OLTP)
 	schema := columnstore.Schema{{Name: "id", Kind: value.KindInt}, {Name: "v", Kind: value.KindInt}}
@@ -235,6 +235,13 @@ func TestInsertRoutesTheStoredKey(t *testing.T) {
 	}
 	if r, _ := c.Query(`SELECT COUNT(*) FROM t`); r.Rows[0][0].AsInt() != 39 {
 		t.Errorf("count after the refused insert: %v", r.Rows[0][0])
+	}
+	tail := c.Manager.LogTail()
+	if _, err := c.Coordinator.Delete("t", "k"); err == nil {
+		t.Error("a delete by a key that is no INT was committed")
+	}
+	if got := c.Manager.LogTail(); got != tail {
+		t.Errorf("the refused delete moved the log tail from %d to %d", tail, got)
 	}
 }
 
@@ -818,7 +825,7 @@ func TestDropTemp(t *testing.T) {
 	if r := n.Engine().MustQuery(`SELECT COUNT(*) FROM tmp_x`); r.Rows[0][0].I != 1 {
 		t.Fatal("temp missing")
 	}
-	n.DropTemp("tmp_x")
+	c.Coordinator.dropTempOn([]string{n.Name}, "tmp_x")
 	if _, err := n.Engine().Query(`SELECT * FROM tmp_x`); err == nil {
 		t.Fatal("dropped temp resolvable")
 	}

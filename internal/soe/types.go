@@ -79,12 +79,11 @@ type ExecResp struct {
 
 // CreateTempReq installs a materialized temp relation on a node.
 type CreateTempReq struct {
-	Token  string
-	Name   string
-	Cols   []string
-	Kinds  []uint8
-	Rows   []value.Row
-	Append bool // append to existing temp (shuffle receivers)
+	Token string
+	Name  string
+	Cols  []string
+	Kinds []uint8
+	Rows  []value.Row
 }
 
 // CommitReq is one transaction's write set sent to the broker. TxnID, when

@@ -414,8 +414,7 @@ func (m CreateTempReq) appendWire(dst []byte) []byte {
 	dst = appendStr(dst, m.Name)
 	dst = appendStrs(dst, m.Cols)
 	dst = appendStr(dst, m.Kinds)
-	dst = appendRows(dst, m.Rows)
-	return appendBool(dst, m.Append)
+	return appendRows(dst, m.Rows)
 }
 
 func appendBool(dst []byte, b bool) []byte {
@@ -432,7 +431,6 @@ func (m *CreateTempReq) readWire(b []byte) error {
 		m.Kinds = append([]uint8(nil), k...)
 	}
 	m.Rows = r.rows()
-	m.Append = r.Byte() != 0
 	return r.End()
 }
 

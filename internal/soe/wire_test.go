@@ -249,7 +249,7 @@ func TestWireRoundTrip(t *testing.T) {
 		return bytes.Equal(a.finish(m.RowsScanned, m.Morsels), encode(m))
 	})
 	check("CreateTempReq", func(r *rand.Rand) bool {
-		m := CreateTempReq{Token: genString(r), Name: genString(r), Cols: genStrings(r), Rows: genRows(r), Append: r.Intn(2) == 0}
+		m := CreateTempReq{Token: genString(r), Name: genString(r), Cols: genStrings(r), Rows: genRows(r)}
 		for range m.Cols {
 			m.Kinds = append(m.Kinds, uint8(r.Intn(6)))
 		}
@@ -363,6 +363,9 @@ func boundedAlloc(t *testing.T, input int, fn func()) {
 	}
 }
 
+// FuzzDecodeEntry: a shared-log entry's write sections, whatever their
+// bytes, read without a panic and within a constant times them, all
+// partitions' or some.
 func FuzzDecodeEntry(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 16; i++ {
@@ -377,6 +380,10 @@ func FuzzDecodeEntry(f *testing.F) {
 	})
 }
 
+// FuzzDecodeMessage: every message decoder, whatever its bytes, never
+// panics and never allocates more than a constant times them; a node's
+// task and push read the same into a value that held a message as into a
+// zero one.
 func FuzzDecodeMessage(f *testing.F) {
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 4; i++ {

@@ -9,11 +9,12 @@ import (
 )
 
 // Reader is a cursor over a payload of AppendBinary values, varints and
-// raw bytes — the WAL's records and checkpoints, the SOE wire messages and
-// an aggregate's fold state. The first read that fails records the error
-// and empties the cursor, after which every read returns a zero value: a
-// decoder reads its fields in a row and checks once. A read that runs off
-// the end wraps io.ErrUnexpectedEOF, as ReadBinary's does.
+// raw bytes — the WAL's records and checkpoints, the SOE wire messages, an
+// aggregate's fold state and the column store's chunks. The first read
+// that fails records the error and empties the cursor, after which every
+// read returns a zero value: a decoder reads its fields in a row and
+// checks once. A read that runs off the end wraps io.ErrUnexpectedEOF, as
+// ReadBinary's does.
 type Reader struct {
 	b   []byte
 	err error
@@ -107,13 +108,16 @@ func (r *Reader) Byte() byte {
 	return 0
 }
 
-// Float64 reads the 8 little-endian bytes of a float's IEEE bits.
-func (r *Reader) Float64() float64 {
+// Uint64 reads 8 little-endian bytes.
+func (r *Reader) Uint64() uint64 {
 	if b := r.Take(8); b != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
 }
+
+// Float64 reads the 8 little-endian bytes of a float's IEEE bits.
+func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 
 // StringBytes reads one AppendBinary value when it is a string, and returns
 // its bytes without copying them: they alias the payload. Any other value it

@@ -503,9 +503,10 @@ var errShortBinary = fmt.Errorf("value: binary value cut short: %w", io.ErrUnexp
 // nothing for NULL, the 8 little-endian bytes of the IEEE bits for a
 // float, a uvarint length and the raw bytes for a string, and the 8
 // little-endian bytes of I for every other kind. It is the one value
-// encoding of the tree — the WAL's on-disk form and the SOE wire and
-// shared-log form — and it carries every bit pattern: NaN payloads, -0.0
-// and strings that are not UTF-8 come back as they went in.
+// encoding of the tree — the WAL's on-disk form, the SOE wire and
+// shared-log form and a boxed column chunk's cells — and it carries every
+// bit pattern: NaN payloads, -0.0 and strings that are not UTF-8 come back
+// as they went in.
 func AppendBinary(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.K))
 	switch v.K {

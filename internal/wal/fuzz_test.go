@@ -121,6 +121,8 @@ func TestReplayHostileCounts(t *testing.T) {
 	}
 }
 
+// FuzzReplay: the redo log's reader, whatever its bytes, never panics and
+// never allocates more than a constant times them.
 func FuzzReplay(f *testing.F) {
 	for _, img := range damaged(seedLog(f)) {
 		f.Add(img)
@@ -131,6 +133,8 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
+// FuzzReadCheckpoint: the checkpoint reader, whatever its bytes, never
+// panics and never allocates more than a constant times them.
 func FuzzReadCheckpoint(f *testing.F) {
 	for _, img := range damaged(seedCheckpoint(f)) {
 		f.Add(img)

@@ -495,9 +495,13 @@ func (s *Store) Checkpoint(tables map[string]*columnstore.Table) error {
 	})
 }
 
-// Backup writes a consistent full backup (a checkpoint file) to path.
+// Backup writes a consistent full backup (a checkpoint file) to path. Like
+// Checkpoint it runs with commits held off, so the image holds every commit
+// at or below its timestamp and none above it.
 func (s *Store) Backup(path string, tables map[string]*columnstore.Table) error {
-	return WriteCheckpoint(path, s.Mgr.Now(), tables)
+	return s.Mgr.WithoutCommits(func() error {
+		return WriteCheckpoint(path, s.Mgr.Now(), tables)
+	})
 }
 
 // RestoreBackup loads a backup into a fresh manager.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/columnstore"
@@ -256,6 +258,86 @@ func TestBackupAndRestore(t *testing.T) {
 		return tx.Insert("acct", value.Row{value.Int(8), value.String("x"), value.Float(0)})
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBackupIsConsistentUnderCommits: backups taken while two-table commits
+// flow each restore whole commits only, and no row of one was created above
+// the clock it restores — a row stamped above it would surface under a
+// later commit's timestamp of the restored manager.
+func TestBackupIsConsistentUnderCommits(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Log.Close()
+	schema := columnstore.Schema{{Name: "v", Kind: value.KindInt}}
+	tables := map[string]*columnstore.Table{"a": columnstore.NewTable("a", schema), "b": columnstore.NewTable("b", schema)}
+	for _, tab := range tables {
+		s.Mgr.Register(tab)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); !stop.Load(); i++ {
+				row := value.Row{value.Int(int64(w)<<32 | i)}
+				if _, err := s.Mgr.RunInTxn(func(tx *txn.Txn) error {
+					if err := tx.Insert("a", row); err != nil {
+						return err
+					}
+					return tx.Insert("b", row)
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	var paths []string
+	for i := 0; i < 20; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("backup-%d.db", i))
+		if err := s.Backup(path, tables); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	stop.Store(true)
+	wg.Wait()
+	imaged := 0
+	for _, path := range paths {
+		mgr, err := RestoreBackup(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := mgr.Now()
+		held := map[string]map[int64]bool{}
+		for _, name := range []string{"a", "b"} {
+			tab, _ := mgr.Table(name)
+			snap := tab.Snapshot(^uint64(0) - 1)
+			held[name] = map[int64]bool{}
+			for i := 0; i < snap.NumRows(); i++ {
+				if c := snap.Created(i); c > ts {
+					t.Fatalf("%s: a row of %s created at %d, above the restored clock %d", filepath.Base(path), name, c, ts)
+				}
+				held[name][snap.Get(0, i).I] = true
+			}
+		}
+		for v := range held["b"] {
+			if !held["a"][v] {
+				t.Fatalf("%s: half of a commit: %d in b, not in a", filepath.Base(path), v)
+			}
+		}
+		if len(held["a"]) != len(held["b"]) {
+			t.Fatalf("%s: half of a commit: %d rows in a, %d in b", filepath.Base(path), len(held["a"]), len(held["b"]))
+		}
+		imaged += len(held["a"])
+	}
+	if imaged == 0 {
+		t.Fatal("no backup held a commit")
 	}
 }
 
